@@ -5,17 +5,22 @@
 //! Runs on the in-repo [`fabricsim_bench::microbench`] harness (Criterion is
 //! unavailable offline): `cargo bench --bench micro [-- FILTER]`.
 
+use std::collections::HashMap;
 use std::hint::black_box;
 
 use fabricsim_bench::microbench::Runner;
-use fabricsim_crypto::{sha256, KeyPair, MerkleTree};
+use fabricsim_crypto::{sha256, KeyPair, MerkleTree, PublicKey};
 use fabricsim_des::{Kernel, ShardWorld, ShardedKernel, SimDuration, SimTime, Station};
 use fabricsim_kafka::{Broker, BrokerMsg, KafkaConfig, Record};
 use fabricsim_ledger::Ledger;
+use fabricsim_msp::{Certificate, CertificateAuthority, Msp, SigningIdentity};
+use fabricsim_peer::{vscc_block_pooled, Peer, PeerConfig};
 use fabricsim_policy::Policy;
 use fabricsim_raft::{RaftConfig, RaftNode, Role};
-use fabricsim_types::{codec, ChannelId, ClientId, OrgId, Principal, Proposal, RwSet, Transaction};
-use fabricsim_types::{Block, ValidationCode};
+use fabricsim_types::{
+    codec, Block, ChannelId, CheckedBlock, ClientId, Endorsement, OrgId, Principal, Proposal,
+    ProposalResponse, RwSet, Transaction, ValidationCode,
+};
 
 fn tx(nonce: u64) -> Transaction {
     let creator = ClientId(0);
@@ -41,6 +46,12 @@ fn bench_crypto(r: &mut Runner) {
     let sig = kp.sign(&data);
     r.bench("crypto/schnorr_verify", || {
         kp.public.verify(black_box(&data), &sig)
+    });
+    // What a caller that already holds the digest pays: no message hash.
+    let digest = sha256(&data);
+    r.bench("crypto/sign_digest", || kp.sign_digest(black_box(&digest)));
+    r.bench("crypto/verify_digest", || {
+        kp.public.verify_digest(black_box(&digest), &sig)
     });
     let leaves: Vec<Vec<u8>> = (0..100).map(|i| format!("tx{i}").into_bytes()).collect();
     r.bench("crypto/merkle_root_100", || {
@@ -98,13 +109,19 @@ fn bench_ledger(r: &mut Runner) {
     });
 }
 
-fn bench_vscc(r: &mut Runner) {
-    use std::collections::HashMap;
+/// A CA, one client, `orgs` endorsing peers and a block of `txs` fully signed
+/// AND-`orgs` transactions, with the trust directories a committer needs.
+struct SignedBlock {
+    msp: Msp,
+    client: SigningIdentity,
+    endorsers: Vec<SigningIdentity>,
+    client_certs: HashMap<ClientId, Certificate>,
+    endorser_keys: HashMap<Principal, Vec<PublicKey>>,
+    config: PeerConfig,
+    block: Block,
+}
 
-    use fabricsim_msp::{CertificateAuthority, Msp};
-    use fabricsim_peer::{vscc_block_pooled, PeerConfig};
-    use fabricsim_types::{Endorsement, ProposalResponse};
-
+fn signed_block(orgs: u32, txs: u64) -> SignedBlock {
     let ca = CertificateAuthority::new("bench-ca", 1);
     let client = ca.enroll(
         Principal {
@@ -113,7 +130,7 @@ fn bench_vscc(r: &mut Runner) {
         },
         "client0",
     );
-    let endorsers: Vec<_> = (1..=3)
+    let endorsers: Vec<_> = (1..=orgs)
         .map(|i| ca.enroll(Principal::peer(OrgId(i)), &format!("peer{i}")))
         .collect();
     let mut endorser_keys: HashMap<Principal, Vec<_>> = HashMap::new();
@@ -125,18 +142,16 @@ fn bench_vscc(r: &mut Runner) {
     }
     let config = PeerConfig {
         channel: ChannelId::default_channel(),
-        endorsement_policy: Policy::and_of_orgs(3),
+        endorsement_policy: Policy::and_of_orgs(orgs),
         is_endorser: false,
         validator_pool_size: 1,
     };
-    let msp = Msp::new(ca.root_of_trust());
-    let client_certs = HashMap::from([(ClientId(0), client.certificate().clone())]);
-    let txs: Vec<Transaction> = (0..1024)
+    let txs: Vec<Transaction> = (0..txs)
         .map(|nonce| {
             let creator = ClientId(0);
             let tx_id = Proposal::derive_tx_id(creator, nonce);
             let mut rw = RwSet::new();
-            rw.record_write("k", Some(vec![1]));
+            rw.record_write(&format!("k{nonce}"), Some(vec![1]));
             let resp = ProposalResponse::signed_bytes(tx_id, &rw, b"");
             let endorsements = endorsers
                 .iter()
@@ -160,12 +175,31 @@ fn bench_vscc(r: &mut Runner) {
             t
         })
         .collect();
-    let block = Block::assemble(
-        ChannelId::default_channel(),
-        0,
-        fabricsim_crypto::Hash256::ZERO,
-        txs,
-    );
+    SignedBlock {
+        msp: Msp::new(ca.root_of_trust()),
+        client_certs: HashMap::from([(ClientId(0), client.certificate().clone())]),
+        client,
+        endorsers,
+        endorser_keys,
+        config,
+        block: Block::assemble(
+            ChannelId::default_channel(),
+            0,
+            fabricsim_crypto::Hash256::ZERO,
+            txs,
+        ),
+    }
+}
+
+fn bench_vscc(r: &mut Runner) {
+    let SignedBlock {
+        msp,
+        client_certs,
+        endorser_keys,
+        config,
+        block,
+        ..
+    } = signed_block(3, 1024);
     // ISSUE acceptance pair: the VSCC stage serial vs a 4-wide pool on a
     // 1000+-tx block of fully signed AND3 transactions.
     r.bench("peer/vscc_1024tx_serial", || {
@@ -187,6 +221,46 @@ fn bench_vscc(r: &mut Runner) {
             &endorser_keys,
             4,
         )
+    });
+}
+
+/// The per-component numbers of the validate-and-commit path: what one
+/// committer pays for a 100-tx AND5 block, and the pieces it is made of.
+fn bench_commit_path(r: &mut Runner) {
+    let s = signed_block(5, 100);
+    let cert = s.client.certificate();
+    let envelope = s.block.transactions[0].signed_bytes();
+    let sig = s.block.transactions[0].signature;
+    // Hit: the certificate's CA signature was verified on an earlier call.
+    assert!(s.msp.verify(cert, &envelope, &sig).is_ok());
+    r.bench("msp/verify_hit", || {
+        s.msp.verify(black_box(cert), black_box(&envelope), &sig)
+    });
+    // Miss: an MSP that has never seen the certificate (a clone starts
+    // empty) verifies the CA signature too.
+    r.bench("msp/verify_miss", || {
+        s.msp
+            .clone()
+            .verify(black_box(cert), black_box(&envelope), &sig)
+    });
+    // Encode + hash every envelope, Merkle root, compare: the one pass over
+    // the block's bytes a committer makes.
+    r.bench("types/checked_block_100tx", || {
+        CheckedBlock::new(black_box(s.block.clone()))
+    });
+    // The whole path on a fresh peer at height 0 (the clone of the block is
+    // the copy each ledger must own; building the peer is a few µs).
+    r.bench("peer/validate_and_commit_100tx_and5", || {
+        let mut peer = Peer::new(s.endorsers[0].clone(), s.msp.clone(), s.config.clone());
+        peer.register_client(ClientId(0), cert.clone());
+        for e in &s.endorsers {
+            peer.register_endorser(e.principal().clone(), e.certificate().public_key);
+        }
+        let stats = peer
+            .validate_and_commit(black_box(s.block.clone()))
+            .unwrap();
+        assert_eq!(stats.valid, 100);
+        peer
     });
 }
 
@@ -366,6 +440,7 @@ fn main() {
     bench_codec(&mut r);
     bench_ledger(&mut r);
     bench_vscc(&mut r);
+    bench_commit_path(&mut r);
     bench_raft(&mut r);
     bench_kafka(&mut r);
     bench_des_kernel(&mut r);

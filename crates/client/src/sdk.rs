@@ -3,6 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
+use fabricsim_crypto::Signature;
 use fabricsim_msp::SigningIdentity;
 use fabricsim_types::{ChannelId, ClientId, Proposal, ProposalResponse, Transaction};
 
@@ -33,6 +34,10 @@ impl fmt::Display for AssembleError {
 }
 
 impl Error for AssembleError {}
+
+/// What the signature field holds while the artefact's signed bytes — which
+/// do not cover it — are being encoded for the one real signature.
+const UNSIGNED: Signature = Signature { e: 0, s: 0 };
 
 /// A signing client: creates proposals and assembles endorsed envelopes.
 #[derive(Debug)]
@@ -73,7 +78,7 @@ impl ClientSdk {
             args,
             creator: self.id,
             nonce,
-            signature: self.identity.sign(b""), // placeholder, replaced below
+            signature: UNSIGNED,
         };
         proposal.signature = self.identity.sign(&proposal.signed_bytes());
         proposal
@@ -121,7 +126,7 @@ impl ClientSdk {
             payload: first.payload.clone(),
             endorsements,
             creator: self.id,
-            signature: self.identity.sign(b""),
+            signature: UNSIGNED,
         };
         tx.signature = self.identity.sign(&tx.signed_bytes());
         Ok(tx)
@@ -176,6 +181,11 @@ mod tests {
         let p2 = sdk.create_proposal(ChannelId::default_channel(), "kv", vec![b"a".to_vec()]);
         assert_ne!(p1.tx_id, p2.tx_id);
         assert_eq!(p1.tx_id, Proposal::derive_tx_id(ClientId(0), 0));
+        let key = sdk.identity.certificate().public_key;
+        for p in [&p1, &p2] {
+            assert_ne!(p.signature, UNSIGNED);
+            assert!(key.verify(&p.signed_bytes(), &p.signature));
+        }
     }
 
     #[test]

@@ -238,7 +238,7 @@ struct OsnActor {
     alive: bool,
     /// Blocks this OSN has emitted, kept for Deliver-style replay when a
     /// peer re-subscribes after its OSN crashed.
-    delivered: Vec<Block>,
+    delivered: Vec<Arc<Block>>,
 }
 
 struct BrokerActor {
@@ -1725,7 +1725,7 @@ fn schedule_faults(faults: &FaultPlan, k: &mut K) {
                 };
                 for peer_idx in orphans {
                     w.osns[target].subscribers.push(peer_idx);
-                    let missing: Vec<Block> = w.osns[target]
+                    let missing: Vec<Arc<Block>> = w.osns[target]
                         .delivered
                         .iter()
                         .filter(|blk| {
@@ -1740,7 +1740,7 @@ fn schedule_faults(faults: &FaultPlan, k: &mut K) {
                         let bytes = b.wire_size();
                         let arrival = w.osns[target].egress.transfer(now, bytes);
                         k.schedule_labeled(arrival, "peer.block", move |w, k| {
-                            peer_receive_block(w, k, peer_idx, b.clone());
+                            peer_receive_block(w, k, peer_idx, b);
                         });
                     }
                 }
@@ -2480,6 +2480,10 @@ fn broker_msg_bytes(message: &BrokerMsg) -> u64 {
 }
 
 fn deliver_block(world: &mut World, k: &mut K, o: usize, block: Block) {
+    // Shared from here to each committer: subscribers, the replay log and
+    // the gossip mesh all hold the one allocation, and a peer deep-copies it
+    // only when its ledger takes ownership.
+    let block = Arc::new(block);
     let now = k.now();
     let Ok(ch) = world.channel_index(&block.channel) else {
         return;
@@ -2534,9 +2538,9 @@ fn deliver_block(world: &mut World, k: &mut K, o: usize, block: Block) {
             let actor = format!("peer{peer_idx}");
             world.emit_span(trace, SpanKind::Deliver, &actor, now, arrival, 0, parent);
         }
-        let b = block.clone();
+        let b = Arc::clone(&block);
         k.schedule_labeled(arrival, "osn.deliver", move |w, k| {
-            peer_receive_block(w, k, peer_idx, b.clone());
+            peer_receive_block(w, k, peer_idx, b);
         });
     }
     world.osns[o].delivered.push(block);
@@ -2546,7 +2550,7 @@ fn deliver_block(world: &mut World, k: &mut K, o: usize, block: Block) {
 
 /// Entry point for blocks arriving from the ordering service (or from a
 /// failover replay). Routes through the gossip layer when enabled.
-fn peer_receive_block(world: &mut World, k: &mut K, peer_idx: usize, block: Block) {
+fn peer_receive_block(world: &mut World, k: &mut K, peer_idx: usize, block: Arc<Block>) {
     if let Some(gossip) = world.peers[peer_idx].gossip.as_mut() {
         let effects = gossip.on_block_from_orderer(block);
         apply_gossip_effects(world, k, peer_idx, effects);
@@ -2640,7 +2644,7 @@ fn gossip_tick(world: &mut World, k: &mut K, peer_idx: usize) {
     }
 }
 
-fn enqueue_block_validation(world: &mut World, k: &mut K, peer_idx: usize, block: Block) {
+fn enqueue_block_validation(world: &mut World, k: &mut K, peer_idx: usize, block: Arc<Block>) {
     let now = k.now();
     let Ok(ch) = world.channel_index(&block.channel) else {
         return;
@@ -2785,15 +2789,7 @@ fn enqueue_block_validation(world: &mut World, k: &mut K, peer_idx: usize, block
     }
 
     k.schedule_labeled(done, "validate.commit", move |w, k| {
-        commit_block(
-            w,
-            k,
-            peer_idx,
-            block.clone(),
-            start,
-            vscc_times.clone(),
-            commit_times.clone(),
-        );
+        commit_block(w, k, peer_idx, block, start, vscc_times, commit_times);
     });
 }
 
@@ -2801,7 +2797,7 @@ fn commit_block(
     world: &mut World,
     k: &mut K,
     peer_idx: usize,
-    block: Block,
+    block: Arc<Block>,
     start: SimTime,
     vscc_times: Vec<SimTime>,
     commit_times: Vec<SimTime>,
@@ -2845,8 +2841,9 @@ fn commit_block(
             );
         }
     }
+    // The one deep copy: this peer's ledger must own its block.
     let stats = world.peers[peer_idx].channels[ch]
-        .validate_and_commit(block)
+        .validate_and_commit(Arc::unwrap_or_clone(block))
         // lint:allow(no-unwrap-in-lib) -- ordering delivers blocks in order; a chain break is
         // a simulator bug
         .expect("delivered blocks must chain");

@@ -64,9 +64,14 @@ impl Hash256 {
 
     /// First 8 bytes of the digest as a little-endian u64 (for cheap keying).
     pub fn prefix_u64(&self) -> u64 {
-        // lint:allow(no-unwrap-in-lib) -- 8-byte prefix of a 32-byte digest; the length always
-        // matches
-        u64::from_le_bytes(self.0[..8].try_into().unwrap())
+        let [b0, b1, b2, b3, b4, b5, b6, b7, ..] = self.0;
+        u64::from_le_bytes([b0, b1, b2, b3, b4, b5, b6, b7])
+    }
+
+    /// First 8 bytes of the digest as a big-endian u64 (scalar derivation in
+    /// the Schnorr signer).
+    pub fn prefix_u64_be(&self) -> u64 {
+        self.prefix_u64().swap_bytes()
     }
 }
 
@@ -124,5 +129,10 @@ mod tests {
     fn prefix_u64_is_stable() {
         let h = Hash256::from_bytes([1; 32]);
         assert_eq!(h.prefix_u64(), u64::from_le_bytes([1; 8]));
+        let mut bytes = [0u8; 32];
+        bytes[..9].copy_from_slice(&[1, 2, 3, 4, 5, 6, 7, 8, 9]);
+        let h = Hash256::from_bytes(bytes);
+        assert_eq!(h.prefix_u64(), 0x0807_0605_0403_0201);
+        assert_eq!(h.prefix_u64_be(), 0x0102_0304_0506_0708);
     }
 }

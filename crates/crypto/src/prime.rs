@@ -3,7 +3,7 @@
 //! user code that wants to pick its own group.
 
 /// `(a * b) mod m` without overflow, via 128-bit intermediates.
-pub fn mul_mod(a: u64, b: u64, m: u64) -> u64 {
+pub const fn mul_mod(a: u64, b: u64, m: u64) -> u64 {
     ((a as u128 * b as u128) % m as u128) as u64
 }
 

@@ -2,8 +2,20 @@
 //!
 //! The group: `p = 2305843009213699919` (a 61-bit safe prime), subgroup order
 //! `q = (p-1)/2`, generator `g = 4` (a quadratic residue, hence order `q`).
-//! Keys: `sk ∈ [1, q)`, `pk = g^sk mod p`. Signing uses a deterministic nonce
-//! derived RFC 6979-style from `HMAC(sk, message)`.
+//! Keys: `sk ∈ [1, q)`, `pk = g^sk mod p`.
+//!
+//! What is signed is the SHA-256 **digest** of the message, as Fabric's ECDSA
+//! does: [`KeyPair::sign`] / [`PublicKey::verify`] hash and delegate to
+//! [`KeyPair::sign_digest`] / [`PublicKey::verify_digest`], so a caller that
+//! already holds the digest (the committer, which hashed every envelope for
+//! the Merkle root) never hashes the message a second time. The nonce is
+//! derived RFC 6979-style from `HMAC(sk, digest)`, and the challenge
+//! `H(tag ‖ r ‖ pk ‖ digest)` is 54 bytes — one SHA-256 compression.
+//!
+//! Exponentiation is specialised to the two shapes the scheme needs: `g^x`
+//! is 15 multiplications out of a fixed-base table, `pk^x` a 4-bit
+//! fixed-window ladder (89). [`crate::prime::pow_mod`] remains the generic
+//! utility and the oracle the tests compare both against.
 //!
 //! The 61-bit modulus gives toy *security* but real *structure*: signatures
 //! are actually computed and verified on every simulated endorsement and VSCC
@@ -12,9 +24,10 @@
 
 use std::fmt;
 
+use crate::hash::Hash256;
 use crate::hmac::hmac_sha256;
 use crate::prime::{mul_mod, pow_mod};
-use crate::sha256::Sha256;
+use crate::sha256::{sha256, Sha256};
 
 /// The group modulus: a 61-bit safe prime.
 pub const P: u64 = 2_305_843_009_213_699_919;
@@ -22,6 +35,60 @@ pub const P: u64 = 2_305_843_009_213_699_919;
 pub const Q: u64 = 1_152_921_504_606_849_959;
 /// Generator of the order-`Q` subgroup of quadratic residues.
 pub const G: u64 = 4;
+
+/// Bits per exponent window, and windows per 64-bit exponent.
+const WINDOW_BITS: u32 = 4;
+const WINDOWS: usize = 16;
+
+/// `G_TABLE[i][j] = g^(j · 16^i) mod p`: one row per exponent nibble, so
+/// `g^x` is the product of one entry per row (2 KiB, built at compile time).
+static G_TABLE: [[u64; 16]; WINDOWS] = {
+    let mut table = [[1u64; 16]; WINDOWS];
+    let mut base = G; // g^(16^i)
+    let mut i = 0;
+    while i < WINDOWS {
+        let mut j = 1;
+        while j < 16 {
+            table[i][j] = mul_mod(table[i][j - 1], base, P);
+            j += 1;
+        }
+        base = mul_mod(table[i][15], base, P);
+        i += 1;
+    }
+    table
+};
+
+fn nibble(x: u64, i: usize) -> usize {
+    ((x >> (WINDOW_BITS * i as u32)) & 15) as usize
+}
+
+/// `g^exp mod p` from the fixed-base table: 15 multiplications, no squarings.
+fn pow_g(exp: u64) -> u64 {
+    let mut acc = G_TABLE[0][nibble(exp, 0)];
+    for (i, row) in G_TABLE.iter().enumerate().skip(1) {
+        acc = mul_mod(acc, row[nibble(exp, i)], P);
+    }
+    acc
+}
+
+/// `base^exp mod p` by 4-bit fixed windows: 14 multiplications for the
+/// powers `base^2..=base^15`, then four squarings and one multiplication for
+/// each of the 15 nibbles below the top one — 89 in all.
+fn pow_windowed(base: u64, exp: u64) -> u64 {
+    let mut powers = [1u64; 16];
+    powers[1] = base;
+    for j in 2..16 {
+        powers[j] = mul_mod(powers[j - 1], base, P);
+    }
+    let mut acc = powers[nibble(exp, WINDOWS - 1)];
+    for i in (0..WINDOWS - 1).rev() {
+        for _ in 0..WINDOW_BITS {
+            acc = mul_mod(acc, acc, P);
+        }
+        acc = mul_mod(acc, powers[nibble(exp, i)], P);
+    }
+    acc
+}
 
 /// A secret scalar in `[1, Q)`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
@@ -66,15 +133,12 @@ impl SecretKey {
             h.update(seed);
             h.finalize()
         };
-        // lint:allow(no-unwrap-in-lib) -- 8-byte prefix of a 32-byte digest; the length always
-        // matches
-        let raw = u64::from_be_bytes(digest.as_bytes()[..8].try_into().unwrap());
-        SecretKey(1 + raw % (Q - 1))
+        SecretKey(1 + digest.prefix_u64_be() % (Q - 1))
     }
 
     /// The public key for this secret.
     pub fn public_key(&self) -> PublicKey {
-        PublicKey(pow_mod(G, self.0, P))
+        PublicKey(pow_g(self.0))
     }
 }
 
@@ -114,15 +178,19 @@ impl KeyPair {
         }
     }
 
-    /// Signs a message with a deterministic (RFC 6979-style) nonce.
+    /// Signs a message: hashes it and signs the digest.
     pub fn sign(&self, message: &[u8]) -> Signature {
-        // Deterministic nonce: k = H(sk || m) reduced into [1, Q).
-        let nonce_tag = hmac_sha256(&self.secret.0.to_be_bytes(), message);
-        // lint:allow(no-unwrap-in-lib) -- 8-byte prefix of a 32-byte digest; the length always
-        // matches
-        let k = 1 + u64::from_be_bytes(nonce_tag.as_bytes()[..8].try_into().unwrap()) % (Q - 1);
-        let r = pow_mod(G, k, P);
-        let e = challenge(r, self.public, message);
+        self.sign_digest(&sha256(message))
+    }
+
+    /// Signs the SHA-256 digest of a message with a deterministic
+    /// (RFC 6979-style) nonce. `sign(m) == sign_digest(&sha256(m))`.
+    pub fn sign_digest(&self, digest: &Hash256) -> Signature {
+        // Deterministic nonce: k = HMAC(sk, digest) reduced into [1, Q).
+        let nonce_tag = hmac_sha256(&self.secret.0.to_be_bytes(), digest.as_bytes());
+        let k = 1 + nonce_tag.prefix_u64_be() % (Q - 1);
+        let r = pow_g(k);
+        let e = challenge(r, self.public, digest);
         // s = k + e * sk mod Q
         let s = (k as u128 + mul_mod(e % Q, self.secret.0, Q) as u128) % Q as u128;
         Signature { e, s: s as u64 }
@@ -130,30 +198,36 @@ impl KeyPair {
 }
 
 impl PublicKey {
-    /// Verifies a signature over `message`.
+    /// Verifies a signature over `message`: hashes it and verifies the digest.
     pub fn verify(&self, message: &[u8], sig: &Signature) -> bool {
+        self.verify_digest(&sha256(message), sig)
+    }
+
+    /// Verifies a signature over the SHA-256 digest of a message.
+    /// `verify(m, sig) == verify_digest(&sha256(m), sig)`.
+    pub fn verify_digest(&self, digest: &Hash256, sig: &Signature) -> bool {
         if sig.s >= Q {
             return false;
         }
         // r' = g^s * pk^{-e} = g^s * pk^{Q - (e mod Q)}
-        let gs = pow_mod(G, sig.s, P);
-        let e_mod = sig.e % Q;
-        let pk_neg_e = pow_mod(self.0, Q - e_mod, P);
-        let r = mul_mod(gs, pk_neg_e, P);
-        challenge(r, *self, message) == sig.e
+        let pk_neg_e = pow_windowed(self.0, Q - sig.e % Q);
+        let r = mul_mod(pow_g(sig.s), pk_neg_e, P);
+        challenge(r, *self, digest) == sig.e
     }
 }
 
-fn challenge(r: u64, pk: PublicKey, message: &[u8]) -> u64 {
+const CHALLENGE_TAG: &[u8] = b"fsim-e";
+// tag ‖ r ‖ pk ‖ digest must pad into a single SHA-256 block (≤ 55 bytes).
+const _: () = assert!(CHALLENGE_TAG.len() + 8 + 8 + 32 <= 55);
+
+/// `H(tag ‖ r ‖ pk ‖ digest) mod Q`: one compression.
+fn challenge(r: u64, pk: PublicKey, digest: &Hash256) -> u64 {
     let mut h = Sha256::new();
-    h.update(b"fabricsim-schnorr-e");
+    h.update(CHALLENGE_TAG);
     h.update(&r.to_be_bytes());
     h.update(&pk.0.to_be_bytes());
-    h.update(message);
-    let digest = h.finalize();
-    // lint:allow(no-unwrap-in-lib) -- 8-byte prefix of a 32-byte digest; the length always
-    // matches
-    u64::from_be_bytes(digest.as_bytes()[..8].try_into().unwrap()) % Q
+    h.update(digest.as_bytes());
+    h.finalize().prefix_u64_be() % Q
 }
 
 #[cfg(test)]
@@ -169,20 +243,91 @@ mod tests {
         assert_ne!(pow_mod(G, 1, P), 1);
     }
 
+    /// SplitMix64: a seeded stream for the equivalence sweeps.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn table_and_windowed_exponentiation_match_pow_mod() {
+        let mut rng = 0x00FA_B51C_u64;
+        let edge = [0, 1, 15, 16, Q - 1, Q, 1 << 60, u64::MAX];
+        let random: Vec<u64> = (0..10_000).map(|_| splitmix(&mut rng)).collect();
+        let pk = KeyPair::from_seed(b"oracle").public.element();
+        for &x in edge.iter().chain(&random) {
+            assert_eq!(pow_g(x), pow_mod(G, x, P), "g^{x}");
+            assert_eq!(pow_windowed(pk, x), pow_mod(pk, x, P), "pk^{x}");
+            // Any base, not only subgroup elements.
+            let base = splitmix(&mut rng);
+            assert_eq!(pow_windowed(base, x), pow_mod(base, x, P), "{base}^{x}");
+        }
+    }
+
+    #[test]
+    fn fixed_base_table_rows_are_powers_of_g() {
+        for (i, row) in G_TABLE.iter().enumerate() {
+            for (j, &entry) in row.iter().enumerate() {
+                // j · 16^i can exceed u64 for the top row; reduce mod Q
+                // (the order of g) in 128-bit arithmetic first.
+                let exp = ((j as u128) << (4 * i)) % Q as u128;
+                assert_eq!(entry, pow_mod(G, exp as u64, P), "row {i} entry {j}");
+            }
+        }
+    }
+
+    /// Both entry points on one (message, signature) pair: they must agree,
+    /// and the verdict is returned.
+    fn verifies(pk: &PublicKey, msg: &[u8], sig: &Signature) -> bool {
+        let by_message = pk.verify(msg, sig);
+        assert_eq!(by_message, pk.verify_digest(&sha256(msg), sig));
+        by_message
+    }
+
     #[test]
     fn sign_verify_roundtrip() {
         let kp = KeyPair::from_seed(b"alice");
         for msg in [&b"hello"[..], b"", b"a longer message with bytes \x00\xff"] {
             let sig = kp.sign(msg);
-            assert!(kp.public.verify(msg, &sig));
+            assert_eq!(sig, kp.sign_digest(&sha256(msg)));
+            assert!(verifies(&kp.public, msg, &sig));
         }
+    }
+
+    #[test]
+    fn message_and_digest_entry_points_agree_on_random_input() {
+        let mut rng = 7u64;
+        for i in 0..200u64 {
+            let kp = KeyPair::from_seed(&splitmix(&mut rng).to_le_bytes());
+            let msg: Vec<u8> = (0..i).map(|_| splitmix(&mut rng) as u8).collect();
+            let sig = kp.sign(&msg);
+            assert_eq!(sig, kp.sign_digest(&sha256(&msg)));
+            assert!(verifies(&kp.public, &msg, &sig));
+            let forged = Signature {
+                e: splitmix(&mut rng),
+                s: splitmix(&mut rng) % Q,
+            };
+            assert!(!verifies(&kp.public, &msg, &forged));
+        }
+    }
+
+    #[test]
+    fn a_digest_is_not_its_own_message() {
+        // Signing the digest bytes *as a message* hashes them again: the two
+        // entry points sign different things unless composed as documented.
+        let kp = KeyPair::from_seed(b"alice");
+        let digest = sha256(b"msg");
+        assert_ne!(kp.sign_digest(&digest), kp.sign(digest.as_bytes()));
     }
 
     #[test]
     fn tampered_message_fails() {
         let kp = KeyPair::from_seed(b"alice");
         let sig = kp.sign(b"pay bob 10");
-        assert!(!kp.public.verify(b"pay bob 11", &sig));
+        assert!(!verifies(&kp.public, b"pay bob 11", &sig));
     }
 
     #[test]
@@ -190,7 +335,7 @@ mod tests {
         let alice = KeyPair::from_seed(b"alice");
         let bob = KeyPair::from_seed(b"bob");
         let sig = alice.sign(b"msg");
-        assert!(!bob.public.verify(b"msg", &sig));
+        assert!(!verifies(&bob.public, b"msg", &sig));
     }
 
     #[test]
@@ -205,10 +350,16 @@ mod tests {
             e: sig.e,
             s: (sig.s + 1) % Q,
         };
-        assert!(!kp.public.verify(b"msg", &bad_e));
-        assert!(!kp.public.verify(b"msg", &bad_s));
+        assert!(!verifies(&kp.public, b"msg", &bad_e));
+        assert!(!verifies(&kp.public, b"msg", &bad_s));
         let oversize = Signature { e: sig.e, s: Q };
-        assert!(!kp.public.verify(b"msg", &oversize));
+        assert!(!verifies(&kp.public, b"msg", &oversize));
+        // s + Q names the same residue; it must still be refused, not reduced.
+        let wrapped = Signature {
+            e: sig.e,
+            s: sig.s + Q,
+        };
+        assert!(!verifies(&kp.public, b"msg", &wrapped));
     }
 
     #[test]

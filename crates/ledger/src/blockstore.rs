@@ -5,7 +5,7 @@ use std::error::Error;
 use std::fmt;
 
 use fabricsim_crypto::Hash256;
-use fabricsim_types::{Block, TxId};
+use fabricsim_types::{Block, BlockHeader, CheckedBlock, TxId};
 
 /// Errors appending to the chain.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,6 +43,8 @@ pub struct BlockStore {
     blocks: Vec<Block>,
     by_hash: HashMap<Hash256, u64>,
     by_txid: HashMap<TxId, (u64, u32)>,
+    /// Header hash of the last block; `None` on an empty chain.
+    tip: Option<Hash256>,
 }
 
 impl BlockStore {
@@ -58,28 +60,49 @@ impl BlockStore {
 
     /// Hash of the tip block's header; `None` on an empty chain.
     pub fn tip_hash(&self) -> Option<Hash256> {
-        self.blocks.last().map(|b| b.header.hash())
+        self.tip
+    }
+
+    /// Verifies that a block with this header would link onto the tip: its
+    /// number is the height and its previous-hash is the tip's header hash.
+    ///
+    /// # Errors
+    /// [`ChainError::WrongNumber`], then [`ChainError::BrokenChain`].
+    pub fn check_links(&self, header: &BlockHeader) -> Result<(), ChainError> {
+        if header.number != self.height() {
+            return Err(ChainError::WrongNumber {
+                got: header.number,
+                want: self.height(),
+            });
+        }
+        if header.previous_hash != self.tip.unwrap_or(Hash256::ZERO) {
+            return Err(ChainError::BrokenChain);
+        }
+        Ok(())
     }
 
     /// Verifies — without mutating — that `block` would chain onto the tip.
     ///
     /// # Errors
-    /// The specific [`ChainError`] describing the mismatch.
+    /// The specific [`ChainError`] describing the mismatch: number, then
+    /// previous-hash, then data hash.
     pub fn check_chains(&self, block: &Block) -> Result<(), ChainError> {
-        if block.header.number != self.height() {
-            return Err(ChainError::WrongNumber {
-                got: block.header.number,
-                want: self.height(),
-            });
-        }
-        let want_prev = self.tip_hash().unwrap_or(Hash256::ZERO);
-        if block.header.previous_hash != want_prev {
-            return Err(ChainError::BrokenChain);
-        }
+        self.check_links(&block.header)?;
         if !block.data_hash_is_consistent() {
             return Err(ChainError::BadDataHash);
         }
         Ok(())
+    }
+
+    /// [`BlockStore::check_chains`] by value: the same three checks in the
+    /// same order, returning the proof of the third so that whoever holds it
+    /// need not hash the block again.
+    ///
+    /// # Errors
+    /// See [`BlockStore::check_chains`].
+    pub fn admit(&self, block: Block) -> Result<CheckedBlock, ChainError> {
+        self.check_links(&block.header)?;
+        CheckedBlock::new(block).ok_or(ChainError::BadDataHash)
     }
 
     /// Appends a block after chain checks.
@@ -87,14 +110,28 @@ impl BlockStore {
     /// # Errors
     /// See [`BlockStore::check_chains`].
     pub fn append(&mut self, block: Block) -> Result<(), ChainError> {
-        self.check_chains(&block)?;
+        let checked = self.admit(block)?;
+        self.append_checked(checked).map(|_| ())
+    }
+
+    /// Appends a block whose data hash the type already proves, re-checking
+    /// only that it links onto the tip as it stands now. Returns the block as
+    /// stored.
+    ///
+    /// # Errors
+    /// See [`BlockStore::check_links`].
+    pub fn append_checked(&mut self, checked: CheckedBlock) -> Result<&Block, ChainError> {
+        let block = checked.into_block();
+        self.check_links(&block.header)?;
         let num = block.header.number;
-        self.by_hash.insert(block.header.hash(), num);
+        let hash = block.header.hash();
+        self.by_hash.insert(hash, num);
+        self.tip = Some(hash);
         for (i, tx) in block.transactions.iter().enumerate() {
             self.by_txid.entry(tx.tx_id).or_insert((num, i as u32));
         }
         self.blocks.push(block);
-        Ok(())
+        Ok(&self.blocks[num as usize])
     }
 
     /// Fetches a block by number.

@@ -33,7 +33,7 @@ pub use blockstore::{BlockStore, ChainError};
 pub use history::{HistoryDb, KeyModification};
 pub use statedb::{StateDb, VersionedValue};
 
-use fabricsim_types::{Block, ValidationCode};
+use fabricsim_types::{Block, CheckedBlock, ValidationCode, Version};
 
 /// A channel's complete ledger: block store + world state + history, with the
 /// commit path that glues them together.
@@ -107,8 +107,34 @@ impl Ledger {
         block: Block,
         pre_flags: Vec<Option<ValidationCode>>,
     ) -> Result<Vec<ValidationCode>, ChainError> {
-        let flags = self.mvcc_flags(&block, &pre_flags)?;
-        self.commit(block, flags.clone());
+        let checked = self.blocks.admit(block)?;
+        self.validate_and_commit_checked(checked, &pre_flags)
+    }
+
+    /// [`Ledger::validate_and_commit`] for a block whose data hash the type
+    /// already proves: number and previous-hash are checked against the tip
+    /// when the block is appended (before anything is written), the Merkle
+    /// root is not computed again. This is the path
+    /// `Peer::validate_and_commit` takes, so each envelope is hashed once per
+    /// committer.
+    ///
+    /// # Errors
+    /// Returns [`ChainError`] if the block does not link onto the current tip.
+    ///
+    /// # Panics
+    /// Panics if `pre_flags.len() != checked.block().transactions.len()`.
+    pub fn validate_and_commit_checked(
+        &mut self,
+        checked: CheckedBlock,
+        pre_flags: &[Option<ValidationCode>],
+    ) -> Result<Vec<ValidationCode>, ChainError> {
+        assert_eq!(
+            pre_flags.len(),
+            checked.block().transactions.len(),
+            "one pre-flag per transaction"
+        );
+        let flags = mvcc::validate_block(&self.state, &self.blocks, checked.block(), pre_flags);
+        self.append_and_apply(checked, flags.clone())?;
         Ok(flags)
     }
 
@@ -146,21 +172,40 @@ impl Ledger {
     /// block metadata, and appends the block — including invalid transactions
     /// — to the chain. `flags` must come from [`Ledger::mvcc_flags`] on this
     /// same block at this same height; the stage itself is serial, exactly as
-    /// in Fabric 1.4.
+    /// in Fabric 1.4. The stage trusts nothing it is handed: number,
+    /// previous-hash and data hash are verified again before anything is
+    /// written.
     ///
     /// # Panics
     /// Panics if `flags.len() != block.transactions.len()` or if the block
     /// does not chain (the MVCC stage checked it already).
-    pub fn commit(&mut self, mut block: Block, flags: Vec<ValidationCode>) {
+    pub fn commit(&mut self, block: Block, flags: Vec<ValidationCode>) {
         assert_eq!(
             flags.len(),
             block.transactions.len(),
             "one flag per transaction"
         );
-        // Apply valid writes in order.
+        self.blocks
+            .admit(block)
+            .and_then(|checked| self.append_and_apply(checked, flags))
+            // lint:allow(no-unwrap-in-lib) -- the MVCC stage verified chain linkage before
+            // this commit
+            .expect("chain checked by the MVCC stage");
+    }
+
+    /// Appends `checked` with `flags` stamped in, then applies the writes of
+    /// the transactions flagged valid, in block order. Nothing is written if
+    /// the block does not link onto the tip.
+    fn append_and_apply(
+        &mut self,
+        mut checked: CheckedBlock,
+        flags: Vec<ValidationCode>,
+    ) -> Result<(), ChainError> {
+        checked.stamp_flags(flags);
+        let block = self.blocks.append_checked(checked)?;
         for (i, tx) in block.transactions.iter().enumerate() {
-            if flags[i].is_valid() {
-                let version = fabricsim_types::Version::new(block.header.number, i as u32);
+            if block.metadata.flags[i].is_valid() {
+                let version = Version::new(block.header.number, i as u32);
                 for w in &tx.rw_set.writes {
                     self.state.apply_write(&w.key, w.value.clone(), version);
                     self.history
@@ -168,12 +213,7 @@ impl Ledger {
                 }
             }
         }
-        block.metadata.flags = flags;
-        self.blocks
-            .append(block)
-            // lint:allow(no-unwrap-in-lib) -- the MVCC stage verified chain linkage before
-            // this commit
-            .expect("chain checked by the MVCC stage");
+        Ok(())
     }
 }
 
@@ -245,31 +285,172 @@ mod tests {
     }
 
     #[test]
-    fn staged_mvcc_then_commit_matches_composed_path() {
+    fn staged_composed_and_fused_paths_produce_the_identical_ledger() {
         let mut staged = Ledger::new("ch");
         let mut composed = Ledger::new("ch");
+        let mut fused = Ledger::new("ch");
         let txs = || {
             vec![
                 tx(1, &[("a", b"1")], &[]),
                 tx(2, &[("b", b"2")], &[("a", None)]), // stale once tx 1 lands
+                tx(3, &[("c", b"3")], &[]),            // pre-flagged by VSCC
             ]
         };
-        let b = block(&staged, txs());
-        let flags = staged.mvcc_flags(&b, &[None, None]).unwrap();
-        assert_eq!(staged.height(), 0, "mvcc stage must not write");
-        assert!(staged.state().get("a").is_none());
-        staged.commit(b, flags.clone());
+        let pre = [None, None, Some(ValidationCode::BadCreatorSignature)];
+        for round in 0..2 {
+            let b = block(&staged, txs());
+            let flags = staged.mvcc_flags(&b, &pre).unwrap();
+            assert_eq!(staged.height(), round, "mvcc stage must not write");
+            staged.commit(b, flags.clone());
 
-        let want = composed
-            .validate_and_commit(block(&composed, txs()), vec![None, None])
-            .unwrap();
-        assert_eq!(flags, want);
-        assert_eq!(staged.height(), composed.height());
-        assert_eq!(
-            staged.blocks().tip_hash(),
-            composed.blocks().tip_hash(),
-            "staged and composed paths must produce the identical chain"
+            let want = composed
+                .validate_and_commit(block(&composed, txs()), pre.to_vec())
+                .unwrap();
+            assert_eq!(flags, want);
+
+            let checked = CheckedBlock::new(block(&fused, txs())).expect("consistent block");
+            let got = fused.validate_and_commit_checked(checked, &pre).unwrap();
+            assert_eq!(got, want);
+        }
+        for other in [&composed, &fused] {
+            assert_eq!(staged.height(), other.height());
+            assert_eq!(
+                staged.blocks().tip_hash(),
+                other.blocks().tip_hash(),
+                "all three paths must produce the identical chain"
+            );
+            assert!(staged.state().range("", "").eq(other.state().range("", "")));
+            for n in 0..staged.height() {
+                assert_eq!(staged.blocks().by_number(n), other.blocks().by_number(n));
+            }
+            assert_eq!(
+                staged.history().key_history("a"),
+                other.history().key_history("a")
+            );
+            assert!(other.blocks().verify_chain().is_ok());
+        }
+    }
+
+    /// A block whose transactions were altered after `Block::assemble`.
+    fn altered_block(l: &Ledger) -> Block {
+        let mut b = block(
+            l,
+            vec![tx(7, &[("a", b"1")], &[]), tx(8, &[("b", b"2")], &[])],
         );
+        b.transactions[1].payload = b"evil".to_vec();
+        b
+    }
+
+    #[test]
+    fn altered_block_is_rejected_by_every_entry_point_and_nothing_is_written() {
+        let mut l = Ledger::new("ch");
+        l.validate_and_commit(block(&l, vec![tx(1, &[("z", b"0")], &[])]), vec![None])
+            .unwrap();
+        let before = (
+            l.height(),
+            l.blocks().tip_hash(),
+            l.state().writes_applied(),
+        );
+
+        assert_eq!(
+            l.validate_and_commit(altered_block(&l), vec![None, None]),
+            Err(ChainError::BadDataHash)
+        );
+        assert_eq!(
+            l.mvcc_flags(&altered_block(&l), &[None, None]),
+            Err(ChainError::BadDataHash)
+        );
+        assert_eq!(
+            l.blocks().admit(altered_block(&l)).map(|_| ()),
+            Err(ChainError::BadDataHash)
+        );
+        assert_eq!(
+            l.blocks().check_chains(&altered_block(&l)),
+            Err(ChainError::BadDataHash)
+        );
+        let mut store = l.blocks().clone();
+        assert_eq!(
+            store.append(altered_block(&l)),
+            Err(ChainError::BadDataHash)
+        );
+        assert_eq!(store.height(), l.height());
+        assert_eq!(
+            (
+                l.height(),
+                l.blocks().tip_hash(),
+                l.state().writes_applied()
+            ),
+            before
+        );
+        assert!(l.state().get("a").is_none());
+    }
+
+    #[test]
+    fn commit_stage_panics_on_an_altered_block_before_writing_anything() {
+        let mut l = Ledger::new("ch");
+        let b = altered_block(&l);
+        let flags = vec![ValidationCode::Valid, ValidationCode::Valid];
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| l.commit(b, flags)))
+            .expect_err("an altered block must not commit");
+        let message = panic.downcast_ref::<String>().expect("a formatted panic");
+        assert_eq!(message, "chain checked by the MVCC stage: BadDataHash");
+        assert_eq!(l.height(), 0);
+        assert_eq!(l.state().writes_applied(), 0);
+    }
+
+    #[test]
+    fn error_precedence_is_number_then_link_then_data_hash() {
+        let mut l = Ledger::new("ch");
+        l.validate_and_commit(block(&l, vec![tx(1, &[("z", b"0")], &[])]), vec![None])
+            .unwrap();
+        // Wrong in all three ways, then in two, then in one.
+        let mut all = altered_block(&l);
+        all.header.number = 9;
+        all.header.previous_hash = Hash256::ZERO;
+        let mut link_and_hash = altered_block(&l);
+        link_and_hash.header.previous_hash = Hash256::ZERO;
+        let cases = [
+            (all, ChainError::WrongNumber { got: 9, want: 1 }),
+            (link_and_hash, ChainError::BrokenChain),
+            (altered_block(&l), ChainError::BadDataHash),
+        ];
+        for (bad, want) in cases {
+            let pre = vec![None; bad.len()];
+            assert_eq!(l.mvcc_flags(&bad, &pre), Err(want.clone()));
+            assert_eq!(l.blocks().check_chains(&bad), Err(want.clone()));
+            assert_eq!(l.blocks().clone().append(bad.clone()), Err(want.clone()));
+            assert_eq!(l.validate_and_commit(bad, pre), Err(want));
+        }
+        assert_eq!(l.height(), 1);
+    }
+
+    #[test]
+    fn fused_path_rechecks_links_at_the_height_it_commits_at() {
+        // A proof of the data hash says nothing about where the block goes:
+        // one built against an older tip must still be refused.
+        let mut l = Ledger::new("ch");
+        let at_genesis = CheckedBlock::new(block(&l, vec![tx(1, &[("a", b"1")], &[])]))
+            .expect("consistent block");
+        let sibling = CheckedBlock::new(block(&l, vec![tx(2, &[("b", b"2")], &[])]))
+            .expect("consistent block");
+        l.validate_and_commit_checked(at_genesis, &[None]).unwrap();
+        assert_eq!(
+            l.validate_and_commit_checked(sibling.clone(), &[None]),
+            Err(ChainError::WrongNumber { got: 0, want: 1 })
+        );
+        assert_eq!(
+            l.blocks().clone().append_checked(sibling).map(|_| ()),
+            Err(ChainError::WrongNumber { got: 0, want: 1 })
+        );
+        let mut unlinked = block(&l, vec![tx(3, &[("c", b"3")], &[])]);
+        unlinked.header.previous_hash = Hash256::ZERO;
+        let unlinked = CheckedBlock::new(unlinked).expect("data hash still consistent");
+        assert_eq!(
+            l.validate_and_commit_checked(unlinked, &[None]),
+            Err(ChainError::BrokenChain)
+        );
+        assert_eq!(l.height(), 1);
+        assert!(l.state().get("b").is_none() && l.state().get("c").is_none());
     }
 
     #[test]

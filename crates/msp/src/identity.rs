@@ -1,9 +1,11 @@
 //! Certificates, signing identities, and the MSP validation logic.
 
+use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
+use std::sync::{Mutex, PoisonError};
 
-use fabricsim_crypto::{KeyPair, PublicKey, Signature};
+use fabricsim_crypto::{sha256, Hash256, KeyPair, PublicKey, Signature};
 use fabricsim_types::encode::Encoder;
 use fabricsim_types::Principal;
 
@@ -34,10 +36,8 @@ impl Certificate {
         issuer: &str,
     ) -> Vec<u8> {
         let mut e = Encoder::new("fabricsim-cert");
-        e.str(&subject.to_string())
-            .str(common_name)
-            .u64(public_key.element())
-            .str(issuer);
+        subject.encode_into(&mut e);
+        e.str(common_name).u64(public_key.element()).str(issuer);
         e.finish()
     }
 }
@@ -97,17 +97,42 @@ impl fmt::Display for IdentityError {
 
 impl Error for IdentityError {}
 
+/// Most certificates an [`Msp`] remembers as verified. A channel's committer
+/// sees a handful of client identities; 64 covers that with room to spare
+/// and bounds the memory at a few KiB per MSP.
+const VERIFIED_CERTS_MAX: usize = 64;
+
 /// A membership service provider: holds the CA root of trust and validates
 /// certificates and signatures presented by remote parties.
-#[derive(Debug, Clone)]
+///
+/// The CA signature on a certificate is verified the first time this MSP is
+/// shown those exact contents; the certificate is then remembered (Fabric's
+/// MSP identity cache) and later presentations are accepted by
+/// field-for-field comparison with a remembered one. A certificate that
+/// differs in any field — subject, name, key, issuer or CA signature — equals
+/// none of them and takes the full check; one that fails it is never
+/// remembered. The set is bounded, oldest out first, behind a lock so the
+/// pooled VSCC workers share it. A clone starts with an empty set: it trusts
+/// the same root and nothing else.
+#[derive(Debug)]
 pub struct Msp {
     root: CaRoot,
+    verified: Mutex<VecDeque<Certificate>>,
+}
+
+impl Clone for Msp {
+    fn clone(&self) -> Self {
+        Msp::new(self.root.clone())
+    }
 }
 
 impl Msp {
     /// Builds an MSP trusting the given CA root.
     pub fn new(root: CaRoot) -> Self {
-        Msp { root }
+        Msp {
+            root,
+            verified: Mutex::new(VecDeque::new()),
+        }
     }
 
     /// Checks that a certificate was issued by the trusted CA.
@@ -116,6 +141,12 @@ impl Msp {
     /// [`IdentityError::UntrustedCertificate`] if the issuer or CA signature
     /// is wrong.
     pub fn validate_certificate(&self, cert: &Certificate) -> Result<(), IdentityError> {
+        // Entries are only ever pushed whole and popped whole, so the set is
+        // valid even if a holder of the lock panicked.
+        let known = |set: &VecDeque<Certificate>| set.iter().any(|c| c == cert);
+        if known(&self.verified.lock().unwrap_or_else(PoisonError::into_inner)) {
+            return Ok(());
+        }
         if cert.issuer != self.root.name {
             return Err(IdentityError::UntrustedCertificate);
         }
@@ -125,11 +156,18 @@ impl Msp {
             cert.public_key,
             &cert.issuer,
         );
-        if self.root.public_key.verify(&tbs, &cert.ca_signature) {
-            Ok(())
-        } else {
-            Err(IdentityError::UntrustedCertificate)
+        if !self.root.public_key.verify(&tbs, &cert.ca_signature) {
+            return Err(IdentityError::UntrustedCertificate);
         }
+        let mut set = self.verified.lock().unwrap_or_else(PoisonError::into_inner);
+        // Another worker may have verified the same certificate meanwhile.
+        if !known(&set) {
+            if set.len() == VERIFIED_CERTS_MAX {
+                set.pop_front();
+            }
+            set.push_back(cert.clone());
+        }
+        Ok(())
     }
 
     /// Validates the certificate, then verifies `signature` over `message`
@@ -143,12 +181,34 @@ impl Msp {
         message: &[u8],
         signature: &Signature,
     ) -> Result<(), IdentityError> {
+        self.verify_digest(cert, &sha256(message), signature)
+    }
+
+    /// [`Msp::verify`] for a caller that already holds the message's SHA-256
+    /// digest: `verify(c, m, s) == verify_digest(c, &sha256(m), s)`.
+    ///
+    /// # Errors
+    /// [`IdentityError::UntrustedCertificate`] or [`IdentityError::BadSignature`].
+    pub fn verify_digest(
+        &self,
+        cert: &Certificate,
+        digest: &Hash256,
+        signature: &Signature,
+    ) -> Result<(), IdentityError> {
         self.validate_certificate(cert)?;
-        if cert.public_key.verify(message, signature) {
+        if cert.public_key.verify_digest(digest, signature) {
             Ok(())
         } else {
             Err(IdentityError::BadSignature)
         }
+    }
+
+    #[cfg(test)]
+    fn remembered(&self) -> usize {
+        self.verified
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 }
 
@@ -232,6 +292,158 @@ mod tests {
             msp.validate_certificate(&cert),
             Err(IdentityError::UntrustedCertificate)
         );
+    }
+
+    #[test]
+    fn genuine_certificate_is_remembered_and_altered_copies_are_not_accepted() {
+        let ca = CertificateAuthority::new("ca", 1);
+        let id = ca.enroll(Principal::peer(OrgId(1)), "peer0");
+        let other = ca.enroll(Principal::peer(OrgId(2)), "peer1");
+        let msp = Msp::new(ca.root_of_trust());
+        let genuine = id.certificate();
+        assert_eq!(msp.remembered(), 0);
+        for _ in 0..3 {
+            assert_eq!(msp.validate_certificate(genuine), Ok(()));
+            assert_eq!(msp.remembered(), 1, "one entry however often it is shown");
+        }
+        // With the genuine certificate remembered, every altered copy must
+        // still take — and fail — the full check.
+        let altered = |f: &dyn Fn(&mut Certificate)| {
+            let mut c = genuine.clone();
+            f(&mut c);
+            c
+        };
+        let copies = [
+            altered(&|c| c.subject = Principal::peer(OrgId(9))),
+            altered(&|c| c.subject.role = "admin".into()),
+            altered(&|c| c.common_name = "peer99".into()),
+            altered(&|c| c.public_key = other.certificate().public_key),
+            altered(&|c| c.issuer = "other-ca".into()),
+            altered(&|c| c.ca_signature.e ^= 1),
+            altered(&|c| c.ca_signature.s ^= 1),
+            altered(&|c| c.ca_signature = other.certificate().ca_signature),
+        ];
+        for bad in &copies {
+            assert_ne!(bad, genuine);
+            assert_eq!(
+                msp.validate_certificate(bad),
+                Err(IdentityError::UntrustedCertificate),
+                "{bad:?}"
+            );
+            let sig = id.sign(b"m");
+            assert_eq!(
+                msp.verify(bad, b"m", &sig),
+                Err(IdentityError::UntrustedCertificate)
+            );
+        }
+        assert_eq!(msp.remembered(), 1, "a rejected certificate is never kept");
+        // And the remembered one still answers for signatures correctly.
+        assert_eq!(msp.verify(genuine, b"m", &id.sign(b"m")), Ok(()));
+        assert_eq!(
+            msp.verify(genuine, b"m", &id.sign(b"n")),
+            Err(IdentityError::BadSignature)
+        );
+    }
+
+    #[test]
+    fn rogue_ca_certificates_are_never_remembered() {
+        let ca = CertificateAuthority::new("ca", 1);
+        let rogue = CertificateAuthority::new("rogue", 2);
+        let msp = Msp::new(ca.root_of_trust());
+        let id = rogue.enroll(Principal::peer(OrgId(1)), "peer0");
+        let mut spoofed = id.certificate().clone();
+        spoofed.issuer = "ca".into();
+        for _ in 0..2 {
+            for cert in [id.certificate(), &spoofed] {
+                assert_eq!(
+                    msp.validate_certificate(cert),
+                    Err(IdentityError::UntrustedCertificate)
+                );
+            }
+        }
+        assert_eq!(msp.remembered(), 0);
+    }
+
+    #[test]
+    fn remembered_set_is_bounded() {
+        let ca = CertificateAuthority::new("ca", 1);
+        let msp = Msp::new(ca.root_of_trust());
+        let ids: Vec<_> = (0..10 * VERIFIED_CERTS_MAX)
+            .map(|i| ca.enroll(Principal::peer(OrgId(i as u32)), &format!("peer{i}")))
+            .collect();
+        for id in &ids {
+            assert_eq!(msp.validate_certificate(id.certificate()), Ok(()));
+            assert!(msp.remembered() <= VERIFIED_CERTS_MAX);
+        }
+        assert_eq!(msp.remembered(), VERIFIED_CERTS_MAX);
+        // Evicted or not, every genuine certificate still validates.
+        for id in [&ids[0], &ids[ids.len() - 1]] {
+            assert_eq!(msp.validate_certificate(id.certificate()), Ok(()));
+        }
+    }
+
+    #[test]
+    fn a_clone_verifies_independently() {
+        let ca = CertificateAuthority::new("ca", 1);
+        let rogue = CertificateAuthority::new("rogue", 2);
+        let id = ca.enroll(Principal::peer(OrgId(1)), "peer0");
+        let msp = Msp::new(ca.root_of_trust());
+        assert_eq!(msp.validate_certificate(id.certificate()), Ok(()));
+        let clone = msp.clone();
+        assert_eq!(
+            clone.remembered(),
+            0,
+            "a clone inherits the root, not the set"
+        );
+        assert_eq!(clone.validate_certificate(id.certificate()), Ok(()));
+        assert_eq!(clone.remembered(), 1);
+        assert_eq!(
+            clone.validate_certificate(rogue.enroll(Principal::peer(OrgId(1)), "p").certificate()),
+            Err(IdentityError::UntrustedCertificate)
+        );
+        assert_eq!(msp.remembered(), 1, "and leaves the original's alone");
+    }
+
+    #[test]
+    fn remembered_set_is_shared_by_concurrent_verifiers() {
+        let ca = CertificateAuthority::new("ca", 1);
+        let msp = Msp::new(ca.root_of_trust());
+        let ids: Vec<_> = (0..4)
+            .map(|i| ca.enroll(Principal::peer(OrgId(i)), &format!("peer{i}")))
+            .collect();
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..50 {
+                        for id in &ids {
+                            let sig = id.sign(b"m");
+                            assert_eq!(msp.verify(id.certificate(), b"m", &sig), Ok(()));
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(
+            msp.remembered(),
+            ids.len(),
+            "no duplicates under contention"
+        );
+    }
+
+    #[test]
+    fn message_and_digest_entry_points_agree() {
+        let ca = CertificateAuthority::new("ca", 1);
+        let id = ca.enroll(Principal::peer(OrgId(1)), "peer0");
+        let msp = Msp::new(ca.root_of_trust());
+        let sig = id.sign(b"hello");
+        for msg in [&b"hello"[..], b"bye"] {
+            assert_eq!(
+                msp.verify(id.certificate(), msg, &sig),
+                msp.verify_digest(id.certificate(), &sha256(msg), &sig)
+            );
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use fabricsim_crypto::PublicKey;
+use fabricsim_crypto::{sha256, Hash256, PublicKey};
 use fabricsim_msp::{Certificate, Msp};
 use fabricsim_types::{Block, ClientId, Principal, Transaction, ValidationCode};
 
@@ -109,6 +109,16 @@ pub fn vscc_block_pooled(
     flags
 }
 
+/// What VSCC checks signatures and endorsements against: the peer's channel
+/// configuration, its MSP and the identities registered with it.
+#[derive(Clone, Copy)]
+pub(crate) struct Trust<'a> {
+    pub(crate) config: &'a PeerConfig,
+    pub(crate) msp: &'a Msp,
+    pub(crate) client_certs: &'a HashMap<ClientId, Certificate>,
+    pub(crate) endorser_keys: &'a HashMap<Principal, Vec<PublicKey>>,
+}
+
 /// VSCC for a single transaction: payload shape, creator signature, every
 /// endorsement signature (authenticated against registered endorser keys),
 /// and endorsement-policy satisfaction.
@@ -119,6 +129,29 @@ pub fn vscc_tx(
     client_certs: &HashMap<ClientId, Certificate>,
     endorser_keys: &HashMap<Principal, Vec<PublicKey>>,
 ) -> VsccVerdict {
+    let trust = Trust {
+        config,
+        msp,
+        client_certs,
+        endorser_keys,
+    };
+    vscc_tx_hashed(tx, &tx.envelope_hash(), &trust)
+}
+
+/// [`vscc_tx`] given `tx.envelope_hash()`, which a committer holding a
+/// `CheckedBlock` already has: the creator signed exactly that digest, so the
+/// envelope is not encoded or hashed here.
+pub(crate) fn vscc_tx_hashed(
+    tx: &Transaction,
+    envelope_hash: &Hash256,
+    trust: &Trust<'_>,
+) -> VsccVerdict {
+    let Trust {
+        config,
+        msp,
+        client_certs,
+        endorser_keys,
+    } = *trust;
     // Shape checks.
     if tx.channel != config.channel
         || tx.chaincode.is_empty()
@@ -130,23 +163,27 @@ pub fn vscc_tx(
     let Some(cert) = client_certs.get(&tx.creator) else {
         return VsccVerdict::Fail(ValidationCode::BadCreatorSignature);
     };
-    if msp.verify(cert, &tx.signed_bytes(), &tx.signature).is_err() {
+    if msp
+        .verify_digest(cert, envelope_hash, &tx.signature)
+        .is_err()
+    {
         return VsccVerdict::Fail(ValidationCode::BadCreatorSignature);
     }
-    // Endorsement signatures: all endorsers signed the same response bytes,
-    // and each key must belong to a registered endorser of that principal.
-    let response_bytes = tx.response_bytes();
+    // Endorsement signatures: all endorsers signed the same response bytes —
+    // hashed once for all of them — and each key must belong to a registered
+    // endorser of that principal.
+    let response_digest = sha256(&tx.response_bytes());
     for e in &tx.endorsements {
         let known = endorser_keys
             .get(&e.endorser)
             .is_some_and(|keys| keys.contains(&e.endorser_key));
-        if !known || !e.endorser_key.verify(&response_bytes, &e.signature) {
+        if !known || !e.endorser_key.verify_digest(&response_digest, &e.signature) {
             return VsccVerdict::Fail(ValidationCode::BadEndorserSignature);
         }
     }
     // Endorsement policy.
-    let principals: Vec<Principal> = tx.endorsements.iter().map(|e| e.endorser.clone()).collect();
-    if !config.endorsement_policy.is_satisfied_by(principals.iter()) {
+    let endorsers = tx.endorsements.iter().map(|e| &e.endorser);
+    if !config.endorsement_policy.is_satisfied_by(endorsers) {
         return VsccVerdict::Fail(ValidationCode::EndorsementPolicyFailure);
     }
     VsccVerdict::Pass

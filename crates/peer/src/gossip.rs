@@ -9,8 +9,14 @@
 //!
 //! [`GossipNode`] is a deterministic state machine in the house style:
 //! feed it inputs, apply the returned effects.
+//!
+//! Blocks travel as `Arc<Block>`: a block is immutable from the moment it is
+//! cut until a committer takes its own copy, so forwarding, buffering and
+//! caching it share one allocation instead of deep-copying every transaction
+//! at every hop.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use fabricsim_types::Block;
 
@@ -20,7 +26,7 @@ pub enum GossipMsg {
     /// Push a (possibly new) block to a neighbour.
     Push {
         /// The block.
-        block: Block,
+        block: Arc<Block>,
         /// Gossip depth of this push: 1 for the first hop off an
         /// orderer-connected leader, incremented on every re-forward.
         /// Observability-only — delivery logic never branches on it.
@@ -34,7 +40,7 @@ pub enum GossipMsg {
     /// Reply to a pull with the missing blocks, in order.
     PullResponse {
         /// Blocks starting at the requester's height.
-        blocks: Vec<Block>,
+        blocks: Vec<Arc<Block>>,
     },
 }
 
@@ -49,7 +55,7 @@ pub enum GossipEffect {
         message: GossipMsg,
     },
     /// A block became deliverable in order: hand it to the committer.
-    Deliver(Block),
+    Deliver(Arc<Block>),
 }
 
 /// Per-peer gossip state: contiguous delivered height, an out-of-order
@@ -61,8 +67,8 @@ pub struct GossipNode {
     neighbours: Vec<u32>,
     fanout: usize,
     delivered_height: u64,
-    buffered: BTreeMap<u64, Block>,
-    cache: BTreeMap<u64, Block>,
+    buffered: BTreeMap<u64, Arc<Block>>,
+    cache: BTreeMap<u64, Arc<Block>>,
     cache_blocks: usize,
     rng: u64,
 }
@@ -121,7 +127,7 @@ impl GossipNode {
     }
 
     /// A block arrived from the ordering service (leader peers only).
-    pub fn on_block_from_orderer(&mut self, block: Block) -> Vec<GossipEffect> {
+    pub fn on_block_from_orderer(&mut self, block: Arc<Block>) -> Vec<GossipEffect> {
         self.ingest(block, 0)
     }
 
@@ -130,7 +136,7 @@ impl GossipNode {
         match message {
             GossipMsg::Push { block, hop } => self.ingest(block, hop),
             GossipMsg::PullRequest { have } => {
-                let blocks: Vec<Block> = self
+                let blocks: Vec<Arc<Block>> = self
                     .cache
                     .range(have..)
                     .map(|(_, b)| b.clone())
@@ -171,7 +177,7 @@ impl GossipNode {
         }]
     }
 
-    fn ingest(&mut self, block: Block, hop: u32) -> Vec<GossipEffect> {
+    fn ingest(&mut self, block: Arc<Block>, hop: u32) -> Vec<GossipEffect> {
         let number = block.header.number;
         // Duplicate or already-buffered: nothing to do, nothing to forward.
         if number < self.delivered_height || self.buffered.contains_key(&number) {
@@ -211,8 +217,13 @@ mod tests {
     use fabricsim_crypto::Hash256;
     use fabricsim_types::ChannelId;
 
-    fn block(n: u64) -> Block {
-        Block::assemble(ChannelId::default_channel(), n, Hash256::ZERO, Vec::new())
+    fn block(n: u64) -> Arc<Block> {
+        Arc::new(Block::assemble(
+            ChannelId::default_channel(),
+            n,
+            Hash256::ZERO,
+            Vec::new(),
+        ))
     }
 
     fn deliveries(effects: &[GossipEffect]) -> Vec<u64> {
@@ -244,6 +255,27 @@ mod tests {
             .count();
         assert_eq!(pushes, 2, "fanout pushes");
         assert_eq!(g.delivered_height(), 1);
+    }
+
+    #[test]
+    fn forwarding_and_caching_share_the_block_they_were_handed() {
+        let mut g = GossipNode::new(0, vec![1, 2, 3], 2, 7);
+        let b = block(0);
+        let effects = g.on_block_from_orderer(Arc::clone(&b));
+        assert_eq!(effects.len(), 3, "two pushes and a delivery");
+        for e in &effects {
+            let carried = match e {
+                GossipEffect::Send {
+                    message: GossipMsg::Push { block, .. },
+                    ..
+                } => block,
+                GossipEffect::Deliver(block) => block,
+                other => panic!("unexpected effect {other:?}"),
+            };
+            assert!(Arc::ptr_eq(carried, &b), "no deep copy on the way");
+        }
+        // ours + two pushes + the delivery + the pull cache
+        assert_eq!(Arc::strong_count(&b), 5);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use fabricsim_types::{
     Block, ChannelId, ClientId, Endorsement, Principal, Proposal, ProposalResponse, Version,
 };
 
-use crate::committer::CommitStats;
+use crate::committer::{CommitStats, Trust};
 use crate::pipeline::ValidationPipeline;
 
 /// Static configuration for a peer.
@@ -222,20 +222,30 @@ impl Peer {
     /// [`ValidationPipeline`]: (1) block checks + dedup, (2) per-tx VSCC over
     /// the configured worker pool, (3) serial MVCC + state/blockstore commit.
     ///
+    /// Each envelope is encoded and hashed once: number and previous-hash are
+    /// checked against the tip, the data hash is verified by building a
+    /// [`fabricsim_types::CheckedBlock`], VSCC verifies creator signatures
+    /// against the digests that proof kept, and the ledger commits the proof
+    /// without recomputing the Merkle root.
+    ///
     /// # Errors
     /// Returns [`ChainError`] if the block does not chain onto this peer's
     /// ledger tip.
     pub fn validate_and_commit(&mut self, block: Block) -> Result<CommitStats, ChainError> {
+        let checked = self.ledger.blocks().admit(block)?;
         let pipeline = ValidationPipeline::new(self.config.validator_pool_size);
-        let pre_flags = pipeline.pre_commit_flags(
-            &block,
-            &self.config,
-            &self.msp,
-            &self.client_certs,
-            &self.endorser_keys,
+        let pre_flags = pipeline.pre_commit_flags_checked(
+            &checked,
+            &Trust {
+                config: &self.config,
+                msp: &self.msp,
+                client_certs: &self.client_certs,
+                endorser_keys: &self.endorser_keys,
+            },
         );
-        let flags = self.ledger.mvcc_flags(&block, &pre_flags)?;
-        self.ledger.commit(block, flags.clone());
+        let flags = self
+            .ledger
+            .validate_and_commit_checked(checked, &pre_flags)?;
         self.blocks_committed += 1;
         Ok(CommitStats::from_flags(&flags))
     }
@@ -364,6 +374,163 @@ mod tests {
         );
         assert!(!committer_only.is_endorser());
         assert!(!committer_only.endorse(&proposal(&client, 1)).ok);
+    }
+
+    use crate::testutil::{endorsed_tx, fixture, mixed_txs, Fixture};
+    use fabricsim_crypto::Hash256;
+    use fabricsim_types::{CheckedBlock, Transaction, ValidationCode};
+
+    /// A validate-only peer trusting the fixture's CA, client and endorsers.
+    fn committer(f: &Fixture, pool: usize) -> Peer {
+        let mut peer = Peer::new(
+            f.endorsers[0].clone(),
+            f.msp.clone(),
+            PeerConfig {
+                validator_pool_size: pool,
+                ..f.config.clone()
+            },
+        );
+        for (client, cert) in &f.client_certs {
+            peer.register_client(*client, cert.clone());
+        }
+        for (principal, keys) in &f.endorser_keys {
+            for key in keys {
+                peer.register_endorser(principal.clone(), *key);
+            }
+        }
+        peer
+    }
+
+    fn next_block(peer: &Peer, txs: Vec<Transaction>) -> Block {
+        let blocks = peer.ledger().blocks();
+        Block::assemble(
+            ChannelId::default_channel(),
+            blocks.height(),
+            blocks.tip_hash().unwrap_or(Hash256::ZERO),
+            txs,
+        )
+    }
+
+    #[test]
+    fn validate_and_commit_flags_every_verdict_class_identically_at_any_pool_size() {
+        let f = fixture(Policy::and_of_orgs(2), 2);
+        let mut reference: Option<Vec<Vec<ValidationCode>>> = None;
+        for pool in [1, 2, 8] {
+            let mut peer = committer(&f, pool);
+            for round in 0..2 {
+                let block = next_block(&peer, mixed_txs(&f, round * 21, 21));
+                let stats = peer.validate_and_commit(block).unwrap();
+                assert_eq!(stats.total(), 21);
+                assert!(stats.valid > 0 && stats.policy_failures > 0);
+                assert!(stats.bad_signatures >= 2, "creator and endorser both");
+            }
+            let flags: Vec<_> = peer
+                .ledger()
+                .blocks()
+                .iter()
+                .map(|b| b.metadata.flags.clone())
+                .collect();
+            // The staged public functions reach the same verdicts.
+            let staged = ValidationPipeline::new(pool).pre_commit_flags(
+                peer.ledger().blocks().by_number(1).unwrap(),
+                &f.config,
+                &f.msp,
+                &f.client_certs,
+                &f.endorser_keys,
+            );
+            for (fused, staged) in flags[1].iter().zip(staged) {
+                assert_eq!(*fused, staged.unwrap_or(ValidationCode::Valid));
+            }
+            assert!(peer.ledger().blocks().verify_chain().is_ok());
+            match &reference {
+                None => reference = Some(flags),
+                Some(want) => assert_eq!(&flags, want, "pool size {pool} diverged"),
+            }
+        }
+    }
+
+    #[test]
+    fn altered_block_is_rejected_with_bad_data_hash_and_nothing_is_written() {
+        let f = fixture(Policy::or_of_orgs(1), 1);
+        for pool in [1, 4] {
+            let mut peer = committer(&f, pool);
+            let first = next_block(&peer, vec![endorsed_tx(&f, 1, &[0])]);
+            peer.validate_and_commit(first).unwrap();
+
+            let good = next_block(
+                &peer,
+                vec![endorsed_tx(&f, 2, &[0]), endorsed_tx(&f, 3, &[0])],
+            );
+            let mut altered = good.clone();
+            altered.transactions[1]
+                .rw_set
+                .record_write("evil", Some(vec![9]));
+            let mut swapped = good.clone();
+            swapped.transactions[0] = endorsed_tx(&f, 4, &[0]); // valid tx, not the one hashed
+            let mut truncated = good.clone();
+            truncated.transactions.pop();
+            for bad in [altered, swapped, truncated] {
+                assert_eq!(peer.validate_and_commit(bad), Err(ChainError::BadDataHash));
+                assert_eq!(peer.ledger().height(), 1);
+                assert_eq!(peer.blocks_committed(), 1);
+                assert!(peer.state_value("evil").is_none());
+            }
+            // The untouched block still goes in afterwards.
+            assert_eq!(peer.validate_and_commit(good).unwrap().valid, 2);
+        }
+    }
+
+    #[test]
+    fn chain_errors_keep_their_precedence() {
+        let f = fixture(Policy::or_of_orgs(1), 1);
+        let mut peer = committer(&f, 1);
+        let first = next_block(&peer, vec![endorsed_tx(&f, 1, &[0])]);
+        peer.validate_and_commit(first).unwrap();
+        let mut bad = next_block(&peer, vec![endorsed_tx(&f, 2, &[0])]);
+        bad.transactions[0].payload = b"evil".to_vec();
+        let mut unlinked = bad.clone();
+        unlinked.header.previous_hash = Hash256::ZERO;
+        let mut misnumbered = unlinked.clone();
+        misnumbered.header.number = 5;
+        assert_eq!(
+            peer.validate_and_commit(misnumbered),
+            Err(ChainError::WrongNumber { got: 5, want: 1 })
+        );
+        assert_eq!(
+            peer.validate_and_commit(unlinked),
+            Err(ChainError::BrokenChain)
+        );
+        assert_eq!(peer.validate_and_commit(bad), Err(ChainError::BadDataHash));
+    }
+
+    #[test]
+    fn every_signature_is_still_verified_on_the_digest_path() {
+        // One bad signature anywhere in an otherwise valid block must be
+        // caught: the creator's (checked against the proof's envelope
+        // digest) and each endorsement's (against the shared response
+        // digest), whichever position it is in.
+        let f = fixture(Policy::and_of_orgs(3), 3);
+        let mut peer = committer(&f, 1);
+        let clean: Vec<Transaction> = (0..4).map(|n| endorsed_tx(&f, n, &[0, 1, 2])).collect();
+        let mut txs = clean.clone();
+        txs[1].signature.s ^= 1;
+        txs[2].endorsements[2].signature.e ^= 1;
+        txs[2].signature = f.client.sign(&txs[2].signed_bytes());
+        txs[3].endorsements[0].signature = txs[3].endorsements[1].signature;
+        txs[3].signature = f.client.sign(&txs[3].signed_bytes());
+        let block = next_block(&peer, txs);
+        let checked = CheckedBlock::new(block.clone()).expect("re-assembled after tampering");
+        assert_eq!(checked.envelope_hashes().len(), 4);
+        peer.validate_and_commit(block).unwrap();
+        assert_eq!(
+            peer.ledger().blocks().by_number(0).unwrap().metadata.flags,
+            vec![
+                ValidationCode::Valid,
+                ValidationCode::BadCreatorSignature,
+                ValidationCode::BadEndorserSignature,
+                ValidationCode::BadEndorserSignature,
+            ]
+        );
     }
 
     #[test]

@@ -19,11 +19,11 @@
 
 use std::collections::{HashMap, HashSet};
 
-use fabricsim_crypto::PublicKey;
+use fabricsim_crypto::{Hash256, PublicKey};
 use fabricsim_msp::{Certificate, Msp};
-use fabricsim_types::{Block, ClientId, Principal, ValidationCode};
+use fabricsim_types::{Block, CheckedBlock, ClientId, Principal, Transaction, ValidationCode};
 
-use crate::committer::{vscc_tx, VsccVerdict};
+use crate::committer::{vscc_tx_hashed, Trust, VsccVerdict};
 use crate::peer::PeerConfig;
 
 /// The committer's staged validation pipeline.
@@ -75,7 +75,8 @@ impl ValidationPipeline {
     }
 
     /// Stage 2: runs VSCC for every transaction not already flagged by stage
-    /// 1, writing results into `flags` in transaction order.
+    /// 1, writing results into `flags` in transaction order. Each envelope is
+    /// hashed here, by the worker that checks it.
     pub fn vscc_flags(
         &self,
         block: &Block,
@@ -85,21 +86,38 @@ impl ValidationPipeline {
         endorser_keys: &HashMap<Principal, Vec<PublicKey>>,
         flags: &mut [Option<ValidationCode>],
     ) {
-        assert_eq!(
-            flags.len(),
-            block.transactions.len(),
-            "one flag slot per transaction"
-        );
-        let n = block.transactions.len();
+        let trust = Trust {
+            config,
+            msp,
+            client_certs,
+            endorser_keys,
+        };
+        self.vscc_stage(&block.transactions, None, &trust, flags);
+    }
+
+    /// The VSCC stage proper. `envelope_hashes`, when given, is index-aligned
+    /// with `txs`; otherwise each worker hashes the envelopes of its chunk.
+    fn vscc_stage(
+        &self,
+        txs: &[Transaction],
+        envelope_hashes: Option<&[Hash256]>,
+        trust: &Trust<'_>,
+        flags: &mut [Option<ValidationCode>],
+    ) {
+        assert_eq!(flags.len(), txs.len(), "one flag slot per transaction");
+        let n = txs.len();
         // Live-plane accounting: flags set before this stage were block-level
         // rejects, not VSCC work, so count only the slots still eligible.
         let eligible = flags.iter().filter(|f| f.is_none()).count();
         let rejected_before = n - eligible;
         let workers = self.pool_size.min(n.max(1));
-        let run = |out: &mut [Option<ValidationCode>], txs: &[fabricsim_types::Transaction]| {
-            for (slot, tx) in out.iter_mut().zip(txs) {
+        let run = |out: &mut [Option<ValidationCode>],
+                   txs: &[Transaction],
+                   hashes: Option<&[Hash256]>| {
+            for (i, (slot, tx)) in out.iter_mut().zip(txs).enumerate() {
                 if slot.is_none() {
-                    *slot = match vscc_tx(tx, config, msp, client_certs, endorser_keys) {
+                    let hash = hashes.map_or_else(|| tx.envelope_hash(), |h| h[i]);
+                    *slot = match vscc_tx_hashed(tx, &hash, trust) {
                         VsccVerdict::Pass => None,
                         VsccVerdict::Fail(code) => Some(code),
                     };
@@ -107,17 +125,16 @@ impl ValidationPipeline {
             }
         };
         if workers <= 1 {
-            run(flags, &block.transactions);
+            run(flags, txs, envelope_hashes);
         } else {
             // Each worker owns a disjoint tx-indexed chunk of the output, so
             // the merged result is independent of scheduling order.
             let chunk = n.div_ceil(workers);
+            let run = &run;
             std::thread::scope(|s| {
-                for (out, txs) in flags
-                    .chunks_mut(chunk)
-                    .zip(block.transactions.chunks(chunk))
-                {
-                    s.spawn(move || run(out, txs));
+                for (c, (out, txs)) in flags.chunks_mut(chunk).zip(txs.chunks(chunk)).enumerate() {
+                    let hashes = envelope_hashes.map(|h| &h[c * chunk..c * chunk + txs.len()]);
+                    s.spawn(move || run(out, txs, hashes));
                 }
             });
         }
@@ -144,14 +161,33 @@ impl ValidationPipeline {
         self.vscc_flags(block, config, msp, client_certs, endorser_keys, &mut flags);
         flags
     }
+
+    /// [`ValidationPipeline::pre_commit_flags`] for a block whose envelopes
+    /// were already hashed to prove its data hash: VSCC verifies each creator
+    /// signature against the digest the proof kept.
+    pub(crate) fn pre_commit_flags_checked(
+        &self,
+        checked: &CheckedBlock,
+        trust: &Trust<'_>,
+    ) -> Vec<Option<ValidationCode>> {
+        let block = checked.block();
+        let mut flags = self.block_checks(block);
+        self.vscc_stage(
+            &block.transactions,
+            Some(checked.envelope_hashes()),
+            trust,
+            &mut flags,
+        );
+        flags
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::committer::{vscc_block, vscc_block_pooled};
-    use crate::testutil::{endorsed_tx, fixture, Fixture};
-    use fabricsim_crypto::{Hash256, KeyPair};
+    use crate::testutil::{endorsed_tx, fixture, mixed_txs, Fixture};
+    use fabricsim_crypto::Hash256;
     use fabricsim_policy::Policy;
     use fabricsim_types::{ChannelId, Transaction};
 
@@ -162,28 +198,7 @@ mod tests {
     /// A block mixing valid, policy-failing, bad-endorser-signature and
     /// bad-creator-signature transactions, `n` in total.
     fn mixed_block(f: &Fixture, n: u64) -> Block {
-        let txs = (0..n)
-            .map(|nonce| match nonce % 4 {
-                0 => endorsed_tx(f, nonce, &[0, 1]), // satisfies AND2 → valid
-                1 => endorsed_tx(f, nonce, &[0]),    // policy failure
-                2 => {
-                    // Forge one endorsement signature.
-                    let mut tx = endorsed_tx(f, nonce, &[0, 1]);
-                    let rogue = KeyPair::from_seed(b"rogue");
-                    tx.endorsements[1].endorser_key = rogue.public;
-                    tx.endorsements[1].signature = rogue.sign(&tx.response_bytes());
-                    tx.signature = f.client.sign(&tx.signed_bytes());
-                    tx
-                }
-                _ => {
-                    // Tamper with the envelope after signing.
-                    let mut tx = endorsed_tx(f, nonce, &[0, 1]);
-                    tx.payload = b"injected".to_vec();
-                    tx
-                }
-            })
-            .collect();
-        block_of(txs)
+        block_of(mixed_txs(f, 0, n))
     }
 
     #[test]
@@ -214,6 +229,18 @@ mod tests {
                 &f.endorser_keys,
             );
             assert_eq!(staged, serial, "pipeline at pool {pool} diverged");
+            // And from the digests a `CheckedBlock` kept, chunked per worker.
+            let checked = CheckedBlock::new(block.clone()).expect("consistent block");
+            let from_digests = ValidationPipeline::new(pool).pre_commit_flags_checked(
+                &checked,
+                &Trust {
+                    config: &f.config,
+                    msp: &f.msp,
+                    client_certs: &f.client_certs,
+                    endorser_keys: &f.endorser_keys,
+                },
+            );
+            assert_eq!(from_digests, serial, "digest path at pool {pool} diverged");
         }
     }
 

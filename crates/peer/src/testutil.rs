@@ -85,3 +85,28 @@ pub(crate) fn endorsed_tx(f: &Fixture, nonce: u64, endorser_indices: &[usize]) -
     tx.signature = f.client.sign(&tx.signed_bytes());
     tx
 }
+
+/// `n` transactions with nonces from `from`, cycling through the VSCC verdict
+/// classes under an AND2 policy: valid, policy-failing, forged endorsement
+/// (re-signed envelope), and an envelope tampered with after signing.
+pub(crate) fn mixed_txs(f: &Fixture, from: u64, n: u64) -> Vec<Transaction> {
+    (from..from + n)
+        .map(|nonce| match nonce % 4 {
+            0 => endorsed_tx(f, nonce, &[0, 1]),
+            1 => endorsed_tx(f, nonce, &[0]),
+            2 => {
+                let mut tx = endorsed_tx(f, nonce, &[0, 1]);
+                let rogue = KeyPair::from_seed(b"rogue");
+                tx.endorsements[1].endorser_key = rogue.public;
+                tx.endorsements[1].signature = rogue.sign(&tx.response_bytes());
+                tx.signature = f.client.sign(&tx.signed_bytes());
+                tx
+            }
+            _ => {
+                let mut tx = endorsed_tx(f, nonce, &[0, 1]);
+                tx.payload = b"injected".to_vec();
+                tx
+            }
+        })
+        .collect()
+}

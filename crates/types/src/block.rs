@@ -90,6 +90,14 @@ pub struct Block {
     pub metadata: BlockMetadata,
 }
 
+/// The Merkle leaves of a block: one envelope hash per transaction, in order.
+fn leaf_hashes(transactions: &[Transaction]) -> Vec<Hash256> {
+    transactions
+        .iter()
+        .map(Transaction::envelope_hash)
+        .collect()
+}
+
 impl Block {
     /// Assembles a block from ordered transactions, computing the data hash.
     pub fn assemble(
@@ -113,8 +121,7 @@ impl Block {
 
     /// Merkle root over the envelope hashes.
     pub fn compute_data_hash(transactions: &[Transaction]) -> Hash256 {
-        let leaves: Vec<Hash256> = transactions.iter().map(|t| t.envelope_hash()).collect();
-        MerkleTree::from_leaf_hashes(leaves).root()
+        MerkleTree::from_leaf_hashes(leaf_hashes(transactions)).root()
     }
 
     /// Verifies the stored data hash against the transactions.
@@ -135,6 +142,75 @@ impl Block {
     /// Count of transactions flagged valid (0 before validation).
     pub fn valid_count(&self) -> usize {
         self.metadata.flags.iter().filter(|f| f.is_valid()).count()
+    }
+}
+
+/// A block whose data hash has been verified: proof, in the type, that every
+/// envelope was encoded and hashed and that the Merkle root over those hashes
+/// equals `header.data_hash`.
+///
+/// The only constructor is [`CheckedBlock::new`], which does exactly that
+/// work once. The block is owned privately and never handed out mutably, so
+/// the proof cannot go stale; the per-transaction envelope digests computed
+/// on the way are kept, because the committer needs them again (the creator
+/// signature is over the envelope digest). Validation flags live in the
+/// metadata, which the data hash does not cover, so stamping them is the one
+/// mutation allowed.
+///
+/// ```
+/// use fabricsim_crypto::Hash256;
+/// use fabricsim_types::{Block, ChannelId, CheckedBlock};
+/// let block = Block::assemble(ChannelId::default_channel(), 0, Hash256::ZERO, Vec::new());
+/// let checked = CheckedBlock::new(block).expect("assembled blocks are consistent");
+/// assert!(checked.block().transactions.is_empty());
+/// ```
+///
+/// The same with a write through the accessor does not compile — there is no
+/// path from a `CheckedBlock` to a `&mut Block`:
+///
+/// ```compile_fail,E0596
+/// use fabricsim_crypto::Hash256;
+/// use fabricsim_types::{Block, ChannelId, CheckedBlock};
+/// let block = Block::assemble(ChannelId::default_channel(), 0, Hash256::ZERO, Vec::new());
+/// let mut checked = CheckedBlock::new(block).expect("assembled blocks are consistent");
+/// checked.block().transactions.clear();
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CheckedBlock {
+    block: Block,
+    envelope_hashes: Vec<Hash256>,
+}
+
+impl CheckedBlock {
+    /// Hashes every envelope of `block` and verifies the Merkle root over the
+    /// hashes against the header. `None` if they disagree.
+    pub fn new(block: Block) -> Option<Self> {
+        let envelope_hashes = leaf_hashes(&block.transactions);
+        let root = MerkleTree::from_leaf_hashes(envelope_hashes.clone()).root();
+        (root == block.header.data_hash).then_some(CheckedBlock {
+            block,
+            envelope_hashes,
+        })
+    }
+
+    /// The verified block.
+    pub fn block(&self) -> &Block {
+        &self.block
+    }
+
+    /// `envelope_hashes()[i]` is `block().transactions[i].envelope_hash()`.
+    pub fn envelope_hashes(&self) -> &[Hash256] {
+        &self.envelope_hashes
+    }
+
+    /// Stamps the committer's validation flags into the block metadata.
+    pub fn stamp_flags(&mut self, flags: Vec<ValidationCode>) {
+        self.block.metadata.flags = flags;
+    }
+
+    /// Gives up the proof and returns the block.
+    pub fn into_block(self) -> Block {
+        self.block
     }
 }
 
@@ -193,6 +269,60 @@ mod tests {
         );
         b.transactions[0].rw_set.record_write("evil", Some(vec![9]));
         assert!(!b.data_hash_is_consistent());
+    }
+
+    #[test]
+    fn checked_block_proves_the_data_hash_and_keeps_the_digests() {
+        let b = Block::assemble(
+            ChannelId::default_channel(),
+            1,
+            Hash256::ZERO,
+            vec![tx(0), tx(1), tx(2)],
+        );
+        let checked = CheckedBlock::new(b.clone()).expect("consistent block");
+        assert_eq!(checked.block(), &b);
+        let want: Vec<Hash256> = b.transactions.iter().map(|t| t.envelope_hash()).collect();
+        assert_eq!(checked.envelope_hashes(), want);
+        assert_eq!(checked.into_block(), b);
+
+        let empty = Block::assemble(ChannelId::default_channel(), 0, Hash256::ZERO, Vec::new());
+        assert!(CheckedBlock::new(empty).is_some_and(|c| c.envelope_hashes().is_empty()));
+    }
+
+    #[test]
+    fn checked_block_refuses_every_kind_of_tampering() {
+        let good = Block::assemble(
+            ChannelId::default_channel(),
+            1,
+            Hash256::ZERO,
+            vec![tx(0), tx(1)],
+        );
+        let mut altered = good.clone();
+        altered.transactions[1].payload = b"evil".to_vec();
+        let mut dropped = good.clone();
+        dropped.transactions.pop();
+        let mut appended = good.clone();
+        appended.transactions.push(tx(2));
+        let mut reordered = good.clone();
+        reordered.transactions.swap(0, 1);
+        let mut rehashed = good.clone();
+        rehashed.header.data_hash = Hash256::ZERO;
+        for bad in [altered, dropped, appended, reordered, rehashed] {
+            assert!(!bad.data_hash_is_consistent());
+            assert_eq!(CheckedBlock::new(bad), None);
+        }
+    }
+
+    #[test]
+    fn stamping_flags_touches_only_the_metadata() {
+        let b = Block::assemble(ChannelId::default_channel(), 1, Hash256::ZERO, vec![tx(0)]);
+        let mut checked = CheckedBlock::new(b.clone()).expect("consistent block");
+        checked.stamp_flags(vec![ValidationCode::Valid]);
+        let stamped = checked.into_block();
+        assert_eq!(stamped.metadata.flags, vec![ValidationCode::Valid]);
+        assert_eq!(stamped.header, b.header);
+        assert_eq!(stamped.transactions, b.transactions);
+        assert!(stamped.data_hash_is_consistent());
     }
 
     #[test]

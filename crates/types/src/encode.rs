@@ -42,6 +42,17 @@ impl Encoder {
         self
     }
 
+    /// Appends the concatenation of `parts` as one length-prefixed byte
+    /// string — `bytes(&parts.concat())` without building the concatenation.
+    pub fn concat(&mut self, parts: &[&[u8]]) -> &mut Self {
+        let len: usize = parts.iter().map(|p| p.len()).sum();
+        self.buf.extend_from_slice(&(len as u32).to_le_bytes());
+        for part in parts {
+            self.buf.extend_from_slice(part);
+        }
+        self
+    }
+
     /// Appends a UTF-8 string.
     pub fn str(&mut self, s: &str) -> &mut Self {
         self.bytes(s.as_bytes())
@@ -112,6 +123,15 @@ mod tests {
         let mut b = Encoder::new("t");
         b.str("a").str("bc");
         assert_ne!(a.finish(), b.finish());
+    }
+
+    #[test]
+    fn concat_is_bytes_of_the_concatenation() {
+        let mut a = Encoder::new("t");
+        a.concat(&[b"Org", b"12", b".", b"peer"]).concat(&[]);
+        let mut b = Encoder::new("t");
+        b.str("Org12.peer").bytes(b"");
+        assert_eq!(a.finish(), b.finish());
     }
 
     #[test]

@@ -4,6 +4,8 @@ use std::fmt;
 
 use fabricsim_crypto::Hash256;
 
+use crate::encode::Encoder;
+
 /// An organization (consortium member) identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OrgId(pub u32);
@@ -134,6 +136,27 @@ impl Principal {
     }
 }
 
+impl Principal {
+    /// Appends the principal's `Display` form (`Org<N>.<role>`) to a canonical
+    /// encoding as one string field, without allocating the string: signed
+    /// bytes carry one principal per endorsement.
+    pub fn encode_into(&self, e: &mut Encoder) {
+        // Decimal digits of a u32, least significant last.
+        let mut digits = [0u8; 10];
+        let mut at = digits.len();
+        let mut n = self.org.0;
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        e.concat(&[b"Org", &digits[at..], b".", self.role.as_bytes()]);
+    }
+}
+
 impl fmt::Display for Principal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Org{}.{}", self.org.0, self.role)
@@ -165,6 +188,23 @@ mod tests {
         assert_eq!(p, Principal::peer(OrgId(2)));
         assert_eq!(p.to_string(), "Org2.peer");
         assert_eq!(Principal::parse("Org2.admin").unwrap().role, "admin");
+    }
+
+    #[test]
+    fn principal_encoding_is_its_display_form() {
+        for org in [0, 1, 9, 10, 99, 100, 4_294_967_295] {
+            for role in ["peer", "admin", "x"] {
+                let p = Principal {
+                    org: OrgId(org),
+                    role: role.to_string(),
+                };
+                let mut direct = Encoder::new("t");
+                p.encode_into(&mut direct);
+                let mut via_display = Encoder::new("t");
+                via_display.str(&p.to_string());
+                assert_eq!(direct.finish(), via_display.finish(), "{p}");
+            }
+        }
     }
 
     #[test]

@@ -39,8 +39,8 @@ impl Transaction {
         self.rw_set.encode_into(&mut e);
         e.bytes(&self.payload)
             .list(&self.endorsements, |e, en| {
-                e.str(&en.endorser.to_string())
-                    .u64(en.endorser_key.element())
+                en.endorser.encode_into(e);
+                e.u64(en.endorser_key.element())
                     .u64(en.signature.e)
                     .u64(en.signature.s);
             })
@@ -132,6 +132,41 @@ mod tests {
         let one = sample_tx(1).wire_size();
         let five = sample_tx(5).wire_size();
         assert_eq!(five - one, 4 * 72);
+    }
+
+    /// The envelope encoding as it was when each endorser's principal went
+    /// through `Display` and a `String`; `signed_bytes` must stay
+    /// byte-identical to it (every stored signature and block hash depends
+    /// on these bytes).
+    fn display_based_signed_bytes(tx: &Transaction) -> Vec<u8> {
+        let mut e = Encoder::new("fabricsim-envelope");
+        e.bytes(tx.tx_id.0.as_bytes())
+            .str(&tx.channel.0)
+            .str(&tx.chaincode);
+        tx.rw_set.encode_into(&mut e);
+        e.bytes(&tx.payload)
+            .list(&tx.endorsements, |e, en| {
+                e.str(&en.endorser.to_string())
+                    .u64(en.endorser_key.element())
+                    .u64(en.signature.e)
+                    .u64(en.signature.s);
+            })
+            .u32(tx.creator.0);
+        e.finish()
+    }
+
+    #[test]
+    fn signed_bytes_are_byte_identical_to_the_display_based_form() {
+        for n in [0, 1, 5, 12] {
+            let mut tx = sample_tx(n);
+            if let Some(en) = tx.endorsements.last_mut() {
+                en.endorser = Principal {
+                    org: OrgId(1_000_000),
+                    role: "admin".into(),
+                };
+            }
+            assert_eq!(tx.signed_bytes(), display_based_signed_bytes(&tx));
+        }
     }
 
     #[test]
