@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use std::hint::black_box;
 
 use fabricsim_bench::microbench::Runner;
-use fabricsim_crypto::{sha256, KeyPair, MerkleTree, PublicKey};
+use fabricsim_crypto::{sha256, KeyPair, MerkleTree, PublicKey, Sha256, VerifyingKey};
 use fabricsim_des::{Kernel, ShardWorld, ShardedKernel, SimDuration, SimTime, Station};
 use fabricsim_kafka::{Broker, BrokerMsg, KafkaConfig, Record};
 use fabricsim_ledger::Ledger;
@@ -41,6 +41,12 @@ fn tx(nonce: u64) -> Transaction {
 fn bench_crypto(r: &mut Runner) {
     let data = vec![0xABu8; 1024];
     r.bench("crypto/sha256_1k", || sha256(black_box(&data)));
+    // Absorbing exactly one block, unfinished: one compression, no padding.
+    r.bench("crypto/sha256_compress_64B", || {
+        let mut h = Sha256::new();
+        h.update(black_box(&data[..64]));
+        h
+    });
     let kp = KeyPair::from_seed(b"bench");
     r.bench("crypto/schnorr_sign", || kp.sign(black_box(&data)));
     let sig = kp.sign(&data);
@@ -52,6 +58,15 @@ fn bench_crypto(r: &mut Runner) {
     r.bench("crypto/sign_digest", || kp.sign_digest(black_box(&digest)));
     r.bench("crypto/verify_digest", || {
         kp.public.verify_digest(black_box(&digest), &sig)
+    });
+    // What a verifier that keeps the key pays: the table once, then 31
+    // multiplications per signature instead of 105.
+    r.bench("crypto/expand_key", || {
+        VerifyingKey::new(black_box(kp.public))
+    });
+    let expanded = VerifyingKey::new(kp.public);
+    r.bench("crypto/verify_digest_expanded", || {
+        expanded.verify_digest(black_box(&digest), &sig)
     });
     let leaves: Vec<Vec<u8>> = (0..100).map(|i| format!("tx{i}").into_bytes()).collect();
     r.bench("crypto/merkle_root_100", || {
@@ -109,8 +124,9 @@ fn bench_ledger(r: &mut Runner) {
     });
 }
 
-/// A CA, one client, `orgs` endorsing peers and a block of `txs` fully signed
-/// AND-`orgs` transactions, with the trust directories a committer needs.
+/// A CA, one client, `orgs` endorsing peers and a block of `txs` transactions
+/// each writing `value_bytes` and signed by all of them, with the trust
+/// directories a committer needs.
 struct SignedBlock {
     msp: Msp,
     client: SigningIdentity,
@@ -121,7 +137,7 @@ struct SignedBlock {
     block: Block,
 }
 
-fn signed_block(orgs: u32, txs: u64) -> SignedBlock {
+fn signed_block(policy: Policy, orgs: u32, value_bytes: usize, txs: u64) -> SignedBlock {
     let ca = CertificateAuthority::new("bench-ca", 1);
     let client = ca.enroll(
         Principal {
@@ -142,7 +158,7 @@ fn signed_block(orgs: u32, txs: u64) -> SignedBlock {
     }
     let config = PeerConfig {
         channel: ChannelId::default_channel(),
-        endorsement_policy: Policy::and_of_orgs(orgs),
+        endorsement_policy: policy,
         is_endorser: false,
         validator_pool_size: 1,
     };
@@ -151,7 +167,7 @@ fn signed_block(orgs: u32, txs: u64) -> SignedBlock {
             let creator = ClientId(0);
             let tx_id = Proposal::derive_tx_id(creator, nonce);
             let mut rw = RwSet::new();
-            rw.record_write(&format!("k{nonce}"), Some(vec![1]));
+            rw.record_write(&format!("k{nonce}"), Some(vec![1; value_bytes]));
             let resp = ProposalResponse::signed_bytes(tx_id, &rw, b"");
             let endorsements = endorsers
                 .iter()
@@ -199,7 +215,7 @@ fn bench_vscc(r: &mut Runner) {
         config,
         block,
         ..
-    } = signed_block(3, 1024);
+    } = signed_block(Policy::and_of_orgs(3), 3, 1, 1024);
     // ISSUE acceptance pair: the VSCC stage serial vs a 4-wide pool on a
     // 1000+-tx block of fully signed AND3 transactions.
     r.bench("peer/vscc_1024tx_serial", || {
@@ -227,7 +243,7 @@ fn bench_vscc(r: &mut Runner) {
 /// The per-component numbers of the validate-and-commit path: what one
 /// committer pays for a 100-tx AND5 block, and the pieces it is made of.
 fn bench_commit_path(r: &mut Runner) {
-    let s = signed_block(5, 100);
+    let s = signed_block(Policy::and_of_orgs(5), 5, 1, 100);
     let cert = s.client.certificate();
     let envelope = s.block.transactions[0].signed_bytes();
     let sig = s.block.transactions[0].signature;
@@ -249,19 +265,25 @@ fn bench_commit_path(r: &mut Runner) {
         CheckedBlock::new(black_box(s.block.clone()))
     });
     // The whole path on a fresh peer at height 0 (the clone of the block is
-    // the copy each ledger must own; building the peer is a few µs).
-    r.bench("peer/validate_and_commit_100tx_and5", || {
-        let mut peer = Peer::new(s.endorsers[0].clone(), s.msp.clone(), s.config.clone());
-        peer.register_client(ClientId(0), cert.clone());
-        for e in &s.endorsers {
-            peer.register_endorser(e.principal().clone(), e.certificate().public_key);
-        }
-        let stats = peer
-            .validate_and_commit(black_box(s.block.clone()))
-            .unwrap();
-        assert_eq!(stats.valid, 100);
-        peer
-    });
+    // the copy each ledger must own; building the peer is a few µs): the
+    // signature-heavy block, and one where the bytes hashed dominate.
+    let whole_path = |r: &mut Runner, name: &str, s: &SignedBlock| {
+        r.bench(name, || {
+            let mut peer = Peer::new(s.endorsers[0].clone(), s.msp.clone(), s.config.clone());
+            peer.register_client(ClientId(0), s.client.certificate().clone());
+            for e in &s.endorsers {
+                peer.register_endorser(e.principal().clone(), e.certificate().public_key);
+            }
+            let stats = peer
+                .validate_and_commit(black_box(s.block.clone()))
+                .unwrap();
+            assert_eq!(stats.valid, 100);
+            peer
+        });
+    };
+    whole_path(r, "peer/validate_and_commit_100tx_and5", &s);
+    let or1_1k = signed_block(Policy::or_of_orgs(1), 1, 1024, 100);
+    whole_path(r, "peer/validate_and_commit_100tx_or1_1k", &or1_1k);
 }
 
 fn bench_raft(r: &mut Runner) {

@@ -188,9 +188,9 @@ pub struct RunResult {
 }
 
 struct PendingTx {
-    proposal: Proposal,
+    /// Shared with every endorser the proposal is in flight to.
+    proposal: Arc<Proposal>,
     collector: EndorsementCollector,
-    envelope: Option<Transaction>,
     timeout_event: Option<EventId>,
 }
 
@@ -362,7 +362,7 @@ enum ShardMsg {
         src: (u32, u32),
         /// Global client-pool index (every shard builds lanes for all pools).
         pool: usize,
-        proposal: Proposal,
+        proposal: Arc<Proposal>,
         /// Endorsements the collector should expect (reachable targets).
         expected: usize,
         /// Per-endorser `(peer index, proposal arrival time)` fan-out.
@@ -1907,9 +1907,8 @@ fn pool_arrival(world: &mut World, k: &mut K, p: usize) {
     world.pools[p].pending.insert(
         tx_id,
         PendingTx {
-            proposal,
+            proposal: Arc::new(proposal),
             collector,
-            envelope: None,
             timeout_event: None,
         },
     );
@@ -1940,7 +1939,7 @@ fn pool_arrival(world: &mut World, k: &mut K, p: usize) {
     }
     k.schedule_labeled(done + sdk_pre, "pool.send", move |w, k| {
         w.pools[p].in_prep -= 1;
-        send_proposals(w, k, p, tx_id, targets.clone());
+        send_proposals(w, k, p, tx_id, targets);
     });
 }
 
@@ -1955,7 +1954,7 @@ fn send_proposals(world: &mut World, k: &mut K, p: usize, tx_id: TxId, targets: 
     let Some(pending) = world.pools[p].pending.get(&tx_id) else {
         return;
     };
-    let proposal = pending.proposal.clone();
+    let proposal = Arc::clone(&pending.proposal);
     if let Some(t) = world.trace_mut(tx_id) {
         t.proposal_sent = Some(now);
     }
@@ -2019,9 +2018,9 @@ fn send_proposals(world: &mut World, k: &mut K, p: usize, tx_id: TxId, targets: 
     for principal in targets {
         let peer_idx = world.peer_of(&principal);
         let arrival = world.pools[p].egress.transfer(now, bytes);
-        let prop = proposal.clone();
+        let proposal = Arc::clone(&proposal);
         k.schedule_labeled(arrival, "peer.endorse", move |w, k| {
-            peer_receive_proposal(w, k, peer_idx, p, prop.clone());
+            peer_receive_proposal(w, k, peer_idx, p, proposal);
         });
     }
 }
@@ -2064,16 +2063,15 @@ impl ShardWorld for World {
         self.pools[p].pending.insert(
             tx_id,
             PendingTx {
-                proposal: proposal.clone(),
+                proposal: Arc::clone(&proposal),
                 collector,
-                envelope: None,
                 timeout_event: None,
             },
         );
         for (peer_idx, at) in deliveries {
-            let prop = proposal.clone();
+            let proposal = Arc::clone(&proposal);
             kernel.schedule_labeled(at, "peer.endorse", move |w, k| {
-                peer_receive_proposal(w, k, peer_idx, p, prop.clone());
+                peer_receive_proposal(w, k, peer_idx, p, proposal);
             });
         }
     }
@@ -2105,7 +2103,7 @@ fn peer_receive_proposal(
     k: &mut K,
     peer_idx: usize,
     p: usize,
-    proposal: Proposal,
+    proposal: Arc<Proposal>,
 ) {
     let now = k.now();
     let m = &world.cfg.cost;
@@ -2143,7 +2141,7 @@ fn send_response(
         .exp(world.cfg.cost.endorse_path_jitter_ms);
     let arrival = world.peers[peer_idx].egress.transfer(now, bytes) + world.ms(jitter_ms);
     k.schedule_labeled(arrival, "pool.recv", move |w, k| {
-        pool_receive_response(w, k, p, response.clone());
+        pool_receive_response(w, k, p, response);
     });
 }
 
@@ -2208,14 +2206,14 @@ fn pool_receive_response(world: &mut World, k: &mut K, p: usize, response: Propo
 
 fn client_assemble(world: &mut World, k: &mut K, p: usize, tx_id: TxId) {
     let now = k.now();
-    let Some((proposal, responses)) = world.pools[p]
-        .pending
-        .get(&tx_id)
-        .map(|pd| (pd.proposal.clone(), pd.collector.responses().to_vec()))
-    else {
+    let pool = &world.pools[p];
+    let Some(pending) = pool.pending.get(&tx_id) else {
         return;
     };
-    let tx = match world.pools[p].sdk.assemble(&proposal, &responses) {
+    let assembled = pool
+        .sdk
+        .assemble(&pending.proposal, pending.collector.responses());
+    let tx = match assembled {
         Ok(tx) => tx,
         Err(_) => {
             world.pools[p].pending.remove(&tx_id);
@@ -2299,7 +2297,6 @@ fn submit_to_orderer(world: &mut World, k: &mut K, p: usize, tx: Transaction) {
     );
     if let Some(pending) = world.pools[p].pending.get_mut(&tx_id) {
         pending.timeout_event = Some(ev);
-        pending.envelope = Some(tx.clone());
     }
 
     let bytes = tx.wire_size();
@@ -2308,7 +2305,7 @@ fn submit_to_orderer(world: &mut World, k: &mut K, p: usize, tx: Transaction) {
         return;
     };
     k.schedule_labeled(arrival, "osn.receive", move |w, k| {
-        osn_receive(w, k, o, ch, OsnInput::Broadcast(tx.clone()), true);
+        osn_receive(w, k, o, ch, OsnInput::Broadcast(tx), true);
     });
 }
 
@@ -2363,7 +2360,7 @@ fn osn_receive(
         if !w.osns[o].alive {
             return;
         }
-        let effects = w.osns[o].nodes[ch].handle(input.clone());
+        let effects = w.osns[o].nodes[ch].handle(input);
         apply_osn_effects(w, k, o, ch, effects);
     });
 }
@@ -2424,10 +2421,7 @@ fn apply_osn_effects(world: &mut World, k: &mut K, o: usize, ch: usize, effects:
                         k,
                         to as usize,
                         ch,
-                        OsnInput::Osn {
-                            from,
-                            message: message.clone(),
-                        },
+                        OsnInput::Osn { from, message },
                         false,
                     );
                 });
@@ -2441,7 +2435,7 @@ fn apply_osn_effects(world: &mut World, k: &mut K, o: usize, ch: usize, effects:
                     world.emit_msg_span(&trace, SpanKind::KafkaProduce, &actor, now, arrival);
                 }
                 k.schedule_labeled(arrival, "broker.produce", move |w, k| {
-                    broker_receive(w, k, to as usize, ch, message.clone());
+                    broker_receive(w, k, to as usize, ch, message);
                 });
             }
             OsnEffect::ArmBatchTimer { after_ms, seq } => {
@@ -2604,7 +2598,7 @@ fn apply_gossip_effects(world: &mut World, k: &mut K, peer_idx: usize, effects: 
                     }
                 }
                 k.schedule_labeled(arrival, "gossip.send", move |w, k| {
-                    peer_receive_gossip(w, k, to as usize, from, message.clone());
+                    peer_receive_gossip(w, k, to as usize, from, message);
                 });
             }
             GossipEffect::Deliver(block) => {
@@ -2936,7 +2930,7 @@ fn broker_receive(world: &mut World, k: &mut K, b: usize, ch: usize, message: Br
         if !w.brokers[b].alive {
             return;
         }
-        let effects = w.brokers[b].partitions[ch].step(message.clone());
+        let effects = w.brokers[b].partitions[ch].step(message);
         apply_broker_effects(w, k, b, ch, effects);
     });
 }
@@ -2981,7 +2975,7 @@ fn apply_broker_effects(
                 let bytes = broker_msg_bytes(&message);
                 let arrival = world.brokers[b].egress.transfer(now, bytes);
                 k.schedule_labeled(arrival, "broker.send", move |w, k| {
-                    broker_receive(w, k, to as usize, ch, message.clone());
+                    broker_receive(w, k, to as usize, ch, message);
                 });
             }
             BrokerEffect::Reply { to, event } => {
@@ -2996,7 +2990,7 @@ fn apply_broker_effects(
                     }
                 }
                 k.schedule_labeled(arrival, "osn.consume", move |w, k| {
-                    osn_receive(w, k, o, ch, OsnInput::Kafka(event.clone()), false);
+                    osn_receive(w, k, o, ch, OsnInput::Kafka(event), false);
                 });
             }
             BrokerEffect::IsrUpdate { isr } => {
@@ -3060,7 +3054,7 @@ fn apply_zk_effects(world: &mut World, k: &mut K, ch: usize, effects: Vec<ZkEffe
         // Coordination messages travel the same LAN.
         let delay = world.ms(world.cfg.cost.link_propagation_ms + 0.5);
         k.schedule_in_labeled(delay, "broker.appoint", move |w, k| {
-            broker_receive(w, k, target as usize, ch, message.clone());
+            broker_receive(w, k, target as usize, ch, message);
         });
     }
 }

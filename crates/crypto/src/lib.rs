@@ -28,5 +28,17 @@ mod sha256;
 pub use hash::Hash256;
 pub use hmac::hmac_sha256;
 pub use merkle::MerkleTree;
-pub use schnorr::{KeyPair, PublicKey, SecretKey, Signature};
+pub use schnorr::{KeyPair, PublicKey, SecretKey, Signature, VerifyingKey};
 pub use sha256::{sha256, Sha256};
+
+/// SplitMix64: the seeded stream behind this crate's equivalence sweeps.
+#[cfg(test)]
+mod testrng {
+    pub(crate) fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+}

@@ -35,6 +35,7 @@ fn hash_leaf(data: &[u8]) -> Hash256 {
 pub struct MerkleTree {
     /// levels[0] = leaf hashes, last level = [root].
     levels: Vec<Vec<Hash256>>,
+    root: Hash256,
 }
 
 impl MerkleTree {
@@ -51,13 +52,12 @@ impl MerkleTree {
 
     /// Builds a tree from precomputed leaf hashes.
     pub fn from_leaf_hashes(leaf_hashes: Vec<Hash256>) -> Self {
-        if leaf_hashes.is_empty() {
-            return MerkleTree {
-                levels: vec![vec![hash_leaf(b"")]],
-            };
-        }
         let mut levels = Vec::new();
-        let mut cur = leaf_hashes;
+        let mut cur = if leaf_hashes.is_empty() {
+            vec![hash_leaf(b"")]
+        } else {
+            leaf_hashes
+        };
         while cur.len() > 1 {
             let mut next = Vec::with_capacity(cur.len().div_ceil(2));
             for pair in cur.chunks(2) {
@@ -66,15 +66,15 @@ impl MerkleTree {
             }
             levels.push(std::mem::replace(&mut cur, next));
         }
+        // Never empty: it starts with at least one hash and halving rounds up.
+        let root = cur[0];
         levels.push(cur);
-        MerkleTree { levels }
+        MerkleTree { levels, root }
     }
 
     /// The Merkle root.
     pub fn root(&self) -> Hash256 {
-        // lint:allow(no-unwrap-in-lib) -- levels is non-empty: both
-        // constructor paths push at least one level.
-        self.levels.last().unwrap()[0]
+        self.root
     }
 
     /// Number of leaves.

@@ -12,10 +12,18 @@
 //! derived RFC 6979-style from `HMAC(sk, digest)`, and the challenge
 //! `H(tag ‖ r ‖ pk ‖ digest)` is 54 bytes — one SHA-256 compression.
 //!
-//! Exponentiation is specialised to the two shapes the scheme needs: `g^x`
-//! is 15 multiplications out of a fixed-base table, `pk^x` a 4-bit
-//! fixed-window ladder (89). [`crate::prime::pow_mod`] remains the generic
+//! Exponentiation comes in the two shapes that exist for a reason. A base
+//! seen again — `g`, and any public key a verifier keeps — gets a fixed-base
+//! table ([`VerifyingKey`]; under 2 µs and 2 KiB once, then 15 multiplications
+//! per power, so a verification is two independent 15-multiplication chains
+//! and one more: 31). A key seen once is not worth a table:
+//! [`PublicKey::verify_digest`] walks a 4-bit fixed-window ladder (89, so
+//! 105 per verification). [`crate::prime::pow_mod`] remains the generic
 //! utility and the oracle the tests compare both against.
+//!
+//! What depends only on the secret key is likewise paid once: a [`KeyPair`]
+//! keeps the two HMAC pad chaining values, so the nonce costs two SHA-256
+//! compressions per signature instead of four.
 //!
 //! The 61-bit modulus gives toy *security* but real *structure*: signatures
 //! are actually computed and verified on every simulated endorsement and VSCC
@@ -25,7 +33,7 @@
 use std::fmt;
 
 use crate::hash::Hash256;
-use crate::hmac::hmac_sha256;
+use crate::hmac::HmacKey;
 use crate::prime::{mul_mod, pow_mod};
 use crate::sha256::{sha256, Sha256};
 
@@ -40,11 +48,16 @@ pub const G: u64 = 4;
 const WINDOW_BITS: u32 = 4;
 const WINDOWS: usize = 16;
 
-/// `G_TABLE[i][j] = g^(j · 16^i) mod p`: one row per exponent nibble, so
-/// `g^x` is the product of one entry per row (2 KiB, built at compile time).
-static G_TABLE: [[u64; 16]; WINDOWS] = {
+/// A fixed-base table: `table[i][j] = base^(j · 16^i) mod p`, one row per
+/// exponent nibble, so `base^x` is the product of one entry per row. 240
+/// multiplications to build, 2 KiB to keep.
+type PowerTable = [[u64; 16]; WINDOWS];
+
+/// Builds the table for `base`: at compile time for the generator, at run
+/// time for a public key that will be verified against more than once.
+const fn power_table(base: u64) -> PowerTable {
     let mut table = [[1u64; 16]; WINDOWS];
-    let mut base = G; // g^(16^i)
+    let mut base = base; // base^(16^i)
     let mut i = 0;
     while i < WINDOWS {
         let mut j = 1;
@@ -56,19 +69,39 @@ static G_TABLE: [[u64; 16]; WINDOWS] = {
         i += 1;
     }
     table
-};
+}
+
+static G_TABLE: PowerTable = power_table(G);
 
 fn nibble(x: u64, i: usize) -> usize {
     ((x >> (WINDOW_BITS * i as u32)) & 15) as usize
 }
 
-/// `g^exp mod p` from the fixed-base table: 15 multiplications, no squarings.
-fn pow_g(exp: u64) -> u64 {
-    let mut acc = G_TABLE[0][nibble(exp, 0)];
-    for (i, row) in G_TABLE.iter().enumerate().skip(1) {
+/// `base^exp mod p` from `base`'s table: 15 multiplications, no squarings.
+fn pow_table(table: &PowerTable, exp: u64) -> u64 {
+    let mut acc = table[0][nibble(exp, 0)];
+    for (i, row) in table.iter().enumerate().skip(1) {
         acc = mul_mod(acc, row[nibble(exp, i)], P);
     }
     acc
+}
+
+/// `g^exp mod p`.
+fn pow_g(exp: u64) -> u64 {
+    pow_table(&G_TABLE, exp)
+}
+
+/// `g^s · base^x mod p` from both tables: two chains of 15 multiplications
+/// that do not depend on each other, so they overlap in the pipeline, and
+/// one multiplication to join them.
+fn pow_g_times_pow_table(s: u64, table: &PowerTable, x: u64) -> u64 {
+    let mut acc_g = G_TABLE[0][nibble(s, 0)];
+    let mut acc = table[0][nibble(x, 0)];
+    for (i, (g_row, row)) in G_TABLE.iter().zip(table).enumerate().skip(1) {
+        acc_g = mul_mod(acc_g, g_row[nibble(s, i)], P);
+        acc = mul_mod(acc, row[nibble(x, i)], P);
+    }
+    mul_mod(acc_g, acc, P)
 }
 
 /// `base^exp mod p` by 4-bit fixed windows: 14 multiplications for the
@@ -114,6 +147,27 @@ pub struct KeyPair {
     pub secret: SecretKey,
     /// The corresponding public element.
     pub public: PublicKey,
+    /// HMAC key over the secret scalar's bytes, pads already compressed: the
+    /// part of every nonce derivation that depends on the key alone.
+    nonce_key: HmacKey,
+}
+
+/// A public key expanded for a verifier that will see it again: the key plus
+/// its fixed-base table (2 KiB, under 2 µs to build), so each verification is 31
+/// multiplications instead of the 105 of [`PublicKey::verify_digest`]. Same
+/// verdict on every input; build one per registered identity, not per
+/// signature.
+#[derive(Clone, PartialEq, Eq)]
+pub struct VerifyingKey {
+    key: PublicKey,
+    table: PowerTable,
+}
+
+impl fmt::Debug for VerifyingKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // The table is a function of the key; 256 words of it help nobody.
+        f.debug_tuple("VerifyingKey").field(&self.key).finish()
+    }
 }
 
 impl fmt::Debug for SecretKey {
@@ -175,6 +229,7 @@ impl KeyPair {
         KeyPair {
             secret,
             public: secret.public_key(),
+            nonce_key: HmacKey::new(&secret.0.to_be_bytes()),
         }
     }
 
@@ -187,7 +242,7 @@ impl KeyPair {
     /// (RFC 6979-style) nonce. `sign(m) == sign_digest(&sha256(m))`.
     pub fn sign_digest(&self, digest: &Hash256) -> Signature {
         // Deterministic nonce: k = HMAC(sk, digest) reduced into [1, Q).
-        let nonce_tag = hmac_sha256(&self.secret.0.to_be_bytes(), digest.as_bytes());
+        let nonce_tag = self.nonce_key.mac(digest.as_bytes());
         let k = 1 + nonce_tag.prefix_u64_be() % (Q - 1);
         let r = pow_g(k);
         let e = challenge(r, self.public, digest);
@@ -205,15 +260,53 @@ impl PublicKey {
 
     /// Verifies a signature over the SHA-256 digest of a message.
     /// `verify(m, sig) == verify_digest(&sha256(m), sig)`.
+    ///
+    /// The one-shot shape: nothing is kept about the key between calls. A
+    /// verifier that will see the key again should hold a [`VerifyingKey`].
     pub fn verify_digest(&self, digest: &Hash256, sig: &Signature) -> bool {
-        if sig.s >= Q {
-            return false;
-        }
-        // r' = g^s * pk^{-e} = g^s * pk^{Q - (e mod Q)}
-        let pk_neg_e = pow_windowed(self.0, Q - sig.e % Q);
-        let r = mul_mod(pow_g(sig.s), pk_neg_e, P);
-        challenge(r, *self, digest) == sig.e
+        verify_with(*self, digest, sig, |s, x| {
+            mul_mod(pow_g(s), pow_windowed(self.0, x), P)
+        })
     }
+}
+
+impl VerifyingKey {
+    /// Expands `key`, building its table.
+    pub fn new(key: PublicKey) -> Self {
+        VerifyingKey {
+            key,
+            table: power_table(key.0),
+        }
+    }
+
+    /// The key this was expanded from.
+    pub fn public_key(&self) -> PublicKey {
+        self.key
+    }
+
+    /// [`PublicKey::verify_digest`] under the expanded key: the same verdict
+    /// for every digest and signature.
+    pub fn verify_digest(&self, digest: &Hash256, sig: &Signature) -> bool {
+        verify_with(self.key, digest, sig, |s, x| {
+            pow_g_times_pow_table(s, &self.table, x)
+        })
+    }
+}
+
+/// The verification both key shapes share; `g_s_pk_x(s, x)` is `g^s · pk^x`,
+/// which is all they compute differently.
+fn verify_with(
+    pk: PublicKey,
+    digest: &Hash256,
+    sig: &Signature,
+    g_s_pk_x: impl FnOnce(u64, u64) -> u64,
+) -> bool {
+    if sig.s >= Q {
+        return false;
+    }
+    // r' = g^s * pk^{-e} = g^s * pk^{Q - (e mod Q)}
+    let r = g_s_pk_x(sig.s, Q - sig.e % Q);
+    challenge(r, pk, digest) == sig.e
 }
 
 const CHALLENGE_TAG: &[u8] = b"fsim-e";
@@ -233,7 +326,9 @@ fn challenge(r: u64, pk: PublicKey, digest: &Hash256) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hmac::hmac_sha256;
     use crate::prime::is_safe_prime;
+    use crate::testrng::splitmix;
 
     #[test]
     fn group_constants_are_valid() {
@@ -243,24 +338,23 @@ mod tests {
         assert_ne!(pow_mod(G, 1, P), 1);
     }
 
-    /// SplitMix64: a seeded stream for the equivalence sweeps.
-    fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
     #[test]
     fn table_and_windowed_exponentiation_match_pow_mod() {
         let mut rng = 0x00FA_B51C_u64;
         let edge = [0, 1, 15, 16, Q - 1, Q, 1 << 60, u64::MAX];
         let random: Vec<u64> = (0..10_000).map(|_| splitmix(&mut rng)).collect();
         let pk = KeyPair::from_seed(b"oracle").public.element();
+        let pk_table = power_table(pk);
         for &x in edge.iter().chain(&random) {
             assert_eq!(pow_g(x), pow_mod(G, x, P), "g^{x}");
             assert_eq!(pow_windowed(pk, x), pow_mod(pk, x, P), "pk^{x}");
+            assert_eq!(pow_table(&pk_table, x), pow_mod(pk, x, P), "pk^{x}");
+            let s = splitmix(&mut rng);
+            assert_eq!(
+                pow_g_times_pow_table(s, &pk_table, x),
+                mul_mod(pow_mod(G, s, P), pow_mod(pk, x, P), P),
+                "g^{s} pk^{x}"
+            );
             // Any base, not only subgroup elements.
             let base = splitmix(&mut rng);
             assert_eq!(pow_windowed(base, x), pow_mod(base, x, P), "{base}^{x}");
@@ -268,23 +362,98 @@ mod tests {
     }
 
     #[test]
-    fn fixed_base_table_rows_are_powers_of_g() {
-        for (i, row) in G_TABLE.iter().enumerate() {
-            for (j, &entry) in row.iter().enumerate() {
-                // j · 16^i can exceed u64 for the top row; reduce mod Q
-                // (the order of g) in 128-bit arithmetic first.
-                let exp = ((j as u128) << (4 * i)) % Q as u128;
-                assert_eq!(entry, pow_mod(G, exp as u64, P), "row {i} entry {j}");
+    fn table_rows_are_powers_of_the_base_for_g_and_for_run_time_keys() {
+        let mut rng = 0x0007_AB1E_u64;
+        let mut cases = vec![(G, G_TABLE)];
+        for _ in 0..8 {
+            let pk = KeyPair::from_seed(&splitmix(&mut rng).to_le_bytes()).public;
+            cases.push((pk.element(), VerifyingKey::new(pk).table));
+        }
+        // And a base outside the subgroup: the builder does not care.
+        cases.push((P - 2, power_table(P - 2)));
+        for (base, table) in cases {
+            for (i, row) in table.iter().enumerate() {
+                for (j, &entry) in row.iter().enumerate() {
+                    // j · 16^i can exceed u64 for the top row; reduce mod the
+                    // group order P − 1 in 128-bit arithmetic first.
+                    let exp = ((j as u128) << (4 * i)) % (P - 1) as u128;
+                    assert_eq!(entry, pow_mod(base, exp as u64, P), "row {i} entry {j}");
+                }
             }
         }
     }
 
-    /// Both entry points on one (message, signature) pair: they must agree,
-    /// and the verdict is returned.
+    /// Every way of asking about one (message, signature) pair — by message
+    /// and by digest, under the plain key and under the expanded one: they
+    /// must agree, and the verdict is returned.
     fn verifies(pk: &PublicKey, msg: &[u8], sig: &Signature) -> bool {
         let by_message = pk.verify(msg, sig);
-        assert_eq!(by_message, pk.verify_digest(&sha256(msg), sig));
+        let digest = sha256(msg);
+        assert_eq!(by_message, pk.verify_digest(&digest, sig));
+        let expanded = VerifyingKey::new(*pk);
+        assert_eq!(expanded.public_key(), *pk);
+        assert_eq!(by_message, expanded.verify_digest(&digest, sig));
         by_message
+    }
+
+    #[test]
+    fn expanded_and_plain_keys_agree_on_10k_seeded_signatures() {
+        let mut rng = 0xE47A_9DED_u64;
+        let keys: Vec<(KeyPair, VerifyingKey)> = (0..16)
+            .map(|_| {
+                let kp = KeyPair::from_seed(&splitmix(&mut rng).to_le_bytes());
+                (kp, VerifyingKey::new(kp.public))
+            })
+            .collect();
+        for i in 0..10_000 {
+            let (kp, expanded) = &keys[i % keys.len()];
+            let (_, other) = &keys[(i + 1) % keys.len()];
+            let digest = sha256(&splitmix(&mut rng).to_le_bytes());
+            let sig = kp.sign_digest(&digest);
+            assert!(kp.public.verify_digest(&digest, &sig), "case {i}");
+            assert!(expanded.verify_digest(&digest, &sig), "case {i}");
+            assert!(!other.verify_digest(&digest, &sig), "wrong key, case {i}");
+            // A pair that is almost surely no signature at all, `s` sometimes
+            // out of range: whatever the verdict, both shapes reach it.
+            let forged = Signature {
+                e: splitmix(&mut rng),
+                s: splitmix(&mut rng) >> (i % 6),
+            };
+            assert_eq!(
+                expanded.verify_digest(&digest, &forged),
+                kp.public.verify_digest(&digest, &forged),
+                "case {i}"
+            );
+        }
+    }
+
+    /// Signing as the parent commit did it, through the public oracles: pads
+    /// re-derived by [`hmac_sha256`], `g^k` by [`pow_mod`].
+    fn sign_digest_reference(kp: &KeyPair, digest: &Hash256) -> Signature {
+        let nonce_tag = hmac_sha256(&kp.secret.0.to_be_bytes(), digest.as_bytes());
+        let k = 1 + nonce_tag.prefix_u64_be() % (Q - 1);
+        let e = challenge(pow_mod(G, k, P), kp.public, digest);
+        let s = (k as u128 + mul_mod(e % Q, kp.secret.0, Q) as u128) % Q as u128;
+        Signature { e, s: s as u64 }
+    }
+
+    #[test]
+    fn midstate_nonce_leaves_every_signature_value_unchanged() {
+        let mut rng = 0x6979_u64;
+        for i in 0..1_000 {
+            let kp = KeyPair::from_seed(&splitmix(&mut rng).to_le_bytes());
+            let digest = sha256(&splitmix(&mut rng).to_le_bytes());
+            assert_eq!(
+                kp.nonce_key.mac(digest.as_bytes()),
+                hmac_sha256(&kp.secret.0.to_be_bytes(), digest.as_bytes()),
+                "nonce, case {i}"
+            );
+            assert_eq!(
+                kp.sign_digest(&digest),
+                sign_digest_reference(&kp, &digest),
+                "signature, case {i}"
+            );
+        }
     }
 
     #[test]

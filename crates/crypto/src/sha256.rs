@@ -54,14 +54,31 @@ impl Sha256 {
         }
     }
 
+    /// The chaining value after absorbing exactly `block`. A keyed caller
+    /// (HMAC) computes it once per key and [`Sha256::resume`]s from it for
+    /// every message instead of hashing the same first block again.
+    pub(crate) fn midstate(block: &[u8; 64]) -> [u32; 8] {
+        let mut state = H0;
+        compress(&mut state, block);
+        state
+    }
+
+    /// A hasher that has already absorbed the one block `midstate` was taken
+    /// after.
+    pub(crate) fn resume(midstate: [u32; 8]) -> Self {
+        Sha256 {
+            state: midstate,
+            buf: [0; 64],
+            buf_len: 0,
+            total_len: 64,
+        }
+    }
+
     /// Absorbs more input.
     pub fn update(&mut self, mut data: &[u8]) {
-        self.total_len = self
-            .total_len
-            .checked_add(data.len() as u64)
-            // lint:allow(no-unwrap-in-lib) -- message bit length fits u64 for any in-memory
-            // slice
-            .expect("sha256 input too long");
+        // FIPS 180-4 defines SHA-256 for messages under 2^64 bits; no
+        // sequence of in-memory slices reaches that, so the count may wrap.
+        self.total_len = self.total_len.wrapping_add(data.len() as u64);
         if self.buf_len > 0 {
             let take = (64 - self.buf_len).min(data.len());
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
@@ -103,53 +120,64 @@ impl Sha256 {
     }
 }
 
+/// One round with the working variables named in their current roles: the
+/// caller rotates the names from round to round instead of moving eight values.
+macro_rules! round {
+    ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $kw:expr) => {
+        let t1 = $h
+            .wrapping_add($e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25))
+            .wrapping_add(($e & $f) ^ (!$e & $g))
+            .wrapping_add($kw);
+        let t2 = ($a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22))
+            .wrapping_add(($a & $b) ^ ($a & $c) ^ ($b & $c));
+        $d = $d.wrapping_add(t1);
+        $h = t1.wrapping_add(t2);
+    };
+}
+
+/// The compression function, as four passes of sixteen unrolled rounds over
+/// a sixteen-word rolling message schedule: `w[i]` holds `W[16·pass + i]`, and
+/// each pass after the first rewrites it in place from the previous sixteen
+/// words (`W[t-15]`, `W[t-7]` and `W[t-2]` are `w[i+1]`, `w[i+9]` and
+/// `w[i+14]` mod 16). Tested against `tests::compress_reference`, the
+/// specification's 64-word form.
 fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
-    let mut w = [0u32; 64];
-    for i in 0..16 {
-        w[i] = u32::from_be_bytes([
-            block[i * 4],
-            block[i * 4 + 1],
-            block[i * 4 + 2],
-            block[i * 4 + 3],
-        ]);
-    }
-    for i in 16..64 {
-        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-        w[i] = w[i - 16]
-            .wrapping_add(s0)
-            .wrapping_add(w[i - 7])
-            .wrapping_add(s1);
+    let mut w = [0u32; 16];
+    for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
     }
     let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
-    for i in 0..64 {
-        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-        let ch = (e & f) ^ ((!e) & g);
-        let t1 = h
-            .wrapping_add(s1)
-            .wrapping_add(ch)
-            .wrapping_add(K[i])
-            .wrapping_add(w[i]);
-        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-        let maj = (a & b) ^ (a & c) ^ (b & c);
-        let t2 = s0.wrapping_add(maj);
-        h = g;
-        g = f;
-        f = e;
-        e = d.wrapping_add(t1);
-        d = c;
-        c = b;
-        b = a;
-        a = t1.wrapping_add(t2);
+    for (pass, k) in K.chunks_exact(16).enumerate() {
+        if pass > 0 {
+            for i in 0..16 {
+                let w15 = w[(i + 1) & 15];
+                let w2 = w[(i + 14) & 15];
+                w[i] = w[i]
+                    .wrapping_add(w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3))
+                    .wrapping_add(w[(i + 9) & 15])
+                    .wrapping_add(w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10));
+            }
+        }
+        round!(a, b, c, d, e, f, g, h, k[0].wrapping_add(w[0]));
+        round!(h, a, b, c, d, e, f, g, k[1].wrapping_add(w[1]));
+        round!(g, h, a, b, c, d, e, f, k[2].wrapping_add(w[2]));
+        round!(f, g, h, a, b, c, d, e, k[3].wrapping_add(w[3]));
+        round!(e, f, g, h, a, b, c, d, k[4].wrapping_add(w[4]));
+        round!(d, e, f, g, h, a, b, c, k[5].wrapping_add(w[5]));
+        round!(c, d, e, f, g, h, a, b, k[6].wrapping_add(w[6]));
+        round!(b, c, d, e, f, g, h, a, k[7].wrapping_add(w[7]));
+        round!(a, b, c, d, e, f, g, h, k[8].wrapping_add(w[8]));
+        round!(h, a, b, c, d, e, f, g, k[9].wrapping_add(w[9]));
+        round!(g, h, a, b, c, d, e, f, k[10].wrapping_add(w[10]));
+        round!(f, g, h, a, b, c, d, e, k[11].wrapping_add(w[11]));
+        round!(e, f, g, h, a, b, c, d, k[12].wrapping_add(w[12]));
+        round!(d, e, f, g, h, a, b, c, k[13].wrapping_add(w[13]));
+        round!(c, d, e, f, g, h, a, b, k[14].wrapping_add(w[14]));
+        round!(b, c, d, e, f, g, h, a, k[15].wrapping_add(w[15]));
     }
-    state[0] = state[0].wrapping_add(a);
-    state[1] = state[1].wrapping_add(b);
-    state[2] = state[2].wrapping_add(c);
-    state[3] = state[3].wrapping_add(d);
-    state[4] = state[4].wrapping_add(e);
-    state[5] = state[5].wrapping_add(f);
-    state[6] = state[6].wrapping_add(g);
-    state[7] = state[7].wrapping_add(h);
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
+    }
 }
 
 /// Convenience one-shot SHA-256.
@@ -170,6 +198,127 @@ pub fn sha256(data: &[u8]) -> Hash256 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testrng::splitmix;
+
+    /// The compression function as FIPS 180-4 §6.2.2 writes it — a 64-word
+    /// schedule, then 64 rounds moving all eight working variables: the
+    /// reference [`compress`] is compared against.
+    pub(super) fn compress_reference(state: &mut [u32; 8], block: &[u8; 64]) {
+        let mut w = [0u32; 64];
+        for i in 0..16 {
+            w[i] = u32::from_be_bytes([
+                block[i * 4],
+                block[i * 4 + 1],
+                block[i * 4 + 2],
+                block[i * 4 + 3],
+            ]);
+        }
+        for i in 16..64 {
+            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+            w[i] = w[i - 16]
+                .wrapping_add(s0)
+                .wrapping_add(w[i - 7])
+                .wrapping_add(s1);
+        }
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+        for i in 0..64 {
+            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+            let ch = (e & f) ^ ((!e) & g);
+            let t1 = h
+                .wrapping_add(s1)
+                .wrapping_add(ch)
+                .wrapping_add(K[i])
+                .wrapping_add(w[i]);
+            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+            let maj = (a & b) ^ (a & c) ^ (b & c);
+            let t2 = s0.wrapping_add(maj);
+            h = g;
+            g = f;
+            f = e;
+            e = d.wrapping_add(t1);
+            d = c;
+            c = b;
+            b = a;
+            a = t1.wrapping_add(t2);
+        }
+        state[0] = state[0].wrapping_add(a);
+        state[1] = state[1].wrapping_add(b);
+        state[2] = state[2].wrapping_add(c);
+        state[3] = state[3].wrapping_add(d);
+        state[4] = state[4].wrapping_add(e);
+        state[5] = state[5].wrapping_add(f);
+        state[6] = state[6].wrapping_add(g);
+        state[7] = state[7].wrapping_add(h);
+    }
+
+    /// SHA-256 with the padding written out and [`compress_reference`]
+    /// underneath: shares nothing with [`Sha256`] but the constants.
+    fn sha256_reference(data: &[u8]) -> Hash256 {
+        let mut padded = data.to_vec();
+        padded.push(0x80);
+        while padded.len() % 64 != 56 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        for block in padded.chunks_exact(64) {
+            compress_reference(&mut state, block.try_into().unwrap());
+        }
+        let mut out = [0u8; 32];
+        for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
+        }
+        Hash256::from_bytes(out)
+    }
+
+    #[test]
+    fn unrolled_compress_matches_the_reference_on_every_length_and_on_seeded_input() {
+        let mut rng = 0x005A_A256_u64;
+        let data: Vec<u8> = (0..200).map(|_| splitmix(&mut rng) as u8).collect();
+        for len in 0..=200 {
+            assert_eq!(
+                sha256(&data[..len]),
+                sha256_reference(&data[..len]),
+                "len {len}"
+            );
+        }
+        for case in 0..10_000 {
+            // Any chaining value and any block, not only ones a message reaches.
+            let mut state = [0u32; 8];
+            state.fill_with(|| splitmix(&mut rng) as u32);
+            let mut block = [0u8; 64];
+            block.fill_with(|| splitmix(&mut rng) as u8);
+            let mut want = state;
+            compress_reference(&mut want, &block);
+            compress(&mut state, &block);
+            assert_eq!(state, want, "case {case}");
+            let msg: Vec<u8> = (0..splitmix(&mut rng) % 300)
+                .map(|_| splitmix(&mut rng) as u8)
+                .collect();
+            assert_eq!(sha256(&msg), sha256_reference(&msg), "case {case}");
+        }
+    }
+
+    #[test]
+    fn resuming_from_a_midstate_equals_hashing_the_block_again() {
+        let block = [0x36u8; 64];
+        for tail in [
+            &b""[..],
+            b"x",
+            &[7u8; 55],
+            &[7u8; 56],
+            &[7u8; 64],
+            &[7u8; 200],
+        ] {
+            let mut resumed = Sha256::resume(Sha256::midstate(&block));
+            resumed.update(tail);
+            let mut whole = Sha256::new();
+            whole.update(&block);
+            whole.update(tail);
+            assert_eq!(resumed.finalize(), whole.finalize(), "tail {}", tail.len());
+        }
+    }
 
     // FIPS 180-4 / NIST CAVP vectors.
     #[test]

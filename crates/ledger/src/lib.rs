@@ -221,7 +221,9 @@ impl Ledger {
 mod tests {
     use super::*;
     use fabricsim_crypto::{Hash256, KeyPair};
-    use fabricsim_types::{ChannelId, ClientId, Proposal, RwSet, Transaction, Version};
+    use fabricsim_types::{
+        ChannelId, ClientId, Endorsement, OrgId, Principal, Proposal, RwSet, Transaction, Version,
+    };
 
     fn tx(nonce: u64, writes: &[(&str, &[u8])], reads: &[(&str, Option<Version>)]) -> Transaction {
         let creator = ClientId(0);
@@ -333,12 +335,32 @@ mod tests {
 
     /// A block whose transactions were altered after `Block::assemble`.
     fn altered_block(l: &Ledger) -> Block {
-        let mut b = block(
-            l,
-            vec![tx(7, &[("a", b"1")], &[]), tx(8, &[("b", b"2")], &[])],
-        );
-        b.transactions[1].payload = b"evil".to_vec();
-        b
+        altered_blocks(l).swap_remove(0)
+    }
+
+    /// The same block altered four ways: in the payload and in the rw-set
+    /// (which reach the envelope hash only through the nested response
+    /// digest), in one endorsement and in the creator (which reach it
+    /// directly).
+    fn altered_blocks(l: &Ledger) -> Vec<Block> {
+        let mut endorsed = tx(8, &[("b", b"2")], &[]);
+        endorsed.endorsements.push(Endorsement {
+            endorser: Principal::peer(OrgId(1)),
+            endorser_key: KeyPair::from_seed(b"e").public,
+            signature: KeyPair::from_seed(b"e").sign(b"r"),
+        });
+        let good = block(l, vec![tx(7, &[("a", b"1")], &[]), endorsed]);
+        let alter = |f: &dyn Fn(&mut Transaction)| {
+            let mut b = good.clone();
+            f(&mut b.transactions[1]);
+            b
+        };
+        vec![
+            alter(&|t| t.payload = b"evil".to_vec()),
+            alter(&|t| t.rw_set.record_write("a", Some(b"evil".to_vec()))),
+            alter(&|t| t.endorsements[0].signature.s ^= 1),
+            alter(&|t| t.creator = ClientId(9)),
+        ]
     }
 
     #[test]
@@ -352,37 +374,34 @@ mod tests {
             l.state().writes_applied(),
         );
 
-        assert_eq!(
-            l.validate_and_commit(altered_block(&l), vec![None, None]),
-            Err(ChainError::BadDataHash)
-        );
-        assert_eq!(
-            l.mvcc_flags(&altered_block(&l), &[None, None]),
-            Err(ChainError::BadDataHash)
-        );
-        assert_eq!(
-            l.blocks().admit(altered_block(&l)).map(|_| ()),
-            Err(ChainError::BadDataHash)
-        );
-        assert_eq!(
-            l.blocks().check_chains(&altered_block(&l)),
-            Err(ChainError::BadDataHash)
-        );
-        let mut store = l.blocks().clone();
-        assert_eq!(
-            store.append(altered_block(&l)),
-            Err(ChainError::BadDataHash)
-        );
-        assert_eq!(store.height(), l.height());
-        assert_eq!(
-            (
-                l.height(),
-                l.blocks().tip_hash(),
-                l.state().writes_applied()
-            ),
-            before
-        );
-        assert!(l.state().get("a").is_none());
+        for bad in altered_blocks(&l) {
+            assert_eq!(
+                l.validate_and_commit(bad.clone(), vec![None, None]),
+                Err(ChainError::BadDataHash)
+            );
+            assert_eq!(
+                l.mvcc_flags(&bad, &[None, None]),
+                Err(ChainError::BadDataHash)
+            );
+            assert_eq!(
+                l.blocks().admit(bad.clone()).map(|_| ()),
+                Err(ChainError::BadDataHash)
+            );
+            assert_eq!(l.blocks().check_chains(&bad), Err(ChainError::BadDataHash));
+            assert_eq!(CheckedBlock::new(bad.clone()), None);
+            let mut store = l.blocks().clone();
+            assert_eq!(store.append(bad), Err(ChainError::BadDataHash));
+            assert_eq!(store.height(), l.height());
+            assert_eq!(
+                (
+                    l.height(),
+                    l.blocks().tip_hash(),
+                    l.state().writes_applied()
+                ),
+                before
+            );
+            assert!(l.state().get("a").is_none());
+        }
     }
 
     #[test]

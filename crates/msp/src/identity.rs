@@ -3,9 +3,9 @@
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
-use fabricsim_crypto::{sha256, Hash256, KeyPair, PublicKey, Signature};
+use fabricsim_crypto::{sha256, Hash256, KeyPair, PublicKey, Signature, VerifyingKey};
 use fabricsim_types::encode::Encoder;
 use fabricsim_types::Principal;
 
@@ -99,30 +99,43 @@ impl Error for IdentityError {}
 
 /// Most certificates an [`Msp`] remembers as verified. A channel's committer
 /// sees a handful of client identities; 64 covers that with room to spare
-/// and bounds the memory at a few KiB per MSP.
+/// and bounds the memory at 2 KiB of key table and a certificate per entry.
 const VERIFIED_CERTS_MAX: usize = 64;
+
+/// A certificate this MSP has verified, with the expanded form of its key —
+/// built once, when the CA signature was checked, and used for every
+/// signature the identity presents while the entry lives. Shared so a
+/// verifier takes it out of the lock without copying the table.
+type VerifiedIdentity = (Certificate, Arc<VerifyingKey>);
 
 /// A membership service provider: holds the CA root of trust and validates
 /// certificates and signatures presented by remote parties.
 ///
 /// The CA signature on a certificate is verified the first time this MSP is
 /// shown those exact contents; the certificate is then remembered (Fabric's
-/// MSP identity cache) and later presentations are accepted by
-/// field-for-field comparison with a remembered one. A certificate that
-/// differs in any field — subject, name, key, issuer or CA signature — equals
-/// none of them and takes the full check; one that fails it is never
-/// remembered. The set is bounded, oldest out first, behind a lock so the
-/// pooled VSCC workers share it. A clone starts with an empty set: it trusts
-/// the same root and nothing else.
+/// MSP identity cache) together with its expanded key, and later
+/// presentations are accepted by field-for-field comparison with a
+/// remembered one. A certificate that differs in any field — subject, name,
+/// key, issuer or CA signature — equals none of them and takes the full
+/// check; one that fails it is never remembered. The set is bounded, oldest
+/// out first (an evicted entry takes its expanded key with it), behind a
+/// lock so the pooled VSCC workers share it. A clone starts with an empty
+/// set: it trusts the same root and nothing else.
 #[derive(Debug)]
 pub struct Msp {
     root: CaRoot,
-    verified: Mutex<VecDeque<Certificate>>,
+    /// The root's key, expanded: every first presentation verifies under it.
+    root_key: VerifyingKey,
+    verified: Mutex<VecDeque<VerifiedIdentity>>,
 }
 
 impl Clone for Msp {
     fn clone(&self) -> Self {
-        Msp::new(self.root.clone())
+        Msp {
+            root: self.root.clone(),
+            root_key: self.root_key.clone(),
+            verified: Mutex::new(VecDeque::new()),
+        }
     }
 }
 
@@ -130,6 +143,7 @@ impl Msp {
     /// Builds an MSP trusting the given CA root.
     pub fn new(root: CaRoot) -> Self {
         Msp {
+            root_key: VerifyingKey::new(root.public_key),
             root,
             verified: Mutex::new(VecDeque::new()),
         }
@@ -141,11 +155,21 @@ impl Msp {
     /// [`IdentityError::UntrustedCertificate`] if the issuer or CA signature
     /// is wrong.
     pub fn validate_certificate(&self, cert: &Certificate) -> Result<(), IdentityError> {
+        self.verified_key(cert).map(drop)
+    }
+
+    /// [`Msp::validate_certificate`], returning the certificate's expanded
+    /// key: the remembered one, or one built now and remembered.
+    fn verified_key(&self, cert: &Certificate) -> Result<Arc<VerifyingKey>, IdentityError> {
         // Entries are only ever pushed whole and popped whole, so the set is
         // valid even if a holder of the lock panicked.
-        let known = |set: &VecDeque<Certificate>| set.iter().any(|c| c == cert);
-        if known(&self.verified.lock().unwrap_or_else(PoisonError::into_inner)) {
-            return Ok(());
+        let known = |set: &VecDeque<VerifiedIdentity>| {
+            set.iter()
+                .find(|(c, _)| c == cert)
+                .map(|(_, key)| Arc::clone(key))
+        };
+        if let Some(key) = known(&self.verified.lock().unwrap_or_else(PoisonError::into_inner)) {
+            return Ok(key);
         }
         if cert.issuer != self.root.name {
             return Err(IdentityError::UntrustedCertificate);
@@ -156,18 +180,23 @@ impl Msp {
             cert.public_key,
             &cert.issuer,
         );
-        if !self.root.public_key.verify(&tbs, &cert.ca_signature) {
+        if !self
+            .root_key
+            .verify_digest(&sha256(&tbs), &cert.ca_signature)
+        {
             return Err(IdentityError::UntrustedCertificate);
         }
+        let key = Arc::new(VerifyingKey::new(cert.public_key));
         let mut set = self.verified.lock().unwrap_or_else(PoisonError::into_inner);
         // Another worker may have verified the same certificate meanwhile.
-        if !known(&set) {
-            if set.len() == VERIFIED_CERTS_MAX {
-                set.pop_front();
-            }
-            set.push_back(cert.clone());
+        if let Some(key) = known(&set) {
+            return Ok(key);
         }
-        Ok(())
+        if set.len() == VERIFIED_CERTS_MAX {
+            set.pop_front();
+        }
+        set.push_back((cert.clone(), Arc::clone(&key)));
+        Ok(key)
     }
 
     /// Validates the certificate, then verifies `signature` over `message`
@@ -195,8 +224,7 @@ impl Msp {
         digest: &Hash256,
         signature: &Signature,
     ) -> Result<(), IdentityError> {
-        self.validate_certificate(cert)?;
-        if cert.public_key.verify_digest(digest, signature) {
+        if self.verified_key(cert)?.verify_digest(digest, signature) {
             Ok(())
         } else {
             Err(IdentityError::BadSignature)
@@ -371,11 +399,21 @@ mod tests {
         let ids: Vec<_> = (0..10 * VERIFIED_CERTS_MAX)
             .map(|i| ca.enroll(Principal::peer(OrgId(i as u32)), &format!("peer{i}")))
             .collect();
+        // The first identity's expanded key, watched without keeping it alive.
+        let first_key = Arc::downgrade(&msp.verified_key(ids[0].certificate()).unwrap());
+        assert_eq!(
+            first_key.upgrade().map(|k| k.public_key()),
+            Some(ids[0].certificate().public_key)
+        );
         for id in &ids {
             assert_eq!(msp.validate_certificate(id.certificate()), Ok(()));
             assert!(msp.remembered() <= VERIFIED_CERTS_MAX);
         }
         assert_eq!(msp.remembered(), VERIFIED_CERTS_MAX);
+        assert!(
+            first_key.upgrade().is_none(),
+            "an evicted certificate takes its expanded key with it"
+        );
         // Evicted or not, every genuine certificate still validates.
         for id in [&ids[0], &ids[ids.len() - 1]] {
             assert_eq!(msp.validate_certificate(id.certificate()), Ok(()));

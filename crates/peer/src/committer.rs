@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use fabricsim_crypto::{sha256, Hash256, PublicKey};
+use fabricsim_crypto::{Hash256, PublicKey, VerifyingKey};
 use fabricsim_msp::{Certificate, Msp};
 use fabricsim_types::{Block, ClientId, Principal, Transaction, ValidationCode};
 
@@ -15,6 +15,16 @@ pub enum VsccVerdict {
     Pass,
     /// Rejected with the given code.
     Fail(ValidationCode),
+}
+
+impl VsccVerdict {
+    /// The verdict as a pre-commit flag: `None` = eligible for MVCC.
+    pub(crate) fn flag(self) -> Option<ValidationCode> {
+        match self {
+            VsccVerdict::Pass => None,
+            VsccVerdict::Fail(code) => Some(code),
+        }
+    }
 }
 
 /// Summary of a committed block.
@@ -73,15 +83,19 @@ pub fn vscc_block(
     client_certs: &HashMap<ClientId, Certificate>,
     endorser_keys: &HashMap<Principal, Vec<PublicKey>>,
 ) -> Vec<Option<ValidationCode>> {
+    let trust = Trust {
+        config,
+        msp,
+        client_certs,
+        endorser_keys: &expand_endorser_keys(endorser_keys, &block.transactions),
+    };
     block
         .transactions
         .iter()
-        .map(
-            |tx| match vscc_tx(tx, config, msp, client_certs, endorser_keys) {
-                VsccVerdict::Pass => None,
-                VsccVerdict::Fail(code) => Some(code),
-            },
-        )
+        .map(|tx| {
+            let (response_digest, envelope_hash) = tx.digests();
+            vscc_tx_hashed(tx, &response_digest, &envelope_hash, &trust).flag()
+        })
         .collect()
 }
 
@@ -109,6 +123,40 @@ pub fn vscc_block_pooled(
     flags
 }
 
+/// The registered endorser keys in the form VSCC verifies against: each
+/// expanded once, when it was registered (or once per call of a public entry
+/// point that is handed plain keys), not once per signature.
+pub(crate) type EndorserKeys = HashMap<Principal, Vec<VerifyingKey>>;
+
+/// Expands, once each, the keys of `registered` that the endorsements of
+/// `txs` name. It walks the endorsements, not `registered`: that is a hash
+/// map, whose order must not be iterated, and a key no endorsement names
+/// needs no table. A key that is not registered under its principal is left
+/// out, so VSCC refuses it exactly as it would have.
+pub(crate) fn expand_endorser_keys(
+    registered: &HashMap<Principal, Vec<PublicKey>>,
+    txs: &[Transaction],
+) -> EndorserKeys {
+    let mut expanded = EndorserKeys::new();
+    for e in txs.iter().flat_map(|tx| &tx.endorsements) {
+        let done = expanded
+            .get(&e.endorser)
+            .is_some_and(|ks| ks.iter().any(|k| k.public_key() == e.endorser_key));
+        let is_registered = || {
+            registered
+                .get(&e.endorser)
+                .is_some_and(|ks| ks.contains(&e.endorser_key))
+        };
+        if !done && is_registered() {
+            expanded
+                .entry(e.endorser.clone())
+                .or_default()
+                .push(VerifyingKey::new(e.endorser_key));
+        }
+    }
+    expanded
+}
+
 /// What VSCC checks signatures and endorsements against: the peer's channel
 /// configuration, its MSP and the identities registered with it.
 #[derive(Clone, Copy)]
@@ -116,7 +164,7 @@ pub(crate) struct Trust<'a> {
     pub(crate) config: &'a PeerConfig,
     pub(crate) msp: &'a Msp,
     pub(crate) client_certs: &'a HashMap<ClientId, Certificate>,
-    pub(crate) endorser_keys: &'a HashMap<Principal, Vec<PublicKey>>,
+    pub(crate) endorser_keys: &'a EndorserKeys,
 }
 
 /// VSCC for a single transaction: payload shape, creator signature, every
@@ -133,16 +181,18 @@ pub fn vscc_tx(
         config,
         msp,
         client_certs,
-        endorser_keys,
+        endorser_keys: &expand_endorser_keys(endorser_keys, std::slice::from_ref(tx)),
     };
-    vscc_tx_hashed(tx, &tx.envelope_hash(), &trust)
+    let (response_digest, envelope_hash) = tx.digests();
+    vscc_tx_hashed(tx, &response_digest, &envelope_hash, &trust)
 }
 
-/// [`vscc_tx`] given `tx.envelope_hash()`, which a committer holding a
-/// `CheckedBlock` already has: the creator signed exactly that digest, so the
-/// envelope is not encoded or hashed here.
+/// The one VSCC body, given `tx.digests()` — which a committer holding a
+/// `CheckedBlock` already has. The creator signed the envelope hash and every
+/// endorser the response digest, so nothing is encoded or hashed here.
 pub(crate) fn vscc_tx_hashed(
     tx: &Transaction,
+    response_digest: &Hash256,
     envelope_hash: &Hash256,
     trust: &Trust<'_>,
 ) -> VsccVerdict {
@@ -169,15 +219,14 @@ pub(crate) fn vscc_tx_hashed(
     {
         return VsccVerdict::Fail(ValidationCode::BadCreatorSignature);
     }
-    // Endorsement signatures: all endorsers signed the same response bytes —
-    // hashed once for all of them — and each key must belong to a registered
-    // endorser of that principal.
-    let response_digest = sha256(&tx.response_bytes());
+    // Endorsement signatures: each key must be one registered under that
+    // principal, and it is the registered key the signature is verified
+    // under.
     for e in &tx.endorsements {
-        let known = endorser_keys
+        let registered = endorser_keys
             .get(&e.endorser)
-            .is_some_and(|keys| keys.contains(&e.endorser_key));
-        if !known || !e.endorser_key.verify_digest(&response_digest, &e.signature) {
+            .and_then(|ks| ks.iter().find(|k| k.public_key() == e.endorser_key));
+        if !registered.is_some_and(|key| key.verify_digest(response_digest, &e.signature)) {
             return VsccVerdict::Fail(ValidationCode::BadEndorserSignature);
         }
     }
@@ -240,6 +289,20 @@ mod tests {
         let rogue = KeyPair::from_seed(b"rogue");
         tx.endorsements[0].endorser_key = rogue.public;
         tx.endorsements[0].signature = rogue.sign(&tx.response_bytes());
+        tx.signature = f.client.sign(&tx.signed_bytes());
+        assert_eq!(
+            verdict(&f, &tx),
+            VsccVerdict::Fail(ValidationCode::BadEndorserSignature)
+        );
+    }
+
+    #[test]
+    fn key_registered_under_another_principal_fails() {
+        // Org2's genuine key and signature, presented as Org1's endorsement:
+        // the key is registered, but not under the principal it claims.
+        let f = fixture(Policy::or_of_orgs(2), 2);
+        let mut tx = endorsed_tx(&f, &[1]);
+        tx.endorsements[0].endorser = f.endorsers[0].principal().clone();
         tx.signature = f.client.sign(&tx.signed_bytes());
         assert_eq!(
             verdict(&f, &tx),

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 use fabricsim_chaincode::{Chaincode, ChaincodeRegistry, ChaincodeStub};
-use fabricsim_crypto::PublicKey;
+use fabricsim_crypto::{PublicKey, VerifyingKey};
 use fabricsim_ledger::{ChainError, Ledger};
 use fabricsim_msp::{Certificate, Msp, SigningIdentity};
 use fabricsim_policy::Policy;
@@ -11,7 +11,7 @@ use fabricsim_types::{
     Block, ChannelId, ClientId, Endorsement, Principal, Proposal, ProposalResponse, Version,
 };
 
-use crate::committer::{CommitStats, Trust};
+use crate::committer::{CommitStats, EndorserKeys, Trust};
 use crate::pipeline::ValidationPipeline;
 
 /// Static configuration for a peer.
@@ -39,7 +39,7 @@ pub struct Peer {
     ledger: Ledger,
     chaincodes: ChaincodeRegistry,
     client_certs: HashMap<ClientId, Certificate>,
-    endorser_keys: HashMap<Principal, Vec<PublicKey>>,
+    endorser_keys: EndorserKeys,
     endorsements_made: u64,
     blocks_committed: u64,
 }
@@ -127,9 +127,13 @@ impl Peer {
     }
 
     /// Registers a fellow endorsing peer's public key under its principal
-    /// (used by VSCC to authenticate endorsement signatures).
+    /// (used by VSCC to authenticate endorsement signatures). The key is
+    /// expanded here, once, for every endorsement it will be checked against.
     pub fn register_endorser(&mut self, principal: Principal, key: PublicKey) {
-        self.endorser_keys.entry(principal).or_default().push(key);
+        self.endorser_keys
+            .entry(principal)
+            .or_default()
+            .push(VerifyingKey::new(key));
     }
 
     // ---- execute phase -------------------------------------------------------
@@ -465,11 +469,17 @@ mod tests {
             altered.transactions[1]
                 .rw_set
                 .record_write("evil", Some(vec![9]));
+            let mut repaid = good.clone();
+            repaid.transactions[0].payload = b"evil".to_vec();
+            let mut reendorsed = good.clone();
+            reendorsed.transactions[1].endorsements[0].signature.e ^= 1;
+            let mut recreated = good.clone();
+            recreated.transactions[0].creator = ClientId(7);
             let mut swapped = good.clone();
             swapped.transactions[0] = endorsed_tx(&f, 4, &[0]); // valid tx, not the one hashed
             let mut truncated = good.clone();
             truncated.transactions.pop();
-            for bad in [altered, swapped, truncated] {
+            for bad in [altered, repaid, reendorsed, recreated, swapped, truncated] {
                 assert_eq!(peer.validate_and_commit(bad), Err(ChainError::BadDataHash));
                 assert_eq!(peer.ledger().height(), 1);
                 assert_eq!(peer.blocks_committed(), 1);

@@ -23,7 +23,7 @@ use fabricsim_crypto::{Hash256, PublicKey};
 use fabricsim_msp::{Certificate, Msp};
 use fabricsim_types::{Block, CheckedBlock, ClientId, Principal, Transaction, ValidationCode};
 
-use crate::committer::{vscc_tx_hashed, Trust, VsccVerdict};
+use crate::committer::{expand_endorser_keys, vscc_tx_hashed, Trust};
 use crate::peer::PeerConfig;
 
 /// The committer's staged validation pipeline.
@@ -75,8 +75,9 @@ impl ValidationPipeline {
     }
 
     /// Stage 2: runs VSCC for every transaction not already flagged by stage
-    /// 1, writing results into `flags` in transaction order. Each envelope is
-    /// hashed here, by the worker that checks it.
+    /// 1, writing results into `flags` in transaction order. Each transaction
+    /// is hashed here, by the worker that checks it, and each endorser key the
+    /// block names is expanded once for the whole call.
     pub fn vscc_flags(
         &self,
         block: &Block,
@@ -90,17 +91,18 @@ impl ValidationPipeline {
             config,
             msp,
             client_certs,
-            endorser_keys,
+            endorser_keys: &expand_endorser_keys(endorser_keys, &block.transactions),
         };
         self.vscc_stage(&block.transactions, None, &trust, flags);
     }
 
-    /// The VSCC stage proper. `envelope_hashes`, when given, is index-aligned
-    /// with `txs`; otherwise each worker hashes the envelopes of its chunk.
+    /// The VSCC stage proper. `digests`, when given, is the pair of
+    /// index-aligned slices a `CheckedBlock` kept (response digests, envelope
+    /// hashes); otherwise each worker hashes the transactions of its chunk.
     fn vscc_stage(
         &self,
         txs: &[Transaction],
-        envelope_hashes: Option<&[Hash256]>,
+        digests: Option<(&[Hash256], &[Hash256])>,
         trust: &Trust<'_>,
         flags: &mut [Option<ValidationCode>],
     ) {
@@ -113,19 +115,17 @@ impl ValidationPipeline {
         let workers = self.pool_size.min(n.max(1));
         let run = |out: &mut [Option<ValidationCode>],
                    txs: &[Transaction],
-                   hashes: Option<&[Hash256]>| {
+                   digests: Option<(&[Hash256], &[Hash256])>| {
             for (i, (slot, tx)) in out.iter_mut().zip(txs).enumerate() {
                 if slot.is_none() {
-                    let hash = hashes.map_or_else(|| tx.envelope_hash(), |h| h[i]);
-                    *slot = match vscc_tx_hashed(tx, &hash, trust) {
-                        VsccVerdict::Pass => None,
-                        VsccVerdict::Fail(code) => Some(code),
-                    };
+                    let (response_digest, envelope_hash) =
+                        digests.map_or_else(|| tx.digests(), |(r, e)| (r[i], e[i]));
+                    *slot = vscc_tx_hashed(tx, &response_digest, &envelope_hash, trust).flag();
                 }
             }
         };
         if workers <= 1 {
-            run(flags, txs, envelope_hashes);
+            run(flags, txs, digests);
         } else {
             // Each worker owns a disjoint tx-indexed chunk of the output, so
             // the merged result is independent of scheduling order.
@@ -133,8 +133,9 @@ impl ValidationPipeline {
             let run = &run;
             std::thread::scope(|s| {
                 for (c, (out, txs)) in flags.chunks_mut(chunk).zip(txs.chunks(chunk)).enumerate() {
-                    let hashes = envelope_hashes.map(|h| &h[c * chunk..c * chunk + txs.len()]);
-                    s.spawn(move || run(out, txs, hashes));
+                    let span = c * chunk..c * chunk + txs.len();
+                    let digests = digests.map(|(r, e)| (&r[span.clone()], &e[span]));
+                    s.spawn(move || run(out, txs, digests));
                 }
             });
         }
@@ -164,7 +165,7 @@ impl ValidationPipeline {
 
     /// [`ValidationPipeline::pre_commit_flags`] for a block whose envelopes
     /// were already hashed to prove its data hash: VSCC verifies each creator
-    /// signature against the digest the proof kept.
+    /// and endorsement signature against the digests the proof kept.
     pub(crate) fn pre_commit_flags_checked(
         &self,
         checked: &CheckedBlock,
@@ -174,7 +175,7 @@ impl ValidationPipeline {
         let mut flags = self.block_checks(block);
         self.vscc_stage(
             &block.transactions,
-            Some(checked.envelope_hashes()),
+            Some((checked.response_digests(), checked.envelope_hashes())),
             trust,
             &mut flags,
         );
@@ -237,7 +238,7 @@ mod tests {
                     config: &f.config,
                     msp: &f.msp,
                     client_certs: &f.client_certs,
-                    endorser_keys: &f.endorser_keys,
+                    endorser_keys: &expand_endorser_keys(&f.endorser_keys, &block.transactions),
                 },
             );
             assert_eq!(from_digests, serial, "digest path at pool {pool} diverged");

@@ -90,14 +90,6 @@ pub struct Block {
     pub metadata: BlockMetadata,
 }
 
-/// The Merkle leaves of a block: one envelope hash per transaction, in order.
-fn leaf_hashes(transactions: &[Transaction]) -> Vec<Hash256> {
-    transactions
-        .iter()
-        .map(Transaction::envelope_hash)
-        .collect()
-}
-
 impl Block {
     /// Assembles a block from ordered transactions, computing the data hash.
     pub fn assemble(
@@ -121,7 +113,11 @@ impl Block {
 
     /// Merkle root over the envelope hashes.
     pub fn compute_data_hash(transactions: &[Transaction]) -> Hash256 {
-        MerkleTree::from_leaf_hashes(leaf_hashes(transactions)).root()
+        let leaves = transactions
+            .iter()
+            .map(Transaction::envelope_hash)
+            .collect();
+        MerkleTree::from_leaf_hashes(leaves).root()
     }
 
     /// Verifies the stored data hash against the transactions.
@@ -151,11 +147,12 @@ impl Block {
 ///
 /// The only constructor is [`CheckedBlock::new`], which does exactly that
 /// work once. The block is owned privately and never handed out mutably, so
-/// the proof cannot go stale; the per-transaction envelope digests computed
-/// on the way are kept, because the committer needs them again (the creator
-/// signature is over the envelope digest). Validation flags live in the
-/// metadata, which the data hash does not cover, so stamping them is the one
-/// mutation allowed.
+/// the proof cannot go stale; both per-transaction digests computed on the
+/// way are kept, because the committer needs them again: the creator signed
+/// the envelope digest, and every endorser signed the response digest nested
+/// inside it — which is where the read/write set was hashed, once. Validation
+/// flags live in the metadata, which the data hash does not cover, so
+/// stamping them is the one mutation allowed.
 ///
 /// ```
 /// use fabricsim_crypto::Hash256;
@@ -178,6 +175,7 @@ impl Block {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckedBlock {
     block: Block,
+    response_digests: Vec<Hash256>,
     envelope_hashes: Vec<Hash256>,
 }
 
@@ -185,10 +183,14 @@ impl CheckedBlock {
     /// Hashes every envelope of `block` and verifies the Merkle root over the
     /// hashes against the header. `None` if they disagree.
     pub fn new(block: Block) -> Option<Self> {
-        let envelope_hashes = leaf_hashes(&block.transactions);
+        // Per transaction, in order: the digest its endorsers signed and the
+        // envelope hash that is its Merkle leaf.
+        let (response_digests, envelope_hashes): (Vec<_>, Vec<_>) =
+            block.transactions.iter().map(Transaction::digests).unzip();
         let root = MerkleTree::from_leaf_hashes(envelope_hashes.clone()).root();
         (root == block.header.data_hash).then_some(CheckedBlock {
             block,
+            response_digests,
             envelope_hashes,
         })
     }
@@ -196,6 +198,11 @@ impl CheckedBlock {
     /// The verified block.
     pub fn block(&self) -> &Block {
         &self.block
+    }
+
+    /// `response_digests()[i]` is `sha256(block().transactions[i].response_bytes())`.
+    pub fn response_digests(&self) -> &[Hash256] {
+        &self.response_digests
     }
 
     /// `envelope_hashes()[i]` is `block().transactions[i].envelope_hash()`.
@@ -224,8 +231,8 @@ impl WireSize for Block {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::ClientId;
-    use crate::proposal::Proposal;
+    use crate::ids::{ClientId, OrgId, Principal};
+    use crate::proposal::{Endorsement, Proposal};
     use crate::rwset::RwSet;
     use fabricsim_crypto::KeyPair;
 
@@ -240,7 +247,11 @@ mod tests {
             chaincode: "kvwrite".into(),
             rw_set: rw,
             payload: Vec::new(),
-            endorsements: Vec::new(),
+            endorsements: vec![Endorsement {
+                endorser: Principal::peer(OrgId(1)),
+                endorser_key: KeyPair::from_seed(b"e").public,
+                signature: KeyPair::from_seed(b"e").sign(b"x"),
+            }],
             creator,
             signature: KeyPair::from_seed(b"c").sign(b"x"),
         }
@@ -283,6 +294,12 @@ mod tests {
         assert_eq!(checked.block(), &b);
         let want: Vec<Hash256> = b.transactions.iter().map(|t| t.envelope_hash()).collect();
         assert_eq!(checked.envelope_hashes(), want);
+        let want: Vec<Hash256> = b
+            .transactions
+            .iter()
+            .map(|t| sha256(&t.response_bytes()))
+            .collect();
+        assert_eq!(checked.response_digests(), want);
         assert_eq!(checked.into_block(), b);
 
         let empty = Block::assemble(ChannelId::default_channel(), 0, Hash256::ZERO, Vec::new());
@@ -299,6 +316,14 @@ mod tests {
         );
         let mut altered = good.clone();
         altered.transactions[1].payload = b"evil".to_vec();
+        let mut rewritten = good.clone();
+        rewritten.transactions[0]
+            .rw_set
+            .record_write("evil", Some(vec![9]));
+        let mut reendorsed = good.clone();
+        reendorsed.transactions[0].endorsements[0].signature.e ^= 1;
+        let mut recreated = good.clone();
+        recreated.transactions[1].creator = ClientId(7);
         let mut dropped = good.clone();
         dropped.transactions.pop();
         let mut appended = good.clone();
@@ -307,7 +332,9 @@ mod tests {
         reordered.transactions.swap(0, 1);
         let mut rehashed = good.clone();
         rehashed.header.data_hash = Hash256::ZERO;
-        for bad in [altered, dropped, appended, reordered, rehashed] {
+        for bad in [
+            altered, rewritten, reendorsed, recreated, dropped, appended, reordered, rehashed,
+        ] {
             assert!(!bad.data_hash_is_consistent());
             assert_eq!(CheckedBlock::new(bad), None);
         }

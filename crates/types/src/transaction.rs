@@ -31,13 +31,25 @@ pub struct Transaction {
 
 impl Transaction {
     /// Canonical envelope bytes signed by the client.
+    ///
+    /// The read/write set and payload enter as `sha256(response_bytes())` —
+    /// the digest every endorser signed — not as raw bytes: a committer
+    /// hashes the rw-set once and gets from that one digest both what the
+    /// endorsement signatures are checked against and this preimage. The
+    /// digest binds the tx id, rw-set and payload exactly as the raw bytes
+    /// did, so altering any of them changes these bytes, the envelope hash,
+    /// and the block's Merkle root.
     pub fn signed_bytes(&self) -> Vec<u8> {
+        self.signed_bytes_over(&sha256(&self.response_bytes()))
+    }
+
+    /// [`Transaction::signed_bytes`] given `sha256(response_bytes())`.
+    fn signed_bytes_over(&self, response_digest: &Hash256) -> Vec<u8> {
         let mut e = Encoder::new("fabricsim-envelope");
         e.bytes(self.tx_id.0.as_bytes())
             .str(&self.channel.0)
-            .str(&self.chaincode);
-        self.rw_set.encode_into(&mut e);
-        e.bytes(&self.payload)
+            .str(&self.chaincode)
+            .bytes(response_digest.as_bytes())
             .list(&self.endorsements, |e, en| {
                 en.endorser.encode_into(e);
                 e.u64(en.endorser_key.element())
@@ -56,7 +68,15 @@ impl Transaction {
 
     /// Hash of the full envelope, used in block data hashing.
     pub fn envelope_hash(&self) -> Hash256 {
-        sha256(&self.signed_bytes())
+        self.digests().1
+    }
+
+    /// `(sha256(response_bytes()), envelope_hash())`, hashing the rw-set once:
+    /// the endorsers signed the first, the creator the second.
+    pub fn digests(&self) -> (Hash256, Hash256) {
+        let response_digest = sha256(&self.response_bytes());
+        let envelope_hash = sha256(&self.signed_bytes_over(&response_digest));
+        (response_digest, envelope_hash)
     }
 }
 
@@ -134,17 +154,16 @@ mod tests {
         assert_eq!(five - one, 4 * 72);
     }
 
-    /// The envelope encoding as it was when each endorser's principal went
-    /// through `Display` and a `String`; `signed_bytes` must stay
-    /// byte-identical to it (every stored signature and block hash depends
-    /// on these bytes).
+    /// The envelope encoding with each endorser's principal going through
+    /// `Display` and a `String`, and the response digest taken from the
+    /// public pieces; `signed_bytes` must stay byte-identical to it (every
+    /// stored signature and block hash depends on these bytes).
     fn display_based_signed_bytes(tx: &Transaction) -> Vec<u8> {
         let mut e = Encoder::new("fabricsim-envelope");
         e.bytes(tx.tx_id.0.as_bytes())
             .str(&tx.channel.0)
-            .str(&tx.chaincode);
-        tx.rw_set.encode_into(&mut e);
-        e.bytes(&tx.payload)
+            .str(&tx.chaincode)
+            .bytes(sha256(&tx.response_bytes()).as_bytes())
             .list(&tx.endorsements, |e, en| {
                 e.str(&en.endorser.to_string())
                     .u64(en.endorser_key.element())
@@ -166,6 +185,36 @@ mod tests {
                 };
             }
             assert_eq!(tx.signed_bytes(), display_based_signed_bytes(&tx));
+        }
+    }
+
+    #[test]
+    fn digests_are_the_two_public_hashes_and_bind_every_field() {
+        let tx = sample_tx(2);
+        let (response_digest, envelope_hash) = tx.digests();
+        assert_eq!(response_digest, sha256(&tx.response_bytes()));
+        assert_eq!(envelope_hash, sha256(&tx.signed_bytes()));
+        assert_eq!(envelope_hash, tx.envelope_hash());
+        // The rw-set and payload are in the envelope only through the
+        // response digest; everything else directly. Each still moves it.
+        let alter = |f: &dyn Fn(&mut Transaction)| {
+            let mut t = tx.clone();
+            f(&mut t);
+            t.envelope_hash()
+        };
+        let altered = [
+            alter(&|t| t.rw_set.record_write("k", Some(vec![1u8; 1]))),
+            alter(&|t| t.rw_set.record_read("k", None)),
+            alter(&|t| t.payload = b"p".to_vec()),
+            alter(&|t| t.tx_id = Proposal::derive_tx_id(t.creator, 8)),
+            alter(&|t| t.chaincode.push('x')),
+            alter(&|t| t.channel = ChannelId("other".into())),
+            alter(&|t| t.endorsements[1].signature.s ^= 1),
+            alter(&|t| t.endorsements.swap(0, 1)),
+            alter(&|t| t.creator = ClientId(2)),
+        ];
+        for (i, hash) in altered.iter().enumerate() {
+            assert_ne!(*hash, envelope_hash, "alteration {i}");
         }
     }
 
