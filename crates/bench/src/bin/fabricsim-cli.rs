@@ -28,7 +28,9 @@
 //!   fabricsim profile [run flags] [--json] [--prom-out FILE]
 //!       run with the DES kernel self-profiler enabled and print where host
 //!       time went: per-event-label handler ns/counts, heap cost, loop
-//!       overhead, hottest family. Accepts the same deployment flags as the
+//!       overhead, hottest family, and the run's synchronization cost
+//!       (windows, cross-shard messages, events; `"sync"` in --json).
+//!       Accepts the same deployment flags as the
 //!       default run mode; --prom-out writes the profile as Prometheus
 //!       text exposition (fabricsim_kernel_* families)
 //!   fabricsim bench [--out FILE] [--check FILE] [--tolerance PCT]
@@ -68,9 +70,10 @@
 //!   --batch-timeout MS               BatchTimeout (default 1000)
 //!   --osns COUNT                     ordering nodes (default 3)
 //!   --channels COUNT                 independent channels (default 1)
-//!   --sim-workers COUNT              run the sharded DES engine (one event
-//!                                    loop per channel) on COUNT worker
-//!                                    threads; 0 = serial engine (default)
+//!   --sim-workers COUNT              OS threads the per-channel event loops
+//!                                    run on (default 0; 0 and 1 both mean
+//!                                    one thread); output is byte-identical
+//!                                    at every count
 //!   --validator-pool COUNT           VSCC worker-pool width per committer (default 1)
 //!   --brokers COUNT / --zk COUNT     kafka substrate sizes (default 3)
 //!   --workload kvput|rmw|transfer|smallbank   (default kvput)
@@ -728,17 +731,22 @@ fn cmd_profile(args: &[String]) -> ! {
         eprintln!("wrote kernel profile exposition {path}");
     }
     let shards = &result.observability.shard_profiles;
+    let sync = &result.observability.sync;
     let s = &result.summary;
     if json {
         // Provenance rides along so `fabricsim diff` can refuse to compare
         // profiles from different configurations.
         let per_shard: Vec<String> = shards.iter().map(KernelProfile::to_json).collect();
         println!(
-            "{{\"seed\":{},\"config_digest\":\"{}\",\"merged\":{},\"shards\":[{}]}}",
+            "{{\"seed\":{},\"config_digest\":\"{}\",\"merged\":{},\"shards\":[{}],\
+             \"sync\":{{\"windows\":{},\"messages\":{},\"events\":{}}}}}",
             s.seed,
             s.config_digest,
             profile.to_json(),
-            per_shard.join(",")
+            per_shard.join(","),
+            sync.windows,
+            sync.messages,
+            sync.stats.executed
         );
     } else {
         println!("== {label}: kernel self-profile ==");
@@ -751,6 +759,10 @@ fn cmd_profile(args: &[String]) -> ! {
             println!("-- shard {s} --");
             print!("{}", p.render_table());
         }
+        println!(
+            "sync       : windows {}, cross-shard messages {}, events {}",
+            sync.windows, sync.messages, sync.stats.executed
+        );
         println!(
             "accounting : attributed {:.3} ms vs loop {:.3} ms ({} committed tx at {:.1} tps)",
             profile.attributed_ns() as f64 / 1e6,

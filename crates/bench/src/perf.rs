@@ -66,8 +66,8 @@ pub struct BenchScenario {
     pub validator_pool: usize,
     /// Channel count of the deployment.
     pub channels: u32,
-    /// Simulation engine: 0 = serial monolithic kernel, N ≥ 1 = sharded
-    /// kernel on N worker threads.
+    /// OS threads the per-channel event loops run on (0 and 1 both mean
+    /// one); simulated results do not depend on it.
     pub sim_workers: u32,
 }
 
@@ -132,7 +132,7 @@ pub struct ScenarioResult {
     pub validator_pool: usize,
     /// Channel count.
     pub channels: u32,
-    /// Worker threads (0 = serial engine).
+    /// Worker threads (0 and 1 both mean one).
     pub sim_workers: u32,
     /// [`SimConfig::digest`] of the scenario at [`BASE_SEED`] — detects
     /// silent scenario drift (the digest covers the seed, so replicas are
@@ -275,15 +275,15 @@ fn json_escape(s: &str) -> String {
 }
 
 /// The fixed scenario matrix: offered-load sweep × validator-pool {1, 4},
-/// plus a 4-channel point run on both engines.
+/// plus a 4-channel point run at two worker counts.
 ///
 /// Solo ordering with an AND5 endorsement policy keeps the VSCC stage
 /// signature-heavy (the paper's validate bottleneck), so widening the pool
 /// from 1 to 4 is visible in both throughput and wall clock. The
-/// `ch4_r500_p4_w{1,4}` pair runs the same multi-channel deployment on the
-/// sharded engine at 1 and 4 workers: identical simulated metrics (the
-/// engines are byte-equivalent), and the wall-clock delta tracks the
-/// parallel speedup on the recording machine.
+/// `ch4_r500_p4_w{1,4}` pair runs the same multi-channel deployment at 1
+/// and 4 workers: identical simulated metrics and config digest (a worker
+/// count only buys wall clock), and the wall-clock delta tracks the parallel
+/// speedup on the recording machine.
 pub fn scenario_matrix() -> Vec<BenchScenario> {
     let mut out = Vec::new();
     for &pool in &[1usize, 4] {

@@ -7,8 +7,8 @@ use std::sync::Arc;
 
 use fabricsim_chaincode::samples::{AssetTransfer, KvWrite, Nondeterministic, Smallbank};
 use fabricsim_des::{
-    EventId, Kernel, KernelProfile, Link, RngStream, ShardWorld, ShardedKernel, SimDuration,
-    SimTime, Station,
+    EventId, Kernel, KernelProfile, Link, RngStream, ShardWorld, ShardedKernel, ShardedRunReport,
+    SimDuration, SimTime, Station,
 };
 use fabricsim_kafka::{
     Broker, BrokerEffect, BrokerMsg, ClientEvent, KafkaConfig, ZkEffect, ZkEnsemble, ZkMsg,
@@ -128,18 +128,23 @@ pub struct RunObservability {
     /// (whole run, warm-up included).
     pub e2e_hist: LogHistogram,
     /// The DES kernel's host-time self-profile. `None` unless
-    /// [`crate::ObsConfig::profile`] was set. On a sharded run this is the
-    /// label-wise sum of every shard's profile (total host CPU inside event
-    /// loops, not elapsed time).
+    /// [`crate::ObsConfig::profile`] was set. On a multi-channel run this is
+    /// the label-wise sum of every channel world's profile (total host CPU
+    /// inside event loops, not elapsed time).
     pub profile: Option<KernelProfile>,
-    /// Per-shard kernel self-profiles of a sharded run, in shard (= channel)
-    /// order. Empty on the classic serial engine or when profiling is off.
+    /// Per-world kernel self-profiles of a multi-channel run, in channel
+    /// order. Empty when the run has one world (`profile` is then that
+    /// world's own profile) or when profiling is off.
     pub shard_profiles: Vec<KernelProfile>,
+    /// Synchronization cost of the run: conservative windows executed,
+    /// cross-world messages exchanged and event-loop counters summed over
+    /// the channel worlds. A one-world run is one window and no messages.
+    pub sync: ShardedRunReport,
     /// Online health-plane report (regime timeline, bottleneck-shift onsets,
     /// SLO burn accounting). `None` unless
-    /// [`crate::ObsConfig::health_events`] was set. On a sharded run the
-    /// per-shard engines are merged canonically in shard order, so the
-    /// report is byte-identical at every worker count.
+    /// [`crate::ObsConfig::health_events`] was set. The per-channel engines
+    /// are merged canonically in channel order, so the report is
+    /// byte-identical at every worker count.
     pub health: Option<HealthReport>,
 }
 
@@ -209,8 +214,8 @@ struct Pool {
 }
 
 struct PeerNode {
-    /// One [`Peer`] per channel (separate ledgers on shared hardware).
-    channels: Vec<Peer>,
+    /// This world's channel instance of the peer (its own ledger).
+    peer: Peer,
     endorse: Station,
     /// VSCC stage of the validation pipeline: per-tx signature/policy checks
     /// over `validator_pool_size` workers per committer pipeline.
@@ -220,18 +225,18 @@ struct PeerNode {
     commit: Station,
     egress: Link,
     jitter: RngStream,
-    /// Per-channel number of the next block this peer expects from its
-    /// delivery stream; duplicates (e.g. failover replays) are dropped.
-    next_expected_block: Vec<u64>,
+    /// Number of the next block this peer expects from its delivery stream;
+    /// duplicates (e.g. failover replays) are dropped.
+    next_expected_block: u64,
     /// Gossip dissemination state (when the run uses gossip delivery;
     /// single-channel only).
     gossip: Option<GossipNode>,
 }
 
 struct OsnActor {
-    /// One consensus/ordering instance per channel (its own Raft group /
+    /// This channel's consensus/ordering instance (its own Raft group /
     /// Kafka partition client), as in Fabric.
-    nodes: Vec<OsnNode>,
+    node: OsnNode,
     station: Station,
     egress: Link,
     subscribers: Vec<usize>,
@@ -242,8 +247,8 @@ struct OsnActor {
 }
 
 struct BrokerActor {
-    /// One partition per channel (paper §III: a partition is a channel).
-    partitions: Vec<Broker>,
+    /// This channel's partition (paper §III: a partition is a channel).
+    partition: Broker,
     station: Station,
     egress: Link,
     alive: bool,
@@ -276,27 +281,22 @@ struct World {
     peers: Vec<PeerNode>,
     osns: Vec<OsnActor>,
     brokers: Vec<BrokerActor>,
-    /// One coordination ensemble per channel/partition.
-    zks: Vec<ZkEnsemble>,
-    channel_ids: Vec<ChannelId>,
-    /// Precomputed channel id → local index lookup (replaces the old
-    /// per-event linear scan).
-    channel_lookup: HashMap<ChannelId, usize>,
+    /// The partition's coordination ensemble (Kafka mode only).
+    zk: Option<ZkEnsemble>,
     traces: Vec<TxTrace>,
     tx_index: HashMap<TxId, usize>,
     tx_pool: HashMap<TxId, usize>,
     block_cuts: Vec<(SimTime, usize)>,
-    /// Per-channel next block number whose cut is still unrecorded.
-    next_cut_number: Vec<u64>,
+    /// Next block number whose cut is still unrecorded.
+    next_cut_number: u64,
     observer: usize,
     obs: ObsState,
-    /// Sharded-engine context; `None` on the classic serial engine.
-    shard: Option<ShardCtx>,
+    shard: ShardCtx,
 }
 
 type K = Kernel<World>;
 
-/// A channel id that is not part of this world (or this world's shard).
+/// A channel id that is not this world's channel.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct UnknownChannel(ChannelId);
 
@@ -308,36 +308,31 @@ impl std::fmt::Display for UnknownChannel {
 
 impl std::error::Error for UnknownChannel {}
 
-/// Construction parameters of one shard world (sharded engine only).
-struct ShardSpec {
-    /// This shard's index — identical to its global channel index.
-    shard_id: usize,
-    /// Every channel id of the run, indexed by global channel index.
-    global_channels: Vec<ChannelId>,
-}
-
-/// Per-shard runtime state of the sharded engine. A shard owns one channel's
-/// entire pipeline (peer instances, OSNs, brokers, one ZK ensemble, and
-/// per-channel station lanes) plus the client pools *homed* on it
-/// (`pool % n_shards == shard_id`): arrivals, prep and proposal egress run on
-/// the home shard, and a transaction bound for another channel is exported to
-/// that channel's shard through the conservative mailbox.
+/// A world's place among the run's per-channel worlds. A world owns one
+/// channel's entire pipeline (peer instances, OSNs, brokers, one ZK ensemble,
+/// and that channel's station lanes) plus the client pools *homed* on it
+/// (`pool % n_channels == shard_id`): arrivals, prep and proposal egress run
+/// on the home world, and a transaction bound for another channel is exported
+/// to that channel's world through the conservative mailbox. A
+/// single-channel run is the one world that homes every pool and never
+/// exports.
 struct ShardCtx {
-    /// This shard's index == its channel's global index.
+    /// This world's index == its channel's index in `channels`.
     shard_id: usize,
-    /// Every channel id of the run, indexed by global channel index.
-    global_channels: Vec<ChannelId>,
+    /// Every channel id of the run, indexed by channel index.
+    channels: Vec<ChannelId>,
     /// Cross-shard messages emitted this window: `(target shard, delivery
     /// time, message)`. Drained by the sharded kernel at the window barrier.
     outbox: Vec<(usize, SimTime, ShardMsg)>,
-    /// Origin `(shard, seq)` of each local trace, parallel to
-    /// [`World::traces`]. Home-created traces carry their own `(shard_id,
-    /// local index)`; imported traces carry their home identity, which is the
-    /// key the deterministic merge overwrites home stubs by.
-    trace_src: Vec<(u32, u32)>,
+    /// Home `(shard, seq)` identity of each local trace, parallel to
+    /// [`World::traces`] — the merge's tie-break among equal creation times.
+    /// Home-created traces carry their own `(shard_id, local index)`,
+    /// imported traces their home identity, and `None` marks a home stub
+    /// whose transaction was exported: the receiving world holds the live
+    /// copy under the same identity, so the merge drops the stub.
+    trace_src: Vec<Option<(u32, u32)>>,
     /// Transactions handed to another shard; their home stubs stay
-    /// `InFlight` forever (replaced by the imported copy at merge time), so
-    /// the in-flight gauge subtracts this count.
+    /// `InFlight` forever, so the in-flight gauge subtracts this count.
     exported: usize,
     /// Virtual times of every scheduled-but-unexecuted `pool.send` event on
     /// this shard — the only events that can emit cross-shard messages.
@@ -378,11 +373,6 @@ enum ShardMsg {
 /// crosses `phase` — the snapshot point for the cumulative queue/service
 /// totals stamped on phase events. Classes are pipeline-ordered, so
 /// "through class C" means "summed over every class up to and including C".
-/// Span-graph trace id of a block: channel index + block number.
-fn block_trace(ch: usize, number: u64) -> String {
-    format!("b{ch}.{number}")
-}
-
 fn through_class(phase: TracePhase) -> StationClass {
     match phase {
         TracePhase::Created | TracePhase::ProposalSent => StationClass::ClientPrep,
@@ -562,67 +552,47 @@ impl World {
         (principal.org.0 - 1) as usize
     }
 
-    /// Local channel index for a channel id, from the precomputed lookup.
-    /// On a shard world only the shard's own channel resolves; anything else
-    /// is [`UnknownChannel`] (callers drop the event or export the work).
-    fn channel_index(&self, id: &ChannelId) -> Result<usize, UnknownChannel> {
-        self.channel_lookup
-            .get(id)
-            .copied()
-            .ok_or_else(|| UnknownChannel(id.clone()))
+    /// This world's channel. Its index `shard.shard_id` keeps trace
+    /// identities (`b{ch}.{n}`, `ch{ch}`) collision-free across worlds.
+    fn channel(&self) -> &ChannelId {
+        &self.shard.channels[self.shard.shard_id]
     }
 
-    /// Appends a trace, recording its home `(shard, seq)` origin when this
-    /// world is a shard, and returns its local index.
-    fn push_trace(&mut self, trace: TxTrace) -> usize {
-        let seq = self.traces.len();
-        if let Some(s) = &mut self.shard {
-            s.trace_src.push((s.shard_id as u32, seq as u32));
+    /// Span-graph trace id of a block: channel index + block number.
+    fn block_trace(&self, number: u64) -> String {
+        format!("b{}.{number}", self.shard.shard_id)
+    }
+
+    /// Refuses work addressed to any channel but this world's own with a
+    /// typed [`UnknownChannel`] (callers drop the event).
+    fn check_channel(&self, id: &ChannelId) -> Result<(), UnknownChannel> {
+        if id == self.channel() {
+            Ok(())
+        } else {
+            Err(UnknownChannel(id.clone()))
         }
+    }
+
+    /// Appends a home-created trace under its `(shard, seq)` identity.
+    fn push_trace(&mut self, trace: TxTrace) {
+        let src = (self.shard.shard_id as u32, self.traces.len() as u32);
+        self.shard.trace_src.push(Some(src));
         self.traces.push(trace);
-        seq
     }
 
-    /// Number of channels in the whole run (a shard world's local
-    /// `channel_ids` holds only its own channel).
-    fn total_channels(&self) -> usize {
-        self.shard
-            .as_ref()
-            .map_or(self.channel_ids.len(), |s| s.global_channels.len())
-    }
-
-    /// The channel id at *global* index `gc`.
-    fn global_channel_id(&self, gc: usize) -> ChannelId {
-        match &self.shard {
-            Some(s) => s.global_channels[gc].clone(),
-            None => self.channel_ids[gc].clone(),
-        }
-    }
-
-    /// Global channel index of local channel `local` — shard worlds own
-    /// exactly their shard's channel, so trace identities (`b{ch}.{n}`,
-    /// `ch{ch}`) stay collision-free across shards.
-    fn global_ch(&self, local: usize) -> usize {
-        self.shard.as_ref().map_or(local, |s| s.shard_id)
-    }
-
-    /// `Some(target shard)` when `id` is another shard's channel (the
+    /// `Some(target shard)` when `id` is another world's channel (the
     /// transaction must be exported); `None` when it is local.
     fn export_target(&self, id: &ChannelId) -> Option<usize> {
-        let s = self.shard.as_ref()?;
-        if self.channel_lookup.contains_key(id) {
+        if id == self.channel() {
             return None;
         }
-        s.global_channels.iter().position(|c| c == id)
+        self.shard.channels.iter().position(|c| c == id)
     }
 
     /// Whether client pool `p` runs its arrival process on this world
-    /// (shards home pool `p` at shard `p % n_shards`; the serial engine
-    /// homes every pool).
+    /// (pool `p` is homed at world `p % n_channels`).
     fn pool_is_homed(&self, p: usize) -> bool {
-        self.shard
-            .as_ref()
-            .is_none_or(|s| p % s.global_channels.len() == s.shard_id)
+        p % self.shard.channels.len() == self.shard.shard_id
     }
 }
 
@@ -675,183 +645,34 @@ impl Simulation {
 
     /// Runs to completion and returns summary + raw traces.
     ///
-    /// `sim_workers == 0` runs the classic serial engine; any positive value
-    /// runs the sharded engine (one event loop per channel), whose results
-    /// are byte-identical at every worker count.
+    /// Every run is one event-loop world per channel on the sharded kernel,
+    /// multiplexed onto `sim_workers` OS threads (0 and 1 both mean one)
+    /// under a conservative synchronization barrier whose lookahead is the
+    /// link propagation delay. Merge points (traces, block cuts, spans,
+    /// series, histograms, profiles, ledger state) are all
+    /// worker-count-invariant, so the returned report is byte-identical at
+    /// any worker count. A single-channel run is one world, one window and
+    /// a barrier nobody else waits at.
     pub fn run_detailed(self) -> RunResult {
-        if self.cfg.sim_workers > 0 {
-            return self.run_sharded();
-        }
-        let cfg = self.cfg;
-        let faults = self.faults;
-        let mut world = build_world(&cfg, self.live, None);
-        let mut kernel: K = Kernel::new();
-        let end = SimTime::from_secs_f64(cfg.duration_secs);
-        kernel.set_horizon(end);
-        if cfg.obs.profile {
-            kernel.enable_profiler();
-        }
-
-        if let Some(live) = &world.obs.live {
-            live.runs_started.inc();
-        }
-        bootstrap(&mut world, &mut kernel);
-        schedule_faults(&faults, &mut kernel);
-        kernel.run(&mut world);
-        let profile = kernel.take_profile();
-        flush_partial_tick(&mut world, end);
-        if let Some(live) = &world.obs.live {
-            live.runs_completed.inc();
-        }
-
-        let w0 = SimTime::from_secs_f64(cfg.warmup_secs);
-        let w1 = SimTime::from_secs_f64(cfg.duration_secs - cfg.cooldown_secs);
-        let mut summary = summarize(
-            &world.traces,
-            &world.block_cuts,
-            (w0, w1),
-            cfg.arrival_rate_tps,
-        );
-        summary.seed = cfg.seed;
-        summary.config_digest = cfg.digest();
-        let horizon = SimTime::from_secs_f64(cfg.duration_secs);
-        let utilization = UtilizationReport {
-            pool_prep: world
-                .pools
-                .iter()
-                .map(|p| p.prep.utilization(horizon))
-                .collect(),
-            pool_recv: world
-                .pools
-                .iter()
-                .map(|p| p.recv.utilization(horizon))
-                .collect(),
-            peer_endorse: world
-                .peers
-                .iter()
-                .map(|p| p.endorse.utilization(horizon))
-                .collect(),
-            peer_vscc: world
-                .peers
-                .iter()
-                .map(|p| p.vscc.utilization(horizon))
-                .collect(),
-            peer_commit: world
-                .peers
-                .iter()
-                .map(|p| p.commit.utilization(horizon))
-                .collect(),
-            osn_cpu: world
-                .osns
-                .iter()
-                .map(|o| o.station.utilization(horizon))
-                .collect(),
-        };
-        let observer = &world.peers[world.observer];
-        let multi = observer.channels.len() > 1;
-        let mut final_state = Vec::new();
-        for (c, peer) in observer.channels.iter().enumerate() {
-            for (key, v) in peer.ledger().state().range("", "") {
-                let key = if multi {
-                    format!("ch{c}/{key}")
-                } else {
-                    key.to_string()
-                };
-                final_state.push((key, v.value.clone()));
-            }
-        }
-        let observer_height: u64 = observer.channels.iter().map(|p| p.ledger().height()).sum();
-        let chain_ok = observer
-            .channels
-            .iter()
-            .all(|p| p.ledger().blocks().verify_chain().is_ok());
-        // Attribute latency over committed txs; window coarse enough to hold
-        // a useful population but fine enough to show regime changes.
-        let window_s = (cfg.duration_secs / 10.0).clamp(1.0, 10.0);
-        let committed: Vec<TxStationBreakdown> = world
-            .traces
-            .iter()
-            .zip(&world.obs.breakdowns)
-            .filter(|(t, _)| matches!(t.outcome, TxOutcome::Committed(_)))
-            .map(|(_, b)| b.clone())
-            .collect();
-        // Handlers may stamp events at staggered per-tx times (e.g. commit
-        // times within a block), so restore global time order; the sort is
-        // stable, preserving causal order at equal timestamps.
-        let dropped_events = world.obs.sink.dropped_events();
-        let mut events = world.obs.sink.into_events();
-        events.sort_by(|a, b| a.t_s.total_cmp(&b.t_s));
-        let dropped_spans = world.obs.spans.dropped_spans();
-        let mut spans = world.obs.spans.into_spans();
-        spans.sort_by(|a, b| {
-            a.t0_s
-                .total_cmp(&b.t0_s)
-                .then(a.t1_s.total_cmp(&b.t1_s))
-                .then(a.span_id.cmp(&b.span_id))
-        });
-        let health = world.obs.health.map(|h| {
-            let mut r = h.into_report();
-            r.sort_events();
-            r
-        });
-        let observability = RunObservability {
-            events,
-            dropped_events,
-            spans,
-            dropped_spans,
-            metrics: world.obs.recorder,
-            bottleneck: BottleneckReport::from_breakdowns(&committed, window_s),
-            e2e_hist: world.obs.e2e_hist,
-            profile,
-            shard_profiles: Vec::new(),
-            health,
-        };
-        RunResult {
-            summary,
-            observer_height,
-            chain_ok,
-            final_state,
-            utilization,
-            observability,
-            traces: world.traces,
-            block_cuts: world.block_cuts,
-        }
-    }
-
-    /// The sharded engine: one event loop per channel shard, run on
-    /// `min(sim_workers, channels)` worker threads under a conservative
-    /// synchronization barrier whose lookahead is the link propagation
-    /// delay. Merge points (traces, block cuts, spans, series, histograms,
-    /// profiles, ledger state) are all worker-count-invariant, so the
-    /// returned report is byte-identical at any positive worker count.
-    fn run_sharded(self) -> RunResult {
         let cfg = self.cfg;
         let faults = self.faults;
         let n_shards = cfg.channels as usize;
-        let global_channels: Vec<ChannelId> = if n_shards == 1 {
-            vec![ChannelId::default_channel()]
-        } else {
-            (0..n_shards)
-                .map(|c| ChannelId(format!("channel{c}")))
-                .collect()
-        };
         let end = SimTime::from_secs_f64(cfg.duration_secs);
         if let Some(live) = &self.live {
             live.runs_started.inc();
         }
         // The conservative lookahead: no cross-shard interaction can land
-        // earlier than one link propagation after it was emitted.
-        let mut sharded: ShardedKernel<World> =
-            ShardedKernel::new(SimDuration::from_millis_f64(cfg.cost.link_propagation_ms));
+        // earlier than one link propagation after it was emitted. A lone
+        // world has nobody to look ahead to and may run with a zero link
+        // delay (`validate` demands a positive one only across channels),
+        // hence the 1 ns floor.
+        let lookahead = SimDuration::from_millis_f64(cfg.cost.link_propagation_ms)
+            .max(SimDuration::from_nanos(1));
+        let mut sharded: ShardedKernel<World> = ShardedKernel::new(lookahead);
         sharded.set_horizon(end);
         for shard_id in 0..n_shards {
-            let spec = ShardSpec {
-                shard_id,
-                global_channels: global_channels.clone(),
-            };
-            let mut world = build_world(&cfg, self.live.clone(), Some(spec));
+            let mut world = build_world(&cfg, self.live.clone(), shard_id);
             let mut kernel: K = Kernel::new();
-            kernel.set_horizon(end);
             bootstrap(&mut world, &mut kernel);
             schedule_faults(&faults, &mut kernel);
             sharded.push_shard(kernel, world);
@@ -859,15 +680,20 @@ impl Simulation {
         if cfg.obs.profile {
             sharded.enable_profiler();
         }
-        let report = sharded.run((cfg.sim_workers as usize).min(n_shards));
-        if std::env::var_os("FABRICSIM_SHARD_DEBUG").is_some() {
-            eprintln!(
-                "sharded run: {} windows, {} cross-shard messages, {} events",
-                report.windows, report.messages, report.stats.executed
-            );
-        }
-        let shard_profiles: Vec<KernelProfile> =
+        let sync = sharded.run((cfg.sim_workers as usize).clamp(1, n_shards));
+        let mut shard_profiles: Vec<KernelProfile> =
             sharded.take_profiles().into_iter().flatten().collect();
+        // A lone world's profile is the run's profile as it stands; several
+        // are summed label-wise and also kept apart.
+        let profile = if shard_profiles.len() > 1 {
+            let mut total = KernelProfile::default();
+            for p in &shard_profiles {
+                total.absorb(p);
+            }
+            Some(total)
+        } else {
+            shard_profiles.pop()
+        };
         let mut worlds = sharded.into_worlds();
         for w in &mut worlds {
             flush_partial_tick(w, end);
@@ -880,53 +706,29 @@ impl Simulation {
         // Utilization first (read-only): lanes of one entity sum busy time
         // over summed provisioned servers.
         let horizon_s = end.as_secs_f64();
-        let merge_util = |per_world: Vec<Vec<(SimDuration, usize)>>| -> Vec<f64> {
+        let util = |stations: &dyn Fn(&World) -> Vec<&Station>| -> Vec<f64> {
+            let per_world: Vec<Vec<&Station>> = worlds.iter().map(stations).collect();
             let n = per_world.first().map_or(0, Vec::len);
             (0..n)
                 .map(|i| {
-                    let busy: f64 = per_world.iter().map(|w| w[i].0.as_secs_f64()).sum();
-                    let servers: usize = per_world.iter().map(|w| w[i].1).sum();
+                    let lanes = per_world.iter().map(|w| w[i]);
+                    let busy: f64 = lanes.clone().map(|s| s.busy_time().as_secs_f64()).sum();
+                    let servers: usize = lanes.map(Station::servers).sum();
                     busy / (horizon_s * servers.max(1) as f64)
                 })
                 .collect()
         };
-        let lanes =
-            |f: &dyn Fn(&World) -> Vec<(SimDuration, usize)>| -> Vec<Vec<(SimDuration, usize)>> {
-                worlds.iter().map(f).collect()
-            };
-        let station_lane = |s: &Station| (s.busy_time(), s.servers());
         let utilization = UtilizationReport {
-            pool_prep: merge_util(lanes(&|w| {
-                w.pools.iter().map(|p| station_lane(&p.prep)).collect()
-            })),
-            pool_recv: merge_util(lanes(&|w| {
-                w.pools.iter().map(|p| station_lane(&p.recv)).collect()
-            })),
-            peer_endorse: merge_util(lanes(&|w| {
-                w.peers.iter().map(|p| station_lane(&p.endorse)).collect()
-            })),
-            peer_vscc: merge_util(lanes(&|w| {
-                w.peers.iter().map(|p| station_lane(&p.vscc)).collect()
-            })),
-            peer_commit: merge_util(lanes(&|w| {
-                w.peers.iter().map(|p| station_lane(&p.commit)).collect()
-            })),
-            osn_cpu: merge_util(lanes(&|w| {
-                w.osns.iter().map(|o| station_lane(&o.station)).collect()
-            })),
+            pool_prep: util(&|w| w.pools.iter().map(|p| &p.prep).collect()),
+            pool_recv: util(&|w| w.pools.iter().map(|p| &p.recv).collect()),
+            peer_endorse: util(&|w| w.peers.iter().map(|p| &p.endorse).collect()),
+            peer_vscc: util(&|w| w.peers.iter().map(|p| &p.vscc).collect()),
+            peer_commit: util(&|w| w.peers.iter().map(|p| &p.commit).collect()),
+            osn_cpu: util(&|w| w.osns.iter().map(|o| &o.station).collect()),
         };
 
-        // Trace merge: slot (shard, seq) is a transaction's home identity.
-        // A home-created copy fills its slot unless the completed imported
-        // copy (same identity, from the channel shard that finished the tx)
-        // already claimed it; imports always win. Slots left empty are the
-        // positions imports occupied in their *destination* world's vec.
-        let sizes: Vec<usize> = worlds.iter().map(|w| w.traces.len()).collect();
-        let mut slots: Vec<Vec<Option<(TxTrace, TxStationBreakdown)>>> = sizes
-            .iter()
-            .map(|&n| (0..n).map(|_| None).collect())
-            .collect();
-
+        // Later worlds fold into the first world's buffers, so a one-world
+        // run moves its data and never holds a second copy.
         let multi = n_shards > 1;
         let mut final_state = Vec::new();
         let mut observer_height = 0u64;
@@ -939,28 +741,29 @@ impl Simulation {
         let mut recorder: Option<MetricsRecorder> = None;
         let mut health: Option<HealthReport> = None;
         let mut e2e_hist = LogHistogram::latency();
+        let mut traces: Vec<TxTrace> = Vec::new();
+        let mut breakdowns: Vec<TxStationBreakdown> = Vec::new();
+        let mut trace_src: Vec<Option<(u32, u32)>> = Vec::new();
 
         for (s, w) in worlds.into_iter().enumerate() {
             {
-                let observer = &w.peers[w.observer];
-                for peer in &observer.channels {
-                    for (key, v) in peer.ledger().state().range("", "") {
-                        let key = if multi {
-                            format!("ch{s}/{key}")
-                        } else {
-                            key.to_string()
-                        };
-                        final_state.push((key, v.value.clone()));
-                    }
-                    observer_height += peer.ledger().height();
-                    chain_ok &= peer.ledger().blocks().verify_chain().is_ok();
+                let ledger = w.peers[w.observer].peer.ledger();
+                for (key, v) in ledger.state().range("", "") {
+                    let key = if multi {
+                        format!("ch{s}/{key}")
+                    } else {
+                        key.to_string()
+                    };
+                    final_state.push((key, v.value.clone()));
                 }
+                observer_height += ledger.height();
+                chain_ok &= ledger.blocks().verify_chain().is_ok();
             }
-            block_cuts.extend(w.block_cuts);
+            fold_into(&mut block_cuts, w.block_cuts);
             dropped_events += w.obs.sink.dropped_events();
-            events.extend(w.obs.sink.into_events());
+            fold_into(&mut events, w.obs.sink.into_events());
             dropped_spans += w.obs.spans.dropped_spans();
-            spans.extend(w.obs.spans.into_spans());
+            fold_into(&mut spans, w.obs.spans.into_spans());
             if let Some(r) = w.obs.recorder {
                 match recorder.as_mut() {
                     None => recorder = Some(r),
@@ -977,20 +780,15 @@ impl Simulation {
                 }
             }
             e2e_hist.merge(&w.obs.e2e_hist);
-            let src_list = w.shard.map(|ctx| ctx.trace_src).unwrap_or_default();
-            debug_assert_eq!(src_list.len(), w.traces.len());
-            for ((trace, breakdown), (src_shard, src_seq)) in
-                w.traces.into_iter().zip(w.obs.breakdowns).zip(src_list)
-            {
-                let (home, seq) = (src_shard as usize, src_seq as usize);
-                let imported = home != s;
-                if imported || slots[home][seq].is_none() {
-                    slots[home][seq] = Some((trace, breakdown));
-                }
-            }
+            debug_assert_eq!(w.shard.trace_src.len(), w.traces.len());
+            fold_into(&mut traces, w.traces);
+            fold_into(&mut breakdowns, w.obs.breakdowns);
+            fold_into(&mut trace_src, w.shard.trace_src);
         }
         // Stable sorts: ties keep shard order, so the merged streams are
-        // identical at every worker count.
+        // identical at every worker count. Handlers may also stamp events at
+        // staggered per-tx times (e.g. commit times within a block), which
+        // the same sorts restore to time order.
         block_cuts.sort_by_key(|c| c.0);
         events.sort_by(|a, b| a.t_s.total_cmp(&b.t_s));
         spans.sort_by(|a, b| {
@@ -999,17 +797,25 @@ impl Simulation {
                 .then(a.t1_s.total_cmp(&b.t1_s))
                 .then(a.span_id.cmp(&b.span_id))
         });
-        let mut merged: Vec<(TxTrace, TxStationBreakdown)> =
-            slots.into_iter().flatten().flatten().collect();
-        merged.sort_by_key(|m| m.0.created);
-        let (traces, breakdowns): (Vec<TxTrace>, Vec<TxStationBreakdown>) =
-            merged.into_iter().unzip();
+        // Transactions go in creation order, ties by home `(shard, seq)`;
+        // exported home stubs drop out in favour of the copy that finished.
+        // A lone world's traces are already in that order and stay put.
+        let mut order: Vec<usize> = (0..traces.len())
+            .filter(|&i| trace_src[i].is_some())
+            .collect();
+        order.sort_by_key(|&i| (traces[i].created, trace_src[i]));
+        if !order.iter().copied().eq(0..traces.len()) {
+            traces = order.iter().map(|&i| traces[i].clone()).collect();
+            breakdowns = order.iter().map(|&i| breakdowns[i].clone()).collect();
+        }
 
         let w0 = SimTime::from_secs_f64(cfg.warmup_secs);
         let w1 = SimTime::from_secs_f64(cfg.duration_secs - cfg.cooldown_secs);
         let mut summary = summarize(&traces, &block_cuts, (w0, w1), cfg.arrival_rate_tps);
         summary.seed = cfg.seed;
         summary.config_digest = cfg.digest();
+        // Attribute latency over committed txs; window coarse enough to hold
+        // a useful population but fine enough to show regime changes.
         let window_s = (cfg.duration_secs / 10.0).clamp(1.0, 10.0);
         let committed: Vec<TxStationBreakdown> = traces
             .iter()
@@ -1017,13 +823,6 @@ impl Simulation {
             .filter(|(t, _)| matches!(t.outcome, TxOutcome::Committed(_)))
             .map(|(_, b)| b.clone())
             .collect();
-        let profile = (!shard_profiles.is_empty()).then(|| {
-            let mut total = KernelProfile::default();
-            for p in &shard_profiles {
-                total.absorb(p);
-            }
-            total
-        });
         if let Some(h) = health.as_mut() {
             h.sort_events();
         }
@@ -1037,6 +836,7 @@ impl Simulation {
             e2e_hist,
             profile,
             shard_profiles,
+            sync,
             health,
         };
         RunResult {
@@ -1052,38 +852,45 @@ impl Simulation {
     }
 }
 
+/// Appends `more` to `acc`, taking `more` over whole while `acc` is still
+/// empty (the first world's buffer is moved, not copied).
+fn fold_into<T>(acc: &mut Vec<T>, more: Vec<T>) {
+    if acc.is_empty() {
+        *acc = more;
+    } else {
+        acc.extend(more);
+    }
+}
+
 // ---- world construction ------------------------------------------------------
 
-fn build_world(cfg: &SimConfig, live: Option<Arc<LiveMetrics>>, shard: Option<ShardSpec>) -> World {
-    // A shard world owns exactly one channel; the serial engine owns all of
-    // them. Station capacities and per-channel structures below size off the
-    // *local* channel count, which hands each shard its exact per-channel
-    // share of the validate pipeline.
-    let channel_ids: Vec<ChannelId> = match &shard {
-        Some(s) => vec![s.global_channels[s.shard_id].clone()],
-        None => {
-            let n = cfg.channels as usize;
-            if n == 1 {
-                vec![ChannelId::default_channel()]
-            } else {
-                (0..n).map(|c| ChannelId(format!("channel{c}"))).collect()
-            }
-        }
+/// Builds the world of channel `shard_id`: that channel's whole pipeline,
+/// with each station sized as one channel's lane of its entity, plus a lane
+/// for every client pool.
+fn build_world(cfg: &SimConfig, live: Option<Arc<LiveMetrics>>, shard_id: usize) -> World {
+    let n_channels = cfg.channels as usize;
+    let channels: Vec<ChannelId> = if n_channels == 1 {
+        vec![ChannelId::default_channel()]
+    } else {
+        (0..n_channels)
+            .map(|c| ChannelId(format!("channel{c}")))
+            .collect()
     };
-    let n_channels = channel_ids.len();
+    let channel = &channels[shard_id];
     // Identity material is identical in every shard: same CA seed, same
     // enrollment sequence (independent of the channel restriction), so
     // signatures verify across shard boundaries.
     let policy = cfg.policy.resolve(cfg.endorsing_peers);
     let ca = CertificateAuthority::new("fabric-ca", cfg.seed);
     let root = RngStream::derive(cfg.seed, "world");
-    // Per-shard jitter streams are salted so shards don't draw correlated
-    // endorse-path jitter; pool streams keep the serial derivation (they are
-    // only consumed on a pool's home shard).
-    let jitter_salt = shard
-        .as_ref()
-        .map_or(0, |s| 100_000 * (s.shard_id as u64 + 1));
-    let shard_channel = shard.as_ref().map_or(0, |s| s.shard_id as u32);
+    // With several worlds the jitter streams are salted per shard so shards
+    // don't draw correlated endorse-path jitter; pool streams are never
+    // salted (they are only consumed on a pool's home shard).
+    let jitter_salt = if n_channels > 1 {
+        100_000 * (shard_id as u64 + 1)
+    } else {
+        0
+    };
     let m = &cfg.cost;
 
     // Peers: endorsers 0..n-1 (Org i+1), then committers (observer first).
@@ -1102,36 +909,32 @@ fn build_world(cfg: &SimConfig, live: Option<Arc<LiveMetrics>>, shard: Option<Sh
         if is_endorser {
             endorser_identities.push(identity.clone());
         }
-        let mut channel_peers = Vec::with_capacity(n_channels);
-        for channel in &channel_ids {
-            let mut peer = Peer::new(
-                identity.clone(),
-                Msp::new(ca.root_of_trust()),
-                PeerConfig {
-                    channel: channel.clone(),
-                    endorsement_policy: policy.clone(),
-                    is_endorser,
-                    validator_pool_size: m.validator_pool_size.max(1),
-                },
-            );
-            match &cfg.workload {
-                WorkloadKind::KvPut { .. } | WorkloadKind::KvRmw { .. } => {
-                    peer.install_chaincode(Box::new(KvWrite));
-                }
-                WorkloadKind::Transfer { accounts } => {
-                    peer.install_chaincode(Box::new(AssetTransfer {
-                        accounts: *accounts,
-                        initial_balance: 1_000_000,
-                    }));
-                }
-                WorkloadKind::Smallbank { customers } => {
-                    peer.install_chaincode(Box::new(Smallbank {
-                        customers: *customers,
-                        initial_balance: 10_000,
-                    }));
-                }
+        let mut peer = Peer::new(
+            identity,
+            Msp::new(ca.root_of_trust()),
+            PeerConfig {
+                channel: channel.clone(),
+                endorsement_policy: policy.clone(),
+                is_endorser,
+                validator_pool_size: m.validator_pool_size.max(1),
+            },
+        );
+        match &cfg.workload {
+            WorkloadKind::KvPut { .. } | WorkloadKind::KvRmw { .. } => {
+                peer.install_chaincode(Box::new(KvWrite));
             }
-            channel_peers.push(peer);
+            WorkloadKind::Transfer { accounts } => {
+                peer.install_chaincode(Box::new(AssetTransfer {
+                    accounts: *accounts,
+                    initial_balance: 1_000_000,
+                }));
+            }
+            WorkloadKind::Smallbank { customers } => {
+                peer.install_chaincode(Box::new(Smallbank {
+                    customers: *customers,
+                    initial_balance: 10_000,
+                }));
+            }
         }
         let gossip = cfg.gossip.as_ref().map(|g| {
             let neighbours: Vec<u32> = (0..n_peers as u32).filter(|&j| j != i as u32).collect();
@@ -1143,18 +946,18 @@ fn build_world(cfg: &SimConfig, live: Option<Arc<LiveMetrics>>, shard: Option<Sh
             )
         });
         peers.push(PeerNode {
-            channels: channel_peers,
-            next_expected_block: vec![0; n_channels],
+            peer,
+            next_expected_block: 0,
             gossip,
             endorse: Station::new(format!("peer{i}.endorse"), m.peer_endorse_threads),
-            // One committer pipeline per channel on shared cores (Fabric runs
-            // a commit goroutine per channel); each pipeline fans its VSCC
-            // checks out over the validator pool while commit stays serial.
+            // This channel's committer pipeline (Fabric runs a commit
+            // goroutine per channel): it fans its VSCC checks out over the
+            // validator pool while commit stays serial.
             vscc: Station::new(
                 format!("peer{i}.vscc"),
-                m.validator_pool_size.max(1) * m.validate_threads * n_channels,
+                m.validator_pool_size.max(1) * m.validate_threads,
             ),
-            commit: Station::new(format!("peer{i}.commit"), m.validate_threads * n_channels),
+            commit: Station::new(format!("peer{i}.commit"), m.validate_threads),
             egress: Link::new(
                 format!("peer{i}.nic"),
                 m.link_bandwidth_bps,
@@ -1177,16 +980,15 @@ fn build_world(cfg: &SimConfig, live: Option<Arc<LiveMetrics>>, shard: Option<Sh
         clients.push((ClientId(p as u32), client_identity));
     }
     for node in &mut peers {
-        for peer in &mut node.channels {
-            for endorser in &endorser_identities {
-                peer.register_endorser(
-                    endorser.principal().clone(),
-                    endorser.certificate().public_key,
-                );
-            }
-            for (cid, cident) in &clients {
-                peer.register_client(*cid, cident.certificate().clone());
-            }
+        for endorser in &endorser_identities {
+            node.peer.register_endorser(
+                endorser.principal().clone(),
+                endorser.certificate().public_key,
+            );
+        }
+        for (cid, cident) in &clients {
+            node.peer
+                .register_client(*cid, cident.certificate().clone());
         }
     }
 
@@ -1221,34 +1023,26 @@ fn build_world(cfg: &SimConfig, live: Option<Arc<LiveMetrics>>, shard: Option<Sh
     let osn_count = cfg.effective_osns() as usize;
     let mut osns = Vec::with_capacity(osn_count);
     for o in 0..osn_count {
-        let nodes: Vec<OsnNode> = channel_ids
-            .iter()
-            .enumerate()
-            .map(|(c, channel)| match cfg.orderer_type {
-                OrdererType::Solo => OsnNode::solo(o as u32, channel.clone(), cfg.batch),
-                OrdererType::Raft => OsnNode::raft(
-                    o as u32,
-                    channel.clone(),
-                    cfg.batch,
-                    (0..osn_count as u32).collect(),
-                    // Raft group seed keys off the *global* channel index so
-                    // every channel's group elects independently, sharded or
-                    // not.
-                    cfg.seed
-                        ^ 0xABCD
-                        ^ o as u64
-                        ^ ((shard.as_ref().map_or(c, |s| s.shard_id) as u64) << 32),
-                ),
-                OrdererType::Kafka => OsnNode::kafka(
-                    o as u32,
-                    channel.clone(),
-                    cfg.batch,
-                    (0..cfg.broker_count).collect(),
-                ),
-            })
-            .collect();
+        let node = match cfg.orderer_type {
+            OrdererType::Solo => OsnNode::solo(o as u32, channel.clone(), cfg.batch),
+            OrdererType::Raft => OsnNode::raft(
+                o as u32,
+                channel.clone(),
+                cfg.batch,
+                (0..osn_count as u32).collect(),
+                // The Raft group seed keys off the channel index so every
+                // channel's group elects independently.
+                cfg.seed ^ 0xABCD ^ o as u64 ^ ((shard_id as u64) << 32),
+            ),
+            OrdererType::Kafka => OsnNode::kafka(
+                o as u32,
+                channel.clone(),
+                cfg.batch,
+                (0..cfg.broker_count).collect(),
+            ),
+        };
         osns.push(OsnActor {
-            nodes,
+            node,
             station: Station::new(format!("osn{o}.cpu"), m.osn_cpu_threads),
             egress: Link::new(
                 format!("osn{o}.nic"),
@@ -1269,20 +1063,16 @@ fn build_world(cfg: &SimConfig, live: Option<Arc<LiveMetrics>>, shard: Option<Sh
     }
 
     // Kafka substrate.
-    let (brokers, zks) = if cfg.orderer_type == OrdererType::Kafka {
+    let (brokers, zk) = if cfg.orderer_type == OrdererType::Kafka {
         let brokers = (0..cfg.broker_count)
             .map(|b| BrokerActor {
-                partitions: (0..n_channels)
-                    .map(|_| {
-                        Broker::new(
-                            b,
-                            KafkaConfig {
-                                replication_factor: cfg.broker_count.min(3) as usize,
-                                ..KafkaConfig::default()
-                            },
-                        )
-                    })
-                    .collect(),
+                partition: Broker::new(
+                    b,
+                    KafkaConfig {
+                        replication_factor: cfg.broker_count.min(3) as usize,
+                        ..KafkaConfig::default()
+                    },
+                ),
                 station: Station::new(format!("broker{b}.cpu"), m.broker_cpu_threads),
                 egress: Link::new(
                     format!("broker{b}.nic"),
@@ -1292,43 +1082,32 @@ fn build_world(cfg: &SimConfig, live: Option<Arc<LiveMetrics>>, shard: Option<Sh
                 alive: true,
             })
             .collect();
-        let zks = (0..n_channels)
-            .map(|_| {
-                ZkEnsemble::new(
-                    cfg.zk_count as usize,
-                    (0..cfg.broker_count).collect(),
-                    4, // sessions expire after 4 missed zk ticks (~2 s)
-                )
-            })
-            .collect();
-        (brokers, zks)
+        let zk = ZkEnsemble::new(
+            cfg.zk_count as usize,
+            (0..cfg.broker_count).collect(),
+            4, // sessions expire after 4 missed zk ticks (~2 s)
+        );
+        (brokers, Some(zk))
     } else {
-        (Vec::new(), Vec::new())
+        (Vec::new(), None)
     };
 
-    let channel_lookup: HashMap<ChannelId, usize> = channel_ids
-        .iter()
-        .enumerate()
-        .map(|(i, c)| (c.clone(), i))
-        .collect();
     World {
         policy,
-        channel_lookup,
-        channel_ids,
         pools,
         observer: n_endorsers,
         peers,
         osns,
         brokers,
-        zks,
+        zk,
         traces: Vec::new(),
         tx_index: HashMap::new(),
         tx_pool: HashMap::new(),
         block_cuts: Vec::new(),
-        next_cut_number: vec![0; n_channels],
-        shard: shard.map(|s| ShardCtx {
-            shard_id: s.shard_id,
-            global_channels: s.global_channels,
+        next_cut_number: 0,
+        shard: ShardCtx {
+            shard_id,
+            channels,
             outbox: Vec::new(),
             trace_src: Vec::new(),
             exported: 0,
@@ -1337,7 +1116,7 @@ fn build_world(cfg: &SimConfig, live: Option<Arc<LiveMetrics>>, shard: Option<Sh
                 (cfg.cost.client_prep_ms - cfg.cost.client_prep_jitter_ms).max(0.0)
                     + cfg.cost.sdk_pre_ms,
             ),
-        }),
+        },
         obs: ObsState {
             sink: if cfg.obs.trace_events {
                 EventSink::in_memory_bounded(cfg.obs.trace_buffer_cap)
@@ -1358,17 +1137,15 @@ fn build_world(cfg: &SimConfig, live: Option<Arc<LiveMetrics>>, shard: Option<Sh
             recorder: (cfg.obs.sample_period_s > 0.0)
                 .then(|| MetricsRecorder::new(cfg.obs.sample_period_s)),
             health: cfg.obs.health_events.then(|| {
-                // One engine per event-loop world: the whole run on the
-                // serial engine (channel 0 aggregate), one per channel shard
-                // on the sharded engine. The window matches the sampler
-                // cadence (1 s fallback mirrors `sample_period_s()`).
+                // One engine per channel world. The window matches the
+                // sampler cadence (1 s fallback mirrors `sample_period_s()`).
                 let window = if cfg.obs.sample_period_s > 0.0 {
                     cfg.obs.sample_period_s
                 } else {
                     1.0
                 };
                 OnlineHealth::new(
-                    shard_channel,
+                    shard_id as u32,
                     window,
                     HealthConfig::with_slo(cfg.obs.slo_p99_s),
                 )
@@ -1384,7 +1161,7 @@ fn build_world(cfg: &SimConfig, live: Option<Arc<LiveMetrics>>, shard: Option<Sh
 // ---- bootstrap ---------------------------------------------------------------
 
 fn bootstrap(world: &mut World, k: &mut K) {
-    // Arrival processes (on a shard world, only for the pools homed here).
+    // Arrival processes, only for the pools homed on this world.
     for p in 0..world.pools.len() {
         if world.pool_is_homed(p) {
             schedule_next_arrival(world, k, p);
@@ -1420,13 +1197,11 @@ fn bootstrap(world: &mut World, k: &mut K) {
         for b in 0..world.brokers.len() {
             k.schedule_in_labeled(bt, "broker.tick", move |w, k| broker_tick(w, k, b));
         }
-        let hb = world.ms(world.cfg.cost.zk_heartbeat_ms);
         for b in 0..world.brokers.len() {
             // First heartbeat immediately: bootstraps leader election.
             k.schedule_in_labeled(SimDuration::ZERO, "broker.heartbeat", move |w, k| {
                 broker_heartbeat(w, k, b);
             });
-            let _ = hb;
         }
         k.schedule_in_labeled(world.ms(500.0), "zk.tick", zk_tick);
     }
@@ -1518,19 +1293,19 @@ fn sweep_gauges(world: &mut World, now: SimTime) -> GaugeSweep {
             .count()
             // Exported home stubs stay InFlight forever; the receiving shard
             // counts the live copy.
-            .saturating_sub(world.shard.as_ref().map_or(0, |s| s.exported)),
+            .saturating_sub(world.shard.exported),
         new_cuts,
     }
 }
 
-/// Publishes a sweep to the live plane's gauges, if one is attached. In a
-/// sharded run only shard 0 drives the gauges (counters stay cross-shard:
-/// they are atomic and increment-only); gauges then cover shard 0's slice
-/// of the world, which keeps the exporter deterministic-read safe without
-/// cross-thread coordination.
+/// Publishes a sweep to the live plane's gauges, if one is attached. Only
+/// shard 0 drives the gauges (counters stay cross-shard: they are atomic and
+/// increment-only); on a multi-channel run the gauges then cover channel 0's
+/// slice of the deployment, which keeps the exporter deterministic-read safe
+/// without cross-thread coordination.
 fn publish_live(world: &World, now: SimTime, s: &GaugeSweep) {
     let Some(live) = &world.obs.live else { return };
-    if world.shard.as_ref().is_some_and(|sh| sh.shard_id != 0) {
+    if world.shard.shard_id != 0 {
         return;
     }
     live.sim_time.set(now.as_secs_f64());
@@ -1555,14 +1330,15 @@ fn sample_period_s(world: &World) -> f64 {
     }
 }
 
-/// The series-name prefix of this world's recorder: empty on the serial
-/// engine, `ch{c}.` on shard `c` so the merged table keeps every shard's
-/// series distinct.
+/// The series-name prefix of this world's recorder: empty on a
+/// single-channel run, `ch{c}.` on channel `c` of several so the merged
+/// table keeps every channel's series distinct.
 fn sweep_prefix(world: &World) -> String {
-    world
-        .shard
-        .as_ref()
-        .map_or_else(String::new, |s| format!("ch{}.", s.shard_id))
+    if world.shard.channels.len() > 1 {
+        format!("ch{}.", world.shard.shard_id)
+    } else {
+        String::new()
+    }
 }
 
 /// Records a sweep into the recorder's per-window series.
@@ -1589,7 +1365,7 @@ fn record_sweep(rec: &mut MetricsRecorder, s: &GaugeSweep, cut_scale: f64, prefi
 /// state into the live plane's gauges (shard 0 only, same rule as
 /// [`publish_live`]). No-op when the health plane is off.
 fn health_close(world: &mut World, s: &GaugeSweep, t_end_s: f64, width_s: f64) {
-    let shard0 = world.shard.as_ref().is_none_or(|sh| sh.shard_id == 0);
+    let shard0 = world.shard.shard_id == 0;
     let ObsState { health, live, .. } = &mut world.obs;
     let Some(h) = health.as_mut() else { return };
     h.close_window(&HealthWindow {
@@ -1687,12 +1463,10 @@ fn schedule_faults(faults: &FaultPlan, k: &mut K) {
             "fault",
             move |w: &mut World, _| {
                 if let Some(node) = w.peers.get_mut(peer as usize) {
-                    for p in &mut node.channels {
-                        p.install_chaincode(Box::new(Nondeterministic {
-                            inner: KvWrite,
-                            taint: peer,
-                        }));
-                    }
+                    node.peer.install_chaincode(Box::new(Nondeterministic {
+                        inner: KvWrite,
+                        taint: peer,
+                    }));
                 }
             },
         );
@@ -1728,11 +1502,7 @@ fn schedule_faults(faults: &FaultPlan, k: &mut K) {
                     let missing: Vec<Arc<Block>> = w.osns[target]
                         .delivered
                         .iter()
-                        .filter(|blk| {
-                            w.channel_index(&blk.channel).is_ok_and(|ch| {
-                                blk.header.number >= w.peers[peer_idx].next_expected_block[ch]
-                            })
-                        })
+                        .filter(|blk| blk.header.number >= w.peers[peer_idx].next_expected_block)
                         .cloned()
                         .collect();
                     let now = k.now();
@@ -1861,13 +1631,13 @@ fn pool_arrival(world: &mut World, k: &mut K, p: usize) {
     }
 
     let (chaincode, args) = workload_args(world, p, seq);
-    // Round-robin over the *global* channel count: on the sharded engine a
-    // pool's home shard still spreads its transactions over every channel,
-    // exporting the cross-shard ones at proposal-send time.
-    let n_channels = world.total_channels() as u32;
+    // Round-robin over every channel of the run: a pool's home world spreads
+    // its transactions over all of them, exporting the ones bound for
+    // another world at proposal-send time.
+    let n_channels = world.shard.channels.len() as u32;
     let deployed = world.cfg.endorsing_peers;
     let gc = (world.pools[p].next_channel % n_channels) as usize;
-    let channel = world.global_channel_id(gc);
+    let channel = world.shard.channels[gc].clone();
     let pool = &mut world.pools[p];
     pool.next_channel = pool.next_channel.wrapping_add(1);
     let proposal = pool.sdk.create_proposal(channel, &chaincode, args);
@@ -1934,9 +1704,7 @@ fn pool_arrival(world: &mut World, k: &mut K, p: usize) {
         let actor = format!("pool{p}");
         world.emit_span(&tx, SpanKind::ClientPrep, &actor, now, done + sdk_pre, 0, 0);
     }
-    if let Some(ctx) = world.shard.as_mut() {
-        ctx.pending_sends.push(Reverse(done + sdk_pre));
-    }
+    world.shard.pending_sends.push(Reverse(done + sdk_pre));
     k.schedule_labeled(done + sdk_pre, "pool.send", move |w, k| {
         w.pools[p].in_prep -= 1;
         send_proposals(w, k, p, tx_id, targets);
@@ -1945,12 +1713,10 @@ fn pool_arrival(world: &mut World, k: &mut K, p: usize) {
 
 fn send_proposals(world: &mut World, k: &mut K, p: usize, tx_id: TxId, targets: Vec<Principal>) {
     let now = k.now();
-    if let Some(ctx) = world.shard.as_mut() {
-        // Retire this send from the emission-bound heap; `pool.send` events
-        // are never cancelled, so pops line up one-to-one with pushes.
-        let popped = ctx.pending_sends.pop();
-        debug_assert_eq!(popped.map(|r| r.0), Some(now));
-    }
+    // Retire this send from the emission-bound heap; `pool.send` events are
+    // never cancelled, so pops line up one-to-one with pushes.
+    let popped = world.shard.pending_sends.pop();
+    debug_assert_eq!(popped.map(|r| r.0), Some(now));
     let Some(pending) = world.pools[p].pending.get(&tx_id) else {
         return;
     };
@@ -1975,7 +1741,7 @@ fn send_proposals(world: &mut World, k: &mut K, p: usize, tx_id: TxId, targets: 
         // at least one link propagation — the lookahead — in the future) to
         // the shard that owns the target channel. That shard runs the rest
         // of the transaction's life; the home copy of the trace becomes a
-        // stub that the deterministic merge replaces with the completed one.
+        // stub that the deterministic merge drops for the completed one.
         let deliveries: Vec<(usize, SimTime)> = targets
             .iter()
             .map(|principal| {
@@ -1995,11 +1761,11 @@ fn send_proposals(world: &mut World, k: &mut K, p: usize, tx_id: TxId, targets: 
         let trace = world.traces[seq].clone();
         let breakdown = world.obs.breakdowns[seq].clone();
         let expected = targets.len();
-        let Some(ctx) = world.shard.as_mut() else {
+        let ctx = &mut world.shard;
+        let Some(src) = ctx.trace_src[seq].take() else {
             return;
         };
         ctx.exported += 1;
-        let src = (ctx.shard_id as u32, seq as u32);
         ctx.outbox.push((
             target,
             at,
@@ -2029,10 +1795,7 @@ impl ShardWorld for World {
     type Msg = ShardMsg;
 
     fn drain_outbox(&mut self) -> Vec<(usize, SimTime, ShardMsg)> {
-        match &mut self.shard {
-            Some(s) => std::mem::take(&mut s.outbox),
-            None => Vec::new(),
-        }
+        std::mem::take(&mut self.shard.outbox)
     }
 
     fn deliver(&mut self, kernel: &mut K, _at: SimTime, msg: ShardMsg) {
@@ -2054,9 +1817,7 @@ impl ShardWorld for World {
         let seq = self.traces.len();
         self.traces.push(trace);
         self.obs.breakdowns.push(breakdown);
-        if let Some(s) = &mut self.shard {
-            s.trace_src.push(src);
-        }
+        self.shard.trace_src.push(Some(src));
         self.tx_index.insert(tx_id, seq);
         self.tx_pool.insert(tx_id, p);
         let collector = EndorsementCollector::new(tx_id, self.policy.clone(), expected);
@@ -2084,7 +1845,7 @@ impl ShardWorld for World {
         // only ever schedule endorsement work, which cannot emit — so the
         // bound holds against every future, which is what lets other shards
         // run `bound + lookahead` ahead instead of one link delay.
-        let ctx = self.shard.as_ref()?;
+        let ctx = &self.shard;
         let pending = ctx
             .pending_sends
             .peek()
@@ -2119,10 +1880,10 @@ fn peer_receive_proposal(
         world.emit_span(&tx, SpanKind::Endorse, &actor, now, done, 0, parent);
     }
     k.schedule_labeled(done, "peer.endorse", move |w, k| {
-        let Ok(ch) = w.channel_index(&proposal.channel) else {
+        if w.check_channel(&proposal.channel).is_err() {
             return;
-        };
-        let response = w.peers[peer_idx].channels[ch].endorse(&proposal);
+        }
+        let response = w.peers[peer_idx].peer.endorse(&proposal);
         send_response(w, k, peer_idx, p, response);
     });
 }
@@ -2301,26 +2062,19 @@ fn submit_to_orderer(world: &mut World, k: &mut K, p: usize, tx: Transaction) {
 
     let bytes = tx.wire_size();
     let arrival = world.pools[p].egress.transfer(now, bytes);
-    let Ok(ch) = world.channel_index(&tx.channel) else {
+    if world.check_channel(&tx.channel).is_err() {
         return;
-    };
+    }
     k.schedule_labeled(arrival, "osn.receive", move |w, k| {
-        osn_receive(w, k, o, ch, OsnInput::Broadcast(tx), true);
+        osn_receive(w, k, o, OsnInput::Broadcast(tx), true);
     });
 }
 
 // ---- ordering service ----------------------------------------------------------
 
 /// Routes any input through the OSN's CPU station, then applies effects to
-/// the per-channel ordering instance `ch`.
-fn osn_receive(
-    world: &mut World,
-    k: &mut K,
-    o: usize,
-    ch: usize,
-    input: OsnInput,
-    charge_admission: bool,
-) {
+/// the channel's ordering instance.
+fn osn_receive(world: &mut World, k: &mut K, o: usize, input: OsnInput, charge_admission: bool) {
     if !world.osns[o].alive {
         return;
     }
@@ -2360,23 +2114,21 @@ fn osn_receive(
         if !w.osns[o].alive {
             return;
         }
-        let effects = w.osns[o].nodes[ch].handle(input);
-        apply_osn_effects(w, k, o, ch, effects);
+        let effects = w.osns[o].node.handle(input);
+        apply_osn_effects(w, k, o, effects);
     });
 }
 
 fn osn_tick(world: &mut World, k: &mut K, o: usize) {
     if world.osns[o].alive {
-        for ch in 0..world.channel_ids.len() {
-            let effects = world.osns[o].nodes[ch].handle(OsnInput::Tick);
-            apply_osn_effects(world, k, o, ch, effects);
-        }
+        let effects = world.osns[o].node.handle(OsnInput::Tick);
+        apply_osn_effects(world, k, o, effects);
     }
     let period = world.ms(world.cfg.cost.osn_tick_ms);
     k.schedule_in_labeled(period, "osn.tick", move |w, k| osn_tick(w, k, o));
 }
 
-fn apply_osn_effects(world: &mut World, k: &mut K, o: usize, ch: usize, effects: Vec<OsnEffect>) {
+fn apply_osn_effects(world: &mut World, k: &mut K, o: usize, effects: Vec<OsnEffect>) {
     let now = k.now();
     for effect in effects {
         match effect {
@@ -2411,37 +2163,30 @@ fn apply_osn_effects(world: &mut World, k: &mut K, o: usize, ch: usize, effects:
                 let arrival = world.osns[o].egress.transfer(now, bytes);
                 let from = o as u32;
                 if world.obs.spans.enabled() {
-                    let trace = format!("ch{}", world.global_ch(ch));
+                    let trace = format!("ch{}", world.shard.shard_id);
                     let actor = format!("osn{o}>osn{to}");
                     world.emit_msg_span(&trace, SpanKind::RaftMsg, &actor, now, arrival);
                 }
                 k.schedule_labeled(arrival, "osn.relay", move |w, k| {
-                    osn_receive(
-                        w,
-                        k,
-                        to as usize,
-                        ch,
-                        OsnInput::Osn { from, message },
-                        false,
-                    );
+                    osn_receive(w, k, to as usize, OsnInput::Osn { from, message }, false);
                 });
             }
             OsnEffect::SendBroker { to, message } => {
                 let bytes = broker_msg_bytes(&message);
                 let arrival = world.osns[o].egress.transfer(now, bytes);
                 if world.obs.spans.enabled() {
-                    let trace = format!("ch{}", world.global_ch(ch));
+                    let trace = format!("ch{}", world.shard.shard_id);
                     let actor = format!("osn{o}>broker{to}");
                     world.emit_msg_span(&trace, SpanKind::KafkaProduce, &actor, now, arrival);
                 }
                 k.schedule_labeled(arrival, "broker.produce", move |w, k| {
-                    broker_receive(w, k, to as usize, ch, message);
+                    broker_receive(w, k, to as usize, message);
                 });
             }
             OsnEffect::ArmBatchTimer { after_ms, seq } => {
                 let delay = world.ms(after_ms as f64);
                 k.schedule_in_labeled(delay, "osn.timer", move |w, k| {
-                    osn_receive(w, k, o, ch, OsnInput::BatchTimer { seq }, false);
+                    osn_receive(w, k, o, OsnInput::BatchTimer { seq }, false);
                 });
             }
             OsnEffect::BlockReady(block) => {
@@ -2479,13 +2224,13 @@ fn deliver_block(world: &mut World, k: &mut K, o: usize, block: Block) {
     // only when its ledger takes ownership.
     let block = Arc::new(block);
     let now = k.now();
-    let Ok(ch) = world.channel_index(&block.channel) else {
+    if world.check_channel(&block.channel).is_err() {
         return;
-    };
+    }
     // Record the cut and per-tx ordering timestamps once (Kafka/Raft OSNs all
     // emit the same blocks; the first emission wins).
-    if block.header.number >= world.next_cut_number[ch] {
-        world.next_cut_number[ch] = block.header.number + 1;
+    if block.header.number >= world.next_cut_number {
+        world.next_cut_number = block.header.number + 1;
         world.block_cuts.push((now, block.len()));
         if let Some(live) = &world.obs.live {
             live.blocks_cut.inc();
@@ -2513,7 +2258,7 @@ fn deliver_block(world: &mut World, k: &mut K, o: usize, block: Block) {
         }
         if world.obs.spans.enabled() {
             // Zero-width anchor: the instant the block exists as an artifact.
-            let trace = block_trace(world.global_ch(ch), block.header.number);
+            let trace = world.block_trace(block.header.number);
             let actor = format!("osn{o}");
             world.emit_span(&trace, SpanKind::BlockCut, &actor, now, now, 0, 0);
         }
@@ -2524,7 +2269,7 @@ fn deliver_block(world: &mut World, k: &mut K, o: usize, block: Block) {
         .obs
         .spans
         .enabled()
-        .then(|| block_trace(world.global_ch(ch), block.header.number));
+        .then(|| world.block_trace(block.header.number));
     for peer_idx in subscribers {
         let arrival = world.osns[o].egress.transfer(now, bytes);
         if let Some(trace) = &btrace {
@@ -2576,8 +2321,8 @@ fn apply_gossip_effects(world: &mut World, k: &mut K, peer_idx: usize, effects: 
                         // One span per mesh hop: actor is the *receiving*
                         // peer, parent the hop (or orderer delivery) that
                         // brought the block to the sender.
-                        if let Ok(ch) = world.channel_index(&block.channel) {
-                            let trace = block_trace(world.global_ch(ch), block.header.number);
+                        if world.check_channel(&block.channel).is_ok() {
+                            let trace = world.block_trace(block.header.number);
                             let actor = format!("peer{to}");
                             let sender = format!("peer{peer_idx}");
                             let parent = if *hop > 1 {
@@ -2640,24 +2385,24 @@ fn gossip_tick(world: &mut World, k: &mut K, peer_idx: usize) {
 
 fn enqueue_block_validation(world: &mut World, k: &mut K, peer_idx: usize, block: Arc<Block>) {
     let now = k.now();
-    let Ok(ch) = world.channel_index(&block.channel) else {
+    if world.check_channel(&block.channel).is_err() {
         return;
-    };
+    }
     // Drop duplicate deliveries (failover replay overlapping in-flight blocks).
-    if block.header.number < world.peers[peer_idx].next_expected_block[ch] {
+    if block.header.number < world.peers[peer_idx].next_expected_block {
         return;
     }
     debug_assert_eq!(
-        block.header.number, world.peers[peer_idx].next_expected_block[ch],
+        block.header.number, world.peers[peer_idx].next_expected_block,
         "delivery gap at peer {peer_idx}"
     );
-    world.peers[peer_idx].next_expected_block[ch] = block.header.number + 1;
+    world.peers[peer_idx].next_expected_block = block.header.number + 1;
     if world.obs.spans.enabled() {
         // Zero-width delivery anchor for gossip-fed peers (no orderer
         // Deliver span). Orderer subscribers already have a real one with
         // the same deterministic id — the analyzer dedups, keeping the
         // earlier real span.
-        let trace = block_trace(world.global_ch(ch), block.header.number);
+        let trace = world.block_trace(block.header.number);
         let actor = format!("peer{peer_idx}");
         world.emit_span(&trace, SpanKind::Deliver, &actor, now, now, 0, 0);
     }
@@ -2797,9 +2542,9 @@ fn commit_block(
     commit_times: Vec<SimTime>,
 ) {
     let _ = k;
-    let Ok(ch) = world.channel_index(&block.channel) else {
+    if world.check_channel(&block.channel).is_err() {
         return;
-    };
+    }
     let number = block.header.number;
     let tx_ids: Vec<TxId> = block.transactions.iter().map(|t| t.tx_id).collect();
     let is_observer = peer_idx == world.observer;
@@ -2809,7 +2554,7 @@ fn commit_block(
         // — at commit time, not when validation was enqueued — so the span
         // graph only ever contains finished work and every Commit span has a
         // matching TxTrace commit stamp.
-        let trace_b = block_trace(world.global_ch(ch), number);
+        let trace_b = world.block_trace(number);
         let actor = format!("peer{peer_idx}");
         let deliver_parent = span_id(&trace_b, SpanKind::Deliver, &actor, 0);
         for (i, tx_id) in tx_ids.iter().enumerate() {
@@ -2836,7 +2581,8 @@ fn commit_block(
         }
     }
     // The one deep copy: this peer's ledger must own its block.
-    let stats = world.peers[peer_idx].channels[ch]
+    let stats = world.peers[peer_idx]
+        .peer
         .validate_and_commit(Arc::unwrap_or_clone(block))
         // lint:allow(no-unwrap-in-lib) -- ordering delivers blocks in order; a chain break is
         // a simulator bug
@@ -2844,7 +2590,7 @@ fn commit_block(
     let _ = stats;
     if is_observer {
         let flags = {
-            let ledger = world.peers[peer_idx].channels[ch].ledger();
+            let ledger = world.peers[peer_idx].peer.ledger();
             let height = ledger.height();
             ledger
                 .blocks()
@@ -2919,7 +2665,7 @@ fn commit_block(
 
 // ---- kafka substrate ----------------------------------------------------------------
 
-fn broker_receive(world: &mut World, k: &mut K, b: usize, ch: usize, message: BrokerMsg) {
+fn broker_receive(world: &mut World, k: &mut K, b: usize, message: BrokerMsg) {
     if !world.brokers[b].alive {
         return;
     }
@@ -2930,17 +2676,15 @@ fn broker_receive(world: &mut World, k: &mut K, b: usize, ch: usize, message: Br
         if !w.brokers[b].alive {
             return;
         }
-        let effects = w.brokers[b].partitions[ch].step(message);
-        apply_broker_effects(w, k, b, ch, effects);
+        let effects = w.brokers[b].partition.step(message);
+        apply_broker_effects(w, k, b, effects);
     });
 }
 
 fn broker_tick(world: &mut World, k: &mut K, b: usize) {
     if world.brokers[b].alive {
-        for ch in 0..world.channel_ids.len() {
-            let effects = world.brokers[b].partitions[ch].tick();
-            apply_broker_effects(world, k, b, ch, effects);
-        }
+        let effects = world.brokers[b].partition.tick();
+        apply_broker_effects(world, k, b, effects);
     }
     let period = world.ms(world.cfg.cost.broker_tick_ms);
     k.schedule_in_labeled(period, "broker.tick", move |w, k| broker_tick(w, k, b));
@@ -2948,12 +2692,8 @@ fn broker_tick(world: &mut World, k: &mut K, b: usize) {
 
 fn broker_heartbeat(world: &mut World, k: &mut K, b: usize) {
     if world.brokers[b].alive {
-        if let Some(first) = world.brokers[b].partitions.first() {
-            let id = first.id();
-            for ch in 0..world.channel_ids.len() {
-                zk_receive(world, k, ch, ZkMsg::Heartbeat { from: id });
-            }
-        }
+        let from = world.brokers[b].partition.id();
+        zk_receive(world, k, ZkMsg::Heartbeat { from });
     }
     let period = world.ms(world.cfg.cost.zk_heartbeat_ms);
     k.schedule_in_labeled(period, "broker.heartbeat", move |w, k| {
@@ -2961,13 +2701,7 @@ fn broker_heartbeat(world: &mut World, k: &mut K, b: usize) {
     });
 }
 
-fn apply_broker_effects(
-    world: &mut World,
-    k: &mut K,
-    b: usize,
-    ch: usize,
-    effects: Vec<BrokerEffect>,
-) {
+fn apply_broker_effects(world: &mut World, k: &mut K, b: usize, effects: Vec<BrokerEffect>) {
     let now = k.now();
     for effect in effects {
         match effect {
@@ -2975,7 +2709,7 @@ fn apply_broker_effects(
                 let bytes = broker_msg_bytes(&message);
                 let arrival = world.brokers[b].egress.transfer(now, bytes);
                 k.schedule_labeled(arrival, "broker.send", move |w, k| {
-                    broker_receive(w, k, to as usize, ch, message);
+                    broker_receive(w, k, to as usize, message);
                 });
             }
             BrokerEffect::Reply { to, event } => {
@@ -2984,18 +2718,18 @@ fn apply_broker_effects(
                 let o = to as usize;
                 if world.obs.spans.enabled() {
                     if let ClientEvent::ConsumeBatch { .. } = &event {
-                        let trace = format!("ch{}", world.global_ch(ch));
+                        let trace = format!("ch{}", world.shard.shard_id);
                         let actor = format!("broker{b}>osn{o}");
                         world.emit_msg_span(&trace, SpanKind::KafkaConsume, &actor, now, arrival);
                     }
                 }
                 k.schedule_labeled(arrival, "osn.consume", move |w, k| {
-                    osn_receive(w, k, o, ch, OsnInput::Kafka(event), false);
+                    osn_receive(w, k, o, OsnInput::Kafka(event), false);
                 });
             }
             BrokerEffect::IsrUpdate { isr } => {
-                let from = world.brokers[b].partitions[ch].id();
-                zk_receive(world, k, ch, ZkMsg::IsrUpdate { from, isr });
+                let from = world.brokers[b].partition.id();
+                zk_receive(world, k, ZkMsg::IsrUpdate { from, isr });
             }
         }
     }
@@ -3010,23 +2744,23 @@ fn client_event_bytes(event: &ClientEvent) -> u64 {
     }
 }
 
-fn zk_receive(world: &mut World, k: &mut K, ch: usize, message: ZkMsg) {
-    let Some(zk) = world.zks.get_mut(ch) else {
+fn zk_receive(world: &mut World, k: &mut K, message: ZkMsg) {
+    let Some(zk) = world.zk.as_mut() else {
         return;
     };
     let effects = zk.step(message);
-    apply_zk_effects(world, k, ch, effects);
+    apply_zk_effects(world, k, effects);
 }
 
 fn zk_tick(world: &mut World, k: &mut K) {
-    for ch in 0..world.zks.len() {
-        let effects = world.zks[ch].tick();
-        apply_zk_effects(world, k, ch, effects);
+    if let Some(zk) = world.zk.as_mut() {
+        let effects = zk.tick();
+        apply_zk_effects(world, k, effects);
     }
     k.schedule_in_labeled(world.ms(500.0), "zk.tick", zk_tick);
 }
 
-fn apply_zk_effects(world: &mut World, k: &mut K, ch: usize, effects: Vec<ZkEffect>) {
+fn apply_zk_effects(world: &mut World, k: &mut K, effects: Vec<ZkEffect>) {
     for effect in effects {
         // Kafka clients learn leadership through metadata refresh; model it as
         // a prompt notification to every OSN when ZooKeeper appoints a leader.
@@ -3035,7 +2769,7 @@ fn apply_zk_effects(world: &mut World, k: &mut K, ch: usize, effects: Vec<ZkEffe
             for o in 0..world.osns.len() {
                 let delay = world.ms(world.cfg.cost.link_propagation_ms + 1.0);
                 k.schedule_in_labeled(delay, "osn.metadata", move |w, k| {
-                    osn_receive(w, k, o, ch, OsnInput::KafkaMetadata { leader }, false);
+                    osn_receive(w, k, o, OsnInput::KafkaMetadata { leader }, false);
                 });
             }
         }
@@ -3054,7 +2788,7 @@ fn apply_zk_effects(world: &mut World, k: &mut K, ch: usize, effects: Vec<ZkEffe
         // Coordination messages travel the same LAN.
         let delay = world.ms(world.cfg.cost.link_propagation_ms + 0.5);
         k.schedule_in_labeled(delay, "broker.appoint", move |w, k| {
-            broker_receive(w, k, target as usize, ch, message);
+            broker_receive(w, k, target as usize, message);
         });
     }
 }
@@ -3204,29 +2938,12 @@ mod tests {
     #[test]
     fn unknown_channel_is_a_typed_error() {
         let cfg = quick_cfg(OrdererType::Solo);
-        let world = build_world(&cfg, None, None);
-        assert!(world.channel_index(&ChannelId::default_channel()).is_ok());
+        let world = build_world(&cfg, None, 0);
+        assert!(world.check_channel(&ChannelId::default_channel()).is_ok());
         let err = world
-            .channel_index(&ChannelId("no-such-channel".into()))
+            .check_channel(&ChannelId("no-such-channel".into()))
             .unwrap_err();
         assert_eq!(err.to_string(), "unknown channel `no-such-channel`");
-    }
-
-    #[test]
-    fn sharded_single_channel_commits() {
-        let mut cfg = quick_cfg(OrdererType::Solo);
-        cfg.sim_workers = 1;
-        let r = Simulation::new(cfg).run_detailed();
-        assert!(
-            r.chain_ok,
-            "observer chain must verify on the sharded engine"
-        );
-        assert!(r.observer_height > 0);
-        let tput = r.summary.committed_tps();
-        assert!(
-            (50.0..70.0).contains(&tput),
-            "sharded solo committed {tput} tps at 60 offered"
-        );
     }
 
     #[test]

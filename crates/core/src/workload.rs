@@ -203,12 +203,12 @@ pub struct SimConfig {
     /// channel on shared hardware; each channel gets its own consensus
     /// instance (its own Raft group / Kafka partition), exactly as in Fabric.
     pub channels: u32,
-    /// Event-loop workers for the sharded DES kernel. `0` (the default) runs
-    /// the classic single-threaded kernel; `N ≥ 1` shards the world per
-    /// channel and runs the shards on up to `N` OS threads under a
-    /// conservative lookahead barrier. Any positive worker count produces
-    /// byte-identical reports (the determinism suite locks workers
-    /// {1, 2, 4, 8} against each other), so this knob trades wall clock only.
+    /// OS threads the run's per-channel event-loop worlds are multiplexed
+    /// onto, under a conservative lookahead barrier; `0` (the default) and
+    /// `1` both mean one thread, and more than `channels` buys nothing.
+    /// Every worker count produces byte-identical reports (the determinism
+    /// suite locks workers {0, 1, 2, 4, 8} against each other) and the same
+    /// [`SimConfig::digest`], so this knob trades wall clock only.
     pub sim_workers: u32,
     /// Block dissemination: `None` = every peer subscribes to an OSN directly;
     /// `Some` = leader peers + gossip mesh.
@@ -283,19 +283,18 @@ impl SimConfig {
             return Err("channels must be in 1..=32".into());
         }
         if self.sim_workers > 64 {
-            return Err("sim_workers must be in 0..=64 (0 = classic serial kernel)".into());
+            return Err("sim_workers must be in 0..=64".into());
         }
-        if self.sim_workers > 0 {
-            if self.gossip.is_some() {
-                return Err("the sharded kernel does not support gossip delivery yet".into());
-            }
-            if self.cost.link_propagation_ms <= 0.0 || !self.cost.link_propagation_ms.is_finite() {
-                return Err(
-                    "the sharded kernel derives its lookahead from link_propagation_ms, \
-                     which must be positive and finite"
-                        .into(),
-                );
-            }
+        let propagation_ms = self.cost.link_propagation_ms;
+        if !propagation_ms.is_finite() || propagation_ms < 0.0 {
+            return Err("link_propagation_ms must be a finite non-negative number".into());
+        }
+        if self.channels > 1 && propagation_ms <= 0.0 {
+            return Err(
+                "channel worlds synchronize on a lookahead of link_propagation_ms, \
+                 which must be positive when channels > 1"
+                    .into(),
+            );
         }
         if !self.obs.sample_period_s.is_finite() || self.obs.sample_period_s < 0.0 {
             return Err("metrics sample period must be a finite non-negative number".into());
@@ -337,10 +336,9 @@ impl SimConfig {
                 health_events: false,
                 slo_p99_s: 0.0,
             },
-            // Every positive worker count yields byte-identical results
-            // (locked by the determinism suite), so the digest only
-            // distinguishes the serial engine (0) from the sharded one (≥1).
-            sim_workers: self.sim_workers.min(1),
+            // Every worker count yields byte-identical results (locked by
+            // the determinism suite): a thread count is not an experiment.
+            sim_workers: 0,
             ..self.clone()
         };
         let hash = fabricsim_crypto::sha256(format!("{canonical:?}").as_bytes());

@@ -168,8 +168,7 @@ pub struct HealthEvent {
     pub t_s: f64,
     /// Event category.
     pub kind: HealthEventKind,
-    /// Channel the emitting engine watches (shard id on sharded runs, 0 on
-    /// the serial engine's whole-world aggregate).
+    /// Channel the emitting engine watches.
     pub channel: u32,
     /// Station the event concerns (`"-"` for channel-level events).
     pub station: String,
@@ -435,8 +434,8 @@ impl StationDetector {
     }
 }
 
-/// The streaming health engine: one per event-loop world (the whole run on
-/// the serial engine, one per channel shard on the sharded engine).
+/// The streaming health engine: one per event-loop world, i.e. one per
+/// channel.
 ///
 /// Drive it with [`OnlineHealth::observe_completion`] on every committed
 /// transaction and [`OnlineHealth::close_window`] on every sampler tick,
@@ -849,8 +848,8 @@ pub struct HealthReport {
 }
 
 impl HealthReport {
-    /// Merges another engine's report into this one (sharded runs merge
-    /// per-shard reports in shard order, then call
+    /// Merges another engine's report into this one (multi-channel runs merge
+    /// per-channel reports in channel order, then call
     /// [`HealthReport::sort_events`] once).
     pub fn merge(&mut self, mut other: HealthReport) {
         debug_assert!(

@@ -186,11 +186,12 @@ impl MetricsRecorder {
     }
 
     /// Appends every series of `other` into this recorder, preserving
-    /// `other`'s first-touch order. Used to merge the per-shard recorders of
-    /// a sharded run into one rectangular table: shards sample on the same
-    /// virtual cadence, so the merged table stays aligned.
+    /// `other`'s first-touch order. Used to merge the per-channel recorders
+    /// of a multi-channel run into one rectangular table: every channel
+    /// world samples on the same virtual cadence, so the merged table stays
+    /// aligned.
     ///
-    /// Series names must be disjoint (shard recorders prefix theirs with
+    /// Series names must be disjoint (channel recorders prefix theirs with
     /// `ch{c}.`); a duplicate name is skipped under a debug assertion.
     ///
     /// # Panics

@@ -1,7 +1,6 @@
 //! Reproducibility: the simulation is a pure function of its configuration.
 
-use fabricsim::obs::SpanGraphAnalysis;
-use fabricsim::{OrdererType, PolicySpec, Simulation};
+use fabricsim::{FaultPlan, GossipConfig, OrdererType, PolicySpec, SimConfig, Simulation};
 use fabricsim_integration::quick_config;
 
 #[test]
@@ -82,45 +81,25 @@ fn observability_config_never_changes_the_report() {
 }
 
 #[test]
-fn health_timeline_is_byte_identical_across_worker_counts() {
+fn health_timeline_is_byte_identical_across_reruns() {
     // The health plane's determinism bar: the serialized JSONL timeline —
-    // events, dwell accounting and summary — is byte-identical at workers
-    // {1, 4} and across reruns, single- and multi-channel. Per-shard engines
-    // merge in shard order and one canonical sort restores a worker-count-
-    // invariant event stream.
+    // events, dwell accounting and summary — is byte-identical across
+    // reruns, single- and multi-channel (per-channel engines merge in
+    // channel order under one canonical sort). Worker counts are covered by
+    // the `*_byte_identical_at_any_worker_count` tests below.
     for channels in [1u32, 4] {
         let mut cfg = quick_config(OrdererType::Solo, PolicySpec::OrN(5), 120.0);
         cfg.channels = channels;
         cfg.obs.health_events = true;
-        cfg.sim_workers = 1;
-        let base = Simulation::new(cfg.clone()).run_detailed();
-        let base_health = base
-            .observability
-            .health
-            .as_ref()
-            .expect("health plane attached")
-            .to_jsonl(None);
-        let rerun = Simulation::new(cfg.clone()).run_detailed();
+        let health = |cfg: &SimConfig| {
+            let r = Simulation::new(cfg.clone()).run_detailed();
+            let h = r.observability.health.expect("health plane attached");
+            h.to_jsonl(None)
+        };
         assert_eq!(
-            base_health,
-            rerun
-                .observability
-                .health
-                .as_ref()
-                .expect("health")
-                .to_jsonl(None),
+            health(&cfg),
+            health(&cfg),
             "ch{channels}: rerun changed the health timeline"
-        );
-        cfg.sim_workers = 4;
-        let wide = Simulation::new(cfg).run_detailed();
-        assert_eq!(
-            base_health,
-            wide.observability
-                .health
-                .as_ref()
-                .expect("health")
-                .to_jsonl(None),
-            "ch{channels}: worker count changed the health timeline"
         );
     }
 }
@@ -201,49 +180,137 @@ fn throughput_is_seed_stable() {
     );
 }
 
-#[test]
-fn sharded_reports_are_byte_identical_at_any_worker_count() {
-    // The sharded engine's acceptance bar: the serialized SummaryReport AND
-    // the span-graph analysis are byte-identical at workers {1, 2, 4, 8},
-    // for a single-channel and a multi-channel deployment. The shard
-    // decomposition and window boundaries depend only on virtual state, so
-    // the OS thread count must be unobservable in every merge point.
-    for channels in [1u32, 4] {
-        let mut cfg = quick_config(OrdererType::Solo, PolicySpec::OrN(5), 120.0);
-        cfg.channels = channels;
-        cfg.obs.span_events = true;
-        cfg.obs.trace_sample = 1.0;
-        cfg.sim_workers = 1;
-        let base = Simulation::new(cfg.clone()).run_detailed();
-        let base_json = base.summary.to_json();
-        assert!(
-            base.summary.committed_valid > 0,
-            "ch{channels}: sharded baseline must commit"
-        );
-        let base_spans = SpanGraphAnalysis::from_spans(&base.observability.spans).to_json();
-        for workers in [2u32, 4, 8] {
-            cfg.sim_workers = workers;
-            let r = Simulation::new(cfg.clone()).run_detailed();
-            assert_eq!(
-                base_json,
-                r.summary.to_json(),
-                "ch{channels}: workers={workers} changed the summary report"
+/// Everything a run reports, rendered to the bytes the CLI would write,
+/// with every observability plane on.
+fn artifacts(cfg: &SimConfig, workers: u32) -> Vec<(&'static str, String)> {
+    let mut c = cfg.clone();
+    c.sim_workers = workers;
+    c.obs.trace_events = true;
+    c.obs.span_events = true;
+    c.obs.trace_sample = 1.0;
+    c.obs.health_events = true;
+    let r = Simulation::new(c).run_detailed();
+    assert!(r.chain_ok, "workers={workers}: observer chain must verify");
+    assert!(
+        r.summary.committed_valid > 0,
+        "workers={workers}: run must commit"
+    );
+    let o = &r.observability;
+    vec![
+        ("summary", r.summary.to_json()),
+        ("trace", o.events_jsonl()),
+        ("spans", o.spans_jsonl()),
+        (
+            "health",
+            o.health.as_ref().expect("health plane").to_jsonl(None),
+        ),
+        ("metrics", o.metrics.as_ref().expect("sampler").to_csv()),
+        ("state", format!("{:?}", r.final_state)),
+        ("block cuts", format!("{:?}", r.block_cuts)),
+    ]
+}
+
+/// `sim_workers` only ever buys wall clock: the serialized SummaryReport
+/// (`config_digest` included), the trace/span/health JSONL, the metrics CSV,
+/// the final state and the block cuts are byte-identical at every worker
+/// count in `workers`, 0 included. The world decomposition and the window
+/// boundaries depend only on virtual state, so the OS thread count must be
+/// unobservable in every merge point.
+fn assert_worker_invariant(what: &str, cfg: &SimConfig, workers: &[u32]) {
+    let base = artifacts(cfg, workers[0]);
+    for &w in &workers[1..] {
+        for ((name, a), (_, b)) in base.iter().zip(artifacts(cfg, w)) {
+            assert!(
+                *a == b,
+                "{what}: {name} differs between workers={} and workers={w}",
+                workers[0]
             );
-            assert_eq!(
-                base_spans,
-                SpanGraphAnalysis::from_spans(&r.observability.spans).to_json(),
-                "ch{channels}: workers={workers} changed the span-graph analysis"
-            );
-            assert_eq!(base.final_state, r.final_state, "ch{channels} w{workers}");
-            assert_eq!(base.block_cuts, r.block_cuts, "ch{channels} w{workers}");
         }
     }
 }
 
 #[test]
+fn one_channel_runs_are_byte_identical_at_any_worker_count() {
+    for orderer in OrdererType::ALL {
+        let cfg = quick_config(orderer, PolicySpec::OrN(5), 120.0);
+        assert_worker_invariant(&format!("{orderer}"), &cfg, &[0, 1, 4]);
+    }
+    // Gossip delivery is single-channel and all-local, so it needs no
+    // special case at any worker count either.
+    let mut cfg = quick_config(OrdererType::Solo, PolicySpec::OrN(5), 120.0);
+    cfg.committing_peers = 3;
+    cfg.gossip = Some(GossipConfig::default());
+    assert_worker_invariant("gossip", &cfg, &[0, 1, 4]);
+}
+
+#[test]
+fn four_channel_runs_are_byte_identical_at_any_worker_count() {
+    for orderer in OrdererType::ALL {
+        let mut cfg = quick_config(orderer, PolicySpec::OrN(5), 120.0);
+        cfg.channels = 4;
+        assert_worker_invariant(&format!("{orderer} ch4"), &cfg, &[0, 1, 2, 8]);
+    }
+}
+
+#[test]
+fn broker_crash_fails_over_on_every_channel_at_the_default_worker_count() {
+    let mut cfg = quick_config(OrdererType::Kafka, PolicySpec::OrN(5), 100.0);
+    cfg.channels = 2;
+    cfg.duration_secs = 28.0;
+    cfg.warmup_secs = 14.0; // measure well after the fault + failover
+    assert_eq!(cfg.sim_workers, 0);
+    let faults = FaultPlan {
+        crash_brokers: vec![(0, 6.0)],
+        ..FaultPlan::default()
+    };
+    let r = Simulation::new(cfg).with_faults(faults).run_detailed();
+    assert!(r.chain_ok, "every channel's chain must verify");
+    assert!(
+        r.summary.committed_tps() > 80.0,
+        "kafka must keep ordering after the leader broker crash: {} tps",
+        r.summary.committed_tps()
+    );
+    // The crash is scheduled into every channel world: each partition loses
+    // its leader and each must cut blocks again inside the window.
+    let m = r.observability.metrics.expect("sampler attached");
+    for c in 0..2 {
+        let series = m
+            .get(&format!("ch{c}.blocks.cut_per_tick"))
+            .expect("per-channel cadence series");
+        let cuts_after: f64 = series
+            .points()
+            .filter(|&(t, _)| t >= 14.0)
+            .map(|(_, v)| v)
+            .sum();
+        assert!(
+            cuts_after > 10.0,
+            "channel {c} must fail over: {cuts_after} blocks cut after t=14s"
+        );
+    }
+}
+
+#[test]
+fn zero_link_propagation_runs_on_one_channel_and_is_refused_across_channels() {
+    // The link delay is the lookahead channel worlds synchronize on; a lone
+    // world has nobody to look ahead to.
+    let mut cfg = quick_config(OrdererType::Solo, PolicySpec::OrN(5), 70.0);
+    cfg.cost.link_propagation_ms = 0.0;
+    assert_eq!(cfg.validate(), Ok(()));
+    let r = Simulation::new(cfg.clone()).run_detailed();
+    assert!(r.chain_ok && r.summary.committed_valid > 0);
+    cfg.channels = 4;
+    let err = cfg.validate().expect_err("zero lookahead across channels");
+    assert!(err.contains("link_propagation_ms"), "{err}");
+    for bad in [-1.0, f64::NAN, f64::INFINITY] {
+        cfg.channels = 1;
+        cfg.cost.link_propagation_ms = bad;
+        assert!(cfg.validate().is_err(), "{bad} must be a typed error");
+    }
+}
+
+#[test]
 fn sharded_profiler_never_changes_the_report() {
-    // Same write-only contract as the serial engine: per-shard kernel
-    // profiles must not perturb virtual-time results.
+    // Per-world kernel profiles must not perturb virtual-time results.
     let mut cfg = quick_config(OrdererType::Solo, PolicySpec::OrN(5), 100.0);
     cfg.channels = 4;
     cfg.sim_workers = 4;
@@ -259,6 +326,20 @@ fn sharded_profiler_never_changes_the_report() {
     for p in &r.observability.shard_profiles {
         assert_eq!(p.attributed_ns(), p.loop_ns, "profile must reconcile");
     }
+    assert!(r.observability.sync.windows > 1 && r.observability.sync.messages > 0);
+    // A one-world run has nothing to tell apart: its kernel's profile is the
+    // run's profile, in one window with no cross-shard traffic.
+    let mut one = quick_config(OrdererType::Solo, PolicySpec::OrN(5), 100.0);
+    one.obs.profile = true;
+    let o = Simulation::new(one).run_detailed().observability;
+    assert!(o.shard_profiles.is_empty());
+    let p = o.profile.expect("profile of the lone world");
+    assert_eq!(p.attributed_ns(), p.loop_ns, "profile must reconcile");
+    assert_eq!((o.sync.windows, o.sync.messages), (1, 0));
+    assert_eq!(
+        o.sync.stats.executed,
+        p.entries.iter().map(|e| e.count).sum::<u64>()
+    );
 }
 
 /// Wall-clock speedup of the sharded engine — the ISSUE's acceptance bar
