@@ -1,0 +1,528 @@
+//! Client pools: arrivals, proposal prep and send (local or exported to
+//! another channel's world), endorsement collection, assembly and submission.
+
+use std::cmp::Reverse;
+use std::sync::Arc;
+
+use fabricsim_chaincode::samples::AssetTransfer;
+use fabricsim_des::{ShardWorld, SimDuration, SimTime};
+use fabricsim_obs::{span_id, SpanKind, StationClass, TracePhase, TxStationBreakdown};
+use fabricsim_ordering::OsnInput;
+use fabricsim_types::encode::WireSize;
+use fabricsim_types::{Principal, ProposalResponse, Transaction, TxId};
+
+use fabricsim_client::{CollectState, EndorsementCollector};
+
+use crate::metrics::{TxOutcome, TxTrace};
+use crate::workload::WorkloadKind;
+
+use super::ordering::osn_receive;
+use super::peer::peer_receive_proposal;
+use super::world::{PendingTx, ShardMsg, World, K};
+
+pub(super) fn schedule_next_arrival(world: &mut World, k: &mut K, p: usize) {
+    let per_pool_rate = world.cfg.arrival_rate_tps / world.pools.len() as f64;
+    let gap = world.pools[p].arrivals.exp(1.0 / per_pool_rate);
+    k.schedule_in_labeled(
+        SimDuration::from_secs_f64(gap),
+        "pool.arrival",
+        move |w, k| {
+            pool_arrival(w, k, p);
+            schedule_next_arrival(w, k, p);
+        },
+    );
+}
+
+fn workload_args(world: &mut World, p: usize, seq: usize) -> (String, Vec<Vec<u8>>) {
+    match world.cfg.workload.clone() {
+        WorkloadKind::KvPut { payload_bytes } => (
+            "kvwrite".into(),
+            vec![
+                b"put".to_vec(),
+                format!("k{p}_{seq}").into_bytes(),
+                vec![b'x'; payload_bytes],
+            ],
+        ),
+        WorkloadKind::KvRmw {
+            keyspace,
+            payload_bytes,
+        } => {
+            let key = world.pools[p].keys.next_below(keyspace as u64);
+            (
+                "kvwrite".into(),
+                vec![
+                    b"rmw".to_vec(),
+                    format!("hot{key}").into_bytes(),
+                    vec![b'x'; payload_bytes],
+                ],
+            )
+        }
+        WorkloadKind::Transfer { accounts } => {
+            let from = world.pools[p].keys.next_below(accounts as u64) as u32;
+            let mut to = world.pools[p].keys.next_below(accounts as u64) as u32;
+            if to == from {
+                to = (to + 1) % accounts;
+            }
+            (
+                "asset-transfer".into(),
+                vec![
+                    b"transfer".to_vec(),
+                    AssetTransfer::account_key(from).into_bytes(),
+                    AssetTransfer::account_key(to).into_bytes(),
+                    b"1".to_vec(),
+                ],
+            )
+        }
+        WorkloadKind::Smallbank { customers } => {
+            let rng = &mut world.pools[p].keys;
+            let a = rng.next_below(customers as u64).to_string().into_bytes();
+            let mut b = rng.next_below(customers as u64) as u32;
+            let op = rng.next_below(100);
+            let args = match op {
+                // Blockbench mix: 25 % send_payment, 15 % each of the rest.
+                0..=24 => {
+                    if b.to_string().as_bytes() == a.as_slice() {
+                        b = (b + 1) % customers;
+                    }
+                    vec![
+                        b"send_payment".to_vec(),
+                        a,
+                        b.to_string().into_bytes(),
+                        b"5".to_vec(),
+                    ]
+                }
+                25..=39 => vec![b"transact_savings".to_vec(), a, b"20".to_vec()],
+                40..=54 => vec![b"deposit_checking".to_vec(), a, b"20".to_vec()],
+                55..=69 => vec![b"write_check".to_vec(), a, b"10".to_vec()],
+                70..=84 => vec![b"amalgamate".to_vec(), a],
+                _ => vec![b"query".to_vec(), a],
+            };
+            ("smallbank".into(), args)
+        }
+    }
+}
+
+fn pool_arrival(world: &mut World, k: &mut K, p: usize) {
+    let now = k.now();
+    let seq = world.traces.len();
+    let mut trace = TxTrace::new(now);
+
+    // Overload guard: queue cap on the submission station.
+    if world.pools[p].in_prep >= world.cfg.cost.client_queue_cap {
+        trace.outcome = TxOutcome::OverloadDropped;
+        world.push_trace(trace);
+        world.obs.breakdowns.push(TxStationBreakdown::default());
+        if let Some(live) = &world.obs.live {
+            live.txs_failed_overload.inc();
+        }
+        if world.obs.sink.enabled() {
+            let station = world.pools[p].prep.name().to_string();
+            let depth = world.pools[p].in_prep;
+            world.emit(
+                now,
+                format!("arrival{seq}"),
+                TracePhase::OverloadDropped,
+                station,
+                depth,
+            );
+        }
+        return;
+    }
+
+    let (chaincode, args) = workload_args(world, p, seq);
+    // Round-robin over every channel of the run: a pool's home world spreads
+    // its transactions over all of them, exporting the ones bound for
+    // another world at proposal-send time.
+    let n_channels = world.shard.channels.len() as u32;
+    let deployed = world.cfg.endorsing_peers;
+    let gc = (world.pools[p].next_channel % n_channels) as usize;
+    let channel = world.shard.channels[gc].clone();
+    let pool = &mut world.pools[p];
+    pool.next_channel = pool.next_channel.wrapping_add(1);
+    let proposal = pool.sdk.create_proposal(channel, &chaincode, args);
+    let tx_id = proposal.tx_id;
+    // Only deployed endorsing peers are reachable; a policy naming an
+    // undeployed org can then fail at collection, as on a real network.
+    let targets: Vec<Principal> = pool
+        .selector
+        .next_targets()
+        .iter()
+        .filter(|pr| pr.org.0 >= 1 && pr.org.0 <= deployed)
+        .cloned()
+        .collect();
+    if targets.is_empty() {
+        trace.outcome = TxOutcome::EndorsementFailed;
+        world.push_trace(trace);
+        world.obs.breakdowns.push(TxStationBreakdown::default());
+        if let Some(live) = &world.obs.live {
+            live.txs_failed_endorsement.inc();
+        }
+        if world.obs.sink.enabled() {
+            let station = world.pools[p].prep.name().to_string();
+            world.emit_tx(now, tx_id, TracePhase::EndorsementFailed, station, 0);
+        }
+        return;
+    }
+    let expected = targets.len();
+
+    world.push_trace(trace);
+    world.obs.breakdowns.push(TxStationBreakdown::default());
+    world.tx_index.insert(tx_id, seq);
+    world.tx_pool.insert(tx_id, p);
+    if let Some(live) = &world.obs.live {
+        live.txs_created.inc();
+    }
+    let collector = EndorsementCollector::new(tx_id, world.policy.clone(), expected);
+    world.pools[p].pending.insert(
+        tx_id,
+        PendingTx {
+            proposal: Arc::new(proposal),
+            collector,
+            timeout_event: None,
+        },
+    );
+
+    // Submission-thread service.
+    let m = &world.cfg.cost;
+    let jitter = world.pools[p]
+        .arrivals
+        .uniform(-m.client_prep_jitter_ms, m.client_prep_jitter_ms);
+    let service = world.ms(m.client_prep_ms + jitter);
+    let sdk_pre = world.ms(m.sdk_pre_ms);
+    world.pools[p].in_prep += 1;
+    let queued = world.pools[p].prep.would_start_at(now) - now;
+    let done = world.pools[p].prep.submit(now, service);
+    world.attribute(tx_id, StationClass::ClientPrep, queued, service);
+    if world.obs.sink.enabled() {
+        let station = world.pools[p].prep.name().to_string();
+        let depth = world.pools[p].prep.jobs_in_system(now);
+        world.emit_tx(now, tx_id, TracePhase::Created, station, depth);
+    }
+    if world.obs.spans.enabled() {
+        let tx = tx_id.short();
+        let actor = format!("pool{p}");
+        world.emit_span(&tx, SpanKind::ClientPrep, &actor, now, done + sdk_pre, 0, 0);
+    }
+    world.shard.pending_sends.push(Reverse(done + sdk_pre));
+    k.schedule_labeled(done + sdk_pre, "pool.send", move |w, k| {
+        w.pools[p].in_prep -= 1;
+        send_proposals(w, k, p, tx_id, targets);
+    });
+}
+
+fn send_proposals(world: &mut World, k: &mut K, p: usize, tx_id: TxId, targets: Vec<Principal>) {
+    let now = k.now();
+    // Retire this send from the emission-bound heap; `pool.send` events are
+    // never cancelled, so pops line up one-to-one with pushes.
+    let popped = world.shard.pending_sends.pop();
+    debug_assert_eq!(popped.map(|r| r.0), Some(now));
+    let Some(pending) = world.pools[p].pending.get(&tx_id) else {
+        return;
+    };
+    let proposal = Arc::clone(&pending.proposal);
+    if let Some(t) = world.trace_mut(tx_id) {
+        t.proposal_sent = Some(now);
+    }
+    if world.obs.sink.enabled() {
+        let depth = world.pools[p].pending.len();
+        world.emit_tx(
+            now,
+            tx_id,
+            TracePhase::ProposalSent,
+            format!("pool{p}.nic"),
+            depth,
+        );
+    }
+    let bytes = proposal.wire_size();
+    if let Some(target) = world.export_target(&proposal.channel) {
+        // Cross-shard transaction: fan the proposal out through the home
+        // pool's egress link as usual, but hand the resulting arrivals (all
+        // at least one link propagation — the lookahead — in the future) to
+        // the shard that owns the target channel. That shard runs the rest
+        // of the transaction's life; the home copy of the trace becomes a
+        // stub that the deterministic merge drops for the completed one.
+        let deliveries: Vec<(usize, SimTime)> = targets
+            .iter()
+            .map(|principal| {
+                (
+                    world.peer_of(principal),
+                    world.pools[p].egress.transfer(now, bytes),
+                )
+            })
+            .collect();
+        let Some(at) = deliveries.iter().map(|d| d.1).min() else {
+            return;
+        };
+        let Some(&seq) = world.tx_index.get(&tx_id) else {
+            return;
+        };
+        world.pools[p].pending.remove(&tx_id);
+        let trace = world.traces[seq].clone();
+        let breakdown = world.obs.breakdowns[seq].clone();
+        let expected = targets.len();
+        let ctx = &mut world.shard;
+        let Some(src) = ctx.trace_src[seq].take() else {
+            return;
+        };
+        ctx.exported += 1;
+        ctx.outbox.push((
+            target,
+            at,
+            ShardMsg::Proposal {
+                src,
+                pool: p,
+                proposal,
+                expected,
+                deliveries,
+                trace,
+                breakdown,
+            },
+        ));
+        return;
+    }
+    for principal in targets {
+        let peer_idx = world.peer_of(&principal);
+        let arrival = world.pools[p].egress.transfer(now, bytes);
+        let proposal = Arc::clone(&proposal);
+        k.schedule_labeled(arrival, "peer.endorse", move |w, k| {
+            peer_receive_proposal(w, k, peer_idx, p, proposal);
+        });
+    }
+}
+
+impl ShardWorld for World {
+    type Msg = ShardMsg;
+
+    fn drain_outbox(&mut self) -> Vec<(usize, SimTime, ShardMsg)> {
+        std::mem::take(&mut self.shard.outbox)
+    }
+
+    fn deliver(&mut self, kernel: &mut K, _at: SimTime, msg: ShardMsg) {
+        // An imported proposal re-creates exactly the client-side state the
+        // local path would have built — a pending entry keyed by tx id, the
+        // trace/breakdown slot, and one endorsement arrival per target peer.
+        // The trace slot is tagged with its home (shard, seq) identity so the
+        // merge can put the completed trace back where the stub lives.
+        let ShardMsg::Proposal {
+            src,
+            pool: p,
+            proposal,
+            expected,
+            deliveries,
+            trace,
+            breakdown,
+        } = msg;
+        let tx_id = proposal.tx_id;
+        let seq = self.traces.len();
+        self.traces.push(trace);
+        self.obs.breakdowns.push(breakdown);
+        self.shard.trace_src.push(Some(src));
+        self.tx_index.insert(tx_id, seq);
+        self.tx_pool.insert(tx_id, p);
+        let collector = EndorsementCollector::new(tx_id, self.policy.clone(), expected);
+        self.pools[p].pending.insert(
+            tx_id,
+            PendingTx {
+                proposal: Arc::clone(&proposal),
+                collector,
+                timeout_event: None,
+            },
+        );
+        for (peer_idx, at) in deliveries {
+            let proposal = Arc::clone(&proposal);
+            kernel.schedule_labeled(at, "peer.endorse", move |w, k| {
+                peer_receive_proposal(w, k, peer_idx, p, proposal);
+            });
+        }
+    }
+
+    fn emission_bound(&self, next_event: SimTime) -> Option<SimTime> {
+        // Cross-shard messages leave this world only inside `pool.send`
+        // handlers (see the outbox push in `send_proposals`), and a
+        // `pool.send` is always scheduled at least `min_send_delay` after
+        // the (home-pool arrival) event that creates it. Incoming proposals
+        // only ever schedule endorsement work, which cannot emit — so the
+        // bound holds against every future, which is what lets other shards
+        // run `bound + lookahead` ahead instead of one link delay.
+        let ctx = &self.shard;
+        let pending = ctx
+            .pending_sends
+            .peek()
+            .map_or(SimTime::MAX, |Reverse(t)| *t);
+        let from_next = if next_event == SimTime::MAX {
+            SimTime::MAX
+        } else {
+            next_event + ctx.min_send_delay
+        };
+        Some(pending.min(from_next))
+    }
+}
+
+pub(super) fn pool_receive_response(
+    world: &mut World,
+    k: &mut K,
+    p: usize,
+    response: ProposalResponse,
+) {
+    let now = k.now();
+    let tx_id = response.tx_id;
+    let Some(pending) = world.pools[p].pending.get_mut(&tx_id) else {
+        return; // already assembled or failed
+    };
+    // The response that satisfies the policy is the slowest endorsement the
+    // client waited for — the span graph's causal parent of assembly.
+    let endorser_peer = response
+        .endorsement
+        .as_ref()
+        .map(|e| (e.endorser.org.0.saturating_sub(1)) as usize);
+    match pending.collector.add(response) {
+        CollectState::Pending => {}
+        CollectState::Failed => {
+            world.pools[p].pending.remove(&tx_id);
+            if let Some(t) = world.trace_mut(tx_id) {
+                t.outcome = TxOutcome::EndorsementFailed;
+            }
+            if let Some(live) = &world.obs.live {
+                live.txs_failed_endorsement.inc();
+            }
+            if world.obs.sink.enabled() {
+                let station = world.pools[p].recv.name().to_string();
+                world.emit_tx(now, tx_id, TracePhase::EndorsementFailed, station, 0);
+            }
+        }
+        CollectState::Satisfied => {
+            let n = pending.collector.responses().len();
+            let m = &world.cfg.cost;
+            let cost = world
+                .ms(m.client_assemble_base_ms + m.client_assemble_per_endorsement_ms * n as f64);
+            let sdk_post = world.ms(m.sdk_post_ms);
+            let queued = world.pools[p].recv.would_start_at(now) - now;
+            let done = world.pools[p].recv.submit(now, cost);
+            world.attribute(tx_id, StationClass::ClientRecv, queued, cost);
+            if world.obs.spans.enabled() {
+                let tx = tx_id.short();
+                let actor = format!("pool{p}");
+                let parent = endorser_peer.map_or(0, |e| {
+                    span_id(&tx, SpanKind::Endorse, &format!("peer{e}"), 0)
+                });
+                world.emit_span(
+                    &tx,
+                    SpanKind::Assemble,
+                    &actor,
+                    now,
+                    done + sdk_post,
+                    0,
+                    parent,
+                );
+            }
+            k.schedule_labeled(done + sdk_post, "client.assemble", move |w, k| {
+                client_assemble(w, k, p, tx_id);
+            });
+        }
+    }
+}
+
+fn client_assemble(world: &mut World, k: &mut K, p: usize, tx_id: TxId) {
+    let now = k.now();
+    let pool = &world.pools[p];
+    let Some(pending) = pool.pending.get(&tx_id) else {
+        return;
+    };
+    let assembled = pool
+        .sdk
+        .assemble(&pending.proposal, pending.collector.responses());
+    let tx = match assembled {
+        Ok(tx) => tx,
+        Err(_) => {
+            world.pools[p].pending.remove(&tx_id);
+            if let Some(t) = world.trace_mut(tx_id) {
+                t.outcome = TxOutcome::EndorsementFailed;
+            }
+            if let Some(live) = &world.obs.live {
+                live.txs_failed_endorsement.inc();
+            }
+            if world.obs.sink.enabled() {
+                let station = world.pools[p].recv.name().to_string();
+                world.emit_tx(now, tx_id, TracePhase::EndorsementFailed, station, 0);
+            }
+            return;
+        }
+    };
+    let sigs = tx.endorsements.len();
+    if let Some(t) = world.trace_mut(tx_id) {
+        t.endorsed = Some(now);
+        t.signatures = sigs;
+    }
+    if world.obs.sink.enabled() {
+        let station = world.pools[p].recv.name().to_string();
+        let depth = world.pools[p].recv.jobs_in_system(now);
+        world.emit_tx(now, tx_id, TracePhase::Endorsed, station, depth);
+    }
+    submit_to_orderer(world, k, p, tx);
+}
+
+fn submit_to_orderer(world: &mut World, k: &mut K, p: usize, tx: Transaction) {
+    let now = k.now();
+    let tx_id = tx.tx_id;
+    if let Some(t) = world.trace_mut(tx_id) {
+        t.submitted = Some(now);
+    }
+    if world.obs.sink.enabled() {
+        let depth = world.pools[p].pending.len();
+        world.emit_tx(
+            now,
+            tx_id,
+            TracePhase::Submitted,
+            format!("pool{p}.nic"),
+            depth,
+        );
+    }
+    // Round-robin over OSNs.
+    let osn_count = world.osns.len() as u32;
+    let o = (world.pools[p].next_osn % osn_count) as usize;
+    world.pools[p].next_osn = world.pools[p].next_osn.wrapping_add(1);
+
+    // Arm the 3 s ordering timeout.
+    let timeout = world.ms(world.cfg.ordering_timeout_ms as f64);
+    let ev = k.schedule_labeled(
+        now + timeout,
+        "ordering.timeout",
+        move |w: &mut World, k| {
+            let mut timed_out = false;
+            if let Some(t) = w.trace_mut(tx_id) {
+                if t.order_acked.is_none() && matches!(t.outcome, TxOutcome::InFlight) {
+                    t.outcome = TxOutcome::OrderingTimeout;
+                    timed_out = true;
+                }
+            }
+            w.pools[p].pending.remove(&tx_id);
+            if timed_out {
+                if let Some(live) = &w.obs.live {
+                    live.txs_failed_timeout.inc();
+                }
+            }
+            if timed_out && w.obs.sink.enabled() {
+                let now = k.now();
+                w.emit_tx(
+                    now,
+                    tx_id,
+                    TracePhase::OrderingTimeout,
+                    "ordering.timeout".into(),
+                    0,
+                );
+            }
+        },
+    );
+    if let Some(pending) = world.pools[p].pending.get_mut(&tx_id) {
+        pending.timeout_event = Some(ev);
+    }
+
+    let bytes = tx.wire_size();
+    let arrival = world.pools[p].egress.transfer(now, bytes);
+    if world.check_channel(&tx.channel).is_err() {
+        return;
+    }
+    k.schedule_labeled(arrival, "osn.receive", move |w, k| {
+        osn_receive(w, k, o, OsnInput::Broadcast(tx), true);
+    });
+}

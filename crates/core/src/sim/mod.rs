@@ -1,0 +1,641 @@
+//! The simulation world: clients, peers, ordering service, Kafka brokers and
+//! ZooKeeper wired over the DES kernel with the calibrated cost model.
+
+mod client;
+mod faults;
+mod ordering;
+mod peer;
+mod sampling;
+mod world;
+
+pub use faults::FaultPlan;
+
+use std::sync::Arc;
+
+use fabricsim_des::{
+    Kernel, KernelProfile, ShardedKernel, ShardedRunReport, SimDuration, SimTime, Station,
+};
+use fabricsim_obs::{
+    BottleneckReport, HealthReport, LogHistogram, MetricsRecorder, PhaseEvent, SpanEvent,
+    TxStationBreakdown,
+};
+
+use crate::live::LiveMetrics;
+use crate::metrics::{summarize, SummaryReport, TxOutcome, TxTrace};
+use crate::workload::SimConfig;
+
+use faults::schedule_faults;
+use sampling::flush_partial_tick;
+use world::{bootstrap, build_world, World, K};
+
+/// Mean utilization of each CPU station class over the run (fraction of
+/// capacity; >1 means a queue was still draining at the horizon).
+#[derive(Debug, Clone, PartialEq)]
+pub struct UtilizationReport {
+    /// Per-pool submission-thread utilization.
+    pub pool_prep: Vec<f64>,
+    /// Per-pool response-processing utilization.
+    pub pool_recv: Vec<f64>,
+    /// Per-peer endorsement-station utilization.
+    pub peer_endorse: Vec<f64>,
+    /// Per-peer VSCC-stage utilization (true per-tx CPU work over the
+    /// validator pool) — the paper's bottleneck lives in this stage.
+    pub peer_vscc: Vec<f64>,
+    /// Per-peer serial MVCC + commit-stage utilization.
+    pub peer_commit: Vec<f64>,
+    /// Per-OSN CPU utilization.
+    pub osn_cpu: Vec<f64>,
+}
+
+impl UtilizationReport {
+    /// `(name, max utilization)` of the most loaded station class.
+    pub fn hottest(&self) -> (&'static str, f64) {
+        let max = |v: &[f64]| v.iter().cloned().fold(0.0, f64::max);
+        [
+            ("client-pool prep", max(&self.pool_prep)),
+            ("client-pool recv", max(&self.pool_recv)),
+            ("peer endorse", max(&self.peer_endorse)),
+            ("peer vscc", max(&self.peer_vscc)),
+            ("peer commit", max(&self.peer_commit)),
+            ("osn cpu", max(&self.osn_cpu)),
+        ]
+        .into_iter()
+        // `>=` keeps the last of equal maxima, matching `max_by` tie-breaking
+        // (utilizations are never negative, so the seed never survives).
+        .fold(
+            ("idle", 0.0),
+            |best, cand| {
+                if cand.1 >= best.1 {
+                    cand
+                } else {
+                    best
+                }
+            },
+        )
+    }
+}
+
+/// Observability artifacts of a run (see `fabricsim-obs`).
+#[derive(Debug)]
+pub struct RunObservability {
+    /// Structured phase-transition events, in virtual-time order. Empty
+    /// unless [`crate::ObsConfig::trace_events`] was set.
+    pub events: Vec<PhaseEvent>,
+    /// Phase events evicted from the bounded in-memory ring (oldest-first
+    /// eviction once `trace_buffer_cap` is exceeded).
+    pub dropped_events: u64,
+    /// Causal span-graph events, in virtual-time order. Empty unless
+    /// [`crate::ObsConfig::span_events`] was set.
+    pub spans: Vec<SpanEvent>,
+    /// Spans lost to the ring bound or the per-family cardinality caps.
+    pub dropped_spans: u64,
+    /// Windowed time-series (queue depths, utilization, in-flight txs,
+    /// block-cut cadence). `None` when the sampler was disabled.
+    pub metrics: Option<MetricsRecorder>,
+    /// Per-station queueing/service attribution over committed transactions.
+    pub bottleneck: BottleneckReport,
+    /// Log-bucketed end-to-end latency histogram over committed transactions
+    /// (whole run, warm-up included).
+    pub e2e_hist: LogHistogram,
+    /// The DES kernel's host-time self-profile. `None` unless
+    /// [`crate::ObsConfig::profile`] was set. On a multi-channel run this is
+    /// the label-wise sum of every channel world's profile (total host CPU
+    /// inside event loops, not elapsed time).
+    pub profile: Option<KernelProfile>,
+    /// Per-world kernel self-profiles of a multi-channel run, in channel
+    /// order. Empty when the run has one world (`profile` is then that
+    /// world's own profile) or when profiling is off.
+    pub shard_profiles: Vec<KernelProfile>,
+    /// Synchronization cost of the run: conservative windows executed,
+    /// cross-world messages exchanged and event-loop counters summed over
+    /// the channel worlds. A one-world run is one window and no messages.
+    pub sync: ShardedRunReport,
+    /// Online health-plane report (regime timeline, bottleneck-shift onsets,
+    /// SLO burn accounting). `None` unless
+    /// [`crate::ObsConfig::health_events`] was set. The per-channel engines
+    /// are merged canonically in channel order, so the report is
+    /// byte-identical at every worker count.
+    pub health: Option<HealthReport>,
+}
+
+impl RunObservability {
+    /// The collected events as a JSONL document (one event per line).
+    pub fn events_jsonl(&self) -> String {
+        let mut out = String::new();
+        for ev in &self.events {
+            out.push_str(&ev.to_json());
+            out.push('\n');
+        }
+        out
+    }
+
+    /// The collected spans as a JSONL document (one span per line).
+    pub fn spans_jsonl(&self) -> String {
+        let mut out = String::new();
+        for sp in &self.spans {
+            out.push_str(&sp.to_json());
+            out.push('\n');
+        }
+        out
+    }
+}
+
+/// Detailed output of a run: the summary plus raw traces and block records.
+#[derive(Debug)]
+pub struct RunResult {
+    /// Aggregated report over the measurement window.
+    pub summary: SummaryReport,
+    /// Every transaction's phase trace.
+    pub traces: Vec<TxTrace>,
+    /// `(cut time, tx count)` per block, in order.
+    pub block_cuts: Vec<(SimTime, usize)>,
+    /// Chain height at the observer peer at the end of the run.
+    pub observer_height: u64,
+    /// Whether the observer's chain verified end-to-end.
+    pub chain_ok: bool,
+    /// Final world state at the observer (key → value), for application-level
+    /// assertions such as balance conservation.
+    pub final_state: Vec<(String, Vec<u8>)>,
+    /// Station utilizations over the run.
+    pub utilization: UtilizationReport,
+    /// Structured tracing, time-series and bottleneck attribution.
+    pub observability: RunObservability,
+}
+
+/// One configured simulation run.
+#[derive(Debug)]
+pub struct Simulation {
+    cfg: SimConfig,
+    faults: FaultPlan,
+    live: Option<Arc<LiveMetrics>>,
+}
+
+impl Simulation {
+    /// Creates a simulation from a validated configuration.
+    ///
+    /// If a process-global [`LiveMetrics`] bundle was installed (see
+    /// [`crate::live::install_global`]), the run reports into it; use
+    /// [`Simulation::with_live_metrics`] to attach an explicit bundle instead.
+    ///
+    /// # Panics
+    /// Panics if the configuration is invalid.
+    pub fn new(cfg: SimConfig) -> Self {
+        // lint:allow(no-unwrap-in-lib) -- constructor fail-fast: an invalid config is a caller
+        // bug
+        cfg.validate().expect("invalid simulation config");
+        Simulation {
+            cfg,
+            faults: FaultPlan::default(),
+            live: crate::live::global(),
+        }
+    }
+
+    /// Adds fault injections to the run.
+    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
+        self.faults = faults;
+        self
+    }
+
+    /// Attaches an explicit live-metrics bundle (overriding any process
+    /// global). The run bumps its counters and gauges as virtual time
+    /// advances; an exporter thread can scrape them concurrently.
+    pub fn with_live_metrics(mut self, live: Arc<LiveMetrics>) -> Self {
+        self.live = Some(live);
+        self
+    }
+
+    /// Runs to completion and returns the summary report.
+    pub fn run(self) -> SummaryReport {
+        self.run_detailed().summary
+    }
+
+    /// Runs to completion and returns summary + raw traces.
+    ///
+    /// Every run is one event-loop world per channel on the sharded kernel,
+    /// multiplexed onto `sim_workers` OS threads (0 and 1 both mean one)
+    /// under a conservative synchronization barrier whose lookahead is the
+    /// link propagation delay. Merge points (traces, block cuts, spans,
+    /// series, histograms, profiles, ledger state) are all
+    /// worker-count-invariant, so the returned report is byte-identical at
+    /// any worker count. A single-channel run is one world, one window and
+    /// a barrier nobody else waits at.
+    pub fn run_detailed(self) -> RunResult {
+        let cfg = self.cfg;
+        let faults = self.faults;
+        let n_shards = cfg.channels as usize;
+        let end = SimTime::from_secs_f64(cfg.duration_secs);
+        if let Some(live) = &self.live {
+            live.runs_started.inc();
+        }
+        // The conservative lookahead: no cross-shard interaction can land
+        // earlier than one link propagation after it was emitted. A lone
+        // world has nobody to look ahead to and may run with a zero link
+        // delay (`validate` demands a positive one only across channels),
+        // hence the 1 ns floor.
+        let lookahead = SimDuration::from_millis_f64(cfg.cost.link_propagation_ms)
+            .max(SimDuration::from_nanos(1));
+        let mut sharded: ShardedKernel<World> = ShardedKernel::new(lookahead);
+        sharded.set_horizon(end);
+        for shard_id in 0..n_shards {
+            let mut world = build_world(&cfg, self.live.clone(), shard_id);
+            let mut kernel: K = Kernel::new();
+            bootstrap(&mut world, &mut kernel);
+            schedule_faults(&faults, &mut kernel);
+            sharded.push_shard(kernel, world);
+        }
+        if cfg.obs.profile {
+            sharded.enable_profiler();
+        }
+        let sync = sharded.run((cfg.sim_workers as usize).clamp(1, n_shards));
+        let mut shard_profiles: Vec<KernelProfile> =
+            sharded.take_profiles().into_iter().flatten().collect();
+        // A lone world's profile is the run's profile as it stands; several
+        // are summed label-wise and also kept apart.
+        let profile = if shard_profiles.len() > 1 {
+            let mut total = KernelProfile::default();
+            for p in &shard_profiles {
+                total.absorb(p);
+            }
+            Some(total)
+        } else {
+            shard_profiles.pop()
+        };
+        let mut worlds = sharded.into_worlds();
+        for w in &mut worlds {
+            flush_partial_tick(w, end);
+        }
+        if let Some(live) = &self.live {
+            live.runs_completed.inc();
+        }
+
+        // ---- deterministic merge --------------------------------------------
+        // Utilization first (read-only): lanes of one entity sum busy time
+        // over summed provisioned servers.
+        let horizon_s = end.as_secs_f64();
+        let util = |stations: &dyn Fn(&World) -> Vec<&Station>| -> Vec<f64> {
+            let per_world: Vec<Vec<&Station>> = worlds.iter().map(stations).collect();
+            let n = per_world.first().map_or(0, Vec::len);
+            (0..n)
+                .map(|i| {
+                    let lanes = per_world.iter().map(|w| w[i]);
+                    let busy: f64 = lanes.clone().map(|s| s.busy_time().as_secs_f64()).sum();
+                    let servers: usize = lanes.map(Station::servers).sum();
+                    busy / (horizon_s * servers.max(1) as f64)
+                })
+                .collect()
+        };
+        let utilization = UtilizationReport {
+            pool_prep: util(&|w| w.pools.iter().map(|p| &p.prep).collect()),
+            pool_recv: util(&|w| w.pools.iter().map(|p| &p.recv).collect()),
+            peer_endorse: util(&|w| w.peers.iter().map(|p| &p.endorse).collect()),
+            peer_vscc: util(&|w| w.peers.iter().map(|p| &p.vscc).collect()),
+            peer_commit: util(&|w| w.peers.iter().map(|p| &p.commit).collect()),
+            osn_cpu: util(&|w| w.osns.iter().map(|o| &o.station).collect()),
+        };
+
+        // Later worlds fold into the first world's buffers, so a one-world
+        // run moves its data and never holds a second copy.
+        let multi = n_shards > 1;
+        let mut final_state = Vec::new();
+        let mut observer_height = 0u64;
+        let mut chain_ok = true;
+        let mut block_cuts: Vec<(SimTime, usize)> = Vec::new();
+        let mut dropped_events = 0u64;
+        let mut events = Vec::new();
+        let mut dropped_spans = 0u64;
+        let mut spans = Vec::new();
+        let mut recorder: Option<MetricsRecorder> = None;
+        let mut health: Option<HealthReport> = None;
+        let mut e2e_hist = LogHistogram::latency();
+        let mut traces: Vec<TxTrace> = Vec::new();
+        let mut breakdowns: Vec<TxStationBreakdown> = Vec::new();
+        let mut trace_src: Vec<Option<(u32, u32)>> = Vec::new();
+
+        for (s, w) in worlds.into_iter().enumerate() {
+            {
+                let ledger = w.peers[w.observer].peer.ledger();
+                for (key, v) in ledger.state().range("", "") {
+                    let key = if multi {
+                        format!("ch{s}/{key}")
+                    } else {
+                        key.to_string()
+                    };
+                    final_state.push((key, v.value.clone()));
+                }
+                observer_height += ledger.height();
+                chain_ok &= ledger.blocks().verify_chain().is_ok();
+            }
+            fold_into(&mut block_cuts, w.block_cuts);
+            dropped_events += w.obs.sink.dropped_events();
+            fold_into(&mut events, w.obs.sink.into_events());
+            dropped_spans += w.obs.spans.dropped_spans();
+            fold_into(&mut spans, w.obs.spans.into_spans());
+            if let Some(r) = w.obs.recorder {
+                match recorder.as_mut() {
+                    None => recorder = Some(r),
+                    Some(acc) => acc.absorb(&r),
+                }
+            }
+            // Shard-order concatenation; one canonical sort after the loop
+            // keeps the merged health timeline worker-count-invariant.
+            if let Some(h) = w.obs.health {
+                let r = h.into_report();
+                match health.as_mut() {
+                    None => health = Some(r),
+                    Some(acc) => acc.merge(r),
+                }
+            }
+            e2e_hist.merge(&w.obs.e2e_hist);
+            debug_assert_eq!(w.shard.trace_src.len(), w.traces.len());
+            fold_into(&mut traces, w.traces);
+            fold_into(&mut breakdowns, w.obs.breakdowns);
+            fold_into(&mut trace_src, w.shard.trace_src);
+        }
+        // Stable sorts: ties keep shard order, so the merged streams are
+        // identical at every worker count. Handlers may also stamp events at
+        // staggered per-tx times (e.g. commit times within a block), which
+        // the same sorts restore to time order.
+        block_cuts.sort_by_key(|c| c.0);
+        events.sort_by(|a, b| a.t_s.total_cmp(&b.t_s));
+        spans.sort_by(|a, b| {
+            a.t0_s
+                .total_cmp(&b.t0_s)
+                .then(a.t1_s.total_cmp(&b.t1_s))
+                .then(a.span_id.cmp(&b.span_id))
+        });
+        // Transactions go in creation order, ties by home `(shard, seq)`;
+        // exported home stubs drop out in favour of the copy that finished.
+        // A lone world's traces are already in that order and stay put.
+        let mut order: Vec<usize> = (0..traces.len())
+            .filter(|&i| trace_src[i].is_some())
+            .collect();
+        order.sort_by_key(|&i| (traces[i].created, trace_src[i]));
+        if !order.iter().copied().eq(0..traces.len()) {
+            traces = order.iter().map(|&i| traces[i].clone()).collect();
+            breakdowns = order.iter().map(|&i| breakdowns[i].clone()).collect();
+        }
+
+        let w0 = SimTime::from_secs_f64(cfg.warmup_secs);
+        let w1 = SimTime::from_secs_f64(cfg.duration_secs - cfg.cooldown_secs);
+        let mut summary = summarize(&traces, &block_cuts, (w0, w1), cfg.arrival_rate_tps);
+        summary.seed = cfg.seed;
+        summary.config_digest = cfg.digest();
+        // Attribute latency over committed txs; window coarse enough to hold
+        // a useful population but fine enough to show regime changes.
+        let window_s = (cfg.duration_secs / 10.0).clamp(1.0, 10.0);
+        let committed: Vec<TxStationBreakdown> = traces
+            .iter()
+            .zip(&breakdowns)
+            .filter(|(t, _)| matches!(t.outcome, TxOutcome::Committed(_)))
+            .map(|(_, b)| b.clone())
+            .collect();
+        if let Some(h) = health.as_mut() {
+            h.sort_events();
+        }
+        let observability = RunObservability {
+            events,
+            dropped_events,
+            spans,
+            dropped_spans,
+            metrics: recorder,
+            bottleneck: BottleneckReport::from_breakdowns(&committed, window_s),
+            e2e_hist,
+            profile,
+            shard_profiles,
+            sync,
+            health,
+        };
+        RunResult {
+            summary,
+            observer_height,
+            chain_ok,
+            final_state,
+            utilization,
+            observability,
+            traces,
+            block_cuts,
+        }
+    }
+}
+
+/// Appends `more` to `acc`, taking `more` over whole while `acc` is still
+/// empty (the first world's buffer is moved, not copied).
+fn fold_into<T>(acc: &mut Vec<T>, more: Vec<T>) {
+    if acc.is_empty() {
+        *acc = more;
+    } else {
+        acc.extend(more);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::workload::{PolicySpec, WorkloadKind};
+    use fabricsim_types::{ChannelId, OrdererType};
+
+    fn quick_cfg(orderer: OrdererType) -> SimConfig {
+        SimConfig {
+            orderer_type: orderer,
+            endorsing_peers: 3,
+            policy: PolicySpec::OrN(3),
+            arrival_rate_tps: 60.0,
+            duration_secs: 12.0,
+            warmup_secs: 3.0,
+            cooldown_secs: 2.0,
+            ..SimConfig::default()
+        }
+    }
+
+    #[test]
+    fn solo_end_to_end_commits() {
+        let r = Simulation::new(quick_cfg(OrdererType::Solo)).run_detailed();
+        assert!(r.chain_ok, "observer chain must verify");
+        assert!(r.observer_height > 0);
+        let tput = r.summary.committed_tps();
+        assert!(
+            (50.0..70.0).contains(&tput),
+            "solo committed {tput} tps at 60 offered"
+        );
+        assert_eq!(r.summary.endorsement_failures, 0);
+        assert_eq!(r.summary.committed_invalid, 0);
+    }
+
+    #[test]
+    fn raft_end_to_end_commits() {
+        let r = Simulation::new(quick_cfg(OrdererType::Raft)).run_detailed();
+        assert!(r.chain_ok);
+        let tput = r.summary.committed_tps();
+        assert!((50.0..70.0).contains(&tput), "raft committed {tput} tps");
+    }
+
+    #[test]
+    fn kafka_end_to_end_commits() {
+        let r = Simulation::new(quick_cfg(OrdererType::Kafka)).run_detailed();
+        assert!(r.chain_ok);
+        let tput = r.summary.committed_tps();
+        assert!((50.0..70.0).contains(&tput), "kafka committed {tput} tps");
+    }
+
+    #[test]
+    fn determinism_same_seed_same_result() {
+        let a = Simulation::new(quick_cfg(OrdererType::Solo)).run();
+        let b = Simulation::new(quick_cfg(OrdererType::Solo)).run();
+        assert_eq!(a.committed_valid, b.committed_valid);
+        assert_eq!(a.blocks_cut, b.blocks_cut);
+        assert!((a.validate.latency.mean_s - b.validate.latency.mean_s).abs() < 1e-12);
+    }
+
+    #[test]
+    fn different_seeds_differ() {
+        let mut cfg = quick_cfg(OrdererType::Solo);
+        let a = Simulation::new(cfg.clone()).run();
+        cfg.seed = 43;
+        let b = Simulation::new(cfg).run();
+        assert_ne!(a.committed_valid, b.committed_valid);
+    }
+
+    #[test]
+    fn overload_saturates_at_validate_capacity() {
+        let mut cfg = quick_cfg(OrdererType::Solo);
+        cfg.endorsing_peers = 10;
+        cfg.policy = PolicySpec::OrN(10);
+        cfg.arrival_rate_tps = 400.0;
+        cfg.duration_secs = 25.0;
+        cfg.warmup_secs = 8.0;
+        let r = Simulation::new(cfg).run();
+        let tput = r.committed_tps();
+        assert!(
+            (270.0..330.0).contains(&tput),
+            "expected validate-phase saturation ~300, got {tput}"
+        );
+        // Past the knee the validate queue grows without bound: latency
+        // blows up (the paper's Fig. 3 "increase rapidly" regime).
+        assert!(
+            r.validate.latency.mean_s > 1.0,
+            "order+validate latency should blow up past saturation, got {}s",
+            r.validate.latency.mean_s
+        );
+    }
+
+    #[test]
+    fn and_policy_caps_lower_than_or() {
+        let mut cfg = quick_cfg(OrdererType::Solo);
+        cfg.endorsing_peers = 10;
+        cfg.arrival_rate_tps = 400.0;
+        cfg.duration_secs = 25.0;
+        cfg.warmup_secs = 8.0;
+        cfg.policy = PolicySpec::OrN(10);
+        let or = Simulation::new(cfg.clone()).run().committed_tps();
+        cfg.policy = PolicySpec::AndX(5);
+        let and5 = Simulation::new(cfg).run().committed_tps();
+        assert!(
+            and5 < or - 50.0,
+            "AND5 ({and5}) must cap well below OR ({or})"
+        );
+        assert!((180.0..230.0).contains(&and5), "AND5 cap {and5}");
+    }
+
+    #[test]
+    fn mvcc_conflicts_appear_under_contention() {
+        let mut cfg = quick_cfg(OrdererType::Solo);
+        cfg.workload = WorkloadKind::KvRmw {
+            keyspace: 4,
+            payload_bytes: 1,
+        };
+        cfg.arrival_rate_tps = 100.0;
+        let r = Simulation::new(cfg).run();
+        assert!(
+            r.committed_invalid > 0,
+            "hot-key read-modify-write must produce MVCC conflicts"
+        );
+        assert!(r.committed_valid > 0);
+    }
+
+    #[test]
+    fn broker_crash_fails_over() {
+        let mut cfg = quick_cfg(OrdererType::Kafka);
+        cfg.duration_secs = 30.0;
+        cfg.warmup_secs = 18.0; // measure after the fault + failover
+        let faults = FaultPlan {
+            crash_brokers: vec![(0, 8.0)],
+            crash_osns: vec![],
+            ..FaultPlan::default()
+        };
+        let r = Simulation::new(cfg).with_faults(faults).run_detailed();
+        assert!(r.chain_ok);
+        assert!(
+            r.summary.committed_tps() > 40.0,
+            "kafka must keep ordering after leader broker crash: {} tps",
+            r.summary.committed_tps()
+        );
+    }
+
+    #[test]
+    fn unknown_channel_is_a_typed_error() {
+        let cfg = quick_cfg(OrdererType::Solo);
+        let world = build_world(&cfg, None, 0);
+        assert!(world.check_channel(&ChannelId::default_channel()).is_ok());
+        let err = world
+            .check_channel(&ChannelId("no-such-channel".into()))
+            .unwrap_err();
+        assert_eq!(err.to_string(), "unknown channel `no-such-channel`");
+    }
+
+    #[test]
+    fn window_aligned_run_records_no_zero_width_tail() {
+        // 12.0 s duration with a 1.0 s sampler window: the run ends exactly
+        // on a window boundary, so there must be no partial tail tick — not
+        // a zero-width one — and the CSV/JSON must not carry a tail marker.
+        let cfg = quick_cfg(OrdererType::Solo);
+        assert_eq!(cfg.obs.sample_period_s, 1.0);
+        let r = Simulation::new(cfg).run_detailed();
+        let m = r
+            .observability
+            .metrics
+            .expect("sampler attached by default");
+        assert_eq!(m.ticks(), 12, "one tick per whole window");
+        assert_eq!(m.tail_width_s(), None, "no tail on an aligned horizon");
+        let json = m.to_json();
+        assert!(
+            !json.contains("tail_width_s"),
+            "aligned run leaked a tail marker: {json}"
+        );
+        let csv = m.to_csv();
+        assert_eq!(csv.lines().count(), 13, "header + 12 rows:\n{csv}");
+        let last = csv.lines().last().expect("rows");
+        assert!(
+            last.starts_with("11.000,"),
+            "last row at the final whole window's start: {last}"
+        );
+        // A misaligned horizon DOES record its shorter tail window.
+        let mut cfg = quick_cfg(OrdererType::Solo);
+        cfg.duration_secs = 12.25;
+        let r = Simulation::new(cfg).run_detailed();
+        let m = r.observability.metrics.expect("sampler attached");
+        assert_eq!(m.ticks(), 13);
+        assert_eq!(m.tail_width_s(), Some(0.25));
+        assert!(m.to_json().contains("\"tail_width_s\":0.25"));
+    }
+
+    #[test]
+    fn sharded_multi_channel_worker_count_invariance() {
+        let mut cfg = quick_cfg(OrdererType::Solo);
+        cfg.channels = 4;
+        cfg.endorsing_peers = 4;
+        cfg.policy = PolicySpec::OrN(4);
+        cfg.sim_workers = 1;
+        let a = Simulation::new(cfg.clone()).run_detailed();
+        cfg.sim_workers = 4;
+        let b = Simulation::new(cfg).run_detailed();
+        assert!(a.chain_ok && b.chain_ok);
+        assert!(
+            a.summary.committed_valid > 0,
+            "multi-channel run must commit"
+        );
+        assert_eq!(a.summary.to_json(), b.summary.to_json());
+        assert_eq!(a.final_state, b.final_state);
+        assert_eq!(a.block_cuts, b.block_cuts);
+        assert_eq!(a.traces.len(), b.traces.len());
+    }
+}

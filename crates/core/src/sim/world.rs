@@ -1,0 +1,787 @@
+//! The per-channel world: its actors, the cross-shard context, construction
+//! and bootstrap.
+
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
+use std::sync::Arc;
+
+use fabricsim_chaincode::samples::{AssetTransfer, KvWrite, Smallbank};
+use fabricsim_des::{EventId, Kernel, Link, RngStream, SimDuration, SimTime, Station};
+use fabricsim_kafka::{Broker, KafkaConfig, ZkEnsemble};
+use fabricsim_msp::{CertificateAuthority, Msp};
+use fabricsim_obs::{
+    message_span_id, span_id, tx_sampled, EventSink, HealthConfig, LogHistogram, MetricsRecorder,
+    OnlineHealth, PhaseEvent, SpanEvent, SpanKind, SpanSink, StationClass, TracePhase,
+    TxStationBreakdown, DEFAULT_SPAN_KIND_CAP,
+};
+use fabricsim_ordering::OsnNode;
+use fabricsim_peer::{GossipNode, Peer, PeerConfig};
+use fabricsim_policy::Policy;
+use fabricsim_types::{Block, ChannelId, ClientId, OrdererType, OrgId, Principal, Proposal, TxId};
+
+use fabricsim_client::{ClientSdk, EndorsementCollector, TargetSelector};
+
+use crate::live::LiveMetrics;
+use crate::metrics::TxTrace;
+use crate::workload::{SimConfig, WorkloadKind};
+
+use super::client::schedule_next_arrival;
+use super::ordering::{broker_heartbeat, broker_tick, osn_tick, zk_tick};
+use super::peer::gossip_tick;
+use super::sampling::{obs_sample, sample_period_s};
+
+pub(super) struct PendingTx {
+    /// Shared with every endorser the proposal is in flight to.
+    pub(super) proposal: Arc<Proposal>,
+    pub(super) collector: EndorsementCollector,
+    pub(super) timeout_event: Option<EventId>,
+}
+
+pub(super) struct Pool {
+    pub(super) sdk: ClientSdk,
+    pub(super) selector: TargetSelector,
+    pub(super) prep: Station,
+    pub(super) recv: Station,
+    pub(super) egress: Link,
+    pub(super) pending: HashMap<TxId, PendingTx>,
+    pub(super) in_prep: usize,
+    pub(super) next_osn: u32,
+    pub(super) next_channel: u32,
+    pub(super) arrivals: RngStream,
+    pub(super) keys: RngStream,
+}
+
+pub(super) struct PeerNode {
+    /// This world's channel instance of the peer (its own ledger).
+    pub(super) peer: Peer,
+    pub(super) endorse: Station,
+    /// VSCC stage of the validation pipeline: per-tx signature/policy checks
+    /// over `validator_pool_size` workers per committer pipeline.
+    pub(super) vscc: Station,
+    /// Serial MVCC + state/blockstore commit stage; one server per committer
+    /// pipeline — this station is the queueing backbone of the validate phase.
+    pub(super) commit: Station,
+    pub(super) egress: Link,
+    pub(super) jitter: RngStream,
+    /// Number of the next block this peer expects from its delivery stream;
+    /// duplicates (e.g. failover replays) are dropped.
+    pub(super) next_expected_block: u64,
+    /// Gossip dissemination state (when the run uses gossip delivery;
+    /// single-channel only).
+    pub(super) gossip: Option<GossipNode>,
+}
+
+pub(super) struct OsnActor {
+    /// This channel's consensus/ordering instance (its own Raft group /
+    /// Kafka partition client), as in Fabric.
+    pub(super) node: OsnNode,
+    pub(super) station: Station,
+    pub(super) egress: Link,
+    pub(super) subscribers: Vec<usize>,
+    pub(super) alive: bool,
+    /// Blocks this OSN has emitted, kept for Deliver-style replay when a
+    /// peer re-subscribes after its OSN crashed.
+    pub(super) delivered: Vec<Arc<Block>>,
+}
+
+pub(super) struct BrokerActor {
+    /// This channel's partition (paper §III: a partition is a channel).
+    pub(super) partition: Broker,
+    pub(super) station: Station,
+    pub(super) egress: Link,
+    pub(super) alive: bool,
+}
+
+/// Per-run observability state carried alongside the world.
+pub(super) struct ObsState {
+    pub(super) sink: EventSink,
+    /// Causal span-graph sink (bounded, deterministically head-sampled).
+    pub(super) spans: SpanSink,
+    /// Per-tx station decomposition, parallel to `World::traces`.
+    pub(super) breakdowns: Vec<TxStationBreakdown>,
+    pub(super) recorder: Option<MetricsRecorder>,
+    /// Online health plane (streaming regime/SLO detectors); `None` unless
+    /// requested. Write-only, like every other surface in this struct.
+    pub(super) health: Option<OnlineHealth>,
+    pub(super) e2e_hist: LogHistogram,
+    /// Block-cut count at the previous sampler tick (for the cadence series).
+    pub(super) last_block_cuts: usize,
+    /// Live observability plane, if one is attached (write-only: the event
+    /// loop never reads these values back, so scraping them concurrently
+    /// cannot perturb a deterministic run).
+    pub(super) live: Option<Arc<LiveMetrics>>,
+}
+
+pub(super) struct World {
+    pub(super) cfg: SimConfig,
+    pub(super) policy: Policy,
+    pub(super) pools: Vec<Pool>,
+    pub(super) peers: Vec<PeerNode>,
+    pub(super) osns: Vec<OsnActor>,
+    pub(super) brokers: Vec<BrokerActor>,
+    /// The partition's coordination ensemble (Kafka mode only).
+    pub(super) zk: Option<ZkEnsemble>,
+    pub(super) traces: Vec<TxTrace>,
+    pub(super) tx_index: HashMap<TxId, usize>,
+    pub(super) tx_pool: HashMap<TxId, usize>,
+    pub(super) block_cuts: Vec<(SimTime, usize)>,
+    /// Next block number whose cut is still unrecorded.
+    pub(super) next_cut_number: u64,
+    pub(super) observer: usize,
+    pub(super) obs: ObsState,
+    pub(super) shard: ShardCtx,
+}
+
+pub(super) type K = Kernel<World>;
+
+/// A channel id that is not this world's channel.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(super) struct UnknownChannel(ChannelId);
+
+impl std::fmt::Display for UnknownChannel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "unknown channel `{}`", self.0 .0)
+    }
+}
+
+impl std::error::Error for UnknownChannel {}
+
+/// A world's place among the run's per-channel worlds. A world owns one
+/// channel's entire pipeline (peer instances, OSNs, brokers, one ZK ensemble,
+/// and that channel's station lanes) plus the client pools *homed* on it
+/// (`pool % n_channels == shard_id`): arrivals, prep and proposal egress run
+/// on the home world, and a transaction bound for another channel is exported
+/// to that channel's world through the conservative mailbox. A
+/// single-channel run is the one world that homes every pool and never
+/// exports.
+pub(super) struct ShardCtx {
+    /// This world's index == its channel's index in `channels`.
+    pub(super) shard_id: usize,
+    /// Every channel id of the run, indexed by channel index.
+    pub(super) channels: Vec<ChannelId>,
+    /// Cross-shard messages emitted this window: `(target shard, delivery
+    /// time, message)`. Drained by the sharded kernel at the window barrier.
+    pub(super) outbox: Vec<(usize, SimTime, ShardMsg)>,
+    /// Home `(shard, seq)` identity of each local trace, parallel to
+    /// [`World::traces`] — the merge's tie-break among equal creation times.
+    /// Home-created traces carry their own `(shard_id, local index)`,
+    /// imported traces their home identity, and `None` marks a home stub
+    /// whose transaction was exported: the receiving world holds the live
+    /// copy under the same identity, so the merge drops the stub.
+    pub(super) trace_src: Vec<Option<(u32, u32)>>,
+    /// Transactions handed to another shard; their home stubs stay
+    /// `InFlight` forever, so the in-flight gauge subtracts this count.
+    pub(super) exported: usize,
+    /// Virtual times of every scheduled-but-unexecuted `pool.send` event on
+    /// this shard — the only events that can emit cross-shard messages.
+    /// The heap minimum feeds [`ShardWorld::emission_bound`].
+    pub(super) pending_sends: BinaryHeap<Reverse<SimTime>>,
+    /// Guaranteed minimum delay between any event and a `pool.send` it
+    /// schedules: client prep service floor (mean minus jitter bound) plus
+    /// the SDK pre-processing delay. The emission bound extends to
+    /// `next event + this` when no earlier send is already pending.
+    pub(super) min_send_delay: SimDuration,
+}
+
+/// The one cross-shard interaction: a client pool on its home shard hands a
+/// fully prepared proposal to the shard that owns the target channel. The
+/// delivery times were already computed through the home pool's egress link,
+/// so they respect the lookahead contract (`transfer ≥ now + propagation`);
+/// everything after endorsement fan-in (responses, assembly, ordering,
+/// validation, commit) is local to the receiving shard.
+pub(super) enum ShardMsg {
+    Proposal {
+        /// Origin `(shard, trace seq)` identity of the transaction.
+        src: (u32, u32),
+        /// Global client-pool index (every shard builds lanes for all pools).
+        pool: usize,
+        proposal: Arc<Proposal>,
+        /// Endorsements the collector should expect (reachable targets).
+        expected: usize,
+        /// Per-endorser `(peer index, proposal arrival time)` fan-out.
+        deliveries: Vec<(usize, SimTime)>,
+        /// The transaction's phase trace so far (created/proposal_sent).
+        trace: TxTrace,
+        /// Station attribution so far (client prep).
+        breakdown: TxStationBreakdown,
+    },
+}
+
+/// The station class whose attribution is complete once a transaction
+/// crosses `phase` — the snapshot point for the cumulative queue/service
+/// totals stamped on phase events. Classes are pipeline-ordered, so
+/// "through class C" means "summed over every class up to and including C".
+fn through_class(phase: TracePhase) -> StationClass {
+    match phase {
+        TracePhase::Created | TracePhase::ProposalSent => StationClass::ClientPrep,
+        // Endorsement fan-out and the client's response handling are both
+        // settled by the time the envelope is assembled.
+        TracePhase::Endorsed | TracePhase::Assembled | TracePhase::Submitted => {
+            StationClass::PeerEndorse
+        }
+        TracePhase::OrderAcked | TracePhase::Ordered | TracePhase::Delivered => {
+            StationClass::OsnCpu
+        }
+        TracePhase::VsccDone => StationClass::PeerVscc,
+        // Commit, plus the terminal failures (whatever was attributed).
+        TracePhase::Committed
+        | TracePhase::OverloadDropped
+        | TracePhase::EndorsementFailed
+        | TracePhase::OrderingTimeout => StationClass::PeerCommit,
+    }
+}
+
+impl World {
+    pub(super) fn trace_mut(&mut self, tx_id: TxId) -> Option<&mut TxTrace> {
+        let idx = *self.tx_index.get(&tx_id)?;
+        self.traces.get_mut(idx)
+    }
+
+    /// Records a structured phase event for a non-indexed transaction (no
+    /// attribution to snapshot). Call sites must guard on
+    /// `self.obs.sink.enabled()` before building the station string so that
+    /// disabled tracing allocates nothing.
+    pub(super) fn emit(
+        &mut self,
+        now: SimTime,
+        tx: String,
+        phase: TracePhase,
+        station: String,
+        depth: usize,
+    ) {
+        if !tx_sampled(&tx, self.cfg.seed, self.cfg.obs.trace_sample) {
+            return;
+        }
+        self.obs.sink.record(PhaseEvent {
+            t_s: now.as_secs_f64(),
+            tx,
+            phase,
+            station,
+            queue_depth: depth as u64,
+            cum_queued_s: 0.0,
+            cum_service_s: 0.0,
+        });
+    }
+
+    /// Records a structured phase event for an indexed transaction, stamping
+    /// it with the tx's cumulative station attribution *through* the phase
+    /// (see [`through_class`]) so the trace analyzer can split each
+    /// inter-phase segment into queue-wait vs service. Same guard contract
+    /// as [`World::emit`]. Read-only with respect to simulation state.
+    pub(super) fn emit_tx(
+        &mut self,
+        t: SimTime,
+        tx_id: TxId,
+        phase: TracePhase,
+        station: String,
+        depth: usize,
+    ) {
+        let tx = tx_id.short();
+        if !tx_sampled(&tx, self.cfg.seed, self.cfg.obs.trace_sample) {
+            return;
+        }
+        let (cum_queued_s, cum_service_s) = self
+            .tx_index
+            .get(&tx_id)
+            .and_then(|&idx| self.obs.breakdowns.get(idx))
+            .map(|b| b.cumulative_through(through_class(phase)))
+            .unwrap_or((0.0, 0.0));
+        self.obs.sink.record(PhaseEvent {
+            t_s: t.as_secs_f64(),
+            tx,
+            phase,
+            station,
+            queue_depth: depth as u64,
+            cum_queued_s,
+            cum_service_s,
+        });
+    }
+
+    /// Records one causal span. `trace` is the tx short id for tx-scoped
+    /// kinds (gated on the sink's deterministic sampling decision) or the
+    /// block identity `b{ch}.{number}` for block-scoped kinds (always
+    /// recorded). Write-only with respect to simulation state; `t1` may lie
+    /// in the future (the analyzer re-sorts).
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn emit_span(
+        &mut self,
+        trace: &str,
+        kind: SpanKind,
+        actor: &str,
+        t0: SimTime,
+        t1: SimTime,
+        hop: u32,
+        parent_id: u64,
+    ) {
+        if !self.obs.spans.enabled() {
+            return;
+        }
+        if kind.tx_scoped() && !self.obs.spans.wants_tx(trace) {
+            return;
+        }
+        self.obs.spans.record(SpanEvent {
+            span_id: span_id(trace, kind, actor, hop),
+            parent_id,
+            trace: trace.to_string(),
+            kind,
+            actor: actor.to_string(),
+            t0_s: t0.as_secs_f64(),
+            t1_s: t1.as_secs_f64(),
+            hop,
+        });
+    }
+
+    /// Records one infrastructure message-leg span (Raft/Kafka rounds).
+    /// The same (trace, kind, actor) triple recurs every round, so the
+    /// span's identity folds in its times ([`message_span_id`]).
+    pub(super) fn emit_msg_span(
+        &mut self,
+        trace: &str,
+        kind: SpanKind,
+        actor: &str,
+        t0: SimTime,
+        t1: SimTime,
+    ) {
+        if !self.obs.spans.enabled() {
+            return;
+        }
+        let (t0_s, t1_s) = (t0.as_secs_f64(), t1.as_secs_f64());
+        self.obs.spans.record(SpanEvent {
+            span_id: message_span_id(trace, kind, actor, t0_s, t1_s),
+            parent_id: 0,
+            trace: trace.to_string(),
+            kind,
+            actor: actor.to_string(),
+            t0_s,
+            t1_s,
+            hop: 0,
+        });
+    }
+
+    /// Adds a sequential station visit to the tx's latency decomposition.
+    pub(super) fn attribute(
+        &mut self,
+        tx_id: TxId,
+        class: StationClass,
+        queued: SimDuration,
+        service: SimDuration,
+    ) {
+        if let Some(&idx) = self.tx_index.get(&tx_id) {
+            if let Some(b) = self.obs.breakdowns.get_mut(idx) {
+                b.add(class, queued.as_secs_f64(), service.as_secs_f64());
+            }
+        }
+    }
+
+    /// Folds in one of several parallel station visits (critical path only).
+    pub(super) fn attribute_max(
+        &mut self,
+        tx_id: TxId,
+        class: StationClass,
+        queued: SimDuration,
+        service: SimDuration,
+    ) {
+        if let Some(&idx) = self.tx_index.get(&tx_id) {
+            if let Some(b) = self.obs.breakdowns.get_mut(idx) {
+                b.add_max(class, queued.as_secs_f64(), service.as_secs_f64());
+            }
+        }
+    }
+
+    pub(super) fn ms(&self, x: f64) -> SimDuration {
+        SimDuration::from_millis_f64(x.max(0.0))
+    }
+
+    /// Peer index for a policy principal (`OrgN.peer` → endorsing peer N-1).
+    pub(super) fn peer_of(&self, principal: &Principal) -> usize {
+        (principal.org.0 - 1) as usize
+    }
+
+    /// This world's channel. Its index `shard.shard_id` keeps trace
+    /// identities (`b{ch}.{n}`, `ch{ch}`) collision-free across worlds.
+    fn channel(&self) -> &ChannelId {
+        &self.shard.channels[self.shard.shard_id]
+    }
+
+    /// Span-graph trace id of a block: channel index + block number.
+    pub(super) fn block_trace(&self, number: u64) -> String {
+        format!("b{}.{number}", self.shard.shard_id)
+    }
+
+    /// Refuses work addressed to any channel but this world's own with a
+    /// typed [`UnknownChannel`] (callers drop the event).
+    pub(super) fn check_channel(&self, id: &ChannelId) -> Result<(), UnknownChannel> {
+        if id == self.channel() {
+            Ok(())
+        } else {
+            Err(UnknownChannel(id.clone()))
+        }
+    }
+
+    /// Appends a home-created trace under its `(shard, seq)` identity.
+    pub(super) fn push_trace(&mut self, trace: TxTrace) {
+        let src = (self.shard.shard_id as u32, self.traces.len() as u32);
+        self.shard.trace_src.push(Some(src));
+        self.traces.push(trace);
+    }
+
+    /// `Some(target shard)` when `id` is another world's channel (the
+    /// transaction must be exported); `None` when it is local.
+    pub(super) fn export_target(&self, id: &ChannelId) -> Option<usize> {
+        if id == self.channel() {
+            return None;
+        }
+        self.shard.channels.iter().position(|c| c == id)
+    }
+
+    /// Whether client pool `p` runs its arrival process on this world
+    /// (pool `p` is homed at world `p % n_channels`).
+    fn pool_is_homed(&self, p: usize) -> bool {
+        p % self.shard.channels.len() == self.shard.shard_id
+    }
+}
+
+/// Builds the world of channel `shard_id`: that channel's whole pipeline,
+/// with each station sized as one channel's lane of its entity, plus a lane
+/// for every client pool.
+pub(super) fn build_world(
+    cfg: &SimConfig,
+    live: Option<Arc<LiveMetrics>>,
+    shard_id: usize,
+) -> World {
+    let n_channels = cfg.channels as usize;
+    let channels: Vec<ChannelId> = if n_channels == 1 {
+        vec![ChannelId::default_channel()]
+    } else {
+        (0..n_channels)
+            .map(|c| ChannelId(format!("channel{c}")))
+            .collect()
+    };
+    let channel = &channels[shard_id];
+    // Identity material is identical in every shard: same CA seed, same
+    // enrollment sequence (independent of the channel restriction), so
+    // signatures verify across shard boundaries.
+    let policy = cfg.policy.resolve(cfg.endorsing_peers);
+    let ca = CertificateAuthority::new("fabric-ca", cfg.seed);
+    let root = RngStream::derive(cfg.seed, "world");
+    // With several worlds the jitter streams are salted per shard so shards
+    // don't draw correlated endorse-path jitter; pool streams are never
+    // salted (they are only consumed on a pool's home shard).
+    let jitter_salt = if n_channels > 1 {
+        100_000 * (shard_id as u64 + 1)
+    } else {
+        0
+    };
+    let m = &cfg.cost;
+
+    // Peers: endorsers 0..n-1 (Org i+1), then committers (observer first).
+    let n_endorsers = cfg.endorsing_peers as usize;
+    let n_peers = n_endorsers + cfg.committing_peers as usize;
+    let mut peers = Vec::with_capacity(n_peers);
+    let mut endorser_identities = Vec::new();
+    for i in 0..n_peers {
+        let is_endorser = i < n_endorsers;
+        let org = if is_endorser {
+            i as u32 + 1
+        } else {
+            100 + i as u32
+        };
+        let identity = ca.enroll(Principal::peer(OrgId(org)), &format!("peer{i}"));
+        if is_endorser {
+            endorser_identities.push(identity.clone());
+        }
+        let mut peer = Peer::new(
+            identity,
+            Msp::new(ca.root_of_trust()),
+            PeerConfig {
+                channel: channel.clone(),
+                endorsement_policy: policy.clone(),
+                is_endorser,
+                validator_pool_size: m.validator_pool_size.max(1),
+            },
+        );
+        match &cfg.workload {
+            WorkloadKind::KvPut { .. } | WorkloadKind::KvRmw { .. } => {
+                peer.install_chaincode(Box::new(KvWrite));
+            }
+            WorkloadKind::Transfer { accounts } => {
+                peer.install_chaincode(Box::new(AssetTransfer {
+                    accounts: *accounts,
+                    initial_balance: 1_000_000,
+                }));
+            }
+            WorkloadKind::Smallbank { customers } => {
+                peer.install_chaincode(Box::new(Smallbank {
+                    customers: *customers,
+                    initial_balance: 10_000,
+                }));
+            }
+        }
+        let gossip = cfg.gossip.as_ref().map(|g| {
+            let neighbours: Vec<u32> = (0..n_peers as u32).filter(|&j| j != i as u32).collect();
+            GossipNode::new(
+                i as u32,
+                neighbours,
+                g.fanout,
+                cfg.seed ^ 0x60551 ^ i as u64,
+            )
+        });
+        peers.push(PeerNode {
+            peer,
+            next_expected_block: 0,
+            gossip,
+            endorse: Station::new(format!("peer{i}.endorse"), m.peer_endorse_threads),
+            // This channel's committer pipeline (Fabric runs a commit
+            // goroutine per channel): it fans its VSCC checks out over the
+            // validator pool while commit stays serial.
+            vscc: Station::new(
+                format!("peer{i}.vscc"),
+                m.validator_pool_size.max(1) * m.validate_threads,
+            ),
+            commit: Station::new(format!("peer{i}.commit"), m.validate_threads),
+            egress: Link::new(
+                format!("peer{i}.nic"),
+                m.link_bandwidth_bps,
+                SimDuration::from_millis_f64(m.link_propagation_ms),
+            ),
+            jitter: root.child(1000 + i as u64 + jitter_salt),
+        });
+    }
+
+    // Register endorser keys and client certificates on every peer.
+    let mut clients = Vec::new();
+    for p in 0..n_endorsers {
+        let client_identity = ca.enroll(
+            Principal {
+                org: OrgId(p as u32 + 1),
+                role: "client".into(),
+            },
+            &format!("client{p}"),
+        );
+        clients.push((ClientId(p as u32), client_identity));
+    }
+    for node in &mut peers {
+        for endorser in &endorser_identities {
+            node.peer.register_endorser(
+                endorser.principal().clone(),
+                endorser.certificate().public_key,
+            );
+        }
+        for (cid, cident) in &clients {
+            node.peer
+                .register_client(*cid, cident.certificate().clone());
+        }
+    }
+
+    // Client pools: one per endorsing peer.
+    let mut pools = Vec::with_capacity(n_endorsers);
+    for (p, (cid, cident)) in clients.into_iter().enumerate() {
+        let mut selector = TargetSelector::new(&policy);
+        // Stagger rotation so pools spread load from t=0.
+        for _ in 0..p % selector.set_count().max(1) {
+            selector.next_targets();
+        }
+        pools.push(Pool {
+            sdk: ClientSdk::new(cid, cident),
+            selector,
+            prep: Station::new(format!("pool{p}.prep"), 1),
+            recv: Station::new(format!("pool{p}.recv"), m.client_recv_threads),
+            egress: Link::new(
+                format!("pool{p}.nic"),
+                m.link_bandwidth_bps,
+                SimDuration::from_millis_f64(m.link_propagation_ms),
+            ),
+            pending: HashMap::new(),
+            in_prep: 0,
+            next_osn: p as u32,
+            next_channel: p as u32,
+            arrivals: root.child(p as u64),
+            keys: root.child(500 + p as u64),
+        });
+    }
+
+    // OSNs.
+    let osn_count = cfg.effective_osns() as usize;
+    let mut osns = Vec::with_capacity(osn_count);
+    for o in 0..osn_count {
+        let node = match cfg.orderer_type {
+            OrdererType::Solo => OsnNode::solo(o as u32, channel.clone(), cfg.batch),
+            OrdererType::Raft => OsnNode::raft(
+                o as u32,
+                channel.clone(),
+                cfg.batch,
+                (0..osn_count as u32).collect(),
+                // The Raft group seed keys off the channel index so every
+                // channel's group elects independently.
+                cfg.seed ^ 0xABCD ^ o as u64 ^ ((shard_id as u64) << 32),
+            ),
+            OrdererType::Kafka => OsnNode::kafka(
+                o as u32,
+                channel.clone(),
+                cfg.batch,
+                (0..cfg.broker_count).collect(),
+            ),
+        };
+        osns.push(OsnActor {
+            node,
+            station: Station::new(format!("osn{o}.cpu"), m.osn_cpu_threads),
+            egress: Link::new(
+                format!("osn{o}.nic"),
+                m.link_bandwidth_bps,
+                SimDuration::from_millis_f64(m.link_propagation_ms),
+            ),
+            subscribers: match &cfg.gossip {
+                None => (0..n_peers).filter(|p| p % osn_count == o).collect(),
+                Some(g) => {
+                    // Only leader peers subscribe; they spread across OSNs.
+                    let leaders = (g.leader_peers as usize).min(n_peers);
+                    (0..leaders).filter(|p| p % osn_count == o).collect()
+                }
+            },
+            alive: true,
+            delivered: Vec::new(),
+        });
+    }
+
+    // Kafka substrate.
+    let (brokers, zk) = if cfg.orderer_type == OrdererType::Kafka {
+        let brokers = (0..cfg.broker_count)
+            .map(|b| BrokerActor {
+                partition: Broker::new(
+                    b,
+                    KafkaConfig {
+                        replication_factor: cfg.broker_count.min(3) as usize,
+                        ..KafkaConfig::default()
+                    },
+                ),
+                station: Station::new(format!("broker{b}.cpu"), m.broker_cpu_threads),
+                egress: Link::new(
+                    format!("broker{b}.nic"),
+                    m.link_bandwidth_bps,
+                    SimDuration::from_millis_f64(m.link_propagation_ms),
+                ),
+                alive: true,
+            })
+            .collect();
+        let zk = ZkEnsemble::new(
+            cfg.zk_count as usize,
+            (0..cfg.broker_count).collect(),
+            4, // sessions expire after 4 missed zk ticks (~2 s)
+        );
+        (brokers, Some(zk))
+    } else {
+        (Vec::new(), None)
+    };
+
+    World {
+        policy,
+        pools,
+        observer: n_endorsers,
+        peers,
+        osns,
+        brokers,
+        zk,
+        traces: Vec::new(),
+        tx_index: HashMap::new(),
+        tx_pool: HashMap::new(),
+        block_cuts: Vec::new(),
+        next_cut_number: 0,
+        shard: ShardCtx {
+            shard_id,
+            channels,
+            outbox: Vec::new(),
+            trace_src: Vec::new(),
+            exported: 0,
+            pending_sends: BinaryHeap::new(),
+            min_send_delay: SimDuration::from_millis_f64(
+                (cfg.cost.client_prep_ms - cfg.cost.client_prep_jitter_ms).max(0.0)
+                    + cfg.cost.sdk_pre_ms,
+            ),
+        },
+        obs: ObsState {
+            sink: if cfg.obs.trace_events {
+                EventSink::in_memory_bounded(cfg.obs.trace_buffer_cap)
+            } else {
+                EventSink::disabled()
+            },
+            spans: if cfg.obs.span_events {
+                SpanSink::bounded(
+                    cfg.seed,
+                    cfg.obs.trace_sample,
+                    cfg.obs.trace_buffer_cap,
+                    DEFAULT_SPAN_KIND_CAP,
+                )
+            } else {
+                SpanSink::disabled()
+            },
+            breakdowns: Vec::new(),
+            recorder: (cfg.obs.sample_period_s > 0.0)
+                .then(|| MetricsRecorder::new(cfg.obs.sample_period_s)),
+            health: cfg.obs.health_events.then(|| {
+                // One engine per channel world. The window matches the
+                // sampler cadence (1 s fallback mirrors `sample_period_s()`).
+                let window = if cfg.obs.sample_period_s > 0.0 {
+                    cfg.obs.sample_period_s
+                } else {
+                    1.0
+                };
+                OnlineHealth::new(
+                    shard_id as u32,
+                    window,
+                    HealthConfig::with_slo(cfg.obs.slo_p99_s),
+                )
+            }),
+            e2e_hist: LogHistogram::latency(),
+            last_block_cuts: 0,
+            live,
+        },
+        cfg: cfg.clone(),
+    }
+}
+
+pub(super) fn bootstrap(world: &mut World, k: &mut K) {
+    // Arrival processes, only for the pools homed on this world.
+    for p in 0..world.pools.len() {
+        if world.pool_is_homed(p) {
+            schedule_next_arrival(world, k, p);
+        }
+    }
+    // Time-series sampler (reads state only: scheduling it never perturbs
+    // the simulated system, so traced and untraced runs stay bit-identical).
+    // A live-metrics bundle keeps the sweep running even when the recorder
+    // is disabled, so an exporter always has fresh gauges to serve.
+    if world.obs.recorder.is_some() || world.obs.live.is_some() || world.obs.health.is_some() {
+        let period = SimDuration::from_secs_f64(sample_period_s(world));
+        k.schedule_in_labeled(period, "obs.sample", obs_sample);
+    }
+    // OSN ticks (Raft elections/heartbeats; Kafka consume polling).
+    if world.cfg.orderer_type != OrdererType::Solo {
+        let period = world.ms(world.cfg.cost.osn_tick_ms);
+        for o in 0..world.osns.len() {
+            k.schedule_in_labeled(period, "osn.tick", move |w, k| osn_tick(w, k, o));
+        }
+    }
+    // Gossip anti-entropy pulls.
+    if let Some(g) = world.cfg.gossip {
+        let period = world.ms(g.anti_entropy_ms as f64);
+        for peer_idx in 0..world.peers.len() {
+            k.schedule_in_labeled(period, "gossip.tick", move |w, k| {
+                gossip_tick(w, k, peer_idx)
+            });
+        }
+    }
+    // Kafka broker ticks + ZK heartbeats + ZK tick.
+    if world.cfg.orderer_type == OrdererType::Kafka {
+        let bt = world.ms(world.cfg.cost.broker_tick_ms);
+        for b in 0..world.brokers.len() {
+            k.schedule_in_labeled(bt, "broker.tick", move |w, k| broker_tick(w, k, b));
+        }
+        for b in 0..world.brokers.len() {
+            // First heartbeat immediately: bootstraps leader election.
+            k.schedule_in_labeled(SimDuration::ZERO, "broker.heartbeat", move |w, k| {
+                broker_heartbeat(w, k, b);
+            });
+        }
+        k.schedule_in_labeled(world.ms(500.0), "zk.tick", zk_tick);
+    }
+}
