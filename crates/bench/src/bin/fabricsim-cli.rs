@@ -111,6 +111,7 @@
 use std::env;
 use std::process::exit;
 
+use fabricsim::obs::json::escape;
 use fabricsim::obs::{
     chrome_trace, collapsed_stacks, parse_jsonl_with_provenance, parse_spans_jsonl_with_provenance,
     reconstruct, span_flow_trace, validate_exposition, ArtifactDiff, HealthReport, JsonlFileSink,
@@ -180,45 +181,37 @@ fn cmd_analyze(args: &[String]) -> ! {
         );
         exit(2);
     }
-    let mut trace_prov: Option<RunProvenance> = None;
-    let events = trace.as_ref().map(|path| {
+    // One loader for the three JSONL artifacts: read, decode, split off the
+    // provenance header.
+    fn load<T>(
+        path: Option<&String>,
+        what: &str,
+        decode: impl Fn(&str) -> Result<(Option<RunProvenance>, T), String>,
+    ) -> (Option<RunProvenance>, Option<T>) {
+        let Some(path) = path else {
+            return (None, None);
+        };
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read trace {path}: {e}");
+            eprintln!("cannot read {what} {path}: {e}");
             exit(1);
         });
-        let (prov, events) = parse_jsonl_with_provenance(&text).unwrap_or_else(|e| {
-            eprintln!("cannot parse trace {path}: {e}");
+        let (prov, records) = decode(&text).unwrap_or_else(|e| {
+            eprintln!("cannot parse {what} {path}: {e}");
             exit(1);
         });
-        trace_prov = prov;
-        events
-    });
-    let mut span_prov: Option<RunProvenance> = None;
-    let spans = spans_in.as_ref().map(|path| {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read spans {path}: {e}");
-            exit(1);
-        });
-        let (prov, spans) = parse_spans_jsonl_with_provenance(&text).unwrap_or_else(|e| {
-            eprintln!("cannot parse spans {path}: {e}");
-            exit(1);
-        });
-        span_prov = prov;
-        spans
-    });
-    let mut health_prov: Option<RunProvenance> = None;
-    let health = health_in.as_ref().map(|path| {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read health timeline {path}: {e}");
-            exit(1);
-        });
-        let (prov, report) = HealthReport::from_jsonl(&text).unwrap_or_else(|e| {
-            eprintln!("cannot parse health timeline {path}: {e}");
-            exit(1);
-        });
-        health_prov = prov;
-        report
-    });
+        (prov, Some(records))
+    }
+    let (trace_prov, events) = load(trace.as_ref(), "trace", parse_jsonl_with_provenance);
+    let (span_prov, spans) = load(
+        spans_in.as_ref(),
+        "spans",
+        parse_spans_jsonl_with_provenance,
+    );
+    let (health_prov, health) = load(
+        health_in.as_ref(),
+        "health timeline",
+        HealthReport::from_jsonl,
+    );
     let present: Vec<(&str, &RunProvenance)> = [
         ("trace", &trace_prov),
         ("span", &span_prov),
@@ -401,9 +394,9 @@ fn cmd_diff(args: &[String]) -> ! {
                 out.push_str(&format!(
                     "{{\"artifact\":\"{}\",\"dimension\":\"{}\",\"a\":\"{}\",\"b\":\"{}\"}}",
                     d.kind.label(),
-                    s.dimension,
-                    s.a,
-                    s.b
+                    escape(&s.dimension),
+                    escape(&s.a),
+                    escape(&s.b)
                 ));
             }
         }

@@ -31,14 +31,15 @@
 use std::fmt;
 use std::hint::black_box;
 
+use fabricsim::obs::json::escape;
 use fabricsim::obs::{Json, WallClock};
 use fabricsim::{OrdererType, PolicySpec, SimConfig, Simulation};
 
 /// Schema version of the baseline JSON. Bump on incompatible change.
 /// v2: scenarios carry `channels` and `sim_workers` (sharded-engine matrix).
 /// v3: multi-seed replication — per-scenario `{mean, stddev}` stats plus the
-/// per-seed `runs` list; the report carries `seeds`. v2 baselines still
-/// parse (one run, stddev 0).
+/// per-seed `runs` list; the report carries `seeds`. The only version read;
+/// anything else is [`BenchParseError::UnsupportedSchema`].
 pub const BENCH_SCHEMA_VERSION: u64 = 3;
 
 /// Baseline wall-clock floor (milliseconds): scenarios whose *baseline* wall
@@ -99,7 +100,7 @@ impl Stat {
         }
     }
 
-    /// A single exactly-known value (v2 baselines, single-seed runs).
+    /// A single exactly-known value (single-seed runs).
     pub fn exact(v: f64) -> Stat {
         Stat {
             mean: v,
@@ -173,9 +174,9 @@ pub enum BenchParseError {
     Syntax(String),
     /// A required field is absent or has the wrong type.
     Field {
-        /// Dotted path of the offending field.
+        /// Dotted path of the object holding the field (empty at the root).
         path: String,
-        /// What was wrong with it.
+        /// Which field, and what was wrong with it.
         detail: String,
     },
     /// The document's `schema_version` is not one this build understands.
@@ -189,10 +190,11 @@ impl fmt::Display for BenchParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BenchParseError::Syntax(e) => write!(f, "invalid JSON: {e}"),
-            BenchParseError::Field { path, detail } => write!(f, "field {path:?}: {detail}"),
+            BenchParseError::Field { path, detail } if path.is_empty() => write!(f, "{detail}"),
+            BenchParseError::Field { path, detail } => write!(f, "{path}: {detail}"),
             BenchParseError::UnsupportedSchema { found } => write!(
                 f,
-                "unsupported schema_version {found} (this build reads v2 and \
+                "unsupported schema_version {found} (this build reads \
                  v{BENCH_SCHEMA_VERSION}); regenerate with `fabricsim bench --out`"
             ),
         }
@@ -236,7 +238,7 @@ impl Comparison {
                     out.push(',');
                 }
                 out.push('"');
-                out.push_str(&json_escape(s));
+                out.push_str(&escape(s));
                 out.push('"');
             }
         };
@@ -250,28 +252,14 @@ impl Comparison {
             }
             out.push_str(&format!(
                 "{{\"scenario\":\"{}\",\"metric\":\"{}\",\"reason\":\"{}\"}}",
-                json_escape(&s.scenario),
-                json_escape(&s.metric),
-                json_escape(&s.reason)
+                escape(&s.scenario),
+                escape(&s.metric),
+                escape(&s.reason)
             ));
         }
         out.push_str("]}");
         out
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The fixed scenario matrix: offered-load sweep × validator-pool {1, 4},
@@ -488,131 +476,69 @@ impl BenchReport {
         out
     }
 
-    /// Parses a baseline produced by [`BenchReport::to_json`] (schema v3) or
-    /// by earlier v2 builds (flat per-scenario numbers become single-replica
-    /// stats with stddev 0).
+    /// Parses a baseline produced by [`BenchReport::to_json`] (schema v3).
     ///
     /// # Errors
     /// A typed [`BenchParseError`]: syntax, missing/mistyped field, or
     /// unsupported schema version.
     pub fn parse(text: &str) -> Result<BenchReport, BenchParseError> {
+        // The `Json` accessors name the offending key; `at` adds the path of
+        // the object that holds it.
+        fn at(path: &str) -> impl Fn(String) -> BenchParseError + '_ {
+            move |detail| BenchParseError::Field {
+                path: path.to_string(),
+                detail,
+            }
+        }
         let v = Json::parse(text).map_err(BenchParseError::Syntax)?;
-        let num = |v: &Json, path: &str, k: &str| -> Result<f64, BenchParseError> {
-            v.get(k)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| BenchParseError::Field {
-                    path: if path.is_empty() {
-                        k.to_string()
-                    } else {
-                        format!("{path}.{k}")
-                    },
-                    detail: "missing or not a number".into(),
-                })
-        };
-        let st = |v: &Json, path: &str, k: &str| -> Result<String, BenchParseError> {
-            v.get(k)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| BenchParseError::Field {
-                    path: format!("{path}.{k}"),
-                    detail: "missing or not a string".into(),
-                })
-        };
-        let schema_version = num(&v, "", "schema_version")? as u64;
-        if schema_version != 2 && schema_version != BENCH_SCHEMA_VERSION {
+        let root = at("");
+        let schema_version = v.uint("schema_version").map_err(&root)?;
+        if schema_version != BENCH_SCHEMA_VERSION {
             return Err(BenchParseError::UnsupportedSchema {
                 found: schema_version,
             });
         }
-        let calibration_ms = num(&v, "", "calibration_ms")?;
-        let host_cores = num(&v, "", "host_cores")? as usize;
-        let arr =
-            v.get("scenarios")
-                .and_then(Json::as_array)
-                .ok_or_else(|| BenchParseError::Field {
-                    path: "scenarios".into(),
-                    detail: "missing or not an array".into(),
-                })?;
-        let mut scenarios = Vec::with_capacity(arr.len());
-        for (i, s) in arr.iter().enumerate() {
+        let mut scenarios = Vec::new();
+        for (i, s) in v.array("scenarios").map_err(&root)?.iter().enumerate() {
             let path = format!("scenarios[{i}]");
-            let name = st(s, &path, "name")?;
-            let base = ScenarioResult {
-                name: name.clone(),
-                offered_tps: num(s, &path, "offered_tps")?,
-                validator_pool: num(s, &path, "validator_pool")? as usize,
-                channels: num(s, &path, "channels")? as u32,
-                sim_workers: num(s, &path, "sim_workers")? as u32,
-                config_digest: st(s, &path, "config_digest")?,
-                committed_tps: Stat::exact(0.0),
-                overall_latency_mean_s: Stat::exact(0.0),
-                wall_clock_ms: Stat::exact(0.0),
-                runs: Vec::new(),
+            let e = at(&path);
+            let stat = |k: &str| -> Result<Stat, BenchParseError> {
+                let path = format!("{path}.{k}");
+                let obj = s.get(k).unwrap_or(&Json::Null);
+                Ok(Stat {
+                    mean: obj.num("mean").map_err(at(&path))?,
+                    stddev: obj.num("stddev").map_err(at(&path))?,
+                })
             };
-            scenarios.push(if schema_version == 2 {
-                // v2: flat numbers, one implicit replica under the recorded
-                // seed.
-                let committed = num(s, &path, "committed_tps")?;
-                let latency = num(s, &path, "overall_latency_mean_s")?;
-                let wall = num(s, &path, "wall_clock_ms")?;
-                ScenarioResult {
-                    committed_tps: Stat::exact(committed),
-                    overall_latency_mean_s: Stat::exact(latency),
-                    wall_clock_ms: Stat::exact(wall),
-                    runs: vec![SeedRun {
-                        seed: num(s, &path, "seed")? as u64,
-                        committed_tps: committed,
-                        overall_latency_mean_s: latency,
-                        wall_clock_ms: wall,
-                    }],
-                    ..base
-                }
-            } else {
-                let stat = |k: &str| -> Result<Stat, BenchParseError> {
-                    let obj = s.get(k).ok_or_else(|| BenchParseError::Field {
-                        path: format!("{path}.{k}"),
-                        detail: "missing stat object".into(),
-                    })?;
-                    Ok(Stat {
-                        mean: num(obj, &format!("{path}.{k}"), "mean")?,
-                        stddev: num(obj, &format!("{path}.{k}"), "stddev")?,
-                    })
-                };
-                let runs_arr = s.get("runs").and_then(Json::as_array).ok_or_else(|| {
-                    BenchParseError::Field {
-                        path: format!("{path}.runs"),
-                        detail: "missing or not an array".into(),
-                    }
-                })?;
-                let mut runs = Vec::with_capacity(runs_arr.len());
-                for (j, r) in runs_arr.iter().enumerate() {
-                    let rpath = format!("{path}.runs[{j}]");
-                    runs.push(SeedRun {
-                        seed: num(r, &rpath, "seed")? as u64,
-                        committed_tps: num(r, &rpath, "committed_tps")?,
-                        overall_latency_mean_s: num(r, &rpath, "overall_latency_mean_s")?,
-                        wall_clock_ms: num(r, &rpath, "wall_clock_ms")?,
-                    });
-                }
-                ScenarioResult {
-                    committed_tps: stat("committed_tps")?,
-                    overall_latency_mean_s: stat("overall_latency_mean_s")?,
-                    wall_clock_ms: stat("wall_clock_ms")?,
-                    runs,
-                    ..base
-                }
+            let mut runs = Vec::new();
+            for (j, r) in s.array("runs").map_err(&e)?.iter().enumerate() {
+                let path = format!("{path}.runs[{j}]");
+                let e = at(&path);
+                runs.push(SeedRun {
+                    seed: r.uint("seed").map_err(&e)?,
+                    committed_tps: r.num("committed_tps").map_err(&e)?,
+                    overall_latency_mean_s: r.num("overall_latency_mean_s").map_err(&e)?,
+                    wall_clock_ms: r.num("wall_clock_ms").map_err(&e)?,
+                });
+            }
+            scenarios.push(ScenarioResult {
+                name: s.string("name").map_err(&e)?.to_string(),
+                offered_tps: s.num("offered_tps").map_err(&e)?,
+                validator_pool: s.uint("validator_pool").map_err(&e)?,
+                channels: s.uint("channels").map_err(&e)?,
+                sim_workers: s.uint("sim_workers").map_err(&e)?,
+                config_digest: s.string("config_digest").map_err(&e)?.to_string(),
+                committed_tps: stat("committed_tps")?,
+                overall_latency_mean_s: stat("overall_latency_mean_s")?,
+                wall_clock_ms: stat("wall_clock_ms")?,
+                runs,
             });
         }
-        let seeds = if schema_version == 2 {
-            1
-        } else {
-            num(&v, "", "seeds")? as u64
-        };
         Ok(BenchReport {
             schema_version,
-            calibration_ms,
-            host_cores,
-            seeds,
+            calibration_ms: v.num("calibration_ms").map_err(&root)?,
+            host_cores: v.uint("host_cores").map_err(&root)?,
+            seeds: v.uint("seeds").map_err(&root)?,
             scenarios,
         })
     }
@@ -762,18 +688,6 @@ mod tests {
         }
     }
 
-    /// A v2-format baseline document for the given scenario values.
-    fn v2_doc(tps: f64, wall: f64) -> String {
-        format!(
-            "{{\n  \"schema_version\": 2,\n  \"generator\": \"fabricsim bench\",\n  \
-             \"calibration_ms\": 500,\n  \"host_cores\": 8,\n  \"scenarios\": [\n    \
-             {{\"name\": \"a\", \"offered_tps\": 100, \"validator_pool\": 1, \
-             \"channels\": 1, \"sim_workers\": 0, \"seed\": 42, \
-             \"config_digest\": \"0123456789abcdef\", \"committed_tps\": {tps}, \
-             \"overall_latency_mean_s\": 0.5, \"wall_clock_ms\": {wall}}}\n  ]\n}}\n"
-        )
-    }
-
     #[test]
     fn matrix_is_load_sweep_times_pool_plus_sharded_pair() {
         let m = scenario_matrix();
@@ -824,27 +738,17 @@ mod tests {
     }
 
     #[test]
-    fn v2_baselines_still_parse_as_single_replica() {
-        let parsed = BenchReport::parse(&v2_doc(99.5, 250.0)).unwrap();
-        assert_eq!(parsed.schema_version, 2);
-        assert_eq!(parsed.seeds, 1);
-        let s = &parsed.scenarios[0];
-        assert_eq!(s.committed_tps, Stat::exact(99.5));
-        assert_eq!(s.wall_clock_ms.stddev, 0.0);
-        assert_eq!(s.runs.len(), 1);
-        assert_eq!(s.runs[0].seed, 42);
-        // And a v2 baseline compares cleanly against a v3 current report.
-        let cur = report(500.0, vec![result("a", 99.5, 250.0)]);
-        let cmp = compare(&parsed, &cur, DEFAULT_TOLERANCE);
-        assert!(cmp.failures.is_empty(), "{:?}", cmp.failures);
-    }
-
-    #[test]
-    fn unknown_schema_version_is_rejected_with_typed_error() {
-        let doc = v2_doc(99.5, 250.0).replace("\"schema_version\": 2", "\"schema_version\": 9");
-        match BenchReport::parse(&doc) {
-            Err(BenchParseError::UnsupportedSchema { found: 9 }) => {}
-            other => panic!("expected UnsupportedSchema, got {other:?}"),
+    fn other_schema_versions_are_rejected_with_typed_error() {
+        let full = report(500.0, vec![result("a", 99.5, 250.0)]).to_json();
+        for found in [2, 9] {
+            let doc = full.replace(
+                "\"schema_version\": 3",
+                &format!("\"schema_version\": {found}"),
+            );
+            assert_eq!(
+                BenchReport::parse(&doc),
+                Err(BenchParseError::UnsupportedSchema { found })
+            );
         }
     }
 

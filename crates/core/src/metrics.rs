@@ -93,54 +93,9 @@ impl TxTrace {
     }
 }
 
-/// Latency summary statistics over a set of samples.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct LatencyStats {
-    /// Number of samples.
-    pub count: usize,
-    /// Mean, seconds.
-    pub mean_s: f64,
-    /// Median, seconds.
-    pub p50_s: f64,
-    /// 95th percentile, seconds.
-    pub p95_s: f64,
-    /// 99th percentile, seconds.
-    pub p99_s: f64,
-    /// Maximum, seconds.
-    pub max_s: f64,
-}
-
-impl LatencyStats {
-    /// Computes stats from raw samples (empty input gives zeros).
-    ///
-    /// Percentiles use linear interpolation between closest ranks (the
-    /// "type 7" rule, numpy's default): `h = (n-1)·q`, interpolating between
-    /// `samples[floor(h)]` and `samples[ceil(h)]`. The previous rule rounded
-    /// `h` to the nearest rank, which is biased: it could sit a full rank off
-    /// and made e.g. p50 of an even-sized sample depend on rounding direction.
-    pub fn from_samples(mut samples: Vec<f64>) -> Self {
-        if samples.is_empty() {
-            return LatencyStats::default();
-        }
-        samples.sort_by(f64::total_cmp);
-        let count = samples.len();
-        let mean_s = samples.iter().sum::<f64>() / count as f64;
-        let pick = |q: f64| {
-            let h = (count - 1) as f64 * q;
-            let lo = h.floor() as usize;
-            let hi = h.ceil() as usize;
-            samples[lo] + (h - lo as f64) * (samples[hi] - samples[lo])
-        };
-        LatencyStats {
-            count,
-            mean_s,
-            p50_s: pick(0.50),
-            p95_s: pick(0.95),
-            p99_s: pick(0.99),
-            max_s: samples[count - 1],
-        }
-    }
-}
+/// Latency summary statistics over a set of samples: the one type-7
+/// percentile implementation, shared with the offline trace analyzer.
+pub type LatencyStats = fabricsim_obs::Dist;
 
 /// Throughput and latency for one pipeline phase.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -198,17 +153,6 @@ pub struct SummaryReport {
     /// Short config fingerprint (`SimConfig::digest`). Empty when the
     /// summary was aggregated outside a simulation run.
     pub config_digest: String,
-}
-
-impl LatencyStats {
-    /// Compact JSON object. Floats use Rust's shortest-roundtrip `{}`
-    /// rendering, so equal stats always produce byte-equal JSON.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"count\":{},\"mean_s\":{},\"p50_s\":{},\"p95_s\":{},\"p99_s\":{},\"max_s\":{}}}",
-            self.count, self.mean_s, self.p50_s, self.p95_s, self.p99_s, self.max_s
-        )
-    }
 }
 
 impl PhaseReport {

@@ -2,6 +2,8 @@
 
 use std::fmt::Write as _;
 
+use fabricsim_obs::json::escape;
+
 use crate::metrics::SummaryReport;
 
 /// One labelled row of an experiment (e.g. a sweep point).
@@ -149,20 +151,6 @@ fn escape_csv(s: &str) -> String {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Hand-rolled JSON summary of one run: provenance (`seed`,
 /// `config_digest`), per-phase throughput/latency, outcome counts, failure
 /// rates, the end-to-end latency histogram and the bottleneck attribution
@@ -205,9 +193,9 @@ pub fn run_summary_json(label: &str, result: &crate::sim::RunResult) -> String {
             "\"e2e_histogram\":{hist},",
             "\"bottleneck\":{bottleneck}}}"
         ),
-        label = json_escape(label),
+        label = escape(label),
         seed = s.seed,
-        digest = json_escape(&s.config_digest),
+        digest = escape(&s.config_digest),
         offered = s.offered_tps,
         exec_tps = s.execute.throughput_tps,
         order_tps = s.order.throughput_tps,
@@ -232,7 +220,7 @@ pub fn run_summary_json(label: &str, result: &crate::sim::RunResult) -> String {
         blocks = s.blocks_cut,
         blk_t = s.mean_block_time_s,
         blk_n = s.mean_block_size,
-        hot = json_escape(hot_name),
+        hot = escape(hot_name),
         hot_load = hot_load,
         hist = hist,
         bottleneck = result.observability.bottleneck.to_json(),

@@ -12,7 +12,8 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use crate::event::{escape, PhaseEvent, TracePhase};
+use crate::event::{PhaseEvent, TracePhase};
+use crate::json::escape;
 use crate::span::{reconstruct, Segment, TxSpan};
 
 /// Latency distribution of one inter-phase segment across committed spans.
@@ -104,9 +105,9 @@ pub struct TraceAnalysis {
     pub slowest: Vec<SlowTx>,
 }
 
-/// A small latency distribution summary (mirrors `LatencyStats` in
-/// `fabricsim-core`; duplicated because core depends on this crate, not the
-/// reverse — both use the type-7 percentile rule so numbers line up).
+/// A small latency distribution summary — the one percentile
+/// implementation: `fabricsim::LatencyStats` in `fabricsim-core` is an alias
+/// of this type.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Dist {
     /// Sample count.
@@ -124,8 +125,13 @@ pub struct Dist {
 }
 
 impl Dist {
-    /// Computes the summary from raw samples (zeros when empty). Type-7
-    /// (numpy-default) percentile interpolation.
+    /// Computes the summary from raw samples (zeros when empty).
+    ///
+    /// Percentiles use linear interpolation between closest ranks (the
+    /// "type 7" rule, numpy's default): `h = (n-1)·q`, interpolating between
+    /// `samples[floor(h)]` and `samples[ceil(h)]`. Rounding `h` to the
+    /// nearest rank instead is biased: it can sit a full rank off and makes
+    /// e.g. p50 of an even-sized sample depend on rounding direction.
     pub fn from_samples(mut samples: Vec<f64>) -> Dist {
         if samples.is_empty() {
             return Dist::default();
@@ -146,6 +152,15 @@ impl Dist {
             p99_s: pick(0.99),
             max_s: samples[count - 1],
         }
+    }
+
+    /// Compact JSON object. Floats use Rust's shortest-roundtrip `{}`
+    /// rendering, so equal stats always produce byte-equal JSON.
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\"count\":{},\"mean_s\":{},\"p50_s\":{},\"p95_s\":{},\"p99_s\":{},\"max_s\":{}}}",
+            self.count, self.mean_s, self.p50_s, self.p95_s, self.p99_s, self.max_s
+        )
     }
 }
 
@@ -387,18 +402,12 @@ impl TraceAnalysis {
     /// [`TraceAnalysis::render_table`]).
     pub fn to_json(&self) -> String {
         let mut out = format!(
-            "{{\"committed\":{},\"failed\":{},\"incomplete\":{},\
-             \"e2e\":{{\"count\":{},\"mean_s\":{},\"p50_s\":{},\"p95_s\":{},\"p99_s\":{},\"max_s\":{}}},\
+            "{{\"committed\":{},\"failed\":{},\"incomplete\":{},\"e2e\":{},\
              \"segment_mean_sum_s\":{},\"segments\":[",
             self.committed,
             self.failed,
             self.incomplete,
-            self.e2e.count,
-            self.e2e.mean_s,
-            self.e2e.p50_s,
-            self.e2e.p95_s,
-            self.e2e.p99_s,
-            self.e2e.max_s,
+            self.e2e.to_json(),
             self.segment_mean_sum_s(),
         );
         for (i, s) in self.segments.iter().enumerate() {

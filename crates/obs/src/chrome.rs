@@ -10,7 +10,8 @@
 
 use std::collections::HashMap;
 
-use crate::event::{escape, PhaseEvent};
+use crate::event::PhaseEvent;
+use crate::json::escape;
 use crate::span::reconstruct;
 use crate::spangraph::SpanEvent;
 

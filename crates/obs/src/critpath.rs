@@ -17,7 +17,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use crate::event::escape;
+use crate::json::escape;
 use crate::spangraph::{SpanEvent, SpanKind};
 
 /// One segment of a transaction's distributed critical path: either a span

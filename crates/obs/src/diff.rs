@@ -26,7 +26,7 @@
 //! The engine consumes parsed [`Json`] values, so it accepts any artifact the
 //! stack emits without a per-type Rust decoder: the flat run summary, the
 //! (possibly combined) `analyze --json` document, `profile --json` (merged +
-//! per-shard), and schema-v2+ bench reports. Health timelines are the one
+//! per-shard), and schema-v3 bench reports. Health timelines are the one
 //! exception: they are JSONL (one object per line, so `Json::parse` on the
 //! whole file fails) and are recognized by [`HealthReport::sniff`] before the
 //! JSON parser runs, then decoded with [`HealthReport::from_jsonl`].
@@ -36,7 +36,7 @@ use std::fmt;
 use std::fmt::Write as _;
 
 use crate::event::RunProvenance;
-use crate::json::Json;
+use crate::json::{escape, Json};
 use crate::online::{HealthReport, Regime, StationHealth};
 
 /// Which artifact family a document was recognized as.
@@ -188,7 +188,8 @@ impl DiffSection {
 /// Why two artifacts could not be diffed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DiffError {
-    /// One side failed to parse as JSON.
+    /// One side failed to parse: a syntax error, a malformed health line, or
+    /// a provenance `seed` that is not an exact `u64`.
     Json {
         /// Which side (`'A'` or `'B'`).
         side: char,
@@ -213,7 +214,7 @@ impl fmt::Display for DiffError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DiffError::Json { side, detail } => {
-                write!(f, "side {side} is not valid JSON: {detail}")
+                write!(f, "side {side} does not parse: {detail}")
             }
             DiffError::Unknown { side } => write!(
                 f,
@@ -281,18 +282,16 @@ impl ArtifactDiff {
     ///
     /// # Errors
     /// [`DiffError::Unknown`] / [`DiffError::KindMismatch`] as for
-    /// [`ArtifactDiff::from_json_strs`].
+    /// [`ArtifactDiff::from_json_strs`]; [`DiffError::Json`] for a
+    /// provenance `seed` that is not an exact `u64`.
     pub fn from_json(a: &Json, b: &Json) -> Result<ArtifactDiff, DiffError> {
         let ka = sniff(a).ok_or(DiffError::Unknown { side: 'A' })?;
         let kb = sniff(b).ok_or(DiffError::Unknown { side: 'B' })?;
         if ka != kb {
             return Err(DiffError::KindMismatch { a: ka, b: kb });
         }
-        let prov = [provenance_of(a), provenance_of(b)];
-        let mut digest_match = match (&prov[0].config_digest, &prov[1].config_digest) {
-            (Some(da), Some(db)) => Some(da == db),
-            _ => None,
-        };
+        let prov = [provenance_of(a, 'A')?, provenance_of(b, 'B')?];
+        let mut digest_match = digests_match(&prov);
         let sections = match ka {
             ArtifactKind::RunSummary => run_summary_sections(a, b),
             ArtifactKind::Analysis => analysis_sections(a, b),
@@ -537,18 +536,31 @@ fn sniff(j: &Json) -> Option<ArtifactKind> {
 /// Extracts seed/config_digest from a document: a nested `"provenance"`
 /// object when present (analyze output), top-level fields otherwise (run
 /// summaries, profile output).
-fn provenance_of(j: &Json) -> DiffProvenance {
+///
+/// A `seed` that is present must be an exact `u64` (see [`Json::uint`]).
+fn provenance_of(j: &Json, side: char) -> Result<DiffProvenance, DiffError> {
     let p = match j.get("provenance") {
         Some(p @ Json::Obj(_)) => p,
         _ => j,
     };
-    DiffProvenance {
-        seed: p.get("seed").and_then(Json::as_f64).map(|n| n as u64),
+    let seed = p
+        .get("seed")
+        .map(|_| p.uint("seed"))
+        .transpose()
+        .map_err(|detail| DiffError::Json { side, detail })?;
+    Ok(DiffProvenance {
+        seed,
         config_digest: p
             .get("config_digest")
             .and_then(Json::as_str)
             .map(str::to_string),
-    }
+    })
+}
+
+/// Whether the two sides' `config_digest`s agree (`None` when either side
+/// records none).
+fn digests_match(prov: &[DiffProvenance; 2]) -> Option<bool> {
+    Some(prov[0].config_digest.as_ref()? == prov[1].config_digest.as_ref()?)
 }
 
 /// Flattens every numeric leaf of an object tree into `path → value`
@@ -556,21 +568,17 @@ fn provenance_of(j: &Json) -> DiffProvenance {
 /// (histograms, window attributions) that the section builders mine
 /// explicitly where a pairing key exists.
 fn flatten_numeric(prefix: &str, j: &Json, out: &mut BTreeMap<String, f64>) {
-    match j {
-        Json::Num(n) => {
-            out.insert(prefix.to_string(), *n);
+    if let Some(n) = j.as_f64() {
+        out.insert(prefix.to_string(), n);
+    } else if let Json::Obj(m) = j {
+        for (k, v) in m {
+            let path = if prefix.is_empty() {
+                k.clone()
+            } else {
+                format!("{prefix}.{k}")
+            };
+            flatten_numeric(&path, v, out);
         }
-        Json::Obj(m) => {
-            for (k, v) in m {
-                let path = if prefix.is_empty() {
-                    k.clone()
-                } else {
-                    format!("{prefix}.{k}")
-                };
-                flatten_numeric(&path, v, out);
-            }
-        }
-        _ => {}
     }
 }
 
@@ -962,16 +970,6 @@ fn profile_sections(a: &Json, b: &Json) -> Vec<DiffSection> {
     out
 }
 
-/// A scenario metric that is a plain number in schema v2 and a
-/// `{"mean":…,"stddev":…}` object in schema v3.
-fn scenario_metric(s: &Json, key: &str) -> Option<f64> {
-    match s.get(key)? {
-        Json::Num(n) => Some(*n),
-        obj @ Json::Obj(_) => obj.get("mean").and_then(Json::as_f64),
-        _ => None,
-    }
-}
-
 fn bench_sections(a: &Json, b: &Json, digest_match: &mut Option<bool>) -> Vec<DiffSection> {
     let mut sec = DiffSection::new("bench scenarios");
     for key in ["schema_version", "calibration_ms", "host_cores", "seeds"] {
@@ -1002,7 +1000,7 @@ fn bench_sections(a: &Json, b: &Json, digest_match: &mut Option<bool>) -> Vec<Di
             (Some(sa), Some(sb)) => {
                 for metric in ["committed_tps", "overall_latency_mean_s", "wall_clock_ms"] {
                     if let (Some(va), Some(vb)) =
-                        (scenario_metric(sa, metric), scenario_metric(sb, metric))
+                        (num(sa, &[metric, "mean"]), num(sb, &[metric, "mean"]))
                     {
                         sec.push(format!("{name}.{metric}"), va, vb);
                     }
@@ -1042,14 +1040,10 @@ fn health_diff(a: &str, b: &str) -> Result<ArtifactDiff, DiffError> {
         config_digest: p.as_ref().map(|p| p.config_digest.clone()),
     };
     let prov = [prov_of(&pa), prov_of(&pb)];
-    let digest_match = match (&prov[0].config_digest, &prov[1].config_digest) {
-        (Some(da), Some(db)) => Some(da == db),
-        _ => None,
-    };
     Ok(ArtifactDiff {
         kind: ArtifactKind::Health,
+        digest_match: digests_match(&prov),
         provenance: prov,
-        digest_match,
         sections: health_sections(&ra, &rb),
     })
 }
@@ -1173,11 +1167,6 @@ fn health_sections(ra: &HealthReport, rb: &HealthReport) -> Vec<DiffSection> {
     vec![summary, sec]
 }
 
-/// JSON string escaping (same character set as the event codec).
-fn escape(s: &str) -> String {
-    crate::event::escape(s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1295,17 +1284,17 @@ mod tests {
     }
 
     #[test]
-    fn bench_diff_handles_v2_numbers_and_v3_stats() {
-        let v2 = r#"{"schema_version":2,"calibration_ms":100,"host_cores":8,"scenarios":[
-            {"name":"s1","offered_tps":100,"validator_pool":1,"channels":1,"sim_workers":0,
-             "seed":42,"config_digest":"dddd","committed_tps":95.0,
-             "overall_latency_mean_s":1.5,"wall_clock_ms":200}]}"#;
-        let v3 = r#"{"schema_version":3,"calibration_ms":110,"host_cores":8,"seeds":3,"scenarios":[
-            {"name":"s1","offered_tps":100,"validator_pool":1,"channels":1,"sim_workers":0,
-             "config_digest":"dddd","committed_tps":{"mean":90.0,"stddev":1.0},
-             "overall_latency_mean_s":{"mean":1.8,"stddev":0.1},
-             "wall_clock_ms":{"mean":210.0,"stddev":5.0}}]}"#;
-        let d = ArtifactDiff::from_json_strs(v2, v3).expect("diffs");
+    fn bench_diff_compares_stat_means() {
+        let doc = |tps: f64| {
+            format!(
+                "{{\"schema_version\":3,\"calibration_ms\":110,\"host_cores\":8,\"seeds\":3,\
+                 \"scenarios\":[{{\"name\":\"s1\",\"config_digest\":\"dddd\",\
+                 \"committed_tps\":{{\"mean\":{tps},\"stddev\":1.0}},\
+                 \"overall_latency_mean_s\":{{\"mean\":1.8,\"stddev\":0.1}},\
+                 \"wall_clock_ms\":{{\"mean\":210.0,\"stddev\":5.0}}}}]}}"
+            )
+        };
+        let d = ArtifactDiff::from_json_strs(&doc(95.0), &doc(90.0)).expect("diffs");
         assert_eq!(d.kind, ArtifactKind::Bench);
         assert_eq!(d.digest_match, Some(true));
         let tps = d.sections[0]
@@ -1320,9 +1309,9 @@ mod tests {
     fn bench_digest_drift_is_flagged() {
         let mk = |digest: &str| {
             format!(
-                "{{\"schema_version\":2,\"calibration_ms\":100,\"host_cores\":8,\"scenarios\":[\
-                 {{\"name\":\"s1\",\"config_digest\":\"{digest}\",\"committed_tps\":95.0,\
-                 \"overall_latency_mean_s\":1.5,\"wall_clock_ms\":200}}]}}"
+                "{{\"schema_version\":3,\"calibration_ms\":100,\"host_cores\":8,\"seeds\":1,\
+                 \"scenarios\":[{{\"name\":\"s1\",\"config_digest\":\"{digest}\",\
+                 \"committed_tps\":{{\"mean\":95.0,\"stddev\":0}}}}]}}"
             )
         };
         let d = ArtifactDiff::from_json_strs(&mk("aaaa"), &mk("eeee")).expect("diffs");

@@ -8,6 +8,8 @@
 
 use std::fmt;
 
+use crate::json::{escape, read_jsonl, Json};
+
 /// The pipeline phase a [`PhaseEvent`] marks the completion (or failure) of.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TracePhase {
@@ -188,53 +190,22 @@ impl PhaseEvent {
     /// # Errors
     /// A description of the first syntax or schema problem found.
     pub fn from_json(line: &str) -> Result<PhaseEvent, String> {
-        let fields = parse_flat_object(line)?;
-        let get = |k: &str| {
-            fields
-                .iter()
-                .find(|(key, _)| key == k)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing field {k:?}"))
-        };
-        let t_s = match get("t_s")? {
-            JsonValue::Number(n) => *n,
-            _ => return Err("t_s must be a number".into()),
-        };
-        let tx = match get("tx")? {
-            JsonValue::String(s) => s.clone(),
-            _ => return Err("tx must be a string".into()),
-        };
-        let phase = match get("phase")? {
-            JsonValue::String(s) => {
-                TracePhase::from_label(s).ok_or_else(|| format!("unknown phase {s:?}"))?
-            }
-            _ => return Err("phase must be a string".into()),
-        };
-        let station = match get("station")? {
-            JsonValue::String(s) => s.clone(),
-            _ => return Err("station must be a string".into()),
-        };
-        let queue_depth = match get("queue_depth")? {
-            JsonValue::Number(n) if *n >= 0.0 => *n as u64,
-            _ => return Err("queue_depth must be a non-negative number".into()),
-        };
-        // Optional (added after the first trace schema version): absent in
-        // old traces, which parse as "no attribution recorded".
-        let optional_num = |k: &str| match fields.iter().find(|(key, _)| key == k) {
-            None => Ok(0.0),
-            Some((_, JsonValue::Number(n))) => Ok(*n),
-            Some(_) => Err(format!("{k} must be a number")),
-        };
-        let cum_queued_s = optional_num("cum_queued_s")?;
-        let cum_service_s = optional_num("cum_service_s")?;
+        PhaseEvent::from_value(&Json::parse(line)?)
+    }
+
+    pub(crate) fn from_value(v: &Json) -> Result<PhaseEvent, String> {
+        let phase = v.string("phase")?;
         Ok(PhaseEvent {
-            t_s,
-            tx,
-            phase,
-            station,
-            queue_depth,
-            cum_queued_s,
-            cum_service_s,
+            t_s: v.num("t_s")?,
+            tx: v.string("tx")?.to_string(),
+            phase: TracePhase::from_label(phase)
+                .ok_or_else(|| format!("unknown phase {phase:?}"))?,
+            station: v.string("station")?.to_string(),
+            queue_depth: v.uint("queue_depth")?,
+            // Optional (added after the first trace schema version): absent
+            // in old traces, which parse as "no attribution recorded".
+            cum_queued_s: v.opt_num("cum_queued_s")?.unwrap_or(0.0),
+            cum_service_s: v.opt_num("cum_service_s")?.unwrap_or(0.0),
         })
     }
 }
@@ -268,41 +239,19 @@ impl RunProvenance {
     /// # Errors
     /// A description of the first syntax or schema problem found.
     pub fn from_json(line: &str) -> Result<RunProvenance, String> {
-        let fields = parse_flat_object(line)?;
-        let get = |k: &str| {
-            fields
-                .iter()
-                .find(|(key, _)| key == k)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing field {k:?}"))
-        };
-        match get("provenance")? {
-            // Version discriminator: the writer emits the literal `1`.
-            JsonValue::Number(n) if (*n - 1.0).abs() < f64::EPSILON => {}
-            _ => return Err("provenance version must be the number 1".into()),
+        RunProvenance::from_value(&Json::parse(line)?)
+    }
+
+    pub(crate) fn from_value(v: &Json) -> Result<RunProvenance, String> {
+        // Version discriminator: the writer emits the literal `1`.
+        if v.uint::<u64>("provenance")? != 1 {
+            return Err("provenance version must be the number 1".into());
         }
-        let seed = match get("seed")? {
-            JsonValue::Number(n) if *n >= 0.0 => *n as u64,
-            _ => return Err("seed must be a non-negative number".into()),
-        };
-        let config_digest = match get("config_digest")? {
-            JsonValue::String(s) => s.clone(),
-            _ => return Err("config_digest must be a string".into()),
-        };
         Ok(RunProvenance {
-            seed,
-            config_digest,
+            seed: v.uint("seed")?,
+            config_digest: v.string("config_digest")?.to_string(),
         })
     }
-}
-
-/// Cheap test for a provenance line: the substring check filters the hot
-/// path (event lines never contain the key), the flat parse confirms.
-pub(crate) fn is_provenance_line(line: &str) -> bool {
-    line.contains("\"provenance\"")
-        && parse_flat_object(line)
-            .map(|fields| fields.iter().any(|(k, _)| k == "provenance"))
-            .unwrap_or(false)
 }
 
 /// Parses a whole JSONL document (one event per non-empty line). Provenance
@@ -325,149 +274,7 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<PhaseEvent>, String> {
 pub fn parse_jsonl_with_provenance(
     text: &str,
 ) -> Result<(Option<RunProvenance>, Vec<PhaseEvent>), String> {
-    let mut prov = None;
-    let mut out = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        if is_provenance_line(line) {
-            let p = RunProvenance::from_json(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-            if prov.is_some() {
-                return Err(format!(
-                    "line {}: duplicate provenance line (two runs' traces concatenated?)",
-                    i + 1
-                ));
-            }
-            prov = Some(p);
-            continue;
-        }
-        out.push(PhaseEvent::from_json(line).map_err(|e| format!("line {}: {e}", i + 1))?);
-    }
-    Ok((prov, out))
-}
-
-/// JSON string escaping for the characters that can occur in station/tx names
-/// (plus full control-character coverage for safety).
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// A scalar in a flat JSON object.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum JsonValue {
-    /// A JSON string.
-    String(String),
-    /// A JSON number (f64 is enough for every flat schema this crate emits).
-    Number(f64),
-}
-
-/// Minimal parser for one-level JSON objects of string/number fields — all
-/// this crate emits, and all it needs to read back. Not a general JSON
-/// parser by design (no nesting, bools or nulls). Shared with the span-event
-/// codec in `spangraph.rs`.
-pub(crate) fn parse_flat_object(s: &str) -> Result<Vec<(String, JsonValue)>, String> {
-    let mut chars = s.trim().chars().peekable();
-    let mut fields = Vec::new();
-    if chars.next() != Some('{') {
-        return Err("expected '{'".into());
-    }
-    loop {
-        skip_ws(&mut chars);
-        match chars.peek() {
-            Some('}') => {
-                chars.next();
-                break;
-            }
-            Some('"') => {}
-            other => return Err(format!("expected key string, found {other:?}")),
-        }
-        let key = parse_string(&mut chars)?;
-        skip_ws(&mut chars);
-        if chars.next() != Some(':') {
-            return Err(format!("expected ':' after key {key:?}"));
-        }
-        skip_ws(&mut chars);
-        let value = match chars.peek() {
-            Some('"') => JsonValue::String(parse_string(&mut chars)?),
-            Some(c) if c.is_ascii_digit() || *c == '-' => {
-                let mut num = String::new();
-                while let Some(&c) = chars.peek() {
-                    if c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E') {
-                        num.push(c);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                JsonValue::Number(
-                    num.parse()
-                        .map_err(|e| format!("bad number {num:?}: {e}"))?,
-                )
-            }
-            other => return Err(format!("unsupported value start {other:?}")),
-        };
-        fields.push((key, value));
-        skip_ws(&mut chars);
-        match chars.next() {
-            Some(',') => continue,
-            Some('}') => break,
-            other => return Err(format!("expected ',' or '}}', found {other:?}")),
-        }
-    }
-    skip_ws(&mut chars);
-    if chars.next().is_some() {
-        return Err("trailing characters after object".into());
-    }
-    Ok(fields)
-}
-
-fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
-    while matches!(chars.peek(), Some(c) if c.is_whitespace()) {
-        chars.next();
-    }
-}
-
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<String, String> {
-    if chars.next() != Some('"') {
-        return Err("expected '\"'".into());
-    }
-    let mut out = String::new();
-    loop {
-        match chars.next() {
-            None => return Err("unterminated string".into()),
-            Some('"') => return Ok(out),
-            Some('\\') => match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some('n') => out.push('\n'),
-                Some('r') => out.push('\r'),
-                Some('t') => out.push('\t'),
-                Some('u') => {
-                    let hex: String = (0..4).filter_map(|_| chars.next()).collect();
-                    let code = u32::from_str_radix(&hex, 16)
-                        .map_err(|e| format!("bad \\u escape {hex:?}: {e}"))?;
-                    out.push(char::from_u32(code).ok_or("invalid \\u codepoint")?);
-                }
-                other => return Err(format!("bad escape {other:?}")),
-            },
-            Some(c) => out.push(c),
-        }
-    }
+    read_jsonl(text, PhaseEvent::from_value)
 }
 
 #[cfg(test)]
@@ -597,11 +404,39 @@ mod tests {
             assert!(RunProvenance::from_json(bad).is_err(), "{bad} should fail");
         }
         // A tx named "provenance" inside an event line must not trip the
-        // discriminator (the flat parse requires the *key*).
+        // discriminator (it is the *key* that marks a provenance line).
         let mut ev = event(TracePhase::Created);
         ev.tx = "\"provenance\"".into();
-        assert!(!is_provenance_line(&ev.to_json()));
-        assert!(PhaseEvent::from_json(&ev.to_json()).is_ok());
+        let (p, events) = parse_jsonl_with_provenance(&ev.to_json()).expect("parses");
+        assert_eq!((p, events), (None, vec![ev]));
+    }
+
+    /// Integers decode exactly or are refused — never through an `f64`.
+    #[test]
+    fn integers_are_exact_or_refused() {
+        for seed in [(1u64 << 53) + 1, u64::MAX] {
+            let prov = RunProvenance {
+                seed,
+                config_digest: "ab12cd34ef56ab78".into(),
+            };
+            assert_eq!(RunProvenance::from_json(&prov.to_json()), Ok(prov));
+        }
+        for bad in [
+            "-3",
+            "1.5",
+            "1e3",
+            "1e999",
+            "18446744073709551616",
+            "\"7\"",
+            "{}",
+        ] {
+            let prov = format!("{{\"provenance\":1,\"seed\":{bad},\"config_digest\":\"x\"}}");
+            assert!(RunProvenance::from_json(&prov).is_err(), "seed {bad}");
+            let ev = format!(
+                "{{\"t_s\":1,\"tx\":\"a\",\"phase\":\"created\",\"station\":\"s\",\"queue_depth\":{bad}}}"
+            );
+            assert!(PhaseEvent::from_json(&ev).is_err(), "queue_depth {bad}");
+        }
     }
 
     /// Locks the analyzer's load-bearing phase order. `PIPELINE` is the

@@ -1,11 +1,26 @@
-//! A minimal recursive JSON reader for the crate's own artifacts.
+//! The one wire codec for the instrument's own JSON / JSONL artifacts.
 //!
-//! The repo is zero-dependency by policy, so the bench harness needs a small
-//! parser to read back `BENCH_fabricsim.json` baselines. This is a general
-//! (nested) JSON value parser, unlike the flat single-object reader in
-//! `event.rs` which stays specialized for the hot JSONL path.
+//! The repo is zero-dependency by policy, and the trace / span / health /
+//! summary / bench artifacts *are* the measurement, so everything that reads
+//! one back — `analyze`, `diff`, the perf gate, the benchmark's `compare` —
+//! goes through this module: [`Json::parse`] is the only JSON reader,
+//! [`escape`] the only string escaper and [`read_jsonl`] the only JSONL
+//! envelope in `crates/{obs,core,bench}`. Record types decode from a parsed
+//! [`Json`] through the typed field accessors ([`Json::num`],
+//! [`Json::opt_num`], [`Json::uint`], [`Json::string`], [`Json::array`]),
+//! which build the "missing field" / "must be a …" errors once.
+//!
+//! **Exact integers.** A number written as plain digits that fits `u64` is
+//! kept exact ([`Json::Int`]); every other number is an `f64`
+//! ([`Json::Num`]). Integer fields (`seed`, `queue_depth`, `hop`, `channel`,
+//! counters) decode through [`Json::uint`], which accepts only the exact form
+//! and range-checks the target type — a negative, fractional, exponent-form,
+//! non-finite or out-of-range value is an error, never a silent round or
+//! saturate.
 
 use std::collections::BTreeMap;
+
+use crate::event::RunProvenance;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -14,14 +29,17 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (kept as f64; fine for the magnitudes we store).
+    /// A number written as plain digits that fits `u64`, kept exact.
+    Int(u64),
+    /// Any other JSON number.
     Num(f64),
     /// A string.
     Str(String),
     /// An array.
     Arr(Vec<Json>),
     /// An object. Key order is not preserved (sorted map) — irrelevant for
-    /// reading our own artifacts back.
+    /// reading our own artifacts back. A key repeated within one object is a
+    /// parse error.
     Obj(BTreeMap<String, Json>),
 }
 
@@ -33,6 +51,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             chars: text.chars().peekable(),
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -51,10 +70,19 @@ impl Json {
         }
     }
 
-    /// The value as a number, if it is one.
+    /// The value as a number, if it is one (exact integers widen to `f64`).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Json::Int(n) => Some(*n as f64),
             Json::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The value as an exact unsigned integer, if it was written as one.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Int(n) => Some(*n),
             _ => None,
         }
     }
@@ -74,10 +102,134 @@ impl Json {
             _ => None,
         }
     }
+
+    fn field(&self, key: &str) -> Result<&Json, String> {
+        match self {
+            Json::Obj(m) => m.get(key).ok_or_else(|| format!("missing field {key:?}")),
+            _ => Err("expected a JSON object".into()),
+        }
+    }
+
+    /// The required number field `key` of this object.
+    ///
+    /// # Errors
+    /// The field is missing or not a number.
+    pub fn num(&self, key: &str) -> Result<f64, String> {
+        self.field(key)?
+            .as_f64()
+            .ok_or_else(|| format!("{key} must be a number"))
+    }
+
+    /// The optional number field `key` of this object (`None` when absent).
+    ///
+    /// # Errors
+    /// The field is present but not a number.
+    pub fn opt_num(&self, key: &str) -> Result<Option<f64>, String> {
+        match self.get(key) {
+            None => Ok(None),
+            Some(_) => self.num(key).map(Some),
+        }
+    }
+
+    /// The required unsigned-integer field `key` of this object, exact (see
+    /// the module docs) and range-checked against `T`.
+    ///
+    /// # Errors
+    /// The field is missing, not written as a plain non-negative integer, or
+    /// does not fit `T`.
+    pub fn uint<T: TryFrom<u64>>(&self, key: &str) -> Result<T, String> {
+        let n = self
+            .field(key)?
+            .as_u64()
+            .ok_or_else(|| format!("{key} must be a non-negative integer"))?;
+        T::try_from(n).map_err(|_| format!("{key} is out of range: {n}"))
+    }
+
+    /// The required string field `key` of this object.
+    ///
+    /// # Errors
+    /// The field is missing or not a string.
+    pub fn string(&self, key: &str) -> Result<&str, String> {
+        self.field(key)?
+            .as_str()
+            .ok_or_else(|| format!("{key} must be a string"))
+    }
+
+    /// The required array field `key` of this object.
+    ///
+    /// # Errors
+    /// The field is missing or not an array.
+    pub fn array(&self, key: &str) -> Result<&[Json], String> {
+        self.field(key)?
+            .as_array()
+            .ok_or_else(|| format!("{key} must be an array"))
+    }
 }
+
+/// JSON string escaping: quote, backslash, the short `\n` `\r` `\t` forms
+/// and `\u00XX` for every other control character. The one escaper behind
+/// every artifact writer.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                out.push_str(&format!("\\u{:04x}", c as u32));
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// Reads a JSONL artifact: one JSON object per non-blank line, each decoded
+/// by `record` into the returned list — except the [`RunProvenance`] header
+/// (any line carrying a `"provenance"` key), which is returned beside it. The
+/// header is written first by the CLI but accepted at any position; a second
+/// one is an error (two runs' artifacts concatenated by mistake).
+///
+/// # Errors
+/// `line N: …` for the first line that fails to parse or that `record`
+/// refuses.
+pub fn read_jsonl<T>(
+    text: &str,
+    mut record: impl FnMut(&Json) -> Result<T, String>,
+) -> Result<(Option<RunProvenance>, Vec<T>), String> {
+    let mut prov = None;
+    let mut records = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        let at = |e: String| format!("line {}: {e}", i + 1);
+        let v = Json::parse(line).map_err(at)?;
+        if v.get("provenance").is_none() {
+            records.push(record(&v).map_err(at)?);
+        } else if prov
+            .replace(RunProvenance::from_value(&v).map_err(at)?)
+            .is_some()
+        {
+            return Err(at(
+                "duplicate provenance line (two runs' artifacts concatenated?)".into(),
+            ));
+        }
+    }
+    Ok((prov, records))
+}
+
+/// Deepest container nesting [`Json::parse`] accepts. The artifacts nest at
+/// most five levels; the bound keeps a hostile `[[[[…` from overflowing the
+/// stack of the recursive parser.
+const MAX_DEPTH: usize = 256;
 
 struct Parser<'a> {
     chars: std::iter::Peekable<std::str::Chars<'a>>,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -104,8 +256,19 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.chars.peek() {
-            Some('{') => self.object(),
-            Some('[') => self.array(),
+            Some(&open @ ('{' | '[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!("nesting deeper than {MAX_DEPTH} levels"));
+                }
+                self.depth += 1;
+                let v = if open == '{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some('"') => Ok(Json::Str(self.string()?)),
             Some('t') => {
                 self.chars.next();
@@ -137,7 +300,11 @@ impl Parser<'_> {
             let key = self.string()?;
             self.skip_ws();
             self.expect(':')?;
-            map.insert(key, self.value()?);
+            let value = self.value()?;
+            if map.contains_key(&key) {
+                return Err(format!("duplicate key {key:?}"));
+            }
+            map.insert(key, value);
             self.skip_ws();
             match self.chars.next() {
                 Some(',') => continue,
@@ -203,6 +370,13 @@ impl Parser<'_> {
                 self.chars.next();
             } else {
                 break;
+            }
+        }
+        // Plain digits that fit u64 stay exact; an overflowing run of digits
+        // falls through to f64 and is refused by `Json::uint`.
+        if num.bytes().all(|b| b.is_ascii_digit()) {
+            if let Ok(n) = num.parse() {
+                return Ok(Json::Int(n));
             }
         }
         num.parse()
@@ -286,6 +460,13 @@ mod tests {
         assert_eq!(v, &Json::Null);
         // Unbalanced deep nesting still errors rather than hanging.
         assert!(Json::parse(&"[".repeat(depth)).is_err());
+        // Past the bound the parser refuses instead of overflowing its stack.
+        let hostile = "[".repeat(1_000_000);
+        assert!(Json::parse(&hostile)
+            .expect_err("bounded")
+            .contains("nesting"));
+        let at_bound = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(Json::parse(&at_bound).is_ok());
     }
 
     #[test]
@@ -304,6 +485,66 @@ mod tests {
     }
 
     #[test]
+    fn integers_stay_exact_and_everything_else_is_f64() {
+        for (text, want) in [
+            ("0", Json::Int(0)),
+            ("9007199254740993", Json::Int((1 << 53) + 1)),
+            ("18446744073709551615", Json::Int(u64::MAX)),
+            ("18446744073709551616", Json::Num(18446744073709551616.0)),
+            ("-1", Json::Num(-1.0)),
+            ("1.0", Json::Num(1.0)),
+            ("1e3", Json::Num(1000.0)),
+        ] {
+            assert_eq!(Json::parse(text), Ok(want), "{text}");
+        }
+        assert_eq!(Json::Int(7).as_f64(), Some(7.0));
+        assert_eq!(Json::Num(7.0).as_u64(), None);
+    }
+
+    #[test]
+    fn field_accessors_build_each_error_once() {
+        let v = Json::parse(r#"{"n":1.5,"i":300,"s":"x","a":[1],"o":{}}"#).unwrap();
+        assert_eq!(v.num("n"), Ok(1.5));
+        assert_eq!(v.num("i"), Ok(300.0));
+        assert_eq!(v.opt_num("n"), Ok(Some(1.5)));
+        assert_eq!(v.opt_num("absent"), Ok(None));
+        assert_eq!(v.uint::<u64>("i"), Ok(300));
+        assert_eq!(v.uint::<u32>("i"), Ok(300));
+        assert_eq!(v.string("s"), Ok("x"));
+        assert_eq!(v.array("a").map(<[Json]>::len), Ok(1));
+        for (got, want) in [
+            (v.num("absent").map(drop), "missing field \"absent\""),
+            (v.num("s").map(drop), "s must be a number"),
+            (v.num("o").map(drop), "o must be a number"),
+            (v.opt_num("a").map(drop), "a must be a number"),
+            (
+                v.uint::<u64>("n").map(drop),
+                "n must be a non-negative integer",
+            ),
+            (v.uint::<u8>("i").map(drop), "i is out of range: 300"),
+            (v.string("i").map(drop), "i must be a string"),
+            (v.array("o").map(drop), "o must be an array"),
+            (Json::Null.num("n").map(drop), "expected a JSON object"),
+        ] {
+            assert_eq!(got, Err(want.to_string()));
+        }
+    }
+
+    #[test]
+    fn escape_round_trips_through_the_parser() {
+        let raw = "we\"ird\\name\twith\ncontrol\r\u{1}\u{1f}é中";
+        let escaped = escape(raw);
+        assert_eq!(
+            escaped,
+            "we\\\"ird\\\\name\\twith\\ncontrol\\r\\u0001\\u001fé中"
+        );
+        assert_eq!(
+            Json::parse(&format!("\"{escaped}\"")),
+            Ok(Json::Str(raw.into()))
+        );
+    }
+
+    #[test]
     fn malformed_input_rejection_table() {
         for (bad, why) in [
             ("", "empty document"),
@@ -312,6 +553,11 @@ mod tests {
             ("[", "unterminated array"),
             ("[1,]", "trailing comma in array"),
             ("{\"a\":1,}", "trailing comma in object"),
+            ("{\"a\":1,\"a\":2}", "duplicate key"),
+            (
+                "{\"a\":{\"b\":1,\"b\":1}}",
+                "duplicate key in a nested object",
+            ),
             ("{\"a\"}", "missing colon"),
             ("{\"a\":}", "missing value"),
             ("{a:1}", "unquoted key"),

@@ -5,7 +5,7 @@
 //! per-phase queueing out of the logs (§IV). This crate makes that
 //! methodology a first-class, reusable layer over the DES:
 //!
-//! * [`EventSink`] / [`Tracer`] — structured phase-transition events
+//! * [`EventSink`] — structured phase-transition events
 //!   (`tx`, `phase`, `station`, `t_s`, `queue_depth`) with a JSONL exporter
 //!   mirroring the paper's log format. Disabled sinks cost one branch per
 //!   call site — simulations pay nothing unless tracing is requested.
@@ -25,8 +25,11 @@
 //!   attributes each transaction's critical path to the segment that
 //!   dominated it — the per-millisecond version of the paper's Fig. 6/7
 //!   latency-decomposition discussion.
-//! * [`Json`] — a minimal recursive JSON reader so artifacts such as the
-//!   bench baseline can be parsed back without external dependencies.
+//! * [`json`] — the one wire codec: [`Json`] is the only JSON reader,
+//!   [`json::escape`] the only string escaper and [`json::read_jsonl`] the
+//!   only JSONL envelope behind every artifact the stack emits (traces,
+//!   spans, health timelines, run summaries, analyses, bench baselines).
+//!   Integers decode exactly or are refused; nothing goes through an `f64`.
 //! * [`ArtifactDiff`] — differential analysis: pairwise comparison of any
 //!   two artifacts the stack emits (run summaries, trace/span-graph
 //!   analyses, kernel profiles, bench reports) with metrics ranked by
@@ -75,7 +78,7 @@ mod event;
 mod exporter;
 mod flame;
 mod hist;
-mod json;
+pub mod json;
 mod online;
 mod registry;
 mod series;
@@ -104,7 +107,7 @@ pub use online::{
 pub use registry::{validate_exposition, Counter, Gauge, LiveHistogram, MetricsRegistry};
 pub use series::{MetricsRecorder, TimeSeries};
 pub use sink::{
-    EventSink, JsonlFileSink, SpanSink, Tracer, DEFAULT_EVENT_CAPACITY, DEFAULT_SPAN_CAPACITY,
+    EventSink, JsonlFileSink, SpanSink, DEFAULT_EVENT_CAPACITY, DEFAULT_SPAN_CAPACITY,
     DEFAULT_SPAN_KIND_CAP,
 };
 pub use span::{reconstruct, Segment, TxSpan, PIPELINE_LEN};

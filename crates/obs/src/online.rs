@@ -27,7 +27,7 @@
 //! tile the run horizon exactly: `Σ_regime dwell_s == horizon_s` (to fp
 //! noise, checked at 1e-6 by `analyze --health` and CI).
 
-use crate::event::{escape, is_provenance_line, parse_flat_object, JsonValue};
+use crate::json::{escape, read_jsonl, Json};
 use crate::RunProvenance;
 
 /// Default capacity of the bounded health-event buffer.
@@ -205,36 +205,19 @@ impl HealthEvent {
     /// # Errors
     /// A description of the first syntax or schema problem found.
     pub fn from_json(line: &str) -> Result<HealthEvent, String> {
-        let fields = parse_flat_object(line)?;
-        let get = |k: &str| {
-            fields
-                .iter()
-                .find(|(key, _)| key == k)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing field {k:?}"))
-        };
-        let num = |k: &str| match get(k)? {
-            JsonValue::Number(n) => Ok(*n),
-            _ => Err(format!("{k} must be a number")),
-        };
-        let string = |k: &str| match get(k)? {
-            JsonValue::String(s) => Ok(s.clone()),
-            _ => Err(format!("{k} must be a string")),
-        };
-        let kind = HealthEventKind::from_label(&string("kind")?)
-            .ok_or_else(|| "unknown health event kind".to_string())?;
-        let channel = num("channel")?;
-        if !channel.is_finite() || channel < 0.0 {
-            return Err("channel must be a non-negative number".into());
-        }
+        HealthEvent::from_value(&Json::parse(line)?)
+    }
+
+    fn from_value(v: &Json) -> Result<HealthEvent, String> {
         Ok(HealthEvent {
-            t_s: num("t_s")?,
-            kind,
-            channel: channel as u32,
-            station: string("station")?,
-            from: string("from")?,
-            to: string("to")?,
-            value: num("value")?,
+            t_s: v.num("t_s")?,
+            kind: HealthEventKind::from_label(v.string("kind")?)
+                .ok_or_else(|| "unknown health event kind".to_string())?,
+            channel: v.uint("channel")?,
+            station: v.string("station")?.to_string(),
+            from: v.string("from")?.to_string(),
+            to: v.string("to")?.to_string(),
+            value: v.num("value")?,
         })
     }
 }
@@ -774,41 +757,22 @@ impl StationHealth {
     /// # Errors
     /// A description of the first syntax or schema problem found.
     pub fn from_json(line: &str) -> Result<StationHealth, String> {
-        let fields = parse_flat_object(line)?;
-        let get = |k: &str| fields.iter().find(|(key, _)| key == k).map(|(_, v)| v);
-        let num = |k: &str| match get(k) {
-            Some(JsonValue::Number(n)) => Ok(*n),
-            Some(_) => Err(format!("{k} must be a number")),
-            None => Err(format!("missing field {k:?}")),
-        };
-        let channel = num("channel")?;
-        if !channel.is_finite() || channel < 0.0 {
-            return Err("channel must be a non-negative number".into());
-        }
-        let station = match get("station") {
-            Some(JsonValue::String(s)) => s.clone(),
-            _ => return Err("station must be a string".into()),
-        };
-        let regime = match get("regime") {
-            Some(JsonValue::String(s)) => {
-                Regime::from_label(s).ok_or_else(|| format!("unknown regime {s:?}"))?
-            }
-            _ => return Err("regime must be a string".into()),
-        };
+        StationHealth::from_value(&Json::parse(line)?)
+    }
+
+    fn from_value(v: &Json) -> Result<StationHealth, String> {
+        let regime = v.string("regime")?;
         let mut dwell_s = [0.0; 3];
         let mut onset_s = [None; 3];
         for (i, r) in Regime::ALL.into_iter().enumerate() {
-            dwell_s[i] = num(&format!("dwell_{}_s", r.label()))?;
-            onset_s[i] = match get(&format!("onset_{}_s", r.label())) {
-                Some(JsonValue::Number(n)) => Some(*n),
-                Some(_) => return Err("onset must be a number".into()),
-                None => None,
-            };
+            dwell_s[i] = v.num(&format!("dwell_{}_s", r.label()))?;
+            onset_s[i] = v.opt_num(&format!("onset_{}_s", r.label()))?;
         }
         Ok(StationHealth {
-            channel: channel as u32,
-            station,
-            regime,
+            channel: v.uint("channel")?,
+            station: v.string("station")?.to_string(),
+            regime: Regime::from_label(regime)
+                .ok_or_else(|| format!("unknown regime {regime:?}"))?,
             dwell_s,
             onset_s,
         })
@@ -940,67 +904,48 @@ impl HealthReport {
     /// The line number and description of the first bad line, or a
     /// truncation diagnosis.
     pub fn from_jsonl(text: &str) -> Result<(Option<RunProvenance>, HealthReport), String> {
-        let mut prov = None;
         let mut events = Vec::new();
         let mut stations = Vec::new();
-        let mut summary: Option<Vec<(String, JsonValue)>> = None;
-        for (i, line) in text.lines().enumerate() {
-            let line_no = i + 1;
-            if line.trim().is_empty() {
-                continue;
-            }
-            if summary.is_some() {
-                return Err(format!(
-                    "line {line_no}: content after the health_summary trailer (two artifacts concatenated?)"
-                ));
-            }
-            if is_provenance_line(line) {
-                if prov.is_some() {
-                    return Err(format!("line {line_no}: duplicate provenance line"));
-                }
-                prov = Some(
-                    RunProvenance::from_json(line).map_err(|e| format!("line {line_no}: {e}"))?,
+        let mut report: Option<HealthReport> = None;
+        // Three record kinds and a trailer rule: the closure files each line
+        // itself, so the reader's own list stays empty.
+        let (prov, _) = read_jsonl(text, |v| {
+            if report.is_some() {
+                return Err(
+                    "content after the health_summary trailer (two artifacts concatenated?)".into(),
                 );
-                continue;
             }
-            let fields = parse_flat_object(line).map_err(|e| format!("line {line_no}: {e}"))?;
-            let has = |k: &str| fields.iter().any(|(key, _)| key == k);
-            if has("station_health") {
-                stations.push(
-                    StationHealth::from_json(line).map_err(|e| format!("line {line_no}: {e}"))?,
-                );
-            } else if has("health_summary") {
-                summary = Some(fields);
+            if v.get("station_health").is_some() {
+                stations.push(StationHealth::from_value(v)?);
+            } else if v.get("health_summary").is_some() {
+                report = Some(HealthReport {
+                    window_s: v.num("window_s")?,
+                    horizon_s: v.num("horizon_s")?,
+                    slo_p99_s: v.num("slo_p99_s")?,
+                    channels: v.uint("channels")?,
+                    windows: v.uint("windows")?,
+                    completions: v.uint("completions")?,
+                    slo_violations: v.uint("slo_violations")?,
+                    burn_windows: v.uint("burn_windows")?,
+                    max_burn: v.num("max_burn")?,
+                    dropped_events: v.uint("dropped_events")?,
+                    events: Vec::new(),
+                    stations: Vec::new(),
+                });
             } else {
-                events.push(
-                    HealthEvent::from_json(line).map_err(|e| format!("line {line_no}: {e}"))?,
-                );
+                events.push(HealthEvent::from_value(v)?);
             }
-        }
-        let summary = summary.ok_or_else(|| {
+            Ok(())
+        })?;
+        let report = report.ok_or_else(|| {
             "missing health_summary trailer (truncated health artifact?)".to_string()
         })?;
-        let num = |k: &str| match summary.iter().find(|(key, _)| key == k) {
-            Some((_, JsonValue::Number(n))) => Ok(*n),
-            Some(_) => Err(format!("summary field {k} must be a number")),
-            None => Err(format!("summary missing field {k:?}")),
-        };
-        let uint = |k: &str| num(k).map(|n| n.max(0.0) as u64);
         Ok((
             prov,
             HealthReport {
-                window_s: num("window_s")?,
-                horizon_s: num("horizon_s")?,
-                slo_p99_s: num("slo_p99_s")?,
-                channels: num("channels")?.max(0.0) as u32,
-                windows: uint("windows")?,
-                completions: uint("completions")?,
-                slo_violations: uint("slo_violations")?,
-                burn_windows: uint("burn_windows")?,
-                max_burn: num("max_burn")?,
-                dropped_events: uint("dropped_events")?,
                 events,
                 stations,
+                ..report
             },
         ))
     }

@@ -257,7 +257,7 @@ impl MetricsRecorder {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\"{}\":[", crate::event::escape(&s.name)));
+            out.push_str(&format!("\"{}\":[", crate::json::escape(&s.name)));
             for (j, v) in s.values.iter().enumerate() {
                 if j > 0 {
                     out.push(',');

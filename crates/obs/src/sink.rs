@@ -31,15 +31,6 @@ pub const DEFAULT_SPAN_CAPACITY: usize = 1 << 20;
 /// Default per-family (per [`SpanKind`]) cardinality cap.
 pub const DEFAULT_SPAN_KIND_CAP: u64 = 1 << 19;
 
-/// Anything that can consume phase events.
-pub trait Tracer {
-    /// Whether events should be constructed at all. Call sites must guard on
-    /// this before building a [`PhaseEvent`] (constructing one allocates).
-    fn enabled(&self) -> bool;
-    /// Consumes one event. No-op when disabled.
-    fn record(&mut self, ev: PhaseEvent);
-}
-
 /// The standard sink: disabled (free) or collecting into a bounded ring.
 #[derive(Debug, Clone, Default)]
 pub enum EventSink {
@@ -61,12 +52,6 @@ impl EventSink {
     /// A sink that records nothing.
     pub fn disabled() -> Self {
         EventSink::Disabled
-    }
-
-    /// A sink collecting events in memory, bounded at
-    /// [`DEFAULT_EVENT_CAPACITY`].
-    pub fn in_memory() -> Self {
-        EventSink::in_memory_bounded(DEFAULT_EVENT_CAPACITY)
     }
 
     /// A sink collecting at most `capacity` events: once full, the oldest
@@ -135,25 +120,6 @@ impl EventSink {
             EventSink::Disabled => Vec::new(),
             EventSink::Memory { buf, .. } => Vec::from(buf),
         }
-    }
-
-    /// Renders every collected event as a JSONL document.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for ev in self.events() {
-            out.push_str(&ev.to_json());
-            out.push('\n');
-        }
-        out
-    }
-}
-
-impl Tracer for EventSink {
-    fn enabled(&self) -> bool {
-        EventSink::enabled(self)
-    }
-    fn record(&mut self, ev: PhaseEvent) {
-        EventSink::record(self, ev)
     }
 }
 
@@ -290,16 +256,6 @@ impl SpanSink {
     pub fn into_spans(self) -> Vec<SpanEvent> {
         Vec::from(self.buf)
     }
-
-    /// Renders every retained span as a JSONL document.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for s in self.spans() {
-            out.push_str(&s.to_json());
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// A buffered JSONL trace writer streaming events straight to disk.
@@ -410,16 +366,6 @@ impl Drop for JsonlFileSink {
     }
 }
 
-impl Tracer for JsonlFileSink {
-    fn enabled(&self) -> bool {
-        true
-    }
-    fn record(&mut self, ev: PhaseEvent) {
-        // The Tracer trait has no error channel; defer failures to `finish`.
-        let _ = self.write_event(&ev);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -458,7 +404,6 @@ mod tests {
         sink.record(ev(1.0));
         assert_eq!(sink.events().count(), 0);
         assert_eq!(sink.dropped_events(), 0);
-        assert_eq!(sink.to_jsonl(), "");
     }
 
     #[test]
@@ -467,9 +412,8 @@ mod tests {
             std::env::temp_dir().join(format!("fabricsim-sink-drop-{}.jsonl", std::process::id()));
         {
             let mut sink = JsonlFileSink::create(&path).expect("create");
-            assert!(Tracer::enabled(&sink));
             for i in 0..100 {
-                sink.record(ev(i as f64));
+                sink.write_event(&ev(i as f64)).expect("write");
             }
             assert_eq!(sink.written(), 100);
             // No finish(): the sink is dropped here, as on an early CLI exit.
@@ -500,15 +444,13 @@ mod tests {
 
     #[test]
     fn memory_sink_collects_in_order() {
-        let mut sink = EventSink::in_memory();
+        let mut sink = EventSink::in_memory_bounded(16);
         assert!(sink.enabled());
         sink.record(ev(1.0));
         sink.record(ev(2.0));
         assert_eq!(sink.events().count(), 2);
         let ts: Vec<f64> = sink.events().map(|e| e.t_s).collect();
         assert!(ts[0] < ts[1]);
-        let jsonl = sink.to_jsonl();
-        assert_eq!(jsonl.lines().count(), 2);
         assert_eq!(sink.dropped_events(), 0);
         assert_eq!(sink.into_events().len(), 2);
     }

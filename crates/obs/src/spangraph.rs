@@ -32,7 +32,7 @@
 
 use std::fmt;
 
-use crate::event::{escape, parse_flat_object, JsonValue};
+use crate::json::{escape, read_jsonl, Json};
 
 /// The kind of distributed work a [`SpanEvent`] covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -254,44 +254,25 @@ impl SpanEvent {
     /// # Errors
     /// A description of the first syntax or schema problem found.
     pub fn from_json(line: &str) -> Result<SpanEvent, String> {
-        let fields = parse_flat_object(line)?;
-        let get = |k: &str| {
-            fields
-                .iter()
-                .find(|(key, _)| key == k)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing field {k:?}"))
+        SpanEvent::from_value(&Json::parse(line)?)
+    }
+
+    pub(crate) fn from_value(v: &Json) -> Result<SpanEvent, String> {
+        let hex_id = |k: &str| {
+            let s = v.string(k)?;
+            u64::from_str_radix(s, 16).map_err(|e| format!("bad {k} {s:?}: {e}"))
         };
-        let hex_id = |k: &str| match get(k)? {
-            JsonValue::String(s) => {
-                u64::from_str_radix(s, 16).map_err(|e| format!("bad {k} {s:?}: {e}"))
-            }
-            JsonValue::Number(_) => Err(format!("{k} must be a hex string")),
-        };
-        let string = |k: &str| match get(k)? {
-            JsonValue::String(s) => Ok(s.clone()),
-            JsonValue::Number(_) => Err(format!("{k} must be a string")),
-        };
-        let number = |k: &str| match get(k)? {
-            JsonValue::Number(n) => Ok(*n),
-            JsonValue::String(_) => Err(format!("{k} must be a number")),
-        };
-        let kind_label = string("kind")?;
-        let kind = SpanKind::from_label(&kind_label)
-            .ok_or_else(|| format!("unknown span kind {kind_label:?}"))?;
-        let hop_n = number("hop")?;
-        if hop_n < 0.0 {
-            return Err("hop must be non-negative".into());
-        }
+        let kind = v.string("kind")?;
         Ok(SpanEvent {
             span_id: hex_id("span")?,
             parent_id: hex_id("parent")?,
-            trace: string("trace")?,
-            kind,
-            actor: string("actor")?,
-            t0_s: number("t0_s")?,
-            t1_s: number("t1_s")?,
-            hop: hop_n as u32,
+            trace: v.string("trace")?.to_string(),
+            kind: SpanKind::from_label(kind)
+                .ok_or_else(|| format!("unknown span kind {kind:?}"))?,
+            actor: v.string("actor")?.to_string(),
+            t0_s: v.num("t0_s")?,
+            t1_s: v.num("t1_s")?,
+            hop: v.uint("hop")?,
         })
     }
 }
@@ -316,27 +297,7 @@ pub fn parse_spans_jsonl(text: &str) -> Result<Vec<SpanEvent>, String> {
 pub fn parse_spans_jsonl_with_provenance(
     text: &str,
 ) -> Result<(Option<crate::RunProvenance>, Vec<SpanEvent>), String> {
-    let mut prov = None;
-    let mut out = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        if crate::event::is_provenance_line(line) {
-            let p = crate::RunProvenance::from_json(line)
-                .map_err(|e| format!("line {}: {e}", i + 1))?;
-            if prov.is_some() {
-                return Err(format!(
-                    "line {}: duplicate provenance line (two runs' spans concatenated?)",
-                    i + 1
-                ));
-            }
-            prov = Some(p);
-            continue;
-        }
-        out.push(SpanEvent::from_json(line).map_err(|e| format!("line {}: {e}", i + 1))?);
-    }
-    Ok((prov, out))
+    read_jsonl(text, SpanEvent::from_value)
 }
 
 #[cfg(test)]
