@@ -55,18 +55,9 @@ pub struct LiveMetrics {
     pub sim_time: Gauge,
     /// Transactions in flight (created, not yet terminal).
     pub inflight: Gauge,
-    /// Summed queue depth of the client-pool prep stations.
-    pub q_pool_prep: Gauge,
-    /// Summed queue depth of the client-pool receive stations.
-    pub q_pool_recv: Gauge,
-    /// Summed queue depth of the peer endorsement stations.
-    pub q_peer_endorse: Gauge,
-    /// Summed queue depth of the peer VSCC stations.
-    pub q_peer_vscc: Gauge,
-    /// Summed queue depth of the peer commit stations.
-    pub q_peer_commit: Gauge,
-    /// Summed queue depth of the OSN CPU stations.
-    pub q_osn_cpu: Gauge,
+    /// Summed queue depth per station class, indexed like
+    /// [`fabricsim_obs::HEALTH_STATIONS`] (labelled `pool_prep` … `osn_cpu`).
+    pub queue_depth: [Gauge; HEALTH_STATION_COUNT],
     /// Max per-peer VSCC-station utilization so far.
     pub util_peer_vscc: Gauge,
     /// Max per-peer commit-station utilization so far.
@@ -167,32 +158,10 @@ impl LiveMetrics {
                 "Transactions created but not yet terminal.",
                 &[],
             ),
-            q_pool_prep: registry.gauge(
-                "fabricsim_queue_depth",
-                queue,
-                &[("station", "pool_prep")],
-            ),
-            q_pool_recv: registry.gauge(
-                "fabricsim_queue_depth",
-                queue,
-                &[("station", "pool_recv")],
-            ),
-            q_peer_endorse: registry.gauge(
-                "fabricsim_queue_depth",
-                queue,
-                &[("station", "peer_endorse")],
-            ),
-            q_peer_vscc: registry.gauge(
-                "fabricsim_queue_depth",
-                queue,
-                &[("station", "peer_vscc")],
-            ),
-            q_peer_commit: registry.gauge(
-                "fabricsim_queue_depth",
-                queue,
-                &[("station", "peer_commit")],
-            ),
-            q_osn_cpu: registry.gauge("fabricsim_queue_depth", queue, &[("station", "osn_cpu")]),
+            queue_depth: HEALTH_STATIONS.map(|station| {
+                let class = station.replace('.', "_");
+                registry.gauge("fabricsim_queue_depth", queue, &[("station", &class)])
+            }),
             util_peer_vscc: registry.gauge(
                 "fabricsim_station_utilization",
                 util,
@@ -265,7 +234,7 @@ mod tests {
         m.txs_committed_invalid.inc();
         m.e2e_latency.observe(0.75);
         m.sim_time.set(12.5);
-        m.q_peer_vscc.set(4.0);
+        m.queue_depth[3].set(4.0);
         let text = m.registry().render();
         validate_exposition(&text).unwrap_or_else(|e| panic!("invalid exposition: {e}\n{text}"));
         assert!(text.contains("fabricsim_txs_committed_total{validity=\"valid\"} 9"));

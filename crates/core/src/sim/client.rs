@@ -6,16 +6,17 @@ use std::sync::Arc;
 
 use fabricsim_chaincode::samples::AssetTransfer;
 use fabricsim_des::{ShardWorld, SimDuration, SimTime};
-use fabricsim_obs::{span_id, SpanKind, StationClass, TracePhase, TxStationBreakdown};
+use fabricsim_obs::{SpanKind, StationClass, TracePhase};
 use fabricsim_ordering::OsnInput;
 use fabricsim_types::encode::WireSize;
 use fabricsim_types::{Principal, ProposalResponse, Transaction, TxId};
 
 use fabricsim_client::{CollectState, EndorsementCollector};
 
-use crate::metrics::{TxOutcome, TxTrace};
+use crate::metrics::TxOutcome;
 use crate::workload::WorkloadKind;
 
+use super::observe::{Actor, SpanKey};
 use super::ordering::osn_receive;
 use super::peer::peer_receive_proposal;
 use super::world::{PendingTx, ShardMsg, World, K};
@@ -104,28 +105,15 @@ fn workload_args(world: &mut World, p: usize, seq: usize) -> (String, Vec<Vec<u8
 
 fn pool_arrival(world: &mut World, k: &mut K, p: usize) {
     let now = k.now();
-    let seq = world.traces.len();
-    let mut trace = TxTrace::new(now);
+    let seq = world.obs.arrivals();
 
     // Overload guard: queue cap on the submission station.
-    if world.pools[p].in_prep >= world.cfg.cost.client_queue_cap {
-        trace.outcome = TxOutcome::OverloadDropped;
-        world.push_trace(trace);
-        world.obs.breakdowns.push(TxStationBreakdown::default());
-        if let Some(live) = &world.obs.live {
-            live.txs_failed_overload.inc();
-        }
-        if world.obs.sink.enabled() {
-            let station = world.pools[p].prep.name().to_string();
-            let depth = world.pools[p].in_prep;
-            world.emit(
-                now,
-                format!("arrival{seq}"),
-                TracePhase::OverloadDropped,
-                station,
-                depth,
-            );
-        }
+    let pool = &world.pools[p];
+    if pool.in_prep >= world.cfg.cost.client_queue_cap {
+        let outcome = TxOutcome::OverloadDropped;
+        world
+            .obs
+            .refuse(now, p, None, outcome, pool.prep.name(), pool.in_prep);
         return;
     }
 
@@ -151,27 +139,15 @@ fn pool_arrival(world: &mut World, k: &mut K, p: usize) {
         .cloned()
         .collect();
     if targets.is_empty() {
-        trace.outcome = TxOutcome::EndorsementFailed;
-        world.push_trace(trace);
-        world.obs.breakdowns.push(TxStationBreakdown::default());
-        if let Some(live) = &world.obs.live {
-            live.txs_failed_endorsement.inc();
-        }
-        if world.obs.sink.enabled() {
-            let station = world.pools[p].prep.name().to_string();
-            world.emit_tx(now, tx_id, TracePhase::EndorsementFailed, station, 0);
-        }
+        let outcome = TxOutcome::EndorsementFailed;
+        world
+            .obs
+            .refuse(now, p, Some(tx_id), outcome, pool.prep.name(), 0);
         return;
     }
     let expected = targets.len();
 
-    world.push_trace(trace);
-    world.obs.breakdowns.push(TxStationBreakdown::default());
-    world.tx_index.insert(tx_id, seq);
-    world.tx_pool.insert(tx_id, p);
-    if let Some(live) = &world.obs.live {
-        live.txs_created.inc();
-    }
+    world.obs.admit(now, tx_id, p);
     let collector = EndorsementCollector::new(tx_id, world.policy.clone(), expected);
     world.pools[p].pending.insert(
         tx_id,
@@ -192,17 +168,19 @@ fn pool_arrival(world: &mut World, k: &mut K, p: usize) {
     world.pools[p].in_prep += 1;
     let queued = world.pools[p].prep.would_start_at(now) - now;
     let done = world.pools[p].prep.submit(now, service);
-    world.attribute(tx_id, StationClass::ClientPrep, queued, service);
-    if world.obs.sink.enabled() {
-        let station = world.pools[p].prep.name().to_string();
-        let depth = world.pools[p].prep.jobs_in_system(now);
-        world.emit_tx(now, tx_id, TracePhase::Created, station, depth);
-    }
-    if world.obs.spans.enabled() {
-        let tx = tx_id.short();
-        let actor = format!("pool{p}");
-        world.emit_span(&tx, SpanKind::ClientPrep, &actor, now, done + sdk_pre, 0, 0);
-    }
+    let prep = &world.pools[p].prep;
+    world
+        .obs
+        .visit(tx_id, StationClass::ClientPrep, queued, service);
+    world.obs.phase(
+        now,
+        tx_id,
+        TracePhase::Created,
+        prep.name(),
+        prep.jobs_in_system(now),
+    );
+    let span = SpanKey::tx(tx_id, SpanKind::ClientPrep, Actor::Pool(p));
+    world.obs.span(span, None, now, done + sdk_pre);
     world.shard.pending_sends.push(Reverse(done + sdk_pre));
     k.schedule_labeled(done + sdk_pre, "pool.send", move |w, k| {
         w.pools[p].in_prep -= 1;
@@ -220,26 +198,21 @@ fn send_proposals(world: &mut World, k: &mut K, p: usize, tx_id: TxId, targets: 
         return;
     };
     let proposal = Arc::clone(&pending.proposal);
-    if let Some(t) = world.trace_mut(tx_id) {
-        t.proposal_sent = Some(now);
-    }
-    if world.obs.sink.enabled() {
-        let depth = world.pools[p].pending.len();
-        world.emit_tx(
-            now,
-            tx_id,
-            TracePhase::ProposalSent,
-            format!("pool{p}.nic"),
-            depth,
-        );
-    }
+    let pool = &world.pools[p];
+    world.obs.phase(
+        now,
+        tx_id,
+        TracePhase::ProposalSent,
+        pool.egress.name(),
+        pool.pending.len(),
+    );
     let bytes = proposal.wire_size();
     if let Some(target) = world.export_target(&proposal.channel) {
         // Cross-shard transaction: fan the proposal out through the home
         // pool's egress link as usual, but hand the resulting arrivals (all
         // at least one link propagation — the lookahead — in the future) to
         // the shard that owns the target channel. That shard runs the rest
-        // of the transaction's life; the home copy of the trace becomes a
+        // of the transaction's life; the home copy of the record becomes a
         // stub that the deterministic merge drops for the completed one.
         let deliveries: Vec<(usize, SimTime)> = targets
             .iter()
@@ -253,29 +226,19 @@ fn send_proposals(world: &mut World, k: &mut K, p: usize, tx_id: TxId, targets: 
         let Some(at) = deliveries.iter().map(|d| d.1).min() else {
             return;
         };
-        let Some(&seq) = world.tx_index.get(&tx_id) else {
+        let Some(record) = world.obs.export(tx_id) else {
             return;
         };
         world.pools[p].pending.remove(&tx_id);
-        let trace = world.traces[seq].clone();
-        let breakdown = world.obs.breakdowns[seq].clone();
-        let expected = targets.len();
-        let ctx = &mut world.shard;
-        let Some(src) = ctx.trace_src[seq].take() else {
-            return;
-        };
-        ctx.exported += 1;
-        ctx.outbox.push((
+        world.shard.outbox.push((
             target,
             at,
             ShardMsg::Proposal {
-                src,
                 pool: p,
                 proposal,
-                expected,
+                expected: targets.len(),
                 deliveries,
-                trace,
-                breakdown,
+                record,
             },
         ));
         return;
@@ -300,25 +263,18 @@ impl ShardWorld for World {
     fn deliver(&mut self, kernel: &mut K, _at: SimTime, msg: ShardMsg) {
         // An imported proposal re-creates exactly the client-side state the
         // local path would have built — a pending entry keyed by tx id, the
-        // trace/breakdown slot, and one endorsement arrival per target peer.
-        // The trace slot is tagged with its home (shard, seq) identity so the
-        // merge can put the completed trace back where the stub lives.
+        // transaction's record (still under its home identity, so the merge
+        // can put the completed one back where the stub lives), and one
+        // endorsement arrival per target peer.
         let ShardMsg::Proposal {
-            src,
             pool: p,
             proposal,
             expected,
             deliveries,
-            trace,
-            breakdown,
+            record,
         } = msg;
         let tx_id = proposal.tx_id;
-        let seq = self.traces.len();
-        self.traces.push(trace);
-        self.obs.breakdowns.push(breakdown);
-        self.shard.trace_src.push(Some(src));
-        self.tx_index.insert(tx_id, seq);
-        self.tx_pool.insert(tx_id, p);
+        self.obs.import(tx_id, record);
         let collector = EndorsementCollector::new(tx_id, self.policy.clone(), expected);
         self.pools[p].pending.insert(
             tx_id,
@@ -379,16 +335,9 @@ pub(super) fn pool_receive_response(
         CollectState::Pending => {}
         CollectState::Failed => {
             world.pools[p].pending.remove(&tx_id);
-            if let Some(t) = world.trace_mut(tx_id) {
-                t.outcome = TxOutcome::EndorsementFailed;
-            }
-            if let Some(live) = &world.obs.live {
-                live.txs_failed_endorsement.inc();
-            }
-            if world.obs.sink.enabled() {
-                let station = world.pools[p].recv.name().to_string();
-                world.emit_tx(now, tx_id, TracePhase::EndorsementFailed, station, 0);
-            }
+            let outcome = TxOutcome::EndorsementFailed;
+            let station = world.pools[p].recv.name();
+            world.obs.terminal(now, tx_id, outcome, station, 0);
         }
         CollectState::Satisfied => {
             let n = pending.collector.responses().len();
@@ -398,23 +347,13 @@ pub(super) fn pool_receive_response(
             let sdk_post = world.ms(m.sdk_post_ms);
             let queued = world.pools[p].recv.would_start_at(now) - now;
             let done = world.pools[p].recv.submit(now, cost);
-            world.attribute(tx_id, StationClass::ClientRecv, queued, cost);
-            if world.obs.spans.enabled() {
-                let tx = tx_id.short();
-                let actor = format!("pool{p}");
-                let parent = endorser_peer.map_or(0, |e| {
-                    span_id(&tx, SpanKind::Endorse, &format!("peer{e}"), 0)
-                });
-                world.emit_span(
-                    &tx,
-                    SpanKind::Assemble,
-                    &actor,
-                    now,
-                    done + sdk_post,
-                    0,
-                    parent,
-                );
-            }
+            world
+                .obs
+                .visit(tx_id, StationClass::ClientRecv, queued, cost);
+            let parent =
+                endorser_peer.map(|e| SpanKey::tx(tx_id, SpanKind::Endorse, Actor::Peer(e)));
+            let span = SpanKey::tx(tx_id, SpanKind::Assemble, Actor::Pool(p));
+            world.obs.span(span, parent, now, done + sdk_post);
             k.schedule_labeled(done + sdk_post, "client.assemble", move |w, k| {
                 client_assemble(w, k, p, tx_id);
             });
@@ -435,48 +374,35 @@ fn client_assemble(world: &mut World, k: &mut K, p: usize, tx_id: TxId) {
         Ok(tx) => tx,
         Err(_) => {
             world.pools[p].pending.remove(&tx_id);
-            if let Some(t) = world.trace_mut(tx_id) {
-                t.outcome = TxOutcome::EndorsementFailed;
-            }
-            if let Some(live) = &world.obs.live {
-                live.txs_failed_endorsement.inc();
-            }
-            if world.obs.sink.enabled() {
-                let station = world.pools[p].recv.name().to_string();
-                world.emit_tx(now, tx_id, TracePhase::EndorsementFailed, station, 0);
-            }
+            let outcome = TxOutcome::EndorsementFailed;
+            let station = world.pools[p].recv.name();
+            world.obs.terminal(now, tx_id, outcome, station, 0);
             return;
         }
     };
-    let sigs = tx.endorsements.len();
-    if let Some(t) = world.trace_mut(tx_id) {
-        t.endorsed = Some(now);
-        t.signatures = sigs;
-    }
-    if world.obs.sink.enabled() {
-        let station = world.pools[p].recv.name().to_string();
-        let depth = world.pools[p].recv.jobs_in_system(now);
-        world.emit_tx(now, tx_id, TracePhase::Endorsed, station, depth);
-    }
+    let recv = &world.pools[p].recv;
+    world.obs.signatures(tx_id, tx.endorsements.len());
+    world.obs.phase(
+        now,
+        tx_id,
+        TracePhase::Endorsed,
+        recv.name(),
+        recv.jobs_in_system(now),
+    );
     submit_to_orderer(world, k, p, tx);
 }
 
 fn submit_to_orderer(world: &mut World, k: &mut K, p: usize, tx: Transaction) {
     let now = k.now();
     let tx_id = tx.tx_id;
-    if let Some(t) = world.trace_mut(tx_id) {
-        t.submitted = Some(now);
-    }
-    if world.obs.sink.enabled() {
-        let depth = world.pools[p].pending.len();
-        world.emit_tx(
-            now,
-            tx_id,
-            TracePhase::Submitted,
-            format!("pool{p}.nic"),
-            depth,
-        );
-    }
+    let pool = &world.pools[p];
+    world.obs.phase(
+        now,
+        tx_id,
+        TracePhase::Submitted,
+        pool.egress.name(),
+        pool.pending.len(),
+    );
     // Round-robin over OSNs.
     let osn_count = world.osns.len() as u32;
     let o = (world.pools[p].next_osn % osn_count) as usize;
@@ -488,28 +414,15 @@ fn submit_to_orderer(world: &mut World, k: &mut K, p: usize, tx: Transaction) {
         now + timeout,
         "ordering.timeout",
         move |w: &mut World, k| {
-            let mut timed_out = false;
-            if let Some(t) = w.trace_mut(tx_id) {
-                if t.order_acked.is_none() && matches!(t.outcome, TxOutcome::InFlight) {
-                    t.outcome = TxOutcome::OrderingTimeout;
-                    timed_out = true;
-                }
-            }
+            let acked = w
+                .obs
+                .record(tx_id)
+                .is_some_and(|r| r.trace.order_acked.is_some());
             w.pools[p].pending.remove(&tx_id);
-            if timed_out {
-                if let Some(live) = &w.obs.live {
-                    live.txs_failed_timeout.inc();
-                }
-            }
-            if timed_out && w.obs.sink.enabled() {
-                let now = k.now();
-                w.emit_tx(
-                    now,
-                    tx_id,
-                    TracePhase::OrderingTimeout,
-                    "ordering.timeout".into(),
-                    0,
-                );
+            if !acked {
+                let outcome = TxOutcome::OrderingTimeout;
+                w.obs
+                    .terminal(k.now(), tx_id, outcome, "ordering.timeout", 0);
             }
         },
     );
@@ -523,6 +436,6 @@ fn submit_to_orderer(world: &mut World, k: &mut K, p: usize, tx: Transaction) {
         return;
     }
     k.schedule_labeled(arrival, "osn.receive", move |w, k| {
-        osn_receive(w, k, o, OsnInput::Broadcast(tx), true);
+        osn_receive(w, k, o, OsnInput::Broadcast(tx), Some(p));
     });
 }

@@ -3,21 +3,19 @@
 
 mod client;
 mod faults;
+mod observe;
 mod ordering;
 mod peer;
-mod sampling;
 mod world;
 
 pub use faults::FaultPlan;
 
 use std::sync::Arc;
 
-use fabricsim_des::{
-    Kernel, KernelProfile, ShardedKernel, ShardedRunReport, SimDuration, SimTime, Station,
-};
+use fabricsim_des::{Kernel, KernelProfile, ShardedKernel, ShardedRunReport, SimDuration, SimTime};
 use fabricsim_obs::{
     BottleneckReport, HealthReport, LogHistogram, MetricsRecorder, PhaseEvent, SpanEvent,
-    TxStationBreakdown,
+    StationClass, TxStationBreakdown,
 };
 
 use crate::live::LiveMetrics;
@@ -25,7 +23,7 @@ use crate::metrics::{summarize, SummaryReport, TxOutcome, TxTrace};
 use crate::workload::SimConfig;
 
 use faults::schedule_faults;
-use sampling::flush_partial_tick;
+use observe::{flush_partial_tick, stations_of, TxRecord};
 use world::{bootstrap, build_world, World, K};
 
 /// Mean utilization of each CPU station class over the run (fraction of
@@ -87,7 +85,7 @@ pub struct RunObservability {
     /// Causal span-graph events, in virtual-time order. Empty unless
     /// [`crate::ObsConfig::span_events`] was set.
     pub spans: Vec<SpanEvent>,
-    /// Spans lost to the ring bound or the per-family cardinality caps.
+    /// Spans evicted from the bounded in-memory ring (oldest first).
     pub dropped_spans: u64,
     /// Windowed time-series (queue depths, utilization, in-flight txs,
     /// block-cut cadence). `None` when the sampler was disabled.
@@ -272,25 +270,25 @@ impl Simulation {
         // Utilization first (read-only): lanes of one entity sum busy time
         // over summed provisioned servers.
         let horizon_s = end.as_secs_f64();
-        let util = |stations: &dyn Fn(&World) -> Vec<&Station>| -> Vec<f64> {
-            let per_world: Vec<Vec<&Station>> = worlds.iter().map(stations).collect();
+        let util = |class: StationClass| -> Vec<f64> {
+            let per_world: Vec<_> = worlds.iter().map(|w| stations_of(w, class)).collect();
             let n = per_world.first().map_or(0, Vec::len);
             (0..n)
                 .map(|i| {
                     let lanes = per_world.iter().map(|w| w[i]);
                     let busy: f64 = lanes.clone().map(|s| s.busy_time().as_secs_f64()).sum();
-                    let servers: usize = lanes.map(Station::servers).sum();
+                    let servers: usize = lanes.map(|s| s.servers()).sum();
                     busy / (horizon_s * servers.max(1) as f64)
                 })
                 .collect()
         };
         let utilization = UtilizationReport {
-            pool_prep: util(&|w| w.pools.iter().map(|p| &p.prep).collect()),
-            pool_recv: util(&|w| w.pools.iter().map(|p| &p.recv).collect()),
-            peer_endorse: util(&|w| w.peers.iter().map(|p| &p.endorse).collect()),
-            peer_vscc: util(&|w| w.peers.iter().map(|p| &p.vscc).collect()),
-            peer_commit: util(&|w| w.peers.iter().map(|p| &p.commit).collect()),
-            osn_cpu: util(&|w| w.osns.iter().map(|o| &o.station).collect()),
+            pool_prep: util(StationClass::ClientPrep),
+            pool_recv: util(StationClass::ClientRecv),
+            peer_endorse: util(StationClass::PeerEndorse),
+            peer_vscc: util(StationClass::PeerVscc),
+            peer_commit: util(StationClass::PeerCommit),
+            osn_cpu: util(StationClass::OsnCpu),
         };
 
         // Later worlds fold into the first world's buffers, so a one-world
@@ -307,9 +305,7 @@ impl Simulation {
         let mut recorder: Option<MetricsRecorder> = None;
         let mut health: Option<HealthReport> = None;
         let mut e2e_hist = LogHistogram::latency();
-        let mut traces: Vec<TxTrace> = Vec::new();
-        let mut breakdowns: Vec<TxStationBreakdown> = Vec::new();
-        let mut trace_src: Vec<Option<(u32, u32)>> = Vec::new();
+        let mut records: Vec<TxRecord> = Vec::new();
 
         for (s, w) in worlds.into_iter().enumerate() {
             {
@@ -326,11 +322,12 @@ impl Simulation {
                 chain_ok &= ledger.blocks().verify_chain().is_ok();
             }
             fold_into(&mut block_cuts, w.block_cuts);
-            dropped_events += w.obs.sink.dropped_events();
-            fold_into(&mut events, w.obs.sink.into_events());
-            dropped_spans += w.obs.spans.dropped_spans();
-            fold_into(&mut spans, w.obs.spans.into_spans());
-            if let Some(r) = w.obs.recorder {
+            let h = w.obs.harvest();
+            dropped_events += h.dropped_events;
+            fold_into(&mut events, h.events);
+            dropped_spans += h.dropped_spans;
+            fold_into(&mut spans, h.spans);
+            if let Some(r) = h.recorder {
                 match recorder.as_mut() {
                     None => recorder = Some(r),
                     Some(acc) => acc.absorb(&r),
@@ -338,18 +335,14 @@ impl Simulation {
             }
             // Shard-order concatenation; one canonical sort after the loop
             // keeps the merged health timeline worker-count-invariant.
-            if let Some(h) = w.obs.health {
-                let r = h.into_report();
+            if let Some(r) = h.health {
                 match health.as_mut() {
                     None => health = Some(r),
                     Some(acc) => acc.merge(r),
                 }
             }
-            e2e_hist.merge(&w.obs.e2e_hist);
-            debug_assert_eq!(w.shard.trace_src.len(), w.traces.len());
-            fold_into(&mut traces, w.traces);
-            fold_into(&mut breakdowns, w.obs.breakdowns);
-            fold_into(&mut trace_src, w.shard.trace_src);
+            e2e_hist.merge(&h.e2e_hist);
+            fold_into(&mut records, h.records);
         }
         // Stable sorts: ties keep shard order, so the merged streams are
         // identical at every worker count. Handlers may also stamp events at
@@ -365,15 +358,17 @@ impl Simulation {
         });
         // Transactions go in creation order, ties by home `(shard, seq)`;
         // exported home stubs drop out in favour of the copy that finished.
-        // A lone world's traces are already in that order and stay put.
-        let mut order: Vec<usize> = (0..traces.len())
-            .filter(|&i| trace_src[i].is_some())
+        // A lone world's records are already in that order and stay put.
+        records.retain(|r| r.home.is_some());
+        records.sort_by_key(|r| (r.trace.created, r.home));
+        // One vector until here; the public traces and the bottleneck
+        // report's input are its two projections.
+        let committed: Vec<TxStationBreakdown> = records
+            .iter()
+            .filter(|r| matches!(r.trace.outcome, TxOutcome::Committed(_)))
+            .map(|r| r.breakdown.clone())
             .collect();
-        order.sort_by_key(|&i| (traces[i].created, trace_src[i]));
-        if !order.iter().copied().eq(0..traces.len()) {
-            traces = order.iter().map(|&i| traces[i].clone()).collect();
-            breakdowns = order.iter().map(|&i| breakdowns[i].clone()).collect();
-        }
+        let traces: Vec<TxTrace> = records.into_iter().map(|r| r.trace).collect();
 
         let w0 = SimTime::from_secs_f64(cfg.warmup_secs);
         let w1 = SimTime::from_secs_f64(cfg.duration_secs - cfg.cooldown_secs);
@@ -383,12 +378,6 @@ impl Simulation {
         // Attribute latency over committed txs; window coarse enough to hold
         // a useful population but fine enough to show regime changes.
         let window_s = (cfg.duration_secs / 10.0).clamp(1.0, 10.0);
-        let committed: Vec<TxStationBreakdown> = traces
-            .iter()
-            .zip(&breakdowns)
-            .filter(|(t, _)| matches!(t.outcome, TxOutcome::Committed(_)))
-            .map(|(_, b)| b.clone())
-            .collect();
         if let Some(h) = health.as_mut() {
             h.sort_events();
         }

@@ -1,0 +1,807 @@
+//! The observer: the one seam between the simulated system and every
+//! observability plane.
+//!
+//! A handler reports *what happened* in typed coordinates — a phase crossing
+//! ([`Observer::phase`]), a station visit ([`Observer::visit`]), a unit of
+//! distributed work ([`Observer::span`], [`Observer::msg_span`]), the end of
+//! a transaction's life ([`Observer::terminal`]) — and this module alone
+//! decides *which planes exist and how each records it*: the first-wins
+//! [`TxTrace`] stamp, the station attribution, the enabled/sampled guards,
+//! every rendered id and actor name, the span-id parent arithmetic, and the
+//! live/health/histogram bumps. It also owns the per-transaction records
+//! those planes share, and the periodic gauge sweep over the world's
+//! stations. The determinism contract is the module's: nothing recorded
+//! here is read back by the model except a transaction's own log line —
+//! [`Observer::record`] (has the orderer acked yet? which pool gets the
+//! ack?) and [`Observer::arrivals`] (the sequence number that names the
+//! next arrival's key).
+
+use std::collections::HashMap;
+use std::fmt;
+use std::sync::Arc;
+
+use fabricsim_des::{SimDuration, SimTime, Station};
+use fabricsim_obs::{
+    message_span_id, span_id, tx_sampled, EventSink, HealthConfig, HealthReport, HealthWindow,
+    LogHistogram, MetricsRecorder, OnlineHealth, PhaseEvent, SpanEvent, SpanKind, SpanSink,
+    StationClass, TracePhase, TxStationBreakdown, HEALTH_STATIONS, HEALTH_STATION_COUNT,
+};
+use fabricsim_types::{TxId, ValidationCode};
+
+use crate::live::LiveMetrics;
+use crate::metrics::{TxOutcome, TxTrace};
+use crate::workload::SimConfig;
+
+use super::world::{World, K};
+
+/// Everything recorded about one transaction: the paper's per-phase log
+/// line, its station decomposition, and where it lives among the worlds.
+#[derive(Debug, Clone)]
+pub(super) struct TxRecord {
+    pub(super) trace: TxTrace,
+    pub(super) breakdown: TxStationBreakdown,
+    /// Home `(shard, seq)` identity — the merge's tie-break among equal
+    /// creation times. A home-created record carries its own `(shard, local
+    /// index)`, an imported one its home identity, and `None` marks a home
+    /// stub whose transaction was exported: the receiving world holds the
+    /// live copy under the same identity, so the merge drops the stub.
+    pub(super) home: Option<(u32, u32)>,
+    /// Global index of the client pool that created the transaction.
+    pub(super) pool: usize,
+}
+
+/// Who did the work a span records.
+#[derive(Debug, Clone, Copy)]
+pub(super) enum Actor {
+    Pool(usize),
+    Peer(usize),
+    Osn(usize),
+    Broker(usize),
+}
+
+impl fmt::Display for Actor {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Actor::Pool(i) => write!(f, "pool{i}"),
+            Actor::Peer(i) => write!(f, "peer{i}"),
+            Actor::Osn(i) => write!(f, "osn{i}"),
+            Actor::Broker(i) => write!(f, "broker{i}"),
+        }
+    }
+}
+
+/// What a span is about: one transaction, or one block of this world's
+/// channel.
+#[derive(Debug, Clone, Copy)]
+enum Scope {
+    Tx(TxId),
+    Block(u64),
+}
+
+/// The coordinates that name one span of the causal graph. Span ids are
+/// derived from them, so a consumer names its producer's span by value.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct SpanKey {
+    scope: Scope,
+    kind: SpanKind,
+    actor: Actor,
+    hop: u32,
+}
+
+impl SpanKey {
+    pub(super) fn tx(tx: TxId, kind: SpanKind, actor: Actor) -> Self {
+        SpanKey {
+            scope: Scope::Tx(tx),
+            kind,
+            actor,
+            hop: 0,
+        }
+    }
+
+    pub(super) fn block(number: u64, kind: SpanKind, actor: Actor) -> Self {
+        SpanKey {
+            scope: Scope::Block(number),
+            kind,
+            actor,
+            hop: 0,
+        }
+    }
+
+    /// The same span at gossip depth `hop`.
+    pub(super) fn at_hop(self, hop: u32) -> Self {
+        SpanKey { hop, ..self }
+    }
+}
+
+/// The [`TxTrace`] timestamp a phase crossing stamps, if it has one.
+fn stamp_of(trace: &mut TxTrace, phase: TracePhase) -> Option<&mut Option<SimTime>> {
+    match phase {
+        TracePhase::ProposalSent => Some(&mut trace.proposal_sent),
+        TracePhase::Endorsed => Some(&mut trace.endorsed),
+        TracePhase::Submitted => Some(&mut trace.submitted),
+        TracePhase::OrderAcked => Some(&mut trace.order_acked),
+        TracePhase::Ordered => Some(&mut trace.ordered),
+        TracePhase::Delivered => Some(&mut trace.delivered),
+        TracePhase::Committed => Some(&mut trace.committed),
+        // `created` is set when the record is; the rest are events only.
+        TracePhase::Created
+        | TracePhase::Assembled
+        | TracePhase::VsccDone
+        | TracePhase::OverloadDropped
+        | TracePhase::EndorsementFailed
+        | TracePhase::OrderingTimeout => None,
+    }
+}
+
+/// The station class whose attribution is complete once a transaction
+/// crosses `phase` — the snapshot point for the cumulative queue/service
+/// totals stamped on phase events. Classes are pipeline-ordered, so
+/// "through class C" means "summed over every class up to and including C".
+fn through_class(phase: TracePhase) -> StationClass {
+    match phase {
+        TracePhase::Created | TracePhase::ProposalSent => StationClass::ClientPrep,
+        // Endorsement fan-out and the client's response handling are both
+        // settled by the time the envelope is assembled.
+        TracePhase::Endorsed | TracePhase::Assembled | TracePhase::Submitted => {
+            StationClass::PeerEndorse
+        }
+        TracePhase::OrderAcked | TracePhase::Ordered | TracePhase::Delivered => {
+            StationClass::OsnCpu
+        }
+        TracePhase::VsccDone => StationClass::PeerVscc,
+        // Commit, plus the terminal failures (whatever was attributed).
+        TracePhase::Committed
+        | TracePhase::OverloadDropped
+        | TracePhase::EndorsementFailed
+        | TracePhase::OrderingTimeout => StationClass::PeerCommit,
+    }
+}
+
+/// What a finished world hands to the merge.
+pub(super) struct Harvest {
+    pub(super) records: Vec<TxRecord>,
+    pub(super) events: Vec<PhaseEvent>,
+    pub(super) dropped_events: u64,
+    pub(super) spans: Vec<SpanEvent>,
+    pub(super) dropped_spans: u64,
+    pub(super) recorder: Option<MetricsRecorder>,
+    pub(super) health: Option<HealthReport>,
+    pub(super) e2e_hist: LogHistogram,
+}
+
+/// One world's observability state. Write-only with respect to the
+/// simulation: recording never schedules kernel work, and attaching,
+/// sampling or scraping any plane cannot perturb a deterministic run.
+pub(super) struct Observer {
+    /// This world's index == its channel's index; keeps trace identities
+    /// (`b{ch}.{n}`, `ch{ch}`) collision-free across worlds.
+    shard_id: usize,
+    seed: u64,
+    trace_sample: f64,
+    /// One record per arrival at a pool homed here or imported from its
+    /// home world, in arrival order.
+    txs: Vec<TxRecord>,
+    index: HashMap<TxId, usize>,
+    /// Live transactions of this world: admitted or imported, not yet
+    /// terminal or exported.
+    inflight: usize,
+    sink: EventSink,
+    /// Causal span-graph sink.
+    spans: SpanSink,
+    recorder: Option<MetricsRecorder>,
+    /// Online health plane (streaming regime/SLO detectors).
+    health: Option<OnlineHealth>,
+    e2e_hist: LogHistogram,
+    /// Series-name prefix of the recorder: empty on a single-channel run,
+    /// `ch{c}.` on channel `c` of several so the merged table keeps every
+    /// channel's series distinct.
+    series_prefix: String,
+    /// Block-cut count at the previous sampler tick (for the cadence series).
+    last_block_cuts: usize,
+    live: Option<Arc<LiveMetrics>>,
+}
+
+impl Observer {
+    pub(super) fn new(cfg: &SimConfig, live: Option<Arc<LiveMetrics>>, shard_id: usize) -> Self {
+        let obs = &cfg.obs;
+        Observer {
+            shard_id,
+            seed: cfg.seed,
+            trace_sample: obs.trace_sample,
+            txs: Vec::new(),
+            index: HashMap::new(),
+            inflight: 0,
+            sink: if obs.trace_events {
+                EventSink::in_memory_bounded(obs.trace_buffer_cap)
+            } else {
+                EventSink::disabled()
+            },
+            spans: if obs.span_events {
+                SpanSink::bounded(obs.trace_buffer_cap)
+            } else {
+                SpanSink::disabled()
+            },
+            recorder: (obs.sample_period_s > 0.0)
+                .then(|| MetricsRecorder::new(obs.sample_period_s)),
+            // One engine per channel world; its window is the sampler's.
+            health: obs.health_events.then(|| {
+                OnlineHealth::new(
+                    shard_id as u32,
+                    sample_period_s(cfg),
+                    HealthConfig::with_slo(obs.slo_p99_s),
+                )
+            }),
+            e2e_hist: LogHistogram::latency(),
+            series_prefix: if cfg.channels > 1 {
+                format!("ch{shard_id}.")
+            } else {
+                String::new()
+            },
+            last_block_cuts: 0,
+            live,
+        }
+    }
+
+    // ---- per-transaction records ------------------------------------------
+
+    /// Arrivals recorded so far — the sequence number of the next one.
+    pub(super) fn arrivals(&self) -> usize {
+        self.txs.len()
+    }
+
+    fn push(&mut self, now: SimTime, pool: usize, outcome: TxOutcome) {
+        let home = (self.shard_id as u32, self.txs.len() as u32);
+        let mut trace = TxTrace::new(now);
+        trace.outcome = outcome;
+        self.txs.push(TxRecord {
+            trace,
+            breakdown: TxStationBreakdown::default(),
+            home: Some(home),
+            pool,
+        });
+    }
+
+    /// Opens the record of a transaction `pool` just created.
+    pub(super) fn admit(&mut self, now: SimTime, tx_id: TxId, pool: usize) {
+        self.index.insert(tx_id, self.txs.len());
+        self.push(now, pool, TxOutcome::InFlight);
+        self.inflight += 1;
+        if let Some(live) = &self.live {
+            live.txs_created.inc();
+        }
+    }
+
+    /// Records an arrival turned away at the door with `outcome` and its one
+    /// phase event. `tx` is `None` when not even a proposal was built; the
+    /// event is then named by arrival sequence.
+    pub(super) fn refuse(
+        &mut self,
+        now: SimTime,
+        pool: usize,
+        tx: Option<TxId>,
+        outcome: TxOutcome,
+        station: &str,
+        depth: usize,
+    ) {
+        let Some(exit) = exit_phase(outcome) else {
+            return;
+        };
+        let seq = self.txs.len();
+        let name = move || tx.map_or_else(|| format!("arrival{seq}"), |id| id.short());
+        self.emit(now, name, exit, station, depth, (0.0, 0.0));
+        self.push(now, pool, outcome);
+        self.count_exit(outcome);
+    }
+
+    /// Hands a transaction to the world that owns its channel: returns the
+    /// record to ship and leaves a stub behind for the merge to drop.
+    pub(super) fn export(&mut self, tx_id: TxId) -> Option<TxRecord> {
+        let rec = self.record_mut(tx_id)?;
+        let shipped = rec.clone();
+        rec.home.take()?;
+        self.inflight -= 1;
+        Some(shipped)
+    }
+
+    /// Adopts a transaction exported by its home world.
+    pub(super) fn import(&mut self, tx_id: TxId, record: TxRecord) {
+        self.index.insert(tx_id, self.txs.len());
+        self.txs.push(record);
+        self.inflight += 1;
+    }
+
+    fn record_mut(&mut self, tx_id: TxId) -> Option<&mut TxRecord> {
+        let idx = *self.index.get(&tx_id)?;
+        self.txs.get_mut(idx)
+    }
+
+    /// Everything recorded about the transaction so far.
+    pub(super) fn record(&self, tx_id: TxId) -> Option<&TxRecord> {
+        self.index.get(&tx_id).map(|&idx| &self.txs[idx])
+    }
+
+    /// Notes how many endorsement signatures the assembled envelope carries.
+    pub(super) fn signatures(&mut self, tx_id: TxId, n: usize) {
+        if let Some(rec) = self.record_mut(tx_id) {
+            rec.trace.signatures = n;
+        }
+    }
+
+    // ---- the seam ------------------------------------------------------------
+
+    /// A transaction crossed `phase` at `t`: stamps the trace (first
+    /// crossing wins; a repeat is not recorded at all) and emits the phase
+    /// event, snapshotting the attribution through the phase. `station` is
+    /// the borrowed name of the station, link or timer the crossing happened
+    /// at and `depth` its jobs in system.
+    pub(super) fn phase(
+        &mut self,
+        t: SimTime,
+        tx_id: TxId,
+        phase: TracePhase,
+        station: &str,
+        depth: usize,
+    ) {
+        let tracing = self.sink.enabled();
+        let mut cum = (0.0, 0.0);
+        if let Some(rec) = self.record_mut(tx_id) {
+            if let Some(stamp) = stamp_of(&mut rec.trace, phase) {
+                if stamp.is_some() {
+                    return;
+                }
+                *stamp = Some(t);
+            }
+            if tracing {
+                cum = rec.breakdown.cumulative_through(through_class(phase));
+            }
+        }
+        self.emit(t, || tx_id.short(), phase, station, depth, cum);
+    }
+
+    /// The deterministic head-sampling decision for a transaction, shared by
+    /// phase events and tx-scoped spans.
+    fn sampled(&self, tx: &str) -> bool {
+        tx_sampled(tx, self.seed, self.trace_sample)
+    }
+
+    /// The one place a [`PhaseEvent`] is built: nothing is rendered unless
+    /// the sink is on and the transaction head-sampled.
+    fn emit(
+        &mut self,
+        t: SimTime,
+        tx: impl FnOnce() -> String,
+        phase: TracePhase,
+        station: &str,
+        depth: usize,
+        (cum_queued_s, cum_service_s): (f64, f64),
+    ) {
+        if !self.sink.enabled() {
+            return;
+        }
+        let tx = tx();
+        if !self.sampled(&tx) {
+            return;
+        }
+        self.sink.record(PhaseEvent {
+            t_s: t.as_secs_f64(),
+            tx,
+            phase,
+            station: station.to_string(),
+            queue_depth: depth as u64,
+            cum_queued_s,
+            cum_service_s,
+        });
+    }
+
+    /// Adds a sequential station visit to the tx's latency decomposition.
+    pub(super) fn visit(
+        &mut self,
+        tx_id: TxId,
+        class: StationClass,
+        queued: SimDuration,
+        service: SimDuration,
+    ) {
+        if let Some(rec) = self.record_mut(tx_id) {
+            rec.breakdown
+                .add(class, queued.as_secs_f64(), service.as_secs_f64());
+        }
+    }
+
+    /// Folds in one of several parallel station visits (critical path only).
+    pub(super) fn visit_max(
+        &mut self,
+        tx_id: TxId,
+        class: StationClass,
+        queued: SimDuration,
+        service: SimDuration,
+    ) {
+        if let Some(rec) = self.record_mut(tx_id) {
+            rec.breakdown
+                .add_max(class, queued.as_secs_f64(), service.as_secs_f64());
+        }
+    }
+
+    /// A transaction's life ended with `outcome` at `t`; the first ending
+    /// wins. A failure emits its exit event when it takes effect. A commit is also the `Committed` crossing, stamped and
+    /// emitted whatever the outcome already was (a transaction the client
+    /// timed out on can still commit), and feeds the latency planes.
+    pub(super) fn terminal(
+        &mut self,
+        t: SimTime,
+        tx_id: TxId,
+        outcome: TxOutcome,
+        station: &str,
+        depth: usize,
+    ) {
+        let Some(exit) = exit_phase(outcome) else {
+            return;
+        };
+        let committing = exit == TracePhase::Committed;
+        if committing {
+            self.phase(t, tx_id, exit, station, depth);
+        }
+        let Some(rec) = self.record_mut(tx_id) else {
+            return;
+        };
+        if !matches!(rec.trace.outcome, TxOutcome::InFlight) {
+            return;
+        }
+        rec.trace.outcome = outcome;
+        if committing {
+            let e2e_s = (t - rec.trace.created).as_secs_f64();
+            rec.breakdown.commit_s = t.as_secs_f64();
+            rec.breakdown.end_to_end_s = e2e_s;
+            self.e2e_hist.record(e2e_s);
+            if let Some(h) = self.health.as_mut() {
+                h.observe_completion(e2e_s);
+            }
+            if let Some(live) = &self.live {
+                live.e2e_latency.observe(e2e_s);
+            }
+        } else {
+            self.phase(t, tx_id, exit, station, depth);
+        }
+        self.inflight -= 1;
+        self.count_exit(outcome);
+    }
+
+    fn count_exit(&self, outcome: TxOutcome) {
+        let Some(live) = &self.live else { return };
+        match outcome {
+            TxOutcome::InFlight => {}
+            TxOutcome::OverloadDropped => live.txs_failed_overload.inc(),
+            TxOutcome::EndorsementFailed => live.txs_failed_endorsement.inc(),
+            TxOutcome::OrderingTimeout => live.txs_failed_timeout.inc(),
+            TxOutcome::Committed(ValidationCode::Valid) => live.txs_committed_valid.inc(),
+            TxOutcome::Committed(_) => live.txs_committed_invalid.inc(),
+        }
+    }
+
+    /// The ordering service cut a block of `txs` transactions.
+    pub(super) fn block_cut(&self, txs: usize) {
+        if let Some(live) = &self.live {
+            live.blocks_cut.inc();
+            live.block_txs.add(txs as u64);
+        }
+    }
+
+    fn trace_name(&self, scope: Scope) -> String {
+        match scope {
+            Scope::Tx(tx) => tx.short(),
+            Scope::Block(number) => format!("b{}.{number}", self.shard_id),
+        }
+    }
+
+    /// Records one causal span over `[t0, t1]` (`t1` may lie in the future;
+    /// the analyzer re-sorts) with `parent` as its causal predecessor.
+    /// Tx-scoped kinds are head-sampled; block-scoped kinds are always
+    /// recorded.
+    pub(super) fn span(&mut self, key: SpanKey, parent: Option<SpanKey>, t0: SimTime, t1: SimTime) {
+        if !self.spans.enabled() {
+            return;
+        }
+        let trace = self.trace_name(key.scope);
+        if key.kind.tx_scoped() && !self.sampled(&trace) {
+            return;
+        }
+        let actor = key.actor.to_string();
+        let parent_id = parent.map_or(0, |p| {
+            span_id(
+                &self.trace_name(p.scope),
+                p.kind,
+                &p.actor.to_string(),
+                p.hop,
+            )
+        });
+        self.spans.record(SpanEvent {
+            span_id: span_id(&trace, key.kind, &actor, key.hop),
+            parent_id,
+            trace,
+            kind: key.kind,
+            actor,
+            t0_s: t0.as_secs_f64(),
+            t1_s: t1.as_secs_f64(),
+            hop: key.hop,
+        });
+    }
+
+    /// Records one infrastructure message leg (Raft/Kafka rounds) of this
+    /// world's channel. The same (kind, from, to) recurs every round, so
+    /// the span's identity folds in its times ([`message_span_id`]).
+    pub(super) fn msg_span(
+        &mut self,
+        kind: SpanKind,
+        from: Actor,
+        to: Actor,
+        t0: SimTime,
+        t1: SimTime,
+    ) {
+        if !self.spans.enabled() {
+            return;
+        }
+        let trace = format!("ch{}", self.shard_id);
+        let actor = format!("{from}>{to}");
+        let (t0_s, t1_s) = (t0.as_secs_f64(), t1.as_secs_f64());
+        self.spans.record(SpanEvent {
+            span_id: message_span_id(&trace, kind, &actor, t0_s, t1_s),
+            parent_id: 0,
+            trace,
+            kind,
+            actor,
+            t0_s,
+            t1_s,
+            hop: 0,
+        });
+    }
+
+    /// Consumes the observer at the end of the run.
+    pub(super) fn harvest(self) -> Harvest {
+        Harvest {
+            records: self.txs,
+            dropped_events: self.sink.dropped_events(),
+            events: self.sink.into_events(),
+            dropped_spans: self.spans.dropped_spans(),
+            spans: self.spans.into_spans(),
+            recorder: self.recorder,
+            health: self.health.map(OnlineHealth::into_report),
+            e2e_hist: self.e2e_hist,
+        }
+    }
+}
+
+/// The phase a transaction leaves the pipeline through; `InFlight` is not
+/// an ending.
+fn exit_phase(outcome: TxOutcome) -> Option<TracePhase> {
+    match outcome {
+        TxOutcome::InFlight => None,
+        TxOutcome::OverloadDropped => Some(TracePhase::OverloadDropped),
+        TxOutcome::EndorsementFailed => Some(TracePhase::EndorsementFailed),
+        TxOutcome::OrderingTimeout => Some(TracePhase::OrderingTimeout),
+        TxOutcome::Committed(_) => Some(TracePhase::Committed),
+    }
+}
+
+// ---- the gauge sweep ---------------------------------------------------------
+
+/// The station class behind each [`HEALTH_STATIONS`] entry. Every per-class
+/// wire order (the recorder's series, the live gauges, the health windows)
+/// is this one; [`StationClass::ALL`] is the pipeline order, in which the
+/// OSN sits fourth, not last.
+const HEALTH_ORDER: [StationClass; HEALTH_STATION_COUNT] = [
+    StationClass::ClientPrep,
+    StationClass::ClientRecv,
+    StationClass::PeerEndorse,
+    StationClass::PeerVscc,
+    StationClass::PeerCommit,
+    StationClass::OsnCpu,
+];
+
+/// Every station of `class` in the world, one per pool, peer or OSN.
+pub(super) fn stations_of(world: &World, class: StationClass) -> Vec<&Station> {
+    match class {
+        StationClass::ClientPrep => world.pools.iter().map(|p| &p.prep).collect(),
+        StationClass::ClientRecv => world.pools.iter().map(|p| &p.recv).collect(),
+        StationClass::PeerEndorse => world.peers.iter().map(|p| &p.endorse).collect(),
+        StationClass::PeerVscc => world.peers.iter().map(|p| &p.vscc).collect(),
+        StationClass::PeerCommit => world.peers.iter().map(|p| &p.commit).collect(),
+        StationClass::OsnCpu => world.osns.iter().map(|o| &o.station).collect(),
+    }
+}
+
+/// One read-only sweep of the gauges every sampling surface consumes. The
+/// per-class arrays are in [`HEALTH_ORDER`].
+struct GaugeSweep {
+    /// Summed jobs in system.
+    queue: [f64; HEALTH_STATION_COUNT],
+    /// Cumulative busy seconds. Busy time accrues at submit, so differencing
+    /// consecutive sweeps yields the *offered* work per window — the health
+    /// plane's saturation signal.
+    busy_s: [f64; HEALTH_STATION_COUNT],
+    /// Provisioned servers.
+    servers: [f64; HEALTH_STATION_COUNT],
+    vscc_util: f64,
+    commit_util: f64,
+    inflight: usize,
+    /// Blocks cut since the previous sweep.
+    new_cuts: usize,
+}
+
+fn sweep_gauges(world: &mut World, now: SimTime) -> GaugeSweep {
+    let cuts = world.block_cuts.len();
+    let new_cuts = cuts - world.obs.last_block_cuts;
+    world.obs.last_block_cuts = cuts;
+    // One loop per gauge over the classes, each summed over its stations.
+    let per_class = |gauge: &dyn Fn(&Station) -> f64| {
+        HEALTH_ORDER.map(|class| stations_of(world, class).into_iter().map(gauge).sum())
+    };
+    let max_util = |class| {
+        let utils = stations_of(world, class)
+            .into_iter()
+            .map(|st| st.utilization(now));
+        utils.fold(0.0, f64::max)
+    };
+    let s = GaugeSweep {
+        queue: per_class(&|st| st.jobs_in_system(now) as f64),
+        busy_s: per_class(&|st| st.busy_time().as_secs_f64()),
+        servers: per_class(&|st| st.servers() as f64),
+        vscc_util: max_util(StationClass::PeerVscc),
+        commit_util: max_util(StationClass::PeerCommit),
+        inflight: world.obs.inflight,
+        new_cuts,
+    };
+    // The counter must equal a scan of the records. Exported home stubs stay
+    // `InFlight` forever — the receiving world counts the live copy.
+    debug_assert_eq!(
+        s.inflight,
+        world
+            .obs
+            .txs
+            .iter()
+            .filter(|r| r.home.is_some() && matches!(r.trace.outcome, TxOutcome::InFlight))
+            .count()
+    );
+    s
+}
+
+/// Publishes a sweep to the live plane's gauges, if one is attached. Only
+/// shard 0 drives the gauges (counters stay cross-shard: they are atomic and
+/// increment-only); on a multi-channel run the gauges then cover channel 0's
+/// slice of the deployment, which keeps the exporter deterministic-read safe
+/// without cross-thread coordination.
+fn publish_live(obs: &Observer, now: SimTime, s: &GaugeSweep) {
+    let Some(live) = &obs.live else { return };
+    if obs.shard_id != 0 {
+        return;
+    }
+    live.sim_time.set(now.as_secs_f64());
+    live.inflight.set(s.inflight as f64);
+    for (gauge, depth) in live.queue_depth.iter().zip(s.queue) {
+        gauge.set(depth);
+    }
+    live.util_peer_vscc.set(s.vscc_util);
+    live.util_peer_commit.set(s.commit_util);
+}
+
+/// The sampler cadence: the configured period, or 1 s when only the live or
+/// health plane is attached (`sample_period_s == 0` disables the recorder).
+fn sample_period_s(cfg: &SimConfig) -> f64 {
+    if cfg.obs.sample_period_s > 0.0 {
+        cfg.obs.sample_period_s
+    } else {
+        1.0
+    }
+}
+
+/// Records a sweep into the recorder's per-window series and ends the
+/// window: a whole tick, or a final partial one of `tail_width_s`.
+fn record_sweep(obs: &mut Observer, s: &GaugeSweep, cut_scale: f64, tail_width_s: Option<f64>) {
+    let prefix = &obs.series_prefix;
+    let Some(rec) = obs.recorder.as_mut() else {
+        return;
+    };
+    for (station, depth) in HEALTH_STATIONS.iter().zip(s.queue) {
+        let class = station.replace('.', "_");
+        rec.sample(&format!("{prefix}queue.{class}"), depth);
+    }
+    rec.sample(&format!("{prefix}util.peer_vscc"), s.vscc_util);
+    rec.sample(&format!("{prefix}util.peer_commit"), s.commit_util);
+    rec.sample(&format!("{prefix}inflight.txs"), s.inflight as f64);
+    rec.sample(
+        &format!("{prefix}blocks.cut_per_tick"),
+        s.new_cuts as f64 * cut_scale,
+    );
+    match tail_width_s {
+        None => rec.end_tick(),
+        Some(width) => rec.end_partial_tick(width),
+    }
+}
+
+/// Closes one health-plane window from a sweep and mirrors the detectors'
+/// state into the live plane's gauges (shard 0 only, same rule as
+/// [`publish_live`]). No-op when the health plane is off.
+fn health_close(obs: &mut Observer, s: &GaugeSweep, t_end_s: f64, width_s: f64) {
+    let Some(h) = obs.health.as_mut() else { return };
+    h.close_window(&HealthWindow {
+        t_end_s,
+        width_s,
+        busy_s: s.busy_s,
+        queue: s.queue,
+        servers: s.servers,
+        inflight: s.inflight as f64,
+    });
+    if obs.shard_id != 0 {
+        return;
+    }
+    if let Some(live) = &obs.live {
+        for (gauge, sev) in live.health_regime.iter().zip(h.severities()) {
+            gauge.set(sev as f64);
+        }
+        live.health_slo_burn.set(h.current_burn());
+        for (counter, delta) in live.health_events.iter().zip(h.take_kind_deltas()) {
+            counter.add(delta);
+        }
+    }
+}
+
+/// Starts the periodic sampler if any plane consumes it. It reads state
+/// only: scheduling it never perturbs the simulated system, so traced and
+/// untraced runs stay bit-identical. A live-metrics bundle keeps the sweep
+/// running even when the recorder is disabled, so an exporter always has
+/// fresh gauges to serve.
+pub(super) fn schedule_sampler(world: &World, k: &mut K) {
+    let obs = &world.obs;
+    if obs.recorder.is_some() || obs.live.is_some() || obs.health.is_some() {
+        let period = SimDuration::from_secs_f64(sample_period_s(&world.cfg));
+        k.schedule_in_labeled(period, "obs.sample", obs_sample);
+    }
+}
+
+/// Periodic read-only gauge sweep feeding the [`MetricsRecorder`], the
+/// online health plane and the live plane.
+fn obs_sample(world: &mut World, k: &mut K) {
+    let now = k.now();
+    let s = sweep_gauges(world, now);
+    publish_live(&world.obs, now, &s);
+    record_sweep(&mut world.obs, &s, 1.0, None);
+    let period = sample_period_s(&world.cfg);
+    health_close(&mut world.obs, &s, now.as_secs_f64(), period);
+    let period = SimDuration::from_secs_f64(period);
+    k.schedule_in_labeled(period, "obs.sample", obs_sample);
+}
+
+/// Flushes the final partial window at the horizon. The sampler only fires
+/// on whole periods, so a run whose duration is not an exact multiple of the
+/// period would otherwise drop the tail; this closes the gap with a
+/// width-weighted window for both the recorder and the health plane (whose
+/// regime dwells must tile the horizon exactly). The cadence series is
+/// scaled by `period / width` so its weighted mean stays in
+/// blocks-per-period units. A horizon landing exactly on a tick boundary
+/// (modulo fp noise) flushes no tail.
+pub(super) fn flush_partial_tick(world: &mut World, horizon: SimTime) {
+    let duration = world.cfg.duration_secs;
+    // One sweep serves every surface (the sweep mutates block-cut
+    // bookkeeping, so it must run at most once per virtual instant). It also
+    // leaves the live gauges at their horizon values.
+    let s = sweep_gauges(world, horizon);
+    publish_live(&world.obs, horizon, &s);
+    if let Some(windows) = world.obs.health.as_ref().map(OnlineHealth::windows) {
+        let period = sample_period_s(&world.cfg);
+        let width = duration - windows as f64 * period;
+        if width > 1e-9 {
+            health_close(&mut world.obs, &s, duration, width.min(period));
+        }
+        if let Some(h) = world.obs.health.as_mut() {
+            h.finish(duration);
+        }
+    }
+    let Some(rec) = world.obs.recorder.as_ref() else {
+        return;
+    };
+    let period = world.cfg.obs.sample_period_s;
+    let width = duration - rec.ticks() as f64 * period;
+    if width <= 1e-9 {
+        return;
+    }
+    let width = width.min(period);
+    record_sweep(&mut world.obs, &s, period / width, Some(width));
+}

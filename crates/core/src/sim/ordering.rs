@@ -4,22 +4,25 @@
 use std::sync::Arc;
 
 use fabricsim_kafka::{BrokerEffect, BrokerMsg, ClientEvent, ZkEffect, ZkMsg};
-use fabricsim_obs::{span_id, SpanKind, StationClass, TracePhase};
+use fabricsim_obs::{SpanKind, StationClass, TracePhase};
 use fabricsim_ordering::{OsnEffect, OsnInput, OsnMsg};
 use fabricsim_types::encode::WireSize;
-use fabricsim_types::{Block, OrdererType, TxId};
+use fabricsim_types::{Block, OrdererType};
 
+use super::observe::{Actor, SpanKey};
 use super::peer::peer_receive_block;
 use super::world::{World, K};
 
 /// Routes any input through the OSN's CPU station, then applies effects to
-/// the channel's ordering instance.
+/// the channel's ordering instance. `client` is the pool a client broadcast
+/// came from (charged admission, and attributed to its transaction); `None`
+/// for intra-cluster traffic (Raft/Kafka relays, ticks).
 pub(super) fn osn_receive(
     world: &mut World,
     k: &mut K,
     o: usize,
     input: OsnInput,
-    charge_admission: bool,
+    client: Option<usize>,
 ) {
     if !world.osns[o].alive {
         return;
@@ -31,30 +34,22 @@ pub(super) fn osn_receive(
         OrdererType::Kafka => m.kafka_broker_op_ms,
         OrdererType::Raft => m.raft_op_ms,
     };
-    let cost = if charge_admission {
+    let cost = if client.is_some() {
         m.osn_admission_ms + per_tx
     } else {
         per_tx * 0.5
     };
     let service = world.ms(cost);
-    // Client broadcasts carry a tx identity to attribute CPU time against;
-    // intra-cluster traffic (Raft/Kafka relays, ticks) does not.
-    let attributed_tx = match &input {
-        OsnInput::Broadcast(tx) if charge_admission => Some(tx.tx_id),
-        _ => None,
-    };
     let queued = world.osns[o].station.would_start_at(now) - now;
     let done = world.osns[o].station.submit(now, service);
-    if let Some(tx_id) = attributed_tx {
-        world.attribute(tx_id, StationClass::OsnCpu, queued, service);
-        if world.obs.spans.enabled() {
-            let tx = tx_id.short();
-            let actor = format!("osn{o}");
-            let parent = world.tx_pool.get(&tx_id).map_or(0, |&p| {
-                span_id(&tx, SpanKind::Assemble, &format!("pool{p}"), 0)
-            });
-            world.emit_span(&tx, SpanKind::OsnBroadcast, &actor, now, done, 0, parent);
-        }
+    if let (OsnInput::Broadcast(tx), Some(p)) = (&input, client) {
+        let tx_id = tx.tx_id;
+        world
+            .obs
+            .visit(tx_id, StationClass::OsnCpu, queued, service);
+        let assembly = SpanKey::tx(tx_id, SpanKind::Assemble, Actor::Pool(p));
+        let span = SpanKey::tx(tx_id, SpanKind::OsnBroadcast, Actor::Osn(o));
+        world.obs.span(span, Some(assembly), now, done);
     }
     k.schedule_labeled(done, "osn.receive", move |w, k| {
         if !w.osns[o].alive {
@@ -79,7 +74,7 @@ fn apply_osn_effects(world: &mut World, k: &mut K, o: usize, effects: Vec<OsnEff
     for effect in effects {
         match effect {
             OsnEffect::Ack { tx_id } => {
-                let Some(&p) = world.tx_pool.get(&tx_id) else {
+                let Some(p) = world.obs.record(tx_id).map(|r| r.pool) else {
                     continue;
                 };
                 let arrival = world.osns[o].egress.transfer(now, 200);
@@ -90,41 +85,31 @@ fn apply_osn_effects(world: &mut World, k: &mut K, o: usize, effects: Vec<OsnEff
                             k2.cancel(ev);
                         }
                     }
-                    let mut first_ack = false;
-                    if let Some(t) = w.trace_mut(tx_id) {
-                        if t.order_acked.is_none() {
-                            t.order_acked = Some(now);
-                            first_ack = true;
-                        }
-                    }
-                    if first_ack && w.obs.sink.enabled() {
-                        let station = w.osns[o].station.name().to_string();
-                        let depth = w.osns[o].station.jobs_in_system(now);
-                        w.emit_tx(now, tx_id, TracePhase::OrderAcked, station, depth);
-                    }
+                    let station = &w.osns[o].station;
+                    let depth = station.jobs_in_system(now);
+                    w.obs
+                        .phase(now, tx_id, TracePhase::OrderAcked, station.name(), depth);
                 });
             }
             OsnEffect::SendOsn { to, message } => {
                 let bytes = osn_msg_bytes(&message);
                 let arrival = world.osns[o].egress.transfer(now, bytes);
                 let from = o as u32;
-                if world.obs.spans.enabled() {
-                    let trace = format!("ch{}", world.shard.shard_id);
-                    let actor = format!("osn{o}>osn{to}");
-                    world.emit_msg_span(&trace, SpanKind::RaftMsg, &actor, now, arrival);
-                }
+                let (src, dst) = (Actor::Osn(o), Actor::Osn(to as usize));
+                world
+                    .obs
+                    .msg_span(SpanKind::RaftMsg, src, dst, now, arrival);
                 k.schedule_labeled(arrival, "osn.relay", move |w, k| {
-                    osn_receive(w, k, to as usize, OsnInput::Osn { from, message }, false);
+                    osn_receive(w, k, to as usize, OsnInput::Osn { from, message }, None);
                 });
             }
             OsnEffect::SendBroker { to, message } => {
                 let bytes = broker_msg_bytes(&message);
                 let arrival = world.osns[o].egress.transfer(now, bytes);
-                if world.obs.spans.enabled() {
-                    let trace = format!("ch{}", world.shard.shard_id);
-                    let actor = format!("osn{o}>broker{to}");
-                    world.emit_msg_span(&trace, SpanKind::KafkaProduce, &actor, now, arrival);
-                }
+                let (src, dst) = (Actor::Osn(o), Actor::Broker(to as usize));
+                world
+                    .obs
+                    .msg_span(SpanKind::KafkaProduce, src, dst, now, arrival);
                 k.schedule_labeled(arrival, "broker.produce", move |w, k| {
                     broker_receive(w, k, to as usize, message);
                 });
@@ -132,7 +117,7 @@ fn apply_osn_effects(world: &mut World, k: &mut K, o: usize, effects: Vec<OsnEff
             OsnEffect::ArmBatchTimer { after_ms, seq } => {
                 let delay = world.ms(after_ms as f64);
                 k.schedule_in_labeled(delay, "osn.timer", move |w, k| {
-                    osn_receive(w, k, o, OsnInput::BatchTimer { seq }, false);
+                    osn_receive(w, k, o, OsnInput::BatchTimer { seq }, None);
                 });
             }
             OsnEffect::BlockReady(block) => {
@@ -173,56 +158,33 @@ fn deliver_block(world: &mut World, k: &mut K, o: usize, block: Block) {
     if world.check_channel(&block.channel).is_err() {
         return;
     }
+    let cut = SpanKey::block(block.header.number, SpanKind::BlockCut, Actor::Osn(o));
     // Record the cut and per-tx ordering timestamps once (Kafka/Raft OSNs all
     // emit the same blocks; the first emission wins).
     if block.header.number >= world.next_cut_number {
         world.next_cut_number = block.header.number + 1;
         world.block_cuts.push((now, block.len()));
-        if let Some(live) = &world.obs.live {
-            live.blocks_cut.inc();
-            live.block_txs.add(block.len() as u64);
-        }
-        let station = world
-            .obs
-            .sink
-            .enabled()
-            .then(|| world.osns[o].station.name().to_string());
-        let depth = world.osns[o].station.jobs_in_system(now);
+        world.obs.block_cut(block.len());
+        let station = &world.osns[o].station;
+        let depth = station.jobs_in_system(now);
         for tx in &block.transactions {
-            let tx_id = tx.tx_id;
-            if let Some(t) = world.trace_mut(tx_id) {
-                if t.ordered.is_none() {
-                    t.ordered = Some(now);
-                }
-            }
+            world
+                .obs
+                .phase(now, tx.tx_id, TracePhase::Ordered, station.name(), depth);
         }
-        if let Some(station) = station {
-            let tx_ids: Vec<TxId> = block.transactions.iter().map(|t| t.tx_id).collect();
-            for tx_id in tx_ids {
-                world.emit_tx(now, tx_id, TracePhase::Ordered, station.clone(), depth);
-            }
-        }
-        if world.obs.spans.enabled() {
-            // Zero-width anchor: the instant the block exists as an artifact.
-            let trace = world.block_trace(block.header.number);
-            let actor = format!("osn{o}");
-            world.emit_span(&trace, SpanKind::BlockCut, &actor, now, now, 0, 0);
-        }
+        // Zero-width anchor: the instant the block exists as an artifact.
+        world.obs.span(cut, None, now, now);
     }
     let bytes = block.wire_size();
     let subscribers = world.osns[o].subscribers.clone();
-    let btrace = world
-        .obs
-        .spans
-        .enabled()
-        .then(|| world.block_trace(block.header.number));
     for peer_idx in subscribers {
         let arrival = world.osns[o].egress.transfer(now, bytes);
-        if let Some(trace) = &btrace {
-            let parent = span_id(trace, SpanKind::BlockCut, &format!("osn{o}"), 0);
-            let actor = format!("peer{peer_idx}");
-            world.emit_span(trace, SpanKind::Deliver, &actor, now, arrival, 0, parent);
-        }
+        let delivery = SpanKey::block(
+            block.header.number,
+            SpanKind::Deliver,
+            Actor::Peer(peer_idx),
+        );
+        world.obs.span(delivery, Some(cut), now, arrival);
         let b = Arc::clone(&block);
         k.schedule_labeled(arrival, "osn.deliver", move |w, k| {
             peer_receive_block(w, k, peer_idx, b);
@@ -282,15 +244,14 @@ fn apply_broker_effects(world: &mut World, k: &mut K, b: usize, effects: Vec<Bro
                 let bytes = client_event_bytes(&event);
                 let arrival = world.brokers[b].egress.transfer(now, bytes);
                 let o = to as usize;
-                if world.obs.spans.enabled() {
-                    if let ClientEvent::ConsumeBatch { .. } = &event {
-                        let trace = format!("ch{}", world.shard.shard_id);
-                        let actor = format!("broker{b}>osn{o}");
-                        world.emit_msg_span(&trace, SpanKind::KafkaConsume, &actor, now, arrival);
-                    }
+                if let ClientEvent::ConsumeBatch { .. } = &event {
+                    let (src, dst) = (Actor::Broker(b), Actor::Osn(o));
+                    world
+                        .obs
+                        .msg_span(SpanKind::KafkaConsume, src, dst, now, arrival);
                 }
                 k.schedule_labeled(arrival, "osn.consume", move |w, k| {
-                    osn_receive(w, k, o, OsnInput::Kafka(event), false);
+                    osn_receive(w, k, o, OsnInput::Kafka(event), None);
                 });
             }
             BrokerEffect::IsrUpdate { isr } => {
@@ -335,7 +296,7 @@ fn apply_zk_effects(world: &mut World, k: &mut K, effects: Vec<ZkEffect>) {
             for o in 0..world.osns.len() {
                 let delay = world.ms(world.cfg.cost.link_propagation_ms + 1.0);
                 k.schedule_in_labeled(delay, "osn.metadata", move |w, k| {
-                    osn_receive(w, k, o, OsnInput::KafkaMetadata { leader }, false);
+                    osn_receive(w, k, o, OsnInput::KafkaMetadata { leader }, None);
                 });
             }
         }

@@ -4,14 +4,15 @@
 use std::sync::Arc;
 
 use fabricsim_des::{SimDuration, SimTime};
-use fabricsim_obs::{span_id, SpanKind, StationClass, TracePhase};
+use fabricsim_obs::{SpanKind, StationClass, TracePhase};
 use fabricsim_peer::{GossipEffect, GossipMsg};
 use fabricsim_types::encode::WireSize;
-use fabricsim_types::{Block, Proposal, ProposalResponse, TxId, ValidationCode};
+use fabricsim_types::{Block, Proposal, ProposalResponse};
 
 use crate::metrics::TxOutcome;
 
 use super::client::pool_receive_response;
+use super::observe::{Actor, SpanKey};
 use super::world::{World, K};
 
 pub(super) fn peer_receive_proposal(
@@ -27,13 +28,13 @@ pub(super) fn peer_receive_proposal(
     let queued = world.peers[peer_idx].endorse.would_start_at(now) - now;
     let done = world.peers[peer_idx].endorse.submit(now, service);
     // Endorsement fans out: only the slowest endorser is on the critical path.
-    world.attribute_max(proposal.tx_id, StationClass::PeerEndorse, queued, service);
-    if world.obs.spans.enabled() {
-        let tx = proposal.tx_id.short();
-        let actor = format!("peer{peer_idx}");
-        let parent = span_id(&tx, SpanKind::ClientPrep, &format!("pool{p}"), 0);
-        world.emit_span(&tx, SpanKind::Endorse, &actor, now, done, 0, parent);
-    }
+    let tx_id = proposal.tx_id;
+    world
+        .obs
+        .visit_max(tx_id, StationClass::PeerEndorse, queued, service);
+    let prep = SpanKey::tx(tx_id, SpanKind::ClientPrep, Actor::Pool(p));
+    let span = SpanKey::tx(tx_id, SpanKind::Endorse, Actor::Peer(peer_idx));
+    world.obs.span(span, Some(prep), now, done);
     k.schedule_labeled(done, "peer.endorse", move |w, k| {
         if w.check_channel(&proposal.channel).is_err() {
             return;
@@ -90,30 +91,22 @@ fn apply_gossip_effects(world: &mut World, k: &mut K, peer_idx: usize, effects: 
                 let bytes = gossip_msg_bytes(&message);
                 let arrival = world.peers[peer_idx].egress.transfer(now, bytes);
                 let from = peer_idx as u32;
-                if world.obs.spans.enabled() {
-                    if let GossipMsg::Push { block, hop } = &message {
-                        // One span per mesh hop: actor is the *receiving*
-                        // peer, parent the hop (or orderer delivery) that
-                        // brought the block to the sender.
-                        if world.check_channel(&block.channel).is_ok() {
-                            let trace = world.block_trace(block.header.number);
-                            let actor = format!("peer{to}");
-                            let sender = format!("peer{peer_idx}");
-                            let parent = if *hop > 1 {
-                                span_id(&trace, SpanKind::GossipHop, &sender, hop - 1)
-                            } else {
-                                span_id(&trace, SpanKind::Deliver, &sender, 0)
-                            };
-                            world.emit_span(
-                                &trace,
-                                SpanKind::GossipHop,
-                                &actor,
-                                now,
-                                arrival,
-                                *hop,
-                                parent,
-                            );
-                        }
+                if let GossipMsg::Push { block, hop } = &message {
+                    // One span per mesh hop: actor is the *receiving*
+                    // peer, parent the hop (or orderer delivery) that
+                    // brought the block to the sender.
+                    if world.check_channel(&block.channel).is_ok() {
+                        let number = block.header.number;
+                        let sender = Actor::Peer(peer_idx);
+                        let parent = if *hop > 1 {
+                            SpanKey::block(number, SpanKind::GossipHop, sender).at_hop(hop - 1)
+                        } else {
+                            SpanKey::block(number, SpanKind::Deliver, sender)
+                        };
+                        let receiver = Actor::Peer(to as usize);
+                        let span =
+                            SpanKey::block(number, SpanKind::GossipHop, receiver).at_hop(*hop);
+                        world.obs.span(span, Some(parent), now, arrival);
                     }
                 }
                 k.schedule_labeled(arrival, "gossip.send", move |w, k| {
@@ -171,35 +164,23 @@ fn enqueue_block_validation(world: &mut World, k: &mut K, peer_idx: usize, block
         "delivery gap at peer {peer_idx}"
     );
     world.peers[peer_idx].next_expected_block = block.header.number + 1;
-    if world.obs.spans.enabled() {
-        // Zero-width delivery anchor for gossip-fed peers (no orderer
-        // Deliver span). Orderer subscribers already have a real one with
-        // the same deterministic id — the analyzer dedups, keeping the
-        // earlier real span.
-        let trace = world.block_trace(block.header.number);
-        let actor = format!("peer{peer_idx}");
-        world.emit_span(&trace, SpanKind::Deliver, &actor, now, now, 0, 0);
-    }
+    // Zero-width delivery anchor for gossip-fed peers (no orderer Deliver
+    // span). Orderer subscribers already have a real one with the same
+    // deterministic id — the analyzer dedups, keeping the earlier real span.
+    let anchor = SpanKey::block(
+        block.header.number,
+        SpanKind::Deliver,
+        Actor::Peer(peer_idx),
+    );
+    world.obs.span(anchor, None, now, now);
     let is_observer = peer_idx == world.observer;
     if is_observer {
-        let station = world
-            .obs
-            .sink
-            .enabled()
-            .then(|| world.peers[peer_idx].vscc.name().to_string());
-        let depth = world.peers[peer_idx].vscc.jobs_in_system(now);
-        for tx_id in block
-            .transactions
-            .iter()
-            .map(|t| t.tx_id)
-            .collect::<Vec<_>>()
-        {
-            if let Some(t) = world.trace_mut(tx_id) {
-                t.delivered = Some(now);
-            }
-            if let Some(station) = &station {
-                world.emit_tx(now, tx_id, TracePhase::Delivered, station.clone(), depth);
-            }
+        let vscc = &world.peers[peer_idx].vscc;
+        let depth = vscc.jobs_in_system(now);
+        for tx in &block.transactions {
+            world
+                .obs
+                .phase(now, tx.tx_id, TracePhase::Delivered, vscc.name(), depth);
         }
     }
     let m = &world.cfg.cost;
@@ -283,21 +264,18 @@ fn enqueue_block_validation(world: &mut World, k: &mut K, peer_idx: usize, block
         // the block overhead.
         let queued = start - now;
         let overhead_share_ms = overhead_ms / block.transactions.len().max(1) as f64;
-        let tx_service: Vec<(TxId, SimDuration, SimDuration)> = block
-            .transactions
-            .iter()
-            .zip(&vscc_tx_ms)
-            .map(|(tx, &vscc_ms)| {
-                (
-                    tx.tx_id,
-                    SimDuration::from_millis_f64(vscc_ms),
-                    SimDuration::from_millis_f64(commit_tx_ms + overhead_share_ms),
-                )
-            })
-            .collect();
-        for (tx_id, vscc_s, commit_s) in tx_service {
-            world.attribute(tx_id, StationClass::PeerVscc, queued, vscc_s);
-            world.attribute(tx_id, StationClass::PeerCommit, SimDuration::ZERO, commit_s);
+        let commit_s = SimDuration::from_millis_f64(commit_tx_ms + overhead_share_ms);
+        for (tx, &vscc_ms) in block.transactions.iter().zip(&vscc_tx_ms) {
+            let vscc_s = SimDuration::from_millis_f64(vscc_ms);
+            world
+                .obs
+                .visit(tx.tx_id, StationClass::PeerVscc, queued, vscc_s);
+            world.obs.visit(
+                tx.tx_id,
+                StationClass::PeerCommit,
+                SimDuration::ZERO,
+                commit_s,
+            );
         }
     }
 
@@ -320,40 +298,8 @@ fn commit_block(
         return;
     }
     let number = block.header.number;
-    let tx_ids: Vec<TxId> = block.transactions.iter().map(|t| t.tx_id).collect();
+    let tx_ids: Vec<_> = block.transactions.iter().map(|t| t.tx_id).collect();
     let is_observer = peer_idx == world.observer;
-    if is_observer && world.obs.spans.enabled() {
-        // Per-tx validation spans bridge the tx-scoped graph back onto the
-        // block-scoped delivery chain via the Vscc parent edge. Emitted here
-        // — at commit time, not when validation was enqueued — so the span
-        // graph only ever contains finished work and every Commit span has a
-        // matching TxTrace commit stamp.
-        let trace_b = world.block_trace(number);
-        let actor = format!("peer{peer_idx}");
-        let deliver_parent = span_id(&trace_b, SpanKind::Deliver, &actor, 0);
-        for (i, tx_id) in tx_ids.iter().enumerate() {
-            let tx_s = tx_id.short();
-            world.emit_span(
-                &tx_s,
-                SpanKind::Vscc,
-                &actor,
-                start,
-                vscc_times[i],
-                0,
-                deliver_parent,
-            );
-            let vscc_parent = span_id(&tx_s, SpanKind::Vscc, &actor, 0);
-            world.emit_span(
-                &tx_s,
-                SpanKind::Commit,
-                &actor,
-                vscc_times[i],
-                commit_times[i],
-                0,
-                vscc_parent,
-            );
-        }
-    }
     // The one deep copy: this peer's ledger must own its block.
     let stats = world.peers[peer_idx]
         .peer
@@ -376,63 +322,28 @@ fn commit_block(
                 .flags
                 .clone()
         };
-        let vscc_station = world
-            .obs
-            .sink
-            .enabled()
-            .then(|| world.peers[peer_idx].vscc.name().to_string());
-        let commit_station = world
-            .obs
-            .sink
-            .enabled()
-            .then(|| world.peers[peer_idx].commit.name().to_string());
-        for (i, tx_id) in tx_ids.iter().enumerate() {
-            let mut e2e = None;
-            if let Some(t) = world.trace_mut(*tx_id) {
-                t.committed = Some(commit_times[i]);
-                if matches!(t.outcome, TxOutcome::InFlight) {
-                    t.outcome = TxOutcome::Committed(flags[i]);
-                    e2e = Some((commit_times[i] - t.created).as_secs_f64());
-                }
-            }
-            if let Some(e2e_s) = e2e {
-                world.obs.e2e_hist.record(e2e_s);
-                if let Some(h) = world.obs.health.as_mut() {
-                    h.observe_completion(e2e_s);
-                }
-                if let Some(live) = &world.obs.live {
-                    live.e2e_latency.observe(e2e_s);
-                    if flags[i] == ValidationCode::Valid {
-                        live.txs_committed_valid.inc();
-                    } else {
-                        live.txs_committed_invalid.inc();
-                    }
-                }
-                if let Some(&idx) = world.tx_index.get(tx_id) {
-                    if let Some(b) = world.obs.breakdowns.get_mut(idx) {
-                        b.commit_s = commit_times[i].as_secs_f64();
-                        b.end_to_end_s = e2e_s;
-                    }
-                }
-            }
-            if let Some(station) = &vscc_station {
-                world.emit_tx(
-                    vscc_times[i],
-                    *tx_id,
-                    TracePhase::VsccDone,
-                    station.clone(),
-                    0,
-                );
-            }
-            if let Some(station) = &commit_station {
-                world.emit_tx(
-                    commit_times[i],
-                    *tx_id,
-                    TracePhase::Committed,
-                    station.clone(),
-                    0,
-                );
-            }
+        // Per-tx validation spans bridge the tx-scoped graph back onto the
+        // block-scoped delivery chain via the Vscc parent edge. Recorded here
+        // — at commit time, not when validation was enqueued — so the span
+        // graph only ever contains finished work and every Commit span has a
+        // matching TxTrace commit stamp.
+        let actor = Actor::Peer(peer_idx);
+        let delivery = SpanKey::block(number, SpanKind::Deliver, actor);
+        let node = &world.peers[peer_idx];
+        for (i, &tx_id) in tx_ids.iter().enumerate() {
+            let vscc = SpanKey::tx(tx_id, SpanKind::Vscc, actor);
+            let commit = SpanKey::tx(tx_id, SpanKind::Commit, actor);
+            let (vscc_done, committed) = (vscc_times[i], commit_times[i]);
+            world.obs.span(vscc, Some(delivery), start, vscc_done);
+            world.obs.span(commit, Some(vscc), vscc_done, committed);
+            let phase = TracePhase::VsccDone;
+            world
+                .obs
+                .phase(vscc_done, tx_id, phase, node.vscc.name(), 0);
+            let outcome = TxOutcome::Committed(flags[i]);
+            world
+                .obs
+                .terminal(committed, tx_id, outcome, node.commit.name(), 0);
         }
     }
 }

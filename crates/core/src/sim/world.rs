@@ -9,11 +9,6 @@ use fabricsim_chaincode::samples::{AssetTransfer, KvWrite, Smallbank};
 use fabricsim_des::{EventId, Kernel, Link, RngStream, SimDuration, SimTime, Station};
 use fabricsim_kafka::{Broker, KafkaConfig, ZkEnsemble};
 use fabricsim_msp::{CertificateAuthority, Msp};
-use fabricsim_obs::{
-    message_span_id, span_id, tx_sampled, EventSink, HealthConfig, LogHistogram, MetricsRecorder,
-    OnlineHealth, PhaseEvent, SpanEvent, SpanKind, SpanSink, StationClass, TracePhase,
-    TxStationBreakdown, DEFAULT_SPAN_KIND_CAP,
-};
 use fabricsim_ordering::OsnNode;
 use fabricsim_peer::{GossipNode, Peer, PeerConfig};
 use fabricsim_policy::Policy;
@@ -22,13 +17,12 @@ use fabricsim_types::{Block, ChannelId, ClientId, OrdererType, OrgId, Principal,
 use fabricsim_client::{ClientSdk, EndorsementCollector, TargetSelector};
 
 use crate::live::LiveMetrics;
-use crate::metrics::TxTrace;
 use crate::workload::{SimConfig, WorkloadKind};
 
 use super::client::schedule_next_arrival;
+use super::observe::{schedule_sampler, Observer, TxRecord};
 use super::ordering::{broker_heartbeat, broker_tick, osn_tick, zk_tick};
 use super::peer::gossip_tick;
-use super::sampling::{obs_sample, sample_period_s};
 
 pub(super) struct PendingTx {
     /// Shared with every endorser the proposal is in flight to.
@@ -92,26 +86,6 @@ pub(super) struct BrokerActor {
     pub(super) alive: bool,
 }
 
-/// Per-run observability state carried alongside the world.
-pub(super) struct ObsState {
-    pub(super) sink: EventSink,
-    /// Causal span-graph sink (bounded, deterministically head-sampled).
-    pub(super) spans: SpanSink,
-    /// Per-tx station decomposition, parallel to `World::traces`.
-    pub(super) breakdowns: Vec<TxStationBreakdown>,
-    pub(super) recorder: Option<MetricsRecorder>,
-    /// Online health plane (streaming regime/SLO detectors); `None` unless
-    /// requested. Write-only, like every other surface in this struct.
-    pub(super) health: Option<OnlineHealth>,
-    pub(super) e2e_hist: LogHistogram,
-    /// Block-cut count at the previous sampler tick (for the cadence series).
-    pub(super) last_block_cuts: usize,
-    /// Live observability plane, if one is attached (write-only: the event
-    /// loop never reads these values back, so scraping them concurrently
-    /// cannot perturb a deterministic run).
-    pub(super) live: Option<Arc<LiveMetrics>>,
-}
-
 pub(super) struct World {
     pub(super) cfg: SimConfig,
     pub(super) policy: Policy,
@@ -121,14 +95,14 @@ pub(super) struct World {
     pub(super) brokers: Vec<BrokerActor>,
     /// The partition's coordination ensemble (Kafka mode only).
     pub(super) zk: Option<ZkEnsemble>,
-    pub(super) traces: Vec<TxTrace>,
-    pub(super) tx_index: HashMap<TxId, usize>,
-    pub(super) tx_pool: HashMap<TxId, usize>,
     pub(super) block_cuts: Vec<(SimTime, usize)>,
     /// Next block number whose cut is still unrecorded.
     pub(super) next_cut_number: u64,
     pub(super) observer: usize,
-    pub(super) obs: ObsState,
+    /// Every observability plane and the per-transaction records they share
+    /// (one vector behind one `TxId` index), reached only through the
+    /// typed seam in [`super::observe`].
+    pub(super) obs: Observer,
     pub(super) shard: ShardCtx,
 }
 
@@ -162,16 +136,6 @@ pub(super) struct ShardCtx {
     /// Cross-shard messages emitted this window: `(target shard, delivery
     /// time, message)`. Drained by the sharded kernel at the window barrier.
     pub(super) outbox: Vec<(usize, SimTime, ShardMsg)>,
-    /// Home `(shard, seq)` identity of each local trace, parallel to
-    /// [`World::traces`] — the merge's tie-break among equal creation times.
-    /// Home-created traces carry their own `(shard_id, local index)`,
-    /// imported traces their home identity, and `None` marks a home stub
-    /// whose transaction was exported: the receiving world holds the live
-    /// copy under the same identity, so the merge drops the stub.
-    pub(super) trace_src: Vec<Option<(u32, u32)>>,
-    /// Transactions handed to another shard; their home stubs stay
-    /// `InFlight` forever, so the in-flight gauge subtracts this count.
-    pub(super) exported: usize,
     /// Virtual times of every scheduled-but-unexecuted `pool.send` event on
     /// this shard — the only events that can emit cross-shard messages.
     /// The heap minimum feeds [`ShardWorld::emission_bound`].
@@ -191,8 +155,6 @@ pub(super) struct ShardCtx {
 /// validation, commit) is local to the receiving shard.
 pub(super) enum ShardMsg {
     Proposal {
-        /// Origin `(shard, trace seq)` identity of the transaction.
-        src: (u32, u32),
         /// Global client-pool index (every shard builds lanes for all pools).
         pool: usize,
         proposal: Arc<Proposal>,
@@ -200,194 +162,13 @@ pub(super) enum ShardMsg {
         expected: usize,
         /// Per-endorser `(peer index, proposal arrival time)` fan-out.
         deliveries: Vec<(usize, SimTime)>,
-        /// The transaction's phase trace so far (created/proposal_sent).
-        trace: TxTrace,
-        /// Station attribution so far (client prep).
-        breakdown: TxStationBreakdown,
+        /// Everything recorded so far (created/proposal_sent, client prep
+        /// attribution) under the transaction's home identity.
+        record: TxRecord,
     },
 }
 
-/// The station class whose attribution is complete once a transaction
-/// crosses `phase` — the snapshot point for the cumulative queue/service
-/// totals stamped on phase events. Classes are pipeline-ordered, so
-/// "through class C" means "summed over every class up to and including C".
-fn through_class(phase: TracePhase) -> StationClass {
-    match phase {
-        TracePhase::Created | TracePhase::ProposalSent => StationClass::ClientPrep,
-        // Endorsement fan-out and the client's response handling are both
-        // settled by the time the envelope is assembled.
-        TracePhase::Endorsed | TracePhase::Assembled | TracePhase::Submitted => {
-            StationClass::PeerEndorse
-        }
-        TracePhase::OrderAcked | TracePhase::Ordered | TracePhase::Delivered => {
-            StationClass::OsnCpu
-        }
-        TracePhase::VsccDone => StationClass::PeerVscc,
-        // Commit, plus the terminal failures (whatever was attributed).
-        TracePhase::Committed
-        | TracePhase::OverloadDropped
-        | TracePhase::EndorsementFailed
-        | TracePhase::OrderingTimeout => StationClass::PeerCommit,
-    }
-}
-
 impl World {
-    pub(super) fn trace_mut(&mut self, tx_id: TxId) -> Option<&mut TxTrace> {
-        let idx = *self.tx_index.get(&tx_id)?;
-        self.traces.get_mut(idx)
-    }
-
-    /// Records a structured phase event for a non-indexed transaction (no
-    /// attribution to snapshot). Call sites must guard on
-    /// `self.obs.sink.enabled()` before building the station string so that
-    /// disabled tracing allocates nothing.
-    pub(super) fn emit(
-        &mut self,
-        now: SimTime,
-        tx: String,
-        phase: TracePhase,
-        station: String,
-        depth: usize,
-    ) {
-        if !tx_sampled(&tx, self.cfg.seed, self.cfg.obs.trace_sample) {
-            return;
-        }
-        self.obs.sink.record(PhaseEvent {
-            t_s: now.as_secs_f64(),
-            tx,
-            phase,
-            station,
-            queue_depth: depth as u64,
-            cum_queued_s: 0.0,
-            cum_service_s: 0.0,
-        });
-    }
-
-    /// Records a structured phase event for an indexed transaction, stamping
-    /// it with the tx's cumulative station attribution *through* the phase
-    /// (see [`through_class`]) so the trace analyzer can split each
-    /// inter-phase segment into queue-wait vs service. Same guard contract
-    /// as [`World::emit`]. Read-only with respect to simulation state.
-    pub(super) fn emit_tx(
-        &mut self,
-        t: SimTime,
-        tx_id: TxId,
-        phase: TracePhase,
-        station: String,
-        depth: usize,
-    ) {
-        let tx = tx_id.short();
-        if !tx_sampled(&tx, self.cfg.seed, self.cfg.obs.trace_sample) {
-            return;
-        }
-        let (cum_queued_s, cum_service_s) = self
-            .tx_index
-            .get(&tx_id)
-            .and_then(|&idx| self.obs.breakdowns.get(idx))
-            .map(|b| b.cumulative_through(through_class(phase)))
-            .unwrap_or((0.0, 0.0));
-        self.obs.sink.record(PhaseEvent {
-            t_s: t.as_secs_f64(),
-            tx,
-            phase,
-            station,
-            queue_depth: depth as u64,
-            cum_queued_s,
-            cum_service_s,
-        });
-    }
-
-    /// Records one causal span. `trace` is the tx short id for tx-scoped
-    /// kinds (gated on the sink's deterministic sampling decision) or the
-    /// block identity `b{ch}.{number}` for block-scoped kinds (always
-    /// recorded). Write-only with respect to simulation state; `t1` may lie
-    /// in the future (the analyzer re-sorts).
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn emit_span(
-        &mut self,
-        trace: &str,
-        kind: SpanKind,
-        actor: &str,
-        t0: SimTime,
-        t1: SimTime,
-        hop: u32,
-        parent_id: u64,
-    ) {
-        if !self.obs.spans.enabled() {
-            return;
-        }
-        if kind.tx_scoped() && !self.obs.spans.wants_tx(trace) {
-            return;
-        }
-        self.obs.spans.record(SpanEvent {
-            span_id: span_id(trace, kind, actor, hop),
-            parent_id,
-            trace: trace.to_string(),
-            kind,
-            actor: actor.to_string(),
-            t0_s: t0.as_secs_f64(),
-            t1_s: t1.as_secs_f64(),
-            hop,
-        });
-    }
-
-    /// Records one infrastructure message-leg span (Raft/Kafka rounds).
-    /// The same (trace, kind, actor) triple recurs every round, so the
-    /// span's identity folds in its times ([`message_span_id`]).
-    pub(super) fn emit_msg_span(
-        &mut self,
-        trace: &str,
-        kind: SpanKind,
-        actor: &str,
-        t0: SimTime,
-        t1: SimTime,
-    ) {
-        if !self.obs.spans.enabled() {
-            return;
-        }
-        let (t0_s, t1_s) = (t0.as_secs_f64(), t1.as_secs_f64());
-        self.obs.spans.record(SpanEvent {
-            span_id: message_span_id(trace, kind, actor, t0_s, t1_s),
-            parent_id: 0,
-            trace: trace.to_string(),
-            kind,
-            actor: actor.to_string(),
-            t0_s,
-            t1_s,
-            hop: 0,
-        });
-    }
-
-    /// Adds a sequential station visit to the tx's latency decomposition.
-    pub(super) fn attribute(
-        &mut self,
-        tx_id: TxId,
-        class: StationClass,
-        queued: SimDuration,
-        service: SimDuration,
-    ) {
-        if let Some(&idx) = self.tx_index.get(&tx_id) {
-            if let Some(b) = self.obs.breakdowns.get_mut(idx) {
-                b.add(class, queued.as_secs_f64(), service.as_secs_f64());
-            }
-        }
-    }
-
-    /// Folds in one of several parallel station visits (critical path only).
-    pub(super) fn attribute_max(
-        &mut self,
-        tx_id: TxId,
-        class: StationClass,
-        queued: SimDuration,
-        service: SimDuration,
-    ) {
-        if let Some(&idx) = self.tx_index.get(&tx_id) {
-            if let Some(b) = self.obs.breakdowns.get_mut(idx) {
-                b.add_max(class, queued.as_secs_f64(), service.as_secs_f64());
-            }
-        }
-    }
-
     pub(super) fn ms(&self, x: f64) -> SimDuration {
         SimDuration::from_millis_f64(x.max(0.0))
     }
@@ -397,15 +178,9 @@ impl World {
         (principal.org.0 - 1) as usize
     }
 
-    /// This world's channel. Its index `shard.shard_id` keeps trace
-    /// identities (`b{ch}.{n}`, `ch{ch}`) collision-free across worlds.
+    /// This world's channel.
     fn channel(&self) -> &ChannelId {
         &self.shard.channels[self.shard.shard_id]
-    }
-
-    /// Span-graph trace id of a block: channel index + block number.
-    pub(super) fn block_trace(&self, number: u64) -> String {
-        format!("b{}.{number}", self.shard.shard_id)
     }
 
     /// Refuses work addressed to any channel but this world's own with a
@@ -416,13 +191,6 @@ impl World {
         } else {
             Err(UnknownChannel(id.clone()))
         }
-    }
-
-    /// Appends a home-created trace under its `(shard, seq)` identity.
-    pub(super) fn push_trace(&mut self, trace: TxTrace) {
-        let src = (self.shard.shard_id as u32, self.traces.len() as u32);
-        self.shard.trace_src.push(Some(src));
-        self.traces.push(trace);
     }
 
     /// `Some(target shard)` when `id` is another world's channel (the
@@ -681,60 +449,19 @@ pub(super) fn build_world(
         osns,
         brokers,
         zk,
-        traces: Vec::new(),
-        tx_index: HashMap::new(),
-        tx_pool: HashMap::new(),
         block_cuts: Vec::new(),
         next_cut_number: 0,
         shard: ShardCtx {
             shard_id,
             channels,
             outbox: Vec::new(),
-            trace_src: Vec::new(),
-            exported: 0,
             pending_sends: BinaryHeap::new(),
             min_send_delay: SimDuration::from_millis_f64(
                 (cfg.cost.client_prep_ms - cfg.cost.client_prep_jitter_ms).max(0.0)
                     + cfg.cost.sdk_pre_ms,
             ),
         },
-        obs: ObsState {
-            sink: if cfg.obs.trace_events {
-                EventSink::in_memory_bounded(cfg.obs.trace_buffer_cap)
-            } else {
-                EventSink::disabled()
-            },
-            spans: if cfg.obs.span_events {
-                SpanSink::bounded(
-                    cfg.seed,
-                    cfg.obs.trace_sample,
-                    cfg.obs.trace_buffer_cap,
-                    DEFAULT_SPAN_KIND_CAP,
-                )
-            } else {
-                SpanSink::disabled()
-            },
-            breakdowns: Vec::new(),
-            recorder: (cfg.obs.sample_period_s > 0.0)
-                .then(|| MetricsRecorder::new(cfg.obs.sample_period_s)),
-            health: cfg.obs.health_events.then(|| {
-                // One engine per channel world. The window matches the
-                // sampler cadence (1 s fallback mirrors `sample_period_s()`).
-                let window = if cfg.obs.sample_period_s > 0.0 {
-                    cfg.obs.sample_period_s
-                } else {
-                    1.0
-                };
-                OnlineHealth::new(
-                    shard_id as u32,
-                    window,
-                    HealthConfig::with_slo(cfg.obs.slo_p99_s),
-                )
-            }),
-            e2e_hist: LogHistogram::latency(),
-            last_block_cuts: 0,
-            live,
-        },
+        obs: Observer::new(cfg, live, shard_id),
         cfg: cfg.clone(),
     }
 }
@@ -746,14 +473,7 @@ pub(super) fn bootstrap(world: &mut World, k: &mut K) {
             schedule_next_arrival(world, k, p);
         }
     }
-    // Time-series sampler (reads state only: scheduling it never perturbs
-    // the simulated system, so traced and untraced runs stay bit-identical).
-    // A live-metrics bundle keeps the sweep running even when the recorder
-    // is disabled, so an exporter always has fresh gauges to serve.
-    if world.obs.recorder.is_some() || world.obs.live.is_some() || world.obs.health.is_some() {
-        let period = SimDuration::from_secs_f64(sample_period_s(world));
-        k.schedule_in_labeled(period, "obs.sample", obs_sample);
-    }
+    schedule_sampler(world, k);
     // OSN ticks (Raft elections/heartbeats; Kafka consume polling).
     if world.cfg.orderer_type != OrdererType::Solo {
         let period = world.ms(world.cfg.cost.osn_tick_ms);

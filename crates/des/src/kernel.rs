@@ -218,71 +218,16 @@ impl<W> Kernel<W> {
     }
 
     /// Runs the event loop until the queue drains or the horizon is reached.
-    /// Returns the final virtual time.
+    /// Returns the final virtual time. This is [`Kernel::run_until`] driven
+    /// through the horizon inclusively, so an event at `SimTime::MAX` itself
+    /// lies past every horizon (as it does on [`crate::ShardedKernel`]).
     pub fn run(&mut self, world: &mut W) -> SimTime {
-        if self.profiler.is_some() {
-            return self.run_profiled(world);
-        }
-        while let Some(ev) = self.heap.pop() {
-            if ev.time > self.horizon {
-                // Past the horizon: put nothing back; the run is over.
-                self.now = self.horizon;
-                self.heap.clear();
-                break;
-            }
-            debug_assert!(ev.time >= self.now, "event heap produced time regression");
-            self.now = ev.time;
-            if self.cancelled.remove(&ev.id) {
-                continue;
-            }
-            self.stats.executed += 1;
-            (ev.run)(world, self);
-        }
-        self.now
-    }
-
-    /// The profiled twin of [`Kernel::run`]: identical virtual-time
-    /// semantics, with host-clock reads around the heap pop and the handler
-    /// dispatch. Kept as a separate loop so unprofiled runs pay zero clock
-    /// reads.
-    fn run_profiled(&mut self, world: &mut W) -> SimTime {
-        // lint:allow(no-wall-clock) -- kernel self-profiler: measures host time spent
-        // *in* the event loop; no simulation state ever reads these timings (see
-        // crates/des/src/profiler.rs), so determinism is preserved by construction.
-        let loop_start = Instant::now();
-        loop {
-            // lint:allow(no-wall-clock) -- kernel self-profiler heap timing (write-only,
-            // see above).
-            let pop_start = Instant::now();
-            let popped = self.heap.pop();
-            let pop_ns = elapsed_ns(pop_start);
-            if let Some(p) = self.profiler.as_mut() {
-                p.record_heap(pop_ns);
-            }
-            let Some(ev) = popped else { break };
-            if ev.time > self.horizon {
-                self.now = self.horizon;
-                self.heap.clear();
-                break;
-            }
-            debug_assert!(ev.time >= self.now, "event heap produced time regression");
-            self.now = ev.time;
-            if self.cancelled.remove(&ev.id) {
-                continue;
-            }
-            self.stats.executed += 1;
-            // lint:allow(no-wall-clock) -- kernel self-profiler dispatch timing
-            // (write-only, see above).
-            let run_start = Instant::now();
-            (ev.run)(world, self);
-            let run_ns = elapsed_ns(run_start);
-            if let Some(p) = self.profiler.as_mut() {
-                p.record_handler(ev.label, run_ns);
-            }
-        }
-        let total_ns = elapsed_ns(loop_start);
-        if let Some(p) = self.profiler.as_mut() {
-            p.record_loop(total_ns);
+        let limit = SimTime::from_nanos(self.horizon.as_nanos().saturating_add(1));
+        self.run_until(world, limit);
+        if !self.heap.is_empty() {
+            // Past the horizon: put nothing back; the run is over.
+            self.now = self.horizon;
+            self.heap.clear();
         }
         self.now
     }
@@ -351,28 +296,6 @@ impl<W> Kernel<W> {
         }
         if let (Some(p), Some(t0)) = (self.profiler.as_mut(), loop_start) {
             p.record_loop(elapsed_ns(t0));
-        }
-        executed
-    }
-
-    /// Runs at most `n` events; returns how many were executed. Useful for
-    /// stepping a simulation in tests.
-    pub fn step(&mut self, world: &mut W, n: u64) -> u64 {
-        let mut executed = 0;
-        while executed < n {
-            let Some(ev) = self.heap.pop() else { break };
-            if ev.time > self.horizon {
-                self.now = self.horizon;
-                self.heap.clear();
-                break;
-            }
-            self.now = ev.time;
-            if self.cancelled.remove(&ev.id) {
-                continue;
-            }
-            self.stats.executed += 1;
-            executed += 1;
-            (ev.run)(world, self);
         }
         executed
     }
@@ -451,15 +374,47 @@ mod tests {
     }
 
     #[test]
-    fn step_executes_bounded_events() {
+    fn run_until_executes_events_before_the_limit() {
         let mut k: Kernel<Vec<u64>> = Kernel::new();
         let mut out = Vec::new();
         for i in 0..10u64 {
             k.schedule(SimTime::from_nanos(i), move |w: &mut Vec<u64>, _| w.push(i));
         }
-        assert_eq!(k.step(&mut out, 3), 3);
+        assert_eq!(k.run_until(&mut out, SimTime::from_nanos(3)), 3);
         assert_eq!(out, vec![0, 1, 2]);
-        assert_eq!(k.step(&mut out, 100), 7);
+        assert_eq!(k.now(), SimTime::from_nanos(2), "the clock stays put");
+        assert_eq!(k.run_until(&mut out, SimTime::from_nanos(100)), 7);
+    }
+
+    #[test]
+    fn run_is_run_until_driven_through_the_horizon() {
+        // The horizon and cancel fixtures above, driven both ways.
+        type Drive = fn(&mut Kernel<Vec<u64>>, &mut Vec<u64>, SimTime);
+        let via_run: Drive = |k, w, _| {
+            k.run(w);
+        };
+        let via_run_until: Drive = |k, w, horizon| {
+            k.run_until(w, SimTime::from_nanos(horizon.as_nanos() + 1));
+        };
+        let horizon = SimTime::from_nanos(15);
+        let observe = |drive: Drive| {
+            let mut k: Kernel<Vec<u64>> = Kernel::new();
+            let mut out = Vec::new();
+            k.enable_profiler();
+            k.set_horizon(horizon);
+            let doomed = k.schedule(SimTime::from_nanos(5), |w: &mut Vec<u64>, _| w.push(5));
+            k.schedule(SimTime::from_nanos(10), |w: &mut Vec<u64>, _| w.push(10));
+            k.schedule(SimTime::from_nanos(15), |w: &mut Vec<u64>, _| w.push(15));
+            k.schedule(SimTime::from_nanos(20), |w: &mut Vec<u64>, _| w.push(20));
+            k.cancel(doomed);
+            drive(&mut k, &mut out, horizon);
+            let profile = k.take_profile().expect("profile collected");
+            (out, k.now(), k.stats(), profile.heap_ops)
+        };
+        let expected = observe(via_run);
+        assert_eq!(expected.0, vec![10, 15]);
+        assert_eq!(expected.1, horizon);
+        assert_eq!(observe(via_run_until), expected);
     }
 
     #[test]
@@ -493,8 +448,9 @@ mod tests {
             !by_label.iter().any(|(l, _)| *l == "doomed"),
             "cancelled events never dispatch: {by_label:?}"
         );
-        // Heap ops: 52 event pops + the final empty pop.
-        assert_eq!(profile.heap_ops, 53);
+        // Heap ops: one pop per event, cancelled or not; the loop peeks before
+        // it pops, so finding the heap empty is not a heap op.
+        assert_eq!(profile.heap_ops, 52);
         // The accounting identity the acceptance criterion rests on.
         assert_eq!(profile.attributed_ns(), profile.loop_ns);
     }

@@ -106,10 +106,7 @@ pub use online::{
 };
 pub use registry::{validate_exposition, Counter, Gauge, LiveHistogram, MetricsRegistry};
 pub use series::{MetricsRecorder, TimeSeries};
-pub use sink::{
-    EventSink, JsonlFileSink, SpanSink, DEFAULT_EVENT_CAPACITY, DEFAULT_SPAN_CAPACITY,
-    DEFAULT_SPAN_KIND_CAP,
-};
+pub use sink::{EventSink, JsonlFileSink, SpanSink, DEFAULT_EVENT_CAPACITY, DEFAULT_SPAN_CAPACITY};
 pub use span::{reconstruct, Segment, TxSpan, PIPELINE_LEN};
 pub use spangraph::{
     message_span_id, parse_spans_jsonl, parse_spans_jsonl_with_provenance, span_id, tx_sampled,

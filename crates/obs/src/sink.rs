@@ -1,9 +1,9 @@
 //! Event sinks: where phase events and spans go, if anywhere.
 //!
-//! The hot path is the *disabled* case — every instrumentation point in the
-//! simulator guards on [`EventSink::enabled`] / [`SpanSink::enabled`], which
-//! compiles to a single flag check, so runs without tracing pay one
-//! predictable branch per phase transition and allocate nothing.
+//! The hot path is the *disabled* case — the simulator's observer tests
+//! [`EventSink::enabled`] / [`SpanSink::enabled`] before it renders anything,
+//! so runs without tracing pay one predictable branch per phase transition
+//! and allocate nothing.
 //!
 //! Both in-memory sinks are **bounded rings**: when the configured capacity
 //! is reached the oldest record is evicted and counted, so a long run
@@ -19,7 +19,7 @@ use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use crate::event::PhaseEvent;
-use crate::spangraph::{tx_sampled, SpanEvent, SpanKind};
+use crate::spangraph::SpanEvent;
 
 /// Default phase-event ring capacity (~1M events ≈ a few hundred MB worst
 /// case; far above anything the stock experiment matrix emits).
@@ -28,30 +28,51 @@ pub const DEFAULT_EVENT_CAPACITY: usize = 1 << 20;
 /// Default span ring capacity.
 pub const DEFAULT_SPAN_CAPACITY: usize = 1 << 20;
 
-/// Default per-family (per [`SpanKind`]) cardinality cap.
-pub const DEFAULT_SPAN_KIND_CAP: u64 = 1 << 19;
+/// The one bounded buffer behind both in-memory sinks: at `capacity` the
+/// oldest entry is evicted and counted — the tail of a trace matters more
+/// than its head when a run overflows the ring.
+#[derive(Debug, Clone)]
+struct Ring<T> {
+    /// Oldest at the front.
+    buf: VecDeque<T>,
+    capacity: usize,
+    dropped: u64,
+}
 
-/// The standard sink: disabled (free) or collecting into a bounded ring.
+impl<T> Ring<T> {
+    /// A ring of `capacity` entries, preallocating at most `prealloc`.
+    fn new(capacity: usize, prealloc: usize) -> Self {
+        assert!(capacity > 0, "sink capacity must be positive");
+        Ring {
+            // lint:allow(no-unbounded-sink) -- bounded ring: push() evicts the oldest entry
+            // at `capacity` and counts it in `dropped`.
+            buf: VecDeque::with_capacity(capacity.min(prealloc)),
+            capacity,
+            dropped: 0,
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, item: T) {
+        if self.buf.len() >= self.capacity {
+            self.buf.pop_front();
+            self.dropped += 1;
+        }
+        self.buf.push_back(item);
+    }
+}
+
+/// The standard sink: disabled (free, the default) or collecting the most
+/// recent events into a bounded ring, in emission (= virtual time) order.
 #[derive(Debug, Clone, Default)]
-pub enum EventSink {
-    /// Drop everything; `enabled()` is false.
-    #[default]
-    Disabled,
-    /// Ring of the most recent events, in emission (= virtual time) order.
-    Memory {
-        /// The ring buffer (oldest at the front).
-        buf: VecDeque<PhaseEvent>,
-        /// Maximum events retained before eviction.
-        capacity: usize,
-        /// Events evicted because the ring was full.
-        dropped: u64,
-    },
+pub struct EventSink {
+    ring: Option<Ring<PhaseEvent>>,
 }
 
 impl EventSink {
     /// A sink that records nothing.
     pub fn disabled() -> Self {
-        EventSink::Disabled
+        EventSink::default()
     }
 
     /// A sink collecting at most `capacity` events: once full, the oldest
@@ -61,200 +82,93 @@ impl EventSink {
     /// # Panics
     /// Panics if `capacity == 0`.
     pub fn in_memory_bounded(capacity: usize) -> Self {
-        assert!(capacity > 0, "event sink capacity must be positive");
-        EventSink::Memory {
-            // lint:allow(no-unbounded-sink) -- bounded ring: record() evicts the oldest
-            // entry at `capacity` and counts it in `dropped`.
-            buf: VecDeque::with_capacity(capacity.min(DEFAULT_EVENT_CAPACITY)),
-            capacity,
-            dropped: 0,
+        EventSink {
+            ring: Some(Ring::new(capacity, DEFAULT_EVENT_CAPACITY)),
         }
     }
 
-    /// Whether call sites should construct and record events.
+    /// Whether events should be constructed and recorded at all.
     #[inline]
     pub fn enabled(&self) -> bool {
-        matches!(self, EventSink::Memory { .. })
+        self.ring.is_some()
     }
 
-    /// Records one event (no-op when disabled). At capacity the oldest event
-    /// is evicted — the tail of a trace matters more than its head when a
-    /// run overflows the ring.
+    /// Records one event (no-op when disabled).
     #[inline]
     pub fn record(&mut self, ev: PhaseEvent) {
-        if let EventSink::Memory {
-            buf,
-            capacity,
-            dropped,
-        } = self
-        {
-            if buf.len() >= *capacity {
-                buf.pop_front();
-                *dropped += 1;
-            }
-            buf.push_back(ev);
+        if let Some(ring) = self.ring.as_mut() {
+            ring.push(ev);
         }
     }
 
     /// Events evicted so far because the ring was full (0 when disabled).
     pub fn dropped_events(&self) -> u64 {
-        match self {
-            EventSink::Disabled => 0,
-            EventSink::Memory { dropped, .. } => *dropped,
-        }
+        self.ring.as_ref().map_or(0, |r| r.dropped)
     }
 
     /// The events collected so far, oldest first (empty when disabled).
     pub fn events(&self) -> impl Iterator<Item = &PhaseEvent> {
-        let buf = match self {
-            EventSink::Disabled => None,
-            EventSink::Memory { buf, .. } => Some(buf),
-        };
-        buf.into_iter().flatten()
+        self.ring.iter().flat_map(|r| &r.buf)
     }
 
     /// Consumes the sink, yielding its events oldest-first.
     pub fn into_events(self) -> Vec<PhaseEvent> {
-        match self {
-            // lint:allow(no-unbounded-sink) -- transient return value, not a sink buffer.
-            EventSink::Disabled => Vec::new(),
-            EventSink::Memory { buf, .. } => Vec::from(buf),
-        }
+        self.ring.map(|r| r.buf.into()).unwrap_or_default()
     }
 }
 
-/// Bounded, deterministically-sampled sink for [`SpanEvent`]s.
-///
-/// Three defense layers keep memory bounded at ROADMAP-scale runs, each with
-/// an explicit counter instead of silent loss:
-///
-/// 1. **Head sampling** — [`SpanSink::wants_tx`] applies the seeded
-///    [`tx_sampled`] decision; call sites skip constructing tx-scoped spans
-///    for unsampled transactions. Block-scoped spans are always recorded so
-///    a sampled transaction keeps its full causal chain.
-/// 2. **Per-family cardinality caps** — at most `kind_cap` spans per
-///    [`SpanKind`]; excess is counted per family in
-///    [`SpanSink::kind_dropped`].
-/// 3. **A bounded ring** — at `capacity` total spans the oldest is evicted
-///    and counted in [`SpanSink::evicted`].
-#[derive(Debug, Clone)]
+/// Bounded sink for [`SpanEvent`]s: disabled (the default) or a ring that
+/// evicts and counts the oldest span at `capacity`. Which spans reach it is
+/// the recorder's decision — the simulator head-samples tx-scoped spans with
+/// [`crate::tx_sampled`] and records every block-scoped one, so a sampled
+/// transaction keeps its full causal chain.
+#[derive(Debug, Clone, Default)]
 pub struct SpanSink {
-    enabled: bool,
-    buf: VecDeque<SpanEvent>,
-    capacity: usize,
-    evicted: u64,
-    seed: u64,
-    rate: f64,
-    kind_cap: u64,
-    kind_recorded: [u64; SpanKind::ALL.len()],
-    kind_dropped: [u64; SpanKind::ALL.len()],
-}
-
-impl Default for SpanSink {
-    fn default() -> Self {
-        SpanSink::disabled()
-    }
+    ring: Option<Ring<SpanEvent>>,
 }
 
 impl SpanSink {
     /// A sink that records nothing.
     pub fn disabled() -> Self {
-        SpanSink {
-            enabled: false,
-            // lint:allow(no-unbounded-sink) -- never pushed to: the sink is disabled.
-            buf: VecDeque::new(),
-            capacity: 0,
-            evicted: 0,
-            seed: 0,
-            rate: 0.0,
-            kind_cap: 0,
-            kind_recorded: [0; SpanKind::ALL.len()],
-            kind_dropped: [0; SpanKind::ALL.len()],
-        }
+        SpanSink::default()
     }
 
-    /// A recording sink with the given sampling seed/rate and bounds.
+    /// A recording sink retaining at most `capacity` spans.
     ///
     /// # Panics
-    /// Panics if `capacity == 0` or `rate` is not within `[0, 1]`.
-    pub fn bounded(seed: u64, rate: f64, capacity: usize, kind_cap: u64) -> Self {
-        assert!(capacity > 0, "span sink capacity must be positive");
-        assert!(
-            (0.0..=1.0).contains(&rate),
-            "span sample rate must be in [0, 1], got {rate}"
-        );
+    /// Panics if `capacity == 0`.
+    pub fn bounded(capacity: usize) -> Self {
         SpanSink {
-            enabled: true,
-            // lint:allow(no-unbounded-sink) -- bounded ring: record() evicts the oldest
-            // entry at `capacity` and counts it in `evicted`.
-            buf: VecDeque::with_capacity(capacity.min(DEFAULT_SPAN_CAPACITY)),
-            capacity,
-            evicted: 0,
-            seed,
-            rate,
-            kind_cap,
-            kind_recorded: [0; SpanKind::ALL.len()],
-            kind_dropped: [0; SpanKind::ALL.len()],
+            ring: Some(Ring::new(capacity, DEFAULT_SPAN_CAPACITY)),
         }
     }
 
-    /// Whether call sites should construct and record spans at all.
+    /// Whether spans should be constructed and recorded at all.
     #[inline]
     pub fn enabled(&self) -> bool {
-        self.enabled
+        self.ring.is_some()
     }
 
-    /// The head-sampling decision for transaction `tx`: true when the sink
-    /// is enabled and the seeded hash keeps this transaction. Call sites
-    /// must guard tx-scoped span construction on this (block-scoped spans
-    /// guard on [`SpanSink::enabled`] only).
-    #[inline]
-    pub fn wants_tx(&self, tx: &str) -> bool {
-        self.enabled && tx_sampled(tx, self.seed, self.rate)
-    }
-
-    /// Records one span (no-op when disabled), applying the per-family cap
-    /// and the ring bound.
+    /// Records one span (no-op when disabled).
     pub fn record(&mut self, span: SpanEvent) {
-        if !self.enabled {
-            return;
+        if let Some(ring) = self.ring.as_mut() {
+            ring.push(span);
         }
-        let k = span.kind.index();
-        if self.kind_recorded[k] >= self.kind_cap {
-            self.kind_dropped[k] += 1;
-            return;
-        }
-        self.kind_recorded[k] += 1;
-        if self.buf.len() >= self.capacity {
-            self.buf.pop_front();
-            self.evicted += 1;
-        }
-        self.buf.push_back(span);
     }
 
-    /// Spans evicted from the ring because it was full.
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
-    /// Spans rejected by the per-family cap, indexed by [`SpanKind::index`].
-    pub fn kind_dropped(&self) -> &[u64; SpanKind::ALL.len()] {
-        &self.kind_dropped
-    }
-
-    /// Total spans lost to any bound (ring eviction + family caps).
+    /// Spans evicted from the ring because it was full (0 when disabled).
     pub fn dropped_spans(&self) -> u64 {
-        self.evicted + self.kind_dropped.iter().sum::<u64>()
+        self.ring.as_ref().map_or(0, |r| r.dropped)
     }
 
     /// Spans currently retained, oldest first.
     pub fn spans(&self) -> impl Iterator<Item = &SpanEvent> {
-        self.buf.iter()
+        self.ring.iter().flat_map(|r| &r.buf)
     }
 
     /// Consumes the sink, yielding retained spans oldest-first.
     pub fn into_spans(self) -> Vec<SpanEvent> {
-        Vec::from(self.buf)
+        self.ring.map(|r| r.buf.into()).unwrap_or_default()
     }
 }
 
@@ -262,7 +176,7 @@ impl SpanSink {
 ///
 /// Events are rendered as one JSON object per line through a
 /// [`BufWriter`], so long traces never accumulate in memory the way
-/// [`EventSink::Memory`] does. The buffer flushes on [`JsonlFileSink::finish`]
+/// [`EventSink`]'s ring does. The buffer flushes on [`JsonlFileSink::finish`]
 /// *and* on drop — a CLI that errors out (or a caller that forgets `finish`)
 /// still leaves a parseable, line-complete file behind; only events buffered
 /// after the last successful write to a failing device can be lost, and
@@ -370,7 +284,7 @@ impl Drop for JsonlFileSink {
 mod tests {
     use super::*;
     use crate::event::TracePhase;
-    use crate::spangraph::span_id;
+    use crate::spangraph::{span_id, SpanKind};
 
     fn ev(t_s: f64) -> PhaseEvent {
         PhaseEvent {
@@ -477,7 +391,6 @@ mod tests {
     fn disabled_span_sink_records_nothing() {
         let mut sink = SpanSink::disabled();
         assert!(!sink.enabled());
-        assert!(!sink.wants_tx("ab12"));
         sink.record(span("ab12", SpanKind::Endorse, 1.0));
         assert_eq!(sink.spans().count(), 0);
         assert_eq!(sink.dropped_spans(), 0);
@@ -485,45 +398,16 @@ mod tests {
 
     #[test]
     fn span_sink_ring_evicts_oldest() {
-        let mut sink = SpanSink::bounded(42, 1.0, 4, u64::MAX);
+        // One kind only: no second bound may stop a family from recording
+        // while the ring keeps evicting its older spans.
+        let mut sink = SpanSink::bounded(2);
         for i in 0..10 {
-            sink.record(span(&format!("{i:04x}"), SpanKind::Endorse, i as f64));
+            sink.record(span(&format!("{i:04x}"), SpanKind::RaftMsg, i as f64));
         }
-        assert_eq!(sink.evicted(), 6);
-        assert_eq!(sink.dropped_spans(), 6);
+        assert_eq!(sink.dropped_spans(), 8);
         let kept: Vec<f64> = sink.spans().map(|s| s.t0_s).collect();
-        assert_eq!(kept, vec![6.0, 7.0, 8.0, 9.0]);
-        assert_eq!(sink.into_spans().len(), 4);
-    }
-
-    #[test]
-    fn span_sink_applies_per_family_caps() {
-        let mut sink = SpanSink::bounded(42, 1.0, 1024, 2);
-        for i in 0..5 {
-            sink.record(span(&format!("{i:04x}"), SpanKind::Endorse, i as f64));
-            sink.record(span(&format!("{i:04x}"), SpanKind::Vscc, i as f64));
-        }
-        assert_eq!(sink.spans().count(), 4, "2 per family survive");
-        assert_eq!(sink.kind_dropped()[SpanKind::Endorse.index()], 3);
-        assert_eq!(sink.kind_dropped()[SpanKind::Vscc.index()], 3);
-        assert_eq!(sink.evicted(), 0);
-        assert_eq!(sink.dropped_spans(), 6);
-    }
-
-    #[test]
-    fn span_sink_sampling_gates_tx_decisions() {
-        let sink = SpanSink::bounded(42, 0.5, 1024, u64::MAX);
-        let txs: Vec<String> = (0..500).map(|i| format!("{i:08x}")).collect();
-        let kept = txs.iter().filter(|t| sink.wants_tx(t)).count();
-        assert!(kept > 150 && kept < 350, "50% sampling kept {kept} of 500");
-        // Same decision the pure function makes — the sink adds no state.
-        for t in &txs {
-            assert_eq!(sink.wants_tx(t), tx_sampled(t, 42, 0.5));
-        }
-        let full = SpanSink::bounded(42, 1.0, 1024, u64::MAX);
-        assert!(txs.iter().all(|t| full.wants_tx(t)));
-        let none = SpanSink::bounded(42, 0.0, 1024, u64::MAX);
-        assert!(txs.iter().all(|t| !none.wants_tx(t)));
+        assert_eq!(kept, vec![8.0, 9.0], "tail survives, head evicted");
+        assert_eq!(sink.into_spans().len(), 2);
     }
 
     #[test]

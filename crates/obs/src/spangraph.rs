@@ -105,7 +105,7 @@ impl SpanKind {
         SpanKind::ALL.into_iter().find(|k| k.label() == s)
     }
 
-    /// Position in [`SpanKind::ALL`] (dense index for per-family counters).
+    /// Position in [`SpanKind::ALL`] (dense index for per-kind arrays).
     #[must_use]
     pub fn index(self) -> usize {
         match self {

@@ -172,3 +172,63 @@ fn e2e_histogram_matches_exact_percentiles() {
         "histogram p95 {approx_p95} vs exact {exact_p95} (growth {bound})"
     );
 }
+
+#[test]
+fn trace_stamps_and_phase_events_are_one_record() {
+    // A transaction's `TxTrace` and its phase events are two renderings of
+    // one record: every stamp is the time of the first event of its phase,
+    // and every first event of a stamped phase is that stamp.
+    use fabricsim::obs::PhaseEvent;
+    use fabricsim::TxTrace;
+    use std::collections::HashMap;
+
+    fn stamps(t: &TxTrace) -> [(TracePhase, Option<f64>); 8] {
+        [
+            (TracePhase::Created, Some(t.created)),
+            (TracePhase::ProposalSent, t.proposal_sent),
+            (TracePhase::Endorsed, t.endorsed),
+            (TracePhase::Submitted, t.submitted),
+            (TracePhase::OrderAcked, t.order_acked),
+            (TracePhase::Ordered, t.ordered),
+            (TracePhase::Delivered, t.delivered),
+            (TracePhase::Committed, t.committed),
+        ]
+        .map(|(phase, at)| (phase, at.map(|at| at.as_secs_f64())))
+    }
+
+    let scenarios = [
+        (OrdererType::Solo, PolicySpec::AndX(5), 5, 150.0),
+        (OrdererType::Kafka, PolicySpec::OrN(2), 2, 90.0),
+        (OrdererType::Raft, PolicySpec::AndX(3), 3, 150.0),
+    ];
+    for (orderer, policy, peers, rate) in scenarios {
+        let mut cfg = obs_config(policy, rate);
+        cfg.orderer_type = orderer;
+        cfg.endorsing_peers = peers;
+        cfg.obs.trace_sample = 1.0;
+        let r = Simulation::new(cfg).run_detailed();
+        assert_eq!(r.observability.dropped_events, 0);
+
+        // First event per (tx, phase), and transactions in creation order.
+        let mut first: HashMap<(&str, TracePhase), &PhaseEvent> = HashMap::new();
+        let mut created: Vec<&str> = Vec::new();
+        for e in &r.observability.events {
+            first.entry((e.tx.as_str(), e.phase)).or_insert(e);
+            if e.phase == TracePhase::Created {
+                created.push(e.tx.as_str());
+            }
+        }
+        // No arrival is refused at these loads, so the k-th trace is the
+        // k-th created transaction.
+        assert_eq!(created.len(), r.traces.len(), "{orderer:?}");
+        let mut checked = 0;
+        for (tx, trace) in created.iter().zip(&r.traces) {
+            for (phase, stamp) in stamps(trace) {
+                let event = first.get(&(*tx, phase)).map(|e| e.t_s);
+                assert_eq!(stamp, event, "{orderer:?} tx {tx} {phase:?}");
+                checked += usize::from(stamp.is_some());
+            }
+        }
+        assert!(checked > 8 * r.traces.len() / 2, "{orderer:?}: {checked}");
+    }
+}
