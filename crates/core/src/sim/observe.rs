@@ -17,13 +17,13 @@
 //! next arrival's key).
 
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 use fabricsim_des::{SimDuration, SimTime, Station};
 use fabricsim_obs::{
     message_span_id, span_id, tx_sampled, EventSink, HealthConfig, HealthReport, HealthWindow,
-    LogHistogram, MetricsRecorder, OnlineHealth, PhaseEvent, SpanEvent, SpanKind, SpanSink,
+    LogHistogram, MetricsRecorder, Name, OnlineHealth, PhaseEvent, SpanEvent, SpanKind, SpanSink,
     StationClass, TracePhase, TxStationBreakdown, HEALTH_STATIONS, HEALTH_STATION_COUNT,
 };
 use fabricsim_types::{TxId, ValidationCode};
@@ -111,6 +111,22 @@ impl SpanKey {
     pub(super) fn at_hop(self, hop: u32) -> Self {
         SpanKey { hop, ..self }
     }
+}
+
+/// Renders `what` straight into an inline [`Name`]: every id and actor name
+/// a record carries is built here, on the stack.
+fn name(what: impl fmt::Display) -> Name {
+    let mut name = Name::new();
+    // Writing into a `Name` cannot fail.
+    let _ = write!(name, "{what}");
+    name
+}
+
+/// The short id a transaction goes by in every trace, skipping `fmt`.
+fn tx_name(tx: TxId) -> Name {
+    let mut name = Name::new();
+    let _ = tx.write_short(&mut name);
+    name
 }
 
 /// The [`TxTrace`] timestamp a phase crossing stamps, if it has one.
@@ -287,8 +303,8 @@ impl Observer {
             return;
         };
         let seq = self.txs.len();
-        let name = move || tx.map_or_else(|| format!("arrival{seq}"), |id| id.short());
-        self.emit(now, name, exit, station, depth, (0.0, 0.0));
+        let named = move || tx.map_or_else(|| name(format_args!("arrival{seq}")), tx_name);
+        self.emit(now, named, exit, station, depth, (0.0, 0.0));
         self.push(now, pool, outcome);
         self.count_exit(outcome);
     }
@@ -355,7 +371,7 @@ impl Observer {
                 cum = rec.breakdown.cumulative_through(through_class(phase));
             }
         }
-        self.emit(t, || tx_id.short(), phase, station, depth, cum);
+        self.emit(t, || tx_name(tx_id), phase, station, depth, cum);
     }
 
     /// The deterministic head-sampling decision for a transaction, shared by
@@ -365,11 +381,11 @@ impl Observer {
     }
 
     /// The one place a [`PhaseEvent`] is built: nothing is rendered unless
-    /// the sink is on and the transaction head-sampled.
+    /// the sink is on, and the record owns no heap.
     fn emit(
         &mut self,
         t: SimTime,
-        tx: impl FnOnce() -> String,
+        tx: impl FnOnce() -> Name,
         phase: TracePhase,
         station: &str,
         depth: usize,
@@ -386,7 +402,7 @@ impl Observer {
             t_s: t.as_secs_f64(),
             tx,
             phase,
-            station: station.to_string(),
+            station: station.into(),
             queue_depth: depth as u64,
             cum_queued_s,
             cum_service_s,
@@ -485,11 +501,22 @@ impl Observer {
         }
     }
 
-    fn trace_name(&self, scope: Scope) -> String {
+    fn trace_name(&self, scope: Scope) -> Name {
         match scope {
-            Scope::Tx(tx) => tx.short(),
-            Scope::Block(number) => format!("b{}.{number}", self.shard_id),
+            Scope::Tx(tx) => tx_name(tx),
+            Scope::Block(number) => name(format_args!("b{}.{number}", self.shard_id)),
         }
+    }
+
+    /// The id of the span `key` names — a producer's, computed by value at
+    /// its consumer.
+    fn id_of(&self, key: SpanKey) -> u64 {
+        span_id(
+            &self.trace_name(key.scope),
+            key.kind,
+            &name(key.actor),
+            key.hop,
+        )
     }
 
     /// Records one causal span over `[t0, t1]` (`t1` may lie in the future;
@@ -504,18 +531,10 @@ impl Observer {
         if key.kind.tx_scoped() && !self.sampled(&trace) {
             return;
         }
-        let actor = key.actor.to_string();
-        let parent_id = parent.map_or(0, |p| {
-            span_id(
-                &self.trace_name(p.scope),
-                p.kind,
-                &p.actor.to_string(),
-                p.hop,
-            )
-        });
+        let actor = name(key.actor);
         self.spans.record(SpanEvent {
             span_id: span_id(&trace, key.kind, &actor, key.hop),
-            parent_id,
+            parent_id: parent.map_or(0, |p| self.id_of(p)),
             trace,
             kind: key.kind,
             actor,
@@ -539,8 +558,8 @@ impl Observer {
         if !self.spans.enabled() {
             return;
         }
-        let trace = format!("ch{}", self.shard_id);
-        let actor = format!("{from}>{to}");
+        let trace = name(format_args!("ch{}", self.shard_id));
+        let actor = name(format_args!("{from}>{to}"));
         let (t0_s, t1_s) = (t0.as_secs_f64(), t1.as_secs_f64());
         self.spans.record(SpanEvent {
             span_id: message_span_id(&trace, kind, &actor, t0_s, t1_s),

@@ -30,12 +30,8 @@ impl Hash256 {
 
     /// Lowercase hex encoding of the digest.
     pub fn to_hex(&self) -> String {
-        const HEX: &[u8; 16] = b"0123456789abcdef";
         let mut s = String::with_capacity(64);
-        for b in &self.0 {
-            s.push(HEX[(b >> 4) as usize] as char);
-            s.push(HEX[(b & 0xF) as usize] as char);
-        }
+        let _ = write_hex(&self.0, &mut s);
         s
     }
 
@@ -59,7 +55,17 @@ impl Hash256 {
 
     /// A short 8-hex-character prefix for logs.
     pub fn short(&self) -> String {
-        self.to_hex()[..8].to_string()
+        let mut s = String::with_capacity(8);
+        let _ = self.write_short(&mut s);
+        s
+    }
+
+    /// Writes [`Hash256::short`] into `out` without building a `String`.
+    ///
+    /// # Errors
+    /// Whatever `out` reports.
+    pub fn write_short(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        write_hex(&self.0[..4], out)
     }
 
     /// First 8 bytes of the digest as a little-endian u64 (for cheap keying).
@@ -75,15 +81,33 @@ impl Hash256 {
     }
 }
 
+/// Lowercase hex of `bytes`, two characters each, written a digest's worth
+/// at a time.
+fn write_hex(bytes: &[u8], out: &mut impl fmt::Write) -> fmt::Result {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    for chunk in bytes.chunks(32) {
+        let mut buf = [0u8; 64];
+        let hex = &mut buf[..chunk.len() * 2];
+        for (pair, b) in hex.chunks_exact_mut(2).zip(chunk) {
+            pair[0] = HEX[usize::from(b >> 4)];
+            pair[1] = HEX[usize::from(b & 0xF)];
+        }
+        out.write_str(std::str::from_utf8(hex).unwrap_or_default())?;
+    }
+    Ok(())
+}
+
 impl fmt::Debug for Hash256 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Hash256({})", self.short())
+        f.write_str("Hash256(")?;
+        self.write_short(f)?;
+        f.write_str(")")
     }
 }
 
 impl fmt::Display for Hash256 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_hex())
+        write_hex(&self.0, f)
     }
 }
 
@@ -123,6 +147,18 @@ mod tests {
         assert_eq!(Hash256::ZERO.to_hex(), "0".repeat(64));
         assert_eq!(format!("{:?}", Hash256::ZERO), "Hash256(00000000)");
         assert_eq!(Hash256::ZERO.short().len(), 8);
+    }
+
+    #[test]
+    fn short_is_the_first_eight_hex_characters() {
+        for input in [&b"a"[..], b"roundtrip", b""] {
+            let h = sha256(input);
+            assert_eq!(h.short(), h.to_hex()[..8]);
+            let mut out = String::from("tx:");
+            h.write_short(&mut out).expect("infallible");
+            assert_eq!(out, format!("tx:{}", &h.to_hex()[..8]));
+            assert_eq!(format!("{h}"), h.to_hex());
+        }
     }
 
     #[test]

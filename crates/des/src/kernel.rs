@@ -4,7 +4,7 @@ use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
 use std::time::Instant;
 
-use crate::profiler::{elapsed_ns, KernelProfile, ProfilerState};
+use crate::profiler::{elapsed_ns, lap_ns, KernelProfile, ProfilerState};
 use crate::time::{SimDuration, SimTime};
 
 /// Identifier of a scheduled event, usable for cancellation.
@@ -259,10 +259,12 @@ impl<W> Kernel<W> {
     /// host time is accumulated across windows so the per-label totals still
     /// sum to the loop wall time.
     pub fn run_until(&mut self, world: &mut W, limit: SimTime) -> u64 {
-        let profiling = self.profiler.is_some();
         // lint:allow(no-wall-clock) -- kernel self-profiler window timing (write-only
         // with respect to the simulation; see crates/des/src/profiler.rs).
-        let loop_start = profiling.then(Instant::now);
+        let loop_start = self.profiler.is_some().then(Instant::now);
+        // One running mark: each read attributes everything since the
+        // previous one, so two reads per event tile the whole loop.
+        let mut mark = loop_start;
         let mut executed = 0;
         loop {
             let head_runs = match self.heap.peek() {
@@ -272,11 +274,9 @@ impl<W> Kernel<W> {
             if !head_runs {
                 break;
             }
-            // lint:allow(no-wall-clock) -- kernel self-profiler heap timing (write-only).
-            let pop_start = profiling.then(Instant::now);
             let popped = self.heap.pop();
-            if let (Some(p), Some(t0)) = (self.profiler.as_mut(), pop_start) {
-                p.record_heap(elapsed_ns(t0));
+            if let (Some(p), Some(m)) = (self.profiler.as_mut(), mark.as_mut()) {
+                p.record_heap(lap_ns(m));
             }
             let Some(ev) = popped else { break };
             debug_assert!(ev.time >= self.now, "event heap produced time regression");
@@ -286,12 +286,9 @@ impl<W> Kernel<W> {
             }
             self.stats.executed += 1;
             executed += 1;
-            // lint:allow(no-wall-clock) -- kernel self-profiler dispatch timing
-            // (write-only).
-            let run_start = profiling.then(Instant::now);
             (ev.run)(world, self);
-            if let (Some(p), Some(t0)) = (self.profiler.as_mut(), run_start) {
-                p.record_handler(ev.label, elapsed_ns(t0));
+            if let (Some(p), Some(m)) = (self.profiler.as_mut(), mark.as_mut()) {
+                p.record_handler(ev.label, lap_ns(m));
             }
         }
         if let (Some(p), Some(t0)) = (self.profiler.as_mut(), loop_start) {
@@ -453,6 +450,60 @@ mod tests {
         assert_eq!(profile.heap_ops, 52);
         // The accounting identity the acceptance criterion rests on.
         assert_eq!(profile.attributed_ns(), profile.loop_ns);
+    }
+
+    #[test]
+    fn profile_reconciles_however_the_run_is_windowed() {
+        // Same text, different address: the two must share one entry.
+        let tick: &'static str = "tick";
+        let tick_twin: &'static str = Box::leak(String::from("tick").into_boxed_str());
+        assert!(!std::ptr::eq(tick, tick_twin));
+        let observe = |windows: u64| {
+            let mut k: Kernel<Vec<u64>> = Kernel::new();
+            let mut out = Vec::new();
+            k.enable_profiler();
+            for i in 0..3000u64 {
+                let label = [tick, "tock", tick_twin][(i % 3) as usize];
+                k.schedule_labeled(SimTime::from_nanos(i), label, move |w: &mut Vec<u64>, k| {
+                    w.push(i);
+                    if i % 100 == 0 {
+                        k.schedule_in_labeled(SimDuration::from_nanos(1), "echo", |_, _| {});
+                    }
+                });
+            }
+            let doomed = k.schedule_labeled(SimTime::from_nanos(1500), "doomed", |_, _| {});
+            k.cancel(doomed);
+            // The sharded engine's calling pattern: many short windows, most
+            // of which find little or nothing to run.
+            let span = 4000 / windows;
+            let executed: u64 = (1..=windows)
+                .map(|w| k.run_until(&mut out, SimTime::from_nanos(w * span)))
+                .sum();
+            assert_eq!(executed, 3030);
+            assert_eq!(k.pending(), 0);
+            let profile = k.take_profile().expect("profile collected");
+            assert_eq!(
+                profile.attributed_ns(),
+                profile.loop_ns,
+                "{windows} windows"
+            );
+            let laps: u64 = profile.entries.iter().map(|e| e.ns).sum::<u64>() + profile.heap_ns;
+            assert!(laps <= profile.loop_ns, "laps never overrun the loop");
+            let mut counts: Vec<(String, u64)> = profile
+                .entries
+                .iter()
+                .map(|e| (e.label.clone(), e.count))
+                .collect();
+            counts.sort();
+            (out, counts, profile.heap_ops)
+        };
+        let one = observe(1);
+        assert_eq!(
+            one.1,
+            [("echo", 30), ("tick", 2000), ("tock", 1000)].map(|(l, n)| (l.to_string(), n))
+        );
+        assert_eq!(one.2, 3031, "one pop per event, the cancelled one included");
+        assert_eq!(observe(1000), one);
     }
 
     #[test]

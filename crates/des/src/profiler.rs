@@ -4,9 +4,10 @@
 //! — which is exactly the data ROADMAP's parallel-kernel work needs: which
 //! event families dominate the loop, how much the heap costs, and how much
 //! the loop spends outside both. When profiling is enabled
-//! ([`crate::Kernel::enable_profiler`]), every heap pop and every handler
-//! dispatch is timed with the host's monotonic clock and attributed to the
-//! event's static label (see `schedule_labeled`).
+//! ([`crate::Kernel::enable_profiler`]), the loop reads the host's monotonic
+//! clock twice per event — after the heap pop and after the handler — and
+//! each read attributes everything since the previous one ([`lap_ns`]): to
+//! the heap, or to the event's static label (see `schedule_labeled`).
 //!
 //! The profiler is **write-only with respect to the simulation**: it reads
 //! the host clock but no simulation state ever reads the profiler, so an
@@ -16,26 +17,61 @@
 //! Accounting invariant: `Σ label ns + heap ns + overhead ns == loop ns`
 //! exactly — overhead is *defined* as the unattributed remainder of the
 //! measured loop wall time, so the report always reconciles with what a
-//! stopwatch around `run()` sees.
+//! stopwatch around `run()` sees. Because the reads are chained, the
+//! remainder is only what no lap covers: from the last handler's read to the
+//! end of each `run_until` call.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Mutable profiling state carried inside the kernel while it runs.
 #[derive(Debug, Default)]
 pub(crate) struct ProfilerState {
-    labels: BTreeMap<&'static str, (u64, u64)>, // label -> (count, ns)
+    /// One slot per label text, in first-seen order.
+    slots: Vec<LabelSlot>,
+    /// The slot the previous handler landed in, tried first.
+    last: usize,
     heap_ns: u64,
     heap_ops: u64,
     loop_ns: u64,
 }
 
+#[derive(Debug)]
+struct LabelSlot {
+    label: &'static str,
+    count: u64,
+    ns: u64,
+}
+
 impl ProfilerState {
     pub(crate) fn record_handler(&mut self, label: &'static str, ns: u64) {
-        let e = self.labels.entry(label).or_insert((0, 0));
-        e.0 += 1;
-        e.1 += ns;
+        let hit = match self.slots.get(self.last) {
+            Some(slot) if std::ptr::eq(slot.label, label) => self.last,
+            _ => self.slot_of(label),
+        };
+        self.last = hit;
+        let slot = &mut self.slots[hit];
+        slot.count += 1;
+        slot.ns += ns;
+    }
+
+    /// The slot of `label`: a label is almost always the same `&'static str`
+    /// it was last time, so addresses are compared first; two statics with
+    /// equal text still share one slot.
+    fn slot_of(&mut self, label: &'static str) -> usize {
+        let slots = &self.slots;
+        let found = slots
+            .iter()
+            .position(|s| std::ptr::eq(s.label, label))
+            .or_else(|| slots.iter().position(|s| s.label == label));
+        found.unwrap_or_else(|| {
+            self.slots.push(LabelSlot {
+                label,
+                count: 0,
+                ns: 0,
+            });
+            self.slots.len() - 1
+        })
     }
 
     pub(crate) fn record_heap(&mut self, ns: u64) {
@@ -49,12 +85,12 @@ impl ProfilerState {
 
     pub(crate) fn finish(self) -> KernelProfile {
         let mut entries: Vec<LabelProfile> = self
-            .labels
+            .slots
             .into_iter()
-            .map(|(label, (count, ns))| LabelProfile {
-                label: label.to_string(),
-                count,
-                ns,
+            .map(|slot| LabelProfile {
+                label: slot.label.to_string(),
+                count: slot.count,
+                ns: slot.ns,
             })
             .collect();
         entries.sort_by(|a, b| b.ns.cmp(&a.ns).then(a.label.cmp(&b.label)));
@@ -69,11 +105,22 @@ impl ProfilerState {
     }
 }
 
-/// Nanoseconds the host clock is read with; a convenience alias for call
-/// sites timing one operation.
+/// Host nanoseconds since `since`.
 #[inline]
 pub(crate) fn elapsed_ns(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// Host nanoseconds since `mark`, which moves to now: one clock read, and
+/// consecutive laps tile the time since the first mark without a gap.
+#[inline]
+pub(crate) fn lap_ns(mark: &mut Instant) -> u64 {
+    // lint:allow(no-wall-clock) -- kernel self-profiler lap timing (write-only with
+    // respect to the simulation; see the module docs).
+    let now = Instant::now();
+    let ns = now.duration_since(*mark).as_nanos();
+    *mark = now;
+    u64::try_from(ns).unwrap_or(u64::MAX)
 }
 
 /// Host-time cost of one event-label family.
@@ -83,8 +130,9 @@ pub struct LabelProfile {
     pub label: String,
     /// Handlers dispatched under this label.
     pub count: u64,
-    /// Host nanoseconds spent inside those handlers (including any
-    /// scheduling they performed).
+    /// Host nanoseconds from the end of the heap pop to the end of the
+    /// handler: the dispatch and the handler itself (including any
+    /// scheduling it performed).
     pub ns: u64,
 }
 
@@ -93,12 +141,17 @@ pub struct LabelProfile {
 pub struct KernelProfile {
     /// Per-label costs, hottest first (ties by label).
     pub entries: Vec<LabelProfile>,
-    /// Host nanoseconds spent popping the event heap.
+    /// Host nanoseconds from the end of one handler (or the start of the
+    /// loop) to the end of the next heap pop: the peek, the pop and the
+    /// cancellation check of a tombstone popped before it.
     pub heap_ns: u64,
-    /// Heap pops (executed + cancelled + the final empty pop).
+    /// Heap pops (executed + cancelled). The loop peeks before it pops, so
+    /// finding the heap empty or the head past the limit is not a heap op.
     pub heap_ops: u64,
-    /// Loop wall time not attributed to handlers or the heap (bookkeeping,
-    /// cancellation checks, the profiler's own clock reads).
+    /// Loop wall time not attributed to handlers or the heap. The clock
+    /// reads are chained — each attributes everything since the previous
+    /// one — so this is only the tail of each `run_until` call: the peek
+    /// that ends the window and the closing clock read.
     pub overhead_ns: u64,
     /// Total host nanoseconds of event-loop wall time.
     pub loop_ns: u64,

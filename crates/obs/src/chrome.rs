@@ -104,7 +104,7 @@ pub fn chrome_trace(events: &[PhaseEvent]) -> String {
     let mut station_index: HashMap<&str, usize> = HashMap::new();
     for ev in events {
         let idx = *station_index.entry(ev.station.as_str()).or_insert_with(|| {
-            station_points.push((ev.station.clone(), Vec::new()));
+            station_points.push((ev.station.to_string(), Vec::new()));
             station_points.len() - 1
         });
         station_points[idx].1.push((ev.t_s, ev.queue_depth));

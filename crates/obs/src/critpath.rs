@@ -144,7 +144,7 @@ impl SpanGraphAnalysis {
 
             // Straggler endorser: the endorse span finishing last.
             if let Some(e) = find_kind(SpanKind::Endorse) {
-                *slowest.entry(spans[e].actor.clone()).or_insert(0) += 1;
+                *slowest.entry(spans[e].actor.to_string()).or_insert(0) += 1;
             }
 
             // The block trace reached through commit → vscc → deliver.
@@ -170,7 +170,7 @@ impl SpanGraphAnalysis {
                 let t0 = spans[cur].t0_s.max(created).min(cursor);
                 rev.push(CriticalSegment {
                     label: spans[cur].kind.label().to_string(),
-                    actor: spans[cur].actor.clone(),
+                    actor: spans[cur].actor.to_string(),
                     seconds: cursor - t0,
                 });
                 cursor = t0;
@@ -193,7 +193,7 @@ impl SpanGraphAnalysis {
                         if cursor > t1 {
                             rev.push(CriticalSegment {
                                 label: format!("wait:{}", spans[cur].kind.label()),
-                                actor: spans[cur].actor.clone(),
+                                actor: spans[cur].actor.to_string(),
                                 seconds: cursor - t1,
                             });
                             cursor = t1;
@@ -206,7 +206,7 @@ impl SpanGraphAnalysis {
                     None => {
                         rev.push(CriticalSegment {
                             label: "wait:source".to_string(),
-                            actor: spans[cur].actor.clone(),
+                            actor: spans[cur].actor.to_string(),
                             seconds: cursor - created,
                         });
                         break;

@@ -6,9 +6,10 @@
 //! commit). The JSONL schema is flat so external tooling (jq, pandas) can
 //! consume trace files directly.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
-use crate::json::{escape, read_jsonl, Json};
+use crate::json::{escape, escape_into, push_secs9, push_uint, read_jsonl, Json};
+use crate::name::Name;
 
 /// The pipeline phase a [`PhaseEvent`] marks the completion (or failure) of.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -144,11 +145,11 @@ pub struct PhaseEvent {
     /// Virtual time of the transition, seconds.
     pub t_s: f64,
     /// Short transaction id (hash prefix), or `"-"` for non-tx events.
-    pub tx: String,
+    pub tx: Name,
     /// The phase boundary crossed.
     pub phase: TracePhase,
     /// Diagnostic name of the station involved (e.g. `peer0.validate`).
-    pub station: String,
+    pub station: Name,
     /// Jobs in system (queued + in service) at the station when the event
     /// fired.
     pub queue_depth: u64,
@@ -166,22 +167,35 @@ pub struct PhaseEvent {
 
 impl PhaseEvent {
     /// Serializes the event as one JSON object (no trailing newline).
+    pub fn to_json(&self) -> String {
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Appends the event to `out` as one JSON object (no trailing newline),
+    /// allocating nothing beyond `out`'s own growth.
     ///
     /// `t_s` is printed with 9 decimals (exact: virtual time is integer
     /// nanoseconds); the cumulative attribution fields use Rust's
     /// shortest-round-trip float formatting so the JSONL codec stays
     /// lossless.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"t_s\":{:.9},\"tx\":\"{}\",\"phase\":\"{}\",\"station\":\"{}\",\"queue_depth\":{},\"cum_queued_s\":{},\"cum_service_s\":{}}}",
-            self.t_s,
-            escape(&self.tx),
-            self.phase.label(),
-            escape(&self.station),
-            self.queue_depth,
-            self.cum_queued_s,
-            self.cum_service_s
-        )
+    pub fn write_json(&self, out: &mut String) {
+        out.push_str("{\"t_s\":");
+        push_secs9(out, self.t_s);
+        out.push_str(",\"tx\":\"");
+        escape_into(out, &self.tx);
+        out.push_str("\",\"phase\":\"");
+        out.push_str(self.phase.label());
+        out.push_str("\",\"station\":\"");
+        escape_into(out, &self.station);
+        out.push_str("\",\"queue_depth\":");
+        push_uint(out, self.queue_depth, 1);
+        let _ = write!(
+            out,
+            ",\"cum_queued_s\":{},\"cum_service_s\":{}}}",
+            self.cum_queued_s, self.cum_service_s
+        );
     }
 
     /// Parses one JSONL line produced by [`PhaseEvent::to_json`] (tolerant of
@@ -197,10 +211,10 @@ impl PhaseEvent {
         let phase = v.string("phase")?;
         Ok(PhaseEvent {
             t_s: v.num("t_s")?,
-            tx: v.string("tx")?.to_string(),
+            tx: v.string("tx")?.into(),
             phase: TracePhase::from_label(phase)
                 .ok_or_else(|| format!("unknown phase {phase:?}"))?,
-            station: v.string("station")?.to_string(),
+            station: v.string("station")?.into(),
             queue_depth: v.uint("queue_depth")?,
             // Optional (added after the first trace schema version): absent
             // in old traces, which parse as "no attribution recorded".

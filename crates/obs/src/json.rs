@@ -19,6 +19,7 @@
 //! saturate.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use crate::event::RunProvenance;
 
@@ -171,6 +172,17 @@ impl Json {
 /// every artifact writer.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s);
+    out
+}
+
+/// [`escape`] appended to `out`. A string with nothing to escape — every
+/// name the simulator renders — is appended as it stands.
+pub fn escape_into(out: &mut String, s: &str) {
+    if !s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        out.push_str(s);
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -179,12 +191,62 @@ pub fn escape(s: &str) -> String {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                out.push_str("\\u00");
+                push_hex(out, c as u64, 2);
             }
             c => out.push(c),
         }
     }
-    out
+}
+
+/// Appends the low `digits` hex digits of `n`, lowercase and zero-padded
+/// (`{:0digits$x}` of a value that fits).
+pub(crate) fn push_hex(out: &mut String, n: u64, digits: usize) {
+    let mut buf = [b'0'; 16];
+    let digits = digits.min(buf.len());
+    for (i, b) in buf[..digits].iter_mut().enumerate() {
+        *b = b"0123456789abcdef"[(n >> (4 * (digits - 1 - i)) & 0xf) as usize];
+    }
+    out.push_str(std::str::from_utf8(&buf[..digits]).unwrap_or_default());
+}
+
+/// Appends `n` in decimal, zero-padded to `min_digits` (`{}` at 1, `{:09}`
+/// at 9).
+pub(crate) fn push_uint(out: &mut String, mut n: u64, min_digits: usize) {
+    // u64::MAX has 20 digits.
+    let mut buf = [b'0'; 20];
+    let mut at = buf.len();
+    while n > 0 || buf.len() - at < min_digits.clamp(1, buf.len()) {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).unwrap_or_default());
+}
+
+/// Appends `t` with 9 decimals, byte-equal to `{:.9}`.
+///
+/// Virtual time is integer nanoseconds, so almost every time on the wire is
+/// `n as f64 / 1e9` for some `n < 2⁵³`. For such a `t` the nearest 9-decimal
+/// value is `n` itself (`t` is within half an ulp of `n`·10⁻⁹, and where an
+/// ulp is wider than a nanosecond `t × 1e9` is already the integer `{:.9}`
+/// rounds to), so `n` is printed by integer arithmetic. Anything else —
+/// negative, `-0.0`, fractional nanoseconds, ≥ 2⁵³ ns, non-finite — goes
+/// through the float formatter.
+pub(crate) fn push_secs9(out: &mut String, t: f64) {
+    const NS: u64 = 1_000_000_000;
+    let n = (t * 1e9).round();
+    // Both comparisons are false for NaN.
+    if t >= 0.0 && n < 9_007_199_254_740_992.0 {
+        let ns = n as u64;
+        if (ns as f64 / 1e9).to_bits() == t.to_bits() {
+            push_uint(out, ns / NS, 1);
+            out.push('.');
+            push_uint(out, ns % NS, 9);
+            return;
+        }
+    }
+    let _ = write!(out, "{t:.9}");
 }
 
 /// Reads a JSONL artifact: one JSON object per non-blank line, each decoded

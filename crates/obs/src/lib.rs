@@ -79,6 +79,7 @@ mod exporter;
 mod flame;
 mod hist;
 pub mod json;
+mod name;
 mod online;
 mod registry;
 mod series;
@@ -100,6 +101,7 @@ pub use exporter::{http_get, MetricsServer};
 pub use flame::collapsed_stacks;
 pub use hist::LogHistogram;
 pub use json::Json;
+pub use name::Name;
 pub use online::{
     HealthConfig, HealthEvent, HealthEventKind, HealthReport, HealthWindow, OnlineHealth, Regime,
     StationHealth, DEFAULT_HEALTH_CAPACITY, HEALTH_STATIONS, HEALTH_STATION_COUNT,

@@ -21,11 +21,12 @@ use std::path::{Path, PathBuf};
 use crate::event::PhaseEvent;
 use crate::spangraph::SpanEvent;
 
-/// Default phase-event ring capacity (~1M events ≈ a few hundred MB worst
-/// case; far above anything the stock experiment matrix emits).
+/// Default phase-event ring capacity: ~1M events × 88 B = 88 MiB when full
+/// (a record owns no heap — its names are inline [`crate::Name`]s); far above
+/// anything the stock experiment matrix emits.
 pub const DEFAULT_EVENT_CAPACITY: usize = 1 << 20;
 
-/// Default span ring capacity.
+/// Default span ring capacity (a span is 88 B too).
 pub const DEFAULT_SPAN_CAPACITY: usize = 1 << 20;
 
 /// The one bounded buffer behind both in-memory sinks: at `capacity` the
@@ -186,6 +187,8 @@ pub struct JsonlFileSink {
     writer: Option<BufWriter<File>>,
     path: PathBuf,
     written: u64,
+    /// The line being rendered; kept so a record costs no allocation.
+    line: String,
 }
 
 impl JsonlFileSink {
@@ -200,6 +203,7 @@ impl JsonlFileSink {
             writer: Some(BufWriter::new(file)),
             path,
             written: 0,
+            line: String::new(),
         })
     }
 
@@ -221,7 +225,7 @@ impl JsonlFileSink {
     /// # Errors
     /// The underlying write error.
     pub fn write_provenance(&mut self, prov: &crate::RunProvenance) -> std::io::Result<()> {
-        self.write_line(&prov.to_json())
+        self.write_line(|line| line.push_str(&prov.to_json()))
     }
 
     /// Writes one event as a JSONL line.
@@ -229,7 +233,7 @@ impl JsonlFileSink {
     /// # Errors
     /// The underlying write error.
     pub fn write_event(&mut self, ev: &PhaseEvent) -> std::io::Result<()> {
-        self.write_line(&ev.to_json())
+        self.write_line(|line| ev.write_json(line))
     }
 
     /// Writes one span as a JSONL line (span files use the same streaming
@@ -238,10 +242,10 @@ impl JsonlFileSink {
     /// # Errors
     /// The underlying write error.
     pub fn write_span(&mut self, span: &SpanEvent) -> std::io::Result<()> {
-        self.write_line(&span.to_json())
+        self.write_line(|line| span.write_json(line))
     }
 
-    fn write_line(&mut self, json: &str) -> std::io::Result<()> {
+    fn write_line(&mut self, render: impl FnOnce(&mut String)) -> std::io::Result<()> {
         // The writer is Some until finish(); writing after that is a caller
         // bug, surfaced as an I/O error instead of a panic.
         let Some(w) = self.writer.as_mut() else {
@@ -250,8 +254,10 @@ impl JsonlFileSink {
                 "sink already finished",
             ));
         };
-        w.write_all(json.as_bytes())?;
-        w.write_all(b"\n")?;
+        self.line.clear();
+        render(&mut self.line);
+        self.line.push('\n');
+        w.write_all(self.line.as_bytes())?;
         self.written += 1;
         Ok(())
     }

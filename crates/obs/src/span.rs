@@ -163,7 +163,7 @@ pub fn reconstruct(events: &[PhaseEvent]) -> Vec<TxSpan> {
             continue;
         }
         let slot = *index.entry(ev.tx.as_str()).or_insert_with(|| {
-            spans.push(TxSpan::new(ev.tx.clone()));
+            spans.push(TxSpan::new(ev.tx.to_string()));
             spans.len() - 1
         });
         let span = &mut spans[slot];

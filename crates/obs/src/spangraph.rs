@@ -32,7 +32,8 @@
 
 use std::fmt;
 
-use crate::json::{escape, read_jsonl, Json};
+use crate::json::{escape_into, push_hex, push_secs9, push_uint, read_jsonl, Json};
+use crate::name::Name;
 
 /// The kind of distributed work a [`SpanEvent`] covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -105,25 +106,6 @@ impl SpanKind {
         SpanKind::ALL.into_iter().find(|k| k.label() == s)
     }
 
-    /// Position in [`SpanKind::ALL`] (dense index for per-kind arrays).
-    #[must_use]
-    pub fn index(self) -> usize {
-        match self {
-            SpanKind::ClientPrep => 0,
-            SpanKind::Endorse => 1,
-            SpanKind::Assemble => 2,
-            SpanKind::OsnBroadcast => 3,
-            SpanKind::RaftMsg => 4,
-            SpanKind::KafkaProduce => 5,
-            SpanKind::KafkaConsume => 6,
-            SpanKind::BlockCut => 7,
-            SpanKind::Deliver => 8,
-            SpanKind::GossipHop => 9,
-            SpanKind::Vscc => 10,
-            SpanKind::Commit => 11,
-        }
-    }
-
     /// True for kinds whose trace is a transaction id and which the head
     /// sampler therefore gates; block-scoped kinds (ordering internals,
     /// delivery, gossip) are always recorded so any sampled transaction
@@ -158,11 +140,11 @@ pub struct SpanEvent {
     pub parent_id: u64,
     /// Trace this span belongs to: a tx id (hash prefix) or a block id
     /// (`b{channel}.{number}`).
-    pub trace: String,
+    pub trace: Name,
     /// What work the span covers.
     pub kind: SpanKind,
     /// Who did it (`pool0`, `peer3`, `osn1`, `broker0`, `zk0`).
-    pub actor: String,
+    pub actor: Name,
     /// Start of the work, virtual seconds.
     pub t0_s: f64,
     /// End of the work, virtual seconds (`>= t0_s`).
@@ -236,17 +218,31 @@ impl SpanEvent {
     /// ids above 2⁵³.
     #[must_use]
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"span\":\"{:016x}\",\"parent\":\"{:016x}\",\"trace\":\"{}\",\"kind\":\"{}\",\"actor\":\"{}\",\"t0_s\":{:.9},\"t1_s\":{:.9},\"hop\":{}}}",
-            self.span_id,
-            self.parent_id,
-            escape(&self.trace),
-            self.kind.label(),
-            escape(&self.actor),
-            self.t0_s,
-            self.t1_s,
-            self.hop
-        )
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Appends the span to `out` as one JSON object (no trailing newline),
+    /// allocating nothing beyond `out`'s own growth.
+    pub fn write_json(&self, out: &mut String) {
+        out.push_str("{\"span\":\"");
+        push_hex(out, self.span_id, 16);
+        out.push_str("\",\"parent\":\"");
+        push_hex(out, self.parent_id, 16);
+        out.push_str("\",\"trace\":\"");
+        escape_into(out, &self.trace);
+        out.push_str("\",\"kind\":\"");
+        out.push_str(self.kind.label());
+        out.push_str("\",\"actor\":\"");
+        escape_into(out, &self.actor);
+        out.push_str("\",\"t0_s\":");
+        push_secs9(out, self.t0_s);
+        out.push_str(",\"t1_s\":");
+        push_secs9(out, self.t1_s);
+        out.push_str(",\"hop\":");
+        push_uint(out, u64::from(self.hop), 1);
+        out.push('}');
     }
 
     /// Parses one JSONL line produced by [`SpanEvent::to_json`].
@@ -266,10 +262,10 @@ impl SpanEvent {
         Ok(SpanEvent {
             span_id: hex_id("span")?,
             parent_id: hex_id("parent")?,
-            trace: v.string("trace")?.to_string(),
+            trace: v.string("trace")?.into(),
             kind: SpanKind::from_label(kind)
                 .ok_or_else(|| format!("unknown span kind {kind:?}"))?,
-            actor: v.string("actor")?.to_string(),
+            actor: v.string("actor")?.into(),
             t0_s: v.num("t0_s")?,
             t1_s: v.num("t1_s")?,
             hop: v.uint("hop")?,
@@ -381,10 +377,9 @@ mod tests {
     }
 
     #[test]
-    fn kind_labels_round_trip_and_index_is_dense() {
-        for (i, k) in SpanKind::ALL.into_iter().enumerate() {
+    fn kind_labels_round_trip() {
+        for k in SpanKind::ALL {
             assert_eq!(SpanKind::from_label(k.label()), Some(k));
-            assert_eq!(k.index(), i);
         }
         assert_eq!(SpanKind::from_label("nope"), None);
     }

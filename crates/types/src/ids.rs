@@ -91,11 +91,19 @@ impl TxId {
     pub fn short(&self) -> String {
         self.0.short()
     }
+
+    /// Writes [`TxId::short`] into `out` without building a `String`.
+    ///
+    /// # Errors
+    /// Whatever `out` reports.
+    pub fn write_short(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        self.0.write_short(out)
+    }
 }
 
 impl fmt::Display for TxId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.short())
+        self.write_short(f)
     }
 }
 

@@ -1,0 +1,143 @@
+//! The allocation budget of observing: recording a phase event or a span, and
+//! rendering either, costs no heap allocation of its own.
+//!
+//! A counting allocator over [`System`] tallies per thread, so the libtest
+//! harness and the other case of this file cannot disturb a measurement; the
+//! simulation runs on the calling thread (`sim_workers` 1, one validator).
+//! Run it optimized in CI (`cargo test --release --test obs_alloc`): the
+//! budget is the same either way, only the wall time differs.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use fabricsim::{OrdererType, PolicySpec, RunResult, SimConfig, Simulation};
+
+struct Counting;
+
+thread_local! {
+    /// Allocations (fresh, zeroed or grown) made by this thread.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // A thread being torn down has no counter left; nothing measured runs
+    // there.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a `const`-initialized
+// thread-local `Cell` without a destructor, so touching it allocates nothing
+// and cannot re-enter the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's `layout` obligations pass through unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: `ptr` came from this allocator, which only ever hands out
+        // `System`'s blocks, with this `layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as for `realloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// `f`'s result and the allocations this thread made while it ran.
+fn counting<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (out, ALLOCS.with(Cell::get) - before)
+}
+
+/// The benchmark's `des_kafka_small_blocks` configuration — Kafka, two
+/// transactions a block, below every knee — cut to 10 simulated seconds.
+fn kafka_small_blocks() -> SimConfig {
+    let mut cfg = SimConfig {
+        orderer_type: OrdererType::Kafka,
+        broker_count: 5,
+        zk_count: 3,
+        osn_count: 3,
+        endorsing_peers: 2,
+        policy: PolicySpec::OrN(2),
+        arrival_rate_tps: 90.0,
+        duration_secs: 10.0,
+        warmup_secs: 4.0,
+        cooldown_secs: 2.0,
+        sim_workers: 1,
+        ..SimConfig::default()
+    };
+    cfg.batch.max_message_count = 2;
+    cfg.cost.validator_pool_size = 1;
+    cfg
+}
+
+/// The same run with every plane on, as `des_kafka_small_blocks_obs` has it.
+fn every_plane_on() -> SimConfig {
+    let mut cfg = kafka_small_blocks();
+    cfg.obs.trace_events = true;
+    cfg.obs.span_events = true;
+    cfg.obs.trace_sample = 1.0;
+    cfg.obs.health_events = true;
+    cfg.obs.profile = true;
+    cfg
+}
+
+fn run(cfg: SimConfig) -> RunResult {
+    let result = Simulation::new(cfg).run_detailed();
+    assert!(result.chain_ok);
+    result
+}
+
+#[test]
+fn recording_an_observation_allocates_nothing() {
+    let (off, allocs_off) = counting(|| run(kafka_small_blocks()));
+    let (on, allocs_on) = counting(|| run(every_plane_on()));
+    assert_eq!(
+        off.summary.to_json(),
+        on.summary.to_json(),
+        "the planes are write-only"
+    );
+    let obs = &on.observability;
+    assert_eq!((obs.dropped_events, obs.dropped_spans), (0, 0));
+    let records = (obs.events.len() + obs.spans.len()) as u64;
+    assert!(records > 20_000, "a run worth measuring: {records} records");
+    // What is left is per run, not per record: the two rings, the merge's
+    // sort buffers, the health windows and the profiler's label slots.
+    let extra = allocs_on.saturating_sub(allocs_off);
+    assert!(
+        extra * 20 <= records,
+        "{extra} allocations for {records} records ({:.3} each; budget 0.05): \
+         planes on {allocs_on}, planes off {allocs_off}",
+        extra as f64 / records as f64
+    );
+}
+
+#[test]
+fn rendering_a_run_costs_a_buffer_per_document() {
+    let on = run(every_plane_on());
+    let obs = &on.observability;
+    let ((events, spans), allocs) = counting(|| (obs.events_jsonl(), obs.spans_jsonl()));
+    assert_eq!(events.lines().count(), obs.events.len());
+    assert_eq!(spans.lines().count(), obs.spans.len());
+    assert!(
+        allocs <= 8,
+        "{allocs} allocations to render {} lines",
+        obs.events.len() + obs.spans.len()
+    );
+}
