@@ -9,7 +9,9 @@ use std::collections::HashMap;
 use std::hint::black_box;
 
 use fabricsim_bench::microbench::Runner;
-use fabricsim_crypto::{sha256, KeyPair, MerkleTree, PublicKey, Sha256, VerifyingKey};
+use fabricsim_crypto::{
+    compress_portable, sha256, KeyPair, MerkleTree, PublicKey, Sha256, VerifyingKey,
+};
 use fabricsim_des::{Kernel, ShardWorld, ShardedKernel, SimDuration, SimTime, Station};
 use fabricsim_kafka::{Broker, BrokerMsg, KafkaConfig, Record};
 use fabricsim_ledger::Ledger;
@@ -41,11 +43,23 @@ fn tx(nonce: u64) -> Transaction {
 fn bench_crypto(r: &mut Runner) {
     let data = vec![0xABu8; 1024];
     r.bench("crypto/sha256_1k", || sha256(black_box(&data)));
-    // Absorbing exactly one block, unfinished: one compression, no padding.
+    // Where absorbing the whole slice in one call shows: 1024 blocks, state
+    // in registers throughout on the SHA-NI body.
+    let long = vec![0xABu8; 64 * 1024];
+    r.bench("crypto/sha256_64k", || sha256(black_box(&long)));
+    // Absorbing exactly one block, unfinished: one compression, no padding —
+    // through the dispatch (whichever body `sha256_backend()` names), then
+    // the portable body by name, so the two sit side by side on one host.
     r.bench("crypto/sha256_compress_64B", || {
         let mut h = Sha256::new();
         h.update(black_box(&data[..64]));
         h
+    });
+    let block: [u8; 64] = [0xAB; 64];
+    r.bench("crypto/sha256_compress_64B_portable", || {
+        let mut state = [0x6a09_e667u32; 8];
+        compress_portable(&mut state, black_box(&block));
+        state
     });
     let kp = KeyPair::from_seed(b"bench");
     r.bench("crypto/schnorr_sign", || kp.sign(black_box(&data)));

@@ -479,8 +479,9 @@ fn cmd_bench(args: &[String]) -> ! {
         }
     }
     eprintln!(
-        "running calibration + {} scenarios × {seeds} seed(s)...",
-        perf::scenario_matrix().len()
+        "running calibration + {} scenarios × {seeds} seed(s), sha256 backend {}...",
+        perf::scenario_matrix().len(),
+        fabricsim_crypto::sha256_backend()
     );
     let report = perf::run_all(seeds);
     for s in &report.scenarios {

@@ -161,6 +161,13 @@ pub struct BenchReport {
     /// are excluded from wall-clock comparison: an N-worker run on fewer
     /// than N cores measures scheduler luck, not engine cost.
     pub host_cores: usize,
+    /// Which SHA-256 compression body produced the wall-clock numbers
+    /// (`fabricsim_crypto::sha256_backend`): `"sha-ni"` or `"portable"`.
+    /// Optional in the document — a report written before the field existed
+    /// reads as `"portable"`, the only body there was. Simulated values do
+    /// not depend on it; wall clock does, by about 2×, so [`compare`] skips
+    /// every wall-clock check between reports that disagree.
+    pub sha256_backend: String,
     /// Seed replicas per scenario ([`BASE_SEED`]`..BASE_SEED+seeds`).
     pub seeds: u64,
     /// Per-scenario results, in matrix order.
@@ -401,6 +408,7 @@ pub fn run_all(seeds: u64) -> BenchReport {
         schema_version: BENCH_SCHEMA_VERSION,
         calibration_ms,
         host_cores: std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
+        sha256_backend: fabricsim_crypto::sha256_backend().to_string(),
         seeds,
         scenarios,
     }
@@ -413,8 +421,12 @@ impl BenchReport {
         let mut out = String::new();
         out.push_str("{\n");
         out.push_str(&format!(
-            "  \"schema_version\": {},\n  \"generator\": \"fabricsim bench\",\n  \"calibration_ms\": {},\n  \"host_cores\": {},\n  \"seeds\": {},\n  \"scenarios\": [\n",
-            self.schema_version, self.calibration_ms, self.host_cores, self.seeds
+            "  \"schema_version\": {},\n  \"generator\": \"fabricsim bench\",\n  \"calibration_ms\": {},\n  \"host_cores\": {},\n  \"sha256_backend\": \"{}\",\n  \"seeds\": {},\n  \"scenarios\": [\n",
+            self.schema_version,
+            self.calibration_ms,
+            self.host_cores,
+            escape(&self.sha256_backend),
+            self.seeds
         ));
         for (i, s) in self.scenarios.iter().enumerate() {
             let stat = |st: &Stat| format!("{{\"mean\": {}, \"stddev\": {}}}", st.mean, st.stddev);
@@ -538,6 +550,10 @@ impl BenchReport {
             schema_version,
             calibration_ms: v.num("calibration_ms").map_err(&root)?,
             host_cores: v.uint("host_cores").map_err(&root)?,
+            sha256_backend: match v.get("sha256_backend") {
+                None => "portable".to_string(),
+                Some(_) => v.string("sha256_backend").map_err(&root)?.to_string(),
+            },
             seeds: v.uint("seeds").map_err(&root)?,
             scenarios,
         })
@@ -559,7 +575,9 @@ fn band(tolerance: f64, base: &Stat, cur_stddev: f64) -> f64 {
 /// * **Wall clock** is first normalized by the calibration ratio
 ///   (`baseline.calibration_ms / current.calibration_ms`), then compared
 ///   with the same noise-aware band; scenarios with a baseline wall cost
-///   under [`WALL_FLOOR_MS`] are skipped, as are sharded scenarios whose
+///   under [`WALL_FLOOR_MS`] are skipped, as is every scenario when the two
+///   reports were hashed by different SHA-256 bodies
+///   ([`BenchReport::sha256_backend`]), as are sharded scenarios whose
 ///   worker count exceeds either host's core count — an oversubscribed
 ///   spin-barrier run measures scheduler luck, not engine cost. Every skip
 ///   is recorded in [`Comparison::skipped`] with its reason.
@@ -604,6 +622,17 @@ pub fn compare(baseline: &BenchReport, current: &BenchReport, tolerance: f64) ->
                 (c.committed_tps.mean / b.committed_tps.mean - 1.0) * 100.0,
                 tps_band
             ));
+        }
+        if baseline.sha256_backend != current.sha256_backend {
+            cmp.skipped.push(SkippedCheck {
+                scenario: b.name.clone(),
+                metric: "wall_clock_ms".into(),
+                reason: format!(
+                    "hash backends differ (baseline {}, current {})",
+                    baseline.sha256_backend, current.sha256_backend
+                ),
+            });
+            continue;
         }
         if b.wall_clock_ms.mean < WALL_FLOOR_MS {
             cmp.skipped.push(SkippedCheck {
@@ -683,6 +712,7 @@ mod tests {
             schema_version: BENCH_SCHEMA_VERSION,
             calibration_ms: calibration,
             host_cores: 8,
+            sha256_backend: "portable".into(),
             seeds: 1,
             scenarios,
         }
@@ -883,6 +913,35 @@ mod tests {
     }
 
     #[test]
+    fn differing_hash_backends_skip_wall_clock_but_not_simulated_throughput() {
+        // A runner without the SHA extensions, twice as slow as the baseline
+        // recorded with them: not a regression, and listed as not compared.
+        let mut base = report(500.0, vec![result("a", 100.0, 250.0)]);
+        base.sha256_backend = "sha-ni".into();
+        let cur = report(500.0, vec![result("a", 100.0, 600.0)]);
+        let cmp = compare(&base, &cur, DEFAULT_TOLERANCE);
+        assert!(cmp.failures.is_empty(), "{:?}", cmp.failures);
+        assert_eq!(cmp.skipped.len(), 1);
+        assert_eq!(cmp.skipped[0].metric, "wall_clock_ms");
+        assert_eq!(
+            cmp.skipped[0].reason,
+            "hash backends differ (baseline sha-ni, current portable)"
+        );
+        let slower = report(500.0, vec![result("a", 50.0, 600.0)]);
+        assert_eq!(compare(&base, &slower, DEFAULT_TOLERANCE).failures.len(), 1);
+
+        // The field round-trips, and a report written before it reads as the
+        // only body there was then.
+        let text = base.to_json();
+        assert_eq!(BenchReport::parse(&text).unwrap(), base);
+        let old = text.replace("  \"sha256_backend\": \"sha-ni\",\n", "");
+        assert_ne!(old, text);
+        assert_eq!(BenchReport::parse(&old).unwrap().sha256_backend, "portable");
+        let mistyped = text.replace("\"sha-ni\"", "7");
+        assert!(BenchReport::parse(&mistyped).is_err());
+    }
+
+    #[test]
     fn oversubscribed_sharded_wall_clock_is_listed_as_skipped() {
         // A 4-worker scenario checked on a 1-core host: spin-barrier
         // scheduling noise makes wall clock meaningless, but the
@@ -971,11 +1030,8 @@ mod tests {
         // The full-report fingerprint excludes wall clock/calibration and
         // is identical across the two invocations.
         let mk = |sc: ScenarioResult| BenchReport {
-            schema_version: BENCH_SCHEMA_VERSION,
-            calibration_ms: 1.0,
-            host_cores: 1,
             seeds: 2,
-            scenarios: vec![sc],
+            ..report(1.0, vec![sc])
         };
         assert_eq!(mk(a).sim_fingerprint(), mk(b).sim_fingerprint());
     }

@@ -14,8 +14,14 @@
 //!   the DES layer charges calibrated CPU costs for sign/verify so throughput
 //!   matches production-grade ECDSA, per DESIGN.md §5.
 //! * [`prime`] — deterministic Miller–Rabin used to verify the group constants.
+//!
+//! SHA-256 has two compression bodies, chosen by what the CPU reports at run
+//! time ([`sha256_backend`]): one on the x86-64 SHA extensions and the
+//! portable one it is tested against. Calling the first is this workspace's
+//! only `unsafe` block; see `sha256.rs` and DESIGN.md §5.1.
 
-#![forbid(unsafe_code)]
+// lint:allow(forbid-unsafe-present) -- one `unsafe` block in the workspace: the call to the safe `#[target_feature]` SHA-NI body in sha256.rs, feature-checked on the line above it; `deny` lets that one expression opt out and nothing else
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod hash;
@@ -29,7 +35,7 @@ pub use hash::Hash256;
 pub use hmac::hmac_sha256;
 pub use merkle::MerkleTree;
 pub use schnorr::{KeyPair, PublicKey, SecretKey, Signature, VerifyingKey};
-pub use sha256::{sha256, Sha256};
+pub use sha256::{compress_portable, sha256, sha256_backend, Sha256};
 
 /// SplitMix64: the seeded stream behind this crate's equivalence sweeps.
 #[cfg(test)]

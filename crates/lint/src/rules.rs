@@ -610,25 +610,34 @@ fn no_unbounded_sink(scan: &Scanner<'_>, ctx: &FileContext, out: &mut Vec<Diagno
     }
 }
 
-/// Crate roots must keep `#![forbid(unsafe_code)]`.
+/// Crate roots must keep `#![forbid(unsafe_code)]`. A root that sets another
+/// level for `unsafe_code` is reported at that attribute, where an audited
+/// `lint:allow` above it can bind; one that sets none, at the file's start.
 fn forbid_unsafe_present(scan: &Scanner<'_>, ctx: &FileContext, out: &mut Vec<Diagnostic>) {
-    let want = ["#", "!", "[", "forbid", "(", "unsafe_code", ")", "]"];
-    let found = (0..scan.toks.len()).any(|i| {
-        want.iter()
-            .enumerate()
-            .all(|(k, w)| scan.get(i + k).is_some_and(|t| t.text == *w))
-    });
-    if !found {
-        out.push(Diagnostic {
-            file: ctx.rel_path.clone(),
-            line: 1,
-            col: 1,
-            rule: RuleId::ForbidUnsafePresent,
-            message: "crate root does not `#![forbid(unsafe_code)]`".into(),
-            suggestion: suggestion_for(RuleId::ForbidUnsafePresent),
-            notes: Vec::new(),
-        });
+    let shape = ["#", "!", "[", "<level>", "(", "unsafe_code", ")", "]"];
+    let attrs: Vec<usize> = (0..scan.toks.len())
+        .filter(|&i| {
+            shape
+                .iter()
+                .enumerate()
+                .all(|(k, w)| k == 3 || scan.get(i + k).is_some_and(|t| t.text == *w))
+        })
+        .collect();
+    if attrs.iter().any(|&i| scan.ident_at(i + 3, "forbid")) {
+        return;
     }
+    let (line, col) = attrs
+        .first()
+        .map_or((1, 1), |&i| (scan.toks[i].line, scan.toks[i].col));
+    out.push(Diagnostic {
+        file: ctx.rel_path.clone(),
+        line,
+        col,
+        rule: RuleId::ForbidUnsafePresent,
+        message: "crate root does not `#![forbid(unsafe_code)]`".into(),
+        suggestion: suggestion_for(RuleId::ForbidUnsafePresent),
+        notes: Vec::new(),
+    });
 }
 
 /// `Ordering::Relaxed` must carry a written justification: either a

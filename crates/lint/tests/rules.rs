@@ -136,6 +136,21 @@ fn forbid_unsafe_present_negative() {
 }
 
 #[test]
+fn forbid_unsafe_weakened_is_reported_at_the_attribute_where_an_allow_binds() {
+    let (diags, _) = lint_as_crate_root("forbid-unsafe-present", "weakened.rs");
+    assert_eq!(locs(&diags), vec![(3, 1, RuleId::ForbidUnsafePresent)]);
+    // The one accepted form of an exception: a justified allow on that line.
+    let audited = fixture("forbid-unsafe-present", "weakened.rs").replace(
+        "#![deny",
+        "// lint:allow(forbid-unsafe-present) -- one audited block, see its SAFETY note\n#![deny",
+    );
+    let ctx = classify("crates/core/src/lib.rs").expect("classifiable");
+    let (diags, suppressed) = lint_source(&ctx, &audited);
+    assert!(diags.is_empty(), "{diags:?}");
+    assert_eq!(suppressed, 1);
+}
+
+#[test]
 fn forbid_unsafe_only_checked_at_crate_roots() {
     // The same attribute-less file is fine as a non-root module.
     let (diags, _) = lint_as_core_lib("forbid-unsafe-present", "bad.rs");

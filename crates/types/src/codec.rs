@@ -69,28 +69,36 @@ impl<'a> Reader<'a> {
     fn new(buf: &'a [u8]) -> Self {
         Reader { buf, pos: 0 }
     }
+    fn truncated(&self, n: usize) -> DecodeError {
+        DecodeError(format!(
+            "truncated: wanted {n} bytes at {}, have {}",
+            self.pos,
+            self.buf.len()
+        ))
+    }
     fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
         if self.pos + n > self.buf.len() {
-            return Err(DecodeError(format!(
-                "truncated: wanted {n} bytes at {}, have {}",
-                self.pos,
-                self.buf.len()
-            )));
+            return Err(self.truncated(n));
         }
         let out = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(out)
     }
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let Some((out, _)) = self.buf[self.pos..].split_first_chunk::<N>() else {
+            return Err(self.truncated(N));
+        };
+        self.pos += N;
+        Ok(*out)
+    }
     fn u8(&mut self) -> Result<u8, DecodeError> {
         Ok(self.take(1)?[0])
     }
     fn u32(&mut self) -> Result<u32, DecodeError> {
-        // lint:allow(no-unwrap-in-lib) -- take(4) returns exactly 4 bytes
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.array()?))
     }
     fn u64(&mut self) -> Result<u64, DecodeError> {
-        // lint:allow(no-unwrap-in-lib) -- take(8) returns exactly 8 bytes
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array()?))
     }
     fn bytes(&mut self) -> Result<Vec<u8>, DecodeError> {
         let n = self.u32()? as usize;
@@ -103,8 +111,7 @@ impl<'a> Reader<'a> {
         String::from_utf8(self.bytes()?).map_err(|_| DecodeError("invalid UTF-8".into()))
     }
     fn hash(&mut self) -> Result<Hash256, DecodeError> {
-        // lint:allow(no-unwrap-in-lib) -- take(32) returns exactly 32 bytes
-        Ok(Hash256::from_bytes(self.take(32)?.try_into().unwrap()))
+        Ok(Hash256::from_bytes(self.array()?))
     }
     fn finish(self) -> Result<(), DecodeError> {
         if self.pos == self.buf.len() {
