@@ -947,7 +947,7 @@ fn main() {
     }
     if result.observability.dropped_events > 0 || result.observability.dropped_spans > 0 {
         eprintln!(
-            "warning: bounded sinks evicted {} trace event(s) and {} span(s); lower --trace-sample or raise trace_buffer_cap",
+            "warning: bounded sinks evicted {} trace event(s) and {} span(s); lower --trace-sample",
             result.observability.dropped_events, result.observability.dropped_spans
         );
     }

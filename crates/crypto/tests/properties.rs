@@ -1,87 +1,113 @@
-//! Property-based tests for the cryptographic primitives.
+//! Seeded properties of the cryptographic primitives (`rng::cases`).
+//!
+//! Incremental-versus-one-shot hashing is not here: the unit suite of
+//! `sha256.rs` already splits every length 0..=300 at nine step sizes.
 
-// QUARANTINED (ISSUE 1 satellite: seed-test triage). This property suite
-// depends on the external `proptest` crate, which cannot be fetched in the
-// offline build environment, so the whole workspace failed to resolve. The
-// suite is gated behind the default-off `proptests` feature; to run it,
-// restore `proptest = "1"` as a dev-dependency of this crate and pass
-// `--features proptests`. The deterministic unit/integration tests retain
-// coverage of the same invariants at fixed seeds.
-#![cfg(feature = "proptests")]
+use fabricsim_crypto::{hmac_sha256, sha256, Hash256, KeyPair, MerkleTree};
+use fabricsim_des::rng::cases;
+use fabricsim_des::RngStream;
 
-use proptest::prelude::*;
+/// `min..=max` random bytes.
+fn bytes(rng: &mut RngStream, min: usize, max: usize) -> Vec<u8> {
+    let len = min + rng.pick_index(max - min + 1);
+    (0..len).map(|_| rng.next_u64() as u8).collect()
+}
 
-use fabricsim_crypto::{hmac_sha256, sha256, Hash256, KeyPair, MerkleTree, Sha256};
-
-proptest! {
-    #[test]
-    fn incremental_hashing_equals_oneshot(data: Vec<u8>, splits in proptest::collection::vec(0usize..2000, 0..5)) {
-        let mut points: Vec<usize> = splits.iter().map(|s| s % (data.len() + 1)).collect();
-        points.sort_unstable();
-        let mut h = Sha256::new();
-        let mut prev = 0;
-        for &pt in &points {
-            h.update(&data[prev..pt]);
-            prev = pt;
-        }
-        h.update(&data[prev..]);
-        prop_assert_eq!(h.finalize(), sha256(&data));
-    }
-
-    #[test]
-    fn sha256_is_deterministic_and_sensitive(mut data in proptest::collection::vec(any::<u8>(), 1..256), flip in 0usize..256, bit in 0u8..8) {
+#[test]
+fn sha256_is_deterministic_and_sensitive() {
+    cases("sha256_is_deterministic_and_sensitive", 1_000, |rng| {
+        let mut data = bytes(rng, 1, 255);
         let original = sha256(&data);
-        prop_assert_eq!(original, sha256(&data));
-        let idx = flip % data.len();
-        data[idx] ^= 1 << bit;
-        prop_assert_ne!(original, sha256(&data), "single-bit flip must change the digest");
-    }
+        assert_eq!(original, sha256(&data));
+        let idx = rng.pick_index(data.len());
+        data[idx] ^= 1 << rng.next_below(8);
+        assert_ne!(
+            original,
+            sha256(&data),
+            "a single-bit flip changes the digest"
+        );
+    });
+}
 
-    #[test]
-    fn hex_roundtrip(bytes: [u8; 32]) {
-        let h = Hash256::from_bytes(bytes);
-        prop_assert_eq!(Hash256::from_hex(&h.to_hex()), Some(h));
-    }
+#[test]
+fn hex_roundtrip() {
+    cases("hex_roundtrip", 1_000, |rng| {
+        let mut raw = [0u8; 32];
+        raw.fill_with(|| rng.next_u64() as u8);
+        let h = Hash256::from_bytes(raw);
+        assert_eq!(Hash256::from_hex(&h.to_hex()), Some(h));
+    });
+}
 
-    #[test]
-    fn hmac_distinguishes_key_and_message(key1: Vec<u8>, key2: Vec<u8>, msg: Vec<u8>) {
-        prop_assume!(key1 != key2);
-        prop_assert_ne!(hmac_sha256(&key1, &msg), hmac_sha256(&key2, &msg));
-    }
-
-    #[test]
-    fn schnorr_roundtrip_arbitrary_messages(seed: Vec<u8>, msg: Vec<u8>, other: Vec<u8>) {
-        let kp = KeyPair::from_seed(&seed);
-        let sig = kp.sign(&msg);
-        prop_assert!(kp.public.verify(&msg, &sig));
-        if other != msg {
-            prop_assert!(!kp.public.verify(&other, &sig));
+/// HMAC zero-pads a key to the 64-byte block, so keys that differ only in
+/// trailing zero bytes are the same key; any other two keys of at most a
+/// block must give different tags.
+#[test]
+fn hmac_distinguishes_key_and_message() {
+    assert_eq!(hmac_sha256(&[], b"m"), hmac_sha256(&[0], b"m"));
+    cases("hmac_distinguishes_key_and_message", 1_000, |rng| {
+        let padded = |rng: &mut RngStream| {
+            let mut key = bytes(rng, 0, 64);
+            key.resize(64, 0);
+            key
+        };
+        let (key1, key2) = (padded(rng), padded(rng));
+        let (msg1, msg2) = (bytes(rng, 0, 100), bytes(rng, 0, 100));
+        if key1 != key2 {
+            assert_ne!(hmac_sha256(&key1, &msg1), hmac_sha256(&key2, &msg1));
         }
-    }
+        if msg1 != msg2 {
+            assert_ne!(hmac_sha256(&key1, &msg1), hmac_sha256(&key1, &msg2));
+        }
+    });
+}
 
-    #[test]
-    fn merkle_proofs_verify_and_bind(leaves in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..32), 1..40), probe in 0usize..40) {
+#[test]
+fn schnorr_roundtrip_arbitrary_messages() {
+    cases("schnorr_roundtrip_arbitrary_messages", 500, |rng| {
+        let kp = KeyPair::from_seed(&bytes(rng, 0, 40));
+        let msg = bytes(rng, 0, 100);
+        // Half the time a near miss: the message with one more byte.
+        let other = if rng.chance(0.5) {
+            bytes(rng, 0, 100)
+        } else {
+            [&msg[..], &[0]].concat()
+        };
+        let sig = kp.sign(&msg);
+        assert!(kp.public.verify(&msg, &sig));
+        if other != msg {
+            assert!(!kp.public.verify(&other, &sig));
+        }
+    });
+}
+
+#[test]
+fn merkle_proofs_verify_and_bind() {
+    cases("merkle_proofs_verify_and_bind", 500, |rng| {
+        let n = 1 + rng.pick_index(39);
+        let leaves: Vec<Vec<u8>> = (0..n).map(|_| bytes(rng, 0, 31)).collect();
         let tree = MerkleTree::from_leaves(leaves.iter());
-        let i = probe % leaves.len();
-        let proof = tree.proof(i).unwrap();
-        prop_assert!(MerkleTree::verify_proof(tree.root(), &leaves[i], i, &proof));
+        let i = rng.pick_index(leaves.len());
+        let proof = tree.proof(i).expect("index in range");
+        assert!(MerkleTree::verify_proof(tree.root(), &leaves[i], i, &proof));
         // A different leaf value at the same position must fail.
         let mut forged = leaves[i].clone();
         forged.push(0xFF);
-        prop_assert!(!MerkleTree::verify_proof(tree.root(), &forged, i, &proof));
-    }
+        assert!(!MerkleTree::verify_proof(tree.root(), &forged, i, &proof));
+    });
+}
 
-    #[test]
-    fn merkle_root_binds_order_and_content(
-        mut leaves in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 1..16), 2..20),
-        swap_a in 0usize..20,
-        swap_b in 0usize..20,
-    ) {
+#[test]
+fn merkle_root_binds_order_and_content() {
+    cases("merkle_root_binds_order_and_content", 500, |rng| {
+        let n = 2 + rng.pick_index(18);
+        let mut leaves: Vec<Vec<u8>> = (0..n).map(|_| bytes(rng, 1, 15)).collect();
         let original = MerkleTree::from_leaves(leaves.iter()).root();
-        let a = swap_a % leaves.len();
-        let b = swap_b % leaves.len();
-        prop_assume!(leaves[a] != leaves[b]);
-        leaves.swap(a, b);
-        prop_assert_ne!(MerkleTree::from_leaves(leaves.iter()).root(), original);
-    }
+        let a = rng.pick_index(leaves.len());
+        let b = rng.pick_index(leaves.len());
+        if leaves[a] != leaves[b] {
+            leaves.swap(a, b);
+            assert_ne!(MerkleTree::from_leaves(leaves.iter()).root(), original);
+        }
+    });
 }

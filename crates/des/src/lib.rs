@@ -41,7 +41,7 @@
 mod kernel;
 mod link;
 mod profiler;
-mod rng;
+pub mod rng;
 mod sharded;
 mod station;
 mod time;

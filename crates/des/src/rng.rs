@@ -146,6 +146,28 @@ impl RngStream {
     }
 }
 
+/// Runs the property `f` on `n` seeded cases; case `i` draws its inputs from
+/// `RngStream::derive(i, name)`.
+///
+/// There is no shrinker: generators are expected to be size-bounded, so the
+/// failing case is already the small case. A panicking case prints
+/// `property {name}: case {i}` while unwinding; calling
+/// `f(&mut RngStream::derive(i, name))` runs that case alone.
+pub fn cases(name: &str, n: u64, mut f: impl FnMut(&mut RngStream)) {
+    struct Running<'a>(&'a str, u64);
+    impl Drop for Running<'_> {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                eprintln!("property {}: case {}", self.0, self.1);
+            }
+        }
+    }
+    for case in 0..n {
+        let _running = Running(name, case);
+        f(&mut RngStream::derive(case, name));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,6 +264,24 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
         assert_ne!(xs, (0..50).collect::<Vec<_>>(), "shuffle left slice sorted");
+    }
+
+    #[test]
+    fn cases_runs_each_case_on_its_own_derived_stream() {
+        let mut seen = Vec::new();
+        cases("p", 3, |rng| seen.push(rng.clone()));
+        let want: Vec<RngStream> = (0..3).map(|i| RngStream::derive(i, "p")).collect();
+        assert_eq!(seen, want);
+    }
+
+    #[test]
+    #[should_panic(expected = "case 2 fails")]
+    fn cases_lets_a_failing_case_unwind() {
+        let mut case = 0;
+        cases("p", 5, |_| {
+            assert!(case != 2, "case {case} fails");
+            case += 1;
+        });
     }
 
     #[test]

@@ -1,112 +1,137 @@
-//! Property-based tests for the DES kernel, stations and links.
+//! Seeded properties of the DES kernel, stations and links (`rng::cases`).
 
-// QUARANTINED (ISSUE 1 satellite: seed-test triage). This property suite
-// depends on the external `proptest` crate, which cannot be fetched in the
-// offline build environment, so the whole workspace failed to resolve. The
-// suite is gated behind the default-off `proptests` feature; to run it,
-// restore `proptest = "1"` as a dev-dependency of this crate and pass
-// `--features proptests`. The deterministic unit/integration tests retain
-// coverage of the same invariants at fixed seeds.
-#![cfg(feature = "proptests")]
-
-use proptest::prelude::*;
-
+use fabricsim_des::rng::cases;
 use fabricsim_des::{Kernel, Link, RngStream, SimDuration, SimTime, Station};
 
-proptest! {
-    /// Events always fire in (time, insertion) order, regardless of the order
-    /// they were scheduled in.
-    #[test]
-    fn kernel_fires_in_timestamp_order(times in proptest::collection::vec(0u64..1_000, 1..200)) {
+/// `1..=max_len` pairs of `(at < at_bound, 1 <= size < size_bound)`, sorted by `at`.
+fn arrivals(rng: &mut RngStream, max_len: u64, at_bound: u64, size_bound: u64) -> Vec<(u64, u64)> {
+    let len = 1 + rng.next_below(max_len);
+    let mut out: Vec<(u64, u64)> = (0..len)
+        .map(|_| (rng.next_below(at_bound), 1 + rng.next_below(size_bound - 1)))
+        .collect();
+    out.sort_by_key(|&(at, _)| at);
+    out
+}
+
+/// Events always fire in (time, insertion) order, regardless of the order
+/// they were scheduled in.
+#[test]
+fn kernel_fires_in_timestamp_order() {
+    cases("kernel_fires_in_timestamp_order", 256, |rng| {
+        let times: Vec<u64> = (0..1 + rng.next_below(199))
+            .map(|_| rng.next_below(1_000))
+            .collect();
         let mut k: Kernel<Vec<(u64, usize)>> = Kernel::new();
         for (seq, &t) in times.iter().enumerate() {
-            k.schedule(SimTime::from_nanos(t), move |w: &mut Vec<(u64, usize)>, _| {
-                w.push((t, seq));
-            });
+            k.schedule(
+                SimTime::from_nanos(t),
+                move |w: &mut Vec<(u64, usize)>, _| {
+                    w.push((t, seq));
+                },
+            );
         }
         let mut fired = Vec::new();
         k.run(&mut fired);
-        prop_assert_eq!(fired.len(), times.len());
+        assert_eq!(fired.len(), times.len());
         for pair in fired.windows(2) {
-            prop_assert!(pair[0].0 <= pair[1].0, "time order violated");
+            assert!(pair[0].0 <= pair[1].0, "time order violated");
             if pair[0].0 == pair[1].0 {
-                prop_assert!(pair[0].1 < pair[1].1, "insertion tie-break violated");
+                assert!(pair[0].1 < pair[1].1, "insertion tie-break violated");
             }
         }
-    }
+    });
+}
 
-    /// FIFO station completions are monotone and conserve total work.
-    #[test]
-    fn station_is_fifo_and_conserves_work(
-        servers in 1usize..6,
-        jobs in proptest::collection::vec((0u64..10_000, 1u64..500), 1..100),
-    ) {
-        let mut station = Station::new("s", servers);
-        let mut arrivals: Vec<(u64, u64)> = jobs;
-        arrivals.sort_by_key(|&(at, _)| at);
-        let mut completions = Vec::new();
-        let mut total_service = SimDuration::ZERO;
-        for &(at, service) in &arrivals {
-            let d = SimDuration::from_nanos(service);
-            total_service += d;
-            completions.push(station.submit(SimTime::from_nanos(at), d));
-        }
-        // Conservation: busy time equals offered service.
-        prop_assert_eq!(station.busy_time(), total_service);
-        // No job finishes before its arrival + service.
-        for (&(at, service), &done) in arrivals.iter().zip(&completions) {
-            prop_assert!(done >= SimTime::from_nanos(at + service));
-        }
-        // With a single server the station is a FIFO queue: completions are
-        // monotone, and the last completion is work-conserving (>= first
-        // arrival + all service). Multi-server stations only guarantee
-        // start-order FIFO: a short job may legitimately finish earlier.
-        if servers == 1 {
-            for w in completions.windows(2) {
-                prop_assert!(w[0] <= w[1], "single-server FIFO violated");
-            }
-            let first = arrivals[0].0;
-            let total: u64 = arrivals.iter().map(|&(_, s)| s).sum();
-            prop_assert!(completions.last().unwrap().as_nanos() >= first + total);
-        }
+/// FIFO station completions conserve total work; `arrivals` is sorted by time.
+fn station_is_fifo_and_conserves_work(servers: usize, arrivals: &[(u64, u64)]) {
+    let mut station = Station::new("s", servers);
+    let mut completions = Vec::new();
+    let mut total_service = SimDuration::ZERO;
+    for &(at, service) in arrivals {
+        let d = SimDuration::from_nanos(service);
+        total_service += d;
+        completions.push(station.submit(SimTime::from_nanos(at), d));
     }
-
-    /// Link transfers serialize on the wire and preserve order.
-    #[test]
-    fn link_preserves_order_and_charges_bandwidth(
-        msgs in proptest::collection::vec((0u64..1_000_000, 1u64..10_000), 1..60),
-    ) {
-        let mut link = Link::new("l", 1_000_000_000, SimDuration::from_micros(100));
-        let mut sends: Vec<(u64, u64)> = msgs;
-        sends.sort_by_key(|&(at, _)| at);
-        let mut arrivals = Vec::new();
-        for &(at, bytes) in &sends {
-            arrivals.push(link.transfer(SimTime::from_nanos(at), bytes));
+    // Conservation: busy time equals offered service.
+    assert_eq!(station.busy_time(), total_service);
+    // No job finishes before its arrival + service.
+    for (&(at, service), &done) in arrivals.iter().zip(&completions) {
+        assert!(done >= SimTime::from_nanos(at + service));
+    }
+    // With a single server the station is a FIFO queue: completions are
+    // monotone, and the last completion is work-conserving (>= first
+    // arrival + all service). Multi-server stations only guarantee
+    // start-order FIFO: a short job may legitimately finish earlier.
+    if servers == 1 {
+        for w in completions.windows(2) {
+            assert!(w[0] <= w[1], "single-server FIFO violated");
         }
-        for w in arrivals.windows(2) {
-            prop_assert!(w[0] <= w[1], "link reordered messages");
+        let first = arrivals[0].0;
+        let total: u64 = arrivals.iter().map(|&(_, s)| s).sum();
+        let last = completions.last().expect("at least one job");
+        assert!(last.as_nanos() >= first + total);
+    }
+}
+
+#[test]
+fn station_is_fifo_and_conserves_work_on_random_arrivals() {
+    cases("station_is_fifo_and_conserves_work", 256, |rng| {
+        let servers = 1 + rng.pick_index(5);
+        station_is_fifo_and_conserves_work(servers, &arrivals(rng, 99, 10_000, 500));
+    });
+}
+
+/// The one case the property ever failed on (it once demanded monotone
+/// completions of multi-server stations): two servers, simultaneous arrivals,
+/// the second job shorter than the first.
+#[test]
+fn station_two_servers_simultaneous_short_job_overtakes() {
+    station_is_fifo_and_conserves_work(2, &[(4416, 405), (4416, 1)]);
+}
+
+/// Link transfers serialize on the wire and preserve order.
+#[test]
+fn link_preserves_order_and_charges_bandwidth() {
+    cases("link_preserves_order_and_charges_bandwidth", 256, |rng| {
+        let sends = arrivals(rng, 59, 1_000_000, 10_000);
+        let propagation = SimDuration::from_micros(100);
+        let mut link = Link::new("l", 1_000_000_000, propagation);
+        let arrived: Vec<SimTime> = sends
+            .iter()
+            .map(|&(at, bytes)| link.transfer(SimTime::from_nanos(at), bytes))
+            .collect();
+        for w in arrived.windows(2) {
+            assert!(w[0] <= w[1], "link reordered messages");
         }
         // Each arrival is at least serialization + propagation after send.
-        for (&(at, bytes), &arr) in sends.iter().zip(&arrivals) {
+        for (&(at, bytes), &arr) in sends.iter().zip(&arrived) {
             let serialization = link.serialization_delay(bytes);
-            prop_assert!(
-                arr >= SimTime::from_nanos(at) + serialization + SimDuration::from_micros(100)
-            );
+            assert!(arr >= SimTime::from_nanos(at) + serialization + propagation);
         }
-        prop_assert_eq!(link.bytes_sent(), sends.iter().map(|&(_, b)| b).sum::<u64>());
-    }
+        assert_eq!(
+            link.bytes_sent(),
+            sends.iter().map(|&(_, b)| b).sum::<u64>()
+        );
+    });
+}
 
-    /// RNG streams: deterministic per (seed, name), and exp samples are positive.
-    #[test]
-    fn rng_streams_deterministic_and_positive(seed: u64, name in "[a-z]{1,12}", mean in 0.001f64..10.0) {
+/// RNG streams: deterministic per (seed, name), and exp samples are positive.
+#[test]
+fn rng_streams_deterministic_and_positive() {
+    cases("rng_streams_deterministic_and_positive", 256, |rng| {
+        let seed = rng.next_u64();
+        let name: String = (0..1 + rng.next_below(12))
+            .map(|_| char::from(b'a' + rng.next_below(26) as u8))
+            .collect();
+        let mean = rng.uniform(0.001, 10.0);
         let mut a = RngStream::derive(seed, &name);
         let mut b = RngStream::derive(seed, &name);
         for _ in 0..50 {
-            prop_assert_eq!(a.next_u64(), b.next_u64());
+            assert_eq!(a.next_u64(), b.next_u64());
         }
         for _ in 0..50 {
             let x = a.exp(mean);
-            prop_assert!(x >= 0.0 && x.is_finite());
+            assert!(x >= 0.0 && x.is_finite());
         }
-    }
+    });
 }

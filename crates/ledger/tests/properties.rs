@@ -1,20 +1,10 @@
-//! Property-based tests: MVCC commit equals serial execution of the accepted
+//! Seeded properties (`rng::cases`): MVCC commit equals serial execution of the accepted
 //! transactions, and the chain stays verifiable under arbitrary block shapes.
-
-// QUARANTINED (ISSUE 1 satellite: seed-test triage). This property suite
-// depends on the external `proptest` crate, which cannot be fetched in the
-// offline build environment, so the whole workspace failed to resolve. The
-// suite is gated behind the default-off `proptests` feature; to run it,
-// restore `proptest = "1"` as a dev-dependency of this crate and pass
-// `--features proptests`. The deterministic unit/integration tests retain
-// coverage of the same invariants at fixed seeds.
-#![cfg(feature = "proptests")]
 
 use std::collections::BTreeMap;
 
-use proptest::prelude::*;
-
 use fabricsim_crypto::{Hash256, KeyPair};
+use fabricsim_des::rng::cases;
 use fabricsim_ledger::Ledger;
 use fabricsim_types::{
     Block, ChannelId, ClientId, Proposal, RwSet, Transaction, ValidationCode, Version,
@@ -38,22 +28,29 @@ fn rmw_tx(nonce: u64, key: &str, value: u8, observed: &BTreeMap<String, Version>
     }
 }
 
-proptest! {
-    /// Model-check MVCC: replaying only the transactions the ledger flagged
-    /// VALID — serially, against a plain map with version bookkeeping — must
-    /// produce exactly the ledger's world state.
-    #[test]
-    fn committed_state_equals_serial_replay_of_valid_txs(
+/// Model-check MVCC: replaying only the transactions the ledger flagged
+/// VALID — serially, against a plain map with version bookkeeping — must
+/// produce exactly the ledger's world state.
+#[test]
+fn committed_state_equals_serial_replay_of_valid_txs() {
+    let name = "committed_state_equals_serial_replay_of_valid_txs";
+    cases(name, 300, |rng| {
         // Each op: (key 0..4, value, staleness: how many blocks old its
         // endorsement snapshot is).
-        ops in proptest::collection::vec((0u8..4, any::<u8>(), 0usize..3), 1..60),
-        block_size in 1usize..8,
-    ) {
+        let ops: Vec<(u8, u8, usize)> = (0..1 + rng.next_below(59))
+            .map(|_| {
+                (
+                    rng.next_below(4) as u8,
+                    rng.next_u64() as u8,
+                    rng.pick_index(3),
+                )
+            })
+            .collect();
+        let block_size = 1 + rng.pick_index(7);
         let mut ledger = Ledger::new("prop");
         // Snapshots of (key -> version) at each committed height.
         let mut snapshots: Vec<BTreeMap<String, Version>> = vec![BTreeMap::new()];
         let mut nonce = 0u64;
-        let mut all_blocks: Vec<Block> = Vec::new();
 
         for chunk in ops.chunks(block_size) {
             let txs: Vec<Transaction> = chunk
@@ -73,8 +70,7 @@ proptest! {
                 txs,
             );
             let n = block.transactions.len();
-            ledger.validate_and_commit(block.clone(), vec![None; n]).unwrap();
-            all_blocks.push(block);
+            ledger.validate_and_commit(block, vec![None; n]).unwrap();
             // Record the new committed snapshot.
             let snap: BTreeMap<String, Version> = (0..4)
                 .filter_map(|k| {
@@ -98,10 +94,10 @@ proptest! {
         }
         for (key, want) in &model {
             let got = ledger.state().get(key).map(|v| v.value.clone());
-            prop_assert_eq!(got.as_ref(), Some(want), "key {}", key);
+            assert_eq!(got.as_ref(), Some(want), "key {}", key);
         }
         // And the chain verifies end to end.
-        prop_assert!(ledger.blocks().verify_chain().is_ok());
+        assert!(ledger.blocks().verify_chain().is_ok());
 
         // Fundamental MVCC guarantee: within the accepted (VALID) sequence,
         // every read observed the version of the immediately preceding
@@ -113,7 +109,7 @@ proptest! {
                     continue;
                 }
                 for r in &tx.rw_set.reads {
-                    prop_assert_eq!(
+                    assert_eq!(
                         r.version,
                         last_writer.get(&r.key).copied(),
                         "valid tx read a stale version of {}",
@@ -126,5 +122,5 @@ proptest! {
                 }
             }
         }
-    }
+    });
 }

@@ -1,18 +1,8 @@
-//! Property-based tests: the block cutter partitions the input stream, and
+//! Seeded properties (`rng::cases`): the block cutter partitions the input stream, and
 //! Solo-OSN block emission preserves the transaction sequence.
 
-// QUARANTINED (ISSUE 1 satellite: seed-test triage). This property suite
-// depends on the external `proptest` crate, which cannot be fetched in the
-// offline build environment, so the whole workspace failed to resolve. The
-// suite is gated behind the default-off `proptests` feature; to run it,
-// restore `proptest = "1"` as a dev-dependency of this crate and pass
-// `--features proptests`. The deterministic unit/integration tests retain
-// coverage of the same invariants at fixed seeds.
-#![cfg(feature = "proptests")]
-
-use proptest::prelude::*;
-
 use fabricsim_crypto::KeyPair;
+use fabricsim_des::rng::cases;
 use fabricsim_ordering::{BlockCutter, OsnEffect, OsnInput, OsnNode};
 use fabricsim_types::{BatchConfig, ChannelId, ClientId, Proposal, RwSet, Transaction, TxId};
 
@@ -29,13 +19,14 @@ fn tx(nonce: u64, payload: usize) -> Transaction {
     }
 }
 
-proptest! {
-    #[test]
-    fn cutter_partitions_the_stream(
-        max_count in 1usize..20,
-        payloads in proptest::collection::vec(0usize..600, 1..80),
-        timeout_points in proptest::collection::vec(any::<bool>(), 1..80),
-    ) {
+#[test]
+fn cutter_partitions_the_stream() {
+    cases("cutter_partitions_the_stream", 500, |rng| {
+        let max_count = 1 + rng.pick_index(19);
+        // (payload bytes, whether the batch timer fires after this transaction)
+        let arrivals: Vec<(usize, bool)> = (0..1 + rng.next_below(79))
+            .map(|_| (rng.pick_index(600), rng.chance(0.5)))
+            .collect();
         let cfg = BatchConfig {
             max_message_count: max_count,
             batch_timeout_ms: 1000,
@@ -46,7 +37,7 @@ proptest! {
         let mut input: Vec<TxId> = Vec::new();
         let mut live_timer = None;
 
-        for (i, (&payload, &fire)) in payloads.iter().zip(&timeout_points).enumerate() {
+        for (i, &(payload, fire)) in arrivals.iter().enumerate() {
             let t = tx(i as u64, payload);
             input.push(t.tx_id);
             let out = cutter.ordered(t);
@@ -54,14 +45,14 @@ proptest! {
                 live_timer = Some(seq);
             }
             for batch in out.batches {
-                prop_assert!(batch.len() <= max_count, "batch exceeds BatchSize");
-                prop_assert!(!batch.is_empty());
+                assert!(batch.len() <= max_count, "batch exceeds BatchSize");
+                assert!(!batch.is_empty());
                 emitted.extend(batch.iter().map(|t| t.tx_id));
             }
             if fire {
                 if let Some(seq) = live_timer {
                     if let Some(batch) = cutter.timeout(seq) {
-                        prop_assert!(batch.len() <= max_count);
+                        assert!(batch.len() <= max_count);
                         emitted.extend(batch.iter().map(|t| t.tx_id));
                     }
                 }
@@ -71,14 +62,17 @@ proptest! {
             emitted.extend(batch.iter().map(|t| t.tx_id));
         }
         // Every transaction appears exactly once, in arrival order.
-        prop_assert_eq!(emitted, input);
-    }
+        assert_eq!(emitted, input);
+    });
+}
 
-    #[test]
-    fn solo_osn_preserves_sequence_and_chains(
-        payloads in proptest::collection::vec(0usize..64, 1..120),
-        batch_size in 1usize..30,
-    ) {
+#[test]
+fn solo_osn_preserves_sequence_and_chains() {
+    cases("solo_osn_preserves_sequence_and_chains", 300, |rng| {
+        let payloads: Vec<usize> = (0..1 + rng.next_below(119))
+            .map(|_| rng.pick_index(64))
+            .collect();
+        let batch_size = 1 + rng.pick_index(29);
         let cfg = BatchConfig {
             max_message_count: batch_size,
             ..BatchConfig::default()
@@ -97,7 +91,7 @@ proptest! {
                     OsnEffect::Ack { .. } => acked += 1,
                     OsnEffect::BlockReady(b) => {
                         if let Some(ph) = prev_hash {
-                            prop_assert_eq!(b.header.previous_hash, ph, "hash chain");
+                            assert_eq!(b.header.previous_hash, ph, "hash chain");
                         }
                         prev_hash = Some(b.header.hash());
                         delivered.extend(b.transactions.iter().map(|t| t.tx_id));
@@ -106,9 +100,9 @@ proptest! {
                 }
             }
         }
-        prop_assert_eq!(acked, payloads.len(), "every broadcast is acked");
+        assert_eq!(acked, payloads.len(), "every broadcast is acked");
         // Delivered so far is a prefix of the submissions, in order.
-        prop_assert!(delivered.len() <= submitted.len());
-        prop_assert_eq!(&delivered[..], &submitted[..delivered.len()]);
-    }
+        assert!(delivered.len() <= submitted.len());
+        assert_eq!(&delivered[..], &submitted[..delivered.len()]);
+    });
 }

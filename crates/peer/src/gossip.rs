@@ -199,10 +199,7 @@ impl GossipNode {
         while let Some(b) = self.buffered.remove(&self.delivered_height) {
             self.cache.insert(b.header.number, b.clone());
             if self.cache.len() > self.cache_blocks {
-                // lint:allow(no-unwrap-in-lib) -- inside the over-capacity branch the cache is
-                // non-empty
-                let oldest = *self.cache.keys().next().expect("non-empty");
-                self.cache.remove(&oldest);
+                self.cache.pop_first();
             }
             self.delivered_height += 1;
             effects.push(GossipEffect::Deliver(b));

@@ -1,33 +1,26 @@
-//! Property-based tests for the endorsement-policy language.
-
-// QUARANTINED (ISSUE 1 satellite: seed-test triage). This property suite
-// depends on the external `proptest` crate, which cannot be fetched in the
-// offline build environment, so the whole workspace failed to resolve. The
-// suite is gated behind the default-off `proptests` feature; to run it,
-// restore `proptest = "1"` as a dev-dependency of this crate and pass
-// `--features proptests`. The deterministic unit/integration tests retain
-// coverage of the same invariants at fixed seeds.
-#![cfg(feature = "proptests")]
+//! Seeded properties of the endorsement-policy language (`rng::cases`).
 
 use std::collections::BTreeSet;
 
-use proptest::prelude::*;
-
+use fabricsim_des::rng::cases;
+use fabricsim_des::RngStream;
 use fabricsim_policy::Policy;
 use fabricsim_types::{OrgId, Principal};
 
-fn arb_policy() -> impl Strategy<Value = Policy> {
-    let leaf = (1u32..8).prop_map(|o| Policy::Principal(Principal::peer(OrgId(o))));
-    leaf.prop_recursive(3, 24, 4, |inner| {
-        prop_oneof![
-            proptest::collection::vec(inner.clone(), 1..4).prop_map(Policy::And),
-            proptest::collection::vec(inner.clone(), 1..4).prop_map(Policy::Or),
-            proptest::collection::vec(inner, 1..4).prop_flat_map(|cs| {
-                let n = cs.len();
-                (1..=n).prop_map(move |k| Policy::OutOf(k, cs.clone()))
-            }),
-        ]
-    })
+/// A policy tree over orgs 1..=7, at most `depth` combinators deep, one to
+/// three children per combinator (so at most 27 leaves at depth 3).
+fn policy(rng: &mut RngStream, depth: u32) -> Policy {
+    if depth == 0 || rng.chance(0.25) {
+        return Policy::Principal(Principal::peer(OrgId(1 + rng.next_below(7) as u32)));
+    }
+    let children: Vec<Policy> = (0..1 + rng.next_below(3))
+        .map(|_| policy(rng, depth - 1))
+        .collect();
+    match rng.next_below(3) {
+        0 => Policy::And(children),
+        1 => Policy::Or(children),
+        _ => Policy::OutOf(1 + rng.pick_index(children.len()), children),
+    }
 }
 
 fn orgs_subset(mask: u8) -> Vec<Principal> {
@@ -37,56 +30,75 @@ fn orgs_subset(mask: u8) -> Vec<Principal> {
         .collect()
 }
 
-proptest! {
-    #[test]
-    fn display_parse_roundtrip(policy in arb_policy()) {
-        let text = policy.to_string();
-        let parsed: Policy = text.parse().unwrap();
-        prop_assert_eq!(parsed, policy);
-    }
+#[test]
+fn display_parse_roundtrip() {
+    cases("display_parse_roundtrip", 2_000, |rng| {
+        let policy = policy(rng, 3);
+        let parsed: Policy = policy.to_string().parse().expect("rendered policy parses");
+        assert_eq!(parsed, policy);
+    });
+}
 
-    #[test]
-    fn satisfaction_is_monotone(policy in arb_policy(), mask: u8, extra: u8) {
+#[test]
+fn satisfaction_is_monotone() {
+    cases("satisfaction_is_monotone", 2_000, |rng| {
+        let policy = policy(rng, 3);
         // Adding endorsers can never unsatisfy a policy.
+        let (mask, extra) = (rng.next_u64() as u8, rng.next_u64() as u8);
         let small = orgs_subset(mask);
         let big = orgs_subset(mask | extra);
         if policy.is_satisfied_by(small.iter()) {
-            prop_assert!(policy.is_satisfied_by(big.iter()));
+            assert!(policy.is_satisfied_by(big.iter()));
         }
-    }
+    });
+}
 
-    #[test]
-    fn minimal_sets_are_sufficient_and_minimal(policy in arb_policy()) {
+#[test]
+fn minimal_sets_are_sufficient_and_minimal() {
+    cases("minimal_sets_are_sufficient_and_minimal", 2_000, |rng| {
+        let policy = policy(rng, 3);
         let sets = policy.minimal_satisfying_sets();
-        prop_assert!(!sets.is_empty(), "policies over principals are satisfiable");
+        assert!(!sets.is_empty(), "policies over principals are satisfiable");
         for set in &sets {
-            prop_assert!(policy.is_satisfied_by(set.iter()), "every minimal set satisfies");
+            assert!(
+                policy.is_satisfied_by(set.iter()),
+                "every minimal set satisfies"
+            );
             // No proper subset satisfies.
             for drop in set.iter() {
                 let smaller: BTreeSet<_> = set.iter().filter(|p| *p != drop).cloned().collect();
-                prop_assert!(
+                assert!(
                     !policy.is_satisfied_by(smaller.iter()),
                     "dropping {drop} from a minimal set must unsatisfy"
                 );
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn min_endorsements_matches_minimal_sets(policy in arb_policy()) {
+#[test]
+fn min_endorsements_matches_minimal_sets() {
+    cases("min_endorsements_matches_minimal_sets", 2_000, |rng| {
+        let policy = policy(rng, 3);
         let sets = policy.minimal_satisfying_sets();
-        let min = sets.iter().map(BTreeSet::len).min().unwrap();
-        prop_assert_eq!(policy.min_endorsements(), min);
-    }
+        let min = sets.iter().map(BTreeSet::len).min().expect("satisfiable");
+        assert_eq!(policy.min_endorsements(), min);
+    });
+}
 
-    #[test]
-    fn full_principal_set_always_satisfies(policy in arb_policy()) {
+#[test]
+fn full_principal_set_always_satisfies() {
+    cases("full_principal_set_always_satisfies", 2_000, |rng| {
+        let policy = policy(rng, 3);
         let everyone = policy.principals();
-        prop_assert!(policy.is_satisfied_by(everyone.iter()));
-    }
+        assert!(policy.is_satisfied_by(everyone.iter()));
+    });
+}
 
-    #[test]
-    fn empty_set_satisfies_nothing(policy in arb_policy()) {
-        prop_assert!(!policy.is_satisfied_by([].iter()));
-    }
+#[test]
+fn empty_set_satisfies_nothing() {
+    cases("empty_set_satisfies_nothing", 2_000, |rng| {
+        let policy = policy(rng, 3);
+        assert!(!policy.is_satisfied_by([].iter()));
+    });
 }

@@ -107,6 +107,16 @@ impl<'a> Reader<'a> {
         }
         Ok(self.take(n)?.to_vec())
     }
+    /// A wire count of items that take at least `min_item_bytes` each. It may
+    /// size an allocation: more items than the remaining bytes can hold are
+    /// refused here, as [`Reader::bytes`] refuses a length.
+    fn count(&mut self, min_item_bytes: usize) -> Result<usize, DecodeError> {
+        let n = self.u32()? as usize;
+        if n > (self.buf.len() - self.pos) / min_item_bytes {
+            return Err(DecodeError(format!("count {n} exceeds buffer")));
+        }
+        Ok(n)
+    }
     fn str(&mut self) -> Result<String, DecodeError> {
         String::from_utf8(self.bytes()?).map_err(|_| DecodeError("invalid UTF-8".into()))
     }
@@ -194,14 +204,22 @@ fn write_tx(w: &mut Writer, tx: &Transaction) {
     w.u64(tx.signature.s);
 }
 
+/// Lower bounds on one encoded item, for [`Reader::count`]: an endorsement is
+/// a principal length, a key and a signature; a transaction is its id, six
+/// lengths or counts (channel, chaincode, reads, writes, payload,
+/// endorsements), a creator and a signature; a validation flag is one byte.
+const MIN_ENDORSEMENT_BYTES: usize = 4 + 8 + 16;
+const MIN_TX_BYTES: usize = 32 + 6 * 4 + 4 + 16;
+const FLAG_BYTES: usize = 1;
+
 fn read_tx(r: &mut Reader<'_>) -> Result<Transaction, DecodeError> {
     let tx_id = TxId(r.hash()?);
     let channel = ChannelId(r.str()?);
     let chaincode = r.str()?;
     let rw_set = read_rwset(r)?;
     let payload = r.bytes()?;
-    let n_endorsements = r.u32()?;
-    let mut endorsements = Vec::with_capacity(n_endorsements as usize);
+    let n_endorsements = r.count(MIN_ENDORSEMENT_BYTES)?;
+    let mut endorsements = Vec::with_capacity(n_endorsements);
     for _ in 0..n_endorsements {
         let principal_text = r.str()?;
         let endorser = Principal::parse(&principal_text)
@@ -306,13 +324,13 @@ pub fn decode_block(bytes: &[u8]) -> Result<Block, DecodeError> {
     let number = r.u64()?;
     let previous_hash = r.hash()?;
     let data_hash = r.hash()?;
-    let n_txs = r.u32()?;
-    let mut transactions = Vec::with_capacity(n_txs as usize);
+    let n_txs = r.count(MIN_TX_BYTES)?;
+    let mut transactions = Vec::with_capacity(n_txs);
     for _ in 0..n_txs {
         transactions.push(read_tx(&mut r)?);
     }
-    let n_flags = r.u32()?;
-    let mut flags = Vec::with_capacity(n_flags as usize);
+    let n_flags = r.count(FLAG_BYTES)?;
+    let mut flags = Vec::with_capacity(n_flags);
     for _ in 0..n_flags {
         flags.push(code_from_u8(r.u8()?)?);
     }
@@ -416,6 +434,82 @@ mod tests {
         corrupted[idx] ^= 0xFF;
         if let Ok(t) = decode_tx(&corrupted) {
             assert_ne!(t, tx)
+        }
+    }
+
+    fn patch_u32(bytes: &mut [u8], at: usize, x: u32) {
+        bytes[at..at + 4].copy_from_slice(&x.to_le_bytes());
+    }
+
+    fn refused_count(err: DecodeError) -> bool {
+        err.0.starts_with("count ") && err.0.ends_with(" exceeds buffer")
+    }
+
+    /// A count no buffer could hold is refused before it sizes a `Vec`; each
+    /// of these aborted the process on a failed multi-gigabyte allocation.
+    #[test]
+    fn oversized_wire_counts_are_refused_not_allocated() {
+        // No endorsements: the count sits before creator (4) + signature (16).
+        let tx = sample_tx(1, 0);
+        let mut bytes = encode_tx(&tx);
+        assert_eq!(decode_tx(&bytes).unwrap(), tx);
+        let at = bytes.len() - 24;
+        patch_u32(&mut bytes, at, u32::MAX);
+        assert!(refused_count(decode_tx(&bytes).unwrap_err()));
+
+        // An empty block ends in its transaction count and its flag count.
+        let empty = Block::assemble(ChannelId::default_channel(), 0, Hash256::ZERO, Vec::new());
+        let bytes = encode_block(&empty);
+        assert_eq!(decode_block(&bytes).unwrap(), empty);
+        for at in [bytes.len() - 8, bytes.len() - 4] {
+            let mut bytes = bytes.clone();
+            patch_u32(&mut bytes, at, u32::MAX);
+            assert!(refused_count(decode_block(&bytes).unwrap_err()), "at {at}");
+        }
+    }
+
+    #[test]
+    fn count_bounds_are_the_shortest_encodings() {
+        let mut tx = sample_tx(1, 0);
+        tx.channel = ChannelId(String::new());
+        tx.chaincode = String::new();
+        tx.rw_set = RwSet::new();
+        tx.payload = Vec::new();
+        assert_eq!(encode_tx(&tx).len(), MIN_TX_BYTES);
+        let grown = encode_tx(&sample_tx(1, 1)).len() - encode_tx(&sample_tx(1, 0)).len();
+        let principal = Principal::peer(OrgId(1)).to_string();
+        assert_eq!(grown, MIN_ENDORSEMENT_BYTES + principal.len());
+    }
+
+    /// Every single-byte corruption of an envelope and of a block is an error
+    /// or a different value — never a panic, an abort or a silent equal.
+    #[test]
+    fn every_single_byte_corruption_is_an_error_or_a_different_value() {
+        let tx = sample_tx(7, 3);
+        let tx_bytes = encode_tx(&tx);
+        let mut block = Block::assemble(
+            ChannelId::default_channel(),
+            3,
+            Hash256::from_bytes([9; 32]),
+            vec![sample_tx(1, 1), sample_tx(2, 3)],
+        );
+        block.metadata.flags = vec![ValidationCode::Valid, ValidationCode::MvccReadConflict];
+        let block_bytes = encode_block(&block);
+        for mask in [0x01, 0x55, 0xFF] {
+            for at in 0..tx_bytes.len() {
+                let mut damaged = tx_bytes.clone();
+                damaged[at] ^= mask;
+                if let Ok(decoded) = decode_tx(&damaged) {
+                    assert_ne!(decoded, tx, "envelope byte {at} ^ {mask:#04x}");
+                }
+            }
+            for at in 0..block_bytes.len() {
+                let mut damaged = block_bytes.clone();
+                damaged[at] ^= mask;
+                if let Ok(decoded) = decode_block(&damaged) {
+                    assert_ne!(decoded, block, "block byte {at} ^ {mask:#04x}");
+                }
+            }
         }
     }
 

@@ -1,149 +1,160 @@
-//! Property-based tests: the codec is a lossless inverse pair for arbitrary
-//! transactions and blocks, and block hashing is structure-sensitive.
-
-// QUARANTINED (ISSUE 1 satellite: seed-test triage). This property suite
-// depends on the external `proptest` crate, which cannot be fetched in the
-// offline build environment, so the whole workspace failed to resolve. The
-// suite is gated behind the default-off `proptests` feature; to run it,
-// restore `proptest = "1"` as a dev-dependency of this crate and pass
-// `--features proptests`. The deterministic unit/integration tests retain
-// coverage of the same invariants at fixed seeds.
-#![cfg(feature = "proptests")]
-
-use proptest::prelude::*;
+//! Seeded properties (`rng::cases`): the codec is a lossless inverse pair for
+//! arbitrary transactions and blocks, damaged bytes are an error and never a
+//! panic or an abort, and block hashing is structure-sensitive.
 
 use fabricsim_crypto::{Hash256, KeyPair};
+use fabricsim_des::rng::cases;
+use fabricsim_des::RngStream;
 use fabricsim_types::codec::{decode_block, decode_tx, encode_block, encode_tx};
 use fabricsim_types::{
     Block, ChannelId, ClientId, Endorsement, KvRead, KvWrite, OrgId, Principal, Proposal,
     ProposalResponse, RwSet, Transaction, ValidationCode, Version,
 };
 
-fn arb_version() -> impl Strategy<Value = Option<Version>> {
-    proptest::option::of((any::<u64>(), any::<u32>()).prop_map(|(b, t)| Version::new(b, t)))
+/// `min..=max` characters drawn from `alphabet`.
+fn text(rng: &mut RngStream, alphabet: &[u8], min: usize, max: usize) -> String {
+    (0..min + rng.pick_index(max - min + 1))
+        .map(|_| char::from(alphabet[rng.pick_index(alphabet.len())]))
+        .collect()
 }
 
-fn arb_rwset() -> impl Strategy<Value = RwSet> {
-    (
-        proptest::collection::vec(("[a-z]{1,12}", arb_version()), 0..6),
-        proptest::collection::vec(
-            (
-                "[a-z]{1,12}",
-                proptest::option::of(proptest::collection::vec(any::<u8>(), 0..64)),
-            ),
-            0..6,
-        ),
-    )
-        .prop_map(|(reads, writes)| {
-            let mut rw = RwSet::new();
-            for (k, v) in reads {
-                rw.reads.push(KvRead { key: k, version: v });
-            }
-            for (k, v) in writes {
-                rw.writes.push(KvWrite { key: k, value: v });
-            }
-            rw
-        })
+fn bytes(rng: &mut RngStream, max: usize) -> Vec<u8> {
+    (0..rng.pick_index(max + 1))
+        .map(|_| rng.next_u64() as u8)
+        .collect()
 }
 
-fn arb_tx() -> impl Strategy<Value = Transaction> {
-    (
-        any::<u32>(),   // creator
-        any::<u64>(),   // nonce
-        "[a-z-]{1,16}", // chaincode
-        arb_rwset(),
-        proptest::collection::vec(any::<u8>(), 0..128), // payload
-        proptest::collection::vec((1u32..20, any::<u64>()), 0..6), // endorsers
-    )
-        .prop_map(|(creator, nonce, chaincode, rw_set, payload, endorsers)| {
-            let creator = ClientId(creator);
-            let tx_id = Proposal::derive_tx_id(creator, nonce);
-            let resp = ProposalResponse::signed_bytes(tx_id, &rw_set, &payload);
-            let endorsements = endorsers
-                .into_iter()
-                .map(|(org, seed)| {
-                    let kp = KeyPair::from_seed(&seed.to_le_bytes());
-                    Endorsement {
-                        endorser: Principal::peer(OrgId(org)),
-                        endorser_key: kp.public,
-                        signature: kp.sign(&resp),
-                    }
-                })
-                .collect();
-            Transaction {
-                tx_id,
-                channel: ChannelId::default_channel(),
-                chaincode,
-                rw_set,
-                payload,
-                endorsements,
-                creator,
-                signature: KeyPair::from_seed(b"client").sign(&resp),
-            }
-        })
-}
-
-proptest! {
-    #[test]
-    fn tx_codec_roundtrips(tx in arb_tx()) {
-        let bytes = encode_tx(&tx);
-        prop_assert_eq!(decode_tx(&bytes).unwrap(), tx);
+/// Up to five reads and five writes over 1..=12-letter keys.
+fn rwset(rng: &mut RngStream) -> RwSet {
+    const KEY: &[u8] = b"abcdefghijklmnopqrstuvwxyz";
+    let mut rw = RwSet::new();
+    for _ in 0..rng.next_below(6) {
+        let version = rng
+            .chance(0.5)
+            .then(|| Version::new(rng.next_u64(), rng.next_u64() as u32));
+        rw.reads.push(KvRead {
+            key: text(rng, KEY, 1, 12),
+            version,
+        });
     }
+    for _ in 0..rng.next_below(6) {
+        rw.writes.push(KvWrite {
+            key: text(rng, KEY, 1, 12),
+            value: rng.chance(0.5).then(|| bytes(rng, 63)),
+        });
+    }
+    rw
+}
 
-    #[test]
-    fn tx_decode_never_panics_on_corruption(tx in arb_tx(), cut in any::<proptest::sample::Index>(), flip in any::<proptest::sample::Index>()) {
+/// A signed envelope with up to five endorsements.
+fn tx(rng: &mut RngStream) -> Transaction {
+    let creator = ClientId(rng.next_u64() as u32);
+    let tx_id = Proposal::derive_tx_id(creator, rng.next_u64());
+    let chaincode = text(rng, b"abcdefghijklmnopqrstuvwxyz-", 1, 16);
+    let rw_set = rwset(rng);
+    let payload = bytes(rng, 127);
+    let resp = ProposalResponse::signed_bytes(tx_id, &rw_set, &payload);
+    let endorsements = (0..rng.next_below(6))
+        .map(|_| {
+            let kp = KeyPair::from_seed(&rng.next_u64().to_le_bytes());
+            Endorsement {
+                endorser: Principal::peer(OrgId(1 + rng.next_below(19) as u32)),
+                endorser_key: kp.public,
+                signature: kp.sign(&resp),
+            }
+        })
+        .collect();
+    Transaction {
+        tx_id,
+        channel: ChannelId::default_channel(),
+        chaincode,
+        rw_set,
+        payload,
+        endorsements,
+        creator,
+        signature: KeyPair::from_seed(b"client").sign(&resp),
+    }
+}
+
+fn txs(rng: &mut RngStream, min: u64, max: u64) -> Vec<Transaction> {
+    (0..min + rng.next_below(max - min + 1))
+        .map(|_| tx(rng))
+        .collect()
+}
+
+#[test]
+fn tx_codec_roundtrips() {
+    cases("tx_codec_roundtrips", 1_000, |rng| {
+        let tx = tx(rng);
+        assert_eq!(
+            decode_tx(&encode_tx(&tx)).expect("own encoding decodes"),
+            tx
+        );
+    });
+}
+
+#[test]
+fn tx_decode_never_panics_on_corruption() {
+    cases("tx_decode_never_panics_on_corruption", 1_000, |rng| {
+        let tx = tx(rng);
         let mut bytes = encode_tx(&tx);
         // Truncation must error, not panic.
-        let cut_at = cut.index(bytes.len());
-        let _ = decode_tx(&bytes[..cut_at]);
-        // Bit flips must either error or decode to a different value.
-        let i = flip.index(bytes.len());
+        let cut_at = rng.pick_index(bytes.len());
+        assert!(decode_tx(&bytes[..cut_at]).is_err());
+        // A damaged byte must either error or decode to a different value.
+        let i = rng.pick_index(bytes.len());
         bytes[i] ^= 0x55;
-        if let Ok(decoded) = decode_tx(&bytes) { prop_assert_ne!(decoded, tx) }
-    }
+        if let Ok(decoded) = decode_tx(&bytes) {
+            assert_ne!(decoded, tx);
+        }
+    });
+}
 
-    #[test]
-    fn block_codec_roundtrips(txs in proptest::collection::vec(arb_tx(), 0..5), flags in proptest::collection::vec(0u8..7, 0..5)) {
-        let mut block = Block::assemble(ChannelId::default_channel(), 7, Hash256::from_bytes([3; 32]), txs);
-        block.metadata.flags = flags
-            .into_iter()
-            .map(|f| match f {
-                0 => ValidationCode::Valid,
-                1 => ValidationCode::MvccReadConflict,
-                2 => ValidationCode::EndorsementPolicyFailure,
-                3 => ValidationCode::BadEndorserSignature,
-                4 => ValidationCode::BadCreatorSignature,
-                5 => ValidationCode::DuplicateTxId,
-                _ => ValidationCode::BadPayload,
-            })
+#[test]
+fn block_codec_roundtrips() {
+    const CODES: [ValidationCode; 7] = [
+        ValidationCode::Valid,
+        ValidationCode::MvccReadConflict,
+        ValidationCode::EndorsementPolicyFailure,
+        ValidationCode::BadEndorserSignature,
+        ValidationCode::BadCreatorSignature,
+        ValidationCode::DuplicateTxId,
+        ValidationCode::BadPayload,
+    ];
+    cases("block_codec_roundtrips", 500, |rng| {
+        let prev = Hash256::from_bytes([3; 32]);
+        let mut block = Block::assemble(ChannelId::default_channel(), 7, prev, txs(rng, 0, 4));
+        block.metadata.flags = (0..rng.next_below(5))
+            .map(|_| CODES[rng.pick_index(CODES.len())])
             .collect();
-        let bytes = encode_block(&block);
-        let back = decode_block(&bytes).unwrap();
-        prop_assert_eq!(back, block);
-    }
+        let back = decode_block(&encode_block(&block)).expect("own encoding decodes");
+        assert_eq!(back, block);
+    });
+}
 
-    #[test]
-    fn block_data_hash_is_content_sensitive(txs in proptest::collection::vec(arb_tx(), 1..5)) {
+#[test]
+fn block_data_hash_is_content_sensitive() {
+    cases("block_data_hash_is_content_sensitive", 300, |rng| {
+        let txs = txs(rng, 1, 4);
         let block = Block::assemble(ChannelId::default_channel(), 0, Hash256::ZERO, txs.clone());
-        prop_assert!(block.data_hash_is_consistent());
+        assert!(block.data_hash_is_consistent());
         // Dropping any transaction breaks the data hash.
         for i in 0..txs.len() {
             let mut fewer = txs.clone();
             fewer.remove(i);
             let other = Block::assemble(ChannelId::default_channel(), 0, Hash256::ZERO, fewer);
-            prop_assert_ne!(other.header.data_hash, block.header.data_hash);
+            assert_ne!(other.header.data_hash, block.header.data_hash);
         }
-    }
+    });
+}
 
-    #[test]
-    fn signed_bytes_are_injective_on_rwset(a in arb_rwset(), b in arb_rwset()) {
+#[test]
+fn signed_bytes_are_injective_on_rwset() {
+    cases("signed_bytes_are_injective_on_rwset", 1_000, |rng| {
+        let (a, b) = (rwset(rng), rwset(rng));
         let tx_id = Proposal::derive_tx_id(ClientId(0), 0);
         let ba = ProposalResponse::signed_bytes(tx_id, &a, b"");
         let bb = ProposalResponse::signed_bytes(tx_id, &b, b"");
-        if a == b {
-            prop_assert_eq!(ba, bb);
-        } else {
-            prop_assert_ne!(ba, bb);
-        }
-    }
+        assert_eq!(a == b, ba == bb);
+    });
 }
