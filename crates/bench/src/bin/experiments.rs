@@ -11,15 +11,10 @@
 //! Figures 2–7 share one λ-sweep (as in the paper: one deployment,
 //! per-phase instrumentation), so asking for several of them runs it once.
 //!
-//! Per-scenario progress lines go to stderr (suppress with `--quiet`);
-//! `--serve-metrics PORT` additionally serves live Prometheus metrics on
-//! 127.0.0.1:PORT for the whole sweep (0 picks an ephemeral port).
+//! Per-scenario progress lines go to stderr (suppress with `--quiet`).
 
 use std::env;
 use std::path::PathBuf;
-use std::process::exit;
-
-use fabricsim::obs::MetricsServer;
 
 use fabricsim::experiment::{
     ablation_bandwidth, ablation_batch_size, ablation_batch_timeout, ablation_channels,
@@ -35,42 +30,13 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     let quiet = args.iter().any(|a| a == "--quiet");
     let effort = if quick { Effort::Quick } else { Effort::Full };
-    let serve_metrics: Option<u16> = args.iter().position(|a| a == "--serve-metrics").map(|i| {
-        match args.get(i + 1).map(|p| p.parse()) {
-            Some(Ok(port)) => port,
-            _ => {
-                eprintln!("--serve-metrics requires a PORT (0 for ephemeral)");
-                exit(2);
-            }
-        }
-    });
     if !quiet {
         fabricsim::experiment::progress::enable();
     }
-    let _metrics_server = serve_metrics.map(|port| {
-        let live = fabricsim::live::install_global();
-        let server = MetricsServer::serve(live.registry().clone(), port).unwrap_or_else(|e| {
-            eprintln!("cannot bind metrics server on 127.0.0.1:{port}: {e}");
-            exit(1);
-        });
-        eprintln!("serving /metrics and /healthz on http://{}", server.addr());
-        server
-    });
-    let mut skip_next = false;
     let mut targets: Vec<&str> = args
         .iter()
         .map(String::as_str)
-        .filter(|a| {
-            if skip_next {
-                skip_next = false;
-                return false;
-            }
-            if *a == "--serve-metrics" {
-                skip_next = true;
-                return false;
-            }
-            *a != "--quick" && *a != "--quiet"
-        })
+        .filter(|a| *a != "--quick" && *a != "--quiet")
         .collect();
     if targets.is_empty() || targets.contains(&"all") {
         targets = vec![

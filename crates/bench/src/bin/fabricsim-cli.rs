@@ -25,14 +25,12 @@
 //!       carries flow events so Perfetto draws cross-actor arrows;
 //!       --flame-out writes collapsed stacks for flamegraph.pl / inferno
 //!       (needs --trace)
-//!   fabricsim profile [run flags] [--json] [--prom-out FILE]
+//!   fabricsim profile [run flags] [--json]
 //!       run with the DES kernel self-profiler enabled and print where host
 //!       time went: per-event-label handler ns/counts, heap cost, loop
 //!       overhead, hottest family, and the run's synchronization cost
 //!       (windows, cross-shard messages, events; `"sync"` in --json).
-//!       Accepts the same deployment flags as the
-//!       default run mode; --prom-out writes the profile as Prometheus
-//!       text exposition (fabricsim_kernel_* families)
+//!       Accepts the same deployment flags as the default run mode
 //!   fabricsim bench [--out FILE] [--check FILE] [--tolerance PCT]
 //!            [--seeds N] [--json]
 //!       run the fixed perf scenario matrix; --seeds replicates every
@@ -53,9 +51,6 @@
 //!       report. Mismatched config digests abort with exit 3 unless
 //!       --force: a diff across different configs is attribution, not a
 //!       regression check
-//!   fabricsim metrics-check FILE
-//!       validate a scraped /metrics body against the Prometheus text
-//!       exposition subset the exporter emits; exit 0 when valid
 //! ```
 //!
 //! Flags of the default run mode (all optional):
@@ -100,12 +95,6 @@
 //!   --slo-p99-ms MS                  latency objective the SLO burn tracker
 //!                                    measures against (default 2000; must
 //!                                    be positive)
-//!   --serve-metrics PORT             serve live Prometheus metrics on
-//!                                    127.0.0.1:PORT while the run advances
-//!                                    (0 picks an ephemeral port; the bound
-//!                                    address is printed to stderr); the
-//!                                    exporter also answers /statusz with a
-//!                                    health-plane regime summary
 //! ```
 
 use std::env;
@@ -114,8 +103,8 @@ use std::process::exit;
 use fabricsim::obs::json::escape;
 use fabricsim::obs::{
     chrome_trace, collapsed_stacks, parse_jsonl_with_provenance, parse_spans_jsonl_with_provenance,
-    reconstruct, span_flow_trace, validate_exposition, ArtifactDiff, HealthReport, JsonlFileSink,
-    MetricsRegistry, MetricsServer, RunProvenance, SpanGraphAnalysis, TraceAnalysis,
+    reconstruct, span_flow_trace, ArtifactDiff, HealthReport, JsonlFileSink, RunProvenance,
+    SpanGraphAnalysis, TraceAnalysis,
 };
 use fabricsim::report::{run_summary_json, to_csv, Row};
 use fabricsim::{
@@ -134,14 +123,13 @@ fn usage() -> ! {
     eprintln!("                 [--payload BYTES] [--seed N] [--csv] [--json]");
     eprintln!("                 [--trace-out FILE] [--span-out FILE] [--trace-sample RATE]");
     eprintln!("                 [--metrics-out FILE] [--metrics-window SECS]");
-    eprintln!("                 [--health-out FILE] [--slo-p99-ms MS] [--serve-metrics PORT]");
+    eprintln!("                 [--health-out FILE] [--slo-p99-ms MS]");
     eprintln!("       fabricsim analyze [--trace FILE] [--spans FILE] [--health FILE]");
     eprintln!("                 [--top K] [--json] [--chrome-out FILE] [--flame-out FILE]");
-    eprintln!("       fabricsim profile [run flags] [--json] [--prom-out FILE]");
+    eprintln!("       fabricsim profile [run flags] [--json]");
     eprintln!("       fabricsim bench [--out FILE] [--check FILE] [--tolerance PCT]");
     eprintln!("                 [--seeds N] [--json]");
     eprintln!("       fabricsim diff A B [--spans SA SB] [--profiles PA PB] [--json] [--force]");
-    eprintln!("       fabricsim metrics-check FILE");
     eprintln!("       fabricsim lint [--json [FILE.json]] [--root DIR] [--list-rules] [PATHS…]");
     exit(2);
 }
@@ -420,32 +408,6 @@ fn cmd_diff(args: &[String]) -> ! {
     exit(0);
 }
 
-/// `fabricsim metrics-check`: validate a scraped exposition body.
-fn cmd_metrics_check(args: &[String]) -> ! {
-    let [path] = args else {
-        eprintln!("metrics-check requires exactly one FILE (a scraped /metrics body)");
-        exit(2);
-    };
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        exit(1);
-    });
-    match validate_exposition(&text) {
-        Ok(()) => {
-            let series = text
-                .lines()
-                .filter(|l| !l.is_empty() && !l.starts_with('#'))
-                .count();
-            println!("{path}: valid exposition ({series} series)");
-            exit(0);
-        }
-        Err(e) => {
-            eprintln!("{path}: INVALID exposition: {e}");
-            exit(1);
-        }
-    }
-}
-
 /// `fabricsim bench`: run the perf matrix; write and/or check a baseline.
 fn cmd_bench(args: &[String]) -> ! {
     let mut out: Option<String> = None;
@@ -626,51 +588,6 @@ fn set_workload(cfg: &mut SimConfig, workload: &str, payload: usize) {
     };
 }
 
-/// Renders a [`KernelProfile`] as Prometheus text exposition so CI can pass
-/// it through `fabricsim metrics-check` and scrapers can ingest it.
-fn profile_exposition(p: &KernelProfile) -> String {
-    let reg = MetricsRegistry::new();
-    for e in &p.entries {
-        reg.counter(
-            "fabricsim_kernel_event_ns_total",
-            "Host nanoseconds spent in event handlers, by schedule label.",
-            &[("label", &e.label)],
-        )
-        .add(e.ns);
-        reg.counter(
-            "fabricsim_kernel_events_total",
-            "Event handlers dispatched, by schedule label.",
-            &[("label", &e.label)],
-        )
-        .add(e.count);
-    }
-    reg.counter(
-        "fabricsim_kernel_heap_ns_total",
-        "Host nanoseconds spent popping the event heap.",
-        &[],
-    )
-    .add(p.heap_ns);
-    reg.counter(
-        "fabricsim_kernel_heap_ops_total",
-        "Event heap pops (executed + cancelled + the final empty pop).",
-        &[],
-    )
-    .add(p.heap_ops);
-    reg.counter(
-        "fabricsim_kernel_overhead_ns_total",
-        "Event-loop host nanoseconds not attributed to handlers or the heap.",
-        &[],
-    )
-    .add(p.overhead_ns);
-    reg.counter(
-        "fabricsim_kernel_loop_ns_total",
-        "Total event-loop host nanoseconds.",
-        &[],
-    )
-    .add(p.loop_ns);
-    reg.render()
-}
-
 /// `fabricsim profile`: run one deployment with the DES kernel self-profiler
 /// enabled and report where host time in the event loop went.
 fn cmd_profile(args: &[String]) -> ! {
@@ -683,7 +600,6 @@ fn cmd_profile(args: &[String]) -> ! {
     let mut payload = 1usize;
     let mut workload = "kvput".to_string();
     let mut json = false;
-    let mut prom_out: Option<String> = None;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let mut value = || it.next().cloned().unwrap_or_else(|| usage());
@@ -692,7 +608,6 @@ fn cmd_profile(args: &[String]) -> ! {
         }
         match flag.as_str() {
             "--json" => json = true,
-            "--prom-out" => prom_out = Some(value()),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown profile flag {other:?}");
@@ -717,13 +632,6 @@ fn cmd_profile(args: &[String]) -> ! {
         eprintln!("internal error: profiled run returned no kernel profile");
         exit(1);
     };
-    if let Some(path) = &prom_out {
-        if let Err(e) = std::fs::write(path, profile_exposition(profile)) {
-            eprintln!("cannot write kernel profile exposition to {path}: {e}");
-            exit(1);
-        }
-        eprintln!("wrote kernel profile exposition {path}");
-    }
     let shards = &result.observability.shard_profiles;
     let sync = &result.observability.sync;
     let s = &result.summary;
@@ -783,7 +691,6 @@ fn main() {
     let mut span_out: Option<String> = None;
     let mut metrics_out: Option<String> = None;
     let mut health_out: Option<String> = None;
-    let mut serve_metrics: Option<u16> = None;
 
     let args: Vec<String> = env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -791,7 +698,6 @@ fn main() {
         Some("profile") => cmd_profile(&args[1..]),
         Some("bench") => cmd_bench(&args[1..]),
         Some("diff") => cmd_diff(&args[1..]),
-        Some("metrics-check") => cmd_metrics_check(&args[1..]),
         Some("lint") => exit(fabricsim_lint::cli_run(&args[1..])),
         _ => {}
     }
@@ -834,7 +740,6 @@ fn main() {
                 }
                 cfg.obs.slo_p99_s = ms / 1000.0;
             }
-            "--serve-metrics" => serve_metrics = Some(value().parse().unwrap_or_else(|_| usage())),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown flag {other:?}");
@@ -856,22 +761,6 @@ fn main() {
         eprintln!("invalid configuration: {e}");
         exit(2);
     }
-
-    // Start the live plane before the run so a scraper watches it advance.
-    // The server handle is held to the end of main; dropping it joins the
-    // exporter thread.
-    let _metrics_server = serve_metrics.map(|port| {
-        let live = fabricsim::live::install_global();
-        let server = MetricsServer::serve(live.registry().clone(), port).unwrap_or_else(|e| {
-            eprintln!("cannot bind metrics server on 127.0.0.1:{port}: {e}");
-            exit(1);
-        });
-        eprintln!(
-            "serving /metrics, /statusz and /healthz on http://{}",
-            server.addr()
-        );
-        server
-    });
 
     let prediction = predict(&cfg);
     let label = format!(

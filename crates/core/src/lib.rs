@@ -36,7 +36,6 @@
 
 pub mod analytic;
 pub mod experiment;
-pub mod live;
 pub mod metrics;
 mod model;
 pub mod report;
@@ -47,7 +46,6 @@ pub use analytic::{predict, Phase, Prediction};
 pub use fabricsim_des::{KernelProfile, LabelProfile};
 pub use fabricsim_obs as obs;
 pub use fabricsim_types::{BatchConfig, ChannelId, OrdererType, ValidationCode};
-pub use live::LiveMetrics;
 pub use metrics::{PhaseReport, SummaryReport, TxOutcome, TxTrace};
 pub use model::CostModel;
 pub use sim::{FaultPlan, RunObservability, RunResult, Simulation, UtilizationReport};

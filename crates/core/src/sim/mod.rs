@@ -10,15 +10,12 @@ mod world;
 
 pub use faults::FaultPlan;
 
-use std::sync::Arc;
-
 use fabricsim_des::{Kernel, KernelProfile, ShardedKernel, ShardedRunReport, SimDuration, SimTime};
 use fabricsim_obs::{
     BottleneckReport, HealthReport, LogHistogram, MetricsRecorder, PhaseEvent, SpanEvent,
     StationClass, TxStationBreakdown,
 };
 
-use crate::live::LiveMetrics;
 use crate::metrics::{summarize, SummaryReport, TxOutcome, TxTrace};
 use crate::workload::SimConfig;
 
@@ -169,15 +166,10 @@ pub struct RunResult {
 pub struct Simulation {
     cfg: SimConfig,
     faults: FaultPlan,
-    live: Option<Arc<LiveMetrics>>,
 }
 
 impl Simulation {
     /// Creates a simulation from a validated configuration.
-    ///
-    /// If a process-global [`LiveMetrics`] bundle was installed (see
-    /// [`crate::live::install_global`]), the run reports into it; use
-    /// [`Simulation::with_live_metrics`] to attach an explicit bundle instead.
     ///
     /// # Panics
     /// Panics if the configuration is invalid.
@@ -188,21 +180,12 @@ impl Simulation {
         Simulation {
             cfg,
             faults: FaultPlan::default(),
-            live: crate::live::global(),
         }
     }
 
     /// Adds fault injections to the run.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Attaches an explicit live-metrics bundle (overriding any process
-    /// global). The run bumps its counters and gauges as virtual time
-    /// advances; an exporter thread can scrape them concurrently.
-    pub fn with_live_metrics(mut self, live: Arc<LiveMetrics>) -> Self {
-        self.live = Some(live);
         self
     }
 
@@ -226,9 +209,6 @@ impl Simulation {
         let faults = self.faults;
         let n_shards = cfg.channels as usize;
         let end = SimTime::from_secs_f64(cfg.duration_secs);
-        if let Some(live) = &self.live {
-            live.runs_started.inc();
-        }
         // The conservative lookahead: no cross-shard interaction can land
         // earlier than one link propagation after it was emitted. A lone
         // world has nobody to look ahead to and may run with a zero link
@@ -239,7 +219,7 @@ impl Simulation {
         let mut sharded: ShardedKernel<World> = ShardedKernel::new(lookahead);
         sharded.set_horizon(end);
         for shard_id in 0..n_shards {
-            let mut world = build_world(&cfg, self.live.clone(), shard_id);
+            let mut world = build_world(&cfg, shard_id);
             let mut kernel: K = Kernel::new();
             bootstrap(&mut world, &mut kernel);
             schedule_faults(&faults, &mut kernel);
@@ -265,9 +245,6 @@ impl Simulation {
         let mut worlds = sharded.into_worlds();
         for w in &mut worlds {
             flush_partial_tick(w, end);
-        }
-        if let Some(live) = &self.live {
-            live.runs_completed.inc();
         }
 
         // ---- deterministic merge --------------------------------------------
@@ -594,7 +571,7 @@ mod tests {
     #[test]
     fn unknown_channel_is_a_typed_error() {
         let cfg = quick_cfg(OrdererType::Solo);
-        let world = build_world(&cfg, None, 0);
+        let world = build_world(&cfg, 0);
         assert!(world.check_channel(&ChannelId::default_channel()).is_ok());
         let err = world
             .check_channel(&ChannelId("no-such-channel".into()))

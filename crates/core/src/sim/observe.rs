@@ -8,7 +8,7 @@
 //! decides *which planes exist and how each records it*: the first-wins
 //! [`TxTrace`] stamp, the station attribution, the enabled/sampled guards,
 //! every rendered id and actor name, the span-id parent arithmetic, and the
-//! live/health/histogram bumps. It also owns the per-transaction records
+//! health/histogram bumps. It also owns the per-transaction records
 //! those planes share, and the periodic gauge sweep over the world's
 //! stations. The determinism contract is the module's: nothing recorded
 //! here is read back by the model except a transaction's own log line —
@@ -18,7 +18,6 @@
 
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
-use std::sync::Arc;
 
 use fabricsim_des::{SimDuration, SimTime, Station};
 use fabricsim_obs::{
@@ -26,9 +25,8 @@ use fabricsim_obs::{
     LogHistogram, MetricsRecorder, Name, OnlineHealth, PhaseEvent, SpanEvent, SpanKind, SpanSink,
     StationClass, TracePhase, TxStationBreakdown, HEALTH_STATIONS, HEALTH_STATION_COUNT,
 };
-use fabricsim_types::{TxId, ValidationCode};
+use fabricsim_types::TxId;
 
-use crate::live::LiveMetrics;
 use crate::metrics::{TxOutcome, TxTrace};
 use crate::workload::SimConfig;
 
@@ -186,8 +184,8 @@ pub(super) struct Harvest {
 }
 
 /// One world's observability state. Write-only with respect to the
-/// simulation: recording never schedules kernel work, and attaching,
-/// sampling or scraping any plane cannot perturb a deterministic run.
+/// simulation: recording never schedules kernel work, and attaching or
+/// sampling any plane cannot perturb a deterministic run.
 pub(super) struct Observer {
     /// This world's index == its channel's index; keeps trace identities
     /// (`b{ch}.{n}`, `ch{ch}`) collision-free across worlds.
@@ -214,11 +212,10 @@ pub(super) struct Observer {
     series_prefix: String,
     /// Block-cut count at the previous sampler tick (for the cadence series).
     last_block_cuts: usize,
-    live: Option<Arc<LiveMetrics>>,
 }
 
 impl Observer {
-    pub(super) fn new(cfg: &SimConfig, live: Option<Arc<LiveMetrics>>, shard_id: usize) -> Self {
+    pub(super) fn new(cfg: &SimConfig, shard_id: usize) -> Self {
         let obs = &cfg.obs;
         Observer {
             shard_id,
@@ -254,7 +251,6 @@ impl Observer {
                 String::new()
             },
             last_block_cuts: 0,
-            live,
         }
     }
 
@@ -282,9 +278,6 @@ impl Observer {
         self.index.insert(tx_id, self.txs.len());
         self.push(now, pool, TxOutcome::InFlight);
         self.inflight += 1;
-        if let Some(live) = &self.live {
-            live.txs_created.inc();
-        }
     }
 
     /// Records an arrival turned away at the door with `outcome` and its one
@@ -306,7 +299,6 @@ impl Observer {
         let named = move || tx.map_or_else(|| name(format_args!("arrival{seq}")), tx_name);
         self.emit(now, named, exit, station, depth, (0.0, 0.0));
         self.push(now, pool, outcome);
-        self.count_exit(outcome);
     }
 
     /// Hands a transaction to the world that owns its channel: returns the
@@ -471,34 +463,10 @@ impl Observer {
             if let Some(h) = self.health.as_mut() {
                 h.observe_completion(e2e_s);
             }
-            if let Some(live) = &self.live {
-                live.e2e_latency.observe(e2e_s);
-            }
         } else {
             self.phase(t, tx_id, exit, station, depth);
         }
         self.inflight -= 1;
-        self.count_exit(outcome);
-    }
-
-    fn count_exit(&self, outcome: TxOutcome) {
-        let Some(live) = &self.live else { return };
-        match outcome {
-            TxOutcome::InFlight => {}
-            TxOutcome::OverloadDropped => live.txs_failed_overload.inc(),
-            TxOutcome::EndorsementFailed => live.txs_failed_endorsement.inc(),
-            TxOutcome::OrderingTimeout => live.txs_failed_timeout.inc(),
-            TxOutcome::Committed(ValidationCode::Valid) => live.txs_committed_valid.inc(),
-            TxOutcome::Committed(_) => live.txs_committed_invalid.inc(),
-        }
-    }
-
-    /// The ordering service cut a block of `txs` transactions.
-    pub(super) fn block_cut(&self, txs: usize) {
-        if let Some(live) = &self.live {
-            live.blocks_cut.inc();
-            live.block_txs.add(txs as u64);
-        }
     }
 
     fn trace_name(&self, scope: Scope) -> Name {
@@ -603,9 +571,9 @@ fn exit_phase(outcome: TxOutcome) -> Option<TracePhase> {
 // ---- the gauge sweep ---------------------------------------------------------
 
 /// The station class behind each [`HEALTH_STATIONS`] entry. Every per-class
-/// wire order (the recorder's series, the live gauges, the health windows)
-/// is this one; [`StationClass::ALL`] is the pipeline order, in which the
-/// OSN sits fourth, not last.
+/// wire order (the recorder's series, the health windows) is this one;
+/// [`StationClass::ALL`] is the pipeline order, in which the OSN sits fourth,
+/// not last.
 const HEALTH_ORDER: [StationClass; HEALTH_STATION_COUNT] = [
     StationClass::ClientPrep,
     StationClass::ClientRecv,
@@ -682,27 +650,8 @@ fn sweep_gauges(world: &mut World, now: SimTime) -> GaugeSweep {
     s
 }
 
-/// Publishes a sweep to the live plane's gauges, if one is attached. Only
-/// shard 0 drives the gauges (counters stay cross-shard: they are atomic and
-/// increment-only); on a multi-channel run the gauges then cover channel 0's
-/// slice of the deployment, which keeps the exporter deterministic-read safe
-/// without cross-thread coordination.
-fn publish_live(obs: &Observer, now: SimTime, s: &GaugeSweep) {
-    let Some(live) = &obs.live else { return };
-    if obs.shard_id != 0 {
-        return;
-    }
-    live.sim_time.set(now.as_secs_f64());
-    live.inflight.set(s.inflight as f64);
-    for (gauge, depth) in live.queue_depth.iter().zip(s.queue) {
-        gauge.set(depth);
-    }
-    live.util_peer_vscc.set(s.vscc_util);
-    live.util_peer_commit.set(s.commit_util);
-}
-
-/// The sampler cadence: the configured period, or 1 s when only the live or
-/// health plane is attached (`sample_period_s == 0` disables the recorder).
+/// The sampler cadence: the configured period, or 1 s when only the health
+/// plane is attached (`sample_period_s == 0` disables the recorder).
 fn sample_period_s(cfg: &SimConfig) -> f64 {
     if cfg.obs.sample_period_s > 0.0 {
         cfg.obs.sample_period_s
@@ -735,9 +684,8 @@ fn record_sweep(obs: &mut Observer, s: &GaugeSweep, cut_scale: f64, tail_width_s
     }
 }
 
-/// Closes one health-plane window from a sweep and mirrors the detectors'
-/// state into the live plane's gauges (shard 0 only, same rule as
-/// [`publish_live`]). No-op when the health plane is off.
+/// Closes one health-plane window from a sweep. No-op when the health plane
+/// is off.
 fn health_close(obs: &mut Observer, s: &GaugeSweep, t_end_s: f64, width_s: f64) {
     let Some(h) = obs.health.as_mut() else { return };
     h.close_window(&HealthWindow {
@@ -748,39 +696,25 @@ fn health_close(obs: &mut Observer, s: &GaugeSweep, t_end_s: f64, width_s: f64) 
         servers: s.servers,
         inflight: s.inflight as f64,
     });
-    if obs.shard_id != 0 {
-        return;
-    }
-    if let Some(live) = &obs.live {
-        for (gauge, sev) in live.health_regime.iter().zip(h.severities()) {
-            gauge.set(sev as f64);
-        }
-        live.health_slo_burn.set(h.current_burn());
-        for (counter, delta) in live.health_events.iter().zip(h.take_kind_deltas()) {
-            counter.add(delta);
-        }
-    }
 }
 
-/// Starts the periodic sampler if any plane consumes it. It reads state
-/// only: scheduling it never perturbs the simulated system, so traced and
-/// untraced runs stay bit-identical. A live-metrics bundle keeps the sweep
-/// running even when the recorder is disabled, so an exporter always has
-/// fresh gauges to serve.
+/// Starts the periodic sampler if either plane that consumes it — the
+/// recorder or the health plane — is on. It reads state only: scheduling it
+/// never perturbs the simulated system, so traced and untraced runs stay
+/// bit-identical.
 pub(super) fn schedule_sampler(world: &World, k: &mut K) {
     let obs = &world.obs;
-    if obs.recorder.is_some() || obs.live.is_some() || obs.health.is_some() {
+    if obs.recorder.is_some() || obs.health.is_some() {
         let period = SimDuration::from_secs_f64(sample_period_s(&world.cfg));
         k.schedule_in_labeled(period, "obs.sample", obs_sample);
     }
 }
 
-/// Periodic read-only gauge sweep feeding the [`MetricsRecorder`], the
-/// online health plane and the live plane.
+/// Periodic read-only gauge sweep feeding the [`MetricsRecorder`] and the
+/// online health plane.
 fn obs_sample(world: &mut World, k: &mut K) {
     let now = k.now();
     let s = sweep_gauges(world, now);
-    publish_live(&world.obs, now, &s);
     record_sweep(&mut world.obs, &s, 1.0, None);
     let period = sample_period_s(&world.cfg);
     health_close(&mut world.obs, &s, now.as_secs_f64(), period);
@@ -798,11 +732,9 @@ fn obs_sample(world: &mut World, k: &mut K) {
 /// (modulo fp noise) flushes no tail.
 pub(super) fn flush_partial_tick(world: &mut World, horizon: SimTime) {
     let duration = world.cfg.duration_secs;
-    // One sweep serves every surface (the sweep mutates block-cut
-    // bookkeeping, so it must run at most once per virtual instant). It also
-    // leaves the live gauges at their horizon values.
+    // One sweep serves both planes (the sweep mutates block-cut
+    // bookkeeping, so it must run at most once per virtual instant).
     let s = sweep_gauges(world, horizon);
-    publish_live(&world.obs, horizon, &s);
     if let Some(windows) = world.obs.health.as_ref().map(OnlineHealth::windows) {
         let period = sample_period_s(&world.cfg);
         let width = duration - windows as f64 * period;

@@ -164,7 +164,6 @@ fn deliver_block(world: &mut World, k: &mut K, o: usize, block: Block) {
     if block.header.number >= world.next_cut_number {
         world.next_cut_number = block.header.number + 1;
         world.block_cuts.push((now, block.len()));
-        world.obs.block_cut(block.len());
         let station = &world.osns[o].station;
         let depth = station.jobs_in_system(now);
         for tx in &block.transactions {

@@ -16,7 +16,6 @@ use fabricsim_types::{Block, ChannelId, ClientId, OrdererType, OrgId, Principal,
 
 use fabricsim_client::{ClientSdk, EndorsementCollector, TargetSelector};
 
-use crate::live::LiveMetrics;
 use crate::workload::{SimConfig, WorkloadKind};
 
 use super::client::schedule_next_arrival;
@@ -212,11 +211,7 @@ impl World {
 /// Builds the world of channel `shard_id`: that channel's whole pipeline,
 /// with each station sized as one channel's lane of its entity, plus a lane
 /// for every client pool.
-pub(super) fn build_world(
-    cfg: &SimConfig,
-    live: Option<Arc<LiveMetrics>>,
-    shard_id: usize,
-) -> World {
+pub(super) fn build_world(cfg: &SimConfig, shard_id: usize) -> World {
     let n_channels = cfg.channels as usize;
     let channels: Vec<ChannelId> = if n_channels == 1 {
         vec![ChannelId::default_channel()]
@@ -461,7 +456,7 @@ pub(super) fn build_world(
                     + cfg.cost.sdk_pre_ms,
             ),
         },
-        obs: Observer::new(cfg, live, shard_id),
+        obs: Observer::new(cfg, shard_id),
         cfg: cfg.clone(),
     }
 }

@@ -1,7 +1,6 @@
 //! SARIF 2.1.0 output (`--sarif FILE`), plus the repo-local validator that
-//! keeps the writer honest — the same pattern as
-//! `fabricsim_obs::registry::validate_exposition`: since the workspace takes
-//! no serde dependency, the emitter is hand-rolled, so a hand-rolled reader
+//! keeps the writer honest: since the workspace takes no serde
+//! dependency, the emitter is hand-rolled, so a hand-rolled reader
 //! re-parses every report and checks the invariants GitHub code scanning
 //! (and any other SARIF consumer) relies on.
 

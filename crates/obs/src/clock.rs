@@ -3,10 +3,10 @@
 //! Simulated time comes from the DES kernel; nothing inside the simulated
 //! world may read the host clock, and `fabricsim-lint`'s `no-wall-clock`
 //! rule enforces that mechanically. The handful of legitimate wall-clock
-//! consumers — the `/healthz` uptime counter, the `experiments` stderr
-//! progress lines, the bench harness's calibration timing — all go through
-//! [`WallClock`]. The only other audited `lint:allow` sites for the rule
-//! are the DES kernel's self-profiler (`crates/des/src/kernel.rs`), which
+//! consumers — the `experiments` stderr progress lines and the bench
+//! harness's calibration timing — go through [`WallClock`]. The only other
+//! audited `lint:allow` sites for the rule are the DES kernel's
+//! self-profiler (`crates/des/src/kernel.rs`), which
 //! needs sub-microsecond per-handler timing that an elapsed-seconds
 //! stopwatch cannot provide and is write-only with respect to the
 //! simulation. Auditing "who can observe real time" means reading this

@@ -37,12 +37,6 @@
 //!   VSCC"), per-segment deltas that telescope to the end-to-end latency
 //!   delta, and [`RunProvenance`] (`seed` + `config_digest`) verification so
 //!   unlike runs are never silently compared.
-//! * [`MetricsRegistry`] / [`MetricsServer`] — the *live* plane: atomic
-//!   counters, gauges and log-bucketed histograms the simulator bumps on the
-//!   wall-clock side, served as Prometheus text exposition format over
-//!   `/metrics` (plus `/healthz`) from a dependency-free TCP listener.
-//!   Strictly write-only from the simulation's perspective, so enabling it
-//!   never perturbs a deterministic run.
 //! * [`chrome_trace`] / [`collapsed_stacks`] — standard-tooling exports:
 //!   Chrome Trace Event Format JSON for Perfetto and folded stacks for
 //!   flamegraph renderers, both derived from the same reconstructed spans
@@ -75,13 +69,11 @@ mod clock;
 mod critpath;
 mod diff;
 mod event;
-mod exporter;
 mod flame;
 mod hist;
 pub mod json;
 mod name;
 mod online;
-mod registry;
 mod series;
 mod sink;
 mod span;
@@ -97,7 +89,6 @@ pub use diff::{
     TelescopeCheck,
 };
 pub use event::{parse_jsonl, parse_jsonl_with_provenance, PhaseEvent, RunProvenance, TracePhase};
-pub use exporter::{http_get, MetricsServer};
 pub use flame::collapsed_stacks;
 pub use hist::LogHistogram;
 pub use json::Json;
@@ -106,7 +97,6 @@ pub use online::{
     HealthConfig, HealthEvent, HealthEventKind, HealthReport, HealthWindow, OnlineHealth, Regime,
     StationHealth, DEFAULT_HEALTH_CAPACITY, HEALTH_STATIONS, HEALTH_STATION_COUNT,
 };
-pub use registry::{validate_exposition, Counter, Gauge, LiveHistogram, MetricsRegistry};
 pub use series::{MetricsRecorder, TimeSeries};
 pub use sink::{EventSink, JsonlFileSink, SpanSink, DEFAULT_EVENT_CAPACITY, DEFAULT_SPAN_CAPACITY};
 pub use span::{reconstruct, Segment, TxSpan, PIPELINE_LEN};

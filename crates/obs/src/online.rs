@@ -143,15 +143,6 @@ impl HealthEventKind {
     pub fn from_label(s: &str) -> Option<HealthEventKind> {
         HealthEventKind::ALL.into_iter().find(|k| k.label() == s)
     }
-
-    fn idx(self) -> usize {
-        match self {
-            HealthEventKind::Regime => 0,
-            HealthEventKind::Shift => 1,
-            HealthEventKind::SloBurn => 2,
-            HealthEventKind::LittleAnomaly => 3,
-        }
-    }
 }
 
 impl std::fmt::Display for HealthEventKind {
@@ -432,14 +423,11 @@ pub struct OnlineHealth {
     stations: Vec<StationDetector>,
     events: Vec<HealthEvent>,
     dropped: u64,
-    kind_counts: [u64; 4],
-    published_kind_counts: [u64; 4],
     windows: u64,
     completions: u64,
     violations: u64,
     burn_windows: u64,
     max_burn: f64,
-    cur_burn: f64,
     burning: bool,
     hottest: Option<usize>,
     little_ewma: f64,
@@ -464,14 +452,11 @@ impl OnlineHealth {
                 .collect(),
             events: Vec::new(),
             dropped: 0,
-            kind_counts: [0; 4],
-            published_kind_counts: [0; 4],
             windows: 0,
             completions: 0,
             violations: 0,
             burn_windows: 0,
             max_burn: 0.0,
-            cur_burn: 0.0,
             burning: false,
             hottest: None,
             little_ewma: 0.0,
@@ -489,32 +474,6 @@ impl OnlineHealth {
         self.windows
     }
 
-    /// Current regime severity (0/1/2) per [`HEALTH_STATIONS`] entry — the
-    /// live plane's gauge values.
-    pub fn severities(&self) -> [u8; HEALTH_STATION_COUNT] {
-        let mut out = [0u8; HEALTH_STATION_COUNT];
-        for (o, d) in out.iter_mut().zip(&self.stations) {
-            *o = d.regime.severity() as u8;
-        }
-        out
-    }
-
-    /// The most recent window's SLO burn rate.
-    pub fn current_burn(&self) -> f64 {
-        self.cur_burn
-    }
-
-    /// Events emitted per [`HealthEventKind`] since the last call — the live
-    /// plane adds these deltas to its counters.
-    pub fn take_kind_deltas(&mut self) -> [u64; 4] {
-        let mut out = [0u64; 4];
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = self.kind_counts[i] - self.published_kind_counts[i];
-        }
-        self.published_kind_counts = self.kind_counts;
-        out
-    }
-
     /// Records one committed transaction's end-to-end latency into the
     /// current window.
     pub fn observe_completion(&mut self, e2e_s: f64) {
@@ -526,7 +485,6 @@ impl OnlineHealth {
     }
 
     fn push_event(&mut self, ev: HealthEvent) {
-        self.kind_counts[ev.kind.idx()] += 1;
         if self.events.len() >= self.cfg.capacity {
             self.dropped += 1;
             return;
@@ -624,7 +582,6 @@ impl OnlineHealth {
         } else {
             0.0
         };
-        self.cur_burn = burn;
         self.max_burn = self.max_burn.max(burn);
         let breaching = burn >= self.cfg.burn_threshold;
         if breaching {
@@ -1361,16 +1318,5 @@ mod tests {
             r#"{"station_health":1,"channel":0,"station":"s","regime":"warp","dwell_stable_s":0,"dwell_saturating_s":0,"dwell_overloaded_s":0}"#
         )
         .is_err());
-    }
-
-    #[test]
-    fn kind_deltas_feed_live_counters() {
-        let mut h = OnlineHealth::new(0, 1.0, HealthConfig::default());
-        drive(&mut h, 4, 3, 10.0, 100.0);
-        let d1 = h.take_kind_deltas();
-        assert_eq!(d1[HealthEventKind::Regime.idx()], 2);
-        assert_eq!(d1[HealthEventKind::Shift.idx()], 1);
-        assert_eq!(h.take_kind_deltas(), [0; 4]);
-        assert_eq!(h.severities()[3], 2);
     }
 }

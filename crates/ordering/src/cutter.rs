@@ -64,11 +64,7 @@ impl BlockCutter {
         // Rule 2a: the new transaction would overflow the byte budget — cut
         // what we have first.
         if !self.pending.is_empty() && self.pending_bytes + tx_bytes > self.config.max_bytes {
-            let batch = self.take_pending();
-            if let Some(m) = crate::metrics::metrics() {
-                m.record_cut(crate::metrics::CutReason::Bytes, batch.len());
-            }
-            outcome.batches.push(batch);
+            outcome.batches.push(self.take_pending());
         }
 
         let was_empty = self.pending.is_empty();
@@ -80,16 +76,7 @@ impl BlockCutter {
         if self.pending.len() >= self.config.max_message_count
             || self.pending_bytes >= self.config.max_bytes
         {
-            let reason = if self.pending.len() >= self.config.max_message_count {
-                crate::metrics::CutReason::Size
-            } else {
-                crate::metrics::CutReason::Bytes
-            };
-            let batch = self.take_pending();
-            if let Some(m) = crate::metrics::metrics() {
-                m.record_cut(reason, batch.len());
-            }
-            outcome.batches.push(batch);
+            outcome.batches.push(self.take_pending());
         } else if was_empty {
             // Rule 3 setup: first tx into an empty batch starts the timer.
             self.timer_seq += 1;
@@ -104,11 +91,7 @@ impl BlockCutter {
         if seq != self.timer_seq || self.pending.is_empty() {
             return None;
         }
-        let batch = self.take_pending();
-        if let Some(m) = crate::metrics::metrics() {
-            m.record_cut(crate::metrics::CutReason::Timeout, batch.len());
-        }
-        Some(batch)
+        Some(self.take_pending())
     }
 
     /// True while `seq` is the live (most recently armed, not yet
@@ -125,11 +108,7 @@ impl BlockCutter {
         if self.pending.is_empty() {
             None
         } else {
-            let batch = self.take_pending();
-            if let Some(m) = crate::metrics::metrics() {
-                m.record_cut(crate::metrics::CutReason::Timeout, batch.len());
-            }
-            Some(batch)
+            Some(self.take_pending())
         }
     }
 

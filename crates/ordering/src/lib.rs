@@ -22,10 +22,8 @@
 
 mod assembler;
 mod cutter;
-mod metrics;
 mod osn;
 
 pub use assembler::BlockAssembler;
 pub use cutter::{BlockCutter, CutOutcome};
-pub use metrics::{install_metrics, CutReason, CutterMetrics};
 pub use osn::{OsnEffect, OsnInput, OsnMsg, OsnNode};

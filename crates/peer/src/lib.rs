@@ -23,7 +23,6 @@
 
 mod committer;
 pub mod gossip;
-mod metrics;
 mod peer;
 mod pipeline;
 #[cfg(test)]
@@ -31,6 +30,5 @@ mod testutil;
 
 pub use committer::{vscc_block, vscc_block_pooled, vscc_tx, CommitStats, VsccVerdict};
 pub use gossip::{GossipEffect, GossipMsg, GossipNode};
-pub use metrics::{install_metrics, PipelineMetrics};
 pub use peer::{Peer, PeerConfig};
 pub use pipeline::ValidationPipeline;

@@ -108,10 +108,6 @@ impl ValidationPipeline {
     ) {
         assert_eq!(flags.len(), txs.len(), "one flag slot per transaction");
         let n = txs.len();
-        // Live-plane accounting: flags set before this stage were block-level
-        // rejects, not VSCC work, so count only the slots still eligible.
-        let eligible = flags.iter().filter(|f| f.is_none()).count();
-        let rejected_before = n - eligible;
         let workers = self.pool_size.min(n.max(1));
         let run = |out: &mut [Option<ValidationCode>],
                    txs: &[Transaction],
@@ -138,13 +134,6 @@ impl ValidationPipeline {
                     s.spawn(move || run(out, txs, digests));
                 }
             });
-        }
-        if let Some(m) = crate::metrics::metrics() {
-            let rejected_after = flags.iter().filter(|f| f.is_some()).count();
-            m.vscc_blocks.inc();
-            m.vscc_checks.add(eligible as u64);
-            m.vscc_rejects
-                .add((rejected_after - rejected_before) as u64);
         }
     }
 

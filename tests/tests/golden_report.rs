@@ -355,3 +355,27 @@ fn raft_and3_run_matches_pre_refactor_bits() {
         },
     );
 }
+
+/// The committed figures must be what HEAD writes: every `results/*.csv`
+/// carries the header of [`fabricsim::report::to_csv`] and full-width rows.
+#[test]
+fn committed_result_csvs_have_the_current_columns() {
+    let header = fabricsim::report::to_csv(&[]);
+    let columns = header.split(',').count();
+    let results = concat!(env!("CARGO_MANIFEST_DIR"), "/../results");
+    let mut seen = 0;
+    for entry in std::fs::read_dir(results).expect("results/ is committed") {
+        let path = entry.expect("readable directory entry").path();
+        if path.extension().is_none_or(|e| e != "csv") {
+            continue;
+        }
+        seen += 1;
+        let text = std::fs::read_to_string(&path).expect("readable CSV");
+        assert!(text.starts_with(&header), "stale header: {path:?}");
+        for (i, row) in text.lines().enumerate() {
+            let fields = row.split(',').count();
+            assert_eq!(fields, columns, "{}: line {}", path.display(), i + 1);
+        }
+    }
+    assert!(seen > 0, "no CSV found under {results}");
+}

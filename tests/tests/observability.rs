@@ -161,6 +161,13 @@ fn e2e_histogram_matches_exact_percentiles() {
     let r = Simulation::new(obs_config(PolicySpec::OrN(10), 100.0)).run_detailed();
     let h = &r.observability.e2e_hist;
     assert!(h.count() > 0);
+    // One sample per committed trace, and no commit without a cut block.
+    let outcomes = r.traces.iter().map(|t| t.outcome);
+    let committed = outcomes
+        .filter(|o| matches!(o, fabricsim::TxOutcome::Committed(_)))
+        .count();
+    assert_eq!(h.count(), committed as u64);
+    assert!(r.block_cuts.iter().map(|(_, n)| n).sum::<usize>() >= committed);
     // The histogram sees every committed tx; the summary percentiles are
     // computed from the exact sample set. They must agree to within the
     // histogram's relative error bound.
