@@ -5,6 +5,11 @@
 //! Runs on the in-repo [`fabricsim_bench::microbench`] harness (Criterion is
 //! unavailable offline): `cargo bench --bench micro [-- FILTER]`.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "a bench body whose fixture fails must abort the run, not time an error path"
+)]
+
 use std::collections::HashMap;
 use std::hint::black_box;
 

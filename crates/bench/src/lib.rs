@@ -30,8 +30,10 @@ pub mod perf;
 /// # Panics
 /// Panics on I/O errors — the harness wants loud failures.
 pub fn write_csv(results_dir: &Path, name: &str, rows: &[Row]) {
-    // lint:allow(no-unwrap-in-lib) -- harness entry point: an unwritable results dir is fatal
-    // by design
+    #[expect(
+        clippy::expect_used,
+        reason = "harness entry point: an unwritable results dir is fatal by design"
+    )]
     fs::create_dir_all(results_dir).expect("create results dir");
     let path = results_dir.join(format!("{name}.csv"));
     fs::write(&path, to_csv(rows)).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));

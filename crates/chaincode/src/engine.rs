@@ -67,8 +67,8 @@ pub trait Chaincode: fmt::Debug + Send {
 /// The chaincodes installed on a peer, by name.
 ///
 /// A `BTreeMap` so every view of the registry (iteration, [`names`]) is
-/// deterministically ordered — `HashMap`'s per-process `RandomState` is
-/// banned from sim-critical crates by `fabricsim-lint`.
+/// deterministically ordered — iterating a `HashMap` (per-process
+/// `RandomState` order) is banned by the workspace `clippy.toml`.
 ///
 /// [`names`]: ChaincodeRegistry::names
 #[derive(Debug, Default)]

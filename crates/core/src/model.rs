@@ -172,13 +172,15 @@ impl CostModel {
         }
         let mut free = vec![0.0f64; workers.min(per_tx_ms.len().max(1))];
         for &c in per_tx_ms {
+            #[expect(
+                clippy::expect_used,
+                reason = "free is non-empty: its length has a max(.., 1) lower bound"
+            )]
             let slot = free
                 .iter_mut()
                 .enumerate()
                 .min_by(|(ai, a), (bi, b)| a.total_cmp(b).then(ai.cmp(bi)))
                 .map(|(_, v)| v)
-                // lint:allow(no-unwrap-in-lib) -- free is non-empty: its length has a max(..,
-                // 1) lower bound
                 .expect("at least one worker");
             *slot += c;
         }

@@ -174,8 +174,10 @@ impl Simulation {
     /// # Panics
     /// Panics if the configuration is invalid.
     pub fn new(cfg: SimConfig) -> Self {
-        // lint:allow(no-unwrap-in-lib) -- constructor fail-fast: an invalid config is a caller
-        // bug
+        #[expect(
+            clippy::expect_used,
+            reason = "constructor fail-fast: an invalid config is a caller bug"
+        )]
         cfg.validate().expect("invalid simulation config");
         Simulation {
             cfg,

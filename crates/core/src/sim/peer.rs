@@ -301,22 +301,26 @@ fn commit_block(
     let tx_ids: Vec<_> = block.transactions.iter().map(|t| t.tx_id).collect();
     let is_observer = peer_idx == world.observer;
     // The one deep copy: this peer's ledger must own its block.
+    #[expect(
+        clippy::expect_used,
+        reason = "ordering delivers blocks in order; a chain break is a simulator bug"
+    )]
     let stats = world.peers[peer_idx]
         .peer
         .validate_and_commit(Arc::unwrap_or_clone(block))
-        // lint:allow(no-unwrap-in-lib) -- ordering delivers blocks in order; a chain break is
-        // a simulator bug
         .expect("delivered blocks must chain");
     let _ = stats;
     if is_observer {
+        #[expect(
+            clippy::expect_used,
+            reason = "reads back the block committed two statements above"
+        )]
         let flags = {
             let ledger = world.peers[peer_idx].peer.ledger();
             let height = ledger.height();
             ledger
                 .blocks()
                 .by_number(height - 1)
-                // lint:allow(no-unwrap-in-lib) -- reads back the block committed two above
-                // statements
                 .expect("just committed")
                 .metadata
                 .flags

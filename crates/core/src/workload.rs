@@ -35,8 +35,10 @@ impl PolicySpec {
                 let n = (*n).min(deployed);
                 Policy::k_of_n_orgs((*k).min(n as usize), n)
             }
-            // lint:allow(no-unwrap-in-lib) -- workload construction fail-fast on a malformed
-            // policy string
+            #[expect(
+                clippy::expect_used,
+                reason = "workload construction fail-fast on a malformed policy string"
+            )]
             PolicySpec::Custom(text) => text.parse().expect("invalid custom policy"),
         }
     }

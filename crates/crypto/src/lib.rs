@@ -18,10 +18,9 @@
 //! SHA-256 has two compression bodies, chosen by what the CPU reports at run
 //! time ([`sha256_backend`]): one on the x86-64 SHA extensions and the
 //! portable one it is tested against. Calling the first is this workspace's
-//! only `unsafe` block; see `sha256.rs` and DESIGN.md §5.1.
+//! only `unsafe` block, and the only `#[expect(unsafe_code)]` under the
+//! workspace's `unsafe_code = "deny"`; see `sha256.rs` and DESIGN.md §5.1.
 
-// lint:allow(forbid-unsafe-present) -- one `unsafe` block in the workspace: the call to the safe `#[target_feature]` SHA-NI body in sha256.rs, feature-checked on the line above it; `deny` lets that one expression opt out and nothing else
-#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod hash;

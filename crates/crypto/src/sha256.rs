@@ -223,7 +223,11 @@ fn absorb<'a>(state: &mut [u32; 8], mut data: &'a [u8]) -> &'a [u8] {
         // line above has just observed the first, third and fourth on this
         // CPU, and SSE2 is part of the x86-64 baseline this branch is
         // compiled for.
-        #[allow(unsafe_code)]
+        #[expect(
+            unsafe_code,
+            reason = "the workspace's one unsafe block: the feature-checked call into the safe \
+                      SHA-NI body"
+        )]
         return unsafe { compress_blocks(state, data) };
     }
     while let Some((block, rest)) = data.split_first_chunk::<64>() {

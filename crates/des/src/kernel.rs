@@ -259,8 +259,11 @@ impl<W> Kernel<W> {
     /// host time is accumulated across windows so the per-label totals still
     /// sum to the loop wall time.
     pub fn run_until(&mut self, world: &mut W, limit: SimTime) -> u64 {
-        // lint:allow(no-wall-clock) -- kernel self-profiler window timing (write-only
-        // with respect to the simulation; see crates/des/src/profiler.rs).
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "kernel self-profiler window timing, write-only with respect to the \
+                      simulation (see profiler.rs)"
+        )]
         let loop_start = self.profiler.is_some().then(Instant::now);
         // One running mark: each read attributes everything since the
         // previous one, so two reads per event tile the whole loop.

@@ -115,8 +115,11 @@ pub(crate) fn elapsed_ns(since: Instant) -> u64 {
 /// consecutive laps tile the time since the first mark without a gap.
 #[inline]
 pub(crate) fn lap_ns(mark: &mut Instant) -> u64 {
-    // lint:allow(no-wall-clock) -- kernel self-profiler lap timing (write-only with
-    // respect to the simulation; see the module docs).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "kernel self-profiler lap timing, write-only with respect to the simulation \
+                  (see the module docs)"
+    )]
     let now = Instant::now();
     let ns = now.duration_since(*mark).as_nanos();
     *mark = now;

@@ -92,13 +92,15 @@ impl Station {
         self.last_submit = now;
         let ready = ready.max(now);
         // Earliest-free server takes the job.
+        #[expect(
+            clippy::expect_used,
+            reason = "station construction validates at least one server"
+        )]
         let (idx, &free) = self
             .free_at
             .iter()
             .enumerate()
             .min_by_key(|(_, &t)| t)
-            // lint:allow(no-unwrap-in-lib) -- station construction validates at least one
-            // server
             .expect("at least one server");
         let start = ready.max(free);
         let done = start + service;

@@ -130,9 +130,11 @@ impl SimDuration {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    #[expect(
+        clippy::expect_used,
+        reason = "deliberate guard: wrap-around would silently corrupt sim time"
+    )]
     fn add(self, rhs: SimDuration) -> SimTime {
-        // lint:allow(no-unwrap-in-lib) -- deliberate guard: wrap-around would silently corrupt
-        // sim time
         SimTime(self.0.checked_add(rhs.0).expect("sim time overflow"))
     }
 }
@@ -145,27 +147,33 @@ impl AddAssign<SimDuration> for SimTime {
 
 impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
+    #[expect(
+        clippy::expect_used,
+        reason = "deliberate guard: wrap-around would silently corrupt sim time"
+    )]
     fn sub(self, rhs: SimTime) -> SimDuration {
-        // lint:allow(no-unwrap-in-lib) -- deliberate guard: wrap-around would silently corrupt
-        // sim time
         SimDuration(self.0.checked_sub(rhs.0).expect("sim time underflow"))
     }
 }
 
 impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
+    #[expect(
+        clippy::expect_used,
+        reason = "deliberate guard: wrap-around would silently corrupt sim time"
+    )]
     fn sub(self, rhs: SimDuration) -> SimTime {
-        // lint:allow(no-unwrap-in-lib) -- deliberate guard: wrap-around would silently corrupt
-        // sim time
         SimTime(self.0.checked_sub(rhs.0).expect("sim time underflow"))
     }
 }
 
 impl Add for SimDuration {
     type Output = SimDuration;
+    #[expect(
+        clippy::expect_used,
+        reason = "deliberate guard: wrap-around would silently corrupt durations"
+    )]
     fn add(self, rhs: SimDuration) -> SimDuration {
-        // lint:allow(no-unwrap-in-lib) -- deliberate guard: wrap-around would silently corrupt
-        // durations
         SimDuration(self.0.checked_add(rhs.0).expect("duration overflow"))
     }
 }
@@ -178,9 +186,11 @@ impl AddAssign for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
+    #[expect(
+        clippy::expect_used,
+        reason = "deliberate guard: wrap-around would silently corrupt durations"
+    )]
     fn sub(self, rhs: SimDuration) -> SimDuration {
-        // lint:allow(no-unwrap-in-lib) -- deliberate guard: wrap-around would silently corrupt
-        // durations
         SimDuration(self.0.checked_sub(rhs.0).expect("duration underflow"))
     }
 }
@@ -193,9 +203,11 @@ impl SubAssign for SimDuration {
 
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
+    #[expect(
+        clippy::expect_used,
+        reason = "deliberate guard: wrap-around would silently corrupt durations"
+    )]
     fn mul(self, rhs: u64) -> SimDuration {
-        // lint:allow(no-unwrap-in-lib) -- deliberate guard: wrap-around would silently corrupt
-        // durations
         SimDuration(self.0.checked_mul(rhs).expect("duration overflow"))
     }
 }

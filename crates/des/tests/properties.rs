@@ -68,8 +68,12 @@ fn station_is_fifo_and_conserves_work(servers: usize, arrivals: &[(u64, u64)]) {
         }
         let first = arrivals[0].0;
         let total: u64 = arrivals.iter().map(|&(_, s)| s).sum();
-        let last = completions.last().expect("at least one job");
-        assert!(last.as_nanos() >= first + total);
+        assert!(
+            completions
+                .last()
+                .is_some_and(|last| last.as_nanos() >= first + total),
+            "the last completion must cover the first arrival plus all service"
+        );
     }
 }
 

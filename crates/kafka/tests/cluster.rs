@@ -105,6 +105,10 @@ impl Cluster {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "test harness: a cluster with no leader fails the test that asked for one"
+    )]
     fn leader(&self) -> usize {
         self.zk.leader().expect("a leader exists") as usize
     }

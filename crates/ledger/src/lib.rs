@@ -185,11 +185,13 @@ impl Ledger {
             block.transactions.len(),
             "one flag per transaction"
         );
+        #[expect(
+            clippy::expect_used,
+            reason = "the MVCC stage verified chain linkage before this commit"
+        )]
         self.blocks
             .admit(block)
             .and_then(|checked| self.append_and_apply(checked, flags))
-            // lint:allow(no-unwrap-in-lib) -- the MVCC stage verified chain linkage before
-            // this commit
             .expect("chain checked by the MVCC stage");
     }
 

@@ -4,8 +4,8 @@
 //! line(s) directly above the offending code:
 //!
 //! ```text
-//! // lint:allow(no-unwrap-in-lib) -- index proven in bounds two lines up
-//! let x = xs.get(i).unwrap();
+//! // lint:allow(panic-path) -- the queue was checked non-empty two lines up
+//! let x = queue[queue.len() - 1];
 //! ```
 //!
 //! Contract:
@@ -105,14 +105,10 @@ fn parse_allow_comment(comment: &str) -> Option<AllowSpec> {
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
         .collect();
-    let after = &rest[close + 1..];
-    // A justification must be non-empty and must not be `--fix` scaffolding:
-    // a `FIXME`-prefixed note marks the allow as still awaiting a real
-    // justification, so it cannot launder the audit.
-    let justified = after
+    let justified = rest[close + 1..]
         .trim_start()
         .strip_prefix("--")
-        .is_some_and(|j| !j.trim().is_empty() && !j.trim().starts_with("FIXME"));
+        .is_some_and(|j| !j.trim().is_empty());
     Some(AllowSpec { names, justified })
 }
 
@@ -153,57 +149,6 @@ pub fn allow_diagnostics(file: &str, allows: &[Allow]) -> Vec<Diagnostic> {
     out
 }
 
-/// One `// relaxed: <why>` note — the first-class annotation for
-/// `Ordering::Relaxed` sites (not a suppression; not counted as one).
-#[derive(Debug, Clone)]
-pub struct RelaxedNote {
-    /// Line of the comment itself.
-    pub line: u32,
-    /// The code line the note applies to (same binding rules as allows).
-    pub target_line: Option<u32>,
-    /// The justification text after the colon.
-    pub text: String,
-}
-
-/// Extracts every `// relaxed:` note from a token stream. The note must
-/// carry non-empty text after the colon to count.
-#[must_use]
-pub fn collect_relaxed_notes(tokens: &[Token]) -> Vec<RelaxedNote> {
-    let mut out = Vec::new();
-    for (i, tok) in tokens.iter().enumerate() {
-        if !tok.is_comment() || is_doc_comment(&tok.text) {
-            continue;
-        }
-        let body = tok
-            .text
-            .trim_start_matches('/')
-            .trim_start_matches('*')
-            .trim_start();
-        let Some(rest) = body.strip_prefix("relaxed:") else {
-            continue;
-        };
-        let text = rest.trim_end_matches("*/").trim().to_string();
-        if text.is_empty() {
-            continue;
-        }
-        let trailing = i > 0 && tokens[i - 1].line == tok.line && !tokens[i - 1].is_comment();
-        let target_line = if trailing {
-            Some(tok.line)
-        } else {
-            tokens[i + 1..]
-                .iter()
-                .find(|t| !t.is_comment())
-                .map(|t| t.line)
-        };
-        out.push(RelaxedNote {
-            line: tok.line,
-            target_line,
-            text,
-        });
-    }
-    out
-}
-
 /// True when `diag` is suppressed by a justified allow on its line.
 #[must_use]
 pub fn is_suppressed(diag: &Diagnostic, allows: &[Allow]) -> bool {
@@ -224,22 +169,22 @@ mod tests {
 
     #[test]
     fn trailing_allow_binds_to_its_own_line() {
-        let a = allows("let x = 1; // lint:allow(no-float-eq) -- test fixture\nlet y = 2;");
+        let a = allows("let x = 1; // lint:allow(panic-path) -- test fixture\nlet y = 2;");
         assert_eq!(a.len(), 1);
         assert_eq!(a[0].target_line, Some(1));
         assert!(a[0].justified);
-        assert_eq!(a[0].rules, vec![RuleId::NoFloatEq]);
+        assert_eq!(a[0].rules, vec![RuleId::PanicPath]);
     }
 
     #[test]
     fn standalone_allow_binds_to_next_code_line() {
-        let a = allows("// lint:allow(no-unwrap-in-lib) -- proven\n// more prose\nlet x = 1;");
+        let a = allows("// lint:allow(determinism-taint) -- proven\n// more prose\nlet x = 1;");
         assert_eq!(a[0].target_line, Some(3));
     }
 
     #[test]
     fn stacked_allows_all_bind_to_the_statement() {
-        let src = "// lint:allow(no-float-eq) -- a\n// lint:allow(no-unwrap-in-lib) -- b\nf();";
+        let src = "// lint:allow(panic-path) -- a\n// lint:allow(determinism-taint) -- b\nf();";
         let a = allows(src);
         assert_eq!(a.len(), 2);
         assert_eq!(a[0].target_line, Some(3));
@@ -248,8 +193,8 @@ mod tests {
 
     #[test]
     fn multi_rule_and_unknown_rules() {
-        let a = allows("// lint:allow(no-float-eq, no-such-thing) -- why\nx();");
-        assert_eq!(a[0].rules, vec![RuleId::NoFloatEq]);
+        let a = allows("// lint:allow(panic-path, no-such-thing) -- why\nx();");
+        assert_eq!(a[0].rules, vec![RuleId::PanicPath]);
         assert_eq!(a[0].unknown, vec!["no-such-thing".to_string()]);
         let diags = allow_diagnostics("f.rs", &a);
         assert_eq!(diags.len(), 1);
@@ -259,9 +204,9 @@ mod tests {
     #[test]
     fn missing_justification_is_flagged() {
         for src in [
-            "// lint:allow(no-float-eq)\nx();",
-            "// lint:allow(no-float-eq) --\nx();",
-            "// lint:allow(no-float-eq) --   \nx();",
+            "// lint:allow(panic-path)\nx();",
+            "// lint:allow(panic-path) --\nx();",
+            "// lint:allow(panic-path) --   \nx();",
         ] {
             let a = allows(src);
             assert!(!a[0].justified, "{src:?}");
@@ -272,12 +217,12 @@ mod tests {
 
     #[test]
     fn suppression_requires_matching_line_rule_and_justification() {
-        let a = allows("// lint:allow(no-float-eq) -- why\nx();");
+        let a = allows("// lint:allow(panic-path) -- why\nx();");
         let mut d = Diagnostic {
             file: "f.rs".into(),
             line: 2,
             col: 1,
-            rule: RuleId::NoFloatEq,
+            rule: RuleId::PanicPath,
             message: String::new(),
             suggestion: None,
             notes: Vec::new(),
@@ -286,13 +231,13 @@ mod tests {
         d.line = 3;
         assert!(!is_suppressed(&d, &a));
         d.line = 2;
-        d.rule = RuleId::NoUnwrapInLib;
+        d.rule = RuleId::DeterminismTaint;
         assert!(!is_suppressed(&d, &a));
     }
 
     #[test]
     fn allow_in_string_literal_is_ignored() {
-        let a = allows("let s = \"// lint:allow(no-float-eq) -- nope\";");
+        let a = allows("let s = \"// lint:allow(panic-path) -- nope\";");
         assert!(a.is_empty());
     }
 }

@@ -3,37 +3,16 @@
 use std::fmt;
 use std::fmt::Write as _;
 
-/// Every rule the engine knows, including the two meta-rules that police the
-/// `lint:allow` annotations themselves.
+/// Every rule the engine knows: the two call-graph passes clippy cannot
+/// express, and the two meta-rules that police the `lint:allow` annotations
+/// themselves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleId {
-    /// `Instant::now` / `SystemTime` outside the audited `obs::WallClock`.
-    NoWallClock,
-    /// Iterating a `HashMap`/`HashSet` in a simulation-critical crate.
-    NoHashmapIteration,
-    /// `==` / `!=` against a float operand outside tests.
-    NoFloatEq,
-    /// `unwrap()` / `expect()` in non-test library code.
-    NoUnwrapInLib,
-    /// Crate root missing `#![forbid(unsafe_code)]`.
-    ForbidUnsafePresent,
-    /// `thread::sleep` in a simulation-critical crate.
-    NoThreadSleep,
-    /// `thread::current()` / `ThreadId` in a simulation-critical crate.
-    NoThreadIdentity,
-    /// `Ordering::Relaxed` without a written justification.
-    AtomicsOrderingAnnotated,
-    /// A growable-buffer constructor (`Vec::new` & friends) in a sink module.
-    NoUnboundedSink,
     /// A nondeterminism source reachable from a sim-critical crate's public
     /// API through the call graph (interprocedural).
     DeterminismTaint,
     /// A panic site reachable from a DES event handler (interprocedural).
     PanicPath,
-    /// Two mutexes acquired in inconsistent order across the workspace.
-    LockOrder,
-    /// A `// relaxed:` note that does not sit on the atomic operation's line.
-    RelaxedNoteOnOperation,
     /// A `lint:allow` with no `-- <justification>` suffix.
     AllowMissingJustification,
     /// A `lint:allow` naming a rule id the engine does not know.
@@ -42,20 +21,9 @@ pub enum RuleId {
 
 impl RuleId {
     /// Every rule, in catalogue order.
-    pub const ALL: [RuleId; 15] = [
-        RuleId::NoWallClock,
-        RuleId::NoHashmapIteration,
-        RuleId::NoFloatEq,
-        RuleId::NoUnwrapInLib,
-        RuleId::ForbidUnsafePresent,
-        RuleId::NoThreadSleep,
-        RuleId::NoThreadIdentity,
-        RuleId::AtomicsOrderingAnnotated,
-        RuleId::NoUnboundedSink,
+    pub const ALL: [RuleId; 4] = [
         RuleId::DeterminismTaint,
         RuleId::PanicPath,
-        RuleId::LockOrder,
-        RuleId::RelaxedNoteOnOperation,
         RuleId::AllowMissingJustification,
         RuleId::AllowUnknownRule,
     ];
@@ -64,19 +32,8 @@ impl RuleId {
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {
-            RuleId::NoWallClock => "no-wall-clock",
-            RuleId::NoHashmapIteration => "no-hashmap-iteration",
-            RuleId::NoFloatEq => "no-float-eq",
-            RuleId::NoUnwrapInLib => "no-unwrap-in-lib",
-            RuleId::ForbidUnsafePresent => "forbid-unsafe-present",
-            RuleId::NoThreadSleep => "no-thread-sleep",
-            RuleId::NoThreadIdentity => "no-thread-identity",
-            RuleId::AtomicsOrderingAnnotated => "atomics-ordering-annotated",
-            RuleId::NoUnboundedSink => "no-unbounded-sink",
             RuleId::DeterminismTaint => "determinism-taint",
             RuleId::PanicPath => "panic-path",
-            RuleId::LockOrder => "lock-order",
-            RuleId::RelaxedNoteOnOperation => "relaxed-note-on-operation",
             RuleId::AllowMissingJustification => "allow-missing-justification",
             RuleId::AllowUnknownRule => "allow-unknown-rule",
         }
@@ -92,58 +49,36 @@ impl RuleId {
     #[must_use]
     pub fn description(self) -> &'static str {
         match self {
-            RuleId::NoWallClock => {
-                "Instant::now/SystemTime banned outside the audited obs::WallClock entry point; \
-                 simulated time must come from the DES clock"
-            }
-            RuleId::NoHashmapIteration => {
-                "iterating HashMap/HashSet in sim-critical crates is nondeterministic per process \
-                 (RandomState); use BTreeMap/BTreeSet or sort before iterating"
-            }
-            RuleId::NoFloatEq => {
-                "==/!= on float operands outside tests; use an epsilon, an integer \
-                 re-expression, or bit comparison"
-            }
-            RuleId::NoUnwrapInLib => {
-                "unwrap()/expect() in non-test library code turns recoverable errors into panics"
-            }
-            RuleId::ForbidUnsafePresent => "every crate root must keep #![forbid(unsafe_code)]",
-            RuleId::NoThreadSleep => {
-                "thread::sleep in sim-critical crates couples results to the host scheduler"
-            }
-            RuleId::NoThreadIdentity => {
-                "thread::current()/ThreadId in sim-critical crates lets results depend on which \
-                 OS thread ran a shard; sharded runs must be worker-count-invariant"
-            }
-            RuleId::AtomicsOrderingAnnotated => {
-                "every Ordering::Relaxed needs a written justification: a `// relaxed: <why>` \
-                 note on the operation, or a justified lint:allow"
-            }
-            RuleId::NoUnboundedSink => {
-                "growable buffers (Vec/VecDeque::new/with_capacity) in sink modules grow without \
-                 bound under load; sinks must be bounded rings with an eviction counter"
-            }
             RuleId::DeterminismTaint => {
                 "a nondeterminism source (hash-ordered iteration, thread identity, \
-                 pointer-to-int cast) in a helper crate is reachable from a sim-critical \
-                 crate's public API; the diagnostic carries the full call chain"
+                 pointer-to-int cast) is reachable from a sim-critical crate's public API; \
+                 the diagnostic carries the full call chain"
             }
             RuleId::PanicPath => {
-                "a panic site (panic!/unreachable!/todo!/unimplemented! or indexing) is \
-                 reachable from a DES event handler or ShardWorld::deliver; a poisoned \
+                "a panic site (panic!/unreachable!/todo!/unimplemented! or computed indexing) \
+                 is reachable from a DES event handler or ShardWorld::deliver; a poisoned \
                  message must surface as an error, not abort a shard mid-window"
-            }
-            RuleId::LockOrder => {
-                "two mutexes are acquired in opposite orders somewhere in the workspace, \
-                 which can deadlock the sharded kernel's worker pool"
-            }
-            RuleId::RelaxedNoteOnOperation => {
-                "a Relaxed atomic is annotated, but its `// relaxed:` note does not sit on \
-                 the line of the atomic operation itself"
             }
             RuleId::AllowMissingJustification => "every lint:allow must carry `-- <justification>`",
             RuleId::AllowUnknownRule => "lint:allow names a rule id the engine does not know",
         }
+    }
+
+    /// The canonical remedy, for the rules that have one.
+    #[must_use]
+    pub fn suggestion(self) -> Option<String> {
+        let s = match self {
+            RuleId::DeterminismTaint => {
+                "make the helper deterministic (BTreeMap/sorted iteration, no thread identity, \
+                 no pointer-to-int), or sever the call path from sim-critical code"
+            }
+            RuleId::PanicPath => {
+                "return a typed error from the handler path instead of panicking; for truly \
+                 unreachable arms, lint:allow(panic-path) with the dominating invariant"
+            }
+            RuleId::AllowMissingJustification | RuleId::AllowUnknownRule => return None,
+        };
+        Some(s.to_string())
     }
 
     /// Meta-rules police the annotations and cannot themselves be allowed.
@@ -215,15 +150,23 @@ impl fmt::Display for Diagnostic {
 pub struct LintReport {
     /// Unsuppressed violations, sorted by (file, line, col, rule).
     pub violations: Vec<Diagnostic>,
-    /// Count of diagnostics suppressed by a justified `lint:allow`.
+    /// Audited suppressions: diagnostics silenced by a justified
+    /// `lint:allow`, plus non-test `#[expect]`/`#[allow]` attributes naming
+    /// one of [`crate::MIGRATED_LINTS`].
     pub suppressed: usize,
-    /// Suppressions broken down per rule (for the ratchet file).
-    pub suppressed_by_rule: std::collections::BTreeMap<RuleId, usize>,
+    /// Suppressions per rule id or lint path (for the ratchet file).
+    pub suppressed_by_rule: std::collections::BTreeMap<String, usize>,
     /// Number of files checked.
     pub checked_files: usize,
 }
 
 impl LintReport {
+    /// Counts one audited suppression of `rule` (a rule id or lint path).
+    pub fn count_suppressed(&mut self, rule: &str) {
+        self.suppressed += 1;
+        *self.suppressed_by_rule.entry(rule.to_string()).or_insert(0) += 1;
+    }
+
     /// True when CI should pass.
     #[must_use]
     pub fn is_clean(&self) -> bool {
@@ -242,7 +185,7 @@ impl LintReport {
                 if i > 0 {
                     obj.push_str(", ");
                 }
-                let _ = write!(obj, "{}: {n}", json_string(rule.as_str()));
+                let _ = write!(obj, "{}: {n}", json_string(rule));
             }
             obj.push('}');
             push_kv(&mut out, "suppressed_by_rule", &obj);
@@ -305,7 +248,7 @@ impl LintReport {
         }
         let _ = writeln!(
             out,
-            "fabricsim-lint: {} file(s) checked, {} violation(s), {} suppressed by lint:allow",
+            "fabricsim-lint: {} file(s) checked, {} violation(s), {} audited suppression(s)",
             self.checked_files,
             self.violations.len(),
             self.suppressed
@@ -319,7 +262,7 @@ fn push_kv(out: &mut String, key: &str, raw_value: &str) {
 }
 
 /// Minimal JSON string escaping (the repo-wide zero-dependency subset).
-pub(crate) fn json_string(s: &str) -> String {
+fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -357,14 +300,14 @@ mod tests {
             file: "crates/core/src/sim.rs".into(),
             line: 7,
             col: 13,
-            rule: RuleId::NoWallClock,
-            message: "wall-clock read".into(),
-            suggestion: Some("use the DES clock".into()),
+            rule: RuleId::PanicPath,
+            message: "`panic!` aborts the shard".into(),
+            suggestion: Some("return a typed error".into()),
             notes: Vec::new(),
         };
         let s = d.to_string();
-        assert!(s.starts_with("crates/core/src/sim.rs:7:13: [no-wall-clock]"));
-        assert!(s.contains("help: use the DES clock"));
+        assert!(s.starts_with("crates/core/src/sim.rs:7:13: [panic-path]"));
+        assert!(s.contains("help: return a typed error"));
     }
 
     #[test]
@@ -374,8 +317,8 @@ mod tests {
                 file: "a.rs".into(),
                 line: 1,
                 col: 2,
-                rule: RuleId::NoFloatEq,
-                message: "float \"eq\"".into(),
+                rule: RuleId::DeterminismTaint,
+                message: "hash \"order\"".into(),
                 suggestion: None,
                 notes: Vec::new(),
             }],
@@ -385,8 +328,8 @@ mod tests {
         };
         let json = report.to_json();
         assert!(json.contains("\"schema\": \"fabricsim-lint/v1\""));
-        assert!(json.contains("\"rule\": \"no-float-eq\""));
-        assert!(json.contains("\\\"eq\\\""));
+        assert!(json.contains("\"rule\": \"determinism-taint\""));
+        assert!(json.contains("\\\"order\\\""));
         assert!(json.contains("\"checked_files\": 9"));
     }
 

@@ -1,14 +1,54 @@
-//! File classification, workspace walking, and rule orchestration.
+//! File classification, workspace walking, and pass orchestration.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::allow::{allow_diagnostics, collect_allows, is_suppressed, Allow};
-use crate::diag::{Diagnostic, LintReport, RuleId};
-use crate::rules::{run_rules, FileContext, FileKind};
+use crate::allow::{allow_diagnostics, is_suppressed};
+use crate::diag::{Diagnostic, LintReport};
 use crate::symgraph::{ParsedFile, SymbolGraph};
-use crate::tokenizer::tokenize;
+
+/// Crates whose code runs inside the simulated world: any nondeterminism
+/// here changes reported phase measurements.
+pub const SIM_CRITICAL_CRATES: &[&str] = &[
+    "des",
+    "core",
+    "peer",
+    "ordering",
+    "ledger",
+    "raft",
+    "kafka",
+    "chaincode",
+    "policy",
+    "types",
+    "crypto",
+];
+
+/// The lints clippy and rustc enforce in place of this crate's former
+/// token rules (the root `Cargo.toml`'s `[workspace.lints]` plus
+/// `clippy.toml`). A non-test `#[expect(…)]` or `#[allow(…)]` naming one is
+/// an audited suppression, counted by the ratchet like a `lint:allow`.
+pub const MIGRATED_LINTS: &[&str] = &[
+    "unsafe_code",
+    "clippy::unwrap_used",
+    "clippy::expect_used",
+    "clippy::iter_over_hash_type",
+    "clippy::disallowed_methods",
+    "clippy::disallowed_types",
+];
+
+/// What the passes need to know about one source file.
+#[derive(Debug, Clone)]
+pub struct FileContext {
+    /// Workspace-relative path with forward slashes.
+    pub rel_path: String,
+    /// Short crate name (`core`, `obs`, …); `None` for a file outside the
+    /// workspace layout passed explicitly on the command line.
+    pub crate_name: Option<String>,
+    /// True for test-only files: `crates/*/tests/**`, `crates/*/benches/**`
+    /// and `tests/tests/**`.
+    pub is_test: bool,
+}
 
 /// Classifies one workspace-relative path. `None` means the file is not
 /// linted at all (fixtures, non-Rust files).
@@ -21,60 +61,30 @@ pub fn classify(rel_path: &str) -> Option<FileContext> {
         return None;
     }
     let parts: Vec<&str> = rel_path.split('/').collect();
-    let (crate_name, kind, is_crate_root) = match parts.as_slice() {
-        ["crates", name, "src", "bin", ..] => (Some(*name), FileKind::Bin, false),
-        ["crates", name, "src", "lib.rs"] => (Some(*name), FileKind::Lib, true),
-        ["crates", name, "src", ..] => (Some(*name), FileKind::Lib, false),
-        ["crates", name, "tests" | "benches", ..] => (Some(*name), FileKind::Test, false),
-        ["tests", "src", ..] => (Some("integration"), FileKind::Lib, false),
-        ["tests", "tests", ..] => (Some("integration"), FileKind::Test, false),
-        ["examples", ..] => (Some("examples"), FileKind::Example, false),
-        // Anything else (scratch files handed to the CLI) is linted at full
-        // strictness: library code in a sim-critical crate.
-        _ => (None, FileKind::Lib, false),
+    let (crate_name, is_test) = match parts.as_slice() {
+        ["crates", name, "tests" | "benches", ..] => (Some(*name), true),
+        ["crates", name, ..] => (Some(*name), false),
+        ["tests", "tests", ..] => (Some("integration"), true),
+        ["tests", ..] => (Some("integration"), false),
+        ["examples", ..] => (Some("examples"), false),
+        _ => (None, false),
     };
     Some(FileContext {
         rel_path: rel_path.to_string(),
         crate_name: crate_name.map(str::to_string),
-        kind,
-        is_crate_root,
+        is_test,
     })
 }
 
-/// Lints one file's source text: code rules, then the allow layer.
+/// Lints one file's source as a one-file workspace: the allow audit, the
+/// structural passes and the suppression count.
 ///
-/// Returns the surviving diagnostics and how many were suppressed by a
-/// justified `lint:allow`. Whole-workspace runs ([`lint_paths`]) add the
-/// structural passes (taint, panic paths, lock order) on top of this.
+/// Returns the surviving diagnostics and how many audited suppressions the
+/// file carries.
 #[must_use]
 pub fn lint_source(ctx: &FileContext, src: &str) -> (Vec<Diagnostic>, usize) {
-    let tokens = tokenize(src);
-    let allows = collect_allows(&tokens);
-    let (kept, by_rule) = token_pass(ctx, &tokens, &allows);
-    (kept, by_rule.values().sum())
-}
-
-/// The token-rule layer for one file: raw rules, suppression by justified
-/// allows (counted per rule), and the allow-annotation audit.
-fn token_pass(
-    ctx: &FileContext,
-    tokens: &[crate::tokenizer::Token],
-    allows: &[Allow],
-) -> (Vec<Diagnostic>, std::collections::BTreeMap<RuleId, usize>) {
-    let raw = run_rules(ctx, tokens);
-    let mut kept: Vec<Diagnostic> = Vec::new();
-    let mut by_rule = std::collections::BTreeMap::new();
-    for d in raw {
-        if is_suppressed(&d, allows) {
-            *by_rule.entry(d.rule).or_insert(0) += 1;
-        } else {
-            kept.push(d);
-        }
-    }
-    // The annotations themselves are audited everywhere, tests included.
-    kept.extend(allow_diagnostics(&ctx.rel_path, allows));
-    kept.sort_by_key(|d| (d.line, d.col, d.rule));
-    (kept, by_rule)
+    let report = lint_parsed(&[ParsedFile::new(ctx.clone(), src)]);
+    (report.violations, report.suppressed)
 }
 
 /// The directories a whole-workspace run walks.
@@ -87,61 +97,57 @@ const WORKSPACE_DIRS: &[&str] = &["crates", "examples", "tests"];
 /// I/O errors from the walk or file reads; `NotFound` when a given path
 /// does not exist or `root` has no workspace directory at all.
 pub fn lint_paths(root: &Path, paths: &[String]) -> io::Result<LintReport> {
-    let files = collect_files(root, paths)?;
-
-    // Pass 1: tokenize + parse every file once; token rules run per file.
-    let mut report = LintReport::default();
     let mut parsed: Vec<ParsedFile> = Vec::new();
-    for file in &files {
+    for file in collect_files(root, paths)? {
         let rel = file
             .strip_prefix(root)
-            .unwrap_or(file)
+            .unwrap_or(&file)
             .to_string_lossy()
             .replace('\\', "/");
-        let Some(ctx) = classify(&rel) else {
-            continue;
-        };
-        let src = fs::read_to_string(file)?;
-        let tokens = tokenize(&src);
-        let allows = collect_allows(&tokens);
-        let (diags, by_rule) = token_pass(&ctx, &tokens, &allows);
-        report.checked_files += 1;
-        for (rule, n) in by_rule {
-            report.suppressed += n;
-            *report.suppressed_by_rule.entry(rule).or_insert(0) += n;
+        if let Some(ctx) = classify(&rel) {
+            parsed.push(ParsedFile::new(ctx, &fs::read_to_string(&file)?));
         }
-        report.violations.extend(diags);
-        let ast = crate::parse::parse(&tokens);
-        parsed.push(ParsedFile {
-            ctx,
-            tokens,
-            ast,
-            allows,
-        });
     }
+    Ok(lint_parsed(&parsed))
+}
 
-    // Pass 2: the workspace-wide structural analyses over the symbol graph.
-    // Their diagnostics flow through the same per-file allow layer as the
-    // token rules, so `lint:allow(determinism-taint) -- …` works and is
-    // counted in the suppression ledger.
-    let graph = SymbolGraph::build(&parsed);
-    for d in crate::taint::structural_passes(&parsed, &graph) {
-        let allows: &[Allow] = parsed
+/// Runs everything over a parsed file set: the per-file allow audit and
+/// suppression count, then the structural passes over the symbol graph,
+/// whose diagnostics flow through each file's `lint:allow` table.
+pub(crate) fn lint_parsed(parsed: &[ParsedFile]) -> LintReport {
+    let mut report = LintReport {
+        checked_files: parsed.len(),
+        ..LintReport::default()
+    };
+    for pf in parsed {
+        // The annotations themselves are audited everywhere, tests included.
+        report
+            .violations
+            .extend(allow_diagnostics(&pf.ctx.rel_path, &pf.allows));
+        if !pf.ctx.is_test {
+            for lint in &pf.ast.suppressed_lints {
+                if MIGRATED_LINTS.contains(&lint.as_str()) {
+                    report.count_suppressed(lint);
+                }
+            }
+        }
+    }
+    let graph = SymbolGraph::build(parsed);
+    for d in crate::taint::structural_passes(parsed, &graph) {
+        let allows = parsed
             .iter()
             .find(|pf| pf.ctx.rel_path == d.file)
-            .map_or(&[], |pf| &pf.allows);
+            .map_or(&[][..], |pf| &pf.allows);
         if is_suppressed(&d, allows) {
-            report.suppressed += 1;
-            *report.suppressed_by_rule.entry(d.rule).or_insert(0) += 1;
+            report.count_suppressed(d.rule.as_str());
         } else {
             report.violations.push(d);
         }
     }
-
     report
         .violations
         .sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
-    Ok(report)
+    report
 }
 
 /// Resolves the linted file set: the whole workspace under `root`, or just
@@ -188,35 +194,6 @@ fn collect_files(root: &Path, paths: &[String]) -> io::Result<Vec<PathBuf>> {
     Ok(files)
 }
 
-/// Applies the mechanical fixes ([`crate::fix`]) across the workspace (or
-/// `paths`). With `write` false the files are left untouched — `--fix
-/// --check` mode — and the caller fails the run if any fix is pending.
-///
-/// # Errors
-/// I/O errors from the walk, reads, or (in write mode) writes.
-pub fn fix_paths(root: &Path, paths: &[String], write: bool) -> io::Result<Vec<crate::fix::Fix>> {
-    let files = collect_files(root, paths)?;
-    let mut all: Vec<crate::fix::Fix> = Vec::new();
-    for file in &files {
-        let rel = file
-            .strip_prefix(root)
-            .unwrap_or(file)
-            .to_string_lossy()
-            .replace('\\', "/");
-        if classify(&rel).is_none() {
-            continue;
-        }
-        let src = fs::read_to_string(file)?;
-        if let Some((fixed, fixes)) = crate::fix::fix_source(&rel, &src) {
-            if write {
-                fs::write(file, fixed)?;
-            }
-            all.extend(fixes);
-        }
-    }
-    Ok(all)
-}
-
 /// Recursive, deterministic (sorted) `.rs` walk; skips `target`, VCS dirs,
 /// and lint fixtures.
 fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
@@ -254,70 +231,67 @@ mod tests {
     #[test]
     fn classification_covers_the_workspace_layout() {
         let lib = classify("crates/core/src/sim.rs").expect("some");
-        assert_eq!(lib.kind, FileKind::Lib);
         assert_eq!(lib.crate_name.as_deref(), Some("core"));
-        assert!(!lib.is_crate_root);
-        assert!(lib.sim_critical());
-
-        let root = classify("crates/obs/src/lib.rs").expect("some");
-        assert!(root.is_crate_root);
-        assert!(!root.sim_critical());
+        assert!(!lib.is_test);
 
         let bin = classify("crates/bench/src/bin/fabricsim-cli.rs").expect("some");
-        assert_eq!(bin.kind, FileKind::Bin);
+        assert_eq!(bin.crate_name.as_deref(), Some("bench"));
+        assert!(!bin.is_test);
 
-        assert_eq!(
-            classify("crates/peer/tests/pipeline.rs")
-                .expect("some")
-                .kind,
-            FileKind::Test
-        );
-        assert_eq!(
-            classify("tests/tests/determinism.rs").expect("some").kind,
-            FileKind::Test
-        );
-        assert_eq!(
-            classify("examples/quickstart.rs").expect("some").kind,
-            FileKind::Example
-        );
+        let is_test = |path: &str| classify(path).expect("some").is_test;
+        assert!(is_test("crates/peer/tests/pipeline.rs"));
+        assert!(is_test("crates/bench/benches/micro.rs"));
+        assert!(is_test("tests/tests/determinism.rs"));
+        assert!(!is_test("tests/src/lib.rs"));
+        assert!(!is_test("examples/quickstart.rs"));
 
         // Fixtures and non-Rust files are invisible.
-        assert!(classify("crates/lint/tests/fixtures/no-float-eq/bad.rs").is_none());
+        assert!(classify("crates/lint/tests/fixtures/panic-path/bad.rs").is_none());
         assert!(classify("README.md").is_none());
 
-        // Scratch files get maximum strictness.
+        // A file outside the layout is linted as non-test code of no crate.
         let scratch = classify("scratch.rs").expect("some");
-        assert!(scratch.sim_critical());
-        assert_eq!(scratch.kind, FileKind::Lib);
+        assert_eq!(scratch.crate_name, None);
+        assert!(!scratch.is_test);
     }
+
+    /// A DES handler (it schedules) with a `panic!` on lines 4 and 8 and a
+    /// migrated-lint `#[expect]` on line 5.
+    const HANDLER: &str = "\
+pub fn arm(kernel: &mut Kernel, n: u64) {
+    kernel.schedule(n, move || {});
+    // lint:allow(panic-path) -- n is checked non-zero by every caller
+    if n == 0 { panic!(\"empty window\") }
+    #[expect(clippy::expect_used, reason = \"fixture\")]
+    let v = Some(n).expect(\"some\");
+    let _ = v;
+    if n == 1 { panic!(\"one\") }
+}
+";
 
     #[test]
     fn lint_source_applies_allows_and_counts_suppressions() {
         let ctx = classify("crates/core/src/x.rs").expect("some");
-        let src = "\
-fn f(a: f64) -> bool {
-    // lint:allow(no-float-eq) -- sentinel compare, documented
-    a == 1.0
-}
-fn g(a: f64) -> bool {
-    a == 2.0
-}
-";
-        let (diags, suppressed) = lint_source(&ctx, src);
-        assert_eq!(suppressed, 1);
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].rule, RuleId::NoFloatEq);
-        assert_eq!((diags[0].line, diags[0].col), (6, 7));
+        let (diags, suppressed) = lint_source(&ctx, HANDLER);
+        // One allowed panic-path site plus one migrated-lint expect.
+        assert_eq!(suppressed, 2);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].rule, RuleId::PanicPath);
+        assert_eq!((diags[0].line, diags[0].col), (8, 17));
+        // A test file has nothing to audit: clippy exempts test code from
+        // the migrated lints, and the passes skip it.
+        let test_ctx = classify("crates/core/tests/x.rs").expect("some");
+        assert_eq!(lint_source(&test_ctx, HANDLER), (Vec::new(), 0));
     }
 
     #[test]
     fn unjustified_allow_surfaces_both_problems() {
         let ctx = classify("crates/core/src/x.rs").expect("some");
-        let src = "fn f(a: f64) -> bool {\n    // lint:allow(no-float-eq)\n    a == 1.0\n}\n";
-        let (diags, suppressed) = lint_source(&ctx, src);
-        assert_eq!(suppressed, 0);
-        let rules: Vec<RuleId> = diags.iter().map(|d| d.rule).collect();
-        assert!(rules.contains(&RuleId::NoFloatEq));
-        assert!(rules.contains(&RuleId::AllowMissingJustification));
+        let src = HANDLER.replace(" -- n is checked non-zero by every caller", "");
+        let (diags, suppressed) = lint_source(&ctx, &src);
+        assert_eq!(suppressed, 1, "only the expect is left");
+        let rules: Vec<(u32, RuleId)> = diags.iter().map(|d| (d.line, d.rule)).collect();
+        assert!(rules.contains(&(3, RuleId::AllowMissingJustification)));
+        assert!(rules.contains(&(4, RuleId::PanicPath)));
     }
 }

@@ -1,22 +1,26 @@
 #![forbid(unsafe_code)]
-//! `fabricsim-lint` — repo-local determinism & soundness static analysis.
+//! `fabricsim-lint` — the repo-local call-graph checks clippy cannot express.
 //!
 //! The paper reproduction's whole measurement story rests on the simulator
 //! being deterministic *by construction*: identical seeds must give
 //! bit-identical reports, or the perf gate (`BENCH_fabricsim.json`) and the
-//! pooled-VSCC golden tests measure noise instead of code. Nothing in the
-//! compiler enforces that, so this crate does: a comment/string/char-aware
-//! tokenizer ([`tokenizer`]) feeds a rule engine ([`rules`], [`engine`])
-//! that walks every workspace source file and reports typed diagnostics
-//! (`file:line:col`, rule id, message, suggestion) in human or `--json`
-//! form.
+//! pooled-VSCC golden tests measure noise instead of code. The single-file
+//! rules — no wall-clock reads, no hash-ordered iteration, no library
+//! `unwrap`/`expect`, no `unsafe`, no `thread::sleep` or thread identity —
+//! are clippy's, set once in the root `Cargo.toml`'s `[workspace.lints]` and
+//! `clippy.toml` (DESIGN.md §13). This crate keeps what needs the whole
+//! workspace at once: a comment/string/char-aware tokenizer ([`tokenizer`])
+//! and item parser ([`parse`]) feed a workspace symbol graph
+//! ([`symgraph`]), and two passes over it ([`taint`]) —
+//! `determinism-taint` and `panic-path` — report typed diagnostics
+//! (`file:line:col`, rule id, message, call-chain notes) in human or
+//! `--json` form.
 //!
-//! The rule catalogue ([`RuleId`]) bans wall-clock reads, hash-order
-//! iteration, float equality, library `unwrap()`, `thread::sleep`, missing
-//! `#![forbid(unsafe_code)]`, and unjustified `Ordering::Relaxed`. The only
-//! escape hatch is an *audited* one — see [`allow`]: every suppression must
-//! name the rule and carry a written justification, and the annotations are
-//! themselves linted.
+//! The only escape hatch is an *audited* one — see [`allow`]: every
+//! suppression must name the rule and carry a written justification, and
+//! the annotations are themselves linted. The suppression ratchet
+//! ([`RATCHET_FILE`]) counts those `lint:allow`s together with the non-test
+//! `#[expect]`s of the [`MIGRATED_LINTS`].
 //!
 //! Run it as `cargo run -p fabricsim-lint`, or `fabricsim lint` from the
 //! main CLI. Exit codes: 0 clean, 1 violations, 2 usage/IO error.
@@ -24,30 +28,29 @@
 pub mod allow;
 pub mod diag;
 pub mod engine;
-pub mod fix;
 pub mod parse;
-pub mod rules;
-pub mod sarif;
 pub mod symgraph;
 pub mod taint;
 pub mod tokenizer;
 
 pub use diag::{Diagnostic, LintReport, RuleId};
-pub use engine::{classify, fix_paths, lint_paths, lint_source};
-pub use rules::{FileContext, FileKind, SIM_CRITICAL_CRATES};
+pub use engine::{
+    classify, lint_paths, lint_source, FileContext, MIGRATED_LINTS, SIM_CRITICAL_CRATES,
+};
 
 use std::fmt::Write as FmtWrite;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-/// The suppression-ratchet file at the workspace root: the count of
-/// justified `lint:allow` suppressions may only go *down*. CI fails when
-/// the live count exceeds the recorded one; lowering the file is the only
-/// way to "spend" a burn-down.
+/// The suppression-ratchet file at the workspace root: the count of audited
+/// suppressions — justified `lint:allow`s plus non-test `#[expect]`s of the
+/// [`MIGRATED_LINTS`] — may only go *down*. CI fails when the live count
+/// exceeds the recorded one; lowering the file is the only way to "spend" a
+/// burn-down.
 pub const RATCHET_FILE: &str = "lint-ratchet.txt";
 
 /// Parses `lint-ratchet.txt`: `#` comments, then `total N` and per-rule
-/// `<rule-id> N` lines. Returns the total and the per-rule map.
+/// `<rule-or-lint> N` lines. Returns the total and the per-rule map.
 #[must_use]
 pub fn parse_ratchet(text: &str) -> Option<(usize, std::collections::BTreeMap<String, usize>)> {
     let mut total: Option<usize> = None;
@@ -74,7 +77,8 @@ pub fn parse_ratchet(text: &str) -> Option<(usize, std::collections::BTreeMap<St
 pub fn render_ratchet(report: &LintReport) -> String {
     let mut out = String::from(
         "# fabricsim-lint suppression ratchet.\n\
-         # Counts justified `lint:allow` suppressions; may only decrease.\n\
+         # Counts justified `lint:allow`s and non-test `#[expect]`s of the\n\
+         # lints clippy enforces for the workspace; may only decrease.\n\
          # Regenerate with: cargo run -p fabricsim-lint -- --write-ratchet\n",
     );
     let _ = writeln!(out, "total {}", report.suppressed);
@@ -107,7 +111,7 @@ pub fn check_ratchet(root: &Path, report: &LintReport) -> Result<Option<usize>, 
         ));
     }
     for (rule, n) in &report.suppressed_by_rule {
-        let budget = by_rule.get(rule.as_str()).copied().unwrap_or(0);
+        let budget = by_rule.get(rule).copied().unwrap_or(0);
         if *n > budget {
             return Err(format!(
                 "rule {rule}: {n} suppressions exceed the ratchet ({budget}); \
@@ -127,26 +131,16 @@ fn out(text: &str) {
 /// Command-line driver shared by the `fabricsim-lint` binary and the
 /// `fabricsim lint` subcommand. Returns the process exit code.
 #[must_use]
-#[allow(clippy::too_many_lines)] // flat flag dispatch; splitting it obscures the flow
 pub fn cli_run(args: &[String]) -> i32 {
     let mut json = false;
     let mut json_out: Option<String> = None;
-    let mut sarif_out: Option<String> = None;
-    let mut fix = false;
-    let mut check = false;
     let mut write_ratchet = false;
     let mut root: Option<PathBuf> = None;
     let mut paths: Vec<String> = Vec::new();
     let mut it = args.iter().peekable();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--fix" => fix = true,
-            "--check" => check = true,
             "--write-ratchet" => write_ratchet = true,
-            "--sarif" => match it.next() {
-                Some(file) => sarif_out = Some(file.clone()),
-                None => return usage(),
-            },
             "--json" => {
                 json = true;
                 // `--json lint-report.json` writes the report to that file;
@@ -179,44 +173,6 @@ pub fn cli_run(args: &[String]) -> i32 {
         }
     }
     let root = root.unwrap_or_else(|| PathBuf::from("."));
-    if check && !fix {
-        eprintln!("fabricsim-lint: --check requires --fix");
-        return usage();
-    }
-    if fix {
-        // `--fix` rewrites in place; `--fix --check` only reports what WOULD
-        // change and fails if anything is pending (CI keeps the tree
-        // fix-clean that way).
-        match engine::fix_paths(&root, &paths, !check) {
-            Ok(fixes) => {
-                for f in &fixes {
-                    out(&format!(
-                        "{}: {}:{}: {}\n",
-                        if check { "would fix" } else { "fixed" },
-                        f.file,
-                        f.line,
-                        f.what
-                    ));
-                }
-                if check && !fixes.is_empty() {
-                    eprintln!(
-                        "fabricsim-lint: {} fix(es) pending; run `fabricsim lint --fix`",
-                        fixes.len()
-                    );
-                    return 1;
-                }
-                if check {
-                    out("fabricsim-lint: fix-clean\n");
-                    return 0;
-                }
-                // fall through: lint the (now fixed) tree below.
-            }
-            Err(e) => {
-                eprintln!("fabricsim-lint: {e}");
-                return 2;
-            }
-        }
-    }
     let report = match lint_paths(&root, &paths) {
         Ok(r) => r,
         Err(e) => {
@@ -231,22 +187,6 @@ pub fn cli_run(args: &[String]) -> i32 {
             return 2;
         }
         eprintln!("fabricsim-lint: ratchet written to {}", path.display());
-    }
-    if let Some(file) = &sarif_out {
-        let body = sarif::to_sarif(&report);
-        // The writer is validated against its own reader on every run, so a
-        // regression in either fails loudly instead of shipping bad SARIF.
-        if let Err(e) =
-            sarif::validate_sarif(&body).and_then(|()| sarif::round_trip(&report, &body))
-        {
-            eprintln!("fabricsim-lint: internal error: generated SARIF is invalid: {e}");
-            return 2;
-        }
-        if let Err(e) = std::fs::write(file, &body) {
-            eprintln!("fabricsim-lint: cannot write {file}: {e}");
-            return 2;
-        }
-        eprintln!("fabricsim-lint: SARIF report written to {file}");
     }
     // The ratchet only applies to whole-workspace runs — a path-scoped run
     // sees a subset of the suppressions and would always pass trivially.
@@ -277,16 +217,14 @@ pub fn cli_run(args: &[String]) -> i32 {
 }
 
 fn usage() -> i32 {
-    eprintln!("usage: fabricsim-lint [--json [FILE.json]] [--sarif FILE] [--fix [--check]]");
-    eprintln!("                      [--write-ratchet] [--root DIR] [--list-rules] [PATHS…]");
+    eprintln!("usage: fabricsim-lint [--json [FILE.json]] [--write-ratchet] [--root DIR]");
+    eprintln!("                      [--list-rules] [PATHS…]");
     eprintln!();
-    eprintln!("Lints the fabricsim workspace (or just PATHS) for determinism and");
-    eprintln!("soundness violations. Exit codes: 0 clean, 1 violations, 2 error.");
+    eprintln!("Runs the workspace call-graph passes (determinism-taint, panic-path) over");
+    eprintln!("the fabricsim workspace (or just PATHS). The single-file rules are clippy's:");
+    eprintln!("`cargo clippy --all-targets -- -D warnings`. Exit codes: 0 clean,");
+    eprintln!("1 violations, 2 error.");
     eprintln!();
-    eprintln!("  --fix           apply mechanical rewrites (partial_cmp→total_cmp,");
-    eprintln!("                  FIXME scaffolding for unjustified lint:allow)");
-    eprintln!("  --fix --check   fail if any fix would apply; writes nothing");
-    eprintln!("  --sarif FILE    also write a validated SARIF 2.1.0 report");
     eprintln!("  --write-ratchet regenerate lint-ratchet.txt from the live counts");
     2
 }

@@ -20,7 +20,9 @@
 //!   `#[test]` containment, and the token range of the body;
 //! * call sites: `free_fn(…)`, `path::to::fn(…)`, `Type::assoc(…)`,
 //!   `receiver.method(…)` (turbofish tolerated), with `self`-receiver calls
-//!   marked so method resolution can prefer the enclosing `impl`.
+//!   marked so method resolution can prefer the enclosing `impl`;
+//! * the lints named by `#[allow(…)]` / `#[expect(…)]` outside test code,
+//!   which the suppression ratchet counts.
 
 use crate::tokenizer::{Token, TokenKind};
 
@@ -86,6 +88,10 @@ pub struct FileAst {
     pub uses: Vec<UseDecl>,
     /// All `fn` items, in source order.
     pub fns: Vec<FnDecl>,
+    /// Lint paths (`clippy::expect_used`, `unsafe_code`) named by
+    /// `#[allow(…)]` / `#[expect(…)]` attributes outside test code, one
+    /// entry per lint per attribute, in source order.
+    pub suppressed_lints: Vec<String>,
 }
 
 /// Keywords that look like a call when followed by `(`.
@@ -264,6 +270,38 @@ impl<'a> Parser<'a> {
             }
         }
         (end, is_test)
+    }
+
+    /// Records the lints an `allow`/`expect` attribute spanning `j..end`
+    /// names. Items that are not plain paths (`reason = "…"`) are skipped.
+    fn record_suppressed_lints(&mut self, j: usize, end: usize) {
+        let k = if self.is_punct(j + 1, "!") {
+            j + 2
+        } else {
+            j + 1
+        };
+        if !(self.is_kw(k + 1, "allow") || self.is_kw(k + 1, "expect"))
+            || !self.is_punct(k + 2, "(")
+        {
+            return;
+        }
+        // `#` `[` level `(` item, item, … `)` `]`: the items end at `end - 2`.
+        let mut item = String::new();
+        let mut plain = true;
+        for idx in k + 3..end.saturating_sub(1) {
+            let Some(t) = self.at(idx) else { break };
+            if t.is_punct(",") || idx + 2 == end {
+                if plain && !item.is_empty() {
+                    self.ast.suppressed_lints.push(std::mem::take(&mut item));
+                }
+                item.clear();
+                plain = true;
+            } else if t.kind == TokenKind::Ident || t.is_punct("::") {
+                item.push_str(&t.text);
+            } else {
+                plain = false;
+            }
+        }
     }
 
     /// Parses a `use` tree starting after the `use` keyword; flattens into
@@ -529,7 +567,10 @@ impl<'a> Parser<'a> {
         None
     }
 
-    #[allow(clippy::too_many_lines)] // one linear dispatch loop; splitting obscures the state machine
+    #[expect(
+        clippy::too_many_lines,
+        reason = "one linear dispatch loop; splitting obscures the state machine"
+    )]
     fn run(mut self) -> FileAst {
         // The file root scope.
         self.scopes.push(Scope {
@@ -549,6 +590,9 @@ impl<'a> Parser<'a> {
             if self.is_punct(j, "#") {
                 let (next, is_test) = self.parse_attr(j);
                 pending_test = pending_test || is_test;
+                if !(self.in_test() || pending_test) {
+                    self.record_suppressed_lints(j, next);
+                }
                 j = next;
                 continue;
             }
@@ -843,6 +887,15 @@ mod tests {
             .calls
             .iter()
             .any(|c| c.path == vec!["body_call".to_string()]));
+    }
+
+    #[test]
+    fn lint_attributes_outside_tests_are_recorded() {
+        let a = ast("#![allow(unsafe_code, reason = \"x\")]\nfn f() {\n    #[expect(clippy::expect_used, clippy::unwrap_used, reason = \"y\")]\n    let v = g();\n}\n#[cfg_attr(test, allow(dead_code))]\n#[must_use]\nfn h() {}\n#[cfg(test)]\nmod tests {\n    #[expect(clippy::disallowed_methods, reason = \"z\")]\n    fn t() {}\n}\n");
+        assert_eq!(
+            a.suppressed_lints,
+            vec!["unsafe_code", "clippy::expect_used", "clippy::unwrap_used"]
+        );
     }
 
     #[test]

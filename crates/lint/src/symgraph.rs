@@ -18,9 +18,10 @@
 
 use std::collections::BTreeMap;
 
-use crate::parse::{CallSite, FileAst};
-use crate::rules::FileContext;
-use crate::tokenizer::Token;
+use crate::allow::{collect_allows, Allow};
+use crate::engine::{FileContext, SIM_CRITICAL_CRATES};
+use crate::parse::{parse, CallSite, FileAst};
+use crate::tokenizer::{tokenize, Token};
 
 /// One parsed file, ready for graph construction.
 pub struct ParsedFile {
@@ -30,9 +31,24 @@ pub struct ParsedFile {
     pub tokens: Vec<Token>,
     /// The recovered item structure.
     pub ast: FileAst,
-    /// The file's `lint:allow` annotations (structural passes consult them
-    /// to skip already-audited sites).
-    pub allows: Vec<crate::allow::Allow>,
+    /// The file's `lint:allow` annotations.
+    pub allows: Vec<Allow>,
+}
+
+impl ParsedFile {
+    /// Tokenizes and parses one file's source.
+    #[must_use]
+    pub fn new(ctx: FileContext, src: &str) -> ParsedFile {
+        let tokens = tokenize(src);
+        let ast = parse(&tokens);
+        let allows = collect_allows(&tokens);
+        ParsedFile {
+            ctx,
+            tokens,
+            ast,
+            allows,
+        }
+    }
 }
 
 /// One function symbol in the workspace.
@@ -65,6 +81,13 @@ pub struct Symbol {
 }
 
 impl Symbol {
+    /// A bare-`pub`, non-test fn of a sim-critical crate: a sink of the
+    /// determinism-taint pass.
+    #[must_use]
+    pub fn is_sim_critical_pub(&self) -> bool {
+        self.is_pub && !self.in_test && SIM_CRITICAL_CRATES.contains(&self.krate.as_str())
+    }
+
     /// `crate::module::Type::name`-style display path.
     #[must_use]
     pub fn qualified(&self) -> String {
@@ -136,7 +159,10 @@ fn file_module_path(rel_path: &str) -> Vec<String> {
     mods
 }
 
-#[allow(clippy::struct_field_names)] // the `by_` prefix names the lookup key
+#[expect(
+    clippy::struct_field_names,
+    reason = "the `by_` prefix names the lookup key"
+)]
 struct Index {
     /// `(crate, module-path-joined, name)` → ids (free fns).
     by_module: BTreeMap<(String, String, String), Vec<usize>>,
@@ -152,7 +178,6 @@ impl SymbolGraph {
     /// Builds the graph from a set of parsed files. File order is the
     /// caller's (the engine sorts paths), so symbol ids are deterministic.
     #[must_use]
-    #[allow(clippy::too_many_lines)] // index construction + resolution in one pass
     pub fn build(files: &[ParsedFile]) -> SymbolGraph {
         let mut symbols: Vec<Symbol> = Vec::new();
         for (file_idx, pf) in files.iter().enumerate() {
@@ -253,18 +278,17 @@ impl SymbolGraph {
         self.symbols
             .iter()
             .enumerate()
-            .filter(|(_, s)| {
-                s.is_pub
-                    && !s.in_test
-                    && crate::rules::SIM_CRITICAL_CRATES.contains(&s.krate.as_str())
-            })
+            .filter(|(_, s)| s.is_sim_critical_pub())
             .map(|(id, _)| id)
             .collect()
     }
 }
 
 /// Resolves one call site to candidate symbol ids. Empty = external.
-#[allow(clippy::too_many_lines)] // one arm per path shape; splitting obscures the order
+#[expect(
+    clippy::too_many_lines,
+    reason = "one arm per path shape; splitting obscures the order"
+)]
 fn resolve(call: &CallSite, caller: &Symbol, pf: &ParsedFile, index: &Index) -> Vec<usize> {
     if call.is_method {
         let name = &call.path[0];
@@ -434,22 +458,10 @@ fn resolve_use_path(path: &[String], caller: &Symbol, index: &Index) -> Option<V
 /// [`ParsedFile`]s using the engine's classifier.
 #[must_use]
 pub fn parse_sources(sources: &[(&str, &str)]) -> Vec<ParsedFile> {
-    let mut out = Vec::new();
-    for (rel, src) in sources {
-        let Some(ctx) = crate::engine::classify(rel) else {
-            continue;
-        };
-        let tokens = crate::tokenizer::tokenize(src);
-        let ast = crate::parse::parse(&tokens);
-        let allows = crate::allow::collect_allows(&tokens);
-        out.push(ParsedFile {
-            ctx,
-            tokens,
-            ast,
-            allows,
-        });
-    }
-    out
+    sources
+        .iter()
+        .filter_map(|(rel, src)| Some(ParsedFile::new(crate::engine::classify(rel)?, src)))
+        .collect()
 }
 
 #[cfg(test)]

@@ -1,26 +1,22 @@
-//! The interprocedural passes over the workspace symbol graph:
+//! The interprocedural passes over the workspace symbol graph — the two
+//! checks clippy cannot express, because each follows a call chain across
+//! crates:
 //!
 //! * **determinism taint** — nondeterminism sources (hash-ordered iteration,
 //!   thread identity, pointer-to-int casts) that a sim-critical crate's
-//!   public API can reach through the call graph. The per-file token rules
-//!   already police sources *inside* sim-critical crates; this pass catches
-//!   the helper in `obs` (or any other support crate) that a sim-critical
-//!   crate calls into, reporting the full call chain.
-//! * **panic-path audit** — `panic!`-family macros, `unwrap`/`expect`, and
-//!   (directly in handlers) indexing, reachable from DES event handlers —
-//!   fns that schedule kernel events or implement `ShardWorld::deliver`.
-//!   Sites already audited with a justified `lint:allow(no-unwrap-in-lib)`
-//!   are skipped silently: they were counted by the token rule's ledger.
-//! * **lock-order** — mutexes acquired in opposite orders in two places.
-//! * **relaxed-note-on-operation** — a `// relaxed:` note that satisfied the
-//!   token rule's two-line window but does not bind to the line of the
-//!   atomic operation it claims to justify.
+//!   public API can reach through the call graph, reported with the full
+//!   chain. Clippy bans most of these sources where they are written
+//!   (`clippy.toml`); this pass also sees an owned `.into_iter()` over a
+//!   hash container, the one shape `disallowed-methods` cannot name.
+//! * **panic-path audit** — `panic!`-family macros and (directly in
+//!   handlers) computed indexing, reachable from DES event handlers — fns
+//!   that schedule kernel events or implement `ShardWorld::deliver`.
+//!   `unwrap`/`expect` sites are clippy's (`unwrap_used`, `expect_used`).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
-use crate::allow::{collect_relaxed_notes, Allow};
 use crate::diag::{Diagnostic, Note, RuleId};
-use crate::rules::{hashmap_iteration_sites, FileKind, Scanner};
+use crate::engine::SIM_CRITICAL_CRATES;
 use crate::symgraph::{ParsedFile, SymbolGraph};
 use crate::tokenizer::{Token, TokenKind};
 
@@ -34,21 +30,19 @@ const SCHEDULE_METHODS: &[&str] = &[
     "schedule_in_labeled",
 ];
 
-/// Atomic RMW / load / store operations a `// relaxed:` note must bind to.
-const ATOMIC_OPS: &[&str] = &[
-    "load",
-    "store",
-    "swap",
-    "fetch_add",
-    "fetch_sub",
-    "fetch_and",
-    "fetch_or",
-    "fetch_xor",
-    "fetch_max",
-    "fetch_min",
-    "fetch_update",
-    "compare_exchange",
-    "compare_exchange_weak",
+/// Methods whose results depend on `HashMap`/`HashSet` iteration order.
+const ITERATION_METHODS: &[&str] = &[
+    "iter",
+    "iter_mut",
+    "keys",
+    "values",
+    "values_mut",
+    "into_iter",
+    "into_keys",
+    "into_values",
+    "drain",
+    "retain",
+    "retain_mut",
 ];
 
 /// Runs every structural pass; diagnostics are attributed to the file the
@@ -58,16 +52,41 @@ pub fn structural_passes(files: &[ParsedFile], graph: &SymbolGraph) -> Vec<Diagn
     let mut out = Vec::new();
     determinism_taint(files, graph, &mut out);
     panic_path(files, graph, &mut out);
-    lock_order(files, graph, &mut out);
-    relaxed_note_on_operation(files, &mut out);
     out
 }
 
-/// True when a justified allow for `rule` targets `line` in this file.
-fn allowed_at(allows: &[Allow], rule: RuleId, line: u32) -> bool {
-    allows
-        .iter()
-        .any(|a| a.justified && a.target_line == Some(line) && a.rules.contains(&rule))
+/// A token stream with the comments filtered out.
+struct Code<'a> {
+    toks: Vec<&'a Token>,
+}
+
+impl<'a> Code<'a> {
+    fn new(tokens: &'a [Token]) -> Self {
+        Code {
+            toks: tokens.iter().filter(|t| !t.is_comment()).collect(),
+        }
+    }
+
+    fn get(&self, i: usize) -> Option<&'a Token> {
+        self.toks.get(i).copied()
+    }
+
+    fn ident_at(&self, i: usize, s: &str) -> bool {
+        self.get(i).is_some_and(|t| t.is_ident(s))
+    }
+
+    fn punct_at(&self, i: usize, s: &str) -> bool {
+        self.get(i).is_some_and(|t| t.is_punct(s))
+    }
+
+    fn site(&self, i: usize, what: String) -> SourceSite {
+        let t = self.toks[i];
+        SourceSite {
+            line: t.line,
+            col: t.col,
+            what,
+        }
+    }
 }
 
 /// Per-file helper: maps a source line to the innermost enclosing fn's
@@ -113,70 +132,144 @@ struct SourceSite {
     what: String,
 }
 
-/// Scans one file for taint sources. `include_randomness` gates the
-/// hash-iteration / thread-identity sources (covered by token rules inside
-/// sim-critical crates); pointer-to-int casts are collected everywhere.
-fn taint_sources(pf: &ParsedFile, include_randomness: bool) -> Vec<SourceSite> {
-    let scan = Scanner::new(&pf.tokens, pf.ctx.kind == FileKind::Test);
-    let mut out = Vec::new();
-    if include_randomness {
-        for (i, what) in hashmap_iteration_sites(&scan) {
-            if scan.in_test[i] {
-                continue;
-            }
-            let t = scan.toks[i];
-            out.push(SourceSite {
-                line: t.line,
-                col: t.col,
-                what,
-            });
+/// Hash-ordered iteration over locals, fields and params whose declared
+/// type (or constructor) is `HashMap`/`HashSet`: `name.iter()`-family calls
+/// and direct `for … in name` loops. Test sites are included; the caller
+/// drops the ones inside test fns.
+fn hashmap_iteration_sites(code: &Code<'_>) -> Vec<SourceSite> {
+    // Pass 1: names bound to hash-ordered containers anywhere in the file.
+    let mut hash_names: Vec<&str> = Vec::new();
+    for (i, tok) in code.toks.iter().enumerate() {
+        if tok.kind != TokenKind::Ident {
+            continue;
         }
-        for i in 0..scan.toks.len() {
-            if scan.in_test[i] {
-                continue;
+        // `name: [&][mut] [std::collections::] HashMap<…>` — covers let
+        // annotations, struct fields, and fn parameters.
+        if code.punct_at(i + 1, ":") {
+            for j in i + 2..i + 10 {
+                match code.get(j) {
+                    Some(t)
+                        if t.is_punct("&")
+                            || t.is_punct("::")
+                            || t.kind == TokenKind::Lifetime
+                            || t.is_ident("mut")
+                            || t.is_ident("std")
+                            || t.is_ident("collections") => {}
+                    Some(t) if t.is_ident("HashMap") || t.is_ident("HashSet") => {
+                        hash_names.push(&tok.text);
+                        break;
+                    }
+                    _ => break,
+                }
             }
-            if scan.ident_at(i, "current")
-                && i >= 2
-                && scan.ident_at(i - 2, "thread")
-                && scan.punct_at(i - 1, "::")
-                && scan.punct_at(i + 1, "(")
-            {
-                let t = scan.toks[i];
-                out.push(SourceSite {
-                    line: t.line,
-                    col: t.col,
-                    what: "`thread::current()` exposes OS-thread identity".into(),
-                });
+        }
+        // `let [mut] name = HashMap::new()` / `HashSet::with_capacity(…)`.
+        if tok.is_ident("let") {
+            let name_at = if code.ident_at(i + 1, "mut") {
+                i + 2
+            } else {
+                i + 1
+            };
+            if let Some(name) = code.get(name_at) {
+                if name.kind == TokenKind::Ident
+                    && code.punct_at(name_at + 1, "=")
+                    && (code.ident_at(name_at + 2, "HashMap")
+                        || code.ident_at(name_at + 2, "HashSet"))
+                    && code.punct_at(name_at + 3, "::")
+                {
+                    hash_names.push(&name.text);
+                }
             }
         }
     }
-    // Pointer-to-int casts: `… as usize` where the casted expression came
-    // from `as_ptr`/`as_mut_ptr` or a raw-pointer cast a few tokens back.
-    // Addresses vary per run under ASLR, so they are a randomness source.
-    for i in 0..scan.toks.len() {
-        if scan.in_test[i] || !scan.ident_at(i, "as") {
+    let mut out = Vec::new();
+    if hash_names.is_empty() {
+        return out;
+    }
+    let is_hash = |t: &Token| t.kind == TokenKind::Ident && hash_names.contains(&t.text.as_str());
+    for (i, tok) in code.toks.iter().enumerate() {
+        // Pass 2a: `name.iter()`-family calls.
+        if is_hash(tok) && code.punct_at(i + 1, ".") && code.punct_at(i + 3, "(") {
+            if let Some(m) = code.get(i + 2) {
+                if m.kind == TokenKind::Ident && ITERATION_METHODS.contains(&m.text.as_str()) {
+                    out.push(code.site(
+                        i,
+                        format!(
+                            "`{}.{}()` iterates a hash-ordered container (RandomState makes \
+                             the order differ per process)",
+                            tok.text, m.text
+                        ),
+                    ));
+                }
+            }
+        }
+        // Pass 2b: `for … in [&][mut] name {`.
+        if !tok.is_ident("for") {
             continue;
         }
-        let inty = scan.get(i + 1).is_some_and(|t| {
-            t.is_ident("usize") || t.is_ident("u64") || t.is_ident("isize") || t.is_ident("i64")
-        });
-        if !inty {
+        let header_limit = i + 25;
+        let Some(j) = (i + 1..header_limit)
+            .take_while(|&j| !code.punct_at(j, "{"))
+            .find(|&j| code.ident_at(j, "in"))
+        else {
             continue;
+        };
+        for k in j + 1..header_limit {
+            match code.get(k) {
+                Some(t) if t.is_punct("&") || t.is_ident("mut") => {}
+                Some(t) if is_hash(t) && code.punct_at(k + 1, "{") => {
+                    out.push(code.site(
+                        k,
+                        format!(
+                            "`for … in {}` iterates a hash-ordered container (RandomState \
+                             makes the order differ per process)",
+                            t.text
+                        ),
+                    ));
+                    break;
+                }
+                _ => break,
+            }
         }
-        let window = i.saturating_sub(8)..i;
-        let ptrish = window.clone().any(|k| {
-            scan.ident_at(k, "as_ptr")
-                || scan.ident_at(k, "as_mut_ptr")
-                || (scan.punct_at(k, "*")
-                    && (scan.ident_at(k + 1, "const") || scan.ident_at(k + 1, "mut")))
-        });
-        if ptrish {
-            let t = scan.toks[i];
-            out.push(SourceSite {
-                line: t.line,
-                col: t.col,
-                what: "pointer-to-int cast (addresses vary per run under ASLR)".into(),
+    }
+    out
+}
+
+/// Scans one file for taint sources: hash-ordered iteration,
+/// `thread::current()`, and pointer-to-int casts.
+fn taint_sources(pf: &ParsedFile) -> Vec<SourceSite> {
+    let code = Code::new(&pf.tokens);
+    let mut out = hashmap_iteration_sites(&code);
+    for i in 0..code.toks.len() {
+        if code.ident_at(i, "current")
+            && i >= 2
+            && code.ident_at(i - 2, "thread")
+            && code.punct_at(i - 1, "::")
+            && code.punct_at(i + 1, "(")
+        {
+            out.push(code.site(i, "`thread::current()` exposes OS-thread identity".into()));
+        }
+        // Pointer-to-int casts: `… as usize` where the casted expression
+        // came from `as_ptr`/`as_mut_ptr` or a raw-pointer cast a few tokens
+        // back. Addresses vary per run under ASLR, so they are a randomness
+        // source.
+        let inty = code.ident_at(i, "as")
+            && code.get(i + 1).is_some_and(|t| {
+                t.is_ident("usize") || t.is_ident("u64") || t.is_ident("isize") || t.is_ident("i64")
             });
+        let ptrish = || {
+            (i.saturating_sub(8)..i).any(|k| {
+                code.ident_at(k, "as_ptr")
+                    || code.ident_at(k, "as_mut_ptr")
+                    || (code.punct_at(k, "*")
+                        && (code.ident_at(k + 1, "const") || code.ident_at(k + 1, "mut")))
+            })
+        };
+        if inty && ptrish() {
+            out.push(code.site(
+                i,
+                "pointer-to-int cast (addresses vary per run under ASLR)".into(),
+            ));
         }
     }
     out
@@ -186,23 +279,15 @@ fn taint_sources(pf: &ParsedFile, include_randomness: bool) -> Vec<SourceSite> {
 /// sim-critical crate's public API can reach, with the full chain.
 fn determinism_taint(files: &[ParsedFile], graph: &SymbolGraph, out: &mut Vec<Diagnostic>) {
     for (file_idx, pf) in files.iter().enumerate() {
-        if pf.ctx.kind == FileKind::Test {
+        if pf.ctx.is_test {
             continue;
         }
-        // Inside sim-critical crates the token rules already fire at these
-        // sites; seeding them again would double-report.
-        let include_randomness = !pf.ctx.sim_critical();
-        let sources = taint_sources(pf, include_randomness);
+        let sources = taint_sources(pf);
         if sources.is_empty() {
             continue;
         }
         let locator = FnLocator::new(file_idx, pf, graph);
         for src in sources {
-            if allowed_at(&pf.allows, RuleId::NoHashmapIteration, src.line)
-                || allowed_at(&pf.allows, RuleId::NoThreadIdentity, src.line)
-            {
-                continue; // audited under the token rule's ledger
-            }
             let Some(start) = locator.locate(src.line) else {
                 continue; // top-level const/static expression: no call path
             };
@@ -223,7 +308,7 @@ fn determinism_taint(files: &[ParsedFile], graph: &SymbolGraph, out: &mut Vec<Di
                     src.what,
                     graph.symbols[chain[0]].qualified()
                 ),
-                suggestion: suggestion(RuleId::DeterminismTaint),
+                suggestion: RuleId::DeterminismTaint.suggestion(),
                 notes,
             });
         }
@@ -233,15 +318,12 @@ fn determinism_taint(files: &[ParsedFile], graph: &SymbolGraph, out: &mut Vec<Di
 /// BFS upward through callers from `start`; returns the chain
 /// `[sink, …, start]` for the nearest public sim-critical sink, or `None`.
 fn chain_to_sim_critical_pub(graph: &SymbolGraph, start: usize) -> Option<Vec<usize>> {
-    let sink_ok = |id: usize| {
-        let s = &graph.symbols[id];
-        s.is_pub && !s.in_test && crate::rules::SIM_CRITICAL_CRATES.contains(&s.krate.as_str())
-    };
+    let sink_ok = |id: usize| graph.symbols[id].is_sim_critical_pub();
     if sink_ok(start) {
         return Some(vec![start]);
     }
     let mut parent: BTreeMap<usize, usize> = BTreeMap::new();
-    let mut queue = std::collections::VecDeque::from([start]);
+    let mut queue = VecDeque::from([start]);
     let mut visited = vec![false; graph.symbols.len()];
     visited[start] = true;
     while let Some(id) = queue.pop_front() {
@@ -335,27 +417,6 @@ fn panic_sites(pf: &ParsedFile, body: (usize, usize)) -> Vec<PanicSite> {
             });
             continue;
         }
-        let after_dot = i >= 1 && toks[i - 1].is_punct(".");
-        if after_dot && t.is_ident("unwrap") && at(i + 1).is_some_and(|n| n.is_punct("(")) {
-            out.push(PanicSite {
-                line: t.line,
-                col: t.col,
-                what: "`.unwrap()` panics on the error path".into(),
-                is_indexing: false,
-            });
-        }
-        if after_dot
-            && t.is_ident("expect")
-            && at(i + 1).is_some_and(|n| n.is_punct("("))
-            && !(i >= 2 && toks[i - 2].is_ident("self"))
-        {
-            out.push(PanicSite {
-                line: t.line,
-                col: t.col,
-                what: "`.expect(…)` panics on the error path".into(),
-                is_indexing: false,
-            });
-        }
         // `name[…]` indexing — panics when out of bounds. Direct-only: the
         // caller filters these to handler roots. Plain id-lookup indexing
         // (`pools[p]`, `peers[self.leader]`) is the arena idiom this
@@ -413,7 +474,7 @@ fn panic_path(files: &[ParsedFile], graph: &SymbolGraph, out: &mut Vec<Diagnosti
     // in sim-critical crates only, outside tests.
     let mut roots = Vec::new();
     for (id, s) in graph.symbols.iter().enumerate() {
-        if s.in_test || !crate::rules::SIM_CRITICAL_CRATES.contains(&s.krate.as_str()) {
+        if s.in_test || !SIM_CRITICAL_CRATES.contains(&s.krate.as_str()) {
             continue;
         }
         let decl = &files[s.file_idx].ast.fns[s.fn_idx];
@@ -429,7 +490,7 @@ fn panic_path(files: &[ParsedFile], graph: &SymbolGraph, out: &mut Vec<Diagnosti
     // BFS with parent pointers; first reach wins (shortest chain).
     let mut parent: BTreeMap<usize, usize> = BTreeMap::new();
     let mut visited = vec![false; graph.symbols.len()];
-    let mut queue: std::collections::VecDeque<usize> = roots.iter().copied().collect();
+    let mut queue: VecDeque<usize> = roots.iter().copied().collect();
     for &r in &roots {
         visited[r] = true;
     }
@@ -450,16 +511,13 @@ fn panic_path(files: &[ParsedFile], graph: &SymbolGraph, out: &mut Vec<Diagnosti
         }
         let s = &graph.symbols[id];
         let pf = &files[s.file_idx];
-        if pf.ctx.kind == FileKind::Test {
+        if pf.ctx.is_test {
             continue;
         }
         let decl = &pf.ast.fns[s.fn_idx];
         for site in panic_sites(pf, decl.body) {
             if site.is_indexing && !is_root(id) {
                 continue; // transitive indexing would drown the report
-            }
-            if allowed_at(&pf.allows, RuleId::NoUnwrapInLib, site.line) {
-                continue; // audited under the token rule's ledger
             }
             // Chain: root → … → this fn.
             let mut chain = vec![id];
@@ -503,169 +561,11 @@ fn panic_path(files: &[ParsedFile], graph: &SymbolGraph, out: &mut Vec<Diagnosti
                     site.what,
                     graph.symbols[chain[0]].qualified()
                 ),
-                suggestion: suggestion(RuleId::PanicPath),
+                suggestion: RuleId::PanicPath.suggestion(),
                 notes,
             });
         }
     }
-}
-
-/// One mutex acquisition inside a fn, in body token order.
-struct LockAcq {
-    name: String,
-    line: u32,
-    col: u32,
-}
-
-/// Collects `<recv>.lock()` acquisitions in body order for one fn.
-fn lock_acquisitions(pf: &ParsedFile, body: (usize, usize)) -> Vec<LockAcq> {
-    let toks: Vec<&Token> = pf.tokens[body.0..body.1]
-        .iter()
-        .filter(|t| !t.is_comment())
-        .collect();
-    let mut out = Vec::new();
-    for i in 2..toks.len() {
-        if !(toks[i].is_ident("lock")
-            && toks[i - 1].is_punct(".")
-            && toks.get(i + 1).is_some_and(|t| t.is_punct("(")))
-        {
-            continue;
-        }
-        // The receiver is the ident just before the dot (`self.a.lock()`
-        // names the field, `REGISTRY.lock()` the static).
-        if toks[i - 2].kind == TokenKind::Ident && !toks[i - 2].is_ident("self") {
-            out.push(LockAcq {
-                name: toks[i - 2].ident_name().to_string(),
-                line: toks[i].line,
-                col: toks[i].col,
-            });
-        }
-    }
-    out
-}
-
-/// Detects inconsistent pairwise mutex acquisition order across the
-/// workspace (intra-fn sequences only — conservative, no drop tracking).
-fn lock_order(files: &[ParsedFile], graph: &SymbolGraph, out: &mut Vec<Diagnostic>) {
-    // (first, second) → earliest witness site of that acquisition order.
-    let mut edges: BTreeMap<(String, String), (String, u32, u32)> = BTreeMap::new();
-    for s in &graph.symbols {
-        if s.in_test {
-            continue;
-        }
-        let pf = &files[s.file_idx];
-        if pf.ctx.kind == FileKind::Test {
-            continue;
-        }
-        let acqs = lock_acquisitions(pf, pf.ast.fns[s.fn_idx].body);
-        for i in 0..acqs.len() {
-            for j in i + 1..acqs.len() {
-                if acqs[i].name == acqs[j].name {
-                    continue;
-                }
-                edges
-                    .entry((acqs[i].name.clone(), acqs[j].name.clone()))
-                    .or_insert((pf.ctx.rel_path.clone(), acqs[j].line, acqs[j].col));
-            }
-        }
-    }
-    for ((a, b), (file, line, col)) in &edges {
-        if a < b {
-            continue; // visit each unordered pair once, from its b→a edge
-        }
-        if let Some((ofile, oline, _)) = edges.get(&(b.clone(), a.clone())) {
-            out.push(Diagnostic {
-                file: file.clone(),
-                line: *line,
-                col: *col,
-                rule: RuleId::LockOrder,
-                message: format!(
-                    "mutex `{a}` is acquired before `{b}` here, but the opposite order \
-                     exists elsewhere; inconsistent order can deadlock"
-                ),
-                suggestion: suggestion(RuleId::LockOrder),
-                notes: vec![Note {
-                    file: ofile.clone(),
-                    line: *oline,
-                    message: format!("`{b}` is acquired before `{a}` here"),
-                }],
-            });
-        }
-    }
-}
-
-/// Verifies each annotated `Ordering::Relaxed` binds its `// relaxed:` note
-/// to the atomic operation's own line, not merely somewhere nearby.
-fn relaxed_note_on_operation(files: &[ParsedFile], out: &mut Vec<Diagnostic>) {
-    for pf in files {
-        if pf.ctx.kind == FileKind::Test {
-            continue;
-        }
-        let notes = collect_relaxed_notes(&pf.tokens);
-        if notes.is_empty() {
-            continue;
-        }
-        let scan = Scanner::new(&pf.tokens, false);
-        for i in 0..scan.toks.len() {
-            if scan.in_test[i]
-                || !(scan.ident_at(i, "Ordering")
-                    && scan.punct_at(i + 1, "::")
-                    && scan.ident_at(i + 2, "Relaxed"))
-            {
-                continue;
-            }
-            let relaxed = scan.toks[i + 2];
-            if allowed_at(&pf.allows, RuleId::AtomicsOrderingAnnotated, relaxed.line) {
-                continue;
-            }
-            // Find the atomic operation this ordering parameterizes: the
-            // nearest preceding `.op(` within a small window.
-            let mut op_line = None;
-            for back in 1..=40 {
-                let Some(k) = i.checked_sub(back) else { break };
-                if scan.toks[k].kind == TokenKind::Ident
-                    && ATOMIC_OPS.contains(&scan.toks[k].text.as_str())
-                    && k >= 1
-                    && scan.punct_at(k - 1, ".")
-                    && scan.punct_at(k + 1, "(")
-                {
-                    op_line = Some(scan.toks[k].line);
-                    break;
-                }
-            }
-            let Some(op_line) = op_line else { continue };
-            let near = notes.iter().any(|n| {
-                n.target_line
-                    .is_some_and(|t| t <= relaxed.line && t + 2 >= relaxed.line)
-            });
-            if !near {
-                continue; // the token rule already reported the bare site
-            }
-            let on_op = notes.iter().any(|n| n.target_line == Some(op_line));
-            if !on_op {
-                out.push(Diagnostic {
-                    file: pf.ctx.rel_path.clone(),
-                    line: relaxed.line,
-                    col: relaxed.col,
-                    rule: RuleId::RelaxedNoteOnOperation,
-                    message: "the `// relaxed:` note near this Relaxed ordering does not \
-                              bind to the atomic operation's line"
-                        .into(),
-                    suggestion: suggestion(RuleId::RelaxedNoteOnOperation),
-                    notes: vec![Note {
-                        file: pf.ctx.rel_path.clone(),
-                        line: op_line,
-                        message: "the atomic operation is here".into(),
-                    }],
-                });
-            }
-        }
-    }
-}
-
-/// The structural rules reuse the token rules' canonical remedies.
-fn suggestion(rule: RuleId) -> Option<String> {
-    crate::rules::suggestion_for(rule)
 }
 
 #[cfg(test)]
@@ -733,12 +633,12 @@ mod tests {
 
     #[test]
     fn audited_source_is_skipped_silently() {
-        let diags = run(&[
+        let report = crate::engine::lint_parsed(&parse_sources(&[
             (
                 "crates/obs/src/agg.rs",
                 "use std::collections::HashMap;\n\
                  pub fn summarize(m: &HashMap<u32, u32>) -> u32 {\n\
-                 \x20   // lint:allow(no-hashmap-iteration) -- summed, order cannot escape\n\
+                 \x20   // lint:allow(determinism-taint) -- summed, order cannot escape\n\
                  \x20   m.values().sum()\n\
                  }\n",
             ),
@@ -747,11 +647,29 @@ mod tests {
                 "use fabricsim_obs::agg::summarize;\n\
                  pub fn tick(m: &std::collections::HashMap<u32, u32>) -> u32 { summarize(m) }\n",
             ),
-        ]);
-        assert!(
-            diags.iter().all(|d| d.rule != RuleId::DeterminismTaint),
-            "{diags:?}"
-        );
+        ]));
+        assert!(report.is_clean(), "{}", report.to_human());
+        assert_eq!(report.suppressed_by_rule.get("determinism-taint"), Some(&1));
+    }
+
+    #[test]
+    fn owned_into_iter_in_a_sim_critical_crate_is_a_source() {
+        // The one hash-iteration shape clippy's `disallowed-methods` cannot
+        // name (`HashMap::into_iter` is a trait method); inside a
+        // sim-critical crate the pass reports it at the public API itself.
+        let diags = run(&[(
+            "crates/core/src/sim.rs",
+            "pub fn drain_all(m: std::collections::HashMap<u32, u32>) -> Vec<u32> {\n\
+             \x20   m.into_iter().map(|(_, v)| v).collect()\n\
+             }\n",
+        )]);
+        let taints: Vec<&Diagnostic> = diags
+            .iter()
+            .filter(|d| d.rule == RuleId::DeterminismTaint)
+            .collect();
+        assert_eq!(taints.len(), 1, "{diags:?}");
+        assert_eq!((taints[0].line, taints[0].col), (2, 5));
+        assert!(taints[0].message.contains("m.into_iter()"));
     }
 
     #[test]
@@ -819,100 +737,22 @@ mod tests {
 
     #[test]
     fn unwrap_with_justified_allow_is_silently_audited() {
-        let diags = run(&[(
+        // `unwrap`/`expect` belong to clippy: the audited site is one ratchet
+        // count under its lint, never a panic-path diagnostic.
+        let report = crate::engine::lint_parsed(&parse_sources(&[(
             "crates/core/src/world.rs",
             "impl ShardWorld for World {\n\
              \x20   fn deliver(&mut self, at: u64, msg: u64) {\n\
-             \x20       // lint:allow(no-unwrap-in-lib) -- queue is non-empty: pushed above\n\
+             \x20       #[expect(clippy::unwrap_used, reason = \"queue is non-empty: pushed above\")]\n\
              \x20       self.q.pop().unwrap();\n\
              \x20   }\n\
              }\n",
-        )]);
-        assert!(
-            diags.iter().all(|d| d.rule != RuleId::PanicPath),
-            "{diags:?}"
-        );
-    }
-
-    #[test]
-    fn opposite_lock_orders_are_reported_once_with_witness() {
-        let diags = run(&[(
-            "crates/des/src/pool.rs",
-            "fn a(&self) {\n\
-             \x20   let _x = self.foo.lock();\n\
-             \x20   let _y = self.bar.lock();\n\
-             }\n\
-             fn b(&self) {\n\
-             \x20   let _y = self.bar.lock();\n\
-             \x20   let _x = self.foo.lock();\n\
-             }\n",
-        )]);
-        let locks: Vec<&Diagnostic> = diags
-            .iter()
-            .filter(|d| d.rule == RuleId::LockOrder)
-            .collect();
-        assert_eq!(locks.len(), 1, "{diags:?}");
-        assert_eq!(locks[0].notes.len(), 1);
-    }
-
-    #[test]
-    fn consistent_lock_order_is_clean() {
-        let diags = run(&[(
-            "crates/des/src/pool.rs",
-            "fn a(&self) {\n\
-             \x20   let _x = self.foo.lock();\n\
-             \x20   let _y = self.bar.lock();\n\
-             }\n\
-             fn b(&self) {\n\
-             \x20   let _x = self.foo.lock();\n\
-             \x20   let _y = self.bar.lock();\n\
-             }\n",
-        )]);
-        assert!(
-            diags.iter().all(|d| d.rule != RuleId::LockOrder),
-            "{diags:?}"
-        );
-    }
-
-    #[test]
-    fn relaxed_note_must_sit_on_the_operation_line() {
-        // Note binds to the `self.hits` continuation line, not the
-        // `fetch_add` line — accepted by the token rule's window, rejected
-        // by the structural pass.
-        let diags = run(&[(
-            "crates/obs/src/reg.rs",
-            "impl R {\n\
-             \x20   fn bump(&self) {\n\
-             \x20       self.hits.fetch_add(\n\
-             \x20           1,\n\
-             \x20           Ordering::Relaxed, // relaxed: monotonic counter\n\
-             \x20       );\n\
-             \x20   }\n\
-             }\n",
-        )]);
-        let rel: Vec<&Diagnostic> = diags
-            .iter()
-            .filter(|d| d.rule == RuleId::RelaxedNoteOnOperation)
-            .collect();
-        assert_eq!(rel.len(), 1, "{diags:?}");
-        assert_eq!(rel[0].notes[0].line, 3, "points at the fetch_add line");
-    }
-
-    #[test]
-    fn relaxed_note_on_the_operation_is_clean() {
-        let diags = run(&[(
-            "crates/obs/src/reg.rs",
-            "impl R {\n\
-             \x20   fn bump(&self) {\n\
-             \x20       self.hits.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic\n\
-             \x20   }\n\
-             }\n",
-        )]);
-        assert!(
-            diags
-                .iter()
-                .all(|d| d.rule != RuleId::RelaxedNoteOnOperation),
-            "{diags:?}"
+        )]));
+        assert!(report.is_clean(), "{}", report.to_human());
+        assert_eq!(report.suppressed, 1);
+        assert_eq!(
+            report.suppressed_by_rule.get("clippy::unwrap_used"),
+            Some(&1)
         );
     }
 }

@@ -1,7 +1,7 @@
 //! A comment/string/char-literal-aware Rust tokenizer.
 //!
 //! This is *not* a full Rust lexer: it produces exactly the token stream the
-//! lint rules need — identifiers, numeric literals (with float detection),
+//! lint passes need — identifiers, numeric literals (with float detection),
 //! the four string-literal families, char literals vs lifetimes, comments
 //! (kept, because `lint:allow` annotations live in them) and maximal-munch
 //! punctuation — with a 1-based `line:col` position on every token. The
@@ -9,7 +9,7 @@
 //!
 //! * raw strings `r"…"` / `r#"…"#` with any number of hashes (and the
 //!   byte-string variants `b"…"`, `br#"…"#`), so a `HashMap` mentioned
-//!   inside a string never reaches a rule;
+//!   inside a string never reaches a pass;
 //! * nested block comments `/* /* */ */`, per the Rust reference;
 //! * char literals vs lifetimes: `'a'` is a char, `'a` is a lifetime,
 //!   `'"'` and `'\''` are chars;
@@ -68,7 +68,7 @@ impl Token {
         self.kind == TokenKind::Punct && self.text == s
     }
 
-    /// True for comment tokens (which most rules skip over).
+    /// True for comment tokens (which the parser and the passes skip over).
     #[must_use]
     pub fn is_comment(&self) -> bool {
         matches!(self.kind, TokenKind::LineComment | TokenKind::BlockComment)
@@ -507,7 +507,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::needless_raw_string_hashes)] // outer hashes ARE the fixture
+    #[expect(
+        clippy::needless_raw_string_hashes,
+        reason = "the outer hashes are the fixture"
+    )]
     fn raw_strings_with_hashes() {
         let toks = kinds(r###"r#"quote " inside"# y"###);
         assert_eq!(toks[0].0, TokenKind::Str);

@@ -1,6 +1,7 @@
-pub fn f() -> u32 {
-    // lint:allow(no-unwrap-in-lib)
-    Some(1).unwrap()
+pub fn arm(kernel: &mut Kernel, n: u64) {
+    kernel.schedule(n, move || {});
+    // lint:allow(panic-path)
+    if n == 0 { panic!("empty window") }
 }
 
 pub fn g() -> u32 {

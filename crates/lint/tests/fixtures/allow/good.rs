@@ -1,4 +1,5 @@
-pub fn f() -> u32 {
-    // lint:allow(no-unwrap-in-lib) -- constant Some is infallible
-    Some(1).unwrap()
+pub fn arm(kernel: &mut Kernel, n: u64) {
+    kernel.schedule(n, move || {});
+    // lint:allow(panic-path) -- every caller passes a non-empty window
+    if n == 0 { panic!("empty window") }
 }

@@ -1,6 +1,6 @@
 // Fed to the structural tests as `crates/obs/src/summary.rs` — a
-// NON-sim-critical crate, where hash iteration is token-rule-legal but
-// becomes a taint source the moment sim-critical code calls into it.
+// NON-sim-critical crate, whose hash iteration becomes a taint source the
+// moment sim-critical code calls into it.
 use std::collections::HashMap;
 
 pub fn summarize(m: &HashMap<String, u64>) -> u64 {

@@ -12,6 +12,7 @@ fn route(ev: u64) {
 }
 
 fn inner(ev: u64) {
-    let v: Option<u64> = Some(ev);
-    v.unwrap();
+    if ev > 3 {
+        panic!("poisoned message");
+    }
 }

@@ -1,4 +1,4 @@
-// Clean twin of bad.rs: the helper returns an Option instead of unwrapping,
+// Clean twin of bad.rs: the helper returns an Option instead of panicking,
 // so no panic site is reachable from the handler.
 impl ShardWorld for World {
     fn deliver(&mut self, at: u64, ev: u64) {

@@ -1,5 +1,5 @@
-//! Fixture tests for the symbol-graph passes: determinism taint, panic
-//! paths, lock order, and relaxed-note binding. Fixtures live under
+//! Fixture tests for the symbol-graph passes: determinism taint and panic
+//! paths. Fixtures live under
 //! `tests/fixtures/<rule>/` and are fed through [`fabricsim_lint::symgraph`]
 //! with synthetic workspace paths, exactly as `lint_paths` would.
 
@@ -64,7 +64,7 @@ fn determinism_taint_reports_the_full_cross_crate_chain() {
         "{:?}",
         d.notes
     );
-    // Every hop's note points into a real file so SARIF can link it.
+    // Every hop's note points at a real `file:line`.
     assert!(d.notes.iter().all(|n| n.line >= 1));
 }
 
@@ -93,7 +93,7 @@ fn panic_path_walks_two_hops_from_deliver() {
     assert_eq!(panics.len(), 1, "{diags:?}");
     let d = panics[0];
     assert_eq!((d.line, d.file.as_str()), (16, "crates/core/src/world.rs"));
-    assert!(d.message.contains("unwrap"), "{}", d.message);
+    assert!(d.message.contains("panic!"), "{}", d.message);
     assert!(
         d.notes[0].message.contains("deliver"),
         "root note first: {:?}",
@@ -111,72 +111,6 @@ fn panic_path_clean_when_helper_returns_option() {
     let diags = run("panic-path", &[("crates/core/src/world.rs", "good.rs")]);
     assert!(
         diags.iter().all(|d| d.rule != RuleId::PanicPath),
-        "{diags:?}"
-    );
-}
-
-#[test]
-fn lock_order_flags_opposite_acquisition_orders_once() {
-    let diags = run("lock-order", &[("crates/obs/src/server.rs", "bad.rs")]);
-    let locks: Vec<&Diagnostic> = diags
-        .iter()
-        .filter(|d| d.rule == RuleId::LockOrder)
-        .collect();
-    assert_eq!(
-        locks.len(),
-        1,
-        "one diagnostic per unordered pair: {diags:?}"
-    );
-    let d = locks[0];
-    assert!(
-        d.message.contains("registry") && d.message.contains("series"),
-        "{}",
-        d.message
-    );
-    assert!(!d.notes.is_empty(), "must carry the opposite-order witness");
-}
-
-#[test]
-fn lock_order_clean_when_orders_agree() {
-    let diags = run("lock-order", &[("crates/obs/src/server.rs", "good.rs")]);
-    assert!(
-        diags.iter().all(|d| d.rule != RuleId::LockOrder),
-        "{diags:?}"
-    );
-}
-
-#[test]
-fn relaxed_note_must_bind_to_the_operation_line() {
-    let diags = run(
-        "relaxed-note-on-operation",
-        &[("crates/obs/src/counter.rs", "bad.rs")],
-    );
-    let notes: Vec<&Diagnostic> = diags
-        .iter()
-        .filter(|d| d.rule == RuleId::RelaxedNoteOnOperation)
-        .collect();
-    assert_eq!(notes.len(), 1, "{diags:?}");
-    // The companion note points at the operation the author must annotate.
-    assert!(
-        notes[0]
-            .notes
-            .iter()
-            .any(|n| n.message.contains("operation")),
-        "{:?}",
-        notes[0].notes
-    );
-}
-
-#[test]
-fn relaxed_note_on_the_operation_line_is_clean() {
-    let diags = run(
-        "relaxed-note-on-operation",
-        &[("crates/obs/src/counter.rs", "good.rs")],
-    );
-    assert!(
-        diags
-            .iter()
-            .all(|d| d.rule != RuleId::RelaxedNoteOnOperation),
         "{diags:?}"
     );
 }

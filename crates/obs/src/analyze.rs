@@ -9,7 +9,7 @@
 //! validate-side segments (`delivered→vscc_done→committed`) dominate — the
 //! paper's Finding 3 — and the decomposition shows it per millisecond.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::event::{PhaseEvent, TracePhase};
@@ -197,7 +197,7 @@ impl TraceAnalysis {
             service: f64,
             critical: usize,
         }
-        let mut acc: HashMap<(usize, usize), Acc> = HashMap::new();
+        let mut acc: BTreeMap<(usize, usize), Acc> = BTreeMap::new();
         let mut e2e = Vec::with_capacity(committed);
         for (e2e_s, s) in &committed_spans {
             e2e.push(*e2e_s);
@@ -227,14 +227,11 @@ impl TraceAnalysis {
             }
         }
         let div = committed.max(1) as f64;
-        let mut keys: Vec<(usize, usize)> = acc.keys().copied().collect();
-        keys.sort_unstable();
-        let segments = keys
+        let segments = acc
             .into_iter()
-            .map(|key| {
-                let a = &acc[&key];
+            .map(|(key, a)| {
                 let total: f64 = a.samples.iter().sum();
-                let d = Dist::from_samples(a.samples.clone());
+                let d = Dist::from_samples(a.samples);
                 SegmentStats {
                     from: TracePhase::PIPELINE[key.0],
                     to: TracePhase::PIPELINE[key.1],

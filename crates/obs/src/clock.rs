@@ -1,16 +1,16 @@
 //! The workspace's **audited wall-clock entry point**.
 //!
 //! Simulated time comes from the DES kernel; nothing inside the simulated
-//! world may read the host clock, and `fabricsim-lint`'s `no-wall-clock`
-//! rule enforces that mechanically. The handful of legitimate wall-clock
-//! consumers — the `experiments` stderr progress lines and the bench
-//! harness's calibration timing — go through [`WallClock`]. The only other
-//! audited `lint:allow` sites for the rule are the DES kernel's
-//! self-profiler (`crates/des/src/kernel.rs`), which
-//! needs sub-microsecond per-handler timing that an elapsed-seconds
-//! stopwatch cannot provide and is write-only with respect to the
-//! simulation. Auditing "who can observe real time" means reading this
-//! file and that one.
+//! world may read the host clock, and clippy's `disallowed_methods` (the
+//! workspace `clippy.toml` bans `Instant::now`) enforces that mechanically.
+//! The handful of legitimate wall-clock consumers — the `experiments`
+//! stderr progress lines and the bench harness's calibration timing — go
+//! through [`WallClock`]. The only other audited `#[expect]` sites for the
+//! lint are the DES kernel's self-profiler (`crates/des/src/kernel.rs` and
+//! `profiler.rs`), which needs sub-microsecond per-handler timing that an
+//! elapsed-seconds stopwatch cannot provide and is write-only with respect
+//! to the simulation. Auditing "who can observe real time" means reading
+//! this file and those two.
 
 use std::time::Instant;
 
@@ -27,10 +27,13 @@ pub struct WallClock {
 impl WallClock {
     /// Starts the stopwatch now.
     #[must_use]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one audited wall-clock read: every crate that needs host time routes \
+                  through WallClock"
+    )]
     pub fn start() -> WallClock {
         WallClock {
-            // lint:allow(no-wall-clock) -- the one audited wall-clock read:
-            // every crate that needs host time routes through WallClock.
             start: Instant::now(),
         }
     }

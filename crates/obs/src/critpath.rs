@@ -84,7 +84,10 @@ impl SpanGraphAnalysis {
     /// Runs the analysis over a span set (any order; duplicates by id — the
     /// emitter's redundant fallback deliver spans — are collapsed).
     #[must_use]
-    #[allow(clippy::too_many_lines)] // one walk + its aggregations; splitting obscures the telescoping invariant
+    #[expect(
+        clippy::too_many_lines,
+        reason = "one walk + its aggregations; splitting obscures the telescoping invariant"
+    )]
     pub fn from_spans(input: &[SpanEvent]) -> SpanGraphAnalysis {
         // Canonical order + dedup by span id (keep the earliest-sorted copy).
         let mut spans: Vec<&SpanEvent> = input.iter().collect();

@@ -10,8 +10,8 @@
 //! degrades to "the most recent N events plus an explicit `dropped` count"
 //! instead of unbounded growth. Dropping is a property of the *observer*
 //! only — the simulation never reads a sink, so capacity can never perturb
-//! a run (`fabricsim-lint`'s `no-unbounded-sink` rule audits every buffer
-//! construction in this file).
+//! a run. `tests/tests/spans.rs` holds an overflowing span ring to its
+//! capacity and checks that it counts what it evicts.
 
 use std::collections::VecDeque;
 use std::fs::File;
@@ -45,8 +45,8 @@ impl<T> Ring<T> {
     fn new(capacity: usize, prealloc: usize) -> Self {
         assert!(capacity > 0, "sink capacity must be positive");
         Ring {
-            // lint:allow(no-unbounded-sink) -- bounded ring: push() evicts the oldest entry
-            // at `capacity` and counts it in `dropped`.
+            // Bounded: push() evicts the oldest entry at `capacity` and
+            // counts it in `dropped`.
             buf: VecDeque::with_capacity(capacity.min(prealloc)),
             capacity,
             dropped: 0,

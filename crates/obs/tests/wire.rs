@@ -38,6 +38,10 @@ fn jsonl(prov: &RunProvenance, lines: impl Iterator<Item = String>) -> String {
 }
 
 /// What `fabricsim diff --json` wraps around one all-zero [`ArtifactDiff`].
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a fixture that cannot diff against itself fails the test"
+)]
 fn self_diff_json(doc: &str) -> String {
     let d = ArtifactDiff::from_json_strs(doc, doc).expect("diffs against itself");
     format!(

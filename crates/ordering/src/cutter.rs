@@ -34,8 +34,10 @@ impl BlockCutter {
     /// # Panics
     /// Panics if the configuration is invalid (see [`BatchConfig::validate`]).
     pub fn new(config: BatchConfig) -> Self {
-        // lint:allow(no-unwrap-in-lib) -- constructor fail-fast: an invalid config is a caller
-        // bug
+        #[expect(
+            clippy::expect_used,
+            reason = "constructor fail-fast: an invalid config is a caller bug"
+        )]
         config.validate().expect("invalid batch config");
         BlockCutter {
             config,

@@ -94,10 +94,12 @@ impl Peer {
     pub fn install_chaincode(&mut self, chaincode: Box<dyn Chaincode>) {
         {
             let mut stub = ChaincodeStub::new(self.ledger.state());
+            #[expect(
+                clippy::expect_used,
+                reason = "deployment fail-fast: an init error aborts setup"
+            )]
             chaincode
                 .init(&mut stub)
-                // lint:allow(no-unwrap-in-lib) -- deployment fail-fast: an init error aborts
-                // setup
                 .expect("chaincode init must succeed at deployment");
             let rw = stub.into_rw_set();
             let writes: Vec<_> = rw.writes.into_iter().collect();
@@ -385,6 +387,10 @@ mod tests {
     use fabricsim_types::{CheckedBlock, Transaction, ValidationCode};
 
     /// A validate-only peer trusting the fixture's CA, client and endorsers.
+    #[expect(
+        clippy::iter_over_hash_type,
+        reason = "registration order cannot change what a peer trusts"
+    )]
     fn committer(f: &Fixture, pool: usize) -> Peer {
         let mut peer = Peer::new(
             f.endorsers[0].clone(),

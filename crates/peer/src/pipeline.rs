@@ -298,6 +298,10 @@ mod tests {
     /// `cargo test --release -p fabricsim-peer -- --ignored vscc_pool_speedup`
     #[test]
     #[ignore = "wall-clock benchmark; run with --release -- --ignored"]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a wall-clock speedup benchmark times the host by definition"
+    )]
     fn vscc_pool_speedup_exceeds_1_5x_at_4_workers() {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         if cores < 4 {

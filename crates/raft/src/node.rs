@@ -377,7 +377,10 @@ impl RaftNode {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one parameter per AppendEntries field, as in the Raft paper"
+    )]
     fn on_append_entries(
         &mut self,
         from: RaftId,

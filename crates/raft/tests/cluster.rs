@@ -86,7 +86,9 @@ impl Cluster {
                 break;
             }
             let pick = self.rng.below(self.inflight.len() as u64) as usize;
-            let (from, to, msg) = self.inflight.remove(pick).unwrap();
+            let Some((from, to, msg)) = self.inflight.remove(pick) else {
+                break;
+            };
             let (fi, ti) = (from as usize - 1, to as usize - 1);
             if self.rng.chance(drop_pct)
                 || self.crashed[ti]

@@ -349,6 +349,10 @@ fn sharded_profiler_never_changes_the_report() {
 /// `cargo test --release -p fabricsim-integration -- --ignored sharded_speedup`
 #[test]
 #[ignore = "wall-clock benchmark; run with --release -- --ignored"]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a wall-clock speedup benchmark times the host by definition"
+)]
 fn sharded_speedup_exceeds_1_5x_at_4_workers() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     if cores < 4 {

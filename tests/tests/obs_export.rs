@@ -3,7 +3,7 @@
 //! stacks must reconcile exactly with the trace analyzer's per-segment
 //! decomposition.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use fabricsim::obs::{chrome_trace, collapsed_stacks, reconstruct, Json, TraceAnalysis};
 use fabricsim::{OrdererType, PolicySpec, SimConfig, Simulation};
@@ -37,7 +37,7 @@ fn chrome_export_is_valid_trace_event_json_with_monotone_tracks() {
 
     // Per (pid, tid) track: complete events appear in non-decreasing ts
     // order with non-negative ts and dur — the invariant Perfetto needs.
-    let mut last_ts: HashMap<(u64, u64), f64> = HashMap::new();
+    let mut last_ts: BTreeMap<(u64, u64), f64> = BTreeMap::new();
     let mut slices = 0usize;
     for ev in events {
         let phase = ev.get("ph").and_then(Json::as_str).expect("ph field");
@@ -74,7 +74,7 @@ fn collapsed_stacks_reconcile_with_the_analyzer_decomposition() {
     assert!(analysis.committed > 0);
 
     // Parse `fabricsim;<group>;<from→to> <ns>` lines.
-    let mut by_segment: HashMap<&str, f64> = HashMap::new();
+    let mut by_segment: BTreeMap<&str, f64> = BTreeMap::new();
     for line in folded.lines() {
         let (stack, ns) = line.rsplit_once(' ').expect("folded line");
         let segment = stack.split(';').nth(2).expect("three frames");
