@@ -28,23 +28,15 @@
 //!   fabricsim profile [run flags] [--json]
 //!       run with the DES kernel self-profiler enabled and print where host
 //!       time went: per-event-label handler ns/counts, heap cost, loop
-//!       overhead, hottest family, and the run's synchronization cost
-//!       (windows, cross-shard messages, events; `"sync"` in --json).
+//!       overhead, hottest family, the run's synchronization cost
+//!       (windows, cross-shard messages, events; `"sync"` in --json) and
+//!       the SHA-256 body that hashed it (`"sha256_backend"` in --json).
 //!       Accepts the same deployment flags as the default run mode
-//!   fabricsim bench [--out FILE] [--check FILE] [--tolerance PCT]
-//!            [--seeds N] [--json]
-//!       run the fixed perf scenario matrix; --seeds replicates every
-//!       scenario under N consecutive seeds and records mean/stddev
-//!       (schema v3); --out writes the baseline (BENCH_fabricsim.json
-//!       schema), --check compares against one with a noise-aware band
-//!       (max of the flat tolerance and 3σ) and exits non-zero on
-//!       regressions; --json prints the comparison (failures, notes,
-//!       skipped checks with reasons) as JSON
 //!   fabricsim diff A B [--spans SA SB] [--profiles PA PB] [--json] [--force]
 //!       differential run analysis: pairwise-compare two run artifacts of
 //!       the same kind (run summaries from --json, analyze --json outputs,
-//!       profile --json outputs, bench baselines, or --health-out health
-//!       timelines — the kind is sniffed).
+//!       profile --json outputs, or --health-out health timelines — the
+//!       kind is sniffed).
 //!       Reports per-metric deltas ranked by |delta|, bottleneck/dominance
 //!       shifts, and telescoping checks (Σ segment deltas vs the e2e
 //!       delta). --spans/--profiles attach extra artifact pairs to the same
@@ -110,7 +102,6 @@ use fabricsim::report::{run_summary_json, to_csv, Row};
 use fabricsim::{
     predict, KernelProfile, OrdererType, PolicySpec, SimConfig, Simulation, WorkloadKind,
 };
-use fabricsim_bench::perf;
 
 fn usage() -> ! {
     eprintln!("usage: fabricsim [--orderer solo|kafka|raft] [--peers N] [--policy OR10|AND5|...]");
@@ -127,8 +118,6 @@ fn usage() -> ! {
     eprintln!("       fabricsim analyze [--trace FILE] [--spans FILE] [--health FILE]");
     eprintln!("                 [--top K] [--json] [--chrome-out FILE] [--flame-out FILE]");
     eprintln!("       fabricsim profile [run flags] [--json]");
-    eprintln!("       fabricsim bench [--out FILE] [--check FILE] [--tolerance PCT]");
-    eprintln!("                 [--seeds N] [--json]");
     eprintln!("       fabricsim diff A B [--spans SA SB] [--profiles PA PB] [--json] [--force]");
     eprintln!("       fabricsim lint [--json [FILE.json]] [--root DIR] [--list-rules] [PATHS…]");
     exit(2);
@@ -408,107 +397,6 @@ fn cmd_diff(args: &[String]) -> ! {
     exit(0);
 }
 
-/// `fabricsim bench`: run the perf matrix; write and/or check a baseline.
-fn cmd_bench(args: &[String]) -> ! {
-    let mut out: Option<String> = None;
-    let mut check: Option<String> = None;
-    let mut tolerance = perf::DEFAULT_TOLERANCE;
-    let mut seeds = 1u64;
-    let mut json = false;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || it.next().cloned().unwrap_or_else(|| usage());
-        match flag.as_str() {
-            "--out" => out = Some(value()),
-            "--check" => check = Some(value()),
-            "--tolerance" => {
-                let pct: f64 = value().parse().unwrap_or_else(|_| usage());
-                tolerance = pct / 100.0;
-            }
-            "--seeds" => {
-                seeds = value().parse().unwrap_or_else(|_| usage());
-                if seeds == 0 {
-                    eprintln!("--seeds must be at least 1");
-                    exit(2);
-                }
-            }
-            "--json" => json = true,
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown bench flag {other:?}");
-                usage()
-            }
-        }
-    }
-    eprintln!(
-        "running calibration + {} scenarios × {seeds} seed(s), sha256 backend {}...",
-        perf::scenario_matrix().len(),
-        fabricsim_crypto::sha256_backend()
-    );
-    let report = perf::run_all(seeds);
-    for s in &report.scenarios {
-        eprintln!(
-            "  {}: {:.1}±{:.1} committed tps, {:.3}s mean latency, {:.0}±{:.0} ms wall",
-            s.name,
-            s.committed_tps.mean,
-            s.committed_tps.stddev,
-            s.overall_latency_mean_s.mean,
-            s.wall_clock_ms.mean,
-            s.wall_clock_ms.stddev
-        );
-    }
-    if let Some(path) = &out {
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            eprintln!("cannot write baseline to {path}: {e}");
-            exit(1);
-        }
-        eprintln!("wrote baseline {path}");
-    }
-    if let Some(path) = &check {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {path}: {e}");
-            exit(1);
-        });
-        let baseline = perf::BenchReport::parse(&text).unwrap_or_else(|e| {
-            eprintln!("cannot parse baseline {path}: {e}");
-            exit(1);
-        });
-        let cmp = perf::compare(&baseline, &report, tolerance);
-        for note in &cmp.notes {
-            eprintln!("note: {note}");
-        }
-        for s in &cmp.skipped {
-            eprintln!("skipped: {} {}: {}", s.scenario, s.metric, s.reason);
-        }
-        if json {
-            println!("{}", cmp.to_json());
-        }
-        if cmp.failures.is_empty() {
-            if !json {
-                println!(
-                    "perf check PASSED against {path} ({} scenarios, tolerance ±{:.0}%, {} check(s) skipped)",
-                    baseline.scenarios.len(),
-                    tolerance * 100.0,
-                    cmp.skipped.len()
-                );
-            }
-        } else {
-            for f in &cmp.failures {
-                eprintln!("FAIL: {f}");
-            }
-            eprintln!(
-                "perf check FAILED against {path}: {} regression(s)",
-                cmp.failures.len()
-            );
-            exit(1);
-        }
-    }
-    if check.is_none() && (json || out.is_none()) {
-        print!("{}", report.to_json());
-    }
-    exit(0);
-}
-
 fn parse_policy(s: &str) -> PolicySpec {
     if let Some(n) = s.strip_prefix("OR").and_then(|n| n.parse().ok()) {
         return PolicySpec::OrN(n);
@@ -635,12 +523,16 @@ fn cmd_profile(args: &[String]) -> ! {
     let shards = &result.observability.shard_profiles;
     let sync = &result.observability.sync;
     let s = &result.summary;
+    // Host ns depend on which SHA-256 body the CPU selected, so the profile
+    // names it next to the run's provenance.
+    let backend = fabricsim_crypto::sha256_backend();
     if json {
         // Provenance rides along so `fabricsim diff` can refuse to compare
         // profiles from different configurations.
         let per_shard: Vec<String> = shards.iter().map(KernelProfile::to_json).collect();
         println!(
-            "{{\"seed\":{},\"config_digest\":\"{}\",\"merged\":{},\"shards\":[{}],\
+            "{{\"seed\":{},\"config_digest\":\"{}\",\"sha256_backend\":\"{backend}\",\
+             \"merged\":{},\"shards\":[{}],\
              \"sync\":{{\"windows\":{},\"messages\":{},\"events\":{}}}}}",
             s.seed,
             s.config_digest,
@@ -653,7 +545,7 @@ fn cmd_profile(args: &[String]) -> ! {
     } else {
         println!("== {label}: kernel self-profile ==");
         println!(
-            "provenance : seed {}, config digest {}",
+            "provenance : seed {}, config digest {}, sha256 backend {backend}",
             s.seed, s.config_digest
         );
         print!("{}", profile.render_table());
@@ -696,7 +588,6 @@ fn main() {
     match args.first().map(String::as_str) {
         Some("analyze") => cmd_analyze(&args[1..]),
         Some("profile") => cmd_profile(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
         Some("diff") => cmd_diff(&args[1..]),
         Some("lint") => exit(fabricsim_lint::cli_run(&args[1..])),
         _ => {}

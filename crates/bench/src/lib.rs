@@ -6,14 +6,14 @@
 //!   --bin experiments -- all`) regenerates every table and figure of the
 //!   paper, writing `results/*.csv` and printing the text tables recorded in
 //!   `EXPERIMENTS.md`;
-//! * the **`fabricsim bench` subcommand** (via [`perf`]) runs a fixed
-//!   scenario matrix and writes/checks the machine-readable perf baseline
-//!   `BENCH_fabricsim.json` used by the CI regression gate;
-//! * the **micro benches** (`cargo bench`) cover the hot primitives
-//!   (SHA-256, Schnorr, policy evaluation, MVCC, block cutting, Raft/Kafka
-//!   steps, ledger commit, the DES kernel) plus a smoke-scale run per figure.
-//!   They run on the dependency-free [`microbench`] harness so `cargo bench`
-//!   works in offline build environments (no Criterion).
+//! * the **micro benches** (`cargo bench --bench micro`) time single hot
+//!   primitives (SHA-256, Schnorr, policy evaluation, MVCC, block cutting,
+//!   Raft/Kafka steps, ledger commit, the DES kernel). They run on the
+//!   dependency-free [`microbench`] harness so `cargo bench` works in offline
+//!   build environments (no Criterion).
+//!
+//! Whole runs are timed by one driver only, the standalone `benchmark/`
+//! workspace that `BENCHMARK.json` declares.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,8 +22,6 @@ use std::fs;
 use std::path::Path;
 
 use fabricsim::report::{to_csv, Row};
-
-pub mod perf;
 
 /// Writes rows as CSV under `results/<name>.csv` (creating the directory).
 ///

@@ -147,7 +147,7 @@ pub struct SummaryReport {
     /// Blocks cut in the window.
     pub blocks_cut: usize,
     /// RNG seed the run used — with [`SummaryReport::config_digest`], every
-    /// report/trace/bench artifact carries what it takes to reproduce it.
+    /// report/trace/profile artifact carries what it takes to reproduce it.
     /// Zero when the summary was aggregated outside a simulation run.
     pub seed: u64,
     /// Short config fingerprint (`SimConfig::digest`). Empty when the

@@ -260,8 +260,19 @@ impl SimConfig {
         if self.committing_peers == 0 {
             return Err("need at least one committing (observer) peer".into());
         }
-        if self.arrival_rate_tps <= 0.0 {
-            return Err("arrival rate must be positive".into());
+        if !self.arrival_rate_tps.is_finite() || self.arrival_rate_tps <= 0.0 {
+            return Err("arrival rate must be a finite positive number".into());
+        }
+        for (name, secs) in [
+            ("duration", self.duration_secs),
+            ("warmup", self.warmup_secs),
+            ("cooldown", self.cooldown_secs),
+        ] {
+            if !secs.is_finite() || secs < 0.0 {
+                return Err(format!(
+                    "{name} must be a finite non-negative number of seconds"
+                ));
+            }
         }
         if self.duration_secs <= self.warmup_secs + self.cooldown_secs {
             return Err("duration must exceed warmup + cooldown".into());
@@ -409,6 +420,27 @@ mod tests {
         let c = SimConfig {
             orderer_type: OrdererType::Kafka,
             broker_count: 0,
+            ..SimConfig::default()
+        };
+        assert!(c.validate().is_err());
+
+        // NaN slips past every `<=` comparison, and ±∞ is no rate or horizon
+        // the kernel can schedule: each must be refused, not panic later.
+        let fields: [fn(&mut SimConfig, f64); 4] = [
+            |c, v| c.arrival_rate_tps = v,
+            |c, v| c.duration_secs = v,
+            |c, v| c.warmup_secs = v,
+            |c, v| c.cooldown_secs = v,
+        ];
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for (i, set) in fields.iter().enumerate() {
+                let mut c = SimConfig::default();
+                set(&mut c, bad);
+                assert!(c.validate().is_err(), "field {i} = {bad} must be refused");
+            }
+        }
+        let c = SimConfig {
+            warmup_secs: -1.0,
             ..SimConfig::default()
         };
         assert!(c.validate().is_err());

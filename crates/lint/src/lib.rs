@@ -3,8 +3,9 @@
 //!
 //! The paper reproduction's whole measurement story rests on the simulator
 //! being deterministic *by construction*: identical seeds must give
-//! bit-identical reports, or the perf gate (`BENCH_fabricsim.json`) and the
-//! pooled-VSCC golden tests measure noise instead of code. The single-file
+//! bit-identical reports, or the golden and determinism suites and the
+//! `benchmark/` driver's exact `sim.*` comparison measure noise instead of
+//! code. The single-file
 //! rules — no wall-clock reads, no hash-ordered iteration, no library
 //! `unwrap`/`expect`, no `unsafe`, no `thread::sleep` or thread identity —
 //! are clippy's, set once in the root `Cargo.toml`'s `[workspace.lints]` and

@@ -4,7 +4,7 @@
 //! world may read the host clock, and clippy's `disallowed_methods` (the
 //! workspace `clippy.toml` bans `Instant::now`) enforces that mechanically.
 //! The handful of legitimate wall-clock consumers — the `experiments`
-//! stderr progress lines and the bench harness's calibration timing — go
+//! stderr progress lines and the `microbench` harness's batch timing — go
 //! through [`WallClock`]. The only other audited `#[expect]` sites for the
 //! lint are the DES kernel's self-profiler (`crates/des/src/kernel.rs` and
 //! `profiler.rs`), which needs sub-microsecond per-handler timing that an

@@ -3,9 +3,9 @@
 //! The paper's contribution is a *diagnosis* — which phase is the bottleneck
 //! and how it moves as load, endorsement policy and block size change. A
 //! single run's artifacts (`--json` run summaries, trace analyses, span-graph
-//! critical paths, kernel self-profiles, bench baselines, `--health-out`
-//! regime timelines) can each diagnose one run; this module explains the
-//! *difference* between two:
+//! critical paths, kernel self-profiles, `--health-out` regime timelines)
+//! can each diagnose one run; this module explains the *difference* between
+//! two:
 //!
 //! * every numeric metric the two artifacts share becomes a [`DiffEntry`]
 //!   (`delta = B − A`), ranked by `|delta|` so the biggest mover tops the
@@ -25,11 +25,11 @@
 //!
 //! The engine consumes parsed [`Json`] values, so it accepts any artifact the
 //! stack emits without a per-type Rust decoder: the flat run summary, the
-//! (possibly combined) `analyze --json` document, `profile --json` (merged +
-//! per-shard), and schema-v3 bench reports. Health timelines are the one
-//! exception: they are JSONL (one object per line, so `Json::parse` on the
-//! whole file fails) and are recognized by [`HealthReport::sniff`] before the
-//! JSON parser runs, then decoded with [`HealthReport::from_jsonl`].
+//! (possibly combined) `analyze --json` document and `profile --json`
+//! (merged and per-shard). Health timelines are the one exception: they are
+//! JSONL (one object per line, so `Json::parse` on the whole file fails) and
+//! are recognized by [`HealthReport::sniff`] before the JSON parser runs,
+//! then decoded with [`HealthReport::from_jsonl`].
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -49,8 +49,6 @@ pub enum ArtifactKind {
     Analysis,
     /// A `profile --json` document (merged kernel profile + optional shards).
     Profile,
-    /// A `bench` report (`BENCH_fabricsim.json`, schema v2+).
-    Bench,
     /// A `--health-out` streaming health timeline (JSONL: events + station
     /// accounting + summary trailer).
     Health,
@@ -63,7 +61,6 @@ impl ArtifactKind {
             ArtifactKind::RunSummary => "run_summary",
             ArtifactKind::Analysis => "analysis",
             ArtifactKind::Profile => "profile",
-            ArtifactKind::Bench => "bench",
             ArtifactKind::Health => "health",
         }
     }
@@ -219,7 +216,7 @@ impl fmt::Display for DiffError {
             DiffError::Unknown { side } => write!(
                 f,
                 "side {side} matches no known artifact schema (expected a run \
-                 summary, analyze/profile --json output, or a bench report)"
+                 summary, analyze --json, profile --json or a health timeline)"
             ),
             DiffError::KindMismatch { a, b } => write!(
                 f,
@@ -241,8 +238,7 @@ pub struct ArtifactDiff {
     /// Provenance of side A and side B, in that order.
     pub provenance: [DiffProvenance; 2],
     /// Whether the two sides' `config_digest`s agree: `None` when either side
-    /// records none, `Some(true/false)` otherwise. For bench reports this is
-    /// the conjunction over all scenarios compared.
+    /// records none, `Some(true/false)` otherwise.
     pub digest_match: Option<bool>,
     /// The comparable sections, in artifact order.
     pub sections: Vec<DiffSection>,
@@ -291,12 +287,11 @@ impl ArtifactDiff {
             return Err(DiffError::KindMismatch { a: ka, b: kb });
         }
         let prov = [provenance_of(a, 'A')?, provenance_of(b, 'B')?];
-        let mut digest_match = digests_match(&prov);
+        let digest_match = digests_match(&prov);
         let sections = match ka {
             ArtifactKind::RunSummary => run_summary_sections(a, b),
             ArtifactKind::Analysis => analysis_sections(a, b),
             ArtifactKind::Profile => profile_sections(a, b),
-            ArtifactKind::Bench => bench_sections(a, b, &mut digest_match),
             // Unreachable from sniff(): health timelines are JSONL and are
             // routed through `health_diff` before whole-document parsing.
             ArtifactKind::Health => Vec::new(),
@@ -514,9 +509,6 @@ impl ArtifactDiff {
 /// Recognizes which artifact family a parsed document belongs to.
 fn sniff(j: &Json) -> Option<ArtifactKind> {
     let has = |k: &str| j.get(k).is_some();
-    if has("scenarios") && has("schema_version") {
-        return Some(ArtifactKind::Bench);
-    }
     if has("hottest_station") {
         return Some(ArtifactKind::RunSummary);
     }
@@ -970,65 +962,6 @@ fn profile_sections(a: &Json, b: &Json) -> Vec<DiffSection> {
     out
 }
 
-fn bench_sections(a: &Json, b: &Json, digest_match: &mut Option<bool>) -> Vec<DiffSection> {
-    let mut sec = DiffSection::new("bench scenarios");
-    for key in ["schema_version", "calibration_ms", "host_cores", "seeds"] {
-        if let (Some(va), Some(vb)) = (num(a, &[key]), num(b, &[key])) {
-            sec.push(key, va, vb);
-        }
-    }
-    fn scenarios(j: &Json) -> BTreeMap<String, &Json> {
-        let mut m: BTreeMap<String, &Json> = BTreeMap::new();
-        for s in j
-            .get("scenarios")
-            .and_then(Json::as_array)
-            .unwrap_or_default()
-        {
-            if let Some(name) = s.get("name").and_then(Json::as_str) {
-                m.insert(name.to_string(), s);
-            }
-        }
-        m
-    }
-    let ma = scenarios(a);
-    let mb = scenarios(b);
-    let mut compared = 0usize;
-    let mut all_match = true;
-    let names: std::collections::BTreeSet<&String> = ma.keys().chain(mb.keys()).collect();
-    for name in names {
-        match (ma.get(name), mb.get(name)) {
-            (Some(sa), Some(sb)) => {
-                for metric in ["committed_tps", "overall_latency_mean_s", "wall_clock_ms"] {
-                    if let (Some(va), Some(vb)) =
-                        (num(sa, &[metric, "mean"]), num(sb, &[metric, "mean"]))
-                    {
-                        sec.push(format!("{name}.{metric}"), va, vb);
-                    }
-                }
-                if let (Some(da), Some(db)) = (
-                    sa.get("config_digest").and_then(Json::as_str),
-                    sb.get("config_digest").and_then(Json::as_str),
-                ) {
-                    compared += 1;
-                    if da != db {
-                        all_match = false;
-                        sec.notes.push(format!(
-                            "scenario {name}: config_digest drift ({da} vs {db})"
-                        ));
-                    }
-                }
-            }
-            (Some(_), None) => sec.notes.push(format!("scenario {name} only in A")),
-            _ => sec.notes.push(format!("scenario {name} only in B")),
-        }
-    }
-    if compared > 0 {
-        *digest_match = Some(all_match);
-    }
-    sec.sort_entries();
-    vec![sec]
-}
-
 /// Diffs two health timelines (JSONL text on both sides).
 fn health_diff(a: &str, b: &str) -> Result<ArtifactDiff, DiffError> {
     let (pa, ra) =
@@ -1284,42 +1217,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_diff_compares_stat_means() {
-        let doc = |tps: f64| {
-            format!(
-                "{{\"schema_version\":3,\"calibration_ms\":110,\"host_cores\":8,\"seeds\":3,\
-                 \"scenarios\":[{{\"name\":\"s1\",\"config_digest\":\"dddd\",\
-                 \"committed_tps\":{{\"mean\":{tps},\"stddev\":1.0}},\
-                 \"overall_latency_mean_s\":{{\"mean\":1.8,\"stddev\":0.1}},\
-                 \"wall_clock_ms\":{{\"mean\":210.0,\"stddev\":5.0}}}}]}}"
-            )
-        };
-        let d = ArtifactDiff::from_json_strs(&doc(95.0), &doc(90.0)).expect("diffs");
-        assert_eq!(d.kind, ArtifactKind::Bench);
-        assert_eq!(d.digest_match, Some(true));
-        let tps = d.sections[0]
-            .entries
-            .iter()
-            .find(|e| e.name == "s1.committed_tps")
-            .expect("tps entry");
-        assert!((tps.delta() - (-5.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bench_digest_drift_is_flagged() {
-        let mk = |digest: &str| {
-            format!(
-                "{{\"schema_version\":3,\"calibration_ms\":100,\"host_cores\":8,\"seeds\":1,\
-                 \"scenarios\":[{{\"name\":\"s1\",\"config_digest\":\"{digest}\",\
-                 \"committed_tps\":{{\"mean\":95.0,\"stddev\":0}}}}]}}"
-            )
-        };
-        let d = ArtifactDiff::from_json_strs(&mk("aaaa"), &mk("eeee")).expect("diffs");
-        assert_eq!(d.digest_match, Some(false));
-        assert!(d.sections[0].notes.iter().any(|n| n.contains("drift")));
-    }
-
-    #[test]
     fn unlike_artifacts_are_refused_with_typed_errors() {
         let summary = r#"{"hottest_station":"peer vscc","x":1.0}"#;
         let profile = r#"{"loop_ns":10,"heap_ns":1,"heap_ops":1,"overhead_ns":0,"entries":[]}"#;
@@ -1471,12 +1368,33 @@ mod tests {
     fn truncated_and_empty_documents_error_not_panic() {
         let good = health_doc(3.0, Regime::Overloaded, "hhhh");
         // One malformed fixture per sniffer branch: a run summary, analyze
-        // output, a kernel profile and a bench report each cut mid-object,
-        // plus JSONL health timelines cut before / inside their trailer.
+        // output and a kernel profile each cut mid-object, plus JSONL health
+        // timelines cut before / inside their trailer. A whole schema-v3
+        // report of the retired `fabricsim bench` is no artifact kind at all.
         let truncated_summary = r#"{"hottest_station":"peer vscc","x":"#;
         let truncated_analysis = r#"{"trace":{"e2e":{"mean_s":1.0},"segments":["#;
         let truncated_profile = r#"{"loop_ns":10,"entries":[{"label":"a""#;
-        let truncated_bench = r#"{"schema_version":2,"scenarios":[{"name":"s1""#;
+        let bench_v3 = r#"{
+  "schema_version": 3,
+  "generator": "fabricsim bench",
+  "calibration_ms": 392.3,
+  "host_cores": 2,
+  "sha256_backend": "sha-ni",
+  "seeds": 1,
+  "scenarios": [
+    {"name": "solo_and5_r100_p1", "offered_tps": 100, "validator_pool": 1, "channels": 1, "sim_workers": 0, "config_digest": "471f9617623c477d",
+     "committed_tps": {"mean": 101.1, "stddev": 0}, "overall_latency_mean_s": {"mean": 1.14, "stddev": 0}, "wall_clock_ms": {"mean": 155.1, "stddev": 0},
+     "runs": [{"seed": 42, "committed_tps": 101.1, "overall_latency_mean_s": 1.14, "wall_clock_ms": 155.1}]}
+  ]
+}
+"#;
+        let err = ArtifactDiff::from_json_strs(bench_v3, bench_v3).expect_err("bench report");
+        assert_eq!(err, DiffError::Unknown { side: 'A' });
+        let msg = err.to_string();
+        for kind in ["run summary", "analyze", "profile", "health"] {
+            assert!(msg.contains(kind), "{msg}");
+        }
+        assert!(!msg.contains("bench"), "{msg}");
         let health_no_trailer = good
             .lines()
             .filter(|l| !l.contains("health_summary"))
@@ -1489,7 +1407,7 @@ mod tests {
             ("truncated summary", truncated_summary),
             ("truncated analysis", truncated_analysis),
             ("truncated profile", truncated_profile),
-            ("truncated bench", truncated_bench),
+            ("bench report", bench_v3),
             ("health without trailer", health_no_trailer.as_str()),
             ("health cut inside trailer", health_cut_trailer),
         ] {

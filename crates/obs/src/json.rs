@@ -1,8 +1,8 @@
 //! The one wire codec for the instrument's own JSON / JSONL artifacts.
 //!
 //! The repo is zero-dependency by policy, and the trace / span / health /
-//! summary / bench artifacts *are* the measurement, so everything that reads
-//! one back — `analyze`, `diff`, the perf gate, the benchmark's `compare` —
+//! summary / profile artifacts *are* the measurement, so everything that
+//! reads one back — `analyze`, `diff`, the benchmark's `compare` —
 //! goes through this module: [`Json::parse`] is the only JSON reader,
 //! [`escape`] the only string escaper and [`read_jsonl`] the only JSONL
 //! envelope in `crates/{obs,core,bench}`. Record types decode from a parsed

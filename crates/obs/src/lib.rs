@@ -28,11 +28,11 @@
 //! * [`json`] — the one wire codec: [`Json`] is the only JSON reader,
 //!   [`json::escape`] the only string escaper and [`json::read_jsonl`] the
 //!   only JSONL envelope behind every artifact the stack emits (traces,
-//!   spans, health timelines, run summaries, analyses, bench baselines).
+//!   spans, health timelines, run summaries, analyses, kernel profiles).
 //!   Integers decode exactly or are refused; nothing goes through an `f64`.
 //! * [`ArtifactDiff`] — differential analysis: pairwise comparison of any
 //!   two artifacts the stack emits (run summaries, trace/span-graph
-//!   analyses, kernel profiles, bench reports) with metrics ranked by
+//!   analyses, kernel profiles, health timelines) with metrics ranked by
 //!   `|delta|`, dominance [`Shift`] detection ("the bottleneck moved out of
 //!   VSCC"), per-segment deltas that telescope to the end-to-end latency
 //!   delta, and [`RunProvenance`] (`seed` + `config_digest`) verification so

@@ -7,7 +7,7 @@
 
 use fabricsim::obs::{ArtifactDiff, ArtifactKind, TraceAnalysis};
 use fabricsim::report::run_summary_json;
-use fabricsim::{OrdererType, PolicySpec, SimConfig, Simulation};
+use fabricsim::{predict, OrdererType, PolicySpec, SimConfig, Simulation};
 
 /// Solo / AND5 / 500 tps / seed 42 — the acceptance operating point: the
 /// paper's VSCC-bound regime at pool width 1.
@@ -32,6 +32,22 @@ fn pool_config(pool: usize) -> SimConfig {
 fn pool_widening_shifts_the_bottleneck_out_of_vscc() {
     let narrow = Simulation::new(pool_config(1)).run_detailed();
     let wide = Simulation::new(pool_config(4)).run_detailed();
+
+    // The two operating points themselves: at pool 1 the validate stage
+    // commits at the analytic knee (≈ 204 tps), and at pool 4 the same
+    // deployment clears what is offered.
+    let knee = predict(&pool_config(1)).peak_committed_tps;
+    let narrow_tps = narrow.summary.validate.throughput_tps;
+    assert!(
+        (narrow_tps / knee - 1.0).abs() <= 0.05,
+        "pool=1 should commit within 5% of the analytic knee {knee:.1} tps, got {narrow_tps:.1}"
+    );
+    let wide_tps = wide.summary.validate.throughput_tps;
+    let offered = wide.summary.offered_tps;
+    assert!(
+        wide_tps >= 0.95 * offered,
+        "pool=4 should commit at least 95% of the offered {offered:.0} tps, got {wide_tps:.1}"
+    );
 
     // Run-summary diff: different pool widths are different experiments, so
     // the digests must disagree, and the hottest station must leave VSCC.
