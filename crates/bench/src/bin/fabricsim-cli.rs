@@ -78,9 +78,9 @@
 //!                                    always recorded)
 //!   --metrics-out FILE               write sampled time-series as CSV
 //!   --metrics-window SECS            sampler window width in virtual seconds
-//!                                    (default 1.0; must be positive) — also
+//!                                    (default 1.0; at least 0.001) — also
 //!                                    the health plane's detection window
-//!   --health-out FILE                enable the online health plane and
+//!   --health-out FILE                enable the health plane and
 //!                                    write its JSONL timeline (regime
 //!                                    transitions, bottleneck-shift onsets,
 //!                                    SLO burn events + dwell accounting)

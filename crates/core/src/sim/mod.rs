@@ -12,7 +12,7 @@ pub use faults::FaultPlan;
 
 use fabricsim_des::{Kernel, KernelProfile, ShardedKernel, ShardedRunReport, SimDuration, SimTime};
 use fabricsim_obs::{
-    BottleneckReport, HealthReport, LogHistogram, MetricsRecorder, PhaseEvent, SpanEvent,
+    BottleneckReport, HealthReport, LogHistogram, MetricsRecorder, PhaseEvent, Samples, SpanEvent,
     StationClass, TxStationBreakdown,
 };
 
@@ -20,7 +20,7 @@ use crate::metrics::{summarize, SummaryReport, TxOutcome, TxTrace};
 use crate::workload::SimConfig;
 
 use faults::schedule_faults;
-use observe::{flush_partial_tick, stations_of, TxRecord};
+use observe::{flush_partial_tick, sample_period_s, stations_of, TxRecord};
 use world::{bootstrap, build_world, World, K};
 
 /// Mean utilization of each CPU station class over the run (fraction of
@@ -105,10 +105,10 @@ pub struct RunObservability {
     /// cross-world messages exchanged and event-loop counters summed over
     /// the channel worlds. A one-world run is one window and no messages.
     pub sync: ShardedRunReport,
-    /// Online health-plane report (regime timeline, bottleneck-shift onsets,
-    /// SLO burn accounting). `None` unless
-    /// [`crate::ObsConfig::health_events`] was set. The per-channel engines
-    /// are merged canonically in channel order, so the report is
+    /// Health-plane report (regime timeline, bottleneck-shift onsets, SLO
+    /// burn accounting), folded over every channel world's sampler rows
+    /// after the run. `None` unless [`crate::ObsConfig::health_events`] was
+    /// set. The fold reads the worlds in channel order, so the report is
     /// byte-identical at every worker count.
     pub health: Option<HealthReport>,
 }
@@ -285,8 +285,7 @@ impl Simulation {
         let mut events = Vec::new();
         let mut dropped_spans = 0u64;
         let mut spans = Vec::new();
-        let mut recorder: Option<MetricsRecorder> = None;
-        let mut health: Option<HealthReport> = None;
+        let mut samples: Vec<Samples> = Vec::with_capacity(n_shards);
         let mut e2e_hist = LogHistogram::latency();
         let mut records: Vec<TxRecord> = Vec::new();
 
@@ -310,20 +309,7 @@ impl Simulation {
             fold_into(&mut events, h.events);
             dropped_spans += h.dropped_spans;
             fold_into(&mut spans, h.spans);
-            if let Some(r) = h.recorder {
-                match recorder.as_mut() {
-                    None => recorder = Some(r),
-                    Some(acc) => acc.absorb(&r),
-                }
-            }
-            // Shard-order concatenation; one canonical sort after the loop
-            // keeps the merged health timeline worker-count-invariant.
-            if let Some(r) = h.health {
-                match health.as_mut() {
-                    None => health = Some(r),
-                    Some(acc) => acc.merge(r),
-                }
-            }
+            samples.push(h.samples);
             e2e_hist.merge(&h.e2e_hist);
             fold_into(&mut records, h.records);
         }
@@ -357,15 +343,19 @@ impl Simulation {
         // Attribute latency over committed txs; window coarse enough to hold
         // a useful population but fine enough to show regime changes.
         let window_s = (cfg.duration_secs / 10.0).clamp(1.0, 10.0);
-        if let Some(h) = health.as_mut() {
-            h.sort_events();
-        }
+        // Both sampler planes are folds over the channel worlds' rows.
+        let metrics = (cfg.obs.sample_period_s > 0.0)
+            .then(|| MetricsRecorder::from_samples(cfg.obs.sample_period_s, &samples));
+        let health = cfg.obs.health_events.then(|| {
+            let period = sample_period_s(&cfg);
+            HealthReport::fold(&samples, period, cfg.duration_secs, cfg.obs.slo_p99_s)
+        });
         let observability = RunObservability {
             events,
             dropped_events,
             spans,
             dropped_spans,
-            metrics: recorder,
+            metrics,
             bottleneck: BottleneckReport::from_breakdowns(&committed, window_s),
             e2e_hist,
             profile,

@@ -8,9 +8,10 @@
 //! decides *which planes exist and how each records it*: the first-wins
 //! [`TxTrace`] stamp, the station attribution, the enabled/sampled guards,
 //! every rendered id and actor name, the span-id parent arithmetic, and the
-//! health/histogram bumps. It also owns the per-transaction records
-//! those planes share, and the periodic gauge sweep over the world's
-//! stations. The determinism contract is the module's: nothing recorded
+//! latency records. It also owns the per-transaction records those planes
+//! share, and the periodic gauge sweep over the world's stations, recorded
+//! as typed rows that the metrics table and the health plane are built from
+//! after the run. The determinism contract is the module's: nothing recorded
 //! here is read back by the model except a transaction's own log line —
 //! [`Observer::record`] (has the orderer acked yet? which pool gets the
 //! ack?) and [`Observer::arrivals`] (the sequence number that names the
@@ -21,9 +22,8 @@ use std::fmt::{self, Write as _};
 
 use fabricsim_des::{SimDuration, SimTime, Station};
 use fabricsim_obs::{
-    message_span_id, span_id, tx_sampled, EventSink, HealthConfig, HealthReport, HealthWindow,
-    LogHistogram, MetricsRecorder, Name, OnlineHealth, PhaseEvent, SpanEvent, SpanKind, SpanSink,
-    StationClass, TracePhase, TxStationBreakdown, HEALTH_STATIONS, HEALTH_STATION_COUNT,
+    message_span_id, span_id, tx_sampled, EventSink, LogHistogram, Name, PhaseEvent, SampleRow,
+    Samples, SpanEvent, SpanKind, SpanSink, StationClass, TracePhase, TxStationBreakdown,
 };
 use fabricsim_types::TxId;
 
@@ -178,8 +178,7 @@ pub(super) struct Harvest {
     pub(super) dropped_events: u64,
     pub(super) spans: Vec<SpanEvent>,
     pub(super) dropped_spans: u64,
-    pub(super) recorder: Option<MetricsRecorder>,
-    pub(super) health: Option<HealthReport>,
+    pub(super) samples: Samples,
     pub(super) e2e_hist: LogHistogram,
 }
 
@@ -202,14 +201,12 @@ pub(super) struct Observer {
     sink: EventSink,
     /// Causal span-graph sink.
     spans: SpanSink,
-    recorder: Option<MetricsRecorder>,
-    /// Online health plane (streaming regime/SLO detectors).
-    health: Option<OnlineHealth>,
+    /// The sampler's rows, and the commit-ordered latencies when the health
+    /// plane will fold them.
+    samples: Samples,
+    /// Whether a commit's end-to-end latency goes into `samples`.
+    record_e2e: bool,
     e2e_hist: LogHistogram,
-    /// Series-name prefix of the recorder: empty on a single-channel run,
-    /// `ch{c}.` on channel `c` of several so the merged table keeps every
-    /// channel's series distinct.
-    series_prefix: String,
     /// Block-cut count at the previous sampler tick (for the cadence series).
     last_block_cuts: usize,
 }
@@ -234,22 +231,9 @@ impl Observer {
             } else {
                 SpanSink::disabled()
             },
-            recorder: (obs.sample_period_s > 0.0)
-                .then(|| MetricsRecorder::new(obs.sample_period_s)),
-            // One engine per channel world; its window is the sampler's.
-            health: obs.health_events.then(|| {
-                OnlineHealth::new(
-                    shard_id as u32,
-                    sample_period_s(cfg),
-                    HealthConfig::with_slo(obs.slo_p99_s),
-                )
-            }),
+            samples: Samples::default(),
+            record_e2e: obs.health_events,
             e2e_hist: LogHistogram::latency(),
-            series_prefix: if cfg.channels > 1 {
-                format!("ch{shard_id}.")
-            } else {
-                String::new()
-            },
             last_block_cuts: 0,
         }
     }
@@ -460,8 +444,8 @@ impl Observer {
             rec.breakdown.commit_s = t.as_secs_f64();
             rec.breakdown.end_to_end_s = e2e_s;
             self.e2e_hist.record(e2e_s);
-            if let Some(h) = self.health.as_mut() {
-                h.observe_completion(e2e_s);
+            if self.record_e2e {
+                self.samples.e2e_s.push(e2e_s);
             }
         } else {
             self.phase(t, tx_id, exit, station, depth);
@@ -549,8 +533,7 @@ impl Observer {
             events: self.sink.into_events(),
             dropped_spans: self.spans.dropped_spans(),
             spans: self.spans.into_spans(),
-            recorder: self.recorder,
-            health: self.health.map(OnlineHealth::into_report),
+            samples: self.samples,
             e2e_hist: self.e2e_hist,
         }
     }
@@ -570,19 +553,6 @@ fn exit_phase(outcome: TxOutcome) -> Option<TracePhase> {
 
 // ---- the gauge sweep ---------------------------------------------------------
 
-/// The station class behind each [`HEALTH_STATIONS`] entry. Every per-class
-/// wire order (the recorder's series, the health windows) is this one;
-/// [`StationClass::ALL`] is the pipeline order, in which the OSN sits fourth,
-/// not last.
-const HEALTH_ORDER: [StationClass; HEALTH_STATION_COUNT] = [
-    StationClass::ClientPrep,
-    StationClass::ClientRecv,
-    StationClass::PeerEndorse,
-    StationClass::PeerVscc,
-    StationClass::PeerCommit,
-    StationClass::OsnCpu,
-];
-
 /// Every station of `class` in the world, one per pool, peer or OSN.
 pub(super) fn stations_of(world: &World, class: StationClass) -> Vec<&Station> {
     match class {
@@ -595,64 +565,15 @@ pub(super) fn stations_of(world: &World, class: StationClass) -> Vec<&Station> {
     }
 }
 
-/// One read-only sweep of the gauges every sampling surface consumes. The
-/// per-class arrays are in [`HEALTH_ORDER`].
-struct GaugeSweep {
-    /// Summed jobs in system.
-    queue: [f64; HEALTH_STATION_COUNT],
-    /// Cumulative busy seconds. Busy time accrues at submit, so differencing
-    /// consecutive sweeps yields the *offered* work per window — the health
-    /// plane's saturation signal.
-    busy_s: [f64; HEALTH_STATION_COUNT],
-    /// Provisioned servers.
-    servers: [f64; HEALTH_STATION_COUNT],
-    vscc_util: f64,
-    commit_util: f64,
-    inflight: usize,
-    /// Blocks cut since the previous sweep.
-    new_cuts: usize,
-}
-
-fn sweep_gauges(world: &mut World, now: SimTime) -> GaugeSweep {
-    let cuts = world.block_cuts.len();
-    let new_cuts = cuts - world.obs.last_block_cuts;
-    world.obs.last_block_cuts = cuts;
-    // One loop per gauge over the classes, each summed over its stations.
-    let per_class = |gauge: &dyn Fn(&Station) -> f64| {
-        HEALTH_ORDER.map(|class| stations_of(world, class).into_iter().map(gauge).sum())
-    };
-    let max_util = |class| {
-        let utils = stations_of(world, class)
-            .into_iter()
-            .map(|st| st.utilization(now));
-        utils.fold(0.0, f64::max)
-    };
-    let s = GaugeSweep {
-        queue: per_class(&|st| st.jobs_in_system(now) as f64),
-        busy_s: per_class(&|st| st.busy_time().as_secs_f64()),
-        servers: per_class(&|st| st.servers() as f64),
-        vscc_util: max_util(StationClass::PeerVscc),
-        commit_util: max_util(StationClass::PeerCommit),
-        inflight: world.obs.inflight,
-        new_cuts,
-    };
-    // The counter must equal a scan of the records. Exported home stubs stay
-    // `InFlight` forever — the receiving world counts the live copy.
-    debug_assert_eq!(
-        s.inflight,
-        world
-            .obs
-            .txs
-            .iter()
-            .filter(|r| r.home.is_some() && matches!(r.trace.outcome, TxOutcome::InFlight))
-            .count()
-    );
-    s
+/// Whether anything reads the sweep: the metrics table
+/// (`sample_period_s > 0`) or the health plane.
+fn sampling(cfg: &SimConfig) -> bool {
+    cfg.obs.sample_period_s > 0.0 || cfg.obs.health_events
 }
 
 /// The sampler cadence: the configured period, or 1 s when only the health
-/// plane is attached (`sample_period_s == 0` disables the recorder).
-fn sample_period_s(cfg: &SimConfig) -> f64 {
+/// plane reads the sweep.
+pub(super) fn sample_period_s(cfg: &SimConfig) -> f64 {
     if cfg.obs.sample_period_s > 0.0 {
         cfg.obs.sample_period_s
     } else {
@@ -660,99 +581,81 @@ fn sample_period_s(cfg: &SimConfig) -> f64 {
     }
 }
 
-/// Records a sweep into the recorder's per-window series and ends the
-/// window: a whole tick, or a final partial one of `tail_width_s`.
-fn record_sweep(obs: &mut Observer, s: &GaugeSweep, cut_scale: f64, tail_width_s: Option<f64>) {
-    let prefix = &obs.series_prefix;
-    let Some(rec) = obs.recorder.as_mut() else {
-        return;
+/// Reads the world's gauges once and records them as the row of the window
+/// of `width_s` ending at `t_end_s`.
+fn sweep(world: &mut World, now: SimTime, t_end_s: f64, width_s: f64) {
+    let cuts = world.block_cuts.len();
+    let new_cuts = cuts - world.obs.last_block_cuts;
+    world.obs.last_block_cuts = cuts;
+    // One loop per gauge over the classes, each summed over its stations.
+    let per_class = |gauge: &dyn Fn(&Station) -> f64| {
+        StationClass::WIRE.map(|class| stations_of(world, class).into_iter().map(gauge).sum())
     };
-    for (station, depth) in HEALTH_STATIONS.iter().zip(s.queue) {
-        let class = station.replace('.', "_");
-        rec.sample(&format!("{prefix}queue.{class}"), depth);
-    }
-    rec.sample(&format!("{prefix}util.peer_vscc"), s.vscc_util);
-    rec.sample(&format!("{prefix}util.peer_commit"), s.commit_util);
-    rec.sample(&format!("{prefix}inflight.txs"), s.inflight as f64);
-    rec.sample(
-        &format!("{prefix}blocks.cut_per_tick"),
-        s.new_cuts as f64 * cut_scale,
-    );
-    match tail_width_s {
-        None => rec.end_tick(),
-        Some(width) => rec.end_partial_tick(width),
-    }
-}
-
-/// Closes one health-plane window from a sweep. No-op when the health plane
-/// is off.
-fn health_close(obs: &mut Observer, s: &GaugeSweep, t_end_s: f64, width_s: f64) {
-    let Some(h) = obs.health.as_mut() else { return };
-    h.close_window(&HealthWindow {
+    let max_util = |class| {
+        let utils = stations_of(world, class)
+            .into_iter()
+            .map(|st| st.utilization(now));
+        utils.fold(0.0, f64::max)
+    };
+    let row = SampleRow {
         t_end_s,
         width_s,
-        busy_s: s.busy_s,
-        queue: s.queue,
-        servers: s.servers,
-        inflight: s.inflight as f64,
-    });
+        queue: per_class(&|st| st.jobs_in_system(now) as f64),
+        busy_s: per_class(&|st| st.busy_time().as_secs_f64()),
+        servers: per_class(&|st| st.servers() as f64),
+        vscc_util: max_util(StationClass::PeerVscc),
+        commit_util: max_util(StationClass::PeerCommit),
+        inflight: world.obs.inflight,
+        new_cuts,
+        completions: world.obs.samples.e2e_s.len(),
+    };
+    // The counter must equal a scan of the records. Exported home stubs stay
+    // `InFlight` forever — the receiving world counts the live copy.
+    debug_assert_eq!(
+        row.inflight,
+        world
+            .obs
+            .txs
+            .iter()
+            .filter(|r| r.home.is_some() && matches!(r.trace.outcome, TxOutcome::InFlight))
+            .count()
+    );
+    world.obs.samples.rows.push(row);
 }
 
-/// Starts the periodic sampler if either plane that consumes it — the
-/// recorder or the health plane — is on. It reads state only: scheduling it
-/// never perturbs the simulated system, so traced and untraced runs stay
-/// bit-identical.
+/// Starts the periodic sampler if anything reads it. It reads state only:
+/// scheduling it never perturbs the simulated system, so traced and
+/// untraced runs stay bit-identical.
 pub(super) fn schedule_sampler(world: &World, k: &mut K) {
-    let obs = &world.obs;
-    if obs.recorder.is_some() || obs.health.is_some() {
+    if sampling(&world.cfg) {
         let period = SimDuration::from_secs_f64(sample_period_s(&world.cfg));
         k.schedule_in_labeled(period, "obs.sample", obs_sample);
     }
 }
 
-/// Periodic read-only gauge sweep feeding the [`MetricsRecorder`] and the
-/// online health plane.
+/// The periodic sweep: one row per whole window.
 fn obs_sample(world: &mut World, k: &mut K) {
-    let now = k.now();
-    let s = sweep_gauges(world, now);
-    record_sweep(&mut world.obs, &s, 1.0, None);
     let period = sample_period_s(&world.cfg);
-    health_close(&mut world.obs, &s, now.as_secs_f64(), period);
+    let now = k.now();
+    sweep(world, now, now.as_secs_f64(), period);
     let period = SimDuration::from_secs_f64(period);
     k.schedule_in_labeled(period, "obs.sample", obs_sample);
 }
 
-/// Flushes the final partial window at the horizon. The sampler only fires
+/// Records the final partial window at the horizon. The sampler only fires
 /// on whole periods, so a run whose duration is not an exact multiple of the
-/// period would otherwise drop the tail; this closes the gap with a
-/// width-weighted window for both the recorder and the health plane (whose
-/// regime dwells must tile the horizon exactly). The cadence series is
-/// scaled by `period / width` so its weighted mean stays in
-/// blocks-per-period units. A horizon landing exactly on a tick boundary
-/// (modulo fp noise) flushes no tail.
+/// period would otherwise drop the tail, and the health plane's regime
+/// dwells must tile the horizon exactly. A horizon landing exactly on a tick
+/// boundary (modulo fp noise) records no tail.
 pub(super) fn flush_partial_tick(world: &mut World, horizon: SimTime) {
+    if !sampling(&world.cfg) {
+        return;
+    }
+    let period = sample_period_s(&world.cfg);
     let duration = world.cfg.duration_secs;
-    // One sweep serves both planes (the sweep mutates block-cut
-    // bookkeeping, so it must run at most once per virtual instant).
-    let s = sweep_gauges(world, horizon);
-    if let Some(windows) = world.obs.health.as_ref().map(OnlineHealth::windows) {
-        let period = sample_period_s(&world.cfg);
-        let width = duration - windows as f64 * period;
-        if width > 1e-9 {
-            health_close(&mut world.obs, &s, duration, width.min(period));
-        }
-        if let Some(h) = world.obs.health.as_mut() {
-            h.finish(duration);
-        }
+    let width = duration - world.obs.samples.rows.len() as f64 * period;
+    if width > 1e-9 {
+        sweep(world, horizon, duration, width.min(period));
+        world.obs.samples.tail = true;
     }
-    let Some(rec) = world.obs.recorder.as_ref() else {
-        return;
-    };
-    let period = world.cfg.obs.sample_period_s;
-    let width = duration - rec.ticks() as f64 * period;
-    if width <= 1e-9 {
-        return;
-    }
-    let width = width.min(period);
-    record_sweep(&mut world.obs, &s, period / width, Some(width));
 }

@@ -140,16 +140,22 @@ pub struct ObsConfig {
     pub profile: bool,
     /// Time-series sampling period in virtual seconds (queue depths,
     /// utilization, in-flight transactions, block-cut cadence). Set to `0.0`
-    /// to disable the sampler entirely.
+    /// to disable the metrics table; otherwise at least 1 ms.
     pub sample_period_s: f64,
-    /// Enable the online health plane: streaming per-station regime
-    /// detection, bottleneck-shift onsets and SLO burn tracking over the
-    /// sampler's windows. Write-only with respect to the simulation.
+    /// Enable the health plane: per-station regime detection,
+    /// bottleneck-shift onsets and SLO burn tracking, folded over the
+    /// sampler's windows after the run. Write-only with respect to the
+    /// simulation.
     pub health_events: bool,
     /// End-to-end p99 latency objective the health plane's SLO burn tracker
     /// measures against, in seconds. Must be positive and finite.
     pub slo_p99_s: f64,
 }
+
+/// Shortest sampler period a run accepts, seconds. The sampler reschedules
+/// itself every period, so a period that rounds to 0 ns would never let
+/// virtual time advance.
+const MIN_SAMPLE_PERIOD_S: f64 = 1e-3;
 
 impl Default for ObsConfig {
     fn default() -> Self {
@@ -309,8 +315,12 @@ impl SimConfig {
                     .into(),
             );
         }
-        if !self.obs.sample_period_s.is_finite() || self.obs.sample_period_s < 0.0 {
-            return Err("metrics sample period must be a finite non-negative number".into());
+        let period = self.obs.sample_period_s;
+        if !(period == 0.0 || (period >= MIN_SAMPLE_PERIOD_S && period.is_finite())) {
+            return Err(format!(
+                "metrics sample period must be 0 (off) or a finite number of seconds \
+                 >= {MIN_SAMPLE_PERIOD_S} (got {period})"
+            ));
         }
         if !self.obs.trace_sample.is_finite()
             || self.obs.trace_sample < 0.0
@@ -444,6 +454,25 @@ mod tests {
             ..SimConfig::default()
         };
         assert!(c.validate().is_err());
+
+        // A sampler period that rounds to 0 ns reschedules itself at the same
+        // instant forever; one just above that writes 10⁴ rows a second.
+        for (period, ok) in [
+            (0.0, true),
+            (1e-3, true),
+            (0.25, true),
+            (1e-12, false),
+            (1e-10, false),
+            (1e-4, false),
+            (0.000_999, false),
+            (-1.0, false),
+            (f64::NAN, false),
+            (f64::INFINITY, false),
+        ] {
+            let mut c = SimConfig::default();
+            c.obs.sample_period_s = period;
+            assert_eq!(c.validate().is_ok(), ok, "sample period {period}");
+        }
     }
 
     #[test]

@@ -55,6 +55,31 @@ impl StationClass {
         }
     }
 
+    /// Every class in sampler order: the order of a [`crate::SampleRow`]'s
+    /// per-class arrays, of the metrics table's `queue.*` columns and of the
+    /// health plane's stations. The OSN comes last here and fourth in
+    /// [`StationClass::ALL`].
+    pub const WIRE: [StationClass; 6] = [
+        StationClass::ClientPrep,
+        StationClass::ClientRecv,
+        StationClass::PeerEndorse,
+        StationClass::PeerVscc,
+        StationClass::PeerCommit,
+        StationClass::OsnCpu,
+    ];
+
+    /// Dotted label the sampler's artifacts use (`"peer.vscc"` etc.).
+    pub fn wire_label(self) -> &'static str {
+        match self {
+            StationClass::ClientPrep => "pool.prep",
+            StationClass::ClientRecv => "pool.recv",
+            StationClass::PeerEndorse => "peer.endorse",
+            StationClass::OsnCpu => "osn.cpu",
+            StationClass::PeerVscc => "peer.vscc",
+            StationClass::PeerCommit => "peer.commit",
+        }
+    }
+
     /// Index of this class in the per-station arrays
     /// ([`TxStationBreakdown::queued_s`] / [`TxStationBreakdown::service_s`]).
     pub fn idx(self) -> usize {
@@ -438,5 +463,17 @@ mod tests {
         for c in StationClass::ALL {
             assert_eq!(StationClass::ALL[c.idx()], c);
         }
+        let wire: Vec<_> = StationClass::WIRE.iter().map(|c| c.wire_label()).collect();
+        assert_eq!(
+            wire,
+            vec![
+                "pool.prep",
+                "pool.recv",
+                "peer.endorse",
+                "peer.vscc",
+                "peer.commit",
+                "osn.cpu"
+            ]
+        );
     }
 }

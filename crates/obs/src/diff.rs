@@ -49,7 +49,7 @@ pub enum ArtifactKind {
     Analysis,
     /// A `profile --json` document (merged kernel profile + optional shards).
     Profile,
-    /// A `--health-out` streaming health timeline (JSONL: events + station
+    /// A `--health-out` health timeline (JSONL: events + station
     /// accounting + summary trailer).
     Health,
 }

@@ -12,9 +12,11 @@
 //! * [`LogHistogram`] — log-bucketed (HDR-style) latency histograms:
 //!   O(buckets) memory regardless of sample count, percentile queries exact
 //!   to within one bucket width.
-//! * [`TimeSeries`] / [`MetricsRecorder`] — windowed time-series sampled
-//!   every N virtual seconds (queue depths, station utilization, in-flight
-//!   transactions, block-cut cadence).
+//! * [`Samples`] / [`MetricsRecorder`] — the periodic sampler's record: one
+//!   typed [`SampleRow`] per window every N virtual seconds (queue depths,
+//!   busy time and servers per station class, utilization, in-flight
+//!   transactions, block-cut cadence), laid out after the run as a table of
+//!   aligned [`TimeSeries`].
 //! * [`BottleneckReport`] — decomposes each committed transaction's
 //!   end-to-end latency into per-station service vs. queueing time and names
 //!   the dominant queue per window, turning the paper's Finding 3 ("validate
@@ -50,14 +52,15 @@
 //!   (per-actor/per-hop dominance, slowest-endorser and gossip-depth
 //!   histograms), and exported with Chrome-trace flow events
 //!   ([`span_flow_trace`]) so Perfetto renders cross-actor arrows.
-//! * [`OnlineHealth`] / [`HealthReport`] — the *online health plane*:
-//!   streaming EWMA/CUSUM regime detection (`stable` / `saturating` /
-//!   `overloaded`) per station and channel over the sampler's gauge sweeps,
-//!   time-resolved bottleneck-shift onsets, SLO burn-rate tracking against a
-//!   configurable latency objective, and a Little's-law residual as a
-//!   self-consistency check — emitted as typed [`HealthEvent`]s into a
-//!   bounded buffer and rendered as a provenance-stamped JSONL artifact
-//!   whose per-regime dwells tile the run horizon exactly.
+//! * [`HealthReport`] — the *health plane*, [`HealthReport::fold`]ed over
+//!   the sampler's rows and the committed latencies after the run:
+//!   EWMA/CUSUM regime detection (`stable` / `saturating` / `overloaded`)
+//!   per station and channel, time-resolved bottleneck-shift onsets, SLO
+//!   burn-rate tracking against a configurable latency objective, and a
+//!   Little's-law residual as a self-consistency check — emitted as typed
+//!   [`HealthEvent`]s into a bounded buffer and rendered as a
+//!   provenance-stamped JSONL artifact whose per-regime dwells tile the run
+//!   horizon exactly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -93,11 +96,8 @@ pub use flame::collapsed_stacks;
 pub use hist::LogHistogram;
 pub use json::Json;
 pub use name::Name;
-pub use online::{
-    HealthConfig, HealthEvent, HealthEventKind, HealthReport, HealthWindow, OnlineHealth, Regime,
-    StationHealth, DEFAULT_HEALTH_CAPACITY, HEALTH_STATIONS, HEALTH_STATION_COUNT,
-};
-pub use series::{MetricsRecorder, TimeSeries};
+pub use online::{HealthEvent, HealthEventKind, HealthReport, Regime, StationHealth};
+pub use series::{MetricsRecorder, SampleRow, Samples, TimeSeries};
 pub use sink::{EventSink, JsonlFileSink, SpanSink, DEFAULT_EVENT_CAPACITY, DEFAULT_SPAN_CAPACITY};
 pub use span::{reconstruct, Segment, TxSpan, PIPELINE_LEN};
 pub use spangraph::{

@@ -1,52 +1,67 @@
-//! Online health plane: streaming regime detection over the sampler's
-//! per-window gauge sweeps.
+//! Health plane: regime detection folded over the sampler's rows after the
+//! run.
 //!
 //! The paper's central observation is that the dominant bottleneck *moves*
 //! with offered load (endorse → order → validate as load crosses the knee),
-//! yet whole-run aggregates average that movement away. This module watches
-//! the run *while it happens*: every sampler window, the simulator feeds one
-//! [`HealthWindow`] (per-station offered utilization, queue depth, in-flight
-//! count) plus the window's tx completions into an [`OnlineHealth`] engine,
-//! which maintains per-station EWMA/CUSUM change-point detectors and
-//! classifies each station into a [`Regime`] (`stable` / `saturating` /
-//! `overloaded`). Regime transitions, bottleneck-shift onsets, SLO burn-rate
-//! breaches and Little's-law self-consistency anomalies are emitted as typed
-//! [`HealthEvent`]s into a bounded buffer (mirroring the span-sink idiom) and
-//! rendered as a flat JSONL artifact with run provenance.
+//! yet whole-run aggregates average that movement away. This module
+//! recovers the movement from what the sampler recorded: once the run has
+//! ended, [`HealthReport::fold`] walks every channel world's [`SampleRow`]s
+//! (per-station offered work, queue depth, in-flight count) together with
+//! the end-to-end latencies committed in each window, keeps per-station
+//! EWMA/CUSUM change-point detectors and classifies each station into a
+//! [`Regime`] (`stable` / `saturating` / `overloaded`). Regime transitions,
+//! bottleneck-shift onsets, SLO burn-rate breaches and Little's-law
+//! self-consistency anomalies are emitted as typed [`HealthEvent`]s into a
+//! buffer bounded per channel and rendered as a flat JSONL artifact with run
+//! provenance.
 //!
-//! Everything here is pure `f64` arithmetic driven only by virtual-time
-//! inputs, so identical seeds produce byte-identical health timelines and a
-//! health-attached run is byte-identical to a health-free run (the engine is
-//! write-only from the simulation's perspective).
+//! Everything here is pure `f64` arithmetic over virtual-time inputs, so
+//! identical seeds produce byte-identical health timelines, and the fold
+//! cannot perturb the run it reads.
 //!
 //! ## The telescoping contract
 //!
 //! Regime transitions are stamped at the *start* of the window that first
-//! exhibits the new regime, and every closed window adds its full width to
+//! exhibits the new regime, and every window adds its full width to
 //! exactly one regime's dwell counter. Per-station regime dwells therefore
 //! tile the run horizon exactly: `Σ_regime dwell_s == horizon_s` (to fp
 //! noise, checked at 1e-6 by `analyze --health` and CI).
 
 use crate::json::{escape, read_jsonl, Json};
-use crate::RunProvenance;
+use crate::{RunProvenance, SampleRow, Samples, StationClass};
 
-/// Default capacity of the bounded health-event buffer.
-pub const DEFAULT_HEALTH_CAPACITY: usize = 4096;
+/// Events each channel keeps; later ones are counted as dropped.
+const CAPACITY: usize = 4096;
 
-/// Number of station classes the health plane watches.
-pub const HEALTH_STATION_COUNT: usize = 6;
+// Detector tuning, calibrated against the paper's knee experiments. `util`
+// is *offered* load per window (service time submitted / capacity), so
+// values above 1 mean the station was handed more work than it can drain.
 
-/// Dotted wire labels of the watched station classes, in pipeline order.
-/// Index `i` of every per-station array in this module refers to
-/// `HEALTH_STATIONS[i]`.
-pub const HEALTH_STATIONS: [&str; HEALTH_STATION_COUNT] = [
-    "pool.prep",
-    "pool.recv",
-    "peer.endorse",
-    "peer.vscc",
-    "peer.commit",
-    "osn.cpu",
-];
+/// EWMA smoothing factor for utilization, queue depth and the Little's-law
+/// residual.
+const EWMA_ALPHA: f64 = 0.35;
+/// CUSUM drift allowance: per-window queue growth (jobs per server)
+/// tolerated before the cumulative sum starts climbing.
+const CUSUM_K: f64 = 1.0;
+/// CUSUM decision threshold (jobs per server of sustained excess growth).
+const CUSUM_H: f64 = 32.0;
+/// EWMA offered utilization at which a station counts as saturating.
+const UTIL_SATURATING: f64 = 0.85;
+/// EWMA offered utilization at which a station counts as overloaded.
+const UTIL_OVERLOADED: f64 = 1.05;
+/// EWMA queue depth (jobs per server) at which a station saturates.
+const QUEUE_SATURATING: f64 = 8.0;
+/// EWMA queue depth (jobs per server) at which a station is overloaded.
+const QUEUE_OVERLOADED: f64 = 64.0;
+/// Windowed SLO burn rate (fraction violating / 0.01 error budget) at which
+/// a breach event fires.
+const BURN_THRESHOLD: f64 = 1.0;
+/// Normalized Little's-law residual EWMA above which the self-consistency
+/// anomaly fires.
+const LITTLE_THRESHOLD: f64 = 0.75;
+/// Consecutive calmer windows required before a station steps *down* a
+/// regime level (hysteresis against flapping).
+const COOLDOWN_WINDOWS: u32 = 3;
 
 /// Load regime of one station over one sampler window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -159,7 +174,7 @@ pub struct HealthEvent {
     pub t_s: f64,
     /// Event category.
     pub kind: HealthEventKind,
-    /// Channel the emitting engine watches.
+    /// Channel whose window triggered the event.
     pub channel: u32,
     /// Station the event concerns (`"-"` for channel-level events).
     pub station: String,
@@ -213,94 +228,7 @@ impl HealthEvent {
     }
 }
 
-/// Detector tuning for the online health engine. The defaults are calibrated
-/// against the paper's knee experiments: `util` here is *offered* load per
-/// window (service time submitted / capacity), so values above 1 mean the
-/// station was handed more work than it can drain.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HealthConfig {
-    /// End-to-end latency objective (p99), seconds.
-    pub slo_p99_s: f64,
-    /// Bounded event-buffer capacity; overflow increments the drop counter.
-    pub capacity: usize,
-    /// EWMA smoothing factor for utilization and queue depth.
-    pub ewma_alpha: f64,
-    /// CUSUM drift allowance: per-window queue growth (jobs per server)
-    /// tolerated before the cumulative sum starts climbing.
-    pub cusum_k: f64,
-    /// CUSUM decision threshold (jobs per server of sustained excess growth).
-    pub cusum_h: f64,
-    /// EWMA offered utilization at which a station counts as saturating.
-    pub util_saturating: f64,
-    /// EWMA offered utilization at which a station counts as overloaded.
-    pub util_overloaded: f64,
-    /// EWMA queue depth (jobs per server) at which a station saturates.
-    pub queue_saturating: f64,
-    /// EWMA queue depth (jobs per server) at which a station is overloaded.
-    pub queue_overloaded: f64,
-    /// Windowed SLO burn rate (fraction violating / 0.01 error budget) at
-    /// which a breach event fires.
-    pub burn_threshold: f64,
-    /// Normalized Little's-law residual EWMA above which the
-    /// self-consistency anomaly fires.
-    pub little_threshold: f64,
-    /// Consecutive calmer windows required before a station steps *down* a
-    /// regime level (hysteresis against flapping).
-    pub cooldown_windows: u32,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            slo_p99_s: 2.0,
-            capacity: DEFAULT_HEALTH_CAPACITY,
-            ewma_alpha: 0.35,
-            cusum_k: 1.0,
-            cusum_h: 32.0,
-            util_saturating: 0.85,
-            util_overloaded: 1.05,
-            queue_saturating: 8.0,
-            queue_overloaded: 64.0,
-            burn_threshold: 1.0,
-            little_threshold: 0.75,
-            cooldown_windows: 3,
-        }
-    }
-}
-
-impl HealthConfig {
-    /// Default tuning with an explicit latency objective.
-    pub fn with_slo(slo_p99_s: f64) -> HealthConfig {
-        HealthConfig {
-            slo_p99_s,
-            ..HealthConfig::default()
-        }
-    }
-}
-
-/// One closed sampler window's gauge readings, fed by the simulator. Arrays
-/// are indexed by [`HEALTH_STATIONS`] order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HealthWindow {
-    /// Virtual time of the window's end, seconds.
-    pub t_end_s: f64,
-    /// Width of the window, seconds (the sampler period, or the shorter
-    /// horizon remainder for the final partial window).
-    pub width_s: f64,
-    /// Cumulative busy seconds per station class (monotone; the engine
-    /// differences consecutive windows). Busy time accrues at submit, so the
-    /// per-window delta measures *offered* work, which exceeds
-    /// `width_s × servers` exactly when the station is past capacity.
-    pub busy_s: [f64; HEALTH_STATION_COUNT],
-    /// Jobs in system per station class at the window's end.
-    pub queue: [f64; HEALTH_STATION_COUNT],
-    /// Provisioned servers per station class.
-    pub servers: [f64; HEALTH_STATION_COUNT],
-    /// In-flight transactions at the window's end (Little's-law `L`).
-    pub inflight: f64,
-}
-
-/// Per-station streaming detector state.
+/// Per-station detector state.
 #[derive(Debug, Clone)]
 struct StationDetector {
     prev_busy_s: f64,
@@ -332,15 +260,15 @@ impl StationDetector {
         }
     }
 
-    fn raw_class(&self, cfg: &HealthConfig) -> Regime {
-        if self.util_ewma >= cfg.util_overloaded
-            || self.queue_ewma >= cfg.queue_overloaded
-            || self.cusum >= cfg.cusum_h
+    fn raw_class(&self) -> Regime {
+        if self.util_ewma >= UTIL_OVERLOADED
+            || self.queue_ewma >= QUEUE_OVERLOADED
+            || self.cusum >= CUSUM_H
         {
             Regime::Overloaded
-        } else if self.util_ewma >= cfg.util_saturating
-            || self.queue_ewma >= cfg.queue_saturating
-            || self.cusum >= cfg.cusum_h * 0.5
+        } else if self.util_ewma >= UTIL_SATURATING
+            || self.queue_ewma >= QUEUE_SATURATING
+            || self.cusum >= CUSUM_H * 0.5
         {
             Regime::Saturating
         } else {
@@ -348,7 +276,7 @@ impl StationDetector {
         }
     }
 
-    /// Updates the detector with one closed window and returns the regime
+    /// Updates the detector with one window and returns the regime
     /// transition `(from, to)` it triggered, if any. The window's full width
     /// is attributed to the (possibly new) regime, so dwells telescope.
     fn close(
@@ -358,7 +286,6 @@ impl StationDetector {
         servers: f64,
         width_s: f64,
         t_start_s: f64,
-        cfg: &HealthConfig,
     ) -> Option<(Regime, Regime)> {
         let servers = servers.max(1.0);
         let offered = (busy_s - self.prev_busy_s) / (width_s * servers);
@@ -367,27 +294,27 @@ impl StationDetector {
             self.util_ewma = offered;
             self.queue_ewma = queue_norm;
         } else {
-            self.util_ewma += cfg.ewma_alpha * (offered - self.util_ewma);
-            self.queue_ewma += cfg.ewma_alpha * (queue_norm - self.queue_ewma);
+            self.util_ewma += EWMA_ALPHA * (offered - self.util_ewma);
+            self.queue_ewma += EWMA_ALPHA * (queue_norm - self.queue_ewma);
         }
         // One-sided CUSUM over queue *increments*: only sustained growth
         // beyond the drift allowance accumulates; draining resets toward 0.
-        self.cusum = (self.cusum + (queue_norm - self.prev_queue_norm) - cfg.cusum_k).max(0.0);
+        self.cusum = (self.cusum + (queue_norm - self.prev_queue_norm) - CUSUM_K).max(0.0);
         self.prev_busy_s = busy_s;
         self.prev_queue_norm = queue_norm;
         self.windows += 1;
 
-        let raw = self.raw_class(cfg).severity();
+        let raw = self.raw_class().severity();
         let cur = self.regime.severity();
         // Step-limited transitions (±1 level per window): a station always
         // passes through `saturating` on its way to `overloaded`, and steps
-        // down only after `cooldown_windows` consecutive calmer windows.
+        // down only after `COOLDOWN_WINDOWS` consecutive calmer windows.
         let next = if raw > cur {
             self.below_streak = 0;
             cur + 1
         } else if raw < cur {
             self.below_streak += 1;
-            if self.below_streak >= cfg.cooldown_windows {
+            if self.below_streak >= COOLDOWN_WINDOWS {
                 self.below_streak = 0;
                 cur - 1
             } else {
@@ -408,21 +335,13 @@ impl StationDetector {
     }
 }
 
-/// The streaming health engine: one per event-loop world, i.e. one per
-/// channel.
-///
-/// Drive it with [`OnlineHealth::observe_completion`] on every committed
-/// transaction and [`OnlineHealth::close_window`] on every sampler tick,
-/// then [`OnlineHealth::finish`] at the horizon and
-/// [`OnlineHealth::into_report`] to extract the artifact.
-#[derive(Debug, Clone)]
-pub struct OnlineHealth {
-    cfg: HealthConfig,
+/// The detectors and counters of one channel while the fold walks its
+/// windows.
+#[derive(Debug)]
+struct ChannelFold {
     channel: u32,
-    window_hint_s: f64,
-    stations: Vec<StationDetector>,
-    events: Vec<HealthEvent>,
-    dropped: u64,
+    /// Indexed like [`StationClass::WIRE`].
+    stations: [StationDetector; 6],
     windows: u64,
     completions: u64,
     violations: u64,
@@ -432,26 +351,15 @@ pub struct OnlineHealth {
     hottest: Option<usize>,
     little_ewma: f64,
     little_anomalous: bool,
-    win_n: u64,
-    win_viol: u64,
-    win_lat_sum: f64,
-    horizon_s: f64,
+    retained: usize,
+    dropped: u64,
 }
 
-impl OnlineHealth {
-    /// Creates an engine for `channel` expecting windows of roughly
-    /// `window_hint_s` (recorded in the report; actual widths come from
-    /// [`OnlineHealth::close_window`]).
-    pub fn new(channel: u32, window_hint_s: f64, cfg: HealthConfig) -> OnlineHealth {
-        OnlineHealth {
-            cfg,
+impl ChannelFold {
+    fn new(channel: u32) -> ChannelFold {
+        ChannelFold {
             channel,
-            window_hint_s,
-            stations: (0..HEALTH_STATION_COUNT)
-                .map(|_| StationDetector::new())
-                .collect(),
-            events: Vec::new(),
-            dropped: 0,
+            stations: std::array::from_fn(|_| StationDetector::new()),
             windows: 0,
             completions: 0,
             violations: 0,
@@ -461,120 +369,101 @@ impl OnlineHealth {
             hottest: None,
             little_ewma: 0.0,
             little_anomalous: false,
-            win_n: 0,
-            win_viol: 0,
-            win_lat_sum: 0.0,
-            horizon_s: 0.0,
+            retained: 0,
+            dropped: 0,
         }
     }
 
-    /// Windows closed so far (the simulator uses this to size the final
-    /// partial window).
-    pub fn windows(&self) -> u64 {
-        self.windows
-    }
-
-    /// Records one committed transaction's end-to-end latency into the
-    /// current window.
-    pub fn observe_completion(&mut self, e2e_s: f64) {
-        self.win_n += 1;
-        self.win_lat_sum += e2e_s;
-        if e2e_s > self.cfg.slo_p99_s {
-            self.win_viol += 1;
-        }
-    }
-
-    fn push_event(&mut self, ev: HealthEvent) {
-        if self.events.len() >= self.cfg.capacity {
+    /// Appends an event stamped `t_s` to `events`, or counts it as dropped
+    /// once this channel has used its share of the buffer.
+    fn emit(
+        &mut self,
+        events: &mut Vec<HealthEvent>,
+        t_s: f64,
+        kind: HealthEventKind,
+        station: &str,
+        (from, to): (&str, &str),
+        value: f64,
+    ) {
+        if self.retained >= CAPACITY {
             self.dropped += 1;
             return;
         }
-        self.events.push(ev);
+        self.retained += 1;
+        events.push(HealthEvent {
+            t_s,
+            kind,
+            channel: self.channel,
+            station: station.to_string(),
+            from: from.to_string(),
+            to: to.to_string(),
+            value,
+        });
     }
 
-    /// Closes one sampler window: updates every station detector, the SLO
-    /// burn tracker and the Little's-law residual, emitting events for every
-    /// edge crossed. Events are stamped at the window's *start*.
-    pub fn close_window(&mut self, w: &HealthWindow) {
+    /// Folds one window — its row and the end-to-end latencies committed
+    /// during it, in commit order — into the detectors, the SLO burn tracker
+    /// and the Little's-law residual, emitting an event for every edge
+    /// crossed. Events are stamped at the window's *start*.
+    fn close(
+        &mut self,
+        w: &SampleRow,
+        e2e_s: &[f64],
+        slo_p99_s: f64,
+        events: &mut Vec<HealthEvent>,
+    ) {
         let t0 = w.t_end_s - w.width_s;
-        let channel = self.channel;
         // Per-station regime detection, in fixed station order.
-        for (i, name) in HEALTH_STATIONS.iter().enumerate() {
-            let transition = self.stations[i].close(
-                w.busy_s[i],
-                w.queue[i],
-                w.servers[i],
-                w.width_s,
-                t0,
-                &self.cfg,
-            );
+        for (i, class) in StationClass::WIRE.into_iter().enumerate() {
+            let transition =
+                self.stations[i].close(w.busy_s[i], w.queue[i], w.servers[i], w.width_s, t0);
             if let Some((from, to)) = transition {
                 let value = self.stations[i].util_ewma;
-                self.push_event(HealthEvent {
-                    t_s: t0,
-                    kind: HealthEventKind::Regime,
-                    channel,
-                    station: (*name).to_string(),
-                    from: from.label().to_string(),
-                    to: to.label().to_string(),
+                let labels = (from.label(), to.label());
+                self.emit(
+                    events,
+                    t0,
+                    HealthEventKind::Regime,
+                    class.wire_label(),
+                    labels,
                     value,
-                });
+                );
             }
         }
         // Bottleneck identity: hottest non-stable station by (severity,
         // offered utilization, queue); first index wins ties, so the choice
         // is deterministic.
+        let hotter = |b: &StationDetector, a: &StationDetector| {
+            let by_severity = b.regime.severity().cmp(&a.regime.severity());
+            let by_util = || b.util_ewma.total_cmp(&a.util_ewma);
+            let by_queue = || b.queue_ewma.total_cmp(&a.queue_ewma);
+            by_severity.then_with(by_util).then_with(by_queue).is_gt()
+        };
         let mut hottest: Option<usize> = None;
         for (i, d) in self.stations.iter().enumerate() {
-            if d.regime == Regime::Stable {
-                continue;
-            }
-            let better = match hottest {
-                None => true,
-                Some(j) => {
-                    let a = &self.stations[j];
-                    let key =
-                        |s: &StationDetector| (s.regime.severity(), s.util_ewma, s.queue_ewma);
-                    let (bs, bu, bq) = key(d);
-                    let (as_, au, aq) = key(a);
-                    match bs.cmp(&as_) {
-                        std::cmp::Ordering::Greater => true,
-                        std::cmp::Ordering::Less => false,
-                        std::cmp::Ordering::Equal => {
-                            matches!(
-                                bu.total_cmp(&au).then_with(|| bq.total_cmp(&aq)),
-                                std::cmp::Ordering::Greater
-                            )
-                        }
-                    }
-                }
-            };
-            if better {
+            if d.regime != Regime::Stable && hottest.is_none_or(|j| hotter(d, &self.stations[j])) {
                 hottest = Some(i);
             }
         }
         if hottest != self.hottest {
-            let name = |o: Option<usize>| {
-                o.map_or_else(|| "-".to_string(), |i| HEALTH_STATIONS[i].to_string())
-            };
+            let name = |o: Option<usize>| o.map_or("-", |i| StationClass::WIRE[i].wire_label());
             let value = hottest.map_or(0.0, |i| self.stations[i].util_ewma);
-            self.push_event(HealthEvent {
-                t_s: t0,
-                kind: HealthEventKind::Shift,
-                channel,
-                station: name(hottest),
-                from: name(self.hottest),
-                to: name(hottest),
+            let labels = (name(self.hottest), name(hottest));
+            self.emit(
+                events,
+                t0,
+                HealthEventKind::Shift,
+                name(hottest),
+                labels,
                 value,
-            });
+            );
             self.hottest = hottest;
         }
         // SLO burn rate: fraction of this window's completions violating the
         // objective, scaled by a 1% error budget (burn 1.0 = budget-rate).
-        let (n, viol, lat_sum) = (self.win_n, self.win_viol, self.win_lat_sum);
-        self.win_n = 0;
-        self.win_viol = 0;
-        self.win_lat_sum = 0.0;
+        let n = e2e_s.len() as u64;
+        let viol = e2e_s.iter().filter(|&&e| e > slo_p99_s).count() as u64;
+        let lat_sum = e2e_s.iter().fold(0.0, |sum, e| sum + e);
         self.completions += n;
         self.violations += viol;
         let burn = if n > 0 {
@@ -583,98 +472,54 @@ impl OnlineHealth {
             0.0
         };
         self.max_burn = self.max_burn.max(burn);
-        let breaching = burn >= self.cfg.burn_threshold;
+        let breaching = burn >= BURN_THRESHOLD;
         if breaching {
             self.burn_windows += 1;
         }
         if breaching != self.burning {
-            self.push_event(HealthEvent {
-                t_s: t0,
-                kind: HealthEventKind::SloBurn,
-                channel,
-                station: "-".to_string(),
-                from: if self.burning { "burning" } else { "ok" }.to_string(),
-                to: if breaching { "burning" } else { "ok" }.to_string(),
-                value: burn,
-            });
+            let label = |b: bool| if b { "burning" } else { "ok" };
+            let labels = (label(self.burning), label(breaching));
+            self.emit(events, t0, HealthEventKind::SloBurn, "-", labels, burn);
             self.burning = breaching;
         }
         // Little's-law residual |L − λW|, normalized by L: in steady state
         // the identity holds and the residual sits near 0; sustained
         // divergence means the system is non-stationary (or the
         // instrumentation disagrees with itself — the check's real purpose).
+        let inflight = w.inflight as f64;
         let lambda = n as f64 / w.width_s;
         let mean_wait = if n > 0 { lat_sum / n as f64 } else { 0.0 };
-        let residual = (w.inflight - lambda * mean_wait).abs() / w.inflight.max(1.0);
+        let residual = (inflight - lambda * mean_wait).abs() / inflight.max(1.0);
         if self.windows == 0 {
             self.little_ewma = residual;
         } else {
-            self.little_ewma += self.cfg.ewma_alpha * (residual - self.little_ewma);
+            self.little_ewma += EWMA_ALPHA * (residual - self.little_ewma);
         }
-        let anomalous = self.little_ewma >= self.cfg.little_threshold;
+        let anomalous = self.little_ewma >= LITTLE_THRESHOLD;
         if anomalous != self.little_anomalous {
-            self.push_event(HealthEvent {
-                t_s: t0,
-                kind: HealthEventKind::LittleAnomaly,
-                channel,
-                station: "-".to_string(),
-                from: if self.little_anomalous {
-                    "anomalous"
-                } else {
-                    "ok"
-                }
-                .to_string(),
-                to: if anomalous { "anomalous" } else { "ok" }.to_string(),
-                value: self.little_ewma,
-            });
+            let label = |a: bool| if a { "anomalous" } else { "ok" };
+            let labels = (label(self.little_anomalous), label(anomalous));
+            let value = self.little_ewma;
+            self.emit(
+                events,
+                t0,
+                HealthEventKind::LittleAnomaly,
+                "-",
+                labels,
+                value,
+            );
             self.little_anomalous = anomalous;
         }
         self.windows += 1;
-    }
-
-    /// Seals the engine at the run horizon. Call after the final (possibly
-    /// partial) window was closed.
-    pub fn finish(&mut self, horizon_s: f64) {
-        self.horizon_s = horizon_s;
-    }
-
-    /// Extracts the report artifact.
-    pub fn into_report(self) -> HealthReport {
-        let stations = self
-            .stations
-            .iter()
-            .enumerate()
-            .map(|(i, d)| StationHealth {
-                channel: self.channel,
-                station: HEALTH_STATIONS[i].to_string(),
-                regime: d.regime,
-                dwell_s: d.dwell_s,
-                onset_s: d.onset_s,
-            })
-            .collect();
-        HealthReport {
-            window_s: self.window_hint_s,
-            horizon_s: self.horizon_s,
-            slo_p99_s: self.cfg.slo_p99_s,
-            channels: 1,
-            windows: self.windows,
-            completions: self.completions,
-            slo_violations: self.violations,
-            burn_windows: self.burn_windows,
-            max_burn: self.max_burn,
-            dropped_events: self.dropped,
-            events: self.events,
-            stations,
-        }
     }
 }
 
 /// Final regime state and dwell accounting of one station on one channel.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StationHealth {
-    /// Channel the engine watched.
+    /// Channel the station belongs to.
     pub channel: u32,
-    /// Station label (one of [`HEALTH_STATIONS`]).
+    /// Station label (a [`StationClass::wire_label`]).
     pub station: String,
     /// Regime at the horizon.
     pub regime: Regime,
@@ -746,9 +591,9 @@ pub struct HealthReport {
     pub horizon_s: f64,
     /// Latency objective the burn tracker measured against, seconds.
     pub slo_p99_s: f64,
-    /// Number of per-channel engines merged into this report.
+    /// Number of channels folded into this report.
     pub channels: u32,
-    /// Total windows closed across all engines.
+    /// Total windows folded, summed over channels.
     pub windows: u64,
     /// Committed transactions observed.
     pub completions: u64,
@@ -760,8 +605,8 @@ pub struct HealthReport {
     pub max_burn: f64,
     /// Events lost to the bounded buffer.
     pub dropped_events: u64,
-    /// Every retained event, canonically ordered (see
-    /// [`HealthReport::sort_events`]).
+    /// Every retained event, in `(t_s, channel)` order (see
+    /// [`HealthReport::fold`]).
     pub events: Vec<HealthEvent>,
     /// Per-channel, per-station final accounting, in channel-major station
     /// order.
@@ -769,37 +614,59 @@ pub struct HealthReport {
 }
 
 impl HealthReport {
-    /// Merges another engine's report into this one (multi-channel runs merge
-    /// per-channel reports in channel order, then call
-    /// [`HealthReport::sort_events`] once).
-    pub fn merge(&mut self, mut other: HealthReport) {
-        debug_assert!(
-            self.window_s.to_bits() == other.window_s.to_bits(),
-            "merging health reports with different window widths"
-        );
-        self.horizon_s = if other.horizon_s > self.horizon_s {
-            other.horizon_s
-        } else {
-            self.horizon_s
-        };
-        self.channels += other.channels;
-        self.windows += other.windows;
-        self.completions += other.completions;
-        self.slo_violations += other.slo_violations;
-        self.burn_windows += other.burn_windows;
-        self.max_burn = self.max_burn.max(other.max_burn);
-        self.dropped_events += other.dropped_events;
-        self.events.append(&mut other.events);
-        self.stations.append(&mut other.stations);
-    }
-
-    /// Restores canonical event order after merging: `(t_s, channel)`,
-    /// stable, so same-window events keep each engine's deterministic
-    /// emission order and the merged stream is identical at every worker
-    /// count.
-    pub fn sort_events(&mut self) {
-        self.events
-            .sort_by(|a, b| a.t_s.total_cmp(&b.t_s).then(a.channel.cmp(&b.channel)));
+    /// Folds a finished run's sampler record — one [`Samples`] per channel
+    /// world, in channel order — into its health report. Windows are of
+    /// `window_s` (the last may be shorter), the dwells tile `horizon_s`,
+    /// and SLO burn is measured against `slo_p99_s`.
+    ///
+    /// The fold is window-major, then channel order. Every channel world
+    /// samples at the same instants, so this is the `(t_s, channel)` order,
+    /// with one channel's same-window events in detection order. Each window
+    /// sums the latencies committed during it in commit order, so the burn
+    /// and Little's-law values are exactly those of the window's own
+    /// completions. Each channel keeps at most 4 096 events and counts the
+    /// rest as dropped.
+    pub fn fold(worlds: &[Samples], window_s: f64, horizon_s: f64, slo_p99_s: f64) -> HealthReport {
+        let mut folds: Vec<ChannelFold> = (0..worlds.len() as u32).map(ChannelFold::new).collect();
+        let mut events = Vec::new();
+        let windows = worlds.iter().map(|w| w.rows.len()).max().unwrap_or(0);
+        for i in 0..windows {
+            for (w, fold) in worlds.iter().zip(&mut folds) {
+                if let Some(row) = w.rows.get(i) {
+                    fold.close(row, w.completions_in(i), slo_p99_s, &mut events);
+                }
+            }
+        }
+        let stations = folds
+            .iter()
+            .flat_map(|f| {
+                f.stations
+                    .iter()
+                    .zip(StationClass::WIRE)
+                    .map(|(d, class)| StationHealth {
+                        channel: f.channel,
+                        station: class.wire_label().to_string(),
+                        regime: d.regime,
+                        dwell_s: d.dwell_s,
+                        onset_s: d.onset_s,
+                    })
+            })
+            .collect();
+        let sum = |field: fn(&ChannelFold) -> u64| folds.iter().map(field).sum();
+        HealthReport {
+            window_s,
+            horizon_s,
+            slo_p99_s,
+            channels: folds.len() as u32,
+            windows: sum(|f| f.windows),
+            completions: sum(|f| f.completions),
+            slo_violations: sum(|f| f.violations),
+            burn_windows: sum(|f| f.burn_windows),
+            max_burn: folds.iter().map(|f| f.max_burn).fold(0.0, f64::max),
+            dropped_events: sum(|f| f.dropped),
+            events,
+            stations,
+        }
     }
 
     /// Largest per-station violation of the telescoping contract:
@@ -1034,80 +901,96 @@ impl HealthReport {
 mod tests {
     use super::*;
 
-    fn window(t_end: f64, width: f64, busy: [f64; 6], queue: [f64; 6]) -> HealthWindow {
-        HealthWindow {
+    /// Appends the window ending at `t_end` after committing `e2e` in it.
+    fn close(
+        s: &mut Samples,
+        t_end: f64,
+        width: f64,
+        busy: [f64; 6],
+        queue: [f64; 6],
+        e2e: &[f64],
+    ) {
+        s.e2e_s.extend_from_slice(e2e);
+        s.rows.push(SampleRow {
             t_end_s: t_end,
             width_s: width,
-            busy_s: busy,
             queue,
+            busy_s: busy,
             servers: [1.0; 6],
-            inflight: queue.iter().sum(),
-        }
+            vscc_util: 0.0,
+            commit_util: 0.0,
+            inflight: queue.iter().sum::<f64>() as usize,
+            new_cuts: 0,
+            completions: s.e2e_s.len(),
+        });
     }
 
-    /// Feeds `n` windows of constant per-window offered utilization and
-    /// linearly growing queue on station `idx`.
-    fn drive(h: &mut OnlineHealth, n: usize, idx: usize, util: f64, q_step: f64) {
-        let start = h.windows() as f64;
+    /// Appends `n` one-second windows of constant per-window offered
+    /// utilization and linearly growing queue on station `idx`.
+    fn drive(s: &mut Samples, n: usize, idx: usize, util: f64, q_step: f64) {
+        let start = s.rows.len() as f64;
         for i in 0..n {
             let t_end = start + i as f64 + 1.0;
             let mut busy = [0.0; 6];
             busy[idx] = util * t_end;
             let mut queue = [0.0; 6];
             queue[idx] = q_step * t_end;
-            h.close_window(&window(t_end, 1.0, busy, queue));
+            close(s, t_end, 1.0, busy, queue, &[]);
         }
+    }
+
+    /// The report of one channel's windows, up to the last one's end.
+    fn fold_with_slo(s: &Samples, slo_p99_s: f64) -> HealthReport {
+        let horizon = s.rows.last().map_or(0.0, |r| r.t_end_s);
+        HealthReport::fold(std::slice::from_ref(s), 1.0, horizon, slo_p99_s)
+    }
+
+    fn fold(s: &Samples) -> HealthReport {
+        fold_with_slo(s, 2.0)
     }
 
     #[test]
     fn overload_ramps_through_saturating() {
-        let mut h = OnlineHealth::new(0, 1.0, HealthConfig::default());
         // Offered load 10× capacity, queue growing 100 jobs/window: raw
         // class is overloaded immediately, but the step limiter must emit
         // stable→saturating then saturating→overloaded.
-        drive(&mut h, 5, 3, 10.0, 100.0);
-        let regimes: Vec<_> = h
+        let mut s = Samples::default();
+        drive(&mut s, 5, 3, 10.0, 100.0);
+        let report = fold(&s);
+        let regimes: Vec<_> = report
             .events
             .iter()
             .filter(|e| e.kind == HealthEventKind::Regime && e.station == "peer.vscc")
             .map(|e| (e.t_s, e.from.clone(), e.to.clone()))
             .collect();
-        assert_eq!(regimes.len(), 2, "{:?}", h.events);
+        assert_eq!(regimes.len(), 2, "{:?}", report.events);
         assert_eq!(regimes[0], (0.0, "stable".into(), "saturating".into()));
         assert_eq!(regimes[1], (1.0, "saturating".into(), "overloaded".into()));
         // The bottleneck-shift onset names the station.
-        assert!(h
+        assert!(report
             .events
             .iter()
             .any(|e| e.kind == HealthEventKind::Shift && e.to == "peer.vscc"));
-        let report = {
-            let mut h = h;
-            h.finish(5.0);
-            h.into_report()
-        };
         assert_eq!(report.onset_of("peer.vscc", Regime::Overloaded), Some(1.0));
         assert!(report.telescoping_error() < 1e-9, "{report:?}");
     }
 
     #[test]
     fn cooldown_hysteresis_limits_flapping() {
-        let cfg = HealthConfig::default();
-        let cooldown = cfg.cooldown_windows as usize;
-        let mut h = OnlineHealth::new(0, 1.0, cfg);
-        drive(&mut h, 4, 3, 10.0, 100.0); // drive to overloaded
+        let mut s = Samples::default();
+        drive(&mut s, 4, 3, 10.0, 100.0); // drive to overloaded
                                           // EWMA needs a few calm windows to decay below the thresholds, then
-                                          // the cooldown gates each downward step for `cooldown` more windows.
-        drive(&mut h, 30, 3, 0.0, 0.0);
-        let last = h
-            .events
+                                          // the cooldown gates each downward step for `COOLDOWN_WINDOWS` more.
+        drive(&mut s, 30, 3, 0.0, 0.0);
+        let events = fold(&s).events;
+        let last = events
             .iter()
             .rfind(|e| e.kind == HealthEventKind::Regime && e.station == "peer.vscc")
             .cloned()
             .expect("recovery transition");
         assert_eq!(last.to, "stable");
-        // Downward steps are at least `cooldown` windows apart.
-        let downs: Vec<f64> = h
-            .events
+        // Downward steps are at least `COOLDOWN_WINDOWS` windows apart.
+        let downs: Vec<f64> = events
             .iter()
             .filter(|e| {
                 e.kind == HealthEventKind::Regime
@@ -1118,19 +1001,19 @@ mod tests {
             .map(|e| e.t_s)
             .collect();
         assert_eq!(downs.len(), 2, "{downs:?}");
-        assert!(downs[1] - downs[0] >= cooldown as f64, "{downs:?}");
+        assert!(downs[1] - downs[0] >= COOLDOWN_WINDOWS as f64, "{downs:?}");
     }
 
     #[test]
     fn dwells_telescope_with_partial_tail() {
-        let mut h = OnlineHealth::new(0, 1.0, HealthConfig::default());
-        drive(&mut h, 3, 4, 0.5, 0.0);
+        let mut s = Samples::default();
+        drive(&mut s, 3, 4, 0.5, 0.0);
         // Final partial window of 0.25 s.
         let mut busy = [0.0; 6];
         busy[4] = 0.5 * 3.25;
-        h.close_window(&window(3.25, 0.25, busy, [0.0; 6]));
-        h.finish(3.25);
-        let report = h.into_report();
+        close(&mut s, 3.25, 0.25, busy, [0.0; 6], &[]);
+        let report = fold(&s);
+        assert_eq!(report.horizon_s, 3.25);
         assert_eq!(report.windows, 4);
         assert!(report.telescoping_error() < 1e-9);
         for s in &report.stations {
@@ -1141,10 +1024,9 @@ mod tests {
 
     #[test]
     fn timeline_and_json_render_the_report() {
-        let mut h = OnlineHealth::new(0, 1.0, HealthConfig::default());
-        drive(&mut h, 5, 3, 10.0, 100.0);
-        h.finish(5.0);
-        let report = h.into_report();
+        let mut s = Samples::default();
+        drive(&mut s, 5, 3, 10.0, 100.0);
+        let report = fold(&s);
         let table = report.render_timeline();
         assert!(table.contains("regime timeline"), "{table}");
         assert!(table.contains("peer.vscc"), "{table}");
@@ -1159,18 +1041,18 @@ mod tests {
 
     #[test]
     fn slo_burn_events_are_edge_triggered() {
-        let mut h = OnlineHealth::new(0, 1.0, HealthConfig::with_slo(0.5));
+        let mut s = Samples::default();
+        let quiet = |s: &mut Samples, t_end: f64, e2e: &[f64]| {
+            close(s, t_end, 1.0, [0.0; 6], [0.0; 6], e2e);
+        };
         // Window 1: all completions violate → breach fires.
-        h.observe_completion(2.0);
-        h.observe_completion(3.0);
-        h.close_window(&window(1.0, 1.0, [0.0; 6], [0.0; 6]));
+        quiet(&mut s, 1.0, &[2.0, 3.0]);
         // Window 2: still violating → no new event.
-        h.observe_completion(2.0);
-        h.close_window(&window(2.0, 1.0, [0.0; 6], [0.0; 6]));
+        quiet(&mut s, 2.0, &[2.0]);
         // Window 3: clean → recovery event.
-        h.observe_completion(0.1);
-        h.close_window(&window(3.0, 1.0, [0.0; 6], [0.0; 6]));
-        let burns: Vec<_> = h
+        quiet(&mut s, 3.0, &[0.1]);
+        let report = fold_with_slo(&s, 0.5);
+        let burns: Vec<_> = report
             .events
             .iter()
             .filter(|e| e.kind == HealthEventKind::SloBurn)
@@ -1183,11 +1065,6 @@ mod tests {
                 ("burning".to_string(), "ok".to_string())
             ]
         );
-        let report = {
-            let mut h = h;
-            h.finish(3.0);
-            h.into_report()
-        };
         assert_eq!(report.completions, 4);
         assert_eq!(report.slo_violations, 3);
         assert_eq!(report.burn_windows, 2);
@@ -1196,33 +1073,32 @@ mod tests {
 
     #[test]
     fn event_buffer_is_bounded() {
-        let cfg = HealthConfig {
-            capacity: 3,
-            ..HealthConfig::default()
-        };
-        let mut h = OnlineHealth::new(0, 1.0, cfg);
-        // Alternate every station between overload and recovery to spray
-        // transitions past the cap.
-        for round in 0..20 {
-            let hot = round % 2 == 0;
-            let util = if hot { 10.0 } else { 0.0 };
-            drive(&mut h, 4, round % 6, util, 0.0);
+        // Overload one station and let it recover, over and over, rotating
+        // through the stations, until far more transitions than the buffer
+        // holds have fired.
+        let mut s = Samples::default();
+        for round in 0..1200 {
+            drive(&mut s, 4, round % 6, 10.0, 0.0);
+            drive(&mut s, 12, round % 6, 0.0, 0.0);
         }
-        assert_eq!(h.events.len(), 3);
-        let dropped = h.dropped;
-        assert!(dropped > 0);
-        h.finish(80.0);
-        let report = h.into_report();
-        assert_eq!(report.dropped_events, dropped);
+        let one = fold(&s);
+        assert_eq!(one.events.len(), CAPACITY);
+        assert!(one.dropped_events > 0);
+        // The oldest events are the ones kept.
+        assert_eq!(one.events[0].t_s, 0.0);
+        // Each channel has its own share of the buffer.
+        let both = HealthReport::fold(&[s.clone(), s], 1.0, one.horizon_s, 2.0);
+        assert_eq!(both.events.len(), 2 * CAPACITY);
+        assert_eq!(both.dropped_events, 2 * one.dropped_events);
     }
 
     #[test]
     fn jsonl_round_trips() {
-        let mut h = OnlineHealth::new(2, 1.0, HealthConfig::default());
-        h.observe_completion(5.0);
-        drive(&mut h, 4, 3, 10.0, 100.0);
-        h.finish(4.0);
-        let report = h.into_report();
+        let mut s = Samples::default();
+        s.e2e_s.push(5.0);
+        drive(&mut s, 4, 3, 10.0, 100.0);
+        let report = fold(&s);
+        assert_eq!(report.completions, 1);
         let prov = RunProvenance {
             seed: 42,
             config_digest: "feedface00112233".into(),
@@ -1240,10 +1116,9 @@ mod tests {
 
     #[test]
     fn truncated_documents_are_rejected_not_panicked() {
-        let mut h = OnlineHealth::new(0, 1.0, HealthConfig::default());
-        drive(&mut h, 3, 3, 10.0, 100.0);
-        h.finish(3.0);
-        let doc = h.into_report().to_jsonl(None);
+        let mut s = Samples::default();
+        drive(&mut s, 3, 3, 10.0, 100.0);
+        let doc = fold(&s).to_jsonl(None);
         // Drop the trailer: truncation must be diagnosed.
         let no_trailer: String = doc
             .lines()
@@ -1271,25 +1146,27 @@ mod tests {
 
     #[test]
     fn merge_is_canonical() {
-        let mk = |channel: u32, util: f64| {
-            let mut h = OnlineHealth::new(channel, 1.0, HealthConfig::default());
-            drive(&mut h, 4, 3, util, 0.0);
-            h.finish(4.0);
-            h.into_report()
-        };
-        let a = mk(0, 10.0);
-        let b = mk(1, 10.0);
-        let mut merged = a.clone();
-        merged.merge(b.clone());
-        merged.sort_events();
+        // Two channels with different histories: the multi-channel fold
+        // must hold exactly each channel's own events, in the stable
+        // `(t_s, channel)` order, and concatenate the accounting.
+        let mut a = Samples::default();
+        drive(&mut a, 4, 3, 10.0, 100.0);
+        let mut b = Samples::default();
+        drive(&mut b, 4, 0, 0.9, 0.0);
+        let merged = HealthReport::fold(&[a.clone(), b.clone()], 1.0, 4.0, 2.0);
+        let (ra, mut rb) = (fold(&a), fold(&b));
+        for e in &mut rb.events {
+            e.channel = 1;
+        }
+        let mut want: Vec<HealthEvent> = ra.events.iter().chain(&rb.events).cloned().collect();
+        want.sort_by(|x, y| x.t_s.total_cmp(&y.t_s).then(x.channel.cmp(&y.channel)));
+        assert!(!rb.events.is_empty());
+        assert_eq!(merged.events, want);
         assert_eq!(merged.channels, 2);
-        assert_eq!(merged.windows, a.windows + b.windows);
+        assert_eq!(merged.windows, ra.windows + rb.windows);
         assert_eq!(merged.stations.len(), 12);
-        // Same-timestamp events order by channel.
-        let ts: Vec<(f64, u32)> = merged.events.iter().map(|e| (e.t_s, e.channel)).collect();
-        let mut sorted = ts.clone();
-        sorted.sort_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
-        assert_eq!(ts, sorted);
+        assert_eq!(merged.stations[..6], ra.stations[..]);
+        assert_eq!(merged.stations[6].channel, 1);
         assert!(merged.telescoping_error() < 1e-9);
     }
 

@@ -1,31 +1,82 @@
-//! Windowed time-series metrics sampled on the virtual clock.
+//! The periodic sampler's record, and the metrics table built from it.
 //!
-//! A [`MetricsRecorder`] is driven by a periodic sampler event inside the
-//! simulation: every `period_s` virtual seconds the simulator reads whatever
-//! gauges it cares about (queue depths, utilization, in-flight transactions)
-//! and calls [`MetricsRecorder::sample`]. Series are aligned — sample `i` of
-//! every series was taken at virtual time `i * period_s` — so exports are a
-//! plain rectangular table.
-//!
-//! When the simulation horizon is not a whole number of periods, the final
-//! *partial* window is flushed with [`MetricsRecorder::end_partial_tick`] and
-//! carries its actual width, so width-weighted statistics don't under-report
-//! the tail of short runs.
+//! Every sampler period the simulator sweeps each channel world's gauges
+//! once and appends one typed [`SampleRow`] to that world's [`Samples`].
+//! When the horizon is not a whole number of periods, a final *partial* row
+//! carries the remainder's actual width, so width-weighted statistics don't
+//! under-report the tail of short runs. Nothing reads the rows while the run
+//! is going: after it, [`MetricsRecorder::from_samples`] lays them out as
+//! aligned [`TimeSeries`] — sample `i` of every series belongs to the window
+//! starting at `i * period_s`, so exports are a plain rectangular table —
+//! and [`crate::HealthReport::fold`] folds the same rows into the health
+//! plane.
 
-use std::collections::HashMap;
+use crate::StationClass;
+
+/// One sampler window of one channel world: the gauges swept at its end.
+/// The per-class arrays are in [`StationClass::WIRE`] order. Every field
+/// keeps full precision; only the table's CSV and JSON renderings round.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SampleRow {
+    /// Virtual time of the window's end, seconds.
+    pub t_end_s: f64,
+    /// Width of the window, seconds: the sampler period, or the shorter
+    /// horizon remainder for the final partial window.
+    pub width_s: f64,
+    /// Jobs in system per station class at the window's end.
+    pub queue: [f64; 6],
+    /// Cumulative busy seconds per station class. Busy time accrues at
+    /// submit, so differencing consecutive rows yields the *offered* work per
+    /// window, which exceeds `width_s × servers` exactly when the station is
+    /// past capacity.
+    pub busy_s: [f64; 6],
+    /// Provisioned servers per station class.
+    pub servers: [f64; 6],
+    /// Highest VSCC-stage utilization among the peers.
+    pub vscc_util: f64,
+    /// Highest commit-stage utilization among the peers.
+    pub commit_util: f64,
+    /// In-flight transactions at the window's end (Little's-law `L`).
+    pub inflight: usize,
+    /// Blocks cut during the window.
+    pub new_cuts: usize,
+    /// Completions recorded by the window's end: the window's own are the
+    /// `e2e_s` entries between the previous row's count and this one.
+    pub completions: usize,
+}
+
+/// Everything one channel world's sampler recorded.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Samples {
+    /// One row per window, in time order.
+    pub rows: Vec<SampleRow>,
+    /// Whether the last row is the horizon's partial window.
+    pub tail: bool,
+    /// End-to-end latency of every committed transaction, seconds, in commit
+    /// order. Recorded only when the health plane is on.
+    pub e2e_s: Vec<f64>,
+}
+
+impl Samples {
+    /// The end-to-end latencies of the transactions that committed during
+    /// window `i`, in commit order.
+    pub(crate) fn completions_in(&self, i: usize) -> &[f64] {
+        let from = i.checked_sub(1).map_or(0, |p| self.rows[p].completions);
+        &self.e2e_s[from..self.rows[i].completions]
+    }
+}
 
 /// One named, periodically sampled metric.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
-    /// Metric name, e.g. `"peer0.validate.queue_depth"`.
+    /// Metric name, e.g. `"queue.peer_vscc"`.
     pub name: String,
     /// Sampling period in virtual seconds.
     pub period_s: f64,
     /// Samples; index `i` was taken at virtual time `i * period_s`.
     pub values: Vec<f64>,
     /// Width of the final window when it was cut short by the simulation
-    /// horizon (`None` when every window is a full period). Set by
-    /// [`MetricsRecorder::end_partial_tick`].
+    /// horizon (`None` when every window is a full period).
     pub tail_width_s: Option<f64>,
 }
 
@@ -45,8 +96,8 @@ impl TimeSeries {
     }
 
     /// Width-weighted mean sample (0 when empty): every window weighs its
-    /// own duration, so a flushed partial tail contributes proportionally to
-    /// its actual width instead of a full period.
+    /// own duration, so a partial tail contributes proportionally to its
+    /// actual width instead of a full period.
     pub fn mean(&self) -> f64 {
         if self.values.is_empty() {
             return 0.0;
@@ -67,161 +118,85 @@ impl TimeSeries {
     }
 }
 
-/// Collects aligned [`TimeSeries`] as the simulation's sampler fires.
-///
-/// Series are created lazily on first [`sample`](MetricsRecorder::sample) and
-/// keep their first-touch order, so exports are deterministic for a
-/// deterministic simulation.
+/// The metrics table of a run: every channel world's sampler rows as
+/// aligned, named [`TimeSeries`], built once by
+/// [`MetricsRecorder::from_samples`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsRecorder {
     period_s: f64,
     series: Vec<TimeSeries>,
-    index: HashMap<String, usize>,
-    /// Number of completed sampling ticks.
+    /// Number of sampled windows.
     ticks: usize,
-    /// Width of the final (partial) tick, once flushed.
+    /// Width of the final (partial) window, if the horizon cut it short.
     tail_width_s: Option<f64>,
 }
 
 impl MetricsRecorder {
-    /// Creates a recorder sampling every `period_s` virtual seconds.
-    ///
-    /// # Panics
-    /// Panics unless `period_s` is positive and finite.
-    pub fn new(period_s: f64) -> Self {
-        assert!(
-            period_s > 0.0 && period_s.is_finite(),
-            "invalid sample period"
-        );
+    /// Lays out the rows of every channel world, in channel order, as ten
+    /// series each: `queue.{class}` per [`StationClass::WIRE`] class,
+    /// `util.peer_vscc`, `util.peer_commit`, `inflight.txs` and
+    /// `blocks.cut_per_tick`. With several worlds every name of world `c`
+    /// carries a `ch{c}.` prefix. The cadence series is scaled by
+    /// `period / width`, so a partial tail stays in blocks-per-period units.
+    pub fn from_samples(period_s: f64, worlds: &[Samples]) -> MetricsRecorder {
+        let first = worlds.first();
+        let tail_width_s = first
+            .filter(|w| w.tail)
+            .and_then(|w| w.rows.last())
+            .map(|r| r.width_s);
+        let mut series = Vec::with_capacity(10 * worlds.len());
+        for (c, w) in worlds.iter().enumerate() {
+            let prefix = if worlds.len() > 1 {
+                format!("ch{c}.")
+            } else {
+                String::new()
+            };
+            let mut push = |name: &str, value: &dyn Fn(&SampleRow) -> f64| {
+                series.push(TimeSeries {
+                    name: format!("{prefix}{name}"),
+                    period_s,
+                    values: w.rows.iter().map(value).collect(),
+                    tail_width_s,
+                });
+            };
+            for (i, class) in StationClass::WIRE.into_iter().enumerate() {
+                let column = class.wire_label().replace('.', "_");
+                push(&format!("queue.{column}"), &|r| r.queue[i]);
+            }
+            push("util.peer_vscc", &|r| r.vscc_util);
+            push("util.peer_commit", &|r| r.commit_util);
+            push("inflight.txs", &|r| r.inflight as f64);
+            push("blocks.cut_per_tick", &|r| {
+                r.new_cuts as f64 * (period_s / r.width_s)
+            });
+        }
         MetricsRecorder {
             period_s,
-            series: Vec::new(),
-            index: HashMap::new(),
-            ticks: 0,
-            tail_width_s: None,
+            series,
+            ticks: first.map_or(0, |w| w.rows.len()),
+            tail_width_s,
         }
     }
 
-    /// Sampling period in virtual seconds.
-    pub fn period_s(&self) -> f64 {
-        self.period_s
-    }
-
-    /// Number of completed sampling ticks (a flushed partial tail counts as
-    /// one tick).
+    /// Number of sampled windows (a partial tail counts as one).
     pub fn ticks(&self) -> usize {
         self.ticks
     }
 
-    /// Width of the flushed final partial window, if the run ended mid-window
-    /// (see [`MetricsRecorder::end_partial_tick`]).
+    /// Width of the final partial window, if the run ended mid-window.
     pub fn tail_width_s(&self) -> Option<f64> {
         self.tail_width_s
     }
 
-    /// Records `value` for `name` at the current tick. A series that first
-    /// appears mid-run is back-filled with zeros so all series stay aligned.
-    pub fn sample(&mut self, name: &str, value: f64) {
-        let idx = match self.index.get(name) {
-            Some(&i) => i,
-            None => {
-                let i = self.series.len();
-                self.series.push(TimeSeries {
-                    name: name.to_string(),
-                    period_s: self.period_s,
-                    values: vec![0.0; self.ticks],
-                    tail_width_s: None,
-                });
-                self.index.insert(name.to_string(), i);
-                i
-            }
-        };
-        let s = &mut self.series[idx];
-        // Tolerate multiple samples per tick by keeping the latest.
-        if s.values.len() > self.ticks {
-            s.values[self.ticks] = value;
-        } else {
-            while s.values.len() < self.ticks {
-                s.values.push(0.0);
-            }
-            s.values.push(value);
-        }
-    }
-
-    /// Marks the end of one sampling tick; series not sampled this tick are
-    /// padded with zero so indices keep meaning "tick number".
-    pub fn end_tick(&mut self) {
-        assert!(
-            self.tail_width_s.is_none(),
-            "end_tick after the partial tail was flushed"
-        );
-        self.ticks += 1;
-        for s in &mut self.series {
-            while s.values.len() < self.ticks {
-                s.values.push(0.0);
-            }
-        }
-    }
-
-    /// Flushes the final *partial* window: like [`MetricsRecorder::end_tick`]
-    /// but records that this last window spans only `width_s` virtual
-    /// seconds (the remainder of the horizon), so width-weighted statistics
-    /// treat it proportionally. Call at most once, as the last tick of the
-    /// run.
-    ///
-    /// # Panics
-    /// Panics unless `0 < width_s ≤ period_s`, or if a tail was already
-    /// flushed.
-    pub fn end_partial_tick(&mut self, width_s: f64) {
-        assert!(
-            width_s > 0.0 && width_s <= self.period_s && width_s.is_finite(),
-            "partial tick width {width_s} outside (0, {}]",
-            self.period_s
-        );
-        self.end_tick();
-        self.tail_width_s = Some(width_s);
-        for s in &mut self.series {
-            s.tail_width_s = Some(width_s);
-        }
-    }
-
-    /// Appends every series of `other` into this recorder, preserving
-    /// `other`'s first-touch order. Used to merge the per-channel recorders
-    /// of a multi-channel run into one rectangular table: every channel
-    /// world samples on the same virtual cadence, so the merged table stays
-    /// aligned.
-    ///
-    /// Series names must be disjoint (channel recorders prefix theirs with
-    /// `ch{c}.`); a duplicate name is skipped under a debug assertion.
-    ///
-    /// # Panics
-    /// Panics (debug builds) when the cadence or tick counts disagree.
-    pub fn absorb(&mut self, other: &MetricsRecorder) {
-        debug_assert!(
-            self.period_s.to_bits() == other.period_s.to_bits(),
-            "absorb: sampler cadence mismatch ({} vs {})",
-            self.period_s,
-            other.period_s
-        );
-        debug_assert_eq!(self.ticks, other.ticks, "absorb: tick count mismatch");
-        for s in &other.series {
-            if self.index.contains_key(&s.name) {
-                debug_assert!(false, "absorb: duplicate series `{}`", s.name);
-                continue;
-            }
-            self.index.insert(s.name.clone(), self.series.len());
-            self.series.push(s.clone());
-        }
-    }
-
-    /// All series, in first-touch order.
+    /// All series, in channel order and then the order
+    /// [`MetricsRecorder::from_samples`] lists.
     pub fn series(&self) -> &[TimeSeries] {
         &self.series
     }
 
     /// Looks a series up by name.
     pub fn get(&self, name: &str) -> Option<&TimeSeries> {
-        self.index.get(name).map(|&i| &self.series[i])
+        self.series.iter().find(|s| s.name == name)
     }
 
     /// Renders a rectangular CSV: `t_s` column then one column per series.
@@ -235,17 +210,14 @@ impl MetricsRecorder {
         for tick in 0..self.ticks {
             out.push_str(&format!("{:.3}", tick as f64 * self.period_s));
             for s in &self.series {
-                out.push_str(&format!(
-                    ",{:.6}",
-                    s.values.get(tick).copied().unwrap_or(0.0)
-                ));
+                out.push_str(&format!(",{:.6}", s.values[tick]));
             }
             out.push('\n');
         }
         out
     }
 
-    /// Renders the recorder as a JSON object:
+    /// Renders the table as a JSON object:
     /// `{"period_s":..,"ticks":..[,"tail_width_s":..],"series":{"name":[..],..}}`.
     pub fn to_json(&self) -> String {
         let mut out = format!("{{\"period_s\":{},\"ticks\":{}", self.period_s, self.ticks);
@@ -275,55 +247,61 @@ impl MetricsRecorder {
 mod tests {
     use super::*;
 
-    #[test]
-    fn series_align_even_when_created_mid_run() {
-        let mut rec = MetricsRecorder::new(0.5);
-        rec.sample("a", 1.0);
-        rec.end_tick();
-        rec.sample("a", 2.0);
-        rec.sample("b", 9.0); // first appears on tick 1
-        rec.end_tick();
-        rec.end_tick(); // nobody sampled on tick 2
-        assert_eq!(rec.ticks(), 3);
-        assert_eq!(rec.get("a").unwrap().values, vec![1.0, 2.0, 0.0]);
-        assert_eq!(rec.get("b").unwrap().values, vec![0.0, 9.0, 0.0]);
-        let pts: Vec<_> = rec.get("b").unwrap().points().collect();
-        assert_eq!(pts, vec![(0.0, 0.0), (0.5, 9.0), (1.0, 0.0)]);
+    /// A window whose pool-prep queue holds `queue` jobs and which cut
+    /// `new_cuts` blocks.
+    fn row(width_s: f64, queue: f64, new_cuts: usize) -> SampleRow {
+        let mut q = [0.0; 6];
+        q[0] = queue;
+        SampleRow {
+            t_end_s: 0.0,
+            width_s,
+            queue: q,
+            busy_s: [0.0; 6],
+            servers: [1.0; 6],
+            vscc_util: 0.25,
+            commit_util: 0.0,
+            inflight: 0,
+            new_cuts,
+            completions: 0,
+        }
     }
 
-    #[test]
-    fn repeated_samples_within_a_tick_keep_latest() {
-        let mut rec = MetricsRecorder::new(1.0);
-        rec.sample("x", 1.0);
-        rec.sample("x", 4.0);
-        rec.end_tick();
-        assert_eq!(rec.get("x").unwrap().values, vec![4.0]);
+    fn world(rows: Vec<SampleRow>, tail: bool) -> Samples {
+        Samples {
+            rows,
+            tail,
+            e2e_s: Vec::new(),
+        }
     }
 
     #[test]
     fn csv_is_rectangular_with_time_column() {
-        let mut rec = MetricsRecorder::new(2.0);
-        rec.sample("q", 3.0);
-        rec.end_tick();
-        rec.sample("q", 5.0);
-        rec.sample("u", 0.25);
-        rec.end_tick();
+        let rec = MetricsRecorder::from_samples(
+            2.0,
+            &[world(vec![row(2.0, 3.0, 1), row(2.0, 5.0, 0)], false)],
+        );
         let csv = rec.to_csv();
         let lines: Vec<_> = csv.lines().collect();
-        assert_eq!(lines[0], "t_s,q,u");
+        assert_eq!(
+            lines[0],
+            "t_s,queue.pool_prep,queue.pool_recv,queue.peer_endorse,queue.peer_vscc,\
+             queue.peer_commit,queue.osn_cpu,util.peer_vscc,util.peer_commit,\
+             inflight.txs,blocks.cut_per_tick"
+        );
         assert!(lines[1].starts_with("0.000,3.000000,0.000000"));
-        assert!(lines[2].starts_with("2.000,5.000000,0.250000"));
+        assert!(lines[2].starts_with("2.000,5.000000,0.000000"));
+        assert!(lines[1].ends_with(",0.250000,0.000000,0.000000,1.000000"));
+        assert_eq!(lines.len(), 3);
     }
 
     #[test]
     fn json_export_contains_all_series() {
-        let mut rec = MetricsRecorder::new(1.0);
-        rec.sample("a", 1.5);
-        rec.end_tick();
+        let rec = MetricsRecorder::from_samples(1.0, &[world(vec![row(1.0, 1.5, 0)], false)]);
         let json = rec.to_json();
         assert!(json.contains("\"period_s\":1"));
-        assert!(json.contains("\"a\":[1.500000]"));
+        assert!(json.contains("\"queue.pool_prep\":[1.500000]"));
         assert!(!json.contains("tail_width_s"));
+        assert_eq!(rec.series().len(), 10);
     }
 
     #[test]
@@ -341,48 +319,43 @@ mod tests {
     #[test]
     fn partial_tail_is_flushed_and_weighted() {
         // Two full 1 s windows then a 0.25 s tail the horizon cut short.
-        let mut rec = MetricsRecorder::new(1.0);
-        rec.sample("q", 2.0);
-        rec.end_tick();
-        rec.sample("q", 4.0);
-        rec.end_tick();
-        rec.sample("q", 8.0);
-        rec.end_partial_tick(0.25);
+        let rows = vec![row(1.0, 2.0, 0), row(1.0, 4.0, 0), row(0.25, 8.0, 1)];
+        let rec = MetricsRecorder::from_samples(1.0, &[world(rows, true)]);
         assert_eq!(rec.ticks(), 3);
         assert_eq!(rec.tail_width_s(), Some(0.25));
-        let s = rec.get("q").unwrap();
+        let s = rec.get("queue.pool_prep").unwrap();
         assert_eq!(s.values, vec![2.0, 4.0, 8.0]);
+        assert_eq!(s.tail_width_s, Some(0.25));
         // Weighted: (2·1 + 4·1 + 8·0.25) / 2.25, not the naive (2+4+8)/3.
         let want = (2.0 + 4.0 + 8.0 * 0.25) / 2.25;
         assert!((s.mean() - want).abs() < 1e-12, "{} vs {want}", s.mean());
+        // One block in a quarter window is four per period.
+        let cuts = rec.get("blocks.cut_per_tick").unwrap();
+        assert_eq!(cuts.values, vec![0.0, 0.0, 4.0]);
         // The tail row still appears in exports.
         assert_eq!(rec.to_csv().lines().count(), 4);
         assert!(rec.to_json().contains("\"tail_width_s\":0.25"));
     }
 
     #[test]
-    fn partial_tail_pads_unsampled_series() {
-        let mut rec = MetricsRecorder::new(1.0);
-        rec.sample("a", 1.0);
-        rec.sample("b", 5.0);
-        rec.end_tick();
-        rec.sample("a", 3.0); // "b" not sampled in the tail window
-        rec.end_partial_tick(0.5);
-        assert_eq!(rec.get("b").unwrap().values, vec![5.0, 0.0]);
-        assert_eq!(rec.get("b").unwrap().tail_width_s, Some(0.5));
+    fn channels_are_prefixed_and_kept_in_order() {
+        let a = world(vec![row(1.0, 1.0, 0)], false);
+        let b = world(vec![row(1.0, 2.0, 0)], false);
+        let rec = MetricsRecorder::from_samples(1.0, &[a, b]);
+        assert_eq!(rec.series().len(), 20);
+        assert_eq!(rec.series()[0].name, "ch0.queue.pool_prep");
+        assert_eq!(rec.series()[10].name, "ch1.queue.pool_prep");
+        assert_eq!(rec.get("ch1.queue.pool_prep").unwrap().values, [2.0]);
+        assert!(rec.get("queue.pool_prep").is_none());
     }
 
     #[test]
-    #[should_panic(expected = "after the partial tail")]
-    fn ticks_after_the_tail_panic() {
-        let mut rec = MetricsRecorder::new(1.0);
-        rec.end_partial_tick(0.5);
-        rec.end_tick();
-    }
-
-    #[test]
-    #[should_panic(expected = "outside (0,")]
-    fn oversized_tail_panics() {
-        MetricsRecorder::new(1.0).end_partial_tick(1.5);
+    fn completions_are_split_by_window() {
+        let mut w = world(vec![row(1.0, 0.0, 0), row(1.0, 0.0, 0)], false);
+        w.e2e_s = vec![0.1, 0.2, 0.3];
+        w.rows[0].completions = 2;
+        w.rows[1].completions = 3;
+        assert_eq!(w.completions_in(0), [0.1, 0.2]);
+        assert_eq!(w.completions_in(1), [0.3]);
     }
 }

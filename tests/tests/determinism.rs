@@ -66,7 +66,7 @@ fn observability_config_never_changes_the_report() {
     profiled.obs.profile = true;
     let json = Simulation::new(profiled).run().to_json();
     assert_eq!(baseline, json, "the kernel profiler changed the report");
-    // The online health plane rides the same sampler and must honor the same
+    // The health plane folds the same sampler's rows and must honor the same
     // write-only contract, whatever objective it burns against.
     for slo in [0.1, 2.0] {
         let mut c = cfg.clone();
@@ -84,8 +84,8 @@ fn observability_config_never_changes_the_report() {
 fn health_timeline_is_byte_identical_across_reruns() {
     // The health plane's determinism bar: the serialized JSONL timeline —
     // events, dwell accounting and summary — is byte-identical across
-    // reruns, single- and multi-channel (per-channel engines merge in
-    // channel order under one canonical sort). Worker counts are covered by
+    // reruns, single- and multi-channel (one fold over the channel worlds,
+    // window-major then channel order). Worker counts are covered by
     // the `*_byte_identical_at_any_worker_count` tests below.
     for channels in [1u32, 4] {
         let mut cfg = quick_config(OrdererType::Solo, PolicySpec::OrN(5), 120.0);

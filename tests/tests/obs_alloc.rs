@@ -118,7 +118,8 @@ fn recording_an_observation_allocates_nothing() {
     let records = (obs.events.len() + obs.spans.len()) as u64;
     assert!(records > 20_000, "a run worth measuring: {records} records");
     // What is left is per run, not per record: the two rings, the merge's
-    // sort buffers, the health windows and the profiler's label slots.
+    // sort buffers, the sampler's latency vector, the health report and the
+    // profiler's label slots.
     let extra = allocs_on.saturating_sub(allocs_off);
     assert!(
         extra * 20 <= records,
