@@ -17,7 +17,7 @@ use fabricsim_bench::microbench::Runner;
 use fabricsim_crypto::{
     compress_portable, sha256, KeyPair, MerkleTree, PublicKey, Sha256, VerifyingKey,
 };
-use fabricsim_des::{Kernel, ShardWorld, ShardedKernel, SimDuration, SimTime, Station};
+use fabricsim_des::{Kernel, Model, ShardWorld, ShardedKernel, SimDuration, SimTime, Station};
 use fabricsim_kafka::{Broker, BrokerMsg, KafkaConfig, Record};
 use fabricsim_ledger::Ledger;
 use fabricsim_msp::{Certificate, CertificateAuthority, Msp, SigningIdentity};
@@ -337,39 +337,71 @@ fn bench_raft(r: &mut Runner) {
 
 fn bench_kafka(r: &mut Runner) {
     let mut broker = Broker::new(1, KafkaConfig::default());
-    broker.step(BrokerMsg::AppointLeader {
-        epoch: 1,
-        replicas: vec![1],
-    });
+    let mut effects = Vec::new();
+    broker.step(
+        BrokerMsg::AppointLeader {
+            epoch: 1,
+            replicas: vec![1],
+        },
+        &mut effects,
+    );
     r.bench("kafka/produce_single_replica", || {
-        broker.step(BrokerMsg::Produce {
-            reply_to: 0,
-            record: Record::payload(black_box(b"tx".to_vec())),
-        })
+        effects.clear();
+        broker.step(
+            BrokerMsg::Produce {
+                reply_to: 0,
+                record: Record::payload(black_box(b"tx".to_vec())),
+            },
+            &mut effects,
+        );
+        effects.len()
     });
+}
+
+/// The kernel rows' world: a counter every event bumps.
+#[derive(Default)]
+struct Count(u64);
+
+enum Bump {
+    /// Counts.
+    Once,
+    /// Counts, and re-arms itself 1 ns later until the count is 10 000.
+    Cascade,
+}
+
+impl Model for Count {
+    type Event = Bump;
+
+    fn fire(&mut self, event: Bump, k: &mut Kernel<Self>) {
+        self.0 += 1;
+        if let Bump::Cascade = event {
+            if self.0 < 10_000 {
+                k.schedule_in(SimDuration::from_nanos(1), Bump::Cascade);
+            }
+        }
+    }
+
+    fn label(_: &Bump) -> &'static str {
+        "bump"
+    }
 }
 
 fn bench_des_kernel(r: &mut Runner) {
     r.bench("des/kernel_10k_events", || {
-        let mut k: Kernel<u64> = Kernel::new();
-        let mut count = 0u64;
+        let mut k = Kernel::new();
+        let mut count = Count::default();
         for i in 0..10_000u64 {
-            k.schedule(SimTime::from_nanos(i), |w: &mut u64, _| *w += 1);
+            k.schedule(SimTime::from_nanos(i), Bump::Once);
         }
         k.run(&mut count);
-        assert_eq!(count, 10_000);
+        assert_eq!(count.0, 10_000);
     });
     r.bench("des/kernel_cascade_10k", || {
-        let mut k: Kernel<u64> = Kernel::new();
-        fn step(w: &mut u64, k: &mut Kernel<u64>) {
-            *w += 1;
-            if *w < 10_000 {
-                k.schedule_in(SimDuration::from_nanos(1), step);
-            }
-        }
-        let mut count = 0u64;
-        k.schedule(SimTime::ZERO, step);
+        let mut k = Kernel::new();
+        let mut count = Count::default();
+        k.schedule(SimTime::ZERO, Bump::Cascade);
         k.run(&mut count);
+        count.0
     });
     // The observability acceptance gate: a station submit loop must cost the
     // same whether or not a (disabled) tracer check guards each submission.
@@ -400,33 +432,31 @@ fn bench_sharded_kernel(r: &mut Runner) {
     // Heap schedule/pop throughput under a worst-case (scattered) insertion
     // order — every push percolates instead of appending in time order.
     r.bench("des/heap_schedule_pop_scattered_32k", || {
-        let mut k: Kernel<u64> = Kernel::new();
-        let mut count = 0u64;
+        let mut k = Kernel::new();
+        let mut count = Count::default();
         let mut x = 0x9e3779b97f4a7c15u64;
         for _ in 0..32_768u64 {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            k.schedule(SimTime::from_nanos(x % 1_000_000_000), |w: &mut u64, _| {
-                *w += 1;
-            });
+            k.schedule(SimTime::from_nanos(x % 1_000_000_000), Bump::Once);
         }
         k.run(&mut count);
-        assert_eq!(count, 32_768);
+        assert_eq!(count.0, 32_768);
     });
     // Tombstone cost: half the scheduled events are cancelled, so the pop
     // loop must skip 10k dead heap entries on the way to 10k live ones.
     r.bench("des/cancelled_tombstones_10k_of_20k", || {
-        let mut k: Kernel<u64> = Kernel::new();
-        let mut count = 0u64;
+        let mut k = Kernel::new();
+        let mut count = Count::default();
         for i in 0..20_000u64 {
-            let id = k.schedule(SimTime::from_nanos(i), |w: &mut u64, _| *w += 1);
+            let id = k.schedule(SimTime::from_nanos(i), Bump::Once);
             if i % 2 == 1 {
                 k.cancel(id);
             }
         }
         k.run(&mut count);
-        assert_eq!(count, 10_000);
+        assert_eq!(count.0, 10_000);
     });
 
     // Serial monolithic kernel vs the sharded kernel on the same event load:
@@ -439,6 +469,15 @@ fn bench_sharded_kernel(r: &mut Runner) {
         count: u64,
         out: Vec<(usize, SimTime, ())>,
     }
+    impl Model for Tick {
+        type Event = ();
+        fn fire(&mut self, (): (), _: &mut Kernel<Self>) {
+            self.count += 1;
+        }
+        fn label((): &()) -> &'static str {
+            "tick"
+        }
+    }
     impl ShardWorld for Tick {
         type Msg = ();
         fn drain_outbox(&mut self) -> Vec<(usize, SimTime, ())> {
@@ -447,22 +486,20 @@ fn bench_sharded_kernel(r: &mut Runner) {
         fn deliver(&mut self, _kernel: &mut Kernel<Self>, _at: SimTime, (): ()) {}
     }
     r.bench("des/serial_kernel_40k_events", || {
-        let mut k: Kernel<u64> = Kernel::new();
-        let mut count = 0u64;
+        let mut k = Kernel::new();
+        let mut count = Count::default();
         for i in 0..40_000u64 {
-            k.schedule(SimTime::from_nanos(i * 250), |w: &mut u64, _| *w += 1);
+            k.schedule(SimTime::from_nanos(i * 250), Bump::Once);
         }
         k.run(&mut count);
-        assert_eq!(count, 40_000);
+        assert_eq!(count.0, 40_000);
     });
     let sharded = |workers: usize| {
         let mut sk: ShardedKernel<Tick> = ShardedKernel::new(SimDuration::from_millis(1));
         for _ in 0..4 {
             let mut k = Kernel::new();
             for i in 0..10_000u64 {
-                k.schedule(SimTime::from_nanos(i * 1_000), |w: &mut Tick, _| {
-                    w.count += 1;
-                });
+                k.schedule(SimTime::from_nanos(i * 1_000), ());
             }
             sk.push_shard(k, Tick::default());
         }

@@ -7,9 +7,8 @@ use std::sync::Arc;
 use fabricsim_chaincode::samples::AssetTransfer;
 use fabricsim_des::{ShardWorld, SimDuration, SimTime};
 use fabricsim_obs::{SpanKind, StationClass, TracePhase};
-use fabricsim_ordering::OsnInput;
 use fabricsim_types::encode::WireSize;
-use fabricsim_types::{Principal, ProposalResponse, Transaction, TxId};
+use fabricsim_types::{ProposalResponse, Transaction, TxId};
 
 use fabricsim_client::{CollectState, EndorsementCollector};
 
@@ -17,21 +16,12 @@ use crate::metrics::TxOutcome;
 use crate::workload::WorkloadKind;
 
 use super::observe::{Actor, SpanKey};
-use super::ordering::osn_receive;
-use super::peer::peer_receive_proposal;
-use super::world::{PendingTx, ShardMsg, World, K};
+use super::world::{Ev, PendingTx, ShardMsg, World, K};
 
 pub(super) fn schedule_next_arrival(world: &mut World, k: &mut K, p: usize) {
     let per_pool_rate = world.cfg.arrival_rate_tps / world.pools.len() as f64;
     let gap = world.pools[p].arrivals.exp(1.0 / per_pool_rate);
-    k.schedule_in_labeled(
-        SimDuration::from_secs_f64(gap),
-        "pool.arrival",
-        move |w, k| {
-            pool_arrival(w, k, p);
-            schedule_next_arrival(w, k, p);
-        },
-    );
+    k.schedule_in(SimDuration::from_secs_f64(gap), Ev::PoolArrival { pool: p });
 }
 
 fn workload_args(world: &mut World, p: usize, seq: usize) -> (String, Vec<Vec<u8>>) {
@@ -103,7 +93,7 @@ fn workload_args(world: &mut World, p: usize, seq: usize) -> (String, Vec<Vec<u8
     }
 }
 
-fn pool_arrival(world: &mut World, k: &mut K, p: usize) {
+pub(super) fn pool_arrival(world: &mut World, k: &mut K, p: usize) {
     let now = k.now();
     let seq = world.obs.arrivals();
 
@@ -131,12 +121,12 @@ fn pool_arrival(world: &mut World, k: &mut K, p: usize) {
     let tx_id = proposal.tx_id;
     // Only deployed endorsing peers are reachable; a policy naming an
     // undeployed org can then fail at collection, as on a real network.
-    let targets: Vec<Principal> = pool
+    let targets: Vec<usize> = pool
         .selector
         .next_targets()
         .iter()
         .filter(|pr| pr.org.0 >= 1 && pr.org.0 <= deployed)
-        .cloned()
+        .map(World::peer_of)
         .collect();
     if targets.is_empty() {
         let outcome = TxOutcome::EndorsementFailed;
@@ -182,14 +172,25 @@ fn pool_arrival(world: &mut World, k: &mut K, p: usize) {
     let span = SpanKey::tx(tx_id, SpanKind::ClientPrep, Actor::Pool(p));
     world.obs.span(span, None, now, done + sdk_pre);
     world.shard.pending_sends.push(Reverse(done + sdk_pre));
-    k.schedule_labeled(done + sdk_pre, "pool.send", move |w, k| {
-        w.pools[p].in_prep -= 1;
-        send_proposals(w, k, p, tx_id, targets);
-    });
+    let send = Ev::PoolSend {
+        pool: p,
+        tx: tx_id,
+        targets,
+    };
+    k.schedule(done + sdk_pre, send);
 }
 
-fn send_proposals(world: &mut World, k: &mut K, p: usize, tx_id: TxId, targets: Vec<Principal>) {
+/// Proposal `tx_id` leaves pool `p`'s submission thread for the endorsing
+/// peers `targets`.
+pub(super) fn send_proposals(
+    world: &mut World,
+    k: &mut K,
+    p: usize,
+    tx_id: TxId,
+    targets: Vec<usize>,
+) {
     let now = k.now();
+    world.pools[p].in_prep -= 1;
     // Retire this send from the emission-bound heap; `pool.send` events are
     // never cancelled, so pops line up one-to-one with pushes.
     let popped = world.shard.pending_sends.pop();
@@ -216,12 +217,7 @@ fn send_proposals(world: &mut World, k: &mut K, p: usize, tx_id: TxId, targets: 
         // stub that the deterministic merge drops for the completed one.
         let deliveries: Vec<(usize, SimTime)> = targets
             .iter()
-            .map(|principal| {
-                (
-                    world.peer_of(principal),
-                    world.pools[p].egress.transfer(now, bytes),
-                )
-            })
+            .map(|&peer| (peer, world.pools[p].egress.transfer(now, bytes)))
             .collect();
         let Some(at) = deliveries.iter().map(|d| d.1).min() else {
             return;
@@ -243,13 +239,17 @@ fn send_proposals(world: &mut World, k: &mut K, p: usize, tx_id: TxId, targets: 
         ));
         return;
     }
-    for principal in targets {
-        let peer_idx = world.peer_of(&principal);
+    for peer in targets {
         let arrival = world.pools[p].egress.transfer(now, bytes);
         let proposal = Arc::clone(&proposal);
-        k.schedule_labeled(arrival, "peer.endorse", move |w, k| {
-            peer_receive_proposal(w, k, peer_idx, p, proposal);
-        });
+        k.schedule(
+            arrival,
+            Ev::Endorse {
+                peer,
+                pool: p,
+                proposal,
+            },
+        );
     }
 }
 
@@ -284,11 +284,16 @@ impl ShardWorld for World {
                 timeout_event: None,
             },
         );
-        for (peer_idx, at) in deliveries {
+        for (peer, at) in deliveries {
             let proposal = Arc::clone(&proposal);
-            kernel.schedule_labeled(at, "peer.endorse", move |w, k| {
-                peer_receive_proposal(w, k, peer_idx, p, proposal);
-            });
+            kernel.schedule(
+                at,
+                Ev::Endorse {
+                    peer,
+                    pool: p,
+                    proposal,
+                },
+            );
         }
     }
 
@@ -354,14 +359,12 @@ pub(super) fn pool_receive_response(
                 endorser_peer.map(|e| SpanKey::tx(tx_id, SpanKind::Endorse, Actor::Peer(e)));
             let span = SpanKey::tx(tx_id, SpanKind::Assemble, Actor::Pool(p));
             world.obs.span(span, parent, now, done + sdk_post);
-            k.schedule_labeled(done + sdk_post, "client.assemble", move |w, k| {
-                client_assemble(w, k, p, tx_id);
-            });
+            k.schedule(done + sdk_post, Ev::ClientAssemble { pool: p, tx: tx_id });
         }
     }
 }
 
-fn client_assemble(world: &mut World, k: &mut K, p: usize, tx_id: TxId) {
+pub(super) fn client_assemble(world: &mut World, k: &mut K, p: usize, tx_id: TxId) {
     let now = k.now();
     let pool = &world.pools[p];
     let Some(pending) = pool.pending.get(&tx_id) else {
@@ -410,22 +413,7 @@ fn submit_to_orderer(world: &mut World, k: &mut K, p: usize, tx: Transaction) {
 
     // Arm the 3 s ordering timeout.
     let timeout = world.ms(world.cfg.ordering_timeout_ms as f64);
-    let ev = k.schedule_labeled(
-        now + timeout,
-        "ordering.timeout",
-        move |w: &mut World, k| {
-            let acked = w
-                .obs
-                .record(tx_id)
-                .is_some_and(|r| r.trace.order_acked.is_some());
-            w.pools[p].pending.remove(&tx_id);
-            if !acked {
-                let outcome = TxOutcome::OrderingTimeout;
-                w.obs
-                    .terminal(k.now(), tx_id, outcome, "ordering.timeout", 0);
-            }
-        },
-    );
+    let ev = k.schedule(now + timeout, Ev::OrderingTimeout { pool: p, tx: tx_id });
     if let Some(pending) = world.pools[p].pending.get_mut(&tx_id) {
         pending.timeout_event = Some(ev);
     }
@@ -435,7 +423,28 @@ fn submit_to_orderer(world: &mut World, k: &mut K, p: usize, tx: Transaction) {
     if world.check_channel(&tx.channel).is_err() {
         return;
     }
-    k.schedule_labeled(arrival, "osn.receive", move |w, k| {
-        osn_receive(w, k, o, OsnInput::Broadcast(tx), Some(p));
-    });
+    k.schedule(
+        arrival,
+        Ev::OsnBroadcast {
+            osn: o,
+            pool: p,
+            tx,
+        },
+    );
+}
+
+/// Transaction `tx_id`'s ordering timeout fired: the client gives up on it
+/// unless the orderer acknowledged it.
+pub(super) fn ordering_timeout(world: &mut World, k: &mut K, p: usize, tx_id: TxId) {
+    let acked = world
+        .obs
+        .record(tx_id)
+        .is_some_and(|r| r.trace.order_acked.is_some());
+    world.pools[p].pending.remove(&tx_id);
+    if !acked {
+        let outcome = TxOutcome::OrderingTimeout;
+        world
+            .obs
+            .terminal(k.now(), tx_id, outcome, "ordering.timeout", 0);
+    }
 }

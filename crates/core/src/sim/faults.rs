@@ -7,8 +7,7 @@ use fabricsim_des::SimTime;
 use fabricsim_types::encode::WireSize;
 use fabricsim_types::Block;
 
-use super::peer::peer_receive_block;
-use super::world::{World, K};
+use super::world::{Ev, World, K};
 
 /// Scheduled fault injections.
 #[derive(Debug, Clone, Default)]
@@ -35,63 +34,58 @@ impl FaultPlan {
 
 pub(super) fn schedule_faults(faults: &FaultPlan, k: &mut K) {
     for &(peer, at) in &faults.nondeterministic_peers {
-        k.schedule_labeled(
-            SimTime::from_secs_f64(at),
-            "fault",
-            move |w: &mut World, _| {
-                if let Some(node) = w.peers.get_mut(peer as usize) {
-                    node.peer.install_chaincode(Box::new(Nondeterministic {
-                        inner: KvWrite,
-                        taint: peer,
-                    }));
-                }
-            },
-        );
+        k.schedule(SimTime::from_secs_f64(at), Ev::Nondeterministic { peer });
     }
-    for &(b, at) in &faults.crash_brokers {
-        k.schedule_labeled(
-            SimTime::from_secs_f64(at),
-            "fault",
-            move |w: &mut World, _| {
-                if let Some(actor) = w.brokers.get_mut(b as usize) {
-                    actor.alive = false;
-                }
-            },
-        );
+    for &(broker, at) in &faults.crash_brokers {
+        k.schedule(SimTime::from_secs_f64(at), Ev::CrashBroker { broker });
     }
-    for &(o, at) in &faults.crash_osns {
-        k.schedule_labeled(
-            SimTime::from_secs_f64(at),
-            "fault",
-            move |w: &mut World, k| {
-                let o = o as usize;
-                let Some(actor) = w.osns.get_mut(o) else {
-                    return;
-                };
-                actor.alive = false;
-                let orphans = std::mem::take(&mut actor.subscribers);
-                // Peers reconnect to another OSN and seek from their height.
-                let Some(target) = w.osns.iter().position(|a| a.alive) else {
-                    return; // no ordering service left (Solo crash)
-                };
-                for peer_idx in orphans {
-                    w.osns[target].subscribers.push(peer_idx);
-                    let missing: Vec<Arc<Block>> = w.osns[target]
-                        .delivered
-                        .iter()
-                        .filter(|blk| blk.header.number >= w.peers[peer_idx].next_expected_block)
-                        .cloned()
-                        .collect();
-                    let now = k.now();
-                    for b in missing {
-                        let bytes = b.wire_size();
-                        let arrival = w.osns[target].egress.transfer(now, bytes);
-                        k.schedule_labeled(arrival, "peer.block", move |w, k| {
-                            peer_receive_block(w, k, peer_idx, b);
-                        });
-                    }
-                }
-            },
-        );
+    for &(osn, at) in &faults.crash_osns {
+        k.schedule(SimTime::from_secs_f64(at), Ev::CrashOsn { osn });
+    }
+}
+
+/// Endorsing peer `peer` starts running non-deterministic chaincode.
+pub(super) fn go_nondeterministic(world: &mut World, peer: u32) {
+    if let Some(node) = world.peers.get_mut(peer as usize) {
+        node.peer.install_chaincode(Box::new(Nondeterministic {
+            inner: KvWrite,
+            taint: peer,
+        }));
+    }
+}
+
+/// Broker `b` stops handling anything.
+pub(super) fn crash_broker(world: &mut World, b: u32) {
+    if let Some(actor) = world.brokers.get_mut(b as usize) {
+        actor.alive = false;
+    }
+}
+
+/// OSN `o` stops; its subscribers reconnect to the first live OSN and seek
+/// from their height.
+pub(super) fn crash_osn(world: &mut World, k: &mut K, o: u32) {
+    let o = o as usize;
+    let Some(actor) = world.osns.get_mut(o) else {
+        return;
+    };
+    actor.alive = false;
+    let orphans = std::mem::take(&mut actor.subscribers);
+    let Some(target) = world.osns.iter().position(|a| a.alive) else {
+        return; // no ordering service left (Solo crash)
+    };
+    for peer in orphans {
+        world.osns[target].subscribers.push(peer);
+        let missing: Vec<Arc<Block>> = world.osns[target]
+            .delivered
+            .iter()
+            .filter(|blk| blk.header.number >= world.peers[peer].next_expected_block)
+            .cloned()
+            .collect();
+        let now = k.now();
+        for block in missing {
+            let bytes = block.wire_size();
+            let arrival = world.osns[target].egress.transfer(now, bytes);
+            k.schedule(arrival, Ev::PeerBlock { peer, block });
+        }
     }
 }

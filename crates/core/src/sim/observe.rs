@@ -30,7 +30,7 @@ use fabricsim_types::TxId;
 use crate::metrics::{TxOutcome, TxTrace};
 use crate::workload::SimConfig;
 
-use super::world::{World, K};
+use super::world::{Ev, World, K};
 
 /// Everything recorded about one transaction: the paper's per-phase log
 /// line, its station decomposition, and where it lives among the worlds.
@@ -629,17 +629,17 @@ fn sweep(world: &mut World, now: SimTime, t_end_s: f64, width_s: f64) {
 pub(super) fn schedule_sampler(world: &World, k: &mut K) {
     if sampling(&world.cfg) {
         let period = SimDuration::from_secs_f64(sample_period_s(&world.cfg));
-        k.schedule_in_labeled(period, "obs.sample", obs_sample);
+        k.schedule_in(period, Ev::ObsSample);
     }
 }
 
 /// The periodic sweep: one row per whole window.
-fn obs_sample(world: &mut World, k: &mut K) {
+pub(super) fn obs_sample(world: &mut World, k: &mut K) {
     let period = sample_period_s(&world.cfg);
     let now = k.now();
     sweep(world, now, now.as_secs_f64(), period);
     let period = SimDuration::from_secs_f64(period);
-    k.schedule_in_labeled(period, "obs.sample", obs_sample);
+    k.schedule_in(period, Ev::ObsSample);
 }
 
 /// Records the final partial window at the horizon. The sampler only fires

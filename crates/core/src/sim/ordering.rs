@@ -7,11 +7,10 @@ use fabricsim_kafka::{BrokerEffect, BrokerMsg, ClientEvent, ZkEffect, ZkMsg};
 use fabricsim_obs::{SpanKind, StationClass, TracePhase};
 use fabricsim_ordering::{OsnEffect, OsnInput, OsnMsg};
 use fabricsim_types::encode::WireSize;
-use fabricsim_types::{Block, OrdererType};
+use fabricsim_types::{Block, OrdererType, TxId};
 
 use super::observe::{Actor, SpanKey};
-use super::peer::peer_receive_block;
-use super::world::{World, K};
+use super::world::{Ev, World, K};
 
 /// Routes any input through the OSN's CPU station, then applies effects to
 /// the channel's ordering instance. `client` is the pool a client broadcast
@@ -51,13 +50,16 @@ pub(super) fn osn_receive(
         let span = SpanKey::tx(tx_id, SpanKind::OsnBroadcast, Actor::Osn(o));
         world.obs.span(span, Some(assembly), now, done);
     }
-    k.schedule_labeled(done, "osn.receive", move |w, k| {
-        if !w.osns[o].alive {
-            return;
-        }
-        let effects = w.osns[o].node.handle(input);
-        apply_osn_effects(w, k, o, effects);
-    });
+    k.schedule(done, Ev::OsnHandle { osn: o, input });
+}
+
+/// OSN `o`'s CPU station finished `input`: the ordering instance handles it.
+pub(super) fn osn_handle(world: &mut World, k: &mut K, o: usize, input: OsnInput) {
+    if !world.osns[o].alive {
+        return;
+    }
+    let effects = world.osns[o].node.handle(input);
+    apply_osn_effects(world, k, o, effects);
 }
 
 pub(super) fn osn_tick(world: &mut World, k: &mut K, o: usize) {
@@ -66,7 +68,7 @@ pub(super) fn osn_tick(world: &mut World, k: &mut K, o: usize) {
         apply_osn_effects(world, k, o, effects);
     }
     let period = world.ms(world.cfg.cost.osn_tick_ms);
-    k.schedule_in_labeled(period, "osn.tick", move |w, k| osn_tick(w, k, o));
+    k.schedule_in(period, Ev::OsnTick { osn: o });
 }
 
 fn apply_osn_effects(world: &mut World, k: &mut K, o: usize, effects: Vec<OsnEffect>) {
@@ -78,18 +80,12 @@ fn apply_osn_effects(world: &mut World, k: &mut K, o: usize, effects: Vec<OsnEff
                     continue;
                 };
                 let arrival = world.osns[o].egress.transfer(now, 200);
-                k.schedule_labeled(arrival, "osn.ack", move |w: &mut World, k2| {
-                    let now = k2.now();
-                    if let Some(pending) = w.pools[p].pending.remove(&tx_id) {
-                        if let Some(ev) = pending.timeout_event {
-                            k2.cancel(ev);
-                        }
-                    }
-                    let station = &w.osns[o].station;
-                    let depth = station.jobs_in_system(now);
-                    w.obs
-                        .phase(now, tx_id, TracePhase::OrderAcked, station.name(), depth);
-                });
+                let ack = Ev::OsnAck {
+                    osn: o,
+                    pool: p,
+                    tx: tx_id,
+                };
+                k.schedule(arrival, ack);
             }
             OsnEffect::SendOsn { to, message } => {
                 let bytes = osn_msg_bytes(&message);
@@ -99,9 +95,8 @@ fn apply_osn_effects(world: &mut World, k: &mut K, o: usize, effects: Vec<OsnEff
                 world
                     .obs
                     .msg_span(SpanKind::RaftMsg, src, dst, now, arrival);
-                k.schedule_labeled(arrival, "osn.relay", move |w, k| {
-                    osn_receive(w, k, to as usize, OsnInput::Osn { from, message }, None);
-                });
+                let to = to as usize;
+                k.schedule(arrival, Ev::OsnRelay { to, from, message });
             }
             OsnEffect::SendBroker { to, message } => {
                 let bytes = broker_msg_bytes(&message);
@@ -110,21 +105,34 @@ fn apply_osn_effects(world: &mut World, k: &mut K, o: usize, effects: Vec<OsnEff
                 world
                     .obs
                     .msg_span(SpanKind::KafkaProduce, src, dst, now, arrival);
-                k.schedule_labeled(arrival, "broker.produce", move |w, k| {
-                    broker_receive(w, k, to as usize, message);
-                });
+                let broker = to as usize;
+                k.schedule(arrival, Ev::BrokerProduce { broker, message });
             }
             OsnEffect::ArmBatchTimer { after_ms, seq } => {
                 let delay = world.ms(after_ms as f64);
-                k.schedule_in_labeled(delay, "osn.timer", move |w, k| {
-                    osn_receive(w, k, o, OsnInput::BatchTimer { seq }, None);
-                });
+                k.schedule_in(delay, Ev::OsnTimer { osn: o, seq });
             }
             OsnEffect::BlockReady(block) => {
                 deliver_block(world, k, o, block);
             }
         }
     }
+}
+
+/// OSN `o`'s acknowledgment of `tx_id` reached pool `p`: the client stops
+/// its ordering timeout.
+pub(super) fn osn_ack(world: &mut World, k: &mut K, o: usize, p: usize, tx_id: TxId) {
+    let now = k.now();
+    if let Some(pending) = world.pools[p].pending.remove(&tx_id) {
+        if let Some(ev) = pending.timeout_event {
+            k.cancel(ev);
+        }
+    }
+    let station = &world.osns[o].station;
+    let depth = station.jobs_in_system(now);
+    world
+        .obs
+        .phase(now, tx_id, TracePhase::OrderAcked, station.name(), depth);
 }
 
 fn osn_msg_bytes(message: &OsnMsg) -> u64 {
@@ -151,8 +159,8 @@ fn broker_msg_bytes(message: &BrokerMsg) -> u64 {
 
 fn deliver_block(world: &mut World, k: &mut K, o: usize, block: Block) {
     // Shared from here to each committer: subscribers, the replay log and
-    // the gossip mesh all hold the one allocation, and a peer deep-copies it
-    // only when its ledger takes ownership.
+    // the gossip mesh all hold the one allocation, and a ledger that takes
+    // ownership copies only the header and flags — never the transactions.
     let block = Arc::new(block);
     let now = k.now();
     if world.check_channel(&block.channel).is_err() {
@@ -184,37 +192,48 @@ fn deliver_block(world: &mut World, k: &mut K, o: usize, block: Block) {
             Actor::Peer(peer_idx),
         );
         world.obs.span(delivery, Some(cut), now, arrival);
-        let b = Arc::clone(&block);
-        k.schedule_labeled(arrival, "osn.deliver", move |w, k| {
-            peer_receive_block(w, k, peer_idx, b);
-        });
+        let block = Arc::clone(&block);
+        k.schedule(
+            arrival,
+            Ev::OsnDeliver {
+                peer: peer_idx,
+                block,
+            },
+        );
     }
     world.osns[o].delivered.push(block);
 }
 
-fn broker_receive(world: &mut World, k: &mut K, b: usize, message: BrokerMsg) {
+pub(super) fn broker_receive(world: &mut World, k: &mut K, b: usize, message: BrokerMsg) {
     if !world.brokers[b].alive {
         return;
     }
     let now = k.now();
     let service = world.ms(world.cfg.cost.kafka_broker_op_ms);
     let done = world.brokers[b].station.submit(now, service);
-    k.schedule_labeled(done, "broker.step", move |w, k| {
-        if !w.brokers[b].alive {
-            return;
-        }
-        let effects = w.brokers[b].partition.step(message);
-        apply_broker_effects(w, k, b, effects);
-    });
+    k.schedule(done, Ev::BrokerStep { broker: b, message });
+}
+
+/// Broker `b`'s CPU station finished `message`: the partition steps on it.
+pub(super) fn broker_step(world: &mut World, k: &mut K, b: usize, message: BrokerMsg) {
+    if !world.brokers[b].alive {
+        return;
+    }
+    let mut effects = std::mem::take(&mut world.broker_effects);
+    world.brokers[b].partition.step(message, &mut effects);
+    apply_broker_effects(world, k, b, &mut effects);
+    world.broker_effects = effects;
 }
 
 pub(super) fn broker_tick(world: &mut World, k: &mut K, b: usize) {
     if world.brokers[b].alive {
-        let effects = world.brokers[b].partition.tick();
-        apply_broker_effects(world, k, b, effects);
+        let mut effects = std::mem::take(&mut world.broker_effects);
+        world.brokers[b].partition.tick(&mut effects);
+        apply_broker_effects(world, k, b, &mut effects);
+        world.broker_effects = effects;
     }
     let period = world.ms(world.cfg.cost.broker_tick_ms);
-    k.schedule_in_labeled(period, "broker.tick", move |w, k| broker_tick(w, k, b));
+    k.schedule_in(period, Ev::BrokerTick { broker: b });
 }
 
 pub(super) fn broker_heartbeat(world: &mut World, k: &mut K, b: usize) {
@@ -223,21 +242,19 @@ pub(super) fn broker_heartbeat(world: &mut World, k: &mut K, b: usize) {
         zk_receive(world, k, ZkMsg::Heartbeat { from });
     }
     let period = world.ms(world.cfg.cost.zk_heartbeat_ms);
-    k.schedule_in_labeled(period, "broker.heartbeat", move |w, k| {
-        broker_heartbeat(w, k, b);
-    });
+    k.schedule_in(period, Ev::BrokerHeartbeat { broker: b });
 }
 
-fn apply_broker_effects(world: &mut World, k: &mut K, b: usize, effects: Vec<BrokerEffect>) {
+/// Applies and drains the effects broker `b` just emitted.
+fn apply_broker_effects(world: &mut World, k: &mut K, b: usize, effects: &mut Vec<BrokerEffect>) {
     let now = k.now();
-    for effect in effects {
+    for effect in effects.drain(..) {
         match effect {
             BrokerEffect::Send { to, message } => {
                 let bytes = broker_msg_bytes(&message);
                 let arrival = world.brokers[b].egress.transfer(now, bytes);
-                k.schedule_labeled(arrival, "broker.send", move |w, k| {
-                    broker_receive(w, k, to as usize, message);
-                });
+                let broker = to as usize;
+                k.schedule(arrival, Ev::BrokerSend { broker, message });
             }
             BrokerEffect::Reply { to, event } => {
                 let bytes = client_event_bytes(&event);
@@ -249,9 +266,7 @@ fn apply_broker_effects(world: &mut World, k: &mut K, b: usize, effects: Vec<Bro
                         .obs
                         .msg_span(SpanKind::KafkaConsume, src, dst, now, arrival);
                 }
-                k.schedule_labeled(arrival, "osn.consume", move |w, k| {
-                    osn_receive(w, k, o, OsnInput::Kafka(event), None);
-                });
+                k.schedule(arrival, Ev::OsnConsume { osn: o, event });
             }
             BrokerEffect::IsrUpdate { isr } => {
                 let from = world.brokers[b].partition.id();
@@ -283,7 +298,7 @@ pub(super) fn zk_tick(world: &mut World, k: &mut K) {
         let effects = zk.tick();
         apply_zk_effects(world, k, effects);
     }
-    k.schedule_in_labeled(world.ms(500.0), "zk.tick", zk_tick);
+    k.schedule_in(world.ms(500.0), Ev::ZkTick);
 }
 
 fn apply_zk_effects(world: &mut World, k: &mut K, effects: Vec<ZkEffect>) {
@@ -292,11 +307,9 @@ fn apply_zk_effects(world: &mut World, k: &mut K, effects: Vec<ZkEffect>) {
         // a prompt notification to every OSN when ZooKeeper appoints a leader.
         if let ZkEffect::AppointLeader { broker, .. } = &effect {
             let leader = *broker;
-            for o in 0..world.osns.len() {
+            for osn in 0..world.osns.len() {
                 let delay = world.ms(world.cfg.cost.link_propagation_ms + 1.0);
-                k.schedule_in_labeled(delay, "osn.metadata", move |w, k| {
-                    osn_receive(w, k, o, OsnInput::KafkaMetadata { leader }, None);
-                });
+                k.schedule_in(delay, Ev::OsnMetadata { osn, leader });
             }
         }
         let (target, message) = match effect {
@@ -313,8 +326,7 @@ fn apply_zk_effects(world: &mut World, k: &mut K, effects: Vec<ZkEffect>) {
         };
         // Coordination messages travel the same LAN.
         let delay = world.ms(world.cfg.cost.link_propagation_ms + 0.5);
-        k.schedule_in_labeled(delay, "broker.appoint", move |w, k| {
-            broker_receive(w, k, target as usize, message);
-        });
+        let broker = target as usize;
+        k.schedule_in(delay, Ev::BrokerAppoint { broker, message });
     }
 }

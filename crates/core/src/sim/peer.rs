@@ -7,13 +7,13 @@ use fabricsim_des::{SimDuration, SimTime};
 use fabricsim_obs::{SpanKind, StationClass, TracePhase};
 use fabricsim_peer::{GossipEffect, GossipMsg};
 use fabricsim_types::encode::WireSize;
-use fabricsim_types::{Block, Proposal, ProposalResponse};
+use fabricsim_types::{Block, Proposal, ProposalResponse, Transaction};
 
 use crate::metrics::TxOutcome;
+use crate::model::CostModel;
 
-use super::client::pool_receive_response;
 use super::observe::{Actor, SpanKey};
-use super::world::{World, K};
+use super::world::{Ev, World, K};
 
 pub(super) fn peer_receive_proposal(
     world: &mut World,
@@ -35,13 +35,28 @@ pub(super) fn peer_receive_proposal(
     let prep = SpanKey::tx(tx_id, SpanKind::ClientPrep, Actor::Pool(p));
     let span = SpanKey::tx(tx_id, SpanKind::Endorse, Actor::Peer(peer_idx));
     world.obs.span(span, Some(prep), now, done);
-    k.schedule_labeled(done, "peer.endorse", move |w, k| {
-        if w.check_channel(&proposal.channel).is_err() {
-            return;
-        }
-        let response = w.peers[peer_idx].peer.endorse(&proposal);
-        send_response(w, k, peer_idx, p, response);
-    });
+    let endorsed = Ev::Endorsed {
+        peer: peer_idx,
+        pool: p,
+        proposal,
+    };
+    k.schedule(done, endorsed);
+}
+
+/// Peer `peer_idx`'s endorsement station finished `proposal`: it endorses
+/// and answers pool `p`.
+pub(super) fn peer_endorse(
+    world: &mut World,
+    k: &mut K,
+    peer_idx: usize,
+    p: usize,
+    proposal: &Proposal,
+) {
+    if world.check_channel(&proposal.channel).is_err() {
+        return;
+    }
+    let response = world.peers[peer_idx].peer.endorse(proposal);
+    send_response(world, k, peer_idx, p, response);
 }
 
 fn send_response(
@@ -57,9 +72,7 @@ fn send_response(
         .jitter
         .exp(world.cfg.cost.endorse_path_jitter_ms);
     let arrival = world.peers[peer_idx].egress.transfer(now, bytes) + world.ms(jitter_ms);
-    k.schedule_labeled(arrival, "pool.recv", move |w, k| {
-        pool_receive_response(w, k, p, response);
-    });
+    k.schedule(arrival, Ev::PoolRecv { pool: p, response });
 }
 
 /// Entry point for blocks arriving from the ordering service (or from a
@@ -109,9 +122,8 @@ fn apply_gossip_effects(world: &mut World, k: &mut K, peer_idx: usize, effects: 
                         world.obs.span(span, Some(parent), now, arrival);
                     }
                 }
-                k.schedule_labeled(arrival, "gossip.send", move |w, k| {
-                    peer_receive_gossip(w, k, to as usize, from, message);
-                });
+                let to = to as usize;
+                k.schedule(arrival, Ev::GossipSend { to, from, message });
             }
             GossipEffect::Deliver(block) => {
                 enqueue_block_validation(world, k, peer_idx, block);
@@ -120,7 +132,7 @@ fn apply_gossip_effects(world: &mut World, k: &mut K, peer_idx: usize, effects: 
     }
 }
 
-fn peer_receive_gossip(
+pub(super) fn peer_receive_gossip(
     world: &mut World,
     k: &mut K,
     peer_idx: usize,
@@ -144,10 +156,13 @@ pub(super) fn gossip_tick(world: &mut World, k: &mut K, peer_idx: usize) {
         let effects = gossip.tick();
         apply_gossip_effects(world, k, peer_idx, effects);
         let period = world.ms(gossip_cfg.anti_entropy_ms as f64);
-        k.schedule_in_labeled(period, "gossip.tick", move |w, k| {
-            gossip_tick(w, k, peer_idx)
-        });
+        k.schedule_in(period, Ev::GossipTick { peer: peer_idx });
     }
+}
+
+/// The validation cost of one transaction: its signature count.
+fn sigs(tx: &Transaction) -> usize {
+    tx.endorsements.len().max(1)
 }
 
 fn enqueue_block_validation(world: &mut World, k: &mut K, peer_idx: usize, block: Arc<Block>) {
@@ -184,78 +199,43 @@ fn enqueue_block_validation(world: &mut World, k: &mut K, peer_idx: usize, block
         }
     }
     let m = &world.cfg.cost;
+    let ms = |x: f64| SimDuration::from_millis_f64(x.max(0.0));
     let pool = m.validator_pool_size.max(1);
-    // Per-transaction stage costs (progressive within the block).
-    let vscc_tx_ms: Vec<f64> = block
-        .transactions
-        .iter()
-        .map(|tx| m.vscc_tx_ms(tx.endorsements.len().max(1)))
-        .collect();
-    let commit_tx_ms = m.commit_tx_ms();
+    let txs = &block.transactions;
     let overhead_ms = m.validate_block_overhead_ms;
     // Blocks are serviced in delivery order and VSCC cannot overtake an
     // earlier block's commit, so the serial commit station is the queueing
     // backbone of the staged pipeline: the block's VSCC stage begins when a
     // committer slot frees up, and the commit stage follows immediately.
     let start = world.peers[peer_idx].commit.would_start_at(now);
-    type StageTimes = (SimDuration, SimDuration, Vec<SimTime>, Vec<SimTime>);
-    let (vscc_service, commit_service, commit_times, vscc_times): StageTimes = if pool <= 1 {
+    let (vscc_service, commit_service) = if pool <= 1 {
         // Serial stock-Fabric path. Timing reproduces the single-station
         // model exactly: the block's total service is one f64 sum, and the
         // split point is carved out by *integer* subtraction so
         // vscc_service + commit_service == total_service bit-for-bit.
-        let per_tx_ms: Vec<f64> = block
-            .transactions
-            .iter()
-            .map(|tx| m.validate_tx_ms(tx.endorsements.len().max(1)))
-            .collect();
-        let total_ms: f64 = overhead_ms + per_tx_ms.iter().sum::<f64>();
-        let total_service = world.ms(total_ms);
-        let vscc_service = world.ms(vscc_tx_ms.iter().sum::<f64>()).min(total_service);
-        let commit_service = total_service - vscc_service;
-        // Each tx's VSCC check runs at the head of its own serial slice, so
-        // its vscc-done instant sits inside the slice, clamped to never land
-        // after the commit record it precedes.
-        let mut acc = overhead_ms;
-        let mut commit_times = Vec::with_capacity(per_tx_ms.len());
-        let mut vscc_times = Vec::with_capacity(per_tx_ms.len());
-        for (c, &v) in per_tx_ms.iter().zip(&vscc_tx_ms) {
-            let committed = start + SimDuration::from_millis_f64(acc + c);
-            vscc_times.push((start + SimDuration::from_millis_f64(acc + v)).min(committed));
-            acc += c;
-            commit_times.push(committed);
-        }
-        (vscc_service, commit_service, commit_times, vscc_times)
+        let per_tx_ms: f64 = txs.iter().map(|tx| m.validate_tx_ms(sigs(tx))).sum();
+        let total_service = ms(overhead_ms + per_tx_ms);
+        let vscc_ms: f64 = txs.iter().map(|tx| m.vscc_tx_ms(sigs(tx))).sum();
+        let vscc_service = ms(vscc_ms).min(total_service);
+        (vscc_service, total_service - vscc_service)
     } else {
         // Pooled path: the VSCC stage's makespan is a deterministic
         // earliest-free-worker schedule of the per-tx costs over `pool`
-        // workers; MVCC + ledger write stay serial behind it. The stage is a
-        // barrier, so every tx's vscc-done instant is the stage end.
-        let vscc_service = world.ms(crate::model::CostModel::vscc_makespan_ms(&vscc_tx_ms, pool));
-        let commit_service = world.ms(overhead_ms + commit_tx_ms * block.transactions.len() as f64);
-        let vscc_end = start + vscc_service;
-        let commit_times = {
-            let mut acc = overhead_ms;
-            (0..block.transactions.len())
-                .map(|_| {
-                    acc += commit_tx_ms;
-                    vscc_end + SimDuration::from_millis_f64(acc)
-                })
-                .collect()
-        };
-        let vscc_times = vec![vscc_end; block.transactions.len()];
-        (vscc_service, commit_service, commit_times, vscc_times)
+        // workers; MVCC + ledger write stay serial behind it.
+        let vscc_tx_ms: Vec<f64> = txs.iter().map(|tx| m.vscc_tx_ms(sigs(tx))).collect();
+        let vscc_service = ms(CostModel::vscc_makespan_ms(&vscc_tx_ms, pool));
+        let commit_service = ms(overhead_ms + m.commit_tx_ms() * txs.len() as f64);
+        (vscc_service, commit_service)
     };
     // Observational per-tx VSCC visits: the station's busy time is the pool's
     // real CPU demand, so its utilization reads as aggregate core usage.
-    let vscc_services: Vec<SimDuration> = vscc_tx_ms.iter().map(|&ms| world.ms(ms)).collect();
-    for s in vscc_services {
-        world.peers[peer_idx].vscc.submit_ready(now, start, s);
+    let node = &mut world.peers[peer_idx];
+    for tx in txs {
+        node.vscc
+            .submit_ready(now, start, ms(m.vscc_tx_ms(sigs(tx))));
     }
     let vscc_end = start + vscc_service;
-    let done = world.peers[peer_idx]
-        .commit
-        .submit_ready(now, vscc_end, commit_service);
+    let done = node.commit.submit_ready(now, vscc_end, commit_service);
     debug_assert_eq!(done, vscc_end + commit_service);
     if is_observer {
         // Attribute each stage per tx: block-level queueing lands on the VSCC
@@ -263,10 +243,10 @@ fn enqueue_block_validation(world: &mut World, k: &mut K, peer_idx: usize, block
         // runs back-to-back, charged this tx's serial share plus its slice of
         // the block overhead.
         let queued = start - now;
-        let overhead_share_ms = overhead_ms / block.transactions.len().max(1) as f64;
-        let commit_s = SimDuration::from_millis_f64(commit_tx_ms + overhead_share_ms);
-        for (tx, &vscc_ms) in block.transactions.iter().zip(&vscc_tx_ms) {
-            let vscc_s = SimDuration::from_millis_f64(vscc_ms);
+        let overhead_share_ms = overhead_ms / txs.len().max(1) as f64;
+        let commit_s = SimDuration::from_millis_f64(m.commit_tx_ms() + overhead_share_ms);
+        for tx in txs {
+            let vscc_s = SimDuration::from_millis_f64(m.vscc_tx_ms(sigs(tx)));
             world
                 .obs
                 .visit(tx.tx_id, StationClass::PeerVscc, queued, vscc_s);
@@ -278,76 +258,90 @@ fn enqueue_block_validation(world: &mut World, k: &mut K, peer_idx: usize, block
             );
         }
     }
-
-    k.schedule_labeled(done, "validate.commit", move |w, k| {
-        commit_block(w, k, peer_idx, block, start, vscc_times, commit_times);
-    });
+    let commit = Ev::ValidateCommit {
+        peer: peer_idx,
+        block,
+        start,
+        vscc_end,
+    };
+    k.schedule(done, commit);
 }
 
-fn commit_block(
+/// Peer `peer_idx` finished validating `block`, whose VSCC stage ran from
+/// `start` to `vscc_end`: its ledger commits the block, and at the observer
+/// every transaction's validation spans and commit are recorded.
+pub(super) fn commit_block(
     world: &mut World,
-    k: &mut K,
     peer_idx: usize,
     block: Arc<Block>,
     start: SimTime,
-    vscc_times: Vec<SimTime>,
-    commit_times: Vec<SimTime>,
+    vscc_end: SimTime,
 ) {
-    let _ = k;
     if world.check_channel(&block.channel).is_err() {
         return;
     }
     let number = block.header.number;
-    let tx_ids: Vec<_> = block.transactions.iter().map(|t| t.tx_id).collect();
-    let is_observer = peer_idx == world.observer;
-    // The one deep copy: this peer's ledger must own its block.
+    // The ledger keeps its own header and flags; the transactions stay
+    // shared with the OSN that delivered the block.
     #[expect(
         clippy::expect_used,
         reason = "ordering delivers blocks in order; a chain break is a simulator bug"
     )]
-    let stats = world.peers[peer_idx]
+    world.peers[peer_idx]
         .peer
         .validate_and_commit(Arc::unwrap_or_clone(block))
         .expect("delivered blocks must chain");
-    let _ = stats;
-    if is_observer {
-        #[expect(
-            clippy::expect_used,
-            reason = "reads back the block committed two statements above"
-        )]
-        let flags = {
-            let ledger = world.peers[peer_idx].peer.ledger();
-            let height = ledger.height();
-            ledger
-                .blocks()
-                .by_number(height - 1)
-                .expect("just committed")
-                .metadata
-                .flags
-                .clone()
+    if peer_idx != world.observer {
+        return;
+    }
+    let node = &world.peers[peer_idx];
+    let ledger = node.peer.ledger();
+    #[expect(
+        clippy::expect_used,
+        reason = "reads back the block committed two statements above"
+    )]
+    let committed = ledger
+        .blocks()
+        .by_number(ledger.height() - 1)
+        .expect("just committed");
+    // Per-tx validation spans bridge the tx-scoped graph back onto the
+    // block-scoped delivery chain via the Vscc parent edge. Recorded here
+    // — at commit time, not when validation was enqueued — so the span
+    // graph only ever contains finished work and every Commit span has a
+    // matching TxTrace commit stamp. The per-tx instants replay the stage
+    // schedule `enqueue_block_validation` charged.
+    let m = &world.cfg.cost;
+    let serial = m.validator_pool_size.max(1) <= 1;
+    let actor = Actor::Peer(peer_idx);
+    let delivery = SpanKey::block(number, SpanKind::Deliver, actor);
+    let mut acc = m.validate_block_overhead_ms;
+    for (tx, &flag) in committed.transactions.iter().zip(&committed.metadata.flags) {
+        let (vscc_done, done) = if serial {
+            // Each tx's VSCC check runs at the head of its own serial
+            // slice, so its vscc-done instant sits inside the slice,
+            // clamped to never land after the commit record it precedes.
+            let c = m.validate_tx_ms(sigs(tx));
+            let done = start + SimDuration::from_millis_f64(acc + c);
+            let vscc_done = start + SimDuration::from_millis_f64(acc + m.vscc_tx_ms(sigs(tx)));
+            acc += c;
+            (vscc_done.min(done), done)
+        } else {
+            // The pooled VSCC stage is a barrier: every tx's vscc-done
+            // instant is the stage end.
+            acc += m.commit_tx_ms();
+            (vscc_end, vscc_end + SimDuration::from_millis_f64(acc))
         };
-        // Per-tx validation spans bridge the tx-scoped graph back onto the
-        // block-scoped delivery chain via the Vscc parent edge. Recorded here
-        // — at commit time, not when validation was enqueued — so the span
-        // graph only ever contains finished work and every Commit span has a
-        // matching TxTrace commit stamp.
-        let actor = Actor::Peer(peer_idx);
-        let delivery = SpanKey::block(number, SpanKind::Deliver, actor);
-        let node = &world.peers[peer_idx];
-        for (i, &tx_id) in tx_ids.iter().enumerate() {
-            let vscc = SpanKey::tx(tx_id, SpanKind::Vscc, actor);
-            let commit = SpanKey::tx(tx_id, SpanKind::Commit, actor);
-            let (vscc_done, committed) = (vscc_times[i], commit_times[i]);
-            world.obs.span(vscc, Some(delivery), start, vscc_done);
-            world.obs.span(commit, Some(vscc), vscc_done, committed);
-            let phase = TracePhase::VsccDone;
-            world
-                .obs
-                .phase(vscc_done, tx_id, phase, node.vscc.name(), 0);
-            let outcome = TxOutcome::Committed(flags[i]);
-            world
-                .obs
-                .terminal(committed, tx_id, outcome, node.commit.name(), 0);
-        }
+        let vscc = SpanKey::tx(tx.tx_id, SpanKind::Vscc, actor);
+        let commit = SpanKey::tx(tx.tx_id, SpanKind::Commit, actor);
+        world.obs.span(vscc, Some(delivery), start, vscc_done);
+        world.obs.span(commit, Some(vscc), vscc_done, done);
+        let phase = TracePhase::VsccDone;
+        world
+            .obs
+            .phase(vscc_done, tx.tx_id, phase, node.vscc.name(), 0);
+        let outcome = TxOutcome::Committed(flag);
+        world
+            .obs
+            .terminal(done, tx.tx_id, outcome, node.commit.name(), 0);
     }
 }

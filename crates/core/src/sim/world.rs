@@ -1,27 +1,30 @@
-//! The per-channel world: its actors, the cross-shard context, construction
-//! and bootstrap.
+//! The per-channel world: its actors, the cross-shard context, the typed
+//! events its kernel schedules, construction and bootstrap.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
 use fabricsim_chaincode::samples::{AssetTransfer, KvWrite, Smallbank};
-use fabricsim_des::{EventId, Kernel, Link, RngStream, SimDuration, SimTime, Station};
-use fabricsim_kafka::{Broker, KafkaConfig, ZkEnsemble};
+use fabricsim_des::{EventId, Kernel, Link, Model, RngStream, SimDuration, SimTime, Station};
+use fabricsim_kafka::{
+    Broker, BrokerEffect, BrokerId, BrokerMsg, ClientEvent, KafkaConfig, ZkEnsemble,
+};
 use fabricsim_msp::{CertificateAuthority, Msp};
-use fabricsim_ordering::OsnNode;
-use fabricsim_peer::{GossipNode, Peer, PeerConfig};
+use fabricsim_ordering::{OsnInput, OsnMsg, OsnNode};
+use fabricsim_peer::{GossipMsg, GossipNode, Peer, PeerConfig};
 use fabricsim_policy::Policy;
-use fabricsim_types::{Block, ChannelId, ClientId, OrdererType, OrgId, Principal, Proposal, TxId};
+use fabricsim_types::{
+    Block, ChannelId, ClientId, OrdererType, OrgId, Principal, Proposal, ProposalResponse,
+    Transaction, TxId,
+};
 
 use fabricsim_client::{ClientSdk, EndorsementCollector, TargetSelector};
 
 use crate::workload::{SimConfig, WorkloadKind};
 
-use super::client::schedule_next_arrival;
-use super::observe::{schedule_sampler, Observer, TxRecord};
-use super::ordering::{broker_heartbeat, broker_tick, osn_tick, zk_tick};
-use super::peer::gossip_tick;
+use super::observe::{obs_sample, schedule_sampler, Observer, TxRecord};
+use super::{client, faults, ordering, peer};
 
 pub(super) struct PendingTx {
     /// Shared with every endorser the proposal is in flight to.
@@ -103,9 +106,220 @@ pub(super) struct World {
     /// typed seam in [`super::observe`].
     pub(super) obs: Observer,
     pub(super) shard: ShardCtx,
+    /// Reused by every broker step and tick for the effects it emits.
+    pub(super) broker_effects: Vec<BrokerEffect>,
 }
 
 pub(super) type K = Kernel<World>;
+
+/// Everything a world's kernel schedules: one variant per kind of scheduled
+/// work, carrying what its handler needs. Variants that share a profiling
+/// label ([`Model::label`]) are the arrival and the completion of one
+/// station visit, and the three faults.
+pub(super) enum Ev {
+    /// Pool `pool`'s next Poisson arrival.
+    PoolArrival { pool: usize },
+    /// The proposal `tx` leaves pool `pool` for its endorsing peers.
+    PoolSend {
+        pool: usize,
+        tx: TxId,
+        targets: Vec<usize>,
+    },
+    /// A proposal arrives at endorsing peer `peer`.
+    Endorse {
+        peer: usize,
+        pool: usize,
+        proposal: Arc<Proposal>,
+    },
+    /// Peer `peer`'s endorsement station finishes the proposal.
+    Endorsed {
+        peer: usize,
+        pool: usize,
+        proposal: Arc<Proposal>,
+    },
+    /// An endorser's response arrives at pool `pool`.
+    PoolRecv {
+        pool: usize,
+        response: ProposalResponse,
+    },
+    /// Pool `pool` finishes assembling transaction `tx`.
+    ClientAssemble { pool: usize, tx: TxId },
+    /// Transaction `tx`'s 3 s ordering timeout.
+    OrderingTimeout { pool: usize, tx: TxId },
+    /// A client broadcast arrives at OSN `osn`.
+    OsnBroadcast {
+        osn: usize,
+        pool: usize,
+        tx: Transaction,
+    },
+    /// OSN `osn`'s CPU station finishes an input.
+    OsnHandle { osn: usize, input: OsnInput },
+    /// OSN `osn`'s broadcast ack for `tx` reaches pool `pool`.
+    OsnAck { osn: usize, pool: usize, tx: TxId },
+    /// An OSN-to-OSN message arrives at OSN `to`.
+    OsnRelay {
+        to: usize,
+        from: u32,
+        message: OsnMsg,
+    },
+    /// OSN `osn`'s batch timer `seq` fires.
+    OsnTimer { osn: usize, seq: u64 },
+    /// A broker's reply arrives at OSN `osn`.
+    OsnConsume { osn: usize, event: ClientEvent },
+    /// OSN `osn` learns the partition's new leader.
+    OsnMetadata { osn: usize, leader: BrokerId },
+    /// OSN `osn`'s periodic tick.
+    OsnTick { osn: usize },
+    /// A block an OSN delivered arrives at peer `peer`.
+    OsnDeliver { peer: usize, block: Arc<Block> },
+    /// A block replayed after an OSN crash arrives at peer `peer`.
+    PeerBlock { peer: usize, block: Arc<Block> },
+    /// An OSN's produce request arrives at broker `broker`.
+    BrokerProduce { broker: usize, message: BrokerMsg },
+    /// A broker-to-broker message arrives at broker `broker`.
+    BrokerSend { broker: usize, message: BrokerMsg },
+    /// ZooKeeper's appointment arrives at broker `broker`.
+    BrokerAppoint { broker: usize, message: BrokerMsg },
+    /// Broker `broker`'s CPU station finishes a message.
+    BrokerStep { broker: usize, message: BrokerMsg },
+    /// Broker `broker`'s periodic tick.
+    BrokerTick { broker: usize },
+    /// Broker `broker`'s ZooKeeper session heartbeat.
+    BrokerHeartbeat { broker: usize },
+    /// ZooKeeper's periodic tick.
+    ZkTick,
+    /// A gossip message from peer `from` arrives at peer `to`.
+    GossipSend {
+        to: usize,
+        from: u32,
+        message: GossipMsg,
+    },
+    /// Peer `peer`'s anti-entropy pull.
+    GossipTick { peer: usize },
+    /// Peer `peer` finishes validating and committing `block`; VSCC ran
+    /// from `start` to `vscc_end`.
+    ValidateCommit {
+        peer: usize,
+        block: Arc<Block>,
+        start: SimTime,
+        vscc_end: SimTime,
+    },
+    /// The periodic gauge sweep.
+    ObsSample,
+    /// Endorsing peer `peer` starts running non-deterministic chaincode.
+    Nondeterministic { peer: u32 },
+    /// Broker `broker` crashes.
+    CrashBroker { broker: u32 },
+    /// OSN `osn` crashes and its subscribers re-subscribe elsewhere.
+    CrashOsn { osn: u32 },
+}
+
+impl Model for World {
+    type Event = Ev;
+
+    fn fire(&mut self, event: Ev, k: &mut K) {
+        match event {
+            Ev::PoolArrival { pool } => {
+                client::pool_arrival(self, k, pool);
+                client::schedule_next_arrival(self, k, pool);
+            }
+            Ev::PoolSend { pool, tx, targets } => {
+                client::send_proposals(self, k, pool, tx, targets);
+            }
+            Ev::Endorse {
+                peer,
+                pool,
+                proposal,
+            } => peer::peer_receive_proposal(self, k, peer, pool, proposal),
+            Ev::Endorsed {
+                peer,
+                pool,
+                proposal,
+            } => peer::peer_endorse(self, k, peer, pool, &proposal),
+            Ev::PoolRecv { pool, response } => {
+                client::pool_receive_response(self, k, pool, response);
+            }
+            Ev::ClientAssemble { pool, tx } => client::client_assemble(self, k, pool, tx),
+            Ev::OrderingTimeout { pool, tx } => client::ordering_timeout(self, k, pool, tx),
+            Ev::OsnBroadcast { osn, pool, tx } => {
+                ordering::osn_receive(self, k, osn, OsnInput::Broadcast(tx), Some(pool));
+            }
+            Ev::OsnHandle { osn, input } => ordering::osn_handle(self, k, osn, input),
+            Ev::OsnAck { osn, pool, tx } => ordering::osn_ack(self, k, osn, pool, tx),
+            Ev::OsnRelay { to, from, message } => {
+                ordering::osn_receive(self, k, to, OsnInput::Osn { from, message }, None);
+            }
+            Ev::OsnTimer { osn, seq } => {
+                ordering::osn_receive(self, k, osn, OsnInput::BatchTimer { seq }, None);
+            }
+            Ev::OsnConsume { osn, event } => {
+                ordering::osn_receive(self, k, osn, OsnInput::Kafka(event), None);
+            }
+            Ev::OsnMetadata { osn, leader } => {
+                ordering::osn_receive(self, k, osn, OsnInput::KafkaMetadata { leader }, None);
+            }
+            Ev::OsnTick { osn } => ordering::osn_tick(self, k, osn),
+            Ev::OsnDeliver { peer, block } | Ev::PeerBlock { peer, block } => {
+                peer::peer_receive_block(self, k, peer, block);
+            }
+            Ev::BrokerProduce { broker, message }
+            | Ev::BrokerSend { broker, message }
+            | Ev::BrokerAppoint { broker, message } => {
+                ordering::broker_receive(self, k, broker, message);
+            }
+            Ev::BrokerStep { broker, message } => ordering::broker_step(self, k, broker, message),
+            Ev::BrokerTick { broker } => ordering::broker_tick(self, k, broker),
+            Ev::BrokerHeartbeat { broker } => ordering::broker_heartbeat(self, k, broker),
+            Ev::ZkTick => ordering::zk_tick(self, k),
+            Ev::GossipSend { to, from, message } => {
+                peer::peer_receive_gossip(self, k, to, from, message);
+            }
+            Ev::GossipTick { peer } => peer::gossip_tick(self, k, peer),
+            Ev::ValidateCommit {
+                peer,
+                block,
+                start,
+                vscc_end,
+            } => peer::commit_block(self, peer, block, start, vscc_end),
+            Ev::ObsSample => obs_sample(self, k),
+            Ev::Nondeterministic { peer } => faults::go_nondeterministic(self, peer),
+            Ev::CrashBroker { broker } => faults::crash_broker(self, broker),
+            Ev::CrashOsn { osn } => faults::crash_osn(self, k, osn),
+        }
+    }
+
+    fn label(event: &Ev) -> &'static str {
+        match event {
+            Ev::PoolArrival { .. } => "pool.arrival",
+            Ev::PoolSend { .. } => "pool.send",
+            Ev::Endorse { .. } | Ev::Endorsed { .. } => "peer.endorse",
+            Ev::PoolRecv { .. } => "pool.recv",
+            Ev::ClientAssemble { .. } => "client.assemble",
+            Ev::OrderingTimeout { .. } => "ordering.timeout",
+            Ev::OsnBroadcast { .. } | Ev::OsnHandle { .. } => "osn.receive",
+            Ev::OsnAck { .. } => "osn.ack",
+            Ev::OsnRelay { .. } => "osn.relay",
+            Ev::OsnTimer { .. } => "osn.timer",
+            Ev::OsnConsume { .. } => "osn.consume",
+            Ev::OsnMetadata { .. } => "osn.metadata",
+            Ev::OsnTick { .. } => "osn.tick",
+            Ev::OsnDeliver { .. } => "osn.deliver",
+            Ev::PeerBlock { .. } => "peer.block",
+            Ev::BrokerProduce { .. } => "broker.produce",
+            Ev::BrokerSend { .. } => "broker.send",
+            Ev::BrokerAppoint { .. } => "broker.appoint",
+            Ev::BrokerStep { .. } => "broker.step",
+            Ev::BrokerTick { .. } => "broker.tick",
+            Ev::BrokerHeartbeat { .. } => "broker.heartbeat",
+            Ev::ZkTick => "zk.tick",
+            Ev::GossipSend { .. } => "gossip.send",
+            Ev::GossipTick { .. } => "gossip.tick",
+            Ev::ValidateCommit { .. } => "validate.commit",
+            Ev::ObsSample => "obs.sample",
+            Ev::Nondeterministic { .. } | Ev::CrashBroker { .. } | Ev::CrashOsn { .. } => "fault",
+        }
+    }
+}
 
 /// A channel id that is not this world's channel.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -173,7 +387,7 @@ impl World {
     }
 
     /// Peer index for a policy principal (`OrgN.peer` → endorsing peer N-1).
-    pub(super) fn peer_of(&self, principal: &Principal) -> usize {
+    pub(super) fn peer_of(principal: &Principal) -> usize {
         (principal.org.0 - 1) as usize
     }
 
@@ -458,6 +672,7 @@ pub(super) fn build_world(cfg: &SimConfig, shard_id: usize) -> World {
         },
         obs: Observer::new(cfg, shard_id),
         cfg: cfg.clone(),
+        broker_effects: Vec::new(),
     }
 }
 
@@ -465,38 +680,34 @@ pub(super) fn bootstrap(world: &mut World, k: &mut K) {
     // Arrival processes, only for the pools homed on this world.
     for p in 0..world.pools.len() {
         if world.pool_is_homed(p) {
-            schedule_next_arrival(world, k, p);
+            client::schedule_next_arrival(world, k, p);
         }
     }
     schedule_sampler(world, k);
     // OSN ticks (Raft elections/heartbeats; Kafka consume polling).
     if world.cfg.orderer_type != OrdererType::Solo {
         let period = world.ms(world.cfg.cost.osn_tick_ms);
-        for o in 0..world.osns.len() {
-            k.schedule_in_labeled(period, "osn.tick", move |w, k| osn_tick(w, k, o));
+        for osn in 0..world.osns.len() {
+            k.schedule_in(period, Ev::OsnTick { osn });
         }
     }
     // Gossip anti-entropy pulls.
     if let Some(g) = world.cfg.gossip {
         let period = world.ms(g.anti_entropy_ms as f64);
-        for peer_idx in 0..world.peers.len() {
-            k.schedule_in_labeled(period, "gossip.tick", move |w, k| {
-                gossip_tick(w, k, peer_idx)
-            });
+        for peer in 0..world.peers.len() {
+            k.schedule_in(period, Ev::GossipTick { peer });
         }
     }
     // Kafka broker ticks + ZK heartbeats + ZK tick.
     if world.cfg.orderer_type == OrdererType::Kafka {
         let bt = world.ms(world.cfg.cost.broker_tick_ms);
-        for b in 0..world.brokers.len() {
-            k.schedule_in_labeled(bt, "broker.tick", move |w, k| broker_tick(w, k, b));
+        for broker in 0..world.brokers.len() {
+            k.schedule_in(bt, Ev::BrokerTick { broker });
         }
-        for b in 0..world.brokers.len() {
+        for broker in 0..world.brokers.len() {
             // First heartbeat immediately: bootstraps leader election.
-            k.schedule_in_labeled(SimDuration::ZERO, "broker.heartbeat", move |w, k| {
-                broker_heartbeat(w, k, b);
-            });
+            k.schedule_in(SimDuration::ZERO, Ev::BrokerHeartbeat { broker });
         }
-        k.schedule_in_labeled(world.ms(500.0), "zk.tick", zk_tick);
+        k.schedule_in(world.ms(500.0), Ev::ZkTick);
     }
 }

@@ -1,45 +1,127 @@
-//! The event loop: a time-ordered heap of boxed event handlers.
+//! The event loop: typed events in a keyed 4-ary heap.
+//!
+//! A [`Model`] names its event type and how to fire one. The kernel stores
+//! each scheduled event once, in a slot of a slab, and orders small
+//! `(time, seq, slot)` keys in a 4-ary min-heap: sifting moves 24-byte keys,
+//! never events, and scheduling allocates nothing once the slab and the heap
+//! have grown to the run's peak of pending events. A slot is freed when its
+//! key leaves the heap and its generation is bumped then, so an [`EventId`]
+//! — slot plus generation — names one scheduling and nothing after it.
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
 use std::time::Instant;
 
 use crate::profiler::{elapsed_ns, lap_ns, KernelProfile, ProfilerState};
 use crate::time::{SimDuration, SimTime};
 
-/// Identifier of a scheduled event, usable for cancellation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EventId(u64);
+/// A world the kernel can drive: its typed event and how to fire one.
+pub trait Model: Sized {
+    /// Everything that can be scheduled on this world.
+    type Event: Send;
 
-type EventFn<W> = Box<dyn FnOnce(&mut W, &mut Kernel<W>) + Send>;
+    /// Handles `event` at `kernel.now()`; may schedule or cancel further
+    /// events on `kernel`.
+    fn fire(&mut self, event: Self::Event, kernel: &mut Kernel<Self>);
 
-struct Scheduled<W> {
+    /// The static label of `event`'s family: what the self-profiler
+    /// attributes the host time of firing it to (e.g. `peer.endorse`).
+    fn label(event: &Self::Event) -> &'static str;
+}
+
+/// Identifier of a scheduled event, usable for cancellation: the slot the
+/// event lives in and that slot's generation when it was scheduled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EventId {
+    slot: usize,
+    generation: u64,
+}
+
+/// One heap entry: the pop order `(time, seq)` and where the event lives.
+#[derive(Debug, Clone, Copy)]
+struct Key {
     time: SimTime,
     seq: u64,
-    id: EventId,
-    label: &'static str,
-    run: EventFn<W>,
+    slot: usize,
 }
 
-impl<W> PartialEq for Scheduled<W> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+impl Key {
+    #[inline]
+    fn precedes(&self, other: &Key) -> bool {
+        (self.time, self.seq) < (other.time, other.seq)
     }
 }
-impl<W> Eq for Scheduled<W> {}
-impl<W> PartialOrd for Scheduled<W> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+
+/// A min-heap of keys with four children per node: half the depth of a
+/// binary heap, and a node's children share a cache line.
+#[derive(Debug, Default)]
+struct KeyHeap(Vec<Key>);
+
+const ARITY: usize = 4;
+
+impl KeyHeap {
+    fn peek(&self) -> Option<&Key> {
+        self.0.first()
+    }
+
+    fn push(&mut self, key: Key) {
+        let heap = &mut self.0;
+        let mut hole = heap.len();
+        heap.push(key);
+        while hole > 0 {
+            let parent = (hole - 1) / ARITY;
+            if !key.precedes(&heap[parent]) {
+                break;
+            }
+            heap[hole] = heap[parent];
+            hole = parent;
+        }
+        heap[hole] = key;
+    }
+
+    fn pop(&mut self) -> Option<Key> {
+        let heap = &mut self.0;
+        let last = heap.pop()?;
+        let Some(&top) = heap.first() else {
+            return Some(last);
+        };
+        // Floyd's pop: walk the hole from the root to a leaf, moving the
+        // earliest child up at each level, then sift `last` — which came
+        // from the bottom and mostly belongs there — up from that leaf.
+        let n = heap.len();
+        let mut hole = 0;
+        loop {
+            let first = hole * ARITY + 1;
+            if first >= n {
+                break;
+            }
+            let children = &heap[first..(first + ARITY).min(n)];
+            let mut best = 0;
+            for (i, child) in children.iter().enumerate().skip(1) {
+                if child.precedes(&children[best]) {
+                    best = i;
+                }
+            }
+            heap[hole] = children[best];
+            hole = first + best;
+        }
+        while hole > 0 {
+            let parent = (hole - 1) / ARITY;
+            if !last.precedes(&heap[parent]) {
+                break;
+            }
+            heap[hole] = heap[parent];
+            hole = parent;
+        }
+        heap[hole] = last;
+        Some(top)
     }
 }
-impl<W> Ord for Scheduled<W> {
-    // Reversed: BinaryHeap is a max-heap, we want the earliest event on top.
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
+
+/// A slab slot: the pending event, or `None` once it was cancelled (its key
+/// is then a tombstone still in the heap) or while the slot is free.
+#[derive(Debug)]
+struct Slot<E> {
+    generation: u64,
+    event: Option<E>,
 }
 
 /// Counters describing a finished (or in-progress) simulation run.
@@ -53,56 +135,69 @@ pub struct KernelStats {
     pub cancelled: u64,
 }
 
-/// A deterministic discrete-event kernel over a world type `W`.
+/// A deterministic discrete-event kernel over a world `W`.
 ///
-/// Events are closures `FnOnce(&mut W, &mut Kernel<W>)`; ties in time are broken
-/// by insertion order, which makes runs bit-reproducible.
+/// Events are `W::Event` values fired by [`Model::fire`]; ties in time are
+/// broken by insertion order, which makes runs bit-reproducible.
 ///
 /// ```
-/// use fabricsim_des::{Kernel, SimTime, SimDuration};
-/// let mut k: Kernel<Vec<&'static str>> = Kernel::new();
-/// let mut log = Vec::new();
-/// k.schedule_in(SimDuration::from_secs(1), |w: &mut Vec<_>, _| w.push("b"));
-/// k.schedule_in(SimDuration::ZERO, |w: &mut Vec<_>, _| w.push("a"));
+/// use fabricsim_des::{Kernel, Model, SimDuration};
+///
+/// struct Log(Vec<&'static str>);
+/// impl Model for Log {
+///     type Event = &'static str;
+///     fn fire(&mut self, event: &'static str, _: &mut Kernel<Self>) {
+///         self.0.push(event);
+///     }
+///     fn label(_: &&'static str) -> &'static str {
+///         "log"
+///     }
+/// }
+///
+/// let mut k = Kernel::new();
+/// let mut log = Log(Vec::new());
+/// k.schedule_in(SimDuration::from_secs(1), "b");
+/// k.schedule_in(SimDuration::ZERO, "a");
 /// k.run(&mut log);
-/// assert_eq!(log, vec!["a", "b"]);
+/// assert_eq!(log.0, vec!["a", "b"]);
 /// ```
-pub struct Kernel<W> {
+pub struct Kernel<W: Model> {
     now: SimTime,
     seq: u64,
-    next_id: u64,
-    heap: BinaryHeap<Scheduled<W>>,
-    cancelled: HashSet<EventId>,
+    heap: KeyHeap,
+    slots: Vec<Slot<W::Event>>,
+    /// Slots whose keys have left the heap, reused last-freed first.
+    free: Vec<usize>,
     stats: KernelStats,
     horizon: SimTime,
     profiler: Option<Box<ProfilerState>>,
 }
 
-impl<W> Default for Kernel<W> {
+impl<W: Model> Default for Kernel<W> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<W> std::fmt::Debug for Kernel<W> {
+impl<W: Model> std::fmt::Debug for Kernel<W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Kernel")
             .field("now", &self.now)
-            .field("pending", &self.heap.len())
+            .field("pending", &self.pending())
             .field("stats", &self.stats)
             .finish()
     }
 }
 
-impl<W> Kernel<W> {
+impl<W: Model> Kernel<W> {
     /// Creates an empty kernel with the clock at [`SimTime::ZERO`] and no horizon.
     pub fn new() -> Self {
         Kernel {
             now: SimTime::ZERO,
             seq: 0,
-            next_id: 0,
-            heap: BinaryHeap::new(),
-            cancelled: HashSet::new(),
+            heap: KeyHeap::default(),
+            slots: Vec::new(),
+            free: Vec::new(),
             stats: KernelStats::default(),
             horizon: SimTime::MAX,
             profiler: None,
@@ -140,7 +235,7 @@ impl<W> Kernel<W> {
 
     /// Number of events still pending (including cancelled-but-unpopped ones).
     pub fn pending(&self) -> usize {
-        self.heap.len()
+        self.heap.0.len()
     }
 
     /// Stops the run once the clock would pass `t`; events at exactly `t` still fire.
@@ -148,73 +243,71 @@ impl<W> Kernel<W> {
         self.horizon = t;
     }
 
-    /// Schedules `f` to run at absolute time `at`.
+    /// Schedules `event` to fire at absolute time `at`.
     ///
     /// # Panics
     /// Panics if `at` is in the past (`at < self.now()`).
-    pub fn schedule<F>(&mut self, at: SimTime, f: F) -> EventId
-    where
-        F: FnOnce(&mut W, &mut Kernel<W>) + Send + 'static,
-    {
-        self.schedule_labeled(at, "unlabeled", f)
-    }
-
-    /// Schedules `f` to run after `delay` from the current time.
-    pub fn schedule_in<F>(&mut self, delay: SimDuration, f: F) -> EventId
-    where
-        F: FnOnce(&mut W, &mut Kernel<W>) + Send + 'static,
-    {
-        self.schedule(self.now + delay, f)
-    }
-
-    /// Schedules `f` at absolute time `at` under a static profiling label
-    /// (the event-family name the self-profiler attributes host time to).
-    /// Identical to [`Kernel::schedule`] in every simulated respect.
-    ///
-    /// # Panics
-    /// Panics if `at` is in the past (`at < self.now()`).
-    pub fn schedule_labeled<F>(&mut self, at: SimTime, label: &'static str, f: F) -> EventId
-    where
-        F: FnOnce(&mut W, &mut Kernel<W>) + Send + 'static,
-    {
+    pub fn schedule(&mut self, at: SimTime, event: W::Event) -> EventId {
         assert!(
             at >= self.now,
             "cannot schedule into the past: {at} < {}",
             self.now
         );
-        let id = EventId(self.next_id);
-        self.next_id += 1;
         self.seq += 1;
         self.stats.scheduled += 1;
-        self.heap.push(Scheduled {
+        let id = self.occupy(event);
+        self.heap.push(Key {
             time: at,
             seq: self.seq,
-            id,
-            label,
-            run: Box::new(f),
+            slot: id.slot,
         });
         id
     }
 
-    /// Labeled form of [`Kernel::schedule_in`].
-    pub fn schedule_in_labeled<F>(
-        &mut self,
-        delay: SimDuration,
-        label: &'static str,
-        f: F,
-    ) -> EventId
-    where
-        F: FnOnce(&mut W, &mut Kernel<W>) + Send + 'static,
-    {
-        self.schedule_labeled(self.now + delay, label, f)
+    /// Schedules `event` to fire `delay` after the current time.
+    pub fn schedule_in(&mut self, delay: SimDuration, event: W::Event) -> EventId {
+        self.schedule(self.now + delay, event)
     }
 
-    /// Cancels a previously scheduled event. Cancelling an already-fired or
-    /// already-cancelled event is a no-op.
+    /// Cancels a scheduled event. Cancelling an event that already fired,
+    /// was already cancelled, was dropped past the horizon, or was never
+    /// scheduled here is a no-op and is not counted.
     pub fn cancel(&mut self, id: EventId) {
-        if self.cancelled.insert(id) {
-            self.stats.cancelled += 1;
+        if let Some(slot) = self.slots.get_mut(id.slot) {
+            if slot.generation == id.generation && slot.event.take().is_some() {
+                self.stats.cancelled += 1;
+            }
         }
+    }
+
+    /// Puts `event` in a free slot (or a new one) and names it.
+    fn occupy(&mut self, event: W::Event) -> EventId {
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
+            None => {
+                self.slots.push(Slot {
+                    generation: 0,
+                    event: None,
+                });
+                self.slots.len() - 1
+            }
+        };
+        let entry = &mut self.slots[slot];
+        entry.event = Some(event);
+        EventId {
+            slot,
+            generation: entry.generation,
+        }
+    }
+
+    /// Frees the slot of a key that just left the heap and returns its
+    /// event, `None` for a cancelled one. Bumping the generation is what
+    /// turns every id of this scheduling stale.
+    fn release(&mut self, slot: usize) -> Option<W::Event> {
+        let entry = &mut self.slots[slot];
+        entry.generation += 1;
+        self.free.push(slot);
+        entry.event.take()
     }
 
     /// Runs the event loop until the queue drains or the horizon is reached.
@@ -224,10 +317,12 @@ impl<W> Kernel<W> {
     pub fn run(&mut self, world: &mut W) -> SimTime {
         let limit = SimTime::from_nanos(self.horizon.as_nanos().saturating_add(1));
         self.run_until(world, limit);
-        if !self.heap.is_empty() {
+        if !self.heap.0.is_empty() {
             // Past the horizon: put nothing back; the run is over.
             self.now = self.horizon;
-            self.heap.clear();
+            for key in std::mem::take(&mut self.heap.0) {
+                self.release(key.slot);
+            }
         }
         self.now
     }
@@ -237,13 +332,12 @@ impl<W> Kernel<W> {
     /// Returns `None` when nothing live is pending. Purging is observable
     /// only through [`Kernel::pending`]; execution order is unaffected.
     pub fn next_event_time(&mut self) -> Option<SimTime> {
-        while let Some(head) = self.heap.peek() {
-            if !self.cancelled.contains(&head.id) {
+        while let Some(&head) = self.heap.peek() {
+            if self.slots[head.slot].event.is_some() {
                 return Some(head.time);
             }
-            if let Some(ev) = self.heap.pop() {
-                self.cancelled.remove(&ev.id);
-            }
+            self.heap.pop();
+            self.release(head.slot);
         }
         None
     }
@@ -269,29 +363,26 @@ impl<W> Kernel<W> {
         // previous one, so two reads per event tile the whole loop.
         let mut mark = loop_start;
         let mut executed = 0;
-        loop {
-            let head_runs = match self.heap.peek() {
-                Some(head) => head.time < limit,
-                None => false,
-            };
-            if !head_runs {
+        while let Some(&head) = self.heap.peek() {
+            if head.time >= limit {
                 break;
             }
-            let popped = self.heap.pop();
+            self.heap.pop();
             if let (Some(p), Some(m)) = (self.profiler.as_mut(), mark.as_mut()) {
                 p.record_heap(lap_ns(m));
             }
-            let Some(ev) = popped else { break };
-            debug_assert!(ev.time >= self.now, "event heap produced time regression");
-            self.now = ev.time;
-            if self.cancelled.remove(&ev.id) {
+            debug_assert!(head.time >= self.now, "event heap produced time regression");
+            self.now = head.time;
+            let Some(event) = self.release(head.slot) else {
                 continue;
-            }
+            };
             self.stats.executed += 1;
             executed += 1;
-            (ev.run)(world, self);
-            if let (Some(p), Some(m)) = (self.profiler.as_mut(), mark.as_mut()) {
-                p.record_handler(ev.label, lap_ns(m));
+            let label = self.profiler.is_some().then(|| W::label(&event));
+            world.fire(event, self);
+            if let (Some(p), Some(m), Some(label)) = (self.profiler.as_mut(), mark.as_mut(), label)
+            {
+                p.record_handler(label, lap_ns(m));
             }
         }
         if let (Some(p), Some(t0)) = (self.profiler.as_mut(), loop_start) {
@@ -305,111 +396,239 @@ impl<W> Kernel<W> {
 mod tests {
     use super::*;
 
+    /// A test world: a log of fired payloads.
+    #[derive(Debug, Default)]
+    struct Log(Vec<u64>);
+
+    #[derive(Debug)]
+    enum Ev {
+        /// Logs its payload.
+        Push(u64),
+        /// Logs its payload under a label of the test's choosing.
+        Labeled(&'static str, u64),
+        /// Logs the clock and re-arms itself `every` ns later while the log
+        /// is shorter than `until`.
+        Tick { every: u64, until: usize },
+        /// Logs its payload and, every 100th payload, schedules an `echo`
+        /// one nanosecond later.
+        Echoing(&'static str, u64),
+        /// Tries to schedule at 5 ns.
+        Rewind,
+    }
+
+    impl Model for Log {
+        type Event = Ev;
+
+        fn fire(&mut self, event: Ev, k: &mut Kernel<Self>) {
+            match event {
+                Ev::Push(v) | Ev::Labeled(_, v) => self.0.push(v),
+                Ev::Tick { every, until } => {
+                    self.0.push(k.now().as_nanos());
+                    if self.0.len() < until {
+                        k.schedule_in(SimDuration::from_nanos(every), Ev::Tick { every, until });
+                    }
+                }
+                Ev::Echoing(_, v) => {
+                    self.0.push(v);
+                    if v % 100 == 0 {
+                        k.schedule_in(SimDuration::from_nanos(1), Ev::Labeled("echo", u64::MAX));
+                    }
+                }
+                Ev::Rewind => {
+                    k.schedule(SimTime::from_nanos(5), Ev::Push(5));
+                }
+            }
+        }
+
+        fn label(event: &Ev) -> &'static str {
+            match event {
+                Ev::Push(_) => "push",
+                Ev::Labeled(label, _) | Ev::Echoing(label, _) => label,
+                Ev::Tick { .. } => "tick",
+                Ev::Rewind => "rewind",
+            }
+        }
+    }
+
+    fn at(ns: u64) -> SimTime {
+        SimTime::from_nanos(ns)
+    }
+
     #[test]
     fn events_fire_in_time_order() {
-        let mut k: Kernel<Vec<u64>> = Kernel::new();
-        let mut out = Vec::new();
-        k.schedule(SimTime::from_nanos(30), |w: &mut Vec<u64>, _| w.push(30));
-        k.schedule(SimTime::from_nanos(10), |w: &mut Vec<u64>, _| w.push(10));
-        k.schedule(SimTime::from_nanos(20), |w: &mut Vec<u64>, _| w.push(20));
+        let mut k = Kernel::new();
+        let mut out = Log::default();
+        k.schedule(at(30), Ev::Push(30));
+        k.schedule(at(10), Ev::Push(10));
+        k.schedule(at(20), Ev::Push(20));
         k.run(&mut out);
-        assert_eq!(out, vec![10, 20, 30]);
+        assert_eq!(out.0, vec![10, 20, 30]);
     }
 
     #[test]
     fn ties_break_by_insertion_order() {
-        let mut k: Kernel<Vec<u64>> = Kernel::new();
-        let mut out = Vec::new();
-        let t = SimTime::from_nanos(5);
+        let mut k = Kernel::new();
+        let mut out = Log::default();
         for i in 0..100 {
-            k.schedule(t, move |w: &mut Vec<u64>, _| w.push(i));
+            k.schedule(at(5), Ev::Push(i));
         }
         k.run(&mut out);
-        assert_eq!(out, (0..100).collect::<Vec<_>>());
+        assert_eq!(out.0, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn the_heap_pops_in_time_then_insertion_order_under_interleaved_pushes() {
+        // Pops interleaved with pushes at earlier and later times: every
+        // sift path of the 4-ary heap, checked against a sorted oracle.
+        let mut heap = KeyHeap::default();
+        let mut oracle: Vec<(u64, u64)> = Vec::new();
+        let mut popped = Vec::new();
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for seq in 0..2_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let time = x % 97;
+            heap.push(Key {
+                time: at(time),
+                seq,
+                slot: 0,
+            });
+            oracle.push((time, seq));
+            if x.is_multiple_of(3) {
+                let key = heap.pop().expect("non-empty");
+                popped.push((key.time.as_nanos(), key.seq));
+                oracle.sort_unstable();
+                assert_eq!(popped.last(), oracle.first());
+                oracle.remove(0);
+            }
+        }
+        while let Some(key) = heap.pop() {
+            popped.push((key.time.as_nanos(), key.seq));
+        }
+        oracle.sort_unstable();
+        assert_eq!(&popped[popped.len() - oracle.len()..], &oracle[..]);
+        assert_eq!(popped.len(), 2_000);
     }
 
     #[test]
     fn handlers_can_schedule_more_events() {
-        let mut k: Kernel<Vec<u64>> = Kernel::new();
-        let mut out = Vec::new();
-        fn tick(w: &mut Vec<u64>, k: &mut Kernel<Vec<u64>>) {
-            w.push(k.now().as_nanos());
-            if w.len() < 5 {
-                k.schedule_in(SimDuration::from_nanos(7), tick);
-            }
-        }
-        k.schedule(SimTime::ZERO, tick);
+        let mut k = Kernel::new();
+        let mut out = Log::default();
+        k.schedule(SimTime::ZERO, Ev::Tick { every: 7, until: 5 });
         let end = k.run(&mut out);
-        assert_eq!(out, vec![0, 7, 14, 21, 28]);
-        assert_eq!(end, SimTime::from_nanos(28));
+        assert_eq!(out.0, vec![0, 7, 14, 21, 28]);
+        assert_eq!(end, at(28));
     }
 
     #[test]
     fn cancellation_skips_events() {
-        let mut k: Kernel<Vec<u64>> = Kernel::new();
-        let mut out = Vec::new();
-        let id = k.schedule(SimTime::from_nanos(10), |w: &mut Vec<u64>, _| w.push(1));
-        k.schedule(SimTime::from_nanos(20), |w: &mut Vec<u64>, _| w.push(2));
+        let mut k = Kernel::new();
+        let mut out = Log::default();
+        let id = k.schedule(at(10), Ev::Push(1));
+        k.schedule(at(20), Ev::Push(2));
         k.cancel(id);
         k.cancel(id); // double-cancel is a no-op
         k.run(&mut out);
-        assert_eq!(out, vec![2]);
+        assert_eq!(out.0, vec![2]);
         assert_eq!(k.stats().cancelled, 1);
         assert_eq!(k.stats().executed, 1);
         assert_eq!(k.stats().scheduled, 2);
     }
 
     #[test]
+    fn cancelling_a_fired_stale_or_unknown_event_is_a_no_op() {
+        let mut k = Kernel::new();
+        let mut out = Log::default();
+        let fired = k.schedule(at(10), Ev::Push(10));
+        k.run(&mut out);
+        k.cancel(fired);
+        assert_eq!(k.stats().cancelled, 0, "a fired event cannot be cancelled");
+        // The next scheduling reuses the fired event's slot; the old id
+        // must not reach it.
+        let reused = k.schedule(at(20), Ev::Push(20));
+        assert_ne!(reused, fired);
+        k.cancel(fired);
+        k.cancel(EventId {
+            slot: 1_000,
+            generation: 0,
+        });
+        // Dropped past the horizon: gone, and its id goes stale with it.
+        k.set_horizon(at(30));
+        let dropped = k.schedule(at(40), Ev::Push(40));
+        k.run(&mut out);
+        k.cancel(dropped);
+        assert_eq!(out.0, vec![10, 20]);
+        assert_eq!(k.pending(), 0);
+        assert_eq!(
+            k.stats(),
+            KernelStats {
+                executed: 2,
+                scheduled: 3,
+                cancelled: 0
+            }
+        );
+        // A cancel that lands is still counted once, and the slot comes back.
+        let live = k.schedule(at(30), Ev::Push(30));
+        k.cancel(live);
+        k.cancel(live);
+        k.run(&mut out);
+        assert_eq!(out.0, vec![10, 20]);
+        assert_eq!(k.stats().cancelled, 1);
+        assert_eq!(k.slots.len(), 2, "slots are reused, not leaked");
+    }
+
+    #[test]
     fn horizon_stops_the_run() {
-        let mut k: Kernel<Vec<u64>> = Kernel::new();
-        let mut out = Vec::new();
-        k.set_horizon(SimTime::from_nanos(15));
-        k.schedule(SimTime::from_nanos(10), |w: &mut Vec<u64>, _| w.push(10));
-        k.schedule(SimTime::from_nanos(15), |w: &mut Vec<u64>, _| w.push(15));
-        k.schedule(SimTime::from_nanos(20), |w: &mut Vec<u64>, _| w.push(20));
+        let mut k = Kernel::new();
+        let mut out = Log::default();
+        k.set_horizon(at(15));
+        k.schedule(at(10), Ev::Push(10));
+        k.schedule(at(15), Ev::Push(15));
+        k.schedule(at(20), Ev::Push(20));
         let end = k.run(&mut out);
-        assert_eq!(out, vec![10, 15]);
-        assert_eq!(end, SimTime::from_nanos(15));
+        assert_eq!(out.0, vec![10, 15]);
+        assert_eq!(end, at(15));
         assert_eq!(k.pending(), 0);
     }
 
     #[test]
     fn run_until_executes_events_before_the_limit() {
-        let mut k: Kernel<Vec<u64>> = Kernel::new();
-        let mut out = Vec::new();
+        let mut k = Kernel::new();
+        let mut out = Log::default();
         for i in 0..10u64 {
-            k.schedule(SimTime::from_nanos(i), move |w: &mut Vec<u64>, _| w.push(i));
+            k.schedule(at(i), Ev::Push(i));
         }
-        assert_eq!(k.run_until(&mut out, SimTime::from_nanos(3)), 3);
-        assert_eq!(out, vec![0, 1, 2]);
-        assert_eq!(k.now(), SimTime::from_nanos(2), "the clock stays put");
-        assert_eq!(k.run_until(&mut out, SimTime::from_nanos(100)), 7);
+        assert_eq!(k.run_until(&mut out, at(3)), 3);
+        assert_eq!(out.0, vec![0, 1, 2]);
+        assert_eq!(k.now(), at(2), "the clock stays put");
+        assert_eq!(k.run_until(&mut out, at(100)), 7);
     }
 
     #[test]
     fn run_is_run_until_driven_through_the_horizon() {
         // The horizon and cancel fixtures above, driven both ways.
-        type Drive = fn(&mut Kernel<Vec<u64>>, &mut Vec<u64>, SimTime);
+        type Drive = fn(&mut Kernel<Log>, &mut Log, SimTime);
         let via_run: Drive = |k, w, _| {
             k.run(w);
         };
         let via_run_until: Drive = |k, w, horizon| {
-            k.run_until(w, SimTime::from_nanos(horizon.as_nanos() + 1));
+            k.run_until(w, at(horizon.as_nanos() + 1));
         };
-        let horizon = SimTime::from_nanos(15);
+        let horizon = at(15);
         let observe = |drive: Drive| {
-            let mut k: Kernel<Vec<u64>> = Kernel::new();
-            let mut out = Vec::new();
+            let mut k = Kernel::new();
+            let mut out = Log::default();
             k.enable_profiler();
             k.set_horizon(horizon);
-            let doomed = k.schedule(SimTime::from_nanos(5), |w: &mut Vec<u64>, _| w.push(5));
-            k.schedule(SimTime::from_nanos(10), |w: &mut Vec<u64>, _| w.push(10));
-            k.schedule(SimTime::from_nanos(15), |w: &mut Vec<u64>, _| w.push(15));
-            k.schedule(SimTime::from_nanos(20), |w: &mut Vec<u64>, _| w.push(20));
+            let doomed = k.schedule(at(5), Ev::Push(5));
+            k.schedule(at(10), Ev::Push(10));
+            k.schedule(at(15), Ev::Push(15));
+            k.schedule(at(20), Ev::Push(20));
             k.cancel(doomed);
             drive(&mut k, &mut out, horizon);
             let profile = k.take_profile().expect("profile collected");
-            (out, k.now(), k.stats(), profile.heap_ops)
+            (out.0, k.now(), k.stats(), profile.heap_ops)
         };
         let expected = observe(via_run);
         assert_eq!(expected.0, vec![10, 15]);
@@ -419,22 +638,18 @@ mod tests {
 
     #[test]
     fn profiler_attributes_every_executed_handler() {
-        let mut k: Kernel<Vec<u64>> = Kernel::new();
-        let mut out = Vec::new();
+        let mut k = Kernel::new();
+        let mut out = Log::default();
         k.enable_profiler();
         assert!(k.profiling());
         for i in 0..50u64 {
-            k.schedule_labeled(
-                SimTime::from_nanos(i),
-                "tick",
-                move |w: &mut Vec<u64>, _| w.push(i),
-            );
+            k.schedule(at(i), Ev::Labeled("tick", i));
         }
-        let cancel_me = k.schedule_labeled(SimTime::from_nanos(100), "doomed", |_, _| {});
+        let cancel_me = k.schedule(at(100), Ev::Labeled("doomed", 100));
         k.cancel(cancel_me);
-        k.schedule(SimTime::from_nanos(200), |w: &mut Vec<u64>, _| w.push(200));
+        k.schedule(at(200), Ev::Push(200));
         k.run(&mut out);
-        assert_eq!(out.len(), 51, "profiling must not change execution");
+        assert_eq!(out.0.len(), 51, "profiling must not change execution");
         let profile = k.take_profile().expect("profile collected");
         assert!(!k.profiling(), "take_profile resets the kernel");
         let by_label: Vec<(&str, u64)> = profile
@@ -443,7 +658,7 @@ mod tests {
             .map(|e| (e.label.as_str(), e.count))
             .collect();
         assert!(by_label.contains(&("tick", 50)), "{by_label:?}");
-        assert!(by_label.contains(&("unlabeled", 1)), "{by_label:?}");
+        assert!(by_label.contains(&("push", 1)), "{by_label:?}");
         assert!(
             !by_label.iter().any(|(l, _)| *l == "doomed"),
             "cancelled events never dispatch: {by_label:?}"
@@ -462,25 +677,20 @@ mod tests {
         let tick_twin: &'static str = Box::leak(String::from("tick").into_boxed_str());
         assert!(!std::ptr::eq(tick, tick_twin));
         let observe = |windows: u64| {
-            let mut k: Kernel<Vec<u64>> = Kernel::new();
-            let mut out = Vec::new();
+            let mut k = Kernel::new();
+            let mut out = Log::default();
             k.enable_profiler();
             for i in 0..3000u64 {
                 let label = [tick, "tock", tick_twin][(i % 3) as usize];
-                k.schedule_labeled(SimTime::from_nanos(i), label, move |w: &mut Vec<u64>, k| {
-                    w.push(i);
-                    if i % 100 == 0 {
-                        k.schedule_in_labeled(SimDuration::from_nanos(1), "echo", |_, _| {});
-                    }
-                });
+                k.schedule(at(i), Ev::Echoing(label, i));
             }
-            let doomed = k.schedule_labeled(SimTime::from_nanos(1500), "doomed", |_, _| {});
+            let doomed = k.schedule(at(1500), Ev::Labeled("doomed", 0));
             k.cancel(doomed);
             // The sharded engine's calling pattern: many short windows, most
             // of which find little or nothing to run.
             let span = 4000 / windows;
             let executed: u64 = (1..=windows)
-                .map(|w| k.run_until(&mut out, SimTime::from_nanos(w * span)))
+                .map(|w| k.run_until(&mut out, at(w * span)))
                 .sum();
             assert_eq!(executed, 3030);
             assert_eq!(k.pending(), 0);
@@ -498,7 +708,7 @@ mod tests {
                 .map(|e| (e.label.clone(), e.count))
                 .collect();
             counts.sort();
-            (out, counts, profile.heap_ops)
+            (out.0, counts, profile.heap_ops)
         };
         let one = observe(1);
         assert_eq!(
@@ -512,28 +722,30 @@ mod tests {
     #[test]
     fn profiled_and_unprofiled_runs_agree_on_virtual_time() {
         let run = |profile: bool| -> (Vec<u64>, SimTime, KernelStats) {
-            let mut k: Kernel<Vec<u64>> = Kernel::new();
+            let mut k = Kernel::new();
             if profile {
                 k.enable_profiler();
             }
-            k.set_horizon(SimTime::from_nanos(40));
-            let mut out = Vec::new();
-            fn tick(w: &mut Vec<u64>, k: &mut Kernel<Vec<u64>>) {
-                w.push(k.now().as_nanos());
-                k.schedule_in_labeled(SimDuration::from_nanos(7), "tick", tick);
-            }
-            k.schedule_labeled(SimTime::ZERO, "tick", tick);
+            k.set_horizon(at(40));
+            let mut out = Log::default();
+            k.schedule(
+                SimTime::ZERO,
+                Ev::Tick {
+                    every: 7,
+                    until: usize::MAX,
+                },
+            );
             let end = k.run(&mut out);
-            (out, end, k.stats())
+            (out.0, end, k.stats())
         };
         assert_eq!(run(false), run(true));
     }
 
     #[test]
     fn take_profile_is_none_without_enable() {
-        let mut k: Kernel<Vec<u64>> = Kernel::new();
-        let mut out = Vec::new();
-        k.schedule(SimTime::ZERO, |w: &mut Vec<u64>, _| w.push(1));
+        let mut k = Kernel::new();
+        let mut out = Log::default();
+        k.schedule(SimTime::ZERO, Ev::Push(1));
         k.run(&mut out);
         assert!(k.take_profile().is_none());
     }
@@ -541,11 +753,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot schedule into the past")]
     fn scheduling_into_the_past_panics() {
-        let mut k: Kernel<Vec<u64>> = Kernel::new();
-        let mut out = Vec::new();
-        k.schedule(SimTime::from_nanos(10), |_: &mut Vec<u64>, k| {
-            k.schedule(SimTime::from_nanos(5), |_, _| {});
-        });
+        let mut k = Kernel::new();
+        let mut out = Log::default();
+        k.schedule(at(10), Ev::Rewind);
         k.run(&mut out);
     }
 }

@@ -7,7 +7,7 @@
 //! ([`crate::Kernel::enable_profiler`]), the loop reads the host's monotonic
 //! clock twice per event — after the heap pop and after the handler — and
 //! each read attributes everything since the previous one ([`lap_ns`]): to
-//! the heap, or to the event's static label (see `schedule_labeled`).
+//! the heap, or to the event's static label ([`crate::Model::label`]).
 //!
 //! The profiler is **write-only with respect to the simulation**: it reads
 //! the host clock but no simulation state ever reads the profiler, so an
@@ -129,13 +129,14 @@ pub(crate) fn lap_ns(mark: &mut Instant) -> u64 {
 /// Host-time cost of one event-label family.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LabelProfile {
-    /// The static label passed to `schedule_labeled` (e.g. `peer.endorse`).
+    /// The event family's static label, from [`crate::Model::label`] (e.g.
+    /// `peer.endorse`).
     pub label: String,
     /// Handlers dispatched under this label.
     pub count: u64,
     /// Host nanoseconds from the end of the heap pop to the end of the
-    /// handler: the dispatch and the handler itself (including any
-    /// scheduling it performed).
+    /// handler: freeing the event's slot, reading its label, the dispatch
+    /// and the handler itself (including any scheduling it performed).
     pub ns: u64,
 }
 
@@ -145,8 +146,9 @@ pub struct KernelProfile {
     /// Per-label costs, hottest first (ties by label).
     pub entries: Vec<LabelProfile>,
     /// Host nanoseconds from the end of one handler (or the start of the
-    /// loop) to the end of the next heap pop: the peek, the pop and the
-    /// cancellation check of a tombstone popped before it.
+    /// loop) to the end of the next heap pop: the peek, the pop, freeing
+    /// the slot of a tombstone popped before it, and one of the two clock
+    /// reads each event pays, so it overstates the heap itself.
     pub heap_ns: u64,
     /// Heap pops (executed + cancelled). The loop peeks before it pops, so
     /// finding the heap empty or the head past the limit is not a heap op.

@@ -37,17 +37,17 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::kernel::{Kernel, KernelStats};
+use crate::kernel::{Kernel, KernelStats, Model};
 use crate::profiler::KernelProfile;
 use crate::time::{SimDuration, SimTime};
 
-/// A world type that can run as one shard of a [`ShardedKernel`].
+/// A [`Model`] that can run as one shard of a [`ShardedKernel`].
 ///
 /// Handlers communicate with other shards by pushing messages into an outbox
 /// the sharded kernel drains at every window barrier. The delivery-time
 /// contract is enforced at delivery: `at` must be at least the emitting
 /// event's time plus the kernel's lookahead.
-pub trait ShardWorld: Send {
+pub trait ShardWorld: Model + Send {
     /// The typed cross-shard message.
     type Msg: Send;
 
@@ -57,9 +57,7 @@ pub trait ShardWorld: Send {
 
     /// Delivers one cross-shard message into this shard, typically by
     /// scheduling a local event at `at` on `kernel`.
-    fn deliver(&mut self, kernel: &mut Kernel<Self>, at: SimTime, msg: Self::Msg)
-    where
-        Self: Sized;
+    fn deliver(&mut self, kernel: &mut Kernel<Self>, at: SimTime, msg: Self::Msg);
 
     /// A lower bound on the virtual time at which this shard could *ever*
     /// again emit a cross-shard message, or `None` for the classical
@@ -163,16 +161,29 @@ pub struct ShardedRunReport {
 /// A fixed set of event-loop shards advanced in conservative windows.
 ///
 /// ```
-/// use fabricsim_des::{Kernel, ShardWorld, ShardedKernel, SimDuration, SimTime};
+/// use fabricsim_des::{Kernel, Model, ShardWorld, ShardedKernel, SimDuration, SimTime};
 ///
-/// struct Echo { id: usize, log: Vec<u64>, out: Vec<(usize, SimTime, u64)> }
+/// struct Echo { log: Vec<u64>, out: Vec<(usize, SimTime, u64)> }
+/// enum Ev { Ping, Echo(u64) }
+/// impl Model for Echo {
+///     type Event = Ev;
+///     fn fire(&mut self, event: Ev, k: &mut Kernel<Self>) {
+///         match event {
+///             Ev::Ping => self.out.push((1, k.now() + SimDuration::from_millis(1), 7)),
+///             Ev::Echo(msg) => self.log.push(msg),
+///         }
+///     }
+///     fn label(_: &Ev) -> &'static str {
+///         "echo"
+///     }
+/// }
 /// impl ShardWorld for Echo {
 ///     type Msg = u64;
 ///     fn drain_outbox(&mut self) -> Vec<(usize, SimTime, u64)> {
 ///         std::mem::take(&mut self.out)
 ///     }
 ///     fn deliver(&mut self, kernel: &mut Kernel<Self>, at: SimTime, msg: u64) {
-///         kernel.schedule_labeled(at, "echo", move |w: &mut Echo, _| w.log.push(msg));
+///         kernel.schedule(at, Ev::Echo(msg));
 ///     }
 /// }
 ///
@@ -180,11 +191,9 @@ pub struct ShardedRunReport {
 /// for id in 0..2 {
 ///     let mut k = Kernel::new();
 ///     if id == 0 {
-///         k.schedule(SimTime::ZERO, |w: &mut Echo, k| {
-///             w.out.push((1, k.now() + SimDuration::from_millis(1), 7));
-///         });
+///         k.schedule(SimTime::ZERO, Ev::Ping);
 ///     }
-///     sk.push_shard(k, Echo { id, log: Vec::new(), out: Vec::new() });
+///     sk.push_shard(k, Echo { log: Vec::new(), out: Vec::new() });
 /// }
 /// sk.set_horizon(SimTime::ZERO + SimDuration::from_secs(1));
 /// let report = sk.run(1);
@@ -467,6 +476,60 @@ mod tests {
         out: Vec<(usize, SimTime, String)>,
     }
 
+    #[derive(Debug)]
+    enum Ev {
+        /// A cross-shard message arrives.
+        Receive(String),
+        /// Emits each message to shard `to`, delivered `after` from now.
+        Send {
+            to: usize,
+            after: SimDuration,
+            msgs: Vec<&'static str>,
+        },
+        /// Records a local payload, no message.
+        Local(&'static str),
+        /// Records a tick and re-arms `every` later.
+        Tick { every: SimDuration },
+    }
+
+    impl Model for Node {
+        type Event = Ev;
+
+        fn fire(&mut self, event: Ev, k: &mut Kernel<Self>) {
+            let now = k.now();
+            match event {
+                Ev::Receive(msg) => {
+                    self.received.push((now.as_nanos(), msg));
+                    if self.rally {
+                        let n = self.received.len();
+                        let reply = format!("rally-{}-{n}", self.id);
+                        self.out
+                            .push((1 - self.id, now + SimDuration::from_micros(1500), reply));
+                    }
+                }
+                Ev::Send { to, after, msgs } => {
+                    for msg in msgs {
+                        self.out.push((to, now + after, msg.into()));
+                    }
+                }
+                Ev::Local(msg) => self.received.push((now.as_nanos(), msg.into())),
+                Ev::Tick { every } => {
+                    self.received.push((now.as_nanos(), "tick".into()));
+                    k.schedule_in(every, Ev::Tick { every });
+                }
+            }
+        }
+
+        fn label(event: &Ev) -> &'static str {
+            match event {
+                Ev::Receive(_) => "xshard",
+                Ev::Send { .. } => "send",
+                Ev::Local(_) => "local",
+                Ev::Tick { .. } => "tick",
+            }
+        }
+    }
+
     impl ShardWorld for Node {
         type Msg = String;
         fn drain_outbox(&mut self) -> Vec<(usize, SimTime, String)> {
@@ -476,22 +539,19 @@ mod tests {
             self.quiet.then_some(SimTime::MAX)
         }
         fn deliver(&mut self, kernel: &mut Kernel<Self>, at: SimTime, msg: String) {
-            kernel.schedule_labeled(at, "xshard", move |w: &mut Node, k| {
-                w.received.push((k.now().as_nanos(), msg));
-                if w.rally {
-                    let peer = 1 - w.id;
-                    let n = w.received.len();
-                    w.out.push((
-                        peer,
-                        k.now() + SimDuration::from_micros(1500),
-                        format!("rally-{}-{n}", w.id),
-                    ));
-                }
-            });
+            kernel.schedule(at, Ev::Receive(msg));
         }
     }
 
     const L: SimDuration = SimDuration::from_millis(1);
+
+    fn send(to: usize, after: SimDuration, msgs: &[&'static str]) -> Ev {
+        Ev::Send {
+            to,
+            after,
+            msgs: msgs.to_vec(),
+        }
+    }
 
     fn two_nodes() -> ShardedKernel<Node> {
         let mut sk = ShardedKernel::new(L);
@@ -518,12 +578,10 @@ mod tests {
         let mut sk = two_nodes();
         sk.set_horizon(SimTime::from_secs_f64(1.0));
         // Shard 0 pings shard 1 at t=0, delivery t=2ms.
-        sk.shards[0]
-            .kernel
-            .schedule(SimTime::ZERO, |w: &mut Node, k| {
-                w.out
-                    .push((1, k.now() + SimDuration::from_millis(2), "ping".into()));
-            });
+        sk.shards[0].kernel.schedule(
+            SimTime::ZERO,
+            send(1, SimDuration::from_millis(2), &["ping"]),
+        );
         let report = sk.run(1);
         assert_eq!(report.messages, 1);
         assert_eq!(
@@ -550,21 +608,15 @@ mod tests {
                 );
             }
             sk.set_horizon(SimTime::from_secs_f64(1.0));
-            let at = SimTime::ZERO + SimDuration::from_millis(5);
+            let after = SimDuration::from_millis(5);
             // Shards 2 and 1 both emit two messages to shard 0, all with the
             // same delivery instant.
             sk.shards[2]
                 .kernel
-                .schedule(SimTime::ZERO, move |w: &mut Node, _| {
-                    w.out.push((0, at, "s2-first".into()));
-                    w.out.push((0, at, "s2-second".into()));
-                });
+                .schedule(SimTime::ZERO, send(0, after, &["s2-first", "s2-second"]));
             sk.shards[1]
                 .kernel
-                .schedule(SimTime::ZERO, move |w: &mut Node, _| {
-                    w.out.push((0, at, "s1-first".into()));
-                    w.out.push((0, at, "s1-second".into()));
-                });
+                .schedule(SimTime::ZERO, send(0, after, &["s1-first", "s1-second"]));
             sk.run(workers);
             let got: Vec<&str> = sk.worlds()[0]
                 .received
@@ -590,12 +642,10 @@ mod tests {
             sk.set_horizon(SimTime::from_secs_f64(0.050));
             // Node 0 serves at t=0; every delivery then triggers a reply
             // 1.5 ms later (>= lookahead), bouncing until the horizon.
-            sk.shards[0]
-                .kernel
-                .schedule(SimTime::ZERO, |w: &mut Node, k| {
-                    w.out
-                        .push((1, k.now() + SimDuration::from_micros(1500), "serve".into()));
-                });
+            sk.shards[0].kernel.schedule(
+                SimTime::ZERO,
+                send(1, SimDuration::from_micros(1500), &["serve"]),
+            );
             let report = sk.run(workers);
             let worlds = sk.into_worlds();
             let mut it = worlds.into_iter();
@@ -615,13 +665,11 @@ mod tests {
     fn undershooting_the_lookahead_panics() {
         let mut sk = two_nodes();
         sk.set_horizon(SimTime::from_secs_f64(1.0));
-        sk.shards[0]
-            .kernel
-            .schedule(SimTime::from_secs_f64(0.010), |w: &mut Node, k| {
-                // 0.1 ms < 1 ms lookahead: illegal.
-                w.out
-                    .push((1, k.now() + SimDuration::from_micros(100), "bad".into()));
-            });
+        // 0.1 ms < 1 ms lookahead: illegal.
+        sk.shards[0].kernel.schedule(
+            SimTime::from_secs_f64(0.010),
+            send(1, SimDuration::from_micros(100), &["bad"]),
+        );
         sk.run(1);
     }
 
@@ -629,28 +677,22 @@ mod tests {
     fn horizon_clips_the_run_and_messages_past_it_are_dropped() {
         let mut sk = two_nodes();
         sk.set_horizon(SimTime::from_secs_f64(0.004));
-        sk.shards[0]
-            .kernel
-            .schedule(SimTime::ZERO, |w: &mut Node, k| {
-                // Delivery at 6 ms is past the 4 ms horizon: exchanged but never
-                // executed.
-                w.out
-                    .push((1, k.now() + SimDuration::from_millis(6), "late".into()));
-            });
+        // Delivery at 6 ms is past the 4 ms horizon: exchanged but never
+        // executed.
+        sk.shards[0].kernel.schedule(
+            SimTime::ZERO,
+            send(1, SimDuration::from_millis(6), &["late"]),
+        );
         // An ordinary local event at exactly the horizon still fires.
         sk.shards[1]
             .kernel
-            .schedule(SimTime::from_secs_f64(0.004), |w: &mut Node, _| {
-                w.received.push((4_000_000, "at-horizon".into()));
-            });
+            .schedule(SimTime::from_secs_f64(0.004), Ev::Local("at-horizon"));
         let report = sk.run(1);
         assert_eq!(report.end, SimTime::from_secs_f64(0.004));
-        let got: Vec<&str> = sk.worlds()[1]
-            .received
-            .iter()
-            .map(|(_, m)| m.as_str())
-            .collect();
-        assert_eq!(got, vec!["at-horizon"]);
+        assert_eq!(
+            sk.worlds()[1].received,
+            vec![(4_000_000, "at-horizon".to_string())]
+        );
     }
 
     #[test]
@@ -658,14 +700,11 @@ mod tests {
         let mut sk = two_nodes();
         sk.set_horizon(SimTime::from_secs_f64(0.100));
         sk.enable_profiler();
+        let every = SimDuration::from_millis(7);
         for id in 0..2usize {
-            fn tick(w: &mut Node, k: &mut Kernel<Node>) {
-                w.received.push((k.now().as_nanos(), "tick".into()));
-                k.schedule_in_labeled(SimDuration::from_millis(7), "tick", tick);
-            }
             sk.shards[id]
                 .kernel
-                .schedule_labeled(SimTime::ZERO, "tick", tick);
+                .schedule(SimTime::ZERO, Ev::Tick { every });
         }
         let report = sk.run(2);
         // 100 ms / 7 ms -> 15 ticks per shard (t=0..=98ms).
@@ -696,15 +735,12 @@ mod tests {
         let run = |quiet: bool, workers: usize| {
             let mut sk = two_nodes();
             sk.set_horizon(SimTime::from_secs_f64(0.100));
+            let every = SimDuration::from_micros(250);
             for id in 0..2usize {
-                fn tick(w: &mut Node, k: &mut Kernel<Node>) {
-                    w.received.push((k.now().as_nanos(), "tick".into()));
-                    k.schedule_in_labeled(SimDuration::from_micros(250), "tick", tick);
-                }
                 sk.shards[id].world.quiet = quiet;
                 sk.shards[id]
                     .kernel
-                    .schedule_labeled(SimTime::ZERO, "tick", tick);
+                    .schedule(SimTime::ZERO, Ev::Tick { every });
             }
             let report = sk.run(workers);
             let logs: Vec<Vec<(u64, String)>> =
@@ -732,10 +768,7 @@ mod tests {
         sk.set_horizon(SimTime::from_secs_f64(0.010));
         sk.shards[0]
             .kernel
-            .schedule(SimTime::ZERO, |w: &mut Node, k| {
-                w.out
-                    .push((1, k.now() + SimDuration::from_millis(2), "hi".into()));
-            });
+            .schedule(SimTime::ZERO, send(1, SimDuration::from_millis(2), &["hi"]));
         let report = sk.run(64);
         assert_eq!(report.messages, 1);
         assert_eq!(sk.worlds()[1].received.len(), 1);

@@ -1,7 +1,7 @@
 //! Seeded properties of the DES kernel, stations and links (`rng::cases`).
 
 use fabricsim_des::rng::cases;
-use fabricsim_des::{Kernel, Link, RngStream, SimDuration, SimTime, Station};
+use fabricsim_des::{Kernel, Link, Model, RngStream, SimDuration, SimTime, Station};
 
 /// `1..=max_len` pairs of `(at < at_bound, 1 <= size < size_bound)`, sorted by `at`.
 fn arrivals(rng: &mut RngStream, max_len: u64, at_bound: u64, size_bound: u64) -> Vec<(u64, u64)> {
@@ -13,6 +13,21 @@ fn arrivals(rng: &mut RngStream, max_len: u64, at_bound: u64, size_bound: u64) -
     out
 }
 
+/// A world that logs each fired `(time, insertion index)` event.
+struct Fired(Vec<(u64, usize)>);
+
+impl Model for Fired {
+    type Event = (u64, usize);
+
+    fn fire(&mut self, event: (u64, usize), _: &mut Kernel<Self>) {
+        self.0.push(event);
+    }
+
+    fn label(_: &(u64, usize)) -> &'static str {
+        "fired"
+    }
+}
+
 /// Events always fire in (time, insertion) order, regardless of the order
 /// they were scheduled in.
 #[test]
@@ -21,17 +36,13 @@ fn kernel_fires_in_timestamp_order() {
         let times: Vec<u64> = (0..1 + rng.next_below(199))
             .map(|_| rng.next_below(1_000))
             .collect();
-        let mut k: Kernel<Vec<(u64, usize)>> = Kernel::new();
+        let mut k = Kernel::new();
         for (seq, &t) in times.iter().enumerate() {
-            k.schedule(
-                SimTime::from_nanos(t),
-                move |w: &mut Vec<(u64, usize)>, _| {
-                    w.push((t, seq));
-                },
-            );
+            k.schedule(SimTime::from_nanos(t), (t, seq));
         }
-        let mut fired = Vec::new();
+        let mut fired = Fired(Vec::new());
         k.run(&mut fired);
+        let fired = fired.0;
         assert_eq!(fired.len(), times.len());
         for pair in fired.windows(2) {
             assert!(pair[0].0 <= pair[1].0, "time order violated");

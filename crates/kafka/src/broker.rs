@@ -2,15 +2,19 @@
 //! the in-sync-replica protocol.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use crate::{BrokerId, ClientToken, Epoch, Offset};
 
 /// One record in the partition log (an opaque transaction envelope for the
 /// Fabric ordering service, plus a marker bit for timer records).
+///
+/// The payload is allocated once, when the record is produced; every
+/// replica's log, fetch response and consume batch shares it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Record {
     /// Payload bytes.
-    pub data: Vec<u8>,
+    pub data: Arc<[u8]>,
     /// True for the leader OSN's block-timeout marker records (Fabric posts a
     /// `TTC-X` message to Kafka so all OSNs cut time-based blocks identically).
     pub is_timer_marker: bool,
@@ -20,7 +24,7 @@ impl Record {
     /// A payload record.
     pub fn payload(data: Vec<u8>) -> Self {
         Record {
-            data,
+            data: data.into(),
             is_timer_marker: false,
         }
     }
@@ -28,7 +32,7 @@ impl Record {
     /// A block-timeout marker record.
     pub fn timer_marker() -> Self {
         Record {
-            data: Vec::new(),
+            data: Arc::new([]),
             is_timer_marker: true,
         }
     }
@@ -234,9 +238,8 @@ impl Broker {
     }
 
     /// Drives time: followers issue fetches; the leader ages follower lag and
-    /// shrinks the ISR.
-    pub fn tick(&mut self) -> Vec<BrokerEffect> {
-        let mut effects = Vec::new();
+    /// shrinks the ISR. Effects are appended to `effects`.
+    pub fn tick(&mut self, effects: &mut Vec<BrokerEffect>) {
         match &self.role {
             BrokerRole::Follower { leader } => {
                 effects.push(BrokerEffect::Send {
@@ -271,12 +274,10 @@ impl Broker {
             }
             BrokerRole::Idle => {}
         }
-        effects
     }
 
-    /// Processes a message.
-    pub fn step(&mut self, message: BrokerMsg) -> Vec<BrokerEffect> {
-        let mut effects = Vec::new();
+    /// Processes a message, appending its effects to `effects`.
+    pub fn step(&mut self, message: BrokerMsg, effects: &mut Vec<BrokerEffect>) {
         match message {
             BrokerMsg::Produce { reply_to, record } => {
                 if self.role != BrokerRole::Leader {
@@ -288,7 +289,7 @@ impl Broker {
                         to: reply_to,
                         event: ClientEvent::NotLeader { leader_hint },
                     });
-                    return effects;
+                    return;
                 }
                 let offset = self.log_end();
                 self.log.push(record);
@@ -315,7 +316,7 @@ impl Broker {
             }
             BrokerMsg::Fetch { from, offset } => {
                 if self.role != BrokerRole::Leader {
-                    return effects;
+                    return;
                 }
                 self.replica_log_end.insert(from, offset);
                 self.replica_lag.entry(from).or_insert(0);
@@ -349,7 +350,7 @@ impl Broker {
                 high_watermark,
             } => {
                 if epoch < self.epoch || !matches!(self.role, BrokerRole::Follower { .. }) {
-                    return effects;
+                    return;
                 }
                 // Only append contiguously.
                 if base_offset == self.log_end() {
@@ -364,7 +365,7 @@ impl Broker {
             }
             BrokerMsg::AppointLeader { epoch, replicas } => {
                 if epoch <= self.epoch && self.role == BrokerRole::Leader {
-                    return effects;
+                    return;
                 }
                 self.epoch = epoch;
                 self.role = BrokerRole::Leader;
@@ -383,13 +384,12 @@ impl Broker {
             }
             BrokerMsg::AppointFollower { epoch, leader } => {
                 if epoch < self.epoch {
-                    return effects;
+                    return;
                 }
                 self.epoch = epoch;
                 self.role = BrokerRole::Follower { leader };
             }
         }
-        effects
     }
 
     fn advance_high_watermark(&mut self) {
@@ -413,22 +413,42 @@ impl Broker {
 mod tests {
     use super::*;
 
+    /// The effects of one `step`.
+    fn step(b: &mut Broker, message: BrokerMsg) -> Vec<BrokerEffect> {
+        let mut effects = Vec::new();
+        b.step(message, &mut effects);
+        effects
+    }
+
+    /// The effects of one `tick`.
+    fn tick(b: &mut Broker) -> Vec<BrokerEffect> {
+        let mut effects = Vec::new();
+        b.tick(&mut effects);
+        effects
+    }
+
     fn leader_with_replicas(replicas: &[BrokerId]) -> Broker {
         let mut b = Broker::new(replicas[0], KafkaConfig::default());
-        b.step(BrokerMsg::AppointLeader {
-            epoch: 1,
-            replicas: replicas.to_vec(),
-        });
+        step(
+            &mut b,
+            BrokerMsg::AppointLeader {
+                epoch: 1,
+                replicas: replicas.to_vec(),
+            },
+        );
         b
     }
 
     #[test]
     fn idle_broker_rejects_produce() {
         let mut b = Broker::new(1, KafkaConfig::default());
-        let effects = b.step(BrokerMsg::Produce {
-            reply_to: 7,
-            record: Record::payload(b"tx".to_vec()),
-        });
+        let effects = step(
+            &mut b,
+            BrokerMsg::Produce {
+                reply_to: 7,
+                record: Record::payload(b"tx".to_vec()),
+            },
+        );
         assert_eq!(
             effects,
             vec![BrokerEffect::Reply {
@@ -441,10 +461,13 @@ mod tests {
     #[test]
     fn single_replica_leader_commits_immediately() {
         let mut b = leader_with_replicas(&[1]);
-        let effects = b.step(BrokerMsg::Produce {
-            reply_to: 7,
-            record: Record::payload(b"tx".to_vec()),
-        });
+        let effects = step(
+            &mut b,
+            BrokerMsg::Produce {
+                reply_to: 7,
+                record: Record::payload(b"tx".to_vec()),
+            },
+        );
         assert!(matches!(
             effects[0],
             BrokerEffect::Reply {
@@ -459,33 +482,42 @@ mod tests {
     fn hw_waits_for_isr_replication() {
         let mut leader = leader_with_replicas(&[1, 2, 3]);
         // Followers join the ISR by fetching at log-end 0.
-        leader.step(BrokerMsg::Fetch { from: 2, offset: 0 });
-        leader.step(BrokerMsg::Fetch { from: 3, offset: 0 });
+        step(&mut leader, BrokerMsg::Fetch { from: 2, offset: 0 });
+        step(&mut leader, BrokerMsg::Fetch { from: 3, offset: 0 });
         assert_eq!(leader.isr(), vec![1, 2, 3]);
-        leader.step(BrokerMsg::Produce {
-            reply_to: 1,
-            record: Record::payload(b"a".to_vec()),
-        });
+        step(
+            &mut leader,
+            BrokerMsg::Produce {
+                reply_to: 1,
+                record: Record::payload(b"a".to_vec()),
+            },
+        );
         // Not consumable yet: followers haven't replicated offset 1.
         assert_eq!(leader.high_watermark(), 0);
-        leader.step(BrokerMsg::Fetch { from: 2, offset: 1 });
+        step(&mut leader, BrokerMsg::Fetch { from: 2, offset: 1 });
         assert_eq!(leader.high_watermark(), 0, "only one of two followers");
-        leader.step(BrokerMsg::Fetch { from: 3, offset: 1 });
+        step(&mut leader, BrokerMsg::Fetch { from: 3, offset: 1 });
         assert_eq!(leader.high_watermark(), 1, "all ISR replicated");
     }
 
     #[test]
     fn consume_is_bounded_by_hw() {
         let mut leader = leader_with_replicas(&[1, 2]);
-        leader.step(BrokerMsg::Fetch { from: 2, offset: 0 });
-        leader.step(BrokerMsg::Produce {
-            reply_to: 1,
-            record: Record::payload(b"a".to_vec()),
-        });
-        let effects = leader.step(BrokerMsg::Consume {
-            reply_to: 9,
-            offset: 0,
-        });
+        step(&mut leader, BrokerMsg::Fetch { from: 2, offset: 0 });
+        step(
+            &mut leader,
+            BrokerMsg::Produce {
+                reply_to: 1,
+                record: Record::payload(b"a".to_vec()),
+            },
+        );
+        let effects = step(
+            &mut leader,
+            BrokerMsg::Consume {
+                reply_to: 9,
+                offset: 0,
+            },
+        );
         match &effects[0] {
             BrokerEffect::Reply {
                 event:
@@ -502,11 +534,14 @@ mod tests {
             other => panic!("unexpected effect {other:?}"),
         }
         // After replication it becomes consumable.
-        leader.step(BrokerMsg::Fetch { from: 2, offset: 1 });
-        let effects = leader.step(BrokerMsg::Consume {
-            reply_to: 9,
-            offset: 0,
-        });
+        step(&mut leader, BrokerMsg::Fetch { from: 2, offset: 1 });
+        let effects = step(
+            &mut leader,
+            BrokerMsg::Consume {
+                reply_to: 9,
+                offset: 0,
+            },
+        );
         match &effects[0] {
             BrokerEffect::Reply {
                 event: ClientEvent::ConsumeBatch { records, .. },
@@ -519,11 +554,14 @@ mod tests {
     #[test]
     fn follower_replicates_via_fetch_response() {
         let mut f = Broker::new(2, KafkaConfig::default());
-        f.step(BrokerMsg::AppointFollower {
-            epoch: 1,
-            leader: 1,
-        });
-        let fetches = f.tick();
+        step(
+            &mut f,
+            BrokerMsg::AppointFollower {
+                epoch: 1,
+                leader: 1,
+            },
+        );
+        let fetches = tick(&mut f);
         assert_eq!(
             fetches,
             vec![BrokerEffect::Send {
@@ -531,15 +569,18 @@ mod tests {
                 message: BrokerMsg::Fetch { from: 2, offset: 0 }
             }]
         );
-        f.step(BrokerMsg::FetchResponse {
-            epoch: 1,
-            records: vec![
-                Record::payload(b"a".to_vec()),
-                Record::payload(b"b".to_vec()),
-            ],
-            base_offset: 0,
-            high_watermark: 1,
-        });
+        step(
+            &mut f,
+            BrokerMsg::FetchResponse {
+                epoch: 1,
+                records: vec![
+                    Record::payload(b"a".to_vec()),
+                    Record::payload(b"b".to_vec()),
+                ],
+                base_offset: 0,
+                high_watermark: 1,
+            },
+        );
         assert_eq!(f.log_end(), 2);
         assert_eq!(f.high_watermark(), 1);
     }
@@ -547,16 +588,22 @@ mod tests {
     #[test]
     fn stale_epoch_fetch_response_ignored() {
         let mut f = Broker::new(2, KafkaConfig::default());
-        f.step(BrokerMsg::AppointFollower {
-            epoch: 5,
-            leader: 1,
-        });
-        f.step(BrokerMsg::FetchResponse {
-            epoch: 4,
-            records: vec![Record::payload(b"stale".to_vec())],
-            base_offset: 0,
-            high_watermark: 1,
-        });
+        step(
+            &mut f,
+            BrokerMsg::AppointFollower {
+                epoch: 5,
+                leader: 1,
+            },
+        );
+        step(
+            &mut f,
+            BrokerMsg::FetchResponse {
+                epoch: 4,
+                records: vec![Record::payload(b"stale".to_vec())],
+                base_offset: 0,
+                high_watermark: 1,
+            },
+        );
         assert_eq!(f.log_end(), 0);
     }
 
@@ -567,22 +614,28 @@ mod tests {
             ..KafkaConfig::default()
         };
         let mut leader = Broker::new(1, cfg);
-        leader.step(BrokerMsg::AppointLeader {
-            epoch: 1,
-            replicas: vec![1, 2],
-        });
-        leader.step(BrokerMsg::Fetch { from: 2, offset: 0 });
+        step(
+            &mut leader,
+            BrokerMsg::AppointLeader {
+                epoch: 1,
+                replicas: vec![1, 2],
+            },
+        );
+        step(&mut leader, BrokerMsg::Fetch { from: 2, offset: 0 });
         assert_eq!(leader.isr(), vec![1, 2]);
-        leader.step(BrokerMsg::Produce {
-            reply_to: 1,
-            record: Record::payload(b"a".to_vec()),
-        });
+        step(
+            &mut leader,
+            BrokerMsg::Produce {
+                reply_to: 1,
+                record: Record::payload(b"a".to_vec()),
+            },
+        );
         assert_eq!(leader.high_watermark(), 0, "follower 2 now lags");
         // Follower 2 never fetches again: after isr_lag_ticks it is dropped
         // and the HW advances without it.
         let mut isr_updates = 0;
         for _ in 0..5 {
-            for e in leader.tick() {
+            for e in tick(&mut leader) {
                 if matches!(e, BrokerEffect::IsrUpdate { .. }) {
                     isr_updates += 1;
                 }
@@ -597,23 +650,32 @@ mod tests {
     fn new_leader_keeps_its_log_and_rebuilds_isr() {
         // Follower 2 has replicated 2 records, then gets appointed leader.
         let mut f = Broker::new(2, KafkaConfig::default());
-        f.step(BrokerMsg::AppointFollower {
-            epoch: 1,
-            leader: 1,
-        });
-        f.step(BrokerMsg::FetchResponse {
-            epoch: 1,
-            records: vec![
-                Record::payload(b"a".to_vec()),
-                Record::payload(b"b".to_vec()),
-            ],
-            base_offset: 0,
-            high_watermark: 2,
-        });
-        f.step(BrokerMsg::AppointLeader {
-            epoch: 2,
-            replicas: vec![2, 3],
-        });
+        step(
+            &mut f,
+            BrokerMsg::AppointFollower {
+                epoch: 1,
+                leader: 1,
+            },
+        );
+        step(
+            &mut f,
+            BrokerMsg::FetchResponse {
+                epoch: 1,
+                records: vec![
+                    Record::payload(b"a".to_vec()),
+                    Record::payload(b"b".to_vec()),
+                ],
+                base_offset: 0,
+                high_watermark: 2,
+            },
+        );
+        step(
+            &mut f,
+            BrokerMsg::AppointLeader {
+                epoch: 2,
+                replicas: vec![2, 3],
+            },
+        );
         assert_eq!(f.role(), &BrokerRole::Leader);
         assert_eq!(f.log_end(), 2);
         assert_eq!(f.isr(), vec![2]);

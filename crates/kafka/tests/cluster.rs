@@ -87,12 +87,14 @@ impl Cluster {
                 if !self.alive[to] {
                     continue;
                 }
-                let effects = self.brokers[to].step(msg);
+                let mut effects = Vec::new();
+                self.brokers[to].step(msg, &mut effects);
                 self.apply_broker(to, effects);
             }
             for b in 0..self.brokers.len() {
                 if self.alive[b] {
-                    let effects = self.brokers[b].tick();
+                    let mut effects = Vec::new();
+                    self.brokers[b].tick(&mut effects);
                     self.apply_broker(b, effects);
                     self.zk_step(ZkMsg::Heartbeat {
                         from: self.brokers[b].id(),
@@ -115,19 +117,27 @@ impl Cluster {
 
     fn produce(&mut self, data: &[u8]) {
         let l = self.leader();
-        let effects = self.brokers[l].step(BrokerMsg::Produce {
-            reply_to: 99,
-            record: Record::payload(data.to_vec()),
-        });
+        let mut effects = Vec::new();
+        self.brokers[l].step(
+            BrokerMsg::Produce {
+                reply_to: 99,
+                record: Record::payload(data.to_vec()),
+            },
+            &mut effects,
+        );
         self.apply_broker(l, effects);
     }
 
     fn consume_all(&mut self) -> Vec<Record> {
         let l = self.leader();
-        let effects = self.brokers[l].step(BrokerMsg::Consume {
-            reply_to: 99,
-            offset: 0,
-        });
+        let mut effects = Vec::new();
+        self.brokers[l].step(
+            BrokerMsg::Consume {
+                reply_to: 99,
+                offset: 0,
+            },
+            &mut effects,
+        );
         self.apply_broker(l, effects);
         match self.client_events.pop() {
             Some((_, ClientEvent::ConsumeBatch { records, .. })) => records,
@@ -146,7 +156,7 @@ fn cluster_elects_replicates_and_serves() {
     c.settle(10);
     let records = c.consume_all();
     assert_eq!(records.len(), 10, "all records replicated past the HW");
-    assert_eq!(records[3].data, vec![3]);
+    assert_eq!(*records[3].data, [3]);
     // Followers converged byte-for-byte.
     for b in 1..3 {
         assert_eq!(c.brokers[b].log_end(), 10);
@@ -178,7 +188,7 @@ fn leader_crash_fails_over_without_losing_committed_records() {
     let records = c.consume_all();
     assert!(records.len() >= 8, "committed prefix + new records served");
     for (i, r) in records.iter().take(8).enumerate() {
-        assert_eq!(r.data, vec![i as u8], "record {i} preserved in order");
+        assert_eq!(*r.data, [i as u8], "record {i} preserved in order");
     }
 }
 

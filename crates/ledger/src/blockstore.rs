@@ -254,7 +254,7 @@ mod tests {
     fn rejects_bad_data_hash() {
         let mut s = BlockStore::new();
         let mut b = next_block(&s, vec![tx(1)]);
-        b.transactions.push(tx(2)); // tamper after assembly
+        b.transactions = vec![tx(1), tx(2)].into(); // tamper after assembly
         assert_eq!(s.append(b), Err(ChainError::BadDataHash));
     }
 
@@ -264,8 +264,10 @@ mod tests {
         s.append(next_block(&s, vec![tx(1)])).unwrap();
         s.append(next_block(&s, vec![tx(2)])).unwrap();
         assert!(s.verify_chain().is_ok());
-        // Corrupt a stored block in place.
-        s.blocks[0].transactions[0].payload = b"evil".to_vec();
+        // Corrupt a stored block's body.
+        let mut txs = s.blocks[0].transactions.to_vec();
+        txs[0].payload = b"evil".to_vec();
+        s.blocks[0].transactions = txs.into();
         assert!(s.verify_chain().is_err());
     }
 

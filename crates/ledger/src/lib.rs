@@ -353,9 +353,12 @@ mod tests {
         });
         let good = block(l, vec![tx(7, &[("a", b"1")], &[]), endorsed]);
         let alter = |f: &dyn Fn(&mut Transaction)| {
-            let mut b = good.clone();
-            f(&mut b.transactions[1]);
-            b
+            let mut txs = good.transactions.to_vec();
+            f(&mut txs[1]);
+            Block {
+                transactions: txs.into(),
+                ..good.clone()
+            }
         };
         vec![
             alter(&|t| t.payload = b"evil".to_vec()),

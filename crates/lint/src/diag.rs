@@ -56,7 +56,8 @@ impl RuleId {
             }
             RuleId::PanicPath => {
                 "a panic site (panic!/unreachable!/todo!/unimplemented! or computed indexing) \
-                 is reachable from a DES event handler or ShardWorld::deliver; a poisoned \
+                 is reachable from a DES event handler (Model::fire, ShardWorld::deliver or a \
+                 fn that schedules kernel events); a poisoned \
                  message must surface as an error, not abort a shard mid-window"
             }
             RuleId::AllowMissingJustification => "every lint:allow must carry `-- <justification>`",

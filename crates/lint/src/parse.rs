@@ -15,7 +15,7 @@
 //! * `mod name { … }` nesting (module path segments) and `mod name;` file
 //!   modules;
 //! * `impl Type { … }` / `impl Trait for Type { … }` (the trait name is kept
-//!   — the panic-path pass roots on `ShardWorld::deliver` impls);
+//!   — the panic-path pass roots on `Model` and `ShardWorld` impls);
 //! * `fn` items at any nesting depth, with `pub`-ness, `#[cfg(test)]` /
 //!   `#[test]` containment, and the token range of the body;
 //! * call sites: `free_fn(…)`, `path::to::fn(…)`, `Type::assoc(…)`,

@@ -10,25 +10,25 @@
 //!   hash container, the one shape `disallowed-methods` cannot name.
 //! * **panic-path audit** — `panic!`-family macros and (directly in
 //!   handlers) computed indexing, reachable from DES event handlers — fns
-//!   that schedule kernel events or implement `ShardWorld::deliver`.
+//!   that schedule kernel events, and the methods of `Model` impls (the
+//!   kernel fires every event through `Model::fire`) and `ShardWorld` impls
+//!   (`deliver`).
 //!   `unwrap`/`expect` sites are clippy's (`unwrap_used`, `expect_used`).
 
 use std::collections::{BTreeMap, VecDeque};
 
 use crate::diag::{Diagnostic, Note, RuleId};
 use crate::engine::SIM_CRITICAL_CRATES;
-use crate::symgraph::{ParsedFile, SymbolGraph};
+use crate::symgraph::{ParsedFile, Symbol, SymbolGraph};
 use crate::tokenizer::{Token, TokenKind};
 
-/// Kernel methods whose callers are DES event handlers (the scheduled
-/// closures live inside the scheduling fn, so calls inside them are
-/// attributed to it by the parser).
-const SCHEDULE_METHODS: &[&str] = &[
-    "schedule",
-    "schedule_in",
-    "schedule_labeled",
-    "schedule_in_labeled",
-];
+/// Kernel methods whose callers are DES event handlers.
+const SCHEDULE_METHODS: &[&str] = &["schedule", "schedule_in"];
+
+/// Traits whose impl methods the kernels call with a world's events: every
+/// handler is reached from a `Model::fire` match arm, and cross-shard
+/// messages enter through `ShardWorld::deliver`.
+const HANDLER_TRAITS: &[&str] = &["Model", "ShardWorld"];
 
 /// Methods whose results depend on `HashMap`/`HashSet` iteration order.
 const ITERATION_METHODS: &[&str] = &[
@@ -468,22 +468,28 @@ fn index_is_plain_path(toks: &[&Token], open: usize) -> bool {
     false // unbalanced: treat as computed
 }
 
+/// The handler trait `s` is a method of an impl of, if any.
+fn handler_trait(s: &Symbol) -> Option<&str> {
+    s.trait_name
+        .as_deref()
+        .filter(|t| HANDLER_TRAITS.contains(t))
+}
+
 /// Forward BFS from DES handler roots; reports reachable panic sites.
 fn panic_path(files: &[ParsedFile], graph: &SymbolGraph, out: &mut Vec<Diagnostic>) {
-    // Roots: ShardWorld impl methods and fns that schedule kernel events —
-    // in sim-critical crates only, outside tests.
+    // Roots: Model and ShardWorld impl methods and fns that schedule kernel
+    // events — in sim-critical crates only, outside tests.
     let mut roots = Vec::new();
     for (id, s) in graph.symbols.iter().enumerate() {
         if s.in_test || !SIM_CRITICAL_CRATES.contains(&s.krate.as_str()) {
             continue;
         }
         let decl = &files[s.file_idx].ast.fns[s.fn_idx];
-        let is_deliver = s.trait_name.as_deref() == Some("ShardWorld");
         let schedules = decl
             .calls
             .iter()
             .any(|c| c.is_method && SCHEDULE_METHODS.contains(&c.path[0].as_str()));
-        if is_deliver || schedules {
+        if handler_trait(s).is_some() || schedules {
             roots.push(id);
         }
     }
@@ -534,10 +540,9 @@ fn panic_path(files: &[ParsedFile], graph: &SymbolGraph, out: &mut Vec<Diagnosti
                 message: format!(
                     "`{}` is a DES event handler ({})",
                     root.qualified(),
-                    if root.trait_name.as_deref() == Some("ShardWorld") {
-                        "implements ShardWorld::deliver"
-                    } else {
-                        "schedules kernel events"
+                    match handler_trait(root) {
+                        Some(t) => format!("implements {t}::{}", root.name),
+                        None => "schedules kernel events".to_string(),
                     }
                 ),
             }];

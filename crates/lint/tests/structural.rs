@@ -107,6 +107,29 @@ fn panic_path_walks_two_hops_from_deliver() {
 }
 
 #[test]
+fn panic_path_starts_at_model_fire_for_a_handler_nothing_else_reaches() {
+    let diags = run("panic-path", &[("crates/core/src/world.rs", "fire.rs")]);
+    let panics: Vec<&Diagnostic> = diags
+        .iter()
+        .filter(|d| d.rule == RuleId::PanicPath)
+        .collect();
+    assert_eq!(panics.len(), 1, "{diags:?}");
+    let d = panics[0];
+    assert_eq!((d.line, d.file.as_str()), (20, "crates/core/src/world.rs"));
+    assert!(d.message.contains("unreachable!"), "{}", d.message);
+    assert!(
+        d.notes[0].message.contains("implements Model::fire"),
+        "root note first: {:?}",
+        d.notes
+    );
+    assert!(
+        d.notes.iter().any(|n| n.message.contains("commit")),
+        "{:?}",
+        d.notes
+    );
+}
+
+#[test]
 fn panic_path_clean_when_helper_returns_option() {
     let diags = run("panic-path", &[("crates/core/src/world.rs", "good.rs")]);
     assert!(

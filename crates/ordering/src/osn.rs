@@ -485,7 +485,7 @@ impl OsnNode {
                 }
                 *last_ttc_sent = Some(target);
                 let mut marker = Record::timer_marker();
-                marker.data = target.to_le_bytes().to_vec();
+                marker.data = target.to_le_bytes().into();
                 vec![OsnEffect::SendBroker {
                     to: *leader,
                     message: BrokerMsg::Produce {
@@ -755,7 +755,7 @@ mod tests {
         let mut osn = OsnNode::kafka(0, ChannelId::default_channel(), batch_cfg(100), vec![0]);
         // Block 0 cut by a live marker.
         let mut marker0 = Record::timer_marker();
-        marker0.data = 0u64.to_le_bytes().to_vec();
+        marker0.data = 0u64.to_le_bytes().into();
         let effects = osn.handle(OsnInput::Kafka(ClientEvent::ConsumeBatch {
             base_offset: 0,
             records: vec![Record::payload(encode_tx(&tx(1))), marker0.clone()],

@@ -421,6 +421,16 @@ mod tests {
         )
     }
 
+    /// `block` with its body rebuilt after `f` altered a copy of it.
+    fn rebuilt(block: &Block, f: impl FnOnce(&mut Vec<Transaction>)) -> Block {
+        let mut txs = block.transactions.to_vec();
+        f(&mut txs);
+        Block {
+            transactions: txs.into(),
+            ..block.clone()
+        }
+    }
+
     #[test]
     fn validate_and_commit_flags_every_verdict_class_identically_at_any_pool_size() {
         let f = fixture(Policy::and_of_orgs(2), 2);
@@ -471,20 +481,13 @@ mod tests {
                 &peer,
                 vec![endorsed_tx(&f, 2, &[0]), endorsed_tx(&f, 3, &[0])],
             );
-            let mut altered = good.clone();
-            altered.transactions[1]
-                .rw_set
-                .record_write("evil", Some(vec![9]));
-            let mut repaid = good.clone();
-            repaid.transactions[0].payload = b"evil".to_vec();
-            let mut reendorsed = good.clone();
-            reendorsed.transactions[1].endorsements[0].signature.e ^= 1;
-            let mut recreated = good.clone();
-            recreated.transactions[0].creator = ClientId(7);
-            let mut swapped = good.clone();
-            swapped.transactions[0] = endorsed_tx(&f, 4, &[0]); // valid tx, not the one hashed
-            let mut truncated = good.clone();
-            truncated.transactions.pop();
+            let altered = rebuilt(&good, |t| t[1].rw_set.record_write("evil", Some(vec![9])));
+            let repaid = rebuilt(&good, |t| t[0].payload = b"evil".to_vec());
+            let reendorsed = rebuilt(&good, |t| t[1].endorsements[0].signature.e ^= 1);
+            let recreated = rebuilt(&good, |t| t[0].creator = ClientId(7));
+            // A valid tx, not the one hashed.
+            let swapped = rebuilt(&good, |t| t[0] = endorsed_tx(&f, 4, &[0]));
+            let truncated = rebuilt(&good, |t| drop(t.pop()));
             for bad in [altered, repaid, reendorsed, recreated, swapped, truncated] {
                 assert_eq!(peer.validate_and_commit(bad), Err(ChainError::BadDataHash));
                 assert_eq!(peer.ledger().height(), 1);
@@ -502,8 +505,8 @@ mod tests {
         let mut peer = committer(&f, 1);
         let first = next_block(&peer, vec![endorsed_tx(&f, 1, &[0])]);
         peer.validate_and_commit(first).unwrap();
-        let mut bad = next_block(&peer, vec![endorsed_tx(&f, 2, &[0])]);
-        bad.transactions[0].payload = b"evil".to_vec();
+        let good = next_block(&peer, vec![endorsed_tx(&f, 2, &[0])]);
+        let bad = rebuilt(&good, |t| t[0].payload = b"evil".to_vec());
         let mut unlinked = bad.clone();
         unlinked.header.previous_hash = Hash256::ZERO;
         let mut misnumbered = unlinked.clone();

@@ -1,5 +1,8 @@
 //! Blocks: header, data, metadata and transaction validation codes.
 
+use std::ops::Deref;
+use std::sync::Arc;
+
 use fabricsim_crypto::{sha256, Hash256, MerkleTree};
 
 use crate::encode::{Encoder, WireSize, MSG_OVERHEAD};
@@ -77,7 +80,40 @@ pub struct BlockMetadata {
     pub flags: Vec<ValidationCode>,
 }
 
+/// A block's ordered transactions: immutable once built and shared by
+/// reference, so cloning a [`Block`] copies its header and flags but never
+/// a transaction. Read it as a slice; to alter a block (tests tampering
+/// with one do), build a new body from a `Vec` and assign it.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Txs(Arc<[Transaction]>);
+
+impl Deref for Txs {
+    type Target = [Transaction];
+
+    fn deref(&self) -> &[Transaction] {
+        &self.0
+    }
+}
+
+impl From<Vec<Transaction>> for Txs {
+    fn from(transactions: Vec<Transaction>) -> Self {
+        Txs(transactions.into())
+    }
+}
+
+impl<'a> IntoIterator for &'a Txs {
+    type Item = &'a Transaction;
+    type IntoIter = std::slice::Iter<'a, Transaction>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
 /// A block: header + ordered transactions + (post-validation) metadata.
+///
+/// Every ledger that commits a block keeps its own header and flags and
+/// shares the transactions with the orderer that cut it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Block {
     /// The channel this block belongs to.
@@ -85,7 +121,7 @@ pub struct Block {
     /// Block header.
     pub header: BlockHeader,
     /// The ordered transactions.
-    pub transactions: Vec<Transaction>,
+    pub transactions: Txs,
     /// Validation flags (empty until the committer validates the block).
     pub metadata: BlockMetadata,
 }
@@ -106,7 +142,7 @@ impl Block {
                 previous_hash,
                 data_hash,
             },
-            transactions,
+            transactions: transactions.into(),
             metadata: BlockMetadata::default(),
         }
     }
@@ -165,12 +201,12 @@ impl Block {
 /// The same with a write through the accessor does not compile — there is no
 /// path from a `CheckedBlock` to a `&mut Block`:
 ///
-/// ```compile_fail,E0596
+/// ```compile_fail,E0594
 /// use fabricsim_crypto::Hash256;
 /// use fabricsim_types::{Block, ChannelId, CheckedBlock};
 /// let block = Block::assemble(ChannelId::default_channel(), 0, Hash256::ZERO, Vec::new());
 /// let mut checked = CheckedBlock::new(block).expect("assembled blocks are consistent");
-/// checked.block().transactions.clear();
+/// checked.block().transactions = Vec::new().into();
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckedBlock {
@@ -270,16 +306,51 @@ mod tests {
         assert!(!b.is_empty());
     }
 
+    /// `block` with its body rebuilt after `f` altered a copy of it.
+    fn rebuilt(block: &Block, f: impl FnOnce(&mut Vec<Transaction>)) -> Block {
+        let mut txs = block.transactions.to_vec();
+        f(&mut txs);
+        Block {
+            transactions: txs.into(),
+            ..block.clone()
+        }
+    }
+
     #[test]
     fn tampering_breaks_data_hash() {
-        let mut b = Block::assemble(
+        let b = Block::assemble(
             ChannelId::default_channel(),
             1,
             Hash256::ZERO,
             vec![tx(0), tx(1)],
         );
-        b.transactions[0].rw_set.record_write("evil", Some(vec![9]));
+        let b = rebuilt(&b, |t| t[0].rw_set.record_write("evil", Some(vec![9])));
         assert!(!b.data_hash_is_consistent());
+    }
+
+    #[test]
+    fn clones_share_the_body_and_keep_their_own_flags() {
+        let b = Block::assemble(
+            ChannelId::default_channel(),
+            1,
+            Hash256::ZERO,
+            vec![tx(0), tx(1)],
+        );
+        let mut checked = CheckedBlock::new(b.clone()).expect("consistent block");
+        checked.stamp_flags(vec![
+            ValidationCode::Valid,
+            ValidationCode::MvccReadConflict,
+        ]);
+        let stamped = checked.into_block();
+        assert!(std::ptr::eq(
+            b.transactions.as_ptr(),
+            stamped.transactions.as_ptr()
+        ));
+        assert_eq!(stamped.valid_count(), 1);
+        assert!(
+            b.metadata.flags.is_empty(),
+            "the original's flags are its own"
+        );
     }
 
     #[test]
@@ -314,22 +385,13 @@ mod tests {
             Hash256::ZERO,
             vec![tx(0), tx(1)],
         );
-        let mut altered = good.clone();
-        altered.transactions[1].payload = b"evil".to_vec();
-        let mut rewritten = good.clone();
-        rewritten.transactions[0]
-            .rw_set
-            .record_write("evil", Some(vec![9]));
-        let mut reendorsed = good.clone();
-        reendorsed.transactions[0].endorsements[0].signature.e ^= 1;
-        let mut recreated = good.clone();
-        recreated.transactions[1].creator = ClientId(7);
-        let mut dropped = good.clone();
-        dropped.transactions.pop();
-        let mut appended = good.clone();
-        appended.transactions.push(tx(2));
-        let mut reordered = good.clone();
-        reordered.transactions.swap(0, 1);
+        let altered = rebuilt(&good, |t| t[1].payload = b"evil".to_vec());
+        let rewritten = rebuilt(&good, |t| t[0].rw_set.record_write("evil", Some(vec![9])));
+        let reendorsed = rebuilt(&good, |t| t[0].endorsements[0].signature.e ^= 1);
+        let recreated = rebuilt(&good, |t| t[1].creator = ClientId(7));
+        let dropped = rebuilt(&good, |t| drop(t.pop()));
+        let appended = rebuilt(&good, |t| t.push(tx(2)));
+        let reordered = rebuilt(&good, |t| t.swap(0, 1));
         let mut rehashed = good.clone();
         rehashed.header.data_hash = Hash256::ZERO;
         for bad in [

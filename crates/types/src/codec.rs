@@ -342,7 +342,7 @@ pub fn decode_block(bytes: &[u8]) -> Result<Block, DecodeError> {
             previous_hash,
             data_hash,
         },
-        transactions,
+        transactions: transactions.into(),
         metadata: BlockMetadata { flags },
     })
 }

@@ -28,7 +28,7 @@ mod proposal;
 mod rwset;
 mod transaction;
 
-pub use block::{Block, BlockHeader, BlockMetadata, CheckedBlock, ValidationCode};
+pub use block::{Block, BlockHeader, BlockMetadata, CheckedBlock, Txs, ValidationCode};
 pub use config::{BatchConfig, ChannelConfig, OrdererType};
 pub use ids::{ChannelId, ClientId, MspId, NodeId, OrgId, Principal, TxId};
 pub use proposal::{Endorsement, Proposal, ProposalResponse};

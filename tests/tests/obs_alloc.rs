@@ -1,5 +1,6 @@
-//! The allocation budget of observing: recording a phase event or a span, and
-//! rendering either, costs no heap allocation of its own.
+//! The allocation budgets: recording a phase event or a span, and rendering
+//! either, costs no heap allocation of its own, and a whole Kafka run stays
+//! under a fixed number of allocations per committed transaction.
 //!
 //! A counting allocator over [`System`] tallies per thread, so the libtest
 //! harness and the other case of this file cannot disturb a measurement; the
@@ -10,7 +11,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use fabricsim::{OrdererType, PolicySpec, RunResult, SimConfig, Simulation};
+use fabricsim::{OrdererType, PolicySpec, RunResult, SimConfig, Simulation, TxOutcome};
 
 struct Counting;
 
@@ -127,6 +128,33 @@ fn recording_an_observation_allocates_nothing() {
          planes on {allocs_on}, planes off {allocs_off}",
         extra as f64 / records as f64
     );
+}
+
+/// Allocations per committed transaction the Kafka small-blocks run may
+/// make, planes off. The count is exact and host-independent, so this is a
+/// ratchet like `lint-ratchet.txt`: lower it when a change makes fewer, and
+/// never raise it.
+const ALLOCS_PER_COMMITTED_TX: f64 = 165.0;
+
+#[test]
+fn a_committed_transaction_stays_within_its_allocation_budget() {
+    let (result, allocs) = counting(|| run(kafka_small_blocks()));
+    let committed = result
+        .traces
+        .iter()
+        .filter(|t| matches!(t.outcome, TxOutcome::Committed(_)))
+        .count();
+    assert!(
+        committed > 500,
+        "a run worth measuring: {committed} commits"
+    );
+    let per_tx = allocs as f64 / committed as f64;
+    assert!(
+        per_tx <= ALLOCS_PER_COMMITTED_TX,
+        "{allocs} allocations for {committed} committed transactions: {per_tx:.1} each, \
+         budget {ALLOCS_PER_COMMITTED_TX}"
+    );
+    eprintln!("{allocs} allocations, {committed} committed, {per_tx:.2} per tx");
 }
 
 #[test]
