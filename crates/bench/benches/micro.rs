@@ -414,7 +414,7 @@ fn bench_des_kernel(r: &mut Runner) {
         s.jobs()
     });
     r.bench("des/station_submit_10k_disabled_tracer", || {
-        let sink = fabricsim_obs::EventSink::disabled();
+        let sink = fabricsim_obs::Sink::<fabricsim_obs::PhaseEvent>::disabled();
         let mut s = Station::new("bench", 2);
         let d = SimDuration::from_micros(3);
         for i in 0..10_000u64 {

@@ -32,15 +32,14 @@
 //!       (windows, cross-shard messages, events; `"sync"` in --json) and
 //!       the SHA-256 body that hashed it (`"sha256_backend"` in --json).
 //!       Accepts the same deployment flags as the default run mode
-//!   fabricsim diff A B [--spans SA SB] [--profiles PA PB] [--json] [--force]
-//!       differential run analysis: pairwise-compare two run artifacts of
-//!       the same kind (run summaries from --json, analyze --json outputs,
+//!   fabricsim diff A B [A2 B2 …] [--json] [--force]
+//!       differential run analysis: pairwise-compare run artifacts of the
+//!       same kind (run summaries from --json, analyze --json outputs,
 //!       profile --json outputs, or --health-out health timelines — the
-//!       kind is sniffed).
+//!       kind is sniffed from the content), one report over every pair.
 //!       Reports per-metric deltas ranked by |delta|, bottleneck/dominance
 //!       shifts, and telescoping checks (Σ segment deltas vs the e2e
-//!       delta). --spans/--profiles attach extra artifact pairs to the same
-//!       report. Mismatched config digests abort with exit 3 unless
+//!       delta). Mismatched config digests abort with exit 3 unless
 //!       --force: a diff across different configs is attribution, not a
 //!       regression check
 //! ```
@@ -95,8 +94,8 @@ use std::process::exit;
 use fabricsim::obs::json::escape;
 use fabricsim::obs::{
     chrome_trace, collapsed_stacks, parse_jsonl_with_provenance, parse_spans_jsonl_with_provenance,
-    reconstruct, span_flow_trace, ArtifactDiff, HealthReport, JsonlFileSink, RunProvenance,
-    SpanGraphAnalysis, TraceAnalysis,
+    reconstruct, span_flow_trace, ArtifactDiff, HealthReport, RunProvenance, SpanGraphAnalysis,
+    TraceAnalysis,
 };
 use fabricsim::report::{run_summary_json, to_csv, Row};
 use fabricsim::{
@@ -118,7 +117,7 @@ fn usage() -> ! {
     eprintln!("       fabricsim analyze [--trace FILE] [--spans FILE] [--health FILE]");
     eprintln!("                 [--top K] [--json] [--chrome-out FILE] [--flame-out FILE]");
     eprintln!("       fabricsim profile [run flags] [--json]");
-    eprintln!("       fabricsim diff A B [--spans SA SB] [--profiles PA PB] [--json] [--force]");
+    eprintln!("       fabricsim diff A B [A2 B2 …] [--json] [--force]");
     eprintln!("       fabricsim lint [--json [FILE.json]] [--root DIR] [--list-rules] [PATHS…]");
     exit(2);
 }
@@ -278,47 +277,32 @@ fn cmd_analyze(args: &[String]) -> ! {
     exit(0);
 }
 
-/// `fabricsim diff`: pairwise differential analysis of two run artifacts
-/// (plus optional span-analysis and profile pairs from the same runs).
+/// `fabricsim diff`: pairwise differential analysis of run artifacts, given
+/// as consecutive A B pairs (each pair's kind is sniffed on its own).
 fn cmd_diff(args: &[String]) -> ! {
     let mut json = false;
     let mut force = false;
-    let mut positional: Vec<String> = Vec::new();
-    let mut spans_pair: Option<(String, String)> = None;
-    let mut profiles_pair: Option<(String, String)> = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut pair = || {
-            let a = it.next().cloned();
-            let b = it.next().cloned();
-            match (a, b) {
-                (Some(a), Some(b)) => (a, b),
-                _ => usage(),
-            }
-        };
-        match flag.as_str() {
+    let mut paths: Vec<&String> = Vec::new();
+    for arg in args {
+        match arg.as_str() {
             "--json" => json = true,
             "--force" => force = true,
-            "--spans" => spans_pair = Some(pair()),
-            "--profiles" => profiles_pair = Some(pair()),
             "--help" | "-h" => usage(),
             other if other.starts_with("--") => {
                 eprintln!("unknown diff flag {other:?}");
                 usage()
             }
-            path => positional.push(path.to_string()),
+            _ => paths.push(arg),
         }
     }
-    let [a, b] = positional.as_slice() else {
-        eprintln!("diff requires exactly two artifact files (A and B)");
+    if paths.is_empty() || !paths.len().is_multiple_of(2) {
+        eprintln!("diff requires artifact files in pairs (A B [A2 B2 …])");
         exit(2);
-    };
-    let mut pairs: Vec<(String, String)> = vec![(a.clone(), b.clone())];
-    pairs.extend(spans_pair);
-    pairs.extend(profiles_pair);
-    let diffs: Vec<ArtifactDiff> = pairs
-        .iter()
-        .map(|(pa, pb)| {
+    }
+    let diffs: Vec<ArtifactDiff> = paths
+        .chunks_exact(2)
+        .map(|pair| {
+            let (pa, pb) = (pair[0], pair[1]);
             let read = |path: &String| {
                 std::fs::read_to_string(path).unwrap_or_else(|e| {
                     eprintln!("cannot read {path}: {e}");
@@ -669,33 +653,17 @@ fn main() {
         seed: s.seed,
         config_digest: s.config_digest.clone(),
     };
-    if let Some(path) = &trace_out {
-        let write = || -> std::io::Result<u64> {
-            let mut sink = JsonlFileSink::create(path)?;
-            sink.write_provenance(&provenance)?;
-            for ev in &result.observability.events {
-                sink.write_event(ev)?;
-            }
-            sink.finish()
-        };
-        if let Err(e) = write() {
-            eprintln!("cannot write trace to {path}: {e}");
+    let write_jsonl = |path: &str, what: &str, records: String| {
+        if let Err(e) = std::fs::write(path, format!("{}\n{records}", provenance.to_json())) {
+            eprintln!("cannot write {what} to {path}: {e}");
             exit(1);
         }
+    };
+    if let Some(path) = &trace_out {
+        write_jsonl(path, "trace", result.observability.events_jsonl());
     }
     if let Some(path) = &span_out {
-        let write = || -> std::io::Result<u64> {
-            let mut sink = JsonlFileSink::create(path)?;
-            sink.write_provenance(&provenance)?;
-            for sp in &result.observability.spans {
-                sink.write_span(sp)?;
-            }
-            sink.finish()
-        };
-        if let Err(e) = write() {
-            eprintln!("cannot write spans to {path}: {e}");
-            exit(1);
-        }
+        write_jsonl(path, "spans", result.observability.spans_jsonl());
     }
     if let Some(path) = &metrics_out {
         let text = result

@@ -22,8 +22,8 @@ use std::fmt::{self, Write as _};
 
 use fabricsim_des::{SimDuration, SimTime, Station};
 use fabricsim_obs::{
-    message_span_id, span_id, tx_sampled, EventSink, LogHistogram, Name, PhaseEvent, SampleRow,
-    Samples, SpanEvent, SpanKind, SpanSink, StationClass, TracePhase, TxStationBreakdown,
+    message_span_id, span_id, tx_sampled, LogHistogram, Name, PhaseEvent, SampleRow, Samples, Sink,
+    SpanEvent, SpanKind, StationClass, TracePhase, TxStationBreakdown,
 };
 use fabricsim_types::TxId;
 
@@ -198,9 +198,9 @@ pub(super) struct Observer {
     /// Live transactions of this world: admitted or imported, not yet
     /// terminal or exported.
     inflight: usize,
-    sink: EventSink,
+    sink: Sink<PhaseEvent>,
     /// Causal span-graph sink.
-    spans: SpanSink,
+    spans: Sink<SpanEvent>,
     /// The sampler's rows, and the commit-ordered latencies when the health
     /// plane will fold them.
     samples: Samples,
@@ -222,14 +222,14 @@ impl Observer {
             index: HashMap::new(),
             inflight: 0,
             sink: if obs.trace_events {
-                EventSink::in_memory_bounded(obs.trace_buffer_cap)
+                Sink::bounded(obs.trace_buffer_cap)
             } else {
-                EventSink::disabled()
+                Sink::disabled()
             },
             spans: if obs.span_events {
-                SpanSink::bounded(obs.trace_buffer_cap)
+                Sink::bounded(obs.trace_buffer_cap)
             } else {
-                SpanSink::disabled()
+                Sink::disabled()
             },
             samples: Samples::default(),
             record_e2e: obs.health_events,
@@ -529,10 +529,10 @@ impl Observer {
     pub(super) fn harvest(self) -> Harvest {
         Harvest {
             records: self.txs,
-            dropped_events: self.sink.dropped_events(),
-            events: self.sink.into_events(),
-            dropped_spans: self.spans.dropped_spans(),
-            spans: self.spans.into_spans(),
+            dropped_events: self.sink.dropped(),
+            events: self.sink.into_vec(),
+            dropped_spans: self.spans.dropped(),
+            spans: self.spans.into_vec(),
             samples: self.samples,
             e2e_hist: self.e2e_hist,
         }

@@ -23,13 +23,18 @@
 //!   refused by the CLI unless forced, because a delta between unlike runs
 //!   attributes nothing.
 //!
-//! The engine consumes parsed [`Json`] values, so it accepts any artifact the
-//! stack emits without a per-type Rust decoder: the flat run summary, the
-//! (possibly combined) `analyze --json` document and `profile --json`
-//! (merged and per-shard). Health timelines are the one exception: they are
-//! JSONL (one object per line, so `Json::parse` on the whole file fails) and
-//! are recognized by [`HealthReport::sniff`] before the JSON parser runs,
-//! then decoded with [`HealthReport::from_jsonl`].
+//! The engine consumes parsed [`Json`] values, so it reads the run summary,
+//! the (possibly combined) `analyze --json` document and `profile --json`
+//! (merged and per-shard) without a per-type Rust decoder. One walk serves
+//! them all: `compare_leaves` pairs every numeric leaf outside lists, and
+//! `compare_list` pairs the items of a named list by id; each kind is a few
+//! lines naming which leaves it skips and which lists it reads. Health
+//! reports are the exception: their entries regroup fields per station and
+//! regime (`peer.vscc.dwell.stable_s`), so they are decoded into a typed
+//! [`HealthReport`] — from the JSONL timeline (recognized by
+//! [`HealthReport::sniff`] before the JSON parser runs, since a multi-line
+//! file is no single document) or from the `health` object `analyze --json`
+//! embeds.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -44,8 +49,8 @@ use crate::online::{HealthReport, Regime, StationHealth};
 pub enum ArtifactKind {
     /// A `fabricsim --json` run summary (flat metrics + bottleneck report).
     RunSummary,
-    /// An `analyze --json` document: trace analysis, span-graph analysis, or
-    /// the combined form holding both.
+    /// An `analyze --json` document: a trace analysis, a span-graph
+    /// analysis, a health report, or the combined form holding several.
     Analysis,
     /// A `profile --json` document (merged kernel profile + optional shards).
     Profile,
@@ -171,22 +176,27 @@ impl DiffSection {
             }
         }
     }
+}
 
-    fn sort_entries(&mut self) {
-        self.entries.sort_by(|x, y| {
+/// Ranks every section's entries by `|delta|`, biggest first, ties by name.
+fn ranked(mut sections: Vec<DiffSection>) -> Vec<DiffSection> {
+    for sec in &mut sections {
+        sec.entries.sort_by(|x, y| {
             y.delta()
                 .abs()
                 .total_cmp(&x.delta().abs())
                 .then_with(|| x.name.cmp(&y.name))
         });
     }
+    sections
 }
 
 /// Why two artifacts could not be diffed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DiffError {
-    /// One side failed to parse: a syntax error, a malformed health line, or
-    /// a provenance `seed` that is not an exact `u64`.
+    /// One side failed to parse: a syntax error, a malformed health line or
+    /// embedded health report, or a provenance `seed` that is not an exact
+    /// `u64`.
     Json {
         /// Which side (`'A'` or `'B'`).
         side: char,
@@ -290,7 +300,7 @@ impl ArtifactDiff {
         let digest_match = digests_match(&prov);
         let sections = match ka {
             ArtifactKind::RunSummary => run_summary_sections(a, b),
-            ArtifactKind::Analysis => analysis_sections(a, b),
+            ArtifactKind::Analysis => analysis_sections(a, b)?,
             ArtifactKind::Profile => profile_sections(a, b),
             // Unreachable from sniff(): health timelines are JSONL and are
             // routed through `health_diff` before whole-document parsing.
@@ -300,7 +310,7 @@ impl ArtifactDiff {
             kind: ka,
             provenance: prov,
             digest_match,
-            sections,
+            sections: ranked(sections),
         })
     }
 
@@ -517,6 +527,7 @@ fn sniff(j: &Json) -> Option<ArtifactKind> {
     }
     if has("trace")
         || has("span_graph")
+        || has("health")
         || (has("e2e") && has("segments"))
         || (has("mean_path_s") && has("actors"))
     {
@@ -556,9 +567,8 @@ fn digests_match(prov: &[DiffProvenance; 2]) -> Option<bool> {
 }
 
 /// Flattens every numeric leaf of an object tree into `path → value`
-/// (dotted paths). Arrays are skipped — they hold per-item detail
-/// (histograms, window attributions) that the section builders mine
-/// explicitly where a pairing key exists.
+/// (dotted paths). Arrays are skipped — they hold per-item detail that
+/// `compare_list` pairs by id where an id exists.
 fn flatten_numeric(prefix: &str, j: &Json, out: &mut BTreeMap<String, f64>) {
     if let Some(n) = j.as_f64() {
         out.insert(prefix.to_string(), n);
@@ -574,20 +584,129 @@ fn flatten_numeric(prefix: &str, j: &Json, out: &mut BTreeMap<String, f64>) {
     }
 }
 
-/// Diffs two flattened metric maps into a section: shared keys become
-/// entries, one-sided keys become notes.
-fn diff_flat(sec: &mut DiffSection, fa: &BTreeMap<String, f64>, fb: &BTreeMap<String, f64>) {
-    for (k, va) in fa {
+/// Compares every numeric leaf outside lists, except the dotted paths in
+/// `skip`: a leaf on both sides becomes an entry, a leaf on one side a note.
+fn compare_leaves(sec: &mut DiffSection, a: &Json, b: &Json, skip: &[&str]) {
+    let leaves = |j: &Json| {
+        let mut m = BTreeMap::new();
+        flatten_numeric("", j, &mut m);
+        m.retain(|k, _| !skip.contains(&k.as_str()));
+        m
+    };
+    let (fa, fb) = (leaves(a), leaves(b));
+    for (k, va) in &fa {
         match fb.get(k) {
             Some(vb) => sec.push(k.clone(), *va, *vb),
             None => sec.notes.push(format!("metric {k} only in A")),
         }
     }
-    for k in fb.keys() {
-        if !fa.contains_key(k) {
-            sec.notes.push(format!("metric {k} only in B"));
+    for k in fb.keys().filter(|k| !fa.contains_key(*k)) {
+        sec.notes.push(format!("metric {k} only in B"));
+    }
+}
+
+/// A list of items an artifact names by id, compared item by item.
+struct List {
+    /// The list's key in its object.
+    key: &'static str,
+    /// The fields whose values, joined by `→`, are an item's id.
+    id: &'static [&'static str],
+    /// The numeric fields compared; the first is the one that telescopes.
+    fields: &'static [&'static str],
+    /// Entry names are `{prefix}{id}.{field}`.
+    prefix: &'static str,
+    /// What a one-sided item is called in its note; `None` adds no note.
+    noun: Option<&'static str>,
+}
+
+/// Trace-analysis segments (`created→proposal_sent.mean_s`).
+const TRACE_SEGMENTS: List = List {
+    key: "segments",
+    id: &["from", "to"],
+    fields: &["mean_s", "mean_queued_s", "mean_service_s", "critical"],
+    prefix: "",
+    noun: Some("segment"),
+};
+
+/// Span-graph critical-path shares per segment kind.
+const SPAN_SEGMENTS: List = List {
+    key: "segments",
+    id: &["name"],
+    fields: &["seconds"],
+    prefix: "segments:",
+    noun: None,
+};
+
+/// Span-graph critical-path shares per actor.
+const SPAN_ACTORS: List = List {
+    key: "actors",
+    prefix: "actors:",
+    ..SPAN_SEGMENTS
+};
+
+/// Kernel-profile handlers, hottest first.
+const HANDLERS: List = List {
+    key: "entries",
+    id: &["label"],
+    fields: &["ns", "count"],
+    prefix: "handler:",
+    noun: Some("handler"),
+};
+
+/// The id of `item` in `list` (`None` when an id field is missing).
+fn item_id(item: &Json, list: &List) -> Option<String> {
+    let parts: Option<Vec<&str>> = list
+        .id
+        .iter()
+        .map(|f| item.get(f).and_then(Json::as_str))
+        .collect();
+    Some(parts?.join("→"))
+}
+
+fn items<'a>(j: &'a Json, list: &List) -> &'a [Json] {
+    j.get(list.key).and_then(Json::as_array).unwrap_or_default()
+}
+
+/// Compares the items of `list` paired by id, a missing item counting as 0
+/// in every field, and returns the sum of the first field's deltas.
+fn compare_list(sec: &mut DiffSection, a: &Json, b: &Json, list: &List) -> f64 {
+    let by_id = |j| -> BTreeMap<String, &Json> {
+        items(j, list)
+            .iter()
+            .filter_map(|item| Some((item_id(item, list)?, item)))
+            .collect()
+    };
+    let (ma, mb) = (by_id(a), by_id(b));
+    let ids: std::collections::BTreeSet<&String> = ma.keys().chain(mb.keys()).collect();
+    let mut first_delta_sum = 0.0;
+    for id in ids {
+        let (ia, ib) = (ma.get(id), mb.get(id));
+        if let (Some(noun), true) = (list.noun, ia.is_none() || ib.is_none()) {
+            let side = if ia.is_some() { 'A' } else { 'B' };
+            sec.notes.push(format!(
+                "{noun} {id} only in {side} (treated as 0 elsewhere)"
+            ));
+        }
+        for (i, f) in list.fields.iter().enumerate() {
+            let value = |item: Option<&&Json>| {
+                item.and_then(|x| x.get(f))
+                    .and_then(Json::as_f64)
+                    .unwrap_or(0.0)
+            };
+            let (va, vb) = (value(ia), value(ib));
+            if i == 0 {
+                first_delta_sum += vb - va;
+            }
+            sec.push(format!("{}{id}.{f}", list.prefix), va, vb);
         }
     }
+    first_delta_sum
+}
+
+/// The id of the first item of `list` — the hottest, where the producer
+/// sorts hottest-first.
+fn first(j: &Json, list: &List) -> Option<String> {
+    item_id(items(j, list).first()?, list)
 }
 
 fn num(j: &Json, path: &[&str]) -> Option<f64> {
@@ -600,178 +719,92 @@ fn num(j: &Json, path: &[&str]) -> Option<f64> {
 
 fn run_summary_sections(a: &Json, b: &Json) -> Vec<DiffSection> {
     let mut sec = DiffSection::new("run summary");
-    let flat = |j: &Json| {
-        let mut m = BTreeMap::new();
-        flatten_numeric("", j, &mut m);
-        // The seed is provenance, not a metric — a seed "delta" means nothing.
-        m.remove("seed");
-        m
-    };
-    diff_flat(&mut sec, &flat(a), &flat(b));
+    // The seed is provenance, not a metric — a seed "delta" means nothing.
+    compare_leaves(&mut sec, a, b, &["seed"]);
     sec.shift_if_changed(
         "hottest_station",
         a.get("hottest_station").and_then(Json::as_str),
         b.get("hottest_station").and_then(Json::as_str),
     );
-    sec.sort_entries();
     vec![sec]
 }
 
-/// Locates the trace-analysis subtree: the `"trace"` key of a combined
-/// analyze document, or the document itself when bare.
-fn trace_tree(j: &Json) -> Option<&Json> {
-    if let Some(t @ Json::Obj(_)) = j.get("trace") {
-        return Some(t);
+/// The subtree under `key` of a combined analyze document, or the document
+/// itself when it is the bare analysis (it holds both `bare` keys).
+fn subtree<'a>(j: &'a Json, key: &str, bare: [&str; 2]) -> Option<&'a Json> {
+    match j.get(key) {
+        Some(t @ Json::Obj(_)) => Some(t),
+        _ => bare.iter().all(|k| j.get(k).is_some()).then_some(j),
     }
-    if j.get("e2e").is_some() && j.get("segments").is_some() {
-        return Some(j);
-    }
-    None
 }
 
-/// Locates the span-graph subtree (`"span_graph"` key or bare document).
-fn span_tree(j: &Json) -> Option<&Json> {
-    if let Some(g @ Json::Obj(_)) = j.get("span_graph") {
-        return Some(g);
+/// Both sides' halves of one analysis, or `None` — after noting the
+/// asymmetry in a section titled `title` when only one side has it.
+fn paired<'a>(
+    out: &mut Vec<DiffSection>,
+    halves: [Option<&'a Json>; 2],
+    title: &str,
+    what: &str,
+) -> Option<(&'a Json, &'a Json)> {
+    match halves {
+        [Some(a), Some(b)] => Some((a, b)),
+        [None, None] => None,
+        _ => {
+            let mut sec = DiffSection::new(title);
+            sec.notes
+                .push(format!("{what} present on one side only; not compared"));
+            out.push(sec);
+            None
+        }
     }
-    if j.get("mean_path_s").is_some() && j.get("actors").is_some() {
-        return Some(j);
-    }
-    None
 }
 
-fn analysis_sections(a: &Json, b: &Json) -> Vec<DiffSection> {
+fn analysis_sections(a: &Json, b: &Json) -> Result<Vec<DiffSection>, DiffError> {
     let mut out = Vec::new();
-    match (trace_tree(a), trace_tree(b)) {
-        (Some(ta), Some(tb)) => out.push(trace_section(ta, tb)),
-        (Some(_), None) | (None, Some(_)) => {
-            let mut sec = DiffSection::new("trace segments");
-            sec.notes
-                .push("trace analysis present on one side only; not compared".into());
-            out.push(sec);
-        }
-        (None, None) => {}
+    let sides = [a, b];
+    let trace = sides.map(|j| subtree(j, "trace", ["e2e", "segments"]));
+    if let Some((ta, tb)) = paired(&mut out, trace, "trace segments", "trace analysis") {
+        out.push(trace_section(ta, tb));
     }
-    match (span_tree(a), span_tree(b)) {
-        (Some(ga), Some(gb)) => out.push(span_graph_section(ga, gb)),
-        (Some(_), None) | (None, Some(_)) => {
-            let mut sec = DiffSection::new("span-graph critical path");
-            sec.notes
-                .push("span-graph analysis present on one side only; not compared".into());
-            out.push(sec);
-        }
-        (None, None) => {}
+    let graph = sides.map(|j| subtree(j, "span_graph", ["mean_path_s", "actors"]));
+    if let Some((ga, gb)) = paired(
+        &mut out,
+        graph,
+        "span-graph critical path",
+        "span-graph analysis",
+    ) {
+        out.push(span_graph_section(ga, gb));
     }
-    out
-}
-
-/// Per-segment stats mined from a trace analysis: `from→to` → selected
-/// numeric fields.
-fn trace_segments(t: &Json) -> BTreeMap<String, BTreeMap<String, f64>> {
-    let mut out = BTreeMap::new();
-    for seg in t
-        .get("segments")
-        .and_then(Json::as_array)
-        .unwrap_or_default()
-    {
-        let (Some(from), Some(to)) = (
-            seg.get("from").and_then(Json::as_str),
-            seg.get("to").and_then(Json::as_str),
-        ) else {
-            continue;
+    let health = sides.map(|j| j.get("health").filter(|h| matches!(h, Json::Obj(_))));
+    if let Some((ha, hb)) = paired(&mut out, health, "health summary", "health report") {
+        let decode = |h, side| {
+            HealthReport::from_value(h).map_err(|detail| DiffError::Json { side, detail })
         };
-        let name = format!("{from}→{to}");
-        let mut fields = BTreeMap::new();
-        for f in [
-            "mean_s",
-            "p95_s",
-            "mean_queued_s",
-            "mean_service_s",
-            "critical",
-            "observed",
-        ] {
-            if let Some(v) = seg.get(f).and_then(Json::as_f64) {
-                fields.insert(f.to_string(), v);
-            }
-        }
-        out.insert(name, fields);
+        out.extend(health_sections(&decode(ha, 'A')?, &decode(hb, 'B')?));
     }
-    out
+    Ok(out)
 }
 
 /// The dominant (most-critical) segment of a trace analysis, mirroring
 /// `TraceAnalysis::dominant_segment` (ties keep the later segment, as
-/// `max_by_key` does).
+/// `max_by` does).
 fn trace_dominant(t: &Json) -> Option<String> {
-    let mut best: Option<(f64, String)> = None;
-    for seg in t
-        .get("segments")
-        .and_then(Json::as_array)
-        .unwrap_or_default()
-    {
-        let crit = seg.get("critical").and_then(Json::as_f64).unwrap_or(0.0);
-        let (Some(from), Some(to)) = (
-            seg.get("from").and_then(Json::as_str),
-            seg.get("to").and_then(Json::as_str),
-        ) else {
-            continue;
-        };
-        if best.as_ref().is_none_or(|(c, _)| crit >= *c) {
-            best = Some((crit, format!("{from}→{to}")));
-        }
-    }
-    best.map(|(_, name)| name)
+    items(t, &TRACE_SEGMENTS)
+        .iter()
+        .filter_map(|seg| {
+            let crit = seg.get("critical").and_then(Json::as_f64).unwrap_or(0.0);
+            Some((crit, item_id(seg, &TRACE_SEGMENTS)?))
+        })
+        .max_by(|x, y| x.0.total_cmp(&y.0))
+        .map(|(_, id)| id)
 }
 
 fn trace_section(ta: &Json, tb: &Json) -> DiffSection {
     let mut sec = DiffSection::new("trace segments");
-    for (path, label) in [
-        (["e2e", "mean_s"], "e2e.mean_s"),
-        (["e2e", "p50_s"], "e2e.p50_s"),
-        (["e2e", "p95_s"], "e2e.p95_s"),
-        (["e2e", "p99_s"], "e2e.p99_s"),
-        (["e2e", "max_s"], "e2e.max_s"),
-    ] {
-        if let (Some(va), Some(vb)) = (num(ta, &path), num(tb, &path)) {
-            sec.push(label, va, vb);
-        }
-    }
-    for key in ["committed", "failed", "incomplete"] {
-        if let (Some(va), Some(vb)) = (num(ta, &[key]), num(tb, &[key])) {
-            sec.push(key, va, vb);
-        }
-    }
-    for group in ["execute", "order", "validate"] {
-        if let (Some(va), Some(vb)) = (
-            num(ta, &["dominance", group]),
-            num(tb, &["dominance", group]),
-        ) {
-            sec.push(format!("dominance.{group}"), va, vb);
-        }
-    }
-    let sa = trace_segments(ta);
-    let sb = trace_segments(tb);
-    let mut seg_delta_sum = 0.0;
-    let names: std::collections::BTreeSet<&String> = sa.keys().chain(sb.keys()).collect();
-    for name in names {
-        let fa = sa.get(name);
-        let fb = sb.get(name);
-        if fa.is_none() || fb.is_none() {
-            let side = if fa.is_some() { 'A' } else { 'B' };
-            sec.notes.push(format!(
-                "segment {name} only in {side} (treated as 0 elsewhere)"
-            ));
-        }
-        let field = |side: Option<&BTreeMap<String, f64>>, f: &str| {
-            side.and_then(|m| m.get(f).copied()).unwrap_or(0.0)
-        };
-        let (ma, mb) = (field(fa, "mean_s"), field(fb, "mean_s"));
-        seg_delta_sum += mb - ma;
-        sec.push(format!("{name}.mean_s"), ma, mb);
-        for f in ["mean_queued_s", "mean_service_s", "critical"] {
-            sec.push(format!("{name}.{f}"), field(fa, f), field(fb, f));
-        }
-    }
+    // `e2e.count` repeats `committed`, `segment_mean_sum_s` repeats
+    // `e2e.mean_s`.
+    compare_leaves(&mut sec, ta, tb, &["e2e.count", "segment_mean_sum_s"]);
+    let seg_delta_sum = compare_list(&mut sec, ta, tb, &TRACE_SEGMENTS);
     if let (Some(ea), Some(eb)) = (num(ta, &["e2e", "mean_s"]), num(tb, &["e2e", "mean_s"])) {
         sec.telescopes.push(TelescopeCheck {
             metric: "trace.e2e.mean_s".into(),
@@ -784,173 +817,65 @@ fn trace_section(ta: &Json, tb: &Json) -> DiffSection {
         trace_dominant(ta).as_deref(),
         trace_dominant(tb).as_deref(),
     );
-    sec.sort_entries();
     sec
-}
-
-/// `name → seconds` from a span-graph `segments`/`actors` list.
-fn named_seconds(j: &Json, key: &str) -> BTreeMap<String, f64> {
-    let mut out = BTreeMap::new();
-    for item in j.get(key).and_then(Json::as_array).unwrap_or_default() {
-        if let (Some(name), Some(secs)) = (
-            item.get("name").and_then(Json::as_str),
-            item.get("seconds").and_then(Json::as_f64),
-        ) {
-            out.insert(name.to_string(), secs);
-        }
-    }
-    out
-}
-
-/// The first (largest-share) name in a span-graph dominance list.
-fn first_name(j: &Json, key: &str) -> Option<String> {
-    j.get(key)
-        .and_then(Json::as_array)
-        .and_then(|a| a.first())
-        .and_then(|item| item.get("name"))
-        .and_then(Json::as_str)
-        .map(str::to_string)
 }
 
 fn span_graph_section(ga: &Json, gb: &Json) -> DiffSection {
     let mut sec = DiffSection::new("span-graph critical path");
-    for key in ["spans", "txs", "mean_path_s", "max_residual_s"] {
-        if let (Some(va), Some(vb)) = (num(ga, &[key]), num(gb, &[key])) {
-            sec.push(key, va, vb);
-        }
-    }
-    let diff_named = |key: &str, sec: &mut DiffSection| -> f64 {
-        let ma = named_seconds(ga, key);
-        let mb = named_seconds(gb, key);
-        let names: std::collections::BTreeSet<&String> = ma.keys().chain(mb.keys()).collect();
-        let mut delta_sum = 0.0;
-        for name in names {
-            let va = ma.get(name).copied().unwrap_or(0.0);
-            let vb = mb.get(name).copied().unwrap_or(0.0);
-            delta_sum += vb - va;
-            sec.push(format!("{key}:{name}.seconds"), va, vb);
-        }
-        delta_sum
-    };
-    let seg_delta_sum = diff_named("segments", &mut sec);
-    let _ = diff_named("actors", &mut sec);
+    compare_leaves(&mut sec, ga, gb, &[]);
+    let seg_delta_sum = compare_list(&mut sec, ga, gb, &SPAN_SEGMENTS);
+    compare_list(&mut sec, ga, gb, &SPAN_ACTORS);
     // Each committed tx's critical path tiles committed−created exactly, so
     // total path seconds (txs × mean) decompose over the segment shares.
-    if let (Some(ta), Some(ma), Some(tb), Some(mb)) = (
-        num(ga, &["txs"]),
-        num(ga, &["mean_path_s"]),
-        num(gb, &["txs"]),
-        num(gb, &["mean_path_s"]),
-    ) {
+    let path_total = |g| Some(num(g, &["txs"])? * num(g, &["mean_path_s"])?);
+    if let (Some(ta), Some(tb)) = (path_total(ga), path_total(gb)) {
         sec.telescopes.push(TelescopeCheck {
             metric: "span_graph.path_total_s".into(),
-            e2e_delta_s: tb * mb - ta * ma,
+            e2e_delta_s: tb - ta,
             segment_delta_sum_s: seg_delta_sum,
         });
     }
-    sec.shift_if_changed(
-        "span_graph.dominant_segment",
-        first_name(ga, "segments").as_deref(),
-        first_name(gb, "segments").as_deref(),
-    );
-    sec.shift_if_changed(
-        "span_graph.dominant_actor",
-        first_name(ga, "actors").as_deref(),
-        first_name(gb, "actors").as_deref(),
-    );
-    sec.sort_entries();
-    sec
-}
-
-/// `label → (ns, count)` from a kernel profile's `entries` list.
-fn profile_entries(j: &Json) -> BTreeMap<String, (f64, f64)> {
-    let mut out = BTreeMap::new();
-    for e in j
-        .get("entries")
-        .and_then(Json::as_array)
-        .unwrap_or_default()
-    {
-        if let (Some(label), Some(ns)) = (
-            e.get("label").and_then(Json::as_str),
-            e.get("ns").and_then(Json::as_f64),
-        ) {
-            let count = e.get("count").and_then(Json::as_f64).unwrap_or(0.0);
-            out.insert(label.to_string(), (ns, count));
-        }
+    for (dimension, list) in [
+        ("span_graph.dominant_segment", &SPAN_SEGMENTS),
+        ("span_graph.dominant_actor", &SPAN_ACTORS),
+    ] {
+        sec.shift_if_changed(
+            dimension,
+            first(ga, list).as_deref(),
+            first(gb, list).as_deref(),
+        );
     }
-    out
+    sec
 }
 
 fn profile_section(title: &str, pa: &Json, pb: &Json) -> DiffSection {
     let mut sec = DiffSection::new(title);
-    for key in [
-        "loop_ns",
-        "heap_ns",
-        "heap_ops",
-        "overhead_ns",
-        "attributed_ns",
-    ] {
-        if let (Some(va), Some(vb)) = (num(pa, &[key]), num(pb, &[key])) {
-            sec.push(key, va, vb);
-        }
-    }
-    let ea = profile_entries(pa);
-    let eb = profile_entries(pb);
-    let labels: std::collections::BTreeSet<&String> = ea.keys().chain(eb.keys()).collect();
-    for label in labels {
-        if !ea.contains_key(label) || !eb.contains_key(label) {
-            let side = if ea.contains_key(label) { 'A' } else { 'B' };
-            sec.notes.push(format!(
-                "handler {label} only in {side} (treated as 0 elsewhere)"
-            ));
-        }
-        let (na, ca) = ea.get(label).copied().unwrap_or((0.0, 0.0));
-        let (nb, cb) = eb.get(label).copied().unwrap_or((0.0, 0.0));
-        sec.push(format!("handler:{label}.ns"), na, nb);
-        sec.push(format!("handler:{label}.count"), ca, cb);
-    }
-    // Entries are sorted hottest-first by the profiler, so the first label
-    // is the dominant handler.
-    let hottest = |j: &Json| {
-        j.get("entries")
-            .and_then(Json::as_array)
-            .and_then(|a| a.first())
-            .and_then(|e| e.get("label"))
-            .and_then(Json::as_str)
-            .map(str::to_string)
-    };
+    compare_leaves(&mut sec, pa, pb, &[]);
+    compare_list(&mut sec, pa, pb, &HANDLERS);
     sec.shift_if_changed(
         "profile.hottest_handler",
-        hottest(pa).as_deref(),
-        hottest(pb).as_deref(),
+        first(pa, &HANDLERS).as_deref(),
+        first(pb, &HANDLERS).as_deref(),
     );
-    sec.sort_entries();
     sec
 }
 
 fn profile_sections(a: &Json, b: &Json) -> Vec<DiffSection> {
-    let merged = |j: &Json| match j.get("merged") {
-        Some(m @ Json::Obj(_)) => m.clone(),
-        _ => j.clone(),
-    };
-    let mut out = vec![profile_section(
-        "kernel profile (merged)",
-        &merged(a),
-        &merged(b),
-    )];
-    fn shards(j: &Json) -> &[Json] {
-        j.get("shards").and_then(Json::as_array).unwrap_or_default()
-    }
-    let (sa, sb) = (shards(a), shards(b));
+    let [ma, mb] = [a, b].map(|j| match j.get("merged") {
+        Some(m @ Json::Obj(_)) => m,
+        _ => j,
+    });
+    let mut out = vec![profile_section("kernel profile (merged)", ma, mb)];
+    let [sa, sb] = [a, b].map(|j| j.get("shards").and_then(Json::as_array).unwrap_or_default());
     if sa.len() == sb.len() {
-        for (i, (pa, pb)) in sa.iter().zip(sb.iter()).enumerate() {
+        for (i, (pa, pb)) in sa.iter().zip(sb).enumerate() {
             out.push(profile_section(
                 &format!("kernel profile (shard {i})"),
                 pa,
                 pb,
             ));
         }
-    } else if !sa.is_empty() || !sb.is_empty() {
+    } else {
         let mut sec = DiffSection::new("kernel profile (shards)");
         sec.notes.push(format!(
             "shard count differs (A has {}, B has {}); per-shard profiles not compared",
@@ -977,7 +902,7 @@ fn health_diff(a: &str, b: &str) -> Result<ArtifactDiff, DiffError> {
         kind: ArtifactKind::Health,
         digest_match: digests_match(&prov),
         provenance: prov,
-        sections: health_sections(&ra, &rb),
+        sections: ranked(health_sections(&ra, &rb)),
     })
 }
 
@@ -1025,7 +950,6 @@ fn health_sections(ra: &HealthReport, rb: &HealthReport) -> Vec<DiffSection> {
     ] {
         summary.push(name, va, vb);
     }
-    summary.sort_entries();
 
     let mut sec = DiffSection::new("regime dwell & onset");
     // Channel-qualify the station labels only when either side actually
@@ -1096,7 +1020,6 @@ fn health_sections(ra: &HealthReport, rb: &HealthReport) -> Vec<DiffSection> {
         health_dominant(ra.stations.iter().map(|s| (s, label(s)))).as_deref(),
         health_dominant(rb.stations.iter().map(|s| (s, label(s)))).as_deref(),
     );
-    sec.sort_entries();
     vec![summary, sec]
 }
 
@@ -1258,9 +1181,9 @@ mod tests {
         assert!(parsed.get("sections").is_some());
     }
 
-    fn health_doc(overload_onset_s: f64, final_regime: Regime, digest: &str) -> String {
+    fn health_report(overload_onset_s: f64, final_regime: Regime) -> HealthReport {
         use crate::online::{HealthEvent, HealthEventKind};
-        let report = HealthReport {
+        HealthReport {
             window_s: 1.0,
             horizon_s: 10.0,
             slo_p99_s: 2.0,
@@ -1296,11 +1219,66 @@ mod tests {
                     onset_s: [Some(0.0), None, None],
                 },
             ],
-        };
-        report.to_jsonl(Some(&RunProvenance {
+        }
+    }
+
+    fn prov(digest: &str) -> RunProvenance {
+        RunProvenance {
             seed: 42,
             config_digest: digest.to_string(),
-        }))
+        }
+    }
+
+    fn health_doc(overload_onset_s: f64, final_regime: Regime, digest: &str) -> String {
+        health_report(overload_onset_s, final_regime).to_jsonl(Some(&prov(digest)))
+    }
+
+    /// `analyze --health --json`: the report as one object under `health`.
+    fn health_analysis(overload_onset_s: f64, final_regime: Regime, digest: &str) -> String {
+        format!(
+            "{{\"provenance\":{},\"health\":{}}}",
+            prov(digest).to_json(),
+            health_report(overload_onset_s, final_regime).to_json()
+        )
+    }
+
+    #[test]
+    fn analyzed_health_diffs_like_the_timeline() {
+        let (a, b) = (
+            health_analysis(3.0, Regime::Overloaded, "hhhh"),
+            health_analysis(5.0, Regime::Saturating, "iiii"),
+        );
+        let d = ArtifactDiff::from_json_strs(&a, &b).expect("diffs");
+        assert_eq!(d.kind, ArtifactKind::Analysis);
+        assert_eq!(d.digest_match, Some(false));
+        let timeline = ArtifactDiff::from_json_strs(
+            &health_doc(3.0, Regime::Overloaded, "hhhh"),
+            &health_doc(5.0, Regime::Saturating, "iiii"),
+        )
+        .expect("diffs");
+        assert_eq!(
+            format!("{:?}", d.sections),
+            format!("{:?}", timeline.sections)
+        );
+        let self_diff = ArtifactDiff::from_json_strs(&a, &a).expect("diffs");
+        assert_eq!(self_diff.sections.len(), 2);
+        assert_eq!(self_diff.max_abs_delta(), 0.0);
+        // Health beside a trace analysis on one side only is noted, not
+        // dropped.
+        let trace = trace_doc(0.6, 0.2, 8, 2, "hhhh");
+        let d = ArtifactDiff::from_json_strs(&a, &trace).expect("diffs");
+        let titles: Vec<&str> = d.sections.iter().map(|s| s.title.as_str()).collect();
+        assert_eq!(titles, ["trace segments", "health summary"]);
+        assert_eq!(
+            d.sections[1].notes,
+            ["health report present on one side only; not compared"]
+        );
+        // A damaged embedded report is a parse error of its side.
+        let broken = b.replace("\"windows\":10", "\"windows\":-1");
+        assert!(matches!(
+            ArtifactDiff::from_json_strs(&a, &broken),
+            Err(DiffError::Json { side: 'B', .. })
+        ));
     }
 
     #[test]
@@ -1463,5 +1441,99 @@ mod tests {
         let shifts: Vec<&Shift> = d.shifts().collect();
         assert_eq!(shifts.len(), 1);
         assert_eq!(shifts[0].dimension, "span_graph.dominant_segment");
+    }
+
+    /// The entry named `name` in section `sec` of `d`, as `(a, b)`.
+    fn entry(d: &ArtifactDiff, sec: usize, name: &str) -> Option<(f64, f64)> {
+        d.sections[sec]
+            .entries
+            .iter()
+            .find(|e| e.name == name)
+            .map(|e| (e.a, e.b))
+    }
+
+    #[test]
+    fn one_sided_trace_segment_is_zero_filled_and_noted() {
+        let a = trace_doc(0.6, 0.2, 8, 2, "aaaa");
+        // B lost its second segment.
+        let cut = a.find(",{\"from\":\"vscc_done\"").expect("second segment");
+        let end = a.find("],\"dominance\"").expect("segment list end");
+        let b = format!("{}{}", &a[..cut], &a[end..]);
+        let d = ArtifactDiff::from_json_strs(&a, &b).expect("diffs");
+        assert_eq!(
+            d.sections[0].notes,
+            ["segment vscc_done→committed only in A (treated as 0 elsewhere)"]
+        );
+        assert_eq!(entry(&d, 0, "vscc_done→committed.mean_s"), Some((0.2, 0.0)));
+        assert_eq!(
+            entry(&d, 0, "vscc_done→committed.critical"),
+            Some((2.0, 0.0))
+        );
+        assert!((d.sections[0].telescopes[0].segment_delta_sum_s + 0.2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn one_sided_span_name_is_zero_filled_silently() {
+        let g = |segments: &str| {
+            format!(
+                "{{\"span_graph\":{{\"spans\":4,\"txs\":2,\"mean_path_s\":1,\"max_residual_s\":0,\
+                 \"segments\":[{segments}],\"actors\":[],\"slowest_endorser\":[],\"gossip_depth\":[]}}}}"
+            )
+        };
+        let a = g(r#"{"name":"endorse","seconds":1.5},{"name":"vscc","seconds":0.5}"#);
+        let b = g(r#"{"name":"endorse","seconds":2}"#);
+        let d = ArtifactDiff::from_json_strs(&a, &b).expect("diffs");
+        assert_eq!(entry(&d, 0, "segments:vscc.seconds"), Some((0.5, 0.0)));
+        assert!(d.sections[0].notes.is_empty(), "{:?}", d.sections[0].notes);
+    }
+
+    #[test]
+    fn one_sided_profile_handler_is_zero_filled_and_noted() {
+        let p = |entries: &str| {
+            format!(
+                "{{\"loop_ns\":10,\"heap_ns\":1,\"heap_ops\":1,\"overhead_ns\":0,\
+                 \"attributed_ns\":10,\"entries\":[{entries}]}}"
+            )
+        };
+        let a = p(r#"{"label":"a","count":3,"ns":6},{"label":"b","count":1,"ns":4}"#);
+        let b = p(r#"{"label":"a","count":3,"ns":10}"#);
+        let d = ArtifactDiff::from_json_strs(&a, &b).expect("diffs");
+        assert_eq!(
+            d.sections[0].notes,
+            ["handler b only in A (treated as 0 elsewhere)"]
+        );
+        assert_eq!(entry(&d, 0, "handler:b.ns"), Some((4.0, 0.0)));
+        assert_eq!(entry(&d, 0, "handler:b.count"), Some((1.0, 0.0)));
+    }
+
+    #[test]
+    fn one_sided_run_summary_metric_is_noted_not_compared() {
+        let a = r#"{"hottest_station":"peer vscc","x":1.0,"y":2.0}"#;
+        let b = r#"{"hottest_station":"peer vscc","x":1.0,"z":3.0}"#;
+        let d = ArtifactDiff::from_json_strs(a, b).expect("diffs");
+        let names: Vec<&str> = d.sections[0]
+            .entries
+            .iter()
+            .map(|e| e.name.as_str())
+            .collect();
+        assert_eq!(names, ["x"]);
+        assert_eq!(
+            d.sections[0].notes,
+            ["metric y only in A", "metric z only in B"]
+        );
+    }
+
+    #[test]
+    fn shard_count_mismatch_is_noted() {
+        let shard = r#"{"loop_ns":10,"heap_ns":1,"heap_ops":1,"overhead_ns":0,"attributed_ns":10,"entries":[]}"#;
+        let a = format!("{{\"merged\":{shard},\"shards\":[{shard}]}}");
+        let b = format!("{{\"merged\":{shard},\"shards\":[]}}");
+        let d = ArtifactDiff::from_json_strs(&a, &b).expect("diffs");
+        assert_eq!(d.sections.len(), 2);
+        assert_eq!(d.sections[1].title, "kernel profile (shards)");
+        assert_eq!(
+            d.sections[1].notes,
+            ["shard count differs (A has 1, B has 0); per-shard profiles not compared"]
+        );
     }
 }

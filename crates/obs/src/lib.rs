@@ -5,10 +5,11 @@
 //! per-phase queueing out of the logs (§IV). This crate makes that
 //! methodology a first-class, reusable layer over the DES:
 //!
-//! * [`EventSink`] — structured phase-transition events
+//! * [`PhaseEvent`] / [`Sink`] — structured phase-transition events
 //!   (`tx`, `phase`, `station`, `t_s`, `queue_depth`) with a JSONL exporter
-//!   mirroring the paper's log format. Disabled sinks cost one branch per
-//!   call site — simulations pay nothing unless tracing is requested.
+//!   mirroring the paper's log format, recorded into one bounded ring type
+//!   shared with spans. A disabled sink costs one branch per call site —
+//!   simulations pay nothing unless tracing is requested.
 //! * [`LogHistogram`] — log-bucketed (HDR-style) latency histograms:
 //!   O(buckets) memory regardless of sample count, percentile queries exact
 //!   to within one bucket width.
@@ -43,7 +44,7 @@
 //!   Chrome Trace Event Format JSON for Perfetto and folded stacks for
 //!   flamegraph renderers, both derived from the same reconstructed spans
 //!   the analyzer uses.
-//! * [`SpanEvent`] / [`SpanSink`] / [`SpanGraphAnalysis`] — the *causal span
+//! * [`SpanEvent`] / [`SpanGraphAnalysis`] — the *causal span
 //!   graph*: every unit of distributed work (per-peer endorsement, OSN
 //!   broadcast handling, Raft/Kafka message legs, block cut, per-hop gossip
 //!   delivery, per-peer VSCC/commit) as a span with deterministic
@@ -98,9 +99,8 @@ pub use json::Json;
 pub use name::Name;
 pub use online::{HealthEvent, HealthEventKind, HealthReport, Regime, StationHealth};
 pub use series::{MetricsRecorder, SampleRow, Samples, TimeSeries};
-pub use sink::{EventSink, JsonlFileSink, SpanSink, DEFAULT_EVENT_CAPACITY, DEFAULT_SPAN_CAPACITY};
+pub use sink::Sink;
 pub use span::{reconstruct, Segment, TxSpan, PIPELINE_LEN};
 pub use spangraph::{
-    message_span_id, parse_spans_jsonl, parse_spans_jsonl_with_provenance, span_id, tx_sampled,
-    SpanEvent, SpanKind,
+    message_span_id, parse_spans_jsonl_with_provenance, span_id, tx_sampled, SpanEvent, SpanKind,
 };

@@ -742,20 +742,7 @@ impl HealthReport {
             if v.get("station_health").is_some() {
                 stations.push(StationHealth::from_value(v)?);
             } else if v.get("health_summary").is_some() {
-                report = Some(HealthReport {
-                    window_s: v.num("window_s")?,
-                    horizon_s: v.num("horizon_s")?,
-                    slo_p99_s: v.num("slo_p99_s")?,
-                    channels: v.uint("channels")?,
-                    windows: v.uint("windows")?,
-                    completions: v.uint("completions")?,
-                    slo_violations: v.uint("slo_violations")?,
-                    burn_windows: v.uint("burn_windows")?,
-                    max_burn: v.num("max_burn")?,
-                    dropped_events: v.uint("dropped_events")?,
-                    events: Vec::new(),
-                    stations: Vec::new(),
-                });
+                report = Some(HealthReport::summary_from_value(v)?);
             } else {
                 events.push(HealthEvent::from_value(v)?);
             }
@@ -772,6 +759,44 @@ impl HealthReport {
                 ..report
             },
         ))
+    }
+
+    /// The summary counters both forms carry (the JSONL trailer, the
+    /// single document), with no events or stations.
+    fn summary_from_value(v: &Json) -> Result<HealthReport, String> {
+        Ok(HealthReport {
+            window_s: v.num("window_s")?,
+            horizon_s: v.num("horizon_s")?,
+            slo_p99_s: v.num("slo_p99_s")?,
+            channels: v.uint("channels")?,
+            windows: v.uint("windows")?,
+            completions: v.uint("completions")?,
+            slo_violations: v.uint("slo_violations")?,
+            burn_windows: v.uint("burn_windows")?,
+            max_burn: v.num("max_burn")?,
+            dropped_events: v.uint("dropped_events")?,
+            events: Vec::new(),
+            stations: Vec::new(),
+        })
+    }
+
+    /// Decodes the single-document form [`HealthReport::to_json`] renders
+    /// (what `analyze --json` embeds); its `telescoping_error_s` is derived
+    /// and not read back.
+    pub(crate) fn from_value(v: &Json) -> Result<HealthReport, String> {
+        Ok(HealthReport {
+            events: v
+                .array("events")?
+                .iter()
+                .map(HealthEvent::from_value)
+                .collect::<Result<_, _>>()?,
+            stations: v
+                .array("stations")?
+                .iter()
+                .map(StationHealth::from_value)
+                .collect::<Result<_, _>>()?,
+            ..HealthReport::summary_from_value(v)?
+        })
     }
 
     /// True when `text` looks like a health JSONL artifact (cheap sniff used

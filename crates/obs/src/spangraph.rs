@@ -273,17 +273,8 @@ impl SpanEvent {
     }
 }
 
-/// Parses a whole span JSONL document (one span per non-empty line).
-/// Provenance lines (see [`crate::RunProvenance`]) are skipped; use
-/// [`parse_spans_jsonl_with_provenance`] to recover them.
-///
-/// # Errors
-/// The line number and description of the first bad line.
-pub fn parse_spans_jsonl(text: &str) -> Result<Vec<SpanEvent>, String> {
-    parse_spans_jsonl_with_provenance(text).map(|(_, spans)| spans)
-}
-
-/// Parses a whole span JSONL document, returning the embedded
+/// Parses a whole span JSONL document (one span per non-empty line),
+/// returning the embedded
 /// [`crate::RunProvenance`] (if any) alongside the spans — the span twin of
 /// [`crate::parse_jsonl_with_provenance`], with the same duplicate-line
 /// rejection.

@@ -8,8 +8,18 @@
 //! against itself. Every format is decoded with `obs::json` and rendered
 //! again; the bytes must not move. A seeded mutation fuzz then checks that no
 //! decoder panics on damaged input.
+//!
+//! The run is `fabricsim --peers 2 --policy AND2 --rate 5 --duration 1
+//! --batch-size 2 --batch-timeout 100 --slo-p99-ms 50`. Recorded with it,
+//! before `diff` read every artifact kind through one walk: `profile
+//! --json` of the same flags (`profile.json`) and its self-diff, and a
+//! second run, `--orderer raft --peers 4 --policy OR3 --channels 2 --rate
+//! 10` with the same duration and batching (`run2.json`, `analyze --trace
+//! --spans --json` as `run2.analysis.json`, `run2.profile.json`), whose run,
+//! analysis and profile diffs against the first are `cross.diff.json`.
 
 use fabricsim_des::RngStream;
+use fabricsim_obs::json::escape;
 use fabricsim_obs::{
     parse_jsonl_with_provenance, parse_spans_jsonl_with_provenance, ArtifactDiff, HealthEvent,
     HealthReport, Json, PhaseEvent, RunProvenance, SpanEvent, SpanGraphAnalysis, StationHealth,
@@ -27,6 +37,7 @@ const SPANS: &str = fixture!("spans.jsonl");
 const HEALTH: &str = fixture!("health.jsonl");
 const RUN: &str = fixture!("run.json");
 const ANALYSIS: &str = fixture!("analysis.json");
+const PROFILE: &str = fixture!("profile.json");
 
 fn jsonl(prov: &RunProvenance, lines: impl Iterator<Item = String>) -> String {
     let mut out = prov.to_json() + "\n";
@@ -37,17 +48,45 @@ fn jsonl(prov: &RunProvenance, lines: impl Iterator<Item = String>) -> String {
     out
 }
 
-/// What `fabricsim diff --json` wraps around one all-zero [`ArtifactDiff`].
+/// What `fabricsim diff --json` prints for the artifact pairs `pairs`.
 #[expect(
     clippy::expect_used,
-    reason = "test helper: a fixture that cannot diff against itself fails the test"
+    reason = "test helper: a fixture pair that cannot be diffed fails the test"
 )]
-fn self_diff_json(doc: &str) -> String {
-    let d = ArtifactDiff::from_json_strs(doc, doc).expect("diffs against itself");
+fn diff_json(pairs: &[(&str, &str)], forced: bool) -> String {
+    let diffs: Vec<ArtifactDiff> = pairs
+        .iter()
+        .map(|(a, b)| ArtifactDiff::from_json_strs(a, b).expect("diffs"))
+        .collect();
+    let artifacts: Vec<String> = diffs.iter().map(ArtifactDiff::to_json).collect();
+    let max_abs_delta = diffs
+        .iter()
+        .map(ArtifactDiff::max_abs_delta)
+        .fold(0.0, f64::max);
+    let shifts: Vec<String> = diffs
+        .iter()
+        .flat_map(|d| {
+            d.shifts().map(|s| {
+                format!(
+                    "{{\"artifact\":\"{}\",\"dimension\":\"{}\",\"a\":\"{}\",\"b\":\"{}\"}}",
+                    d.kind.label(),
+                    escape(&s.dimension),
+                    escape(&s.a),
+                    escape(&s.b)
+                )
+            })
+        })
+        .collect();
     format!(
-        "{{\"artifacts\":[{}],\"max_abs_delta\":0,\"bottleneck_shifts\":[],\"forced\":false}}\n",
-        d.to_json()
+        "{{\"artifacts\":[{}],\"max_abs_delta\":{max_abs_delta},\"bottleneck_shifts\":[{}],\"forced\":{forced}}}\n",
+        artifacts.join(","),
+        shifts.join(",")
     )
+}
+
+/// What `fabricsim diff --json` prints for one artifact against itself.
+fn self_diff_json(doc: &str) -> String {
+    diff_json(&[(doc, doc)], false)
 }
 
 #[test]
@@ -82,6 +121,29 @@ fn fixtures_decode_and_render_to_the_same_bytes() {
         fixture!("analysis.self-diff.json")
     );
     assert_eq!(self_diff_json(HEALTH), fixture!("health.self-diff.json"));
+    assert_eq!(self_diff_json(PROFILE), fixture!("profile.self-diff.json"));
+}
+
+/// Diffs across two configurations: every numeric field of the run summary,
+/// the trace and span-graph analyses (the second run's actors shift), and
+/// the kernel profiles (handlers on one side only, 0 against 2 shards).
+#[test]
+fn cross_run_diffs_render_the_recorded_bytes() {
+    let (prov, events) = parse_jsonl_with_provenance(TRACE).expect("trace decodes");
+    let (_, spans) = parse_spans_jsonl_with_provenance(SPANS).expect("spans decode");
+    // `analyze --trace --spans --json` of the first run.
+    let analysis = format!(
+        "{{\"provenance\":{},\"trace\":{},\"span_graph\":{}}}\n",
+        prov.expect("trace carries provenance").to_json(),
+        TraceAnalysis::from_events(&events, 5).to_json(),
+        SpanGraphAnalysis::from_spans(&spans).to_json(),
+    );
+    let pairs = [
+        (RUN, fixture!("run2.json")),
+        (analysis.as_str(), fixture!("run2.analysis.json")),
+        (PROFILE, fixture!("run2.profile.json")),
+    ];
+    assert_eq!(diff_json(&pairs, true), fixture!("cross.diff.json"));
 }
 
 /// `line` with the first `from` replaced by `to`; the fixture must hold it.
