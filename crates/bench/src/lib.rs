@@ -67,9 +67,9 @@ pub mod microbench {
         pub iters: u64,
     }
 
-    /// Runner carrying the CLI filter (`cargo bench -- <substring>`).
+    /// Runner carrying the CLI filters (`cargo bench -- <substring>…`).
     pub struct Runner {
-        filter: Option<String>,
+        filters: Vec<String>,
         budget: Duration,
         results: Vec<Measurement>,
     }
@@ -78,9 +78,12 @@ pub mod microbench {
         /// Builds a runner from `std::env::args`, ignoring harness flags that
         /// `cargo bench` forwards (`--bench`, `--exact`, ...).
         pub fn from_args() -> Self {
-            let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
+            let filters = std::env::args()
+                .skip(1)
+                .filter(|a| !a.starts_with('-'))
+                .collect();
             Runner {
-                filter,
+                filters,
                 budget: Duration::from_millis(300),
                 results: Vec::new(),
             }
@@ -93,12 +96,11 @@ pub mod microbench {
         }
 
         /// Times `f`, printing one line in `name ... N ns/iter` form. Skipped
-        /// (with no output) when the name does not match the CLI filter.
+        /// (with no output) when filters were given and the name contains
+        /// none of them.
         pub fn bench<R>(&mut self, name: &str, mut f: impl FnMut() -> R) {
-            if let Some(filter) = &self.filter {
-                if !name.contains(filter.as_str()) {
-                    return;
-                }
+            if !self.filters.is_empty() && !self.filters.iter().any(|f| name.contains(f.as_str())) {
+                return;
             }
             // Grow the batch until it is long enough to time reliably.
             let mut batch: u64 = 1;

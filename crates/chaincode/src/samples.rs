@@ -655,4 +655,22 @@ mod tests {
         assert_eq!(out, b"a=1\nb=2\n");
         assert_eq!(rw.reads.len(), 2);
     }
+
+    #[test]
+    fn range_query_with_inverted_bounds_returns_nothing() {
+        // `scan b a`: start above a non-empty end is an empty range, as in
+        // Fabric's GetStateByRange, not a panicking endorser.
+        let mut state = StateDb::new();
+        for (k, v) in [("a", "1"), ("b", "2"), ("c", "3")] {
+            state.seed(k, v.as_bytes().to_vec());
+        }
+        let (out, rw) = run(
+            &RangeQuery,
+            &state,
+            &[b"scan".to_vec(), b"b".to_vec(), b"a".to_vec()],
+        )
+        .unwrap();
+        assert!(out.is_empty());
+        assert!(rw.reads.is_empty() && rw.writes.is_empty());
+    }
 }

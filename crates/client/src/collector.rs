@@ -1,9 +1,7 @@
 //! Asynchronous endorsement collection.
 
-use std::collections::BTreeSet;
-
 use fabricsim_policy::Policy;
-use fabricsim_types::{Principal, ProposalResponse, TxId};
+use fabricsim_types::{ProposalResponse, TxId};
 
 /// Collection status after each response.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,7 +24,6 @@ pub struct EndorsementCollector {
     policy: Policy,
     expected: usize,
     responses: Vec<ProposalResponse>,
-    reference: Option<Vec<u8>>,
     failed: bool,
     received: usize,
 }
@@ -40,7 +37,6 @@ impl EndorsementCollector {
             policy,
             expected,
             responses: Vec::new(),
-            reference: None,
             failed: false,
             received: 0,
         }
@@ -63,15 +59,14 @@ impl EndorsementCollector {
             self.failed = true;
             return self.state();
         }
-        let bytes =
-            ProposalResponse::signed_bytes(response.tx_id, &response.rw_set, &response.payload);
-        match &self.reference {
-            None => self.reference = Some(bytes),
-            Some(r) if *r != bytes => {
+        // Every accepted response is for `tx_id`, and the signed encoding is
+        // canonical and injective, so equal results are equal signed bytes:
+        // comparing with the first accepted response needs no encoding.
+        if let Some(first) = self.responses.first() {
+            if first.rw_set != response.rw_set || first.payload != response.payload {
                 self.failed = true;
                 return self.state();
             }
-            Some(_) => {}
         }
         self.responses.push(response);
         self.state()
@@ -82,12 +77,12 @@ impl EndorsementCollector {
         if self.failed {
             return CollectState::Failed;
         }
-        let principals: BTreeSet<Principal> = self
+        // The policy counts each principal once, however often it answered.
+        let principals = self
             .responses
             .iter()
-            .filter_map(|r| r.endorsement.as_ref().map(|e| e.endorser.clone()))
-            .collect();
-        if self.policy.is_satisfied_by(principals.iter()) {
+            .filter_map(|r| r.endorsement.as_ref().map(|e| &e.endorser));
+        if self.policy.is_satisfied_by(principals) {
             CollectState::Satisfied
         } else if self.received >= self.expected {
             // Everyone answered and the policy still isn't met.
@@ -102,7 +97,7 @@ impl EndorsementCollector {
 mod tests {
     use super::*;
     use fabricsim_crypto::KeyPair;
-    use fabricsim_types::{ClientId, Endorsement, OrgId, Proposal, RwSet};
+    use fabricsim_types::{ClientId, Endorsement, OrgId, Principal, Proposal, RwSet};
 
     fn response(tx_id: TxId, org: u32, ok: bool, value: &[u8]) -> ProposalResponse {
         let kp = KeyPair::from_seed(format!("peer{org}").as_bytes());

@@ -99,7 +99,6 @@ impl ClientSdk {
             return Err(AssembleError::NoEndorsements);
         }
         let first = &responses[0];
-        let reference = ProposalResponse::signed_bytes(first.tx_id, &first.rw_set, &first.payload);
         let mut endorsements = Vec::with_capacity(responses.len());
         for r in responses {
             if r.tx_id != proposal.tx_id {
@@ -108,8 +107,9 @@ impl ClientSdk {
             if !r.ok {
                 return Err(AssembleError::FailedEndorsement);
             }
-            let bytes = ProposalResponse::signed_bytes(r.tx_id, &r.rw_set, &r.payload);
-            if bytes != reference {
+            // Both are for `proposal.tx_id` by now, and the signed encoding
+            // is canonical and injective: equal results, equal signed bytes.
+            if r.rw_set != first.rw_set || r.payload != first.payload {
                 return Err(AssembleError::MismatchedResults);
             }
             endorsements.push(

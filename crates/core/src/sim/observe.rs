@@ -25,7 +25,7 @@ use fabricsim_obs::{
     message_span_id, span_id, tx_sampled, LogHistogram, Name, PhaseEvent, SampleRow, Samples, Sink,
     SpanEvent, SpanKind, StationClass, TracePhase, TxStationBreakdown,
 };
-use fabricsim_types::TxId;
+use fabricsim_types::{FxBuildHasher, TxId};
 
 use crate::metrics::{TxOutcome, TxTrace};
 use crate::workload::SimConfig;
@@ -194,7 +194,7 @@ pub(super) struct Observer {
     /// One record per arrival at a pool homed here or imported from its
     /// home world, in arrival order.
     txs: Vec<TxRecord>,
-    index: HashMap<TxId, usize>,
+    index: HashMap<TxId, usize, FxBuildHasher>,
     /// Live transactions of this world: admitted or imported, not yet
     /// terminal or exported.
     inflight: usize,
@@ -219,7 +219,7 @@ impl Observer {
             seed: cfg.seed,
             trace_sample: obs.trace_sample,
             txs: Vec::new(),
-            index: HashMap::new(),
+            index: HashMap::default(),
             inflight: 0,
             sink: if obs.trace_events {
                 Sink::bounded(obs.trace_buffer_cap)

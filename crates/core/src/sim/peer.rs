@@ -282,28 +282,22 @@ pub(super) fn commit_block(
     }
     let number = block.header.number;
     // The ledger keeps its own header and flags; the transactions stay
-    // shared with the OSN that delivered the block.
+    // shared with the OSN that delivered the block, and at the observer with
+    // the loop below, which reads them beside the flags the commit hands
+    // back.
+    let observed = (peer_idx == world.observer).then(|| block.transactions.clone());
     #[expect(
         clippy::expect_used,
         reason = "ordering delivers blocks in order; a chain break is a simulator bug"
     )]
-    world.peers[peer_idx]
+    let flags = world.peers[peer_idx]
         .peer
         .validate_and_commit(Arc::unwrap_or_clone(block))
         .expect("delivered blocks must chain");
-    if peer_idx != world.observer {
+    let Some(txs) = observed else {
         return;
-    }
+    };
     let node = &world.peers[peer_idx];
-    let ledger = node.peer.ledger();
-    #[expect(
-        clippy::expect_used,
-        reason = "reads back the block committed two statements above"
-    )]
-    let committed = ledger
-        .blocks()
-        .by_number(ledger.height() - 1)
-        .expect("just committed");
     // Per-tx validation spans bridge the tx-scoped graph back onto the
     // block-scoped delivery chain via the Vscc parent edge. Recorded here
     // — at commit time, not when validation was enqueued — so the span
@@ -315,7 +309,7 @@ pub(super) fn commit_block(
     let actor = Actor::Peer(peer_idx);
     let delivery = SpanKey::block(number, SpanKind::Deliver, actor);
     let mut acc = m.validate_block_overhead_ms;
-    for (tx, &flag) in committed.transactions.iter().zip(&committed.metadata.flags) {
+    for (tx, flag) in txs.iter().zip(flags) {
         let (vscc_done, done) = if serial {
             // Each tx's VSCC check runs at the head of its own serial
             // slice, so its vscc-done instant sits inside the slice,

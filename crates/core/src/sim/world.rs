@@ -15,8 +15,8 @@ use fabricsim_ordering::{OsnInput, OsnMsg, OsnNode};
 use fabricsim_peer::{GossipMsg, GossipNode, Peer, PeerConfig};
 use fabricsim_policy::Policy;
 use fabricsim_types::{
-    Block, ChannelId, ClientId, OrdererType, OrgId, Principal, Proposal, ProposalResponse,
-    Transaction, TxId,
+    Block, ChannelId, ClientId, FxBuildHasher, OrdererType, OrgId, Principal, Proposal,
+    ProposalResponse, Transaction, TxId,
 };
 
 use fabricsim_client::{ClientSdk, EndorsementCollector, TargetSelector};
@@ -39,7 +39,7 @@ pub(super) struct Pool {
     pub(super) prep: Station,
     pub(super) recv: Station,
     pub(super) egress: Link,
-    pub(super) pending: HashMap<TxId, PendingTx>,
+    pub(super) pending: HashMap<TxId, PendingTx, FxBuildHasher>,
     pub(super) in_prep: usize,
     pub(super) next_osn: u32,
     pub(super) next_channel: u32,
@@ -568,7 +568,7 @@ pub(super) fn build_world(cfg: &SimConfig, shard_id: usize) -> World {
                 m.link_bandwidth_bps,
                 SimDuration::from_millis_f64(m.link_propagation_ms),
             ),
-            pending: HashMap::new(),
+            pending: HashMap::default(),
             in_prep: 0,
             next_osn: p as u32,
             next_channel: p as u32,

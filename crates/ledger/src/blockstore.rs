@@ -1,11 +1,11 @@
-//! The append-only, hash-chained block store with lookup indices.
+//! The append-only, hash-chained block store with its transaction-id index.
 
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
 use fabricsim_crypto::Hash256;
-use fabricsim_types::{Block, BlockHeader, CheckedBlock, TxId};
+use fabricsim_types::{Block, BlockHeader, CheckedBlock, FxBuildHasher, TxId};
 
 /// Errors appending to the chain.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,12 +37,13 @@ impl fmt::Display for ChainError {
 
 impl Error for ChainError {}
 
-/// The chain of committed blocks plus indices by header hash and tx id.
+/// The chain of committed blocks plus the index by transaction id that the
+/// replay guard reads. Blocks are found by number; a lookup by header hash
+/// or a key's history is a walk over [`BlockStore::iter`].
 #[derive(Debug, Clone, Default)]
 pub struct BlockStore {
     blocks: Vec<Block>,
-    by_hash: HashMap<Hash256, u64>,
-    by_txid: HashMap<TxId, (u64, u32)>,
+    by_txid: HashMap<TxId, (u64, u32), FxBuildHasher>,
     /// Header hash of the last block; `None` on an empty chain.
     tip: Option<Hash256>,
 }
@@ -124,9 +125,7 @@ impl BlockStore {
         let block = checked.into_block();
         self.check_links(&block.header)?;
         let num = block.header.number;
-        let hash = block.header.hash();
-        self.by_hash.insert(hash, num);
-        self.tip = Some(hash);
+        self.tip = Some(block.header.hash());
         for (i, tx) in block.transactions.iter().enumerate() {
             self.by_txid.entry(tx.tx_id).or_insert((num, i as u32));
         }
@@ -137,11 +136,6 @@ impl BlockStore {
     /// Fetches a block by number.
     pub fn by_number(&self, number: u64) -> Option<&Block> {
         self.blocks.get(number as usize)
-    }
-
-    /// Fetches a block by its header hash.
-    pub fn by_hash(&self, hash: &Hash256) -> Option<&Block> {
-        self.by_hash.get(hash).and_then(|&n| self.by_number(n))
     }
 
     /// Locates a transaction: `(block number, tx index)`.
@@ -213,14 +207,12 @@ mod tests {
     fn append_and_lookup() {
         let mut s = BlockStore::new();
         let b0 = next_block(&s, vec![tx(1), tx(2)]);
-        let h0 = b0.header.hash();
         s.append(b0).unwrap();
         let b1 = next_block(&s, vec![tx(3)]);
         s.append(b1).unwrap();
 
         assert_eq!(s.height(), 2);
         assert_eq!(s.by_number(0).unwrap().len(), 2);
-        assert_eq!(s.by_hash(&h0).unwrap().header.number, 0);
         assert_eq!(
             s.locate_tx(&Proposal::derive_tx_id(ClientId(0), 3)),
             Some((1, 0))

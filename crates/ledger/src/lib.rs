@@ -1,10 +1,11 @@
-//! # fabricsim-ledger — block store, world state, MVCC and history
+//! # fabricsim-ledger — block store, world state and MVCC
 //!
 //! The peer-side storage stack:
 //!
 //! * [`BlockStore`] — the hash-chained append-only chain of blocks, indexed by
-//!   number, header hash and transaction id. Both valid and invalid
-//!   transactions live here, exactly as in Fabric.
+//!   number and by transaction id (the replay guard). Both valid and invalid
+//!   transactions live here, with the flags the committer stamped, exactly as
+//!   in Fabric.
 //! * [`StateDb`] — the *world state*: a versioned key/value store where each
 //!   value carries the [`fabricsim_types::Version`] of the transaction that
 //!   wrote it. Only valid transactions touch it.
@@ -12,7 +13,14 @@
 //!   transaction's read set is revalidated against current state (plus earlier
 //!   writes in the same block), which is what turns stale reads into
 //!   `MVCC_READ_CONFLICT` and prevents double spends.
-//! * [`HistoryDb`] — per-key write history, as Fabric's history database.
+//!
+//! There is no history database. Nothing on the commit path reads one, so a
+//! committer does not write one. A key's history (Fabric's
+//! `GetHistoryForKey`) is rebuilt from the retained blocks and their flags,
+//! which is how Fabric itself rebuilds its history DB: walk
+//! [`Ledger::blocks`] in order and keep the writes to the key of every
+//! transaction whose stamped flag is valid, at version (block number, index
+//! in block).
 //!
 //! ```
 //! use fabricsim_ledger::{Ledger, StateDb};
@@ -25,24 +33,21 @@
 #![warn(missing_docs)]
 
 mod blockstore;
-mod history;
 pub mod mvcc;
 mod statedb;
 
 pub use blockstore::{BlockStore, ChainError};
-pub use history::{HistoryDb, KeyModification};
 pub use statedb::{StateDb, VersionedValue};
 
 use fabricsim_types::{Block, CheckedBlock, ValidationCode, Version};
 
-/// A channel's complete ledger: block store + world state + history, with the
-/// commit path that glues them together.
+/// A channel's complete ledger: block store + world state, with the commit
+/// path that glues them together.
 #[derive(Debug, Clone, Default)]
 pub struct Ledger {
     channel: String,
     blocks: BlockStore,
     state: StateDb,
-    history: HistoryDb,
 }
 
 impl Ledger {
@@ -52,7 +57,6 @@ impl Ledger {
             channel: channel.into(),
             blocks: BlockStore::new(),
             state: StateDb::new(),
-            history: HistoryDb::new(),
         }
     }
 
@@ -83,11 +87,6 @@ impl Ledger {
         &self.blocks
     }
 
-    /// Read access to the history database.
-    pub fn history(&self) -> &HistoryDb {
-        &self.history
-    }
-
     /// Validates (MVCC) and commits a block whose per-transaction pre-checks
     /// (signatures, endorsement policy) have already produced `pre_flags`
     /// entries of `Some(code)` for failed transactions and `None` for ones
@@ -95,7 +94,7 @@ impl Ledger {
     ///
     /// Returns the final validation flags. The block — including invalid
     /// transactions — is appended to the chain; only valid transactions update
-    /// the world state and history.
+    /// the world state.
     ///
     /// # Errors
     /// Returns [`ChainError`] if the block does not chain onto the current tip.
@@ -210,8 +209,6 @@ impl Ledger {
                 let version = Version::new(block.header.number, i as u32);
                 for w in &tx.rw_set.writes {
                     self.state.apply_write(&w.key, w.value.clone(), version);
-                    self.history
-                        .record(&w.key, tx.tx_id, version, w.value.is_none());
                 }
             }
         }
@@ -224,7 +221,8 @@ mod tests {
     use super::*;
     use fabricsim_crypto::{Hash256, KeyPair};
     use fabricsim_types::{
-        ChannelId, ClientId, Endorsement, OrgId, Principal, Proposal, RwSet, Transaction, Version,
+        ChannelId, ClientId, Endorsement, OrgId, Principal, Proposal, RwSet, Transaction, TxId,
+        Version,
     };
 
     fn tx(nonce: u64, writes: &[(&str, &[u8])], reads: &[(&str, Option<Version>)]) -> Transaction {
@@ -327,10 +325,6 @@ mod tests {
             for n in 0..staged.height() {
                 assert_eq!(staged.blocks().by_number(n), other.blocks().by_number(n));
             }
-            assert_eq!(
-                staged.history().key_history("a"),
-                other.history().key_history("a")
-            );
             assert!(other.blocks().verify_chain().is_ok());
         }
     }
@@ -492,16 +486,45 @@ mod tests {
         assert!(l.mvcc_flags(&stale_block, &[None]).is_err());
     }
 
+    /// Every committed write to `key`, oldest first, rebuilt from the blocks
+    /// and the flags stamped into them, as the crate docs describe.
+    fn key_history(l: &Ledger, key: &str) -> Vec<(TxId, Version, bool)> {
+        let mut out = Vec::new();
+        for b in l.blocks().iter() {
+            for (i, (tx, flag)) in b.transactions.iter().zip(&b.metadata.flags).enumerate() {
+                let version = Version::new(b.header.number, i as u32);
+                let writes = tx.rw_set.writes.iter().filter(|w| w.key == key);
+                if flag.is_valid() {
+                    out.extend(writes.map(|w| (tx.tx_id, version, w.is_delete())));
+                }
+            }
+        }
+        out
+    }
+
     #[test]
     fn history_records_writes() {
         let mut l = Ledger::new("ch");
         let b0 = block(&l, vec![tx(1, &[("a", b"1")], &[])]);
         l.validate_and_commit(b0, vec![None]).unwrap();
-        let b1 = block(&l, vec![tx(2, &[("a", b"2")], &[])]);
-        l.validate_and_commit(b1, vec![None]).unwrap();
-        let hist = l.history().key_history("a");
-        assert_eq!(hist.len(), 2);
-        assert_eq!(hist[0].version, Version::new(0, 0));
-        assert_eq!(hist[1].version, Version::new(1, 0));
+        // Block 1: a stale read of "a" (not in the history), then a write.
+        let stale = tx(2, &[("a", b"x")], &[("a", None)]);
+        let b1 = block(&l, vec![stale, tx(3, &[("a", b"2")], &[])]);
+        l.validate_and_commit(b1, vec![None, None]).unwrap();
+        let mut delete = tx(4, &[], &[]);
+        delete.rw_set.record_write("a", None);
+        l.validate_and_commit(block(&l, vec![delete]), vec![None])
+            .unwrap();
+        let hist = key_history(&l, "a");
+        let ids = |nonce| Proposal::derive_tx_id(ClientId(0), nonce);
+        assert_eq!(
+            hist,
+            vec![
+                (ids(1), Version::new(0, 0), false),
+                (ids(3), Version::new(1, 1), false),
+                (ids(4), Version::new(2, 0), true),
+            ]
+        );
+        assert!(key_history(&l, "nope").is_empty());
     }
 }

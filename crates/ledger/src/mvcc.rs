@@ -6,9 +6,9 @@
 //! transaction `MVCC_READ_CONFLICT`; this is how Fabric prevents double
 //! spends and enforces serializability of the execute-order-validate flow.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
-use fabricsim_types::{Block, ValidationCode, Version};
+use fabricsim_types::{Block, FxBuildHasher, TxId, ValidationCode, Version};
 
 use crate::blockstore::BlockStore;
 use crate::statedb::StateDb;
@@ -28,10 +28,13 @@ pub fn validate_block(
     pre_flags: &[Option<ValidationCode>],
 ) -> Vec<ValidationCode> {
     assert_eq!(pre_flags.len(), block.transactions.len());
+    let n = block.transactions.len();
     // Writes applied by earlier valid txs *within this block*.
-    let mut intra_block: HashMap<&str, Version> = HashMap::new();
-    let mut seen_txids = HashMap::new();
-    let mut flags = Vec::with_capacity(block.transactions.len());
+    let mut intra_block: HashMap<&str, Version, FxBuildHasher> =
+        HashMap::with_capacity_and_hasher(n, FxBuildHasher);
+    let mut seen_txids: HashSet<TxId, FxBuildHasher> =
+        HashSet::with_capacity_and_hasher(n, FxBuildHasher);
+    let mut flags = Vec::with_capacity(n);
 
     for (i, tx) in block.transactions.iter().enumerate() {
         if let Some(code) = pre_flags[i] {
@@ -40,7 +43,7 @@ pub fn validate_block(
         }
         // Replay guard: the same tx id must not commit twice — neither across
         // blocks nor within one block.
-        if committed.contains_tx(&tx.tx_id) || seen_txids.contains_key(&tx.tx_id) {
+        if committed.contains_tx(&tx.tx_id) || seen_txids.contains(&tx.tx_id) {
             flags.push(ValidationCode::DuplicateTxId);
             continue;
         }
@@ -62,7 +65,7 @@ pub fn validate_block(
         for w in &tx.rw_set.writes {
             intra_block.insert(w.key.as_str(), version);
         }
-        seen_txids.insert(tx.tx_id, ());
+        seen_txids.insert(tx.tx_id);
         flags.push(ValidationCode::Valid);
     }
     flags

@@ -44,10 +44,14 @@ impl StateDb {
     pub fn apply_write(&mut self, key: &str, value: Option<Vec<u8>>, version: Version) {
         self.writes_applied += 1;
         match value {
-            Some(value) => {
-                self.map
-                    .insert(key.to_string(), VersionedValue { value, version });
-            }
+            // An overwrite keeps the stored key rather than copying it again.
+            Some(value) => match self.map.get_mut(key) {
+                Some(slot) => *slot = VersionedValue { value, version },
+                None => {
+                    self.map
+                        .insert(key.to_string(), VersionedValue { value, version });
+                }
+            },
             None => {
                 self.map.remove(key);
             }
@@ -66,21 +70,23 @@ impl StateDb {
     }
 
     /// Iterates keys in `[start, end)` in lexicographic order (Fabric's
-    /// `GetStateByRange`). An empty `end` means "to the end of the keyspace".
+    /// `GetStateByRange`). An empty `end` means "to the end of the keyspace";
+    /// a non-empty `end` below `start` is an empty range, as in Fabric.
     pub fn range<'a>(
         &'a self,
         start: &str,
         end: &str,
     ) -> impl Iterator<Item = (&'a str, &'a VersionedValue)> + 'a {
-        let upper: (Bound<String>, Bound<String>) = if end.is_empty() {
-            (Bound::Included(start.to_string()), Bound::Unbounded)
+        let bounds: (Bound<&str>, Bound<&str>) = if end.is_empty() {
+            (Bound::Included(start), Bound::Unbounded)
         } else {
-            (
-                Bound::Included(start.to_string()),
-                Bound::Excluded(end.to_string()),
-            )
+            // `BTreeMap::range` panics on an inverted range; `start..start`
+            // is the empty one.
+            (Bound::Included(start), Bound::Excluded(end.max(start)))
         };
-        self.map.range(upper).map(|(k, v)| (k.as_str(), v))
+        self.map
+            .range::<str, _>(bounds)
+            .map(|(k, v)| (k.as_str(), v))
     }
 
     /// Number of live keys.
@@ -142,5 +148,16 @@ mod tests {
         assert_eq!(all, vec!["b", "c", "d"]);
         assert_eq!(db.len(), 4);
         assert!(!db.is_empty());
+    }
+
+    #[test]
+    fn inverted_range_is_empty() {
+        let mut db = StateDb::new();
+        for k in ["a", "b", "c"] {
+            db.seed(k, k.as_bytes().to_vec());
+        }
+        assert_eq!(db.range("c", "a").count(), 0);
+        assert_eq!(db.range("b", "b").count(), 0);
+        assert_eq!(db.range("zz", "").count(), 0);
     }
 }

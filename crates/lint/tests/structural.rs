@@ -69,6 +69,31 @@ fn determinism_taint_reports_the_full_cross_crate_chain() {
 }
 
 #[test]
+fn determinism_taint_sees_a_map_with_a_named_hasher() {
+    let diags = run(
+        "determinism-taint",
+        &[
+            ("crates/obs/src/summary.rs", "obs_summary_fx.rs"),
+            ("crates/core/src/report.rs", "core_report.rs"),
+        ],
+    );
+    let taints: Vec<&Diagnostic> = diags
+        .iter()
+        .filter(|d| d.rule == RuleId::DeterminismTaint)
+        .collect();
+    assert_eq!(taints.len(), 1, "{diags:?}");
+    let d = taints[0];
+    assert_eq!((d.file.as_str(), d.line), ("crates/obs/src/summary.rs", 12));
+    assert!(
+        d.notes
+            .last()
+            .is_some_and(|n| n.message.contains("m.iter()")),
+        "{:?}",
+        d.notes
+    );
+}
+
+#[test]
 fn determinism_taint_clean_when_no_path_reaches_the_source() {
     let diags = run(
         "determinism-taint",

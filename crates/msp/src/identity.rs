@@ -159,8 +159,15 @@ impl Msp {
     }
 
     /// [`Msp::validate_certificate`], returning the certificate's expanded
-    /// key: the remembered one, or one built now and remembered.
-    fn verified_key(&self, cert: &Certificate) -> Result<Arc<VerifyingKey>, IdentityError> {
+    /// key: the remembered one, or one built now and remembered. A verifier
+    /// checking many signatures by one identity resolves the key once here
+    /// and verifies each under it:
+    /// `verified_key(c)?.verify_digest(d, s)` is [`Msp::verify_digest`].
+    ///
+    /// # Errors
+    /// [`IdentityError::UntrustedCertificate`] if the issuer or CA signature
+    /// is wrong.
+    pub fn verified_key(&self, cert: &Certificate) -> Result<Arc<VerifyingKey>, IdentityError> {
         // Entries are only ever pushed whole and popped whole, so the set is
         // valid even if a holder of the lock panicked.
         let known = |set: &VecDeque<VerifiedIdentity>| {

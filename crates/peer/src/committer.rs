@@ -1,10 +1,12 @@
 //! VSCC: the validation system chaincode run per transaction at commit time.
 
 use std::collections::HashMap;
+use std::hash::BuildHasher;
+use std::sync::Arc;
 
 use fabricsim_crypto::{Hash256, PublicKey, VerifyingKey};
 use fabricsim_msp::{Certificate, Msp};
-use fabricsim_types::{Block, ClientId, Principal, Transaction, ValidationCode};
+use fabricsim_types::{Block, ClientId, FxBuildHasher, Principal, Transaction, ValidationCode};
 
 use crate::peer::PeerConfig;
 
@@ -27,53 +29,6 @@ impl VsccVerdict {
     }
 }
 
-/// Summary of a committed block.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct CommitStats {
-    /// Transactions flagged valid.
-    pub valid: usize,
-    /// Transactions invalidated by MVCC read conflicts.
-    pub mvcc_conflicts: usize,
-    /// Transactions invalidated by endorsement-policy failure.
-    pub policy_failures: usize,
-    /// Transactions invalidated by bad signatures (creator or endorser).
-    pub bad_signatures: usize,
-    /// Transactions invalidated as duplicates.
-    pub duplicates: usize,
-    /// Transactions invalidated as malformed.
-    pub malformed: usize,
-}
-
-impl CommitStats {
-    /// Aggregates validation flags into counts.
-    pub fn from_flags(flags: &[ValidationCode]) -> Self {
-        let mut s = CommitStats::default();
-        for f in flags {
-            match f {
-                ValidationCode::Valid => s.valid += 1,
-                ValidationCode::MvccReadConflict => s.mvcc_conflicts += 1,
-                ValidationCode::EndorsementPolicyFailure => s.policy_failures += 1,
-                ValidationCode::BadEndorserSignature | ValidationCode::BadCreatorSignature => {
-                    s.bad_signatures += 1
-                }
-                ValidationCode::DuplicateTxId => s.duplicates += 1,
-                ValidationCode::BadPayload => s.malformed += 1,
-            }
-        }
-        s
-    }
-
-    /// Total transactions covered.
-    pub fn total(&self) -> usize {
-        self.valid
-            + self.mvcc_conflicts
-            + self.policy_failures
-            + self.bad_signatures
-            + self.duplicates
-            + self.malformed
-    }
-}
-
 /// Runs VSCC over every transaction of a block, producing the pre-flags the
 /// ledger's MVCC pass consumes (`None` = eligible, `Some(code)` = rejected).
 pub fn vscc_block(
@@ -83,12 +38,9 @@ pub fn vscc_block(
     client_certs: &HashMap<ClientId, Certificate>,
     endorser_keys: &HashMap<Principal, Vec<PublicKey>>,
 ) -> Vec<Option<ValidationCode>> {
-    let trust = Trust {
-        config,
-        msp,
-        client_certs,
-        endorser_keys: &expand_endorser_keys(endorser_keys, &block.transactions),
-    };
+    let txs = &block.transactions;
+    let endorser_keys = expand_endorser_keys(endorser_keys, txs);
+    let trust = Trust::new(config, msp, client_certs, &endorser_keys, txs);
     block
         .transactions
         .iter()
@@ -123,21 +75,18 @@ pub fn vscc_block_pooled(
     flags
 }
 
-/// The registered endorser keys in the form VSCC verifies against: each
-/// expanded once, when it was registered (or once per call of a public entry
-/// point that is handed plain keys), not once per signature.
-pub(crate) type EndorserKeys = HashMap<Principal, Vec<VerifyingKey>>;
-
 /// Expands, once each, the keys of `registered` that the endorsements of
-/// `txs` name. It walks the endorsements, not `registered`: that is a hash
-/// map, whose order must not be iterated, and a key no endorsement names
-/// needs no table. A key that is not registered under its principal is left
-/// out, so VSCC refuses it exactly as it would have.
+/// `txs` name: the form VSCC verifies against, which a peer builds once per
+/// key when it is registered and a public entry point handed plain keys
+/// builds once per call. It walks the endorsements, not `registered`: that is
+/// a hash map, whose order must not be iterated, and a key no endorsement
+/// names needs no table. A key that is not registered under its principal is
+/// left out, so VSCC refuses it exactly as it would have.
 pub(crate) fn expand_endorser_keys(
     registered: &HashMap<Principal, Vec<PublicKey>>,
     txs: &[Transaction],
-) -> EndorserKeys {
-    let mut expanded = EndorserKeys::new();
+) -> HashMap<Principal, Vec<VerifyingKey>, FxBuildHasher> {
+    let mut expanded: HashMap<Principal, Vec<VerifyingKey>, FxBuildHasher> = HashMap::default();
     for e in txs.iter().flat_map(|tx| &tx.endorsements) {
         let done = expanded
             .get(&e.endorser)
@@ -157,14 +106,44 @@ pub(crate) fn expand_endorser_keys(
     expanded
 }
 
-/// What VSCC checks signatures and endorsements against: the peer's channel
-/// configuration, its MSP and the identities registered with it.
-#[derive(Clone, Copy)]
+/// What VSCC checks one block's signatures and endorsements against: the
+/// peer's channel configuration, the key of every creator the block names and
+/// the expanded keys of the registered endorsers.
 pub(crate) struct Trust<'a> {
-    pub(crate) config: &'a PeerConfig,
-    pub(crate) msp: &'a Msp,
-    pub(crate) client_certs: &'a HashMap<ClientId, Certificate>,
-    pub(crate) endorser_keys: &'a EndorserKeys,
+    config: &'a PeerConfig,
+    /// Each creator's key, verified by the MSP once for the block; `None`
+    /// when the creator is not registered or its certificate is untrusted.
+    creators: HashMap<ClientId, Option<Arc<VerifyingKey>>, FxBuildHasher>,
+    endorser_keys: &'a HashMap<Principal, Vec<VerifyingKey>, FxBuildHasher>,
+}
+
+impl<'a> Trust<'a> {
+    /// Resolves the creators of `txs`, each once: its registered certificate,
+    /// validated by `msp`, and the expanded key that comes with it. Every
+    /// transaction from that creator is then checked against that key, with
+    /// no lock and no certificate comparison of its own; a certificate's
+    /// verdict does not depend on which of the block's transactions asks.
+    pub(crate) fn new<S: BuildHasher>(
+        config: &'a PeerConfig,
+        msp: &Msp,
+        client_certs: &HashMap<ClientId, Certificate, S>,
+        endorser_keys: &'a HashMap<Principal, Vec<VerifyingKey>, FxBuildHasher>,
+        txs: &[Transaction],
+    ) -> Self {
+        let mut creators: HashMap<ClientId, Option<Arc<VerifyingKey>>, FxBuildHasher> =
+            HashMap::default();
+        for tx in txs {
+            creators.entry(tx.creator).or_insert_with(|| {
+                let cert = client_certs.get(&tx.creator)?;
+                msp.verified_key(cert).ok()
+            });
+        }
+        Trust {
+            config,
+            creators,
+            endorser_keys,
+        }
+    }
 }
 
 /// VSCC for a single transaction: payload shape, creator signature, every
@@ -177,12 +156,9 @@ pub fn vscc_tx(
     client_certs: &HashMap<ClientId, Certificate>,
     endorser_keys: &HashMap<Principal, Vec<PublicKey>>,
 ) -> VsccVerdict {
-    let trust = Trust {
-        config,
-        msp,
-        client_certs,
-        endorser_keys: &expand_endorser_keys(endorser_keys, std::slice::from_ref(tx)),
-    };
+    let txs = std::slice::from_ref(tx);
+    let endorser_keys = expand_endorser_keys(endorser_keys, txs);
+    let trust = Trust::new(config, msp, client_certs, &endorser_keys, txs);
     let (response_digest, envelope_hash) = tx.digests();
     vscc_tx_hashed(tx, &response_digest, &envelope_hash, &trust)
 }
@@ -196,12 +172,7 @@ pub(crate) fn vscc_tx_hashed(
     envelope_hash: &Hash256,
     trust: &Trust<'_>,
 ) -> VsccVerdict {
-    let Trust {
-        config,
-        msp,
-        client_certs,
-        endorser_keys,
-    } = *trust;
+    let config = trust.config;
     // Shape checks.
     if tx.channel != config.channel
         || tx.chaincode.is_empty()
@@ -210,20 +181,18 @@ pub(crate) fn vscc_tx_hashed(
         return VsccVerdict::Fail(ValidationCode::BadPayload);
     }
     // Creator signature over the envelope.
-    let Some(cert) = client_certs.get(&tx.creator) else {
+    let Some(Some(creator_key)) = trust.creators.get(&tx.creator) else {
         return VsccVerdict::Fail(ValidationCode::BadCreatorSignature);
     };
-    if msp
-        .verify_digest(cert, envelope_hash, &tx.signature)
-        .is_err()
-    {
+    if !creator_key.verify_digest(envelope_hash, &tx.signature) {
         return VsccVerdict::Fail(ValidationCode::BadCreatorSignature);
     }
     // Endorsement signatures: each key must be one registered under that
     // principal, and it is the registered key the signature is verified
     // under.
     for e in &tx.endorsements {
-        let registered = endorser_keys
+        let registered = trust
+            .endorser_keys
             .get(&e.endorser)
             .and_then(|ks| ks.iter().find(|k| k.public_key() == e.endorser_key));
         if !registered.is_some_and(|key| key.verify_digest(response_digest, &e.signature)) {
@@ -358,26 +327,5 @@ mod tests {
             verdict(&f, &tx),
             VsccVerdict::Fail(ValidationCode::BadCreatorSignature)
         );
-    }
-
-    #[test]
-    fn stats_aggregate() {
-        let flags = [
-            ValidationCode::Valid,
-            ValidationCode::Valid,
-            ValidationCode::MvccReadConflict,
-            ValidationCode::EndorsementPolicyFailure,
-            ValidationCode::BadEndorserSignature,
-            ValidationCode::DuplicateTxId,
-            ValidationCode::BadPayload,
-        ];
-        let s = CommitStats::from_flags(&flags);
-        assert_eq!(s.valid, 2);
-        assert_eq!(s.mvcc_conflicts, 1);
-        assert_eq!(s.policy_failures, 1);
-        assert_eq!(s.bad_signatures, 1);
-        assert_eq!(s.duplicates, 1);
-        assert_eq!(s.malformed, 1);
-        assert_eq!(s.total(), 7);
     }
 }

@@ -28,7 +28,7 @@ mod pipeline;
 #[cfg(test)]
 mod testutil;
 
-pub use committer::{vscc_block, vscc_block_pooled, vscc_tx, CommitStats, VsccVerdict};
+pub use committer::{vscc_block, vscc_block_pooled, vscc_tx, VsccVerdict};
 pub use gossip::{GossipEffect, GossipMsg, GossipNode};
 pub use peer::{Peer, PeerConfig};
 pub use pipeline::ValidationPipeline;

@@ -8,10 +8,11 @@ use fabricsim_ledger::{ChainError, Ledger};
 use fabricsim_msp::{Certificate, Msp, SigningIdentity};
 use fabricsim_policy::Policy;
 use fabricsim_types::{
-    Block, ChannelId, ClientId, Endorsement, Principal, Proposal, ProposalResponse, Version,
+    Block, ChannelId, ClientId, Endorsement, FxBuildHasher, Principal, Proposal, ProposalResponse,
+    ValidationCode, Version,
 };
 
-use crate::committer::{CommitStats, EndorserKeys, Trust};
+use crate::committer::Trust;
 use crate::pipeline::ValidationPipeline;
 
 /// Static configuration for a peer.
@@ -38,8 +39,9 @@ pub struct Peer {
     config: PeerConfig,
     ledger: Ledger,
     chaincodes: ChaincodeRegistry,
-    client_certs: HashMap<ClientId, Certificate>,
-    endorser_keys: EndorserKeys,
+    client_certs: HashMap<ClientId, Certificate, FxBuildHasher>,
+    /// Each registered endorser key, expanded once when it was registered.
+    endorser_keys: HashMap<Principal, Vec<VerifyingKey>, FxBuildHasher>,
     endorsements_made: u64,
     blocks_committed: u64,
 }
@@ -54,8 +56,8 @@ impl Peer {
             config,
             ledger: Ledger::new(channel),
             chaincodes: ChaincodeRegistry::new(),
-            client_certs: HashMap::new(),
-            endorser_keys: HashMap::new(),
+            client_certs: HashMap::default(),
+            endorser_keys: HashMap::default(),
             endorsements_made: 0,
             blocks_committed: 0,
         }
@@ -232,28 +234,32 @@ impl Peer {
     /// checked against the tip, the data hash is verified by building a
     /// [`fabricsim_types::CheckedBlock`], VSCC verifies creator signatures
     /// against the digests that proof kept, and the ledger commits the proof
-    /// without recomputing the Merkle root.
+    /// without recomputing the Merkle root. Each creator's certificate is
+    /// validated once per block, not once per transaction.
+    ///
+    /// Returns the validation flags stamped into the committed block, one per
+    /// transaction in block order.
     ///
     /// # Errors
     /// Returns [`ChainError`] if the block does not chain onto this peer's
     /// ledger tip.
-    pub fn validate_and_commit(&mut self, block: Block) -> Result<CommitStats, ChainError> {
+    pub fn validate_and_commit(&mut self, block: Block) -> Result<Vec<ValidationCode>, ChainError> {
         let checked = self.ledger.blocks().admit(block)?;
         let pipeline = ValidationPipeline::new(self.config.validator_pool_size);
-        let pre_flags = pipeline.pre_commit_flags_checked(
-            &checked,
-            &Trust {
-                config: &self.config,
-                msp: &self.msp,
-                client_certs: &self.client_certs,
-                endorser_keys: &self.endorser_keys,
-            },
+        let txs = &checked.block().transactions;
+        let trust = Trust::new(
+            &self.config,
+            &self.msp,
+            &self.client_certs,
+            &self.endorser_keys,
+            txs,
         );
+        let pre_flags = pipeline.pre_commit_flags_checked(&checked, &trust);
         let flags = self
             .ledger
             .validate_and_commit_checked(checked, &pre_flags)?;
         self.blocks_committed += 1;
-        Ok(CommitStats::from_flags(&flags))
+        Ok(flags)
     }
 
     /// Direct state read (for tests and examples).
@@ -384,7 +390,7 @@ mod tests {
 
     use crate::testutil::{endorsed_tx, fixture, mixed_txs, Fixture};
     use fabricsim_crypto::Hash256;
-    use fabricsim_types::{CheckedBlock, Transaction, ValidationCode};
+    use fabricsim_types::{CheckedBlock, Transaction};
 
     /// A validate-only peer trusting the fixture's CA, client and endorsers.
     #[expect(
@@ -439,10 +445,13 @@ mod tests {
             let mut peer = committer(&f, pool);
             for round in 0..2 {
                 let block = next_block(&peer, mixed_txs(&f, round * 21, 21));
-                let stats = peer.validate_and_commit(block).unwrap();
-                assert_eq!(stats.total(), 21);
-                assert!(stats.valid > 0 && stats.policy_failures > 0);
-                assert!(stats.bad_signatures >= 2, "creator and endorser both");
+                let flags = peer.validate_and_commit(block).unwrap();
+                assert_eq!(flags.len(), 21);
+                let count = |code| flags.iter().filter(|&&f| f == code).count();
+                assert!(count(ValidationCode::Valid) > 0);
+                assert!(count(ValidationCode::EndorsementPolicyFailure) > 0);
+                assert!(count(ValidationCode::BadCreatorSignature) > 0);
+                assert!(count(ValidationCode::BadEndorserSignature) > 0);
             }
             let flags: Vec<_> = peer
                 .ledger()
@@ -495,7 +504,10 @@ mod tests {
                 assert!(peer.state_value("evil").is_none());
             }
             // The untouched block still goes in afterwards.
-            assert_eq!(peer.validate_and_commit(good).unwrap().valid, 2);
+            assert_eq!(
+                peer.validate_and_commit(good).unwrap(),
+                vec![ValidationCode::Valid; 2]
+            );
         }
     }
 

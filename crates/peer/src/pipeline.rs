@@ -21,7 +21,9 @@ use std::collections::{HashMap, HashSet};
 
 use fabricsim_crypto::{Hash256, PublicKey};
 use fabricsim_msp::{Certificate, Msp};
-use fabricsim_types::{Block, CheckedBlock, ClientId, Principal, Transaction, ValidationCode};
+use fabricsim_types::{
+    Block, CheckedBlock, ClientId, FxBuildHasher, Principal, Transaction, TxId, ValidationCode,
+};
 
 use crate::committer::{expand_endorser_keys, vscc_tx_hashed, Trust};
 use crate::peer::PeerConfig;
@@ -60,7 +62,8 @@ impl ValidationPipeline {
     /// Stage 1: block-level checks. Flags every transaction whose id already
     /// appeared earlier in the same block (`None` = still eligible).
     pub fn block_checks(&self, block: &Block) -> Vec<Option<ValidationCode>> {
-        let mut seen = HashSet::with_capacity(block.transactions.len());
+        let mut seen: HashSet<TxId, FxBuildHasher> =
+            HashSet::with_capacity_and_hasher(block.transactions.len(), FxBuildHasher);
         block
             .transactions
             .iter()
@@ -76,8 +79,9 @@ impl ValidationPipeline {
 
     /// Stage 2: runs VSCC for every transaction not already flagged by stage
     /// 1, writing results into `flags` in transaction order. Each transaction
-    /// is hashed here, by the worker that checks it, and each endorser key the
-    /// block names is expanded once for the whole call.
+    /// is hashed here, by the worker that checks it; each endorser key the
+    /// block names is expanded, and each creator's certificate validated,
+    /// once for the whole call.
     pub fn vscc_flags(
         &self,
         block: &Block,
@@ -87,13 +91,10 @@ impl ValidationPipeline {
         endorser_keys: &HashMap<Principal, Vec<PublicKey>>,
         flags: &mut [Option<ValidationCode>],
     ) {
-        let trust = Trust {
-            config,
-            msp,
-            client_certs,
-            endorser_keys: &expand_endorser_keys(endorser_keys, &block.transactions),
-        };
-        self.vscc_stage(&block.transactions, None, &trust, flags);
+        let txs = &block.transactions;
+        let endorser_keys = expand_endorser_keys(endorser_keys, txs);
+        let trust = Trust::new(config, msp, client_certs, &endorser_keys, txs);
+        self.vscc_stage(txs, None, &trust, flags);
     }
 
     /// The VSCC stage proper. `digests`, when given, is the pair of
@@ -221,14 +222,11 @@ mod tests {
             assert_eq!(staged, serial, "pipeline at pool {pool} diverged");
             // And from the digests a `CheckedBlock` kept, chunked per worker.
             let checked = CheckedBlock::new(block.clone()).expect("consistent block");
+            let txs = &block.transactions;
+            let endorser_keys = expand_endorser_keys(&f.endorser_keys, txs);
             let from_digests = ValidationPipeline::new(pool).pre_commit_flags_checked(
                 &checked,
-                &Trust {
-                    config: &f.config,
-                    msp: &f.msp,
-                    client_certs: &f.client_certs,
-                    endorser_keys: &expand_endorser_keys(&f.endorser_keys, &block.transactions),
-                },
+                &Trust::new(&f.config, &f.msp, &f.client_certs, &endorser_keys, txs),
             );
             assert_eq!(from_digests, serial, "digest path at pool {pool} diverged");
         }

@@ -68,20 +68,24 @@ impl Policy {
     }
 
     /// True when the multiset of endorsing principals satisfies the policy.
+    /// Only membership counts: a principal endorsing twice is one principal.
     pub fn is_satisfied_by<'a, I>(&self, endorsers: I) -> bool
     where
         I: IntoIterator<Item = &'a Principal>,
     {
-        let set: BTreeSet<&Principal> = endorsers.into_iter().collect();
-        self.eval(&set)
+        // A handful of endorsers: a scan beats building an ordered set.
+        let endorsers: Vec<&Principal> = endorsers.into_iter().collect();
+        self.eval(&endorsers)
     }
 
-    fn eval(&self, set: &BTreeSet<&Principal>) -> bool {
+    fn eval(&self, endorsers: &[&Principal]) -> bool {
         match self {
-            Policy::Principal(p) => set.contains(p),
-            Policy::And(children) => children.iter().all(|c| c.eval(set)),
-            Policy::Or(children) => children.iter().any(|c| c.eval(set)),
-            Policy::OutOf(k, children) => children.iter().filter(|c| c.eval(set)).count() >= *k,
+            Policy::Principal(p) => endorsers.contains(&p),
+            Policy::And(children) => children.iter().all(|c| c.eval(endorsers)),
+            Policy::Or(children) => children.iter().any(|c| c.eval(endorsers)),
+            Policy::OutOf(k, children) => {
+                children.iter().filter(|c| c.eval(endorsers)).count() >= *k
+            }
         }
     }
 

@@ -27,8 +27,14 @@ pub struct Encoder {
 impl Encoder {
     /// Starts an encoding with a domain-separation tag.
     pub fn new(domain: &str) -> Self {
+        Self::with_capacity(domain, 128)
+    }
+
+    /// [`Encoder::new`] with room for `capacity` bytes, tag included, so an
+    /// encoding known to be longer than 128 bytes is allocated once.
+    pub fn with_capacity(domain: &str, capacity: usize) -> Self {
         let mut e = Encoder {
-            buf: Vec::with_capacity(128),
+            buf: Vec::with_capacity(capacity),
         };
         e.bytes(domain.as_bytes());
         e

@@ -23,6 +23,7 @@ mod block;
 pub mod codec;
 mod config;
 pub mod encode;
+mod fxhash;
 mod ids;
 mod proposal;
 mod rwset;
@@ -30,6 +31,7 @@ mod transaction;
 
 pub use block::{Block, BlockHeader, BlockMetadata, CheckedBlock, Txs, ValidationCode};
 pub use config::{BatchConfig, ChannelConfig, OrdererType};
+pub use fxhash::{FxBuildHasher, FxHasher};
 pub use ids::{ChannelId, ClientId, MspId, NodeId, OrgId, Principal, TxId};
 pub use proposal::{Endorsement, Proposal, ProposalResponse};
 pub use rwset::{KvRead, KvWrite, RwSet, Version};

@@ -45,7 +45,7 @@ impl Transaction {
 
     /// [`Transaction::signed_bytes`] given `sha256(response_bytes())`.
     fn signed_bytes_over(&self, response_digest: &Hash256) -> Vec<u8> {
-        let mut e = Encoder::new("fabricsim-envelope");
+        let mut e = Encoder::with_capacity("fabricsim-envelope", self.envelope_capacity());
         e.bytes(self.tx_id.0.as_bytes())
             .str(&self.channel.0)
             .str(&self.chaincode)
@@ -58,6 +58,16 @@ impl Transaction {
             })
             .u32(self.creator.0);
         e.finish()
+    }
+
+    /// An upper bound on the length of [`Transaction::signed_bytes`], so its
+    /// buffer is allocated once: the fixed fields take 110 bytes, an
+    /// endorsement at most 42 plus its role.
+    fn envelope_capacity(&self) -> usize {
+        let endorsements: usize = (self.endorsements.iter())
+            .map(|en| 48 + en.endorser.role.len())
+            .sum();
+        128 + self.channel.0.len() + self.chaincode.len() + endorsements
     }
 
     /// The bytes each endorser signed (must match for the endorsement to
@@ -128,6 +138,21 @@ mod tests {
             creator,
             signature: KeyPair::from_seed(b"client1").sign(b"envelope"),
         }
+    }
+
+    #[test]
+    fn envelope_bytes_fit_the_buffer_sized_for_them() {
+        // The widest principal there is.
+        let mut tx = sample_tx(5);
+        for e in &mut tx.endorsements {
+            e.endorser = Principal {
+                org: OrgId(u32::MAX),
+                role: "a-rather-long-role-name".into(),
+            };
+        }
+        assert!(tx.signed_bytes().len() <= tx.envelope_capacity());
+        let bare = sample_tx(0);
+        assert!(bare.signed_bytes().len() <= bare.envelope_capacity());
     }
 
     #[test]
