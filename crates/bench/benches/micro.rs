@@ -12,6 +12,7 @@
 
 use std::collections::HashMap;
 use std::hint::black_box;
+use std::sync::Arc;
 
 use fabricsim_bench::microbench::Runner;
 use fabricsim_crypto::{
@@ -23,7 +24,7 @@ use fabricsim_ledger::Ledger;
 use fabricsim_msp::{Certificate, CertificateAuthority, Msp, SigningIdentity};
 use fabricsim_peer::{vscc_block_pooled, Peer, PeerConfig};
 use fabricsim_policy::Policy;
-use fabricsim_raft::{RaftConfig, RaftNode, Role};
+use fabricsim_raft::{Effect, Entry, Message, RaftConfig, RaftNode, Role};
 use fabricsim_types::{
     codec, Block, ChannelId, CheckedBlock, ClientId, Endorsement, OrgId, Principal, Proposal,
     ProposalResponse, RwSet, Transaction, ValidationCode,
@@ -125,6 +126,16 @@ fn bench_codec(r: &mut Runner) {
     );
     r.bench("codec/encode_block_100tx", || {
         codec::encode_block(black_box(&block))
+    });
+    // What a Raft OSN pays per AND5 block: the leader encodes it, every node
+    // decodes it (checking each distinct endorser key once).
+    let and5 = signed_block(Policy::and_of_orgs(5), 5, 1, 100).block;
+    let and5_bytes = codec::encode_block(&and5);
+    r.bench("types/encode_block_100tx_and5", || {
+        codec::encode_block(black_box(&and5))
+    });
+    r.bench("types/decode_block_100tx_and5", || {
+        codec::decode_block(black_box(&and5_bytes)).unwrap()
     });
 }
 
@@ -315,16 +326,16 @@ fn bench_raft(r: &mut Runner) {
     });
     r.bench("raft/follower_append_100", || {
         let mut follower = RaftNode::new(2, vec![1, 2], RaftConfig::default(), 7);
-        let entries: Vec<fabricsim_raft::Entry> = (1..=100)
-            .map(|i| fabricsim_raft::Entry {
+        let entries: Vec<Entry> = (1..=100)
+            .map(|i| Entry {
                 term: 1,
                 index: i,
-                data: b"tx".to_vec(),
+                data: Arc::from(&b"tx"[..]),
             })
             .collect();
         follower.step(
             1,
-            fabricsim_raft::Message::AppendEntries {
+            Message::AppendEntries {
                 term: 1,
                 prev_log_index: 0,
                 prev_log_term: 0,
@@ -333,6 +344,59 @@ fn bench_raft(r: &mut Runner) {
             },
         )
     });
+    // One `pipe_or1_rmw_hot_1k`-sized block through a 3-node group: the
+    // leader stores the encoded bytes, both followers append them, and the
+    // first ack commits. Each iteration starts from the same elected trio.
+    let trio = elected_trio();
+    let block_bytes = vec![0xA5u8; 117 * 1024];
+    r.bench("raft/replicate_commit_117k", || {
+        let [mut leader, mut f2, mut f3] = trio.clone();
+        let (_, sends) = leader.propose(black_box(&block_bytes[..])).unwrap();
+        let mut committed = false;
+        for e in sends {
+            let Effect::Send { to, message } = e else {
+                continue;
+            };
+            let follower = if to == 2 { &mut f2 } else { &mut f3 };
+            for ack in follower.step(1, message) {
+                if let Effect::Send { message, .. } = ack {
+                    let effects = leader.step(to, message);
+                    committed |= effects.iter().any(|e| matches!(e, Effect::Commit(_)));
+                }
+            }
+        }
+        assert!(committed);
+        [leader, f2, f3]
+    });
+}
+
+/// Node 1 leading nodes 2 and 3, with both followers holding its no-op.
+fn elected_trio() -> [RaftNode; 3] {
+    let cfg = RaftConfig::default();
+    let mut nodes = [1, 2, 3].map(|id| RaftNode::new(id, vec![1, 2, 3], cfg, id));
+    while nodes[0].role() != Role::Candidate {
+        nodes[0].tick();
+    }
+    let term = nodes[0].term();
+    let mut inflight: Vec<(u64, Effect)> = nodes[0]
+        .step(
+            2,
+            Message::RequestVoteResponse {
+                term,
+                granted: true,
+            },
+        )
+        .into_iter()
+        .map(|e| (1, e))
+        .collect();
+    while let Some((from, e)) = inflight.pop() {
+        if let Effect::Send { to, message } = e {
+            let replies = nodes[to as usize - 1].step(from, message);
+            inflight.extend(replies.into_iter().map(|e| (to, e)));
+        }
+    }
+    assert_eq!(nodes[0].role(), Role::Leader);
+    nodes
 }
 
 fn bench_kafka(r: &mut Runner) {

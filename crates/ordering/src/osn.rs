@@ -247,7 +247,9 @@ impl OsnNode {
         }
     }
 
-    /// Solo/Raft-leader path: run the cutter locally and emit blocks.
+    /// Runs the cutter on one ordered transaction and emits the blocks it
+    /// cuts: a broadcast on Solo or the Raft leader, a consumed record on
+    /// Kafka.
     fn enqueue_local(&mut self, tx: Transaction, effects: &mut Vec<OsnEffect>) {
         let timeout_ms = self.cutter.timeout_ms();
         let outcome = self.cutter.ordered(tx);
@@ -262,24 +264,23 @@ impl OsnNode {
         }
     }
 
+    /// Assembles a cut batch. Solo and Kafka deliver it at once — a Kafka
+    /// OSN cuts only from the consumed stream, so every Kafka OSN cuts the
+    /// same batches. A Raft leader replicates the encoded block and delivers
+    /// it on commit.
     fn emit_block(&mut self, batch: Vec<Transaction>, effects: &mut Vec<OsnEffect>) {
         let block = self.assembler.assemble(batch);
         match &mut self.engine {
-            Engine::Solo => effects.push(OsnEffect::BlockReady(block)),
+            Engine::Solo | Engine::Kafka { .. } => effects.push(OsnEffect::BlockReady(block)),
             Engine::Raft {
                 node,
                 delivered_height,
                 ..
             } => {
-                // Replicate the encoded block; delivery happens on commit.
                 if let Ok((_, raft_effects)) = node.propose(encode_block(&block)) {
                     Self::absorb_raft(raft_effects, delivered_height, effects);
                 }
             }
-            // lint:allow(panic-path) -- kafka engines assemble blocks on
-            // consume (see on_consume); the broadcast path never calls
-            // emit_block in kafka mode, so this arm is a dominated invariant
-            Engine::Kafka { .. } => unreachable!("kafka mode assembles on consume"),
         }
     }
 
@@ -356,7 +357,7 @@ impl OsnNode {
             next_offset,
             unacked,
             resend,
-            last_ttc_sent,
+            ..
         } = &mut self.engine
         else {
             return Vec::new();
@@ -405,7 +406,7 @@ impl OsnNode {
                     }
                 }
                 let skip = (*next_offset - base_offset) as usize;
-                let records_len = records.len();
+                *next_offset += records.len().saturating_sub(skip) as u64;
                 for record in records.into_iter().skip(skip) {
                     if record.is_timer_marker {
                         // Fabric's TTC-X: cut the pending batch if the marker
@@ -423,30 +424,15 @@ impl OsnNode {
                             record.data.is_empty() || target == self.assembler.next_number();
                         if applies {
                             if let Some(batch) = self.cutter.cut() {
-                                let block = self.assembler.assemble(batch);
-                                effects.push(OsnEffect::BlockReady(block));
+                                self.emit_block(batch, &mut effects);
                             }
                         }
                     } else if let Ok(tx) = decode_tx(&record.data) {
-                        let timeout_ms = self.cutter.timeout_ms();
-                        let outcome = self.cutter.ordered(tx);
-                        if let Some(seq) = outcome.arm_timer {
-                            effects.push(OsnEffect::ArmBatchTimer {
-                                after_ms: timeout_ms,
-                                seq,
-                            });
-                        }
-                        for batch in outcome.batches {
-                            let block = self.assembler.assemble(batch);
-                            effects.push(OsnEffect::BlockReady(block));
-                        }
+                        self.enqueue_local(tx, &mut effects);
                     }
                 }
-                *next_offset += records_len.saturating_sub(skip) as u64;
-                let _ = last_ttc_sent;
             }
         }
-        // Re-borrow check appeasement: effects built above.
         effects
     }
 

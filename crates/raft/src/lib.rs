@@ -12,6 +12,13 @@
 //! transaction is committed once a majority has written it — after which the
 //! ordering service node cuts blocks from the committed sequence.
 //!
+//! An entry's payload ([`Entry::data`]) is an `Arc<[u8]>`, stored once by
+//! [`RaftNode::propose`]: the leader's log, every `AppendEntries` carrying the
+//! entry, every follower's log and every [`Effect::Commit`] share that one
+//! allocation, as replicas on one host can. What each node does with the
+//! bytes (the ordering service decodes every committed block on every node)
+//! is the host's work, not a copy made by the protocol.
+//!
 //! ```
 //! use fabricsim_raft::{RaftConfig, RaftNode, Role};
 //!

@@ -3,6 +3,7 @@
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::types::{
     Effect, Entry, Index, Message, PersistentState, RaftConfig, RaftId, Role, Term,
@@ -194,11 +195,15 @@ impl RaftNode {
     }
 
     /// Proposes a payload for replication. Returns the assigned log index and
-    /// the replication effects.
+    /// the replication effects. The payload is stored once: the log, every
+    /// `AppendEntries` and every [`Effect::Commit`] share it.
     ///
     /// # Errors
     /// [`NotLeader`] when this node is not the current leader.
-    pub fn propose(&mut self, data: Vec<u8>) -> Result<(Index, Vec<Effect>), NotLeader> {
+    pub fn propose(
+        &mut self,
+        data: impl Into<Arc<[u8]>>,
+    ) -> Result<(Index, Vec<Effect>), NotLeader> {
         if self.role != Role::Leader {
             return Err(NotLeader {
                 leader_hint: self.leader_hint,
@@ -208,7 +213,7 @@ impl RaftNode {
         self.log.push(Entry {
             term: self.current_term,
             index,
-            data,
+            data: data.into(),
         });
         let mut effects = Vec::new();
         self.maybe_advance_commit(&mut effects); // single-node clusters commit here
@@ -324,7 +329,7 @@ impl RaftNode {
         self.log.push(Entry {
             term: self.current_term,
             index,
-            data: Vec::new(),
+            data: Arc::from([]),
         });
         self.match_index.insert(self.id, index);
         self.maybe_advance_commit(effects);
@@ -535,6 +540,8 @@ impl RaftNode {
         }
     }
 
+    /// Reports the newly committed entries; cloning an entry clones the
+    /// `Arc` of its payload, not the bytes.
     fn emit_applied(&mut self, effects: &mut Vec<Effect>) {
         if self.commit_index > self.last_applied {
             let newly: Vec<Entry> =
@@ -578,7 +585,7 @@ mod tests {
             .flatten()
             .collect();
         assert_eq!(committed.len(), 1);
-        assert_eq!(committed[0].data, b"tx1");
+        assert_eq!(&committed[0].data[..], b"tx1");
     }
 
     #[test]
@@ -660,7 +667,7 @@ mod tests {
                 entries: vec![Entry {
                     term: 1,
                     index: 1,
-                    data: b"x".to_vec(),
+                    data: Arc::from(&b"x"[..]),
                 }],
                 leader_commit: 0,
             },
@@ -735,6 +742,86 @@ mod tests {
         assert!(leader.commit_index() >= idx);
     }
 
+    /// One copy of each entry: the leader's `Effect::Commit`, the entries
+    /// it sends and the follower's log all hold the proposed allocation.
+    #[test]
+    fn replicated_and_committed_entries_share_the_proposed_bytes() {
+        let cfg = RaftConfig::default();
+        let mut leader = RaftNode::new(1, vec![1, 2, 3], cfg, 1);
+        let mut follower = RaftNode::new(2, vec![1, 2, 3], cfg, 2);
+        while leader.role() != Role::Candidate {
+            leader.tick();
+        }
+        let term = leader.term();
+        let elected = leader.step(
+            2,
+            Message::RequestVoteResponse {
+                term,
+                granted: true,
+            },
+        );
+        assert_eq!(leader.role(), Role::Leader);
+        // Bring the follower up to the leader's no-op first.
+        for e in elected {
+            if let Effect::Send {
+                to: 2,
+                message: m @ Message::AppendEntries { .. },
+            } = e
+            {
+                follower.step(1, m);
+            }
+        }
+
+        let proposed: Arc<[u8]> = Arc::from(&b"block bytes"[..]);
+        let (idx, effects) = leader.propose(Arc::clone(&proposed)).unwrap();
+        let append = effects
+            .into_iter()
+            .find_map(|e| match e {
+                Effect::Send {
+                    to: 2,
+                    message: m @ Message::AppendEntries { .. },
+                } => Some(m),
+                _ => None,
+            })
+            .expect("the leader replicates to node 2");
+        let Message::AppendEntries { entries, .. } = &append else {
+            panic!("found an AppendEntries above");
+        };
+        let sent = entries.iter().find(|e| e.index == idx).unwrap();
+        assert!(Arc::ptr_eq(&sent.data, &proposed));
+
+        let acks = follower.step(1, append);
+        let stored = &follower.persistent_state().log[idx as usize - 1];
+        assert!(Arc::ptr_eq(&stored.data, &proposed));
+        let match_index = acks
+            .iter()
+            .find_map(|e| match e {
+                Effect::Send {
+                    message: Message::AppendEntriesResponse { match_index, .. },
+                    ..
+                } => Some(*match_index),
+                _ => None,
+            })
+            .unwrap();
+        assert_eq!(match_index, idx);
+        let commit = leader.step(
+            2,
+            Message::AppendEntriesResponse {
+                term,
+                success: true,
+                match_index,
+            },
+        );
+        let committed = commit
+            .iter()
+            .find_map(|e| match e {
+                Effect::Commit(es) => es.iter().find(|en| en.index == idx),
+                _ => None,
+            })
+            .expect("a majority commits the entry");
+        assert!(Arc::ptr_eq(&committed.data, &proposed));
+    }
+
     #[test]
     fn leader_steps_down_on_higher_term() {
         let mut n = RaftNode::new(1, vec![1], RaftConfig::default(), 7);
@@ -768,12 +855,12 @@ mod tests {
                     Entry {
                         term: 1,
                         index: 1,
-                        data: b"a".to_vec(),
+                        data: Arc::from(&b"a"[..]),
                     },
                     Entry {
                         term: 1,
                         index: 2,
-                        data: b"b".to_vec(),
+                        data: Arc::from(&b"b"[..]),
                     },
                 ],
                 leader_commit: 0,
@@ -790,13 +877,13 @@ mod tests {
                 entries: vec![Entry {
                     term: 2,
                     index: 2,
-                    data: b"c".to_vec(),
+                    data: Arc::from(&b"c"[..]),
                 }],
                 leader_commit: 0,
             },
         );
         assert_eq!(n.last_log_index(), 2);
-        assert_eq!(n.persistent_state().log[1].data, b"c");
+        assert_eq!(&n.persistent_state().log[1].data[..], b"c");
         assert_eq!(n.persistent_state().log[1].term, 2);
     }
 

@@ -1,5 +1,7 @@
 //! Raft wire types, configuration and host-visible effects.
 
+use std::sync::Arc;
+
 /// Node identifier within a Raft cluster.
 pub type RaftId = u64;
 /// A Raft term.
@@ -14,8 +16,10 @@ pub struct Entry {
     pub term: Term,
     /// Position in the log (1-based).
     pub index: Index,
-    /// Opaque payload; empty for leader-change no-op entries.
-    pub data: Vec<u8>,
+    /// Opaque payload; empty for leader-change no-op entries. Shared: the
+    /// leader's log, every `AppendEntries` that carries the entry, every
+    /// follower's log and every [`Effect::Commit`] hold one allocation.
+    pub data: Arc<[u8]>,
 }
 
 impl Entry {
@@ -140,12 +144,12 @@ mod tests {
         let noop = Entry {
             term: 1,
             index: 1,
-            data: Vec::new(),
+            data: Arc::from([]),
         };
         let real = Entry {
             term: 1,
             index: 2,
-            data: b"tx".to_vec(),
+            data: Arc::from(&b"tx"[..]),
         };
         assert!(noop.is_noop());
         assert!(!real.is_noop());

@@ -3,15 +3,28 @@
 //! The consensus substrates replicate opaque bytes: Raft entries and Kafka
 //! records carry encoded [`Transaction`] envelopes, and Raft-mode Fabric
 //! replicates whole encoded [`Block`]s. This module provides the
-//! encoder/decoder pair (little-endian, length-prefixed — the same framing as
-//! [`crate::encode::Encoder`]).
+//! encoder/decoder pair. It writes through [`Encoder::untagged`] — the framing
+//! of signed bytes (little-endian, length-prefixed) without a domain tag — into
+//! one buffer sized from [`WireSize`] (which covers the envelopes the
+//! workloads make; a larger encoding regrows it), and writes each principal
+//! with [`Principal::encode_into`], so no endorsement builds a `String` on the
+//! way out. The decoder parses principals from borrowed slices of the input.
+//!
+//! Decoding a block subgroup-checks each distinct endorser key element once:
+//! the first sight of an element runs [`PublicKey::from_element`], a repeat
+//! reuses that admission (a pure function of the element), and a refused
+//! element makes the whole block a [`DecodeError`].
 
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
 use fabricsim_crypto::{Hash256, PublicKey, Signature};
 
 use crate::block::{Block, BlockHeader, BlockMetadata, ValidationCode};
+use crate::encode::{Encoder, WireSize};
+use crate::fxhash::FxBuildHasher;
 use crate::ids::{ChannelId, ClientId, Principal, TxId};
 use crate::proposal::Endorsement;
 use crate::rwset::{KvRead, KvWrite, RwSet, Version};
@@ -28,37 +41,6 @@ impl fmt::Display for DecodeError {
 }
 
 impl Error for DecodeError {}
-
-struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    fn new() -> Self {
-        Writer {
-            buf: Vec::with_capacity(256),
-        }
-    }
-    fn u8(&mut self, x: u8) {
-        self.buf.push(x);
-    }
-    fn u32(&mut self, x: u32) {
-        self.buf.extend_from_slice(&x.to_le_bytes());
-    }
-    fn u64(&mut self, x: u64) {
-        self.buf.extend_from_slice(&x.to_le_bytes());
-    }
-    fn bytes(&mut self, b: &[u8]) {
-        self.u32(b.len() as u32);
-        self.buf.extend_from_slice(b);
-    }
-    fn str(&mut self, s: &str) {
-        self.bytes(s.as_bytes());
-    }
-    fn hash(&mut self, h: &Hash256) {
-        self.buf.extend_from_slice(h.as_bytes());
-    }
-}
 
 struct Reader<'a> {
     buf: &'a [u8],
@@ -100,16 +82,20 @@ impl<'a> Reader<'a> {
     fn u64(&mut self) -> Result<u64, DecodeError> {
         Ok(u64::from_le_bytes(self.array()?))
     }
-    fn bytes(&mut self) -> Result<Vec<u8>, DecodeError> {
+    /// A length-prefixed field, borrowed from the input.
+    fn slice(&mut self) -> Result<&'a [u8], DecodeError> {
         let n = self.u32()? as usize;
         if n > self.buf.len() {
             return Err(DecodeError(format!("length {n} exceeds buffer")));
         }
-        Ok(self.take(n)?.to_vec())
+        self.take(n)
+    }
+    fn bytes(&mut self) -> Result<Vec<u8>, DecodeError> {
+        Ok(self.slice()?.to_vec())
     }
     /// A wire count of items that take at least `min_item_bytes` each. It may
     /// size an allocation: more items than the remaining bytes can hold are
-    /// refused here, as [`Reader::bytes`] refuses a length.
+    /// refused here, as [`Reader::slice`] refuses a length.
     fn count(&mut self, min_item_bytes: usize) -> Result<usize, DecodeError> {
         let n = self.u32()? as usize;
         if n > (self.buf.len() - self.pos) / min_item_bytes {
@@ -117,8 +103,12 @@ impl<'a> Reader<'a> {
         }
         Ok(n)
     }
+    /// A length-prefixed UTF-8 field, borrowed from the input.
+    fn text(&mut self) -> Result<&'a str, DecodeError> {
+        std::str::from_utf8(self.slice()?).map_err(|_| DecodeError("invalid UTF-8".into()))
+    }
     fn str(&mut self) -> Result<String, DecodeError> {
-        String::from_utf8(self.bytes()?).map_err(|_| DecodeError("invalid UTF-8".into()))
+        Ok(self.text()?.to_owned())
     }
     fn hash(&mut self) -> Result<Hash256, DecodeError> {
         Ok(Hash256::from_bytes(self.array()?))
@@ -135,30 +125,21 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn write_rwset(w: &mut Writer, rw: &RwSet) {
-    w.u32(rw.reads.len() as u32);
-    for r in &rw.reads {
-        w.str(&r.key);
+fn write_rwset(e: &mut Encoder, rw: &RwSet) {
+    e.list(&rw.reads, |e, r| {
+        e.str(&r.key);
         match r.version {
-            Some(v) => {
-                w.u8(1);
-                w.u64(v.block_num);
-                w.u32(v.tx_num);
-            }
-            None => w.u8(0),
-        }
-    }
-    w.u32(rw.writes.len() as u32);
-    for wr in &rw.writes {
-        w.str(&wr.key);
-        match &wr.value {
-            Some(v) => {
-                w.u8(1);
-                w.bytes(v);
-            }
-            None => w.u8(0),
-        }
-    }
+            Some(v) => e.u8(1).u64(v.block_num).u32(v.tx_num),
+            None => e.u8(0),
+        };
+    });
+    e.list(&rw.writes, |e, w| {
+        e.str(&w.key);
+        match &w.value {
+            Some(v) => e.u8(1).bytes(v),
+            None => e.u8(0),
+        };
+    });
 }
 
 fn read_rwset(r: &mut Reader<'_>) -> Result<RwSet, DecodeError> {
@@ -186,22 +167,14 @@ fn read_rwset(r: &mut Reader<'_>) -> Result<RwSet, DecodeError> {
     Ok(rw)
 }
 
-fn write_tx(w: &mut Writer, tx: &Transaction) {
-    w.hash(&tx.tx_id.0);
-    w.str(&tx.channel.0);
-    w.str(&tx.chaincode);
-    write_rwset(w, &tx.rw_set);
-    w.bytes(&tx.payload);
-    w.u32(tx.endorsements.len() as u32);
-    for e in &tx.endorsements {
-        w.str(&e.endorser.to_string());
-        w.u64(e.endorser_key.element());
-        w.u64(e.signature.e);
-        w.u64(e.signature.s);
-    }
-    w.u32(tx.creator.0);
-    w.u64(tx.signature.e);
-    w.u64(tx.signature.s);
+fn write_tx(e: &mut Encoder, tx: &Transaction) {
+    e.hash(&tx.tx_id.0).str(&tx.channel.0).str(&tx.chaincode);
+    write_rwset(e, &tx.rw_set);
+    e.bytes(&tx.payload)
+        .list(&tx.endorsements, |e, en| en.encode_into(e))
+        .u32(tx.creator.0)
+        .u64(tx.signature.e)
+        .u64(tx.signature.s);
 }
 
 /// Lower bounds on one encoded item, for [`Reader::count`]: an endorsement is
@@ -212,7 +185,17 @@ const MIN_ENDORSEMENT_BYTES: usize = 4 + 8 + 16;
 const MIN_TX_BYTES: usize = 32 + 6 * 4 + 4 + 16;
 const FLAG_BYTES: usize = 1;
 
-fn read_tx(r: &mut Reader<'_>) -> Result<Transaction, DecodeError> {
+/// Admits an endorser key element: [`PublicKey::from_element`]'s subgroup
+/// check.
+fn admit_key(element: u64) -> Result<PublicKey, DecodeError> {
+    PublicKey::from_element(element).ok_or_else(|| DecodeError("endorser key not in group".into()))
+}
+
+/// Reads one envelope; `admit` turns each endorser key element into a key.
+fn read_tx(
+    r: &mut Reader<'_>,
+    admit: &mut impl FnMut(u64) -> Result<PublicKey, DecodeError>,
+) -> Result<Transaction, DecodeError> {
     let tx_id = TxId(r.hash()?);
     let channel = ChannelId(r.str()?);
     let chaincode = r.str()?;
@@ -221,11 +204,10 @@ fn read_tx(r: &mut Reader<'_>) -> Result<Transaction, DecodeError> {
     let n_endorsements = r.count(MIN_ENDORSEMENT_BYTES)?;
     let mut endorsements = Vec::with_capacity(n_endorsements);
     for _ in 0..n_endorsements {
-        let principal_text = r.str()?;
-        let endorser = Principal::parse(&principal_text)
+        let principal_text = r.text()?;
+        let endorser = Principal::parse(principal_text)
             .ok_or_else(|| DecodeError(format!("bad principal {principal_text:?}")))?;
-        let endorser_key = PublicKey::from_element(r.u64()?)
-            .ok_or_else(|| DecodeError("endorser key not in group".into()))?;
+        let endorser_key = admit(r.u64()?)?;
         let signature = Signature {
             e: r.u64()?,
             s: r.u64()?,
@@ -255,9 +237,9 @@ fn read_tx(r: &mut Reader<'_>) -> Result<Transaction, DecodeError> {
 
 /// Serializes a transaction envelope.
 pub fn encode_tx(tx: &Transaction) -> Vec<u8> {
-    let mut w = Writer::new();
-    write_tx(&mut w, tx);
-    w.buf
+    let mut e = Encoder::untagged(tx.wire_size() as usize);
+    write_tx(&mut e, tx);
+    e.finish()
 }
 
 /// Deserializes a transaction envelope.
@@ -266,7 +248,7 @@ pub fn encode_tx(tx: &Transaction) -> Vec<u8> {
 /// [`DecodeError`] on truncated or malformed input.
 pub fn decode_tx(bytes: &[u8]) -> Result<Transaction, DecodeError> {
     let mut r = Reader::new(bytes);
-    let tx = read_tx(&mut r)?;
+    let tx = read_tx(&mut r, &mut admit_key)?;
     r.finish()?;
     Ok(tx)
 }
@@ -298,26 +280,23 @@ fn code_from_u8(x: u8) -> Result<ValidationCode, DecodeError> {
 
 /// Serializes a block (header, transactions and metadata).
 pub fn encode_block(block: &Block) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.str(&block.channel.0);
-    w.u64(block.header.number);
-    w.hash(&block.header.previous_hash);
-    w.hash(&block.header.data_hash);
-    w.u32(block.transactions.len() as u32);
-    for tx in &block.transactions {
-        write_tx(&mut w, tx);
-    }
-    w.u32(block.metadata.flags.len() as u32);
-    for &f in &block.metadata.flags {
-        w.u8(code_to_u8(f));
-    }
-    w.buf
+    let mut e = Encoder::untagged(block.wire_size() as usize);
+    e.str(&block.channel.0)
+        .u64(block.header.number)
+        .hash(&block.header.previous_hash)
+        .hash(&block.header.data_hash)
+        .list(&block.transactions, write_tx)
+        .list(&block.metadata.flags, |e, &f| {
+            e.u8(code_to_u8(f));
+        });
+    e.finish()
 }
 
 /// Deserializes a block.
 ///
 /// # Errors
-/// [`DecodeError`] on truncated or malformed input.
+/// [`DecodeError`] on truncated or malformed input, including an endorser
+/// key element outside the group in any transaction.
 pub fn decode_block(bytes: &[u8]) -> Result<Block, DecodeError> {
     let mut r = Reader::new(bytes);
     let channel = ChannelId(r.str()?);
@@ -325,9 +304,16 @@ pub fn decode_block(bytes: &[u8]) -> Result<Block, DecodeError> {
     let previous_hash = r.hash()?;
     let data_hash = r.hash()?;
     let n_txs = r.count(MIN_TX_BYTES)?;
+    // The elements admitted so far in this block. Only admissions are kept: a
+    // refusal ends the decode, so no repeat can reuse one.
+    let mut admitted: HashMap<u64, PublicKey, FxBuildHasher> = HashMap::default();
+    let mut admit = |element| match admitted.entry(element) {
+        Entry::Occupied(known) => Ok(*known.get()),
+        Entry::Vacant(first_sight) => Ok(*first_sight.insert(admit_key(element)?)),
+    };
     let mut transactions = Vec::with_capacity(n_txs);
     for _ in 0..n_txs {
-        transactions.push(read_tx(&mut r)?);
+        transactions.push(read_tx(&mut r, &mut admit)?);
     }
     let n_flags = r.count(FLAG_BYTES)?;
     let mut flags = Vec::with_capacity(n_flags);
@@ -437,6 +423,23 @@ mod tests {
         }
     }
 
+    /// The buffers are sized from `WireSize`; the envelope shapes here and in
+    /// the workloads fit them, so no encoding regrows its buffer.
+    #[test]
+    fn encodings_fit_the_buffers_sized_for_them() {
+        for endorsements in [0, 1, 5] {
+            let tx = sample_tx(7, endorsements);
+            assert!(encode_tx(&tx).len() as u64 <= tx.wire_size());
+        }
+        let block = Block::assemble(
+            ChannelId::default_channel(),
+            0,
+            Hash256::ZERO,
+            (0..100).map(|n| sample_tx(n, 5)).collect(),
+        );
+        assert!(encode_block(&block).len() as u64 <= block.wire_size());
+    }
+
     fn patch_u32(bytes: &mut [u8], at: usize, x: u32) {
         bytes[at..at + 4].copy_from_slice(&x.to_le_bytes());
     }
@@ -511,6 +514,71 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Replaces every occurrence of the 8-byte element `from` in `bytes` by
+    /// `to`, returning how many there were.
+    fn replace_element(bytes: &mut [u8], from: u64, to: u64) -> usize {
+        let (from, to) = (from.to_le_bytes(), to.to_le_bytes());
+        let mut found = 0;
+        for at in 0..bytes.len().saturating_sub(7) {
+            if bytes[at..at + 8] == from {
+                bytes[at..at + 8].copy_from_slice(&to);
+                found += 1;
+            }
+        }
+        found
+    }
+
+    /// An element in range that fails the subgroup check itself.
+    fn non_member() -> u64 {
+        (2..)
+            .find(|&x| PublicKey::from_element(x).is_none())
+            .unwrap()
+    }
+
+    fn refused_key(err: DecodeError) -> bool {
+        err.0 == "endorser key not in group"
+    }
+
+    /// The per-block memo keeps admissions only: keys admitted earlier in a
+    /// block do not carry a later transaction's non-member element through.
+    #[test]
+    fn a_non_member_key_after_admitted_ones_refuses_the_block() {
+        let mut late = sample_tx(2, 2);
+        let odd = KeyPair::from_seed(b"late");
+        late.endorsements.push(Endorsement {
+            endorser: Principal::peer(OrgId(9)),
+            endorser_key: odd.public,
+            signature: odd.sign(b"response"),
+        });
+        let block = Block::assemble(
+            ChannelId::default_channel(),
+            1,
+            Hash256::ZERO,
+            vec![sample_tx(1, 3), late],
+        );
+        let mut bytes = encode_block(&block);
+        assert_eq!(decode_block(&bytes).unwrap(), block);
+        assert_eq!(
+            replace_element(&mut bytes, odd.public.element(), non_member()),
+            1
+        );
+        assert!(refused_key(decode_block(&bytes).unwrap_err()));
+    }
+
+    #[test]
+    fn a_repeated_non_member_key_refuses_the_block() {
+        let block = Block::assemble(
+            ChannelId::default_channel(),
+            1,
+            Hash256::ZERO,
+            vec![sample_tx(1, 1), sample_tx(2, 2), sample_tx(3, 2)],
+        );
+        let mut bytes = encode_block(&block);
+        let p1 = KeyPair::from_seed(b"p1").public.element();
+        assert_eq!(replace_element(&mut bytes, p1, non_member()), 2);
+        assert!(refused_key(decode_block(&bytes).unwrap_err()));
     }
 
     #[test]

@@ -2,13 +2,17 @@
 //!
 //! Signatures must be computed over a deterministic byte string; protobuf (what
 //! real Fabric uses) is replaced by a simple length-prefixed canonical encoding.
-//! The same encoder doubles as the source of truth for message sizes charged to
-//! the simulated 1 Gbps network.
+//! The same encoder, started without a domain tag ([`Encoder::untagged`]),
+//! writes the wire format of [`crate::codec`]. [`WireSize`] gives the message
+//! sizes charged to the simulated 1 Gbps network.
+
+use fabricsim_crypto::Hash256;
 
 /// Builds a canonical, unambiguous byte string from typed fields.
 ///
-/// Every field is written as a little-endian length prefix followed by the
-/// raw bytes, so `("ab", "c")` and `("a", "bc")` encode differently.
+/// Every variable-length field is written as a little-endian length prefix
+/// followed by the raw bytes, so `("ab", "c")` and `("a", "bc")` encode
+/// differently; integers and hashes are fixed-width.
 ///
 /// ```
 /// use fabricsim_types::encode::Encoder;
@@ -38,6 +42,22 @@ impl Encoder {
         };
         e.bytes(domain.as_bytes());
         e
+    }
+
+    /// Starts an encoding with no domain tag and room for `capacity` bytes:
+    /// the wire format of [`crate::codec`], which is framed the same way but
+    /// never signed.
+    pub fn untagged(capacity: usize) -> Self {
+        Encoder {
+            buf: Vec::with_capacity(capacity),
+        }
+    }
+
+    /// Appends a 32-byte hash as is: its width is fixed, so it takes no
+    /// length prefix.
+    pub fn hash(&mut self, h: &Hash256) -> &mut Self {
+        self.buf.extend_from_slice(h.as_bytes());
+        self
     }
 
     /// Appends a length-prefixed byte string.
@@ -101,7 +121,8 @@ impl Encoder {
         self.buf.len()
     }
 
-    /// True when only the domain tag has been written.
+    /// True when nothing has been written: only an untagged encoding
+    /// starts empty.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }

@@ -68,6 +68,17 @@ pub struct Endorsement {
     pub signature: Signature,
 }
 
+impl Endorsement {
+    /// Appends the endorsement as the envelope signs it and the wire carries
+    /// it: the principal's text, the key element and the signature pair.
+    pub(crate) fn encode_into(&self, e: &mut Encoder) {
+        self.endorser.encode_into(e);
+        e.u64(self.endorser_key.element())
+            .u64(self.signature.e)
+            .u64(self.signature.s);
+    }
+}
+
 /// An endorsing peer's reply to a proposal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProposalResponse {

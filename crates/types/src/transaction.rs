@@ -50,12 +50,7 @@ impl Transaction {
             .str(&self.channel.0)
             .str(&self.chaincode)
             .bytes(response_digest.as_bytes())
-            .list(&self.endorsements, |e, en| {
-                en.endorser.encode_into(e);
-                e.u64(en.endorser_key.element())
-                    .u64(en.signature.e)
-                    .u64(en.signature.s);
-            })
+            .list(&self.endorsements, |e, en| en.encode_into(e))
             .u32(self.creator.0);
         e.finish()
     }

@@ -46,8 +46,14 @@ fn rwset(rng: &mut RngStream) -> RwSet {
     rw
 }
 
-/// A signed envelope with up to five endorsements.
+/// A signed envelope with up to five endorsements, each under a fresh key.
 fn tx(rng: &mut RngStream) -> Transaction {
+    tx_from_keys(rng, None)
+}
+
+/// [`tx`], with each endorser key drawn from `pool` when one is given, so the
+/// envelopes of a block repeat and mix keys as a channel's endorsers do.
+fn tx_from_keys(rng: &mut RngStream, pool: Option<&[KeyPair]>) -> Transaction {
     let creator = ClientId(rng.next_u64() as u32);
     let tx_id = Proposal::derive_tx_id(creator, rng.next_u64());
     let chaincode = text(rng, b"abcdefghijklmnopqrstuvwxyz-", 1, 16);
@@ -56,7 +62,10 @@ fn tx(rng: &mut RngStream) -> Transaction {
     let resp = ProposalResponse::signed_bytes(tx_id, &rw_set, &payload);
     let endorsements = (0..rng.next_below(6))
         .map(|_| {
-            let kp = KeyPair::from_seed(&rng.next_u64().to_le_bytes());
+            let kp = match pool {
+                Some(pool) => pool[rng.pick_index(pool.len())],
+                None => KeyPair::from_seed(&rng.next_u64().to_le_bytes()),
+            };
             Endorsement {
                 endorser: Principal::peer(OrgId(1 + rng.next_below(19) as u32)),
                 endorser_key: kp.public,
@@ -123,7 +132,19 @@ fn block_codec_roundtrips() {
     ];
     cases("block_codec_roundtrips", 500, |rng| {
         let prev = Hash256::from_bytes([3; 32]);
-        let mut block = Block::assemble(ChannelId::default_channel(), 7, prev, txs(rng, 0, 4));
+        // Half the blocks draw their endorser keys from a pool of one to
+        // three, so keys repeat within and across envelopes.
+        let txs = if rng.chance(0.5) {
+            let pool: Vec<KeyPair> = (0..1 + rng.next_below(3))
+                .map(|_| KeyPair::from_seed(&rng.next_u64().to_le_bytes()))
+                .collect();
+            (0..1 + rng.next_below(4))
+                .map(|_| tx_from_keys(rng, Some(&pool)))
+                .collect()
+        } else {
+            txs(rng, 0, 4)
+        };
+        let mut block = Block::assemble(ChannelId::default_channel(), 7, prev, txs);
         block.metadata.flags = (0..rng.next_below(5))
             .map(|_| CODES[rng.pick_index(CODES.len())])
             .collect();

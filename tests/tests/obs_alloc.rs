@@ -1,7 +1,7 @@
 //! The allocation budgets: recording a phase event or a span, and rendering
-//! either, costs no heap allocation of its own, and a whole Kafka run and a
-//! whole AND5 run past the validate knee each stay under a fixed number of
-//! allocations per committed transaction.
+//! either, costs no heap allocation of its own, and a whole Kafka run, a whole
+//! AND5 run past the validate knee and the same AND5 run ordered by Raft each
+//! stay under a fixed number of allocations per committed transaction.
 //!
 //! A counting allocator over [`System`] tallies per thread, so the libtest
 //! harness and the other case of this file cannot disturb a measurement; the
@@ -135,7 +135,7 @@ fn recording_an_observation_allocates_nothing() {
 /// make, planes off. The count is exact and host-independent, so this is a
 /// ratchet like `lint-ratchet.txt`: lower it when a change makes fewer, and
 /// never raise it.
-const ALLOCS_PER_COMMITTED_TX: f64 = 140.0;
+const ALLOCS_PER_COMMITTED_TX: f64 = 135.0;
 
 /// The same budget for the benchmark's `des_and5_past_knee` configuration —
 /// Solo, AND5 over 10 endorsing and 4 validate-only peers, past the validate
@@ -143,6 +143,11 @@ const ALLOCS_PER_COMMITTED_TX: f64 = 140.0;
 /// ledger writes dominate: fourteen ledgers commit every block. A ratchet
 /// too.
 const AND5_ALLOCS_PER_COMMITTED_TX: f64 = 236.0;
+
+/// The same budget for [`and5_past_knee`] ordered by a 3-node Raft group:
+/// the leader encodes each block once, and every node's log, every
+/// `AppendEntries` and every commit share those bytes. A ratchet too.
+const RAFT_ALLOCS_PER_COMMITTED_TX: f64 = 295.0;
 
 fn and5_past_knee() -> SimConfig {
     let mut cfg = SimConfig {
@@ -191,6 +196,16 @@ fn a_committed_transaction_stays_within_its_allocation_budget() {
 #[test]
 fn an_and5_committed_transaction_stays_within_its_allocation_budget() {
     assert_within_budget(and5_past_knee(), AND5_ALLOCS_PER_COMMITTED_TX, 500);
+}
+
+#[test]
+fn a_raft_committed_transaction_stays_within_its_allocation_budget() {
+    let cfg = SimConfig {
+        orderer_type: OrdererType::Raft,
+        osn_count: 3,
+        ..and5_past_knee()
+    };
+    assert_within_budget(cfg, RAFT_ALLOCS_PER_COMMITTED_TX, 500);
 }
 
 #[test]
