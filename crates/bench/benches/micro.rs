@@ -22,7 +22,7 @@ use fabricsim_des::{Kernel, Model, ShardWorld, ShardedKernel, SimDuration, SimTi
 use fabricsim_kafka::{Broker, BrokerMsg, KafkaConfig, Record};
 use fabricsim_ledger::Ledger;
 use fabricsim_msp::{Certificate, CertificateAuthority, Msp, SigningIdentity};
-use fabricsim_peer::{vscc_block_pooled, Peer, PeerConfig};
+use fabricsim_peer::{Peer, PeerConfig, ValidationPipeline};
 use fabricsim_policy::Policy;
 use fabricsim_raft::{Effect, Entry, Message, RaftConfig, RaftNode, Role};
 use fabricsim_types::{
@@ -148,7 +148,8 @@ fn bench_ledger(r: &mut Runner) {
             fabricsim_crypto::Hash256::ZERO,
             (0..100).map(tx).collect(),
         );
-        let flags = ledger.validate_and_commit(block, vec![None; 100]).unwrap();
+        let checked = ledger.blocks().admit(block).unwrap();
+        let flags = ledger.validate_and_commit(checked, &[None; 100]).unwrap();
         assert!(flags.iter().all(|f| *f == ValidationCode::Valid));
         ledger
     });
@@ -248,26 +249,20 @@ fn bench_vscc(r: &mut Runner) {
     } = signed_block(Policy::and_of_orgs(3), 3, 1, 1024);
     // ISSUE acceptance pair: the VSCC stage serial vs a 4-wide pool on a
     // 1000+-tx block of fully signed AND3 transactions.
-    r.bench("peer/vscc_1024tx_serial", || {
-        vscc_block_pooled(
+    let vscc = |pool: usize| {
+        let mut flags = vec![None; block.len()];
+        ValidationPipeline::new(pool).vscc_flags(
             black_box(&block),
             &config,
             &msp,
             &client_certs,
             &endorser_keys,
-            1,
-        )
-    });
-    r.bench("peer/vscc_1024tx_pool4", || {
-        vscc_block_pooled(
-            black_box(&block),
-            &config,
-            &msp,
-            &client_certs,
-            &endorser_keys,
-            4,
-        )
-    });
+            &mut flags,
+        );
+        flags
+    };
+    r.bench("peer/vscc_1024tx_serial", || vscc(1));
+    r.bench("peer/vscc_1024tx_pool4", || vscc(4));
 }
 
 /// The per-component numbers of the validate-and-commit path: what one

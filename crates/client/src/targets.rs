@@ -45,12 +45,6 @@ impl TargetSelector {
     pub fn set_count(&self) -> usize {
         self.sets.len()
     }
-
-    /// The largest minimal set size (how many endorsements a transaction needs
-    /// in the worst case).
-    pub fn max_set_size(&self) -> usize {
-        self.sets.iter().map(Vec::len).max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -62,7 +56,6 @@ mod tests {
     fn or_policy_rotates_singletons() {
         let mut sel = TargetSelector::new(&Policy::or_of_orgs(3));
         assert_eq!(sel.set_count(), 3);
-        assert_eq!(sel.max_set_size(), 1);
         let seen: Vec<Principal> = (0..3).map(|_| sel.next_targets()[0].clone()).collect();
         let distinct: BTreeSet<_> = seen.iter().collect();
         assert_eq!(distinct.len(), 3, "all three endorsers used");
@@ -74,7 +67,6 @@ mod tests {
     fn and_policy_pins_full_set() {
         let mut sel = TargetSelector::new(&Policy::and_of_orgs(5));
         assert_eq!(sel.set_count(), 1);
-        assert_eq!(sel.max_set_size(), 5);
         let t = sel.next_targets().to_vec();
         assert_eq!(t.len(), 5);
         assert_eq!(sel.next_targets(), &t[..], "AND always targets everyone");
@@ -84,7 +76,6 @@ mod tests {
     fn out_of_rotates_combinations() {
         let mut sel = TargetSelector::new(&Policy::k_of_n_orgs(2, 3));
         assert_eq!(sel.set_count(), 3); // C(3,2)
-        assert_eq!(sel.max_set_size(), 2);
         let a = sel.next_targets().to_vec();
         let b = sel.next_targets().to_vec();
         assert_ne!(a, b);

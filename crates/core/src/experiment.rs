@@ -371,7 +371,7 @@ pub fn ablation_bandwidth(effort: Effort) -> Vec<Row> {
 }
 
 /// Ablation: channel count — Fabric's horizontal-scaling mechanism (paper
-/// §II; Androulaki et al.'s "Channels" paper, the study's reference [11]).
+/// §II; Androulaki et al.'s "Channels" paper, the study's reference \[11\]).
 /// Each channel gets its own consensus instance and commit pipeline; the
 /// validate ceiling multiplies until the client pools bind.
 pub fn ablation_channels(effort: Effort) -> Vec<Row> {

@@ -136,14 +136,6 @@ impl RngStream {
     pub fn pick_index(&mut self, len: usize) -> usize {
         self.next_below(len as u64) as usize
     }
-
-    /// Fisher–Yates shuffles a slice in place.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.next_below(i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
-    }
 }
 
 /// Runs the property `f` on `n` seeded cases; case `i` draws its inputs from
@@ -253,17 +245,6 @@ mod tests {
         for &c in &counts {
             assert!((9_000..11_000).contains(&c), "counts: {counts:?}");
         }
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = RngStream::new(5);
-        let mut xs: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(xs, (0..50).collect::<Vec<_>>(), "shuffle left slice sorted");
     }
 
     #[test]

@@ -125,12 +125,6 @@ impl Station {
         now.max(free)
     }
 
-    /// Number of jobs still in service or queued at `now` (upper-bound view:
-    /// counts servers whose free time is in the future).
-    pub fn backlog_servers(&self, now: SimTime) -> usize {
-        self.free_at.iter().filter(|&&t| t > now).count()
-    }
-
     /// Exact number of jobs in the system (in service *or* queued) at `now`,
     /// for `now` no earlier than the last submission. This is the queue-depth
     /// gauge sampled by the observability layer.
@@ -160,14 +154,6 @@ impl Station {
             return 0.0;
         }
         self.busy.as_secs_f64() / (now.as_secs_f64() * self.servers() as f64)
-    }
-
-    /// Resets counters (but not server-free times); used between warm-up and
-    /// measurement windows.
-    pub fn reset_counters(&mut self) {
-        self.busy = SimDuration::ZERO;
-        self.jobs = 0;
-        self.total_wait = SimDuration::ZERO;
     }
 }
 
@@ -203,9 +189,9 @@ mod tests {
         }
         // Fourth job waits for the earliest server.
         assert_eq!(s.submit(at(0), ms(10)), at(20));
-        assert_eq!(s.backlog_servers(at(5)), 3);
-        assert_eq!(s.backlog_servers(at(15)), 1);
-        assert_eq!(s.backlog_servers(at(25)), 0);
+        assert_eq!(s.jobs_in_system(at(5)), 4);
+        assert_eq!(s.jobs_in_system(at(15)), 1);
+        assert_eq!(s.jobs_in_system(at(25)), 0);
     }
 
     #[test]
@@ -249,17 +235,6 @@ mod tests {
         s.submit(at(0), ms(10));
         assert_eq!(s.would_start_at(at(3)), at(10));
         assert_eq!(s.would_start_at(at(30)), at(30));
-    }
-
-    #[test]
-    fn reset_counters_keeps_server_state() {
-        let mut s = Station::new("cpu", 1);
-        s.submit(at(0), ms(10));
-        s.reset_counters();
-        assert_eq!(s.jobs(), 0);
-        assert_eq!(s.busy_time(), SimDuration::ZERO);
-        // Server is still busy until 10ms.
-        assert_eq!(s.submit(at(5), ms(1)), at(11));
     }
 
     #[test]

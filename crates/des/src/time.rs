@@ -112,11 +112,6 @@ impl SimDuration {
         self.0 as f64 / 1e9
     }
 
-    /// The span as fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Checked subtraction, `None` on underflow.
     pub fn checked_sub(self, other: SimDuration) -> Option<SimDuration> {
         self.0.checked_sub(other.0).map(SimDuration)
@@ -264,7 +259,7 @@ mod tests {
         let t = SimTime::ZERO + SimDuration::from_secs(1);
         let u = t + SimDuration::from_millis(500);
         assert_eq!(u - t, SimDuration::from_millis(500));
-        assert_eq!(u.saturating_since(t).as_millis_f64(), 500.0);
+        assert_eq!(u.saturating_since(t).as_secs_f64(), 0.5);
         assert_eq!(t.saturating_since(u), SimDuration::ZERO);
         assert_eq!(SimDuration::from_millis(4) / 2, SimDuration::from_millis(2));
         assert_eq!(SimDuration::from_millis(4) * 2, SimDuration::from_millis(8));

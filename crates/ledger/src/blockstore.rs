@@ -1,6 +1,6 @@
 //! The append-only, hash-chained block store with its transaction-id index.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
@@ -43,7 +43,8 @@ impl Error for ChainError {}
 #[derive(Debug, Clone, Default)]
 pub struct BlockStore {
     blocks: Vec<Block>,
-    by_txid: HashMap<TxId, (u64, u32), FxBuildHasher>,
+    /// Every committed transaction id, valid or not.
+    tx_ids: HashSet<TxId, FxBuildHasher>,
     /// Header hash of the last block; `None` on an empty chain.
     tip: Option<Hash256>,
 }
@@ -126,8 +127,8 @@ impl BlockStore {
         self.check_links(&block.header)?;
         let num = block.header.number;
         self.tip = Some(block.header.hash());
-        for (i, tx) in block.transactions.iter().enumerate() {
-            self.by_txid.entry(tx.tx_id).or_insert((num, i as u32));
+        for tx in block.transactions.iter() {
+            self.tx_ids.insert(tx.tx_id);
         }
         self.blocks.push(block);
         Ok(&self.blocks[num as usize])
@@ -138,14 +139,9 @@ impl BlockStore {
         self.blocks.get(number as usize)
     }
 
-    /// Locates a transaction: `(block number, tx index)`.
-    pub fn locate_tx(&self, tx_id: &TxId) -> Option<(u64, u32)> {
-        self.by_txid.get(tx_id).copied()
-    }
-
     /// Whether a transaction id has ever been committed (replay guard).
     pub fn contains_tx(&self, tx_id: &TxId) -> bool {
-        self.by_txid.contains_key(tx_id)
+        self.tx_ids.contains(tx_id)
     }
 
     /// Iterates committed blocks in order.
@@ -213,10 +209,7 @@ mod tests {
 
         assert_eq!(s.height(), 2);
         assert_eq!(s.by_number(0).unwrap().len(), 2);
-        assert_eq!(
-            s.locate_tx(&Proposal::derive_tx_id(ClientId(0), 3)),
-            Some((1, 0))
-        );
+        assert!(s.contains_tx(&Proposal::derive_tx_id(ClientId(0), 3)));
         assert!(s.contains_tx(&Proposal::derive_tx_id(ClientId(0), 1)));
         assert!(!s.contains_tx(&Proposal::derive_tx_id(ClientId(0), 99)));
         assert!(s.verify_chain().is_ok());

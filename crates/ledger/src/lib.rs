@@ -90,39 +90,23 @@ impl Ledger {
     /// Validates (MVCC) and commits a block whose per-transaction pre-checks
     /// (signatures, endorsement policy) have already produced `pre_flags`
     /// entries of `Some(code)` for failed transactions and `None` for ones
-    /// still eligible.
+    /// still eligible. The type already proves the block's data hash (get
+    /// one from [`BlockStore::admit`]), so the Merkle root is not computed
+    /// again; number and previous-hash are checked against the tip when the
+    /// block is appended, before anything is written. This is the path
+    /// `Peer::validate_and_commit` takes, so each envelope is hashed once per
+    /// committer.
     ///
     /// Returns the final validation flags. The block — including invalid
     /// transactions — is appended to the chain; only valid transactions update
     /// the world state.
     ///
     /// # Errors
-    /// Returns [`ChainError`] if the block does not chain onto the current tip.
-    ///
-    /// # Panics
-    /// Panics if `pre_flags.len() != block.transactions.len()`.
-    pub fn validate_and_commit(
-        &mut self,
-        block: Block,
-        pre_flags: Vec<Option<ValidationCode>>,
-    ) -> Result<Vec<ValidationCode>, ChainError> {
-        let checked = self.blocks.admit(block)?;
-        self.validate_and_commit_checked(checked, &pre_flags)
-    }
-
-    /// [`Ledger::validate_and_commit`] for a block whose data hash the type
-    /// already proves: number and previous-hash are checked against the tip
-    /// when the block is appended (before anything is written), the Merkle
-    /// root is not computed again. This is the path
-    /// `Peer::validate_and_commit` takes, so each envelope is hashed once per
-    /// committer.
-    ///
-    /// # Errors
     /// Returns [`ChainError`] if the block does not link onto the current tip.
     ///
     /// # Panics
     /// Panics if `pre_flags.len() != checked.block().transactions.len()`.
-    pub fn validate_and_commit_checked(
+    pub fn validate_and_commit(
         &mut self,
         checked: CheckedBlock,
         pre_flags: &[Option<ValidationCode>],
@@ -251,11 +235,21 @@ mod tests {
         Block::assemble(ChannelId::default_channel(), ledger.height(), prev, txs)
     }
 
+    /// Admits `block` onto the tip, then validates and commits it.
+    fn admit_and_commit(
+        l: &mut Ledger,
+        block: Block,
+        pre_flags: &[Option<ValidationCode>],
+    ) -> Result<Vec<ValidationCode>, ChainError> {
+        let checked = l.blocks().admit(block)?;
+        l.validate_and_commit(checked, pre_flags)
+    }
+
     #[test]
     fn commit_applies_valid_writes() {
         let mut l = Ledger::new("ch");
         let b = block(&l, vec![tx(1, &[("a", b"1")], &[])]);
-        let flags = l.validate_and_commit(b, vec![None]).unwrap();
+        let flags = admit_and_commit(&mut l, b, &[None]).unwrap();
         assert_eq!(flags, vec![ValidationCode::Valid]);
         assert_eq!(l.state().get("a").unwrap().value, b"1");
         assert_eq!(l.height(), 1);
@@ -265,11 +259,11 @@ mod tests {
     fn stale_read_is_invalidated_but_stored() {
         let mut l = Ledger::new("ch");
         let b0 = block(&l, vec![tx(1, &[("a", b"1")], &[])]);
-        l.validate_and_commit(b0, vec![None]).unwrap();
+        admit_and_commit(&mut l, b0, &[None]).unwrap();
         // This tx read "a" before the write above landed (version None = absent).
         let stale = tx(2, &[("b", b"x")], &[("a", None)]);
         let b1 = block(&l, vec![stale]);
-        let flags = l.validate_and_commit(b1, vec![None]).unwrap();
+        let flags = admit_and_commit(&mut l, b1, &[None]).unwrap();
         assert_eq!(flags, vec![ValidationCode::MvccReadConflict]);
         assert!(l.state().get("b").is_none(), "invalid tx must not write");
         assert_eq!(l.height(), 2, "invalid txs are still recorded on chain");
@@ -279,17 +273,15 @@ mod tests {
     fn pre_flagged_failures_pass_through() {
         let mut l = Ledger::new("ch");
         let b = block(&l, vec![tx(1, &[("a", b"1")], &[])]);
-        let flags = l
-            .validate_and_commit(b, vec![Some(ValidationCode::EndorsementPolicyFailure)])
-            .unwrap();
+        let flags =
+            admit_and_commit(&mut l, b, &[Some(ValidationCode::EndorsementPolicyFailure)]).unwrap();
         assert_eq!(flags, vec![ValidationCode::EndorsementPolicyFailure]);
         assert!(l.state().get("a").is_none());
     }
 
     #[test]
-    fn staged_composed_and_fused_paths_produce_the_identical_ledger() {
+    fn staged_and_fused_paths_produce_the_identical_ledger() {
         let mut staged = Ledger::new("ch");
-        let mut composed = Ledger::new("ch");
         let mut fused = Ledger::new("ch");
         let txs = || {
             vec![
@@ -305,28 +297,19 @@ mod tests {
             assert_eq!(staged.height(), round, "mvcc stage must not write");
             staged.commit(b, flags.clone());
 
-            let want = composed
-                .validate_and_commit(block(&composed, txs()), pre.to_vec())
-                .unwrap();
-            assert_eq!(flags, want);
-
             let checked = CheckedBlock::new(block(&fused, txs())).expect("consistent block");
-            let got = fused.validate_and_commit_checked(checked, &pre).unwrap();
-            assert_eq!(got, want);
+            let got = fused.validate_and_commit(checked, &pre).unwrap();
+            assert_eq!(got, flags);
         }
-        for other in [&composed, &fused] {
-            assert_eq!(staged.height(), other.height());
-            assert_eq!(
-                staged.blocks().tip_hash(),
-                other.blocks().tip_hash(),
-                "all three paths must produce the identical chain"
-            );
-            assert!(staged.state().range("", "").eq(other.state().range("", "")));
-            for n in 0..staged.height() {
-                assert_eq!(staged.blocks().by_number(n), other.blocks().by_number(n));
-            }
-            assert!(other.blocks().verify_chain().is_ok());
-        }
+        assert_eq!(staged.height(), fused.height());
+        assert_eq!(
+            staged.blocks().tip_hash(),
+            fused.blocks().tip_hash(),
+            "both paths must produce the identical chain"
+        );
+        assert!(staged.state().range("", "").eq(fused.state().range("", "")));
+        assert!(staged.blocks().iter().eq(fused.blocks().iter()));
+        assert!(fused.blocks().verify_chain().is_ok());
     }
 
     /// A block whose transactions were altered after `Block::assemble`.
@@ -365,8 +348,8 @@ mod tests {
     #[test]
     fn altered_block_is_rejected_by_every_entry_point_and_nothing_is_written() {
         let mut l = Ledger::new("ch");
-        l.validate_and_commit(block(&l, vec![tx(1, &[("z", b"0")], &[])]), vec![None])
-            .unwrap();
+        let b0 = block(&l, vec![tx(1, &[("z", b"0")], &[])]);
+        admit_and_commit(&mut l, b0, &[None]).unwrap();
         let before = (
             l.height(),
             l.blocks().tip_hash(),
@@ -374,10 +357,6 @@ mod tests {
         );
 
         for bad in altered_blocks(&l) {
-            assert_eq!(
-                l.validate_and_commit(bad.clone(), vec![None, None]),
-                Err(ChainError::BadDataHash)
-            );
             assert_eq!(
                 l.mvcc_flags(&bad, &[None, None]),
                 Err(ChainError::BadDataHash)
@@ -419,8 +398,8 @@ mod tests {
     #[test]
     fn error_precedence_is_number_then_link_then_data_hash() {
         let mut l = Ledger::new("ch");
-        l.validate_and_commit(block(&l, vec![tx(1, &[("z", b"0")], &[])]), vec![None])
-            .unwrap();
+        let b0 = block(&l, vec![tx(1, &[("z", b"0")], &[])]);
+        admit_and_commit(&mut l, b0, &[None]).unwrap();
         // Wrong in all three ways, then in two, then in one.
         let mut all = altered_block(&l);
         all.header.number = 9;
@@ -437,7 +416,7 @@ mod tests {
             assert_eq!(l.mvcc_flags(&bad, &pre), Err(want.clone()));
             assert_eq!(l.blocks().check_chains(&bad), Err(want.clone()));
             assert_eq!(l.blocks().clone().append(bad.clone()), Err(want.clone()));
-            assert_eq!(l.validate_and_commit(bad, pre), Err(want));
+            assert_eq!(admit_and_commit(&mut l, bad, &pre), Err(want));
         }
         assert_eq!(l.height(), 1);
     }
@@ -451,9 +430,9 @@ mod tests {
             .expect("consistent block");
         let sibling = CheckedBlock::new(block(&l, vec![tx(2, &[("b", b"2")], &[])]))
             .expect("consistent block");
-        l.validate_and_commit_checked(at_genesis, &[None]).unwrap();
+        l.validate_and_commit(at_genesis, &[None]).unwrap();
         assert_eq!(
-            l.validate_and_commit_checked(sibling.clone(), &[None]),
+            l.validate_and_commit(sibling.clone(), &[None]),
             Err(ChainError::WrongNumber { got: 0, want: 1 })
         );
         assert_eq!(
@@ -464,7 +443,7 @@ mod tests {
         unlinked.header.previous_hash = Hash256::ZERO;
         let unlinked = CheckedBlock::new(unlinked).expect("data hash still consistent");
         assert_eq!(
-            l.validate_and_commit_checked(unlinked, &[None]),
+            l.validate_and_commit(unlinked, &[None]),
             Err(ChainError::BrokenChain)
         );
         assert_eq!(l.height(), 1);
@@ -475,7 +454,7 @@ mod tests {
     fn mvcc_stage_rejects_non_chaining_block() {
         let mut l = Ledger::new("ch");
         let b0 = block(&l, vec![tx(1, &[("a", b"1")], &[])]);
-        l.validate_and_commit(b0, vec![None]).unwrap();
+        admit_and_commit(&mut l, b0, &[None]).unwrap();
         // A block built against the pre-commit tip no longer chains.
         let stale_block = Block::assemble(
             ChannelId::default_channel(),
@@ -506,15 +485,15 @@ mod tests {
     fn history_records_writes() {
         let mut l = Ledger::new("ch");
         let b0 = block(&l, vec![tx(1, &[("a", b"1")], &[])]);
-        l.validate_and_commit(b0, vec![None]).unwrap();
+        admit_and_commit(&mut l, b0, &[None]).unwrap();
         // Block 1: a stale read of "a" (not in the history), then a write.
         let stale = tx(2, &[("a", b"x")], &[("a", None)]);
         let b1 = block(&l, vec![stale, tx(3, &[("a", b"2")], &[])]);
-        l.validate_and_commit(b1, vec![None, None]).unwrap();
+        admit_and_commit(&mut l, b1, &[None, None]).unwrap();
         let mut delete = tx(4, &[], &[]);
         delete.rw_set.record_write("a", None);
-        l.validate_and_commit(block(&l, vec![delete]), vec![None])
-            .unwrap();
+        let b2 = block(&l, vec![delete]);
+        admit_and_commit(&mut l, b2, &[None]).unwrap();
         let hist = key_history(&l, "a");
         let ids = |nonce| Proposal::derive_tx_id(ClientId(0), nonce);
         assert_eq!(

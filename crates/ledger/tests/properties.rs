@@ -70,7 +70,8 @@ fn committed_state_equals_serial_replay_of_valid_txs() {
                 txs,
             );
             let n = block.transactions.len();
-            ledger.validate_and_commit(block, vec![None; n]).unwrap();
+            let checked = ledger.blocks().admit(block).unwrap();
+            ledger.validate_and_commit(checked, &vec![None; n]).unwrap();
             // Record the new committed snapshot.
             let snap: BTreeMap<String, Version> = (0..4)
                 .filter_map(|k| {

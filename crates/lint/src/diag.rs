@@ -4,8 +4,7 @@ use std::fmt;
 use std::fmt::Write as _;
 
 /// Every rule the engine knows: the two call-graph passes clippy cannot
-/// express, and the two meta-rules that police the `lint:allow` annotations
-/// themselves.
+/// express.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleId {
     /// A nondeterminism source reachable from a sim-critical crate's public
@@ -13,29 +12,18 @@ pub enum RuleId {
     DeterminismTaint,
     /// A panic site reachable from a DES event handler (interprocedural).
     PanicPath,
-    /// A `lint:allow` with no `-- <justification>` suffix.
-    AllowMissingJustification,
-    /// A `lint:allow` naming a rule id the engine does not know.
-    AllowUnknownRule,
 }
 
 impl RuleId {
     /// Every rule, in catalogue order.
-    pub const ALL: [RuleId; 4] = [
-        RuleId::DeterminismTaint,
-        RuleId::PanicPath,
-        RuleId::AllowMissingJustification,
-        RuleId::AllowUnknownRule,
-    ];
+    pub const ALL: [RuleId; 2] = [RuleId::DeterminismTaint, RuleId::PanicPath];
 
-    /// The kebab-case id used in diagnostics and `lint:allow(...)`.
+    /// The kebab-case id used in diagnostics and the ratchet file.
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {
             RuleId::DeterminismTaint => "determinism-taint",
             RuleId::PanicPath => "panic-path",
-            RuleId::AllowMissingJustification => "allow-missing-justification",
-            RuleId::AllowUnknownRule => "allow-unknown-rule",
         }
     }
 
@@ -60,35 +48,19 @@ impl RuleId {
                  fn that schedules kernel events); a poisoned \
                  message must surface as an error, not abort a shard mid-window"
             }
-            RuleId::AllowMissingJustification => "every lint:allow must carry `-- <justification>`",
-            RuleId::AllowUnknownRule => "lint:allow names a rule id the engine does not know",
         }
     }
 
-    /// The canonical remedy, for the rules that have one.
+    /// The canonical remedy.
     #[must_use]
-    pub fn suggestion(self) -> Option<String> {
-        let s = match self {
+    pub fn suggestion(self) -> &'static str {
+        match self {
             RuleId::DeterminismTaint => {
                 "make the helper deterministic (BTreeMap/sorted iteration, no thread identity, \
                  no pointer-to-int), or sever the call path from sim-critical code"
             }
-            RuleId::PanicPath => {
-                "return a typed error from the handler path instead of panicking; for truly \
-                 unreachable arms, lint:allow(panic-path) with the dominating invariant"
-            }
-            RuleId::AllowMissingJustification | RuleId::AllowUnknownRule => return None,
-        };
-        Some(s.to_string())
-    }
-
-    /// Meta-rules police the annotations and cannot themselves be allowed.
-    #[must_use]
-    pub fn suppressible(self) -> bool {
-        !matches!(
-            self,
-            RuleId::AllowMissingJustification | RuleId::AllowUnknownRule
-        )
+            RuleId::PanicPath => "return a typed error from the handler path instead of panicking",
+        }
     }
 }
 
@@ -151,18 +123,17 @@ impl fmt::Display for Diagnostic {
 pub struct LintReport {
     /// Unsuppressed violations, sorted by (file, line, col, rule).
     pub violations: Vec<Diagnostic>,
-    /// Audited suppressions: diagnostics silenced by a justified
-    /// `lint:allow`, plus non-test `#[expect]`/`#[allow]` attributes naming
-    /// one of [`crate::MIGRATED_LINTS`].
+    /// Audited suppressions: non-test `#[expect]`/`#[allow]` attributes
+    /// naming one of [`crate::MIGRATED_LINTS`].
     pub suppressed: usize,
-    /// Suppressions per rule id or lint path (for the ratchet file).
+    /// Suppressions per lint path (for the ratchet file).
     pub suppressed_by_rule: std::collections::BTreeMap<String, usize>,
     /// Number of files checked.
     pub checked_files: usize,
 }
 
 impl LintReport {
-    /// Counts one audited suppression of `rule` (a rule id or lint path).
+    /// Counts one audited suppression of `rule` (a lint path).
     pub fn count_suppressed(&mut self, rule: &str) {
         self.suppressed += 1;
         *self.suppressed_by_rule.entry(rule.to_string()).or_insert(0) += 1;

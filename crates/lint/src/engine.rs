@@ -4,7 +4,6 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::allow::{allow_diagnostics, is_suppressed};
 use crate::diag::{Diagnostic, LintReport};
 use crate::symgraph::{ParsedFile, SymbolGraph};
 
@@ -27,7 +26,7 @@ pub const SIM_CRITICAL_CRATES: &[&str] = &[
 /// The lints clippy and rustc enforce in place of this crate's former
 /// token rules (the root `Cargo.toml`'s `[workspace.lints]` plus
 /// `clippy.toml`). A non-test `#[expect(…)]` or `#[allow(…)]` naming one is
-/// an audited suppression, counted by the ratchet like a `lint:allow`.
+/// an audited suppression, counted by the ratchet.
 pub const MIGRATED_LINTS: &[&str] = &[
     "unsafe_code",
     "clippy::unwrap_used",
@@ -76,8 +75,8 @@ pub fn classify(rel_path: &str) -> Option<FileContext> {
     })
 }
 
-/// Lints one file's source as a one-file workspace: the allow audit, the
-/// structural passes and the suppression count.
+/// Lints one file's source as a one-file workspace: the structural passes
+/// and the suppression count.
 ///
 /// Returns the surviving diagnostics and how many audited suppressions the
 /// file carries.
@@ -111,39 +110,23 @@ pub fn lint_paths(root: &Path, paths: &[String]) -> io::Result<LintReport> {
     Ok(lint_parsed(&parsed))
 }
 
-/// Runs everything over a parsed file set: the per-file allow audit and
-/// suppression count, then the structural passes over the symbol graph,
-/// whose diagnostics flow through each file's `lint:allow` table.
+/// Runs everything over a parsed file set: the per-file suppression count,
+/// then the structural passes over the symbol graph. Every structural
+/// diagnostic is a violation; nothing suppresses one.
 pub(crate) fn lint_parsed(parsed: &[ParsedFile]) -> LintReport {
     let mut report = LintReport {
         checked_files: parsed.len(),
         ..LintReport::default()
     };
-    for pf in parsed {
-        // The annotations themselves are audited everywhere, tests included.
-        report
-            .violations
-            .extend(allow_diagnostics(&pf.ctx.rel_path, &pf.allows));
-        if !pf.ctx.is_test {
-            for lint in &pf.ast.suppressed_lints {
-                if MIGRATED_LINTS.contains(&lint.as_str()) {
-                    report.count_suppressed(lint);
-                }
+    for pf in parsed.iter().filter(|pf| !pf.ctx.is_test) {
+        for lint in &pf.ast.suppressed_lints {
+            if MIGRATED_LINTS.contains(&lint.as_str()) {
+                report.count_suppressed(lint);
             }
         }
     }
     let graph = SymbolGraph::build(parsed);
-    for d in crate::taint::structural_passes(parsed, &graph) {
-        let allows = parsed
-            .iter()
-            .find(|pf| pf.ctx.rel_path == d.file)
-            .map_or(&[][..], |pf| &pf.allows);
-        if is_suppressed(&d, allows) {
-            report.count_suppressed(d.rule.as_str());
-        } else {
-            report.violations.push(d);
-        }
-    }
+    report.violations = crate::taint::structural_passes(parsed, &graph);
     report
         .violations
         .sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
@@ -255,12 +238,11 @@ mod tests {
         assert!(!scratch.is_test);
     }
 
-    /// A DES handler (it schedules) with a `panic!` on lines 4 and 8 and a
-    /// migrated-lint `#[expect]` on line 5.
+    /// A DES handler (it schedules) with a `panic!` on lines 3 and 7 and a
+    /// migrated-lint `#[expect]` on line 4.
     const HANDLER: &str = "\
 pub fn arm(kernel: &mut Kernel, n: u64) {
     kernel.schedule(n, move || {});
-    // lint:allow(panic-path) -- n is checked non-zero by every caller
     if n == 0 { panic!(\"empty window\") }
     #[expect(clippy::expect_used, reason = \"fixture\")]
     let v = Some(n).expect(\"some\");
@@ -273,25 +255,18 @@ pub fn arm(kernel: &mut Kernel, n: u64) {
     fn lint_source_applies_allows_and_counts_suppressions() {
         let ctx = classify("crates/core/src/x.rs").expect("some");
         let (diags, suppressed) = lint_source(&ctx, HANDLER);
-        // One allowed panic-path site plus one migrated-lint expect.
-        assert_eq!(suppressed, 2);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].rule, RuleId::PanicPath);
-        assert_eq!((diags[0].line, diags[0].col), (8, 17));
+        // The migrated-lint expect is counted; no panic-path site is
+        // suppressed by anything.
+        assert_eq!(suppressed, 1);
+        let sites: Vec<(RuleId, u32, u32)> =
+            diags.iter().map(|d| (d.rule, d.line, d.col)).collect();
+        assert_eq!(
+            sites,
+            [(RuleId::PanicPath, 3, 17), (RuleId::PanicPath, 7, 17)]
+        );
         // A test file has nothing to audit: clippy exempts test code from
         // the migrated lints, and the passes skip it.
         let test_ctx = classify("crates/core/tests/x.rs").expect("some");
         assert_eq!(lint_source(&test_ctx, HANDLER), (Vec::new(), 0));
-    }
-
-    #[test]
-    fn unjustified_allow_surfaces_both_problems() {
-        let ctx = classify("crates/core/src/x.rs").expect("some");
-        let src = HANDLER.replace(" -- n is checked non-zero by every caller", "");
-        let (diags, suppressed) = lint_source(&ctx, &src);
-        assert_eq!(suppressed, 1, "only the expect is left");
-        let rules: Vec<(u32, RuleId)> = diags.iter().map(|d| (d.line, d.rule)).collect();
-        assert!(rules.contains(&(3, RuleId::AllowMissingJustification)));
-        assert!(rules.contains(&(4, RuleId::PanicPath)));
     }
 }

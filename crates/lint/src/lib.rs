@@ -17,16 +17,14 @@
 //! (`file:line:col`, rule id, message, call-chain notes) in human or
 //! `--json` form.
 //!
-//! The only escape hatch is an *audited* one — see [`allow`]: every
-//! suppression must name the rule and carry a written justification, and
-//! the annotations are themselves linted. The suppression ratchet
-//! ([`RATCHET_FILE`]) counts those `lint:allow`s together with the non-test
+//! A finding of either pass is fixed, never suppressed. The one audited
+//! suppression in the workspace is clippy's `#[expect(<lint>, reason =
+//! "…")]`; the suppression ratchet ([`RATCHET_FILE`]) counts the non-test
 //! `#[expect]`s of the [`MIGRATED_LINTS`].
 //!
 //! Run it as `cargo run -p fabricsim-lint`, or `fabricsim lint` from the
 //! main CLI. Exit codes: 0 clean, 1 violations, 2 usage/IO error.
 
-pub mod allow;
 pub mod diag;
 pub mod engine;
 pub mod parse;
@@ -44,10 +42,9 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// The suppression-ratchet file at the workspace root: the count of audited
-/// suppressions — justified `lint:allow`s plus non-test `#[expect]`s of the
-/// [`MIGRATED_LINTS`] — may only go *down*. CI fails when the live count
-/// exceeds the recorded one; lowering the file is the only way to "spend" a
-/// burn-down.
+/// suppressions — non-test `#[expect]`s of the [`MIGRATED_LINTS`] — may only
+/// go *down*. CI fails when the live count exceeds the recorded one; lowering
+/// the file is the only way to "spend" a burn-down.
 pub const RATCHET_FILE: &str = "lint-ratchet.txt";
 
 /// Parses `lint-ratchet.txt`: `#` comments, then `total N` and per-rule
@@ -78,8 +75,8 @@ pub fn parse_ratchet(text: &str) -> Option<(usize, std::collections::BTreeMap<St
 pub fn render_ratchet(report: &LintReport) -> String {
     let mut out = String::from(
         "# fabricsim-lint suppression ratchet.\n\
-         # Counts justified `lint:allow`s and non-test `#[expect]`s of the\n\
-         # lints clippy enforces for the workspace; may only decrease.\n\
+         # Counts non-test `#[expect]`s of the lints clippy enforces for\n\
+         # the workspace; may only decrease.\n\
          # Regenerate with: cargo run -p fabricsim-lint -- --write-ratchet\n",
     );
     let _ = writeln!(out, "total {}", report.suppressed);

@@ -18,7 +18,6 @@
 
 use std::collections::BTreeMap;
 
-use crate::allow::{collect_allows, Allow};
 use crate::engine::{FileContext, SIM_CRITICAL_CRATES};
 use crate::parse::{parse, CallSite, FileAst};
 use crate::tokenizer::{tokenize, Token};
@@ -31,8 +30,6 @@ pub struct ParsedFile {
     pub tokens: Vec<Token>,
     /// The recovered item structure.
     pub ast: FileAst,
-    /// The file's `lint:allow` annotations.
-    pub allows: Vec<Allow>,
 }
 
 impl ParsedFile {
@@ -41,13 +38,7 @@ impl ParsedFile {
     pub fn new(ctx: FileContext, src: &str) -> ParsedFile {
         let tokens = tokenize(src);
         let ast = parse(&tokens);
-        let allows = collect_allows(&tokens);
-        ParsedFile {
-            ctx,
-            tokens,
-            ast,
-            allows,
-        }
+        ParsedFile { ctx, tokens, ast }
     }
 }
 

@@ -46,7 +46,7 @@ const ITERATION_METHODS: &[&str] = &[
 ];
 
 /// Runs every structural pass; diagnostics are attributed to the file the
-/// offending site lives in. The engine's allow layer runs afterwards.
+/// offending site lives in.
 #[must_use]
 pub fn structural_passes(files: &[ParsedFile], graph: &SymbolGraph) -> Vec<Diagnostic> {
     let mut out = Vec::new();
@@ -308,7 +308,7 @@ fn determinism_taint(files: &[ParsedFile], graph: &SymbolGraph, out: &mut Vec<Di
                     src.what,
                     graph.symbols[chain[0]].qualified()
                 ),
-                suggestion: RuleId::DeterminismTaint.suggestion(),
+                suggestion: Some(RuleId::DeterminismTaint.suggestion().into()),
                 notes,
             });
         }
@@ -566,7 +566,7 @@ fn panic_path(files: &[ParsedFile], graph: &SymbolGraph, out: &mut Vec<Diagnosti
                     site.what,
                     graph.symbols[chain[0]].qualified()
                 ),
-                suggestion: RuleId::PanicPath.suggestion(),
+                suggestion: Some(RuleId::PanicPath.suggestion().into()),
                 notes,
             });
         }
@@ -634,27 +634,6 @@ mod tests {
             diags.iter().all(|d| d.rule != RuleId::DeterminismTaint),
             "{diags:?}"
         );
-    }
-
-    #[test]
-    fn audited_source_is_skipped_silently() {
-        let report = crate::engine::lint_parsed(&parse_sources(&[
-            (
-                "crates/obs/src/agg.rs",
-                "use std::collections::HashMap;\n\
-                 pub fn summarize(m: &HashMap<u32, u32>) -> u32 {\n\
-                 \x20   // lint:allow(determinism-taint) -- summed, order cannot escape\n\
-                 \x20   m.values().sum()\n\
-                 }\n",
-            ),
-            (
-                "crates/core/src/sim.rs",
-                "use fabricsim_obs::agg::summarize;\n\
-                 pub fn tick(m: &std::collections::HashMap<u32, u32>) -> u32 { summarize(m) }\n",
-            ),
-        ]));
-        assert!(report.is_clean(), "{}", report.to_human());
-        assert_eq!(report.suppressed_by_rule.get("determinism-taint"), Some(&1));
     }
 
     #[test]

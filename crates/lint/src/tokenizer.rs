@@ -3,8 +3,7 @@
 //! This is *not* a full Rust lexer: it produces exactly the token stream the
 //! lint passes need — identifiers, numeric literals (with float detection),
 //! the four string-literal families, char literals vs lifetimes, comments
-//! (kept, because `lint:allow` annotations live in them) and maximal-munch
-//! punctuation — with a 1-based `line:col` position on every token. The
+//! and maximal-munch punctuation — with a 1-based `line:col` position on every token. The
 //! corner cases that matter for soundness are handled precisely:
 //!
 //! * raw strings `r"…"` / `r#"…"#` with any number of hashes (and the

@@ -1,7 +1,6 @@
-//! The workspace must be lint-clean: every violation is either fixed or
-//! carries a justified `lint:allow`, and every audited suppression —
-//! `lint:allow`s plus the non-test `#[expect]`s of the lints clippy enforces
-//! for the workspace — is on the ratchet. This is the in-tree twin of the CI
+//! The workspace must be lint-clean: every violation is fixed, and every
+//! audited suppression — the non-test `#[expect]`s of the lints clippy
+//! enforces for the workspace — is on the ratchet. This is the in-tree twin of the CI
 //! `lint` job — if it fails, `cargo run -p fabricsim-lint` shows the list.
 
 use std::path::Path;

@@ -285,16 +285,6 @@ impl TraceAnalysis {
         self.segments.iter().max_by_key(|s| s.critical)
     }
 
-    /// Committed transactions whose critical path lies in the validate phase
-    /// (dominant segment starting at or after `delivered`).
-    pub fn validate_critical(&self) -> usize {
-        self.segments
-            .iter()
-            .filter(|s| s.is_validate_side())
-            .map(|s| s.critical)
-            .sum()
-    }
-
     /// Critical-path counts folded into the paper's execute / order /
     /// validate phase groups, returned as `(execute, order, validate)`.
     pub fn phase_dominance(&self) -> (usize, usize, usize) {
@@ -513,7 +503,6 @@ mod tests {
             (TracePhase::Delivered, TracePhase::Committed)
         );
         assert_eq!(d.critical, 3);
-        assert_eq!(a.validate_critical(), 3);
         assert_eq!(a.phase_dominance(), (0, 0, 3));
         // Queue/service split from the cumulative deltas: 0.55 queued,
         // 0.10 service inside the dominant segment.

@@ -6,81 +6,16 @@ use std::sync::Arc;
 
 use fabricsim_crypto::{Hash256, PublicKey, VerifyingKey};
 use fabricsim_msp::{Certificate, Msp};
-use fabricsim_types::{Block, ClientId, FxBuildHasher, Principal, Transaction, ValidationCode};
+use fabricsim_types::{ClientId, FxBuildHasher, Principal, Transaction, ValidationCode};
 
 use crate::peer::PeerConfig;
 
-/// Outcome of VSCC for one transaction (before MVCC).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VsccVerdict {
-    /// Eligible for MVCC validation.
-    Pass,
-    /// Rejected with the given code.
-    Fail(ValidationCode),
-}
-
-impl VsccVerdict {
-    /// The verdict as a pre-commit flag: `None` = eligible for MVCC.
-    pub(crate) fn flag(self) -> Option<ValidationCode> {
-        match self {
-            VsccVerdict::Pass => None,
-            VsccVerdict::Fail(code) => Some(code),
-        }
-    }
-}
-
-/// Runs VSCC over every transaction of a block, producing the pre-flags the
-/// ledger's MVCC pass consumes (`None` = eligible, `Some(code)` = rejected).
-pub fn vscc_block(
-    block: &Block,
-    config: &PeerConfig,
-    msp: &Msp,
-    client_certs: &HashMap<ClientId, Certificate>,
-    endorser_keys: &HashMap<Principal, Vec<PublicKey>>,
-) -> Vec<Option<ValidationCode>> {
-    let txs = &block.transactions;
-    let endorser_keys = expand_endorser_keys(endorser_keys, txs);
-    let trust = Trust::new(config, msp, client_certs, &endorser_keys, txs);
-    block
-        .transactions
-        .iter()
-        .map(|tx| {
-            let (response_digest, envelope_hash) = tx.digests();
-            vscc_tx_hashed(tx, &response_digest, &envelope_hash, &trust).flag()
-        })
-        .collect()
-}
-
-/// [`vscc_block`] with the per-tx checks fanned out over a pool of `workers`
-/// scoped threads (the VSCC stage of [`crate::ValidationPipeline`]). Returns
-/// flags in transaction order, bit-for-bit identical to the serial path
-/// regardless of scheduling; `workers <= 1` runs inline without spawning.
-pub fn vscc_block_pooled(
-    block: &Block,
-    config: &PeerConfig,
-    msp: &Msp,
-    client_certs: &HashMap<ClientId, Certificate>,
-    endorser_keys: &HashMap<Principal, Vec<PublicKey>>,
-    workers: usize,
-) -> Vec<Option<ValidationCode>> {
-    let mut flags = vec![None; block.transactions.len()];
-    crate::ValidationPipeline::new(workers).vscc_flags(
-        block,
-        config,
-        msp,
-        client_certs,
-        endorser_keys,
-        &mut flags,
-    );
-    flags
-}
-
 /// Expands, once each, the keys of `registered` that the endorsements of
 /// `txs` name: the form VSCC verifies against, which a peer builds once per
-/// key when it is registered and a public entry point handed plain keys
-/// builds once per call. It walks the endorsements, not `registered`: that is
-/// a hash map, whose order must not be iterated, and a key no endorsement
-/// names needs no table. A key that is not registered under its principal is
+/// key when it is registered and `ValidationPipeline::vscc_flags`, handed
+/// plain keys, builds once per call. It walks the endorsements, not
+/// `registered`: that is a hash map, whose order must not be iterated, and a
+/// key no endorsement names needs no table. A key that is not registered under its principal is
 /// left out, so VSCC refuses it exactly as it would have.
 pub(crate) fn expand_endorser_keys(
     registered: &HashMap<Principal, Vec<PublicKey>>,
@@ -146,46 +81,32 @@ impl<'a> Trust<'a> {
     }
 }
 
-/// VSCC for a single transaction: payload shape, creator signature, every
-/// endorsement signature (authenticated against registered endorser keys),
-/// and endorsement-policy satisfaction.
-pub fn vscc_tx(
-    tx: &Transaction,
-    config: &PeerConfig,
-    msp: &Msp,
-    client_certs: &HashMap<ClientId, Certificate>,
-    endorser_keys: &HashMap<Principal, Vec<PublicKey>>,
-) -> VsccVerdict {
-    let txs = std::slice::from_ref(tx);
-    let endorser_keys = expand_endorser_keys(endorser_keys, txs);
-    let trust = Trust::new(config, msp, client_certs, &endorser_keys, txs);
-    let (response_digest, envelope_hash) = tx.digests();
-    vscc_tx_hashed(tx, &response_digest, &envelope_hash, &trust)
-}
-
-/// The one VSCC body, given `tx.digests()` — which a committer holding a
-/// `CheckedBlock` already has. The creator signed the envelope hash and every
-/// endorser the response digest, so nothing is encoded or hashed here.
+/// The one VSCC body: payload shape, creator signature, every endorsement
+/// signature (authenticated against registered endorser keys) and
+/// endorsement-policy satisfaction, given `tx.digests()` — which a committer
+/// holding a `CheckedBlock` already has. The creator signed the envelope hash
+/// and every endorser the response digest, so nothing is encoded or hashed
+/// here. Returns the pre-commit flag: `None` = eligible for MVCC.
 pub(crate) fn vscc_tx_hashed(
     tx: &Transaction,
     response_digest: &Hash256,
     envelope_hash: &Hash256,
     trust: &Trust<'_>,
-) -> VsccVerdict {
+) -> Option<ValidationCode> {
     let config = trust.config;
     // Shape checks.
     if tx.channel != config.channel
         || tx.chaincode.is_empty()
         || (tx.rw_set.reads.is_empty() && tx.rw_set.writes.is_empty() && tx.payload.is_empty())
     {
-        return VsccVerdict::Fail(ValidationCode::BadPayload);
+        return Some(ValidationCode::BadPayload);
     }
     // Creator signature over the envelope.
     let Some(Some(creator_key)) = trust.creators.get(&tx.creator) else {
-        return VsccVerdict::Fail(ValidationCode::BadCreatorSignature);
+        return Some(ValidationCode::BadCreatorSignature);
     };
     if !creator_key.verify_digest(envelope_hash, &tx.signature) {
-        return VsccVerdict::Fail(ValidationCode::BadCreatorSignature);
+        return Some(ValidationCode::BadCreatorSignature);
     }
     // Endorsement signatures: each key must be one registered under that
     // principal, and it is the registered key the signature is verified
@@ -196,37 +117,54 @@ pub(crate) fn vscc_tx_hashed(
             .get(&e.endorser)
             .and_then(|ks| ks.iter().find(|k| k.public_key() == e.endorser_key));
         if !registered.is_some_and(|key| key.verify_digest(response_digest, &e.signature)) {
-            return VsccVerdict::Fail(ValidationCode::BadEndorserSignature);
+            return Some(ValidationCode::BadEndorserSignature);
         }
     }
     // Endorsement policy.
     let endorsers = tx.endorsements.iter().map(|e| &e.endorser);
     if !config.endorsement_policy.is_satisfied_by(endorsers) {
-        return VsccVerdict::Fail(ValidationCode::EndorsementPolicyFailure);
+        return Some(ValidationCode::EndorsementPolicyFailure);
     }
-    VsccVerdict::Pass
+    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testutil::{fixture, Fixture};
+    use crate::ValidationPipeline;
     use fabricsim_crypto::KeyPair;
     use fabricsim_policy::Policy;
-    use fabricsim_types::{ChannelId, RwSet};
+    use fabricsim_types::{Block, ChannelId, RwSet};
 
     fn endorsed_tx(f: &Fixture, endorser_indices: &[usize]) -> Transaction {
         crate::testutil::endorsed_tx(f, 7, endorser_indices)
     }
 
-    fn verdict(f: &Fixture, tx: &Transaction) -> VsccVerdict {
-        vscc_tx(tx, &f.config, &f.msp, &f.client_certs, &f.endorser_keys)
+    /// The VSCC flag of `tx`, checked alone in a one-transaction block.
+    fn verdict(f: &Fixture, tx: &Transaction) -> Option<ValidationCode> {
+        let block = Block::assemble(
+            ChannelId::default_channel(),
+            0,
+            Hash256::ZERO,
+            vec![tx.clone()],
+        );
+        let mut flags = [None];
+        ValidationPipeline::new(1).vscc_flags(
+            &block,
+            &f.config,
+            &f.msp,
+            &f.client_certs,
+            &f.endorser_keys,
+            &mut flags,
+        );
+        flags[0]
     }
 
     #[test]
     fn valid_tx_passes() {
         let f = fixture(Policy::or_of_orgs(3), 3);
-        assert_eq!(verdict(&f, &endorsed_tx(&f, &[0])), VsccVerdict::Pass);
+        assert_eq!(verdict(&f, &endorsed_tx(&f, &[0])), None);
     }
 
     #[test]
@@ -234,9 +172,9 @@ mod tests {
         let f = fixture(Policy::and_of_orgs(3), 3);
         assert_eq!(
             verdict(&f, &endorsed_tx(&f, &[0, 1])),
-            VsccVerdict::Fail(ValidationCode::EndorsementPolicyFailure)
+            Some(ValidationCode::EndorsementPolicyFailure)
         );
-        assert_eq!(verdict(&f, &endorsed_tx(&f, &[0, 1, 2])), VsccVerdict::Pass);
+        assert_eq!(verdict(&f, &endorsed_tx(&f, &[0, 1, 2])), None);
     }
 
     #[test]
@@ -244,10 +182,7 @@ mod tests {
         let f = fixture(Policy::or_of_orgs(1), 1);
         let mut tx = endorsed_tx(&f, &[0]);
         tx.payload = b"injected".to_vec();
-        assert_eq!(
-            verdict(&f, &tx),
-            VsccVerdict::Fail(ValidationCode::BadCreatorSignature)
-        );
+        assert_eq!(verdict(&f, &tx), Some(ValidationCode::BadCreatorSignature));
     }
 
     #[test]
@@ -259,10 +194,7 @@ mod tests {
         tx.endorsements[0].endorser_key = rogue.public;
         tx.endorsements[0].signature = rogue.sign(&tx.response_bytes());
         tx.signature = f.client.sign(&tx.signed_bytes());
-        assert_eq!(
-            verdict(&f, &tx),
-            VsccVerdict::Fail(ValidationCode::BadEndorserSignature)
-        );
+        assert_eq!(verdict(&f, &tx), Some(ValidationCode::BadEndorserSignature));
     }
 
     #[test]
@@ -273,10 +205,7 @@ mod tests {
         let mut tx = endorsed_tx(&f, &[1]);
         tx.endorsements[0].endorser = f.endorsers[0].principal().clone();
         tx.signature = f.client.sign(&tx.signed_bytes());
-        assert_eq!(
-            verdict(&f, &tx),
-            VsccVerdict::Fail(ValidationCode::BadEndorserSignature)
-        );
+        assert_eq!(verdict(&f, &tx), Some(ValidationCode::BadEndorserSignature));
     }
 
     #[test]
@@ -287,10 +216,7 @@ mod tests {
         // envelope only.
         tx.rw_set.record_write("other", Some(vec![9]));
         tx.signature = f.client.sign(&tx.signed_bytes());
-        assert_eq!(
-            verdict(&f, &tx),
-            VsccVerdict::Fail(ValidationCode::BadEndorserSignature)
-        );
+        assert_eq!(verdict(&f, &tx), Some(ValidationCode::BadEndorserSignature));
     }
 
     #[test]
@@ -300,10 +226,7 @@ mod tests {
         tx.rw_set = RwSet::new();
         tx.payload = Vec::new();
         tx.signature = f.client.sign(&tx.signed_bytes());
-        assert_eq!(
-            verdict(&f, &tx),
-            VsccVerdict::Fail(ValidationCode::BadPayload)
-        );
+        assert_eq!(verdict(&f, &tx), Some(ValidationCode::BadPayload));
     }
 
     #[test]
@@ -312,10 +235,7 @@ mod tests {
         let mut tx = endorsed_tx(&f, &[0]);
         tx.channel = ChannelId("other".into());
         tx.signature = f.client.sign(&tx.signed_bytes());
-        assert_eq!(
-            verdict(&f, &tx),
-            VsccVerdict::Fail(ValidationCode::BadPayload)
-        );
+        assert_eq!(verdict(&f, &tx), Some(ValidationCode::BadPayload));
     }
 
     #[test]
@@ -323,9 +243,6 @@ mod tests {
         let f = fixture(Policy::or_of_orgs(1), 1);
         let mut tx = endorsed_tx(&f, &[0]);
         tx.creator = ClientId(42);
-        assert_eq!(
-            verdict(&f, &tx),
-            VsccVerdict::Fail(ValidationCode::BadCreatorSignature)
-        );
+        assert_eq!(verdict(&f, &tx), Some(ValidationCode::BadCreatorSignature));
     }
 }

@@ -9,7 +9,7 @@ use fabricsim_msp::{Certificate, Msp, SigningIdentity};
 use fabricsim_policy::Policy;
 use fabricsim_types::{
     Block, ChannelId, ClientId, Endorsement, FxBuildHasher, Principal, Proposal, ProposalResponse,
-    ValidationCode, Version,
+    ValidationCode,
 };
 
 use crate::committer::Trust;
@@ -42,8 +42,6 @@ pub struct Peer {
     client_certs: HashMap<ClientId, Certificate, FxBuildHasher>,
     /// Each registered endorser key, expanded once when it was registered.
     endorser_keys: HashMap<Principal, Vec<VerifyingKey>, FxBuildHasher>,
-    endorsements_made: u64,
-    blocks_committed: u64,
 }
 
 impl Peer {
@@ -58,8 +56,6 @@ impl Peer {
             chaincodes: ChaincodeRegistry::new(),
             client_certs: HashMap::default(),
             endorser_keys: HashMap::default(),
-            endorsements_made: 0,
-            blocks_committed: 0,
         }
     }
 
@@ -76,16 +72,6 @@ impl Peer {
     /// Read access to the ledger.
     pub fn ledger(&self) -> &Ledger {
         &self.ledger
-    }
-
-    /// Endorsements produced so far.
-    pub fn endorsements_made(&self) -> u64 {
-        self.endorsements_made
-    }
-
-    /// Blocks committed so far.
-    pub fn blocks_committed(&self) -> u64 {
-        self.blocks_committed
     }
 
     /// Installs a chaincode and runs its `init`, seeding the bootstrap state
@@ -199,7 +185,6 @@ impl Peer {
             endorser_key: self.identity.certificate().public_key,
             signature: self.identity.sign(&to_sign),
         };
-        self.endorsements_made += 1;
         ProposalResponse {
             tx_id: proposal.tx_id,
             rw_set,
@@ -255,21 +240,7 @@ impl Peer {
             txs,
         );
         let pre_flags = pipeline.pre_commit_flags_checked(&checked, &trust);
-        let flags = self
-            .ledger
-            .validate_and_commit_checked(checked, &pre_flags)?;
-        self.blocks_committed += 1;
-        Ok(flags)
-    }
-
-    /// Direct state read (for tests and examples).
-    pub fn state_value(&self, key: &str) -> Option<Vec<u8>> {
-        self.ledger.state().get(key).map(|v| v.value.clone())
-    }
-
-    /// Direct state version read.
-    pub fn state_version(&self, key: &str) -> Option<Version> {
-        self.ledger.state().version_of(key)
+        self.ledger.validate_and_commit(checked, &pre_flags)
     }
 }
 
@@ -330,7 +301,6 @@ mod tests {
         assert_eq!(e.endorser, Principal::peer(OrgId(1)));
         let bytes = ProposalResponse::signed_bytes(resp.tx_id, &resp.rw_set, &resp.payload);
         assert!(e.endorser_key.verify(&bytes, &e.signature));
-        assert_eq!(peer.endorsements_made(), 1);
     }
 
     #[test]
@@ -388,7 +358,7 @@ mod tests {
         assert!(!committer_only.endorse(&proposal(&client, 1)).ok);
     }
 
-    use crate::testutil::{endorsed_tx, fixture, mixed_txs, Fixture};
+    use crate::testutil::{endorsed_tx, fixture, mixed_txs, stale_read_tx, Fixture};
     use fabricsim_crypto::Hash256;
     use fabricsim_types::{CheckedBlock, Transaction};
 
@@ -439,38 +409,59 @@ mod tests {
 
     #[test]
     fn validate_and_commit_flags_every_verdict_class_identically_at_any_pool_size() {
+        use ValidationCode::*;
         let f = fixture(Policy::and_of_orgs(2), 2);
         let mut reference: Option<Vec<Vec<ValidationCode>>> = None;
         for pool in [1, 2, 8] {
             let mut peer = committer(&f, pool);
+            // The staged path, composed as a caller that times each stage
+            // does, on a second ledger.
+            let pipeline = ValidationPipeline::new(pool);
+            let mut staged = Ledger::new(f.config.channel.0.clone());
             for round in 0..2 {
-                let block = next_block(&peer, mixed_txs(&f, round * 21, 21));
+                let mut txs = mixed_txs(&f, round * 21, 21);
+                // Reads "k" as absent after a valid transaction wrote it.
+                txs.push(stale_read_tx(&f, 100 + round));
+                // Nonce 0 again: a repeat within block 0, a replay of a
+                // committed transaction in block 1.
+                txs.push(endorsed_tx(&f, 0, &[0, 1]));
+                let block = next_block(&peer, txs);
+
+                let mut pre = pipeline.block_checks(&block);
+                pipeline.vscc_flags(
+                    &block,
+                    &f.config,
+                    &f.msp,
+                    &f.client_certs,
+                    &f.endorser_keys,
+                    &mut pre,
+                );
+                let want = staged.mvcc_flags(&block, &pre).unwrap();
+                staged.commit(block.clone(), want.clone());
+
                 let flags = peer.validate_and_commit(block).unwrap();
-                assert_eq!(flags.len(), 21);
-                let count = |code| flags.iter().filter(|&&f| f == code).count();
-                assert!(count(ValidationCode::Valid) > 0);
-                assert!(count(ValidationCode::EndorsementPolicyFailure) > 0);
-                assert!(count(ValidationCode::BadCreatorSignature) > 0);
-                assert!(count(ValidationCode::BadEndorserSignature) > 0);
+                assert_eq!(flags, want, "pool size {pool}, block {round}");
+                for code in [
+                    Valid,
+                    EndorsementPolicyFailure,
+                    BadCreatorSignature,
+                    BadEndorserSignature,
+                    MvccReadConflict,
+                    DuplicateTxId,
+                ] {
+                    assert!(flags.contains(&code), "{code:?} in block {round}");
+                }
             }
-            let flags: Vec<_> = peer
-                .ledger()
+            let fused = peer.ledger();
+            assert_eq!(fused.blocks().tip_hash(), staged.blocks().tip_hash());
+            assert!(fused.state().range("", "").eq(staged.state().range("", "")));
+            assert!(fused.blocks().iter().eq(staged.blocks().iter()));
+            assert!(fused.blocks().verify_chain().is_ok());
+            let flags: Vec<_> = fused
                 .blocks()
                 .iter()
                 .map(|b| b.metadata.flags.clone())
                 .collect();
-            // The staged public functions reach the same verdicts.
-            let staged = ValidationPipeline::new(pool).pre_commit_flags(
-                peer.ledger().blocks().by_number(1).unwrap(),
-                &f.config,
-                &f.msp,
-                &f.client_certs,
-                &f.endorser_keys,
-            );
-            for (fused, staged) in flags[1].iter().zip(staged) {
-                assert_eq!(*fused, staged.unwrap_or(ValidationCode::Valid));
-            }
-            assert!(peer.ledger().blocks().verify_chain().is_ok());
             match &reference {
                 None => reference = Some(flags),
                 Some(want) => assert_eq!(&flags, want, "pool size {pool} diverged"),
@@ -500,8 +491,7 @@ mod tests {
             for bad in [altered, repaid, reendorsed, recreated, swapped, truncated] {
                 assert_eq!(peer.validate_and_commit(bad), Err(ChainError::BadDataHash));
                 assert_eq!(peer.ledger().height(), 1);
-                assert_eq!(peer.blocks_committed(), 1);
-                assert!(peer.state_value("evil").is_none());
+                assert!(peer.ledger().state().get("evil").is_none());
             }
             // The untouched block still goes in afterwards.
             assert_eq!(

@@ -39,7 +39,10 @@ use crate::peer::PeerConfig;
 ///    fanned out over a [`std::thread::scope`] worker pool of
 ///    `pool_size` threads.
 /// 3. **MVCC + commit**: serial; owned by `fabricsim_ledger::Ledger`
-///    (`mvcc_flags` then `commit`), composed by `Peer::validate_and_commit`.
+///    (`mvcc_flags` then `commit`).
+///
+/// These are the staged parts a caller composes itself; the fused path,
+/// which hashes each envelope once, is `Peer::validate_and_commit`.
 #[derive(Debug, Clone, Copy)]
 pub struct ValidationPipeline {
     pool_size: usize,
@@ -52,11 +55,6 @@ impl ValidationPipeline {
         ValidationPipeline {
             pool_size: pool_size.max(1),
         }
-    }
-
-    /// The VSCC worker-pool size.
-    pub fn pool_size(&self) -> usize {
-        self.pool_size
     }
 
     /// Stage 1: block-level checks. Flags every transaction whose id already
@@ -117,7 +115,7 @@ impl ValidationPipeline {
                 if slot.is_none() {
                     let (response_digest, envelope_hash) =
                         digests.map_or_else(|| tx.digests(), |(r, e)| (r[i], e[i]));
-                    *slot = vscc_tx_hashed(tx, &response_digest, &envelope_hash, trust).flag();
+                    *slot = vscc_tx_hashed(tx, &response_digest, &envelope_hash, trust);
                 }
             }
         };
@@ -138,24 +136,10 @@ impl ValidationPipeline {
         }
     }
 
-    /// Stages 1 + 2 composed: the pre-commit flags the ledger's MVCC stage
-    /// consumes (`None` = eligible, `Some(code)` = rejected).
-    pub fn pre_commit_flags(
-        &self,
-        block: &Block,
-        config: &PeerConfig,
-        msp: &Msp,
-        client_certs: &HashMap<ClientId, Certificate>,
-        endorser_keys: &HashMap<Principal, Vec<PublicKey>>,
-    ) -> Vec<Option<ValidationCode>> {
-        let mut flags = self.block_checks(block);
-        self.vscc_flags(block, config, msp, client_certs, endorser_keys, &mut flags);
-        flags
-    }
-
-    /// [`ValidationPipeline::pre_commit_flags`] for a block whose envelopes
-    /// were already hashed to prove its data hash: VSCC verifies each creator
-    /// and endorsement signature against the digests the proof kept.
+    /// Stages 1 + 2 for a block whose envelopes were already hashed to prove
+    /// its data hash: the pre-commit flags the ledger's MVCC stage consumes
+    /// (`None` = eligible, `Some(code)` = rejected). VSCC verifies each
+    /// creator and endorsement signature against the digests the proof kept.
     pub(crate) fn pre_commit_flags_checked(
         &self,
         checked: &CheckedBlock,
@@ -176,14 +160,28 @@ impl ValidationPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::committer::{vscc_block, vscc_block_pooled};
     use crate::testutil::{endorsed_tx, fixture, mixed_txs, Fixture};
-    use fabricsim_crypto::Hash256;
     use fabricsim_policy::Policy;
-    use fabricsim_types::{ChannelId, Transaction};
+    use fabricsim_types::ChannelId;
 
     fn block_of(txs: Vec<Transaction>) -> Block {
         Block::assemble(ChannelId::default_channel(), 0, Hash256::ZERO, txs)
+    }
+
+    /// Stages 1 + 2 as a caller composes them, at `pool` workers: block
+    /// checks, then VSCC for the transactions they left eligible.
+    fn staged(f: &Fixture, pool: usize, block: &Block) -> Vec<Option<ValidationCode>> {
+        let pipeline = ValidationPipeline::new(pool);
+        let mut flags = pipeline.block_checks(block);
+        pipeline.vscc_flags(
+            block,
+            &f.config,
+            &f.msp,
+            &f.client_certs,
+            &f.endorser_keys,
+            &mut flags,
+        );
+        flags
     }
 
     /// A block mixing valid, policy-failing, bad-endorser-signature and
@@ -196,30 +194,19 @@ mod tests {
     fn pooled_vscc_is_identical_to_serial_across_pool_sizes() {
         let f = fixture(Policy::and_of_orgs(2), 2);
         let block = mixed_block(&f, 41);
-        let serial = vscc_block(&block, &f.config, &f.msp, &f.client_certs, &f.endorser_keys);
+        // A pool of one runs inline, on the caller's thread.
+        let serial = staged(&f, 1, &block);
         // The mix really exercises every verdict class.
         assert!(serial.contains(&None));
         assert!(serial.contains(&Some(ValidationCode::EndorsementPolicyFailure)));
         assert!(serial.contains(&Some(ValidationCode::BadEndorserSignature)));
         assert!(serial.contains(&Some(ValidationCode::BadCreatorSignature)));
         for pool in [1, 2, 8] {
-            let pooled = vscc_block_pooled(
-                &block,
-                &f.config,
-                &f.msp,
-                &f.client_certs,
-                &f.endorser_keys,
-                pool,
+            assert_eq!(
+                staged(&f, pool, &block),
+                serial,
+                "pool size {pool} diverged from serial"
             );
-            assert_eq!(pooled, serial, "pool size {pool} diverged from serial");
-            let staged = ValidationPipeline::new(pool).pre_commit_flags(
-                &block,
-                &f.config,
-                &f.msp,
-                &f.client_certs,
-                &f.endorser_keys,
-            );
-            assert_eq!(staged, serial, "pipeline at pool {pool} diverged");
             // And from the digests a `CheckedBlock` kept, chunked per worker.
             let checked = CheckedBlock::new(block.clone()).expect("consistent block");
             let txs = &block.transactions;
@@ -236,16 +223,7 @@ mod tests {
     fn pool_larger_than_the_block_is_fine() {
         let f = fixture(Policy::or_of_orgs(2), 2);
         let block = mixed_block(&f, 3);
-        let serial = vscc_block(&block, &f.config, &f.msp, &f.client_certs, &f.endorser_keys);
-        let pooled = vscc_block_pooled(
-            &block,
-            &f.config,
-            &f.msp,
-            &f.client_certs,
-            &f.endorser_keys,
-            64,
-        );
-        assert_eq!(pooled, serial);
+        assert_eq!(staged(&f, 64, &block), staged(&f, 1, &block));
     }
 
     #[test]
@@ -253,14 +231,7 @@ mod tests {
         let f = fixture(Policy::or_of_orgs(1), 1);
         let block = block_of(Vec::new());
         for pool in [1, 4] {
-            let flags = ValidationPipeline::new(pool).pre_commit_flags(
-                &block,
-                &f.config,
-                &f.msp,
-                &f.client_certs,
-                &f.endorser_keys,
-            );
-            assert!(flags.is_empty());
+            assert!(staged(&f, pool, &block).is_empty());
         }
     }
 
@@ -270,15 +241,8 @@ mod tests {
         let dup = endorsed_tx(&f, 7, &[0]);
         let block = block_of(vec![dup.clone(), endorsed_tx(&f, 8, &[0]), dup]);
         for pool in [1, 4] {
-            let flags = ValidationPipeline::new(pool).pre_commit_flags(
-                &block,
-                &f.config,
-                &f.msp,
-                &f.client_certs,
-                &f.endorser_keys,
-            );
             assert_eq!(
-                flags,
+                staged(&f, pool, &block),
                 vec![None, None, Some(ValidationCode::DuplicateTxId)],
                 "pool size {pool}"
             );
@@ -287,7 +251,13 @@ mod tests {
 
     #[test]
     fn zero_pool_size_is_clamped_to_serial() {
-        assert_eq!(ValidationPipeline::new(0).pool_size(), 1);
+        assert_eq!(
+            format!("{:?}", ValidationPipeline::new(0)),
+            format!("{:?}", ValidationPipeline::new(1))
+        );
+        let f = fixture(Policy::and_of_orgs(2), 2);
+        let block = mixed_block(&f, 9);
+        assert_eq!(staged(&f, 0, &block), staged(&f, 1, &block));
     }
 
     /// Wall-clock speedup of the parallel VSCC stage — the ISSUE's acceptance
@@ -313,14 +283,7 @@ mod tests {
             let mut best = f64::INFINITY;
             for _ in 0..3 {
                 let t0 = std::time::Instant::now();
-                let flags = vscc_block_pooled(
-                    &block,
-                    &f.config,
-                    &f.msp,
-                    &f.client_certs,
-                    &f.endorser_keys,
-                    workers,
-                );
+                let flags = staged(&f, workers, &block);
                 best = best.min(t0.elapsed().as_secs_f64());
                 assert_eq!(flags.len(), 1200);
             }

@@ -59,10 +59,25 @@ pub(crate) fn fixture(policy: Policy, n_endorsers: u32) -> Fixture {
 /// A fully signed transaction with `nonce`-derived id, endorsed by the
 /// fixture endorsers at `endorser_indices`.
 pub(crate) fn endorsed_tx(f: &Fixture, nonce: u64, endorser_indices: &[usize]) -> Transaction {
-    let creator = ClientId(0);
-    let tx_id = Proposal::derive_tx_id(creator, nonce);
     let mut rw = RwSet::new();
     rw.record_write("k", Some(vec![1]));
+    signed_tx(f, nonce, endorser_indices, rw)
+}
+
+/// A fully signed transaction, endorsed by every fixture endorser, that read
+/// "k" while it was absent and writes it: valid only while "k" stays
+/// unwritten.
+pub(crate) fn stale_read_tx(f: &Fixture, nonce: u64) -> Transaction {
+    let mut rw = RwSet::new();
+    rw.record_read("k", None);
+    rw.record_write("k", Some(vec![2]));
+    let all: Vec<usize> = (0..f.endorsers.len()).collect();
+    signed_tx(f, nonce, &all, rw)
+}
+
+fn signed_tx(f: &Fixture, nonce: u64, endorser_indices: &[usize], rw: RwSet) -> Transaction {
+    let creator = ClientId(0);
+    let tx_id = Proposal::derive_tx_id(creator, nonce);
     let resp = ProposalResponse::signed_bytes(tx_id, &rw, b"");
     let endorsements = endorser_indices
         .iter()

@@ -170,11 +170,6 @@ impl Block {
     pub fn is_empty(&self) -> bool {
         self.transactions.is_empty()
     }
-
-    /// Count of transactions flagged valid (0 before validation).
-    pub fn valid_count(&self) -> usize {
-        self.metadata.flags.iter().filter(|f| f.is_valid()).count()
-    }
 }
 
 /// A block whose data hash has been verified: proof, in the type, that every
@@ -346,7 +341,10 @@ mod tests {
             b.transactions.as_ptr(),
             stamped.transactions.as_ptr()
         ));
-        assert_eq!(stamped.valid_count(), 1);
+        assert_eq!(
+            stamped.metadata.flags,
+            [ValidationCode::Valid, ValidationCode::MvccReadConflict]
+        );
         assert!(
             b.metadata.flags.is_empty(),
             "the original's flags are its own"
@@ -431,15 +429,13 @@ mod tests {
     fn validation_codes() {
         assert!(ValidationCode::Valid.is_valid());
         assert!(!ValidationCode::MvccReadConflict.is_valid());
-        let mut b = Block::assemble(
+        let b = Block::assemble(
             ChannelId::default_channel(),
             1,
             Hash256::ZERO,
             vec![tx(0), tx(1)],
         );
-        assert_eq!(b.valid_count(), 0);
-        b.metadata.flags = vec![ValidationCode::Valid, ValidationCode::MvccReadConflict];
-        assert_eq!(b.valid_count(), 1);
+        assert!(b.metadata.flags.is_empty(), "no flags before validation");
         assert_eq!(ValidationCode::DuplicateTxId.label(), "DUPLICATE_TXID");
     }
 
