@@ -1,5 +1,7 @@
 //! Asynchronous endorsement collection.
 
+use std::sync::Arc;
+
 use fabricsim_policy::Policy;
 use fabricsim_types::{ProposalResponse, TxId};
 
@@ -21,7 +23,8 @@ pub enum CollectState {
 #[derive(Debug)]
 pub struct EndorsementCollector {
     tx_id: TxId,
-    policy: Policy,
+    /// The channel's policy, shared by every collection in flight on it.
+    policy: Arc<Policy>,
     expected: usize,
     responses: Vec<ProposalResponse>,
     failed: bool,
@@ -30,13 +33,15 @@ pub struct EndorsementCollector {
 
 impl EndorsementCollector {
     /// Starts collecting for `tx_id` under `policy`, expecting `expected`
-    /// responses in total (the number of targeted peers).
-    pub fn new(tx_id: TxId, policy: Policy, expected: usize) -> Self {
+    /// responses in total (the number of targeted peers). A caller holding
+    /// the channel's policy as an `Arc<Policy>` shares it; an owned `Policy`
+    /// is moved into a new one.
+    pub fn new(tx_id: TxId, policy: impl Into<Arc<Policy>>, expected: usize) -> Self {
         EndorsementCollector {
             tx_id,
-            policy,
+            policy: policy.into(),
             expected,
-            responses: Vec::new(),
+            responses: Vec::with_capacity(expected),
             failed: false,
             received: 0,
         }
@@ -212,6 +217,32 @@ mod tests {
             .collect();
         assert_eq!(orgs, vec![1, 2]);
         assert_eq!(c.tx_id(), txid());
+    }
+
+    #[test]
+    fn owned_and_shared_policies_collect_identically() {
+        let shared = Arc::new(Policy::k_of_n_orgs(2, 3));
+        let feeds: [&[(u32, bool, &[u8])]; 5] = [
+            &[(1, true, b"v"), (1, true, b"v"), (3, true, b"v")],
+            &[(2, true, b"v"), (3, true, b"w")],
+            &[(1, false, b"v"), (2, true, b"v")],
+            &[(1, true, b"v"), (2, true, b"v"), (3, true, b"v")],
+            &[(3, true, b"v"), (9, true, b"v"), (3, true, b"v")],
+        ];
+        for feed in feeds {
+            let mut owned = EndorsementCollector::new(txid(), (*shared).clone(), feed.len());
+            let mut by_arc = EndorsementCollector::new(txid(), Arc::clone(&shared), feed.len());
+            let states = |c: &mut EndorsementCollector| -> Vec<CollectState> {
+                let mut seen = vec![c.state()];
+                seen.extend(
+                    feed.iter()
+                        .map(|&(org, ok, value)| c.add(response(txid(), org, ok, value))),
+                );
+                seen
+            };
+            assert_eq!(states(&mut owned), states(&mut by_arc), "{feed:?}");
+            assert_eq!(owned.responses(), by_arc.responses());
+        }
     }
 
     #[test]

@@ -112,22 +112,14 @@ pub(super) fn pool_arrival(world: &mut World, k: &mut K, p: usize) {
     // its transactions over all of them, exporting the ones bound for
     // another world at proposal-send time.
     let n_channels = world.shard.channels.len() as u32;
-    let deployed = world.cfg.endorsing_peers;
     let gc = (world.pools[p].next_channel % n_channels) as usize;
     let channel = world.shard.channels[gc].clone();
     let pool = &mut world.pools[p];
     pool.next_channel = pool.next_channel.wrapping_add(1);
     let proposal = pool.sdk.create_proposal(channel, &chaincode, args);
     let tx_id = proposal.tx_id;
-    // Only deployed endorsing peers are reachable; a policy naming an
-    // undeployed org can then fail at collection, as on a real network.
-    let targets: Vec<usize> = pool
-        .selector
-        .next_targets()
-        .iter()
-        .filter(|pr| pr.org.0 >= 1 && pr.org.0 <= deployed)
-        .map(World::peer_of)
-        .collect();
+    let targets = Arc::clone(&pool.target_sets[pool.next_set]);
+    pool.next_set = (pool.next_set + 1) % pool.target_sets.len();
     if targets.is_empty() {
         let outcome = TxOutcome::EndorsementFailed;
         world
@@ -138,7 +130,7 @@ pub(super) fn pool_arrival(world: &mut World, k: &mut K, p: usize) {
     let expected = targets.len();
 
     world.obs.admit(now, tx_id, p);
-    let collector = EndorsementCollector::new(tx_id, world.policy.clone(), expected);
+    let collector = EndorsementCollector::new(tx_id, Arc::clone(&world.policy), expected);
     world.pools[p].pending.insert(
         tx_id,
         PendingTx {
@@ -187,7 +179,7 @@ pub(super) fn send_proposals(
     k: &mut K,
     p: usize,
     tx_id: TxId,
-    targets: Vec<usize>,
+    targets: Arc<[usize]>,
 ) {
     let now = k.now();
     world.pools[p].in_prep -= 1;
@@ -239,7 +231,7 @@ pub(super) fn send_proposals(
         ));
         return;
     }
-    for peer in targets {
+    for &peer in targets.iter() {
         let arrival = world.pools[p].egress.transfer(now, bytes);
         let proposal = Arc::clone(&proposal);
         k.schedule(
@@ -275,7 +267,7 @@ impl ShardWorld for World {
         } = msg;
         let tx_id = proposal.tx_id;
         self.obs.import(tx_id, record);
-        let collector = EndorsementCollector::new(tx_id, self.policy.clone(), expected);
+        let collector = EndorsementCollector::new(tx_id, Arc::clone(&self.policy), expected);
         self.pools[p].pending.insert(
             tx_id,
             PendingTx {

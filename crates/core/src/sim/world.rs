@@ -35,7 +35,11 @@ pub(super) struct PendingTx {
 
 pub(super) struct Pool {
     pub(super) sdk: ClientSdk,
-    pub(super) selector: TargetSelector,
+    /// The policy's minimal satisfying sets as reachable endorser indices,
+    /// computed once, in this pool's rotation order: each proposal shares
+    /// the next one, round-robin.
+    pub(super) target_sets: Vec<Arc<[usize]>>,
+    pub(super) next_set: usize,
     pub(super) prep: Station,
     pub(super) recv: Station,
     pub(super) egress: Link,
@@ -90,7 +94,9 @@ pub(super) struct BrokerActor {
 
 pub(super) struct World {
     pub(super) cfg: SimConfig,
-    pub(super) policy: Policy,
+    /// The channel's endorsement policy, shared by every collection in
+    /// flight.
+    pub(super) policy: Arc<Policy>,
     pub(super) pools: Vec<Pool>,
     pub(super) peers: Vec<PeerNode>,
     pub(super) osns: Vec<OsnActor>,
@@ -123,7 +129,7 @@ pub(super) enum Ev {
     PoolSend {
         pool: usize,
         tx: TxId,
-        targets: Vec<usize>,
+        targets: Arc<[usize]>,
     },
     /// A proposal arrives at endorsing peer `peer`.
     Endorse {
@@ -474,7 +480,11 @@ pub(super) fn build_world(cfg: &SimConfig, shard_id: usize) -> World {
                 channel: channel.clone(),
                 endorsement_policy: policy.clone(),
                 is_endorser,
-                validator_pool_size: m.validator_pool_size.max(1),
+                // The modelled VSCC pool is `cost.validator_pool_size`, and
+                // the stations below charge it; it is not a host thread
+                // count. The flags are the same at any pool size, so the
+                // host validates every block on the calling thread.
+                validator_pool_size: 1,
             },
         );
         match &cfg.workload {
@@ -558,9 +568,22 @@ pub(super) fn build_world(cfg: &SimConfig, shard_id: usize) -> World {
         for _ in 0..p % selector.set_count().max(1) {
             selector.next_targets();
         }
+        // Only deployed endorsing peers are reachable; a policy naming an
+        // undeployed org can then fail at collection, as on a real network.
+        let target_sets = (0..selector.set_count())
+            .map(|_| {
+                selector
+                    .next_targets()
+                    .iter()
+                    .filter(|pr| pr.org.0 >= 1 && pr.org.0 <= cfg.endorsing_peers)
+                    .map(World::peer_of)
+                    .collect()
+            })
+            .collect();
         pools.push(Pool {
             sdk: ClientSdk::new(cid, cident),
-            selector,
+            target_sets,
+            next_set: 0,
             prep: Station::new(format!("pool{p}.prep"), 1),
             recv: Station::new(format!("pool{p}.recv"), m.client_recv_threads),
             egress: Link::new(
@@ -651,7 +674,7 @@ pub(super) fn build_world(cfg: &SimConfig, shard_id: usize) -> World {
     };
 
     World {
-        policy,
+        policy: Arc::new(policy),
         pools,
         observer: n_endorsers,
         peers,

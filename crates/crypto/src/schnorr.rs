@@ -13,13 +13,15 @@
 //! `H(tag ‖ r ‖ pk ‖ digest)` is 54 bytes — one SHA-256 compression.
 //!
 //! Exponentiation comes in the two shapes that exist for a reason. A base
-//! seen again — `g`, and any public key a verifier keeps — gets a fixed-base
-//! table ([`VerifyingKey`]; under 2 µs and 2 KiB once, then 15 multiplications
-//! per power, so a verification is two independent 15-multiplication chains
-//! and one more: 31). A key seen once is not worth a table:
-//! [`PublicKey::verify_digest`] walks a 4-bit fixed-window ladder (89, so
-//! 105 per verification). [`crate::prime::pow_mod`] remains the generic
-//! utility and the oracle the tests compare both against.
+//! seen again gets a fixed-base table. The generator's is built at compile
+//! time with 8-bit digits (16 KiB, 7 multiplications per power), so every
+//! signature's `g^k` is 7 multiplications. A public key a verifier keeps
+//! ([`VerifyingKey`]) gets a 4-bit one at run time (under 2 µs and 2 KiB
+//! once, then 15 per power), so a verification is two independent chains of
+//! 7 and 15 and one multiplication to join them: 23. A key seen once is not
+//! worth a table: [`PublicKey::verify_digest`] walks a 4-bit fixed-window
+//! ladder (89, so 97 per verification). [`crate::prime::pow_mod`] remains
+//! the generic utility and the oracle the tests compare all of them against.
 //!
 //! What depends only on the secret key is likewise paid once: a [`KeyPair`]
 //! keeps the two HMAC pad chaining values, so the nonce costs two SHA-256
@@ -44,62 +46,71 @@ pub const Q: u64 = 1_152_921_504_606_849_959;
 /// Generator of the order-`Q` subgroup of quadratic residues.
 pub const G: u64 = 4;
 
-/// Bits per exponent window, and windows per 64-bit exponent.
-const WINDOW_BITS: u32 = 4;
-const WINDOWS: usize = 16;
+/// A fixed-base table with `R` rows of `N` entries, `N` a power of two:
+/// `table[i][j] = base^(j · N^i) mod p`, one row per base-`N` digit of a
+/// 64-bit exponent (`N^R = 2^64`), so `base^x` is the product of one entry
+/// per row — `R − 1` multiplications and no squarings.
+type PowerTable<const N: usize, const R: usize> = [[u64; N]; R];
 
-/// A fixed-base table: `table[i][j] = base^(j · 16^i) mod p`, one row per
-/// exponent nibble, so `base^x` is the product of one entry per row. 240
-/// multiplications to build, 2 KiB to keep.
-type PowerTable = [[u64; 16]; WINDOWS];
+/// A run-time key's table: 4-bit digits, 16 rows of 16. 240
+/// multiplications to build, 2 KiB to keep, 15 per power.
+type KeyTable = PowerTable<16, 16>;
+
+/// The generator's table: 8-bit digits, 8 rows of 256. Built at compile
+/// time, 16 KiB, 7 multiplications per power.
+type GeneratorTable = PowerTable<256, 8>;
 
 /// Builds the table for `base`: at compile time for the generator, at run
 /// time for a public key that will be verified against more than once.
-const fn power_table(base: u64) -> PowerTable {
-    let mut table = [[1u64; 16]; WINDOWS];
-    let mut base = base; // base^(16^i)
+const fn power_table<const N: usize, const R: usize>(base: u64) -> PowerTable<N, R> {
+    let mut table = [[1u64; N]; R];
+    let mut base = base; // base^(N^i)
     let mut i = 0;
-    while i < WINDOWS {
+    while i < R {
         let mut j = 1;
-        while j < 16 {
+        while j < N {
             table[i][j] = mul_mod(table[i][j - 1], base, P);
             j += 1;
         }
-        base = mul_mod(table[i][15], base, P);
+        base = mul_mod(table[i][N - 1], base, P);
         i += 1;
     }
     table
 }
 
-static G_TABLE: PowerTable = power_table(G);
+static G_TABLE: GeneratorTable = power_table(G);
 
-fn nibble(x: u64, i: usize) -> usize {
-    ((x >> (WINDOW_BITS * i as u32)) & 15) as usize
+/// Digit `i` of `x` in base `N`.
+fn digit<const N: usize>(x: u64, i: usize) -> usize {
+    ((x >> (N.trailing_zeros() as usize * i)) & (N as u64 - 1)) as usize
 }
 
-/// `base^exp mod p` from `base`'s table: 15 multiplications, no squarings.
-fn pow_table(table: &PowerTable, exp: u64) -> u64 {
-    let mut acc = table[0][nibble(exp, 0)];
+/// `base^exp mod p` from `base`'s table: one multiplication per row after
+/// the first, no squarings.
+fn pow_table<const N: usize, const R: usize>(table: &PowerTable<N, R>, exp: u64) -> u64 {
+    let mut acc = table[0][digit::<N>(exp, 0)];
     for (i, row) in table.iter().enumerate().skip(1) {
-        acc = mul_mod(acc, row[nibble(exp, i)], P);
+        acc = mul_mod(acc, row[digit::<N>(exp, i)], P);
     }
     acc
 }
 
-/// `g^exp mod p`.
+/// `g^exp mod p`: 7 multiplications.
 fn pow_g(exp: u64) -> u64 {
     pow_table(&G_TABLE, exp)
 }
 
-/// `g^s · base^x mod p` from both tables: two chains of 15 multiplications
-/// that do not depend on each other, so they overlap in the pipeline, and
-/// one multiplication to join them.
-fn pow_g_times_pow_table(s: u64, table: &PowerTable, x: u64) -> u64 {
-    let mut acc_g = G_TABLE[0][nibble(s, 0)];
-    let mut acc = table[0][nibble(x, 0)];
-    for (i, (g_row, row)) in G_TABLE.iter().zip(table).enumerate().skip(1) {
-        acc_g = mul_mod(acc_g, g_row[nibble(s, i)], P);
-        acc = mul_mod(acc, row[nibble(x, i)], P);
+/// `g^s · base^x mod p` from both tables: a chain of 7 multiplications and
+/// one of 15 that do not depend on each other, so they overlap in the
+/// pipeline, and one multiplication to join them.
+fn pow_g_times_pow_table(s: u64, table: &KeyTable, x: u64) -> u64 {
+    let mut acc_g = G_TABLE[0][digit::<256>(s, 0)];
+    let mut acc = table[0][digit::<16>(x, 0)];
+    for (i, row) in table.iter().enumerate().skip(1) {
+        if let Some(g_row) = G_TABLE.get(i) {
+            acc_g = mul_mod(acc_g, g_row[digit::<256>(s, i)], P);
+        }
+        acc = mul_mod(acc, row[digit::<16>(x, i)], P);
     }
     mul_mod(acc_g, acc, P)
 }
@@ -113,12 +124,12 @@ fn pow_windowed(base: u64, exp: u64) -> u64 {
     for j in 2..16 {
         powers[j] = mul_mod(powers[j - 1], base, P);
     }
-    let mut acc = powers[nibble(exp, WINDOWS - 1)];
-    for i in (0..WINDOWS - 1).rev() {
-        for _ in 0..WINDOW_BITS {
+    let mut acc = powers[digit::<16>(exp, 15)];
+    for i in (0..15).rev() {
+        for _ in 0..4 {
             acc = mul_mod(acc, acc, P);
         }
-        acc = mul_mod(acc, powers[nibble(exp, i)], P);
+        acc = mul_mod(acc, powers[digit::<16>(exp, i)], P);
     }
     acc
 }
@@ -153,14 +164,14 @@ pub struct KeyPair {
 }
 
 /// A public key expanded for a verifier that will see it again: the key plus
-/// its fixed-base table (2 KiB, under 2 µs to build), so each verification is 31
-/// multiplications instead of the 105 of [`PublicKey::verify_digest`]. Same
+/// its fixed-base table (2 KiB, under 2 µs to build), so each verification is 23
+/// multiplications instead of the 97 of [`PublicKey::verify_digest`]. Same
 /// verdict on every input; build one per registered identity, not per
 /// signature.
 #[derive(Clone, PartialEq, Eq)]
 pub struct VerifyingKey {
     key: PublicKey,
-    table: PowerTable,
+    table: KeyTable,
 }
 
 impl fmt::Debug for VerifyingKey {
@@ -344,7 +355,7 @@ mod tests {
         let edge = [0, 1, 15, 16, Q - 1, Q, 1 << 60, u64::MAX];
         let random: Vec<u64> = (0..10_000).map(|_| splitmix(&mut rng)).collect();
         let pk = KeyPair::from_seed(b"oracle").public.element();
-        let pk_table = power_table(pk);
+        let pk_table: KeyTable = power_table(pk);
         for &x in edge.iter().chain(&random) {
             assert_eq!(pow_g(x), pow_mod(G, x, P), "g^{x}");
             assert_eq!(pow_windowed(pk, x), pow_mod(pk, x, P), "pk^{x}");
@@ -361,26 +372,35 @@ mod tests {
         }
     }
 
-    #[test]
-    fn table_rows_are_powers_of_the_base_for_g_and_for_run_time_keys() {
-        let mut rng = 0x0007_AB1E_u64;
-        let mut cases = vec![(G, G_TABLE)];
-        for _ in 0..8 {
-            let pk = KeyPair::from_seed(&splitmix(&mut rng).to_le_bytes()).public;
-            cases.push((pk.element(), VerifyingKey::new(pk).table));
-        }
-        // And a base outside the subgroup: the builder does not care.
-        cases.push((P - 2, power_table(P - 2)));
-        for (base, table) in cases {
-            for (i, row) in table.iter().enumerate() {
-                for (j, &entry) in row.iter().enumerate() {
-                    // j · 16^i can exceed u64 for the top row; reduce mod the
-                    // group order P − 1 in 128-bit arithmetic first.
-                    let exp = ((j as u128) << (4 * i)) % (P - 1) as u128;
-                    assert_eq!(entry, pow_mod(base, exp as u64, P), "row {i} entry {j}");
-                }
+    /// Every entry of `table` is `base` to its row's power of `N`, times its
+    /// column.
+    fn assert_rows_are_powers<const N: usize, const R: usize>(base: u64, table: &PowerTable<N, R>) {
+        let bits = N.trailing_zeros() as usize;
+        for (i, row) in table.iter().enumerate() {
+            for (j, &entry) in row.iter().enumerate() {
+                // j · N^i can exceed u64 for the top row; reduce mod the
+                // group order P − 1 in 128-bit arithmetic first.
+                let exp = ((j as u128) << (bits * i)) % (P - 1) as u128;
+                assert_eq!(
+                    entry,
+                    pow_mod(base, exp as u64, P),
+                    "{base}: row {i} entry {j}"
+                );
             }
         }
+    }
+
+    #[test]
+    fn table_rows_are_powers_of_the_base_for_g_and_for_run_time_keys() {
+        // The generator's 8-bit table, every one of its 2048 entries.
+        assert_rows_are_powers(G, &G_TABLE);
+        let mut rng = 0x0007_AB1E_u64;
+        for _ in 0..8 {
+            let pk = KeyPair::from_seed(&splitmix(&mut rng).to_le_bytes()).public;
+            assert_rows_are_powers(pk.element(), &VerifyingKey::new(pk).table);
+        }
+        // And a base outside the subgroup: the builder does not care.
+        assert_rows_are_powers::<16, 16>(P - 2, &power_table(P - 2));
     }
 
     /// Every way of asking about one (message, signature) pair — by message

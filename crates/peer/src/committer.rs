@@ -1,7 +1,6 @@
 //! VSCC: the validation system chaincode run per transaction at commit time.
 
 use std::collections::HashMap;
-use std::hash::BuildHasher;
 use std::sync::Arc;
 
 use fabricsim_crypto::{Hash256, PublicKey, VerifyingKey};
@@ -41,38 +40,50 @@ pub(crate) fn expand_endorser_keys(
     expanded
 }
 
+/// Each creator's expanded key, as the MSP resolved it from the creator's
+/// certificate; `None` when the MSP refused that certificate.
+pub(crate) type CreatorKeys = HashMap<ClientId, Option<Arc<VerifyingKey>>, FxBuildHasher>;
+
+/// Resolves the creators of `txs` from their certificates, each once: its
+/// registered certificate, validated by `msp`, and the expanded key that
+/// comes with it. A creator with no certificate is left out; one whose
+/// certificate the MSP refuses maps to `None`. Either way VSCC refuses its
+/// transactions.
+pub(crate) fn resolve_creators(
+    msp: &Msp,
+    client_certs: &HashMap<ClientId, Certificate>,
+    txs: &[Transaction],
+) -> CreatorKeys {
+    let mut creators = CreatorKeys::default();
+    for tx in txs {
+        if let Some(cert) = client_certs.get(&tx.creator) {
+            creators
+                .entry(tx.creator)
+                .or_insert_with(|| msp.verified_key(cert).ok());
+        }
+    }
+    creators
+}
+
 /// What VSCC checks one block's signatures and endorsements against: the
 /// peer's channel configuration, the key of every creator the block names and
 /// the expanded keys of the registered endorsers.
 pub(crate) struct Trust<'a> {
     config: &'a PeerConfig,
-    /// Each creator's key, verified by the MSP once for the block; `None`
-    /// when the creator is not registered or its certificate is untrusted.
-    creators: HashMap<ClientId, Option<Arc<VerifyingKey>>, FxBuildHasher>,
+    /// The creators' keys: the ones a peer resolved at registration, or
+    /// those [`resolve_creators`] resolved for the block from certificates.
+    /// Every transaction from a creator is checked against its key, with no
+    /// lock and no certificate comparison of its own.
+    creators: &'a CreatorKeys,
     endorser_keys: &'a HashMap<Principal, Vec<VerifyingKey>, FxBuildHasher>,
 }
 
 impl<'a> Trust<'a> {
-    /// Resolves the creators of `txs`, each once: its registered certificate,
-    /// validated by `msp`, and the expanded key that comes with it. Every
-    /// transaction from that creator is then checked against that key, with
-    /// no lock and no certificate comparison of its own; a certificate's
-    /// verdict does not depend on which of the block's transactions asks.
-    pub(crate) fn new<S: BuildHasher>(
+    pub(crate) fn new(
         config: &'a PeerConfig,
-        msp: &Msp,
-        client_certs: &HashMap<ClientId, Certificate, S>,
+        creators: &'a CreatorKeys,
         endorser_keys: &'a HashMap<Principal, Vec<VerifyingKey>, FxBuildHasher>,
-        txs: &[Transaction],
     ) -> Self {
-        let mut creators: HashMap<ClientId, Option<Arc<VerifyingKey>>, FxBuildHasher> =
-            HashMap::default();
-        for tx in txs {
-            creators.entry(tx.creator).or_insert_with(|| {
-                let cert = client_certs.get(&tx.creator)?;
-                msp.verified_key(cert).ok()
-            });
-        }
         Trust {
             config,
             creators,

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 use fabricsim_chaincode::{Chaincode, ChaincodeRegistry, ChaincodeStub};
-use fabricsim_crypto::{PublicKey, VerifyingKey};
+use fabricsim_crypto::{sha256, PublicKey, VerifyingKey};
 use fabricsim_ledger::{ChainError, Ledger};
 use fabricsim_msp::{Certificate, Msp, SigningIdentity};
 use fabricsim_policy::Policy;
@@ -12,7 +12,7 @@ use fabricsim_types::{
     ValidationCode,
 };
 
-use crate::committer::Trust;
+use crate::committer::{CreatorKeys, Trust};
 use crate::pipeline::ValidationPipeline;
 
 /// Static configuration for a peer.
@@ -39,7 +39,9 @@ pub struct Peer {
     config: PeerConfig,
     ledger: Ledger,
     chaincodes: ChaincodeRegistry,
-    client_certs: HashMap<ClientId, Certificate, FxBuildHasher>,
+    /// Each registered client's key, resolved through the MSP once when it
+    /// was registered: `None` for a certificate the MSP refused.
+    client_keys: CreatorKeys,
     /// Each registered endorser key, expanded once when it was registered.
     endorser_keys: HashMap<Principal, Vec<VerifyingKey>, FxBuildHasher>,
 }
@@ -54,7 +56,7 @@ impl Peer {
             config,
             ledger: Ledger::new(channel),
             chaincodes: ChaincodeRegistry::new(),
-            client_certs: HashMap::default(),
+            client_keys: HashMap::default(),
             endorser_keys: HashMap::default(),
         }
     }
@@ -111,9 +113,15 @@ impl Peer {
         self.ledger.state_mut_for_bootstrap()
     }
 
-    /// Registers a client identity as authorized on the channel.
+    /// Registers a client identity as authorized on the channel. The MSP
+    /// validates the certificate here, once, and the expanded key it returns
+    /// is what every proposal the client sends and every transaction it
+    /// creates is verified under; a certificate the MSP refuses registers
+    /// the client as untrusted, and everything it signs is refused.
+    /// Registering a client again replaces its key.
     pub fn register_client(&mut self, client: ClientId, cert: Certificate) {
-        self.client_certs.insert(client, cert);
+        let key = self.msp.verified_key(&cert).ok();
+        self.client_keys.insert(client, key);
     }
 
     /// Registers a fellow endorsing peer's public key under its principal
@@ -155,15 +163,12 @@ impl Peer {
         if self.ledger.blocks().contains_tx(&proposal.tx_id) {
             return fail(proposal.tx_id);
         }
-        // Checks 3 & 4: signature valid; submitter authorized on the channel.
-        let Some(cert) = self.client_certs.get(&proposal.creator) else {
+        // Checks 3 & 4: submitter authorized on the channel (registered with
+        // a certificate the MSP trusts); signature valid under its key.
+        let Some(Some(key)) = self.client_keys.get(&proposal.creator) else {
             return fail(proposal.tx_id);
         };
-        if self
-            .msp
-            .verify(cert, &proposal.signed_bytes(), &proposal.signature)
-            .is_err()
-        {
+        if !key.verify_digest(&sha256(&proposal.signed_bytes()), &proposal.signature) {
             return fail(proposal.tx_id);
         }
 
@@ -219,8 +224,8 @@ impl Peer {
     /// checked against the tip, the data hash is verified by building a
     /// [`fabricsim_types::CheckedBlock`], VSCC verifies creator signatures
     /// against the digests that proof kept, and the ledger commits the proof
-    /// without recomputing the Merkle root. Each creator's certificate is
-    /// validated once per block, not once per transaction.
+    /// without recomputing the Merkle root. Each creator's key is the one
+    /// resolved when it was registered: no certificate is looked at here.
     ///
     /// Returns the validation flags stamped into the committed block, one per
     /// transaction in block order.
@@ -231,14 +236,7 @@ impl Peer {
     pub fn validate_and_commit(&mut self, block: Block) -> Result<Vec<ValidationCode>, ChainError> {
         let checked = self.ledger.blocks().admit(block)?;
         let pipeline = ValidationPipeline::new(self.config.validator_pool_size);
-        let txs = &checked.block().transactions;
-        let trust = Trust::new(
-            &self.config,
-            &self.msp,
-            &self.client_certs,
-            &self.endorser_keys,
-            txs,
-        );
+        let trust = Trust::new(&self.config, &self.client_keys, &self.endorser_keys);
         let pre_flags = pipeline.pre_commit_flags_checked(&checked, &trust);
         self.ledger.validate_and_commit(checked, &pre_flags)
     }
@@ -551,6 +549,81 @@ mod tests {
                 ValidationCode::BadEndorserSignature,
                 ValidationCode::BadEndorserSignature,
             ]
+        );
+    }
+
+    /// A client identity of Org1 enrolled by `ca` under `name`.
+    fn client_of(ca: &CertificateAuthority, name: &str) -> SigningIdentity {
+        let subject = Principal {
+            org: OrgId(1),
+            role: "client".into(),
+        };
+        ca.enroll(subject, name)
+    }
+
+    #[test]
+    fn a_client_a_rogue_ca_certified_is_refused_everywhere() {
+        // Endorsing: registered with a certificate the MSP refuses, the
+        // client is refused on every proposal, however well it signs.
+        let (mut peer, client, _ca) = setup();
+        let rogue = client_of(&CertificateAuthority::new("rogue", 2), "client0");
+        peer.register_client(ClientId(0), rogue.certificate().clone());
+        for nonce in 1..=5 {
+            assert!(!peer.endorse(&proposal(&rogue, nonce)).ok, "nonce {nonce}");
+            assert!(!peer.endorse(&proposal(&client, nonce)).ok, "nonce {nonce}");
+        }
+
+        // Committing: every transaction it creates is flagged, at any pool
+        // size, and its endorsements are not even looked at.
+        let f = fixture(Policy::or_of_orgs(1), 1);
+        for pool in [1, 4] {
+            let mut peer = committer(&f, pool);
+            peer.register_client(ClientId(0), rogue.certificate().clone());
+            let txs: Vec<Transaction> = (0..6)
+                .map(|n| {
+                    let mut tx = endorsed_tx(&f, n, &[0]);
+                    if n % 2 == 0 {
+                        tx.signature = rogue.sign(&tx.signed_bytes());
+                    }
+                    tx
+                })
+                .collect();
+            let block = next_block(&peer, txs);
+            assert_eq!(
+                peer.validate_and_commit(block).unwrap(),
+                vec![ValidationCode::BadCreatorSignature; 6],
+                "pool size {pool}"
+            );
+        }
+    }
+
+    #[test]
+    fn re_registering_a_client_replaces_its_key() {
+        let (mut peer, old, ca) = setup();
+        let new = client_of(&ca, "client0-rotated");
+        let rogue = client_of(&CertificateAuthority::new("rogue", 2), "client0");
+        assert!(peer.endorse(&proposal(&old, 1)).ok);
+        peer.register_client(ClientId(0), new.certificate().clone());
+        assert!(!peer.endorse(&proposal(&old, 2)).ok);
+        assert!(peer.endorse(&proposal(&new, 3)).ok);
+        // Untrusted, then trusted again: the last registration decides.
+        peer.register_client(ClientId(0), rogue.certificate().clone());
+        assert!(!peer.endorse(&proposal(&new, 4)).ok);
+        peer.register_client(ClientId(0), old.certificate().clone());
+        assert!(peer.endorse(&proposal(&old, 5)).ok);
+        assert!(!peer.endorse(&proposal(&new, 6)).ok);
+
+        // The committer verifies each creator under its current key too.
+        let f = fixture(Policy::or_of_orgs(1), 1);
+        let mut peer = committer(&f, 1);
+        let rotated = client_of(&CertificateAuthority::new("ca", 1), "client0-rotated");
+        peer.register_client(ClientId(0), rotated.certificate().clone());
+        let mut by_rotated = endorsed_tx(&f, 1, &[0]);
+        by_rotated.signature = rotated.sign(&by_rotated.signed_bytes());
+        let block = next_block(&peer, vec![endorsed_tx(&f, 0, &[0]), by_rotated]);
+        assert_eq!(
+            peer.validate_and_commit(block).unwrap(),
+            vec![ValidationCode::BadCreatorSignature, ValidationCode::Valid]
         );
     }
 

@@ -25,7 +25,7 @@ use fabricsim_types::{
     Block, CheckedBlock, ClientId, FxBuildHasher, Principal, Transaction, TxId, ValidationCode,
 };
 
-use crate::committer::{expand_endorser_keys, vscc_tx_hashed, Trust};
+use crate::committer::{expand_endorser_keys, resolve_creators, vscc_tx_hashed, Trust};
 use crate::peer::PeerConfig;
 
 /// The committer's staged validation pipeline.
@@ -91,7 +91,8 @@ impl ValidationPipeline {
     ) {
         let txs = &block.transactions;
         let endorser_keys = expand_endorser_keys(endorser_keys, txs);
-        let trust = Trust::new(config, msp, client_certs, &endorser_keys, txs);
+        let creators = resolve_creators(msp, client_certs, txs);
+        let trust = Trust::new(config, &creators, &endorser_keys);
         self.vscc_stage(txs, None, &trust, flags);
     }
 
@@ -211,9 +212,10 @@ mod tests {
             let checked = CheckedBlock::new(block.clone()).expect("consistent block");
             let txs = &block.transactions;
             let endorser_keys = expand_endorser_keys(&f.endorser_keys, txs);
+            let creators = resolve_creators(&f.msp, &f.client_certs, txs);
             let from_digests = ValidationPipeline::new(pool).pre_commit_flags_checked(
                 &checked,
-                &Trust::new(&f.config, &f.msp, &f.client_certs, &endorser_keys, txs),
+                &Trust::new(&f.config, &creators, &endorser_keys),
             );
             assert_eq!(from_digests, serial, "digest path at pool {pool} diverged");
         }

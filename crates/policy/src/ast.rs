@@ -69,18 +69,24 @@ impl Policy {
 
     /// True when the multiset of endorsing principals satisfies the policy.
     /// Only membership counts: a principal endorsing twice is one principal.
+    ///
+    /// The endorsers are scanned in place, once per principal leaf, through
+    /// clones of the iterator: a handful of endorsers needs no set, and no
+    /// evaluation allocates.
     pub fn is_satisfied_by<'a, I>(&self, endorsers: I) -> bool
     where
         I: IntoIterator<Item = &'a Principal>,
+        I::IntoIter: Clone,
     {
-        // A handful of endorsers: a scan beats building an ordered set.
-        let endorsers: Vec<&Principal> = endorsers.into_iter().collect();
-        self.eval(&endorsers)
+        self.eval(&endorsers.into_iter())
     }
 
-    fn eval(&self, endorsers: &[&Principal]) -> bool {
+    fn eval<'a, I>(&self, endorsers: &I) -> bool
+    where
+        I: Iterator<Item = &'a Principal> + Clone,
+    {
         match self {
-            Policy::Principal(p) => endorsers.contains(&p),
+            Policy::Principal(p) => endorsers.clone().any(|e| e == p),
             Policy::And(children) => children.iter().all(|c| c.eval(endorsers)),
             Policy::Or(children) => children.iter().any(|c| c.eval(endorsers)),
             Policy::OutOf(k, children) => {

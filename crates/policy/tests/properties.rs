@@ -102,3 +102,36 @@ fn empty_set_satisfies_nothing() {
         assert!(!policy.is_satisfied_by([].iter()));
     });
 }
+
+/// The reference semantics `is_satisfied_by` scans its way to: the endorsers
+/// collected into a set, every leaf a membership test.
+fn satisfied_by_set(policy: &Policy, endorsers: &BTreeSet<&Principal>) -> bool {
+    match policy {
+        Policy::Principal(p) => endorsers.contains(p),
+        Policy::And(cs) => cs.iter().all(|c| satisfied_by_set(c, endorsers)),
+        Policy::Or(cs) => cs.iter().any(|c| satisfied_by_set(c, endorsers)),
+        Policy::OutOf(k, cs) => cs.iter().filter(|c| satisfied_by_set(c, endorsers)).count() >= *k,
+    }
+}
+
+#[test]
+fn in_place_evaluation_matches_the_set_reference_on_multisets() {
+    cases(
+        "in_place_evaluation_matches_the_set_reference",
+        2_000,
+        |rng| {
+            let policy = policy(rng, 3);
+            // Up to 12 endorsements over orgs 1..=8 (one outside every policy),
+            // so repeats are common and order is arbitrary.
+            let endorsers: Vec<Principal> = (0..rng.next_below(13))
+                .map(|_| Principal::peer(OrgId(1 + rng.next_below(8) as u32)))
+                .collect();
+            let set: BTreeSet<&Principal> = endorsers.iter().collect();
+            assert_eq!(
+                policy.is_satisfied_by(endorsers.iter()),
+                satisfied_by_set(&policy, &set),
+                "{policy} over {endorsers:?}"
+            );
+        },
+    );
+}

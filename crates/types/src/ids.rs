@@ -1,6 +1,7 @@
 //! Identifiers: organizations, nodes, channels, transactions, principals.
 
 use std::fmt;
+use std::sync::Arc;
 
 use fabricsim_crypto::Hash256;
 
@@ -108,14 +109,16 @@ impl fmt::Display for TxId {
 }
 
 /// An endorsement-policy principal such as `Org1.peer` — the unit the policy
-/// language quantifies over.
+/// language quantifies over. Its role is shared, so a clone — one per
+/// endorsement made, assembled or checked — copies a reference count, not a
+/// string.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Principal {
     /// Owning organization.
     pub org: OrgId,
     /// Role within the organization (Fabric supports peer/member/admin; the
     /// experiments only distinguish `peer`).
-    pub role: String,
+    pub role: Arc<str>,
 }
 
 impl Principal {
@@ -123,7 +126,7 @@ impl Principal {
     pub fn peer(org: OrgId) -> Self {
         Principal {
             org,
-            role: "peer".to_string(),
+            role: Arc::from("peer"),
         }
     }
 
@@ -139,7 +142,7 @@ impl Principal {
         }
         Some(Principal {
             org: OrgId(n),
-            role: role.to_string(),
+            role: Arc::from(role),
         })
     }
 }
@@ -195,7 +198,7 @@ mod tests {
         let p = Principal::parse("Org2.peer").unwrap();
         assert_eq!(p, Principal::peer(OrgId(2)));
         assert_eq!(p.to_string(), "Org2.peer");
-        assert_eq!(Principal::parse("Org2.admin").unwrap().role, "admin");
+        assert_eq!(&*Principal::parse("Org2.admin").unwrap().role, "admin");
     }
 
     #[test]
@@ -204,7 +207,7 @@ mod tests {
             for role in ["peer", "admin", "x"] {
                 let p = Principal {
                     org: OrgId(org),
-                    role: role.to_string(),
+                    role: role.into(),
                 };
                 let mut direct = Encoder::new("t");
                 p.encode_into(&mut direct);
