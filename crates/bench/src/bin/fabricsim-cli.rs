@@ -29,7 +29,9 @@
 //!       run with the DES kernel self-profiler enabled and print where host
 //!       time went: per-event-label handler ns/counts, heap cost, loop
 //!       overhead, hottest family, the run's synchronization cost
-//!       (windows, cross-shard messages, events; `"sync"` in --json) and
+//!       (windows, cross-shard messages, events; `"sync"` in --json), what
+//!       the validation lane did (blocks handed over, stolen back, waited
+//!       for, and its busy time; `"lane"` in --json) and
 //!       the SHA-256 body that hashed it (`"sha256_backend"` in --json).
 //!       Accepts the same deployment flags as the default run mode
 //!   fabricsim diff A B [A2 B2 …] [--json] [--force]
@@ -56,10 +58,15 @@
 //!   --batch-timeout MS               BatchTimeout (default 1000)
 //!   --osns COUNT                     ordering nodes (default 3)
 //!   --channels COUNT                 independent channels (default 1)
-//!   --sim-workers COUNT              OS threads the per-channel event loops
-//!                                    run on (default 0; 0 and 1 both mean
-//!                                    one thread); output is byte-identical
-//!                                    at every count
+//!   --sim-workers COUNT              host threads for the run (default 0:
+//!                                    one event-loop thread, plus a lane
+//!                                    that validates blocks ahead of it on
+//!                                    a host with a second core; N: the
+//!                                    per-channel event loops on min(N,
+//!                                    channels) threads, plus the lane when
+//!                                    N > channels, so 1 is exactly one
+//!                                    thread); output is byte-identical at
+//!                                    every count
 //!   --validator-pool COUNT           VSCC worker-pool width per committer (default 1)
 //!   --brokers COUNT / --zk COUNT     kafka substrate sizes (default 3)
 //!   --workload kvput|rmw|transfer|smallbank   (default kvput)
@@ -506,6 +513,7 @@ fn cmd_profile(args: &[String]) -> ! {
     };
     let shards = &result.observability.shard_profiles;
     let sync = &result.observability.sync;
+    let lane = &result.observability.lane;
     let s = &result.summary;
     // Host ns depend on which SHA-256 body the CPU selected, so the profile
     // names it next to the run's provenance.
@@ -517,14 +525,19 @@ fn cmd_profile(args: &[String]) -> ! {
         println!(
             "{{\"seed\":{},\"config_digest\":\"{}\",\"sha256_backend\":\"{backend}\",\
              \"merged\":{},\"shards\":[{}],\
-             \"sync\":{{\"windows\":{},\"messages\":{},\"events\":{}}}}}",
+             \"sync\":{{\"windows\":{},\"messages\":{},\"events\":{}}},\
+             \"lane\":{{\"jobs\":{},\"stolen\":{},\"waits\":{},\"busy_s\":{:.6}}}}}",
             s.seed,
             s.config_digest,
             profile.to_json(),
             per_shard.join(","),
             sync.windows,
             sync.messages,
-            sync.stats.executed
+            sync.stats.executed,
+            lane.jobs,
+            lane.stolen,
+            lane.waits,
+            lane.busy_s
         );
     } else {
         println!("== {label}: kernel self-profile ==");
@@ -540,6 +553,13 @@ fn cmd_profile(args: &[String]) -> ! {
         println!(
             "sync       : windows {}, cross-shard messages {}, events {}",
             sync.windows, sync.messages, sync.stats.executed
+        );
+        println!(
+            "lane       : jobs {}, stolen {}, waits {}, busy {:.3} ms",
+            lane.jobs,
+            lane.stolen,
+            lane.waits,
+            lane.busy_s * 1e3
         );
         println!(
             "accounting : attributed {:.3} ms vs loop {:.3} ms ({} committed tx at {:.1} tps)",

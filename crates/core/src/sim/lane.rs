@@ -1,0 +1,402 @@
+//! The lane: one spare host thread per run that validates each peer's next
+//! block ahead of the event loop.
+//!
+//! Validating a block has a pure half — the data-hash proof, intra-block
+//! dedup and VSCC, which read nothing from the ledger — and a stateful half
+//! — the link check, MVCC and the commit ([`fabricsim_peer::BlockValidator`],
+//! [`fabricsim_peer::Peer::commit_prevalidated`]). A peer hands the pure half
+//! of the head of its validation queue to the lane; the `validate.commit`
+//! handler later takes the result and runs the stateful half on the event
+//! thread, at the same simulated instant as before. Nothing simulated can
+//! tell the difference: the lane only moves host work between threads.
+//!
+//! The event thread never depends on the lane to make progress. A job the
+//! lane has not started when the result is needed is *stolen*: computed
+//! inline, and skipped by the lane later. A job that is running is waited
+//! for. A job that panicked on the lane is recomputed inline, so the panic
+//! surfaces on the event thread exactly where it would without a lane.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::{Scope, ScopedJoinHandle};
+
+use fabricsim_obs::WallClock;
+use fabricsim_peer::{BlockValidator, Prevalidated};
+use fabricsim_types::Block;
+
+/// Blocks with fewer signatures than this — creator plus endorsements,
+/// summed over the block — are validated inline: below it a handoff costs
+/// more host CPU than the lane saves (DESIGN.md §10.6).
+pub(super) const LANE_MIN_SIGNATURES: usize = 32;
+
+/// What a run's lane did. Only `jobs` is a function of the configuration;
+/// the rest depends on how the host scheduled the two threads.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct LaneStats {
+    /// Jobs handed to the lane.
+    pub jobs: u64,
+    /// Jobs the event thread needed before the lane started them, and
+    /// computed inline.
+    pub stolen: u64,
+    /// Jobs the event thread found running and waited for.
+    pub waits: u64,
+    /// Host seconds the lane spent computing jobs.
+    pub busy_s: f64,
+}
+
+/// How many event-loop threads a run of `channels` worlds gets at
+/// `sim_workers`, and whether it also gets a lane: `0` is one event-loop
+/// thread, plus the lane when the host has a second core; `n ≥ 1` is
+/// `min(n, channels)` event-loop threads, plus the lane if and only if
+/// threads are left over.
+pub(super) fn thread_budget(sim_workers: u32, channels: usize) -> (usize, bool) {
+    let cores = || std::thread::available_parallelism().map_or(1, |n| n.get());
+    match sim_workers as usize {
+        0 => (1, cores() >= 2),
+        n => (n.min(channels), n > channels),
+    }
+}
+
+/// The pure half of one peer's validation of one block: the snapshot of
+/// what the peer trusted when it handed the block over, and the block.
+pub(super) type BlockJob = (Arc<BlockValidator>, Arc<Block>);
+
+/// The lane's work on a [`BlockJob`].
+pub(super) fn prevalidate(job: &BlockJob) -> Prevalidated {
+    job.0.check(Block::clone(&job.1))
+}
+
+/// A world's end of a lane that prevalidates blocks.
+pub(super) type BlockLane = LaneHandle<BlockJob, Prevalidated>;
+
+/// Whether `block` carries enough signatures to be worth a handoff.
+pub(super) fn worth_handing_over(block: &Block) -> bool {
+    let signatures: usize = block
+        .transactions
+        .iter()
+        .map(|tx| 1 + tx.endorsements.len())
+        .sum();
+    signatures >= LANE_MIN_SIGNATURES
+}
+
+enum State<O> {
+    Queued,
+    /// `awaited`: the event thread is waiting for the result.
+    Running {
+        awaited: bool,
+    },
+    Done(O),
+    Failed,
+    Stolen,
+}
+
+/// One job's meeting point between the lane and the event thread.
+struct Slot<O> {
+    state: Mutex<State<O>>,
+    ready: Condvar,
+}
+
+impl<O> Slot<O> {
+    fn lock(&self) -> MutexGuard<'_, State<O>> {
+        // Nothing panics while holding the lock, so a poisoned one still
+        // holds a state that was written whole.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+type Job<I, O> = (Arc<Slot<O>>, I);
+
+/// A job handed to the lane. It keeps its own copy of the input, so whoever
+/// holds it can always compute the result itself.
+pub(super) struct Ticket<I, O> {
+    slot: Arc<Slot<O>>,
+    input: I,
+}
+
+impl<I, O> Ticket<I, O> {
+    /// What the job computes on.
+    pub(super) fn input(&self) -> &I {
+        &self.input
+    }
+}
+
+/// One world's end of the lane: it hands jobs over and takes their results.
+pub(super) struct LaneHandle<I, O> {
+    jobs: Sender<Job<I, O>>,
+    work: fn(&I) -> O,
+    stats: LaneStats,
+}
+
+impl<I: Clone, O> LaneHandle<I, O> {
+    /// Queues `work(&input)` on the lane.
+    pub(super) fn hand_over(&mut self, input: I) -> Ticket<I, O> {
+        let slot = Arc::new(Slot {
+            state: Mutex::new(State::Queued),
+            ready: Condvar::new(),
+        });
+        // A lane that is gone leaves the slot queued, and `take` steals it.
+        if self.jobs.send((Arc::clone(&slot), input.clone())).is_ok() {
+            self.stats.jobs += 1;
+        }
+        Ticket { slot, input }
+    }
+
+    /// The job's result: the lane's if it finished, after waiting if it is
+    /// running; computed here if the lane has not started it or panicked.
+    pub(super) fn take(&mut self, ticket: Ticket<I, O>) -> O {
+        let Ticket { slot, input } = ticket;
+        let mut state = slot.lock();
+        let mut waited = false;
+        loop {
+            match std::mem::replace(&mut *state, State::Stolen) {
+                State::Done(out) => return out,
+                State::Running { .. } => {
+                    *state = State::Running { awaited: true };
+                    if !waited {
+                        waited = true;
+                        self.stats.waits += 1;
+                    }
+                    state = slot
+                        .ready
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+                State::Queued => {
+                    self.stats.stolen += 1;
+                    break;
+                }
+                State::Failed | State::Stolen => break,
+            }
+        }
+        drop(state);
+        (self.work)(&input)
+    }
+}
+
+/// The lane of one run: the spare thread and the sending end every
+/// [`LaneHandle`] clones.
+pub(super) struct Lane<'scope, I, O> {
+    jobs: Sender<Job<I, O>>,
+    work: fn(&I) -> O,
+    thread: ScopedJoinHandle<'scope, f64>,
+}
+
+impl<'scope, I: Send + 'scope, O: Send + 'scope> Lane<'scope, I, O> {
+    /// Spawns the lane in `scope`, running `work` on every job handed over.
+    pub(super) fn start<'env>(scope: &'scope Scope<'scope, 'env>, work: fn(&I) -> O) -> Self {
+        let (jobs, queue) = mpsc::channel();
+        let thread = scope.spawn(move || serve(&queue, work));
+        Lane { jobs, work, thread }
+    }
+
+    /// A new end for one world.
+    pub(super) fn handle(&self) -> LaneHandle<I, O> {
+        LaneHandle {
+            jobs: self.jobs.clone(),
+            work: self.work,
+            stats: LaneStats::default(),
+        }
+    }
+
+    /// Closes the lane, given every handle it gave out, and reports what it
+    /// did. The thread stops once it has drained its queue.
+    pub(super) fn finish(self, handles: impl IntoIterator<Item = LaneHandle<I, O>>) -> LaneStats {
+        let mut stats = LaneStats::default();
+        for h in handles {
+            stats.jobs += h.stats.jobs;
+            stats.stolen += h.stats.stolen;
+            stats.waits += h.stats.waits;
+        }
+        drop(self.jobs);
+        // Every job runs under `catch_unwind`, so the thread itself does not
+        // panic; if it did, every result was still taken or recomputed by
+        // its event thread, and only its busy time is lost.
+        stats.busy_s = self.thread.join().unwrap_or(0.0);
+        stats
+    }
+}
+
+/// The lane thread: runs each queued job nobody has stolen until every
+/// sending end is gone, and returns the host seconds it spent on them.
+fn serve<I, O>(queue: &Receiver<Job<I, O>>, work: fn(&I) -> O) -> f64 {
+    let mut busy_s = 0.0;
+    for (slot, input) in queue {
+        // Only the lane still holds the slot: its ticket was dropped (the
+        // run ended before the commit that needed it), so skip the work.
+        if Arc::strong_count(&slot) == 1 {
+            continue;
+        }
+        {
+            let mut state = slot.lock();
+            if !matches!(*state, State::Queued) {
+                continue;
+            }
+            *state = State::Running { awaited: false };
+        }
+        let clock = WallClock::start();
+        let out = catch_unwind(AssertUnwindSafe(|| work(&input)));
+        busy_s += clock.elapsed_s();
+        let mut state = slot.lock();
+        let awaited = matches!(*state, State::Running { awaited: true });
+        *state = out.map_or(State::Failed, State::Done);
+        drop(state);
+        if awaited {
+            slot.ready.notify_one();
+        }
+    }
+    busy_s
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// A job's input: a number, and a count of the times it was computed.
+    type Counted = (u64, Arc<AtomicU64>);
+
+    fn plus_one(x: &Counted) -> u64 {
+        x.1.fetch_add(1, Ordering::SeqCst);
+        x.0 + 1
+    }
+
+    fn counted(x: u64) -> Counted {
+        (x, Arc::new(AtomicU64::new(0)))
+    }
+
+    fn runs(x: &Counted) -> u64 {
+        x.1.load(Ordering::SeqCst)
+    }
+
+    /// A handle whose lane is played by hand through the returned queue.
+    fn by_hand() -> (LaneHandle<Counted, u64>, Receiver<Job<Counted, u64>>) {
+        let (jobs, queue) = mpsc::channel();
+        let handle = LaneHandle {
+            jobs,
+            work: plus_one,
+            stats: LaneStats::default(),
+        };
+        (handle, queue)
+    }
+
+    #[test]
+    fn a_job_still_queued_is_stolen_and_the_lane_skips_it() {
+        let (mut handle, queue) = by_hand();
+        let input = counted(41);
+        let ticket = handle.hand_over(input.clone());
+        let slot = Arc::clone(&ticket.slot);
+        assert_eq!(handle.take(ticket), 42);
+        assert_eq!((handle.stats.jobs, handle.stats.stolen), (1, 1));
+        assert_eq!(handle.stats.waits, 0);
+        // The lane finds the job stolen and leaves it alone.
+        drop(handle);
+        assert_eq!(serve(&queue, plus_one), 0.0);
+        assert!(matches!(*slot.lock(), State::Stolen));
+        assert_eq!(runs(&input), 1, "computed once, inline");
+    }
+
+    #[test]
+    fn a_running_job_is_waited_for() {
+        let (mut handle, queue) = by_hand();
+        let ticket = handle.hand_over(counted(20));
+        // Claim the job as the lane does, then finish it from another thread
+        // once the taker is waiting for it.
+        let (slot, input) = queue.recv().unwrap();
+        *slot.lock() = State::Running { awaited: false };
+        let lane = std::thread::spawn(move || {
+            while !matches!(*slot.lock(), State::Running { awaited: true }) {
+                std::thread::yield_now();
+            }
+            *slot.lock() = State::Done(input.0 + 1000);
+            slot.ready.notify_one();
+        });
+        // The lane's answer, not a recomputation: 1020, not 21.
+        assert_eq!(handle.take(ticket), 1020);
+        lane.join().unwrap();
+        assert_eq!((handle.stats.stolen, handle.stats.waits), (0, 1));
+    }
+
+    #[test]
+    fn a_done_job_is_taken_without_waiting_or_recomputing() {
+        let input = counted(1);
+        std::thread::scope(|s| {
+            let lane = Lane::start(s, plus_one);
+            let mut handle = lane.handle();
+            let ticket = handle.hand_over(input.clone());
+            while !matches!(*ticket.slot.lock(), State::Done(_)) {
+                std::thread::yield_now();
+            }
+            assert_eq!(handle.take(ticket), 2);
+            let stats = lane.finish([handle]);
+            assert_eq!((stats.jobs, stats.stolen, stats.waits), (1, 0, 0));
+            assert!(stats.busy_s >= 0.0);
+        });
+        assert_eq!(runs(&input), 1, "computed once, on the lane");
+    }
+
+    #[test]
+    fn a_job_that_panics_on_the_lane_is_recomputed_inline_and_nothing_hangs() {
+        fn fragile(x: &Counted) -> u64 {
+            x.1.fetch_add(1, Ordering::SeqCst);
+            assert!(x.0 != 13, "unlucky input {}", x.0);
+            x.0 + 1
+        }
+        let input = counted(13);
+        let outcome = std::panic::catch_unwind(|| {
+            std::thread::scope(|s| {
+                let lane = Lane::start(s, fragile);
+                let mut handle = lane.handle();
+                let ticket = handle.hand_over(input.clone());
+                while !matches!(*ticket.slot.lock(), State::Failed) {
+                    std::thread::yield_now();
+                }
+                // The same panic, raised again on this thread.
+                handle.take(ticket)
+            })
+        });
+        let payload = outcome.expect_err("the inline recomputation panics");
+        let message = payload.downcast_ref::<String>().map(String::as_str);
+        assert_eq!(message, Some("unlucky input 13"));
+        assert_eq!(runs(&input), 2, "once on the lane, once inline");
+        // A lane whose job panicked keeps serving.
+        std::thread::scope(|s| {
+            let lane = Lane::start(s, fragile);
+            let mut handle = lane.handle();
+            let bad = handle.hand_over(counted(13));
+            let good = handle.hand_over(counted(1));
+            assert_eq!(handle.take(good), 2);
+            drop(bad);
+            assert_eq!(lane.finish([handle]).jobs, 2);
+        });
+    }
+
+    #[test]
+    fn jobs_whose_tickets_are_gone_are_skipped_at_close() {
+        let (mut handle, queue) = by_hand();
+        let input = counted(0);
+        for _ in 0..8 {
+            drop(handle.hand_over(input.clone()));
+        }
+        drop(handle);
+        assert_eq!(serve(&queue, plus_one), 0.0);
+        assert_eq!(runs(&input), 0);
+    }
+
+    #[test]
+    fn the_thread_budget_follows_sim_workers() {
+        // One event-loop thread at the default, the lane beside it on a host
+        // with a second core.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(thread_budget(0, 1), (1, cores >= 2));
+        assert_eq!(thread_budget(0, 4), (1, cores >= 2));
+        // Exactly one thread.
+        assert_eq!(thread_budget(1, 1), (1, false));
+        assert_eq!(thread_budget(1, 4), (1, false));
+        // A lane only with threads to spare.
+        assert_eq!(thread_budget(2, 1), (1, true));
+        assert_eq!(thread_budget(2, 4), (2, false));
+        assert_eq!(thread_budget(4, 4), (4, false));
+        assert_eq!(thread_budget(5, 4), (4, true));
+    }
+}

@@ -3,12 +3,14 @@
 
 mod client;
 mod faults;
+mod lane;
 mod observe;
 mod ordering;
 mod peer;
 mod world;
 
 pub use faults::FaultPlan;
+pub use lane::LaneStats;
 
 use fabricsim_des::{Kernel, KernelProfile, ShardedKernel, ShardedRunReport, SimDuration, SimTime};
 use fabricsim_obs::{
@@ -20,6 +22,7 @@ use crate::metrics::{summarize, SummaryReport, TxOutcome, TxTrace};
 use crate::workload::SimConfig;
 
 use faults::schedule_faults;
+use lane::Lane;
 use observe::{flush_partial_tick, sample_period_s, stations_of, TxRecord};
 use world::{bootstrap, build_world, World, K};
 
@@ -105,6 +108,10 @@ pub struct RunObservability {
     /// cross-world messages exchanged and event-loop counters summed over
     /// the channel worlds. A one-world run is one window and no messages.
     pub sync: ShardedRunReport,
+    /// What the run's lane did: blocks whose pure half of validation ran on
+    /// the spare host thread beside the event loops. All zero when the run
+    /// had no lane (see [`SimConfig::sim_workers`]).
+    pub lane: LaneStats,
     /// Health-plane report (regime timeline, bottleneck-shift onsets, SLO
     /// burn accounting), folded over every channel world's sampler rows
     /// after the run. `None` unless [`crate::ObsConfig::health_events`] was
@@ -218,21 +225,38 @@ impl Simulation {
         // hence the 1 ns floor.
         let lookahead = SimDuration::from_millis_f64(cfg.cost.link_propagation_ms)
             .max(SimDuration::from_nanos(1));
-        let mut sharded: ShardedKernel<World> = ShardedKernel::new(lookahead);
-        sharded.set_horizon(end);
-        for shard_id in 0..n_shards {
-            let mut world = build_world(&cfg, shard_id);
-            let mut kernel: K = Kernel::new();
-            bootstrap(&mut world, &mut kernel);
-            schedule_faults(&faults, &mut kernel);
-            sharded.push_shard(kernel, world);
-        }
-        if cfg.obs.profile {
-            sharded.enable_profiler();
-        }
-        let sync = sharded.run((cfg.sim_workers as usize).clamp(1, n_shards));
-        let mut shard_profiles: Vec<KernelProfile> =
-            sharded.take_profiles().into_iter().flatten().collect();
+        let (workers, with_lane) = lane::thread_budget(cfg.sim_workers, n_shards);
+        // The lane lives exactly as long as the event loops that feed it:
+        // every world's end of it is handed back before it closes.
+        let (sync, mut shard_profiles, mut worlds, lane) = std::thread::scope(|scope| {
+            let lane = with_lane.then(|| Lane::start(scope, lane::prevalidate));
+            let mut sharded: ShardedKernel<World> = ShardedKernel::new(lookahead);
+            sharded.set_horizon(end);
+            for shard_id in 0..n_shards {
+                let mut world = build_world(&cfg, shard_id);
+                world.lane = lane.as_ref().map(Lane::handle);
+                let mut kernel: K = Kernel::new();
+                bootstrap(&mut world, &mut kernel);
+                schedule_faults(&faults, &mut kernel);
+                sharded.push_shard(kernel, world);
+            }
+            if cfg.obs.profile {
+                sharded.enable_profiler();
+            }
+            let sync = sharded.run(workers);
+            let shard_profiles: Vec<KernelProfile> =
+                sharded.take_profiles().into_iter().flatten().collect();
+            let mut worlds = sharded.into_worlds();
+            // Blocks handed over but never committed need no result.
+            for w in &mut worlds {
+                for p in &mut w.peers {
+                    p.ahead = None;
+                }
+            }
+            let handles: Vec<_> = worlds.iter_mut().filter_map(|w| w.lane.take()).collect();
+            let lane = lane.map_or_else(LaneStats::default, |l| l.finish(handles));
+            (sync, shard_profiles, worlds, lane)
+        });
         // A lone world's profile is the run's profile as it stands; several
         // are summed label-wise and also kept apart.
         let profile = if shard_profiles.len() > 1 {
@@ -244,7 +268,6 @@ impl Simulation {
         } else {
             shard_profiles.pop()
         };
-        let mut worlds = sharded.into_worlds();
         for w in &mut worlds {
             flush_partial_tick(w, end);
         }
@@ -361,6 +384,7 @@ impl Simulation {
             profile,
             shard_profiles,
             sync,
+            lane,
             health,
         };
         RunResult {

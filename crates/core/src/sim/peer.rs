@@ -5,13 +5,14 @@ use std::sync::Arc;
 
 use fabricsim_des::{SimDuration, SimTime};
 use fabricsim_obs::{SpanKind, StationClass, TracePhase};
-use fabricsim_peer::{GossipEffect, GossipMsg};
+use fabricsim_peer::{GossipEffect, GossipMsg, Prevalidated};
 use fabricsim_types::encode::WireSize;
 use fabricsim_types::{Block, Proposal, ProposalResponse, Transaction};
 
 use crate::metrics::TxOutcome;
 use crate::model::CostModel;
 
+use super::lane;
 use super::observe::{Actor, SpanKey};
 use super::world::{Ev, World, K};
 
@@ -179,6 +180,10 @@ fn enqueue_block_validation(world: &mut World, k: &mut K, peer_idx: usize, block
         "delivery gap at peer {peer_idx}"
     );
     world.peers[peer_idx].next_expected_block = block.header.number + 1;
+    if world.lane.is_some() {
+        world.peers[peer_idx].awaiting.push_back(Arc::clone(&block));
+        hand_over_head(world, peer_idx);
+    }
     // Zero-width delivery anchor for gossip-fed peers (no orderer Deliver
     // span). Orderer subscribers already have a real one with the same
     // deterministic id — the analyzer dedups, keeping the earlier real span.
@@ -286,14 +291,18 @@ pub(super) fn commit_block(
     // the loop below, which reads them beside the flags the commit hands
     // back.
     let observed = (peer_idx == world.observer).then(|| block.transactions.clone());
+    let committed = match take_ahead(world, peer_idx, &block) {
+        Some(checked) => world.peers[peer_idx].peer.commit_prevalidated(checked),
+        None => world.peers[peer_idx]
+            .peer
+            .validate_and_commit(Arc::unwrap_or_clone(block)),
+    };
     #[expect(
         clippy::expect_used,
         reason = "ordering delivers blocks in order; a chain break is a simulator bug"
     )]
-    let flags = world.peers[peer_idx]
-        .peer
-        .validate_and_commit(Arc::unwrap_or_clone(block))
-        .expect("delivered blocks must chain");
+    let flags = committed.expect("delivered blocks must chain");
+    hand_over_head(world, peer_idx);
     let Some(txs) = observed else {
         return;
     };
@@ -338,4 +347,35 @@ pub(super) fn commit_block(
             .obs
             .terminal(done, tx.tx_id, outcome, node.commit.name(), 0);
     }
+}
+
+/// Hands the head of peer `peer_idx`'s validation queue to the run's lane,
+/// unless it is there already or carries too few signatures to be worth a
+/// handoff. Only the head goes: each peer holds at most one prevalidated
+/// block.
+fn hand_over_head(world: &mut World, peer_idx: usize) {
+    let Some(lane) = world.lane.as_mut() else {
+        return;
+    };
+    let node = &mut world.peers[peer_idx];
+    let Some(head) = node.awaiting.front() else {
+        return;
+    };
+    if node.ahead.is_none() && lane::worth_handing_over(head) {
+        let job = (node.peer.validator(), Arc::clone(head));
+        node.ahead = Some(lane.hand_over(job));
+    }
+}
+
+/// Takes `block` off peer `peer_idx`'s validation queue and returns the
+/// lane's pure half of its validation, if the lane has it under the trust
+/// the peer holds now. `None` means the caller validates the block inline.
+fn take_ahead(world: &mut World, peer_idx: usize, block: &Arc<Block>) -> Option<Prevalidated> {
+    let lane = world.lane.as_mut()?;
+    let node = &mut world.peers[peer_idx];
+    if let Some(i) = node.awaiting.iter().position(|b| Arc::ptr_eq(b, block)) {
+        node.awaiting.remove(i);
+    }
+    let ticket = node.ahead.take_if(|t| Arc::ptr_eq(&t.input().1, block))?;
+    Arc::ptr_eq(&ticket.input().0, &node.peer.validator()).then(|| lane.take(ticket))
 }

@@ -2,7 +2,7 @@
 //! events its kernel schedules, construction and bootstrap.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
 
 use fabricsim_chaincode::samples::{AssetTransfer, KvWrite, Smallbank};
@@ -12,7 +12,7 @@ use fabricsim_kafka::{
 };
 use fabricsim_msp::{CertificateAuthority, Msp};
 use fabricsim_ordering::{OsnInput, OsnMsg, OsnNode};
-use fabricsim_peer::{GossipMsg, GossipNode, Peer, PeerConfig};
+use fabricsim_peer::{GossipMsg, GossipNode, Peer, PeerConfig, Prevalidated};
 use fabricsim_policy::Policy;
 use fabricsim_types::{
     Block, ChannelId, ClientId, FxBuildHasher, OrdererType, OrgId, Principal, Proposal,
@@ -23,6 +23,7 @@ use fabricsim_client::{ClientSdk, EndorsementCollector, TargetSelector};
 
 use crate::workload::{SimConfig, WorkloadKind};
 
+use super::lane::{BlockJob, BlockLane, Ticket};
 use super::observe::{obs_sample, schedule_sampler, Observer, TxRecord};
 use super::{client, faults, ordering, peer};
 
@@ -66,6 +67,12 @@ pub(super) struct PeerNode {
     /// Number of the next block this peer expects from its delivery stream;
     /// duplicates (e.g. failover replays) are dropped.
     pub(super) next_expected_block: u64,
+    /// Blocks delivered and not yet committed, in delivery order; kept only
+    /// when the run has a lane.
+    pub(super) awaiting: VecDeque<Arc<Block>>,
+    /// The head of `awaiting`, handed to the lane for its pure half of
+    /// validation: at most one block per peer.
+    pub(super) ahead: Option<Ticket<BlockJob, Prevalidated>>,
     /// Gossip dissemination state (when the run uses gossip delivery;
     /// single-channel only).
     pub(super) gossip: Option<GossipNode>,
@@ -114,6 +121,8 @@ pub(super) struct World {
     pub(super) shard: ShardCtx,
     /// Reused by every broker step and tick for the effects it emits.
     pub(super) broker_effects: Vec<BrokerEffect>,
+    /// This world's end of the run's lane, when it has one.
+    pub(super) lane: Option<BlockLane>,
 }
 
 pub(super) type K = Kernel<World>;
@@ -483,7 +492,8 @@ pub(super) fn build_world(cfg: &SimConfig, shard_id: usize) -> World {
                 // The modelled VSCC pool is `cost.validator_pool_size`, and
                 // the stations below charge it; it is not a host thread
                 // count. The flags are the same at any pool size, so the
-                // host validates every block on the calling thread.
+                // host validates every block serially: on the event thread,
+                // or ahead of it on the run's lane (`super::lane`).
                 validator_pool_size: 1,
             },
         );
@@ -516,6 +526,8 @@ pub(super) fn build_world(cfg: &SimConfig, shard_id: usize) -> World {
         peers.push(PeerNode {
             peer,
             next_expected_block: 0,
+            awaiting: VecDeque::new(),
+            ahead: None,
             gossip,
             endorse: Station::new(format!("peer{i}.endorse"), m.peer_endorse_threads),
             // This channel's committer pipeline (Fabric runs a commit
@@ -696,6 +708,7 @@ pub(super) fn build_world(cfg: &SimConfig, shard_id: usize) -> World {
         obs: Observer::new(cfg, shard_id),
         cfg: cfg.clone(),
         broker_effects: Vec::new(),
+        lane: None,
     }
 }
 

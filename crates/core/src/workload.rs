@@ -211,12 +211,18 @@ pub struct SimConfig {
     /// channel on shared hardware; each channel gets its own consensus
     /// instance (its own Raft group / Kafka partition), exactly as in Fabric.
     pub channels: u32,
-    /// OS threads the run's per-channel event-loop worlds are multiplexed
-    /// onto, under a conservative lookahead barrier; `0` (the default) and
-    /// `1` both mean one thread, and more than `channels` buys nothing.
-    /// Every worker count produces byte-identical reports (the determinism
-    /// suite locks workers {0, 1, 2, 4, 8} against each other) and the same
-    /// [`SimConfig::digest`], so this knob trades wall clock only.
+    /// The run's host thread budget. The per-channel event-loop worlds are
+    /// multiplexed onto `min(sim_workers, channels)` threads under a
+    /// conservative lookahead barrier, and a thread left over becomes the
+    /// *lane*, which runs the pure half of each peer's next block
+    /// validation (data hash, dedup, VSCC) ahead of the event loop while
+    /// MVCC and the commit stay on it. `0` (the default) is one event-loop
+    /// thread plus the lane when the host has a second core; `1` is exactly
+    /// one thread; `n > channels` adds the lane. Every worker count produces
+    /// byte-identical reports (the determinism suite locks workers
+    /// {0, 1, 2, 4} on one channel and {0, 1, 2, 8} on four against each
+    /// other) and the same [`SimConfig::digest`], so this knob trades wall
+    /// clock only (DESIGN.md §15).
     pub sim_workers: u32,
     /// Block dissemination: `None` = every peer subscribes to an OSN directly;
     /// `Some` = leader peers + gossip mesh.

@@ -13,7 +13,11 @@
 //!    endorsement-policy satisfaction) fanned out over a deterministic worker
 //!    pool, then the serial MVCC read-set check and ledger commit. This is
 //!    the pipeline the paper identifies as the system bottleneck — and the
-//!    VSCC stage is the part that parallelizes.
+//!    VSCC stage is the part that parallelizes. The work splits in two
+//!    halves: [`BlockValidator::check`] (data hash, dedup, VSCC) reads no
+//!    ledger state and may run on any thread ahead of the commit;
+//!    [`Peer::commit_prevalidated`] (link check, MVCC, append, state
+//!    writes) is the peer's own.
 //!
 //! [`Peer`] is a plain synchronous object; the simulation layer (`fabricsim`
 //! core) charges calibrated CPU time around these calls.
@@ -27,7 +31,9 @@ mod peer;
 mod pipeline;
 #[cfg(test)]
 mod testutil;
+mod validator;
 
 pub use gossip::{GossipEffect, GossipMsg, GossipNode};
 pub use peer::{Peer, PeerConfig};
 pub use pipeline::ValidationPipeline;
+pub use validator::{BlockValidator, Prevalidated};

@@ -1,6 +1,6 @@
 //! The peer node object.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
 use fabricsim_chaincode::{Chaincode, ChaincodeRegistry, ChaincodeStub};
 use fabricsim_crypto::{sha256, PublicKey, VerifyingKey};
@@ -8,12 +8,10 @@ use fabricsim_ledger::{ChainError, Ledger};
 use fabricsim_msp::{Certificate, Msp, SigningIdentity};
 use fabricsim_policy::Policy;
 use fabricsim_types::{
-    Block, ChannelId, ClientId, Endorsement, FxBuildHasher, Principal, Proposal, ProposalResponse,
-    ValidationCode,
+    Block, ChannelId, ClientId, Endorsement, Principal, Proposal, ProposalResponse, ValidationCode,
 };
 
-use crate::committer::{CreatorKeys, Trust};
-use crate::pipeline::ValidationPipeline;
+use crate::validator::{BlockValidator, Prevalidated};
 
 /// Static configuration for a peer.
 #[derive(Debug, Clone)]
@@ -36,14 +34,11 @@ pub struct PeerConfig {
 pub struct Peer {
     identity: SigningIdentity,
     msp: Msp,
-    config: PeerConfig,
     ledger: Ledger,
     chaincodes: ChaincodeRegistry,
-    /// Each registered client's key, resolved through the MSP once when it
-    /// was registered: `None` for a certificate the MSP refused.
-    client_keys: CreatorKeys,
-    /// Each registered endorser key, expanded once when it was registered.
-    endorser_keys: HashMap<Principal, Vec<VerifyingKey>, FxBuildHasher>,
+    /// The configuration and every registered key, shared with whoever
+    /// checks blocks for this peer ahead of the commit.
+    validator: Arc<BlockValidator>,
 }
 
 impl Peer {
@@ -53,11 +48,9 @@ impl Peer {
         Peer {
             identity,
             msp,
-            config,
             ledger: Ledger::new(channel),
             chaincodes: ChaincodeRegistry::new(),
-            client_keys: HashMap::default(),
-            endorser_keys: HashMap::default(),
+            validator: Arc::new(BlockValidator::new(config)),
         }
     }
 
@@ -68,7 +61,15 @@ impl Peer {
 
     /// Whether this peer endorses proposals.
     pub fn is_endorser(&self) -> bool {
-        self.config.is_endorser
+        self.validator.config.is_endorser
+    }
+
+    /// What this peer checks blocks against, as a snapshot that can be
+    /// handed to another thread: [`BlockValidator::check`] on it is the pure
+    /// half of [`Peer::validate_and_commit`]. A later registration does not
+    /// change a snapshot already handed out.
+    pub fn validator(&self) -> Arc<BlockValidator> {
+        Arc::clone(&self.validator)
     }
 
     /// Read access to the ledger.
@@ -121,14 +122,17 @@ impl Peer {
     /// Registering a client again replaces its key.
     pub fn register_client(&mut self, client: ClientId, cert: Certificate) {
         let key = self.msp.verified_key(&cert).ok();
-        self.client_keys.insert(client, key);
+        Arc::make_mut(&mut self.validator)
+            .client_keys
+            .insert(client, key);
     }
 
     /// Registers a fellow endorsing peer's public key under its principal
     /// (used by VSCC to authenticate endorsement signatures). The key is
     /// expanded here, once, for every endorsement it will be checked against.
     pub fn register_endorser(&mut self, principal: Principal, key: PublicKey) {
-        self.endorser_keys
+        Arc::make_mut(&mut self.validator)
+            .endorser_keys
             .entry(principal)
             .or_default()
             .push(VerifyingKey::new(key));
@@ -148,11 +152,12 @@ impl Peer {
             endorsement: None,
         };
 
-        if !self.config.is_endorser {
+        let validator = &*self.validator;
+        if !validator.config.is_endorser {
             return fail(proposal.tx_id);
         }
         // Check 1: well-formed.
-        if proposal.channel != self.config.channel
+        if proposal.channel != validator.config.channel
             || proposal.chaincode.is_empty()
             || proposal.args.is_empty()
             || proposal.tx_id != Proposal::derive_tx_id(proposal.creator, proposal.nonce)
@@ -165,7 +170,7 @@ impl Peer {
         }
         // Checks 3 & 4: submitter authorized on the channel (registered with
         // a certificate the MSP trusts); signature valid under its key.
-        let Some(Some(key)) = self.client_keys.get(&proposal.creator) else {
+        let Some(Some(key)) = validator.client_keys.get(&proposal.creator) else {
             return fail(proposal.tx_id);
         };
         if !key.verify_digest(&sha256(&proposal.signed_bytes()), &proposal.signature) {
@@ -219,25 +224,47 @@ impl Peer {
     /// Validates and commits a delivered block through the staged
     /// [`ValidationPipeline`]: (1) block checks + dedup, (2) per-tx VSCC over
     /// the configured worker pool, (3) serial MVCC + state/blockstore commit.
+    /// It is [`Peer::commit_prevalidated`] of this peer's
+    /// [`BlockValidator::check`]: the pure half, then the stateful half.
     ///
-    /// Each envelope is encoded and hashed once: number and previous-hash are
-    /// checked against the tip, the data hash is verified by building a
-    /// [`fabricsim_types::CheckedBlock`], VSCC verifies creator signatures
-    /// against the digests that proof kept, and the ledger commits the proof
-    /// without recomputing the Merkle root. Each creator's key is the one
-    /// resolved when it was registered: no certificate is looked at here.
+    /// Each envelope is encoded and hashed once: the data hash is verified by
+    /// building a [`fabricsim_types::CheckedBlock`], VSCC verifies creator
+    /// signatures against the digests that proof kept, and the ledger commits
+    /// the proof without recomputing the Merkle root. Each creator's key is
+    /// the one resolved when it was registered: no certificate is looked at
+    /// here.
     ///
     /// Returns the validation flags stamped into the committed block, one per
     /// transaction in block order.
     ///
     /// # Errors
     /// Returns [`ChainError`] if the block does not chain onto this peer's
-    /// ledger tip.
+    /// ledger tip: number, then previous-hash, then data hash.
+    ///
+    /// [`ValidationPipeline`]: crate::ValidationPipeline
     pub fn validate_and_commit(&mut self, block: Block) -> Result<Vec<ValidationCode>, ChainError> {
-        let checked = self.ledger.blocks().admit(block)?;
-        let pipeline = ValidationPipeline::new(self.config.validator_pool_size);
-        let trust = Trust::new(&self.config, &self.client_keys, &self.endorser_keys);
-        let pre_flags = pipeline.pre_commit_flags_checked(&checked, &trust);
+        let checked = self.validator.check(block);
+        self.commit_prevalidated(checked)
+    }
+
+    /// The stateful half of validation, for a block whose pure half is done
+    /// (by [`BlockValidator::check`], on any thread): the link check against
+    /// the tip ([`ChainError::WrongNumber`], then
+    /// [`ChainError::BrokenChain`]), then [`ChainError::BadDataHash`] if the
+    /// data hash did not hold, then MVCC, the block append and the state
+    /// writes. Nothing is written on an error.
+    ///
+    /// The flags are the ones the snapshot that checked the block trusted;
+    /// the caller decides which snapshot that is.
+    ///
+    /// # Errors
+    /// The first [`ChainError`] in the order above.
+    pub fn commit_prevalidated(
+        &mut self,
+        block: Prevalidated,
+    ) -> Result<Vec<ValidationCode>, ChainError> {
+        self.ledger.blocks().check_links(block.header())?;
+        let (checked, pre_flags) = block.into_checked().ok_or(ChainError::BadDataHash)?;
         self.ledger.validate_and_commit(checked, &pre_flags)
     }
 }
@@ -357,6 +384,7 @@ mod tests {
     }
 
     use crate::testutil::{endorsed_tx, fixture, mixed_txs, stale_read_tx, Fixture};
+    use crate::ValidationPipeline;
     use fabricsim_crypto::Hash256;
     use fabricsim_types::{CheckedBlock, Transaction};
 
@@ -465,6 +493,143 @@ mod tests {
                 Some(want) => assert_eq!(&flags, want, "pool size {pool} diverged"),
             }
         }
+    }
+
+    #[test]
+    fn the_two_halves_give_what_the_fused_path_gives_on_any_thread() {
+        use ValidationCode::*;
+        let f = fixture(Policy::and_of_orgs(2), 2);
+        // The fused path; the halves inline; the pure half on a spawned
+        // thread, as the simulator's lane runs it.
+        let mut fused = committer(&f, 1);
+        let mut inline = committer(&f, 1);
+        let mut spawned = committer(&f, 1);
+        for round in 0..2 {
+            let mut txs = mixed_txs(&f, round * 21, 21);
+            txs.push(stale_read_tx(&f, 100 + round));
+            txs.push(endorsed_tx(&f, 0, &[0, 1]));
+            let block = next_block(&fused, txs);
+
+            let want = fused.validate_and_commit(block.clone()).unwrap();
+            for code in [
+                Valid,
+                EndorsementPolicyFailure,
+                BadCreatorSignature,
+                BadEndorserSignature,
+                MvccReadConflict,
+                DuplicateTxId,
+            ] {
+                assert!(want.contains(&code), "{code:?} in block {round}");
+            }
+            let checked = inline.validator().check(block.clone());
+            assert_eq!(checked.header(), &block.header);
+            assert_eq!(inline.commit_prevalidated(checked).unwrap(), want);
+
+            let validator = spawned.validator();
+            let checked = std::thread::spawn(move || validator.check(block))
+                .join()
+                .unwrap();
+            assert_eq!(spawned.commit_prevalidated(checked).unwrap(), want);
+        }
+        for other in [&inline, &spawned] {
+            let (a, b) = (fused.ledger(), other.ledger());
+            assert_eq!(a.blocks().tip_hash(), b.blocks().tip_hash());
+            assert!(a.state().range("", "").eq(b.state().range("", "")));
+            assert!(a.blocks().iter().eq(b.blocks().iter()));
+        }
+    }
+
+    #[test]
+    fn the_stateful_half_reports_chain_errors_in_the_fused_order() {
+        let f = fixture(Policy::or_of_orgs(1), 1);
+        let mut peer = committer(&f, 1);
+        let first = next_block(&peer, vec![endorsed_tx(&f, 1, &[0])]);
+        peer.validate_and_commit(first).unwrap();
+        let good = next_block(&peer, vec![endorsed_tx(&f, 2, &[0])]);
+        let bad = rebuilt(&good, |t| t[0].payload = b"evil".to_vec());
+        let mut unlinked = bad.clone();
+        unlinked.header.previous_hash = Hash256::ZERO;
+        let mut misnumbered = unlinked.clone();
+        misnumbered.header.number = 5;
+        let validator = peer.validator();
+        for (block, want) in [
+            // Misnumbered, unlinked and badly hashed: the number decides.
+            (misnumbered, ChainError::WrongNumber { got: 5, want: 1 }),
+            (unlinked, ChainError::BrokenChain),
+            (bad, ChainError::BadDataHash),
+        ] {
+            let checked = validator.check(block);
+            assert_eq!(peer.commit_prevalidated(checked), Err(want));
+            assert_eq!(peer.ledger().height(), 1, "nothing written");
+        }
+        // A block checked too early is refused by the tip it meets.
+        let mut ahead = good.clone();
+        ahead.header.number = 2;
+        assert_eq!(
+            peer.commit_prevalidated(validator.check(ahead)),
+            Err(ChainError::WrongNumber { got: 2, want: 1 })
+        );
+        assert_eq!(
+            peer.commit_prevalidated(validator.check(good)).unwrap(),
+            vec![ValidationCode::Valid]
+        );
+    }
+
+    #[test]
+    fn a_validator_snapshot_keeps_the_keys_it_was_taken_with() {
+        let f = fixture(Policy::or_of_orgs(1), 1);
+        let mut peer = committer(&f, 1);
+        let before = peer.validator();
+        assert!(
+            Arc::ptr_eq(&before, &peer.validator()),
+            "shared, not copied"
+        );
+        let rotated = client_of(&CertificateAuthority::new("ca", 1), "client0-rotated");
+        peer.register_client(ClientId(0), rotated.certificate().clone());
+        let after = peer.validator();
+        assert!(!Arc::ptr_eq(&before, &after));
+        let by_rotated = |nonce| {
+            let mut tx = endorsed_tx(&f, nonce, &[0]);
+            tx.signature = rotated.sign(&tx.signed_bytes());
+            tx
+        };
+        // The earlier snapshot still trusts the old key only.
+        let block = next_block(&peer, vec![by_rotated(1)]);
+        assert_eq!(
+            peer.commit_prevalidated(before.check(block)).unwrap(),
+            vec![ValidationCode::BadCreatorSignature]
+        );
+        // The next one has the new key.
+        let block = next_block(&peer, vec![by_rotated(2)]);
+        assert_eq!(
+            peer.commit_prevalidated(after.check(block)).unwrap(),
+            vec![ValidationCode::Valid]
+        );
+
+        // The same for an endorser key registered after a snapshot.
+        let second = CertificateAuthority::new("ca", 1).enroll(Principal::peer(OrgId(1)), "peer1b");
+        let by_second = |nonce| {
+            let mut tx = by_rotated(nonce);
+            tx.endorsements[0] = Endorsement {
+                endorser: second.principal().clone(),
+                endorser_key: second.certificate().public_key,
+                signature: second.sign(&tx.response_bytes()),
+            };
+            tx.signature = rotated.sign(&tx.signed_bytes());
+            tx
+        };
+        peer.register_endorser(second.principal().clone(), second.certificate().public_key);
+        let block = next_block(&peer, vec![by_second(3)]);
+        assert_eq!(
+            peer.commit_prevalidated(after.check(block)).unwrap(),
+            vec![ValidationCode::BadEndorserSignature]
+        );
+        let block = next_block(&peer, vec![by_second(4)]);
+        assert_eq!(
+            peer.commit_prevalidated(peer.validator().check(block))
+                .unwrap(),
+            vec![ValidationCode::Valid]
+        );
     }
 
     #[test]

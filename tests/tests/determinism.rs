@@ -1,6 +1,8 @@
 //! Reproducibility: the simulation is a pure function of its configuration.
 
-use fabricsim::{FaultPlan, GossipConfig, OrdererType, PolicySpec, SimConfig, Simulation};
+use fabricsim::{
+    FaultPlan, GossipConfig, LaneStats, OrdererType, PolicySpec, SimConfig, Simulation,
+};
 use fabricsim_integration::quick_config;
 
 #[test]
@@ -181,22 +183,28 @@ fn throughput_is_seed_stable() {
 }
 
 /// Everything a run reports, rendered to the bytes the CLI would write,
-/// with every observability plane on.
-fn artifacts(cfg: &SimConfig, workers: u32) -> Vec<(&'static str, String)> {
+/// with every observability plane on, and what the run's lane did.
+fn artifacts(
+    cfg: &SimConfig,
+    faults: &FaultPlan,
+    workers: u32,
+) -> (Vec<(&'static str, String)>, LaneStats) {
     let mut c = cfg.clone();
     c.sim_workers = workers;
     c.obs.trace_events = true;
     c.obs.span_events = true;
     c.obs.trace_sample = 1.0;
     c.obs.health_events = true;
-    let r = Simulation::new(c).run_detailed();
+    let r = Simulation::new(c)
+        .with_faults(faults.clone())
+        .run_detailed();
     assert!(r.chain_ok, "workers={workers}: observer chain must verify");
     assert!(
         r.summary.committed_valid > 0,
         "workers={workers}: run must commit"
     );
     let o = &r.observability;
-    vec![
+    let bytes = vec![
         ("summary", r.summary.to_json()),
         ("trace", o.events_jsonl()),
         ("spans", o.spans_jsonl()),
@@ -207,40 +215,89 @@ fn artifacts(cfg: &SimConfig, workers: u32) -> Vec<(&'static str, String)> {
         ("metrics", o.metrics.as_ref().expect("sampler").to_csv()),
         ("state", format!("{:?}", r.final_state)),
         ("block cuts", format!("{:?}", r.block_cuts)),
-    ]
+    ];
+    (bytes, o.lane)
 }
 
 /// `sim_workers` only ever buys wall clock: the serialized SummaryReport
 /// (`config_digest` included), the trace/span/health JSONL, the metrics CSV,
 /// the final state and the block cuts are byte-identical at every worker
 /// count in `workers`, 0 included. The world decomposition and the window
-/// boundaries depend only on virtual state, so the OS thread count must be
-/// unobservable in every merge point.
-fn assert_worker_invariant(what: &str, cfg: &SimConfig, workers: &[u32]) {
-    let base = artifacts(cfg, workers[0]);
+/// boundaries depend only on virtual state, and the lane only moves host
+/// work between threads, so the thread budget must be unobservable in every
+/// merge point. Returns what the lane did at each worker count.
+fn assert_worker_invariant(
+    what: &str,
+    cfg: &SimConfig,
+    faults: &FaultPlan,
+    workers: &[u32],
+) -> Vec<LaneStats> {
+    let (base, lane) = artifacts(cfg, faults, workers[0]);
+    let mut lanes = vec![lane];
     for &w in &workers[1..] {
-        for ((name, a), (_, b)) in base.iter().zip(artifacts(cfg, w)) {
+        let (other, lane) = artifacts(cfg, faults, w);
+        for ((name, a), (_, b)) in base.iter().zip(other) {
             assert!(
                 *a == b,
                 "{what}: {name} differs between workers={} and workers={w}",
                 workers[0]
             );
         }
+        lanes.push(lane);
+    }
+    lanes
+}
+
+/// On one channel, the lane ran at every worker count above 1 and never at
+/// 1, so byte-identity across the sweep compared runs with and without it.
+fn assert_lane_ran_on_one_channel(what: &str, workers: &[u32], lanes: &[LaneStats]) {
+    for (&w, lane) in workers.iter().zip(lanes) {
+        match w {
+            0 => {}
+            1 => assert_eq!(lane.jobs, 0, "{what}: workers=1 is exactly one thread"),
+            _ => assert!(lane.jobs > 0, "{what}: workers={w} handed no block over"),
+        }
     }
 }
 
 #[test]
 fn one_channel_runs_are_byte_identical_at_any_worker_count() {
+    // Blocks of these runs carry ~100 transactions, far above the lane's
+    // signature threshold, so workers 2 and 4 validate ahead on the lane.
+    let workers = [0, 1, 2, 4];
     for orderer in OrdererType::ALL {
+        let what = format!("{orderer}");
         let cfg = quick_config(orderer, PolicySpec::OrN(5), 120.0);
-        assert_worker_invariant(&format!("{orderer}"), &cfg, &[0, 1, 4]);
+        let lanes = assert_worker_invariant(&what, &cfg, &FaultPlan::default(), &workers);
+        assert_lane_ran_on_one_channel(&what, &workers, &lanes);
     }
+    // AND5: five endorsements a transaction, the benchmark's shape.
+    let cfg = quick_config(OrdererType::Solo, PolicySpec::AndX(5), 150.0);
+    let lanes = assert_worker_invariant("solo AND5", &cfg, &FaultPlan::default(), &workers);
+    assert_lane_ran_on_one_channel("solo AND5", &workers, &lanes);
     // Gossip delivery is single-channel and all-local, so it needs no
     // special case at any worker count either.
     let mut cfg = quick_config(OrdererType::Solo, PolicySpec::OrN(5), 120.0);
     cfg.committing_peers = 3;
     cfg.gossip = Some(GossipConfig::default());
-    assert_worker_invariant("gossip", &cfg, &[0, 1, 4]);
+    let lanes = assert_worker_invariant("gossip", &cfg, &FaultPlan::default(), &workers);
+    assert_lane_ran_on_one_channel("gossip", &workers, &lanes);
+}
+
+#[test]
+fn osn_crash_replay_is_byte_identical_at_any_worker_count() {
+    // An OSN crash makes its subscribers re-subscribe and replay from their
+    // height. At 5.4206 s OSN 0's delivery of block 5 is still in flight,
+    // so peers 0 and 3 receive block 5 twice and drop the second copy,
+    // beside blocks handed to the lane.
+    let workers = [1, 2];
+    let faults = FaultPlan {
+        crash_osns: vec![(0, 5.4206)],
+        ..FaultPlan::default()
+    };
+    let cfg = quick_config(OrdererType::Raft, PolicySpec::AndX(3), 120.0);
+    let lanes = assert_worker_invariant("raft OSN crash", &cfg, &faults, &workers);
+    assert_lane_ran_on_one_channel("raft OSN crash", &workers, &lanes);
 }
 
 #[test]
@@ -248,7 +305,12 @@ fn four_channel_runs_are_byte_identical_at_any_worker_count() {
     for orderer in OrdererType::ALL {
         let mut cfg = quick_config(orderer, PolicySpec::OrN(5), 120.0);
         cfg.channels = 4;
-        assert_worker_invariant(&format!("{orderer} ch4"), &cfg, &[0, 1, 2, 8]);
+        let what = format!("{orderer} ch4");
+        let workers = [0, 1, 2, 8];
+        let lanes = assert_worker_invariant(&what, &cfg, &FaultPlan::default(), &workers);
+        // Eight workers are four event loops and the lane; two are not.
+        assert_eq!(lanes[2].jobs, 0, "{what}: no thread to spare at workers=2");
+        assert!(lanes[3].jobs > 0, "{what}: workers=8 handed no block over");
     }
 }
 

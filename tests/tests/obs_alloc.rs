@@ -3,7 +3,8 @@
 //! AND5 run past the validate knee and the same AND5 run ordered by Raft each
 //! stay under a fixed number of allocations per committed transaction — the
 //! AND5 run at a modelled VSCC pool of 4 too, since that pool is charged in
-//! simulated time, not spawned as host threads.
+//! simulated time, not spawned as host threads, and the AND5 run with its
+//! blocks validated ahead on the lane, counting the event thread only.
 //!
 //! A counting allocator over [`System`] tallies per thread, so the libtest
 //! harness and the other case of this file cannot disturb a measurement; the
@@ -177,9 +178,10 @@ fn and5_past_knee() -> SimConfig {
     cfg
 }
 
-/// Runs `cfg`, then holds its allocations per committed transaction to
-/// `budget`, with at least `min_commits` commits to measure.
-fn assert_within_budget(cfg: SimConfig, budget: f64, min_commits: usize) {
+/// Runs `cfg`, then holds the allocations this thread made per committed
+/// transaction to `budget`, with at least `min_commits` commits to measure.
+/// Returns the run.
+fn assert_within_budget(cfg: SimConfig, budget: f64, min_commits: usize) -> RunResult {
     let (result, allocs) = counting(|| run(cfg));
     let committed = result
         .traces
@@ -197,6 +199,7 @@ fn assert_within_budget(cfg: SimConfig, budget: f64, min_commits: usize) {
          budget {budget}"
     );
     eprintln!("{allocs} allocations, {committed} committed, {per_tx:.2} per tx");
+    result
 }
 
 #[test]
@@ -214,6 +217,23 @@ fn an_and5_transaction_at_a_modelled_pool_of_4_stays_within_the_solo_budget() {
     let mut cfg = and5_past_knee();
     cfg.cost.validator_pool_size = 4;
     assert_within_budget(cfg, AND5_POOL4_ALLOCS_PER_COMMITTED_TX, 500);
+}
+
+#[test]
+fn an_and5_transaction_validated_beside_the_loop_stays_within_the_solo_budget() {
+    // At two workers the one-channel run gets the lane: the event loop stays
+    // on this thread and the pure half of each block's validation moves to
+    // the lane's. A handoff is per block, so it must not add per-transaction
+    // allocations here. A job the event thread steals back allocates here,
+    // so the count depends on the host's scheduling: it is held to the
+    // inline run's budget, not to one of its own.
+    let cfg = SimConfig {
+        sim_workers: 2,
+        ..and5_past_knee()
+    };
+    let result = assert_within_budget(cfg, AND5_ALLOCS_PER_COMMITTED_TX, 500);
+    let lane = result.observability.lane;
+    assert!(lane.jobs > 0, "the lane ran: {lane:?}");
 }
 
 #[test]

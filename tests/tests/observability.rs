@@ -239,3 +239,65 @@ fn trace_stamps_and_phase_events_are_one_record() {
         assert!(checked > 8 * r.traces.len() / 2, "{orderer:?}: {checked}");
     }
 }
+
+/// The benchmark's `des_and5_past_knee` configuration cut to 4 simulated
+/// seconds: 100-transaction blocks of six signatures each.
+fn and5_past_knee(workers: u32) -> SimConfig {
+    let mut cfg = SimConfig {
+        orderer_type: OrdererType::Solo,
+        endorsing_peers: 10,
+        committing_peers: 4,
+        policy: PolicySpec::AndX(5),
+        arrival_rate_tps: 300.0,
+        duration_secs: 4.0,
+        warmup_secs: 1.0,
+        cooldown_secs: 1.0,
+        sim_workers: workers,
+        ..SimConfig::default()
+    };
+    cfg.cost.validator_pool_size = 1;
+    cfg
+}
+
+/// The benchmark's `des_kafka_small_blocks` configuration cut to 10
+/// simulated seconds: two transactions a block, each with one endorsement.
+fn kafka_small_blocks(workers: u32) -> SimConfig {
+    let mut cfg = SimConfig {
+        orderer_type: OrdererType::Kafka,
+        broker_count: 5,
+        zk_count: 3,
+        osn_count: 3,
+        endorsing_peers: 2,
+        policy: PolicySpec::OrN(2),
+        arrival_rate_tps: 90.0,
+        duration_secs: 10.0,
+        warmup_secs: 4.0,
+        cooldown_secs: 2.0,
+        sim_workers: workers,
+        ..SimConfig::default()
+    };
+    cfg.batch.max_message_count = 2;
+    cfg.cost.validator_pool_size = 1;
+    cfg
+}
+
+#[test]
+fn the_lane_reports_what_it_did_and_stays_idle_without_work() {
+    let lane = |cfg: SimConfig| Simulation::new(cfg).run_detailed().observability.lane;
+    // A spare thread and big blocks: every peer hands blocks over. How
+    // many is a function of the configuration, not of the thread count.
+    let two = lane(and5_past_knee(2));
+    assert!(two.jobs > 0, "{two:?}");
+    assert!(two.stolen + two.waits <= two.jobs, "{two:?}");
+    assert!(two.busy_s > 0.0, "{two:?}");
+    assert_eq!(lane(and5_past_knee(4)).jobs, two.jobs);
+    // One worker is exactly one thread: no lane at all.
+    let one = lane(and5_past_knee(1));
+    assert_eq!(one, fabricsim::LaneStats::default());
+    // Two-transaction blocks never reach the signature threshold, whatever
+    // the thread budget.
+    for workers in [0, 1, 2, 4] {
+        let small = lane(kafka_small_blocks(workers));
+        assert_eq!(small.jobs, 0, "workers={workers}: {small:?}");
+    }
+}
