@@ -562,7 +562,7 @@ fn bench_sharded_kernel(r: &mut Runner) {
             }
             sk.push_shard(k, Tick::default());
         }
-        let report = sk.run(workers);
+        let report = sk.run(workers, &|| false);
         assert_eq!(report.stats.executed, 40_000);
         report
     };

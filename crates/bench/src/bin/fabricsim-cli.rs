@@ -31,7 +31,8 @@
 //!       overhead, hottest family, the run's synchronization cost
 //!       (windows, cross-shard messages, events; `"sync"` in --json), what
 //!       the validation lane did (blocks handed over, stolen back, waited
-//!       for, and its busy time; `"lane"` in --json) and
+//!       for, computed by workers waiting at a barrier, and its busy time;
+//!       `"lane"` in --json) and
 //!       the SHA-256 body that hashed it (`"sha256_backend"` in --json).
 //!       Accepts the same deployment flags as the default run mode
 //!   fabricsim diff A B [A2 B2 …] [--json] [--force]
@@ -59,14 +60,16 @@
 //!   --osns COUNT                     ordering nodes (default 3)
 //!   --channels COUNT                 independent channels (default 1)
 //!   --sim-workers COUNT              host threads for the run (default 0:
-//!                                    one event-loop thread, plus a lane
-//!                                    that validates blocks ahead of it on
-//!                                    a host with a second core; N: the
-//!                                    per-channel event loops on min(N,
-//!                                    channels) threads, plus the lane when
-//!                                    N > channels, so 1 is exactly one
-//!                                    thread); output is byte-identical at
-//!                                    every count
+//!                                    one event-loop thread, plus a spare
+//!                                    thread that validates blocks ahead of
+//!                                    it on a host with a second core; N:
+//!                                    the per-channel event loops on min(N,
+//!                                    channels) threads, plus the spare
+//!                                    thread when N > channels, so 1 is
+//!                                    exactly one thread; with 2 or more
+//!                                    loops, a loop waiting at a window
+//!                                    barrier validates blocks too); output
+//!                                    is byte-identical at every count
 //!   --validator-pool COUNT           VSCC worker-pool width per committer (default 1)
 //!   --brokers COUNT / --zk COUNT     kafka substrate sizes (default 3)
 //!   --workload kvput|rmw|transfer|smallbank   (default kvput)
@@ -526,7 +529,7 @@ fn cmd_profile(args: &[String]) -> ! {
             "{{\"seed\":{},\"config_digest\":\"{}\",\"sha256_backend\":\"{backend}\",\
              \"merged\":{},\"shards\":[{}],\
              \"sync\":{{\"windows\":{},\"messages\":{},\"events\":{}}},\
-             \"lane\":{{\"jobs\":{},\"stolen\":{},\"waits\":{},\"busy_s\":{:.6}}}}}",
+             \"lane\":{{\"jobs\":{},\"stolen\":{},\"waits\":{},\"helped\":{},\"busy_s\":{:.6}}}}}",
             s.seed,
             s.config_digest,
             profile.to_json(),
@@ -537,6 +540,7 @@ fn cmd_profile(args: &[String]) -> ! {
             lane.jobs,
             lane.stolen,
             lane.waits,
+            lane.helped,
             lane.busy_s
         );
     } else {
@@ -555,10 +559,11 @@ fn cmd_profile(args: &[String]) -> ! {
             sync.windows, sync.messages, sync.stats.executed
         );
         println!(
-            "lane       : jobs {}, stolen {}, waits {}, busy {:.3} ms",
+            "lane       : jobs {}, stolen {}, waits {}, helped {}, busy {:.3} ms",
             lane.jobs,
             lane.stolen,
             lane.waits,
+            lane.helped,
             lane.busy_s * 1e3
         );
         println!(

@@ -1,5 +1,5 @@
-//! The lane: one spare host thread per run that validates each peer's next
-//! block ahead of the event loop.
+//! The lane: one queue per run of blocks to validate ahead of the event
+//! loops, served by whichever host thread is idle.
 //!
 //! Validating a block has a pure half — the data-hash proof, intra-block
 //! dedup and VSCC, which read nothing from the ledger — and a stateful half
@@ -10,14 +10,18 @@
 //! thread, at the same simulated instant as before. Nothing simulated can
 //! tell the difference: the lane only moves host work between threads.
 //!
-//! The event thread never depends on the lane to make progress. A job the
-//! lane has not started when the result is needed is *stolen*: computed
+//! Two kinds of thread serve the queue: the run's spare thread, when the
+//! thread budget leaves one over, and every event-loop worker while it
+//! waits at a window barrier for the others ([`Lane::help`]).
+//!
+//! The event thread never depends on the lane to make progress. A job no
+//! server has started when the result is needed is *stolen*: computed
 //! inline, and skipped by the lane later. A job that is running is waited
 //! for. A job that panicked on the lane is recomputed inline, so the panic
 //! surfaces on the event thread exactly where it would without a lane.
 
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{Scope, ScopedJoinHandle};
 
@@ -31,7 +35,7 @@ use fabricsim_types::Block;
 pub(super) const LANE_MIN_SIGNATURES: usize = 32;
 
 /// What a run's lane did. Only `jobs` is a function of the configuration;
-/// the rest depends on how the host scheduled the two threads.
+/// the rest depends on how the host scheduled the threads.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LaneStats {
     /// Jobs handed to the lane.
@@ -41,15 +45,19 @@ pub struct LaneStats {
     pub stolen: u64,
     /// Jobs the event thread found running and waited for.
     pub waits: u64,
-    /// Host seconds the lane spent computing jobs.
+    /// Jobs an event-loop worker computed while it waited at a window
+    /// barrier (the rest of the lane's jobs ran on the spare thread).
+    pub helped: u64,
+    /// Host seconds the lane spent computing jobs, on the spare thread and
+    /// at the barriers together.
     pub busy_s: f64,
 }
 
 /// How many event-loop threads a run of `channels` worlds gets at
-/// `sim_workers`, and whether it also gets a lane: `0` is one event-loop
-/// thread, plus the lane when the host has a second core; `n ≥ 1` is
-/// `min(n, channels)` event-loop threads, plus the lane if and only if
-/// threads are left over.
+/// `sim_workers`, and whether it also gets a spare thread for the lane:
+/// `0` is one event-loop thread, plus the spare thread when the host has a
+/// second core; `n ≥ 1` is `min(n, channels)` event-loop threads, plus the
+/// spare thread if and only if threads are left over.
 pub(super) fn thread_budget(sim_workers: u32, channels: usize) -> (usize, bool) {
     let cores = || std::thread::available_parallelism().map_or(1, |n| n.get());
     match sim_workers as usize {
@@ -91,21 +99,131 @@ enum State<O> {
     Stolen,
 }
 
-/// One job's meeting point between the lane and the event thread.
+/// One job's meeting point between its server and the event thread.
 struct Slot<O> {
     state: Mutex<State<O>>,
     ready: Condvar,
 }
 
+/// Nothing panics while holding one of the lane's locks, so a poisoned one
+/// still guards a value that was written whole.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl<O> Slot<O> {
     fn lock(&self) -> MutexGuard<'_, State<O>> {
-        // Nothing panics while holding the lock, so a poisoned one still
-        // holds a state that was written whole.
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+        lock(&self.state)
     }
 }
 
 type Job<I, O> = (Arc<Slot<O>>, I);
+
+/// The jobs waiting for a server, and whether the lane still takes more.
+struct Pending<I, O> {
+    jobs: VecDeque<Job<I, O>>,
+    closed: bool,
+    /// The spare thread is asleep on [`Queue::more`].
+    parked: bool,
+}
+
+/// The queue every server of one lane pops from.
+struct Queue<I, O> {
+    pending: Mutex<Pending<I, O>>,
+    /// Wakes the spare thread when a job arrives or the lane closes.
+    more: Condvar,
+    work: fn(&I) -> O,
+}
+
+impl<I, O> Queue<I, O> {
+    fn new(work: fn(&I) -> O) -> Self {
+        Queue {
+            pending: Mutex::new(Pending {
+                jobs: VecDeque::new(),
+                closed: false,
+                parked: false,
+            }),
+            more: Condvar::new(),
+            work,
+        }
+    }
+
+    /// Queues `job` unless the lane is closed, and reports whether it did.
+    fn push(&self, job: Job<I, O>) -> bool {
+        let mut pending = lock(&self.pending);
+        if pending.closed {
+            return false;
+        }
+        pending.jobs.push_back(job);
+        // A notify costs a system call; an awake spare thread finds the job
+        // on its own.
+        let wake = pending.parked;
+        drop(pending);
+        if wake {
+            self.more.notify_one();
+        }
+        true
+    }
+
+    /// The next job, if one is queued.
+    fn try_pop(&self) -> Option<Job<I, O>> {
+        lock(&self.pending).jobs.pop_front()
+    }
+
+    /// The next job, sleeping until one is queued; `None` once the lane is
+    /// closed and drained.
+    fn pop(&self) -> Option<Job<I, O>> {
+        let mut pending = lock(&self.pending);
+        loop {
+            if let Some(job) = pending.jobs.pop_front() {
+                return Some(job);
+            }
+            if pending.closed {
+                return None;
+            }
+            pending.parked = true;
+            pending = self
+                .more
+                .wait(pending)
+                .unwrap_or_else(PoisonError::into_inner);
+            pending.parked = false;
+        }
+    }
+
+    /// Stops taking jobs and wakes the spare thread to drain what is left.
+    fn close(&self) {
+        lock(&self.pending).closed = true;
+        self.more.notify_all();
+    }
+
+    /// Computes `job` unless it was stolen or nobody holds its ticket any
+    /// more, and returns the host seconds it took if it ran.
+    fn run(&self, (slot, input): Job<I, O>) -> Option<f64> {
+        // Only the lane still holds the slot: its ticket was dropped (the
+        // run ended before the commit that needed it), so skip the work.
+        if Arc::strong_count(&slot) == 1 {
+            return None;
+        }
+        {
+            let mut state = slot.lock();
+            if !matches!(*state, State::Queued) {
+                return None;
+            }
+            *state = State::Running { awaited: false };
+        }
+        let clock = WallClock::start();
+        let out = catch_unwind(AssertUnwindSafe(|| (self.work)(&input)));
+        let busy_s = clock.elapsed_s();
+        let mut state = slot.lock();
+        let awaited = matches!(*state, State::Running { awaited: true });
+        *state = out.map_or(State::Failed, State::Done);
+        drop(state);
+        if awaited {
+            slot.ready.notify_one();
+        }
+        Some(busy_s)
+    }
+}
 
 /// A job handed to the lane. It keeps its own copy of the input, so whoever
 /// holds it can always compute the result itself.
@@ -123,8 +241,7 @@ impl<I, O> Ticket<I, O> {
 
 /// One world's end of the lane: it hands jobs over and takes their results.
 pub(super) struct LaneHandle<I, O> {
-    jobs: Sender<Job<I, O>>,
-    work: fn(&I) -> O,
+    queue: Arc<Queue<I, O>>,
     stats: LaneStats,
 }
 
@@ -135,8 +252,8 @@ impl<I: Clone, O> LaneHandle<I, O> {
             state: Mutex::new(State::Queued),
             ready: Condvar::new(),
         });
-        // A lane that is gone leaves the slot queued, and `take` steals it.
-        if self.jobs.send((Arc::clone(&slot), input.clone())).is_ok() {
+        // A closed lane leaves the slot queued, and `take` steals it.
+        if self.queue.push((Arc::clone(&slot), input.clone())) {
             self.stats.jobs += 1;
         }
         Ticket { slot, input }
@@ -170,80 +287,100 @@ impl<I: Clone, O> LaneHandle<I, O> {
             }
         }
         drop(state);
-        (self.work)(&input)
+        (self.queue.work)(&input)
     }
 }
 
-/// The lane of one run: the spare thread and the sending end every
-/// [`LaneHandle`] clones.
+/// The lane of one run: its queue, the spare thread if the run has one,
+/// and a tally of the jobs the event-loop workers computed.
 pub(super) struct Lane<'scope, I, O> {
-    jobs: Sender<Job<I, O>>,
-    work: fn(&I) -> O,
-    thread: ScopedJoinHandle<'scope, f64>,
+    queue: Arc<Queue<I, O>>,
+    spare: Option<ScopedJoinHandle<'scope, f64>>,
+    /// Jobs computed by [`Lane::help`], and the host seconds they took.
+    helped: Mutex<(u64, f64)>,
 }
 
 impl<'scope, I: Send + 'scope, O: Send + 'scope> Lane<'scope, I, O> {
-    /// Spawns the lane in `scope`, running `work` on every job handed over.
-    pub(super) fn start<'env>(scope: &'scope Scope<'scope, 'env>, work: fn(&I) -> O) -> Self {
-        let (jobs, queue) = mpsc::channel();
-        let thread = scope.spawn(move || serve(&queue, work));
-        Lane { jobs, work, thread }
+    /// Opens a lane in `scope` that runs `work` on every job handed over,
+    /// with a thread of its own if `spare_thread`; otherwise only
+    /// [`Lane::help`] serves it.
+    pub(super) fn start<'env>(
+        scope: &'scope Scope<'scope, 'env>,
+        work: fn(&I) -> O,
+        spare_thread: bool,
+    ) -> Self {
+        let queue = Arc::new(Queue::new(work));
+        let spare = spare_thread.then(|| {
+            let queue = Arc::clone(&queue);
+            scope.spawn(move || serve(&queue))
+        });
+        Lane {
+            queue,
+            spare,
+            helped: Mutex::new((0, 0.0)),
+        }
     }
 
     /// A new end for one world.
     pub(super) fn handle(&self) -> LaneHandle<I, O> {
         LaneHandle {
-            jobs: self.jobs.clone(),
-            work: self.work,
+            queue: Arc::clone(&self.queue),
             stats: LaneStats::default(),
         }
     }
 
+    /// Serves one queued job on the calling thread, through the same slot
+    /// protocol as the spare thread. Returns whether there was a job.
+    pub(super) fn help(&self) -> bool {
+        let Some(job) = self.queue.try_pop() else {
+            return false;
+        };
+        if let Some(busy_s) = self.queue.run(job) {
+            let mut helped = lock(&self.helped);
+            helped.0 += 1;
+            helped.1 += busy_s;
+        }
+        true
+    }
+
     /// Closes the lane, given every handle it gave out, and reports what it
-    /// did. The thread stops once it has drained its queue.
-    pub(super) fn finish(self, handles: impl IntoIterator<Item = LaneHandle<I, O>>) -> LaneStats {
+    /// did. The spare thread stops once it has drained the queue.
+    pub(super) fn finish(
+        mut self,
+        handles: impl IntoIterator<Item = LaneHandle<I, O>>,
+    ) -> LaneStats {
         let mut stats = LaneStats::default();
         for h in handles {
             stats.jobs += h.stats.jobs;
             stats.stolen += h.stats.stolen;
             stats.waits += h.stats.waits;
         }
-        drop(self.jobs);
+        self.queue.close();
         // Every job runs under `catch_unwind`, so the thread itself does not
         // panic; if it did, every result was still taken or recomputed by
         // its event thread, and only its busy time is lost.
-        stats.busy_s = self.thread.join().unwrap_or(0.0);
+        let spare_s = self.spare.take().map_or(0.0, |t| t.join().unwrap_or(0.0));
+        let (helped, helped_s) = *lock(&self.helped);
+        stats.helped = helped;
+        stats.busy_s = spare_s + helped_s;
         stats
     }
 }
 
-/// The lane thread: runs each queued job nobody has stolen until every
-/// sending end is gone, and returns the host seconds it spent on them.
-fn serve<I, O>(queue: &Receiver<Job<I, O>>, work: fn(&I) -> O) -> f64 {
+impl<I, O> Drop for Lane<'_, I, O> {
+    /// A lane dropped without [`Lane::finish`] (an event loop panicked)
+    /// still lets its spare thread go, so the run's scope can end.
+    fn drop(&mut self) {
+        self.queue.close();
+    }
+}
+
+/// The spare thread: runs each queued job nobody has stolen until the lane
+/// is closed and drained, and returns the host seconds it spent on them.
+fn serve<I, O>(queue: &Queue<I, O>) -> f64 {
     let mut busy_s = 0.0;
-    for (slot, input) in queue {
-        // Only the lane still holds the slot: its ticket was dropped (the
-        // run ended before the commit that needed it), so skip the work.
-        if Arc::strong_count(&slot) == 1 {
-            continue;
-        }
-        {
-            let mut state = slot.lock();
-            if !matches!(*state, State::Queued) {
-                continue;
-            }
-            *state = State::Running { awaited: false };
-        }
-        let clock = WallClock::start();
-        let out = catch_unwind(AssertUnwindSafe(|| work(&input)));
-        busy_s += clock.elapsed_s();
-        let mut state = slot.lock();
-        let awaited = matches!(*state, State::Running { awaited: true });
-        *state = out.map_or(State::Failed, State::Done);
-        drop(state);
-        if awaited {
-            slot.ready.notify_one();
-        }
+    while let Some(job) = queue.pop() {
+        busy_s += queue.run(job).unwrap_or(0.0);
     }
     busy_s
 }
@@ -270,11 +407,10 @@ mod tests {
     }
 
     /// A handle whose lane is played by hand through the returned queue.
-    fn by_hand() -> (LaneHandle<Counted, u64>, Receiver<Job<Counted, u64>>) {
-        let (jobs, queue) = mpsc::channel();
+    fn by_hand() -> (LaneHandle<Counted, u64>, Arc<Queue<Counted, u64>>) {
+        let queue = Arc::new(Queue::new(plus_one));
         let handle = LaneHandle {
-            jobs,
-            work: plus_one,
+            queue: Arc::clone(&queue),
             stats: LaneStats::default(),
         };
         (handle, queue)
@@ -291,7 +427,8 @@ mod tests {
         assert_eq!(handle.stats.waits, 0);
         // The lane finds the job stolen and leaves it alone.
         drop(handle);
-        assert_eq!(serve(&queue, plus_one), 0.0);
+        queue.close();
+        assert_eq!(serve(&queue), 0.0);
         assert!(matches!(*slot.lock(), State::Stolen));
         assert_eq!(runs(&input), 1, "computed once, inline");
     }
@@ -302,7 +439,7 @@ mod tests {
         let ticket = handle.hand_over(counted(20));
         // Claim the job as the lane does, then finish it from another thread
         // once the taker is waiting for it.
-        let (slot, input) = queue.recv().unwrap();
+        let (slot, input) = queue.try_pop().unwrap();
         *slot.lock() = State::Running { awaited: false };
         let lane = std::thread::spawn(move || {
             while !matches!(*slot.lock(), State::Running { awaited: true }) {
@@ -321,7 +458,7 @@ mod tests {
     fn a_done_job_is_taken_without_waiting_or_recomputing() {
         let input = counted(1);
         std::thread::scope(|s| {
-            let lane = Lane::start(s, plus_one);
+            let lane = Lane::start(s, plus_one, true);
             let mut handle = lane.handle();
             let ticket = handle.hand_over(input.clone());
             while !matches!(*ticket.slot.lock(), State::Done(_)) {
@@ -345,7 +482,7 @@ mod tests {
         let input = counted(13);
         let outcome = std::panic::catch_unwind(|| {
             std::thread::scope(|s| {
-                let lane = Lane::start(s, fragile);
+                let lane = Lane::start(s, fragile, true);
                 let mut handle = lane.handle();
                 let ticket = handle.hand_over(input.clone());
                 while !matches!(*ticket.slot.lock(), State::Failed) {
@@ -361,7 +498,7 @@ mod tests {
         assert_eq!(runs(&input), 2, "once on the lane, once inline");
         // A lane whose job panicked keeps serving.
         std::thread::scope(|s| {
-            let lane = Lane::start(s, fragile);
+            let lane = Lane::start(s, fragile, true);
             let mut handle = lane.handle();
             let bad = handle.hand_over(counted(13));
             let good = handle.hand_over(counted(1));
@@ -379,21 +516,80 @@ mod tests {
             drop(handle.hand_over(input.clone()));
         }
         drop(handle);
-        assert_eq!(serve(&queue, plus_one), 0.0);
+        queue.close();
+        assert_eq!(serve(&queue), 0.0);
         assert_eq!(runs(&input), 0);
     }
 
     #[test]
+    fn a_closed_lane_takes_no_job_and_the_event_thread_computes_it() {
+        let (mut handle, queue) = by_hand();
+        queue.close();
+        let input = counted(7);
+        let ticket = handle.hand_over(input.clone());
+        assert!(queue.try_pop().is_none());
+        assert_eq!(handle.take(ticket), 8);
+        assert_eq!((handle.stats.jobs, handle.stats.stolen), (0, 1));
+        assert_eq!(runs(&input), 1);
+    }
+
+    #[test]
+    fn the_spare_thread_and_two_helpers_compute_each_job_exactly_once() {
+        const JOBS: u64 = 200;
+        let inputs: Vec<Counted> = (0..JOBS).map(counted).collect();
+        std::thread::scope(|s| {
+            let lane = Lane::start(s, plus_one, true);
+            let mut handle = lane.handle();
+            let tickets: Vec<_> = inputs.iter().map(|x| handle.hand_over(x.clone())).collect();
+            // Two workers waiting at a barrier, each serving until the
+            // queue is empty.
+            std::thread::scope(|helpers| {
+                for _ in 0..2 {
+                    helpers.spawn(|| while lane.help() {});
+                }
+            });
+            for (x, ticket) in (0..JOBS).zip(tickets) {
+                assert_eq!(handle.take(ticket), x + 1);
+            }
+            let stats = lane.finish([handle]);
+            assert_eq!(stats.jobs, JOBS);
+            assert!(stats.helped + stats.stolen <= JOBS, "{stats:?}");
+        });
+        for x in &inputs {
+            assert_eq!(runs(x), 1, "job {} computed {} times", x.0, runs(x));
+        }
+    }
+
+    #[test]
+    fn helpers_alone_serve_a_lane_without_a_spare_thread() {
+        let input = counted(5);
+        std::thread::scope(|s| {
+            let lane = Lane::start(s, plus_one, false);
+            assert!(!lane.help(), "nothing queued");
+            let mut handle = lane.handle();
+            let ticket = handle.hand_over(input.clone());
+            assert!(lane.help());
+            assert!(!lane.help());
+            assert_eq!(handle.take(ticket), 6);
+            let stats = lane.finish([handle]);
+            assert_eq!((stats.jobs, stats.helped), (1, 1));
+            assert_eq!((stats.stolen, stats.waits), (0, 0));
+            assert!(stats.busy_s >= 0.0);
+        });
+        assert_eq!(runs(&input), 1, "computed once, by the helper");
+    }
+
+    #[test]
     fn the_thread_budget_follows_sim_workers() {
-        // One event-loop thread at the default, the lane beside it on a host
-        // with a second core.
+        // One event-loop thread at the default, the spare thread beside it
+        // on a host with a second core.
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         assert_eq!(thread_budget(0, 1), (1, cores >= 2));
         assert_eq!(thread_budget(0, 4), (1, cores >= 2));
         // Exactly one thread.
         assert_eq!(thread_budget(1, 1), (1, false));
         assert_eq!(thread_budget(1, 4), (1, false));
-        // A lane only with threads to spare.
+        // A spare thread only with threads to spare.
         assert_eq!(thread_budget(2, 1), (1, true));
         assert_eq!(thread_budget(2, 4), (2, false));
         assert_eq!(thread_budget(4, 4), (4, false));

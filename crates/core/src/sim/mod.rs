@@ -108,9 +108,10 @@ pub struct RunObservability {
     /// cross-world messages exchanged and event-loop counters summed over
     /// the channel worlds. A one-world run is one window and no messages.
     pub sync: ShardedRunReport,
-    /// What the run's lane did: blocks whose pure half of validation ran on
-    /// the spare host thread beside the event loops. All zero when the run
-    /// had no lane (see [`SimConfig::sim_workers`]).
+    /// What the run's lane did: blocks whose pure half of validation ran
+    /// beside the event loops, on the spare host thread or on a worker
+    /// waiting at a window barrier. All zero when the run had no lane (see
+    /// [`SimConfig::sim_workers`]).
     pub lane: LaneStats,
     /// Health-plane report (regime timeline, bottleneck-shift onsets, SLO
     /// burn accounting), folded over every channel world's sampler rows
@@ -225,11 +226,15 @@ impl Simulation {
         // hence the 1 ns floor.
         let lookahead = SimDuration::from_millis_f64(cfg.cost.link_propagation_ms)
             .max(SimDuration::from_nanos(1));
-        let (workers, with_lane) = lane::thread_budget(cfg.sim_workers, n_shards);
+        let (workers, spare_thread) = lane::thread_budget(cfg.sim_workers, n_shards);
         // The lane lives exactly as long as the event loops that feed it:
-        // every world's end of it is handed back before it closes.
+        // every world's end of it is handed back before it closes. It is
+        // served by the spare thread, and by every event-loop worker while
+        // it waits at a window barrier, so a run has one whenever it has
+        // either kind of idle thread.
         let (sync, mut shard_profiles, mut worlds, lane) = std::thread::scope(|scope| {
-            let lane = with_lane.then(|| Lane::start(scope, lane::prevalidate));
+            let lane = (spare_thread || workers >= 2)
+                .then(|| Lane::start(scope, lane::prevalidate, spare_thread));
             let mut sharded: ShardedKernel<World> = ShardedKernel::new(lookahead);
             sharded.set_horizon(end);
             for shard_id in 0..n_shards {
@@ -243,7 +248,10 @@ impl Simulation {
             if cfg.obs.profile {
                 sharded.enable_profiler();
             }
-            let sync = sharded.run(workers);
+            let sync = match &lane {
+                Some(lane) => sharded.run(workers, &|| lane.help()),
+                None => sharded.run(workers, &|| false),
+            };
             let shard_profiles: Vec<KernelProfile> =
                 sharded.take_profiles().into_iter().flatten().collect();
             let mut worlds = sharded.into_worlds();

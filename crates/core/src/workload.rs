@@ -213,12 +213,14 @@ pub struct SimConfig {
     pub channels: u32,
     /// The run's host thread budget. The per-channel event-loop worlds are
     /// multiplexed onto `min(sim_workers, channels)` threads under a
-    /// conservative lookahead barrier, and a thread left over becomes the
-    /// *lane*, which runs the pure half of each peer's next block
-    /// validation (data hash, dedup, VSCC) ahead of the event loop while
-    /// MVCC and the commit stay on it. `0` (the default) is one event-loop
-    /// thread plus the lane when the host has a second core; `1` is exactly
-    /// one thread; `n > channels` adds the lane. Every worker count produces
+    /// conservative lookahead barrier, and a thread left over is a spare
+    /// thread for the *lane*, which runs the pure half of each peer's next
+    /// block validation (data hash, dedup, VSCC) ahead of the event loop
+    /// while MVCC and the commit stay on it. With two or more event-loop
+    /// threads, a thread waiting at a window barrier serves the lane too.
+    /// `0` (the default) is one event-loop thread plus the spare thread
+    /// when the host has a second core; `1` is exactly one thread;
+    /// `n > channels` adds the spare thread. Every worker count produces
     /// byte-identical reports (the determinism suite locks workers
     /// {0, 1, 2, 4} on one channel and {0, 1, 2, 8} on four against each
     /// other) and the same [`SimConfig::digest`], so this knob trades wall

@@ -33,6 +33,14 @@
 //! sequence numbers — the tie-breaker of the event heap — are identical at
 //! any worker count. A run at `workers = 1` is byte-identical to the same run
 //! at `workers = 8`.
+//!
+//! ## Idle workers
+//!
+//! A worker that finishes its shards' window before the others would only
+//! spin at the barrier. [`ShardedKernel::run`] takes an idle hook instead,
+//! which a waiting worker calls until the cohort is complete; the caller
+//! decides what that time is spent on. The hook cannot reach any shard, so
+//! it cannot change a result.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -104,9 +112,10 @@ struct Shard<W: ShardWorld> {
     emitted: u64,
 }
 
-/// Hybrid spin barrier: short busy-wait, then cooperative yields. Never
-/// sleeps — window rounds are far too frequent (one per lookahead interval of
-/// virtual time) for parked-thread wakeup latency.
+/// Hybrid spin barrier: a waiting party first offers its time to the run's
+/// idle hook, and only when the hook has nothing to do busy-waits briefly,
+/// then yields. Never sleeps — window rounds are far too frequent (one per
+/// lookahead interval of virtual time) for parked-thread wakeup latency.
 struct SpinBarrier {
     parties: usize,
     arrived: AtomicU64,
@@ -122,7 +131,10 @@ impl SpinBarrier {
         }
     }
 
-    fn wait(&self) {
+    /// Waits until every party has arrived, calling `idle` while the cohort
+    /// is incomplete. `idle` returns whether it did some work; it is never
+    /// called when this is the last arrival or the only party.
+    fn wait(&self, idle: &dyn Fn() -> bool) {
         if self.parties == 1 {
             return;
         }
@@ -135,6 +147,9 @@ impl SpinBarrier {
         }
         let mut spins = 0u32;
         while self.generation.load(Ordering::Acquire) == gen {
+            if idle() {
+                continue;
+            }
             spins += 1;
             if spins < 128 {
                 std::hint::spin_loop();
@@ -196,7 +211,7 @@ pub struct ShardedRunReport {
 ///     sk.push_shard(k, Echo { log: Vec::new(), out: Vec::new() });
 /// }
 /// sk.set_horizon(SimTime::ZERO + SimDuration::from_secs(1));
-/// let report = sk.run(1);
+/// let report = sk.run(1, &|| false);
 /// assert_eq!(report.messages, 1);
 /// assert_eq!(sk.worlds()[1].log, vec![7]);
 /// ```
@@ -278,11 +293,17 @@ impl<W: ShardWorld> ShardedKernel<W> {
     /// the worker count only controls how shards are multiplexed onto
     /// threads.
     ///
+    /// A worker that reaches a window barrier before the others calls
+    /// `idle` until they arrive, and spins only while `idle` returns
+    /// `false` (nothing to do). The kernel never looks at what the hook
+    /// does; pass `&|| false` to offer nothing. With one worker there is no
+    /// one to wait for and the hook is never called.
+    ///
     /// # Panics
     /// Panics if `workers == 0`, or if a shard emits a message violating the
     /// lookahead contract (delivery before the shard's published emission
     /// floor plus the lookahead).
-    pub fn run(&mut self, workers: usize) -> ShardedRunReport {
+    pub fn run(&mut self, workers: usize, idle: &(dyn Fn() -> bool + Sync)) -> ShardedRunReport {
         assert!(workers > 0, "sharded run needs at least one worker");
         let n = self.shards.len();
         if n == 0 {
@@ -345,7 +366,7 @@ impl<W: ShardWorld> ShardedKernel<W> {
                     next_times[idx].store(t.map_or(u64::MAX, |t| t.as_nanos()), Ordering::Release);
                     emit_bounds[idx].store(eb, Ordering::Release);
                 }
-                barrier.wait();
+                barrier.wait(idle);
 
                 // Every worker computes the same windows from the published
                 // times; no coordinator thread needed.
@@ -416,7 +437,7 @@ impl<W: ShardWorld> ShardedKernel<W> {
                 if chunk_start == 0 {
                     windows.fetch_add(1, Ordering::AcqRel);
                 }
-                barrier.wait();
+                barrier.wait(idle);
             }
         };
 
@@ -582,7 +603,7 @@ mod tests {
             SimTime::ZERO,
             send(1, SimDuration::from_millis(2), &["ping"]),
         );
-        let report = sk.run(1);
+        let report = sk.run(1, &|| false);
         assert_eq!(report.messages, 1);
         assert_eq!(
             sk.worlds()[1].received,
@@ -617,7 +638,7 @@ mod tests {
             sk.shards[1]
                 .kernel
                 .schedule(SimTime::ZERO, send(0, after, &["s1-first", "s1-second"]));
-            sk.run(workers);
+            sk.run(workers, &|| false);
             let got: Vec<&str> = sk.worlds()[0]
                 .received
                 .iter()
@@ -646,7 +667,7 @@ mod tests {
                 SimTime::ZERO,
                 send(1, SimDuration::from_micros(1500), &["serve"]),
             );
-            let report = sk.run(workers);
+            let report = sk.run(workers, &|| false);
             let worlds = sk.into_worlds();
             let mut it = worlds.into_iter();
             let a = it.next().expect("shard 0");
@@ -670,7 +691,7 @@ mod tests {
             SimTime::from_secs_f64(0.010),
             send(1, SimDuration::from_micros(100), &["bad"]),
         );
-        sk.run(1);
+        sk.run(1, &|| false);
     }
 
     #[test]
@@ -687,7 +708,7 @@ mod tests {
         sk.shards[1]
             .kernel
             .schedule(SimTime::from_secs_f64(0.004), Ev::Local("at-horizon"));
-        let report = sk.run(1);
+        let report = sk.run(1, &|| false);
         assert_eq!(report.end, SimTime::from_secs_f64(0.004));
         assert_eq!(
             sk.worlds()[1].received,
@@ -706,7 +727,7 @@ mod tests {
                 .kernel
                 .schedule(SimTime::ZERO, Ev::Tick { every });
         }
-        let report = sk.run(2);
+        let report = sk.run(2, &|| false);
         // 100 ms / 7 ms -> 15 ticks per shard (t=0..=98ms).
         assert_eq!(report.stats.executed, 30);
         let profiles = sk.take_profiles();
@@ -742,7 +763,7 @@ mod tests {
                     .kernel
                     .schedule(SimTime::ZERO, Ev::Tick { every });
             }
-            let report = sk.run(workers);
+            let report = sk.run(workers, &|| false);
             let logs: Vec<Vec<(u64, String)>> =
                 sk.into_worlds().into_iter().map(|w| w.received).collect();
             (logs, report.windows)
@@ -762,6 +783,39 @@ mod tests {
         assert_eq!(run(true, 2), (wide, wide_windows));
     }
 
+    /// A worker whose shard finishes its window early spends the wait in
+    /// the idle hook, and nothing the hook does reaches a shard. With one
+    /// worker nobody waits, so the hook is never called.
+    #[test]
+    fn a_waiting_worker_calls_the_idle_hook_and_results_do_not_change() {
+        let run = |workers: usize, idle: &(dyn Fn() -> bool + Sync)| {
+            let mut sk = two_nodes();
+            sk.set_horizon(SimTime::from_secs_f64(0.100));
+            // Shard 0 is heavy: a hundred ticks per lookahead window against
+            // shard 1's one, so shard 1's worker waits at every barrier.
+            for (id, every) in [(0usize, 10), (1, 1000)] {
+                let every = SimDuration::from_micros(every);
+                sk.shards[id]
+                    .kernel
+                    .schedule(SimTime::ZERO, Ev::Tick { every });
+            }
+            let report = sk.run(workers, idle);
+            let logs: Vec<Vec<(u64, String)>> =
+                sk.into_worlds().into_iter().map(|w| w.received).collect();
+            (report, logs)
+        };
+        // The hook claims work for its first hundred calls, then has none.
+        let calls = AtomicU64::new(0);
+        let hook = || calls.fetch_add(1, Ordering::Relaxed) < 100;
+        let plain = run(2, &|| false);
+        assert!(plain.0.windows > 50, "windows: {}", plain.0.windows);
+        assert_eq!(run(2, &hook), plain);
+        assert!(calls.load(Ordering::Relaxed) > 0, "nobody waited");
+        calls.store(0, Ordering::Relaxed);
+        assert_eq!(run(1, &hook), plain);
+        assert_eq!(calls.load(Ordering::Relaxed), 0, "one worker never waits");
+    }
+
     #[test]
     fn worker_counts_beyond_shard_count_are_clamped() {
         let mut sk = two_nodes();
@@ -769,7 +823,7 @@ mod tests {
         sk.shards[0]
             .kernel
             .schedule(SimTime::ZERO, send(1, SimDuration::from_millis(2), &["hi"]));
-        let report = sk.run(64);
+        let report = sk.run(64, &|| false);
         assert_eq!(report.messages, 1);
         assert_eq!(sk.worlds()[1].received.len(), 1);
     }

@@ -300,18 +300,36 @@ fn osn_crash_replay_is_byte_identical_at_any_worker_count() {
     assert_lane_ran_on_one_channel("raft OSN crash", &workers, &lanes);
 }
 
+/// On four channels, workers 8 are four event loops and a spare thread, and
+/// workers 2 are two loops that serve the lane while they wait at a window
+/// barrier: both hand the same blocks over, and workers 1 none.
+fn assert_lane_ran_on_four_channels(what: &str, lanes: &[LaneStats]) {
+    assert_eq!(lanes[1].jobs, 0, "{what}: workers=1 is exactly one thread");
+    assert!(lanes[2].jobs > 0, "{what}: workers=2 handed no block over");
+    assert_eq!(lanes[2].jobs, lanes[3].jobs, "{what}: workers 2 against 8");
+}
+
 #[test]
 fn four_channel_runs_are_byte_identical_at_any_worker_count() {
+    let workers = [0, 1, 2, 8];
     for orderer in OrdererType::ALL {
         let mut cfg = quick_config(orderer, PolicySpec::OrN(5), 120.0);
         cfg.channels = 4;
         let what = format!("{orderer} ch4");
-        let workers = [0, 1, 2, 8];
         let lanes = assert_worker_invariant(&what, &cfg, &FaultPlan::default(), &workers);
-        // Eight workers are four event loops and the lane; two are not.
-        assert_eq!(lanes[2].jobs, 0, "{what}: no thread to spare at workers=2");
-        assert!(lanes[3].jobs > 0, "{what}: workers=8 handed no block over");
+        assert_lane_ran_on_four_channels(&what, &lanes);
     }
+    // The benchmark's `des_raft_ch4_w2` shape: Raft, ten peers, AND5 and
+    // 100-transaction blocks of about 600 signatures, so the workers at the
+    // barrier validate blocks as big as the benchmark's.
+    let mut cfg = quick_config(OrdererType::Raft, PolicySpec::AndX(5), 500.0);
+    cfg.endorsing_peers = 10;
+    cfg.channels = 4;
+    cfg.duration_secs = 6.0;
+    cfg.warmup_secs = 2.0;
+    cfg.cooldown_secs = 1.0;
+    let lanes = assert_worker_invariant("raft AND5 ch4", &cfg, &FaultPlan::default(), &workers);
+    assert_lane_ran_on_four_channels("raft AND5 ch4", &lanes);
 }
 
 #[test]

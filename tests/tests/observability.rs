@@ -281,6 +281,40 @@ fn kafka_small_blocks(workers: u32) -> SimConfig {
     cfg
 }
 
+/// The benchmark's `des_raft_ch4_w2` configuration cut to 3 simulated
+/// seconds: four channels of 100-transaction AND5 blocks.
+fn raft_ch4(workers: u32) -> SimConfig {
+    let mut cfg = SimConfig {
+        orderer_type: OrdererType::Raft,
+        osn_count: 3,
+        endorsing_peers: 10,
+        policy: PolicySpec::AndX(5),
+        channels: 4,
+        arrival_rate_tps: 500.0,
+        duration_secs: 3.0,
+        warmup_secs: 1.0,
+        cooldown_secs: 1.0,
+        sim_workers: workers,
+        ..SimConfig::default()
+    };
+    cfg.cost.validator_pool_size = 1;
+    cfg
+}
+
+#[test]
+fn four_channels_on_two_workers_validate_at_the_barrier() {
+    let lane = |cfg: SimConfig| Simulation::new(cfg).run_detailed().observability.lane;
+    // Two event loops and no spare thread: the loops serve the lane while
+    // they wait for each other, and hand over the same blocks as four
+    // loops with a spare thread.
+    let two = lane(raft_ch4(2));
+    assert!(two.jobs > 0, "{two:?}");
+    assert!(two.helped + two.stolen <= two.jobs, "{two:?}");
+    assert_eq!(lane(raft_ch4(8)).jobs, two.jobs);
+    // One worker is exactly one thread: no lane at all.
+    assert_eq!(lane(raft_ch4(1)), fabricsim::LaneStats::default());
+}
+
 #[test]
 fn the_lane_reports_what_it_did_and_stays_idle_without_work() {
     let lane = |cfg: SimConfig| Simulation::new(cfg).run_detailed().observability.lane;
