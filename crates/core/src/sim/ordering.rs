@@ -158,14 +158,15 @@ fn broker_msg_bytes(message: &BrokerMsg) -> u64 {
 }
 
 fn deliver_block(world: &mut World, k: &mut K, o: usize, block: Block) {
-    // Shared from here to each committer: subscribers, the replay log and
-    // the gossip mesh all hold the one allocation, and a ledger that takes
-    // ownership copies only the header and flags — never the transactions.
-    let block = Arc::new(block);
-    let now = k.now();
     if world.check_channel(&block.channel).is_err() {
         return;
     }
+    // Shared from here to each committer: subscribers, the replay log and
+    // the gossip mesh all hold the one allocation, and a ledger that takes
+    // ownership copies only the header and flags — never the transactions.
+    // Every OSN of the channel delivers that same allocation.
+    let block = shared_body(world, block);
+    let now = k.now();
     let cut = SpanKey::block(block.header.number, SpanKind::BlockCut, Actor::Osn(o));
     // Record the cut and per-tx ordering timestamps once (Kafka/Raft OSNs all
     // emit the same blocks; the first emission wins).
@@ -183,15 +184,15 @@ fn deliver_block(world: &mut World, k: &mut K, o: usize, block: Block) {
         world.obs.span(cut, None, now, now);
     }
     let bytes = block.wire_size();
-    let subscribers = world.osns[o].subscribers.clone();
-    for peer_idx in subscribers {
-        let arrival = world.osns[o].egress.transfer(now, bytes);
+    let (osn, obs) = (&mut world.osns[o], &mut world.obs);
+    for &peer_idx in &osn.subscribers {
+        let arrival = osn.egress.transfer(now, bytes);
         let delivery = SpanKey::block(
             block.header.number,
             SpanKind::Deliver,
             Actor::Peer(peer_idx),
         );
-        world.obs.span(delivery, Some(cut), now, arrival);
+        obs.span(delivery, Some(cut), now, arrival);
         let block = Arc::clone(&block);
         k.schedule(
             arrival,
@@ -201,7 +202,51 @@ fn deliver_block(world: &mut World, k: &mut K, o: usize, block: Block) {
             },
         );
     }
-    world.osns[o].delivered.push(block);
+    osn.delivered.push(block);
+    forget_delivered(world);
+}
+
+/// The one body of `block` this world delivers: an equal block another OSN
+/// of the channel already delivered, or else `block` itself, remembered
+/// until every live OSN has delivered its number. The new copy is dropped
+/// while it is still hot in cache. A block that differs from the one
+/// remembered under its number is delivered as its own allocation, and the
+/// first stays shared. A world with one OSN keeps no table.
+fn shared_body(world: &mut World, block: Block) -> Arc<Block> {
+    if world.osns.len() == 1 {
+        return Arc::new(block);
+    }
+    let number = block.header.number;
+    match world
+        .shared_blocks
+        .iter()
+        .find(|b| b.header.number == number)
+    {
+        Some(known) if **known == block => Arc::clone(known),
+        Some(_) => Arc::new(block),
+        None => {
+            let block = Arc::new(block);
+            world.shared_blocks.push_back(Arc::clone(&block));
+            block
+        }
+    }
+}
+
+/// Forgets the shared blocks every live OSN has delivered: what stays is
+/// newer than the slowest live OSN's last delivery, so the table is as long
+/// as the OSNs are apart. A crashed OSN stops counting. Each OSN delivers
+/// its blocks in number order.
+fn forget_delivered(world: &mut World) {
+    if world.shared_blocks.is_empty() {
+        return;
+    }
+    let live = world.osns.iter().filter(|a| a.alive);
+    // `None` (an OSN that delivered nothing yet) is below every number.
+    let slowest = live.map(|a| a.delivered.last().map(|b| b.header.number));
+    let Some(Some(slowest)) = slowest.min() else {
+        return;
+    };
+    world.shared_blocks.retain(|b| b.header.number > slowest);
 }
 
 pub(super) fn broker_receive(world: &mut World, k: &mut K, b: usize, message: BrokerMsg) {
@@ -328,5 +373,132 @@ fn apply_zk_effects(world: &mut World, k: &mut K, effects: Vec<ZkEffect>) {
         let delay = world.ms(world.cfg.cost.link_propagation_ms + 0.5);
         let broker = target as usize;
         k.schedule_in(delay, Ev::BrokerAppoint { broker, message });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashMap;
+
+    use fabricsim_crypto::Hash256;
+    use fabricsim_des::{Kernel, SimDuration, SimTime};
+    use fabricsim_types::ChannelId;
+
+    use super::super::faults::{schedule_faults, FaultPlan};
+    use super::super::world::{bootstrap, build_world};
+    use super::*;
+    use crate::workload::{PolicySpec, SimConfig};
+
+    /// The benchmark's Kafka small-blocks shape, 10 simulated seconds.
+    fn kafka() -> SimConfig {
+        let mut cfg = SimConfig {
+            orderer_type: OrdererType::Kafka,
+            broker_count: 5,
+            zk_count: 3,
+            osn_count: 3,
+            endorsing_peers: 2,
+            policy: PolicySpec::OrN(2),
+            arrival_rate_tps: 90.0,
+            duration_secs: 10.0,
+            ..SimConfig::default()
+        };
+        cfg.batch.max_message_count = 2;
+        cfg
+    }
+
+    fn raft(rate: f64, duration_secs: f64) -> SimConfig {
+        SimConfig {
+            orderer_type: OrdererType::Raft,
+            osn_count: 3,
+            endorsing_peers: 5,
+            policy: PolicySpec::AndX(3),
+            arrival_rate_tps: rate,
+            duration_secs,
+            ..SimConfig::default()
+        }
+    }
+
+    /// One channel's world, run to its horizon on a plain kernel, and the
+    /// longest its shared-block table was at any millisecond of the run.
+    fn run_world(cfg: &SimConfig, faults: &FaultPlan) -> (World, usize) {
+        let mut world = build_world(cfg, 0);
+        let mut k: K = Kernel::new();
+        bootstrap(&mut world, &mut k);
+        schedule_faults(faults, &mut k);
+        let end = SimTime::from_secs_f64(cfg.duration_secs);
+        k.set_horizon(end);
+        let mut longest = 0;
+        let mut t = SimTime::ZERO;
+        while t < end {
+            t += SimDuration::from_millis_f64(1.0);
+            k.run_until(&mut world, t);
+            longest = longest.max(world.shared_blocks.len());
+        }
+        k.run(&mut world);
+        (world, longest)
+    }
+
+    /// Asserts that every OSN's delivery of a number is one allocation, and
+    /// returns how many numbers were delivered.
+    fn assert_one_body_per_number(world: &World) -> usize {
+        let mut first: HashMap<u64, &Arc<Block>> = HashMap::new();
+        for (o, osn) in world.osns.iter().enumerate() {
+            for block in &osn.delivered {
+                let shared = *first.entry(block.header.number).or_insert(block);
+                let number = block.header.number;
+                assert!(Arc::ptr_eq(shared, block), "OSN {o}, block {number}");
+            }
+        }
+        first.len()
+    }
+
+    #[test]
+    fn every_osn_of_a_kafka_or_raft_channel_delivers_one_body() {
+        for cfg in [kafka(), raft(120.0, 12.0)] {
+            let (world, longest) = run_world(&cfg, &FaultPlan::default());
+            let what = cfg.orderer_type;
+            assert_eq!(world.osns.len(), 3, "{what}");
+            let numbers = assert_one_body_per_number(&world);
+            assert!(numbers > 8, "{what}: only {numbers} blocks");
+            for osn in &world.osns {
+                assert_eq!(osn.delivered.len(), numbers, "{what}");
+            }
+            // Every live OSN delivered every block, so none is remembered.
+            assert!(world.shared_blocks.is_empty(), "{what}");
+            assert!(longest <= 2, "{what}: {longest} blocks remembered");
+        }
+    }
+
+    #[test]
+    fn a_crashed_osn_stops_counting_and_the_table_stays_bounded() {
+        let faults = FaultPlan {
+            crash_osns: vec![(0, 6.0)],
+            ..FaultPlan::default()
+        };
+        let mut cfg = raft(100.0, 28.0);
+        cfg.policy = PolicySpec::OrN(5);
+        let (world, longest) = run_world(&cfg, &faults);
+        assert!(!world.osns[0].alive);
+        let before_crash = world.osns[0].delivered.len();
+        let numbers = assert_one_body_per_number(&world);
+        assert!(numbers > before_crash + 20, "{numbers} blocks");
+        // Without the crashed OSN counted, the survivors empty the table.
+        assert!(world.shared_blocks.is_empty());
+        assert!(longest <= 2, "{longest} blocks remembered");
+    }
+
+    #[test]
+    fn a_different_block_under_a_known_number_gets_its_own_body() {
+        let mut world = build_world(&raft(120.0, 6.0), 0);
+        let assemble =
+            |previous| Block::assemble(ChannelId::default_channel(), 0, previous, Vec::new());
+        let first = shared_body(&mut world, assemble(Hash256::ZERO));
+        let forked = shared_body(&mut world, assemble(Hash256::from_bytes([7; 32])));
+        assert!(!Arc::ptr_eq(&first, &forked));
+        assert_eq!(forked.header.previous_hash, Hash256::from_bytes([7; 32]));
+        let again = shared_body(&mut world, assemble(Hash256::ZERO));
+        assert!(Arc::ptr_eq(&first, &again), "the first stays shared");
+        assert_eq!(world.shared_blocks.len(), 1);
+        assert!(Arc::ptr_eq(&world.shared_blocks[0], &first));
     }
 }

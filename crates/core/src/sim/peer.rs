@@ -287,7 +287,7 @@ pub(super) fn commit_block(
     }
     let number = block.header.number;
     // The ledger keeps its own header and flags; the transactions stay
-    // shared with the OSN that delivered the block, and at the observer with
+    // shared with every OSN of the channel, and at the observer with
     // the loop below, which reads them beside the flags the commit hands
     // back.
     let observed = (peer_idx == world.observer).then(|| block.transactions.clone());

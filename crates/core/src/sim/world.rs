@@ -113,6 +113,11 @@ pub(super) struct World {
     pub(super) block_cuts: Vec<(SimTime, usize)>,
     /// Next block number whose cut is still unrecorded.
     pub(super) next_cut_number: u64,
+    /// Blocks an OSN delivered that another live OSN has yet to deliver, in
+    /// first-delivery order: an OSN that cuts an equal block delivers the
+    /// body kept here, so the channel holds each block once. Empty with one
+    /// OSN.
+    pub(super) shared_blocks: VecDeque<Arc<Block>>,
     pub(super) observer: usize,
     /// Every observability plane and the per-transaction records they share
     /// (one vector behind one `TxId` index), reached only through the
@@ -695,6 +700,7 @@ pub(super) fn build_world(cfg: &SimConfig, shard_id: usize) -> World {
         zk,
         block_cuts: Vec::new(),
         next_cut_number: 0,
+        shared_blocks: VecDeque::new(),
         shard: ShardCtx {
             shard_id,
             channels,

@@ -13,12 +13,15 @@
 //! Decoding a block subgroup-checks each distinct endorser key element once:
 //! the first sight of an element runs [`PublicKey::from_element`], a repeat
 //! reuses that admission (a pure function of the element), and a refused
-//! element makes the whole block a [`DecodeError`].
+//! element makes the whole block a [`DecodeError`]. A decode also hands out
+//! one role string per distinct role text: every principal that names the
+//! same role shares its `Arc<str>`.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 use fabricsim_crypto::{Hash256, PublicKey, Signature};
 
@@ -191,10 +194,39 @@ fn admit_key(element: u64) -> Result<PublicKey, DecodeError> {
     PublicKey::from_element(element).ok_or_else(|| DecodeError("endorser key not in group".into()))
 }
 
-/// Reads one envelope; `admit` turns each endorser key element into a key.
+/// The role strings one decode has handed out, one per distinct text.
+#[derive(Default)]
+struct Roles {
+    /// The first role seen. Endorsements almost always name one role, so
+    /// the set below stays empty and allocates nothing.
+    first: Option<Arc<str>>,
+    others: HashSet<Arc<str>, FxBuildHasher>,
+}
+
+impl Roles {
+    /// The shared role string for `text`.
+    fn share(&mut self, text: &str) -> Arc<str> {
+        let Some(first) = &self.first else {
+            return Arc::clone(self.first.insert(Arc::from(text)));
+        };
+        if **first == *text {
+            return Arc::clone(first);
+        }
+        if let Some(known) = self.others.get(text) {
+            return Arc::clone(known);
+        }
+        let role: Arc<str> = Arc::from(text);
+        self.others.insert(Arc::clone(&role));
+        role
+    }
+}
+
+/// Reads one envelope; `admit` turns each endorser key element into a key,
+/// and `roles` shares each endorser's role string.
 fn read_tx(
     r: &mut Reader<'_>,
     admit: &mut impl FnMut(u64) -> Result<PublicKey, DecodeError>,
+    roles: &mut Roles,
 ) -> Result<Transaction, DecodeError> {
     let tx_id = TxId(r.hash()?);
     let channel = ChannelId(r.str()?);
@@ -205,7 +237,7 @@ fn read_tx(
     let mut endorsements = Vec::with_capacity(n_endorsements);
     for _ in 0..n_endorsements {
         let principal_text = r.text()?;
-        let endorser = Principal::parse(principal_text)
+        let endorser = Principal::parse_with(principal_text, |text| roles.share(text))
             .ok_or_else(|| DecodeError(format!("bad principal {principal_text:?}")))?;
         let endorser_key = admit(r.u64()?)?;
         let signature = Signature {
@@ -248,7 +280,7 @@ pub fn encode_tx(tx: &Transaction) -> Vec<u8> {
 /// [`DecodeError`] on truncated or malformed input.
 pub fn decode_tx(bytes: &[u8]) -> Result<Transaction, DecodeError> {
     let mut r = Reader::new(bytes);
-    let tx = read_tx(&mut r, &mut admit_key)?;
+    let tx = read_tx(&mut r, &mut admit_key, &mut Roles::default())?;
     r.finish()?;
     Ok(tx)
 }
@@ -311,9 +343,10 @@ pub fn decode_block(bytes: &[u8]) -> Result<Block, DecodeError> {
         Entry::Occupied(known) => Ok(*known.get()),
         Entry::Vacant(first_sight) => Ok(*first_sight.insert(admit_key(element)?)),
     };
+    let mut roles = Roles::default();
     let mut transactions = Vec::with_capacity(n_txs);
     for _ in 0..n_txs {
-        transactions.push(read_tx(&mut r, &mut admit)?);
+        transactions.push(read_tx(&mut r, &mut admit, &mut roles)?);
     }
     let n_flags = r.count(FLAG_BYTES)?;
     let mut flags = Vec::with_capacity(n_flags);
@@ -392,6 +425,66 @@ mod tests {
         let back = decode_block(&bytes).unwrap();
         assert_eq!(back, block);
         assert!(back.data_hash_is_consistent());
+    }
+
+    /// The role strings of `tx`'s endorsements, in order.
+    fn roles(tx: &Transaction) -> impl Iterator<Item = &Arc<str>> {
+        tx.endorsements.iter().map(|e| &e.endorser.role)
+    }
+
+    /// Every endorsement of a decoded AND5 block names its role through one
+    /// shared string, and the block still re-encodes to the bytes it came
+    /// from.
+    #[test]
+    fn a_decoded_block_shares_one_role_string_and_reencodes_to_its_bytes() {
+        let block = Block::assemble(
+            ChannelId::default_channel(),
+            0,
+            Hash256::ZERO,
+            (0..100).map(|n| sample_tx(n, 5)).collect(),
+        );
+        let bytes = encode_block(&block);
+        let back = decode_block(&bytes).unwrap();
+        let shared: Vec<&Arc<str>> = back.transactions.iter().flat_map(roles).collect();
+        assert_eq!(shared.len(), 500);
+        assert!(shared.iter().all(|role| Arc::ptr_eq(role, shared[0])));
+        // One allocation, held by the 500 principals and nothing else.
+        assert_eq!(Arc::strong_count(shared[0]), 500);
+        assert_eq!(back, block);
+        assert_eq!(encode_block(&back), bytes);
+    }
+
+    /// Each distinct role text gets its own string, shared by every
+    /// endorsement that names it, in an envelope as in a block.
+    #[test]
+    fn each_distinct_role_is_one_string() {
+        let mut tx = sample_tx(3, 5);
+        for (e, role) in tx
+            .endorsements
+            .iter_mut()
+            .zip(["peer", "admin", "peer", "member", "admin"])
+        {
+            e.endorser.role = Arc::from(role);
+        }
+        let bytes = encode_tx(&tx);
+        let back = decode_tx(&bytes).unwrap();
+        assert_eq!(back, tx);
+        assert_eq!(encode_tx(&back), bytes);
+        let block = Block::assemble(
+            ChannelId::default_channel(),
+            1,
+            Hash256::ZERO,
+            vec![tx.clone(), tx],
+        );
+        let from_block = decode_block(&encode_block(&block)).unwrap();
+        for decoded in [vec![back], from_block.transactions.to_vec()] {
+            let all: Vec<&Arc<str>> = decoded.iter().flat_map(roles).collect();
+            for a in &all {
+                for b in &all {
+                    assert_eq!(Arc::ptr_eq(a, b), a == b, "{a} and {b}");
+                }
+            }
+        }
     }
 
     #[test]

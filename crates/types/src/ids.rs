@@ -135,14 +135,20 @@ impl Principal {
     /// # Errors
     /// Returns `None` for anything not shaped like `Org<N>.<role>`.
     pub fn parse(s: &str) -> Option<Self> {
-        let (org_part, role) = s.split_once('.')?;
+        Self::parse_with(s, |text| Arc::from(text))
+    }
+
+    /// [`Principal::parse`] with the role string made by `role` from its
+    /// text, so a decoder can share one allocation per distinct role.
+    pub(crate) fn parse_with(s: &str, role: impl FnOnce(&str) -> Arc<str>) -> Option<Self> {
+        let (org_part, text) = s.split_once('.')?;
         let n: u32 = org_part.strip_prefix("Org")?.parse().ok()?;
-        if role.is_empty() {
+        if text.is_empty() {
             return None;
         }
         Some(Principal {
             org: OrgId(n),
-            role: Arc::from(role),
+            role: role(text),
         })
     }
 }

@@ -356,6 +356,137 @@ fn raft_and3_run_matches_pre_refactor_bits() {
     );
 }
 
+/// The benchmark's `des_kafka_small_blocks` shape — 5 brokers, 3 ZooKeeper
+/// nodes, 3 OSNs, OR2, two transactions a block at 90 tps — cut to 20
+/// simulated seconds. Every OSN of the channel cuts every block, so this is
+/// the run that shows a change to how their blocks are delivered.
+#[test]
+fn kafka_or2_small_blocks_run_matches_pre_refactor_bits() {
+    let mut cfg = SimConfig {
+        orderer_type: OrdererType::Kafka,
+        broker_count: 5,
+        zk_count: 3,
+        osn_count: 3,
+        endorsing_peers: 2,
+        policy: PolicySpec::OrN(2),
+        arrival_rate_tps: 90.0,
+        duration_secs: 20.0,
+        warmup_secs: 4.0,
+        cooldown_secs: 2.0,
+        ..SimConfig::default()
+    };
+    cfg.batch.max_message_count = 2;
+    cfg.cost.validator_pool_size = 1;
+    let s = Simulation::new(cfg).run();
+
+    let mut fields = vec![
+        F {
+            name: "offered_tps",
+            got: s.offered_tps,
+            want_bits: 0x4056800000000000,
+        },
+        F {
+            name: "window_secs",
+            got: s.window_secs,
+            want_bits: 0x402c000000000000,
+        },
+    ];
+    fields.extend(phase_fields(
+        "execute",
+        &s.execute,
+        0x4056924924924925,
+        1264,
+        0x3fd4bf635a9ebc3e,
+        0x3fd411315ed8e499,
+        0x3fdad58a86700aee,
+        0x3fdcd0ffe8883321,
+        0x3fe0330d6257fdb2,
+    ));
+    fields.extend(phase_fields(
+        "order",
+        &s.order,
+        0x4056892492492492,
+        1262,
+        0x3f95e17646a07371,
+        0x3f9330a9ebf73480,
+        0x3fa4cab2c132e5b1,
+        0x3fab568d713d6816,
+        0x3fb2ae695f6a1dd6,
+    ));
+    fields.extend(phase_fields(
+        "validate",
+        &s.validate,
+        0x4056892492492492,
+        1262,
+        0x3f9c99250f8bab9d,
+        0x3f9aaaceb9fba89c,
+        0x3fa71bdd788dfda7,
+        0x3fada7b82898800c,
+        0x3fb3d6febb17a9d1,
+    ));
+    assert_eq!(s.overall_latency.count, 1262, "overall.count");
+    fields.extend([
+        F {
+            name: "overall.mean_s",
+            got: s.overall_latency.mean_s,
+            want_bits: 0x3fd6899092da2fc8,
+        },
+        F {
+            name: "overall.p50_s",
+            got: s.overall_latency.p50_s,
+            want_bits: 0x3fd5d9c379d69f78,
+        },
+        F {
+            name: "overall.p95_s",
+            got: s.overall_latency.p95_s,
+            want_bits: 0x3fdc911c2f4518e3,
+        },
+        F {
+            name: "overall.p99_s",
+            got: s.overall_latency.p99_s,
+            want_bits: 0x3fded0f3974bbf7d,
+        },
+        F {
+            name: "overall.max_s",
+            got: s.overall_latency.max_s,
+            want_bits: 0x3fe116727009fe31,
+        },
+        F {
+            name: "ordering_timeouts_per_s",
+            got: s.ordering_timeouts_per_s,
+            want_bits: 0x0000000000000000,
+        },
+        F {
+            name: "overload_dropped_per_s",
+            got: s.overload_dropped_per_s,
+            want_bits: 0x0000000000000000,
+        },
+        F {
+            name: "mean_block_time_s",
+            got: s.mean_block_time_s,
+            want_bits: 0x3f96b4f08dd0ddb2,
+        },
+        F {
+            name: "mean_block_size",
+            got: s.mean_block_size,
+            want_bits: 0x4000000000000000,
+        },
+    ]);
+    check(fields);
+    check_counts(
+        &s,
+        &Counts {
+            created: 1260,
+            committed_valid: 1262,
+            committed_invalid: 0,
+            overload_dropped: 0,
+            ordering_timeouts: 0,
+            endorsement_failures: 0,
+            blocks_cut: 631,
+        },
+    );
+}
+
 /// The committed figures must be what HEAD writes: every `results/*.csv`
 /// carries the header of [`fabricsim::report::to_csv`] and full-width rows.
 #[test]
