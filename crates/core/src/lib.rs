@@ -48,5 +48,5 @@ pub use fabricsim_obs as obs;
 pub use fabricsim_types::{BatchConfig, ChannelId, OrdererType, ValidationCode};
 pub use metrics::{PhaseReport, SummaryReport, TxOutcome, TxTrace};
 pub use model::CostModel;
-pub use sim::{FaultPlan, LaneStats, RunObservability, RunResult, Simulation, UtilizationReport};
+pub use sim::{Fault, LaneStats, RunObservability, RunResult, Simulation, UtilizationReport};
 pub use workload::{GossipConfig, ObsConfig, PolicySpec, SimConfig, WorkloadKind};

@@ -17,12 +17,13 @@
 //! The event thread never depends on the lane to make progress. A job no
 //! server has started when the result is needed is *stolen*: computed
 //! inline, and skipped by the lane later. A job that is running is waited
-//! for. A job that panicked on the lane is recomputed inline, so the panic
+//! for on its slot's lock, which its server holds while it computes the
+//! job. A job that panicked on the lane is recomputed inline, so the panic
 //! surfaces on the event thread exactly where it would without a lane.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::thread::{Scope, ScopedJoinHandle};
 
 use fabricsim_obs::WallClock;
@@ -43,7 +44,8 @@ pub struct LaneStats {
     /// Jobs the event thread needed before the lane started them, and
     /// computed inline.
     pub stolen: u64,
-    /// Jobs the event thread found running and waited for.
+    /// Jobs the event thread found running (their slot locked) and waited
+    /// for.
     pub waits: u64,
     /// Jobs an event-loop worker computed while it waited at a window
     /// barrier (the rest of the lane's jobs ran on the spare thread).
@@ -90,31 +92,21 @@ pub(super) fn worth_handing_over(block: &Block) -> bool {
 
 enum State<O> {
     Queued,
-    /// `awaited`: the event thread is waiting for the result.
-    Running {
-        awaited: bool,
-    },
     Done(O),
     Failed,
     Stolen,
 }
 
-/// One job's meeting point between its server and the event thread.
-struct Slot<O> {
-    state: Mutex<State<O>>,
-    ready: Condvar,
-}
+/// One job's meeting point between its server and the event thread. The
+/// server holds the lock while it computes the job, so a job that is
+/// running is a slot that is locked.
+type Slot<O> = Mutex<State<O>>;
 
-/// Nothing panics while holding one of the lane's locks, so a poisoned one
-/// still guards a value that was written whole.
+/// Nothing panics while holding one of the lane's locks (a job runs under
+/// `catch_unwind`), so a poisoned one still guards a value that was written
+/// whole.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-impl<O> Slot<O> {
-    fn lock(&self) -> MutexGuard<'_, State<O>> {
-        lock(&self.state)
-    }
 }
 
 type Job<I, O> = (Arc<Slot<O>>, I);
@@ -204,23 +196,14 @@ impl<I, O> Queue<I, O> {
         if Arc::strong_count(&slot) == 1 {
             return None;
         }
-        {
-            let mut state = slot.lock();
-            if !matches!(*state, State::Queued) {
-                return None;
-            }
-            *state = State::Running { awaited: false };
+        let mut state = lock(&slot);
+        if !matches!(*state, State::Queued) {
+            return None;
         }
         let clock = WallClock::start();
         let out = catch_unwind(AssertUnwindSafe(|| (self.work)(&input)));
         let busy_s = clock.elapsed_s();
-        let mut state = slot.lock();
-        let awaited = matches!(*state, State::Running { awaited: true });
         *state = out.map_or(State::Failed, State::Done);
-        drop(state);
-        if awaited {
-            slot.ready.notify_one();
-        }
         Some(busy_s)
     }
 }
@@ -248,10 +231,7 @@ pub(super) struct LaneHandle<I, O> {
 impl<I: Clone, O> LaneHandle<I, O> {
     /// Queues `work(&input)` on the lane.
     pub(super) fn hand_over(&mut self, input: I) -> Ticket<I, O> {
-        let slot = Arc::new(Slot {
-            state: Mutex::new(State::Queued),
-            ready: Condvar::new(),
-        });
+        let slot = Arc::new(Mutex::new(State::Queued));
         // A closed lane leaves the slot queued, and `take` steals it.
         if self.queue.push((Arc::clone(&slot), input.clone())) {
             self.stats.jobs += 1;
@@ -263,28 +243,20 @@ impl<I: Clone, O> LaneHandle<I, O> {
     /// running; computed here if the lane has not started it or panicked.
     pub(super) fn take(&mut self, ticket: Ticket<I, O>) -> O {
         let Ticket { slot, input } = ticket;
-        let mut state = slot.lock();
-        let mut waited = false;
-        loop {
-            match std::mem::replace(&mut *state, State::Stolen) {
-                State::Done(out) => return out,
-                State::Running { .. } => {
-                    *state = State::Running { awaited: true };
-                    if !waited {
-                        waited = true;
-                        self.stats.waits += 1;
-                    }
-                    state = slot
-                        .ready
-                        .wait(state)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-                State::Queued => {
-                    self.stats.stolen += 1;
-                    break;
-                }
-                State::Failed | State::Stolen => break,
+        let mut state = match slot.try_lock() {
+            Ok(state) => state,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            // A server holds the slot while it computes the job: wait for it
+            // on the lock.
+            Err(TryLockError::WouldBlock) => {
+                self.stats.waits += 1;
+                lock(&slot)
             }
+        };
+        match std::mem::replace(&mut *state, State::Stolen) {
+            State::Done(out) => return out,
+            State::Queued => self.stats.stolen += 1,
+            State::Failed | State::Stolen => {}
         }
         drop(state);
         (self.queue.work)(&input)
@@ -388,7 +360,7 @@ fn serve<I, O>(queue: &Queue<I, O>) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     /// A job's input: a number, and a count of the times it was computed.
     type Counted = (u64, Arc<AtomicU64>);
@@ -429,7 +401,7 @@ mod tests {
         drop(handle);
         queue.close();
         assert_eq!(serve(&queue), 0.0);
-        assert!(matches!(*slot.lock(), State::Stolen));
+        assert!(matches!(*lock(&slot), State::Stolen));
         assert_eq!(runs(&input), 1, "computed once, inline");
     }
 
@@ -437,21 +409,34 @@ mod tests {
     fn a_running_job_is_waited_for() {
         let (mut handle, queue) = by_hand();
         let ticket = handle.hand_over(counted(20));
-        // Claim the job as the lane does, then finish it from another thread
-        // once the taker is waiting for it.
+        // Play the server: hold the slot as the lane does while it computes,
+        // take the job on another thread, and only then write the result.
         let (slot, input) = queue.try_pop().unwrap();
-        *slot.lock() = State::Running { awaited: false };
-        let lane = std::thread::spawn(move || {
-            while !matches!(*slot.lock(), State::Running { awaited: true }) {
+        let mut state = lock(&slot);
+        assert!(matches!(*state, State::Queued));
+        let written = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let taker = s.spawn(|| {
+                let out = handle.take(ticket);
+                (out, written.load(Ordering::SeqCst))
+            });
+            // Time for the taker to find the slot locked; the asserts below
+            // hold whichever thread gets there first.
+            for _ in 0..1000 {
                 std::thread::yield_now();
             }
-            *slot.lock() = State::Done(input.0 + 1000);
-            slot.ready.notify_one();
+            *state = State::Done(input.0 + 1000);
+            written.store(true, Ordering::SeqCst);
+            drop(state);
+            // The lane's answer, not a recomputation: 1020, not 21, and not
+            // before it was written.
+            assert_eq!(taker.join().unwrap(), (1020, true));
         });
-        // The lane's answer, not a recomputation: 1020, not 21.
-        assert_eq!(handle.take(ticket), 1020);
-        lane.join().unwrap();
-        assert_eq!((handle.stats.stolen, handle.stats.waits), (0, 1));
+        assert_eq!(runs(&input), 0);
+        assert_eq!(handle.stats.stolen, 0);
+        // The taker found the slot locked, unless it only got there after
+        // the result was written.
+        assert!(handle.stats.waits <= 1, "{:?}", handle.stats);
     }
 
     #[test]
@@ -461,7 +446,7 @@ mod tests {
             let lane = Lane::start(s, plus_one, true);
             let mut handle = lane.handle();
             let ticket = handle.hand_over(input.clone());
-            while !matches!(*ticket.slot.lock(), State::Done(_)) {
+            while !matches!(*lock(&ticket.slot), State::Done(_)) {
                 std::thread::yield_now();
             }
             assert_eq!(handle.take(ticket), 2);
@@ -485,7 +470,7 @@ mod tests {
                 let lane = Lane::start(s, fragile, true);
                 let mut handle = lane.handle();
                 let ticket = handle.hand_over(input.clone());
-                while !matches!(*ticket.slot.lock(), State::Failed) {
+                while !matches!(*lock(&ticket.slot), State::Failed) {
                     std::thread::yield_now();
                 }
                 // The same panic, raised again on this thread.

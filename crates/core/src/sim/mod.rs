@@ -9,7 +9,7 @@ mod ordering;
 mod peer;
 mod world;
 
-pub use faults::FaultPlan;
+pub use faults::Fault;
 pub use lane::LaneStats;
 
 use fabricsim_des::{Kernel, KernelProfile, ShardedKernel, ShardedRunReport, SimDuration, SimTime};
@@ -173,7 +173,7 @@ pub struct RunResult {
 #[derive(Debug)]
 pub struct Simulation {
     cfg: SimConfig,
-    faults: FaultPlan,
+    faults: Vec<(f64, Fault)>,
 }
 
 impl Simulation {
@@ -189,14 +189,29 @@ impl Simulation {
         cfg.validate().expect("invalid simulation config");
         Simulation {
             cfg,
-            faults: FaultPlan::default(),
+            faults: Vec::new(),
         }
     }
 
-    /// Adds fault injections to the run.
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
+    /// Sets the run's fault schedule: each `(virtual second, fault)` is
+    /// injected into every channel world, in time order, and faults at the
+    /// same instant in list order. A fault timed past `duration_secs` never
+    /// fires.
+    ///
+    /// # Errors
+    /// Refuses a time that is not a finite non-negative number, a broker
+    /// fault outside the Kafka orderer, an id the run does not have, and a
+    /// non-deterministic peer under a workload that never invokes its
+    /// chaincode (any but `KvPut`/`KvRmw`).
+    pub fn with_faults(
+        mut self,
+        schedule: impl IntoIterator<Item = (f64, Fault)>,
+    ) -> Result<Self, String> {
+        self.faults = schedule.into_iter().collect();
+        for &(at, fault) in &self.faults {
+            faults::check(&self.cfg, at, fault)?;
+        }
+        Ok(self)
     }
 
     /// Runs to completion and returns the summary report.
@@ -578,12 +593,10 @@ mod tests {
         let mut cfg = quick_cfg(OrdererType::Kafka);
         cfg.duration_secs = 30.0;
         cfg.warmup_secs = 18.0; // measure after the fault + failover
-        let faults = FaultPlan {
-            crash_brokers: vec![(0, 8.0)],
-            crash_osns: vec![],
-            ..FaultPlan::default()
-        };
-        let r = Simulation::new(cfg).with_faults(faults).run_detailed();
+        let r = Simulation::new(cfg)
+            .with_faults([(8.0, Fault::CrashBroker(0))])
+            .unwrap()
+            .run_detailed();
         assert!(r.chain_ok);
         assert!(
             r.summary.committed_tps() > 40.0,

@@ -161,17 +161,26 @@ fn deliver_block(world: &mut World, k: &mut K, o: usize, block: Block) {
     if world.check_channel(&block.channel).is_err() {
         return;
     }
+    // The OSN logs are the channel's record of what it ordered, a crashed
+    // OSN's included: a number no log holds is cut here, once, and a block
+    // equal to one logged under its number is delivered as that body.
+    let number = block.header.number;
+    let mut logged = world
+        .osns
+        .iter()
+        .filter_map(|a| logged_body(&a.delivered, number))
+        .peekable();
+    let first_cut = logged.peek().is_none();
     // Shared from here to each committer: subscribers, the replay log and
     // the gossip mesh all hold the one allocation, and a ledger that takes
     // ownership copies only the header and flags — never the transactions.
-    // Every OSN of the channel delivers that same allocation.
-    let block = shared_body(world, block);
+    let block = match logged.find(|known| ***known == block) {
+        Some(known) => Arc::clone(known),
+        None => Arc::new(block),
+    };
     let now = k.now();
-    let cut = SpanKey::block(block.header.number, SpanKind::BlockCut, Actor::Osn(o));
-    // Record the cut and per-tx ordering timestamps once (Kafka/Raft OSNs all
-    // emit the same blocks; the first emission wins).
-    if block.header.number >= world.next_cut_number {
-        world.next_cut_number = block.header.number + 1;
+    let cut = SpanKey::block(number, SpanKind::BlockCut, Actor::Osn(o));
+    if first_cut {
         world.block_cuts.push((now, block.len()));
         let station = &world.osns[o].station;
         let depth = station.jobs_in_system(now);
@@ -185,68 +194,20 @@ fn deliver_block(world: &mut World, k: &mut K, o: usize, block: Block) {
     }
     let bytes = block.wire_size();
     let (osn, obs) = (&mut world.osns[o], &mut world.obs);
-    for &peer_idx in &osn.subscribers {
+    for &peer in &osn.subscribers {
         let arrival = osn.egress.transfer(now, bytes);
-        let delivery = SpanKey::block(
-            block.header.number,
-            SpanKind::Deliver,
-            Actor::Peer(peer_idx),
-        );
+        let delivery = SpanKey::block(number, SpanKind::Deliver, Actor::Peer(peer));
         obs.span(delivery, Some(cut), now, arrival);
         let block = Arc::clone(&block);
-        k.schedule(
-            arrival,
-            Ev::OsnDeliver {
-                peer: peer_idx,
-                block,
-            },
-        );
+        k.schedule(arrival, Ev::OsnDeliver { peer, block });
     }
     osn.delivered.push(block);
-    forget_delivered(world);
 }
 
-/// The one body of `block` this world delivers: an equal block another OSN
-/// of the channel already delivered, or else `block` itself, remembered
-/// until every live OSN has delivered its number. The new copy is dropped
-/// while it is still hot in cache. A block that differs from the one
-/// remembered under its number is delivered as its own allocation, and the
-/// first stays shared. A world with one OSN keeps no table.
-fn shared_body(world: &mut World, block: Block) -> Arc<Block> {
-    if world.osns.len() == 1 {
-        return Arc::new(block);
-    }
-    let number = block.header.number;
-    match world
-        .shared_blocks
-        .iter()
-        .find(|b| b.header.number == number)
-    {
-        Some(known) if **known == block => Arc::clone(known),
-        Some(_) => Arc::new(block),
-        None => {
-            let block = Arc::new(block);
-            world.shared_blocks.push_back(Arc::clone(&block));
-            block
-        }
-    }
-}
-
-/// Forgets the shared blocks every live OSN has delivered: what stays is
-/// newer than the slowest live OSN's last delivery, so the table is as long
-/// as the OSNs are apart. A crashed OSN stops counting. Each OSN delivers
-/// its blocks in number order.
-fn forget_delivered(world: &mut World) {
-    if world.shared_blocks.is_empty() {
-        return;
-    }
-    let live = world.osns.iter().filter(|a| a.alive);
-    // `None` (an OSN that delivered nothing yet) is below every number.
-    let slowest = live.map(|a| a.delivered.last().map(|b| b.header.number));
-    let Some(Some(slowest)) = slowest.min() else {
-        return;
-    };
-    world.shared_blocks.retain(|b| b.header.number > slowest);
+/// The body `log` holds under `number`; an OSN logs in number order.
+fn logged_body(log: &[Arc<Block>], number: u64) -> Option<&Arc<Block>> {
+    let at = log.binary_search_by_key(&number, |b| b.header.number);
+    log.get(at.ok()?)
 }
 
 pub(super) fn broker_receive(world: &mut World, k: &mut K, b: usize, message: BrokerMsg) {
@@ -381,10 +342,10 @@ mod tests {
     use std::collections::HashMap;
 
     use fabricsim_crypto::Hash256;
-    use fabricsim_des::{Kernel, SimDuration, SimTime};
+    use fabricsim_des::{Kernel, SimTime};
     use fabricsim_types::ChannelId;
 
-    use super::super::faults::{schedule_faults, FaultPlan};
+    use super::super::faults::{inject, schedule_faults, Fault};
     use super::super::world::{bootstrap, build_world};
     use super::*;
     use crate::workload::{PolicySpec, SimConfig};
@@ -418,31 +379,25 @@ mod tests {
         }
     }
 
-    /// One channel's world, run to its horizon on a plain kernel, and the
-    /// longest its shared-block table was at any millisecond of the run.
-    fn run_world(cfg: &SimConfig, faults: &FaultPlan) -> (World, usize) {
+    /// One channel's world, run to its horizon on a plain kernel.
+    fn run_world(cfg: &SimConfig, faults: &[(f64, Fault)]) -> World {
         let mut world = build_world(cfg, 0);
         let mut k: K = Kernel::new();
         bootstrap(&mut world, &mut k);
         schedule_faults(faults, &mut k);
-        let end = SimTime::from_secs_f64(cfg.duration_secs);
-        k.set_horizon(end);
-        let mut longest = 0;
-        let mut t = SimTime::ZERO;
-        while t < end {
-            t += SimDuration::from_millis_f64(1.0);
-            k.run_until(&mut world, t);
-            longest = longest.max(world.shared_blocks.len());
-        }
+        k.set_horizon(SimTime::from_secs_f64(cfg.duration_secs));
         k.run(&mut world);
-        (world, longest)
+        world
     }
 
-    /// Asserts that every OSN's delivery of a number is one allocation, and
-    /// returns how many numbers were delivered.
+    /// Asserts that every OSN logs one body per number, in number order,
+    /// and that all its OSNs' deliveries of a number are one allocation.
+    /// Returns how many numbers were delivered.
     fn assert_one_body_per_number(world: &World) -> usize {
         let mut first: HashMap<u64, &Arc<Block>> = HashMap::new();
         for (o, osn) in world.osns.iter().enumerate() {
+            let numbers = osn.delivered.iter().map(|b| b.header.number);
+            assert!(numbers.is_sorted(), "OSN {o} logs in number order");
             for block in &osn.delivered {
                 let shared = *first.entry(block.header.number).or_insert(block);
                 let number = block.header.number;
@@ -455,7 +410,7 @@ mod tests {
     #[test]
     fn every_osn_of_a_kafka_or_raft_channel_delivers_one_body() {
         for cfg in [kafka(), raft(120.0, 12.0)] {
-            let (world, longest) = run_world(&cfg, &FaultPlan::default());
+            let world = run_world(&cfg, &[]);
             let what = cfg.orderer_type;
             assert_eq!(world.osns.len(), 3, "{what}");
             let numbers = assert_one_body_per_number(&world);
@@ -463,42 +418,52 @@ mod tests {
             for osn in &world.osns {
                 assert_eq!(osn.delivered.len(), numbers, "{what}");
             }
-            // Every live OSN delivered every block, so none is remembered.
-            assert!(world.shared_blocks.is_empty(), "{what}");
-            assert!(longest <= 2, "{what}: {longest} blocks remembered");
+            // Each number is cut once, by the first OSN that logged it.
+            assert_eq!(world.block_cuts.len(), numbers, "{what}");
         }
     }
 
     #[test]
-    fn a_crashed_osn_stops_counting_and_the_table_stays_bounded() {
-        let faults = FaultPlan {
-            crash_osns: vec![(0, 6.0)],
-            ..FaultPlan::default()
-        };
+    fn each_number_is_cut_once_across_an_osn_crash() {
         let mut cfg = raft(100.0, 28.0);
         cfg.policy = PolicySpec::OrN(5);
-        let (world, longest) = run_world(&cfg, &faults);
+        let world = run_world(&cfg, &[(6.0, Fault::CrashOsn(0))]);
         assert!(!world.osns[0].alive);
         let before_crash = world.osns[0].delivered.len();
         let numbers = assert_one_body_per_number(&world);
         assert!(numbers > before_crash + 20, "{numbers} blocks");
-        // Without the crashed OSN counted, the survivors empty the table.
-        assert!(world.shared_blocks.is_empty());
-        assert!(longest <= 2, "{longest} blocks remembered");
+        assert_eq!(world.block_cuts.len(), numbers);
+    }
+
+    /// An empty block 0 of the default channel, linked to `previous`.
+    fn block_zero(previous: Hash256) -> Block {
+        Block::assemble(ChannelId::default_channel(), 0, previous, Vec::new())
+    }
+
+    #[test]
+    fn a_crashed_osns_log_still_counts() {
+        let mut world = build_world(&raft(120.0, 6.0), 0);
+        let mut k: K = Kernel::new();
+        deliver_block(&mut world, &mut k, 0, block_zero(Hash256::ZERO));
+        inject(&mut world, &mut k, Fault::CrashOsn(0));
+        deliver_block(&mut world, &mut k, 1, block_zero(Hash256::ZERO));
+        let [logged, shared] = [0, 1].map(|o| &world.osns[o].delivered[0]);
+        assert!(Arc::ptr_eq(logged, shared), "the crashed OSN's body");
+        assert_eq!(world.block_cuts.len(), 1, "number 0 is cut once");
     }
 
     #[test]
     fn a_different_block_under_a_known_number_gets_its_own_body() {
         let mut world = build_world(&raft(120.0, 6.0), 0);
-        let assemble =
-            |previous| Block::assemble(ChannelId::default_channel(), 0, previous, Vec::new());
-        let first = shared_body(&mut world, assemble(Hash256::ZERO));
-        let forked = shared_body(&mut world, assemble(Hash256::from_bytes([7; 32])));
-        assert!(!Arc::ptr_eq(&first, &forked));
-        assert_eq!(forked.header.previous_hash, Hash256::from_bytes([7; 32]));
-        let again = shared_body(&mut world, assemble(Hash256::ZERO));
-        assert!(Arc::ptr_eq(&first, &again), "the first stays shared");
-        assert_eq!(world.shared_blocks.len(), 1);
-        assert!(Arc::ptr_eq(&world.shared_blocks[0], &first));
+        let mut k: K = Kernel::new();
+        deliver_block(&mut world, &mut k, 0, block_zero(Hash256::ZERO));
+        let forked = Hash256::from_bytes([7; 32]);
+        deliver_block(&mut world, &mut k, 1, block_zero(forked));
+        deliver_block(&mut world, &mut k, 2, block_zero(Hash256::ZERO));
+        let [first, fork, again] = [0, 1, 2].map(|o| &world.osns[o].delivered[0]);
+        assert!(!Arc::ptr_eq(first, fork));
+        assert_eq!(fork.header.previous_hash, forked);
+        assert!(Arc::ptr_eq(first, again), "the first stays shared");
+        assert_eq!(world.block_cuts.len(), 1, "number 0 is cut once");
     }
 }

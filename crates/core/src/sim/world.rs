@@ -23,9 +23,10 @@ use fabricsim_client::{ClientSdk, EndorsementCollector, TargetSelector};
 
 use crate::workload::{SimConfig, WorkloadKind};
 
+use super::faults::{self, Fault};
 use super::lane::{BlockJob, BlockLane, Ticket};
 use super::observe::{obs_sample, schedule_sampler, Observer, TxRecord};
-use super::{client, faults, ordering, peer};
+use super::{client, ordering, peer};
 
 pub(super) struct PendingTx {
     /// Shared with every endorser the proposal is in flight to.
@@ -86,8 +87,10 @@ pub(super) struct OsnActor {
     pub(super) egress: Link,
     pub(super) subscribers: Vec<usize>,
     pub(super) alive: bool,
-    /// Blocks this OSN has emitted, kept for Deliver-style replay when a
-    /// peer re-subscribes after its OSN crashed.
+    /// Blocks this OSN has emitted, in number order: kept for Deliver-style
+    /// replay when a peer re-subscribes after its OSN crashed, and read by
+    /// every OSN of the channel to find a block's first cut and its shared
+    /// body.
     pub(super) delivered: Vec<Arc<Block>>,
 }
 
@@ -111,13 +114,6 @@ pub(super) struct World {
     /// The partition's coordination ensemble (Kafka mode only).
     pub(super) zk: Option<ZkEnsemble>,
     pub(super) block_cuts: Vec<(SimTime, usize)>,
-    /// Next block number whose cut is still unrecorded.
-    pub(super) next_cut_number: u64,
-    /// Blocks an OSN delivered that another live OSN has yet to deliver, in
-    /// first-delivery order: an OSN that cuts an equal block delivers the
-    /// body kept here, so the channel holds each block once. Empty with one
-    /// OSN.
-    pub(super) shared_blocks: VecDeque<Arc<Block>>,
     pub(super) observer: usize,
     /// Every observability plane and the per-transaction records they share
     /// (one vector behind one `TxId` index), reached only through the
@@ -135,7 +131,7 @@ pub(super) type K = Kernel<World>;
 /// Everything a world's kernel schedules: one variant per kind of scheduled
 /// work, carrying what its handler needs. Variants that share a profiling
 /// label ([`Model::label`]) are the arrival and the completion of one
-/// station visit, and the three faults.
+/// station visit.
 pub(super) enum Ev {
     /// Pool `pool`'s next Poisson arrival.
     PoolArrival { pool: usize },
@@ -226,12 +222,8 @@ pub(super) enum Ev {
     },
     /// The periodic gauge sweep.
     ObsSample,
-    /// Endorsing peer `peer` starts running non-deterministic chaincode.
-    Nondeterministic { peer: u32 },
-    /// Broker `broker` crashes.
-    CrashBroker { broker: u32 },
-    /// OSN `osn` crashes and its subscribers re-subscribe elsewhere.
-    CrashOsn { osn: u32 },
+    /// A scheduled fault takes effect.
+    Fault(Fault),
 }
 
 impl Model for World {
@@ -302,9 +294,7 @@ impl Model for World {
                 vscc_end,
             } => peer::commit_block(self, peer, block, start, vscc_end),
             Ev::ObsSample => obs_sample(self, k),
-            Ev::Nondeterministic { peer } => faults::go_nondeterministic(self, peer),
-            Ev::CrashBroker { broker } => faults::crash_broker(self, broker),
-            Ev::CrashOsn { osn } => faults::crash_osn(self, k, osn),
+            Ev::Fault(fault) => faults::inject(self, k, fault),
         }
     }
 
@@ -336,7 +326,7 @@ impl Model for World {
             Ev::GossipTick { .. } => "gossip.tick",
             Ev::ValidateCommit { .. } => "validate.commit",
             Ev::ObsSample => "obs.sample",
-            Ev::Nondeterministic { .. } | Ev::CrashBroker { .. } | Ev::CrashOsn { .. } => "fault",
+            Ev::Fault(_) => "fault",
         }
     }
 }
@@ -699,8 +689,6 @@ pub(super) fn build_world(cfg: &SimConfig, shard_id: usize) -> World {
         brokers,
         zk,
         block_cuts: Vec::new(),
-        next_cut_number: 0,
-        shared_blocks: VecDeque::new(),
         shard: ShardCtx {
             shard_id,
             channels,

@@ -6,7 +6,7 @@
 //! cargo run --release -p fabricsim-examples --example ordering_comparison
 //! ```
 
-use fabricsim::{FaultPlan, OrdererType, PolicySpec, SimConfig, Simulation};
+use fabricsim::{Fault, OrdererType, PolicySpec, SimConfig, Simulation};
 use fabricsim_examples::print_summary;
 
 fn base(orderer: OrdererType) -> SimConfig {
@@ -43,28 +43,19 @@ fn main() {
         // Measure only the post-fault period.
         let mut cfg = base(orderer);
         cfg.warmup_secs = 14.0;
-        let faults = match orderer {
+        let fault = match orderer {
             // Solo's single node *is* the service.
-            OrdererType::Solo => FaultPlan {
-                crash_osns: vec![(0, 10.0)],
-                crash_brokers: vec![],
-                ..FaultPlan::default()
-            },
+            OrdererType::Solo => (10.0, Fault::CrashOsn(0)),
             // Kafka OSNs are stateless producers; the partition leader broker
             // is the interesting failure.
-            OrdererType::Kafka => FaultPlan {
-                crash_brokers: vec![(0, 10.0)],
-                crash_osns: vec![],
-                ..FaultPlan::default()
-            },
+            OrdererType::Kafka => (10.0, Fault::CrashBroker(0)),
             // Raft: kill OSN 0 (a likely leader; followers re-elect).
-            OrdererType::Raft => FaultPlan {
-                crash_osns: vec![(0, 10.0)],
-                crash_brokers: vec![],
-                ..FaultPlan::default()
-            },
+            OrdererType::Raft => (10.0, Fault::CrashOsn(0)),
         };
-        let s = Simulation::new(cfg).with_faults(faults).run();
+        let s = Simulation::new(cfg)
+            .with_faults([fault])
+            .expect("a fault this run can inject")
+            .run();
         print_summary(&format!("{orderer} (post-crash)"), &s);
         match orderer {
             OrdererType::Solo => {

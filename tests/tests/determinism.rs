@@ -1,8 +1,6 @@
 //! Reproducibility: the simulation is a pure function of its configuration.
 
-use fabricsim::{
-    FaultPlan, GossipConfig, LaneStats, OrdererType, PolicySpec, SimConfig, Simulation,
-};
+use fabricsim::{Fault, GossipConfig, LaneStats, OrdererType, PolicySpec, SimConfig, Simulation};
 use fabricsim_integration::quick_config;
 
 #[test]
@@ -186,7 +184,7 @@ fn throughput_is_seed_stable() {
 /// with every observability plane on, and what the run's lane did.
 fn artifacts(
     cfg: &SimConfig,
-    faults: &FaultPlan,
+    faults: &[(f64, Fault)],
     workers: u32,
 ) -> (Vec<(&'static str, String)>, LaneStats) {
     let mut c = cfg.clone();
@@ -196,7 +194,8 @@ fn artifacts(
     c.obs.trace_sample = 1.0;
     c.obs.health_events = true;
     let r = Simulation::new(c)
-        .with_faults(faults.clone())
+        .with_faults(faults.iter().copied())
+        .expect("a fault schedule this run can inject")
         .run_detailed();
     assert!(r.chain_ok, "workers={workers}: observer chain must verify");
     assert!(
@@ -229,7 +228,7 @@ fn artifacts(
 fn assert_worker_invariant(
     what: &str,
     cfg: &SimConfig,
-    faults: &FaultPlan,
+    faults: &[(f64, Fault)],
     workers: &[u32],
 ) -> Vec<LaneStats> {
     let (base, lane) = artifacts(cfg, faults, workers[0]);
@@ -268,19 +267,19 @@ fn one_channel_runs_are_byte_identical_at_any_worker_count() {
     for orderer in OrdererType::ALL {
         let what = format!("{orderer}");
         let cfg = quick_config(orderer, PolicySpec::OrN(5), 120.0);
-        let lanes = assert_worker_invariant(&what, &cfg, &FaultPlan::default(), &workers);
+        let lanes = assert_worker_invariant(&what, &cfg, &[], &workers);
         assert_lane_ran_on_one_channel(&what, &workers, &lanes);
     }
     // AND5: five endorsements a transaction, the benchmark's shape.
     let cfg = quick_config(OrdererType::Solo, PolicySpec::AndX(5), 150.0);
-    let lanes = assert_worker_invariant("solo AND5", &cfg, &FaultPlan::default(), &workers);
+    let lanes = assert_worker_invariant("solo AND5", &cfg, &[], &workers);
     assert_lane_ran_on_one_channel("solo AND5", &workers, &lanes);
     // Gossip delivery is single-channel and all-local, so it needs no
     // special case at any worker count either.
     let mut cfg = quick_config(OrdererType::Solo, PolicySpec::OrN(5), 120.0);
     cfg.committing_peers = 3;
     cfg.gossip = Some(GossipConfig::default());
-    let lanes = assert_worker_invariant("gossip", &cfg, &FaultPlan::default(), &workers);
+    let lanes = assert_worker_invariant("gossip", &cfg, &[], &workers);
     assert_lane_ran_on_one_channel("gossip", &workers, &lanes);
 }
 
@@ -291,10 +290,7 @@ fn osn_crash_replay_is_byte_identical_at_any_worker_count() {
     // so peers 0 and 3 receive block 5 twice and drop the second copy,
     // beside blocks handed to the lane.
     let workers = [1, 2];
-    let faults = FaultPlan {
-        crash_osns: vec![(0, 5.4206)],
-        ..FaultPlan::default()
-    };
+    let faults = [(5.4206, Fault::CrashOsn(0))];
     let cfg = quick_config(OrdererType::Raft, PolicySpec::AndX(3), 120.0);
     let lanes = assert_worker_invariant("raft OSN crash", &cfg, &faults, &workers);
     assert_lane_ran_on_one_channel("raft OSN crash", &workers, &lanes);
@@ -316,7 +312,7 @@ fn four_channel_runs_are_byte_identical_at_any_worker_count() {
         let mut cfg = quick_config(orderer, PolicySpec::OrN(5), 120.0);
         cfg.channels = 4;
         let what = format!("{orderer} ch4");
-        let lanes = assert_worker_invariant(&what, &cfg, &FaultPlan::default(), &workers);
+        let lanes = assert_worker_invariant(&what, &cfg, &[], &workers);
         assert_lane_ran_on_four_channels(&what, &lanes);
     }
     // The benchmark's `des_raft_ch4_w2` shape: Raft, ten peers, AND5 and
@@ -328,8 +324,29 @@ fn four_channel_runs_are_byte_identical_at_any_worker_count() {
     cfg.duration_secs = 6.0;
     cfg.warmup_secs = 2.0;
     cfg.cooldown_secs = 1.0;
-    let lanes = assert_worker_invariant("raft AND5 ch4", &cfg, &FaultPlan::default(), &workers);
+    let lanes = assert_worker_invariant("raft AND5 ch4", &cfg, &[], &workers);
     assert_lane_ran_on_four_channels("raft AND5 ch4", &lanes);
+}
+
+#[test]
+fn a_fault_schedule_and_its_reverse_are_byte_identical() {
+    // The kernel orders faults by their time, not by their place in the
+    // list: with distinct times, listing them backwards changes no byte.
+    let cfg = quick_config(OrdererType::Kafka, PolicySpec::OrN(5), 100.0);
+    let faults = [
+        (4.0, Fault::CrashBroker(1)),
+        (5.5, Fault::CrashOsn(2)),
+        (7.0, Fault::Nondeterministic(0)),
+    ];
+    let reversed: Vec<_> = faults.iter().rev().copied().collect();
+    let (forward, _) = artifacts(&cfg, &faults, 1);
+    let (backward, _) = artifacts(&cfg, &reversed, 1);
+    for ((name, a), (_, b)) in forward.iter().zip(&backward) {
+        assert!(a == b, "{name} differs between a schedule and its reverse");
+    }
+    // And the faults took effect: the run is not the fault-free one.
+    let (healthy, _) = artifacts(&cfg, &[], 1);
+    assert_ne!(forward[0], healthy[0], "the summary must show the faults");
 }
 
 #[test]
@@ -339,11 +356,10 @@ fn broker_crash_fails_over_on_every_channel_at_the_default_worker_count() {
     cfg.duration_secs = 28.0;
     cfg.warmup_secs = 14.0; // measure well after the fault + failover
     assert_eq!(cfg.sim_workers, 0);
-    let faults = FaultPlan {
-        crash_brokers: vec![(0, 6.0)],
-        ..FaultPlan::default()
-    };
-    let r = Simulation::new(cfg).with_faults(faults).run_detailed();
+    let r = Simulation::new(cfg)
+        .with_faults([(6.0, Fault::CrashBroker(0))])
+        .unwrap()
+        .run_detailed();
     assert!(r.chain_ok, "every channel's chain must verify");
     assert!(
         r.summary.committed_tps() > 80.0,

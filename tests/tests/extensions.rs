@@ -1,7 +1,7 @@
 //! Extension coverage: the Smallbank benchmark workload, non-deterministic
 //! chaincode fault injection, and utilization reporting.
 
-use fabricsim::{FaultPlan, OrdererType, PolicySpec, Simulation, WorkloadKind};
+use fabricsim::{Fault, OrdererType, PolicySpec, Simulation, WorkloadKind};
 use fabricsim_integration::quick_config;
 
 #[test]
@@ -45,11 +45,10 @@ fn nondeterministic_peer_is_detected_under_and_policy() {
     cfg.endorsing_peers = 3;
     cfg.duration_secs = 20.0;
     cfg.warmup_secs = 10.0; // measure after the fault
-    let faults = FaultPlan {
-        nondeterministic_peers: vec![(0, 5.0)],
-        ..FaultPlan::default()
-    };
-    let r = Simulation::new(cfg).with_faults(faults).run_detailed();
+    let r = Simulation::new(cfg)
+        .with_faults([(5.0, Fault::Nondeterministic(0))])
+        .unwrap()
+        .run_detailed();
     assert!(
         r.summary.endorsement_failures > 300,
         "divergent endorsements must be rejected at collection: {}",
@@ -72,11 +71,10 @@ fn nondeterministic_peer_slips_through_single_endorsement() {
     cfg.endorsing_peers = 3;
     cfg.duration_secs = 20.0;
     cfg.warmup_secs = 10.0;
-    let faults = FaultPlan {
-        nondeterministic_peers: vec![(0, 5.0)],
-        ..FaultPlan::default()
-    };
-    let r = Simulation::new(cfg).with_faults(faults).run_detailed();
+    let r = Simulation::new(cfg)
+        .with_faults([(5.0, Fault::Nondeterministic(0))])
+        .unwrap()
+        .run_detailed();
     assert!(r.summary.committed_valid > 0);
     assert!(
         r.final_state.iter().any(|(k, _)| k == "$nondeterministic"),
