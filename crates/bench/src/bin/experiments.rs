@@ -7,7 +7,8 @@
 //! ```
 //!
 //! Targets: `fig2 fig3 fig4 fig5 fig6 fig7 table2 table3 fig8 pool ablations
-//! all` (`pool` runs only the validator-pool what-if sweep).
+//! all` (`pool` runs only the validator-pool what-if sweep); no target means
+//! `all`. Any other argument exits 2 and lists the targets.
 //! Figures 2–7 share one λ-sweep (as in the paper: one deployment,
 //! per-phase instrumentation), so asking for several of them runs it once.
 //!
@@ -15,189 +16,248 @@
 
 use std::env;
 use std::path::PathBuf;
+use std::process::exit;
 
 use fabricsim::experiment::{
     ablation_bandwidth, ablation_batch_size, ablation_batch_timeout, ablation_channels,
     ablation_gossip, ablation_mvcc_conflicts, ablation_payload_size,
     ablation_validation_parallelism, ablation_validator_pool, endorsing_peer_scalability,
-    filter_policy, osn_scalability, overall_sweep, Effort,
+    osn_scalability, overall_sweep, run, Effort, Scenario,
 };
+use fabricsim::obs::WallClock;
 use fabricsim::report::{phase_table, Row};
+use fabricsim::PolicySpec;
 use fabricsim_bench::write_csv;
 
+/// Every target name (`all` names them all).
+const TARGETS: [&str; 11] = [
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "table2",
+    "table3",
+    "fig8",
+    "pool",
+    "ablations",
+];
+
+/// One printed and written table: its title, its `results/` CSV name, and
+/// the policy whose rows it keeps (`None`: every row).
+type Table = (&'static str, &'static str, Option<PolicySpec>);
+
+/// A scenario list to run and the tables drawn from its rows.
+struct Job {
+    name: &'static str,
+    scenarios: Vec<Scenario>,
+    tables: Vec<Table>,
+}
+
+impl Job {
+    fn one(name: &'static str, scenarios: Vec<Scenario>, file: &'static str) -> Job {
+        Job {
+            name,
+            scenarios,
+            tables: vec![(name, file, None)],
+        }
+    }
+}
+
 fn main() {
+    let mut quick = false;
+    let mut quiet = false;
+    let mut targets: Vec<&str> = Vec::new();
     let args: Vec<String> = env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let quiet = args.iter().any(|a| a == "--quiet");
+    for arg in &args {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--quiet" => quiet = true,
+            "all" => targets.extend(TARGETS),
+            t if TARGETS.contains(&t) => targets.push(t),
+            other => {
+                eprintln!("experiments: unknown argument `{other}`");
+                eprintln!("targets: {} all; flags: --quick --quiet", TARGETS.join(" "));
+                exit(2);
+            }
+        }
+    }
+    if targets.is_empty() {
+        targets.extend(TARGETS);
+    }
     let effort = if quick { Effort::Quick } else { Effort::Full };
-    if !quiet {
-        fabricsim::experiment::progress::enable();
-    }
-    let mut targets: Vec<&str> = args
-        .iter()
-        .map(String::as_str)
-        .filter(|a| *a != "--quick" && *a != "--quiet")
-        .collect();
-    if targets.is_empty() || targets.contains(&"all") {
-        targets = vec![
-            "fig2",
-            "fig3",
-            "fig4",
-            "fig5",
-            "fig6",
-            "fig7",
-            "table2",
-            "table3",
-            "fig8",
-            "pool",
-            "ablations",
-        ];
-    }
-    let results = PathBuf::from("results");
     let wants = |t: &str| targets.contains(&t);
-    let wants_sweep = ["fig2", "fig3", "fig4", "fig5", "fig6", "fig7"]
-        .iter()
-        .any(|t| wants(t));
 
-    if wants_sweep {
-        eprintln!("running the Figs. 2-7 λ-sweep ({effort:?})...");
-        let sweep = overall_sweep(effort);
-        if wants("fig2") {
-            println!(
-                "{}",
-                phase_table("Fig. 2 — overall throughput (validate_tps column)", &sweep)
-            );
-            write_csv(&results, "fig2_overall_throughput", &sweep);
-        }
-        if wants("fig3") {
-            println!(
-                "{}",
-                phase_table("Fig. 3 — overall latency (overall column)", &sweep)
-            );
-            write_csv(&results, "fig3_overall_latency", &sweep);
-        }
-        let or_rows: Vec<Row> = filter_policy(&sweep, "OR10").into_iter().cloned().collect();
-        let and_rows: Vec<Row> = filter_policy(&sweep, "AND5").into_iter().cloned().collect();
-        if wants("fig4") {
-            println!(
-                "{}",
-                phase_table("Fig. 4 — per-phase throughput, OR", &or_rows)
-            );
-            write_csv(&results, "fig4_phase_throughput_or", &or_rows);
-        }
-        if wants("fig5") {
-            println!(
-                "{}",
-                phase_table("Fig. 5 — per-phase throughput, AND", &and_rows)
-            );
-            write_csv(&results, "fig5_phase_throughput_and", &and_rows);
-        }
-        if wants("fig6") {
-            println!(
-                "{}",
-                phase_table("Fig. 6 — per-phase latency, OR", &or_rows)
-            );
-            write_csv(&results, "fig6_phase_latency_or", &or_rows);
-        }
-        if wants("fig7") {
-            println!(
-                "{}",
-                phase_table("Fig. 7 — per-phase latency, AND", &and_rows)
-            );
-            write_csv(&results, "fig7_phase_latency_and", &and_rows);
-        }
+    let mut jobs = Vec::new();
+    let or10 = Some(PolicySpec::OrN(10));
+    let and5 = Some(PolicySpec::AndX(5));
+    let sweep_tables: Vec<Table> = [
+        (
+            "fig2",
+            "Fig. 2 — overall throughput (validate_tps column)",
+            "fig2_overall_throughput",
+            None,
+        ),
+        (
+            "fig3",
+            "Fig. 3 — overall latency (overall column)",
+            "fig3_overall_latency",
+            None,
+        ),
+        (
+            "fig4",
+            "Fig. 4 — per-phase throughput, OR",
+            "fig4_phase_throughput_or",
+            or10.clone(),
+        ),
+        (
+            "fig5",
+            "Fig. 5 — per-phase throughput, AND",
+            "fig5_phase_throughput_and",
+            and5.clone(),
+        ),
+        (
+            "fig6",
+            "Fig. 6 — per-phase latency, OR",
+            "fig6_phase_latency_or",
+            or10,
+        ),
+        (
+            "fig7",
+            "Fig. 7 — per-phase latency, AND",
+            "fig7_phase_latency_and",
+            and5,
+        ),
+    ]
+    .into_iter()
+    .filter(|(target, ..)| wants(target))
+    .map(|(_, title, file, policy)| (title, file, policy))
+    .collect();
+    if !sweep_tables.is_empty() {
+        jobs.push(Job {
+            name: "the Figs. 2-7 λ-sweep",
+            scenarios: overall_sweep(effort),
+            tables: sweep_tables,
+        });
     }
-
-    if wants("table2") || wants("table3") {
-        eprintln!("running Table II/III endorsing-peer scalability ({effort:?})...");
-        let (tput, lat) = endorsing_peer_scalability(effort);
-        if wants("table2") {
-            println!(
-                "{}",
-                phase_table("Table II — peak throughput vs #endorsing peers", &tput)
-            );
-            write_csv(&results, "table2_throughput_vs_peers", &tput);
-        }
-        if wants("table3") {
-            println!(
-                "{}",
-                phase_table(
-                    "Table III — latency vs #endorsing peers (at 0.85x peak)",
-                    &lat
-                )
-            );
-            write_csv(&results, "table3_latency_vs_peers", &lat);
-        }
+    let (peers_tput, peers_lat) = endorsing_peer_scalability(effort);
+    if wants("table2") {
+        jobs.push(Job::one(
+            "Table II — peak throughput vs #endorsing peers",
+            peers_tput,
+            "table2_throughput_vs_peers",
+        ));
     }
-
+    if wants("table3") {
+        jobs.push(Job::one(
+            "Table III — latency vs #endorsing peers (at 0.85x peak)",
+            peers_lat,
+            "table3_latency_vs_peers",
+        ));
+    }
     if wants("fig8") {
-        eprintln!("running Fig. 8 OSN scalability ({effort:?})...");
         let (tput, lat) = osn_scalability(effort);
-        println!(
-            "{}",
-            phase_table("Fig. 8(a,c) — throughput vs #OSNs", &tput)
-        );
-        println!(
-            "{}",
-            phase_table("Fig. 8(b,d) — latency vs #OSNs (at 260 tps)", &lat)
-        );
-        write_csv(&results, "fig8_throughput_vs_osns", &tput);
-        write_csv(&results, "fig8_latency_vs_osns", &lat);
+        jobs.push(Job::one(
+            "Fig. 8(a,c) — throughput vs #OSNs",
+            tput,
+            "fig8_throughput_vs_osns",
+        ));
+        jobs.push(Job::one(
+            "Fig. 8(b,d) — latency vs #OSNs (at 260 tps)",
+            lat,
+            "fig8_latency_vs_osns",
+        ));
     }
-
     if wants("ablations") {
-        eprintln!("running ablations ({effort:?})...");
-        let batch = ablation_batch_size(effort);
-        println!("{}", phase_table("Ablation — BatchSize", &batch));
-        write_csv(&results, "ablation_batch_size", &batch);
-
-        let timeout = ablation_batch_timeout(effort);
-        println!("{}", phase_table("Ablation — BatchTimeout", &timeout));
-        write_csv(&results, "ablation_batch_timeout", &timeout);
-
-        let par = ablation_validation_parallelism(effort);
-        println!("{}", phase_table("Ablation — committer parallelism", &par));
-        write_csv(&results, "ablation_validation_parallelism", &par);
-
-        let mvcc = ablation_mvcc_conflicts(effort);
-        println!(
-            "{}",
-            phase_table("Ablation — MVCC conflicts vs keyspace", &mvcc)
-        );
-        write_csv(&results, "ablation_mvcc_conflicts", &mvcc);
-
-        let payload = ablation_payload_size(effort);
-        println!("{}", phase_table("Ablation — payload size", &payload));
-        write_csv(&results, "ablation_payload_size", &payload);
-
-        let gossip = ablation_gossip(effort);
-        println!(
-            "{}",
-            phase_table("Ablation — gossip vs direct delivery", &gossip)
-        );
-        write_csv(&results, "ablation_gossip", &gossip);
-
-        let bw = ablation_bandwidth(effort);
-        println!("{}", phase_table("Ablation — network bandwidth", &bw));
-        write_csv(&results, "ablation_bandwidth", &bw);
-
-        let channels = ablation_channels(effort);
-        println!(
-            "{}",
-            phase_table("Ablation — channel count (horizontal scaling)", &channels)
-        );
-        write_csv(&results, "ablation_channels", &channels);
+        let ablations = [
+            (
+                "Ablation — BatchSize",
+                ablation_batch_size(effort),
+                "ablation_batch_size",
+            ),
+            (
+                "Ablation — BatchTimeout",
+                ablation_batch_timeout(effort),
+                "ablation_batch_timeout",
+            ),
+            (
+                "Ablation — committer parallelism",
+                ablation_validation_parallelism(effort),
+                "ablation_validation_parallelism",
+            ),
+            (
+                "Ablation — MVCC conflicts vs keyspace",
+                ablation_mvcc_conflicts(effort),
+                "ablation_mvcc_conflicts",
+            ),
+            (
+                "Ablation — payload size",
+                ablation_payload_size(effort),
+                "ablation_payload_size",
+            ),
+            (
+                "Ablation — gossip vs direct delivery",
+                ablation_gossip(effort),
+                "ablation_gossip",
+            ),
+            (
+                "Ablation — network bandwidth",
+                ablation_bandwidth(effort),
+                "ablation_bandwidth",
+            ),
+            (
+                "Ablation — channel count (horizontal scaling)",
+                ablation_channels(effort),
+                "ablation_channels",
+            ),
+        ];
+        for (title, scenarios, file) in ablations {
+            jobs.push(Job::one(title, scenarios, file));
+        }
     }
-
     if wants("pool") {
-        eprintln!("running the validator-pool what-if sweep ({effort:?})...");
-        let pool = ablation_validator_pool(effort);
-        println!(
-            "{}",
-            phase_table("What-if — VSCC pool width (serial commit tail)", &pool)
-        );
-        write_csv(&results, "ablation_validator_pool", &pool);
+        jobs.push(Job::one(
+            "What-if — VSCC pool width (serial commit tail)",
+            ablation_validator_pool(effort),
+            "ablation_validator_pool",
+        ));
     }
 
+    let results = PathBuf::from("results");
+    let total: usize = jobs.iter().map(|job| job.scenarios.len()).sum();
+    let clock = WallClock::start();
+    let mut done = 0;
+    for job in jobs {
+        eprintln!("running {} ({effort:?})...", job.name);
+        let policies: Vec<PolicySpec> = job
+            .scenarios
+            .iter()
+            .map(|(_, cfg)| cfg.policy.clone())
+            .collect();
+        let rows: Vec<Row> = run(job.scenarios)
+            .inspect(|row| {
+                done += 1;
+                if !quiet {
+                    eprintln!(
+                        "  [{done}/{total}] {:6.1}s  {}: {:.1} committed tps",
+                        clock.elapsed_s(),
+                        row.label,
+                        row.summary.committed_tps()
+                    );
+                }
+            })
+            .collect();
+        for (title, file, policy) in job.tables {
+            let rows: Vec<Row> = rows
+                .iter()
+                .zip(&policies)
+                .filter(|(_, p)| policy.as_ref().is_none_or(|want| want == *p))
+                .map(|(row, _)| row.clone())
+                .collect();
+            println!("{}", phase_table(title, &rows));
+            write_csv(&results, file, &rows);
+        }
+    }
     eprintln!("done.");
 }

@@ -75,7 +75,6 @@
 //!   --workload kvput|rmw|transfer|smallbank   (default kvput)
 //!   --payload BYTES                  value size for kvput/rmw (default 1)
 //!   --seed SEED                      RNG seed (default 42)
-//!   --csv                            emit a CSV row instead of the report
 //!   --json                           emit a JSON summary (with bottleneck
 //!                                    attribution) instead of the report
 //!   --trace-out FILE                 record phase events, write JSONL trace
@@ -107,7 +106,7 @@ use fabricsim::obs::{
     reconstruct, span_flow_trace, ArtifactDiff, HealthReport, RunProvenance, SpanGraphAnalysis,
     TraceAnalysis,
 };
-use fabricsim::report::{run_summary_json, to_csv, Row};
+use fabricsim::report::run_summary_json;
 use fabricsim::{
     predict, KernelProfile, OrdererType, PolicySpec, SimConfig, Simulation, WorkloadKind,
 };
@@ -120,7 +119,7 @@ fn usage() -> ! {
     );
     eprintln!("                 [--validator-pool N]");
     eprintln!("                 [--workload kvput|rmw|transfer|smallbank]");
-    eprintln!("                 [--payload BYTES] [--seed N] [--csv] [--json]");
+    eprintln!("                 [--payload BYTES] [--seed N] [--json]");
     eprintln!("                 [--trace-out FILE] [--span-out FILE] [--trace-sample RATE]");
     eprintln!("                 [--metrics-out FILE] [--metrics-window SECS]");
     eprintln!("                 [--health-out FILE] [--slo-p99-ms MS]");
@@ -586,7 +585,6 @@ fn main() {
     };
     let mut payload = 1usize;
     let mut workload = "kvput".to_string();
-    let mut csv = false;
     let mut json = false;
     let mut trace_out: Option<String> = None;
     let mut span_out: Option<String> = None;
@@ -608,7 +606,6 @@ fn main() {
             continue;
         }
         match flag.as_str() {
-            "--csv" => csv = true,
             "--json" => json = true,
             "--trace-out" => trace_out = Some(value()),
             "--span-out" => span_out = Some(value()),
@@ -727,16 +724,6 @@ fn main() {
 
     if json {
         println!("{}", run_summary_json(&label, &result));
-        return;
-    }
-    if csv {
-        print!(
-            "{}",
-            to_csv(&[Row {
-                label,
-                summary: s.clone()
-            }])
-        );
         return;
     }
 

@@ -44,13 +44,16 @@ pub fn write_csv(results_dir: &Path, name: &str, rows: &[Row]) {
 ///
 /// Timing protocol: batches of iterations are grown until one batch costs at
 /// least ~5 ms of wall clock, then up to 25 batches are sampled within a
-/// fixed per-bench budget and the median batch is reported. Medians make the
-/// numbers robust to scheduler noise without Criterion's full bootstrap.
+/// fixed per-bench budget (300 ms) and the median batch is reported. Medians
+/// make the numbers robust to scheduler noise without Criterion's full
+/// bootstrap.
 pub mod microbench {
     use std::hint::black_box;
-    use std::time::Duration;
 
     use fabricsim::obs::WallClock;
+
+    /// Wall-clock sampling budget per bench, seconds.
+    const BUDGET_S: f64 = 0.3;
 
     /// One reported measurement.
     #[derive(Debug, Clone)]
@@ -70,7 +73,6 @@ pub mod microbench {
     /// Runner carrying the CLI filters (`cargo bench -- <substring>…`).
     pub struct Runner {
         filters: Vec<String>,
-        budget: Duration,
         results: Vec<Measurement>,
     }
 
@@ -84,15 +86,8 @@ pub mod microbench {
                 .collect();
             Runner {
                 filters,
-                budget: Duration::from_millis(300),
                 results: Vec::new(),
             }
-        }
-
-        /// Caps the sampling budget per bench (default 300 ms).
-        pub fn with_budget(mut self, budget: Duration) -> Self {
-            self.budget = budget;
-            self
         }
 
         /// Times `f`, printing one line in `name ... N ns/iter` form. Skipped
@@ -118,8 +113,7 @@ pub mod microbench {
             let mut per_iter_ns: Vec<f64> = Vec::new();
             let mut iters = 0u64;
             let start = WallClock::start();
-            while per_iter_ns.len() < 25
-                && (per_iter_ns.is_empty() || start.elapsed_s() < self.budget.as_secs_f64())
+            while per_iter_ns.len() < 25 && (per_iter_ns.is_empty() || start.elapsed_s() < BUDGET_S)
             {
                 let t = WallClock::start();
                 for _ in 0..batch {

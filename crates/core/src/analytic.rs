@@ -75,12 +75,7 @@ pub fn predict(cfg: &SimConfig) -> Prediction {
     // committer. With a VSCC pool only the signature/policy stage divides by
     // the pool width; the MVCC + ledger-write tail stays serial.
     let batch = cfg.batch.max_message_count as f64;
-    let pool = m.validator_pool_size.max(1);
-    let validate_tx_ms = if pool <= 1 {
-        m.validate_tx_ms(sigs) + m.validate_block_overhead_ms / batch
-    } else {
-        m.vscc_tx_ms(sigs) / pool as f64 + m.commit_tx_ms() + m.validate_block_overhead_ms / batch
-    };
+    let validate_tx_ms = m.pooled_validate_tx_ms(sigs) + m.validate_block_overhead_ms / batch;
     let validate_capacity = 1000.0 * m.validate_threads as f64 / validate_tx_ms;
     // Ordering: the OSN CPU threads on the admitting path.
     let per_tx_order_ms = m.osn_admission_ms

@@ -187,17 +187,22 @@ impl CostModel {
         free.iter().fold(0.0f64, |m, &v| m.max(v))
     }
 
-    /// Theoretical validate-phase capacity (tps) at `sigs` signatures per
-    /// transaction, ignoring block overhead. Accounts for the VSCC pool: with
-    /// `p` pool workers the VSCC stage of a full block shrinks ≈`1/p` while
-    /// MVCC + commit stay serial.
-    pub fn validate_capacity_tps(&self, sigs: usize) -> f64 {
+    /// Effective validate-phase CPU per transaction at `sigs` signatures,
+    /// ignoring block overhead, ms. Accounts for the VSCC pool: with `p` pool
+    /// workers the VSCC stage of a full block shrinks ≈`1/p` while MVCC +
+    /// commit stay serial.
+    pub fn pooled_validate_tx_ms(&self, sigs: usize) -> f64 {
         if self.validator_pool_size <= 1 {
-            return 1000.0 * self.validate_threads as f64 / self.validate_tx_ms(sigs);
+            return self.validate_tx_ms(sigs);
         }
-        let pool = self.validator_pool_size as f64;
-        let per_tx = self.vscc_tx_ms(sigs) / pool + self.commit_tx_ms();
-        1000.0 * self.validate_threads as f64 / per_tx
+        self.vscc_tx_ms(sigs) / self.validator_pool_size as f64 + self.commit_tx_ms()
+    }
+
+    /// Theoretical validate-phase capacity (tps) at `sigs` signatures per
+    /// transaction, ignoring block overhead
+    /// ([`CostModel::pooled_validate_tx_ms`]).
+    pub fn validate_capacity_tps(&self, sigs: usize) -> f64 {
+        1000.0 * self.validate_threads as f64 / self.pooled_validate_tx_ms(sigs)
     }
 
     /// Theoretical execute-phase capacity (tps) with `pools` client pools.

@@ -107,42 +107,6 @@ pub fn to_csv(rows: &[Row]) -> String {
     out
 }
 
-/// Renders raw per-transaction traces as CSV (one line per transaction), for
-/// external plotting or post-hoc analysis of a single run.
-pub fn traces_to_csv(traces: &[crate::metrics::TxTrace]) -> String {
-    use crate::metrics::TxOutcome;
-    let mut out = String::from(
-        "created_s,proposal_sent_s,endorsed_s,submitted_s,order_acked_s,ordered_s,delivered_s,committed_s,outcome,signatures\n",
-    );
-    let fmt = |t: Option<fabricsim_des::SimTime>| {
-        t.map_or(String::new(), |x| format!("{:.6}", x.as_secs_f64()))
-    };
-    for t in traces {
-        let outcome = match t.outcome {
-            TxOutcome::InFlight => "IN_FLIGHT".to_string(),
-            TxOutcome::OverloadDropped => "OVERLOAD_DROPPED".to_string(),
-            TxOutcome::EndorsementFailed => "ENDORSEMENT_FAILED".to_string(),
-            TxOutcome::OrderingTimeout => "ORDERING_TIMEOUT".to_string(),
-            TxOutcome::Committed(code) => code.label().to_string(),
-        };
-        let _ = writeln!(
-            out,
-            "{:.6},{},{},{},{},{},{},{},{},{}",
-            t.created.as_secs_f64(),
-            fmt(t.proposal_sent),
-            fmt(t.endorsed),
-            fmt(t.submitted),
-            fmt(t.order_acked),
-            fmt(t.ordered),
-            fmt(t.delivered),
-            fmt(t.committed),
-            outcome,
-            t.signatures,
-        );
-    }
-    out
-}
-
 fn escape_csv(s: &str) -> String {
     if s.contains(',') || s.contains('"') || s.contains('\n') {
         format!("\"{}\"", s.replace('"', "\"\""))
@@ -299,24 +263,6 @@ mod tests {
             assert!(lines[0].split(',').any(|c| c == col), "missing {col}");
         }
         assert!(lines[1].ends_with("42,deadbeefdeadbeef"));
-    }
-
-    #[test]
-    fn traces_csv_has_one_row_per_tx() {
-        use crate::metrics::{TxOutcome, TxTrace};
-        use fabricsim_des::SimTime;
-        let mut a = TxTrace::new(SimTime::from_secs_f64(1.0));
-        a.endorsed = Some(SimTime::from_secs_f64(1.25));
-        a.outcome = TxOutcome::Committed(fabricsim_types::ValidationCode::Valid);
-        a.signatures = 3;
-        let mut b = TxTrace::new(SimTime::from_secs_f64(2.0));
-        b.outcome = TxOutcome::OverloadDropped;
-        let csv = traces_to_csv(&[a, b]);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[1].starts_with("1.000000,,1.250000"));
-        assert!(lines[1].ends_with("VALID,3"));
-        assert!(lines[2].contains("OVERLOAD_DROPPED"));
     }
 
     #[test]

@@ -139,7 +139,6 @@ fn stamp_of(trace: &mut TxTrace, phase: TracePhase) -> Option<&mut Option<SimTim
         TracePhase::Committed => Some(&mut trace.committed),
         // `created` is set when the record is; the rest are events only.
         TracePhase::Created
-        | TracePhase::Assembled
         | TracePhase::VsccDone
         | TracePhase::OverloadDropped
         | TracePhase::EndorsementFailed
@@ -156,9 +155,7 @@ fn through_class(phase: TracePhase) -> StationClass {
         TracePhase::Created | TracePhase::ProposalSent => StationClass::ClientPrep,
         // Endorsement fan-out and the client's response handling are both
         // settled by the time the envelope is assembled.
-        TracePhase::Endorsed | TracePhase::Assembled | TracePhase::Submitted => {
-            StationClass::PeerEndorse
-        }
+        TracePhase::Endorsed | TracePhase::Submitted => StationClass::PeerEndorse,
         TracePhase::OrderAcked | TracePhase::Ordered | TracePhase::Delivered => {
             StationClass::OsnCpu
         }

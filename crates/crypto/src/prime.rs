@@ -7,11 +7,6 @@ pub const fn mul_mod(a: u64, b: u64, m: u64) -> u64 {
     ((a as u128 * b as u128) % m as u128) as u64
 }
 
-/// `(a + b) mod m` without overflow.
-pub fn add_mod(a: u64, b: u64, m: u64) -> u64 {
-    ((a as u128 + b as u128) % m as u128) as u64
-}
-
 /// `(base ^ exp) mod m` by square-and-multiply.
 ///
 /// # Panics

@@ -18,10 +18,8 @@ pub enum TracePhase {
     Created,
     /// Proposal left the client (after prep + SDK pre-latency).
     ProposalSent,
-    /// A peer finished endorsing the proposal.
-    Endorsed,
     /// Endorsement set satisfied; envelope assembled and signed.
-    Assembled,
+    Endorsed,
     /// Envelope handed to the ordering service.
     Submitted,
     /// Ordering service acknowledged the broadcast.
@@ -46,11 +44,10 @@ pub enum TracePhase {
 
 impl TracePhase {
     /// Every phase, in pipeline order.
-    pub const ALL: [TracePhase; 13] = [
+    pub const ALL: [TracePhase; 12] = [
         TracePhase::Created,
         TracePhase::ProposalSent,
         TracePhase::Endorsed,
-        TracePhase::Assembled,
         TracePhase::Submitted,
         TracePhase::OrderAcked,
         TracePhase::Ordered,
@@ -67,11 +64,10 @@ impl TracePhase {
     /// ([`TracePhase::OverloadDropped`], [`TracePhase::EndorsementFailed`],
     /// [`TracePhase::OrderingTimeout`]) are excluded — they end a
     /// transaction, they are not stages of it.
-    pub const PIPELINE: [TracePhase; 10] = [
+    pub const PIPELINE: [TracePhase; 9] = [
         TracePhase::Created,
         TracePhase::ProposalSent,
         TracePhase::Endorsed,
-        TracePhase::Assembled,
         TracePhase::Submitted,
         TracePhase::OrderAcked,
         TracePhase::Ordered,
@@ -89,22 +85,16 @@ impl TracePhase {
             TracePhase::Created => Some(0),
             TracePhase::ProposalSent => Some(1),
             TracePhase::Endorsed => Some(2),
-            TracePhase::Assembled => Some(3),
-            TracePhase::Submitted => Some(4),
-            TracePhase::OrderAcked => Some(5),
-            TracePhase::Ordered => Some(6),
-            TracePhase::Delivered => Some(7),
-            TracePhase::VsccDone => Some(8),
-            TracePhase::Committed => Some(9),
+            TracePhase::Submitted => Some(3),
+            TracePhase::OrderAcked => Some(4),
+            TracePhase::Ordered => Some(5),
+            TracePhase::Delivered => Some(6),
+            TracePhase::VsccDone => Some(7),
+            TracePhase::Committed => Some(8),
             TracePhase::OverloadDropped
             | TracePhase::EndorsementFailed
             | TracePhase::OrderingTimeout => None,
         }
-    }
-
-    /// True for the terminal failure phases (no [`TracePhase::pipeline_index`]).
-    pub fn is_failure(self) -> bool {
-        self.pipeline_index().is_none()
     }
 
     /// Stable snake_case label used on the wire.
@@ -113,7 +103,6 @@ impl TracePhase {
             TracePhase::Created => "created",
             TracePhase::ProposalSent => "proposal_sent",
             TracePhase::Endorsed => "endorsed",
-            TracePhase::Assembled => "assembled",
             TracePhase::Submitted => "submitted",
             TracePhase::OrderAcked => "order_acked",
             TracePhase::Ordered => "ordered",
@@ -268,16 +257,6 @@ impl RunProvenance {
     }
 }
 
-/// Parses a whole JSONL document (one event per non-empty line). Provenance
-/// lines (see [`RunProvenance`]) are skipped; use
-/// [`parse_jsonl_with_provenance`] to recover them.
-///
-/// # Errors
-/// The line number and description of the first bad line.
-pub fn parse_jsonl(text: &str) -> Result<Vec<PhaseEvent>, String> {
-    parse_jsonl_with_provenance(text).map(|(_, events)| events)
-}
-
 /// Parses a whole JSONL document, returning the embedded [`RunProvenance`]
 /// (if any) alongside the events. The provenance line is written first by
 /// the CLI, but any position is accepted; a second provenance line is an
@@ -322,7 +301,8 @@ mod tests {
     fn jsonl_round_trips_documents() {
         let events: Vec<PhaseEvent> = TracePhase::ALL.into_iter().map(event).collect();
         let doc: String = events.iter().map(|e| e.to_json() + "\n").collect();
-        let back = parse_jsonl(&doc).expect("document parses");
+        let (prov, back) = parse_jsonl_with_provenance(&doc).expect("document parses");
+        assert_eq!(prov, None);
         assert_eq!(back, events);
     }
 
@@ -389,8 +369,6 @@ mod tests {
             event(TracePhase::Created).to_json(),
             event(TracePhase::Committed).to_json()
         );
-        // Legacy entry point: provenance skipped, events intact.
-        assert_eq!(parse_jsonl(&doc).expect("parses").len(), 2);
         let (p, events) = parse_jsonl_with_provenance(&doc).expect("parses");
         assert_eq!(p, Some(prov.clone()));
         assert_eq!(events.len(), 2);
@@ -464,7 +442,6 @@ mod tests {
                 TracePhase::Created,
                 TracePhase::ProposalSent,
                 TracePhase::Endorsed,
-                TracePhase::Assembled,
                 TracePhase::Submitted,
                 TracePhase::OrderAcked,
                 TracePhase::Ordered,
@@ -475,7 +452,6 @@ mod tests {
         );
         for (i, p) in TracePhase::PIPELINE.into_iter().enumerate() {
             assert_eq!(p.pipeline_index(), Some(i), "{p}");
-            assert!(!p.is_failure());
         }
         for p in [
             TracePhase::OverloadDropped,
@@ -483,7 +459,6 @@ mod tests {
             TracePhase::OrderingTimeout,
         ] {
             assert_eq!(p.pipeline_index(), None, "{p}");
-            assert!(p.is_failure());
         }
         // Every phase is either in the pipeline or a failure — no third kind.
         assert_eq!(

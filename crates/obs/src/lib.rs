@@ -92,7 +92,7 @@ pub use diff::{
     ArtifactDiff, ArtifactKind, DiffEntry, DiffError, DiffProvenance, DiffSection, Shift,
     TelescopeCheck,
 };
-pub use event::{parse_jsonl, parse_jsonl_with_provenance, PhaseEvent, RunProvenance, TracePhase};
+pub use event::{parse_jsonl_with_provenance, PhaseEvent, RunProvenance, TracePhase};
 pub use flame::collapsed_stacks;
 pub use hist::LogHistogram;
 pub use json::Json;

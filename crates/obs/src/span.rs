@@ -20,7 +20,7 @@ pub struct TxSpan {
     pub tx: String,
     /// First-seen timestamp per pipeline phase, indexed by
     /// [`TracePhase::pipeline_index`]. `None` where the trace holds no event
-    /// (e.g. `assembled` is never emitted by the current simulator).
+    /// for that phase.
     pub t_s: [Option<f64>; PIPELINE_LEN],
     /// Cumulative attributed queueing seconds at each observed phase.
     pub cum_queued_s: [f64; PIPELINE_LEN],

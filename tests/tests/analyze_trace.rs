@@ -29,7 +29,7 @@ fn analyzer_agrees_with_simulator_accounting() {
     let r = Simulation::new(traced_500tps_pool1()).run_detailed();
 
     // JSONL round trip first: the analyzer consumes what --trace-out writes.
-    let events = fabricsim::obs::parse_jsonl(&r.observability.events_jsonl())
+    let (_, events) = fabricsim::obs::parse_jsonl_with_provenance(&r.observability.events_jsonl())
         .expect("trace must parse back");
     assert_eq!(&events, &r.observability.events);
 

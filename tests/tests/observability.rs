@@ -1,7 +1,7 @@
 //! End-to-end observability: structured traces, sampled time-series, and the
 //! bottleneck-attribution report, exercised through the full simulation.
 
-use fabricsim::obs::{parse_jsonl, TracePhase};
+use fabricsim::obs::{parse_jsonl_with_provenance, TracePhase};
 use fabricsim::{OrdererType, PolicySpec, SimConfig, Simulation};
 
 fn obs_config(policy: PolicySpec, rate: f64) -> SimConfig {
@@ -54,7 +54,7 @@ fn trace_events_round_trip_through_jsonl() {
     assert!(!events.is_empty());
 
     let text = r.observability.events_jsonl();
-    let parsed = parse_jsonl(&text).expect("trace must be valid JSONL");
+    let (_, parsed) = parse_jsonl_with_provenance(&text).expect("trace must be valid JSONL");
     assert_eq!(&parsed, events, "parse(serialize(events)) must be lossless");
 
     // Events are emitted in virtual-time order.
