@@ -1,6 +1,7 @@
 //! The ordering service: OSNs, block delivery, and the Kafka substrate
 //! (brokers and ZooKeeper).
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use fabricsim_kafka::{BrokerEffect, BrokerMsg, ClientEvent, ZkEffect, ZkMsg};
@@ -99,6 +100,7 @@ fn apply_osn_effects(world: &mut World, k: &mut K, o: usize, effects: Vec<OsnEff
                 k.schedule(arrival, Ev::OsnRelay { to, from, message });
             }
             OsnEffect::SendBroker { to, message } => {
+                world.note_broker_read(&message);
                 let bytes = broker_msg_bytes(&message);
                 let arrival = world.osns[o].egress.transfer(now, bytes);
                 let (src, dst) = (Actor::Osn(o), Actor::Broker(to as usize));
@@ -201,17 +203,18 @@ fn deliver_block(world: &mut World, k: &mut K, o: usize, block: Block) {
         let block = Arc::clone(&block);
         k.schedule(arrival, Ev::OsnDeliver { peer, block });
     }
-    osn.delivered.push(block);
+    osn.delivered.push_back(block);
 }
 
 /// The body `log` holds under `number`; an OSN logs in number order.
-fn logged_body(log: &[Arc<Block>], number: u64) -> Option<&Arc<Block>> {
+fn logged_body(log: &VecDeque<Arc<Block>>, number: u64) -> Option<&Arc<Block>> {
     let at = log.binary_search_by_key(&number, |b| b.header.number);
     log.get(at.ok()?)
 }
 
 pub(super) fn broker_receive(world: &mut World, k: &mut K, b: usize, message: BrokerMsg) {
     if !world.brokers[b].alive {
+        world.broker_read_done(&message);
         return;
     }
     let now = k.now();
@@ -222,6 +225,7 @@ pub(super) fn broker_receive(world: &mut World, k: &mut K, b: usize, message: Br
 
 /// Broker `b`'s CPU station finished `message`: the partition steps on it.
 pub(super) fn broker_step(world: &mut World, k: &mut K, b: usize, message: BrokerMsg) {
+    world.broker_read_done(&message);
     if !world.brokers[b].alive {
         return;
     }
@@ -257,6 +261,7 @@ fn apply_broker_effects(world: &mut World, k: &mut K, b: usize, effects: &mut Ve
     for effect in effects.drain(..) {
         match effect {
             BrokerEffect::Send { to, message } => {
+                world.note_broker_read(&message);
                 let bytes = broker_msg_bytes(&message);
                 let arrival = world.brokers[b].egress.transfer(now, bytes);
                 let broker = to as usize;
@@ -339,13 +344,14 @@ fn apply_zk_effects(world: &mut World, k: &mut K, effects: Vec<ZkEffect>) {
 
 #[cfg(test)]
 mod tests {
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     use fabricsim_crypto::Hash256;
     use fabricsim_des::{Kernel, SimTime};
     use fabricsim_types::ChannelId;
 
     use super::super::faults::{inject, schedule_faults, Fault};
+    use super::super::retire;
     use super::super::world::{bootstrap, build_world};
     use super::*;
     use crate::workload::{PolicySpec, SimConfig};
@@ -390,21 +396,31 @@ mod tests {
         world
     }
 
-    /// Asserts that every OSN logs one body per number, in number order,
-    /// and that all its OSNs' deliveries of a number are one allocation.
-    /// Returns how many numbers were delivered.
+    /// Asserts that every OSN logs one body per number, in number order
+    /// and without a gap, and that all its OSNs' deliveries of a number are
+    /// one allocation. Returns how many numbers were delivered: the highest
+    /// OSN height.
     fn assert_one_body_per_number(world: &World) -> usize {
-        let mut first: HashMap<u64, &Arc<Block>> = HashMap::new();
+        let mut first: BTreeMap<u64, &Arc<Block>> = BTreeMap::new();
         for (o, osn) in world.osns.iter().enumerate() {
-            let numbers = osn.delivered.iter().map(|b| b.header.number);
-            assert!(numbers.is_sorted(), "OSN {o} logs in number order");
+            let numbers: Vec<u64> = osn.delivered.iter().map(|b| b.header.number).collect();
+            let contiguous = numbers.windows(2).all(|w| w[1] == w[0] + 1);
+            assert!(contiguous, "OSN {o} logs in number order");
             for block in &osn.delivered {
                 let shared = *first.entry(block.header.number).or_insert(block);
                 let number = block.header.number;
                 assert!(Arc::ptr_eq(shared, block), "OSN {o}, block {number}");
             }
         }
-        first.len()
+        (0..world.osns.len())
+            .map(|o| height(world, o))
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// One past the highest number OSN `o` delivered.
+    fn height(world: &World, o: usize) -> usize {
+        retire::height(&world.osns[o].delivered, world.retired_below) as usize
     }
 
     #[test]
@@ -415,8 +431,8 @@ mod tests {
             assert_eq!(world.osns.len(), 3, "{what}");
             let numbers = assert_one_body_per_number(&world);
             assert!(numbers > 8, "{what}: only {numbers} blocks");
-            for osn in &world.osns {
-                assert_eq!(osn.delivered.len(), numbers, "{what}");
+            for o in 0..world.osns.len() {
+                assert_eq!(height(&world, o), numbers, "{what}");
             }
             // Each number is cut once, by the first OSN that logged it.
             assert_eq!(world.block_cuts.len(), numbers, "{what}");
@@ -429,7 +445,10 @@ mod tests {
         cfg.policy = PolicySpec::OrN(5);
         let world = run_world(&cfg, &[(6.0, Fault::CrashOsn(0))]);
         assert!(!world.osns[0].alive);
-        let before_crash = world.osns[0].delivered.len();
+        let crash = SimTime::from_secs_f64(6.0);
+        let before_crash = world.block_cuts.iter().filter(|c| c.0 <= crash).count();
+        let mut crashed_log = world.osns[0].delivered.iter();
+        assert!(crashed_log.all(|b| (b.header.number as usize) < before_crash));
         let numbers = assert_one_body_per_number(&world);
         assert!(numbers > before_crash + 20, "{numbers} blocks");
         assert_eq!(world.block_cuts.len(), numbers);

@@ -14,7 +14,7 @@ use crate::model::CostModel;
 
 use super::lane;
 use super::observe::{Actor, SpanKey};
-use super::world::{Ev, World, K};
+use super::world::{ChainBreak, Ev, World, K};
 
 pub(super) fn peer_receive_proposal(
     world: &mut World,
@@ -180,6 +180,7 @@ fn enqueue_block_validation(world: &mut World, k: &mut K, peer_idx: usize, block
         "delivery gap at peer {peer_idx}"
     );
     world.peers[peer_idx].next_expected_block = block.header.number + 1;
+    world.maybe_retire();
     if world.lane.is_some() {
         world.peers[peer_idx].awaiting.push_back(Arc::clone(&block));
         hand_over_head(world, peer_idx);
@@ -273,8 +274,10 @@ fn enqueue_block_validation(world: &mut World, k: &mut K, peer_idx: usize, block
 }
 
 /// Peer `peer_idx` finished validating `block`, whose VSCC stage ran from
-/// `start` to `vscc_end`: its ledger commits the block, and at the observer
-/// every transaction's validation spans and commit are recorded.
+/// `start` to `vscc_end`: its ledger commits the block and lets go of its
+/// body, and at the observer every transaction's validation spans and
+/// commit are recorded. A block the ledger refuses to append is recorded
+/// as a [`ChainBreak`] and dropped.
 pub(super) fn commit_block(
     world: &mut World,
     peer_idx: usize,
@@ -297,12 +300,20 @@ pub(super) fn commit_block(
             .peer
             .validate_and_commit(Arc::unwrap_or_clone(block)),
     };
-    #[expect(
-        clippy::expect_used,
-        reason = "ordering delivers blocks in order; a chain break is a simulator bug"
-    )]
-    let flags = committed.expect("delivered blocks must chain");
     hand_over_head(world, peer_idx);
+    let flags = match committed {
+        Ok(flags) => flags,
+        Err(error) => {
+            let peer = peer_idx;
+            world.chain_breaks.push(ChainBreak {
+                peer,
+                number,
+                error,
+            });
+            return;
+        }
+    };
+    world.peers[peer_idx].peer.retire_blocks_through(number);
     let Some(txs) = observed else {
         return;
     };
@@ -378,4 +389,40 @@ fn take_ahead(world: &mut World, peer_idx: usize, block: &Arc<Block>) -> Option<
     }
     let ticket = node.ahead.take_if(|t| Arc::ptr_eq(&t.input().1, block))?;
     Arc::ptr_eq(&ticket.input().0, &node.peer.validator()).then(|| lane.take(ticket))
+}
+
+#[cfg(test)]
+mod tests {
+    use fabricsim_crypto::Hash256;
+    use fabricsim_ledger::ChainError;
+    use fabricsim_types::{ChannelId, OrdererType};
+
+    use super::super::world::build_world;
+    use super::*;
+    use crate::workload::SimConfig;
+
+    #[test]
+    fn an_unlinked_block_is_recorded_as_a_chain_break_and_dropped() {
+        let cfg = SimConfig {
+            orderer_type: OrdererType::Solo,
+            ..SimConfig::default()
+        };
+        let mut world = build_world(&cfg, 0);
+        let observer = world.observer;
+        let unlinked = Block::assemble(
+            ChannelId::default_channel(),
+            0,
+            Hash256::from_bytes([7; 32]),
+            Vec::new(),
+        );
+        let at = SimTime::ZERO;
+        commit_block(&mut world, observer, Arc::new(unlinked), at, at);
+        let want = ChainBreak {
+            peer: observer,
+            number: 0,
+            error: ChainError::BrokenChain,
+        };
+        assert_eq!(world.chain_breaks, vec![want]);
+        assert_eq!(world.peers[observer].peer.ledger().height(), 0);
+    }
 }

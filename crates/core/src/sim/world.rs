@@ -8,8 +8,9 @@ use std::sync::Arc;
 use fabricsim_chaincode::samples::{AssetTransfer, KvWrite, Smallbank};
 use fabricsim_des::{EventId, Kernel, Link, Model, RngStream, SimDuration, SimTime, Station};
 use fabricsim_kafka::{
-    Broker, BrokerEffect, BrokerId, BrokerMsg, ClientEvent, KafkaConfig, ZkEnsemble,
+    Broker, BrokerEffect, BrokerId, BrokerMsg, ClientEvent, KafkaConfig, Offset, ZkEnsemble,
 };
+use fabricsim_ledger::ChainError;
 use fabricsim_msp::{CertificateAuthority, Msp};
 use fabricsim_ordering::{OsnInput, OsnMsg, OsnNode};
 use fabricsim_peer::{GossipMsg, GossipNode, Peer, PeerConfig, Prevalidated};
@@ -90,8 +91,8 @@ pub(super) struct OsnActor {
     /// Blocks this OSN has emitted, in number order: kept for Deliver-style
     /// replay when a peer re-subscribes after its OSN crashed, and read by
     /// every OSN of the channel to find a block's first cut and its shared
-    /// body.
-    pub(super) delivered: Vec<Arc<Block>>,
+    /// body. [`World::retire`] drops the numbers no later event can ask for.
+    pub(super) delivered: VecDeque<Arc<Block>>,
 }
 
 pub(super) struct BrokerActor {
@@ -124,6 +125,22 @@ pub(super) struct World {
     pub(super) broker_effects: Vec<BrokerEffect>,
     /// This world's end of the run's lane, when it has one.
     pub(super) lane: Option<BlockLane>,
+    /// Every block a peer could not append, in the order they failed.
+    pub(super) chain_breaks: Vec<ChainBreak>,
+    /// The partition offsets that broker-bound messages in flight will
+    /// read from, one entry per message (Kafka mode only).
+    pub(super) kafka_reads: Vec<Offset>,
+    /// The low-water mark of the last retention step: every OSN log holds
+    /// no number below it.
+    pub(super) retired_below: u64,
+}
+
+/// A block peer `peer` dropped because its ledger refused to append it.
+#[derive(Debug, PartialEq, Eq)]
+pub(super) struct ChainBreak {
+    pub(super) peer: usize,
+    pub(super) number: u64,
+    pub(super) error: ChainError,
 }
 
 pub(super) type K = Kernel<World>;
@@ -646,7 +663,7 @@ pub(super) fn build_world(cfg: &SimConfig, shard_id: usize) -> World {
                 }
             },
             alive: true,
-            delivered: Vec::new(),
+            delivered: VecDeque::new(),
         });
     }
 
@@ -703,6 +720,9 @@ pub(super) fn build_world(cfg: &SimConfig, shard_id: usize) -> World {
         cfg: cfg.clone(),
         broker_effects: Vec::new(),
         lane: None,
+        chain_breaks: Vec::new(),
+        kafka_reads: Vec::new(),
+        retired_below: 0,
     }
 }
 

@@ -182,7 +182,10 @@ pub struct Broker {
     config: KafkaConfig,
     role: BrokerRole,
     epoch: Epoch,
+    /// The retained records, from offset `base` on.
     log: Vec<Record>,
+    /// Offset of `log[0]`: every record below it was compacted away.
+    base: Offset,
     high_watermark: Offset,
     // Leader state: per-replica log-end offsets and lag timers.
     replica_log_end: BTreeMap<BrokerId, Offset>,
@@ -199,6 +202,7 @@ impl Broker {
             role: BrokerRole::Idle,
             epoch: 0,
             log: Vec::new(),
+            base: 0,
             high_watermark: 0,
             replica_log_end: BTreeMap::new(),
             replica_lag: BTreeMap::new(),
@@ -223,7 +227,40 @@ impl Broker {
 
     /// Log-end offset (next offset to be assigned).
     pub fn log_end(&self) -> Offset {
-        self.log.len() as Offset
+        self.base + self.log.len() as Offset
+    }
+
+    /// Offset of the first record still held: every offset below it was
+    /// compacted away.
+    pub fn log_start(&self) -> Offset {
+        self.base
+    }
+
+    /// Drops every record below `offset` (below the log end, when `offset`
+    /// is past it). Offsets are absolute, so nothing above moves; a consume
+    /// or fetch must never again ask for a dropped offset.
+    pub fn compact_below(&mut self, offset: Offset) {
+        let drop = offset.min(self.log_end()).saturating_sub(self.base);
+        self.log.drain(..drop as usize);
+        self.base += drop;
+    }
+
+    /// Copies of the held records in `[from, to)`.
+    fn records(&self, from: Offset, to: Offset) -> Vec<Record> {
+        debug_assert!(from >= self.base, "offset {from} was compacted away");
+        let at = |offset: Offset| offset.saturating_sub(self.base) as usize;
+        self.log.get(at(from)..at(to)).unwrap_or(&[]).to_vec()
+    }
+
+    /// Cuts the log back to end at `offset`. Below the compacted prefix
+    /// the log ends up empty, starting at `offset`.
+    fn truncate_to(&mut self, offset: Offset) {
+        if offset >= self.base {
+            self.log.truncate((offset - self.base) as usize);
+        } else {
+            self.log.clear();
+            self.base = offset;
+        }
     }
 
     /// The high watermark: records below it are replicated to every ISR
@@ -304,7 +341,7 @@ impl Broker {
                 let hw = self.high_watermark;
                 let base = offset.min(hw);
                 let upper = hw.min(base + self.config.max_fetch_records as Offset);
-                let records = self.log[base as usize..upper as usize].to_vec();
+                let records = self.records(base, upper);
                 effects.push(BrokerEffect::Reply {
                     to: reply_to,
                     event: ClientEvent::ConsumeBatch {
@@ -328,11 +365,7 @@ impl Broker {
                 let upper = self
                     .log_end()
                     .min(offset + self.config.max_fetch_records as Offset);
-                let records = self
-                    .log
-                    .get(offset as usize..upper as usize)
-                    .unwrap_or(&[])
-                    .to_vec();
+                let records = self.records(offset, upper);
                 effects.push(BrokerEffect::Send {
                     to: from,
                     message: BrokerMsg::FetchResponse {
@@ -358,7 +391,7 @@ impl Broker {
                 } else if base_offset < self.log_end() {
                     // Overlap from a retried fetch: truncate and re-append to
                     // stay consistent with the leader.
-                    self.log.truncate(base_offset as usize);
+                    self.truncate_to(base_offset);
                     self.log.extend(records);
                 }
                 self.high_watermark = high_watermark.min(self.log_end());
@@ -680,6 +713,189 @@ mod tests {
         assert_eq!(f.log_end(), 2);
         assert_eq!(f.isr(), vec![2]);
         assert_eq!(f.high_watermark(), 2, "solo-ISR HW covers its own log");
+    }
+
+    fn produce(b: &mut Broker, data: &[u8]) {
+        let record = Record::payload(data.to_vec());
+        step(
+            b,
+            BrokerMsg::Produce {
+                reply_to: 1,
+                record,
+            },
+        );
+    }
+
+    /// The `(base offset, payloads)` of a consume or fetch reply.
+    fn served(effects: &[BrokerEffect]) -> (Offset, Vec<&[u8]>) {
+        match effects {
+            [BrokerEffect::Reply {
+                event:
+                    ClientEvent::ConsumeBatch {
+                        base_offset,
+                        records,
+                        ..
+                    },
+                ..
+            }]
+            | [BrokerEffect::Send {
+                message:
+                    BrokerMsg::FetchResponse {
+                        base_offset,
+                        records,
+                        ..
+                    },
+                ..
+            }] => (*base_offset, records.iter().map(|r| &r.data[..]).collect()),
+            other => panic!("unexpected effects {other:?}"),
+        }
+    }
+
+    /// A one-replica leader holding `n` records (`[i]` each), compacted
+    /// below offset `below`.
+    fn compacted_leader(n: u8, below: Offset) -> Broker {
+        let mut b = leader_with_replicas(&[1]);
+        for i in 0..n {
+            produce(&mut b, &[i]);
+        }
+        b.compact_below(below);
+        b
+    }
+
+    #[test]
+    fn compaction_keeps_offsets_absolute() {
+        let mut b = compacted_leader(6, 4);
+        assert_eq!((b.log_start(), b.log_end(), b.high_watermark()), (4, 6, 6));
+        // Compacting below an offset already gone, or past the end, is safe.
+        b.compact_below(2);
+        assert_eq!(b.log_start(), 4);
+        produce(&mut b, &[6]);
+        assert_eq!(b.log_end(), 7);
+        b.compact_below(99);
+        assert_eq!((b.log_start(), b.log_end()), (7, 7));
+        produce(&mut b, &[7]);
+        let consume = BrokerMsg::Consume {
+            reply_to: 9,
+            offset: 7,
+        };
+        assert_eq!(served(&step(&mut b, consume)), (7, vec![&[7u8][..]]));
+    }
+
+    #[test]
+    fn consume_and_fetch_read_absolute_offsets_above_the_base() {
+        let mut b = compacted_leader(6, 3);
+        let consume = BrokerMsg::Consume {
+            reply_to: 9,
+            offset: 4,
+        };
+        let want: Vec<&[u8]> = vec![&[4], &[5]];
+        assert_eq!(served(&step(&mut b, consume)), (4, want.clone()));
+        let fetch = BrokerMsg::Fetch { from: 2, offset: 4 };
+        assert_eq!(served(&step(&mut b, fetch)), (4, want));
+        // At the high watermark a consume is empty and reports where it
+        // stood.
+        let consume = BrokerMsg::Consume {
+            reply_to: 9,
+            offset: 6,
+        };
+        assert_eq!(served(&step(&mut b, consume)), (6, vec![]));
+    }
+
+    /// A follower of leader 1 holding `records` from offset 0.
+    fn follower_with(records: &[&[u8]]) -> Broker {
+        let mut f = Broker::new(2, KafkaConfig::default());
+        step(
+            &mut f,
+            BrokerMsg::AppointFollower {
+                epoch: 1,
+                leader: 1,
+            },
+        );
+        step(
+            &mut f,
+            BrokerMsg::FetchResponse {
+                epoch: 1,
+                records: records
+                    .iter()
+                    .map(|r| Record::payload(r.to_vec()))
+                    .collect(),
+                base_offset: 0,
+                high_watermark: records.len() as Offset,
+            },
+        );
+        f
+    }
+
+    #[test]
+    fn a_follower_truncates_and_extends_above_its_base() {
+        let mut f = follower_with(&[b"a", b"b", b"c", b"d"]);
+        f.compact_below(2);
+        assert_eq!((f.log_start(), f.log_end()), (2, 4));
+        // An overlapping reply from offset 3 replaces the tail from there.
+        step(
+            &mut f,
+            BrokerMsg::FetchResponse {
+                epoch: 1,
+                records: vec![
+                    Record::payload(b"D".to_vec()),
+                    Record::payload(b"e".to_vec()),
+                ],
+                base_offset: 3,
+                high_watermark: 5,
+            },
+        );
+        assert_eq!((f.log_start(), f.log_end(), f.high_watermark()), (2, 5, 5));
+        let held: Vec<&[u8]> = f.log.iter().map(|r| &r.data[..]).collect();
+        assert_eq!(held, vec![&b"c"[..], b"D", b"e"]);
+        // A reply from below the base replaces the whole held log.
+        step(
+            &mut f,
+            BrokerMsg::FetchResponse {
+                epoch: 1,
+                records: vec![Record::payload(b"B".to_vec())],
+                base_offset: 1,
+                high_watermark: 5,
+            },
+        );
+        assert_eq!((f.log_start(), f.log_end(), f.high_watermark()), (1, 2, 2));
+    }
+
+    #[test]
+    fn a_leader_appointed_after_compaction_serves_from_its_offsets() {
+        let mut f = follower_with(&[b"a", b"b", b"c", b"d"]);
+        f.compact_below(3);
+        step(
+            &mut f,
+            BrokerMsg::AppointLeader {
+                epoch: 2,
+                replicas: vec![2, 3],
+            },
+        );
+        assert_eq!(f.role(), &BrokerRole::Leader);
+        let ack = step(
+            &mut f,
+            BrokerMsg::Produce {
+                reply_to: 1,
+                record: Record::payload(b"e".to_vec()),
+            },
+        );
+        assert!(matches!(
+            ack[..],
+            [BrokerEffect::Reply {
+                event: ClientEvent::ProduceAck { offset: 4 },
+                ..
+            }]
+        ));
+        // The other replica catches up from its own log end.
+        let want: Vec<&[u8]> = vec![b"d", b"e"];
+        let fetch = BrokerMsg::Fetch { from: 3, offset: 3 };
+        assert_eq!(served(&step(&mut f, fetch)), (3, want.clone()));
+        // So does a consumer, up to the solo-ISR high watermark.
+        let consume = BrokerMsg::Consume {
+            reply_to: 9,
+            offset: 3,
+        };
+        assert_eq!(served(&step(&mut f, consume)), (3, want));
     }
 
     #[test]

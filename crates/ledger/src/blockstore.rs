@@ -1,6 +1,6 @@
 //! The append-only, hash-chained block store with its transaction-id index.
 
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 use std::error::Error;
 use std::fmt;
 
@@ -40,9 +40,18 @@ impl Error for ChainError {}
 /// The chain of committed blocks plus the index by transaction id that the
 /// replay guard reads. Blocks are found by number; a lookup by header hash
 /// or a key's history is a walk over [`BlockStore::iter`].
+///
+/// [`BlockStore::retire_through`] lets go of the oldest bodies: the height,
+/// the tip hash and every transaction id stay, so linking, the replay guard
+/// and [`BlockStore::verify_chain`] over what is left work as before.
 #[derive(Debug, Clone, Default)]
 pub struct BlockStore {
-    blocks: Vec<Block>,
+    /// The retained blocks, numbered from `retired`.
+    blocks: VecDeque<Block>,
+    /// How many blocks were retired: the number of the first retained one.
+    retired: u64,
+    /// Header hash of the last retired block; `None` while none is.
+    retired_tip: Option<Hash256>,
     /// Every committed transaction id, valid or not.
     tx_ids: HashSet<TxId, FxBuildHasher>,
     /// Header hash of the last block; `None` on an empty chain.
@@ -55,9 +64,9 @@ impl BlockStore {
         Self::default()
     }
 
-    /// Chain height (number of committed blocks).
+    /// Chain height (number of committed blocks, retired ones included).
     pub fn height(&self) -> u64 {
-        self.blocks.len() as u64
+        self.retired + self.blocks.len() as u64
     }
 
     /// Hash of the tip block's header; `None` on an empty chain.
@@ -125,18 +134,33 @@ impl BlockStore {
     pub fn append_checked(&mut self, checked: CheckedBlock) -> Result<&Block, ChainError> {
         let block = checked.into_block();
         self.check_links(&block.header)?;
-        let num = block.header.number;
         self.tip = Some(block.header.hash());
         for tx in block.transactions.iter() {
             self.tx_ids.insert(tx.tx_id);
         }
-        self.blocks.push(block);
-        Ok(&self.blocks[num as usize])
+        let at = self.blocks.len();
+        self.blocks.push_back(block);
+        Ok(&self.blocks[at])
     }
 
-    /// Fetches a block by number.
+    /// Lets go of the bodies and flags of every block numbered `number` or
+    /// lower. The height, the tip hash and the transaction ids stay; a
+    /// retired block is no longer found by [`BlockStore::by_number`] or
+    /// walked by [`BlockStore::iter`].
+    pub fn retire_through(&mut self, number: u64) {
+        while self.retired <= number {
+            let Some(block) = self.blocks.pop_front() else {
+                break;
+            };
+            self.retired_tip = Some(block.header.hash());
+            self.retired += 1;
+        }
+    }
+
+    /// Fetches a retained block by number.
     pub fn by_number(&self, number: u64) -> Option<&Block> {
-        self.blocks.get(number as usize)
+        let at = number.checked_sub(self.retired)?;
+        self.blocks.get(usize::try_from(at).ok()?)
     }
 
     /// Whether a transaction id has ever been committed (replay guard).
@@ -144,19 +168,20 @@ impl BlockStore {
         self.tx_ids.contains(tx_id)
     }
 
-    /// Iterates committed blocks in order.
+    /// Iterates the retained blocks in order.
     pub fn iter(&self) -> impl Iterator<Item = &Block> {
         self.blocks.iter()
     }
 
-    /// Verifies the whole chain: numbering, hash links and data hashes.
+    /// Verifies the retained chain: numbering, hash links and data hashes,
+    /// the first retained block linking onto the last retired one.
     pub fn verify_chain(&self) -> Result<(), ChainError> {
-        let mut prev = Hash256::ZERO;
-        for (i, b) in self.blocks.iter().enumerate() {
-            if b.header.number != i as u64 {
+        let mut prev = self.retired_tip.unwrap_or(Hash256::ZERO);
+        for (want, b) in (self.retired..).zip(self.blocks.iter()) {
+            if b.header.number != want {
                 return Err(ChainError::WrongNumber {
                     got: b.header.number,
-                    want: i as u64,
+                    want,
                 });
             }
             if b.header.previous_hash != prev {
@@ -254,6 +279,57 @@ mod tests {
         txs[0].payload = b"evil".to_vec();
         s.blocks[0].transactions = txs.into();
         assert!(s.verify_chain().is_err());
+    }
+
+    /// A store of `n` blocks, one transaction each (nonces 0..n).
+    fn chain_of(n: u64) -> BlockStore {
+        let mut s = BlockStore::new();
+        for nonce in 0..n {
+            s.append(next_block(&s, vec![tx(nonce)])).unwrap();
+        }
+        s
+    }
+
+    #[test]
+    fn a_retired_prefix_keeps_height_tip_links_and_tx_ids() {
+        let full = chain_of(5);
+        let mut s = full.clone();
+        s.retire_through(2);
+        assert_eq!((s.height(), s.tip_hash()), (full.height(), full.tip_hash()));
+        let nums: Vec<u64> = s.iter().map(|b| b.header.number).collect();
+        assert_eq!(nums, vec![3, 4]);
+        assert!(s.by_number(2).is_none());
+        assert_eq!(s.by_number(3), full.by_number(3));
+        assert!(
+            s.verify_chain().is_ok(),
+            "the suffix links onto the retired tip"
+        );
+        // The replay guard still refuses a retired id.
+        assert!(s.contains_tx(&Proposal::derive_tx_id(ClientId(0), 0)));
+        // A block that links onto the tip still appends; a stale one does not.
+        let next = next_block(&s, vec![tx(5)]);
+        assert_eq!(s.check_links(&next.header), Ok(()));
+        let mut stale = next.clone();
+        stale.header.number = 2;
+        assert_eq!(
+            s.check_links(&stale.header),
+            Err(ChainError::WrongNumber { got: 2, want: 5 })
+        );
+        s.append(next).unwrap();
+        assert_eq!(s.height(), 6);
+        // Retiring past the height keeps nothing and loses nothing.
+        s.retire_through(99);
+        assert_eq!((s.height(), s.iter().count()), (6, 0));
+        assert!(s.verify_chain().is_ok());
+        assert!(s.append(next_block(&s, vec![tx(6)])).is_ok());
+    }
+
+    #[test]
+    fn a_retired_store_still_finds_corruption_in_what_it_keeps() {
+        let mut s = chain_of(4);
+        s.retire_through(1);
+        s.blocks[0].header.previous_hash = Hash256::ZERO;
+        assert_eq!(s.verify_chain(), Err(ChainError::BrokenChain));
     }
 
     #[test]

@@ -87,6 +87,17 @@ impl Ledger {
         &self.blocks
     }
 
+    /// Lets go of the bodies of blocks numbered `number` or lower
+    /// ([`BlockStore::retire_through`]); the world state is untouched.
+    pub fn retire_through(&mut self, number: u64) {
+        self.blocks.retire_through(number);
+    }
+
+    /// The world state, taken out of the ledger.
+    pub fn into_state(self) -> StateDb {
+        self.state
+    }
+
     /// Validates (MVCC) and commits a block whose per-transaction pre-checks
     /// (signatures, endorsement policy) have already produced `pre_flags`
     /// entries of `Some(code)` for failed transactions and `None` for ones
@@ -267,6 +278,20 @@ mod tests {
         assert_eq!(flags, vec![ValidationCode::MvccReadConflict]);
         assert!(l.state().get("b").is_none(), "invalid tx must not write");
         assert_eq!(l.height(), 2, "invalid txs are still recorded on chain");
+    }
+
+    #[test]
+    fn a_retired_transaction_id_is_still_refused() {
+        let mut l = Ledger::new("ch");
+        let b0 = block(&l, vec![tx(1, &[("a", b"1")], &[])]);
+        admit_and_commit(&mut l, b0, &[None]).unwrap();
+        l.retire_through(0);
+        assert_eq!(l.blocks().iter().count(), 0);
+        let replay = block(&l, vec![tx(1, &[("a", b"2")], &[])]);
+        let flags = admit_and_commit(&mut l, replay, &[None]).unwrap();
+        assert_eq!(flags, vec![ValidationCode::DuplicateTxId]);
+        assert_eq!(l.state().get("a").unwrap().value, b"1");
+        assert_eq!(l.height(), 2);
     }
 
     #[test]

@@ -89,6 +89,11 @@ impl StateDb {
             .map(|(k, v)| (k.as_str(), v))
     }
 
+    /// Every live key and its value, moved out in lexicographic order.
+    pub fn into_entries(self) -> impl Iterator<Item = (String, VersionedValue)> {
+        self.map.into_iter()
+    }
+
     /// Number of live keys.
     pub fn len(&self) -> usize {
         self.map.len()
@@ -119,6 +124,19 @@ mod tests {
         db.apply_write("k", None, Version::new(2, 0));
         assert!(db.get("k").is_none());
         assert_eq!(db.writes_applied(), 2);
+    }
+
+    #[test]
+    fn entries_move_out_in_range_order() {
+        let mut db = StateDb::new();
+        for k in ["b", "a", "c"] {
+            db.apply_write(k, Some(k.as_bytes().to_vec()), Version::new(1, 0));
+        }
+        let ranged: Vec<(String, VersionedValue)> = db
+            .range("", "")
+            .map(|(k, v)| (k.to_string(), v.clone()))
+            .collect();
+        assert_eq!(db.into_entries().collect::<Vec<_>>(), ranged);
     }
 
     #[test]

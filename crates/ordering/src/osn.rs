@@ -85,7 +85,7 @@ pub enum OsnEffect {
 enum Engine {
     Solo,
     Raft {
-        node: RaftNode,
+        node: Box<RaftNode>,
         /// Blocks delivered so far (to drop stale-leader duplicates).
         delivered_height: u64,
     },
@@ -142,7 +142,12 @@ impl OsnNode {
             cutter: BlockCutter::new(batch),
             assembler: BlockAssembler::new(channel),
             engine: Engine::Raft {
-                node: RaftNode::new(id as u64 + 1, raft_ids, RaftConfig::default(), seed),
+                node: Box::new(RaftNode::new(
+                    id as u64 + 1,
+                    raft_ids,
+                    RaftConfig::default(),
+                    seed,
+                )),
                 delivered_height: 0,
             },
         }
@@ -189,6 +194,30 @@ impl OsnNode {
         match &self.engine {
             Engine::Solo | Engine::Kafka { .. } => true,
             Engine::Raft { node, .. } => node.role() == Role::Leader,
+        }
+    }
+
+    /// This node's Raft replica (Raft mode only).
+    pub fn raft_node(&self) -> Option<&RaftNode> {
+        match &self.engine {
+            Engine::Raft { node, .. } => Some(node),
+            Engine::Solo | Engine::Kafka { .. } => None,
+        }
+    }
+
+    /// Compacts this node's Raft log through `index`
+    /// ([`RaftNode::compact_through`]); nothing outside Raft mode.
+    pub fn compact_raft_log(&mut self, index: u64) {
+        if let Engine::Raft { node, .. } = &mut self.engine {
+            node.compact_through(index);
+        }
+    }
+
+    /// The next partition offset this node consumes (Kafka mode only).
+    pub fn kafka_next_offset(&self) -> Option<u64> {
+        match &self.engine {
+            Engine::Kafka { next_offset, .. } => Some(*next_offset),
+            Engine::Solo | Engine::Raft { .. } => None,
         }
     }
 

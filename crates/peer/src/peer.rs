@@ -77,6 +77,17 @@ impl Peer {
         &self.ledger
     }
 
+    /// Lets go of the bodies of committed blocks numbered `number` or lower
+    /// ([`Ledger::retire_through`]).
+    pub fn retire_blocks_through(&mut self, number: u64) {
+        self.ledger.retire_through(number);
+    }
+
+    /// The ledger, taken out of the peer.
+    pub fn into_ledger(self) -> Ledger {
+        self.ledger
+    }
+
     /// Installs a chaincode and runs its `init`, seeding the bootstrap state
     /// directly (genesis world state, before any blocks).
     ///

@@ -40,4 +40,4 @@ mod node;
 mod types;
 
 pub use node::{NotLeader, RaftNode};
-pub use types::{Effect, Entry, Message, PersistentState, RaftConfig, Role};
+pub use types::{Effect, Entry, Message, PersistentState, RaftConfig, Role, Snapshot};

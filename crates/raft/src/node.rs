@@ -6,7 +6,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::types::{
-    Effect, Entry, Index, Message, PersistentState, RaftConfig, RaftId, Role, Term,
+    Effect, Entry, Index, Message, PersistentState, RaftConfig, RaftId, Role, Snapshot, Term,
 };
 
 /// Error returned when proposing to a node that is not the leader.
@@ -37,6 +37,9 @@ pub struct RaftNode {
     // Persistent state.
     current_term: Term,
     voted_for: Option<RaftId>,
+    /// The compacted prefix: `log` holds entries `snapshot.index + 1`
+    /// onwards.
+    snapshot: Snapshot,
     log: Vec<Entry>,
 
     // Volatile state.
@@ -67,7 +70,8 @@ impl RaftNode {
     }
 
     /// Recreates a node from persisted state (crash recovery). Volatile state
-    /// (role, commit index) resets, exactly as Raft prescribes.
+    /// (role, commit index) resets, exactly as Raft prescribes, to the
+    /// snapshot: what it compacted was committed and applied.
     ///
     /// # Panics
     /// Panics if `peers` is empty or does not contain `id`.
@@ -86,10 +90,11 @@ impl RaftNode {
             config,
             current_term: persistent.current_term,
             voted_for: persistent.voted_for,
+            snapshot: persistent.snapshot,
             log: persistent.log,
             role: Role::Follower,
-            commit_index: 0,
-            last_applied: 0,
+            commit_index: persistent.snapshot.index,
+            last_applied: persistent.snapshot.index,
             leader_hint: None,
             election_elapsed: 0,
             heartbeat_elapsed: 0,
@@ -142,9 +147,19 @@ impl RaftNode {
         self.commit_index
     }
 
+    /// Highest log index handed to the host in an [`Effect::Commit`].
+    pub fn last_applied(&self) -> Index {
+        self.last_applied
+    }
+
     /// Index of the last log entry (0 when empty).
     pub fn last_log_index(&self) -> Index {
-        self.log.len() as Index
+        self.snapshot.index + self.log.len() as Index
+    }
+
+    /// The marker of the compacted prefix.
+    pub fn snapshot(&self) -> Snapshot {
+        self.snapshot
     }
 
     /// The persistent state to write to stable storage.
@@ -152,19 +167,61 @@ impl RaftNode {
         PersistentState {
             current_term: self.current_term,
             voted_for: self.voted_for,
+            snapshot: self.snapshot,
             log: self.log.clone(),
         }
     }
 
-    fn last_log_term(&self) -> Term {
-        self.log.last().map_or(0, |e| e.term)
+    /// Drops the entries up to `index` and keeps a [`Snapshot`] marker of
+    /// the last one. It goes only as far as this node can spare: no entry
+    /// it has not applied, and on a leader none it may still send a
+    /// follower (from that follower's next index on). There is no
+    /// `InstallSnapshot`, so the host must not compact past what a follower
+    /// that can still answer has applied.
+    pub fn compact_through(&mut self, index: Index) {
+        let mut through = index.min(self.last_applied);
+        if self.role == Role::Leader {
+            for peer in self.peers.iter().filter(|&&p| p != self.id) {
+                let next = self.next_index.get(peer).copied().unwrap_or(1);
+                through = through.min(next.saturating_sub(1));
+            }
+        }
+        if through <= self.snapshot.index {
+            return;
+        }
+        let Some(term) = self.term_at(through) else {
+            return;
+        };
+        self.log.drain(..(through - self.snapshot.index) as usize);
+        self.snapshot = Snapshot {
+            index: through,
+            term,
+        };
     }
 
+    fn last_log_term(&self) -> Term {
+        self.log.last().map_or(self.snapshot.term, |e| e.term)
+    }
+
+    /// The term of the entry at `index`: the marker's at the snapshot
+    /// index, `None` below it (compacted) and past the log end.
     fn term_at(&self, index: Index) -> Option<Term> {
-        if index == 0 {
-            return Some(0);
+        if index == self.snapshot.index {
+            return Some(self.snapshot.term);
         }
-        self.log.get(index as usize - 1).map(|e| e.term)
+        let at = index.checked_sub(self.snapshot.index + 1)?;
+        self.log.get(at as usize).map(|e| e.term)
+    }
+
+    /// Whether this log holds an entry of `term` at `index`. A compacted
+    /// entry was committed, so it matches any leader's.
+    fn matches(&self, index: Index, term: Term) -> bool {
+        index < self.snapshot.index || self.term_at(index) == Some(term)
+    }
+
+    /// Position in `log` of the entry at `index` (past the snapshot).
+    fn position(&self, index: Index) -> usize {
+        (index - self.snapshot.index - 1) as usize
     }
 
     fn majority(&self) -> usize {
@@ -415,7 +472,7 @@ impl RaftNode {
         self.election_elapsed = 0;
 
         // Log consistency check.
-        if self.term_at(prev_log_index) != Some(prev_log_term) {
+        if !self.matches(prev_log_index, prev_log_term) {
             effects.push(Effect::Send {
                 to: from,
                 message: Message::AppendEntriesResponse {
@@ -428,11 +485,14 @@ impl RaftNode {
         }
         // Append, truncating conflicts.
         for e in entries {
+            if e.index <= self.snapshot.index {
+                continue; // compacted: committed, so already have it
+            }
             match self.term_at(e.index) {
                 Some(t) if t == e.term => {} // already have it
                 Some(_) => {
                     // Conflict: truncate from here and append.
-                    self.log.truncate(e.index as usize - 1);
+                    self.log.truncate(self.position(e.index));
                     self.log.push(e);
                 }
                 None => {
@@ -504,7 +564,7 @@ impl RaftNode {
         let next = *self.next_index.get(&to).unwrap_or(&1);
         let prev_log_index = next - 1;
         let prev_log_term = self.term_at(prev_log_index).unwrap_or(0);
-        let from_idx = (next - 1) as usize;
+        let from_idx = prev_log_index.saturating_sub(self.snapshot.index) as usize;
         let entries: Vec<Entry> = self
             .log
             .get(from_idx..)
@@ -544,8 +604,8 @@ impl RaftNode {
     /// `Arc` of its payload, not the bytes.
     fn emit_applied(&mut self, effects: &mut Vec<Effect>) {
         if self.commit_index > self.last_applied {
-            let newly: Vec<Entry> =
-                self.log[self.last_applied as usize..self.commit_index as usize].to_vec();
+            let from = self.position(self.last_applied + 1);
+            let newly: Vec<Entry> = self.log[from..self.position(self.commit_index + 1)].to_vec();
             self.last_applied = self.commit_index;
             effects.push(Effect::Commit(newly));
         }
@@ -930,6 +990,153 @@ mod tests {
                 ..
             }
         )));
+    }
+
+    /// Nodes `1..=n` of one cluster, node 1 elected leader, with every
+    /// message delivered until the cluster is quiet.
+    fn elected_cluster(n: u64) -> Vec<RaftNode> {
+        let ids: Vec<RaftId> = (1..=n).collect();
+        let mut nodes: Vec<RaftNode> = ids
+            .iter()
+            .map(|&id| RaftNode::new(id, ids.clone(), RaftConfig::default(), id))
+            .collect();
+        elect(&mut nodes, 1, &[]);
+        nodes
+    }
+
+    /// Ticks node `id` until it campaigns, then delivers until it leads.
+    fn elect(nodes: &mut [RaftNode], id: RaftId, down: &[RaftId]) {
+        let node = &mut nodes[id as usize - 1];
+        let mut effects = Vec::new();
+        while node.role() != Role::Candidate {
+            effects = node.tick();
+        }
+        deliver(nodes, id, effects, down);
+        assert_eq!(nodes[id as usize - 1].role(), Role::Leader);
+    }
+
+    /// Delivers `effects` emitted by node `from`, and everything they cause,
+    /// in order until no message is left; nodes in `down` hear nothing.
+    fn deliver(nodes: &mut [RaftNode], from: RaftId, effects: Vec<Effect>, down: &[RaftId]) {
+        let mut queue = std::collections::VecDeque::new();
+        let sends = |from: RaftId, effects: Vec<Effect>| {
+            effects.into_iter().filter_map(move |e| match e {
+                Effect::Send { to, message } => Some((from, to, message)),
+                _ => None,
+            })
+        };
+        queue.extend(sends(from, effects));
+        while let Some((from, to, message)) = queue.pop_front() {
+            if !down.contains(&to) {
+                let effects = nodes[to as usize - 1].step(from, message);
+                queue.extend(sends(to, effects));
+            }
+        }
+    }
+
+    /// Proposes `n` one-byte payloads at node `leader` and delivers, then
+    /// delivers a heartbeat, so that followers learn the commit index.
+    fn propose_all(nodes: &mut [RaftNode], leader: RaftId, n: u8, down: &[RaftId]) {
+        let at = leader as usize - 1;
+        for i in 0..n {
+            let (_, effects) = nodes[at].propose(vec![i]).unwrap();
+            deliver(nodes, leader, effects, down);
+        }
+        let mut heartbeat = Vec::new();
+        while heartbeat.is_empty() {
+            heartbeat = nodes[at].tick();
+        }
+        deliver(nodes, leader, heartbeat, down);
+    }
+
+    #[test]
+    fn compaction_keeps_a_marker_and_stops_at_what_is_applied() {
+        let mut nodes = elected_cluster(3);
+        propose_all(&mut nodes, 1, 4, &[]); // the no-op and 4 payloads
+        let leader = &mut nodes[0];
+        assert_eq!((leader.last_applied(), leader.last_log_index()), (5, 5));
+        let term = leader.term();
+        leader.compact_through(3);
+        assert_eq!(leader.snapshot(), Snapshot { index: 3, term });
+        assert_eq!(leader.last_log_index(), 5);
+        assert_eq!(leader.persistent_state().log.len(), 2);
+        // Never past what is applied; never backwards.
+        leader.compact_through(99);
+        assert_eq!(leader.snapshot().index, 5);
+        leader.compact_through(1);
+        assert_eq!(leader.snapshot().index, 5);
+        // A restart resumes from the snapshot.
+        let saved = leader.persistent_state();
+        let restored = RaftNode::restore(1, vec![1, 2, 3], RaftConfig::default(), 9, saved);
+        assert_eq!((restored.commit_index(), restored.last_log_index()), (5, 5));
+    }
+
+    #[test]
+    fn a_leader_keeps_what_a_follower_has_yet_to_receive() {
+        let mut nodes = elected_cluster(3);
+        propose_all(&mut nodes, 1, 2, &[]);
+        // Node 3 hears nothing of the next three proposals.
+        propose_all(&mut nodes, 1, 3, &[3]);
+        let leader = &mut nodes[0];
+        assert_eq!(leader.last_applied(), 6);
+        leader.compact_through(6);
+        assert_eq!(leader.snapshot().index, 3, "node 3's next index is 4");
+    }
+
+    #[test]
+    fn an_append_at_the_snapshot_index_is_checked_against_the_marker_term() {
+        let mut nodes = elected_cluster(2);
+        propose_all(&mut nodes, 1, 3, &[]);
+        let follower = &mut nodes[1];
+        follower.compact_through(4);
+        let marker = follower.snapshot();
+        assert_eq!(marker.index, 4);
+        let append = |prev_log_index, prev_log_term, index| Message::AppendEntries {
+            term: marker.term,
+            prev_log_index,
+            prev_log_term,
+            entries: vec![Entry {
+                term: marker.term,
+                index,
+                data: Arc::from(&b"x"[..]),
+            }],
+            leader_commit: 4,
+        };
+        let success = |effects: &[Effect]| match effects {
+            [Effect::Send {
+                message: Message::AppendEntriesResponse { success, .. },
+                ..
+            }] => *success,
+            other => panic!("unexpected effects {other:?}"),
+        };
+        let wrong_term = append(marker.index, marker.term + 1, marker.index + 1);
+        assert!(!success(&follower.step(1, wrong_term)));
+        assert_eq!(follower.last_log_index(), 4);
+        let right_term = append(marker.index, marker.term, marker.index + 1);
+        assert!(success(&follower.step(1, right_term)));
+        assert_eq!(follower.last_log_index(), 5);
+        // A replayed append from below the snapshot matches the committed
+        // prefix and changes nothing.
+        assert!(success(&follower.step(1, append(1, marker.term, 2))));
+        assert_eq!(follower.last_log_index(), 5);
+    }
+
+    #[test]
+    fn a_leader_elected_after_compaction_replicates_and_commits() {
+        let mut nodes = elected_cluster(3);
+        propose_all(&mut nodes, 1, 4, &[]);
+        for node in nodes.iter_mut() {
+            node.compact_through(5);
+            assert_eq!(node.snapshot().index, 5);
+        }
+        // Node 1 is gone; node 2 campaigns and wins with node 3's vote.
+        elect(&mut nodes, 2, &[1]);
+        propose_all(&mut nodes, 2, 1, &[1]);
+        assert_eq!(nodes[1].last_log_index(), 7, "the no-op and a payload");
+        for node in &nodes[1..] {
+            assert_eq!(node.commit_index(), 7, "node {}", node.id());
+            assert_eq!(node.last_applied(), 7, "node {}", node.id());
+        }
     }
 
     #[test]

@@ -124,6 +124,18 @@ impl Default for RaftConfig {
     }
 }
 
+/// The marker a compacted log keeps in place of its dropped prefix: the
+/// index and term of the last entry it no longer holds. Every entry up to
+/// it was committed and applied. The default marker stands before the
+/// first entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Snapshot {
+    /// Index of the last compacted entry (0: nothing is compacted).
+    pub index: Index,
+    /// Term of that entry.
+    pub term: Term,
+}
+
 /// The durable state Raft must persist across crashes (term, vote, log).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PersistentState {
@@ -131,7 +143,10 @@ pub struct PersistentState {
     pub current_term: Term,
     /// Candidate voted for in `current_term`, if any.
     pub voted_for: Option<RaftId>,
-    /// The full replicated log.
+    /// What the log compacted away.
+    pub snapshot: Snapshot,
+    /// The replicated log after the snapshot: entries `snapshot.index + 1`
+    /// onwards.
     pub log: Vec<Entry>,
 }
 

@@ -1,6 +1,9 @@
 //! Reproducibility: the simulation is a pure function of its configuration.
 
-use fabricsim::{Fault, GossipConfig, LaneStats, OrdererType, PolicySpec, SimConfig, Simulation};
+use fabricsim::{
+    Fault, GossipConfig, LaneStats, OrdererType, PolicySpec, RunResult, SimConfig, Simulation,
+    TxOutcome,
+};
 use fabricsim_integration::quick_config;
 
 #[test]
@@ -180,13 +183,9 @@ fn throughput_is_seed_stable() {
     );
 }
 
-/// Everything a run reports, rendered to the bytes the CLI would write,
-/// with every observability plane on, and what the run's lane did.
-fn artifacts(
-    cfg: &SimConfig,
-    faults: &[(f64, Fault)],
-    workers: u32,
-) -> (Vec<(&'static str, String)>, LaneStats) {
+/// `cfg` run under `faults` at `workers`, with every observability plane
+/// on.
+fn run_planes_on(cfg: &SimConfig, faults: &[(f64, Fault)], workers: u32) -> RunResult {
     let mut c = cfg.clone();
     c.sim_workers = workers;
     c.obs.trace_events = true;
@@ -197,13 +196,32 @@ fn artifacts(
         .with_faults(faults.iter().copied())
         .expect("a fault schedule this run can inject")
         .run_detailed();
-    assert!(r.chain_ok, "workers={workers}: observer chain must verify");
+    assert!(
+        r.chain_ok,
+        "workers={workers}: every peer's chain must link"
+    );
     assert!(
         r.summary.committed_valid > 0,
         "workers={workers}: run must commit"
     );
+    r
+}
+
+/// Everything a run reports, rendered to the bytes the CLI would write,
+/// with every observability plane on, and what the run's lane did.
+fn artifacts(
+    cfg: &SimConfig,
+    faults: &[(f64, Fault)],
+    workers: u32,
+) -> (Vec<(&'static str, String)>, LaneStats) {
+    let r = run_planes_on(cfg, faults, workers);
+    (rendered(&r), r.observability.lane)
+}
+
+/// `r` rendered to the bytes the CLI would write.
+fn rendered(r: &RunResult) -> Vec<(&'static str, String)> {
     let o = &r.observability;
-    let bytes = vec![
+    vec![
         ("summary", r.summary.to_json()),
         ("trace", o.events_jsonl()),
         ("spans", o.spans_jsonl()),
@@ -214,8 +232,7 @@ fn artifacts(
         ("metrics", o.metrics.as_ref().expect("sampler").to_csv()),
         ("state", format!("{:?}", r.final_state)),
         ("block cuts", format!("{:?}", r.block_cuts)),
-    ];
-    (bytes, o.lane)
+    ]
 }
 
 /// `sim_workers` only ever buys wall clock: the serialized SummaryReport
@@ -326,6 +343,74 @@ fn four_channel_runs_are_byte_identical_at_any_worker_count() {
     cfg.cooldown_secs = 1.0;
     let lanes = assert_worker_invariant("raft AND5 ch4", &cfg, &[], &workers);
     assert_lane_ran_on_four_channels("raft AND5 ch4", &lanes);
+}
+
+/// Runs `cfg` under `faults` at workers 1 and 2, long after retention has
+/// let go of thousands of blocks in every store, and holds each run to
+/// what the crashes must not change: the artifacts are byte-identical, the
+/// observer (whose OSN `faults` crash first) re-subscribes and reaches the
+/// height the ordering service cut, and every transaction it committed is
+/// in its world state once — none lost, none committed twice.
+fn assert_faults_after_retention(what: &str, cfg: &SimConfig, faults: &[(f64, Fault)]) {
+    let base = run_planes_on(cfg, faults, 1);
+    let r = run_planes_on(cfg, faults, 2);
+    for ((name, a), (_, b)) in rendered(&base).iter().zip(rendered(&r)) {
+        assert!(*a == b, "{what}: {name} differs between workers 1 and 2");
+    }
+    let cut = r.block_cuts.len() as u64;
+    assert!(cut > 400, "{what}: {cut} blocks");
+    // The blocks cut in the last moments of the run are still in flight.
+    let behind = cut - r.observer_height;
+    assert!(
+        behind < 16,
+        "{what}: the observer is {behind} blocks behind"
+    );
+    let mut valid = 0;
+    for trace in &r.traces {
+        if let TxOutcome::Committed(flag) = trace.outcome {
+            assert!(
+                flag.is_valid(),
+                "{what}: {} committed as {flag:?}",
+                trace.created
+            );
+            valid += 1;
+        }
+    }
+    // Every committed `KvPut` wrote its own key.
+    assert_eq!(
+        r.final_state.len(),
+        valid,
+        "{what}: commits lost or doubled"
+    );
+    assert!(valid > 3_000, "{what}: {valid} commits");
+}
+
+#[test]
+fn kafka_osn_and_leader_broker_crashes_after_retention_are_byte_identical() {
+    // Two transactions a block: 40 s in, the OSN logs, broker logs and peer
+    // stores have let go of about 1.8k blocks. OSN 2 serves the observer
+    // (peer 2); broker 0 leads the partition.
+    let mut cfg = quick_config(OrdererType::Kafka, PolicySpec::OrN(2), 90.0);
+    cfg.endorsing_peers = 2;
+    cfg.broker_count = 5;
+    cfg.batch.max_message_count = 2;
+    cfg.duration_secs = 60.0;
+    let faults = [(40.0, Fault::CrashOsn(2)), (45.0, Fault::CrashBroker(0))];
+    assert_faults_after_retention("kafka", &cfg, &faults);
+}
+
+#[test]
+fn raft_follower_and_leader_osn_crashes_after_retention_are_byte_identical() {
+    // Ten transactions a block on five OSNs, so that the group keeps a
+    // majority after two crashes. OSN 0 follows and serves the observer
+    // (peer 5); at seed 42 OSN 2 leads the group from the start, and the
+    // survivors elect a new leader after its crash.
+    let mut cfg = quick_config(OrdererType::Raft, PolicySpec::AndX(5), 100.0);
+    cfg.osn_count = 5;
+    cfg.batch.max_message_count = 10;
+    cfg.duration_secs = 60.0;
+    let faults = [(40.0, Fault::CrashOsn(0)), (45.0, Fault::CrashOsn(2))];
+    assert_faults_after_retention("raft", &cfg, &faults);
 }
 
 #[test]
