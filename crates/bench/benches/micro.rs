@@ -33,7 +33,7 @@ use fabricsim_types::{
 fn tx(nonce: u64) -> Transaction {
     let creator = ClientId(0);
     let mut rw = RwSet::new();
-    rw.record_write(&format!("k{nonce}"), Some(vec![1u8]));
+    rw.record_write(&format!("k{nonce}"), Some(&[1u8]));
     Transaction {
         tx_id: Proposal::derive_tx_id(creator, nonce),
         channel: ChannelId::default_channel(),
@@ -198,7 +198,7 @@ fn signed_block(policy: Policy, orgs: u32, value_bytes: usize, txs: u64) -> Sign
             let creator = ClientId(0);
             let tx_id = Proposal::derive_tx_id(creator, nonce);
             let mut rw = RwSet::new();
-            rw.record_write(&format!("k{nonce}"), Some(vec![1; value_bytes]));
+            rw.record_write(&format!("k{nonce}"), Some(&vec![1; value_bytes]));
             let resp = ProposalResponse::signed_bytes(tx_id, &rw, b"");
             let endorsements = endorsers
                 .iter()

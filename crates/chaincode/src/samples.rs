@@ -31,12 +31,12 @@ impl Chaincode for KvWrite {
                 let value = args
                     .get(2)
                     .ok_or_else(|| ChaincodeError::BadArguments("missing value".into()))?;
-                stub.put_state(key, value.clone());
+                stub.put_state(key, value);
                 Ok(Vec::new())
             }
             "get" => {
                 let key = utf8_arg(args, 1, "key")?;
-                Ok(stub.get_state(key).unwrap_or_default())
+                Ok(stub.get_state(key).map_or_else(Vec::new, |v| v.to_vec()))
             }
             "rmw" => {
                 let key = utf8_arg(args, 1, "key")?;
@@ -44,7 +44,7 @@ impl Chaincode for KvWrite {
                     .get(2)
                     .ok_or_else(|| ChaincodeError::BadArguments("missing value".into()))?;
                 let _old = stub.get_state(key); // records the read version
-                stub.put_state(key, value.clone());
+                stub.put_state(key, value);
                 Ok(Vec::new())
             }
             other => Err(ChaincodeError::UnknownFunction(other.to_string())),
@@ -100,10 +100,7 @@ impl Chaincode for AssetTransfer {
 
     fn init(&self, stub: &mut ChaincodeStub<'_>) -> Result<Vec<u8>, ChaincodeError> {
         for i in 0..self.accounts {
-            stub.put_state(
-                &Self::account_key(i),
-                self.initial_balance.to_string().into_bytes(),
-            );
+            stub.put_state(&Self::account_key(i), self.initial_balance.to_string());
         }
         Ok(Vec::new())
     }
@@ -131,8 +128,8 @@ impl Chaincode for AssetTransfer {
                         "insufficient funds: {from_bal} < {amount}"
                     )));
                 }
-                stub.put_state(&from, (from_bal - amount).to_string().into_bytes());
-                stub.put_state(&to, (to_bal + amount).to_string().into_bytes());
+                stub.put_state(&from, (from_bal - amount).to_string());
+                stub.put_state(&to, (to_bal + amount).to_string());
                 Ok(Vec::new())
             }
             "balance" => {
@@ -236,7 +233,7 @@ impl Smallbank {
     }
 
     fn write_u64(stub: &mut ChaincodeStub<'_>, key: &str, v: u64) {
-        stub.put_state(key, v.to_string().into_bytes());
+        stub.put_state(key, v.to_string());
     }
 }
 
@@ -357,7 +354,7 @@ impl<C: Chaincode> Chaincode for Nondeterministic<C> {
     ) -> Result<Vec<u8>, ChaincodeError> {
         let out = self.inner.invoke(stub, args)?;
         // The divergence: a write only this replica produces.
-        stub.put_state("$nondeterministic", self.taint.to_le_bytes().to_vec());
+        stub.put_state("$nondeterministic", self.taint.to_le_bytes());
         Ok(out)
     }
 }
@@ -420,7 +417,7 @@ mod tests {
         cc.init(&mut stub).unwrap();
         let rw = stub.into_rw_set();
         assert_eq!(rw.writes.len(), 3);
-        assert_eq!(rw.writes[0].key, "acct000000");
+        assert_eq!(&*rw.writes[0].key, "acct000000");
     }
 
     #[test]
@@ -444,12 +441,12 @@ mod tests {
         let get = |k: &str| {
             rw.writes
                 .iter()
-                .find(|w| w.key == k)
+                .find(|w| &*w.key == k)
                 .and_then(|w| w.value.clone())
                 .unwrap()
         };
-        assert_eq!(get("acct000000"), b"70");
-        assert_eq!(get("acct000001"), b"130");
+        assert_eq!(&*get("acct000000"), b"70");
+        assert_eq!(&*get("acct000001"), b"130");
     }
 
     #[test]
@@ -532,14 +529,14 @@ mod tests {
         let val = |rw: &fabricsim_types::RwSet, k: &str| {
             rw.writes
                 .iter()
-                .find(|w| w.key == k)
+                .find(|w| &*w.key == k)
                 .unwrap()
                 .value
                 .clone()
                 .unwrap()
         };
-        assert_eq!(val(&rw, &Smallbank::checking_key(0)), b"60");
-        assert_eq!(val(&rw, &Smallbank::checking_key(1)), b"140");
+        assert_eq!(&*val(&rw, &Smallbank::checking_key(0)), b"60");
+        assert_eq!(&*val(&rw, &Smallbank::checking_key(1)), b"140");
         assert_eq!(rw.reads.len(), 2);
 
         // Overdraft rejected.
@@ -557,8 +554,8 @@ mod tests {
 
         // amalgamate merges savings into checking.
         let (_, rw) = run(&sb, &state, &[b"amalgamate".to_vec(), b"2".to_vec()]).unwrap();
-        assert_eq!(val(&rw, &Smallbank::savings_key(2)), b"0");
-        assert_eq!(val(&rw, &Smallbank::checking_key(2)), b"200");
+        assert_eq!(&*val(&rw, &Smallbank::savings_key(2)), b"0");
+        assert_eq!(&*val(&rw, &Smallbank::checking_key(2)), b"200");
 
         // write_check saturates at zero (benchmark semantics).
         let (_, rw) = run(
@@ -567,7 +564,7 @@ mod tests {
             &[b"write_check".to_vec(), b"0".to_vec(), b"500".to_vec()],
         )
         .unwrap();
-        assert_eq!(val(&rw, &Smallbank::checking_key(0)), b"0");
+        assert_eq!(&*val(&rw, &Smallbank::checking_key(0)), b"0");
 
         // query is read-only.
         let (out, rw) = run(&sb, &state, &[b"query".to_vec(), b"1".to_vec()]).unwrap();
@@ -630,7 +627,7 @@ mod tests {
         assert!(rw_tainted
             .writes
             .iter()
-            .any(|w| w.key == "$nondeterministic"));
+            .any(|w| &*w.key == "$nondeterministic"));
         // Two differently tainted replicas also disagree with each other.
         let other = Nondeterministic {
             inner: KvWrite,

@@ -1,5 +1,7 @@
 //! The transaction simulator handed to running chaincode.
 
+use std::sync::Arc;
+
 use fabricsim_ledger::StateDb;
 use fabricsim_types::RwSet;
 
@@ -23,19 +25,27 @@ impl<'a> ChaincodeStub<'a> {
 
     /// Reads a key. Pending writes from this same simulation are visible
     /// (read-your-writes) and do *not* add a read record, matching Fabric's
-    /// `TxSimulator` semantics.
-    pub fn get_state(&mut self, key: &str) -> Option<Vec<u8>> {
+    /// `TxSimulator` semantics. The value, and the read's key when the key
+    /// exists, share the committed bytes.
+    pub fn get_state(&mut self, key: &str) -> Option<Arc<[u8]>> {
         if let Some(w) = self.rw_set.pending_write(key) {
             return w.value.clone();
         }
-        let committed = self.state.get(key);
-        self.rw_set.record_read(key, committed.map(|v| v.version));
-        committed.map(|v| v.value.clone())
+        match self.state.get_key_value(key) {
+            Some((stored, v)) => {
+                self.rw_set.record_read_shared(stored, Some(v.version));
+                Some(Arc::clone(&v.value))
+            }
+            None => {
+                self.rw_set.record_read(key, None);
+                None
+            }
+        }
     }
 
-    /// Buffers a write.
-    pub fn put_state(&mut self, key: &str, value: Vec<u8>) {
-        self.rw_set.record_write(key, Some(value));
+    /// Buffers a write; the rw-set allocates the value's bytes once.
+    pub fn put_state(&mut self, key: &str, value: impl AsRef<[u8]>) {
+        self.rw_set.record_write(key, Some(value.as_ref()));
     }
 
     /// Buffers a delete.
@@ -46,17 +56,13 @@ impl<'a> ChaincodeStub<'a> {
     /// Iterates committed keys in `[start, end)`, recording a read per key
     /// returned. (Real Fabric also records range metadata to catch phantom
     /// reads; per-key read records give the same conflict behaviour for the
-    /// workloads modelled here — see DESIGN.md.)
-    pub fn get_state_range(&mut self, start: &str, end: &str) -> Vec<(String, Vec<u8>)> {
-        let rows: Vec<(String, Vec<u8>, fabricsim_types::Version)> = self
-            .state
-            .range(start, end)
-            .map(|(k, v)| (k.to_string(), v.value.clone(), v.version))
-            .collect();
-        let mut out = Vec::with_capacity(rows.len());
-        for (k, value, version) in rows {
-            self.rw_set.record_read(&k, Some(version));
-            out.push((k, value));
+    /// workloads modelled here — see DESIGN.md.) Keys and values share the
+    /// committed bytes.
+    pub fn get_state_range(&mut self, start: &str, end: &str) -> Vec<(Arc<str>, Arc<[u8]>)> {
+        let mut out = Vec::new();
+        for (k, v) in self.state.range(start, end) {
+            self.rw_set.record_read_shared(k, Some(v.version));
+            out.push((Arc::clone(k), Arc::clone(&v.value)));
         }
         out
     }
@@ -80,12 +86,12 @@ impl<'a> ChaincodeStub<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fabricsim_types::Version;
+    use fabricsim_types::{KvWrite, Version};
 
     fn seeded() -> StateDb {
         let mut db = StateDb::new();
         db.seed("a", b"1".to_vec());
-        db.apply_write("b", Some(b"2".to_vec()), Version::new(3, 1));
+        db.apply_write(&KvWrite::new("b", Some(b"2")), Version::new(3, 1));
         db
     }
 
@@ -93,8 +99,8 @@ mod tests {
     fn reads_record_versions() {
         let db = seeded();
         let mut stub = ChaincodeStub::new(&db);
-        assert_eq!(stub.get_state("a"), Some(b"1".to_vec()));
-        assert_eq!(stub.get_state("b"), Some(b"2".to_vec()));
+        assert_eq!(stub.get_state("a").as_deref(), Some(&b"1"[..]));
+        assert_eq!(stub.get_state("b").as_deref(), Some(&b"2"[..]));
         assert_eq!(stub.get_state("missing"), None);
         let rw = stub.into_rw_set();
         assert_eq!(rw.reads.len(), 3);
@@ -107,8 +113,8 @@ mod tests {
     fn read_your_writes_without_read_record() {
         let db = seeded();
         let mut stub = ChaincodeStub::new(&db);
-        stub.put_state("x", b"new".to_vec());
-        assert_eq!(stub.get_state("x"), Some(b"new".to_vec()));
+        stub.put_state("x", b"new");
+        assert_eq!(stub.get_state("x").as_deref(), Some(&b"new"[..]));
         let rw = stub.into_rw_set();
         assert!(
             rw.reads.is_empty(),
@@ -132,10 +138,10 @@ mod tests {
         let db = seeded();
         {
             let mut stub = ChaincodeStub::new(&db);
-            stub.put_state("a", b"mutated".to_vec());
+            stub.put_state("a", b"mutated");
             let _ = stub.into_rw_set();
         }
-        assert_eq!(db.get("a").unwrap().value, b"1");
+        assert_eq!(&*db.get("a").unwrap().value, b"1");
     }
 
     #[test]
@@ -146,5 +152,21 @@ mod tests {
         assert_eq!(rows.len(), 2);
         assert_eq!(stub.reads_recorded(), 2);
         assert_eq!(stub.writes_buffered(), 0);
+    }
+
+    #[test]
+    fn reads_and_a_later_write_share_the_committed_bytes() {
+        let db = seeded();
+        let (key, committed) = db.get_key_value("b").unwrap();
+        let mut stub = ChaincodeStub::new(&db);
+        let value = stub.get_state("b").unwrap();
+        assert!(Arc::ptr_eq(&value, &committed.value));
+        let rows = stub.get_state_range("b", "");
+        assert!(Arc::ptr_eq(&rows[0].0, key));
+        assert!(Arc::ptr_eq(&rows[0].1, &committed.value));
+        stub.put_state("b", b"3");
+        let rw = stub.into_rw_set();
+        assert!(Arc::ptr_eq(&rw.reads[0].key, key));
+        assert!(Arc::ptr_eq(&rw.writes[0].key, key));
     }
 }

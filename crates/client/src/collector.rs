@@ -107,7 +107,7 @@ mod tests {
     fn response(tx_id: TxId, org: u32, ok: bool, value: &[u8]) -> ProposalResponse {
         let kp = KeyPair::from_seed(format!("peer{org}").as_bytes());
         let mut rw = RwSet::new();
-        rw.record_write("k", Some(value.to_vec()));
+        rw.record_write("k", Some(value));
         let bytes = ProposalResponse::signed_bytes(tx_id, &rw, b"");
         ProposalResponse {
             tx_id,

@@ -159,7 +159,7 @@ mod tests {
     ) -> ProposalResponse {
         let endorser = ca.enroll(Principal::peer(OrgId(org)), &format!("peer{org}"));
         let mut rw = RwSet::new();
-        rw.record_write("k", Some(value.to_vec()));
+        rw.record_write("k", Some(value));
         let bytes = ProposalResponse::signed_bytes(proposal.tx_id, &rw, b"");
         ProposalResponse {
             tx_id: proposal.tx_id,

@@ -13,6 +13,9 @@ mod world;
 pub use faults::Fault;
 pub use lane::LaneStats;
 
+use std::fmt::Write as _;
+use std::sync::Arc;
+
 use fabricsim_des::{Kernel, KernelProfile, ShardedKernel, ShardedRunReport, SimDuration, SimTime};
 use fabricsim_obs::{
     BottleneckReport, HealthReport, LogHistogram, MetricsRecorder, PhaseEvent, Samples, SpanEvent,
@@ -164,8 +167,10 @@ pub struct RunResult {
     /// hash.
     pub chain_ok: bool,
     /// Final world state at the observer (key → value), for application-level
-    /// assertions such as balance conservation.
-    pub final_state: Vec<(String, Vec<u8>)>,
+    /// assertions such as balance conservation. A one-channel run shares
+    /// the observer's key and value bytes; with several channels each key
+    /// is prefixed `ch<i>/`.
+    pub final_state: Vec<(Arc<str>, Arc<[u8]>)>,
     /// Station utilizations over the run.
     pub utilization: UtilizationReport,
     /// Structured tracing, time-series and bottleneck attribution.
@@ -327,6 +332,7 @@ impl Simulation {
         // run moves its data and never holds a second copy.
         let multi = n_shards > 1;
         let mut final_state = Vec::new();
+        let mut prefixed = String::new();
         let mut observer_height = 0u64;
         let mut chain_ok = true;
         let mut block_cuts: Vec<(SimTime, usize)> = Vec::new();
@@ -345,7 +351,13 @@ impl Simulation {
             let ledger = w.peers.swap_remove(w.observer).peer.into_ledger();
             observer_height += ledger.height();
             for (key, v) in ledger.into_state().into_entries() {
-                let key = if multi { format!("ch{s}/{key}") } else { key };
+                let key = if multi {
+                    prefixed.clear();
+                    let _ = write!(prefixed, "ch{s}/{key}");
+                    Arc::from(prefixed.as_str())
+                } else {
+                    key
+                };
                 final_state.push((key, v.value));
             }
             fold_into(&mut block_cuts, w.block_cuts);

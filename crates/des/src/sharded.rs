@@ -42,7 +42,7 @@
 //! decides what that time is spent on. The hook cannot reach any shard, so
 //! it cannot change a result.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::kernel::{Kernel, KernelStats, Model};
@@ -116,10 +116,30 @@ struct Shard<W: ShardWorld> {
 /// idle hook, and only when the hook has nothing to do busy-waits briefly,
 /// then yields. Never sleeps — window rounds are far too frequent (one per
 /// lookahead interval of virtual time) for parked-thread wakeup latency.
+///
+/// A party that panics never arrives. Its worker marks the barrier broken on
+/// the way out ([`BreakOnPanic`]), and every waiter then panics with
+/// [`BarrierBroken`] instead of spinning forever.
 struct SpinBarrier {
     parties: usize,
     arrived: AtomicU64,
     generation: AtomicU64,
+    broken: AtomicBool,
+}
+
+/// The panic payload of a worker released from a broken barrier. The run
+/// re-raises the panic that broke it, not this one.
+struct BarrierBroken;
+
+/// Marks the barrier broken when the worker holding it unwinds.
+struct BreakOnPanic<'a>(&'a SpinBarrier);
+
+impl Drop for BreakOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.broken.store(true, Ordering::Release);
+        }
+    }
 }
 
 impl SpinBarrier {
@@ -128,12 +148,16 @@ impl SpinBarrier {
             parties,
             arrived: AtomicU64::new(0),
             generation: AtomicU64::new(0),
+            broken: AtomicBool::new(false),
         }
     }
 
     /// Waits until every party has arrived, calling `idle` while the cohort
     /// is incomplete. `idle` returns whether it did some work; it is never
     /// called when this is the last arrival or the only party.
+    ///
+    /// # Panics
+    /// Panics with [`BarrierBroken`] once another party has panicked.
     fn wait(&self, idle: &dyn Fn() -> bool) {
         if self.parties == 1 {
             return;
@@ -147,6 +171,11 @@ impl SpinBarrier {
         }
         let mut spins = 0u32;
         while self.generation.load(Ordering::Acquire) == gen {
+            if self.broken.load(Ordering::Acquire) {
+                // Unwinds without the panic hook: the panic that broke the
+                // barrier has already been reported.
+                std::panic::resume_unwind(Box::new(BarrierBroken));
+            }
             if idle() {
                 continue;
             }
@@ -302,7 +331,8 @@ impl<W: ShardWorld> ShardedKernel<W> {
     /// # Panics
     /// Panics if `workers == 0`, or if a shard emits a message violating the
     /// lookahead contract (delivery before the shard's published emission
-    /// floor plus the lookahead).
+    /// floor plus the lookahead). A panic in one worker's shards stops the
+    /// other workers at their next barrier, and the run re-raises it.
     pub fn run(&mut self, workers: usize, idle: &(dyn Fn() -> bool + Sync)) -> ShardedRunReport {
         assert!(workers > 0, "sharded run needs at least one worker");
         let n = self.shards.len();
@@ -335,6 +365,7 @@ impl<W: ShardWorld> ShardedKernel<W> {
         // barriers of a round.
         let chunk = n.div_ceil(workers);
         let worker_loop = |chunk_start: usize, my: &mut [Shard<W>]| {
+            let _guard = BreakOnPanic(&barrier);
             loop {
                 // Phase A: deliver last window's inbound messages in
                 // canonical order, then publish each shard's next event time.
@@ -454,11 +485,20 @@ impl<W: ShardWorld> ShardedKernel<W> {
                 start += take;
                 rest = tail;
             }
-            std::thread::scope(|scope| {
-                for (chunk_start, my) in chunks {
-                    scope.spawn(move || worker_loop(chunk_start, my));
-                }
+            let joined: Vec<_> = std::thread::scope(|scope| {
+                let workers: Vec<_> = chunks
+                    .into_iter()
+                    .map(|(chunk_start, my)| scope.spawn(move || worker_loop(chunk_start, my)))
+                    .collect();
+                workers.into_iter().map(|w| w.join()).collect()
             });
+            // Re-raise the panic that broke the barrier, not the panics of
+            // the workers it released.
+            let mut panics: Vec<_> = joined.into_iter().filter_map(Result::err).collect();
+            panics.sort_by_key(|p| p.is::<BarrierBroken>());
+            if let Some(first) = panics.into_iter().next() {
+                std::panic::resume_unwind(first);
+            }
         }
 
         let mut stats = KernelStats::default();
@@ -511,6 +551,8 @@ mod tests {
         Local(&'static str),
         /// Records a tick and re-arms `every` later.
         Tick { every: SimDuration },
+        /// A handler bug: panics.
+        Boom,
     }
 
     impl Model for Node {
@@ -538,6 +580,7 @@ mod tests {
                     self.received.push((now.as_nanos(), "tick".into()));
                     k.schedule_in(every, Ev::Tick { every });
                 }
+                Ev::Boom => panic!("shard {} failed at {now}", self.id),
             }
         }
 
@@ -547,6 +590,7 @@ mod tests {
                 Ev::Send { .. } => "send",
                 Ev::Local(_) => "local",
                 Ev::Tick { .. } => "tick",
+                Ev::Boom => "boom",
             }
         }
     }
@@ -692,6 +736,35 @@ mod tests {
             send(1, SimDuration::from_micros(100), &["bad"]),
         );
         sk.run(1, &|| false);
+    }
+
+    /// One worker's handler panics while the other worker ticks on: the
+    /// other stops at its next barrier and the run re-raises the first
+    /// panic. A watchdog turns a hang into a failure.
+    #[test]
+    fn a_panicking_worker_ends_the_run_with_its_panic_and_nothing_hangs() {
+        let (done, outcome) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let result = std::panic::catch_unwind(|| {
+                let mut sk = two_nodes();
+                sk.set_horizon(SimTime::from_secs_f64(1.0));
+                let every = SimDuration::from_micros(250);
+                for s in &mut sk.shards {
+                    s.kernel.schedule(SimTime::ZERO, Ev::Tick { every });
+                }
+                sk.shards[0]
+                    .kernel
+                    .schedule(SimTime::from_secs_f64(0.010), Ev::Boom);
+                sk.run(2, &|| false);
+            });
+            let message = result.err().and_then(|p| p.downcast::<String>().ok());
+            let _ = done.send(message.map(|m| *m));
+        });
+        let message = outcome
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("the run returned instead of hanging");
+        let message = message.expect("the run panicked with the handler's message");
+        assert!(message.starts_with("shard 0 failed at"), "{message}");
     }
 
     #[test]

@@ -203,7 +203,7 @@ impl Ledger {
             if block.metadata.flags[i].is_valid() {
                 let version = Version::new(block.header.number, i as u32);
                 for w in &tx.rw_set.writes {
-                    self.state.apply_write(&w.key, w.value.clone(), version);
+                    self.state.apply_write(w, version);
                 }
             }
         }
@@ -227,7 +227,7 @@ mod tests {
             rw.record_read(k, *v);
         }
         for (k, v) in writes {
-            rw.record_write(k, Some(v.to_vec()));
+            rw.record_write(k, Some(v));
         }
         Transaction {
             tx_id: Proposal::derive_tx_id(creator, nonce),
@@ -262,7 +262,7 @@ mod tests {
         let b = block(&l, vec![tx(1, &[("a", b"1")], &[])]);
         let flags = admit_and_commit(&mut l, b, &[None]).unwrap();
         assert_eq!(flags, vec![ValidationCode::Valid]);
-        assert_eq!(l.state().get("a").unwrap().value, b"1");
+        assert_eq!(&*l.state().get("a").unwrap().value, b"1");
         assert_eq!(l.height(), 1);
     }
 
@@ -290,7 +290,7 @@ mod tests {
         let replay = block(&l, vec![tx(1, &[("a", b"2")], &[])]);
         let flags = admit_and_commit(&mut l, replay, &[None]).unwrap();
         assert_eq!(flags, vec![ValidationCode::DuplicateTxId]);
-        assert_eq!(l.state().get("a").unwrap().value, b"1");
+        assert_eq!(&*l.state().get("a").unwrap().value, b"1");
         assert_eq!(l.height(), 2);
     }
 
@@ -364,7 +364,7 @@ mod tests {
         };
         vec![
             alter(&|t| t.payload = b"evil".to_vec()),
-            alter(&|t| t.rw_set.record_write("a", Some(b"evil".to_vec()))),
+            alter(&|t| t.rw_set.record_write("a", Some(b"evil"))),
             alter(&|t| t.endorsements[0].signature.s ^= 1),
             alter(&|t| t.creator = ClientId(9)),
         ]
@@ -497,7 +497,7 @@ mod tests {
         for b in l.blocks().iter() {
             for (i, (tx, flag)) in b.transactions.iter().zip(&b.metadata.flags).enumerate() {
                 let version = Version::new(b.header.number, i as u32);
-                let writes = tx.rw_set.writes.iter().filter(|w| w.key == key);
+                let writes = tx.rw_set.writes.iter().filter(|w| &*w.key == key);
                 if flag.is_valid() {
                     out.extend(writes.map(|w| (tx.tx_id, version, w.is_delete())));
                 }

@@ -50,7 +50,7 @@ pub fn validate_block(
 
         let conflict = tx.rw_set.reads.iter().any(|r| {
             let current = intra_block
-                .get(r.key.as_str())
+                .get(&*r.key)
                 .copied()
                 .or_else(|| state.version_of(&r.key));
             current != r.version
@@ -63,7 +63,7 @@ pub fn validate_block(
         // Valid: expose its writes to later transactions in this block.
         let version = Version::new(block.header.number, i as u32);
         for w in &tx.rw_set.writes {
-            intra_block.insert(w.key.as_str(), version);
+            intra_block.insert(&w.key, version);
         }
         seen_txids.insert(tx.tx_id);
         flags.push(ValidationCode::Valid);
@@ -75,7 +75,7 @@ pub fn validate_block(
 mod tests {
     use super::*;
     use fabricsim_crypto::{Hash256, KeyPair};
-    use fabricsim_types::{ChannelId, ClientId, Proposal, RwSet, Transaction};
+    use fabricsim_types::{ChannelId, ClientId, KvWrite, Proposal, RwSet, Transaction};
 
     fn tx(nonce: u64, reads: &[(&str, Option<Version>)], writes: &[&str]) -> Transaction {
         let mut rw = RwSet::new();
@@ -83,7 +83,7 @@ mod tests {
             rw.record_read(k, *v);
         }
         for k in writes {
-            rw.record_write(k, Some(b"v".to_vec()));
+            rw.record_write(k, Some(b"v"));
         }
         Transaction {
             tx_id: Proposal::derive_tx_id(ClientId(0), nonce),
@@ -117,7 +117,7 @@ mod tests {
     #[test]
     fn stale_version_conflicts() {
         let mut state = StateDb::new();
-        state.apply_write("k", Some(b"v".to_vec()), Version::new(3, 0));
+        state.apply_write(&KvWrite::new("k", Some(b"v")), Version::new(3, 0));
         let store = BlockStore::new();
         // The tx observed version (1,0) but committed is (3,0).
         let b = block_of(vec![tx(1, &[("k", Some(Version::new(1, 0)))], &[])], 4);
@@ -209,7 +209,7 @@ mod tests {
             b.metadata.flags = vec![ValidationCode::Valid];
             b
         };
-        state.apply_write("k", Some(b"new".to_vec()), Version::new(0, 0));
+        state.apply_write(&KvWrite::new("k", Some(b"new")), Version::new(0, 0));
         store.append(b0).unwrap();
         // A stale endorsement still carrying the GENESIS read must conflict.
         let b1 = Block::assemble(

@@ -2,14 +2,16 @@
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
+use std::sync::Arc;
 
-use fabricsim_types::Version;
+use fabricsim_types::{KvWrite, Version};
 
 /// A committed value with the version of its writing transaction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VersionedValue {
-    /// The stored bytes.
-    pub value: Vec<u8>,
+    /// The stored bytes: a committed write's own value, shared with the
+    /// block that carried it and with every other peer that applied it.
+    pub value: Arc<[u8]>,
     /// Coordinates of the writing transaction.
     pub version: Version,
 }
@@ -17,9 +19,15 @@ pub struct VersionedValue {
 /// The world state database. Keys are strings (as in Fabric's LevelDB default)
 /// and iteration order is lexicographic, which makes range queries and the
 /// simulation deterministic.
+///
+/// The database copies no committed key or value: a committed write's key
+/// and value are reference counts on the bytes its rw-set allocated
+/// ([`KvWrite`]), so every peer that commits the same block holds the same
+/// bytes. Only bootstrap seeds ([`StateDb::seed`]) are allocated here. Each
+/// peer still keeps its own map and versions.
 #[derive(Debug, Clone, Default)]
 pub struct StateDb {
-    map: BTreeMap<String, VersionedValue>,
+    map: BTreeMap<Arc<str>, VersionedValue>,
     writes_applied: u64,
 }
 
@@ -34,36 +42,42 @@ impl StateDb {
         self.map.get(key)
     }
 
+    /// Looks up a key, with the stored key's shared bytes.
+    pub fn get_key_value(&self, key: &str) -> Option<(&Arc<str>, &VersionedValue)> {
+        self.map.get_key_value(key)
+    }
+
     /// The committed version of a key, `None` if absent.
     pub fn version_of(&self, key: &str) -> Option<Version> {
         self.map.get(key).map(|v| v.version)
     }
 
-    /// Applies one write (a `None` value deletes the key). Called only by the
-    /// ledger commit path for *valid* transactions.
-    pub fn apply_write(&mut self, key: &str, value: Option<Vec<u8>>, version: Version) {
+    /// Applies one write (a `None` value deletes the key), sharing its key
+    /// and value bytes. Called only by the ledger commit path for *valid*
+    /// transactions.
+    pub fn apply_write(&mut self, write: &KvWrite, version: Version) {
         self.writes_applied += 1;
-        match value {
-            // An overwrite keeps the stored key rather than copying it again.
-            Some(value) => match self.map.get_mut(key) {
-                Some(slot) => *slot = VersionedValue { value, version },
-                None => {
-                    self.map
-                        .insert(key.to_string(), VersionedValue { value, version });
-                }
-            },
+        match &write.value {
+            Some(value) => {
+                let value = VersionedValue {
+                    value: Arc::clone(value),
+                    version,
+                };
+                // `BTreeMap::insert` keeps the stored key on an overwrite.
+                self.map.insert(Arc::clone(&write.key), value);
+            }
             None => {
-                self.map.remove(key);
+                self.map.remove(&*write.key);
             }
         }
     }
 
     /// Seeds a key at the genesis version (bootstrap state before any blocks).
-    pub fn seed(&mut self, key: &str, value: Vec<u8>) {
+    pub fn seed(&mut self, key: &str, value: impl Into<Arc<[u8]>>) {
         self.map.insert(
-            key.to_string(),
+            key.into(),
             VersionedValue {
-                value,
+                value: value.into(),
                 version: Version::GENESIS,
             },
         );
@@ -76,7 +90,7 @@ impl StateDb {
         &'a self,
         start: &str,
         end: &str,
-    ) -> impl Iterator<Item = (&'a str, &'a VersionedValue)> + 'a {
+    ) -> impl Iterator<Item = (&'a Arc<str>, &'a VersionedValue)> + 'a {
         let bounds: (Bound<&str>, Bound<&str>) = if end.is_empty() {
             (Bound::Included(start), Bound::Unbounded)
         } else {
@@ -84,13 +98,11 @@ impl StateDb {
             // is the empty one.
             (Bound::Included(start), Bound::Excluded(end.max(start)))
         };
-        self.map
-            .range::<str, _>(bounds)
-            .map(|(k, v)| (k.as_str(), v))
+        self.map.range::<str, _>(bounds)
     }
 
     /// Every live key and its value, moved out in lexicographic order.
-    pub fn into_entries(self) -> impl Iterator<Item = (String, VersionedValue)> {
+    pub fn into_entries(self) -> impl Iterator<Item = (Arc<str>, VersionedValue)> {
         self.map.into_iter()
     }
 
@@ -118,10 +130,10 @@ mod tests {
     fn get_put_delete() {
         let mut db = StateDb::new();
         assert!(db.get("k").is_none());
-        db.apply_write("k", Some(b"v".to_vec()), Version::new(1, 0));
-        assert_eq!(db.get("k").unwrap().value, b"v");
+        db.apply_write(&KvWrite::new("k", Some(b"v")), Version::new(1, 0));
+        assert_eq!(&*db.get("k").unwrap().value, b"v");
         assert_eq!(db.version_of("k"), Some(Version::new(1, 0)));
-        db.apply_write("k", None, Version::new(2, 0));
+        db.apply_write(&KvWrite::new("k", None), Version::new(2, 0));
         assert!(db.get("k").is_none());
         assert_eq!(db.writes_applied(), 2);
     }
@@ -130,20 +142,32 @@ mod tests {
     fn entries_move_out_in_range_order() {
         let mut db = StateDb::new();
         for k in ["b", "a", "c"] {
-            db.apply_write(k, Some(k.as_bytes().to_vec()), Version::new(1, 0));
+            db.apply_write(&KvWrite::new(k, Some(k.as_bytes())), Version::new(1, 0));
         }
-        let ranged: Vec<(String, VersionedValue)> = db
+        let ranged: Vec<(Arc<str>, VersionedValue)> = db
             .range("", "")
-            .map(|(k, v)| (k.to_string(), v.clone()))
+            .map(|(k, v)| (Arc::clone(k), v.clone()))
             .collect();
         assert_eq!(db.into_entries().collect::<Vec<_>>(), ranged);
     }
 
     #[test]
+    fn writes_share_their_bytes_and_an_overwrite_keeps_the_stored_key() {
+        let mut db = StateDb::new();
+        let first = KvWrite::new("k", Some(b"a"));
+        let second = KvWrite::new("k", Some(b"b"));
+        db.apply_write(&first, Version::new(1, 0));
+        db.apply_write(&second, Version::new(2, 0));
+        let (key, stored) = db.get_key_value("k").unwrap();
+        assert!(Arc::ptr_eq(key, &first.key));
+        assert!(Arc::ptr_eq(&stored.value, second.value.as_ref().unwrap()));
+    }
+
+    #[test]
     fn versions_track_writers() {
         let mut db = StateDb::new();
-        db.apply_write("k", Some(b"a".to_vec()), Version::new(1, 3));
-        db.apply_write("k", Some(b"b".to_vec()), Version::new(5, 0));
+        db.apply_write(&KvWrite::new("k", Some(b"a")), Version::new(1, 3));
+        db.apply_write(&KvWrite::new("k", Some(b"b")), Version::new(5, 0));
         assert_eq!(db.version_of("k"), Some(Version::new(5, 0)));
     }
 
@@ -160,9 +184,9 @@ mod tests {
         for k in ["a", "b", "c", "d"] {
             db.seed(k, k.as_bytes().to_vec());
         }
-        let got: Vec<&str> = db.range("b", "d").map(|(k, _)| k).collect();
+        let got: Vec<&str> = db.range("b", "d").map(|(k, _)| &**k).collect();
         assert_eq!(got, vec!["b", "c"]);
-        let all: Vec<&str> = db.range("b", "").map(|(k, _)| k).collect();
+        let all: Vec<&str> = db.range("b", "").map(|(k, _)| &**k).collect();
         assert_eq!(all, vec!["b", "c", "d"]);
         assert_eq!(db.len(), 4);
         assert!(!db.is_empty());

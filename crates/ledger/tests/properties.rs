@@ -2,6 +2,7 @@
 //! transactions, and the chain stays verifiable under arbitrary block shapes.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use fabricsim_crypto::{Hash256, KeyPair};
 use fabricsim_des::rng::cases;
@@ -15,7 +16,7 @@ use fabricsim_types::{
 fn rmw_tx(nonce: u64, key: &str, value: u8, observed: &BTreeMap<String, Version>) -> Transaction {
     let mut rw = RwSet::new();
     rw.record_read(key, observed.get(key).copied());
-    rw.record_write(key, Some(vec![value]));
+    rw.record_write(key, Some(&[value]));
     Transaction {
         tx_id: Proposal::derive_tx_id(ClientId(0), nonce),
         channel: ChannelId::default_channel(),
@@ -83,7 +84,7 @@ fn committed_state_equals_serial_replay_of_valid_txs() {
         }
 
         // Serial replay of VALID transactions only.
-        let mut model: BTreeMap<String, Vec<u8>> = BTreeMap::new();
+        let mut model: BTreeMap<Arc<str>, Arc<[u8]>> = BTreeMap::new();
         for block in ledger.blocks().iter() {
             for (i, tx) in block.transactions.iter().enumerate() {
                 if block.metadata.flags[i] == ValidationCode::Valid {
@@ -103,7 +104,7 @@ fn committed_state_equals_serial_replay_of_valid_txs() {
         // Fundamental MVCC guarantee: within the accepted (VALID) sequence,
         // every read observed the version of the immediately preceding
         // accepted write of that key.
-        let mut last_writer: BTreeMap<String, Version> = BTreeMap::new();
+        let mut last_writer: BTreeMap<Arc<str>, Version> = BTreeMap::new();
         for block in ledger.blocks().iter() {
             for (i, tx) in block.transactions.iter().enumerate() {
                 if block.metadata.flags[i] != ValidationCode::Valid {

@@ -225,7 +225,7 @@ mod tests {
         let mut tx = endorsed_tx(&f, &[0]);
         // The endorser signed the original rw-set; mutate it and re-sign the
         // envelope only.
-        tx.rw_set.record_write("other", Some(vec![9]));
+        tx.rw_set.record_write("other", Some(&[9]));
         tx.signature = f.client.sign(&tx.signed_bytes());
         assert_eq!(verdict(&f, &tx), Some(ValidationCode::BadEndorserSignature));
     }

@@ -103,9 +103,7 @@ impl Peer {
             chaincode
                 .init(&mut stub)
                 .expect("chaincode init must succeed at deployment");
-            let rw = stub.into_rw_set();
-            let writes: Vec<_> = rw.writes.into_iter().collect();
-            for w in writes {
+            for w in stub.into_rw_set().writes {
                 self.seed_state(&w.key, w.value.unwrap_or_default());
             }
         }
@@ -113,7 +111,7 @@ impl Peer {
     }
 
     /// Seeds a genesis key (version 0) in the world state.
-    pub fn seed_state(&mut self, key: &str, value: Vec<u8>) {
+    pub fn seed_state(&mut self, key: &str, value: impl Into<Arc<[u8]>>) {
         // Route through the ledger's state db at the genesis version.
         self.ledger_state_mut().seed(key, value);
     }
@@ -550,6 +548,25 @@ mod tests {
         }
     }
 
+    /// Two peers that commit one shared block hold its write's own key and
+    /// value bytes, not copies of them.
+    #[test]
+    fn peers_that_commit_one_block_share_its_key_and_value_bytes() {
+        let f = fixture(Policy::or_of_orgs(1), 1);
+        let (mut a, mut b) = (committer(&f, 1), committer(&f, 1));
+        let block = Arc::new(next_block(&a, vec![endorsed_tx(&f, 1, &[0])]));
+        for peer in [&mut a, &mut b] {
+            let flags = peer.validate_and_commit(Arc::unwrap_or_clone(Arc::clone(&block)));
+            assert_eq!(flags.unwrap(), [ValidationCode::Valid]);
+        }
+        let write = &block.transactions[0].rw_set.writes[0];
+        let value = write.value.as_ref().unwrap();
+        let (ka, va) = a.ledger().state().get_key_value("k").unwrap();
+        let (kb, vb) = b.ledger().state().get_key_value("k").unwrap();
+        assert!(Arc::ptr_eq(ka, &write.key) && Arc::ptr_eq(kb, &write.key));
+        assert!(Arc::ptr_eq(&va.value, value) && Arc::ptr_eq(&vb.value, value));
+    }
+
     #[test]
     fn the_stateful_half_reports_chain_errors_in_the_fused_order() {
         let f = fixture(Policy::or_of_orgs(1), 1);
@@ -655,7 +672,7 @@ mod tests {
                 &peer,
                 vec![endorsed_tx(&f, 2, &[0]), endorsed_tx(&f, 3, &[0])],
             );
-            let altered = rebuilt(&good, |t| t[1].rw_set.record_write("evil", Some(vec![9])));
+            let altered = rebuilt(&good, |t| t[1].rw_set.record_write("evil", Some(&[9])));
             let repaid = rebuilt(&good, |t| t[0].payload = b"evil".to_vec());
             let reendorsed = rebuilt(&good, |t| t[1].endorsements[0].signature.e ^= 1);
             let recreated = rebuilt(&good, |t| t[0].creator = ClientId(7));

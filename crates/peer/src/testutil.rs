@@ -60,7 +60,7 @@ pub(crate) fn fixture(policy: Policy, n_endorsers: u32) -> Fixture {
 /// fixture endorsers at `endorser_indices`.
 pub(crate) fn endorsed_tx(f: &Fixture, nonce: u64, endorser_indices: &[usize]) -> Transaction {
     let mut rw = RwSet::new();
-    rw.record_write("k", Some(vec![1]));
+    rw.record_write("k", Some(&[1]));
     signed_tx(f, nonce, endorser_indices, rw)
 }
 
@@ -70,7 +70,7 @@ pub(crate) fn endorsed_tx(f: &Fixture, nonce: u64, endorser_indices: &[usize]) -
 pub(crate) fn stale_read_tx(f: &Fixture, nonce: u64) -> Transaction {
     let mut rw = RwSet::new();
     rw.record_read("k", None);
-    rw.record_write("k", Some(vec![2]));
+    rw.record_write("k", Some(&[2]));
     let all: Vec<usize> = (0..f.endorsers.len()).collect();
     signed_tx(f, nonce, &all, rw)
 }

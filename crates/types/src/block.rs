@@ -271,7 +271,7 @@ mod tests {
         let creator = ClientId(0);
         let tx_id = Proposal::derive_tx_id(creator, n);
         let mut rw = RwSet::new();
-        rw.record_write(&format!("k{n}"), Some(vec![n as u8]));
+        rw.record_write(&format!("k{n}"), Some(&[n as u8]));
         Transaction {
             tx_id,
             channel: ChannelId::default_channel(),
@@ -319,7 +319,7 @@ mod tests {
             Hash256::ZERO,
             vec![tx(0), tx(1)],
         );
-        let b = rebuilt(&b, |t| t[0].rw_set.record_write("evil", Some(vec![9])));
+        let b = rebuilt(&b, |t| t[0].rw_set.record_write("evil", Some(&[9])));
         assert!(!b.data_hash_is_consistent());
     }
 
@@ -384,7 +384,7 @@ mod tests {
             vec![tx(0), tx(1)],
         );
         let altered = rebuilt(&good, |t| t[1].payload = b"evil".to_vec());
-        let rewritten = rebuilt(&good, |t| t[0].rw_set.record_write("evil", Some(vec![9])));
+        let rewritten = rebuilt(&good, |t| t[0].rw_set.record_write("evil", Some(&[9])));
         let reendorsed = rebuilt(&good, |t| t[0].endorsements[0].signature.e ^= 1);
         let recreated = rebuilt(&good, |t| t[1].creator = ClientId(7));
         let dropped = rebuilt(&good, |t| drop(t.pop()));

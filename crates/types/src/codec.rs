@@ -113,6 +113,14 @@ impl<'a> Reader<'a> {
     fn str(&mut self) -> Result<String, DecodeError> {
         Ok(self.text()?.to_owned())
     }
+    /// A UTF-8 field as shared bytes: an rw-set key, allocated once here.
+    fn shared_str(&mut self) -> Result<Arc<str>, DecodeError> {
+        Ok(self.text()?.into())
+    }
+    /// A length-prefixed field as shared bytes: an rw-set value.
+    fn shared_bytes(&mut self) -> Result<Arc<[u8]>, DecodeError> {
+        Ok(self.slice()?.into())
+    }
     fn hash(&mut self) -> Result<Hash256, DecodeError> {
         Ok(Hash256::from_bytes(self.array()?))
     }
@@ -149,7 +157,7 @@ fn read_rwset(r: &mut Reader<'_>) -> Result<RwSet, DecodeError> {
     let mut rw = RwSet::new();
     let n_reads = r.u32()?;
     for _ in 0..n_reads {
-        let key = r.str()?;
+        let key = r.shared_str()?;
         let version = match r.u8()? {
             1 => Some(Version::new(r.u64()?, r.u32()?)),
             0 => None,
@@ -159,9 +167,9 @@ fn read_rwset(r: &mut Reader<'_>) -> Result<RwSet, DecodeError> {
     }
     let n_writes = r.u32()?;
     for _ in 0..n_writes {
-        let key = r.str()?;
+        let key = r.shared_str()?;
         let value = match r.u8()? {
-            1 => Some(r.bytes()?),
+            1 => Some(r.shared_bytes()?),
             0 => None,
             t => return Err(DecodeError(format!("bad write tag {t}"))),
         };
@@ -379,7 +387,7 @@ mod tests {
         let mut rw = RwSet::new();
         rw.record_read("r1", Some(Version::new(4, 2)));
         rw.record_read("r2", None);
-        rw.record_write("w1", Some(vec![1, 2, 3]));
+        rw.record_write("w1", Some(&[1, 2, 3]));
         rw.record_write("w2", None);
         let resp = crate::proposal::ProposalResponse::signed_bytes(tx_id, &rw, b"pay");
         Transaction {

@@ -174,9 +174,9 @@ mod tests {
     fn response_signed_bytes_bind_rwset() {
         let tx = Proposal::derive_tx_id(ClientId(1), 1);
         let mut rw1 = RwSet::new();
-        rw1.record_write("k", Some(b"1".to_vec()));
+        rw1.record_write("k", Some(b"1"));
         let mut rw2 = RwSet::new();
-        rw2.record_write("k", Some(b"2".to_vec()));
+        rw2.record_write("k", Some(b"2"));
         assert_ne!(
             ProposalResponse::signed_bytes(tx, &rw1, b""),
             ProposalResponse::signed_bytes(tx, &rw2, b"")

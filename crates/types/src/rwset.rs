@@ -5,6 +5,14 @@
 //! to be written with their new values). The committer later re-checks every
 //! read version against current state — Fabric's multi-version concurrency
 //! control (MVCC) — and invalidates transactions whose reads went stale.
+//!
+//! Keys and values are shared immutable bytes (`Arc<str>`, `Arc<[u8]>`),
+//! allocated once where they are produced: by [`RwSet::record_read`] and
+//! [`RwSet::record_write`] during simulation, or by the codec's decoder.
+//! Every later holder — the transaction inside a shared block, MVCC, each
+//! peer's world state — takes a reference count, not a copy.
+
+use std::sync::Arc;
 
 use crate::encode::Encoder;
 
@@ -40,22 +48,34 @@ impl Version {
 /// (`None` when the key did not exist).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct KvRead {
-    /// The state key.
-    pub key: String,
+    /// The state key: the committed key's own bytes when the key existed.
+    pub key: Arc<str>,
     /// Observed version; `None` if the key was absent.
     pub version: Option<Version>,
 }
 
 /// A single key write (a delete is a write of `None`).
+///
+/// The key and value bytes are shared, never copied, by everything that
+/// holds the write after it is made: the transaction, every peer's MVCC
+/// check and every peer's world state.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct KvWrite {
     /// The state key.
-    pub key: String,
+    pub key: Arc<str>,
     /// New value; `None` deletes the key.
-    pub value: Option<Vec<u8>>,
+    pub value: Option<Arc<[u8]>>,
 }
 
 impl KvWrite {
+    /// A write of `value` (`None` deletes) to `key`, allocating both.
+    pub fn new(key: &str, value: Option<&[u8]>) -> Self {
+        KvWrite {
+            key: key.into(),
+            value: value.map(Arc::from),
+        }
+    }
+
     /// True when this write deletes the key.
     pub fn is_delete(&self) -> bool {
         self.value.is_none()
@@ -78,31 +98,51 @@ impl RwSet {
     }
 
     /// Records a read; repeated reads of the same key keep the first
-    /// observation (as Fabric's tx simulator does).
+    /// observation (as Fabric's tx simulator does). The key is allocated
+    /// here, once.
     pub fn record_read(&mut self, key: &str, version: Option<Version>) {
-        if !self.reads.iter().any(|r| r.key == key) {
+        if !self.has_read(key) {
             self.reads.push(KvRead {
-                key: key.to_string(),
+                key: key.into(),
                 version,
             });
         }
     }
 
-    /// Records a write; a later write to the same key replaces the earlier one.
-    pub fn record_write(&mut self, key: &str, value: Option<Vec<u8>>) {
-        if let Some(w) = self.writes.iter_mut().find(|w| w.key == key) {
-            w.value = value;
-        } else {
-            self.writes.push(KvWrite {
-                key: key.to_string(),
-                value,
+    /// [`RwSet::record_read`] of a key whose bytes already exist (a key of
+    /// committed state): the read shares them.
+    pub fn record_read_shared(&mut self, key: &Arc<str>, version: Option<Version>) {
+        if !self.has_read(key) {
+            self.reads.push(KvRead {
+                key: Arc::clone(key),
+                version,
             });
         }
     }
 
+    fn has_read(&self, key: &str) -> bool {
+        self.reads.iter().any(|r| &*r.key == key)
+    }
+
+    /// Records a write; a later write to the same key replaces the earlier
+    /// one. The value is allocated here, once; the key too, unless this set
+    /// already holds it from a read or an earlier write.
+    pub fn record_write(&mut self, key: &str, value: Option<&[u8]>) {
+        let value = value.map(Arc::from);
+        if let Some(w) = self.writes.iter_mut().find(|w| &*w.key == key) {
+            w.value = value;
+            return;
+        }
+        let key = match self.reads.iter().find(|r| &*r.key == key) {
+            Some(read) => Arc::clone(&read.key),
+            None => key.into(),
+        };
+        self.writes.push(KvWrite { key, value });
+    }
+
     /// Looks up a pending write for `key` (read-your-writes support).
     pub fn pending_write(&self, key: &str) -> Option<&KvWrite> {
-        self.writes.iter().find(|w| w.key == key)
+        self.writes.iter().find(|w| &*w.key == key)
     }
 
     /// Total bytes of written values (drives transaction wire size).
@@ -156,10 +196,10 @@ mod tests {
     #[test]
     fn writes_last_wins() {
         let mut rw = RwSet::new();
-        rw.record_write("k", Some(b"a".to_vec()));
-        rw.record_write("k", Some(b"b".to_vec()));
+        rw.record_write("k", Some(b"a"));
+        rw.record_write("k", Some(b"b"));
         assert_eq!(rw.writes.len(), 1);
-        assert_eq!(rw.writes[0].value, Some(b"b".to_vec()));
+        assert_eq!(rw.writes[0].value.as_deref(), Some(&b"b"[..]));
         rw.record_write("k", None);
         assert!(rw.writes[0].is_delete());
     }
@@ -168,16 +208,30 @@ mod tests {
     fn pending_write_lookup() {
         let mut rw = RwSet::new();
         assert!(rw.pending_write("k").is_none());
-        rw.record_write("k", Some(b"v".to_vec()));
-        assert_eq!(rw.pending_write("k").unwrap().value, Some(b"v".to_vec()));
+        rw.record_write("k", Some(b"v"));
+        assert_eq!(
+            rw.pending_write("k").unwrap().value.as_deref(),
+            Some(&b"v"[..])
+        );
     }
 
     #[test]
     fn write_bytes_counts_keys_and_values() {
         let mut rw = RwSet::new();
-        rw.record_write("key", Some(vec![0u8; 10]));
+        rw.record_write("key", Some(&[0u8; 10]));
         rw.record_write("k2", None);
         assert_eq!(rw.write_bytes(), 3 + 10 + 2);
+    }
+
+    #[test]
+    fn a_write_after_a_read_shares_the_read_key() {
+        let mut rw = RwSet::new();
+        let committed: Arc<str> = "k".into();
+        rw.record_read_shared(&committed, Some(Version::new(1, 0)));
+        rw.record_write("k", Some(b"v"));
+        rw.record_write("k", Some(b"w"));
+        assert!(Arc::ptr_eq(&rw.reads[0].key, &committed));
+        assert!(Arc::ptr_eq(&rw.writes[0].key, &committed));
     }
 
     #[test]

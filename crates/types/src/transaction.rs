@@ -111,7 +111,7 @@ mod tests {
         let creator = ClientId(1);
         let tx_id = Proposal::derive_tx_id(creator, 7);
         let mut rw = RwSet::new();
-        rw.record_write("k", Some(vec![0u8; 1]));
+        rw.record_write("k", Some(&[0u8; 1]));
         let resp = crate::proposal::ProposalResponse::signed_bytes(tx_id, &rw, b"");
         let endorsements = (0..n_endorsements)
             .map(|i| {
@@ -163,7 +163,7 @@ mod tests {
     fn envelope_hash_changes_with_content() {
         let a = sample_tx(1);
         let mut b = a.clone();
-        b.rw_set.record_write("other", Some(vec![1]));
+        b.rw_set.record_write("other", Some(&[1]));
         assert_ne!(a.envelope_hash(), b.envelope_hash());
     }
 
@@ -223,7 +223,7 @@ mod tests {
             t.envelope_hash()
         };
         let altered = [
-            alter(&|t| t.rw_set.record_write("k", Some(vec![1u8; 1]))),
+            alter(&|t| t.rw_set.record_write("k", Some(&[1u8; 1]))),
             alter(&|t| t.rw_set.record_read("k", None)),
             alter(&|t| t.payload = b"p".to_vec()),
             alter(&|t| t.tx_id = Proposal::derive_tx_id(t.creator, 8)),

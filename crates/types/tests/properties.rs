@@ -33,14 +33,14 @@ fn rwset(rng: &mut RngStream) -> RwSet {
             .chance(0.5)
             .then(|| Version::new(rng.next_u64(), rng.next_u64() as u32));
         rw.reads.push(KvRead {
-            key: text(rng, KEY, 1, 12),
+            key: text(rng, KEY, 1, 12).into(),
             version,
         });
     }
     for _ in 0..rng.next_below(6) {
         rw.writes.push(KvWrite {
-            key: text(rng, KEY, 1, 12),
-            value: rng.chance(0.5).then(|| bytes(rng, 63)),
+            key: text(rng, KEY, 1, 12).into(),
+            value: rng.chance(0.5).then(|| bytes(rng, 63).into()),
         });
     }
     rw

@@ -77,7 +77,9 @@ fn nondeterministic_peer_slips_through_single_endorsement() {
         .run_detailed();
     assert!(r.summary.committed_valid > 0);
     assert!(
-        r.final_state.iter().any(|(k, _)| k == "$nondeterministic"),
+        r.final_state
+            .iter()
+            .any(|(k, _)| &**k == "$nondeterministic"),
         "the tainted write reached the world state under OR"
     );
 }

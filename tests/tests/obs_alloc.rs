@@ -172,14 +172,14 @@ fn recording_an_observation_allocates_nothing() {
 /// The count is exact and host-independent, so this is a
 /// ratchet like `lint-ratchet.txt`: lower it when a change makes fewer, and
 /// never raise it.
-const ALLOCS_PER_COMMITTED_TX: f64 = 116.0;
+const ALLOCS_PER_COMMITTED_TX: f64 = 108.0;
 
 /// The same budget for the benchmark's `des_and5_past_knee` configuration —
 /// Solo, AND5 over 10 endorsing and 4 validate-only peers, past the validate
 /// knee — cut to 4 simulated seconds. Here the committers' VSCC, MVCC and
 /// ledger writes dominate: fourteen ledgers commit every block. A ratchet
 /// too.
-const AND5_ALLOCS_PER_COMMITTED_TX: f64 = 168.0;
+const AND5_ALLOCS_PER_COMMITTED_TX: f64 = 136.0;
 
 /// The same budget for [`and5_past_knee`] at a modelled VSCC pool of 4,
 /// which commits more transactions in the same simulated time. The pool is
@@ -187,14 +187,14 @@ const AND5_ALLOCS_PER_COMMITTED_TX: f64 = 168.0;
 /// validator would add about 1.8 allocations per committed transaction on
 /// this thread, and break this budget. A ratchet too, and under the
 /// Solo/AND5 one.
-const AND5_POOL4_ALLOCS_PER_COMMITTED_TX: f64 = 126.0;
+const AND5_POOL4_ALLOCS_PER_COMMITTED_TX: f64 = 96.0;
 const _: () = assert!(AND5_POOL4_ALLOCS_PER_COMMITTED_TX <= AND5_ALLOCS_PER_COMMITTED_TX);
 
 /// The same budget for [`and5_past_knee`] ordered by a 3-node Raft group:
 /// the leader encodes each block once, and every node's log, every
 /// `AppendEntries` and every commit share those bytes; each node's decode
 /// shares one role string among the block's endorsements. A ratchet too.
-const RAFT_ALLOCS_PER_COMMITTED_TX: f64 = 202.0;
+const RAFT_ALLOCS_PER_COMMITTED_TX: f64 = 170.0;
 
 fn and5_past_knee() -> SimConfig {
     let mut cfg = SimConfig {
@@ -301,10 +301,10 @@ fn rendering_a_run_costs_a_buffer_per_document() {
 /// new key: every peer's world state and transaction-id set, and the
 /// observer's record of the transaction. A ratchet like the allocation
 /// budgets: lower it, never raise it.
-const KAFKA_RETAINED_BYTES_PER_EXTRA_TX: u64 = 960;
+const KAFKA_RETAINED_BYTES_PER_EXTRA_TX: u64 = 900;
 
 /// The same bound for Raft/AND5 over four channels.
-const RAFT_CH4_RETAINED_BYTES_PER_EXTRA_TX: u64 = 2700;
+const RAFT_CH4_RETAINED_BYTES_PER_EXTRA_TX: u64 = 2350;
 
 /// Raft/AND5 over four channels: ten endorsing peers, three OSNs a channel.
 fn raft_and5_four_channels() -> SimConfig {
