@@ -18,7 +18,9 @@ use fabricsim_bench::microbench::Runner;
 use fabricsim_crypto::{
     compress_portable, sha256, KeyPair, MerkleTree, PublicKey, Sha256, VerifyingKey,
 };
-use fabricsim_des::{Kernel, Model, ShardWorld, ShardedKernel, SimDuration, SimTime, Station};
+use fabricsim_des::{
+    EventId, Kernel, Model, ShardWorld, ShardedKernel, SimDuration, SimTime, Station,
+};
 use fabricsim_kafka::{Broker, BrokerMsg, KafkaConfig, Record};
 use fabricsim_ledger::Ledger;
 use fabricsim_msp::{Certificate, CertificateAuthority, Msp, SigningIdentity};
@@ -445,6 +447,62 @@ impl Model for Count {
     }
 }
 
+/// The Kafka small-blocks shape of a run: a 5 ms tick starts a chain of
+/// nine sub-millisecond link hops and arms a 3 s ordering timeout, which
+/// the chain's end cancels for all but one chain in a hundred. About 600
+/// cancelled timeouts sit in the queue at any time, as in the real run.
+#[derive(Default)]
+struct KafkaShape {
+    fired: u64,
+    chains: u64,
+    rng: u64,
+}
+
+enum KafkaEv {
+    Tick,
+    Hop { left: u8, timeout: EventId },
+    Timeout,
+}
+
+impl Model for KafkaShape {
+    type Event = KafkaEv;
+
+    fn fire(&mut self, event: KafkaEv, k: &mut Kernel<Self>) {
+        self.fired += 1;
+        self.rng ^= self.rng << 13;
+        self.rng ^= self.rng >> 7;
+        self.rng ^= self.rng << 17;
+        let hop = SimDuration::from_micros(50 + self.rng % 850);
+        match event {
+            KafkaEv::Tick => {
+                k.schedule_in(SimDuration::from_millis(5), KafkaEv::Tick);
+                let timeout = k.schedule_in(SimDuration::from_secs(3), KafkaEv::Timeout);
+                k.schedule_in(hop, KafkaEv::Hop { left: 8, timeout });
+            }
+            KafkaEv::Hop { left: 0, timeout } => {
+                self.chains += 1;
+                if !self.chains.is_multiple_of(100) {
+                    k.cancel(timeout);
+                }
+            }
+            KafkaEv::Hop { left, timeout } => {
+                k.schedule_in(
+                    hop,
+                    KafkaEv::Hop {
+                        left: left - 1,
+                        timeout,
+                    },
+                );
+            }
+            KafkaEv::Timeout => {}
+        }
+    }
+
+    fn label(_: &KafkaEv) -> &'static str {
+        "kafka"
+    }
+}
+
 fn bench_des_kernel(r: &mut Runner) {
     r.bench("des/kernel_10k_events", || {
         let mut k = Kernel::new();
@@ -454,6 +512,20 @@ fn bench_des_kernel(r: &mut Runner) {
         }
         k.run(&mut count);
         assert_eq!(count.0, 10_000);
+    });
+    // 20 s of the Kafka shape: 4 000 ticks and 36 000 hops; one chain in a
+    // hundred leaves its timeout armed.
+    r.bench("des/kafka_shape_ticks_hops_timeouts_20s", || {
+        let mut k = Kernel::new();
+        let mut world = KafkaShape {
+            rng: 0x9e37_79b9_7f4a_7c15,
+            ..KafkaShape::default()
+        };
+        k.set_horizon(SimTime::from_secs_f64(20.0));
+        k.schedule(SimTime::ZERO, KafkaEv::Tick);
+        k.run(&mut world);
+        assert!(world.fired > 40_000 && k.stats().cancelled > 3_900);
+        world.fired
     });
     r.bench("des/kernel_cascade_10k", || {
         let mut k = Kernel::new();

@@ -1,13 +1,18 @@
-//! The event loop: typed events in a keyed 4-ary heap.
+//! The event loop: typed events ordered by a monotone radix queue.
 //!
 //! A [`Model`] names its event type and how to fire one. The kernel stores
 //! each scheduled event once, in a slot of a slab, and orders small
-//! `(time, seq, slot)` keys in a 4-ary min-heap: sifting moves 24-byte keys,
-//! never events, and scheduling allocates nothing once the slab and the heap
-//! have grown to the run's peak of pending events. A slot is freed when its
-//! key leaves the heap and its generation is bumped then, so an [`EventId`]
-//! — slot plus generation — names one scheduling and nothing after it.
+//! `(time, seq, slot)` keys in a radix queue: a key sits in the bucket of
+//! the highest bit where its time differs from the queue's base, and moves
+//! only when its bucket is emptied, to a lower one. A bucket is a list
+//! threaded through one link per slot, so moving a key relinks 24 bytes,
+//! never an event, and scheduling allocates nothing once the slab has grown
+//! to the run's peak of pending events. The kernel never schedules before
+//! its clock, which keeps the queue monotone. A slot is freed when its key
+//! leaves the queue and its generation is bumped then, so an [`EventId`] —
+//! slot plus generation — names one scheduling and nothing after it.
 
+use std::collections::VecDeque;
 use std::time::Instant;
 
 use crate::profiler::{elapsed_ns, lap_ns, KernelProfile, ProfilerState};
@@ -35,7 +40,7 @@ pub struct EventId {
     generation: u64,
 }
 
-/// One heap entry: the pop order `(time, seq)` and where the event lives.
+/// One queue entry: the pop order `(time, seq)` and where the event lives.
 #[derive(Debug, Clone, Copy)]
 struct Key {
     time: SimTime,
@@ -43,81 +48,217 @@ struct Key {
     slot: usize,
 }
 
-impl Key {
-    #[inline]
-    fn precedes(&self, other: &Key) -> bool {
-        (self.time, self.seq) < (other.time, other.seq)
+/// The bucket of a key at `time` under `base` (the two differ): the highest
+/// bit where they differ.
+#[inline]
+fn bucket(time: u64, base: u64) -> usize {
+    63 - (time ^ base).leading_zeros() as usize
+}
+
+/// A monotone radix queue of keys, popped in `(time, seq)` order.
+///
+/// Every queued key is at or after `base`. The keys at exactly `base` form
+/// the head, in `seq` order; any other key sits in the bucket of the highest
+/// bit where its time differs from `base`. When the head runs dry, the
+/// lowest non-empty bucket holds the earliest keys: its minimum time becomes
+/// the base, its keys at that time the head, and every other key in it drops
+/// to a lower bucket, so a key is looked at once per bucket it falls
+/// through, not once per level of a tree.
+///
+/// A bucket is a list threaded through `links`, one entry per slot: a
+/// queued key's slot is its own, so the buckets need no storage of their own
+/// and grow with the slab, never past it.
+///
+/// Keys must be pushed in increasing `seq`, which is what lets a push at
+/// `base` join the back of the head. Peeking may move `base` up to the
+/// earliest key, past the kernel's clock; a later push below it (a
+/// cross-shard delivery into a window gap) moves `base` back down.
+#[derive(Debug)]
+struct KeyQueue {
+    base: u64,
+    head: VecDeque<Key>,
+    /// The first slot of each bucket's list, [`NIL`] when it is empty.
+    buckets: [usize; 64],
+    /// Bit `b` is set iff `buckets[b]` is non-empty.
+    occupied: u64,
+    /// By slot: the time and seq of a key in a bucket, and the next slot in
+    /// that bucket's list.
+    links: Vec<Link>,
+    len: usize,
+}
+
+/// The end of a bucket's list.
+const NIL: usize = usize::MAX;
+
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    time: SimTime,
+    seq: u64,
+    next: usize,
+}
+
+impl Default for KeyQueue {
+    fn default() -> Self {
+        KeyQueue {
+            base: 0,
+            head: VecDeque::new(),
+            buckets: [NIL; 64],
+            occupied: 0,
+            links: Vec::new(),
+            len: 0,
+        }
     }
 }
 
-/// A min-heap of keys with four children per node: half the depth of a
-/// binary heap, and a node's children share a cache line.
-#[derive(Debug, Default)]
-struct KeyHeap(Vec<Key>);
-
-const ARITY: usize = 4;
-
-impl KeyHeap {
-    fn peek(&self) -> Option<&Key> {
-        self.0.first()
+impl KeyQueue {
+    fn len(&self) -> usize {
+        self.len
     }
 
-    fn push(&mut self, key: Key) {
-        let heap = &mut self.0;
-        let mut hole = heap.len();
-        heap.push(key);
-        while hole > 0 {
-            let parent = (hole - 1) / ARITY;
-            if !key.precedes(&heap[parent]) {
-                break;
-            }
-            heap[hole] = heap[parent];
-            hole = parent;
-        }
-        heap[hole] = key;
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The earliest key, which may move `base` up to it.
+    fn peek(&mut self) -> Option<Key> {
+        self.refill();
+        self.head.front().copied()
     }
 
     fn pop(&mut self) -> Option<Key> {
-        let heap = &mut self.0;
-        let last = heap.pop()?;
-        let Some(&top) = heap.first() else {
-            return Some(last);
+        self.refill();
+        let key = self.head.pop_front()?;
+        self.len -= 1;
+        Some(key)
+    }
+
+    /// Queues `key`, whose `seq` is above, and whose slot differs from,
+    /// every queued key's.
+    fn push(&mut self, key: Key) {
+        let time = key.time.as_nanos();
+        if time < self.base {
+            self.lower_base(time);
+        }
+        self.len += 1;
+        self.place(key);
+    }
+
+    /// Takes every key out, in no particular order, and hands each to `f`.
+    fn drain(&mut self, mut f: impl FnMut(Key)) {
+        self.head.drain(..).for_each(&mut f);
+        while self.occupied != 0 {
+            let b = self.occupied.trailing_zeros() as usize;
+            self.occupied &= self.occupied - 1;
+            let mut slot = std::mem::replace(&mut self.buckets[b], NIL);
+            while let Some(link) = self.links.get(slot) {
+                f(Key {
+                    time: link.time,
+                    seq: link.seq,
+                    slot,
+                });
+                slot = link.next;
+            }
+        }
+        self.len = 0;
+    }
+
+    /// Puts a key at or after `base` at the back of the head or in its
+    /// bucket.
+    fn place(&mut self, key: Key) {
+        let time = key.time.as_nanos();
+        if time == self.base {
+            self.head.push_back(key);
+        } else {
+            self.link(key, bucket(time, self.base));
+        }
+    }
+
+    /// Puts `key` on the front of bucket `b`'s list.
+    fn link(&mut self, key: Key, b: usize) {
+        if key.slot >= self.links.len() {
+            self.links.resize(
+                key.slot + 1,
+                Link {
+                    time: SimTime::ZERO,
+                    seq: 0,
+                    next: NIL,
+                },
+            );
+        }
+        self.links[key.slot] = Link {
+            time: key.time,
+            seq: key.seq,
+            next: self.buckets[b],
         };
-        // Floyd's pop: walk the hole from the root to a leaf, moving the
-        // earliest child up at each level, then sift `last` — which came
-        // from the bottom and mostly belongs there — up from that leaf.
-        let n = heap.len();
-        let mut hole = 0;
-        loop {
-            let first = hole * ARITY + 1;
-            if first >= n {
-                break;
-            }
-            let children = &heap[first..(first + ARITY).min(n)];
-            let mut best = 0;
-            for (i, child) in children.iter().enumerate().skip(1) {
-                if child.precedes(&children[best]) {
-                    best = i;
-                }
-            }
-            heap[hole] = children[best];
-            hole = first + best;
+        self.buckets[b] = key.slot;
+        self.occupied |= 1 << b;
+    }
+
+    /// When the head is empty, makes the earliest keys the head: the lowest
+    /// non-empty bucket's minimum time becomes `base`, and the bucket's keys
+    /// are placed again. Keys at that time join the head, which is then
+    /// sorted by `seq`: a list holds keys in no particular order. Every other
+    /// key agrees with the new base at the bucket's bit and above, so it
+    /// lands in a lower bucket.
+    fn refill(&mut self) {
+        if !self.head.is_empty() || self.occupied == 0 {
+            return;
         }
-        while hole > 0 {
-            let parent = (hole - 1) / ARITY;
-            if !last.precedes(&heap[parent]) {
-                break;
-            }
-            heap[hole] = heap[parent];
-            hole = parent;
+        let b = self.occupied.trailing_zeros() as usize;
+        self.occupied &= !(1 << b);
+        let first = std::mem::replace(&mut self.buckets[b], NIL);
+        let mut min = u64::MAX;
+        let mut slot = first;
+        while let Some(link) = self.links.get(slot) {
+            min = min.min(link.time.as_nanos());
+            slot = link.next;
         }
-        heap[hole] = last;
-        Some(top)
+        self.base = min;
+        slot = first;
+        while let Some(&link) = self.links.get(slot) {
+            self.place(Key {
+                time: link.time,
+                seq: link.seq,
+                slot,
+            });
+            slot = link.next;
+        }
+        if self.head.len() > 1 {
+            self.head.make_contiguous().sort_unstable_by_key(|k| k.seq);
+        }
+    }
+
+    /// Moves `base` down to `time`, below every queued key. Let `h` be the
+    /// highest bit where the old and new base differ. A key in a bucket above
+    /// `h` differs from both bases first at that bucket's bit and stays put;
+    /// the head and every bucket below `h` agree with the old base at `h`,
+    /// where the new base differs, so they move to bucket `h`, which was
+    /// empty: its keys would have been below the old base.
+    fn lower_base(&mut self, time: u64) {
+        let h = bucket(time, self.base);
+        let mut below = self.occupied & ((1 << h) - 1);
+        self.occupied &= !below;
+        while below != 0 {
+            let b = below.trailing_zeros() as usize;
+            below &= below - 1;
+            let first = std::mem::replace(&mut self.buckets[b], NIL);
+            let mut tail = first;
+            while self.links[tail].next != NIL {
+                tail = self.links[tail].next;
+            }
+            self.links[tail].next = self.buckets[h];
+            self.buckets[h] = first;
+            self.occupied |= 1 << h;
+        }
+        while let Some(key) = self.head.pop_front() {
+            self.link(key, h);
+        }
+        self.base = time;
     }
 }
 
 /// A slab slot: the pending event, or `None` once it was cancelled (its key
-/// is then a tombstone still in the heap) or while the slot is free.
+/// is then a tombstone still in the queue) or while the slot is free.
 #[derive(Debug)]
 struct Slot<E> {
     generation: u64,
@@ -164,9 +305,9 @@ pub struct KernelStats {
 pub struct Kernel<W: Model> {
     now: SimTime,
     seq: u64,
-    heap: KeyHeap,
+    queue: KeyQueue,
     slots: Vec<Slot<W::Event>>,
-    /// Slots whose keys have left the heap, reused last-freed first.
+    /// Slots whose keys have left the queue, reused last-freed first.
     free: Vec<usize>,
     stats: KernelStats,
     horizon: SimTime,
@@ -195,7 +336,7 @@ impl<W: Model> Kernel<W> {
         Kernel {
             now: SimTime::ZERO,
             seq: 0,
-            heap: KeyHeap::default(),
+            queue: KeyQueue::default(),
             slots: Vec::new(),
             free: Vec::new(),
             stats: KernelStats::default(),
@@ -235,7 +376,7 @@ impl<W: Model> Kernel<W> {
 
     /// Number of events still pending (including cancelled-but-unpopped ones).
     pub fn pending(&self) -> usize {
-        self.heap.0.len()
+        self.queue.len()
     }
 
     /// Stops the run once the clock would pass `t`; events at exactly `t` still fire.
@@ -256,7 +397,7 @@ impl<W: Model> Kernel<W> {
         self.seq += 1;
         self.stats.scheduled += 1;
         let id = self.occupy(event);
-        self.heap.push(Key {
+        self.queue.push(Key {
             time: at,
             seq: self.seq,
             slot: id.slot,
@@ -300,7 +441,7 @@ impl<W: Model> Kernel<W> {
         }
     }
 
-    /// Frees the slot of a key that just left the heap and returns its
+    /// Frees the slot of a key that just left the queue and returns its
     /// event, `None` for a cancelled one. Bumping the generation is what
     /// turns every id of this scheduling stale.
     fn release(&mut self, slot: usize) -> Option<W::Event> {
@@ -317,33 +458,35 @@ impl<W: Model> Kernel<W> {
     pub fn run(&mut self, world: &mut W) -> SimTime {
         let limit = SimTime::from_nanos(self.horizon.as_nanos().saturating_add(1));
         self.run_until(world, limit);
-        if !self.heap.0.is_empty() {
+        if !self.queue.is_empty() {
             // Past the horizon: put nothing back; the run is over.
             self.now = self.horizon;
-            for key in std::mem::take(&mut self.heap.0) {
+            let mut queue = std::mem::take(&mut self.queue);
+            queue.drain(|key| {
                 self.release(key.slot);
-            }
+            });
+            self.queue = queue;
         }
         self.now
     }
 
     /// The virtual time of the earliest *live* pending event, purging any
-    /// cancelled tombstones sitting at the top of the heap on the way.
+    /// cancelled tombstones sitting at the head of the queue on the way.
     /// Returns `None` when nothing live is pending. Purging is observable
     /// only through [`Kernel::pending`]; execution order is unaffected.
     pub fn next_event_time(&mut self) -> Option<SimTime> {
-        while let Some(&head) = self.heap.peek() {
+        while let Some(head) = self.queue.peek() {
             if self.slots[head.slot].event.is_some() {
                 return Some(head.time);
             }
-            self.heap.pop();
+            self.queue.pop();
             self.release(head.slot);
         }
         None
     }
 
     /// Runs every pending event with `time < limit`, leaving later events in
-    /// the heap, and returns how many were executed. The clock stays at the
+    /// the queue, and returns how many were executed. The clock stays at the
     /// last executed event (it does **not** jump to `limit`), so events
     /// delivered into the window gap afterwards can still be scheduled.
     ///
@@ -363,15 +506,18 @@ impl<W: Model> Kernel<W> {
         // previous one, so two reads per event tile the whole loop.
         let mut mark = loop_start;
         let mut executed = 0;
-        while let Some(&head) = self.heap.peek() {
+        while let Some(head) = self.queue.peek() {
             if head.time >= limit {
                 break;
             }
-            self.heap.pop();
+            self.queue.pop();
             if let (Some(p), Some(m)) = (self.profiler.as_mut(), mark.as_mut()) {
                 p.record_heap(lap_ns(m));
             }
-            debug_assert!(head.time >= self.now, "event heap produced time regression");
+            debug_assert!(
+                head.time >= self.now,
+                "event queue produced time regression"
+            );
             self.now = head.time;
             let Some(event) = self.release(head.slot) else {
                 continue;
@@ -476,39 +622,107 @@ mod tests {
         assert_eq!(out.0, (0..100).collect::<Vec<_>>());
     }
 
+    /// A xorshift stream for the fuzz tests.
+    fn xorshift(x: &mut u64) -> u64 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x
+    }
+
+    /// A time at or after `floor`: mostly near it, with many ties, and now
+    /// and then far enough ahead to reach a high bucket.
+    fn time_after(floor: u64, x: &mut u64) -> u64 {
+        let r = xorshift(x);
+        match r % 8 {
+            0 => floor,
+            1 => floor + (r >> 8) % (1 << 40),
+            _ => floor + (r >> 8) % 97,
+        }
+    }
+
     #[test]
-    fn the_heap_pops_in_time_then_insertion_order_under_interleaved_pushes() {
-        // Pops interleaved with pushes at earlier and later times: every
-        // sift path of the 4-ary heap, checked against a sorted oracle.
-        let mut heap = KeyHeap::default();
-        let mut oracle: Vec<(u64, u64)> = Vec::new();
-        let mut popped = Vec::new();
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        for seq in 0..2_000u64 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let time = x % 97;
-            heap.push(Key {
+    fn the_queue_pops_in_time_then_insertion_order_under_monotone_pushes() {
+        // The kernel's calling pattern: every push is at or after the last
+        // popped time, with increasing seq, and peeks (which may move the
+        // base up to the head) come between. Checked against a sorted oracle.
+        for seed in 1..=50u64 {
+            let mut x = 0x9e37_79b9_7f4a_7c15u64 ^ seed;
+            let mut queue = KeyQueue::default();
+            let mut oracle = std::collections::BTreeSet::new();
+            let mut now = 0;
+            // Slots are reused last-freed first, as the kernel's are.
+            let mut free = Vec::new();
+            for seq in 0..2_000u64 {
+                let time = time_after(now, &mut x);
+                queue.push(Key {
+                    time: at(time),
+                    seq,
+                    slot: free.pop().unwrap_or(seq as usize),
+                });
+                oracle.insert((time, seq));
+                let r = xorshift(&mut x);
+                if r.is_multiple_of(5) {
+                    let head = queue.peek().expect("non-empty");
+                    assert_eq!(Some(&(head.time.as_nanos(), head.seq)), oracle.first());
+                }
+                if r.is_multiple_of(3) {
+                    let key = queue.pop().expect("non-empty");
+                    assert_eq!(Some((key.time.as_nanos(), key.seq)), oracle.pop_first());
+                    now = key.time.as_nanos();
+                    free.push(key.slot);
+                }
+                assert_eq!(queue.len(), oracle.len());
+            }
+            for expected in oracle {
+                let key = queue.pop().expect("non-empty");
+                assert_eq!((key.time.as_nanos(), key.seq), expected);
+            }
+            assert!(queue.is_empty() && queue.pop().is_none());
+        }
+    }
+
+    #[test]
+    fn a_push_below_a_peeked_head_lowers_the_base() {
+        // Peek far ahead, then push below the peeked head several times over:
+        // the moved head and buckets must keep their `(time, seq)` order.
+        let mut queue = KeyQueue::default();
+        let mut seq = 0;
+        let mut push = |queue: &mut KeyQueue, time: u64| {
+            seq += 1;
+            queue.push(Key {
                 time: at(time),
                 seq,
-                slot: 0,
+                slot: seq as usize,
             });
-            oracle.push((time, seq));
-            if x.is_multiple_of(3) {
-                let key = heap.pop().expect("non-empty");
-                popped.push((key.time.as_nanos(), key.seq));
-                oracle.sort_unstable();
-                assert_eq!(popped.last(), oracle.first());
-                oracle.remove(0);
-            }
+        };
+        for t in [1_000_000, 1_000_000, 1_000_001, 1_000_512, 3_000_000_000] {
+            push(&mut queue, t);
         }
-        while let Some(key) = heap.pop() {
-            popped.push((key.time.as_nanos(), key.seq));
+        let head = queue.peek().expect("non-empty");
+        assert_eq!(queue.base, 1_000_000, "the peek moved the base");
+        assert_eq!((head.time, head.seq), (at(1_000_000), 1));
+        for t in [999_999, 5, 1_000_000, 5, 0] {
+            push(&mut queue, t);
         }
-        oracle.sort_unstable();
-        assert_eq!(&popped[popped.len() - oracle.len()..], &oracle[..]);
-        assert_eq!(popped.len(), 2_000);
+        let popped: Vec<(u64, u64)> = std::iter::from_fn(|| queue.pop())
+            .map(|k| (k.time.as_nanos(), k.seq))
+            .collect();
+        assert_eq!(
+            popped,
+            [
+                (0, 10),
+                (5, 7),
+                (5, 9),
+                (999_999, 6),
+                (1_000_000, 1),
+                (1_000_000, 2),
+                (1_000_000, 8),
+                (1_000_001, 3),
+                (1_000_512, 4),
+                (3_000_000_000, 5)
+            ]
+        );
     }
 
     #[test]
@@ -603,6 +817,113 @@ mod tests {
         assert_eq!(out.0, vec![0, 1, 2]);
         assert_eq!(k.now(), at(2), "the clock stays put");
         assert_eq!(k.run_until(&mut out, at(100)), 7);
+    }
+
+    #[test]
+    fn schedules_below_a_peeked_head_fire_in_order_across_windows() {
+        // Each window ends with a peek at a head at or past its limit, which
+        // may move the queue's base past the clock; then, as a sharded run
+        // delivers into the window gap, events are scheduled at or after the
+        // clock but below that head. The log must follow `(time, seq)`.
+        let mut k = Kernel::new();
+        let mut out = Log::default();
+        let mut oracle = std::collections::BTreeSet::new();
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut id = 0;
+        let mut schedule = |k: &mut Kernel<Log>, oracle: &mut std::collections::BTreeSet<_>, t| {
+            k.schedule(at(t), Ev::Push(id));
+            oracle.insert((t, id));
+            id += 1;
+        };
+        for _ in 0..20 {
+            let t = time_after(0, &mut x);
+            schedule(&mut k, &mut oracle, t);
+        }
+        let mut limit = 0;
+        for _ in 0..300 {
+            limit += xorshift(&mut x) % 300;
+            k.run_until(&mut out, at(limit));
+            if let Some(head) = k.next_event_time() {
+                assert!(
+                    head >= at(limit),
+                    "the window ran everything before its limit"
+                );
+            }
+            let now = k.now().as_nanos();
+            for _ in 0..xorshift(&mut x) % 4 {
+                let t = time_after(now, &mut x);
+                schedule(&mut k, &mut oracle, t);
+            }
+        }
+        k.run(&mut out);
+        let expected: Vec<u64> = oracle.into_iter().map(|(_, id)| id).collect();
+        assert_eq!(out.0, expected);
+        assert_eq!(k.pending(), 0);
+    }
+
+    #[test]
+    fn cancelled_keys_in_every_bucket_never_fire() {
+        // One event at 0 (the head) and one at each power of two, so the
+        // first refill finds a key in every bucket; every other one is
+        // cancelled. Tombstones still count one pop each.
+        let mut k = Kernel::new();
+        let mut out = Log::default();
+        k.enable_profiler();
+        let ids: Vec<EventId> = std::iter::once(0)
+            .chain((0..64).map(|b| 1u64 << b))
+            .map(|t| k.schedule(at(t), Ev::Push(t)))
+            .collect();
+        assert_eq!(k.pending(), 65);
+        for id in ids.iter().skip(1).step_by(2) {
+            k.cancel(*id);
+        }
+        k.run(&mut out);
+        let expected: Vec<u64> = std::iter::once(0)
+            .chain((1..64).step_by(2).map(|b| 1u64 << b))
+            .collect();
+        assert_eq!(out.0, expected);
+        assert_eq!(
+            k.stats(),
+            KernelStats {
+                executed: 33,
+                scheduled: 65,
+                cancelled: 32
+            }
+        );
+        assert_eq!(k.take_profile().expect("profiled").heap_ops, 65);
+        assert_eq!(k.pending(), 0);
+    }
+
+    #[test]
+    fn the_horizon_drain_frees_every_bucket() {
+        // Keys past the horizon in many buckets, some cancelled, some behind
+        // a peek that moved the base: the drain frees them all, their ids go
+        // stale, and the freed slots serve the next schedulings.
+        let mut k = Kernel::new();
+        let mut out = Log::default();
+        k.set_horizon(at(1_000));
+        k.schedule(at(500), Ev::Push(500));
+        let late: Vec<EventId> = (10..40)
+            .map(|b| k.schedule(at(1_000 + (1u64 << b)), Ev::Push(b)))
+            .collect();
+        k.cancel(late[3]);
+        assert_eq!(k.next_event_time(), Some(at(500)));
+        k.run(&mut out);
+        assert_eq!(out.0, vec![500]);
+        assert_eq!(k.now(), at(1_000));
+        assert_eq!(k.pending(), 0);
+        for id in &late {
+            k.cancel(*id);
+        }
+        assert_eq!(k.stats().cancelled, 1, "dropped ids are stale");
+        let slots = k.slots.len();
+        k.set_horizon(SimTime::MAX);
+        for t in [1_000, 1_001, 1_000] {
+            k.schedule(at(t), Ev::Push(t));
+        }
+        k.run(&mut out);
+        assert_eq!(out.0, vec![500, 1_000, 1_000, 1_001]);
+        assert_eq!(k.slots.len(), slots, "the drained slots are reused");
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! * **No global state, no boxed handlers.** The kernel is generic over a
 //!   user-supplied world `W: Model`, which names its own event type and fires
 //!   each event with `&mut W` plus a scheduling handle. Events live in a slab
-//!   behind a keyed 4-ary heap, so scheduling one allocates nothing, and an
-//!   [`EventId`] carries its slot's generation, so cancelling an event that
-//!   already fired is a no-op.
+//!   behind a monotone radix queue of keys, so scheduling one allocates
+//!   nothing, and an [`EventId`] carries its slot's generation, so
+//!   cancelling an event that already fired is a no-op.
 //! * **Analytic service stations.** Common queueing structures (FIFO multi-server
 //!   stations, network links) are modelled with closed-form completion-time
 //!   bookkeeping ([`Station`], [`Link`]) instead of per-customer token events,

@@ -8,6 +8,9 @@
 //! clock twice per event — after the heap pop and after the handler — and
 //! each read attributes everything since the previous one ([`lap_ns`]): to
 //! the heap, or to the event's static label ([`crate::Model::label`]).
+//! "Heap" names the kernel's event queue, a radix queue since it replaced a
+//! 4-ary heap; the name stays because `heap_ns` and `heap_ops` are fields of
+//! every profile artifact.
 //!
 //! The profiler is **write-only with respect to the simulation**: it reads
 //! the host clock but no simulation state ever reads the profiler, so an

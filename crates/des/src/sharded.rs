@@ -30,7 +30,7 @@
 //! state, never on how many OS threads multiplex the shards. Messages are
 //! delivered sorted by `(delivery time, source shard, per-source emission
 //! counter)` before being scheduled into the target kernel, so insertion
-//! sequence numbers — the tie-breaker of the event heap — are identical at
+//! sequence numbers — the tie-breaker of the event queue — are identical at
 //! any worker count. A run at `workers = 1` is byte-identical to the same run
 //! at `workers = 8`.
 //!
@@ -535,6 +535,8 @@ mod tests {
         quiet: bool,
         received: Vec<(u64, String)>, // (delivery ns, payload)
         out: Vec<(usize, SimTime, String)>,
+        /// Deliveries scheduled below the kernel's next event.
+        below_head: u64,
     }
 
     #[derive(Debug)]
@@ -604,6 +606,9 @@ mod tests {
             self.quiet.then_some(SimTime::MAX)
         }
         fn deliver(&mut self, kernel: &mut Kernel<Self>, at: SimTime, msg: String) {
+            if kernel.next_event_time().is_some_and(|head| at < head) {
+                self.below_head += 1;
+            }
             kernel.schedule(at, Ev::Receive(msg));
         }
     }
@@ -723,6 +728,48 @@ mod tests {
         // 50 ms rally at 1.5 ms per hop: a few dozen messages crossed.
         assert!(base.2 > 20, "messages exchanged: {}", base.2);
         assert!(!base.0.is_empty() && !base.1.is_empty());
+    }
+
+    /// Each window ends with a peek at the shard's next event, past the
+    /// window; the rally's deliveries then land between the clock and that
+    /// head. Two workers must report exactly what one does.
+    #[test]
+    fn deliveries_below_a_peeked_head_run_identically_at_two_workers() {
+        let run = |workers: usize| {
+            let mut sk = two_nodes();
+            sk.set_horizon(SimTime::from_secs_f64(0.200));
+            for s in &mut sk.shards {
+                s.world.rally = true;
+            }
+            for (id, every) in [(0usize, 7_300), (1, 10_000)] {
+                let every = SimDuration::from_micros(every);
+                sk.shards[id]
+                    .kernel
+                    .schedule(SimTime::ZERO, Ev::Tick { every });
+            }
+            sk.shards[1]
+                .kernel
+                .schedule(SimTime::from_secs_f64(0.150), Ev::Local("late"));
+            sk.shards[0].kernel.schedule(
+                SimTime::ZERO,
+                send(1, SimDuration::from_micros(1500), &["serve"]),
+            );
+            let report = sk.run(workers, &|| false);
+            let worlds: Vec<(Vec<(u64, String)>, u64)> = sk
+                .into_worlds()
+                .into_iter()
+                .map(|w| (w.received, w.below_head))
+                .collect();
+            (report, worlds)
+        };
+        let one = run(1);
+        assert!(
+            one.1.iter().all(|(_, below)| *below > 50),
+            "deliveries below the head: {:?}",
+            one.1.iter().map(|(_, below)| below).collect::<Vec<_>>()
+        );
+        assert!(one.1[1].0.contains(&(150_000_000, "late".to_string())));
+        assert_eq!(run(2), one);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 
 use fabricsim_kafka::{BrokerId, BrokerMsg, ClientEvent, Record};
 use fabricsim_raft::{Effect as RaftEffect, Message as RaftMessage, RaftConfig, RaftNode, Role};
-use fabricsim_types::codec::{decode_block, decode_tx, encode_block, encode_tx};
+use fabricsim_types::codec::{encode_block, encode_tx, Decoder};
 use fabricsim_types::{BatchConfig, ChannelId, OrdererType, Transaction, TxId};
 
 use crate::assembler::BlockAssembler;
@@ -115,6 +115,10 @@ pub struct OsnNode {
     cutter: BlockCutter,
     assembler: BlockAssembler,
     engine: Engine,
+    /// Decodes every consumed Kafka record and committed Raft entry, so an
+    /// endorser key is subgroup-checked and a role string allocated once
+    /// per node, not once per record.
+    decoder: Decoder,
 }
 
 impl OsnNode {
@@ -125,6 +129,7 @@ impl OsnNode {
             cutter: BlockCutter::new(batch),
             assembler: BlockAssembler::new(channel),
             engine: Engine::Solo,
+            decoder: Decoder::default(),
         }
     }
 
@@ -150,6 +155,7 @@ impl OsnNode {
                 )),
                 delivered_height: 0,
             },
+            decoder: Decoder::default(),
         }
     }
 
@@ -171,6 +177,7 @@ impl OsnNode {
                 resend: VecDeque::new(),
                 last_ttc_sent: None,
             },
+            decoder: Decoder::default(),
         }
     }
 
@@ -307,7 +314,7 @@ impl OsnNode {
                 ..
             } => {
                 if let Ok((_, raft_effects)) = node.propose(encode_block(&block)) {
-                    Self::absorb_raft(raft_effects, delivered_height, effects);
+                    Self::absorb_raft(raft_effects, delivered_height, &mut self.decoder, effects);
                 }
             }
         }
@@ -329,7 +336,12 @@ impl OsnNode {
                 };
                 let raft_effects = node.step(from as u64 + 1, raft_msg);
                 let mut effects = Vec::new();
-                Self::absorb_raft(raft_effects, delivered_height, &mut effects);
+                Self::absorb_raft(
+                    raft_effects,
+                    delivered_height,
+                    &mut self.decoder,
+                    &mut effects,
+                );
                 self.observe_delivered(&effects);
                 effects
             }
@@ -339,6 +351,7 @@ impl OsnNode {
     fn absorb_raft(
         raft_effects: Vec<RaftEffect>,
         delivered_height: &mut u64,
+        decoder: &mut Decoder,
         effects: &mut Vec<OsnEffect>,
     ) {
         for e in raft_effects {
@@ -352,7 +365,7 @@ impl OsnNode {
                         if entry.is_noop() {
                             continue;
                         }
-                        match decode_block(&entry.data) {
+                        match decoder.decode_block(&entry.data) {
                             Ok(block) if block.header.number == *delivered_height => {
                                 *delivered_height += 1;
                                 effects.push(OsnEffect::BlockReady(block));
@@ -456,7 +469,7 @@ impl OsnNode {
                                 self.emit_block(batch, &mut effects);
                             }
                         }
-                    } else if let Ok(tx) = decode_tx(&record.data) {
+                    } else if let Ok(tx) = self.decoder.decode_tx(&record.data) {
                         self.enqueue_local(tx, &mut effects);
                     }
                 }
@@ -522,7 +535,12 @@ impl OsnNode {
             } => {
                 let raft_effects = node.tick();
                 let mut effects = Vec::new();
-                Self::absorb_raft(raft_effects, delivered_height, &mut effects);
+                Self::absorb_raft(
+                    raft_effects,
+                    delivered_height,
+                    &mut self.decoder,
+                    &mut effects,
+                );
                 self.observe_delivered(&effects);
                 effects
             }
@@ -547,7 +565,7 @@ impl OsnNode {
 mod tests {
     use super::*;
     use fabricsim_crypto::KeyPair;
-    use fabricsim_types::{ClientId, Proposal, RwSet};
+    use fabricsim_types::{ClientId, Endorsement, OrgId, Principal, Proposal, RwSet};
 
     fn tx(nonce: u64) -> Transaction {
         Transaction {
@@ -726,6 +744,59 @@ mod tests {
             })
             .expect("stream cut");
         assert_eq!(block.len(), 2);
+    }
+
+    /// The OSN's decoder keeps admissions across records, never refusals: a
+    /// record whose endorser key is outside the group is dropped after
+    /// records that admitted other keys, and again when it comes back.
+    #[test]
+    fn kafka_osn_refuses_a_non_member_key_after_admitted_ones() {
+        let endorsed = |nonce: u64, seeds: &[&str]| {
+            let mut t = tx(nonce);
+            for (org, seed) in seeds.iter().enumerate() {
+                let kp = KeyPair::from_seed(seed.as_bytes());
+                t.endorsements.push(Endorsement {
+                    endorser: Principal::peer(OrgId(org as u32 + 1)),
+                    endorser_key: kp.public,
+                    signature: kp.sign(b"response"),
+                });
+            }
+            t
+        };
+        let non_member = (2..)
+            .find(|&x| fabricsim_crypto::PublicKey::from_element(x).is_none())
+            .expect("the group is a proper subgroup");
+        let odd = KeyPair::from_seed(b"odd").public.element().to_le_bytes();
+        let mut refused = encode_tx(&endorsed(2, &["p0", "odd"]));
+        let at = refused
+            .windows(8)
+            .position(|w| w == odd)
+            .expect("the key is on the wire");
+        refused[at..at + 8].copy_from_slice(&non_member.to_le_bytes());
+        let record = |nonce| Record::payload(encode_tx(&endorsed(nonce, &["p0", "p1"])));
+        let mut osn = OsnNode::kafka(0, ChannelId::default_channel(), batch_cfg(2), vec![0]);
+        let mut cut = |base_offset, records: Vec<Record>| {
+            let effects = osn.handle(OsnInput::Kafka(ClientEvent::ConsumeBatch {
+                base_offset,
+                high_watermark: base_offset + records.len() as u64,
+                records,
+            }));
+            let blocks: Vec<Vec<TxId>> = effects
+                .iter()
+                .filter_map(|e| match e {
+                    OsnEffect::BlockReady(b) => {
+                        Some(b.transactions.iter().map(|t| t.tx_id).collect())
+                    }
+                    _ => None,
+                })
+                .collect();
+            blocks
+        };
+        let id = |nonce| tx(nonce).tx_id;
+        let batch = vec![record(1), Record::payload(refused.clone()), record(3)];
+        assert_eq!(cut(0, batch), vec![vec![id(1), id(3)]]);
+        let batch = vec![Record::payload(refused), record(4), record(5)];
+        assert_eq!(cut(3, batch), vec![vec![id(4), id(5)]]);
     }
 
     #[test]

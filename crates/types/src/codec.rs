@@ -10,12 +10,14 @@
 //! with [`Principal::encode_into`], so no endorsement builds a `String` on the
 //! way out. The decoder parses principals from borrowed slices of the input.
 //!
-//! Decoding a block subgroup-checks each distinct endorser key element once:
+//! A [`Decoder`] subgroup-checks each distinct endorser key element once:
 //! the first sight of an element runs [`PublicKey::from_element`], a repeat
 //! reuses that admission (a pure function of the element), and a refused
-//! element makes the whole block a [`DecodeError`]. A decode also hands out
-//! one role string per distinct role text: every principal that names the
-//! same role shares its `Arc<str>`.
+//! element makes the whole record a [`DecodeError`]. It also hands out one
+//! role string per distinct role text: every principal that names the same
+//! role shares its `Arc<str>`. [`decode_tx`] and [`decode_block`] use a fresh
+//! decoder, so one block pays each check once; a node that decodes a stream
+//! of records keeps one decoder and pays it once for the stream.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -196,14 +198,8 @@ const MIN_ENDORSEMENT_BYTES: usize = 4 + 8 + 16;
 const MIN_TX_BYTES: usize = 32 + 6 * 4 + 4 + 16;
 const FLAG_BYTES: usize = 1;
 
-/// Admits an endorser key element: [`PublicKey::from_element`]'s subgroup
-/// check.
-fn admit_key(element: u64) -> Result<PublicKey, DecodeError> {
-    PublicKey::from_element(element).ok_or_else(|| DecodeError("endorser key not in group".into()))
-}
-
-/// The role strings one decode has handed out, one per distinct text.
-#[derive(Default)]
+/// The role strings a decoder has handed out, one per distinct text.
+#[derive(Debug, Default)]
 struct Roles {
     /// The first role seen. Endorsements almost always name one role, so
     /// the set below stays empty and allocates nothing.
@@ -229,50 +225,116 @@ impl Roles {
     }
 }
 
-/// Reads one envelope; `admit` turns each endorser key element into a key,
-/// and `roles` shares each endorser's role string.
-fn read_tx(
-    r: &mut Reader<'_>,
-    admit: &mut impl FnMut(u64) -> Result<PublicKey, DecodeError>,
-    roles: &mut Roles,
-) -> Result<Transaction, DecodeError> {
-    let tx_id = TxId(r.hash()?);
-    let channel = ChannelId(r.str()?);
-    let chaincode = r.str()?;
-    let rw_set = read_rwset(r)?;
-    let payload = r.bytes()?;
-    let n_endorsements = r.count(MIN_ENDORSEMENT_BYTES)?;
-    let mut endorsements = Vec::with_capacity(n_endorsements);
-    for _ in 0..n_endorsements {
-        let principal_text = r.text()?;
-        let endorser = Principal::parse_with(principal_text, |text| roles.share(text))
-            .ok_or_else(|| DecodeError(format!("bad principal {principal_text:?}")))?;
-        let endorser_key = admit(r.u64()?)?;
+/// Decoder state kept across records: the endorser key elements admitted so
+/// far and the role strings handed out so far. Only admissions are kept: a
+/// refused element is checked again wherever it appears, and refuses every
+/// record that carries it.
+#[derive(Debug, Default)]
+pub struct Decoder {
+    admitted: HashMap<u64, PublicKey, FxBuildHasher>,
+    roles: Roles,
+}
+
+impl Decoder {
+    /// Deserializes a transaction envelope.
+    ///
+    /// # Errors
+    /// [`DecodeError`] on truncated or malformed input, including an
+    /// endorser key element outside the group.
+    pub fn decode_tx(&mut self, bytes: &[u8]) -> Result<Transaction, DecodeError> {
+        let mut r = Reader::new(bytes);
+        let tx = self.read_tx(&mut r)?;
+        r.finish()?;
+        Ok(tx)
+    }
+
+    /// Deserializes a block.
+    ///
+    /// # Errors
+    /// [`DecodeError`] on truncated or malformed input, including an endorser
+    /// key element outside the group in any transaction.
+    pub fn decode_block(&mut self, bytes: &[u8]) -> Result<Block, DecodeError> {
+        let mut r = Reader::new(bytes);
+        let channel = ChannelId(r.str()?);
+        let number = r.u64()?;
+        let previous_hash = r.hash()?;
+        let data_hash = r.hash()?;
+        let n_txs = r.count(MIN_TX_BYTES)?;
+        let mut transactions = Vec::with_capacity(n_txs);
+        for _ in 0..n_txs {
+            transactions.push(self.read_tx(&mut r)?);
+        }
+        let n_flags = r.count(FLAG_BYTES)?;
+        let mut flags = Vec::with_capacity(n_flags);
+        for _ in 0..n_flags {
+            flags.push(code_from_u8(r.u8()?)?);
+        }
+        r.finish()?;
+        Ok(Block {
+            channel,
+            header: BlockHeader {
+                number,
+                previous_hash,
+                data_hash,
+            },
+            transactions: transactions.into(),
+            metadata: BlockMetadata { flags },
+        })
+    }
+
+    /// Admits an endorser key element: [`PublicKey::from_element`]'s
+    /// subgroup check on its first sight.
+    fn admit(&mut self, element: u64) -> Result<PublicKey, DecodeError> {
+        match self.admitted.entry(element) {
+            Entry::Occupied(known) => Ok(*known.get()),
+            Entry::Vacant(first_sight) => {
+                let key = PublicKey::from_element(element)
+                    .ok_or_else(|| DecodeError("endorser key not in group".into()))?;
+                Ok(*first_sight.insert(key))
+            }
+        }
+    }
+
+    /// Reads one envelope.
+    fn read_tx(&mut self, r: &mut Reader<'_>) -> Result<Transaction, DecodeError> {
+        let tx_id = TxId(r.hash()?);
+        let channel = ChannelId(r.str()?);
+        let chaincode = r.str()?;
+        let rw_set = read_rwset(r)?;
+        let payload = r.bytes()?;
+        let n_endorsements = r.count(MIN_ENDORSEMENT_BYTES)?;
+        let mut endorsements = Vec::with_capacity(n_endorsements);
+        for _ in 0..n_endorsements {
+            let principal_text = r.text()?;
+            let endorser = Principal::parse_with(principal_text, |text| self.roles.share(text))
+                .ok_or_else(|| DecodeError(format!("bad principal {principal_text:?}")))?;
+            let endorser_key = self.admit(r.u64()?)?;
+            let signature = Signature {
+                e: r.u64()?,
+                s: r.u64()?,
+            };
+            endorsements.push(Endorsement {
+                endorser,
+                endorser_key,
+                signature,
+            });
+        }
+        let creator = ClientId(r.u32()?);
         let signature = Signature {
             e: r.u64()?,
             s: r.u64()?,
         };
-        endorsements.push(Endorsement {
-            endorser,
-            endorser_key,
+        Ok(Transaction {
+            tx_id,
+            channel,
+            chaincode,
+            rw_set,
+            payload,
+            endorsements,
+            creator,
             signature,
-        });
+        })
     }
-    let creator = ClientId(r.u32()?);
-    let signature = Signature {
-        e: r.u64()?,
-        s: r.u64()?,
-    };
-    Ok(Transaction {
-        tx_id,
-        channel,
-        chaincode,
-        rw_set,
-        payload,
-        endorsements,
-        creator,
-        signature,
-    })
 }
 
 /// Serializes a transaction envelope.
@@ -282,15 +344,12 @@ pub fn encode_tx(tx: &Transaction) -> Vec<u8> {
     e.finish()
 }
 
-/// Deserializes a transaction envelope.
+/// Deserializes a transaction envelope with a fresh [`Decoder`].
 ///
 /// # Errors
 /// [`DecodeError`] on truncated or malformed input.
 pub fn decode_tx(bytes: &[u8]) -> Result<Transaction, DecodeError> {
-    let mut r = Reader::new(bytes);
-    let tx = read_tx(&mut r, &mut admit_key, &mut Roles::default())?;
-    r.finish()?;
-    Ok(tx)
+    Decoder::default().decode_tx(bytes)
 }
 
 fn code_to_u8(c: ValidationCode) -> u8 {
@@ -332,46 +391,14 @@ pub fn encode_block(block: &Block) -> Vec<u8> {
     e.finish()
 }
 
-/// Deserializes a block.
+/// Deserializes a block with a fresh [`Decoder`]: each distinct endorser
+/// key element in it is checked once.
 ///
 /// # Errors
 /// [`DecodeError`] on truncated or malformed input, including an endorser
 /// key element outside the group in any transaction.
 pub fn decode_block(bytes: &[u8]) -> Result<Block, DecodeError> {
-    let mut r = Reader::new(bytes);
-    let channel = ChannelId(r.str()?);
-    let number = r.u64()?;
-    let previous_hash = r.hash()?;
-    let data_hash = r.hash()?;
-    let n_txs = r.count(MIN_TX_BYTES)?;
-    // The elements admitted so far in this block. Only admissions are kept: a
-    // refusal ends the decode, so no repeat can reuse one.
-    let mut admitted: HashMap<u64, PublicKey, FxBuildHasher> = HashMap::default();
-    let mut admit = |element| match admitted.entry(element) {
-        Entry::Occupied(known) => Ok(*known.get()),
-        Entry::Vacant(first_sight) => Ok(*first_sight.insert(admit_key(element)?)),
-    };
-    let mut roles = Roles::default();
-    let mut transactions = Vec::with_capacity(n_txs);
-    for _ in 0..n_txs {
-        transactions.push(read_tx(&mut r, &mut admit, &mut roles)?);
-    }
-    let n_flags = r.count(FLAG_BYTES)?;
-    let mut flags = Vec::with_capacity(n_flags);
-    for _ in 0..n_flags {
-        flags.push(code_from_u8(r.u8()?)?);
-    }
-    r.finish()?;
-    Ok(Block {
-        channel,
-        header: BlockHeader {
-            number,
-            previous_hash,
-            data_hash,
-        },
-        transactions: transactions.into(),
-        metadata: BlockMetadata { flags },
-    })
+    Decoder::default().decode_block(bytes)
 }
 
 #[cfg(test)]
@@ -666,6 +693,29 @@ mod tests {
             1
         );
         assert!(refused_key(decode_block(&bytes).unwrap_err()));
+    }
+
+    /// A decoder kept across records shares its role strings between them
+    /// and keeps admissions only: a non-member key in a later record is
+    /// refused, and refused again the next time it comes.
+    #[test]
+    fn a_kept_decoder_shares_roles_and_refuses_a_later_non_member_key() {
+        let mut decoder = Decoder::default();
+        let first = decoder.decode_tx(&encode_tx(&sample_tx(1, 3))).unwrap();
+        let second = decoder.decode_tx(&encode_tx(&sample_tx(2, 2))).unwrap();
+        assert!(Arc::ptr_eq(
+            &first.endorsements[0].endorser.role,
+            &second.endorsements[1].endorser.role
+        ));
+        let mut bad = encode_tx(&sample_tx(3, 3));
+        let p2 = KeyPair::from_seed(b"p2").public.element();
+        assert_eq!(replace_element(&mut bad, p2, non_member()), 1);
+        assert!(refused_key(decoder.decode_tx(&bad).unwrap_err()));
+        assert_eq!(
+            decoder.decode_tx(&encode_tx(&sample_tx(4, 2))).unwrap(),
+            sample_tx(4, 2)
+        );
+        assert!(refused_key(decoder.decode_tx(&bad).unwrap_err()));
     }
 
     #[test]

@@ -168,11 +168,12 @@ fn recording_an_observation_allocates_nothing() {
 }
 
 /// Allocations per committed transaction the Kafka small-blocks run may
-/// make, planes off. Its three OSNs deliver one shared copy of each block.
+/// make, planes off. Its three OSNs deliver one shared copy of each block,
+/// and each decodes every consumed record with one decoder kept for the run.
 /// The count is exact and host-independent, so this is a
 /// ratchet like `lint-ratchet.txt`: lower it when a change makes fewer, and
 /// never raise it.
-const ALLOCS_PER_COMMITTED_TX: f64 = 108.0;
+const ALLOCS_PER_COMMITTED_TX: f64 = 105.0;
 
 /// The same budget for the benchmark's `des_and5_past_knee` configuration —
 /// Solo, AND5 over 10 endorsing and 4 validate-only peers, past the validate
@@ -192,8 +193,9 @@ const _: () = assert!(AND5_POOL4_ALLOCS_PER_COMMITTED_TX <= AND5_ALLOCS_PER_COMM
 
 /// The same budget for [`and5_past_knee`] ordered by a 3-node Raft group:
 /// the leader encodes each block once, and every node's log, every
-/// `AppendEntries` and every commit share those bytes; each node's decode
-/// shares one role string among the block's endorsements. A ratchet too.
+/// `AppendEntries` and every commit share those bytes; each node decodes
+/// every committed block with one decoder kept for the run, which shares one
+/// role string among all the endorsements it decodes. A ratchet too.
 const RAFT_ALLOCS_PER_COMMITTED_TX: f64 = 170.0;
 
 fn and5_past_knee() -> SimConfig {
