@@ -164,14 +164,17 @@ impl CostModel {
     /// transactions are assigned in tx order to the earliest-free worker —
     /// exactly the schedule the functional pipeline's chunk split
     /// approximates, and at `workers == 1` it degenerates to the plain
-    /// left-to-right sum (bit-identical f64 accumulation).
-    pub fn vscc_makespan_ms(per_tx_ms: &[f64], workers: usize) -> f64 {
-        let workers = workers.max(1);
-        if workers == 1 {
-            return per_tx_ms.iter().sum();
-        }
-        let mut free = vec![0.0f64; workers.min(per_tx_ms.len().max(1))];
-        for &c in per_tx_ms {
+    /// left-to-right sum (bit-identical f64 accumulation). `free` is the
+    /// workers' table, cleared here: a caller that keeps it allocates it
+    /// once.
+    pub fn vscc_makespan_ms(
+        per_tx_ms: impl ExactSizeIterator<Item = f64>,
+        workers: usize,
+        free: &mut Vec<f64>,
+    ) -> f64 {
+        free.clear();
+        free.resize(workers.max(1).min(per_tx_ms.len().max(1)), 0.0);
+        for c in per_tx_ms {
             #[expect(
                 clippy::expect_used,
                 reason = "free is non-empty: its length has a max(.., 1) lower bound"
@@ -185,6 +188,69 @@ impl CostModel {
             *slot += c;
         }
         free.iter().fold(0.0f64, |m, &v| m.max(v))
+    }
+
+    /// One block's schedule at a peer's validate station, from the signature
+    /// count of each of its transactions in block order: the services of its
+    /// VSCC and commit stages, and each transaction's `(vscc_done, done)`
+    /// offsets from the instant the VSCC stage starts. `free` is the VSCC
+    /// pool's worker table ([`CostModel::vscc_makespan_ms`]).
+    ///
+    /// At a pool of 1 (stock Fabric) the block's total service is one f64
+    /// sum and the VSCC stage is carved out of it by *integer* subtraction,
+    /// so the two stages add up to the single-station service bit for bit;
+    /// each transaction's VSCC check heads its own serial slice. With a
+    /// wider pool the VSCC stage is the makespan of the per-transaction
+    /// checks and a barrier, behind which MVCC and the ledger write run
+    /// serially.
+    pub(crate) fn validate_schedule<'a, I>(
+        &'a self,
+        sigs: I,
+        free: &mut Vec<f64>,
+    ) -> (
+        SimDuration,
+        SimDuration,
+        impl Iterator<Item = (SimDuration, SimDuration)> + 'a,
+    )
+    where
+        I: ExactSizeIterator<Item = usize> + Clone + 'a,
+    {
+        let ms = |x: f64| SimDuration::from_millis_f64(x.max(0.0));
+        let overhead_ms = self.validate_block_overhead_ms;
+        let serial = self.validator_pool_size <= 1;
+        let (vscc, commit) = if serial {
+            let per_tx_ms: f64 = sigs.clone().map(|s| self.validate_tx_ms(s)).sum();
+            let total = ms(overhead_ms + per_tx_ms);
+            let vscc_ms: f64 = sigs.clone().map(|s| self.vscc_tx_ms(s)).sum();
+            let vscc = ms(vscc_ms).min(total);
+            (vscc, total - vscc)
+        } else {
+            let per_tx_ms = sigs.clone().map(|s| self.vscc_tx_ms(s));
+            let vscc = ms(Self::vscc_makespan_ms(
+                per_tx_ms,
+                self.validator_pool_size,
+                free,
+            ));
+            let commit_ms = overhead_ms + self.commit_tx_ms() * sigs.len() as f64;
+            (vscc, ms(commit_ms))
+        };
+        // Milliseconds of serial work before the next transaction: the
+        // block's so far (serial), or the commit stage's so far (pooled).
+        let mut acc = overhead_ms;
+        let offsets = sigs.map(move |s| {
+            let at = SimDuration::from_millis_f64;
+            if serial {
+                // A tx's vscc-done instant never lands after its done.
+                let c = self.validate_tx_ms(s);
+                let (vscc_done, done) = (at(acc + self.vscc_tx_ms(s)), at(acc + c));
+                acc += c;
+                (vscc_done.min(done), done)
+            } else {
+                acc += self.commit_tx_ms();
+                (vscc, vscc + at(acc))
+            }
+        });
+        (vscc, commit, offsets)
     }
 
     /// Effective validate-phase CPU per transaction at `sigs` signatures,
@@ -282,30 +348,66 @@ mod tests {
         );
     }
 
+    fn makespan(costs: &[f64], workers: usize) -> f64 {
+        CostModel::vscc_makespan_ms(costs.iter().copied(), workers, &mut Vec::new())
+    }
+
     #[test]
     fn makespan_single_worker_is_the_plain_sum() {
         let costs = [2.42, 2.42, 4.1, 0.3, 2.42];
         let serial: f64 = costs.iter().sum();
-        assert_eq!(CostModel::vscc_makespan_ms(&costs, 1), serial);
-        assert_eq!(CostModel::vscc_makespan_ms(&costs, 0), serial);
+        assert_eq!(makespan(&costs, 1), serial);
+        assert_eq!(makespan(&costs, 0), serial);
     }
 
     #[test]
     fn makespan_shrinks_with_workers_but_not_below_critical_path() {
         let costs: Vec<f64> = (0..100).map(|i| 2.0 + (i % 7) as f64 * 0.42).collect();
         let serial: f64 = costs.iter().sum();
-        let m2 = CostModel::vscc_makespan_ms(&costs, 2);
-        let m4 = CostModel::vscc_makespan_ms(&costs, 4);
+        let m2 = makespan(&costs, 2);
+        let m4 = makespan(&costs, 4);
         assert!(m2 < serial && m4 < m2, "{serial} {m2} {m4}");
         // Greedy list scheduling is within 2x of the lower bound sum/p.
         assert!(m4 >= serial / 4.0 && m4 <= serial / 2.0);
         // More workers than jobs: the longest single job is the makespan.
         let longest = costs.iter().fold(0.0f64, |m, &v| m.max(v));
-        assert_eq!(CostModel::vscc_makespan_ms(&costs, 1000), longest);
+        assert_eq!(makespan(&costs, 1000), longest);
+    }
+
+    #[test]
+    fn validate_schedule_tiles_the_block_service() {
+        let sigs = [5usize, 5, 1, 5, 3];
+        for pool in [1, 4] {
+            let m = CostModel {
+                validator_pool_size: pool,
+                ..CostModel::default()
+            };
+            let (vscc, commit, offsets) =
+                m.validate_schedule(sigs.iter().copied(), &mut Vec::new());
+            let end = vscc + commit;
+            if pool == 1 {
+                let per_tx_ms: f64 = sigs.iter().map(|&s| m.validate_tx_ms(s)).sum();
+                assert_eq!(end, CostModel::ms(m.validate_block_overhead_ms + per_tx_ms));
+            }
+            let offsets: Vec<_> = offsets.collect();
+            assert_eq!(offsets.len(), sigs.len());
+            let mut last_done = SimDuration::ZERO;
+            for &(vscc_done, done) in &offsets {
+                assert!(vscc_done <= done && last_done < done, "pool {pool}");
+                if pool > 1 {
+                    assert_eq!(vscc_done, vscc, "the pooled VSCC stage is a barrier");
+                }
+                last_done = done;
+            }
+            // The last transaction is done when the block is, up to the
+            // rounding of summing its costs in another order.
+            let gap = end.as_nanos().abs_diff(last_done.as_nanos());
+            assert!(gap <= 1, "pool {pool}: {gap} ns");
+        }
     }
 
     #[test]
     fn makespan_of_empty_block_is_zero() {
-        assert_eq!(CostModel::vscc_makespan_ms(&[], 4), 0.0);
+        assert_eq!(makespan(&[], 4), 0.0);
     }
 }

@@ -10,7 +10,6 @@ use fabricsim_types::encode::WireSize;
 use fabricsim_types::{Block, Proposal, ProposalResponse, Transaction};
 
 use crate::metrics::TxOutcome;
-use crate::model::CostModel;
 
 use super::lane;
 use super::observe::{Actor, SpanKey};
@@ -205,54 +204,34 @@ fn enqueue_block_validation(world: &mut World, k: &mut K, peer_idx: usize, block
         }
     }
     let m = &world.cfg.cost;
-    let ms = |x: f64| SimDuration::from_millis_f64(x.max(0.0));
-    let pool = m.validator_pool_size.max(1);
     let txs = &block.transactions;
-    let overhead_ms = m.validate_block_overhead_ms;
+    let (vscc_service, commit_service, _) =
+        m.validate_schedule(txs.iter().map(sigs), &mut world.vscc_workers);
     // Blocks are serviced in delivery order and VSCC cannot overtake an
     // earlier block's commit, so the serial commit station is the queueing
     // backbone of the staged pipeline: the block's VSCC stage begins when a
     // committer slot frees up, and the commit stage follows immediately.
-    let start = world.peers[peer_idx].commit.would_start_at(now);
-    let (vscc_service, commit_service) = if pool <= 1 {
-        // Serial stock-Fabric path. Timing reproduces the single-station
-        // model exactly: the block's total service is one f64 sum, and the
-        // split point is carved out by *integer* subtraction so
-        // vscc_service + commit_service == total_service bit-for-bit.
-        let per_tx_ms: f64 = txs.iter().map(|tx| m.validate_tx_ms(sigs(tx))).sum();
-        let total_service = ms(overhead_ms + per_tx_ms);
-        let vscc_ms: f64 = txs.iter().map(|tx| m.vscc_tx_ms(sigs(tx))).sum();
-        let vscc_service = ms(vscc_ms).min(total_service);
-        (vscc_service, total_service - vscc_service)
-    } else {
-        // Pooled path: the VSCC stage's makespan is a deterministic
-        // earliest-free-worker schedule of the per-tx costs over `pool`
-        // workers; MVCC + ledger write stay serial behind it.
-        let vscc_tx_ms: Vec<f64> = txs.iter().map(|tx| m.vscc_tx_ms(sigs(tx))).collect();
-        let vscc_service = ms(CostModel::vscc_makespan_ms(&vscc_tx_ms, pool));
-        let commit_service = ms(overhead_ms + m.commit_tx_ms() * txs.len() as f64);
-        (vscc_service, commit_service)
-    };
-    // Observational per-tx VSCC visits: the station's busy time is the pool's
-    // real CPU demand, so its utilization reads as aggregate core usage.
     let node = &mut world.peers[peer_idx];
-    for tx in txs {
-        node.vscc
-            .submit_ready(now, start, ms(m.vscc_tx_ms(sigs(tx))));
-    }
+    let start = node.commit.would_start_at(now);
     let vscc_end = start + vscc_service;
     let done = node.commit.submit_ready(now, vscc_end, commit_service);
     debug_assert_eq!(done, vscc_end + commit_service);
-    if is_observer {
-        // Attribute each stage per tx: block-level queueing lands on the VSCC
-        // stage (it is what the block waits to enter); the commit stage then
-        // runs back-to-back, charged this tx's serial share plus its slice of
-        // the block overhead.
-        let queued = start - now;
-        let overhead_share_ms = overhead_ms / txs.len().max(1) as f64;
-        let commit_s = SimDuration::from_millis_f64(m.commit_tx_ms() + overhead_share_ms);
-        for tx in txs {
-            let vscc_s = SimDuration::from_millis_f64(m.vscc_tx_ms(sigs(tx)));
+    // Attribute each stage per tx at the observer: block-level queueing
+    // lands on the VSCC stage (it is what the block waits to enter); the
+    // commit stage then runs back-to-back, charged this tx's serial share
+    // plus its slice of the block overhead.
+    let queued = start - now;
+    let overhead_share_ms = m.validate_block_overhead_ms / txs.len().max(1) as f64;
+    let commit_s = SimDuration::from_millis_f64(m.commit_tx_ms() + overhead_share_ms);
+    for tx in txs {
+        let vscc_ms = m.vscc_tx_ms(sigs(tx));
+        // Observational per-tx VSCC visits: the station's busy time is the
+        // pool's real CPU demand, so its utilization reads as aggregate
+        // core usage.
+        node.vscc
+            .submit_ready(now, start, SimDuration::from_millis_f64(vscc_ms.max(0.0)));
+        if is_observer {
+            let vscc_s = SimDuration::from_millis_f64(vscc_ms);
             world
                 .obs
                 .visit(tx.tx_id, StationClass::PeerVscc, queued, vscc_s);
@@ -268,23 +247,16 @@ fn enqueue_block_validation(world: &mut World, k: &mut K, peer_idx: usize, block
         peer: peer_idx,
         block,
         start,
-        vscc_end,
     };
     k.schedule(done, commit);
 }
 
-/// Peer `peer_idx` finished validating `block`, whose VSCC stage ran from
-/// `start` to `vscc_end`: its ledger commits the block and lets go of its
-/// body, and at the observer every transaction's validation spans and
-/// commit are recorded. A block the ledger refuses to append is recorded
+/// Peer `peer_idx` finished validating `block`, whose VSCC stage started at
+/// `start`: its ledger commits the block and lets go of its body, and at
+/// the observer every transaction's validation spans and commit are
+/// recorded. A block the ledger refuses to append is recorded
 /// as a [`ChainBreak`] and dropped.
-pub(super) fn commit_block(
-    world: &mut World,
-    peer_idx: usize,
-    block: Arc<Block>,
-    start: SimTime,
-    vscc_end: SimTime,
-) {
+pub(super) fn commit_block(world: &mut World, peer_idx: usize, block: Arc<Block>, start: SimTime) {
     if world.check_channel(&block.channel).is_err() {
         return;
     }
@@ -322,29 +294,14 @@ pub(super) fn commit_block(
     // block-scoped delivery chain via the Vscc parent edge. Recorded here
     // — at commit time, not when validation was enqueued — so the span
     // graph only ever contains finished work and every Commit span has a
-    // matching TxTrace commit stamp. The per-tx instants replay the stage
-    // schedule `enqueue_block_validation` charged.
+    // matching TxTrace commit stamp. The per-tx instants come from the
+    // same schedule `enqueue_block_validation` charged.
     let m = &world.cfg.cost;
-    let serial = m.validator_pool_size.max(1) <= 1;
+    let (_, _, offsets) = m.validate_schedule(txs.iter().map(sigs), &mut world.vscc_workers);
     let actor = Actor::Peer(peer_idx);
     let delivery = SpanKey::block(number, SpanKind::Deliver, actor);
-    let mut acc = m.validate_block_overhead_ms;
-    for (tx, flag) in txs.iter().zip(flags) {
-        let (vscc_done, done) = if serial {
-            // Each tx's VSCC check runs at the head of its own serial
-            // slice, so its vscc-done instant sits inside the slice,
-            // clamped to never land after the commit record it precedes.
-            let c = m.validate_tx_ms(sigs(tx));
-            let done = start + SimDuration::from_millis_f64(acc + c);
-            let vscc_done = start + SimDuration::from_millis_f64(acc + m.vscc_tx_ms(sigs(tx)));
-            acc += c;
-            (vscc_done.min(done), done)
-        } else {
-            // The pooled VSCC stage is a barrier: every tx's vscc-done
-            // instant is the stage end.
-            acc += m.commit_tx_ms();
-            (vscc_end, vscc_end + SimDuration::from_millis_f64(acc))
-        };
+    for ((tx, flag), (vscc_done, done)) in txs.iter().zip(flags).zip(offsets) {
+        let (vscc_done, done) = (start + vscc_done, start + done);
         let vscc = SpanKey::tx(tx.tx_id, SpanKind::Vscc, actor);
         let commit = SpanKey::tx(tx.tx_id, SpanKind::Commit, actor);
         world.obs.span(vscc, Some(delivery), start, vscc_done);
@@ -416,7 +373,7 @@ mod tests {
             Vec::new(),
         );
         let at = SimTime::ZERO;
-        commit_block(&mut world, observer, Arc::new(unlinked), at, at);
+        commit_block(&mut world, observer, Arc::new(unlinked), at);
         let want = ChainBreak {
             peer: observer,
             number: 0,

@@ -7,9 +7,7 @@ use std::sync::Arc;
 
 use fabricsim_chaincode::samples::{AssetTransfer, KvWrite, Smallbank};
 use fabricsim_des::{EventId, Kernel, Link, Model, RngStream, SimDuration, SimTime, Station};
-use fabricsim_kafka::{
-    Broker, BrokerEffect, BrokerId, BrokerMsg, ClientEvent, KafkaConfig, Offset, ZkEnsemble,
-};
+use fabricsim_kafka::{Broker, BrokerEffect, BrokerId, BrokerMsg, ClientEvent, Offset, ZkEnsemble};
 use fabricsim_ledger::ChainError;
 use fabricsim_msp::{CertificateAuthority, Msp};
 use fabricsim_ordering::{OsnInput, OsnMsg, OsnNode};
@@ -123,6 +121,9 @@ pub(super) struct World {
     pub(super) shard: ShardCtx,
     /// Reused by every broker step and tick for the effects it emits.
     pub(super) broker_effects: Vec<BrokerEffect>,
+    /// Reused by every block's validate schedule for the modelled VSCC
+    /// pool's worker table.
+    pub(super) vscc_workers: Vec<f64>,
     /// This world's end of the run's lane, when it has one.
     pub(super) lane: Option<BlockLane>,
     /// Every block a peer could not append, in the order they failed.
@@ -229,13 +230,12 @@ pub(super) enum Ev {
     },
     /// Peer `peer`'s anti-entropy pull.
     GossipTick { peer: usize },
-    /// Peer `peer` finishes validating and committing `block`; VSCC ran
-    /// from `start` to `vscc_end`.
+    /// Peer `peer` finishes validating and committing `block`, whose VSCC
+    /// stage started at `start`.
     ValidateCommit {
         peer: usize,
         block: Arc<Block>,
         start: SimTime,
-        vscc_end: SimTime,
     },
     /// The periodic gauge sweep.
     ObsSample,
@@ -304,12 +304,9 @@ impl Model for World {
                 peer::peer_receive_gossip(self, k, to, from, message);
             }
             Ev::GossipTick { peer } => peer::gossip_tick(self, k, peer),
-            Ev::ValidateCommit {
-                peer,
-                block,
-                start,
-                vscc_end,
-            } => peer::commit_block(self, peer, block, start, vscc_end),
+            Ev::ValidateCommit { peer, block, start } => {
+                peer::commit_block(self, peer, block, start);
+            }
             Ev::ObsSample => obs_sample(self, k),
             Ev::Fault(fault) => faults::inject(self, k, fault),
         }
@@ -671,13 +668,7 @@ pub(super) fn build_world(cfg: &SimConfig, shard_id: usize) -> World {
     let (brokers, zk) = if cfg.orderer_type == OrdererType::Kafka {
         let brokers = (0..cfg.broker_count)
             .map(|b| BrokerActor {
-                partition: Broker::new(
-                    b,
-                    KafkaConfig {
-                        replication_factor: cfg.broker_count.min(3) as usize,
-                        ..KafkaConfig::default()
-                    },
-                ),
+                partition: Broker::new(b),
                 station: Station::new(format!("broker{b}.cpu"), m.broker_cpu_threads),
                 egress: Link::new(
                     format!("broker{b}.nic"),
@@ -719,6 +710,7 @@ pub(super) fn build_world(cfg: &SimConfig, shard_id: usize) -> World {
         obs: Observer::new(cfg, shard_id),
         cfg: cfg.clone(),
         broker_effects: Vec::new(),
+        vscc_workers: Vec::new(),
         lane: None,
         chain_breaks: Vec::new(),
         kafka_reads: Vec::new(),

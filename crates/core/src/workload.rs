@@ -24,23 +24,43 @@ impl PolicySpec {
     /// Resolves the spec against `deployed` endorsing peers into a concrete
     /// [`Policy`].
     ///
-    /// # Panics
-    /// Panics if a custom policy fails to parse or `deployed == 0`.
-    pub fn resolve(&self, deployed: u32) -> Policy {
-        assert!(deployed > 0, "need at least one endorsing peer");
+    /// # Errors
+    /// Describes why the spec names no policy: no endorsing peer, a count
+    /// of zero (`OR0`, `AND0`, `OutOf` with a zero), or custom text that
+    /// does not parse.
+    pub fn try_resolve(&self, deployed: u32) -> Result<Policy, String> {
+        if deployed == 0 {
+            return Err("need at least one endorsing peer".into());
+        }
         match self {
-            PolicySpec::OrN(n) => Policy::or_of_orgs((*n).min(deployed)),
-            PolicySpec::AndX(x) => Policy::and_of_orgs((*x).min(deployed)),
+            PolicySpec::OrN(0)
+            | PolicySpec::AndX(0)
+            | PolicySpec::KOfN(0, _)
+            | PolicySpec::KOfN(_, 0) => Err(format!(
+                "policy {} needs at least one principal",
+                self.label()
+            )),
+            PolicySpec::OrN(n) => Ok(Policy::or_of_orgs((*n).min(deployed))),
+            PolicySpec::AndX(x) => Ok(Policy::and_of_orgs((*x).min(deployed))),
             PolicySpec::KOfN(k, n) => {
                 let n = (*n).min(deployed);
-                Policy::k_of_n_orgs((*k).min(n as usize), n)
+                Ok(Policy::k_of_n_orgs((*k).min(n as usize), n))
             }
-            #[expect(
-                clippy::expect_used,
-                reason = "workload construction fail-fast on a malformed policy string"
-            )]
-            PolicySpec::Custom(text) => text.parse().expect("invalid custom policy"),
+            PolicySpec::Custom(text) => text.parse().map_err(|e| format!("{e} in {text:?}")),
         }
+    }
+
+    /// [`PolicySpec::try_resolve`] for a spec that [`SimConfig::validate`]
+    /// accepted.
+    ///
+    /// # Panics
+    /// Panics if `try_resolve` refuses the spec.
+    #[expect(
+        clippy::expect_used,
+        reason = "fail-fast: SimConfig::validate refuses every spec that does not resolve"
+    )]
+    pub fn resolve(&self, deployed: u32) -> Policy {
+        self.try_resolve(deployed).expect("invalid policy")
     }
 
     /// Short label for reports (`OR10`, `AND5`, …).
@@ -274,6 +294,7 @@ impl SimConfig {
         if self.committing_peers == 0 {
             return Err("need at least one committing (observer) peer".into());
         }
+        self.policy.try_resolve(self.endorsing_peers)?;
         if !self.arrival_rate_tps.is_finite() || self.arrival_rate_tps <= 0.0 {
             return Err("arrival rate must be a finite positive number".into());
         }
@@ -419,6 +440,26 @@ mod tests {
     #[test]
     fn default_config_is_valid() {
         assert_eq!(SimConfig::default().validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_refuses_a_policy_that_does_not_resolve() {
+        for policy in [
+            PolicySpec::OrN(0),
+            PolicySpec::AndX(0),
+            PolicySpec::KOfN(0, 3),
+            PolicySpec::KOfN(2, 0),
+            PolicySpec::KOfN(0, 0),
+            PolicySpec::Custom("garbage(".into()),
+            PolicySpec::Custom("OutOf(2,'Org1.peer')".into()),
+        ] {
+            let c = SimConfig {
+                policy: policy.clone(),
+                ..SimConfig::default()
+            };
+            let err = c.validate().expect_err("refused");
+            assert!(err.starts_with("policy "), "{policy:?}: {err}");
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!
 //! * [`sha256`] — SHA-256, tested against the FIPS 180-4 vectors.
 //! * [`hmac_sha256`] — HMAC (RFC 2104), tested against the RFC 4231 vectors.
-//! * [`MerkleTree`] — binary Merkle tree for block data hashes.
+//! * [`MerkleTree`] — binary Merkle root for block data hashes.
 //! * [`schnorr`] — Schnorr signatures over a 61-bit safe-prime group. The key
 //!   size is a *simulation-scale* parameter (the algorithm is the real one);
 //!   the DES layer charges calibrated CPU costs for sign/verify so throughput

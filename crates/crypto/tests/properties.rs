@@ -3,7 +3,7 @@
 //! Incremental-versus-one-shot hashing is not here: the unit suite of
 //! `sha256.rs` already splits every length 0..=300 at nine step sizes.
 
-use fabricsim_crypto::{hmac_sha256, sha256, Hash256, KeyPair, MerkleTree};
+use fabricsim_crypto::{hmac_sha256, sha256, Hash256, KeyPair, MerkleTree, Sha256};
 use fabricsim_des::rng::cases;
 use fabricsim_des::RngStream;
 
@@ -81,19 +81,56 @@ fn schnorr_roundtrip_arbitrary_messages() {
     });
 }
 
+/// The root as the tree used to build it, level by level: every level is
+/// a new vector of pair hashes (an odd last node pairs with itself) until
+/// one node is left. The in-place fold must give the same root.
+fn level_by_level_root(leaves: &[Vec<u8>]) -> Hash256 {
+    let tagged = |tag: &[u8], parts: &[&[u8]]| {
+        let mut h = Sha256::new();
+        h.update(tag);
+        for part in parts {
+            h.update(part);
+        }
+        h.finalize()
+    };
+    let leaf = |data: &[u8]| tagged(b"fabricsim-merkle-leaf", &[data]);
+    let mut level: Vec<Hash256> = if leaves.is_empty() {
+        vec![leaf(b"")]
+    } else {
+        leaves.iter().map(|l| leaf(l)).collect()
+    };
+    while level.len() > 1 {
+        level = level
+            .chunks(2)
+            .map(|pair| {
+                let right = pair.get(1).unwrap_or(&pair[0]);
+                tagged(
+                    b"fabricsim-merkle-node",
+                    &[pair[0].as_bytes(), right.as_bytes()],
+                )
+            })
+            .collect();
+    }
+    level[0]
+}
+
 #[test]
-fn merkle_proofs_verify_and_bind() {
-    cases("merkle_proofs_verify_and_bind", 500, |rng| {
-        let n = 1 + rng.pick_index(39);
+fn merkle_root_equals_the_level_by_level_fold() {
+    for n in 0..=257 {
+        let leaves: Vec<Vec<u8>> = (0..n).map(|i| format!("tx{i}").into_bytes()).collect();
+        assert_eq!(
+            MerkleTree::from_leaves(leaves.iter()).root(),
+            level_by_level_root(&leaves),
+            "{n} leaves"
+        );
+    }
+    cases("merkle_root_equals_the_level_by_level_fold", 500, |rng| {
+        let n = rng.pick_index(40);
         let leaves: Vec<Vec<u8>> = (0..n).map(|_| bytes(rng, 0, 31)).collect();
-        let tree = MerkleTree::from_leaves(leaves.iter());
-        let i = rng.pick_index(leaves.len());
-        let proof = tree.proof(i).expect("index in range");
-        assert!(MerkleTree::verify_proof(tree.root(), &leaves[i], i, &proof));
-        // A different leaf value at the same position must fail.
-        let mut forged = leaves[i].clone();
-        forged.push(0xFF);
-        assert!(!MerkleTree::verify_proof(tree.root(), &forged, i, &proof));
+        assert_eq!(
+            MerkleTree::from_leaves(leaves.iter()).root(),
+            level_by_level_root(&leaves)
+        );
     });
 }
 

@@ -38,28 +38,12 @@ impl Record {
     }
 }
 
-/// Broker configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KafkaConfig {
-    /// How many replicas (including the leader) host the partition.
-    pub replication_factor: usize,
-    /// Ticks a follower may lag (no fetch progress to log-end) before the
-    /// leader shrinks it out of the ISR.
-    pub isr_lag_ticks: u32,
-    /// Maximum records returned per fetch/consume.
-    pub max_fetch_records: usize,
-}
+/// Ticks a follower may lag (no fetch progress to log-end) before the
+/// leader shrinks it out of the ISR.
+const ISR_LAG_TICKS: u32 = 20;
 
-impl Default for KafkaConfig {
-    fn default() -> Self {
-        // The paper's defaults: replication factor 3.
-        KafkaConfig {
-            replication_factor: 3,
-            isr_lag_ticks: 20,
-            max_fetch_records: 1024,
-        }
-    }
-}
+/// Most records one fetch or consume returns.
+const MAX_FETCH_RECORDS: Offset = 1024;
 
 /// A broker's current role for the (single) partition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -179,7 +163,6 @@ pub enum BrokerEffect {
 #[derive(Debug, Clone)]
 pub struct Broker {
     id: BrokerId,
-    config: KafkaConfig,
     role: BrokerRole,
     epoch: Epoch,
     /// The retained records, from offset `base` on.
@@ -195,10 +178,9 @@ pub struct Broker {
 
 impl Broker {
     /// Creates an idle broker.
-    pub fn new(id: BrokerId, config: KafkaConfig) -> Self {
+    pub fn new(id: BrokerId) -> Self {
         Broker {
             id,
-            config,
             role: BrokerRole::Idle,
             epoch: 0,
             log: Vec::new(),
@@ -299,7 +281,7 @@ impl Broker {
                         *lag = 0;
                     } else {
                         *lag += 1;
-                        if *lag > self.config.isr_lag_ticks && self.isr.remove(&replica) {
+                        if *lag > ISR_LAG_TICKS && self.isr.remove(&replica) {
                             shrunk = true;
                         }
                     }
@@ -340,7 +322,7 @@ impl Broker {
             BrokerMsg::Consume { reply_to, offset } => {
                 let hw = self.high_watermark;
                 let base = offset.min(hw);
-                let upper = hw.min(base + self.config.max_fetch_records as Offset);
+                let upper = hw.min(base + MAX_FETCH_RECORDS);
                 let records = self.records(base, upper);
                 effects.push(BrokerEffect::Reply {
                     to: reply_to,
@@ -362,9 +344,7 @@ impl Broker {
                     effects.push(BrokerEffect::IsrUpdate { isr: self.isr() });
                 }
                 self.advance_high_watermark();
-                let upper = self
-                    .log_end()
-                    .min(offset + self.config.max_fetch_records as Offset);
+                let upper = self.log_end().min(offset + MAX_FETCH_RECORDS);
                 let records = self.records(offset, upper);
                 effects.push(BrokerEffect::Send {
                     to: from,
@@ -461,7 +441,7 @@ mod tests {
     }
 
     fn leader_with_replicas(replicas: &[BrokerId]) -> Broker {
-        let mut b = Broker::new(replicas[0], KafkaConfig::default());
+        let mut b = Broker::new(replicas[0]);
         step(
             &mut b,
             BrokerMsg::AppointLeader {
@@ -474,7 +454,7 @@ mod tests {
 
     #[test]
     fn idle_broker_rejects_produce() {
-        let mut b = Broker::new(1, KafkaConfig::default());
+        let mut b = Broker::new(1);
         let effects = step(
             &mut b,
             BrokerMsg::Produce {
@@ -586,7 +566,7 @@ mod tests {
 
     #[test]
     fn follower_replicates_via_fetch_response() {
-        let mut f = Broker::new(2, KafkaConfig::default());
+        let mut f = Broker::new(2);
         step(
             &mut f,
             BrokerMsg::AppointFollower {
@@ -620,7 +600,7 @@ mod tests {
 
     #[test]
     fn stale_epoch_fetch_response_ignored() {
-        let mut f = Broker::new(2, KafkaConfig::default());
+        let mut f = Broker::new(2);
         step(
             &mut f,
             BrokerMsg::AppointFollower {
@@ -642,11 +622,7 @@ mod tests {
 
     #[test]
     fn laggard_is_shrunk_from_isr() {
-        let cfg = KafkaConfig {
-            isr_lag_ticks: 3,
-            ..KafkaConfig::default()
-        };
-        let mut leader = Broker::new(1, cfg);
+        let mut leader = Broker::new(1);
         step(
             &mut leader,
             BrokerMsg::AppointLeader {
@@ -664,14 +640,18 @@ mod tests {
             },
         );
         assert_eq!(leader.high_watermark(), 0, "follower 2 now lags");
-        // Follower 2 never fetches again: after isr_lag_ticks it is dropped
-        // and the HW advances without it.
+        // Follower 2 never fetches again: it stays in the ISR for
+        // ISR_LAG_TICKS ticks, is dropped on the next one, and the HW
+        // advances without it.
         let mut isr_updates = 0;
-        for _ in 0..5 {
+        for t in 1..=ISR_LAG_TICKS + 2 {
             for e in tick(&mut leader) {
                 if matches!(e, BrokerEffect::IsrUpdate { .. }) {
                     isr_updates += 1;
                 }
+            }
+            if t == ISR_LAG_TICKS {
+                assert_eq!((isr_updates, leader.isr()), (0, vec![1, 2]));
             }
         }
         assert_eq!(isr_updates, 1);
@@ -682,7 +662,7 @@ mod tests {
     #[test]
     fn new_leader_keeps_its_log_and_rebuilds_isr() {
         // Follower 2 has replicated 2 records, then gets appointed leader.
-        let mut f = Broker::new(2, KafkaConfig::default());
+        let mut f = Broker::new(2);
         step(
             &mut f,
             BrokerMsg::AppointFollower {
@@ -803,7 +783,7 @@ mod tests {
 
     /// A follower of leader 1 holding `records` from offset 0.
     fn follower_with(records: &[&[u8]]) -> Broker {
-        let mut f = Broker::new(2, KafkaConfig::default());
+        let mut f = Broker::new(2);
         step(
             &mut f,
             BrokerMsg::AppointFollower {

@@ -11,7 +11,9 @@
 //! Modelled faithfully (because the paper's findings depend on them):
 //!
 //! * one partition per channel (the paper's default `partition = 1`);
-//! * a configurable **replication factor** (paper default 3);
+//! * the partition's replicas are the brokers the host hands
+//!   [`ZkEnsemble::new`]; the ordering service hands it every broker, so the
+//!   paper's replication factor of 3 is not yet honoured beyond 3 brokers;
 //! * **in-sync replicas** (ISR): followers *pull* via fetch requests, the
 //!   leader advances the high watermark once every ISR member has replicated,
 //!   and laggards are shrunk out of the ISR;
@@ -29,7 +31,7 @@
 mod broker;
 mod zookeeper;
 
-pub use broker::{Broker, BrokerEffect, BrokerMsg, BrokerRole, ClientEvent, KafkaConfig, Record};
+pub use broker::{Broker, BrokerEffect, BrokerMsg, BrokerRole, ClientEvent, Record};
 pub use zookeeper::{ZkEffect, ZkEnsemble, ZkMsg};
 
 /// Broker identifier within the cluster.

@@ -5,8 +5,7 @@
 use std::collections::VecDeque;
 
 use fabricsim_kafka::{
-    Broker, BrokerEffect, BrokerId, BrokerMsg, ClientEvent, KafkaConfig, Record, ZkEffect,
-    ZkEnsemble, ZkMsg,
+    Broker, BrokerEffect, BrokerId, BrokerMsg, ClientEvent, Record, ZkEffect, ZkEnsemble, ZkMsg,
 };
 
 struct Cluster {
@@ -21,10 +20,7 @@ impl Cluster {
     fn new(n: u32) -> Self {
         let ids: Vec<BrokerId> = (0..n).collect();
         let mut c = Cluster {
-            brokers: ids
-                .iter()
-                .map(|&i| Broker::new(i, KafkaConfig::default()))
-                .collect(),
+            brokers: ids.iter().map(|&i| Broker::new(i)).collect(),
             alive: vec![true; n as usize],
             zk: ZkEnsemble::new(3, ids, 3),
             broker_queue: VecDeque::new(),

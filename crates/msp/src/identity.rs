@@ -1,9 +1,7 @@
 //! Certificates, signing identities, and the MSP validation logic.
 
-use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
-use std::sync::{Arc, Mutex, PoisonError};
 
 use fabricsim_crypto::{sha256, Hash256, KeyPair, PublicKey, Signature, VerifyingKey};
 use fabricsim_types::encode::Encoder;
@@ -97,46 +95,18 @@ impl fmt::Display for IdentityError {
 
 impl Error for IdentityError {}
 
-/// Most certificates an [`Msp`] remembers as verified. A channel's committer
-/// sees a handful of client identities; 64 covers that with room to spare
-/// and bounds the memory at 2 KiB of key table and a certificate per entry.
-const VERIFIED_CERTS_MAX: usize = 64;
-
-/// A certificate this MSP has verified, with the expanded form of its key —
-/// built once, when the CA signature was checked, and used for every
-/// signature the identity presents while the entry lives. Shared so a
-/// verifier takes it out of the lock without copying the table.
-type VerifiedIdentity = (Certificate, Arc<VerifyingKey>);
-
 /// A membership service provider: holds the CA root of trust and validates
 /// certificates and signatures presented by remote parties.
 ///
-/// The CA signature on a certificate is verified the first time this MSP is
-/// shown those exact contents; the certificate is then remembered (Fabric's
-/// MSP identity cache) together with its expanded key, and later
-/// presentations are accepted by field-for-field comparison with a
-/// remembered one. A certificate that differs in any field — subject, name,
-/// key, issuer or CA signature — equals none of them and takes the full
-/// check; one that fails it is never remembered. The set is bounded, oldest
-/// out first (an evicted entry takes its expanded key with it), behind a
-/// lock so the pooled VSCC workers share it. A clone starts with an empty
-/// set: it trusts the same root and nothing else.
-#[derive(Debug)]
+/// Every call checks the certificate's issuer and CA signature afresh;
+/// nothing is remembered between calls. A peer resolves each client's
+/// certificate once, when the client is registered, and keeps the key
+/// this returns.
+#[derive(Debug, Clone)]
 pub struct Msp {
     root: CaRoot,
-    /// The root's key, expanded: every first presentation verifies under it.
+    /// The root's key, expanded: every CA signature verifies under it.
     root_key: VerifyingKey,
-    verified: Mutex<VecDeque<VerifiedIdentity>>,
-}
-
-impl Clone for Msp {
-    fn clone(&self) -> Self {
-        Msp {
-            root: self.root.clone(),
-            root_key: self.root_key.clone(),
-            verified: Mutex::new(VecDeque::new()),
-        }
-    }
 }
 
 impl Msp {
@@ -145,7 +115,6 @@ impl Msp {
         Msp {
             root_key: VerifyingKey::new(root.public_key),
             root,
-            verified: Mutex::new(VecDeque::new()),
         }
     }
 
@@ -159,25 +128,14 @@ impl Msp {
     }
 
     /// [`Msp::validate_certificate`], returning the certificate's expanded
-    /// key: the remembered one, or one built now and remembered. A verifier
-    /// checking many signatures by one identity resolves the key once here
-    /// and verifies each under it:
+    /// key. A verifier checking many signatures by one identity resolves
+    /// the key once here and verifies each under it:
     /// `verified_key(c)?.verify_digest(d, s)` is [`Msp::verify_digest`].
     ///
     /// # Errors
     /// [`IdentityError::UntrustedCertificate`] if the issuer or CA signature
     /// is wrong.
-    pub fn verified_key(&self, cert: &Certificate) -> Result<Arc<VerifyingKey>, IdentityError> {
-        // Entries are only ever pushed whole and popped whole, so the set is
-        // valid even if a holder of the lock panicked.
-        let known = |set: &VecDeque<VerifiedIdentity>| {
-            set.iter()
-                .find(|(c, _)| c == cert)
-                .map(|(_, key)| Arc::clone(key))
-        };
-        if let Some(key) = known(&self.verified.lock().unwrap_or_else(PoisonError::into_inner)) {
-            return Ok(key);
-        }
+    pub fn verified_key(&self, cert: &Certificate) -> Result<VerifyingKey, IdentityError> {
         if cert.issuer != self.root.name {
             return Err(IdentityError::UntrustedCertificate);
         }
@@ -193,17 +151,7 @@ impl Msp {
         {
             return Err(IdentityError::UntrustedCertificate);
         }
-        let key = Arc::new(VerifyingKey::new(cert.public_key));
-        let mut set = self.verified.lock().unwrap_or_else(PoisonError::into_inner);
-        // Another worker may have verified the same certificate meanwhile.
-        if let Some(key) = known(&set) {
-            return Ok(key);
-        }
-        if set.len() == VERIFIED_CERTS_MAX {
-            set.pop_front();
-        }
-        set.push_back((cert.clone(), Arc::clone(&key)));
-        Ok(key)
+        Ok(VerifyingKey::new(cert.public_key))
     }
 
     /// Validates the certificate, then verifies `signature` over `message`
@@ -236,14 +184,6 @@ impl Msp {
         } else {
             Err(IdentityError::BadSignature)
         }
-    }
-
-    #[cfg(test)]
-    fn remembered(&self) -> usize {
-        self.verified
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
     }
 }
 
@@ -330,19 +270,12 @@ mod tests {
     }
 
     #[test]
-    fn genuine_certificate_is_remembered_and_altered_copies_are_not_accepted() {
+    fn genuine_certificate_is_verified_on_every_call_and_altered_copies_are_refused() {
         let ca = CertificateAuthority::new("ca", 1);
         let id = ca.enroll(Principal::peer(OrgId(1)), "peer0");
         let other = ca.enroll(Principal::peer(OrgId(2)), "peer1");
         let msp = Msp::new(ca.root_of_trust());
         let genuine = id.certificate();
-        assert_eq!(msp.remembered(), 0);
-        for _ in 0..3 {
-            assert_eq!(msp.validate_certificate(genuine), Ok(()));
-            assert_eq!(msp.remembered(), 1, "one entry however often it is shown");
-        }
-        // With the genuine certificate remembered, every altered copy must
-        // still take — and fail — the full check.
         let altered = |f: &dyn Fn(&mut Certificate)| {
             let mut c = genuine.clone();
             f(&mut c);
@@ -358,26 +291,33 @@ mod tests {
             altered(&|c| c.ca_signature.s ^= 1),
             altered(&|c| c.ca_signature = other.certificate().ca_signature),
         ];
-        for bad in &copies {
-            assert_ne!(bad, genuine);
+        // The genuine certificate passes before, between and after the
+        // altered copies, and each copy fails however often it is shown.
+        for _ in 0..3 {
+            assert_eq!(msp.validate_certificate(genuine), Ok(()));
             assert_eq!(
-                msp.validate_certificate(bad),
-                Err(IdentityError::UntrustedCertificate),
-                "{bad:?}"
+                msp.verified_key(genuine).map(|k| k.public_key()),
+                Ok(genuine.public_key)
             );
-            let sig = id.sign(b"m");
+            for bad in &copies {
+                assert_ne!(bad, genuine);
+                assert_eq!(
+                    msp.validate_certificate(bad),
+                    Err(IdentityError::UntrustedCertificate),
+                    "{bad:?}"
+                );
+                let sig = id.sign(b"m");
+                assert_eq!(
+                    msp.verify(bad, b"m", &sig),
+                    Err(IdentityError::UntrustedCertificate)
+                );
+            }
+            assert_eq!(msp.verify(genuine, b"m", &id.sign(b"m")), Ok(()));
             assert_eq!(
-                msp.verify(bad, b"m", &sig),
-                Err(IdentityError::UntrustedCertificate)
+                msp.verify(genuine, b"m", &id.sign(b"n")),
+                Err(IdentityError::BadSignature)
             );
         }
-        assert_eq!(msp.remembered(), 1, "a rejected certificate is never kept");
-        // And the remembered one still answers for signatures correctly.
-        assert_eq!(msp.verify(genuine, b"m", &id.sign(b"m")), Ok(()));
-        assert_eq!(
-            msp.verify(genuine, b"m", &id.sign(b"n")),
-            Err(IdentityError::BadSignature)
-        );
     }
 
     #[test]
@@ -396,85 +336,6 @@ mod tests {
                 );
             }
         }
-        assert_eq!(msp.remembered(), 0);
-    }
-
-    #[test]
-    fn remembered_set_is_bounded() {
-        let ca = CertificateAuthority::new("ca", 1);
-        let msp = Msp::new(ca.root_of_trust());
-        let ids: Vec<_> = (0..10 * VERIFIED_CERTS_MAX)
-            .map(|i| ca.enroll(Principal::peer(OrgId(i as u32)), &format!("peer{i}")))
-            .collect();
-        // The first identity's expanded key, watched without keeping it alive.
-        let first_key = Arc::downgrade(&msp.verified_key(ids[0].certificate()).unwrap());
-        assert_eq!(
-            first_key.upgrade().map(|k| k.public_key()),
-            Some(ids[0].certificate().public_key)
-        );
-        for id in &ids {
-            assert_eq!(msp.validate_certificate(id.certificate()), Ok(()));
-            assert!(msp.remembered() <= VERIFIED_CERTS_MAX);
-        }
-        assert_eq!(msp.remembered(), VERIFIED_CERTS_MAX);
-        assert!(
-            first_key.upgrade().is_none(),
-            "an evicted certificate takes its expanded key with it"
-        );
-        // Evicted or not, every genuine certificate still validates.
-        for id in [&ids[0], &ids[ids.len() - 1]] {
-            assert_eq!(msp.validate_certificate(id.certificate()), Ok(()));
-        }
-    }
-
-    #[test]
-    fn a_clone_verifies_independently() {
-        let ca = CertificateAuthority::new("ca", 1);
-        let rogue = CertificateAuthority::new("rogue", 2);
-        let id = ca.enroll(Principal::peer(OrgId(1)), "peer0");
-        let msp = Msp::new(ca.root_of_trust());
-        assert_eq!(msp.validate_certificate(id.certificate()), Ok(()));
-        let clone = msp.clone();
-        assert_eq!(
-            clone.remembered(),
-            0,
-            "a clone inherits the root, not the set"
-        );
-        assert_eq!(clone.validate_certificate(id.certificate()), Ok(()));
-        assert_eq!(clone.remembered(), 1);
-        assert_eq!(
-            clone.validate_certificate(rogue.enroll(Principal::peer(OrgId(1)), "p").certificate()),
-            Err(IdentityError::UntrustedCertificate)
-        );
-        assert_eq!(msp.remembered(), 1, "and leaves the original's alone");
-    }
-
-    #[test]
-    fn remembered_set_is_shared_by_concurrent_verifiers() {
-        let ca = CertificateAuthority::new("ca", 1);
-        let msp = Msp::new(ca.root_of_trust());
-        let ids: Vec<_> = (0..4)
-            .map(|i| ca.enroll(Principal::peer(OrgId(i)), &format!("peer{i}")))
-            .collect();
-        let start = std::sync::Barrier::new(8);
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    start.wait();
-                    for _ in 0..50 {
-                        for id in &ids {
-                            let sig = id.sign(b"m");
-                            assert_eq!(msp.verify(id.certificate(), b"m", &sig), Ok(()));
-                        }
-                    }
-                });
-            }
-        });
-        assert_eq!(
-            msp.remembered(),
-            ids.len(),
-            "no duplicates under contention"
-        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::collections::VecDeque;
 
 use fabricsim_kafka::{BrokerId, BrokerMsg, ClientEvent, Record};
-use fabricsim_raft::{Effect as RaftEffect, Message as RaftMessage, RaftConfig, RaftNode, Role};
+use fabricsim_raft::{Effect as RaftEffect, Message as RaftMessage, RaftNode, Role};
 use fabricsim_types::codec::{encode_block, encode_tx, Decoder};
 use fabricsim_types::{BatchConfig, ChannelId, OrdererType, Transaction, TxId};
 
@@ -147,12 +147,7 @@ impl OsnNode {
             cutter: BlockCutter::new(batch),
             assembler: BlockAssembler::new(channel),
             engine: Engine::Raft {
-                node: Box::new(RaftNode::new(
-                    id as u64 + 1,
-                    raft_ids,
-                    RaftConfig::default(),
-                    seed,
-                )),
+                node: Box::new(RaftNode::new(id as u64 + 1, raft_ids, seed)),
                 delivered_height: 0,
             },
             decoder: Decoder::default(),

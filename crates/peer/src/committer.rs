@@ -59,7 +59,7 @@ pub(crate) fn resolve_creators(
         if let Some(cert) = client_certs.get(&tx.creator) {
             creators
                 .entry(tx.creator)
-                .or_insert_with(|| msp.verified_key(cert).ok());
+                .or_insert_with(|| msp.verified_key(cert).map(Arc::new).ok());
         }
     }
     creators
@@ -73,7 +73,7 @@ pub(crate) struct Trust<'a> {
     /// The creators' keys: the ones a peer resolved at registration, or
     /// those [`resolve_creators`] resolved for the block from certificates.
     /// Every transaction from a creator is checked against its key, with no
-    /// lock and no certificate comparison of its own.
+    /// certificate check of its own.
     creators: &'a CreatorKeys,
     endorser_keys: &'a HashMap<Principal, Vec<VerifyingKey>, FxBuildHasher>,
 }

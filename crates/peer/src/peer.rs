@@ -130,7 +130,7 @@ impl Peer {
     /// the client as untrusted, and everything it signs is refused.
     /// Registering a client again replaces its key.
     pub fn register_client(&mut self, client: ClientId, cert: Certificate) {
-        let key = self.msp.verified_key(&cert).ok();
+        let key = self.msp.verified_key(&cert).map(Arc::new).ok();
         Arc::make_mut(&mut self.validator)
             .client_keys
             .insert(client, key);

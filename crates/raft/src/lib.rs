@@ -20,10 +20,10 @@
 //! is the host's work, not a copy made by the protocol.
 //!
 //! ```
-//! use fabricsim_raft::{RaftConfig, RaftNode, Role};
+//! use fabricsim_raft::{RaftNode, Role};
 //!
 //! // A single-node cluster elects itself and commits immediately.
-//! let mut node = RaftNode::new(1, vec![1], RaftConfig::default(), 42);
+//! let mut node = RaftNode::new(1, vec![1], 42);
 //! let mut effects = Vec::new();
 //! while node.role() != Role::Leader {
 //!     effects.extend(node.tick());
@@ -40,4 +40,4 @@ mod node;
 mod types;
 
 pub use node::{NotLeader, RaftNode};
-pub use types::{Effect, Entry, Message, PersistentState, RaftConfig, Role, Snapshot};
+pub use types::{Effect, Entry, Message, PersistentState, Role, Snapshot};

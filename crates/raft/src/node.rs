@@ -6,7 +6,8 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::types::{
-    Effect, Entry, Index, Message, PersistentState, RaftConfig, RaftId, Role, Snapshot, Term,
+    Effect, Entry, Index, Message, PersistentState, RaftId, Role, Snapshot, Term,
+    ELECTION_TIMEOUT_TICKS, HEARTBEAT_TICKS, MAX_ENTRIES_PER_APPEND,
 };
 
 /// Error returned when proposing to a node that is not the leader.
@@ -32,7 +33,6 @@ impl Error for NotLeader {}
 pub struct RaftNode {
     id: RaftId,
     peers: Vec<RaftId>,
-    config: RaftConfig,
 
     // Persistent state.
     current_term: Term,
@@ -65,8 +65,8 @@ impl RaftNode {
     ///
     /// # Panics
     /// Panics if `peers` is empty or does not contain `id`.
-    pub fn new(id: RaftId, peers: Vec<RaftId>, config: RaftConfig, seed: u64) -> Self {
-        Self::restore(id, peers, config, seed, PersistentState::default())
+    pub fn new(id: RaftId, peers: Vec<RaftId>, seed: u64) -> Self {
+        Self::restore(id, peers, seed, PersistentState::default())
     }
 
     /// Recreates a node from persisted state (crash recovery). Volatile state
@@ -75,19 +75,12 @@ impl RaftNode {
     ///
     /// # Panics
     /// Panics if `peers` is empty or does not contain `id`.
-    pub fn restore(
-        id: RaftId,
-        peers: Vec<RaftId>,
-        config: RaftConfig,
-        seed: u64,
-        persistent: PersistentState,
-    ) -> Self {
+    pub fn restore(id: RaftId, peers: Vec<RaftId>, seed: u64, persistent: PersistentState) -> Self {
         assert!(!peers.is_empty(), "cluster must have at least one node");
         assert!(peers.contains(&id), "peers must include this node");
         let mut node = RaftNode {
             id,
             peers,
-            config,
             current_term: persistent.current_term,
             voted_for: persistent.voted_for,
             snapshot: persistent.snapshot,
@@ -115,9 +108,8 @@ impl RaftNode {
         x ^= x << 25;
         x ^= x >> 27;
         self.rng_state = x;
-        let jitter = (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as u32
-            % self.config.election_timeout_ticks.max(1);
-        self.config.election_timeout_ticks + jitter
+        let jitter = (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as u32 % ELECTION_TIMEOUT_TICKS;
+        ELECTION_TIMEOUT_TICKS + jitter
     }
 
     // ---- accessors -------------------------------------------------------
@@ -236,7 +228,7 @@ impl RaftNode {
         match self.role {
             Role::Leader => {
                 self.heartbeat_elapsed += 1;
-                if self.heartbeat_elapsed >= self.config.heartbeat_ticks {
+                if self.heartbeat_elapsed >= HEARTBEAT_TICKS {
                     self.heartbeat_elapsed = 0;
                     self.broadcast_append(&mut effects);
                 }
@@ -570,7 +562,7 @@ impl RaftNode {
             .get(from_idx..)
             .unwrap_or(&[])
             .iter()
-            .take(self.config.max_entries_per_append)
+            .take(MAX_ENTRIES_PER_APPEND)
             .cloned()
             .collect();
         effects.push(Effect::Send {
@@ -629,7 +621,7 @@ mod tests {
 
     #[test]
     fn single_node_elects_itself_and_commits() {
-        let mut n = RaftNode::new(1, vec![1], RaftConfig::default(), 7);
+        let mut n = RaftNode::new(1, vec![1], 7);
         let effects = drive_to_leader(&mut n);
         assert!(effects.iter().any(|e| matches!(e, Effect::BecameLeader(_))));
         // The no-op commits immediately on a single node.
@@ -650,7 +642,7 @@ mod tests {
 
     #[test]
     fn follower_rejects_proposals() {
-        let mut n = RaftNode::new(1, vec![1, 2, 3], RaftConfig::default(), 7);
+        let mut n = RaftNode::new(1, vec![1, 2, 3], 7);
         let err = n.propose(b"x".to_vec()).unwrap_err();
         assert_eq!(err.leader_hint, None);
         assert!(err.to_string().contains("not the leader"));
@@ -658,7 +650,7 @@ mod tests {
 
     #[test]
     fn candidate_requests_votes_from_all_peers() {
-        let mut n = RaftNode::new(1, vec![1, 2, 3], RaftConfig::default(), 7);
+        let mut n = RaftNode::new(1, vec![1, 2, 3], 7);
         let mut effects = Vec::new();
         for _ in 0..50 {
             effects.extend(n.tick());
@@ -683,7 +675,7 @@ mod tests {
 
     #[test]
     fn grants_one_vote_per_term() {
-        let mut n = RaftNode::new(1, vec![1, 2, 3], RaftConfig::default(), 7);
+        let mut n = RaftNode::new(1, vec![1, 2, 3], 7);
         let vote = |n: &mut RaftNode, from| {
             n.step(
                 from,
@@ -716,7 +708,7 @@ mod tests {
 
     #[test]
     fn vote_denied_to_stale_log() {
-        let mut n = RaftNode::new(1, vec![1, 2, 3], RaftConfig::default(), 7);
+        let mut n = RaftNode::new(1, vec![1, 2, 3], 7);
         // Give node 1 a log entry at term 1.
         n.step(
             9,
@@ -758,8 +750,7 @@ mod tests {
 
     #[test]
     fn three_node_replication_commits_on_majority() {
-        let cfg = RaftConfig::default();
-        let mut leader = RaftNode::new(1, vec![1, 2, 3], cfg, 1);
+        let mut leader = RaftNode::new(1, vec![1, 2, 3], 1);
         // Manually elect node 1.
         let mut effects = Vec::new();
         while leader.role() != Role::Candidate {
@@ -806,9 +797,8 @@ mod tests {
     /// it sends and the follower's log all hold the proposed allocation.
     #[test]
     fn replicated_and_committed_entries_share_the_proposed_bytes() {
-        let cfg = RaftConfig::default();
-        let mut leader = RaftNode::new(1, vec![1, 2, 3], cfg, 1);
-        let mut follower = RaftNode::new(2, vec![1, 2, 3], cfg, 2);
+        let mut leader = RaftNode::new(1, vec![1, 2, 3], 1);
+        let mut follower = RaftNode::new(2, vec![1, 2, 3], 2);
         while leader.role() != Role::Candidate {
             leader.tick();
         }
@@ -884,7 +874,7 @@ mod tests {
 
     #[test]
     fn leader_steps_down_on_higher_term() {
-        let mut n = RaftNode::new(1, vec![1], RaftConfig::default(), 7);
+        let mut n = RaftNode::new(1, vec![1], 7);
         drive_to_leader(&mut n);
         let effects = n.step(
             2,
@@ -903,7 +893,7 @@ mod tests {
 
     #[test]
     fn follower_truncates_conflicting_suffix() {
-        let mut n = RaftNode::new(1, vec![1, 2], RaftConfig::default(), 7);
+        let mut n = RaftNode::new(1, vec![1, 2], 7);
         // Old leader at term 1 replicates two entries.
         n.step(
             2,
@@ -949,11 +939,11 @@ mod tests {
 
     #[test]
     fn restart_preserves_log_and_term() {
-        let mut n = RaftNode::new(1, vec![1], RaftConfig::default(), 7);
+        let mut n = RaftNode::new(1, vec![1], 7);
         drive_to_leader(&mut n);
         n.propose(b"tx".to_vec()).unwrap();
         let saved = n.persistent_state();
-        let restored = RaftNode::restore(1, vec![1], RaftConfig::default(), 8, saved.clone());
+        let restored = RaftNode::restore(1, vec![1], 8, saved.clone());
         assert_eq!(restored.term(), saved.current_term);
         assert_eq!(restored.last_log_index(), 2); // noop + tx
         assert_eq!(restored.role(), Role::Follower);
@@ -962,7 +952,7 @@ mod tests {
 
     #[test]
     fn stale_append_is_rejected() {
-        let mut n = RaftNode::new(1, vec![1, 2], RaftConfig::default(), 7);
+        let mut n = RaftNode::new(1, vec![1, 2], 7);
         n.step(
             2,
             Message::AppendEntries {
@@ -998,7 +988,7 @@ mod tests {
         let ids: Vec<RaftId> = (1..=n).collect();
         let mut nodes: Vec<RaftNode> = ids
             .iter()
-            .map(|&id| RaftNode::new(id, ids.clone(), RaftConfig::default(), id))
+            .map(|&id| RaftNode::new(id, ids.clone(), id))
             .collect();
         elect(&mut nodes, 1, &[]);
         nodes
@@ -1067,7 +1057,7 @@ mod tests {
         assert_eq!(leader.snapshot().index, 5);
         // A restart resumes from the snapshot.
         let saved = leader.persistent_state();
-        let restored = RaftNode::restore(1, vec![1, 2, 3], RaftConfig::default(), 9, saved);
+        let restored = RaftNode::restore(1, vec![1, 2, 3], 9, saved);
         assert_eq!((restored.commit_index(), restored.last_log_index()), (5, 5));
     }
 
@@ -1141,7 +1131,7 @@ mod tests {
 
     #[test]
     fn gap_append_is_rejected() {
-        let mut n = RaftNode::new(1, vec![1, 2], RaftConfig::default(), 7);
+        let mut n = RaftNode::new(1, vec![1, 2], 7);
         let effects = n.step(
             2,
             Message::AppendEntries {

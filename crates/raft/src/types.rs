@@ -101,28 +101,17 @@ pub enum Role {
     Leader,
 }
 
-/// Tick-based timing configuration. One tick is whatever wall/virtual duration
-/// the host chooses (the fabricsim ordering service uses 10 ms).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RaftConfig {
-    /// Ticks without leader contact before a follower starts an election
-    /// (the actual timeout is randomized in `[min, 2*min)` per election).
-    pub election_timeout_ticks: u32,
-    /// Ticks between leader heartbeats.
-    pub heartbeat_ticks: u32,
-    /// Maximum entries per AppendEntries message.
-    pub max_entries_per_append: usize,
-}
+/// Ticks without leader contact before a follower starts an election; each
+/// election's timeout is drawn from `[ELECTION_TIMEOUT_TICKS,
+/// 2 * ELECTION_TIMEOUT_TICKS)`. One tick is whatever wall or virtual
+/// duration the host chooses (the fabricsim ordering service uses 10 ms).
+pub(crate) const ELECTION_TIMEOUT_TICKS: u32 = 10;
 
-impl Default for RaftConfig {
-    fn default() -> Self {
-        RaftConfig {
-            election_timeout_ticks: 10,
-            heartbeat_ticks: 3,
-            max_entries_per_append: 512,
-        }
-    }
-}
+/// Ticks between leader heartbeats.
+pub(crate) const HEARTBEAT_TICKS: u32 = 3;
+
+/// Most entries one AppendEntries message carries.
+pub(crate) const MAX_ENTRIES_PER_APPEND: usize = 512;
 
 /// The marker a compacted log keeps in place of its dropped prefix: the
 /// index and term of the last entry it no longer holds. Every entry up to
@@ -172,8 +161,9 @@ mod tests {
 
     #[test]
     fn default_config_is_sane() {
-        let c = RaftConfig::default();
-        assert!(c.election_timeout_ticks > c.heartbeat_ticks);
-        assert!(c.max_entries_per_append > 0);
+        const {
+            assert!(ELECTION_TIMEOUT_TICKS > HEARTBEAT_TICKS);
+            assert!(MAX_ENTRIES_PER_APPEND > 0);
+        }
     }
 }

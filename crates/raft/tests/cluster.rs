@@ -4,7 +4,7 @@
 
 use std::collections::VecDeque;
 
-use fabricsim_raft::{Effect, Entry, Message, PersistentState, RaftConfig, RaftNode, Role};
+use fabricsim_raft::{Effect, Entry, Message, PersistentState, RaftNode, Role};
 
 /// Deterministic xorshift RNG for the harness.
 struct Rng(u64);
@@ -42,7 +42,7 @@ impl Cluster {
         Cluster {
             nodes: ids
                 .iter()
-                .map(|&id| RaftNode::new(id, ids.clone(), RaftConfig::default(), seed + id))
+                .map(|&id| RaftNode::new(id, ids.clone(), seed + id))
                 .collect(),
             inflight: VecDeque::new(),
             committed: vec![Vec::new(); n as usize],
@@ -150,7 +150,7 @@ impl Cluster {
         let persistent: PersistentState = self.nodes[i].persistent_state();
         let ids: Vec<u64> = (1..=self.nodes.len() as u64).collect();
         let id = i as u64 + 1;
-        self.nodes[i] = RaftNode::restore(id, ids, RaftConfig::default(), seed, persistent);
+        self.nodes[i] = RaftNode::restore(id, ids, seed, persistent);
         self.crashed[i] = false;
         // Restarted nodes re-deliver commits from scratch; reset its record so
         // the prefix check compares the fresh sequence.

@@ -1,4 +1,4 @@
-//! Channel and ordering-service configuration (Fabric's `configtx` analogue).
+//! Ordering-service configuration (Fabric's `configtx` analogue).
 
 use std::fmt;
 
@@ -71,43 +71,16 @@ impl BatchConfig {
     }
 }
 
-/// Per-channel configuration: consensus type, batching, and the endorsement
-/// policy (stored as its textual form; parsed by `fabricsim-policy`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChannelConfig {
-    /// Consensus backing the ordering service.
-    pub orderer_type: OrdererType,
-    /// Block-cutting parameters.
-    pub batch: BatchConfig,
-    /// Endorsement policy text, e.g. `"OR('Org1.peer','Org2.peer')"`.
-    pub endorsement_policy: String,
-    /// Client-side ordering timeout in milliseconds; responses slower than
-    /// this are rejected by the client (paper: 3 s).
-    pub ordering_timeout_ms: u64,
-}
-
-impl Default for ChannelConfig {
-    fn default() -> Self {
-        ChannelConfig {
-            orderer_type: OrdererType::Solo,
-            batch: BatchConfig::default(),
-            endorsement_policy: "OR('Org1.peer')".to_string(),
-            ordering_timeout_ms: 3_000,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn defaults_match_the_paper() {
-        let c = ChannelConfig::default();
-        assert_eq!(c.batch.max_message_count, 100);
-        assert_eq!(c.batch.batch_timeout_ms, 1_000);
-        assert_eq!(c.ordering_timeout_ms, 3_000);
-        assert!(c.batch.validate().is_ok());
+        let b = BatchConfig::default();
+        assert_eq!(b.max_message_count, 100);
+        assert_eq!(b.batch_timeout_ms, 1_000);
+        assert!(b.validate().is_ok());
     }
 
     #[test]

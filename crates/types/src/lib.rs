@@ -3,7 +3,7 @@
 //! Shared, dependency-light types describing everything that flows through a
 //! Fabric network: identities and principals, transaction proposals and
 //! endorsements, read/write sets with MVCC versions, envelopes, blocks, and
-//! channel configuration.
+//! block-cutting configuration.
 //!
 //! Two cross-cutting concerns live here:
 //!
@@ -30,7 +30,7 @@ mod rwset;
 mod transaction;
 
 pub use block::{Block, BlockHeader, BlockMetadata, CheckedBlock, Txs, ValidationCode};
-pub use config::{BatchConfig, ChannelConfig, OrdererType};
+pub use config::{BatchConfig, OrdererType};
 pub use fxhash::{FxBuildHasher, FxHasher};
 pub use ids::{ChannelId, ClientId, MspId, NodeId, OrgId, Principal, TxId};
 pub use proposal::{Endorsement, Proposal, ProposalResponse};
