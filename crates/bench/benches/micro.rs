@@ -18,9 +18,7 @@ use fabricsim_bench::microbench::Runner;
 use fabricsim_crypto::{
     compress_portable, sha256, KeyPair, MerkleTree, PublicKey, Sha256, VerifyingKey,
 };
-use fabricsim_des::{
-    EventId, Kernel, Model, ShardWorld, ShardedKernel, SimDuration, SimTime, Station,
-};
+use fabricsim_des::{Kernel, Model, ShardWorld, ShardedKernel, SimDuration, SimTime, Station};
 use fabricsim_kafka::{Broker, BrokerMsg, Record};
 use fabricsim_ledger::Ledger;
 use fabricsim_msp::{Certificate, CertificateAuthority, Msp, SigningIdentity};
@@ -442,19 +440,22 @@ impl Model for Count {
 
 /// The Kafka small-blocks shape of a run: a 5 ms tick starts a chain of
 /// nine sub-millisecond link hops and arms a 3 s ordering timeout, which
-/// the chain's end cancels for all but one chain in a hundred. About 600
-/// cancelled timeouts sit in the queue at any time, as in the real run.
+/// the chain's end acknowledges for all but one chain in a hundred. About
+/// 600 timeouts sit in the queue at any time, as in the real run, and each
+/// fires and checks its chain's ack.
 #[derive(Default)]
 struct KafkaShape {
     fired: u64,
-    chains: u64,
+    /// By chain: whether its end acknowledged it.
+    acked: Vec<bool>,
+    expired: u64,
     rng: u64,
 }
 
 enum KafkaEv {
     Tick,
-    Hop { left: u8, timeout: EventId },
-    Timeout,
+    Hop { left: u8, chain: usize },
+    Timeout { chain: usize },
 }
 
 impl Model for KafkaShape {
@@ -469,25 +470,28 @@ impl Model for KafkaShape {
         match event {
             KafkaEv::Tick => {
                 k.schedule_in(SimDuration::from_millis(5), KafkaEv::Tick);
-                let timeout = k.schedule_in(SimDuration::from_secs(3), KafkaEv::Timeout);
-                k.schedule_in(hop, KafkaEv::Hop { left: 8, timeout });
+                let chain = self.acked.len();
+                self.acked.push(false);
+                k.schedule_in(SimDuration::from_secs(3), KafkaEv::Timeout { chain });
+                k.schedule_in(hop, KafkaEv::Hop { left: 8, chain });
             }
-            KafkaEv::Hop { left: 0, timeout } => {
-                self.chains += 1;
-                if !self.chains.is_multiple_of(100) {
-                    k.cancel(timeout);
-                }
+            KafkaEv::Hop { left: 0, chain } => {
+                self.acked[chain] = !(chain + 1).is_multiple_of(100);
             }
-            KafkaEv::Hop { left, timeout } => {
+            KafkaEv::Hop { left, chain } => {
                 k.schedule_in(
                     hop,
                     KafkaEv::Hop {
                         left: left - 1,
-                        timeout,
+                        chain,
                     },
                 );
             }
-            KafkaEv::Timeout => {}
+            KafkaEv::Timeout { chain } => {
+                if !self.acked[chain] {
+                    self.expired += 1;
+                }
+            }
         }
     }
 
@@ -503,28 +507,27 @@ fn bench_des_kernel(r: &mut Runner) {
         for i in 0..10_000u64 {
             k.schedule(SimTime::from_nanos(i), Bump::Once);
         }
-        k.run(&mut count);
+        k.run_until(&mut count, SimTime::MAX);
         assert_eq!(count.0, 10_000);
     });
-    // 20 s of the Kafka shape: 4 000 ticks and 36 000 hops; one chain in a
-    // hundred leaves its timeout armed.
+    // 20 s of the Kafka shape: 4 000 ticks, 36 000 hops and the 3 400
+    // timeouts due by then; one chain in a hundred expires.
     r.bench("des/kafka_shape_ticks_hops_timeouts_20s", || {
         let mut k = Kernel::new();
         let mut world = KafkaShape {
             rng: 0x9e37_79b9_7f4a_7c15,
             ..KafkaShape::default()
         };
-        k.set_horizon(SimTime::from_secs_f64(20.0));
         k.schedule(SimTime::ZERO, KafkaEv::Tick);
-        k.run(&mut world);
-        assert!(world.fired > 40_000 && k.stats().cancelled > 3_900);
+        k.run_until(&mut world, SimTime::from_secs_f64(20.0));
+        assert!(world.fired > 43_000 && world.expired >= 30);
         world.fired
     });
     r.bench("des/kernel_cascade_10k", || {
         let mut k = Kernel::new();
         let mut count = Count::default();
         k.schedule(SimTime::ZERO, Bump::Cascade);
-        k.run(&mut count);
+        k.run_until(&mut count, SimTime::MAX);
         count.0
     });
     // The observability acceptance gate: a station submit loop must cost the
@@ -565,22 +568,8 @@ fn bench_sharded_kernel(r: &mut Runner) {
             x ^= x << 17;
             k.schedule(SimTime::from_nanos(x % 1_000_000_000), Bump::Once);
         }
-        k.run(&mut count);
+        k.run_until(&mut count, SimTime::MAX);
         assert_eq!(count.0, 32_768);
-    });
-    // Tombstone cost: half the scheduled events are cancelled, so the pop
-    // loop must skip 10k dead heap entries on the way to 10k live ones.
-    r.bench("des/cancelled_tombstones_10k_of_20k", || {
-        let mut k = Kernel::new();
-        let mut count = Count::default();
-        for i in 0..20_000u64 {
-            let id = k.schedule(SimTime::from_nanos(i), Bump::Once);
-            if i % 2 == 1 {
-                k.cancel(id);
-            }
-        }
-        k.run(&mut count);
-        assert_eq!(count.0, 10_000);
     });
 
     // Serial monolithic kernel vs the sharded kernel on the same event load:
@@ -615,7 +604,7 @@ fn bench_sharded_kernel(r: &mut Runner) {
         for i in 0..40_000u64 {
             k.schedule(SimTime::from_nanos(i * 250), Bump::Once);
         }
-        k.run(&mut count);
+        k.run_until(&mut count, SimTime::MAX);
         assert_eq!(count.0, 40_000);
     });
     let sharded = |workers: usize| {

@@ -136,7 +136,6 @@ pub(super) fn pool_arrival(world: &mut World, k: &mut K, p: usize) {
         PendingTx {
             proposal: Arc::new(proposal),
             collector,
-            timeout_event: None,
         },
     );
 
@@ -183,8 +182,8 @@ pub(super) fn send_proposals(
 ) {
     let now = k.now();
     world.pools[p].in_prep -= 1;
-    // Retire this send from the emission-bound heap; `pool.send` events are
-    // never cancelled, so pops line up one-to-one with pushes.
+    // Retire this send from the emission-bound heap; every scheduled
+    // `pool.send` fires, so pops line up one-to-one with pushes.
     let popped = world.shard.pending_sends.pop();
     debug_assert_eq!(popped.map(|r| r.0), Some(now));
     let Some(pending) = world.pools[p].pending.get(&tx_id) else {
@@ -273,7 +272,6 @@ impl ShardWorld for World {
             PendingTx {
                 proposal: Arc::clone(&proposal),
                 collector,
-                timeout_event: None,
             },
         );
         for (peer, at) in deliveries {
@@ -403,12 +401,10 @@ fn submit_to_orderer(world: &mut World, k: &mut K, p: usize, tx: Transaction) {
     let o = (world.pools[p].next_osn % osn_count) as usize;
     world.pools[p].next_osn = world.pools[p].next_osn.wrapping_add(1);
 
-    // Arm the 3 s ordering timeout.
+    // Arm the 3 s ordering timeout; it fires even after the ack, and its
+    // handler then does nothing.
     let timeout = world.ms(world.cfg.ordering_timeout_ms as f64);
-    let ev = k.schedule(now + timeout, Ev::OrderingTimeout { pool: p, tx: tx_id });
-    if let Some(pending) = world.pools[p].pending.get_mut(&tx_id) {
-        pending.timeout_event = Some(ev);
-    }
+    k.schedule(now + timeout, Ev::OrderingTimeout { pool: p, tx: tx_id });
 
     let bytes = tx.wire_size();
     let arrival = world.pools[p].egress.transfer(now, bytes);
@@ -426,17 +422,19 @@ fn submit_to_orderer(world: &mut World, k: &mut K, p: usize, tx: Transaction) {
 }
 
 /// Transaction `tx_id`'s ordering timeout fired: the client gives up on it
-/// unless the orderer acknowledged it.
+/// unless the orderer acknowledged it, in which case the timer is stale and
+/// nothing happens.
 pub(super) fn ordering_timeout(world: &mut World, k: &mut K, p: usize, tx_id: TxId) {
     let acked = world
         .obs
         .record(tx_id)
         .is_some_and(|r| r.trace.order_acked.is_some());
-    world.pools[p].pending.remove(&tx_id);
-    if !acked {
-        let outcome = TxOutcome::OrderingTimeout;
-        world
-            .obs
-            .terminal(k.now(), tx_id, outcome, "ordering.timeout", 0);
+    if acked {
+        return;
     }
+    world.pools[p].pending.remove(&tx_id);
+    let outcome = TxOutcome::OrderingTimeout;
+    world
+        .obs
+        .terminal(k.now(), tx_id, outcome, "ordering.timeout", 0);
 }

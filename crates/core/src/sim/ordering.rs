@@ -121,15 +121,11 @@ fn apply_osn_effects(world: &mut World, k: &mut K, o: usize, effects: Vec<OsnEff
     }
 }
 
-/// OSN `o`'s acknowledgment of `tx_id` reached pool `p`: the client stops
-/// its ordering timeout.
+/// OSN `o`'s acknowledgment of `tx_id` reached pool `p`: the client forgets
+/// the transaction, and its ordering timeout, when it fires, sees the ack.
 pub(super) fn osn_ack(world: &mut World, k: &mut K, o: usize, p: usize, tx_id: TxId) {
     let now = k.now();
-    if let Some(pending) = world.pools[p].pending.remove(&tx_id) {
-        if let Some(ev) = pending.timeout_event {
-            k.cancel(ev);
-        }
-    }
+    world.pools[p].pending.remove(&tx_id);
     let station = &world.osns[o].station;
     let depth = station.jobs_in_system(now);
     world
@@ -347,13 +343,15 @@ mod tests {
     use std::collections::BTreeMap;
 
     use fabricsim_crypto::Hash256;
-    use fabricsim_des::{Kernel, SimTime};
+    use fabricsim_des::{Kernel, SimDuration, SimTime};
     use fabricsim_types::ChannelId;
 
+    use super::super::client;
     use super::super::faults::{inject, schedule_faults, Fault};
     use super::super::retire;
     use super::super::world::{bootstrap, build_world};
     use super::*;
+    use crate::metrics::TxOutcome;
     use crate::workload::{PolicySpec, SimConfig};
 
     /// The benchmark's Kafka small-blocks shape, 10 simulated seconds.
@@ -391,8 +389,8 @@ mod tests {
         let mut k: K = Kernel::new();
         bootstrap(&mut world, &mut k);
         schedule_faults(faults, &mut k);
-        k.set_horizon(SimTime::from_secs_f64(cfg.duration_secs));
-        k.run(&mut world);
+        let horizon = SimTime::from_secs_f64(cfg.duration_secs);
+        k.run_until(&mut world, horizon + SimDuration::from_nanos(1));
         world
     }
 
@@ -484,5 +482,50 @@ mod tests {
         assert_eq!(fork.header.previous_hash, forked);
         assert!(Arc::ptr_eq(first, again), "the first stays shared");
         assert_eq!(world.block_cuts.len(), 1, "number 0 is cut once");
+    }
+
+    /// The ordering timeout is never cancelled: after the ack it still
+    /// fires, and its handler must leave the transaction alone.
+    #[test]
+    fn an_ordering_timeout_after_the_ack_changes_nothing() {
+        let cfg = raft(120.0, 8.0);
+        let mut world = build_world(&cfg, 0);
+        let mut k: K = Kernel::new();
+        bootstrap(&mut world, &mut k);
+        // A transaction the orderer acknowledged and the observer has not
+        // committed yet, whose record a wrongly applied timeout would end:
+        // one of a block just delivered. Looked for in 1 ms steps, short of
+        // the 3 s timeout, so that none has fired yet.
+        let in_flight_acked = |world: &World, tx: TxId| {
+            world.obs.record(tx).is_some_and(|r| {
+                r.trace.order_acked.is_some() && matches!(r.trace.outcome, TxOutcome::InFlight)
+            })
+        };
+        let acked = (1..2_500u64)
+            .find_map(|ms| {
+                k.run_until(&mut world, SimTime::from_nanos(ms * 1_000_000));
+                let delivered = world.osns.iter().flat_map(|osn| osn.delivered.iter());
+                delivered
+                    .flat_map(|block| block.transactions.iter())
+                    .map(|tx| tx.tx_id)
+                    .find(|&tx| in_flight_acked(&world, tx))
+            })
+            .expect("an acknowledged transaction in flight");
+        let record = world.obs.record(acked).expect("recorded");
+        let (p, before) = (record.pool, format!("{record:?}"));
+        let pending = world.pools[p].pending.len();
+        client::ordering_timeout(&mut world, &mut k, p, acked);
+        let after = world.obs.record(acked).expect("recorded");
+        assert_eq!(format!("{after:?}"), before, "nothing is recorded");
+        assert_eq!(world.pools[p].pending.len(), pending);
+        // Through the kernel: every timer fires after its ack, none expires.
+        k.run_until(&mut world, SimTime::from_secs_f64(8.0));
+        let after = world.obs.record(acked).expect("recorded");
+        assert!(matches!(after.trace.outcome, TxOutcome::Committed(_)));
+        let records = world.obs.harvest().records;
+        let expired = records
+            .iter()
+            .filter(|r| matches!(r.trace.outcome, TxOutcome::OrderingTimeout));
+        assert_eq!(expired.count(), 0);
     }
 }

@@ -77,12 +77,21 @@ fn send_response(
 
 /// Entry point for blocks arriving from the ordering service (or from a
 /// failover replay). Routes through the gossip layer when enabled.
-pub(super) fn peer_receive_block(world: &mut World, k: &mut K, peer_idx: usize, block: Arc<Block>) {
+/// `from_osn` says whether the delivering OSN recorded this peer's
+/// `deliver` span for the block; a replay did not.
+pub(super) fn peer_receive_block(
+    world: &mut World,
+    k: &mut K,
+    peer_idx: usize,
+    block: Arc<Block>,
+    from_osn: bool,
+) {
     if let Some(gossip) = world.peers[peer_idx].gossip.as_mut() {
+        let spanned = from_osn.then_some(block.header.number);
         let effects = gossip.on_block_from_orderer(block);
-        apply_gossip_effects(world, k, peer_idx, effects);
+        apply_gossip_effects(world, k, peer_idx, effects, spanned);
     } else {
-        enqueue_block_validation(world, k, peer_idx, block);
+        enqueue_block_validation(world, k, peer_idx, block, !from_osn);
     }
 }
 
@@ -96,7 +105,15 @@ fn gossip_msg_bytes(message: &GossipMsg) -> u64 {
     }
 }
 
-fn apply_gossip_effects(world: &mut World, k: &mut K, peer_idx: usize, effects: Vec<GossipEffect>) {
+/// Applies peer `peer_idx`'s gossip effects; `spanned` is the number of the
+/// block whose `deliver` span its OSN recorded, if one just arrived.
+fn apply_gossip_effects(
+    world: &mut World,
+    k: &mut K,
+    peer_idx: usize,
+    effects: Vec<GossipEffect>,
+    spanned: Option<u64>,
+) {
     for effect in effects {
         match effect {
             GossipEffect::Send { to, message } => {
@@ -126,7 +143,8 @@ fn apply_gossip_effects(world: &mut World, k: &mut K, peer_idx: usize, effects: 
                 k.schedule(arrival, Ev::GossipSend { to, from, message });
             }
             GossipEffect::Deliver(block) => {
-                enqueue_block_validation(world, k, peer_idx, block);
+                let anchor = spanned != Some(block.header.number);
+                enqueue_block_validation(world, k, peer_idx, block, anchor);
             }
         }
     }
@@ -143,7 +161,7 @@ pub(super) fn peer_receive_gossip(
         return;
     };
     let effects = gossip.step(from, message);
-    apply_gossip_effects(world, k, peer_idx, effects);
+    apply_gossip_effects(world, k, peer_idx, effects, None);
 }
 
 pub(super) fn gossip_tick(world: &mut World, k: &mut K, peer_idx: usize) {
@@ -154,7 +172,7 @@ pub(super) fn gossip_tick(world: &mut World, k: &mut K, peer_idx: usize) {
     };
     if let Some(gossip) = world.peers[peer_idx].gossip.as_mut() {
         let effects = gossip.tick();
-        apply_gossip_effects(world, k, peer_idx, effects);
+        apply_gossip_effects(world, k, peer_idx, effects, None);
         let period = world.ms(gossip_cfg.anti_entropy_ms as f64);
         k.schedule_in(period, Ev::GossipTick { peer: peer_idx });
     }
@@ -165,7 +183,17 @@ fn sigs(tx: &Transaction) -> usize {
     tx.endorsements.len().max(1)
 }
 
-fn enqueue_block_validation(world: &mut World, k: &mut K, peer_idx: usize, block: Arc<Block>) {
+/// Queues `block` for validation at peer `peer_idx`. `anchor` asks for a
+/// zero-width `deliver` span at this instant, for a block that arrived
+/// without the OSN's: by gossip or by a failover replay. It is what the
+/// block's `vscc` spans name as their parent.
+fn enqueue_block_validation(
+    world: &mut World,
+    k: &mut K,
+    peer_idx: usize,
+    block: Arc<Block>,
+    anchor: bool,
+) {
     let now = k.now();
     if world.check_channel(&block.channel).is_err() {
         return;
@@ -184,15 +212,11 @@ fn enqueue_block_validation(world: &mut World, k: &mut K, peer_idx: usize, block
         world.peers[peer_idx].awaiting.push_back(Arc::clone(&block));
         hand_over_head(world, peer_idx);
     }
-    // Zero-width delivery anchor for gossip-fed peers (no orderer Deliver
-    // span). Orderer subscribers already have a real one with the same
-    // deterministic id — the analyzer dedups, keeping the earlier real span.
-    let anchor = SpanKey::block(
-        block.header.number,
-        SpanKind::Deliver,
-        Actor::Peer(peer_idx),
-    );
-    world.obs.span(anchor, None, now, now);
+    if anchor {
+        let number = block.header.number;
+        let delivery = SpanKey::block(number, SpanKind::Deliver, Actor::Peer(peer_idx));
+        world.obs.span(delivery, None, now, now);
+    }
     let is_observer = peer_idx == world.observer;
     if is_observer {
         let vscc = &world.peers[peer_idx].vscc;

@@ -140,7 +140,7 @@ impl World {
 
 #[cfg(test)]
 mod tests {
-    use fabricsim_des::{Kernel, SimTime};
+    use fabricsim_des::{Kernel, SimDuration, SimTime};
     use fabricsim_types::OrdererType;
 
     use super::super::world::{bootstrap, build_world, K};
@@ -152,8 +152,8 @@ mod tests {
         let mut world = build_world(cfg, 0);
         let mut k: K = Kernel::new();
         bootstrap(&mut world, &mut k);
-        k.set_horizon(SimTime::from_secs_f64(cfg.duration_secs));
-        k.run(&mut world);
+        let horizon = SimTime::from_secs_f64(cfg.duration_secs);
+        k.run_until(&mut world, horizon + SimDuration::from_nanos(1));
         world
     }
 

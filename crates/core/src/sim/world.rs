@@ -6,7 +6,7 @@ use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
 
 use fabricsim_chaincode::samples::{AssetTransfer, KvWrite, Smallbank};
-use fabricsim_des::{EventId, Kernel, Link, Model, RngStream, SimDuration, SimTime, Station};
+use fabricsim_des::{Kernel, Link, Model, RngStream, SimDuration, SimTime, Station};
 use fabricsim_kafka::{Broker, BrokerEffect, BrokerId, BrokerMsg, ClientEvent, Offset, ZkEnsemble};
 use fabricsim_ledger::ChainError;
 use fabricsim_msp::{CertificateAuthority, Msp};
@@ -31,7 +31,6 @@ pub(super) struct PendingTx {
     /// Shared with every endorser the proposal is in flight to.
     pub(super) proposal: Arc<Proposal>,
     pub(super) collector: EndorsementCollector,
-    pub(super) timeout_event: Option<EventId>,
 }
 
 pub(super) struct Pool {
@@ -288,9 +287,8 @@ impl Model for World {
                 ordering::osn_receive(self, k, osn, OsnInput::KafkaMetadata { leader }, None);
             }
             Ev::OsnTick { osn } => ordering::osn_tick(self, k, osn),
-            Ev::OsnDeliver { peer, block } | Ev::PeerBlock { peer, block } => {
-                peer::peer_receive_block(self, k, peer, block);
-            }
+            Ev::OsnDeliver { peer, block } => peer::peer_receive_block(self, k, peer, block, true),
+            Ev::PeerBlock { peer, block } => peer::peer_receive_block(self, k, peer, block, false),
             Ev::BrokerProduce { broker, message }
             | Ev::BrokerSend { broker, message }
             | Ev::BrokerAppoint { broker, message } => {

@@ -14,9 +14,8 @@ pub enum PolicySpec {
     /// As in the paper's Table II, `x` is clamped to the number of deployed
     /// endorsing peers.
     AndX(u32),
-    /// `OutOf(k, 'Org1.peer', …, 'OrgN.peer')`.
-    KOfN(usize, u32),
-    /// Any policy in textual form.
+    /// Any policy in textual form, e.g. a k-of-n policy
+    /// `OutOf(k,'Org1.peer',…,'OrgN.peer')`.
     Custom(String),
 }
 
@@ -26,26 +25,19 @@ impl PolicySpec {
     ///
     /// # Errors
     /// Describes why the spec names no policy: no endorsing peer, a count
-    /// of zero (`OR0`, `AND0`, `OutOf` with a zero), or custom text that
-    /// does not parse.
+    /// of zero (`OR0`, `AND0`), or custom text that does not parse (an
+    /// `OutOf` asking for none, or for more than it lists, included).
     pub fn try_resolve(&self, deployed: u32) -> Result<Policy, String> {
         if deployed == 0 {
             return Err("need at least one endorsing peer".into());
         }
         match self {
-            PolicySpec::OrN(0)
-            | PolicySpec::AndX(0)
-            | PolicySpec::KOfN(0, _)
-            | PolicySpec::KOfN(_, 0) => Err(format!(
+            PolicySpec::OrN(0) | PolicySpec::AndX(0) => Err(format!(
                 "policy {} needs at least one principal",
                 self.label()
             )),
             PolicySpec::OrN(n) => Ok(Policy::or_of_orgs((*n).min(deployed))),
             PolicySpec::AndX(x) => Ok(Policy::and_of_orgs((*x).min(deployed))),
-            PolicySpec::KOfN(k, n) => {
-                let n = (*n).min(deployed);
-                Ok(Policy::k_of_n_orgs((*k).min(n as usize), n))
-            }
             PolicySpec::Custom(text) => text.parse().map_err(|e| format!("{e} in {text:?}")),
         }
     }
@@ -68,7 +60,6 @@ impl PolicySpec {
         match self {
             PolicySpec::OrN(n) => format!("OR{n}"),
             PolicySpec::AndX(x) => format!("AND{x}"),
-            PolicySpec::KOfN(k, n) => format!("OutOf{k}of{n}"),
             PolicySpec::Custom(_) => "custom".to_string(),
         }
     }
@@ -421,20 +412,22 @@ mod tests {
         assert_eq!(PolicySpec::OrN(10).resolve(3), Policy::or_of_orgs(3));
         assert_eq!(PolicySpec::AndX(5).resolve(3), Policy::and_of_orgs(3));
         assert_eq!(PolicySpec::AndX(5).resolve(10), Policy::and_of_orgs(5));
-        assert_eq!(PolicySpec::KOfN(2, 5).resolve(3), Policy::k_of_n_orgs(2, 3));
     }
 
     #[test]
     fn policy_labels() {
         assert_eq!(PolicySpec::OrN(10).label(), "OR10");
         assert_eq!(PolicySpec::AndX(5).label(), "AND5");
-        assert_eq!(PolicySpec::KOfN(2, 5).label(), "OutOf2of5");
+        let out_of = PolicySpec::Custom("OutOf(2,'Org1.peer','Org2.peer')".into());
+        assert_eq!(out_of.label(), "custom");
     }
 
     #[test]
     fn custom_policy_parses() {
         let spec = PolicySpec::Custom("AND('Org1.peer','Org2.peer')".into());
         assert_eq!(spec.resolve(5), Policy::and_of_orgs(2));
+        let spec = PolicySpec::Custom("OutOf(2,'Org1.peer','Org2.peer','Org3.peer')".into());
+        assert_eq!(spec.resolve(5), Policy::k_of_n_orgs(2, 3));
     }
 
     #[test]
@@ -447,11 +440,10 @@ mod tests {
         for policy in [
             PolicySpec::OrN(0),
             PolicySpec::AndX(0),
-            PolicySpec::KOfN(0, 3),
-            PolicySpec::KOfN(2, 0),
-            PolicySpec::KOfN(0, 0),
             PolicySpec::Custom("garbage(".into()),
             PolicySpec::Custom("OutOf(2,'Org1.peer')".into()),
+            PolicySpec::Custom("OutOf(0,'Org1.peer','Org2.peer','Org3.peer')".into()),
+            PolicySpec::Custom("OutOf(5,'Org1.peer','Org2.peer','Org3.peer')".into()),
         ] {
             let c = SimConfig {
                 policy: policy.clone(),

@@ -9,8 +9,11 @@
 //! never an event, and scheduling allocates nothing once the slab has grown
 //! to the run's peak of pending events. The kernel never schedules before
 //! its clock, which keeps the queue monotone. A slot is freed when its key
-//! leaves the queue and its generation is bumped then, so an [`EventId`] —
-//! slot plus generation — names one scheduling and nothing after it.
+//! leaves the queue.
+//!
+//! There is no cancellation: every scheduled event fires. A timer that may
+//! have gone stale (a batch timer after its batch was cut, a client timeout
+//! after the ack) checks in its own handler whether it still applies.
 
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -23,21 +26,13 @@ pub trait Model: Sized {
     /// Everything that can be scheduled on this world.
     type Event: Send;
 
-    /// Handles `event` at `kernel.now()`; may schedule or cancel further
-    /// events on `kernel`.
+    /// Handles `event` at `kernel.now()`; may schedule further events on
+    /// `kernel`.
     fn fire(&mut self, event: Self::Event, kernel: &mut Kernel<Self>);
 
     /// The static label of `event`'s family: what the self-profiler
     /// attributes the host time of firing it to (e.g. `peer.endorse`).
     fn label(event: &Self::Event) -> &'static str;
-}
-
-/// Identifier of a scheduled event, usable for cancellation: the slot the
-/// event lives in and that slot's generation when it was scheduled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EventId {
-    slot: usize,
-    generation: u64,
 }
 
 /// One queue entry: the pop order `(time, seq)` and where the event lives.
@@ -115,10 +110,6 @@ impl KeyQueue {
         self.len
     }
 
-    fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// The earliest key, which may move `base` up to it.
     fn peek(&mut self) -> Option<Key> {
         self.refill();
@@ -141,25 +132,6 @@ impl KeyQueue {
         }
         self.len += 1;
         self.place(key);
-    }
-
-    /// Takes every key out, in no particular order, and hands each to `f`.
-    fn drain(&mut self, mut f: impl FnMut(Key)) {
-        self.head.drain(..).for_each(&mut f);
-        while self.occupied != 0 {
-            let b = self.occupied.trailing_zeros() as usize;
-            self.occupied &= self.occupied - 1;
-            let mut slot = std::mem::replace(&mut self.buckets[b], NIL);
-            while let Some(link) = self.links.get(slot) {
-                f(Key {
-                    time: link.time,
-                    seq: link.seq,
-                    slot,
-                });
-                slot = link.next;
-            }
-        }
-        self.len = 0;
     }
 
     /// Puts a key at or after `base` at the back of the head or in its
@@ -257,23 +229,13 @@ impl KeyQueue {
     }
 }
 
-/// A slab slot: the pending event, or `None` once it was cancelled (its key
-/// is then a tombstone still in the queue) or while the slot is free.
-#[derive(Debug)]
-struct Slot<E> {
-    generation: u64,
-    event: Option<E>,
-}
-
 /// Counters describing a finished (or in-progress) simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct KernelStats {
     /// Events executed so far.
     pub executed: u64,
-    /// Events scheduled so far (including cancelled ones).
+    /// Events scheduled so far.
     pub scheduled: u64,
-    /// Events cancelled before execution.
-    pub cancelled: u64,
 }
 
 /// A deterministic discrete-event kernel over a world `W`.
@@ -282,7 +244,7 @@ pub struct KernelStats {
 /// broken by insertion order, which makes runs bit-reproducible.
 ///
 /// ```
-/// use fabricsim_des::{Kernel, Model, SimDuration};
+/// use fabricsim_des::{Kernel, Model, SimDuration, SimTime};
 ///
 /// struct Log(Vec<&'static str>);
 /// impl Model for Log {
@@ -299,18 +261,18 @@ pub struct KernelStats {
 /// let mut log = Log(Vec::new());
 /// k.schedule_in(SimDuration::from_secs(1), "b");
 /// k.schedule_in(SimDuration::ZERO, "a");
-/// k.run(&mut log);
+/// k.run_until(&mut log, SimTime::MAX);
 /// assert_eq!(log.0, vec!["a", "b"]);
 /// ```
 pub struct Kernel<W: Model> {
     now: SimTime,
     seq: u64,
     queue: KeyQueue,
-    slots: Vec<Slot<W::Event>>,
+    /// By slot: the event a queued key names, `None` while the slot is free.
+    slots: Vec<Option<W::Event>>,
     /// Slots whose keys have left the queue, reused last-freed first.
     free: Vec<usize>,
     stats: KernelStats,
-    horizon: SimTime,
     profiler: Option<Box<ProfilerState>>,
 }
 
@@ -331,7 +293,7 @@ impl<W: Model> std::fmt::Debug for Kernel<W> {
 }
 
 impl<W: Model> Kernel<W> {
-    /// Creates an empty kernel with the clock at [`SimTime::ZERO`] and no horizon.
+    /// Creates an empty kernel with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
         Kernel {
             now: SimTime::ZERO,
@@ -340,15 +302,14 @@ impl<W: Model> Kernel<W> {
             slots: Vec::new(),
             free: Vec::new(),
             stats: KernelStats::default(),
-            horizon: SimTime::MAX,
             profiler: None,
         }
     }
 
-    /// Turns on the host-time self-profiler for subsequent [`Kernel::run`]
-    /// calls. Write-only with respect to the simulation: nothing the
-    /// profiler measures feeds back into virtual time, so results are
-    /// byte-identical with it on or off.
+    /// Turns on the host-time self-profiler for subsequent
+    /// [`Kernel::run_until`] calls. Write-only with respect to the
+    /// simulation: nothing the profiler measures feeds back into virtual
+    /// time, so results are byte-identical with it on or off.
     pub fn enable_profiler(&mut self) {
         self.profiler = Some(Box::default());
     }
@@ -374,21 +335,16 @@ impl<W: Model> Kernel<W> {
         self.stats
     }
 
-    /// Number of events still pending (including cancelled-but-unpopped ones).
+    /// Number of events still pending.
     pub fn pending(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Stops the run once the clock would pass `t`; events at exactly `t` still fire.
-    pub fn set_horizon(&mut self, t: SimTime) {
-        self.horizon = t;
     }
 
     /// Schedules `event` to fire at absolute time `at`.
     ///
     /// # Panics
     /// Panics if `at` is in the past (`at < self.now()`).
-    pub fn schedule(&mut self, at: SimTime, event: W::Event) -> EventId {
+    pub fn schedule(&mut self, at: SimTime, event: W::Event) {
         assert!(
             at >= self.now,
             "cannot schedule into the past: {at} < {}",
@@ -396,93 +352,30 @@ impl<W: Model> Kernel<W> {
         );
         self.seq += 1;
         self.stats.scheduled += 1;
-        let id = self.occupy(event);
-        self.queue.push(Key {
-            time: at,
-            seq: self.seq,
-            slot: id.slot,
-        });
-        id
-    }
-
-    /// Schedules `event` to fire `delay` after the current time.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: W::Event) -> EventId {
-        self.schedule(self.now + delay, event)
-    }
-
-    /// Cancels a scheduled event. Cancelling an event that already fired,
-    /// was already cancelled, was dropped past the horizon, or was never
-    /// scheduled here is a no-op and is not counted.
-    pub fn cancel(&mut self, id: EventId) {
-        if let Some(slot) = self.slots.get_mut(id.slot) {
-            if slot.generation == id.generation && slot.event.take().is_some() {
-                self.stats.cancelled += 1;
-            }
-        }
-    }
-
-    /// Puts `event` in a free slot (or a new one) and names it.
-    fn occupy(&mut self, event: W::Event) -> EventId {
         let slot = match self.free.pop() {
             Some(slot) => slot,
             None => {
-                self.slots.push(Slot {
-                    generation: 0,
-                    event: None,
-                });
+                self.slots.push(None);
                 self.slots.len() - 1
             }
         };
-        let entry = &mut self.slots[slot];
-        entry.event = Some(event);
-        EventId {
+        self.slots[slot] = Some(event);
+        self.queue.push(Key {
+            time: at,
+            seq: self.seq,
             slot,
-            generation: entry.generation,
-        }
+        });
     }
 
-    /// Frees the slot of a key that just left the queue and returns its
-    /// event, `None` for a cancelled one. Bumping the generation is what
-    /// turns every id of this scheduling stale.
-    fn release(&mut self, slot: usize) -> Option<W::Event> {
-        let entry = &mut self.slots[slot];
-        entry.generation += 1;
-        self.free.push(slot);
-        entry.event.take()
+    /// Schedules `event` to fire `delay` after the current time.
+    pub fn schedule_in(&mut self, delay: SimDuration, event: W::Event) {
+        self.schedule(self.now + delay, event);
     }
 
-    /// Runs the event loop until the queue drains or the horizon is reached.
-    /// Returns the final virtual time. This is [`Kernel::run_until`] driven
-    /// through the horizon inclusively, so an event at `SimTime::MAX` itself
-    /// lies past every horizon (as it does on [`crate::ShardedKernel`]).
-    pub fn run(&mut self, world: &mut W) -> SimTime {
-        let limit = SimTime::from_nanos(self.horizon.as_nanos().saturating_add(1));
-        self.run_until(world, limit);
-        if !self.queue.is_empty() {
-            // Past the horizon: put nothing back; the run is over.
-            self.now = self.horizon;
-            let mut queue = std::mem::take(&mut self.queue);
-            queue.drain(|key| {
-                self.release(key.slot);
-            });
-            self.queue = queue;
-        }
-        self.now
-    }
-
-    /// The virtual time of the earliest *live* pending event, purging any
-    /// cancelled tombstones sitting at the head of the queue on the way.
-    /// Returns `None` when nothing live is pending. Purging is observable
-    /// only through [`Kernel::pending`]; execution order is unaffected.
+    /// The virtual time of the earliest pending event, `None` when nothing
+    /// is pending.
     pub fn next_event_time(&mut self) -> Option<SimTime> {
-        while let Some(head) = self.queue.peek() {
-            if self.slots[head.slot].event.is_some() {
-                return Some(head.time);
-            }
-            self.queue.pop();
-            self.release(head.slot);
-        }
-        None
+        self.queue.peek().map(|head| head.time)
     }
 
     /// Runs every pending event with `time < limit`, leaving later events in
@@ -490,11 +383,11 @@ impl<W: Model> Kernel<W> {
     /// last executed event (it does **not** jump to `limit`), so events
     /// delivered into the window gap afterwards can still be scheduled.
     ///
-    /// This is the building block of conservative windowed execution
-    /// ([`crate::ShardedKernel`]): virtual-time semantics are identical to
-    /// [`Kernel::run`] restricted to the window. When the self-profiler is on,
-    /// host time is accumulated across windows so the per-label totals still
-    /// sum to the loop wall time.
+    /// This is the kernel's one loop: a whole run is `run_until(world,
+    /// SimTime::MAX)`, and [`crate::ShardedKernel`] calls it once per
+    /// conservative window. When the self-profiler is on, host time is
+    /// accumulated across windows so the per-label totals still sum to the
+    /// loop wall time.
     pub fn run_until(&mut self, world: &mut W, limit: SimTime) -> u64 {
         #[expect(
             clippy::disallowed_methods,
@@ -519,8 +412,9 @@ impl<W: Model> Kernel<W> {
                 "event queue produced time regression"
             );
             self.now = head.time;
-            let Some(event) = self.release(head.slot) else {
-                continue;
+            self.free.push(head.slot);
+            let Some(event) = self.slots[head.slot].take() else {
+                continue; // never: a queued key's slot holds its event
             };
             self.stats.executed += 1;
             executed += 1;
@@ -600,6 +494,11 @@ mod tests {
         SimTime::from_nanos(ns)
     }
 
+    /// Runs every pending event.
+    fn run(k: &mut Kernel<Log>, out: &mut Log) {
+        k.run_until(out, SimTime::MAX);
+    }
+
     #[test]
     fn events_fire_in_time_order() {
         let mut k = Kernel::new();
@@ -607,7 +506,7 @@ mod tests {
         k.schedule(at(30), Ev::Push(30));
         k.schedule(at(10), Ev::Push(10));
         k.schedule(at(20), Ev::Push(20));
-        k.run(&mut out);
+        run(&mut k, &mut out);
         assert_eq!(out.0, vec![10, 20, 30]);
     }
 
@@ -618,7 +517,7 @@ mod tests {
         for i in 0..100 {
             k.schedule(at(5), Ev::Push(i));
         }
-        k.run(&mut out);
+        run(&mut k, &mut out);
         assert_eq!(out.0, (0..100).collect::<Vec<_>>());
     }
 
@@ -678,7 +577,8 @@ mod tests {
                 let key = queue.pop().expect("non-empty");
                 assert_eq!((key.time.as_nanos(), key.seq), expected);
             }
-            assert!(queue.is_empty() && queue.pop().is_none());
+            assert!(queue.pop().is_none());
+            assert_eq!(queue.len(), 0);
         }
     }
 
@@ -730,80 +630,9 @@ mod tests {
         let mut k = Kernel::new();
         let mut out = Log::default();
         k.schedule(SimTime::ZERO, Ev::Tick { every: 7, until: 5 });
-        let end = k.run(&mut out);
+        run(&mut k, &mut out);
         assert_eq!(out.0, vec![0, 7, 14, 21, 28]);
-        assert_eq!(end, at(28));
-    }
-
-    #[test]
-    fn cancellation_skips_events() {
-        let mut k = Kernel::new();
-        let mut out = Log::default();
-        let id = k.schedule(at(10), Ev::Push(1));
-        k.schedule(at(20), Ev::Push(2));
-        k.cancel(id);
-        k.cancel(id); // double-cancel is a no-op
-        k.run(&mut out);
-        assert_eq!(out.0, vec![2]);
-        assert_eq!(k.stats().cancelled, 1);
-        assert_eq!(k.stats().executed, 1);
-        assert_eq!(k.stats().scheduled, 2);
-    }
-
-    #[test]
-    fn cancelling_a_fired_stale_or_unknown_event_is_a_no_op() {
-        let mut k = Kernel::new();
-        let mut out = Log::default();
-        let fired = k.schedule(at(10), Ev::Push(10));
-        k.run(&mut out);
-        k.cancel(fired);
-        assert_eq!(k.stats().cancelled, 0, "a fired event cannot be cancelled");
-        // The next scheduling reuses the fired event's slot; the old id
-        // must not reach it.
-        let reused = k.schedule(at(20), Ev::Push(20));
-        assert_ne!(reused, fired);
-        k.cancel(fired);
-        k.cancel(EventId {
-            slot: 1_000,
-            generation: 0,
-        });
-        // Dropped past the horizon: gone, and its id goes stale with it.
-        k.set_horizon(at(30));
-        let dropped = k.schedule(at(40), Ev::Push(40));
-        k.run(&mut out);
-        k.cancel(dropped);
-        assert_eq!(out.0, vec![10, 20]);
-        assert_eq!(k.pending(), 0);
-        assert_eq!(
-            k.stats(),
-            KernelStats {
-                executed: 2,
-                scheduled: 3,
-                cancelled: 0
-            }
-        );
-        // A cancel that lands is still counted once, and the slot comes back.
-        let live = k.schedule(at(30), Ev::Push(30));
-        k.cancel(live);
-        k.cancel(live);
-        k.run(&mut out);
-        assert_eq!(out.0, vec![10, 20]);
-        assert_eq!(k.stats().cancelled, 1);
-        assert_eq!(k.slots.len(), 2, "slots are reused, not leaked");
-    }
-
-    #[test]
-    fn horizon_stops_the_run() {
-        let mut k = Kernel::new();
-        let mut out = Log::default();
-        k.set_horizon(at(15));
-        k.schedule(at(10), Ev::Push(10));
-        k.schedule(at(15), Ev::Push(15));
-        k.schedule(at(20), Ev::Push(20));
-        let end = k.run(&mut out);
-        assert_eq!(out.0, vec![10, 15]);
-        assert_eq!(end, at(15));
-        assert_eq!(k.pending(), 0);
+        assert_eq!(k.now(), at(28));
     }
 
     #[test]
@@ -855,106 +684,45 @@ mod tests {
                 schedule(&mut k, &mut oracle, t);
             }
         }
-        k.run(&mut out);
+        run(&mut k, &mut out);
         let expected: Vec<u64> = oracle.into_iter().map(|(_, id)| id).collect();
         assert_eq!(out.0, expected);
         assert_eq!(k.pending(), 0);
     }
 
     #[test]
-    fn cancelled_keys_in_every_bucket_never_fire() {
+    fn keys_in_every_bucket_fire_in_order() {
         // One event at 0 (the head) and one at each power of two, so the
-        // first refill finds a key in every bucket; every other one is
-        // cancelled. Tombstones still count one pop each.
+        // first refill finds a key in every bucket. Each costs one pop.
         let mut k = Kernel::new();
         let mut out = Log::default();
         k.enable_profiler();
-        let ids: Vec<EventId> = std::iter::once(0)
+        let times: Vec<u64> = std::iter::once(0)
             .chain((0..64).map(|b| 1u64 << b))
-            .map(|t| k.schedule(at(t), Ev::Push(t)))
             .collect();
-        assert_eq!(k.pending(), 65);
-        for id in ids.iter().skip(1).step_by(2) {
-            k.cancel(*id);
+        for &t in times.iter().rev() {
+            k.schedule(at(t), Ev::Push(t));
         }
-        k.run(&mut out);
-        let expected: Vec<u64> = std::iter::once(0)
-            .chain((1..64).step_by(2).map(|b| 1u64 << b))
-            .collect();
-        assert_eq!(out.0, expected);
+        assert_eq!(k.pending(), 65);
+        k.run_until(&mut out, SimTime::MAX);
+        assert_eq!(out.0, times);
         assert_eq!(
             k.stats(),
             KernelStats {
-                executed: 33,
-                scheduled: 65,
-                cancelled: 32
+                executed: 65,
+                scheduled: 65
             }
         );
         assert_eq!(k.take_profile().expect("profiled").heap_ops, 65);
         assert_eq!(k.pending(), 0);
-    }
-
-    #[test]
-    fn the_horizon_drain_frees_every_bucket() {
-        // Keys past the horizon in many buckets, some cancelled, some behind
-        // a peek that moved the base: the drain frees them all, their ids go
-        // stale, and the freed slots serve the next schedulings.
-        let mut k = Kernel::new();
-        let mut out = Log::default();
-        k.set_horizon(at(1_000));
-        k.schedule(at(500), Ev::Push(500));
-        let late: Vec<EventId> = (10..40)
-            .map(|b| k.schedule(at(1_000 + (1u64 << b)), Ev::Push(b)))
-            .collect();
-        k.cancel(late[3]);
-        assert_eq!(k.next_event_time(), Some(at(500)));
-        k.run(&mut out);
-        assert_eq!(out.0, vec![500]);
-        assert_eq!(k.now(), at(1_000));
-        assert_eq!(k.pending(), 0);
-        for id in &late {
-            k.cancel(*id);
-        }
-        assert_eq!(k.stats().cancelled, 1, "dropped ids are stale");
-        let slots = k.slots.len();
-        k.set_horizon(SimTime::MAX);
-        for t in [1_000, 1_001, 1_000] {
+        assert_eq!(k.slots.len(), 65);
+        // The freed slots serve the next schedulings.
+        for t in [u64::MAX - 1, u64::MAX - 2] {
             k.schedule(at(t), Ev::Push(t));
         }
-        k.run(&mut out);
-        assert_eq!(out.0, vec![500, 1_000, 1_000, 1_001]);
-        assert_eq!(k.slots.len(), slots, "the drained slots are reused");
-    }
-
-    #[test]
-    fn run_is_run_until_driven_through_the_horizon() {
-        // The horizon and cancel fixtures above, driven both ways.
-        type Drive = fn(&mut Kernel<Log>, &mut Log, SimTime);
-        let via_run: Drive = |k, w, _| {
-            k.run(w);
-        };
-        let via_run_until: Drive = |k, w, horizon| {
-            k.run_until(w, at(horizon.as_nanos() + 1));
-        };
-        let horizon = at(15);
-        let observe = |drive: Drive| {
-            let mut k = Kernel::new();
-            let mut out = Log::default();
-            k.enable_profiler();
-            k.set_horizon(horizon);
-            let doomed = k.schedule(at(5), Ev::Push(5));
-            k.schedule(at(10), Ev::Push(10));
-            k.schedule(at(15), Ev::Push(15));
-            k.schedule(at(20), Ev::Push(20));
-            k.cancel(doomed);
-            drive(&mut k, &mut out, horizon);
-            let profile = k.take_profile().expect("profile collected");
-            (out.0, k.now(), k.stats(), profile.heap_ops)
-        };
-        let expected = observe(via_run);
-        assert_eq!(expected.0, vec![10, 15]);
-        assert_eq!(expected.1, horizon);
-        assert_eq!(observe(via_run_until), expected);
+        run(&mut k, &mut out);
+        assert_eq!(out.0[65..], [u64::MAX - 2, u64::MAX - 1]);
+        assert_eq!(k.slots.len(), 65, "slots are reused, not leaked");
     }
 
     #[test]
@@ -966,10 +734,8 @@ mod tests {
         for i in 0..50u64 {
             k.schedule(at(i), Ev::Labeled("tick", i));
         }
-        let cancel_me = k.schedule(at(100), Ev::Labeled("doomed", 100));
-        k.cancel(cancel_me);
         k.schedule(at(200), Ev::Push(200));
-        k.run(&mut out);
+        run(&mut k, &mut out);
         assert_eq!(out.0.len(), 51, "profiling must not change execution");
         let profile = k.take_profile().expect("profile collected");
         assert!(!k.profiling(), "take_profile resets the kernel");
@@ -980,13 +746,9 @@ mod tests {
             .collect();
         assert!(by_label.contains(&("tick", 50)), "{by_label:?}");
         assert!(by_label.contains(&("push", 1)), "{by_label:?}");
-        assert!(
-            !by_label.iter().any(|(l, _)| *l == "doomed"),
-            "cancelled events never dispatch: {by_label:?}"
-        );
-        // Heap ops: one pop per event, cancelled or not; the loop peeks before
-        // it pops, so finding the heap empty is not a heap op.
-        assert_eq!(profile.heap_ops, 52);
+        // Heap ops: one pop per event; the loop peeks before it pops, so
+        // finding the heap empty is not a heap op.
+        assert_eq!(profile.heap_ops, 51);
         // The accounting identity the acceptance criterion rests on.
         assert_eq!(profile.attributed_ns(), profile.loop_ns);
     }
@@ -1005,8 +767,6 @@ mod tests {
                 let label = [tick, "tock", tick_twin][(i % 3) as usize];
                 k.schedule(at(i), Ev::Echoing(label, i));
             }
-            let doomed = k.schedule(at(1500), Ev::Labeled("doomed", 0));
-            k.cancel(doomed);
             // The sharded engine's calling pattern: many short windows, most
             // of which find little or nothing to run.
             let span = 4000 / windows;
@@ -1036,7 +796,7 @@ mod tests {
             one.1,
             [("echo", 30), ("tick", 2000), ("tock", 1000)].map(|(l, n)| (l.to_string(), n))
         );
-        assert_eq!(one.2, 3031, "one pop per event, the cancelled one included");
+        assert_eq!(one.2, 3030, "one pop per event");
         assert_eq!(observe(1000), one);
     }
 
@@ -1047,7 +807,6 @@ mod tests {
             if profile {
                 k.enable_profiler();
             }
-            k.set_horizon(at(40));
             let mut out = Log::default();
             k.schedule(
                 SimTime::ZERO,
@@ -1056,8 +815,8 @@ mod tests {
                     until: usize::MAX,
                 },
             );
-            let end = k.run(&mut out);
-            (out.0, end, k.stats())
+            k.run_until(&mut out, at(41));
+            (out.0, k.now(), k.stats())
         };
         assert_eq!(run(false), run(true));
     }
@@ -1067,7 +826,7 @@ mod tests {
         let mut k = Kernel::new();
         let mut out = Log::default();
         k.schedule(SimTime::ZERO, Ev::Push(1));
-        k.run(&mut out);
+        run(&mut k, &mut out);
         assert!(k.take_profile().is_none());
     }
 
@@ -1077,6 +836,6 @@ mod tests {
         let mut k = Kernel::new();
         let mut out = Log::default();
         k.schedule(at(10), Ev::Rewind);
-        k.run(&mut out);
+        run(&mut k, &mut out);
     }
 }

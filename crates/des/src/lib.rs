@@ -12,8 +12,12 @@
 //!   user-supplied world `W: Model`, which names its own event type and fires
 //!   each event with `&mut W` plus a scheduling handle. Events live in a slab
 //!   behind a monotone radix queue of keys, so scheduling one allocates
-//!   nothing, and an [`EventId`] carries its slot's generation, so
-//!   cancelling an event that already fired is a no-op.
+//!   nothing once the slab has grown to the run's peak of pending events.
+//! * **One timer discipline, one loop.** Nothing is cancelled: every
+//!   scheduled event fires, and a timer that may have gone stale checks in
+//!   its own handler whether it still applies. [`Kernel::run_until`] is the
+//!   only event loop; [`ShardedKernel`] runs it once per window and owns the
+//!   run's horizon.
 //! * **Analytic service stations.** Common queueing structures (FIFO multi-server
 //!   stations, network links) are modelled with closed-form completion-time
 //!   bookkeeping ([`Station`], [`Link`]) instead of per-customer token events,
@@ -43,7 +47,7 @@
 //! let mut kernel = Kernel::new();
 //! let mut world = World { fired: Vec::new() };
 //! kernel.schedule(SimTime::ZERO + SimDuration::from_millis(5), Fire);
-//! kernel.run(&mut world);
+//! kernel.run_until(&mut world, SimTime::MAX);
 //! assert_eq!(world.fired, vec![5_000_000]);
 //! ```
 
@@ -58,7 +62,7 @@ mod sharded;
 mod station;
 mod time;
 
-pub use kernel::{EventId, Kernel, KernelStats, Model};
+pub use kernel::{Kernel, KernelStats, Model};
 pub use link::Link;
 pub use profiler::{KernelProfile, LabelProfile};
 pub use rng::RngStream;

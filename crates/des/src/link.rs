@@ -51,16 +51,6 @@ impl Link {
         &self.name
     }
 
-    /// The configured bandwidth in bits per second.
-    pub fn bandwidth(&self) -> u64 {
-        self.bits_per_sec
-    }
-
-    /// The configured one-way propagation delay.
-    pub fn propagation(&self) -> SimDuration {
-        self.propagation
-    }
-
     /// Time to push `bytes` onto the wire at full bandwidth.
     pub fn serialization_delay(&self, bytes: u64) -> SimDuration {
         let nanos = (bytes as u128 * 8 * 1_000_000_000) / self.bits_per_sec as u128;

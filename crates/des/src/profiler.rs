@@ -149,11 +149,11 @@ pub struct KernelProfile {
     /// Per-label costs, hottest first (ties by label).
     pub entries: Vec<LabelProfile>,
     /// Host nanoseconds from the end of one handler (or the start of the
-    /// loop) to the end of the next heap pop: the peek, the pop, freeing
-    /// the slot of a tombstone popped before it, and one of the two clock
-    /// reads each event pays, so it overstates the heap itself.
+    /// loop) to the end of the next heap pop: the peek, the pop and one of
+    /// the two clock reads each event pays, so it overstates the heap
+    /// itself.
     pub heap_ns: u64,
-    /// Heap pops (executed + cancelled). The loop peeks before it pops, so
+    /// Heap pops, one per executed event. The loop peeks before it pops, so
     /// finding the heap empty or the head past the limit is not a heap op.
     pub heap_ops: u64,
     /// Loop wall time not attributed to handlers or the heap. The clock

@@ -280,14 +280,9 @@ impl<W: ShardWorld> ShardedKernel<W> {
     }
 
     /// Stops the run once every shard's clock would pass `t`; events at
-    /// exactly `t` still fire (same contract as [`Kernel::set_horizon`]).
+    /// exactly `t` still fire, later ones stay queued and never do.
     pub fn set_horizon(&mut self, t: SimTime) {
         self.horizon = t;
-    }
-
-    /// The configured lookahead.
-    pub fn lookahead(&self) -> SimDuration {
-        self.lookahead
     }
 
     /// Enables the self-profiler on every shard kernel.
@@ -346,7 +341,7 @@ impl<W: ShardWorld> ShardedKernel<W> {
         let horizon_ns = self.horizon.as_nanos();
         let lookahead_ns = self.lookahead.as_nanos().max(1);
 
-        // Shared round state. `next_times[i]` holds shard i's earliest live
+        // Shared round state. `next_times[i]` holds shard i's earliest
         // event time (u64::MAX when idle); `emit_bounds[i]` its emission
         // bound (>= next time); `inboxes[i]` collects messages bound for
         // shard i during a window; `window_counter` counts rounds and
@@ -419,8 +414,8 @@ impl<W: ShardWorld> ShardedKernel<W> {
                 // `max(bound, t_min) + L` for shards with a model-derived
                 // emission bound — which can be arbitrarily wider. The
                 // window end is exclusive; the final window runs through
-                // the horizon inclusively (mirroring Kernel::run's contract
-                // that events at exactly the horizon still fire).
+                // the horizon inclusively (events at exactly the horizon
+                // still fire).
                 let delivery_floor = |eb: u64| {
                     let emit = if eb == u64::MAX { t_min } else { eb.max(t_min) };
                     emit.saturating_add(lookahead_ns)
@@ -507,7 +502,6 @@ impl<W: ShardWorld> ShardedKernel<W> {
             let st = s.kernel.stats();
             stats.executed += st.executed;
             stats.scheduled += st.scheduled;
-            stats.cancelled += st.cancelled;
             end = end.max(s.kernel.now());
         }
         ShardedRunReport {

@@ -41,7 +41,7 @@ fn kernel_fires_in_timestamp_order() {
             k.schedule(SimTime::from_nanos(t), (t, seq));
         }
         let mut fired = Fired(Vec::new());
-        k.run(&mut fired);
+        k.run_until(&mut fired, SimTime::MAX);
         let fired = fired.0;
         assert_eq!(fired.len(), times.len());
         for pair in fired.windows(2) {

@@ -71,8 +71,10 @@ pub struct SpanGraphAnalysis {
     /// How often each endorsing actor was the *last* to finish endorsing a
     /// transaction (the straggler), sorted descending by count.
     pub slowest_endorser: Vec<(String, u64)>,
-    /// Block deliveries by gossip depth: hop 0 = direct OSN delivery, hop h
-    /// = h-th gossip push.
+    /// Block deliveries by gossip depth, one per (block, peer) at the depth
+    /// of the first copy the peer received: hop 0 = direct OSN delivery (a
+    /// `deliver` span whose parent is the block cut), hop h = h-th gossip
+    /// push.
     pub gossip_depth: Vec<(u32, u64)>,
     /// Max over transactions of |Σ segments − (committed − created)|.
     pub max_residual_s: f64,
@@ -118,12 +120,36 @@ impl SpanGraphAnalysis {
         let mut max_residual: f64 = 0.0;
         let mut path_sum = 0.0;
 
+        // The first copy of each block at each peer, by arrival then hop. A
+        // `deliver` anchor (no parent) marks a delivery by gossip or replay,
+        // not a copy. Only the OSN that cut a block first records its cut,
+        // so an orderer delivery's parent may be absent from the input.
+        let mut first: BTreeMap<(&str, &str), (f64, u32)> = BTreeMap::new();
         for s in &spans {
-            match s.kind {
-                SpanKind::Deliver => *depth.entry(0).or_insert(0) += 1,
-                SpanKind::GossipHop => *depth.entry(s.hop).or_insert(0) += 1,
-                _ => {}
-            }
+            let hop = match s.kind {
+                SpanKind::Deliver
+                    if s.parent_id != 0
+                        && id_map
+                            .get(&s.parent_id)
+                            .is_none_or(|&p| spans[p].kind == SpanKind::BlockCut) =>
+                {
+                    0
+                }
+                SpanKind::GossipHop => s.hop,
+                _ => continue,
+            };
+            let copy = (s.t1_s, hop);
+            first
+                .entry((s.trace.as_str(), s.actor.as_str()))
+                .and_modify(|kept| {
+                    if copy.0.total_cmp(&kept.0).then(copy.1.cmp(&kept.1)).is_lt() {
+                        *kept = copy;
+                    }
+                })
+                .or_insert(copy);
+        }
+        for &(_, hop) in first.values() {
+            *depth.entry(hop).or_insert(0) += 1;
         }
 
         for (trace, group) in &by_trace {
@@ -480,6 +506,54 @@ mod tests {
     fn gossip_depth_counts_direct_and_hops() {
         let a = SpanGraphAnalysis::from_spans(&graph());
         assert_eq!(a.gossip_depth, vec![(0, 1), (1, 1)]);
+    }
+
+    /// Ten peers, two of them gossip leaders fed by the OSN, five blocks:
+    /// fifty deliveries, ten of them direct. Every peer also records a
+    /// zero-width anchor, and some get a second copy later or deeper.
+    #[test]
+    fn gossip_depth_counts_each_block_at_each_peer_once() {
+        let mut spans = Vec::new();
+        for b in 0..5 {
+            let trace = format!("b0.{b}");
+            let t = f64::from(b);
+            let cut = span(&trace, SpanKind::BlockCut, "osn0", t, t, 0, 0);
+            let cut_id = cut.span_id;
+            spans.push(cut);
+            // (receiver, arrival after the cut, hop); hop 0 is the OSN's.
+            let copies = [
+                ("peer0", 0.010, 0),
+                ("peer1", 0.010, 0),
+                ("peer1", 0.020, 1),
+                ("peer2", 0.020, 1),
+                ("peer3", 0.020, 1),
+                ("peer4", 0.021, 1),
+                ("peer5", 0.021, 1),
+                ("peer6", 0.030, 2),
+                ("peer7", 0.030, 2),
+                ("peer3", 0.031, 2),
+                ("peer8", 0.040, 3),
+                ("peer9", 0.040, 3),
+                ("peer9", 0.050, 2),
+            ];
+            for (peer, after, hop) in copies {
+                let (kind, parent) = if hop == 0 {
+                    (SpanKind::Deliver, cut_id)
+                } else {
+                    (SpanKind::GossipHop, 1)
+                };
+                spans.push(span(&trace, kind, peer, t, t + after, parent, hop));
+            }
+            for p in 0..10 {
+                let at = t + 0.060;
+                let peer = format!("peer{p}");
+                spans.push(span(&trace, SpanKind::Deliver, &peer, at, at, 0, 0));
+            }
+        }
+        let a = SpanGraphAnalysis::from_spans(&spans);
+        assert_eq!(a.gossip_depth, vec![(0, 10), (1, 20), (2, 10), (3, 10)]);
+        let deliveries: u64 = a.gossip_depth.iter().map(|(_, n)| n).sum();
+        assert_eq!(deliveries, 50);
     }
 
     #[test]

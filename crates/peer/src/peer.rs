@@ -213,21 +213,6 @@ impl Peer {
         }
     }
 
-    /// Executes a read-only chaincode query against committed state (no
-    /// endorsement, no ordering — Fabric's query path).
-    ///
-    /// # Errors
-    /// Propagates chaincode errors.
-    pub fn query(
-        &self,
-        chaincode: &str,
-        args: &[Vec<u8>],
-    ) -> Result<Vec<u8>, fabricsim_chaincode::ChaincodeError> {
-        let cc = self.chaincodes.get(chaincode)?;
-        let mut stub = ChaincodeStub::new(self.ledger.state());
-        cc.invoke(&mut stub, args)
-    }
-
     // ---- validate phase --------------------------------------------------------
 
     /// Validates and commits a delivered block through the staged
@@ -818,15 +803,5 @@ mod tests {
             peer.validate_and_commit(block).unwrap(),
             vec![ValidationCode::BadCreatorSignature, ValidationCode::Valid]
         );
-    }
-
-    #[test]
-    fn query_reads_committed_state() {
-        let (mut peer, _client, _ca) = setup();
-        peer.seed_state("k", b"seeded".to_vec());
-        let out = peer
-            .query("kvwrite", &[b"get".to_vec(), b"k".to_vec()])
-            .unwrap();
-        assert_eq!(out, b"seeded");
     }
 }

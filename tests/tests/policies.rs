@@ -7,7 +7,9 @@ use fabricsim_integration::quick_config;
 fn out_of_policy_commits_with_k_signatures() {
     let r = Simulation::new(quick_config(
         OrdererType::Solo,
-        PolicySpec::KOfN(2, 5),
+        PolicySpec::Custom(
+            "OutOf(2,'Org1.peer','Org2.peer','Org3.peer','Org4.peer','Org5.peer')".into(),
+        ),
         60.0,
     ))
     .run_detailed();

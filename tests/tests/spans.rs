@@ -1,6 +1,7 @@
 //! Causal span-graph acceptance: coverage of every actor class, exact
-//! critical-path reconciliation against end-to-end latency, deterministic
-//! head sampling, and gossip-depth accounting.
+//! critical-path reconciliation against end-to-end latency, one span per id,
+//! parents present, deterministic head sampling, and gossip-depth
+//! accounting.
 
 use std::collections::HashSet;
 
@@ -116,6 +117,56 @@ fn span_graph_covers_every_actor_class() {
             !analysis.slowest_endorser.is_empty(),
             "{orderer}: straggler histogram empty"
         );
+    }
+}
+
+/// Without gossip or faults every block reaches a peer from its OSN, whose
+/// `deliver` span is the only one: no span id is recorded twice.
+#[test]
+fn runs_without_gossip_or_faults_record_each_span_once() {
+    for orderer in OrdererType::ALL {
+        let result = Simulation::new(span_config(orderer, 120.0)).run_detailed();
+        let spans = &result.observability.spans;
+        assert_eq!(result.observability.dropped_spans, 0, "{orderer}");
+        let mut ids = HashSet::new();
+        for s in spans {
+            assert!(
+                ids.insert(s.span_id),
+                "{orderer}: {:?} span {:x} of {} at {} recorded twice",
+                s.kind,
+                s.span_id,
+                s.actor,
+                s.trace
+            );
+        }
+        assert!(
+            spans.iter().any(|s| s.kind == SpanKind::Deliver),
+            "{orderer}: no deliveries"
+        );
+    }
+}
+
+/// A gossip-fed peer has no OSN `deliver` span: the anchor it records on
+/// delivery is what its `vscc` spans name as their parent.
+#[test]
+fn in_a_gossip_run_every_vscc_span_has_its_parent() {
+    for orderer in OrdererType::ALL {
+        let mut cfg = span_config(orderer, 120.0);
+        cfg.gossip = Some(GossipConfig::default());
+        let result = Simulation::new(cfg).run_detailed();
+        let spans = &result.observability.spans;
+        assert_eq!(result.observability.dropped_spans, 0, "{orderer}");
+        let ids: HashSet<u64> = spans.iter().map(|s| s.span_id).collect();
+        let vscc: Vec<_> = spans.iter().filter(|s| s.kind == SpanKind::Vscc).collect();
+        assert!(!vscc.is_empty(), "{orderer}: no vscc spans");
+        for s in vscc {
+            assert!(
+                ids.contains(&s.parent_id),
+                "{orderer}: vscc span of {} at {} names a missing parent",
+                s.trace,
+                s.actor
+            );
+        }
     }
 }
 

@@ -13,7 +13,11 @@ fn policy(rng: &mut RngStream, max_orgs: u32) -> PolicySpec {
     match rng.next_below(3) {
         0 => PolicySpec::OrN(n),
         1 => PolicySpec::AndX(n),
-        _ => PolicySpec::KOfN(1 + rng.pick_index(n as usize), n),
+        _ => {
+            let k = 1 + rng.pick_index(n as usize);
+            let orgs: Vec<String> = (1..=n).map(|i| format!("'Org{i}.peer'")).collect();
+            PolicySpec::Custom(format!("OutOf({k},{})", orgs.join(",")))
+        }
     }
 }
 
