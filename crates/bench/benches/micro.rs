@@ -617,7 +617,7 @@ fn bench_sharded_kernel(r: &mut Runner) {
             sk.push_shard(k, Tick::default());
         }
         let report = sk.run(workers, &|| false);
-        assert_eq!(report.stats.executed, 40_000);
+        assert_eq!(report.events, 40_000);
         report
     };
     r.bench("des/sharded_4x10k_events_1worker", || sharded(1));

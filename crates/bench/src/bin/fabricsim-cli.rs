@@ -127,7 +127,6 @@ fn usage() -> ! {
     eprintln!("                 [--top K] [--json] [--chrome-out FILE] [--flame-out FILE]");
     eprintln!("       fabricsim profile [run flags] [--json]");
     eprintln!("       fabricsim diff A B [A2 B2 …] [--json] [--force]");
-    eprintln!("       fabricsim lint [--json [FILE.json]] [--root DIR] [--list-rules] [PATHS…]");
     exit(2);
 }
 
@@ -535,7 +534,7 @@ fn cmd_profile(args: &[String]) -> ! {
             per_shard.join(","),
             sync.windows,
             sync.messages,
-            sync.stats.executed,
+            sync.events,
             lane.jobs,
             lane.stolen,
             lane.waits,
@@ -555,7 +554,7 @@ fn cmd_profile(args: &[String]) -> ! {
         }
         println!(
             "sync       : windows {}, cross-shard messages {}, events {}",
-            sync.windows, sync.messages, sync.stats.executed
+            sync.windows, sync.messages, sync.events
         );
         println!(
             "lane       : jobs {}, stolen {}, waits {}, helped {}, busy {:.3} ms",
@@ -596,7 +595,6 @@ fn main() {
         Some("analyze") => cmd_analyze(&args[1..]),
         Some("profile") => cmd_profile(&args[1..]),
         Some("diff") => cmd_diff(&args[1..]),
-        Some("lint") => exit(fabricsim_lint::cli_run(&args[1..])),
         _ => {}
     }
     let mut it = args.iter();

@@ -12,8 +12,9 @@
 //!   read-your-writes is honored exactly as in Fabric's `TxSimulator`.
 //! * [`ChaincodeRegistry`] — per-peer installed chaincodes.
 //! * [`samples`] — the workloads used by the paper's experiments and this
-//!   repo's examples: a 1-byte KV writer, a conflict-prone asset transfer, and
-//!   a range-query chaincode.
+//!   repo's examples: a 1-byte KV writer (with read-modify-write), a
+//!   conflict-prone asset transfer, Smallbank, and a non-deterministic
+//!   wrapper for fault injection.
 //!
 //! ```
 //! use fabricsim_chaincode::{samples::KvWrite, Chaincode, ChaincodeStub};

@@ -142,39 +142,6 @@ impl Chaincode for AssetTransfer {
     }
 }
 
-/// A read-only range-query chaincode (`scan <start> <end>`), exercising the
-/// state database's iterator path.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RangeQuery;
-
-impl Chaincode for RangeQuery {
-    fn name(&self) -> &str {
-        "range-query"
-    }
-
-    fn invoke(
-        &self,
-        stub: &mut ChaincodeStub<'_>,
-        args: &[Vec<u8>],
-    ) -> Result<Vec<u8>, ChaincodeError> {
-        let func = utf8_arg(args, 0, "function")?;
-        if func != "scan" {
-            return Err(ChaincodeError::UnknownFunction(func.to_string()));
-        }
-        let start = utf8_arg(args, 1, "start")?;
-        let end = utf8_arg(args, 2, "end")?;
-        let rows = stub.get_state_range(start, end);
-        let mut out = Vec::new();
-        for (k, v) in rows {
-            out.extend_from_slice(k.as_bytes());
-            out.push(b'=');
-            out.extend_from_slice(&v);
-            out.push(b'\n');
-        }
-        Ok(out)
-    }
-}
-
 /// Builds the `put` invocation for a payload of `size` bytes — the paper's
 /// workload generator ("transaction size of 1 byte" in Fig. 2).
 pub fn put_args(key: &str, size: usize) -> Vec<Vec<u8>> {
@@ -635,39 +602,5 @@ mod tests {
         };
         let (_, rw_other) = run(&other, &state, &put_args("k", 1)).unwrap();
         assert_ne!(rw_tainted, rw_other);
-    }
-
-    #[test]
-    fn range_query_scans() {
-        let mut state = StateDb::new();
-        for (k, v) in [("a", "1"), ("b", "2"), ("c", "3")] {
-            state.seed(k, v.as_bytes().to_vec());
-        }
-        let (out, rw) = run(
-            &RangeQuery,
-            &state,
-            &[b"scan".to_vec(), b"a".to_vec(), b"c".to_vec()],
-        )
-        .unwrap();
-        assert_eq!(out, b"a=1\nb=2\n");
-        assert_eq!(rw.reads.len(), 2);
-    }
-
-    #[test]
-    fn range_query_with_inverted_bounds_returns_nothing() {
-        // `scan b a`: start above a non-empty end is an empty range, as in
-        // Fabric's GetStateByRange, not a panicking endorser.
-        let mut state = StateDb::new();
-        for (k, v) in [("a", "1"), ("b", "2"), ("c", "3")] {
-            state.seed(k, v.as_bytes().to_vec());
-        }
-        let (out, rw) = run(
-            &RangeQuery,
-            &state,
-            &[b"scan".to_vec(), b"b".to_vec(), b"a".to_vec()],
-        )
-        .unwrap();
-        assert!(out.is_empty());
-        assert!(rw.reads.is_empty() && rw.writes.is_empty());
     }
 }

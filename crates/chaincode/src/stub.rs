@@ -53,30 +53,6 @@ impl<'a> ChaincodeStub<'a> {
         self.rw_set.record_write(key, None);
     }
 
-    /// Iterates committed keys in `[start, end)`, recording a read per key
-    /// returned. (Real Fabric also records range metadata to catch phantom
-    /// reads; per-key read records give the same conflict behaviour for the
-    /// workloads modelled here — see DESIGN.md.) Keys and values share the
-    /// committed bytes.
-    pub fn get_state_range(&mut self, start: &str, end: &str) -> Vec<(Arc<str>, Arc<[u8]>)> {
-        let mut out = Vec::new();
-        for (k, v) in self.state.range(start, end) {
-            self.rw_set.record_read_shared(k, Some(v.version));
-            out.push((Arc::clone(k), Arc::clone(&v.value)));
-        }
-        out
-    }
-
-    /// Number of reads recorded so far.
-    pub fn reads_recorded(&self) -> usize {
-        self.rw_set.reads.len()
-    }
-
-    /// Number of writes buffered so far.
-    pub fn writes_buffered(&self) -> usize {
-        self.rw_set.writes.len()
-    }
-
     /// Finishes the simulation, yielding the read/write set.
     pub fn into_rw_set(self) -> RwSet {
         self.rw_set
@@ -145,25 +121,12 @@ mod tests {
     }
 
     #[test]
-    fn range_records_reads() {
-        let db = seeded();
-        let mut stub = ChaincodeStub::new(&db);
-        let rows = stub.get_state_range("a", "c");
-        assert_eq!(rows.len(), 2);
-        assert_eq!(stub.reads_recorded(), 2);
-        assert_eq!(stub.writes_buffered(), 0);
-    }
-
-    #[test]
     fn reads_and_a_later_write_share_the_committed_bytes() {
         let db = seeded();
         let (key, committed) = db.get_key_value("b").unwrap();
         let mut stub = ChaincodeStub::new(&db);
         let value = stub.get_state("b").unwrap();
         assert!(Arc::ptr_eq(&value, &committed.value));
-        let rows = stub.get_state_range("b", "");
-        assert!(Arc::ptr_eq(&rows[0].0, key));
-        assert!(Arc::ptr_eq(&rows[0].1, &committed.value));
         stub.put_state("b", b"3");
         let rw = stub.into_rw_set();
         assert!(Arc::ptr_eq(&rw.reads[0].key, key));

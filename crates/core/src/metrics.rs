@@ -5,6 +5,8 @@
 //! orderer, ordering acknowledgment, block inclusion, delivery, commit. All
 //! figures and tables are derived from these traces plus block-cut records.
 
+use std::fmt::Write as _;
+
 use fabricsim_des::{SimDuration, SimTime};
 use fabricsim_types::ValidationCode;
 
@@ -172,21 +174,33 @@ impl SummaryReport {
         self.validate.throughput_tps
     }
 
-    /// Serializes the full report as one compact JSON object.
+    /// Serializes the full report as one compact JSON object: the
+    /// [`SummaryReport::write_fields`] members in braces.
     ///
     /// Every field participates and the rendering is deterministic
     /// (fixed key order, shortest-roundtrip floats), so two identical runs
     /// must produce *byte-identical* strings — the determinism regression
     /// test compares reports with plain string equality.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"offered_tps\":{},\"window_secs\":{},\"execute\":{},\"order\":{},\
+        let mut out = String::from("{");
+        self.write_fields(&mut out);
+        out.push('}');
+        out
+    }
+
+    /// Appends every field as the comma-separated members of a JSON object,
+    /// without the braces — the one rendering of the report, shared by
+    /// [`SummaryReport::to_json`] and the `fabricsim --json` run document.
+    pub fn write_fields(&self, out: &mut String) {
+        let _ = write!(
+            out,
+            "\"offered_tps\":{},\"window_secs\":{},\"execute\":{},\"order\":{},\
              \"validate\":{},\"overall_latency\":{},\"created\":{},\
              \"committed_valid\":{},\"committed_invalid\":{},\"overload_dropped\":{},\
              \"ordering_timeouts\":{},\"endorsement_failures\":{},\
              \"ordering_timeouts_per_s\":{},\"overload_dropped_per_s\":{},\
              \"mean_block_time_s\":{},\"mean_block_size\":{},\"blocks_cut\":{},\
-             \"seed\":{},\"config_digest\":\"{}\"}}",
+             \"seed\":{},\"config_digest\":\"{}\"",
             self.offered_tps,
             self.window_secs,
             self.execute.to_json(),
@@ -206,7 +220,7 @@ impl SummaryReport {
             self.blocks_cut,
             self.seed,
             self.config_digest
-        )
+        );
     }
 }
 

@@ -115,80 +115,28 @@ fn escape_csv(s: &str) -> String {
     }
 }
 
-/// Hand-rolled JSON summary of one run: provenance (`seed`,
-/// `config_digest`), per-phase throughput/latency, outcome counts, failure
-/// rates, the end-to-end latency histogram and the bottleneck attribution
-/// report. One object, printed on a single line — the document behind
-/// `fabricsim --json`, and one of the artifact families `fabricsim diff`
-/// compares.
+/// The JSON document of one run: its label, the summary's own fields
+/// ([`SummaryReport::write_fields`], so provenance — `seed`,
+/// `config_digest` — sits at the top level), the rings' drop counts, the
+/// most utilized station and the bottleneck attribution report. One object,
+/// printed on a single line — the document behind `fabricsim --json`, and
+/// one of the artifact families `fabricsim diff` compares.
 pub fn run_summary_json(label: &str, result: &crate::sim::RunResult) -> String {
-    let s = &result.summary;
-    let h = &result.observability.e2e_hist;
+    let obs = &result.observability;
     let (hot_name, hot_load) = result.utilization.hottest();
-    let hist = if h.is_empty() {
-        "null".to_string()
-    } else {
-        format!(
-            "{{\"count\":{},\"mean_s\":{:.6},\"p50_s\":{:.6},\"p95_s\":{:.6},\"p99_s\":{:.6},\"max_s\":{:.6}}}",
-            h.count(),
-            h.mean(),
-            h.quantile(0.50),
-            h.quantile(0.95),
-            h.quantile(0.99),
-            h.quantile(1.0),
-        )
-    };
-    format!(
-        concat!(
-            "{{\"label\":\"{label}\",",
-            "\"seed\":{seed},\"config_digest\":\"{digest}\",",
-            "\"offered_tps\":{offered:.3},",
-            "\"execute_tps\":{exec_tps:.3},\"order_tps\":{order_tps:.3},\"validate_tps\":{valid_tps:.3},",
-            "\"execute_latency_mean_s\":{exec_lat:.6},",
-            "\"order_validate_latency_mean_s\":{ov_lat:.6},",
-            "\"overall_latency\":{{\"mean_s\":{o_mean:.6},\"p50_s\":{o_p50:.6},\"p95_s\":{o_p95:.6},\"p99_s\":{o_p99:.6},\"max_s\":{o_max:.6}}},",
-            "\"created\":{created},\"committed_valid\":{valid},\"committed_invalid\":{invalid},",
-            "\"overload_dropped\":{dropped},\"ordering_timeouts\":{timeouts},",
-            "\"endorsement_failures\":{endo_fail},",
-            "\"dropped_events\":{dropped_events},\"dropped_spans\":{dropped_spans},",
-            "\"ordering_timeouts_per_s\":{timeout_rate:.6},\"overload_dropped_per_s\":{drop_rate:.6},",
-            "\"blocks_cut\":{blocks},\"mean_block_time_s\":{blk_t:.6},\"mean_block_size\":{blk_n:.3},",
-            "\"hottest_station\":\"{hot}\",\"hottest_utilization\":{hot_load:.6},",
-            "\"e2e_histogram\":{hist},",
-            "\"bottleneck\":{bottleneck}}}"
-        ),
-        label = escape(label),
-        seed = s.seed,
-        digest = escape(&s.config_digest),
-        offered = s.offered_tps,
-        exec_tps = s.execute.throughput_tps,
-        order_tps = s.order.throughput_tps,
-        valid_tps = s.validate.throughput_tps,
-        exec_lat = s.execute.latency.mean_s,
-        ov_lat = s.validate.latency.mean_s,
-        o_mean = s.overall_latency.mean_s,
-        o_p50 = s.overall_latency.p50_s,
-        o_p95 = s.overall_latency.p95_s,
-        o_p99 = s.overall_latency.p99_s,
-        o_max = s.overall_latency.max_s,
-        created = s.created,
-        valid = s.committed_valid,
-        invalid = s.committed_invalid,
-        dropped = s.overload_dropped,
-        timeouts = s.ordering_timeouts,
-        endo_fail = s.endorsement_failures,
-        dropped_events = result.observability.dropped_events,
-        dropped_spans = result.observability.dropped_spans,
-        timeout_rate = s.ordering_timeouts_per_s,
-        drop_rate = s.overload_dropped_per_s,
-        blocks = s.blocks_cut,
-        blk_t = s.mean_block_time_s,
-        blk_n = s.mean_block_size,
-        hot = escape(hot_name),
-        hot_load = hot_load,
-        hist = hist,
-        bottleneck = result.observability.bottleneck.to_json(),
-    )
+    let mut out = format!("{{\"label\":\"{}\",", escape(label));
+    result.summary.write_fields(&mut out);
+    let _ = write!(
+        out,
+        ",\"dropped_events\":{},\"dropped_spans\":{},\"hottest_station\":\"{}\",\
+         \"hottest_utilization\":{},\"bottleneck\":{}}}",
+        obs.dropped_events,
+        obs.dropped_spans,
+        escape(hot_name),
+        hot_load,
+        obs.bottleneck.to_json(),
+    );
+    out
 }
 
 #[cfg(test)]

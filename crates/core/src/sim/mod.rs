@@ -18,8 +18,8 @@ use std::sync::Arc;
 
 use fabricsim_des::{Kernel, KernelProfile, ShardedKernel, ShardedRunReport, SimDuration, SimTime};
 use fabricsim_obs::{
-    BottleneckReport, HealthReport, LogHistogram, MetricsRecorder, PhaseEvent, Samples, SpanEvent,
-    StationClass, TxStationBreakdown,
+    BottleneckReport, HealthReport, MetricsRecorder, PhaseEvent, Samples, SpanEvent, StationClass,
+    TxStationBreakdown,
 };
 
 use crate::metrics::{summarize, SummaryReport, TxOutcome, TxTrace};
@@ -50,30 +50,34 @@ pub struct UtilizationReport {
 }
 
 impl UtilizationReport {
-    /// `(name, max utilization)` of the most loaded station class.
+    /// `(name, max utilization)` of the most loaded station class, named by
+    /// [`StationClass::label`]; `"idle"` when every station is.
     pub fn hottest(&self) -> (&'static str, f64) {
-        let max = |v: &[f64]| v.iter().cloned().fold(0.0, f64::max);
-        [
-            ("client-pool prep", max(&self.pool_prep)),
-            ("client-pool recv", max(&self.pool_recv)),
-            ("peer endorse", max(&self.peer_endorse)),
-            ("peer vscc", max(&self.peer_vscc)),
-            ("peer commit", max(&self.peer_commit)),
-            ("osn cpu", max(&self.osn_cpu)),
-        ]
-        .into_iter()
-        // `>=` keeps the last of equal maxima, matching `max_by` tie-breaking
-        // (utilizations are never negative, so the seed never survives).
-        .fold(
-            ("idle", 0.0),
-            |best, cand| {
-                if cand.1 >= best.1 {
+        StationClass::WIRE
+            .into_iter()
+            .map(|class| {
+                let per_station = match class {
+                    StationClass::ClientPrep => &self.pool_prep,
+                    StationClass::ClientRecv => &self.pool_recv,
+                    StationClass::PeerEndorse => &self.peer_endorse,
+                    StationClass::PeerVscc => &self.peer_vscc,
+                    StationClass::PeerCommit => &self.peer_commit,
+                    StationClass::OsnCpu => &self.osn_cpu,
+                };
+                (
+                    class.label(),
+                    per_station.iter().cloned().fold(0.0, f64::max),
+                )
+            })
+            // `>=` keeps the last of equal maxima, matching `max_by`
+            // tie-breaking; an idle station never replaces the seed.
+            .fold(("idle", 0.0), |best, cand| {
+                if cand.1 > 0.0 && cand.1 >= best.1 {
                     cand
                 } else {
                     best
                 }
-            },
-        )
+            })
     }
 }
 
@@ -96,9 +100,6 @@ pub struct RunObservability {
     pub metrics: Option<MetricsRecorder>,
     /// Per-station queueing/service attribution over committed transactions.
     pub bottleneck: BottleneckReport,
-    /// Log-bucketed end-to-end latency histogram over committed transactions
-    /// (whole run, warm-up included).
-    pub e2e_hist: LogHistogram,
     /// The DES kernel's host-time self-profile. `None` unless
     /// [`crate::ObsConfig::profile`] was set. On a multi-channel run this is
     /// the label-wise sum of every channel world's profile (total host CPU
@@ -109,8 +110,8 @@ pub struct RunObservability {
     /// world's own profile) or when profiling is off.
     pub shard_profiles: Vec<KernelProfile>,
     /// Synchronization cost of the run: conservative windows executed,
-    /// cross-world messages exchanged and event-loop counters summed over
-    /// the channel worlds. A one-world run is one window and no messages.
+    /// cross-world messages exchanged and events executed, summed over the
+    /// channel worlds. A one-world run is one window and no messages.
     pub sync: ShardedRunReport,
     /// What the run's lane did: blocks whose pure half of validation ran
     /// beside the event loops, on the spare host thread or on a worker
@@ -233,7 +234,7 @@ impl Simulation {
     /// multiplexed onto `sim_workers` OS threads (0 and 1 both mean one)
     /// under a conservative synchronization barrier whose lookahead is the
     /// link propagation delay. Merge points (traces, block cuts, spans,
-    /// series, histograms, profiles, ledger state) are all
+    /// series, profiles, ledger state) are all
     /// worker-count-invariant, so the returned report is byte-identical at
     /// any worker count. A single-channel run is one world, one window and
     /// a barrier nobody else waits at.
@@ -341,7 +342,6 @@ impl Simulation {
         let mut dropped_spans = 0u64;
         let mut spans = Vec::new();
         let mut samples: Vec<Samples> = Vec::with_capacity(n_shards);
-        let mut e2e_hist = LogHistogram::latency();
         let mut records: Vec<TxRecord> = Vec::new();
 
         for (s, mut w) in worlds.into_iter().enumerate() {
@@ -367,7 +367,6 @@ impl Simulation {
             dropped_spans += h.dropped_spans;
             fold_into(&mut spans, h.spans);
             samples.push(h.samples);
-            e2e_hist.merge(&h.e2e_hist);
             fold_into(&mut records, h.records);
         }
         // Stable sorts: ties keep shard order, so the merged streams are
@@ -414,7 +413,6 @@ impl Simulation {
             dropped_spans,
             metrics,
             bottleneck: BottleneckReport::from_breakdowns(&committed, window_s),
-            e2e_hist,
             profile,
             shard_profiles,
             sync,
@@ -468,6 +466,23 @@ mod tests {
             cooldown_secs: 2.0,
             ..SimConfig::default()
         }
+    }
+
+    #[test]
+    fn hottest_names_stations_by_class_label_and_keeps_the_last_tie() {
+        let mut u = UtilizationReport {
+            pool_prep: vec![0.0],
+            pool_recv: vec![0.0],
+            peer_endorse: vec![0.0, 0.0],
+            peer_vscc: vec![0.0, 0.0],
+            peer_commit: vec![0.0, 0.0],
+            osn_cpu: vec![0.0],
+        };
+        assert_eq!(u.hottest(), ("idle", 0.0));
+        u.pool_recv = vec![0.5];
+        assert_eq!(u.hottest(), ("client recv", 0.5));
+        u.peer_commit = vec![0.2, 0.5];
+        assert_eq!(u.hottest(), ("peer commit", 0.5));
     }
 
     #[test]

@@ -22,8 +22,8 @@ use std::fmt::{self, Write as _};
 
 use fabricsim_des::{SimDuration, SimTime, Station};
 use fabricsim_obs::{
-    message_span_id, span_id, tx_sampled, LogHistogram, Name, PhaseEvent, SampleRow, Samples, Sink,
-    SpanEvent, SpanKind, StationClass, TracePhase, TxStationBreakdown,
+    message_span_id, span_id, tx_sampled, Name, PhaseEvent, SampleRow, Samples, Sink, SpanEvent,
+    SpanKind, StationClass, TracePhase, TxStationBreakdown,
 };
 use fabricsim_types::{FxBuildHasher, TxId};
 
@@ -176,7 +176,6 @@ pub(super) struct Harvest {
     pub(super) spans: Vec<SpanEvent>,
     pub(super) dropped_spans: u64,
     pub(super) samples: Samples,
-    pub(super) e2e_hist: LogHistogram,
 }
 
 /// One world's observability state. Write-only with respect to the
@@ -203,7 +202,6 @@ pub(super) struct Observer {
     samples: Samples,
     /// Whether a commit's end-to-end latency goes into `samples`.
     record_e2e: bool,
-    e2e_hist: LogHistogram,
     /// Block-cut count at the previous sampler tick (for the cadence series).
     last_block_cuts: usize,
 }
@@ -230,7 +228,6 @@ impl Observer {
             },
             samples: Samples::default(),
             record_e2e: obs.health_events,
-            e2e_hist: LogHistogram::latency(),
             last_block_cuts: 0,
         }
     }
@@ -440,7 +437,6 @@ impl Observer {
             let e2e_s = (t - rec.trace.created).as_secs_f64();
             rec.breakdown.commit_s = t.as_secs_f64();
             rec.breakdown.end_to_end_s = e2e_s;
-            self.e2e_hist.record(e2e_s);
             if self.record_e2e {
                 self.samples.e2e_s.push(e2e_s);
             }
@@ -531,7 +527,6 @@ impl Observer {
             dropped_spans: self.spans.dropped(),
             spans: self.spans.into_vec(),
             samples: self.samples,
-            e2e_hist: self.e2e_hist,
         }
     }
 }

@@ -187,9 +187,11 @@ fn deliver_block(world: &mut World, k: &mut K, o: usize, block: Block) {
                 .obs
                 .phase(now, tx.tx_id, TracePhase::Ordered, station.name(), depth);
         }
-        // Zero-width anchor: the instant the block exists as an artifact.
-        world.obs.span(cut, None, now, now);
     }
+    // Zero-width anchor: the instant the block exists at this OSN. Every OSN
+    // cuts it from the same consensus stream, and its deliveries name its
+    // own cut as their parent.
+    world.obs.span(cut, None, now, now);
     let bytes = block.wire_size();
     let (osn, obs) = (&mut world.osns[o], &mut world.obs);
     for &peer in &osn.subscribers {

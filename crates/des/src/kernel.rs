@@ -229,15 +229,6 @@ impl KeyQueue {
     }
 }
 
-/// Counters describing a finished (or in-progress) simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct KernelStats {
-    /// Events executed so far.
-    pub executed: u64,
-    /// Events scheduled so far.
-    pub scheduled: u64,
-}
-
 /// A deterministic discrete-event kernel over a world `W`.
 ///
 /// Events are `W::Event` values fired by [`Model::fire`]; ties in time are
@@ -272,7 +263,7 @@ pub struct Kernel<W: Model> {
     slots: Vec<Option<W::Event>>,
     /// Slots whose keys have left the queue, reused last-freed first.
     free: Vec<usize>,
-    stats: KernelStats,
+    executed: u64,
     profiler: Option<Box<ProfilerState>>,
 }
 
@@ -287,7 +278,7 @@ impl<W: Model> std::fmt::Debug for Kernel<W> {
         f.debug_struct("Kernel")
             .field("now", &self.now)
             .field("pending", &self.pending())
-            .field("stats", &self.stats)
+            .field("executed", &self.executed)
             .finish()
     }
 }
@@ -301,7 +292,7 @@ impl<W: Model> Kernel<W> {
             queue: KeyQueue::default(),
             slots: Vec::new(),
             free: Vec::new(),
-            stats: KernelStats::default(),
+            executed: 0,
             profiler: None,
         }
     }
@@ -330,9 +321,9 @@ impl<W: Model> Kernel<W> {
         self.now
     }
 
-    /// Counters for this run.
-    pub fn stats(&self) -> KernelStats {
-        self.stats
+    /// Events executed so far.
+    pub fn executed(&self) -> u64 {
+        self.executed
     }
 
     /// Number of events still pending.
@@ -351,7 +342,6 @@ impl<W: Model> Kernel<W> {
             self.now
         );
         self.seq += 1;
-        self.stats.scheduled += 1;
         let slot = match self.free.pop() {
             Some(slot) => slot,
             None => {
@@ -416,7 +406,7 @@ impl<W: Model> Kernel<W> {
             let Some(event) = self.slots[head.slot].take() else {
                 continue; // never: a queued key's slot holds its event
             };
-            self.stats.executed += 1;
+            self.executed += 1;
             executed += 1;
             let label = self.profiler.is_some().then(|| W::label(&event));
             world.fire(event, self);
@@ -706,13 +696,7 @@ mod tests {
         assert_eq!(k.pending(), 65);
         k.run_until(&mut out, SimTime::MAX);
         assert_eq!(out.0, times);
-        assert_eq!(
-            k.stats(),
-            KernelStats {
-                executed: 65,
-                scheduled: 65
-            }
-        );
+        assert_eq!(k.executed(), 65);
         assert_eq!(k.take_profile().expect("profiled").heap_ops, 65);
         assert_eq!(k.pending(), 0);
         assert_eq!(k.slots.len(), 65);
@@ -802,7 +786,7 @@ mod tests {
 
     #[test]
     fn profiled_and_unprofiled_runs_agree_on_virtual_time() {
-        let run = |profile: bool| -> (Vec<u64>, SimTime, KernelStats) {
+        let run = |profile: bool| -> (Vec<u64>, SimTime, u64) {
             let mut k = Kernel::new();
             if profile {
                 k.enable_profiler();
@@ -816,7 +800,7 @@ mod tests {
                 },
             );
             k.run_until(&mut out, at(41));
-            (out.0, k.now(), k.stats())
+            (out.0, k.now(), k.executed())
         };
         assert_eq!(run(false), run(true));
     }

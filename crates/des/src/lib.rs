@@ -62,7 +62,7 @@ mod sharded;
 mod station;
 mod time;
 
-pub use kernel::{Kernel, KernelStats, Model};
+pub use kernel::{Kernel, Model};
 pub use link::Link;
 pub use profiler::{KernelProfile, LabelProfile};
 pub use rng::RngStream;

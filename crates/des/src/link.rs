@@ -23,7 +23,6 @@ pub struct Link {
     propagation: SimDuration,
     wire_free_at: SimTime,
     bytes_sent: u64,
-    messages: u64,
     last_submit: SimTime,
 }
 
@@ -41,7 +40,6 @@ impl Link {
             propagation,
             wire_free_at: SimTime::ZERO,
             bytes_sent: 0,
-            messages: 0,
             last_submit: SimTime::ZERO,
         }
     }
@@ -73,26 +71,12 @@ impl Link {
         let done_on_wire = start + self.serialization_delay(bytes);
         self.wire_free_at = done_on_wire;
         self.bytes_sent += bytes;
-        self.messages += 1;
         done_on_wire + self.propagation
     }
 
     /// Total bytes pushed through this link.
     pub fn bytes_sent(&self) -> u64 {
         self.bytes_sent
-    }
-
-    /// Total messages pushed through this link.
-    pub fn messages(&self) -> u64 {
-        self.messages
-    }
-
-    /// Mean offered load as a fraction of capacity over `[0, now]`.
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        if now == SimTime::ZERO {
-            return 0.0;
-        }
-        (self.bytes_sent as f64 * 8.0) / (self.bits_per_sec as f64 * now.as_secs_f64())
     }
 }
 
@@ -118,7 +102,6 @@ mod tests {
         let b = l.transfer(t0, 1000);
         assert_eq!(b, SimTime::from_secs_f64(2.001));
         assert_eq!(l.bytes_sent(), 2000);
-        assert_eq!(l.messages(), 2);
     }
 
     #[test]
@@ -127,13 +110,6 @@ mod tests {
         l.transfer(SimTime::ZERO, 1000);
         let late = SimTime::from_secs_f64(10.0);
         assert_eq!(l.transfer(late, 1000), SimTime::from_secs_f64(11.001));
-    }
-
-    #[test]
-    fn utilization_fraction() {
-        let mut l = Link::new("l", 8_000, SimDuration::ZERO);
-        l.transfer(SimTime::ZERO, 500); // 0.5 s of wire time
-        assert!((l.utilization(SimTime::from_secs_f64(1.0)) - 0.5).abs() < 1e-9);
     }
 
     #[test]

@@ -45,7 +45,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::kernel::{Kernel, KernelStats, Model};
+use crate::kernel::{Kernel, Model};
 use crate::profiler::KernelProfile;
 use crate::time::{SimDuration, SimTime};
 
@@ -198,8 +198,8 @@ pub struct ShardedRunReport {
     pub windows: u64,
     /// Cross-shard messages exchanged.
     pub messages: u64,
-    /// Event-loop counters summed over all shards.
-    pub stats: KernelStats,
+    /// Events executed, summed over all shards.
+    pub events: u64,
 }
 
 /// A fixed set of event-loop shards advanced in conservative windows.
@@ -496,19 +496,17 @@ impl<W: ShardWorld> ShardedKernel<W> {
             }
         }
 
-        let mut stats = KernelStats::default();
+        let mut events = 0;
         let mut end = SimTime::ZERO;
         for s in &self.shards {
-            let st = s.kernel.stats();
-            stats.executed += st.executed;
-            stats.scheduled += st.scheduled;
+            events += s.kernel.executed();
             end = end.max(s.kernel.now());
         }
         ShardedRunReport {
             end: end.min(self.horizon),
             windows: windows.load(Ordering::Acquire),
             messages: messages.load(Ordering::Acquire),
-            stats,
+            events,
         }
     }
 }
@@ -843,7 +841,7 @@ mod tests {
         }
         let report = sk.run(2, &|| false);
         // 100 ms / 7 ms -> 15 ticks per shard (t=0..=98ms).
-        assert_eq!(report.stats.executed, 30);
+        assert_eq!(report.events, 30);
         let profiles = sk.take_profiles();
         assert_eq!(profiles.len(), 2);
         let mut merged = KernelProfile::default();

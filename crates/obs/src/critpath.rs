@@ -122,8 +122,7 @@ impl SpanGraphAnalysis {
 
         // The first copy of each block at each peer, by arrival then hop. A
         // `deliver` anchor (no parent) marks a delivery by gossip or replay,
-        // not a copy. Only the OSN that cut a block first records its cut,
-        // so an orderer delivery's parent may be absent from the input.
+        // not a copy; an orderer delivery names its OSN's recorded cut.
         let mut first: BTreeMap<(&str, &str), (f64, u32)> = BTreeMap::new();
         for s in &spans {
             let hop = match s.kind {
@@ -131,7 +130,7 @@ impl SpanGraphAnalysis {
                     if s.parent_id != 0
                         && id_map
                             .get(&s.parent_id)
-                            .is_none_or(|&p| spans[p].kind == SpanKind::BlockCut) =>
+                            .is_some_and(|&p| spans[p].kind == SpanKind::BlockCut) =>
                 {
                     0
                 }
@@ -506,6 +505,15 @@ mod tests {
     fn gossip_depth_counts_direct_and_hops() {
         let a = SpanGraphAnalysis::from_spans(&graph());
         assert_eq!(a.gossip_depth, vec![(0, 1), (1, 1)]);
+    }
+
+    #[test]
+    fn a_delivery_whose_cut_is_absent_is_not_hop_zero() {
+        let mut g = graph();
+        let cut = g.remove(5);
+        assert_eq!(cut.kind, SpanKind::BlockCut);
+        let a = SpanGraphAnalysis::from_spans(&g);
+        assert_eq!(a.gossip_depth, vec![(1, 1)]);
     }
 
     /// Ten peers, two of them gossip leaders fed by the OSN, five blocks:

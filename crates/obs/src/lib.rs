@@ -10,9 +10,9 @@
 //!   mirroring the paper's log format, recorded into one bounded ring type
 //!   shared with spans. A disabled sink costs one branch per call site —
 //!   simulations pay nothing unless tracing is requested.
-//! * [`LogHistogram`] — log-bucketed (HDR-style) latency histograms:
-//!   O(buckets) memory regardless of sample count, percentile queries exact
-//!   to within one bucket width.
+//! * [`Dist`] — a latency distribution: count, mean and exact type-7
+//!   p50/p95/p99 with the max, over the full sample set. The run summary's
+//!   phases and the trace analyzer's segments are all `Dist`s.
 //! * [`Samples`] / [`MetricsRecorder`] — the periodic sampler's record: one
 //!   typed [`SampleRow`] per window every N virtual seconds (queue depths,
 //!   busy time and servers per station class, utilization, in-flight
@@ -74,7 +74,6 @@ mod critpath;
 mod diff;
 mod event;
 mod flame;
-mod hist;
 pub mod json;
 mod name;
 mod online;
@@ -94,7 +93,6 @@ pub use diff::{
 };
 pub use event::{parse_jsonl_with_provenance, PhaseEvent, RunProvenance, TracePhase};
 pub use flame::collapsed_stacks;
-pub use hist::LogHistogram;
 pub use json::Json;
 pub use name::Name;
 pub use online::{HealthEvent, HealthEventKind, HealthReport, Regime, StationHealth};

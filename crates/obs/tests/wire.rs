@@ -1,22 +1,33 @@
 //! The wire codec against frozen artifacts.
 //!
-//! `tests/fixtures/wire/` holds one tiny run's artifacts exactly as the
-//! commit before the single-codec refactor rendered them (Solo/AND2, 5 tps
+//! `tests/fixtures/wire/` holds one tiny run's artifacts (Solo/AND2, 5 tps
 //! for 1 s, seed 42): `--trace-out`, `--span-out`, `--health-out`, the
-//! `--json` summary, `analyze --json` over the three JSONL files, and
-//! `diff --json` of the summary, the analysis and the health timeline each
-//! against itself. Every format is decoded with `obs::json` and rendered
-//! again; the bytes must not move. A seeded mutation fuzz then checks that no
-//! decoder panics on damaged input.
+//! `--json` run document, `analyze --json` over the three JSONL files, and
+//! `diff --json` of the run document, the analysis and the health timeline
+//! each against itself. Every format is decoded with `obs::json` and
+//! rendered again; the bytes must not move. A seeded mutation fuzz then
+//! checks that no decoder panics on damaged input.
 //!
 //! The run is `fabricsim --peers 2 --policy AND2 --rate 5 --duration 1
-//! --batch-size 2 --batch-timeout 100 --slo-p99-ms 50`. Recorded with it,
-//! before `diff` read every artifact kind through one walk: `profile
+//! --batch-size 2 --batch-timeout 100 --slo-p99-ms 50`. Beside it: `profile
 //! --json` of the same flags (`profile.json`) and its self-diff, and a
 //! second run, `--orderer raft --peers 4 --policy OR3 --channels 2 --rate
-//! 10` with the same duration and batching (`run2.json`, `analyze --trace
-//! --spans --json` as `run2.analysis.json`, `run2.profile.json`), whose run,
-//! analysis and profile diffs against the first are `cross.diff.json`.
+//! 10` with the same duration, batching and objective (`run2.json`,
+//! `analyze --trace --spans --json` as `run2.analysis.json`,
+//! `run2.profile.json`), whose run, analysis and profile diffs against the
+//! first are `cross.diff.json`.
+//!
+//! The run documents and the two diffs that read them were recorded again
+//! when `--json` became the summary's own exact rendering:
+//!
+//! ```text
+//! fabricsim <run flags> --json > run.json
+//! fabricsim <run2 flags> --json > run2.json
+//! fabricsim diff run.json run.json --json > run.self-diff.json
+//! fabricsim analyze --trace trace.jsonl --spans spans.jsonl --json > a.json
+//! fabricsim diff run.json run2.json a.json run2.analysis.json \
+//!     profile.json run2.profile.json --json --force > cross.diff.json
+//! ```
 
 use fabricsim_des::RngStream;
 use fabricsim_obs::json::escape;

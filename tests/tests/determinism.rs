@@ -518,7 +518,7 @@ fn sharded_profiler_never_changes_the_report() {
     assert_eq!(p.attributed_ns(), p.loop_ns, "profile must reconcile");
     assert_eq!((o.sync.windows, o.sync.messages), (1, 0));
     assert_eq!(
-        o.sync.stats.executed,
+        o.sync.events,
         p.entries.iter().map(|e| e.count).sum::<u64>()
     );
 }

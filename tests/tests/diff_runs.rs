@@ -5,7 +5,7 @@
 //! detect the shift and account for the latency change segment-by-segment
 //! (the telescoping contract).
 
-use fabricsim::obs::{ArtifactDiff, ArtifactKind, TraceAnalysis};
+use fabricsim::obs::{ArtifactDiff, ArtifactKind, Json, TraceAnalysis};
 use fabricsim::report::run_summary_json;
 use fabricsim::{predict, OrdererType, PolicySpec, SimConfig, Simulation};
 
@@ -127,4 +127,35 @@ fn self_diff_is_exactly_zero() {
     assert_eq!(tdiff.max_abs_delta(), 0.0);
     assert_eq!(tdiff.max_telescope_residual_s(), 0.0);
     assert_eq!(tdiff.shifts().count(), 0);
+}
+
+/// Every leaf under `want` is at the same path under `got` with the same
+/// value (an integer stays an integer, a float keeps every digit); returns
+/// how many leaves were checked.
+fn leaves_present(want: &Json, got: Option<&Json>, path: &str) -> usize {
+    match want {
+        Json::Obj(fields) => fields
+            .iter()
+            .map(|(k, v)| leaves_present(v, got.and_then(|g| g.get(k)), &format!("{path}.{k}")))
+            .sum(),
+        leaf => {
+            assert_eq!(got, Some(leaf), "run document at {path}");
+            1
+        }
+    }
+}
+
+#[test]
+fn run_document_carries_every_summary_leaf_exactly() {
+    let cfg = SimConfig {
+        duration_secs: 6.0,
+        warmup_secs: 1.0,
+        cooldown_secs: 1.0,
+        ..pool_config(1)
+    };
+    let r = Simulation::new(cfg).run_detailed();
+    let summary = Json::parse(&r.summary.to_json()).expect("summary parses");
+    let doc = Json::parse(&run_summary_json("leaves", &r)).expect("run document parses");
+    let leaves = leaves_present(&summary, Some(&doc), "");
+    assert!(leaves >= 40, "only {leaves} summary leaves");
 }

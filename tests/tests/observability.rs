@@ -157,30 +157,6 @@ fn metrics_recorder_samples_every_virtual_second() {
 }
 
 #[test]
-fn e2e_histogram_matches_exact_percentiles() {
-    let r = Simulation::new(obs_config(PolicySpec::OrN(10), 100.0)).run_detailed();
-    let h = &r.observability.e2e_hist;
-    assert!(h.count() > 0);
-    // One sample per committed trace, and no commit without a cut block.
-    let outcomes = r.traces.iter().map(|t| t.outcome);
-    let committed = outcomes
-        .filter(|o| matches!(o, fabricsim::TxOutcome::Committed(_)))
-        .count();
-    assert_eq!(h.count(), committed as u64);
-    assert!(r.block_cuts.iter().map(|(_, n)| n).sum::<usize>() >= committed);
-    // The histogram sees every committed tx; the summary percentiles are
-    // computed from the exact sample set. They must agree to within the
-    // histogram's relative error bound.
-    let exact_p95 = r.summary.overall_latency.p95_s;
-    let approx_p95 = h.quantile(0.95);
-    let bound = h.relative_error_bound();
-    assert!(
-        (approx_p95 - exact_p95).abs() <= exact_p95 * (bound - 1.0) * 2.0 + 1e-9,
-        "histogram p95 {approx_p95} vs exact {exact_p95} (growth {bound})"
-    );
-}
-
-#[test]
 fn trace_stamps_and_phase_events_are_one_record() {
     // A transaction's `TxTrace` and its phase events are two renderings of
     // one record: every stamp is the time of the first event of its phase,

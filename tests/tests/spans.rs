@@ -146,23 +146,32 @@ fn runs_without_gossip_or_faults_record_each_span_once() {
     }
 }
 
-/// A gossip-fed peer has no OSN `deliver` span: the anchor it records on
-/// delivery is what its `vscc` spans name as their parent.
+/// Every span names as its parent a span the same run recorded, with gossip
+/// and without: an OSN delivery names its own OSN's cut, and a gossip-fed
+/// peer, which has no OSN `deliver` span, has its `vscc` spans name the
+/// anchor it records on delivery.
 #[test]
-fn in_a_gossip_run_every_vscc_span_has_its_parent() {
-    for orderer in OrdererType::ALL {
+fn every_parent_is_a_span_of_the_same_run() {
+    for (orderer, gossip) in OrdererType::ALL
+        .into_iter()
+        .flat_map(|o| [(o, false), (o, true)])
+    {
         let mut cfg = span_config(orderer, 120.0);
-        cfg.gossip = Some(GossipConfig::default());
+        cfg.obs.trace_sample = 1.0;
+        cfg.gossip = gossip.then(GossipConfig::default);
         let result = Simulation::new(cfg).run_detailed();
         let spans = &result.observability.spans;
         assert_eq!(result.observability.dropped_spans, 0, "{orderer}");
         let ids: HashSet<u64> = spans.iter().map(|s| s.span_id).collect();
-        let vscc: Vec<_> = spans.iter().filter(|s| s.kind == SpanKind::Vscc).collect();
-        assert!(!vscc.is_empty(), "{orderer}: no vscc spans");
-        for s in vscc {
+        assert!(
+            spans.iter().any(|s| s.kind == SpanKind::Vscc),
+            "{orderer}: no vscc spans"
+        );
+        for s in spans.iter().filter(|s| s.parent_id != 0) {
             assert!(
                 ids.contains(&s.parent_id),
-                "{orderer}: vscc span of {} at {} names a missing parent",
+                "{orderer} (gossip {gossip}): {:?} span of {} at {} names a missing parent",
+                s.kind,
                 s.trace,
                 s.actor
             );

@@ -79,7 +79,14 @@ fn run_invariants_hold() {
             assert!(*size <= 100, "block of {size} exceeds BatchSize");
         }
 
-        // 5. Valid commits never exceed transactions created.
+        // 5. Valid commits never exceed transactions created, and no
+        //    transaction commits without a cut block.
         assert!(r.summary.committed_valid <= r.traces.len());
+        let committed = r
+            .traces
+            .iter()
+            .filter(|t| matches!(t.outcome, TxOutcome::Committed(_)))
+            .count();
+        assert!(r.block_cuts.iter().map(|(_, n)| n).sum::<usize>() >= committed);
     });
 }
