@@ -20,7 +20,8 @@
 //!       gossip-depth histograms; --health (a --health-out JSONL file)
 //!       prints the regime timeline — every health event, per-station
 //!       dwell/onset accounting, and the telescoping verdict (dwells must
-//!       tile the horizon within 1e-6 s). --chrome-out writes a
+//!       tile the horizon within 1e-6 s); with --json its `health` member
+//!       is the timeline's own records, one array. --chrome-out writes a
 //!       Chrome/Perfetto trace (open in ui.perfetto.dev) — with --spans it
 //!       carries flow events so Perfetto draws cross-actor arrows;
 //!       --flame-out writes collapsed stacks for flamegraph.pl / inferno
@@ -84,10 +85,12 @@
 //!                                    [0,1] for per-tx trace/span records
 //!                                    (default 1.0; block-scoped spans are
 //!                                    always recorded)
-//!   --metrics-out FILE               write sampled time-series as CSV
+//!   --metrics-out FILE               write the sampler's rows as a CSV
+//!                                    table, one row per window
 //!   --metrics-window SECS            sampler window width in virtual seconds
-//!                                    (default 1.0; at least 0.001) — also
-//!                                    the health plane's detection window
+//!                                    (default 1.0; at least 0.001; the
+//!                                    sampler always runs) — also the
+//!                                    health plane's detection window
 //!   --health-out FILE                enable the health plane and
 //!                                    write its JSONL timeline (regime
 //!                                    transitions, bottleneck-shift onsets,
@@ -102,9 +105,9 @@ use std::process::exit;
 
 use fabricsim::obs::json::escape;
 use fabricsim::obs::{
-    chrome_trace, collapsed_stacks, parse_jsonl_with_provenance, parse_spans_jsonl_with_provenance,
-    reconstruct, span_flow_trace, ArtifactDiff, HealthReport, RunProvenance, SpanGraphAnalysis,
-    TraceAnalysis,
+    chrome_trace, collapsed_stacks, metrics_csv, parse_jsonl_with_provenance,
+    parse_spans_jsonl_with_provenance, reconstruct, span_flow_trace, ArtifactDiff, HealthReport,
+    RunProvenance, SpanGraphAnalysis, TraceAnalysis,
 };
 use fabricsim::report::run_summary_json;
 use fabricsim::{
@@ -261,7 +264,7 @@ fn cmd_analyze(args: &[String]) -> ! {
             out.push_str(&format!(",\"span_graph\":{}", g.to_json()));
         }
         if let Some(h) = &health {
-            out.push_str(&format!(",\"health\":{}", h.to_json()));
+            out.push_str(&format!(",\"health\":[{}]", h.records().join(",")));
         }
         out.push('}');
         println!("{out}");
@@ -607,32 +610,17 @@ fn main() {
             "--json" => json = true,
             "--trace-out" => trace_out = Some(value()),
             "--span-out" => span_out = Some(value()),
+            // `SimConfig::validate` checks the ranges of these three.
             "--trace-sample" => {
-                let rate: f64 = value().parse().unwrap_or_else(|_| usage());
-                if !(0.0..=1.0).contains(&rate) {
-                    eprintln!("--trace-sample must be a rate within [0, 1] (got {rate})");
-                    exit(2);
-                }
-                cfg.obs.trace_sample = rate;
+                cfg.obs.trace_sample = value().parse().unwrap_or_else(|_| usage());
             }
             "--metrics-out" => metrics_out = Some(value()),
             "--metrics-window" => {
-                let width: f64 = value().parse().unwrap_or_else(|_| usage());
-                if !width.is_finite() || width <= 0.0 {
-                    eprintln!(
-                        "--metrics-window must be a positive number of seconds (got {width})"
-                    );
-                    exit(2);
-                }
-                cfg.obs.sample_period_s = width;
+                cfg.obs.sample_period_s = value().parse().unwrap_or_else(|_| usage());
             }
             "--health-out" => health_out = Some(value()),
             "--slo-p99-ms" => {
                 let ms: f64 = value().parse().unwrap_or_else(|_| usage());
-                if !ms.is_finite() || ms <= 0.0 {
-                    eprintln!("--slo-p99-ms must be a positive number of milliseconds (got {ms})");
-                    exit(2);
-                }
                 cfg.obs.slo_p99_s = ms / 1000.0;
             }
             "--help" | "-h" => usage(),
@@ -664,6 +652,7 @@ fn main() {
         cfg.policy.label(),
         cfg.arrival_rate_tps
     );
+    let period = cfg.obs.sample_period_s;
     let result = Simulation::new(cfg).run_detailed();
     let s = &result.summary;
 
@@ -686,12 +675,7 @@ fn main() {
         write_jsonl(path, "spans", result.observability.spans_jsonl());
     }
     if let Some(path) = &metrics_out {
-        let text = result
-            .observability
-            .metrics
-            .as_ref()
-            .map(|m| m.to_csv())
-            .unwrap_or_default();
+        let text = metrics_csv(period, &result.observability.samples);
         if let Err(e) = std::fs::write(path, text) {
             eprintln!("cannot write metrics to {path}: {e}");
             exit(1);

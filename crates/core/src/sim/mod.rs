@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use fabricsim_des::{Kernel, KernelProfile, ShardedKernel, ShardedRunReport, SimDuration, SimTime};
 use fabricsim_obs::{
-    BottleneckReport, HealthReport, MetricsRecorder, PhaseEvent, Samples, SpanEvent, StationClass,
+    BottleneckReport, HealthReport, PhaseEvent, Samples, SpanEvent, StationClass,
     TxStationBreakdown,
 };
 
@@ -27,7 +27,7 @@ use crate::workload::SimConfig;
 
 use faults::schedule_faults;
 use lane::Lane;
-use observe::{flush_partial_tick, sample_period_s, stations_of, TxRecord};
+use observe::{flush_partial_tick, stations_of, TxRecord};
 use world::{bootstrap, build_world, World, K};
 
 /// Mean utilization of each CPU station class over the run (fraction of
@@ -95,9 +95,12 @@ pub struct RunObservability {
     pub spans: Vec<SpanEvent>,
     /// Spans evicted from the bounded in-memory ring (oldest first).
     pub dropped_spans: u64,
-    /// Windowed time-series (queue depths, utilization, in-flight txs,
-    /// block-cut cadence). `None` when the sampler was disabled.
-    pub metrics: Option<MetricsRecorder>,
+    /// The sampler's record of every channel world, in channel order: one
+    /// row per window of [`crate::ObsConfig::sample_period_s`] (queue
+    /// depths, busy time, utilization, in-flight txs, block-cut cadence).
+    /// `obs::metrics_csv` writes it as the metrics table; the health
+    /// report is folded from it.
+    pub samples: Vec<Samples>,
     /// Per-station queueing/service attribution over committed transactions.
     pub bottleneck: BottleneckReport,
     /// The DES kernel's host-time self-profile. `None` unless
@@ -399,11 +402,8 @@ impl Simulation {
         // Attribute latency over committed txs; window coarse enough to hold
         // a useful population but fine enough to show regime changes.
         let window_s = (cfg.duration_secs / 10.0).clamp(1.0, 10.0);
-        // Both sampler planes are folds over the channel worlds' rows.
-        let metrics = (cfg.obs.sample_period_s > 0.0)
-            .then(|| MetricsRecorder::from_samples(cfg.obs.sample_period_s, &samples));
         let health = cfg.obs.health_events.then(|| {
-            let period = sample_period_s(&cfg);
+            let period = cfg.obs.sample_period_s;
             HealthReport::fold(&samples, period, cfg.duration_secs, cfg.obs.slo_p99_s)
         });
         let observability = RunObservability {
@@ -411,7 +411,7 @@ impl Simulation {
             dropped_events,
             spans,
             dropped_spans,
-            metrics,
+            samples,
             bottleneck: BottleneckReport::from_breakdowns(&committed, window_s),
             profile,
             shard_profiles,
@@ -645,23 +645,18 @@ mod tests {
     #[test]
     fn window_aligned_run_records_no_zero_width_tail() {
         // 12.0 s duration with a 1.0 s sampler window: the run ends exactly
-        // on a window boundary, so there must be no partial tail tick — not
-        // a zero-width one — and the CSV/JSON must not carry a tail marker.
+        // on a window boundary, so there must be no partial tail row — not
+        // a zero-width one — and the CSV must not carry a thirteenth row.
         let cfg = quick_cfg(OrdererType::Solo);
         assert_eq!(cfg.obs.sample_period_s, 1.0);
         let r = Simulation::new(cfg).run_detailed();
-        let m = r
-            .observability
-            .metrics
-            .expect("sampler attached by default");
-        assert_eq!(m.ticks(), 12, "one tick per whole window");
-        assert_eq!(m.tail_width_s(), None, "no tail on an aligned horizon");
-        let json = m.to_json();
-        assert!(
-            !json.contains("tail_width_s"),
-            "aligned run leaked a tail marker: {json}"
-        );
-        let csv = m.to_csv();
+        let [w] = &r.observability.samples[..] else {
+            panic!("one world, one record");
+        };
+        assert_eq!(w.rows.len(), 12, "one row per whole window");
+        assert!(!w.tail, "no tail on an aligned horizon");
+        assert!(w.rows.iter().all(|row| row.width_s == 1.0));
+        let csv = fabricsim_obs::metrics_csv(1.0, &r.observability.samples);
         assert_eq!(csv.lines().count(), 13, "header + 12 rows:\n{csv}");
         let last = csv.lines().last().expect("rows");
         assert!(
@@ -672,10 +667,13 @@ mod tests {
         let mut cfg = quick_cfg(OrdererType::Solo);
         cfg.duration_secs = 12.25;
         let r = Simulation::new(cfg).run_detailed();
-        let m = r.observability.metrics.expect("sampler attached");
-        assert_eq!(m.ticks(), 13);
-        assert_eq!(m.tail_width_s(), Some(0.25));
-        assert!(m.to_json().contains("\"tail_width_s\":0.25"));
+        let [w] = &r.observability.samples[..] else {
+            panic!("one world, one record");
+        };
+        assert_eq!(w.rows.len(), 13);
+        assert!(w.tail);
+        let tail = w.rows.last().expect("rows");
+        assert_eq!((tail.t_end_s, tail.width_s), (12.25, 0.25));
     }
 
     #[test]

@@ -557,22 +557,6 @@ pub(super) fn stations_of(world: &World, class: StationClass) -> Vec<&Station> {
     }
 }
 
-/// Whether anything reads the sweep: the metrics table
-/// (`sample_period_s > 0`) or the health plane.
-fn sampling(cfg: &SimConfig) -> bool {
-    cfg.obs.sample_period_s > 0.0 || cfg.obs.health_events
-}
-
-/// The sampler cadence: the configured period, or 1 s when only the health
-/// plane reads the sweep.
-pub(super) fn sample_period_s(cfg: &SimConfig) -> f64 {
-    if cfg.obs.sample_period_s > 0.0 {
-        cfg.obs.sample_period_s
-    } else {
-        1.0
-    }
-}
-
 /// Reads the world's gauges once and records them as the row of the window
 /// of `width_s` ending at `t_end_s`.
 fn sweep(world: &mut World, now: SimTime, t_end_s: f64, width_s: f64) {
@@ -615,19 +599,17 @@ fn sweep(world: &mut World, now: SimTime, t_end_s: f64, width_s: f64) {
     world.obs.samples.rows.push(row);
 }
 
-/// Starts the periodic sampler if anything reads it. It reads state only:
-/// scheduling it never perturbs the simulated system, so traced and
-/// untraced runs stay bit-identical.
+/// Starts the periodic sampler. It reads state only: scheduling it never
+/// perturbs the simulated system, so traced and untraced runs stay
+/// bit-identical.
 pub(super) fn schedule_sampler(world: &World, k: &mut K) {
-    if sampling(&world.cfg) {
-        let period = SimDuration::from_secs_f64(sample_period_s(&world.cfg));
-        k.schedule_in(period, Ev::ObsSample);
-    }
+    let period = SimDuration::from_secs_f64(world.cfg.obs.sample_period_s);
+    k.schedule_in(period, Ev::ObsSample);
 }
 
 /// The periodic sweep: one row per whole window.
 pub(super) fn obs_sample(world: &mut World, k: &mut K) {
-    let period = sample_period_s(&world.cfg);
+    let period = world.cfg.obs.sample_period_s;
     let now = k.now();
     sweep(world, now, now.as_secs_f64(), period);
     let period = SimDuration::from_secs_f64(period);
@@ -640,10 +622,7 @@ pub(super) fn obs_sample(world: &mut World, k: &mut K) {
 /// dwells must tile the horizon exactly. A horizon landing exactly on a tick
 /// boundary (modulo fp noise) records no tail.
 pub(super) fn flush_partial_tick(world: &mut World, horizon: SimTime) {
-    if !sampling(&world.cfg) {
-        return;
-    }
-    let period = sample_period_s(&world.cfg);
+    let period = world.cfg.obs.sample_period_s;
     let duration = world.cfg.duration_secs;
     let width = duration - world.obs.samples.rows.len() as f64 * period;
     if width > 1e-9 {

@@ -149,9 +149,10 @@ pub struct ObsConfig {
     /// event loop per event-family label, plus heap and loop overhead.
     /// Write-only with respect to the simulation.
     pub profile: bool,
-    /// Time-series sampling period in virtual seconds (queue depths,
-    /// utilization, in-flight transactions, block-cut cadence). Set to `0.0`
-    /// to disable the metrics table; otherwise at least 1 ms.
+    /// Sampler period in virtual seconds: the width of the windows the
+    /// metrics table and the health plane read (queue depths, utilization,
+    /// in-flight transactions, block-cut cadence). The sampler always runs;
+    /// the period is at least 1 ms.
     pub sample_period_s: f64,
     /// Enable the health plane: per-station regime detection,
     /// bottleneck-shift onsets and SLO burn tracking, folded over the
@@ -336,9 +337,9 @@ impl SimConfig {
             );
         }
         let period = self.obs.sample_period_s;
-        if !(period == 0.0 || (period >= MIN_SAMPLE_PERIOD_S && period.is_finite())) {
+        if !(period >= MIN_SAMPLE_PERIOD_S && period.is_finite()) {
             return Err(format!(
-                "metrics sample period must be 0 (off) or a finite number of seconds \
+                "metrics sample period must be a finite number of seconds \
                  >= {MIN_SAMPLE_PERIOD_S} (got {period})"
             ));
         }
@@ -496,10 +497,11 @@ mod tests {
         };
         assert!(c.validate().is_err());
 
-        // A sampler period that rounds to 0 ns reschedules itself at the same
-        // instant forever; one just above that writes 10⁴ rows a second.
+        // The sampler always runs: a period of 0, or one that rounds to 0 ns,
+        // would reschedule it at the same instant forever; one just above
+        // that writes 10⁴ rows a second.
         for (period, ok) in [
-            (0.0, true),
+            (0.0, false),
             (1e-3, true),
             (0.25, true),
             (1e-12, false),

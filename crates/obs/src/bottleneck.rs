@@ -319,22 +319,16 @@ impl BottleneckReport {
         out
     }
 
-    /// Renders the report as a JSON object.
+    /// Renders the report as a JSON object. Every float is printed
+    /// shortest-round-trip, so each leaf parses back to the exact `f64`.
     pub fn to_json(&self) -> String {
         let arr = |xs: &[f64; 6]| {
-            let mut s = String::from("[");
-            for (i, v) in xs.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!("{v:.9}"));
-            }
-            s.push(']');
-            s
+            let items: Vec<String> = xs.iter().map(f64::to_string).collect();
+            format!("[{}]", items.join(","))
         };
         let win = |w: &WindowAttribution| {
             format!(
-                "{{\"t0_s\":{:.3},\"tx_count\":{},\"mean_queued_s\":{},\"mean_service_s\":{},\"mean_e2e_s\":{:.9},\"dominant\":{}}}",
+                "{{\"t0_s\":{},\"tx_count\":{},\"mean_queued_s\":{},\"mean_service_s\":{},\"mean_e2e_s\":{},\"dominant\":{}}}",
                 w.t0_s,
                 w.tx_count,
                 arr(&w.mean_queued_s),
@@ -354,7 +348,7 @@ impl BottleneckReport {
             out.push_str(&format!("\"{}\"", c.label()));
         }
         out.push_str(&format!(
-            "],\"overall\":{},\"mean_unattributed_s\":{:.9},\"windows\":[",
+            "],\"overall\":{},\"mean_unattributed_s\":{},\"windows\":[",
             win(&self.overall),
             self.mean_unattributed_s
         ));
@@ -408,6 +402,56 @@ mod tests {
         assert!(table.contains("dominant queue: peer vscc"), "{table}");
         let json = report.to_json();
         assert!(json.contains("\"dominant\":\"peer vscc\""), "{json}");
+    }
+
+    #[test]
+    fn json_leaves_parse_back_to_the_exact_floats() {
+        use crate::json::Json;
+        // Means of thirds and window starts of 0.1 s have no short decimal.
+        let txs: Vec<_> = (0..7u64)
+            .map(|i| {
+                let mut b = TxStationBreakdown::default();
+                b.add(StationClass::PeerVscc, i as f64 / 3.0, 0.01 / 3.0);
+                b.add(StationClass::OsnCpu, 1e-10 * i as f64, 1.0 / 7.0);
+                b.commit_s = 0.1 * i as f64 + 1.0 / 3.0;
+                b.end_to_end_s = b.total_queued_s() + b.total_service_s() + 1e-7 / 3.0;
+                b
+            })
+            .collect();
+        let report = BottleneckReport::from_breakdowns(&txs, 0.1);
+        let json = Json::parse(&report.to_json()).expect("parses");
+        let exact = |v: Option<&Json>, want: f64, what: &str| {
+            let got = v.and_then(Json::as_f64).expect(what);
+            assert_eq!(got.to_bits(), want.to_bits(), "{what}: {got} vs {want}");
+        };
+        exact(json.get("window_s"), report.window_s, "window_s");
+        exact(
+            json.get("mean_unattributed_s"),
+            report.mean_unattributed_s,
+            "mean_unattributed_s",
+        );
+        let windows = json
+            .get("windows")
+            .and_then(Json::as_array)
+            .expect("windows");
+        assert_eq!(windows.len(), report.windows.len());
+        let all = std::iter::once((json.get("overall").expect("overall"), &report.overall))
+            .chain(windows.iter().zip(&report.windows));
+        for (j, w) in all {
+            exact(j.get("t0_s"), w.t0_s, "t0_s");
+            exact(j.get("mean_e2e_s"), w.mean_e2e_s, "mean_e2e_s");
+            assert_eq!(j.get("tx_count").and_then(Json::as_u64), Some(w.tx_count));
+            for (key, want) in [
+                ("mean_queued_s", &w.mean_queued_s),
+                ("mean_service_s", &w.mean_service_s),
+            ] {
+                let got = j.get(key).and_then(Json::as_array).expect(key);
+                assert_eq!(got.len(), want.len());
+                for (g, &v) in got.iter().zip(want) {
+                    exact(Some(g), v, key);
+                }
+            }
+        }
     }
 
     #[test]

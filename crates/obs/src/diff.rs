@@ -31,10 +31,10 @@
 //! lines naming which leaves it skips and which lists it reads. Health
 //! reports are the exception: their entries regroup fields per station and
 //! regime (`peer.vscc.dwell.stable_s`), so they are decoded into a typed
-//! [`HealthReport`] — from the JSONL timeline (recognized by
-//! [`HealthReport::sniff`] before the JSON parser runs, since a multi-line
-//! file is no single document) or from the `health` object `analyze --json`
-//! embeds.
+//! [`HealthReport`] by the one reader of its records — from the JSONL
+//! timeline (recognized by [`HealthReport::sniff`] before the JSON parser
+//! runs, since a multi-line file is no single document) or from the
+//! `health` array of the same records `analyze --json` embeds.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -775,10 +775,14 @@ fn analysis_sections(a: &Json, b: &Json) -> Result<Vec<DiffSection>, DiffError> 
     ) {
         out.push(span_graph_section(ga, gb));
     }
-    let health = sides.map(|j| j.get("health").filter(|h| matches!(h, Json::Obj(_))));
+    let health = sides.map(|j| j.get("health"));
     if let Some((ha, hb)) = paired(&mut out, health, "health summary", "health report") {
-        let decode = |h, side| {
-            HealthReport::from_value(h).map_err(|detail| DiffError::Json { side, detail })
+        // The timeline's own records, read by the timeline's own reader.
+        let decode = |h: &Json, side| {
+            h.as_array()
+                .ok_or_else(|| "health is not an array of timeline records".to_string())
+                .and_then(HealthReport::from_records)
+                .map_err(|detail| DiffError::Json { side, detail })
         };
         out.extend(health_sections(&decode(ha, 'A')?, &decode(hb, 'B')?));
     }
@@ -1233,12 +1237,15 @@ mod tests {
         health_report(overload_onset_s, final_regime).to_jsonl(Some(&prov(digest)))
     }
 
-    /// `analyze --health --json`: the report as one object under `health`.
+    /// `analyze --health --json`: the timeline's records as the `health`
+    /// array.
     fn health_analysis(overload_onset_s: f64, final_regime: Regime, digest: &str) -> String {
         format!(
-            "{{\"provenance\":{},\"health\":{}}}",
+            "{{\"provenance\":{},\"health\":[{}]}}",
             prov(digest).to_json(),
-            health_report(overload_onset_s, final_regime).to_json()
+            health_report(overload_onset_s, final_regime)
+                .records()
+                .join(",")
         )
     }
 
@@ -1277,6 +1284,15 @@ mod tests {
         let broken = b.replace("\"windows\":10", "\"windows\":-1");
         assert!(matches!(
             ArtifactDiff::from_json_strs(&a, &broken),
+            Err(DiffError::Json { side: 'B', .. })
+        ));
+        // So is a `health` member that is not the timeline's record array.
+        let object = format!(
+            "{{\"provenance\":{},\"health\":{{}}}}",
+            prov("hhhh").to_json()
+        );
+        assert!(matches!(
+            ArtifactDiff::from_json_strs(&a, &object),
             Err(DiffError::Json { side: 'B', .. })
         ));
     }

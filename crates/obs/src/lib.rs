@@ -13,11 +13,12 @@
 //! * [`Dist`] — a latency distribution: count, mean and exact type-7
 //!   p50/p95/p99 with the max, over the full sample set. The run summary's
 //!   phases and the trace analyzer's segments are all `Dist`s.
-//! * [`Samples`] / [`MetricsRecorder`] — the periodic sampler's record: one
-//!   typed [`SampleRow`] per window every N virtual seconds (queue depths,
-//!   busy time and servers per station class, utilization, in-flight
-//!   transactions, block-cut cadence), laid out after the run as a table of
-//!   aligned [`TimeSeries`].
+//! * [`Samples`] — the periodic sampler's record: one typed [`SampleRow`]
+//!   per window every N virtual seconds (queue depths, busy time and
+//!   servers per station class, utilization, in-flight transactions,
+//!   block-cut cadence). It is the one record of both sampler planes:
+//!   [`metrics_csv`] writes it as the metrics table and
+//!   [`HealthReport::fold`] folds it into the health plane.
 //! * [`BottleneckReport`] — decomposes each committed transaction's
 //!   end-to-end latency into per-station service vs. queueing time and names
 //!   the dominant queue per window, turning the paper's Finding 3 ("validate
@@ -61,7 +62,9 @@
 //!   Little's-law residual as a self-consistency check — emitted as typed
 //!   [`HealthEvent`]s into a bounded buffer and rendered as a
 //!   provenance-stamped JSONL artifact whose per-regime dwells tile the run
-//!   horizon exactly.
+//!   horizon exactly. Its records ([`HealthReport::records`]) are its one
+//!   encoding: `analyze --health --json` embeds the same records as an
+//!   array, and one reader decodes both.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -96,7 +99,7 @@ pub use flame::collapsed_stacks;
 pub use json::Json;
 pub use name::Name;
 pub use online::{HealthEvent, HealthEventKind, HealthReport, Regime, StationHealth};
-pub use series::{MetricsRecorder, SampleRow, Samples, TimeSeries};
+pub use series::{metrics_csv, SampleRow, Samples};
 pub use sink::Sink;
 pub use span::{reconstruct, Segment, TxSpan, PIPELINE_LEN};
 pub use spangraph::{

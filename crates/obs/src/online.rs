@@ -687,24 +687,16 @@ impl HealthReport {
             .min_by(|a, b| a.total_cmp(b))
     }
 
-    /// Renders the artifact as a JSONL document: optional provenance line,
-    /// events, per-station accounting, and a `"health_summary":1` trailer.
-    pub fn to_jsonl(&self, prov: Option<&RunProvenance>) -> String {
-        let mut out = String::new();
-        if let Some(p) = prov {
-            out.push_str(&p.to_json());
-            out.push('\n');
-        }
-        for ev in &self.events {
-            out.push_str(&ev.to_json());
-            out.push('\n');
-        }
-        for st in &self.stations {
-            out.push_str(&st.to_json());
-            out.push('\n');
-        }
-        out.push_str(&format!(
-            "{{\"health_summary\":1,\"window_s\":{},\"horizon_s\":{},\"slo_p99_s\":{},\"channels\":{},\"windows\":{},\"completions\":{},\"slo_violations\":{},\"burn_windows\":{},\"max_burn\":{},\"dropped_events\":{}}}\n",
+    /// The report's records, one JSON object each, in artifact order: the
+    /// events, the per-station accounting, then the `"health_summary"`
+    /// trailer. They are the report's one encoding: `--health-out` writes
+    /// them one per line ([`HealthReport::to_jsonl`]) and `analyze --health
+    /// --json` embeds them as its `health` array.
+    pub fn records(&self) -> Vec<String> {
+        let mut out: Vec<String> = self.events.iter().map(HealthEvent::to_json).collect();
+        out.extend(self.stations.iter().map(StationHealth::to_json));
+        out.push(format!(
+            "{{\"health_summary\":1,\"window_s\":{},\"horizon_s\":{},\"slo_p99_s\":{},\"channels\":{},\"windows\":{},\"completions\":{},\"slo_violations\":{},\"burn_windows\":{},\"max_burn\":{},\"dropped_events\":{}}}",
             self.window_s,
             self.horizon_s,
             self.slo_p99_s,
@@ -719,6 +711,21 @@ impl HealthReport {
         out
     }
 
+    /// Renders the artifact as a JSONL document: optional provenance line,
+    /// then [`HealthReport::records`], one per line.
+    pub fn to_jsonl(&self, prov: Option<&RunProvenance>) -> String {
+        let mut out = String::new();
+        if let Some(p) = prov {
+            out.push_str(&p.to_json());
+            out.push('\n');
+        }
+        for record in self.records() {
+            out.push_str(&record);
+            out.push('\n');
+        }
+        out
+    }
+
     /// Parses a JSONL document produced by [`HealthReport::to_jsonl`],
     /// returning the embedded provenance (if any) alongside the report. A
     /// document without its `"health_summary"` trailer is truncated and
@@ -728,41 +735,43 @@ impl HealthReport {
     /// The line number and description of the first bad line, or a
     /// truncation diagnosis.
     pub fn from_jsonl(text: &str) -> Result<(Option<RunProvenance>, HealthReport), String> {
+        let (prov, records) = read_jsonl(text, |v| Ok(v.clone()))?;
+        Ok((prov, HealthReport::from_records(&records)?))
+    }
+
+    /// The one decoder of [`HealthReport::records`], given as parsed values:
+    /// the lines of a timeline after its provenance header, or the `health`
+    /// array `analyze --health --json` embeds.
+    pub(crate) fn from_records(records: &[Json]) -> Result<HealthReport, String> {
         let mut events = Vec::new();
         let mut stations = Vec::new();
         let mut report: Option<HealthReport> = None;
-        // Three record kinds and a trailer rule: the closure files each line
-        // itself, so the reader's own list stays empty.
-        let (prov, _) = read_jsonl(text, |v| {
+        for (i, v) in records.iter().enumerate() {
+            let at = |e: String| format!("health record {}: {e}", i + 1);
             if report.is_some() {
-                return Err(
+                return Err(at(
                     "content after the health_summary trailer (two artifacts concatenated?)".into(),
-                );
+                ));
             }
             if v.get("station_health").is_some() {
-                stations.push(StationHealth::from_value(v)?);
+                stations.push(StationHealth::from_value(v).map_err(at)?);
             } else if v.get("health_summary").is_some() {
-                report = Some(HealthReport::summary_from_value(v)?);
+                report = Some(HealthReport::summary_from_value(v).map_err(at)?);
             } else {
-                events.push(HealthEvent::from_value(v)?);
+                events.push(HealthEvent::from_value(v).map_err(at)?);
             }
-            Ok(())
-        })?;
+        }
         let report = report.ok_or_else(|| {
             "missing health_summary trailer (truncated health artifact?)".to_string()
         })?;
-        Ok((
-            prov,
-            HealthReport {
-                events,
-                stations,
-                ..report
-            },
-        ))
+        Ok(HealthReport {
+            events,
+            stations,
+            ..report
+        })
     }
 
-    /// The summary counters both forms carry (the JSONL trailer, the
-    /// single document), with no events or stations.
+    /// The trailer's summary counters, with no events or stations.
     fn summary_from_value(v: &Json) -> Result<HealthReport, String> {
         Ok(HealthReport {
             window_s: v.num("window_s")?,
@@ -780,65 +789,18 @@ impl HealthReport {
         })
     }
 
-    /// Decodes the single-document form [`HealthReport::to_json`] renders
-    /// (what `analyze --json` embeds); its `telescoping_error_s` is derived
-    /// and not read back.
-    pub(crate) fn from_value(v: &Json) -> Result<HealthReport, String> {
-        Ok(HealthReport {
-            events: v
-                .array("events")?
-                .iter()
-                .map(HealthEvent::from_value)
-                .collect::<Result<_, _>>()?,
-            stations: v
-                .array("stations")?
-                .iter()
-                .map(StationHealth::from_value)
-                .collect::<Result<_, _>>()?,
-            ..HealthReport::summary_from_value(v)?
-        })
-    }
-
-    /// True when `text` looks like a health JSONL artifact (cheap sniff used
-    /// by `fabricsim diff` before committing to the full parse).
+    /// True when `text` is a health JSONL artifact: its last line is the
+    /// `"health_summary"` trailer. An `analyze --json` document that embeds
+    /// the records is one object and does not match. A cheap sniff used by
+    /// `fabricsim diff` before committing to the full parse.
     pub fn sniff(text: &str) -> bool {
         text.contains("\"health_summary\"")
-    }
-
-    /// Single-document JSON form (what `analyze --json` embeds), as opposed
-    /// to the JSONL artifact: summary counters, the telescoping error, the
-    /// full event stream and the per-station accounting.
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"window_s\":{},\"horizon_s\":{},\"slo_p99_s\":{},\"channels\":{},\"windows\":{},\"completions\":{},\"slo_violations\":{},\"burn_windows\":{},\"max_burn\":{},\"dropped_events\":{},\"telescoping_error_s\":{}",
-            self.window_s,
-            self.horizon_s,
-            self.slo_p99_s,
-            self.channels,
-            self.windows,
-            self.completions,
-            self.slo_violations,
-            self.burn_windows,
-            self.max_burn,
-            self.dropped_events,
-            self.telescoping_error()
-        );
-        out.push_str(",\"events\":[");
-        for (i, ev) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&ev.to_json());
-        }
-        out.push_str("],\"stations\":[");
-        for (i, st) in self.stations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&st.to_json());
-        }
-        out.push_str("]}");
-        out
+            && text
+                .lines()
+                .rev()
+                .find(|l| !l.trim().is_empty())
+                .and_then(|l| Json::parse(l).ok())
+                .is_some_and(|v| v.get("health_summary").is_some())
     }
 
     /// Human-readable regime timeline: run header, the event stream, then
@@ -1057,11 +1019,15 @@ mod tests {
         assert!(table.contains("peer.vscc"), "{table}");
         assert!(table.contains("saturating -> overloaded"), "{table}");
         assert!(table.contains("PASS @ 1e-6"), "{table}");
-        let json = report.to_json();
-        assert!(json.contains("\"telescoping_error_s\":"), "{json}");
-        let parsed = crate::json::Json::parse(&json).expect("self-parse");
-        assert!(parsed.get("stations").is_some());
-        assert!(parsed.get("events").is_some());
+        // The records, embedded as one array, decode to the same report.
+        let json = format!("[{}]", report.records().join(","));
+        let parsed = Json::parse(&json).expect("self-parse");
+        let records = parsed.as_array().expect("an array");
+        assert_eq!(
+            records.len(),
+            report.events.len() + report.stations.len() + 1
+        );
+        assert_eq!(HealthReport::from_records(records), Ok(report));
     }
 
     #[test]

@@ -1,21 +1,22 @@
-//! The periodic sampler's record, and the metrics table built from it.
+//! The periodic sampler's record, and the metrics table written from it.
 //!
 //! Every sampler period the simulator sweeps each channel world's gauges
 //! once and appends one typed [`SampleRow`] to that world's [`Samples`].
 //! When the horizon is not a whole number of periods, a final *partial* row
 //! carries the remainder's actual width, so width-weighted statistics don't
 //! under-report the tail of short runs. Nothing reads the rows while the run
-//! is going: after it, [`MetricsRecorder::from_samples`] lays them out as
-//! aligned [`TimeSeries`] — sample `i` of every series belongs to the window
-//! starting at `i * period_s`, so exports are a plain rectangular table —
-//! and [`crate::HealthReport::fold`] folds the same rows into the health
-//! plane.
+//! is going. After it, the rows are the one record of both sampler planes:
+//! [`metrics_csv`] writes them as the metrics table — row `i` of every world
+//! is the window starting at `i * period_s` — and
+//! [`crate::HealthReport::fold`] folds them into the health plane.
+
+use std::fmt::Write as _;
 
 use crate::StationClass;
 
 /// One sampler window of one channel world: the gauges swept at its end.
 /// The per-class arrays are in [`StationClass::WIRE`] order. Every field
-/// keeps full precision; only the table's CSV and JSON renderings round.
+/// keeps full precision; only the table's CSV rendering rounds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SampleRow {
     /// Virtual time of the window's end, seconds.
@@ -66,181 +67,51 @@ impl Samples {
     }
 }
 
-/// One named, periodically sampled metric.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimeSeries {
-    /// Metric name, e.g. `"queue.peer_vscc"`.
-    pub name: String,
-    /// Sampling period in virtual seconds.
-    pub period_s: f64,
-    /// Samples; index `i` was taken at virtual time `i * period_s`.
-    pub values: Vec<f64>,
-    /// Width of the final window when it was cut short by the simulation
-    /// horizon (`None` when every window is a full period).
-    pub tail_width_s: Option<f64>,
-}
-
-impl TimeSeries {
-    /// Iterates `(virtual_time_s, value)` points.
-    pub fn points(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
-        let period = self.period_s;
-        self.values
-            .iter()
-            .enumerate()
-            .map(move |(i, &v)| (i as f64 * period, v))
-    }
-
-    /// Largest sample (0 when empty).
-    pub fn max(&self) -> f64 {
-        self.values.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Width-weighted mean sample (0 when empty): every window weighs its
-    /// own duration, so a partial tail contributes proportionally to its
-    /// actual width instead of a full period.
-    pub fn mean(&self) -> f64 {
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        let n = self.values.len();
-        let tail_w = match self.tail_width_s {
-            Some(w) => w,
-            None => self.period_s,
-        };
-        let mut num = 0.0;
-        let mut den = 0.0;
-        for (i, &v) in self.values.iter().enumerate() {
-            let w = if i == n - 1 { tail_w } else { self.period_s };
-            num += v * w;
-            den += w;
-        }
-        num / den
-    }
-}
-
-/// The metrics table of a run: every channel world's sampler rows as
-/// aligned, named [`TimeSeries`], built once by
-/// [`MetricsRecorder::from_samples`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricsRecorder {
-    period_s: f64,
-    series: Vec<TimeSeries>,
-    /// Number of sampled windows.
-    ticks: usize,
-    /// Width of the final (partial) window, if the horizon cut it short.
-    tail_width_s: Option<f64>,
-}
-
-impl MetricsRecorder {
-    /// Lays out the rows of every channel world, in channel order, as ten
-    /// series each: `queue.{class}` per [`StationClass::WIRE`] class,
-    /// `util.peer_vscc`, `util.peer_commit`, `inflight.txs` and
-    /// `blocks.cut_per_tick`. With several worlds every name of world `c`
-    /// carries a `ch{c}.` prefix. The cadence series is scaled by
-    /// `period / width`, so a partial tail stays in blocks-per-period units.
-    pub fn from_samples(period_s: f64, worlds: &[Samples]) -> MetricsRecorder {
-        let first = worlds.first();
-        let tail_width_s = first
-            .filter(|w| w.tail)
-            .and_then(|w| w.rows.last())
-            .map(|r| r.width_s);
-        let mut series = Vec::with_capacity(10 * worlds.len());
-        for (c, w) in worlds.iter().enumerate() {
-            let prefix = if worlds.len() > 1 {
-                format!("ch{c}.")
-            } else {
-                String::new()
-            };
-            let mut push = |name: &str, value: &dyn Fn(&SampleRow) -> f64| {
-                series.push(TimeSeries {
-                    name: format!("{prefix}{name}"),
-                    period_s,
-                    values: w.rows.iter().map(value).collect(),
-                    tail_width_s,
-                });
-            };
-            for (i, class) in StationClass::WIRE.into_iter().enumerate() {
-                let column = class.wire_label().replace('.', "_");
-                push(&format!("queue.{column}"), &|r| r.queue[i]);
-            }
-            push("util.peer_vscc", &|r| r.vscc_util);
-            push("util.peer_commit", &|r| r.commit_util);
-            push("inflight.txs", &|r| r.inflight as f64);
-            push("blocks.cut_per_tick", &|r| {
-                r.new_cuts as f64 * (period_s / r.width_s)
-            });
-        }
-        MetricsRecorder {
-            period_s,
-            series,
-            ticks: first.map_or(0, |w| w.rows.len()),
-            tail_width_s,
-        }
-    }
-
-    /// Number of sampled windows (a partial tail counts as one).
-    pub fn ticks(&self) -> usize {
-        self.ticks
-    }
-
-    /// Width of the final partial window, if the run ended mid-window.
-    pub fn tail_width_s(&self) -> Option<f64> {
-        self.tail_width_s
-    }
-
-    /// All series, in channel order and then the order
-    /// [`MetricsRecorder::from_samples`] lists.
-    pub fn series(&self) -> &[TimeSeries] {
-        &self.series
-    }
-
-    /// Looks a series up by name.
-    pub fn get(&self, name: &str) -> Option<&TimeSeries> {
-        self.series.iter().find(|s| s.name == name)
-    }
-
-    /// Renders a rectangular CSV: `t_s` column then one column per series.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("t_s");
-        for s in &self.series {
+/// The metrics table of a run, as `--metrics-out` writes it: a `t_s`
+/// column (the window's start, `i × period_s`), then ten columns per channel
+/// world, in channel order — `queue.{class}` per [`StationClass::WIRE`]
+/// class, `util.peer_vscc`, `util.peer_commit`, `inflight.txs` and
+/// `blocks.cut_per_tick`. With several worlds every name of world `c`
+/// carries a `ch{c}.` prefix. The cadence column is scaled by
+/// `period / width`, so a partial tail stays in blocks-per-period units.
+/// Every world samples at the same instants, so all have the same rows.
+pub fn metrics_csv(period_s: f64, worlds: &[Samples]) -> String {
+    let mut names = StationClass::WIRE
+        .map(|class| format!("queue.{}", class.wire_label().replace('.', "_")))
+        .to_vec();
+    names.extend(
+        [
+            "util.peer_vscc",
+            "util.peer_commit",
+            "inflight.txs",
+            "blocks.cut_per_tick",
+        ]
+        .map(String::from),
+    );
+    let mut out = String::from("t_s");
+    for c in 0..worlds.len() {
+        for name in &names {
             out.push(',');
-            out.push_str(&s.name);
+            if worlds.len() > 1 {
+                let _ = write!(out, "ch{c}.");
+            }
+            out.push_str(name);
+        }
+    }
+    out.push('\n');
+    for tick in 0..worlds.first().map_or(0, |w| w.rows.len()) {
+        let _ = write!(out, "{:.3}", tick as f64 * period_s);
+        for w in worlds {
+            let r = &w.rows[tick];
+            let cadence = r.new_cuts as f64 * (period_s / r.width_s);
+            let rest = [r.vscc_util, r.commit_util, r.inflight as f64, cadence];
+            for v in r.queue.iter().chain(&rest) {
+                let _ = write!(out, ",{v:.6}");
+            }
         }
         out.push('\n');
-        for tick in 0..self.ticks {
-            out.push_str(&format!("{:.3}", tick as f64 * self.period_s));
-            for s in &self.series {
-                out.push_str(&format!(",{:.6}", s.values[tick]));
-            }
-            out.push('\n');
-        }
-        out
     }
-
-    /// Renders the table as a JSON object:
-    /// `{"period_s":..,"ticks":..[,"tail_width_s":..],"series":{"name":[..],..}}`.
-    pub fn to_json(&self) -> String {
-        let mut out = format!("{{\"period_s\":{},\"ticks\":{}", self.period_s, self.ticks);
-        if let Some(w) = self.tail_width_s {
-            out.push_str(&format!(",\"tail_width_s\":{w}"));
-        }
-        out.push_str(",\"series\":{");
-        for (i, s) in self.series.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":[", crate::json::escape(&s.name)));
-            for (j, v) in s.values.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("{v:.6}"));
-            }
-            out.push(']');
-        }
-        out.push_str("}}");
-        out
-    }
+    out
 }
 
 #[cfg(test)]
@@ -276,11 +147,10 @@ mod tests {
 
     #[test]
     fn csv_is_rectangular_with_time_column() {
-        let rec = MetricsRecorder::from_samples(
+        let csv = metrics_csv(
             2.0,
             &[world(vec![row(2.0, 3.0, 1), row(2.0, 5.0, 0)], false)],
         );
-        let csv = rec.to_csv();
         let lines: Vec<_> = csv.lines().collect();
         assert_eq!(
             lines[0],
@@ -292,61 +162,36 @@ mod tests {
         assert!(lines[2].starts_with("2.000,5.000000,0.000000"));
         assert!(lines[1].ends_with(",0.250000,0.000000,0.000000,1.000000"));
         assert_eq!(lines.len(), 3);
-    }
-
-    #[test]
-    fn json_export_contains_all_series() {
-        let rec = MetricsRecorder::from_samples(1.0, &[world(vec![row(1.0, 1.5, 0)], false)]);
-        let json = rec.to_json();
-        assert!(json.contains("\"period_s\":1"));
-        assert!(json.contains("\"queue.pool_prep\":[1.500000]"));
-        assert!(!json.contains("tail_width_s"));
-        assert_eq!(rec.series().len(), 10);
-    }
-
-    #[test]
-    fn stats_helpers() {
-        let ts = TimeSeries {
-            name: "x".into(),
-            period_s: 1.0,
-            values: vec![1.0, 3.0],
-            tail_width_s: None,
-        };
-        assert_eq!(ts.max(), 3.0);
-        assert_eq!(ts.mean(), 2.0);
+        assert!(lines.iter().all(|l| l.split(',').count() == 11));
     }
 
     #[test]
     fn partial_tail_is_flushed_and_weighted() {
         // Two full 1 s windows then a 0.25 s tail the horizon cut short.
         let rows = vec![row(1.0, 2.0, 0), row(1.0, 4.0, 0), row(0.25, 8.0, 1)];
-        let rec = MetricsRecorder::from_samples(1.0, &[world(rows, true)]);
-        assert_eq!(rec.ticks(), 3);
-        assert_eq!(rec.tail_width_s(), Some(0.25));
-        let s = rec.get("queue.pool_prep").unwrap();
-        assert_eq!(s.values, vec![2.0, 4.0, 8.0]);
-        assert_eq!(s.tail_width_s, Some(0.25));
-        // Weighted: (2·1 + 4·1 + 8·0.25) / 2.25, not the naive (2+4+8)/3.
-        let want = (2.0 + 4.0 + 8.0 * 0.25) / 2.25;
-        assert!((s.mean() - want).abs() < 1e-12, "{} vs {want}", s.mean());
+        let csv = metrics_csv(1.0, &[world(rows, true)]);
+        let lines: Vec<_> = csv.lines().collect();
+        // The tail row is a row of its own, stamped at its window's start.
+        assert_eq!(lines.len(), 4);
+        assert!(lines[3].starts_with("2.000,8.000000,"), "{}", lines[3]);
         // One block in a quarter window is four per period.
-        let cuts = rec.get("blocks.cut_per_tick").unwrap();
-        assert_eq!(cuts.values, vec![0.0, 0.0, 4.0]);
-        // The tail row still appears in exports.
-        assert_eq!(rec.to_csv().lines().count(), 4);
-        assert!(rec.to_json().contains("\"tail_width_s\":0.25"));
+        assert!(lines[2].ends_with(",0.000000"), "{}", lines[2]);
+        assert!(lines[3].ends_with(",4.000000"), "{}", lines[3]);
     }
 
     #[test]
     fn channels_are_prefixed_and_kept_in_order() {
         let a = world(vec![row(1.0, 1.0, 0)], false);
         let b = world(vec![row(1.0, 2.0, 0)], false);
-        let rec = MetricsRecorder::from_samples(1.0, &[a, b]);
-        assert_eq!(rec.series().len(), 20);
-        assert_eq!(rec.series()[0].name, "ch0.queue.pool_prep");
-        assert_eq!(rec.series()[10].name, "ch1.queue.pool_prep");
-        assert_eq!(rec.get("ch1.queue.pool_prep").unwrap().values, [2.0]);
-        assert!(rec.get("queue.pool_prep").is_none());
+        let csv = metrics_csv(1.0, &[a, b]);
+        let lines: Vec<_> = csv.lines().collect();
+        let header: Vec<_> = lines[0].split(',').collect();
+        assert_eq!(header.len(), 21);
+        assert_eq!(header[1], "ch0.queue.pool_prep");
+        assert_eq!(header[11], "ch1.queue.pool_prep");
+        assert!(!header.contains(&"queue.pool_prep"));
+        let values: Vec<_> = lines[1].split(',').collect();
+        assert_eq!((values[1], values[11]), ("1.000000", "2.000000"));
     }
 
     #[test]

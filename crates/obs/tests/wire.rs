@@ -18,7 +18,9 @@
 //! first are `cross.diff.json`.
 //!
 //! The run documents and the two diffs that read them were recorded again
-//! when `--json` became the summary's own exact rendering:
+//! when `--json` became the summary's own exact rendering, and again when
+//! its `bottleneck` object did; the analysis and its self-diff when its
+//! `health` member became the timeline's own records:
 //!
 //! ```text
 //! fabricsim <run flags> --json > run.json
@@ -27,6 +29,9 @@
 //! fabricsim analyze --trace trace.jsonl --spans spans.jsonl --json > a.json
 //! fabricsim diff run.json run2.json a.json run2.analysis.json \
 //!     profile.json run2.profile.json --json --force > cross.diff.json
+//! fabricsim analyze --trace trace.jsonl --spans spans.jsonl \
+//!     --health health.jsonl --json > analysis.json
+//! fabricsim diff analysis.json analysis.json --json > analysis.self-diff.json
 //! ```
 
 use fabricsim_des::RngStream;
@@ -116,12 +121,16 @@ fn fixtures_decode_and_render_to_the_same_bytes() {
 
     // `analyze --trace --spans --health --json`, as the CLI assembles it.
     let analysis = format!(
-        "{{\"provenance\":{},\"trace\":{},\"span_graph\":{},\"health\":{}}}\n",
+        "{{\"provenance\":{},\"trace\":{},\"span_graph\":{},\"health\":[{}]}}\n",
         prov.to_json(),
         TraceAnalysis::from_events(&events, 5).to_json(),
         SpanGraphAnalysis::from_spans(&spans).to_json(),
-        health.to_json()
+        health.records().join(",")
     );
+    // Its `health` array is the timeline's records: the lines after the
+    // provenance line, in order.
+    let records: Vec<&str> = HEALTH.lines().skip(1).collect();
+    assert!(analysis.contains(&format!("\"health\":[{}]}}", records.join(","))));
     assert_eq!(analysis, ANALYSIS);
 
     // The two single-document formats have no typed decoder: `diff` reads

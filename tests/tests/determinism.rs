@@ -1,5 +1,6 @@
 //! Reproducibility: the simulation is a pure function of its configuration.
 
+use fabricsim::obs::metrics_csv;
 use fabricsim::{
     Fault, GossipConfig, LaneStats, OrdererType, PolicySpec, RunResult, SimConfig, Simulation,
     TxOutcome,
@@ -229,7 +230,11 @@ fn rendered(r: &RunResult) -> Vec<(&'static str, String)> {
             "health",
             o.health.as_ref().expect("health plane").to_jsonl(None),
         ),
-        ("metrics", o.metrics.as_ref().expect("sampler").to_csv()),
+        // Every run here samples at the default period.
+        (
+            "metrics",
+            metrics_csv(SimConfig::default().obs.sample_period_s, &o.samples),
+        ),
         ("state", format!("{:?}", r.final_state)),
         ("block cuts", format!("{:?}", r.block_cuts)),
     ]
@@ -453,18 +458,16 @@ fn broker_crash_fails_over_on_every_channel_at_the_default_worker_count() {
     );
     // The crash is scheduled into every channel world: each partition loses
     // its leader and each must cut blocks again inside the window.
-    let m = r.observability.metrics.expect("sampler attached");
-    for c in 0..2 {
-        let series = m
-            .get(&format!("ch{c}.blocks.cut_per_tick"))
-            .expect("per-channel cadence series");
-        let cuts_after: f64 = series
-            .points()
-            .filter(|&(t, _)| t >= 14.0)
-            .map(|(_, v)| v)
+    assert_eq!(r.observability.samples.len(), 2);
+    for (c, w) in r.observability.samples.iter().enumerate() {
+        let cuts_after: usize = w
+            .rows
+            .iter()
+            .filter(|row| row.t_end_s - row.width_s >= 14.0)
+            .map(|row| row.new_cuts)
             .sum();
         assert!(
-            cuts_after > 10.0,
+            cuts_after > 10,
             "channel {c} must fail over: {cuts_after} blocks cut after t=14s"
         );
     }

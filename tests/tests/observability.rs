@@ -1,7 +1,7 @@
 //! End-to-end observability: structured traces, sampled time-series, and the
 //! bottleneck-attribution report, exercised through the full simulation.
 
-use fabricsim::obs::{parse_jsonl_with_provenance, TracePhase};
+use fabricsim::obs::{metrics_csv, parse_jsonl_with_provenance, TracePhase};
 use fabricsim::{OrdererType, PolicySpec, SimConfig, Simulation};
 
 fn obs_config(policy: PolicySpec, rate: f64) -> SimConfig {
@@ -23,14 +23,14 @@ fn obs_config(policy: PolicySpec, rate: f64) -> SimConfig {
 fn tracing_is_off_by_default_and_does_not_change_results() {
     let mut base = obs_config(PolicySpec::OrN(10), 100.0);
     base.obs.trace_events = false;
-    base.obs.sample_period_s = 0.0;
     let untraced = Simulation::new(base.clone()).run_detailed();
     assert!(untraced.observability.events.is_empty());
-    assert!(untraced.observability.metrics.is_none());
 
+    // The sampler always runs; a four-times finer cadence must not perturb
+    // the run either.
     let mut traced_cfg = base;
     traced_cfg.obs.trace_events = true;
-    traced_cfg.obs.sample_period_s = 1.0;
+    traced_cfg.obs.sample_period_s = 0.25;
     let traced = Simulation::new(traced_cfg).run_detailed();
     assert!(!traced.observability.events.is_empty());
 
@@ -120,14 +120,25 @@ fn bottleneck_report_names_peer_vscc_past_saturation() {
 }
 
 #[test]
-fn metrics_recorder_samples_every_virtual_second() {
+fn sampler_records_every_virtual_second() {
     let r = Simulation::new(obs_config(PolicySpec::OrN(10), 120.0)).run_detailed();
-    let m = r
-        .observability
-        .metrics
-        .as_ref()
-        .expect("sampling on by default");
-    assert!(m.ticks() >= 14, "15s run should yield ~15 one-second ticks");
+    let [w] = &r.observability.samples[..] else {
+        panic!("one channel world, one sampler record");
+    };
+    // 15 s at the default 1 s period: fifteen whole windows, no tail.
+    assert_eq!(w.rows.len(), 15);
+    assert!(!w.tail);
+    for (i, row) in w.rows.iter().enumerate() {
+        assert_eq!((row.t_end_s, row.width_s), ((i + 1) as f64, 1.0));
+    }
+    // Under steady load some work must actually be in flight.
+    assert!(w.rows.iter().any(|row| row.inflight > 0));
+
+    // CSV export: header + one row per window, consistent column count.
+    let csv = metrics_csv(1.0, &r.observability.samples);
+    let lines: Vec<&str> = csv.lines().collect();
+    assert_eq!(lines.len(), w.rows.len() + 1);
+    let header: Vec<&str> = lines[0].split(',').collect();
     for name in [
         "queue.pool_prep",
         "queue.peer_vscc",
@@ -137,22 +148,10 @@ fn metrics_recorder_samples_every_virtual_second() {
         "inflight.txs",
         "blocks.cut_per_tick",
     ] {
-        let series = m
-            .get(name)
-            .unwrap_or_else(|| panic!("missing series {name}"));
-        assert_eq!(series.points().count(), m.ticks());
+        assert!(header.contains(&name), "missing column {name}");
     }
-    // Under steady load some work must actually be in flight.
-    let inflight = m.get("inflight.txs").expect("inflight series");
-    assert!(inflight.max() > 0.0);
-
-    // CSV export: header + one row per tick, consistent column count.
-    let csv = m.to_csv();
-    let lines: Vec<&str> = csv.lines().collect();
-    assert_eq!(lines.len(), m.ticks() + 1);
-    let cols = lines[0].split(',').count();
     for l in &lines[1..] {
-        assert_eq!(l.split(',').count(), cols);
+        assert_eq!(l.split(',').count(), header.len());
     }
 }
 

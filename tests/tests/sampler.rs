@@ -1,8 +1,8 @@
 //! The sampler's artifacts against frozen bytes.
 //!
-//! `tests/fixtures/sampler/` holds the `--metrics-out` CSV, the metrics
-//! table's JSON form and the `--health-out` timeline of one short run past
-//! the validate knee, exactly as
+//! `tests/fixtures/sampler/` holds the `--metrics-out` CSV and the
+//! `--health-out` timeline of one short run past the validate knee, both
+//! written from the sampler's rows, exactly as
 //!
 //! ```text
 //! fabricsim --policy AND5 --peers 5 --validator-pool 1 --channels 2 \
@@ -18,7 +18,7 @@
 //! fixtures only together with the `fabricsim diff` artifact of old against
 //! new that explains the move.
 
-use fabricsim::obs::RunProvenance;
+use fabricsim::obs::{metrics_csv, RunProvenance};
 use fabricsim::{OrdererType, PolicySpec, SimConfig, Simulation};
 
 macro_rules! fixture {
@@ -70,19 +70,19 @@ fn assert_same_bytes(name: &str, got: &str, want: &str) {
 
 #[test]
 fn sampler_artifacts_match_the_recorded_bytes() {
-    let r = Simulation::new(config()).run_detailed();
+    let cfg = config();
+    let period = cfg.obs.sample_period_s;
+    let r = Simulation::new(cfg).run_detailed();
     let obs = &r.observability;
-    let metrics = obs.metrics.as_ref().expect("sampler on");
     let health = obs.health.as_ref().expect("health plane on");
     let prov = RunProvenance {
         seed: r.summary.seed,
         config_digest: r.summary.config_digest.clone(),
     };
-    assert_same_bytes("metrics.csv", &metrics.to_csv(), fixture!("metrics.csv"));
     assert_same_bytes(
-        "metrics.json",
-        &(metrics.to_json() + "\n"),
-        fixture!("metrics.json"),
+        "metrics.csv",
+        &metrics_csv(period, &obs.samples),
+        fixture!("metrics.csv"),
     );
     assert_same_bytes(
         "health.jsonl",
